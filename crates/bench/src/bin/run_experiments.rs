@@ -5,7 +5,7 @@
 //!
 //! EXPERIMENT: table1 | fig1 | fig2 | fig3 | fig4 | fig5 | fig6 | fig7
 //!           | shuffle | spill | join | sketch | rounds | serving | distrib
-//!           | perf | all
+//!           | all
 //! ```
 //!
 //! `shuffle`, `spill`, `join`, `sketch`, `rounds`, `serving` and `distrib`
@@ -26,16 +26,6 @@
 //! batch GreedyMR), and `distrib` A/Bs the full pipeline across 1/2/4
 //! worker *processes* against the in-process baseline (output asserted
 //! byte-identical at every shard count).
-//!
-//! `perf` is the CI-gated hot-path harness (`docs/perf.md`): it times the
-//! codec, run-file, merge and probe lanes against the implementations
-//! they replaced *in the same run*, sweeps the end-to-end pipeline across
-//! memory budgets × thread counts asserting byte-identical output, writes
-//! `BENCH_PR10.json` into the working directory and fails the invocation
-//! if any gate trips (speedup floor, thread-scaling inversion, >15%
-//! regression against the committed `crates/bench/perf_baseline.json`).
-//! Like `distrib`, it runs as its own invocation and is not part of
-//! `all`.
 //!
 //! `distrib` is deliberately excluded from `all`: its workers re-invoke
 //! this binary with the same arguments and replay everything that runs
@@ -105,7 +95,7 @@ fn parse_args(args: &[String]) -> Result<CliOptions, String> {
 fn usage() -> String {
     "usage: run-experiments \
      [table1|fig1|fig2|fig3|fig4|fig5|fig6|fig7|shuffle|spill|join|sketch|rounds|serving|distrib\
-     |perf|all ...] [--scale smoke|full] [--threads N] [--seed S]"
+     |all ...] [--scale smoke|full] [--threads N] [--seed S]"
         .to_string()
 }
 
@@ -185,26 +175,6 @@ fn run_experiment(name: &str, set: &mut ExperimentSet) -> Result<(), String> {
                 );
             }
             println!("{}", experiments::sketch_frontier(&rows));
-        }
-        "perf" => {
-            let baseline = smr_bench::perf::committed_baseline();
-            let report = smr_bench::perf::run_perf(set.scale, baseline.as_deref());
-            println!("{}", report.render());
-            let out = std::path::Path::new("BENCH_PR10.json");
-            smr_bench::perf::write_json(&report, out)
-                .map_err(|e| format!("writing {}: {e}", out.display()))?;
-            eprintln!("[perf report written to {}]", out.display());
-            let failures = report.failures();
-            if !failures.is_empty() {
-                return Err(format!(
-                    "perf gates failed: {}",
-                    failures
-                        .iter()
-                        .map(|g| format!("{} ({})", g.name, g.detail))
-                        .collect::<Vec<_>>()
-                        .join("; ")
-                ));
-            }
         }
         "distrib" => {
             let rows = experiments::distrib_rows(set, None);

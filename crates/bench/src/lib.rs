@@ -24,11 +24,9 @@
 #![warn(rust_2018_idioms)]
 
 pub mod experiments;
-pub mod perf;
 pub mod pipeline;
 pub mod report;
 
 pub use experiments::{ExperimentScale, ExperimentSet};
-pub use perf::PerfReport;
 pub use pipeline::DatasetInstance;
 pub use report::Table;

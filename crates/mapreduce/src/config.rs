@@ -69,9 +69,10 @@ pub struct JobConfig {
     /// spilling.  The job's output is byte-identical for every budget.
     pub memory_budget: Option<u64>,
     /// Directory spilled runs are written under (a per-job subdirectory is
-    /// created lazily and removed when the job finishes).  `None` (the
-    /// default unless [`SPILL_DIR_ENV`] is set) uses the system temp
-    /// directory.
+    /// created lazily and removed when the job finishes); a
+    /// [`crate::FlowContext`] roots its store and side data here too.
+    /// `None` (the default unless [`SPILL_DIR_ENV`] is set) uses the
+    /// system temp directory.
     pub spill_dir: Option<PathBuf>,
     /// Opt the job into the sharded **multi-process** runtime: when set
     /// *and* a process-shard runtime is installed (the `smr_distrib` crate

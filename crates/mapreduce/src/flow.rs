@@ -6,9 +6,10 @@
 //! adds the plan-builder API that callers chain jobs with:
 //!
 //! * [`FlowContext`] — shared execution state: the [`JobConfig`] every job
-//!   of the chain runs under, the [`KvStore`] HDFS stand-in for persisted
-//!   datasets, and the accumulated [`JobMetrics`] of every job the flow has
-//!   executed ([`FlowContext::report`] snapshots them as a [`FlowReport`]).
+//!   of the chain runs under, the file-backed [`DatasetStore`] standing in
+//!   for HDFS (persisted datasets plus transient side data), and the
+//!   accumulated [`JobMetrics`] of every job the flow has executed
+//!   ([`FlowContext::report`] snapshots them as a [`FlowReport`]).
 //! * [`Dataset<K, V>`] — a *deferred* computation producing `(K, V)`
 //!   records.  Nothing runs until a terminal ([`Dataset::collect`] or
 //!   [`Dataset::persist`]) is invoked; combinators only extend the plan.
@@ -66,12 +67,11 @@
 //! assert_eq!(flow.report().num_jobs(), 1);
 //! ```
 
-use std::any::Any;
 use std::collections::HashSet;
 use std::marker::PhantomData;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 use smr_storage::{DatasetStore, RunReader, StorageError};
@@ -81,7 +81,6 @@ use crate::counters::Counters;
 use crate::executor::Job;
 use crate::metrics::JobMetrics;
 use crate::partition::{HashPartitioner, Partitioner};
-use crate::store::KvStore;
 use crate::types::{Combiner, IdentityCombiner, Key, Mapper, Reducer, Value};
 
 /// The records a dataset materializes to.
@@ -89,11 +88,6 @@ pub type Records<K, V> = Vec<(K, V)>;
 
 /// The deferred computation behind a [`Dataset`].
 type SourceThunk<K, V> = Box<dyn FnOnce(&FlowContext) -> Records<K, V>>;
-
-/// A type-erased persisted dataset inside the in-memory flow store,
-/// alongside the `type_name` of its `Records<K, V>` (for typed mismatch
-/// errors).
-type StoredDataset = (Arc<dyn Any + Send + Sync>, &'static str);
 
 /// A typed error raised by the flow's persistence layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -141,15 +135,6 @@ impl std::fmt::Display for FlowError {
 }
 
 impl std::error::Error for FlowError {}
-
-/// Where a flow persists its datasets: the in-memory [`KvStore`] (the
-/// default), or a file-backed [`DatasetStore`] so chained jobs stream
-/// between stages without holding every persisted dataset in RAM.
-#[derive(Debug)]
-enum FlowStore {
-    Memory(KvStore<StoredDataset>),
-    Disk(DatasetStore),
-}
 
 /// Summary of every job a flow has executed so far, in execution order.
 #[derive(Debug, Clone, Default)]
@@ -251,28 +236,39 @@ impl FlowReport {
 struct FlowInner {
     config: JobConfig,
     jobs: Mutex<Vec<JobMetrics>>,
-    store: FlowStore,
+    /// The store over the flow's one directory: opened up front by
+    /// [`FlowContext::with_disk_store`], created on first use otherwise.
+    store: OnceLock<DatasetStore>,
+    /// Whether the directory outlives the flow (`with_disk_store`) or dies
+    /// with it (`new`).
+    keep_store: bool,
     errors: Mutex<Vec<FlowError>>,
     anonymous_jobs: AtomicUsize,
     /// Job indices at which iterative rounds started.
     round_starts: Mutex<Vec<usize>>,
-    /// Lazily created side-data store (see [`FlowContext::side_store`]).
-    side: Mutex<Option<DatasetStore>>,
+    /// The `_side` sub-store (see [`FlowContext::side_store`]).
+    side: OnceLock<DatasetStore>,
 }
 
 impl Drop for FlowInner {
     fn drop(&mut self) {
         // Side data is transient by contract: whatever jobs parked there
-        // (index partitions, vector chunks) dies with the flow.
-        if let Some(store) = self.side.lock().take() {
+        // (index partitions, vector chunks) dies with the flow.  A flow
+        // that picked its own directory takes all of it along.
+        let doomed = if self.keep_store {
+            self.side.get()
+        } else {
+            self.store.get()
+        };
+        if let Some(store) = doomed {
             let _ = std::fs::remove_dir_all(store.root());
         }
     }
 }
 
 /// Shared state of a job chain: the [`JobConfig`] every job runs under,
-/// the [`KvStore`] standing in for the distributed file system, and the
-/// accumulated metrics of every executed job.
+/// the [`DatasetStore`] standing in for the distributed file system, and
+/// the accumulated metrics of every executed job.
 ///
 /// Cloning a `FlowContext` is cheap and every clone shares the same state,
 /// so one context can be threaded through an entire pipeline (similarity
@@ -294,41 +290,60 @@ impl std::fmt::Debug for FlowContext {
 }
 
 impl FlowContext {
-    /// Creates a flow whose jobs all run under `config`, persisting
-    /// datasets in memory.  The config's `name` prefixes every job name of
-    /// the chain.
+    /// Creates a flow whose jobs all run under `config`.  The config's
+    /// `name` prefixes every job name of the chain.  Persisted datasets and
+    /// side data live in a directory of the flow's own — created on first
+    /// use under [`JobConfig::spill_dir`] (the system temp directory when
+    /// unset) and removed when the flow drops.
     pub fn new(config: JobConfig) -> Self {
-        FlowContext::with_store(config, FlowStore::Memory(KvStore::new()))
+        FlowContext::with_store(config, None)
     }
 
-    /// Creates a flow whose persisted datasets live in a file-backed store
-    /// rooted at `dir` (created if missing): `persist` writes encoded
-    /// records to disk and `load` streams them back, so chained jobs
-    /// (similarity join → matching rounds) keep only the stage in flight
-    /// in RAM.  Datasets already present under `dir` (e.g. from an earlier
-    /// run) are visible to `load`.
+    /// Creates a flow whose store is rooted at `dir` (created if missing)
+    /// and outlives the flow: datasets already present under `dir` (e.g.
+    /// from an earlier run) are visible to `load`, and persisted datasets
+    /// stay behind when the flow drops.  Only the side data is removed.
     pub fn with_disk_store(
         config: JobConfig,
         dir: impl Into<PathBuf>,
     ) -> Result<Self, StorageError> {
-        Ok(FlowContext::with_store(
-            config,
-            FlowStore::Disk(DatasetStore::open(dir)?),
-        ))
+        let store = DatasetStore::open(dir)?;
+        Ok(FlowContext::with_store(config, Some(store)))
     }
 
-    fn with_store(config: JobConfig, store: FlowStore) -> Self {
+    fn with_store(config: JobConfig, kept: Option<DatasetStore>) -> Self {
         FlowContext {
             inner: Arc::new(FlowInner {
                 config,
                 jobs: Mutex::new(Vec::new()),
-                store,
+                keep_store: kept.is_some(),
+                store: kept.map(OnceLock::from).unwrap_or_default(),
                 errors: Mutex::new(Vec::new()),
                 anonymous_jobs: AtomicUsize::new(0),
                 round_starts: Mutex::new(Vec::new()),
-                side: Mutex::new(None),
+                side: OnceLock::new(),
             }),
         }
+    }
+
+    /// The flow's store, created on first use for [`FlowContext::new`]
+    /// flows.
+    ///
+    /// # Panics
+    /// Panics when the directory cannot be created (an environment
+    /// failure, like a failed persist).
+    fn store(&self) -> &DatasetStore {
+        static FLOW_SEQ: AtomicUsize = AtomicUsize::new(0);
+        self.inner.store.get_or_init(|| {
+            let base = self.inner.config.spill_dir.clone();
+            let dir = base.unwrap_or_else(std::env::temp_dir).join(format!(
+                "smr-flow-{}-{}",
+                std::process::id(),
+                FLOW_SEQ.fetch_add(1, Ordering::Relaxed)
+            ));
+            DatasetStore::open(&dir)
+                .unwrap_or_else(|e| panic!("failed to open flow store at {dir:?}: {e}"))
+        })
     }
 
     /// Creates a flow with a default config carrying the given name.
@@ -402,7 +417,6 @@ impl FlowContext {
                 Ok(records) => records,
                 Err(FlowError::MissingDataset { .. }) => Vec::new(),
                 Err(error) => {
-                    eprintln!("flow `{}`: load failed: {error}", ctx.inner.config.name);
                     ctx.inner.errors.lock().push(error);
                     Vec::new()
                 }
@@ -414,41 +428,24 @@ impl FlowContext {
     /// errors for missing paths, record-type mismatches and storage
     /// failures.
     pub fn read_persisted<K: Key, V: Value>(&self, path: &str) -> Result<Records<K, V>, FlowError> {
-        match &self.inner.store {
-            FlowStore::Memory(store) => {
-                let stored = store.read(path);
-                let Some((any, stored_type)) = stored.first().cloned() else {
-                    return Err(FlowError::MissingDataset {
-                        path: path.to_string(),
-                    });
-                };
-                match any.downcast::<Records<K, V>>() {
-                    Ok(records) => Ok(records.as_ref().clone()),
-                    Err(_) => Err(FlowError::TypeMismatch {
-                        path: path.to_string(),
-                        stored: stored_type.to_string(),
-                        requested: std::any::type_name::<Records<K, V>>().to_string(),
-                    }),
-                }
-            }
-            FlowStore::Disk(store) => match store.read::<(K, V)>(path) {
-                Ok(records) => Ok(records),
-                Err(StorageError::Missing { name }) => {
-                    Err(FlowError::MissingDataset { path: name })
-                }
-                Err(StorageError::TypeMismatch { stored, requested }) => {
-                    Err(FlowError::TypeMismatch {
-                        path: path.to_string(),
-                        stored,
-                        requested,
-                    })
-                }
-                Err(other) => Err(FlowError::Storage {
-                    path: path.to_string(),
-                    message: other.to_string(),
-                }),
+        let path = path.to_string();
+        // A store nobody has written to yet holds nothing (and is not
+        // created just to find that out).
+        let Some(store) = self.inner.store.get() else {
+            return Err(FlowError::MissingDataset { path });
+        };
+        store.read::<(K, V)>(&path).map_err(|error| match error {
+            StorageError::Missing { .. } => FlowError::MissingDataset { path },
+            StorageError::TypeMismatch { stored, requested } => FlowError::TypeMismatch {
+                path,
+                stored,
+                requested,
             },
-        }
+            other => FlowError::Storage {
+                path,
+                message: other.to_string(),
+            },
+        })
     }
 
     /// The flow's *side-data* store: a disk-backed [`DatasetStore`] for
@@ -458,33 +455,21 @@ impl FlowContext {
     /// chunks) and later stages open them on demand instead of holding
     /// them in memory for the whole chain.
     ///
-    /// The store is created lazily on first use — under the disk store's
-    /// root for [`FlowContext::with_disk_store`] flows, under the system
-    /// temp directory otherwise — is shared by every clone of the context,
-    /// and is deleted when the flow drops: side data is transient, unlike
-    /// [`Dataset::persist`] outputs.
+    /// The store is the `_side` subdirectory of the flow's store, created
+    /// on first use, shared by every clone of the context and deleted when
+    /// the flow drops: side data is transient, even where
+    /// [`Dataset::persist`] outputs are kept.
     ///
     /// # Panics
     /// Panics when the store directory cannot be created (an environment
     /// failure, like a failed persist).
     pub fn side_store(&self) -> DatasetStore {
-        static SIDE_SEQ: AtomicUsize = AtomicUsize::new(0);
-        let mut guard = self.inner.side.lock();
-        if let Some(store) = guard.as_ref() {
-            return store.clone();
-        }
-        let dir = match &self.inner.store {
-            FlowStore::Disk(store) => store.root().join("_side"),
-            FlowStore::Memory(_) => std::env::temp_dir().join(format!(
-                "smr-flow-side-{}-{}",
-                std::process::id(),
-                SIDE_SEQ.fetch_add(1, Ordering::Relaxed)
-            )),
-        };
-        let store = DatasetStore::open(&dir)
-            .unwrap_or_else(|e| panic!("failed to open flow side store at {dir:?}: {e}"));
-        *guard = Some(store.clone());
-        store
+        let side = self.inner.side.get_or_init(|| {
+            let dir = self.store().root().join("_side");
+            DatasetStore::open(&dir)
+                .unwrap_or_else(|e| panic!("failed to open flow side store at {dir:?}: {e}"))
+        });
+        side.clone()
     }
 
     /// Creates a [`RoundState`] for an iterative computation driven
@@ -521,29 +506,17 @@ impl FlowContext {
 
     /// The paths of every persisted dataset, sorted.
     pub fn persisted_paths(&self) -> Vec<String> {
-        match &self.inner.store {
-            FlowStore::Memory(store) => store.paths(),
-            FlowStore::Disk(store) => store.paths(),
-        }
+        let store = self.inner.store.get();
+        store.map(DatasetStore::paths).unwrap_or_default()
     }
 
     fn persist_records<K: Key, V: Value>(&self, path: &str, records: Records<K, V>) -> usize {
-        let count = records.len();
-        match &self.inner.store {
-            FlowStore::Memory(store) => {
-                let tagged: StoredDataset =
-                    (Arc::new(records), std::any::type_name::<Records<K, V>>());
-                store.write(path, vec![tagged]);
-            }
-            FlowStore::Disk(store) => {
-                // A failed persist is an environment failure (disk full,
-                // permissions), not a recoverable pipeline state.
-                store
-                    .write(path, &records)
-                    .unwrap_or_else(|e| panic!("failed to persist `{path}`: {e}"));
-            }
-        }
-        count
+        // A failed persist is an environment failure (disk full,
+        // permissions), not a recoverable pipeline state.
+        self.store()
+            .write(path, &records)
+            .unwrap_or_else(|e| panic!("failed to persist `{path}`: {e}"));
+        records.len()
     }
 
     fn record_job(&self, metrics: JobMetrics) {
@@ -1302,7 +1275,7 @@ mod tests {
         assert_eq!(inner.report().job_names(), vec!["inner-flow-inner"]);
     }
 
-    /// The persist/load contract is identical for both store backends.
+    /// The persist/load contract is identical for both constructors.
     fn check_persist_and_load(flow: FlowContext) {
         let counts = flow
             .dataset(input())
@@ -1356,12 +1329,37 @@ mod tests {
     }
 
     #[test]
-    fn persist_and_load_round_trip_through_the_memory_store() {
-        check_persist_and_load(FlowContext::new(config()));
+    fn persist_and_load_round_trip_through_a_transient_flow() {
+        let base = std::env::temp_dir().join(format!("smr-flow-base-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&base);
+        std::fs::create_dir_all(&base).unwrap();
+        let entries = || std::fs::read_dir(&base).unwrap().count();
+
+        let flow = FlowContext::new(config().with_spill_dir(&base));
+        let _ = flow
+            .dataset(input())
+            .map_with(SplitWords)
+            .reduce_with(SumCounts)
+            .collect();
+        assert!(flow.persisted_paths().is_empty());
+        assert_eq!(
+            entries(),
+            0,
+            "a flow that never persists or opens side data creates no directory"
+        );
+        check_persist_and_load(flow.clone());
+        assert_eq!(
+            entries(),
+            1,
+            "the flow's directory sits under the spill base"
+        );
+        drop(flow);
+        assert_eq!(entries(), 0, "a transient flow leaves no directory behind");
+        std::fs::remove_dir_all(&base).unwrap();
     }
 
     #[test]
-    fn persist_and_load_round_trip_through_the_disk_store() {
+    fn persist_and_load_round_trip_through_a_kept_directory() {
         let dir = std::env::temp_dir().join(format!("smr-flow-disk-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         check_persist_and_load(FlowContext::with_disk_store(config(), &dir).unwrap());

@@ -32,9 +32,8 @@
 //!   communication cost per round),
 //! * an iterative [`driver`] for algorithms that chain many rounds
 //!   (GreedyMR, StackMR),
-//! * a record [`store`] standing in for HDFS between rounds — in memory
-//!   ([`KvStore`]) or on disk (`smr_storage::DiskKvStore`), both behind
-//!   the [`store::RecordStore`] persistence surface.
+//! * one file-backed `smr_storage::DatasetStore` per [`flow`] standing in
+//!   for HDFS between jobs and rounds.
 //!
 //! The engine is deliberately faithful to the programming model rather than
 //! to the physical deployment: the number of rounds an algorithm needs, the
@@ -144,7 +143,6 @@ pub mod partition;
 pub mod process_shard;
 mod sharded;
 pub mod shuffle;
-pub mod store;
 pub mod task_queue;
 pub mod types;
 
@@ -159,7 +157,6 @@ pub use metrics::{JobMetrics, PhaseTimings};
 pub use partition::{CombiningPartitionBuffer, HashPartitioner, Partitioner};
 pub use process_shard::{ProcessShardRuntime, ShardJob, ShardJobCheck, ShardRole};
 pub use shuffle::merge_runs;
-pub use store::{KvStore, RecordStore};
 pub use task_queue::{Task, TaskQueue};
 pub use types::{Codec, Combiner, Emitter, IdentityCombiner, Mapper, Reducer};
 
@@ -174,6 +171,5 @@ pub mod prelude {
     };
     pub use crate::metrics::JobMetrics;
     pub use crate::partition::{HashPartitioner, Partitioner};
-    pub use crate::store::{KvStore, RecordStore};
     pub use crate::types::{Codec, Combiner, Emitter, IdentityCombiner, Mapper, Reducer};
 }

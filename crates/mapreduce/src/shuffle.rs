@@ -18,10 +18,9 @@
 //! of it sits a "winner stays" fast path: the tree caches the runner-up
 //! leaf, and when a refilled stream's next record still beats that
 //! runner-up — the common case for runs with long sorted stretches — the
-//! emit costs a single comparison and no replay at all.
-//! [`merge_runs_reference`] keeps the straightforward heap merge as an
-//! executable model; property tests pin the tournament byte-identical to
-//! it.
+//! emit costs a single comparison and no replay at all.  The
+//! `merge_model_props` suite pins the tournament byte-identical to a plain
+//! binary-heap merge.
 //!
 //! Determinism: runs are merged in **(task index, spill sequence) order**
 //! and the merge breaks key ties by run position, so records with equal
@@ -31,7 +30,6 @@
 
 use std::cell::Cell;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 use smr_storage::RunReader;
 
@@ -243,60 +241,6 @@ where
     merged
 }
 
-/// The straightforward binary-heap merge the loser tree replaced, kept as
-/// the executable model: property tests assert the tournament merge is
-/// byte-identical to it (same `(key, run)` tie-break), and the perf
-/// harness measures the tournament against it.  Not part of the public
-/// API surface.
-#[doc(hidden)]
-pub fn merge_runs_reference<K: Ord, V>(runs: Vec<Vec<(K, V)>>) -> Vec<(K, V)> {
-    struct HeapEntry<K, V> {
-        key: K,
-        value: V,
-        run: usize,
-    }
-    impl<K: Ord, V> PartialEq for HeapEntry<K, V> {
-        fn eq(&self, other: &Self) -> bool {
-            self.key == other.key && self.run == other.run
-        }
-    }
-    impl<K: Ord, V> Eq for HeapEntry<K, V> {}
-    impl<K: Ord, V> PartialOrd for HeapEntry<K, V> {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl<K: Ord, V> Ord for HeapEntry<K, V> {
-        fn cmp(&self, other: &Self) -> Ordering {
-            // Reversed: the max-heap must surface the smallest (key, run).
-            other
-                .key
-                .cmp(&self.key)
-                .then_with(|| other.run.cmp(&self.run))
-        }
-    }
-    let mut iters: Vec<_> = runs.into_iter().map(Vec::into_iter).collect();
-    let total: usize = iters.iter().map(|i| i.size_hint().0).sum();
-    let mut heap: BinaryHeap<HeapEntry<K, V>> = BinaryHeap::with_capacity(iters.len());
-    for (run, iter) in iters.iter_mut().enumerate() {
-        if let Some((key, value)) = iter.next() {
-            heap.push(HeapEntry { key, value, run });
-        }
-    }
-    let mut merged = Vec::with_capacity(total);
-    while let Some(entry) = heap.pop() {
-        merged.push((entry.key, entry.value));
-        if let Some((key, value)) = iters[entry.run].next() {
-            heap.push(HeapEntry {
-                key,
-                value,
-                run: entry.run,
-            });
-        }
-    }
-    merged
-}
-
 thread_local! {
     /// Key clones taken by the combine fan-out on this thread.  The merge
     /// paths move keys instead of cloning them wherever they can; this
@@ -421,8 +365,8 @@ mod tests {
 
     /// Reference implementation: concatenate in run order, stable-sort by
     /// key — exactly what the legacy shuffle does.
-    fn concat_and_sort(runs: &[Vec<(u32, char)>]) -> Vec<(u32, char)> {
-        let mut all: Vec<(u32, char)> = runs.iter().flatten().cloned().collect();
+    fn concat_and_sort<V: Clone>(runs: &[Vec<(u32, V)>]) -> Vec<(u32, V)> {
+        let mut all: Vec<(u32, V)> = runs.iter().flatten().cloned().collect();
         all.sort_by_key(|record| record.0);
         all
     }
@@ -523,16 +467,11 @@ mod tests {
                 concat_and_sort(&runs),
                 "runs={runs:?}"
             );
-            assert_eq!(
-                merge_runs(runs.clone()),
-                merge_runs_reference(runs.clone()),
-                "tournament diverged from the heap model: runs={runs:?}"
-            );
         }
     }
 
     #[test]
-    fn tournament_matches_the_heap_model_on_non_power_of_two_run_counts() {
+    fn tournament_handles_non_power_of_two_run_counts() {
         // 3, 5, 6 and 7 runs exercise the padding leaves (permanently
         // exhausted heads) the power-of-two tree adds.
         for num_runs in [3usize, 5, 6, 7] {
@@ -547,7 +486,7 @@ mod tests {
                     run
                 })
                 .collect();
-            assert_eq!(merge_runs(runs.clone()), merge_runs_reference(runs));
+            assert_eq!(merge_runs(runs.clone()), concat_and_sort(&runs));
         }
     }
 

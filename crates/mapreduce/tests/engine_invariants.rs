@@ -113,18 +113,3 @@ proptest! {
         prop_assert_eq!(m.reduce_output_records as usize, result.output.len());
     }
 }
-
-#[test]
-fn store_round_trips_records_between_rounds() {
-    // Simulates the per-round persistence pattern the iterative matching
-    // algorithms use: write the reduce output, read it back as the next
-    // round's input.
-    let store: KvStore<(u32, u64)> = KvStore::new();
-    let job = Job::new(JobConfig::named("store-roundtrip").with_threads(2));
-    let round0 = job.run(&Spread { groups: 3 }, &Max, vec![(0, 10), (1, 20), (5, 3)]);
-    store.write("round-0", round0.output.clone());
-    let next_input: Vec<(u32, u64)> = store.read("round-0").as_ref().clone();
-    assert_eq!(next_input.len(), round0.output.len());
-    let round1 = job.run(&Spread { groups: 3 }, &Max, next_input);
-    assert!(!round1.output.is_empty());
-}

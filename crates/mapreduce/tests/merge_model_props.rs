@@ -7,9 +7,61 @@
 //! in run order, within-run order intact) shows up as a concrete diff,
 //! not just a multiset mismatch.
 
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+
 use proptest::prelude::*;
 use smr_mapreduce::merge_runs;
-use smr_mapreduce::shuffle::merge_runs_reference;
+
+/// The straightforward binary-heap merge the loser tree replaced — the
+/// executable model of the `(key, run-position)` tie-break.
+fn merge_runs_reference<K: Ord, V>(runs: Vec<Vec<(K, V)>>) -> Vec<(K, V)> {
+    struct HeapEntry<K, V> {
+        key: K,
+        value: V,
+        run: usize,
+    }
+    impl<K: Ord, V> PartialEq for HeapEntry<K, V> {
+        fn eq(&self, other: &Self) -> bool {
+            self.key == other.key && self.run == other.run
+        }
+    }
+    impl<K: Ord, V> Eq for HeapEntry<K, V> {}
+    impl<K: Ord, V> PartialOrd for HeapEntry<K, V> {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl<K: Ord, V> Ord for HeapEntry<K, V> {
+        fn cmp(&self, other: &Self) -> Ordering {
+            // Reversed: the max-heap must surface the smallest (key, run).
+            other
+                .key
+                .cmp(&self.key)
+                .then_with(|| other.run.cmp(&self.run))
+        }
+    }
+    let mut iters: Vec<_> = runs.into_iter().map(Vec::into_iter).collect();
+    let total: usize = iters.iter().map(|i| i.size_hint().0).sum();
+    let mut heap: BinaryHeap<HeapEntry<K, V>> = BinaryHeap::with_capacity(iters.len());
+    for (run, iter) in iters.iter_mut().enumerate() {
+        if let Some((key, value)) = iter.next() {
+            heap.push(HeapEntry { key, value, run });
+        }
+    }
+    let mut merged = Vec::with_capacity(total);
+    while let Some(entry) = heap.pop() {
+        merged.push((entry.key, entry.value));
+        if let Some((key, value)) = iters[entry.run].next() {
+            heap.push(HeapEntry {
+                key,
+                value,
+                run: entry.run,
+            });
+        }
+    }
+    merged
+}
 
 /// Deterministic xorshift so run shapes derive from one seed.
 struct XorShift(u64);

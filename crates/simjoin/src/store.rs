@@ -24,7 +24,7 @@ use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use smr_storage::{DatasetStore, DiskKvStore};
+use smr_storage::{Codec, DatasetStore, StorageError};
 use smr_text::{SparseVector, TermId};
 
 use crate::index::Posting;
@@ -37,6 +37,25 @@ const VECTOR_CHUNK: usize = 256;
 
 /// Decoded partitions / chunks kept in memory per handle.
 const MAX_CACHED: usize = 16;
+
+/// Writes (or replaces) one side-data block.  A failed write is an
+/// environment failure (disk full, permissions), not a recoverable state.
+fn write_block<R: Codec>(store: &DatasetStore, name: &str, records: &[R]) {
+    store
+        .write(name, records)
+        .unwrap_or_else(|e| panic!("side data write `{name}`: {e}"));
+}
+
+/// Reads one side-data block.  A block that was never written reads as
+/// empty (like an empty directory of part files); a corrupt or wrongly
+/// typed one is a bug or foreign data and fails loudly.
+fn read_block<R: Codec>(store: &DatasetStore, name: &str) -> Vec<R> {
+    match store.read(name) {
+        Ok(records) => records,
+        Err(StorageError::Missing { .. }) => Vec::new(),
+        Err(e) => panic!("side data read `{name}`: {e}"),
+    }
+}
 
 /// The blocks and bookkeeping behind a [`SharedCache`], guarded by its
 /// mutex.
@@ -320,7 +339,7 @@ impl IndexPartition {
 /// [`DatasetStore`] and opened partition-by-partition on demand.
 #[derive(Debug)]
 pub struct PartitionedIndex {
-    store: DiskKvStore<(u32, Posting)>,
+    store: DatasetStore,
     prefix: String,
     /// Contiguous term ids per partition.
     span: u32,
@@ -356,7 +375,6 @@ impl PartitionedIndex {
             let p = ((record.0 / span) as usize).min(num_partitions - 1);
             buckets[p].push(record);
         }
-        let typed: DiskKvStore<(u32, Posting)> = DiskKvStore::from_store(store.clone());
         for (p, mut bucket) in buckets.into_iter().enumerate() {
             if bucket.is_empty() {
                 continue;
@@ -366,10 +384,10 @@ impl PartitionedIndex {
             // keeping each term's postings in their deterministic doc
             // order.
             bucket.sort_by_key(|(term, _)| *term);
-            typed.write(&format!("{prefix}/part-{p}"), bucket);
+            write_block(store, &format!("{prefix}/part-{p}"), &bucket);
         }
         PartitionedIndex {
-            store: typed,
+            store: store.clone(),
             prefix: prefix.to_string(),
             span,
             num_partitions,
@@ -388,7 +406,10 @@ impl PartitionedIndex {
     /// partition share one disk read.
     pub fn partition(&self, p: usize) -> Arc<IndexPartition> {
         self.cache.get_or_load(p, || {
-            IndexPartition::from_records(self.store.read(&format!("{}/part-{p}", self.prefix)))
+            IndexPartition::from_records(read_block(
+                &self.store,
+                &format!("{}/part-{p}", self.prefix),
+            ))
         })
     }
 
@@ -409,8 +430,10 @@ impl PartitionedIndex {
         }
         for (p, mut bucket) in buckets {
             bucket.sort_by_key(|(term, _)| *term);
+            let name = format!("{}/part-{p}", self.prefix);
             self.store
-                .append(&format!("{}/part-{p}", self.prefix), bucket);
+                .append(&name, &bucket)
+                .unwrap_or_else(|e| panic!("side data append `{name}`: {e}"));
             self.cache.invalidate(p);
         }
     }
@@ -440,7 +463,7 @@ impl PartitionedIndex {
 /// random access by dense index through a bounded chunk cache.
 #[derive(Debug)]
 pub struct DiskVectorStore {
-    store: DiskKvStore<SparseVector>,
+    store: DatasetStore,
     prefix: String,
     len: usize,
     cache: SharedCache<Vec<SparseVector>>,
@@ -450,12 +473,11 @@ impl DiskVectorStore {
     /// Writes `vectors` in chunks under `{prefix}/chunk-{c}` and returns
     /// the read handle.
     pub fn write(store: &DatasetStore, prefix: &str, vectors: &[SparseVector]) -> Self {
-        let typed: DiskKvStore<SparseVector> = DiskKvStore::from_store(store.clone());
         for (c, chunk) in vectors.chunks(VECTOR_CHUNK).enumerate() {
-            typed.write(&format!("{prefix}/chunk-{c}"), chunk.to_vec());
+            write_block(store, &format!("{prefix}/chunk-{c}"), chunk);
         }
         DiskVectorStore {
-            store: typed,
+            store: store.clone(),
             prefix: prefix.to_string(),
             len: vectors.len(),
             cache: SharedCache::default(),
@@ -473,13 +495,12 @@ impl DiskVectorStore {
         let mut pending = if self.len.is_multiple_of(VECTOR_CHUNK) {
             Vec::new()
         } else {
-            self.store.read(&format!("{}/chunk-{first}", self.prefix))
+            read_block(&self.store, &format!("{}/chunk-{first}", self.prefix))
         };
         pending.extend_from_slice(vectors);
         for (offset, chunk) in pending.chunks(VECTOR_CHUNK).enumerate() {
             let c = first + offset;
-            self.store
-                .write(&format!("{}/chunk-{c}", self.prefix), chunk.to_vec());
+            write_block(&self.store, &format!("{}/chunk-{c}", self.prefix), chunk);
             self.cache.invalidate(c);
         }
         self.len += vectors.len();
@@ -502,8 +523,9 @@ impl DiskVectorStore {
     }
 
     fn chunk(&self, c: usize) -> Arc<Vec<SparseVector>> {
-        self.cache
-            .get_or_load(c, || self.store.read(&format!("{}/chunk-{c}", self.prefix)))
+        self.cache.get_or_load(c, || {
+            read_block(&self.store, &format!("{}/chunk-{c}", self.prefix))
+        })
     }
 
     /// Calls `f` with the vector at dense index `i`.
@@ -728,6 +750,16 @@ mod tests {
             "each partition must be read from disk exactly once"
         );
         std::fs::remove_dir_all(store.root()).unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "side data read `v/chunk-0`")]
+    fn foreign_data_under_a_chunk_name_fails_loudly_instead_of_reading_empty() {
+        let store = temp_store("foreign");
+        let vector = SparseVector::from_entries([(TermId(0), 1.0)]);
+        let disk = DiskVectorStore::write(&store, "v", &[vector]);
+        store.write("v/chunk-0", &[7u64]).unwrap();
+        disk.with_vector(0, |_| ());
     }
 
     #[test]

@@ -1,17 +1,11 @@
-//! File-backed named dataset stores.
+//! The file-backed named dataset store — the HDFS stand-in.
 //!
-//! [`DatasetStore`] is the heterogeneous layer: every dataset is one run
-//! file (see [`crate::run`]) whose header carries the record type's name,
-//! so reading a dataset back at the wrong type is a typed
+//! In a [`DatasetStore`] every dataset is one run file (see
+//! [`crate::run`]) whose header carries the record type's name, so reading
+//! a dataset back at the wrong type is a typed
 //! [`StorageError::TypeMismatch`] instead of garbage.  Dataset names map
 //! to file names by percent-encoding, so names like `iteration-0/graph`
 //! work unchanged.
-//!
-//! [`DiskKvStore`] is the homogeneous wrapper mirroring the in-memory
-//! `KvStore` surface of the engine (write / append / read / exists /
-//! remove / len / paths / clear), for callers that persist one record type
-//! per store — the HDFS stand-in of iterative algorithms, now surviving on
-//! disk.
 
 use std::path::{Path, PathBuf};
 
@@ -223,110 +217,6 @@ impl DatasetStore {
     }
 }
 
-/// A disk-backed store of one record type, mirroring the in-memory
-/// `KvStore` persistence surface.
-///
-/// Missing datasets read as empty (like reading an empty directory of part
-/// files); corrupt or wrongly typed datasets are surfaced through
-/// [`DiskKvStore::try_read`] and panic in the infallible mirror methods,
-/// since they indicate a bug or foreign data rather than a normal state.
-#[derive(Debug, Clone)]
-pub struct DiskKvStore<T> {
-    store: DatasetStore,
-    _marker: std::marker::PhantomData<fn() -> T>,
-}
-
-impl<T: Codec + Clone> DiskKvStore<T> {
-    /// Opens (creating if needed) the store rooted at `root`.
-    pub fn open(root: impl Into<PathBuf>) -> Result<Self, StorageError> {
-        Ok(DiskKvStore {
-            store: DatasetStore::open(root)?,
-            _marker: std::marker::PhantomData,
-        })
-    }
-
-    /// Wraps an already opened [`DatasetStore`] as a typed view.  Several
-    /// typed views (of different record types) can share one directory:
-    /// each dataset file still carries its own type tag, so reading a
-    /// dataset another view wrote at a different type stays a typed error.
-    pub fn from_store(store: DatasetStore) -> Self {
-        DiskKvStore {
-            store,
-            _marker: std::marker::PhantomData,
-        }
-    }
-
-    /// The root directory.
-    pub fn root(&self) -> &Path {
-        self.store.root()
-    }
-
-    /// Writes (or replaces) the dataset at `path`.
-    pub fn write(&self, path: &str, records: Vec<T>) {
-        self.store
-            .write(path, &records)
-            .unwrap_or_else(|e| panic!("DiskKvStore write `{path}`: {e}"));
-    }
-
-    /// Appends records to the dataset at `path`, creating it if missing.
-    pub fn append(&self, path: &str, records: Vec<T>) {
-        self.store
-            .append(path, &records)
-            .unwrap_or_else(|e| panic!("DiskKvStore append `{path}`: {e}"));
-    }
-
-    /// Reads the dataset at `path`; empty when missing.
-    pub fn read(&self, path: &str) -> Vec<T> {
-        self.try_read(path)
-            .unwrap_or_else(|e| panic!("DiskKvStore read `{path}`: {e}"))
-    }
-
-    /// Reads the dataset at `path` with typed errors; `Ok(vec![])` when
-    /// missing.
-    pub fn try_read(&self, path: &str) -> Result<Vec<T>, StorageError> {
-        match self.store.read::<T>(path) {
-            Ok(records) => Ok(records),
-            Err(StorageError::Missing { .. }) => Ok(Vec::new()),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Whether a dataset exists at `path`.
-    pub fn exists(&self, path: &str) -> bool {
-        self.store.exists(path)
-    }
-
-    /// Removes the dataset at `path`, returning whether it existed.
-    pub fn remove(&self, path: &str) -> bool {
-        self.store.remove(path)
-    }
-
-    /// Number of records stored at `path`.
-    pub fn len(&self, path: &str) -> usize {
-        self.store.record_count(path) as usize
-    }
-
-    /// Whether the dataset at `path` is missing or empty.
-    pub fn is_empty(&self, path: &str) -> bool {
-        self.len(path) == 0
-    }
-
-    /// All dataset paths currently stored, sorted.
-    pub fn paths(&self) -> Vec<String> {
-        self.store.paths()
-    }
-
-    /// Total number of records across all datasets.
-    pub fn total_records(&self) -> usize {
-        self.store.total_records() as usize
-    }
-
-    /// Removes every dataset.
-    pub fn clear(&self) {
-        self.store.clear()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -457,46 +347,5 @@ mod tests {
         store.clear();
         assert!(store.paths().is_empty());
         std::fs::remove_dir_all(store.root()).unwrap();
-    }
-
-    #[test]
-    fn typed_views_share_one_dataset_store() {
-        let store = temp_store("views");
-        let numbers: DiskKvStore<u32> = DiskKvStore::from_store(store.clone());
-        let words: DiskKvStore<String> = DiskKvStore::from_store(store.clone());
-        numbers.write("n", vec![1, 2]);
-        words.write("w", vec!["a".to_string()]);
-        assert_eq!(numbers.read("n"), vec![1, 2]);
-        assert_eq!(words.read("w"), vec!["a".to_string()]);
-        // Both datasets live in the same directory…
-        assert_eq!(store.paths(), vec!["n".to_string(), "w".to_string()]);
-        // …and reading across views is a typed error, not garbage.
-        assert!(matches!(
-            numbers.try_read("w"),
-            Err(StorageError::TypeMismatch { .. })
-        ));
-        std::fs::remove_dir_all(store.root()).unwrap();
-    }
-
-    #[test]
-    fn disk_kv_store_mirrors_the_kv_surface() {
-        let root = std::env::temp_dir().join(format!("smr-diskkv-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        let store: DiskKvStore<u32> = DiskKvStore::open(&root).unwrap();
-        assert!(store.read("missing").is_empty());
-        assert!(store.is_empty("missing"));
-        store.write("x", vec![1, 2]);
-        store.append("x", vec![3]);
-        store.append("fresh", vec![9]);
-        assert_eq!(store.read("x"), vec![1, 2, 3]);
-        assert_eq!(store.len("x"), 3);
-        assert_eq!(store.paths(), vec!["fresh".to_string(), "x".to_string()]);
-        assert_eq!(store.total_records(), 4);
-        store.write("x", vec![7]);
-        assert_eq!(store.read("x"), vec![7], "write replaces");
-        assert!(store.remove("fresh"));
-        store.clear();
-        assert_eq!(store.total_records(), 0);
-        std::fs::remove_dir_all(&root).unwrap();
     }
 }

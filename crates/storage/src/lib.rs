@@ -16,9 +16,8 @@
 //!   temp directory: map tasks whose combining buffer outgrows their
 //!   budget share spill sorted runs through it, and the directory is
 //!   removed when the manager drops.
-//! * [`DatasetStore`] / [`DiskKvStore`] — file-backed named datasets with
-//!   per-dataset type tags, backing the flow layer's `persist`/`load` and
-//!   mirroring the in-memory `KvStore` persistence surface.
+//! * [`DatasetStore`] — file-backed named datasets with per-dataset type
+//!   tags, backing the flow layer's `persist`/`load` and side data.
 //! * [`ShardManifest`] — the length-prefixed, checksummed commit record a
 //!   sharded worker process leaves beside its run files so the
 //!   multi-process runtime (`smr_distrib`) can treat the run format as a
@@ -38,10 +37,7 @@ pub mod run;
 pub mod spill;
 
 pub use codec::{Codec, CodecError};
-pub use kv::{DatasetStore, DiskKvStore};
+pub use kv::DatasetStore;
 pub use manifest::{ManifestRun, ShardManifest, MANIFEST_VERSION};
-pub use run::{
-    CompletedRun, RetainedRecords, RunReader, RunWriter, StorageError, FORMAT_VERSION,
-    LEGACY_FORMAT_VERSION,
-};
+pub use run::{CompletedRun, RetainedRecords, RunReader, RunWriter, StorageError, FORMAT_VERSION};
 pub use spill::SpillManager;

@@ -3,8 +3,8 @@
 //!
 //! A *run file* holds a sequence of [`Codec`]-encoded records — in the
 //! engine, one sorted run of `(key, value)` pairs spilled by a map task,
-//! or one persisted flow dataset.  The current (version 2) on-disk layout
-//! batches record frames into blocks:
+//! or one persisted flow dataset.  The on-disk layout (version 2) batches
+//! record frames into blocks:
 //!
 //! ```text
 //! ┌──────────────────────────── header ────────────────────────────┐
@@ -15,13 +15,11 @@
 //! ```
 //!
 //! where each *frame* is `payload_len u32` followed by the [`Codec`]
-//! encoding of one record, exactly as in the version-1 layout (which had
-//! no block level: frames followed the header directly).  Blocks are the
-//! format's hot-path lever: the writer accumulates frames in one reusable
-//! buffer and hands the OS ~64 KiB at a time, and the reader slurps a
-//! whole block with a single `read_exact` and then decodes straight out
-//! of the contiguous buffer — no per-record syscalls, no per-record
-//! allocations on either side.
+//! encoding of one record.  Blocks are the format's hot-path lever: the
+//! writer accumulates frames in one reusable buffer and hands the OS
+//! ~64 KiB at a time, and the reader slurps a whole block with a single
+//! `read_exact` and then decodes straight out of the contiguous buffer —
+//! no per-record syscalls, no per-record allocations on either side.
 //!
 //! All integers are little-endian.  The record count is written as
 //! [`COUNT_PENDING`] while the file is open and patched in place by
@@ -30,10 +28,9 @@
 //! prefix.  The type tag records `std::any::type_name` of the record type;
 //! readers may check it to reject datasets read back at the wrong type.
 //!
-//! [`RunReader`] reads both versions; files of any *other* version are
-//! rejected with a clean [`StorageError::VersionMismatch`] (a version-1
-//! reader rejects version-2 files the same way — the header layout is
-//! shared, only the framing after it differs).
+//! Files whose header carries any other version — the retired unframed
+//! version 1 included — are rejected with a clean
+//! [`StorageError::VersionMismatch`] before a single frame is decoded.
 
 use std::fmt;
 use std::fs::File;
@@ -46,14 +43,9 @@ use crate::codec::{Codec, CodecError};
 /// File magic of every smr_storage file.
 pub const MAGIC: [u8; 4] = *b"SMRF";
 
-/// Current format version (block-framed).  Readers accept this and
-/// [`LEGACY_FORMAT_VERSION`]; writers produce this unless appending to a
-/// legacy file.
+/// The format version (block-framed) every writer produces and the only
+/// one readers accept.
 pub const FORMAT_VERSION: u16 = 2;
-
-/// The original per-record-frame layout.  Still readable (and appendable)
-/// so datasets written by older builds keep working.
-pub const LEGACY_FORMAT_VERSION: u16 = 1;
 
 /// Sentinel record count of a file whose writer has not finished.
 pub const COUNT_PENDING: u64 = u64::MAX;
@@ -61,7 +53,7 @@ pub const COUNT_PENDING: u64 = u64::MAX;
 /// Byte offset of the record count inside the header (magic + version).
 const COUNT_OFFSET: u64 = (MAGIC.len() + std::mem::size_of::<u16>()) as u64;
 
-/// Frame bytes a version-2 writer accumulates before flushing a block.
+/// Frame bytes a writer accumulates before flushing a block.
 const BLOCK_TARGET_BYTES: usize = 64 * 1024;
 
 /// An error raised by the storage layer.
@@ -163,12 +155,9 @@ impl From<CodecError> for StorageError {
 pub struct RunWriter<R> {
     writer: BufWriter<File>,
     path: PathBuf,
-    version: u16,
     records: u64,
     bytes: u64,
-    /// Frames accumulated for the current block (version 1: at most the
-    /// one frame being built, flushed frame by frame without block
-    /// headers).
+    /// Frames accumulated for the current block.
     block: Vec<u8>,
     /// Records in the current block.
     block_records: u32,
@@ -184,29 +173,11 @@ impl<R: Codec> RunWriter<R> {
 
     /// Creates the file with an explicit type tag.
     pub fn create_tagged(path: impl Into<PathBuf>, type_tag: &str) -> Result<Self, StorageError> {
-        Self::create_versioned(path, type_tag, FORMAT_VERSION)
-    }
-
-    /// Test/bench support: creates a writer producing the **version-1**
-    /// per-record-frame layout exactly as builds before the block-framed
-    /// format wrote it.  The current reader accepts both versions; this
-    /// exists so compatibility tests and the perf harness can produce
-    /// legacy files on demand.
-    #[doc(hidden)]
-    pub fn create_legacy_v1(path: impl Into<PathBuf>) -> Result<Self, StorageError> {
-        Self::create_versioned(path, std::any::type_name::<R>(), LEGACY_FORMAT_VERSION)
-    }
-
-    fn create_versioned(
-        path: impl Into<PathBuf>,
-        type_tag: &str,
-        version: u16,
-    ) -> Result<Self, StorageError> {
         let path = path.into();
         let file = File::create(&path)?;
         let mut writer = BufWriter::new(file);
         writer.write_all(&MAGIC)?;
-        writer.write_all(&version.to_le_bytes())?;
+        writer.write_all(&FORMAT_VERSION.to_le_bytes())?;
         writer.write_all(&COUNT_PENDING.to_le_bytes())?;
         let mut tag = Vec::new();
         type_tag.to_string().encode(&mut tag);
@@ -214,7 +185,6 @@ impl<R: Codec> RunWriter<R> {
         Ok(RunWriter {
             writer,
             path,
-            version,
             records: 0,
             bytes: 0,
             block: Vec::new(),
@@ -224,9 +194,7 @@ impl<R: Codec> RunWriter<R> {
     }
 
     /// Opens an existing, finished run file to append more frames, without
-    /// reading or rewriting the records already there.  The file keeps the
-    /// format version it was created with, so appends to legacy files stay
-    /// legacy-readable.
+    /// reading or rewriting the records already there.
     ///
     /// The header is validated first (magic, version, completed count).
     /// The stored record count stays untouched until [`RunWriter::finish`]
@@ -238,54 +206,42 @@ impl<R: Codec> RunWriter<R> {
         let path = path.into();
         let reader = RunReader::<R>::open(&path)?;
         let existing = reader.records();
-        let version = reader.version();
         drop(reader);
         let mut file = std::fs::OpenOptions::new()
             .read(true)
             .write(true)
             .open(&path)?;
-        // Walk the committed frames (v1) or blocks (v2) to the end of the
-        // `existing` records; anything after that is debris from a crashed
-        // append.
+        // Walk the committed blocks to the end of the `existing` records;
+        // anything after that is debris from a crashed append.
         let mut pos = {
             file.seek(SeekFrom::Start((MAGIC.len() + 2 + 8) as u64))?;
             let mut tag_len = [0u8; 8];
             file.read_exact(&mut tag_len)?;
             (MAGIC.len() + 2 + 8 + 8) as u64 + u64::from_le_bytes(tag_len)
         };
-        if version == LEGACY_FORMAT_VERSION {
-            for _ in 0..existing {
-                file.seek(SeekFrom::Start(pos))?;
-                let mut len = [0u8; 4];
-                file.read_exact(&mut len)?;
-                pos += 4 + u64::from(u32::from_le_bytes(len));
-            }
-        } else {
-            // `finish` always flushes the partial block, so a committed
-            // count lands exactly on a block boundary.
-            let mut seen = 0u64;
-            while seen < existing {
-                file.seek(SeekFrom::Start(pos))?;
-                let mut header = [0u8; 8];
-                file.read_exact(&mut header)?;
-                let block_len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
-                let n_records = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-                seen += u64::from(n_records);
-                pos += 8 + u64::from(block_len);
-            }
-            if seen != existing {
-                return Err(StorageError::Truncated {
-                    expected: existing,
-                    found: seen,
-                });
-            }
+        // `finish` always flushes the partial block, so a committed count
+        // lands exactly on a block boundary.
+        let mut seen = 0u64;
+        while seen < existing {
+            file.seek(SeekFrom::Start(pos))?;
+            let mut header = [0u8; 8];
+            file.read_exact(&mut header)?;
+            let block_len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
+            let n_records = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
+            seen += u64::from(n_records);
+            pos += 8 + u64::from(block_len);
+        }
+        if seen != existing {
+            return Err(StorageError::Truncated {
+                expected: existing,
+                found: seen,
+            });
         }
         file.set_len(pos)?;
         file.seek(SeekFrom::Start(pos))?;
         Ok(RunWriter {
             writer: BufWriter::new(file),
             path,
-            version,
             records: existing,
             bytes: 0,
             block: Vec::new(),
@@ -313,28 +269,26 @@ impl<R: Codec> RunWriter<R> {
         self.records += 1;
         self.block_records += 1;
         self.bytes += 4 + u64::from(len);
-        if self.version == LEGACY_FORMAT_VERSION || self.block.len() >= BLOCK_TARGET_BYTES {
+        if self.block.len() >= BLOCK_TARGET_BYTES {
             self.flush_block()?;
         }
         Ok(())
     }
 
-    /// Writes the accumulated block (with its block header on version 2)
-    /// and resets the buffer.
+    /// Writes the accumulated block behind its block header and resets the
+    /// buffer.
     fn flush_block(&mut self) -> Result<(), StorageError> {
         if self.block_records == 0 {
             return Ok(());
         }
-        if self.version != LEGACY_FORMAT_VERSION {
-            let block_len = u32::try_from(self.block.len()).map_err(|_| {
-                StorageError::Codec(CodecError::InvalidData(format!(
-                    "block of {} bytes exceeds the 4 GiB limit",
-                    self.block.len()
-                )))
-            })?;
-            self.writer.write_all(&block_len.to_le_bytes())?;
-            self.writer.write_all(&self.block_records.to_le_bytes())?;
-        }
+        let block_len = u32::try_from(self.block.len()).map_err(|_| {
+            StorageError::Codec(CodecError::InvalidData(format!(
+                "block of {} bytes exceeds the 4 GiB limit",
+                self.block.len()
+            )))
+        })?;
+        self.writer.write_all(&block_len.to_le_bytes())?;
+        self.writer.write_all(&self.block_records.to_le_bytes())?;
         self.writer.write_all(&self.block)?;
         self.block.clear();
         self.block_records = 0;
@@ -384,24 +338,21 @@ pub struct CompletedRun {
 /// Streams the records of a run file back, validating the header up front
 /// and the record count at the end.
 ///
-/// Version-2 files are read a block at a time: one `read_exact` fills the
-/// reusable block buffer and records decode from the contiguous slice.
-/// Version-1 files fall back to the original frame-by-frame path.
+/// Files are read a block at a time: one `read_exact` fills the reusable
+/// block buffer and records decode from the contiguous slice.
 #[derive(Debug)]
 pub struct RunReader<R> {
     reader: BufReader<File>,
     type_tag: String,
-    version: u16,
     expected: u64,
     read: u64,
     /// Bytes of the file left past what has been consumed — bounds every
-    /// frame and block before any allocation, so a corrupt length cannot
-    /// force a multi-gigabyte `resize`.
+    /// block before any allocation, so a corrupt length cannot force a
+    /// multi-gigabyte `resize`.
     remaining_bytes: u64,
-    /// Version 2: the current decoded-from block.  Version 1: the current
-    /// record's payload.
+    /// The block records are currently decoded from.
     payload: Vec<u8>,
-    /// Read position inside `payload` (version 2 only).
+    /// Read position inside `payload`.
     cursor: usize,
     _marker: PhantomData<fn() -> R>,
 }
@@ -429,7 +380,7 @@ impl<R: Codec> RunReader<R> {
         let mut version = [0u8; 2];
         read_exact_or_truncated(&mut reader, &mut version)?;
         let version = u16::from_le_bytes(version);
-        if version != FORMAT_VERSION && version != LEGACY_FORMAT_VERSION {
+        if version != FORMAT_VERSION {
             return Err(StorageError::VersionMismatch {
                 found: version,
                 expected: FORMAT_VERSION,
@@ -461,7 +412,6 @@ impl<R: Codec> RunReader<R> {
         Ok(RunReader {
             reader,
             type_tag,
-            version,
             expected,
             read: 0,
             remaining_bytes: file_len.saturating_sub(header_len),
@@ -474,11 +424,6 @@ impl<R: Codec> RunReader<R> {
     /// The type tag the writer stored.
     pub fn type_tag(&self) -> &str {
         &self.type_tag
-    }
-
-    /// The format version the file was written with.
-    pub fn version(&self) -> u16 {
-        self.version
     }
 
     /// Errors unless the stored type tag equals the record type's
@@ -503,9 +448,6 @@ impl<R: Codec> RunReader<R> {
     pub fn next_record(&mut self) -> Result<Option<R>, StorageError> {
         if self.read == self.expected {
             return Ok(None);
-        }
-        if self.version == LEGACY_FORMAT_VERSION {
-            return self.next_record_v1();
         }
         if self.cursor == self.payload.len() {
             self.load_block()?;
@@ -554,35 +496,6 @@ impl<R: Codec> RunReader<R> {
         result?;
         self.cursor = 0;
         Ok(())
-    }
-
-    /// The original version-1 path: one length read and one payload read
-    /// per record.
-    fn next_record_v1(&mut self) -> Result<Option<R>, StorageError> {
-        let mut len = [0u8; 4];
-        self.read_frame_bytes(&mut len)?;
-        let len = u32::from_le_bytes(len) as usize;
-        // A frame cannot be longer than what is left of the file: reject
-        // corrupt lengths *before* allocating the payload buffer.
-        if (len as u64) + 4 > self.remaining_bytes {
-            return Err(self.truncated());
-        }
-        self.remaining_bytes -= len as u64 + 4;
-        self.payload.resize(len, 0);
-        let mut payload = std::mem::take(&mut self.payload);
-        let result = self.read_frame_bytes(&mut payload);
-        self.payload = payload;
-        result?;
-        let mut slice = &self.payload[..];
-        let record = R::decode(&mut slice)?;
-        if !slice.is_empty() {
-            return Err(StorageError::Codec(CodecError::InvalidData(format!(
-                "{} trailing bytes in frame",
-                slice.len()
-            ))));
-        }
-        self.read += 1;
-        Ok(Some(record))
     }
 
     /// Wraps the reader in a retirement-aware view: records the `live`
@@ -739,7 +652,6 @@ mod tests {
         let reader: RunReader<(u32, String)> = RunReader::open(&path).unwrap();
         reader.check_type().unwrap();
         assert_eq!(reader.records(), 100);
-        assert_eq!(reader.version(), FORMAT_VERSION);
         assert_eq!(reader.read_to_end().unwrap(), records);
         std::fs::remove_file(&path).unwrap();
     }
@@ -756,37 +668,6 @@ mod tests {
         writer.finish().unwrap();
         let reader: RunReader<(u64, String)> = RunReader::open(&path).unwrap();
         assert_eq!(reader.read_to_end().unwrap(), records);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn legacy_v1_files_read_back_through_the_current_reader() {
-        let path = temp_path("legacy-v1.run");
-        let records: Vec<(u32, String)> = (0..50).map(|i| (i, format!("v{i}"))).collect();
-        let mut writer: RunWriter<(u32, String)> = RunWriter::create_legacy_v1(&path).unwrap();
-        for r in &records {
-            writer.push(r).unwrap();
-        }
-        let run = writer.finish().unwrap();
-        assert_eq!(run.records, 50);
-        let reader: RunReader<(u32, String)> = RunReader::open(&path).unwrap();
-        assert_eq!(reader.version(), LEGACY_FORMAT_VERSION);
-        assert_eq!(reader.read_to_end().unwrap(), records);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn appends_to_legacy_files_stay_in_the_legacy_format() {
-        let path = temp_path("legacy-append.run");
-        let mut writer: RunWriter<u64> = RunWriter::create_legacy_v1(&path).unwrap();
-        writer.push(&1).unwrap();
-        writer.finish().unwrap();
-        let mut appender: RunWriter<u64> = RunWriter::append_to(&path).unwrap();
-        appender.push(&2).unwrap();
-        appender.finish().unwrap();
-        let reader: RunReader<u64> = RunReader::open(&path).unwrap();
-        assert_eq!(reader.version(), LEGACY_FORMAT_VERSION);
-        assert_eq!(reader.read_to_end().unwrap(), vec![1, 2]);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -904,23 +785,6 @@ mod tests {
     }
 
     #[test]
-    fn current_files_carry_a_version_older_readers_reject() {
-        // The version-1 reader's header check was `version != 1` →
-        // VersionMismatch.  A block-framed file must therefore store a
-        // version field those builds reject cleanly, rather than a layout
-        // they would misparse as frames.
-        let path = temp_path("forward-version.run");
-        let mut writer: RunWriter<u64> = RunWriter::create(&path).unwrap();
-        writer.push(&1).unwrap();
-        writer.finish().unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        let stored = u16::from_le_bytes([bytes[4], bytes[5]]);
-        assert_eq!(stored, FORMAT_VERSION);
-        assert_ne!(stored, LEGACY_FORMAT_VERSION);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
     fn bad_magic_is_rejected() {
         let path = temp_path("magic.run");
         std::fs::write(&path, b"NOPE....").unwrap();
@@ -958,24 +822,6 @@ mod tests {
         std::fs::write(&path, bytes).unwrap();
         let mut reader: RunReader<String> = RunReader::open(&path).unwrap();
         // Must fail with a typed error (never attempt a ~4 GiB resize).
-        assert!(matches!(
-            reader.next_record(),
-            Err(StorageError::Truncated { .. })
-        ));
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn corrupt_v1_frame_length_is_rejected_before_allocating() {
-        let path = temp_path("corrupt-len-v1.run");
-        let mut writer: RunWriter<String> = RunWriter::create_legacy_v1(&path).unwrap();
-        writer.push(&"payload".to_string()).unwrap();
-        writer.finish().unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        let frame_len_at = 4 + 2 + 8 + 8 + std::any::type_name::<String>().len();
-        bytes[frame_len_at..frame_len_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        std::fs::write(&path, bytes).unwrap();
-        let mut reader: RunReader<String> = RunReader::open(&path).unwrap();
         assert!(matches!(
             reader.next_record(),
             Err(StorageError::Truncated { .. })

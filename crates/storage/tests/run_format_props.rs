@@ -1,20 +1,15 @@
 //! Property tests locking the block-framed (version 2) run format to its
-//! compatibility contract:
+//! contract:
 //!
-//! - files written by the **legacy version-1** writer read back
-//!   byte-identically through the current reader (read compatibility with
-//!   existing run files on disk);
-//! - files of any *other* version are rejected with a clean
-//!   [`StorageError::VersionMismatch`] carrying the version found — never
-//!   misparsed as frames or surfaced as a decode panic.  This is also the
-//!   forward contract: a version-1 reader's header check (`version != 1`)
-//!   rejects version-2 files the same way, because block-framed files
-//!   genuinely store `2` in the shared header layout;
-//! - appends preserve the file's original version, and read back as the
-//!   exact concatenation, whichever version the file started at.
+//! - files round-trip byte-identically through writer and reader;
+//! - appends read back as the exact concatenation;
+//! - a file whose header carries *any other* version — the retired
+//!   unframed version 1 included — is rejected with a clean
+//!   [`StorageError::VersionMismatch`] naming the version found, never
+//!   misparsed as blocks or surfaced as a decode panic.
 
 use proptest::prelude::*;
-use smr_storage::{RunReader, RunWriter, StorageError, FORMAT_VERSION, LEGACY_FORMAT_VERSION};
+use smr_storage::{Codec, RunReader, RunWriter, StorageError, FORMAT_VERSION};
 use std::path::PathBuf;
 
 fn temp_path(tag: &str, case: u64) -> PathBuf {
@@ -30,100 +25,92 @@ fn records_from(lens: &[u16]) -> Vec<(u64, String)> {
         .collect()
 }
 
-fn write_with(path: &PathBuf, records: &[(u64, String)], version: u16) -> Result<(), StorageError> {
-    let mut writer: RunWriter<(u64, String)> = if version == LEGACY_FORMAT_VERSION {
-        RunWriter::create_legacy_v1(path)?
-    } else {
-        RunWriter::create(path)?
-    };
+fn write_run(path: &PathBuf, records: &[(u64, String)]) {
+    let mut writer: RunWriter<(u64, String)> = RunWriter::create(path).unwrap();
     for record in records {
-        writer.push(record)?;
+        writer.push(record).unwrap();
     }
-    writer.finish()?;
-    Ok(())
+    writer.finish().unwrap();
+}
+
+/// A complete file in the retired version-1 layout, byte by byte: the
+/// shared header (magic, version, count, length-prefixed type tag)
+/// followed directly by `payload_len u32` + payload frames, no blocks.
+fn unframed_file(version: u16, records: &[(u64, String)]) -> Vec<u8> {
+    let tag = std::any::type_name::<(u64, String)>();
+    let mut bytes = b"SMRF".to_vec();
+    bytes.extend_from_slice(&version.to_le_bytes());
+    bytes.extend_from_slice(&(records.len() as u64).to_le_bytes());
+    bytes.extend_from_slice(&(tag.len() as u64).to_le_bytes());
+    bytes.extend_from_slice(tag.as_bytes());
+    for record in records {
+        let payload = record.encode_to_vec();
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&payload);
+    }
+    bytes
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn both_format_versions_round_trip_identically(
+    fn runs_round_trip_identically(
         case in 0u64..u64::MAX,
         lens in proptest::collection::vec(0u16..1024, 0..120),
     ) {
         let records = records_from(&lens);
-        for version in [LEGACY_FORMAT_VERSION, FORMAT_VERSION] {
-            let path = temp_path("round-trip", case ^ u64::from(version));
-            write_with(&path, &records, version).unwrap();
-            let reader: RunReader<(u64, String)> = RunReader::open(&path).unwrap();
-            prop_assert_eq!(reader.version(), version);
-            prop_assert_eq!(reader.records(), records.len() as u64);
-            let read = reader.read_to_end().unwrap();
-            prop_assert!(read == records, "version {version} diverged");
-            std::fs::remove_file(&path).unwrap();
-        }
-    }
-
-    #[test]
-    fn unknown_versions_are_rejected_cleanly(
-        case in 0u64..u64::MAX,
-        bogus in 0u16..u16::MAX,
-        lens in proptest::collection::vec(0u16..64, 1..10),
-    ) {
-        // Readers must reject any version they do not speak with a typed
-        // VersionMismatch naming what they found — the same clean failure
-        // a version-1 reader produces when handed a version-2 file.
-        let bogus = if bogus == LEGACY_FORMAT_VERSION || bogus == FORMAT_VERSION {
-            0xbeef
-        } else {
-            bogus
-        };
-        let path = temp_path("version", case);
-        write_with(&path, &records_from(&lens), FORMAT_VERSION).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[4..6].copy_from_slice(&bogus.to_le_bytes());
-        std::fs::write(&path, bytes).unwrap();
-        match RunReader::<(u64, String)>::open(&path) {
-            Err(StorageError::VersionMismatch { found, expected }) => {
-                prop_assert_eq!(found, bogus);
-                prop_assert_eq!(expected, FORMAT_VERSION);
-            }
-            other => {
-                std::fs::remove_file(&path).unwrap();
-                return Err(TestCaseError::fail(format!(
-                    "expected VersionMismatch, got {other:?}"
-                )));
-            }
-        }
+        let path = temp_path("round-trip", case);
+        write_run(&path, &records);
+        let reader: RunReader<(u64, String)> = RunReader::open(&path).unwrap();
+        prop_assert_eq!(reader.records(), records.len() as u64);
+        prop_assert_eq!(reader.read_to_end().unwrap(), records);
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
-    fn appends_preserve_the_version_and_the_records(
+    fn every_other_version_is_rejected_cleanly(
+        case in 0u64..u64::MAX,
+        bogus in 0u16..=u16::MAX,
+        lens in proptest::collection::vec(0u16..64, 1..10),
+    ) {
+        let bogus = if bogus == FORMAT_VERSION { 0xbeef } else { bogus };
+        // Version 1 is the one wrong version that once was right: its
+        // files are well-formed up to the header and must fail there.
+        for version in [1, bogus] {
+            let path = temp_path("version", case ^ u64::from(version));
+            std::fs::write(&path, unframed_file(version, &records_from(&lens))).unwrap();
+            let opened = RunReader::<(u64, String)>::open(&path);
+            std::fs::remove_file(&path).unwrap();
+            match opened {
+                Err(StorageError::VersionMismatch { found, expected }) => {
+                    prop_assert_eq!(found, version);
+                    prop_assert_eq!(expected, FORMAT_VERSION);
+                }
+                other => prop_assert!(false, "expected VersionMismatch, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn appends_read_back_as_the_concatenation(
         case in 0u64..u64::MAX,
         first in proptest::collection::vec(0u16..256, 0..40),
         second in proptest::collection::vec(0u16..256, 1..40),
     ) {
         let head = records_from(&first);
         let tail = records_from(&second);
-        for version in [LEGACY_FORMAT_VERSION, FORMAT_VERSION] {
-            let path = temp_path("append", case ^ u64::from(version));
-            write_with(&path, &head, version).unwrap();
-            let mut appender: RunWriter<(u64, String)> = RunWriter::append_to(&path).unwrap();
-            for record in &tail {
-                appender.push(record).unwrap();
-            }
-            appender.finish().unwrap();
-            let reader: RunReader<(u64, String)> = RunReader::open(&path).unwrap();
-            prop_assert!(
-                reader.version() == version,
-                "append switched the file's format version: {} != {version}",
-                reader.version()
-            );
-            let mut expected = head.clone();
-            expected.extend(tail.iter().cloned());
-            prop_assert_eq!(reader.read_to_end().unwrap(), expected);
-            std::fs::remove_file(&path).unwrap();
+        let path = temp_path("append", case);
+        write_run(&path, &head);
+        let mut appender: RunWriter<(u64, String)> = RunWriter::append_to(&path).unwrap();
+        for record in &tail {
+            appender.push(record).unwrap();
         }
+        appender.finish().unwrap();
+        let reader: RunReader<(u64, String)> = RunReader::open(&path).unwrap();
+        let mut expected = head.clone();
+        expected.extend(tail.iter().cloned());
+        prop_assert_eq!(reader.read_to_end().unwrap(), expected);
+        std::fs::remove_file(&path).unwrap();
     }
 }

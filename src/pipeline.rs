@@ -209,9 +209,11 @@ impl MatchingPipeline {
         self
     }
 
-    /// Sets the directory spilled runs are written under (default: the
-    /// system temp directory).  Each job cleans its spill files up when it
-    /// finishes.
+    /// Sets the directory everything the run writes goes under — spilled
+    /// runs and the flow's side data (index partitions, vector chunks,
+    /// round state); default: the system temp directory.  Each job cleans
+    /// its spill files up when it finishes, the flow its side data when
+    /// the run ends.
     pub fn spill_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
         self.job = self.job.with_spill_dir(dir);
         self

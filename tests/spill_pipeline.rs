@@ -2,13 +2,15 @@
 //! pipeline run (similarity join + GreedyMR rounds) under a small memory
 //! budget must
 //!
-//! 1. produce output **byte-identical** to the unlimited-budget run,
+//! 1. produce output **byte-identical** to the unlimited-budget run — at
+//!    any thread count,
 //! 2. report `disk_runs > 0` and `spill_bytes > 0` in its job metrics,
-//! 3. leave **no temp files behind** once the jobs (and their
-//!    `SpillManager`s) are done.
+//! 3. keep everything it writes under the configured spill directory and
+//!    leave **no temp files behind** once the jobs (and their
+//!    `SpillManager`s) and the flow are done.
 
 use social_content_matching::datagen::FlickrGenerator;
-use social_content_matching::mapreduce::JobConfig;
+use social_content_matching::mapreduce::{FlowContext, JobConfig};
 use social_content_matching::matching::AlgorithmKind;
 use social_content_matching::{MatchingPipeline, PipelineRun};
 
@@ -23,11 +25,25 @@ fn dataset() -> social_content_matching::datagen::SocialDataset {
     .generate()
 }
 
-fn run_pipeline(budget: Option<u64>, spill_dir: Option<&std::path::Path>) -> PipelineRun {
+/// Task counts default to the thread count and the engine's determinism
+/// contract is per task layout: pin the layout so only the worker pool and
+/// the budget vary between runs.
+fn job(name: &str, threads: usize) -> JobConfig {
+    JobConfig::named(name)
+        .with_threads(threads)
+        .with_map_tasks(8)
+        .with_reduce_tasks(8)
+}
+
+fn run_pipeline(
+    threads: usize,
+    budget: Option<u64>,
+    spill_dir: Option<&std::path::Path>,
+) -> PipelineRun {
     let mut pipeline = MatchingPipeline::new(dataset())
         .sigma(0.1)
         .algorithm(AlgorithmKind::GreedyMr)
-        .job(JobConfig::named("spill-e2e").with_threads(2))
+        .job(job("spill-e2e", threads))
         .memory_budget(budget);
     if let Some(dir) = spill_dir {
         pipeline = pipeline.spill_dir(dir);
@@ -35,9 +51,37 @@ fn run_pipeline(budget: Option<u64>, spill_dir: Option<&std::path::Path>) -> Pip
     pipeline.run()
 }
 
+/// Byte-identity of everything the pipeline produces.
+fn assert_same_output(run: &PipelineRun, reference: &PipelineRun) {
+    assert_eq!(run.graph.edges(), reference.graph.edges());
+    assert_eq!(
+        run.matching.matching.to_edge_vec(),
+        reference.matching.matching.to_edge_vec()
+    );
+    assert_eq!(run.matching.rounds, reference.matching.rounds);
+    assert_eq!(
+        run.report.total_shuffled_records(),
+        reference.report.total_shuffled_records()
+    );
+}
+
+#[test]
+fn pipeline_is_byte_identical_across_threads_and_budgets() {
+    let reference = run_pipeline(1, None, None);
+    for (threads, budget) in [(8, None), (1, Some(4096)), (8, Some(4096))] {
+        let run = run_pipeline(threads, budget, None);
+        assert_same_output(&run, &reference);
+        assert_eq!(
+            run.report.totals.disk_runs > 0,
+            budget.is_some(),
+            "threads={threads} budget={budget:?} must spill exactly when budgeted"
+        );
+    }
+}
+
 #[test]
 fn budgeted_pipeline_is_byte_identical_spills_and_cleans_up() {
-    let unlimited = run_pipeline(None, None);
+    let unlimited = run_pipeline(2, None, None);
     assert_eq!(
         unlimited.report.totals.disk_runs, 0,
         "the unlimited run must not touch disk"
@@ -47,19 +91,10 @@ fn budgeted_pipeline_is_byte_identical_spills_and_cleans_up() {
     std::fs::create_dir_all(&spill_base).unwrap();
     // A 1 KiB budget across the whole pipeline: every join job and every
     // matching round spills.
-    let budgeted = run_pipeline(Some(1024), Some(&spill_base));
+    let budgeted = run_pipeline(2, Some(1024), Some(&spill_base));
 
     // (1) Byte-identity of everything the pipeline produces.
-    assert_eq!(budgeted.graph.edges(), unlimited.graph.edges());
-    assert_eq!(
-        budgeted.matching.matching.to_edge_vec(),
-        unlimited.matching.matching.to_edge_vec()
-    );
-    assert_eq!(budgeted.matching.rounds, unlimited.matching.rounds);
-    assert_eq!(
-        budgeted.report.total_shuffled_records(),
-        unlimited.report.total_shuffled_records()
-    );
+    assert_same_output(&budgeted, &unlimited);
 
     // (2) The spill path actually ran, and the metrics say so.
     assert!(
@@ -77,7 +112,13 @@ fn budgeted_pipeline_is_byte_identical_spills_and_cleans_up() {
     let per_job_runs: u64 = budgeted.report.jobs.iter().map(|m| m.disk_runs).sum();
     assert_eq!(per_job_runs, budgeted.report.totals.disk_runs);
 
-    // (3) Every SpillManager removed its directory.
+    // (3) A flow under the same spill setting roots its side data (index
+    // partitions, vector chunks, round state) under the base too…
+    {
+        let flow = FlowContext::new(job("spill-e2e", 2).with_spill_dir(&spill_base));
+        assert!(flow.side_store().root().starts_with(&spill_base));
+    }
+    // …and every SpillManager and flow removed its directory.
     assert_eq!(
         std::fs::read_dir(&spill_base).unwrap().count(),
         0,
@@ -93,9 +134,9 @@ fn pipeline_under_the_env_budget_matches_the_unlimited_run() {
     // environment) and an explicit unlimited budget agree bit-for-bit.
     let default_budget = MatchingPipeline::new(dataset())
         .sigma(0.1)
-        .job(JobConfig::named("spill-env").with_threads(2))
+        .job(job("spill-env", 2))
         .run();
-    let unlimited = run_pipeline(None, None);
+    let unlimited = run_pipeline(2, None, None);
     assert_eq!(
         default_budget.matching.matching.to_edge_vec(),
         unlimited.matching.matching.to_edge_vec()
