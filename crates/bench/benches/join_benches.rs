@@ -11,8 +11,8 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use smr_datagen::DatasetPreset;
-use smr_mapreduce::JobConfig;
-use smr_simjoin::{baseline_similarity_join, mapreduce_similarity_join, SimJoinConfig};
+use smr_mapreduce::{FlowContext, JobConfig};
+use smr_simjoin::{baseline_similarity_join, mapreduce_similarity_join_flow};
 use smr_text::{Corpus, TokenizerConfig};
 
 /// Streaming similarity join vs the brute-force baseline, in memory and
@@ -28,21 +28,21 @@ fn bench_join(c: &mut Criterion) {
     let sigma = DatasetPreset::FlickrSmall.default_sigma();
     group.bench_function("streaming_prefix_filtering", |b| {
         b.iter(|| {
-            mapreduce_similarity_join(
+            mapreduce_similarity_join_flow(
                 &items,
                 &consumers,
-                &SimJoinConfig::default()
-                    .with_threshold(sigma)
-                    .with_job(JobConfig::named("join-bench")),
+                sigma,
+                &FlowContext::new(JobConfig::named("join-bench")),
             )
         })
     });
     group.bench_function("streaming_budget_4KiB", |b| {
         b.iter(|| {
-            mapreduce_similarity_join(
+            mapreduce_similarity_join_flow(
                 &items,
                 &consumers,
-                &SimJoinConfig::default().with_threshold(sigma).with_job(
+                sigma,
+                &FlowContext::new(
                     JobConfig::named("join-bench-spill").with_memory_budget(Some(4 * 1024)),
                 ),
             )

@@ -4,41 +4,38 @@
 use smr_graph::{BipartiteGraph, GraphBuilder};
 use smr_text::Corpus;
 
+use crate::align::AlignedCorpora;
+
 /// Computes every item–consumer pair with dot-product similarity `>= sigma`
 /// by brute force and returns the candidate-edge graph.
 ///
-/// The two corpora are re-vectorized over a shared vocabulary first (they
-/// are usually built independently, so their term ids do not line up);
-/// items become the left side of the graph (labelled with their document
-/// ids), consumers the right side, and the edge weight is the similarity.
+/// The two corpora are aligned over a shared vocabulary first
+/// ([`AlignedCorpora::of`], the same alignment the MapReduce join
+/// applies); items become the left side of the graph (labelled with their
+/// document ids), consumers the right side, and the edge weight is the
+/// similarity.
 pub fn baseline_similarity_join(items: &Corpus, consumers: &Corpus, sigma: f64) -> BipartiteGraph {
     assert!(sigma > 0.0, "threshold must be positive");
-    // Build a joint vector space so item and consumer term ids align.
-    let mut all_docs = Vec::with_capacity(items.len() + consumers.len());
-    for i in 0..items.len() {
-        all_docs.push(items.document(i).clone());
-    }
-    for i in 0..consumers.len() {
-        all_docs.push(consumers.document(i).clone());
-    }
-    let joint = Corpus::build(all_docs, &smr_text::TokenizerConfig::default());
-
+    let aligned = AlignedCorpora::of(items, consumers);
     let mut builder = GraphBuilder::new();
-    let item_ids: Vec<_> = (0..items.len())
-        .map(|i| builder.add_item(items.document(i).id.clone()))
-        .collect();
-    let consumer_ids: Vec<_> = (0..consumers.len())
-        .map(|i| builder.add_consumer(consumers.document(i).id.clone()))
-        .collect();
-    for (ti, &t) in item_ids.iter().enumerate() {
-        let item_vec = joint.vector(ti);
-        if item_vec.is_empty() {
+    for label in aligned.item_labels() {
+        builder.add_item(label);
+    }
+    for label in aligned.consumer_labels() {
+        builder.add_consumer(label);
+    }
+    for (t, item) in aligned.item_vectors().iter().enumerate() {
+        if item.is_empty() {
             continue;
         }
-        for (ci, &c) in consumer_ids.iter().enumerate() {
-            let sim = item_vec.dot(joint.vector(items.len() + ci));
+        for (c, consumer) in aligned.consumer_vectors().iter().enumerate() {
+            let sim = item.dot(consumer);
             if sim >= sigma {
-                builder.add_edge(t, c, sim);
+                builder.add_edge(
+                    smr_graph::ItemId(t as u32),
+                    smr_graph::ConsumerId(c as u32),
+                    sim,
+                );
             }
         }
     }

@@ -1,21 +1,17 @@
-//! The pruned inverted index over consumer vectors — the single-machine
-//! **reference implementation** of the filter.
+//! What gets indexed: the [`Posting`] record and the [`IndexPlan`] that
+//! decides, for any consumer vector, which of its entries become postings.
 //!
-//! The MapReduce join itself no longer holds an index like this in
-//! memory: job 1's output goes straight to disk as term-range partitions
-//! ([`crate::store::PartitionedIndex`]) that probe mappers open on
-//! demand.  [`InvertedIndex`] stays as the in-memory reference the
-//! equivalence tests and the filter documentation are written against;
-//! both implementations index exactly the prefix entries and carry the
-//! same per-posting suffix remainder bound.
-
-use std::collections::HashMap;
+//! The index itself lives on disk as term-range partitions
+//! ([`crate::store::PartitionedIndex`]); the batch join's job 1 and the
+//! standing [`crate::serving::ServingIndex`] both fill it through
+//! [`IndexPlan::prefix_postings`], so they index exactly the same prefix
+//! entries with the same per-posting suffix remainder bound.
 
 use serde::{Deserialize, Serialize};
 use smr_storage::impl_codec_struct;
-use smr_text::{SparseVector, TermId};
+use smr_text::SparseVector;
 
-use crate::prefix::{prefix_length, suffix_remainder_bound};
+use crate::prefix::{prefix_length, suffix_remainder_bound, term_max_weights};
 
 /// One posting: a consumer (by dense index), the weight of the indexed
 /// term in its vector, and the consumer's suffix remainder bound.
@@ -35,176 +31,131 @@ pub struct Posting {
 
 impl_codec_struct!(Posting { doc, weight, bound });
 
-/// A term → postings inverted index containing only prefix entries.
-#[derive(Debug, Clone, Default)]
-pub struct InvertedIndex {
-    postings: HashMap<TermId, Vec<Posting>>,
-    indexed_entries: usize,
-    total_entries: usize,
+/// The two tables prefix filtering is parameterised by: the per-term
+/// maxima of the *query* (item) side the prefixes are pruned against —
+/// the exactness contract of the index — and the global term order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct IndexPlan {
+    /// `max_weights[t]`: the largest weight any query may carry on term
+    /// `t` (`0.0` for terms no query carries).
+    pub max_weights: Vec<f64>,
+    /// `term_order_rank[t]`: the rank of term `t` in the global order,
+    /// rarest first, measured by how many vectors on either side contain
+    /// the term (ties toward the lower term id).
+    pub term_order_rank: Vec<u32>,
 }
 
-impl InvertedIndex {
-    /// Builds the pruned index for the consumer vectors.
-    ///
-    /// `term_order_rank[t]` is the global rank of term `t` (rarest terms
-    /// first); `max_weights[t]` is the maximum weight of `t` on the item
-    /// side.  Only the prefix of each consumer vector is indexed: the
-    /// suffix cannot produce a similarity of σ with any item.
-    pub fn build(
-        consumers: &[SparseVector],
-        term_order_rank: &[u32],
-        max_weights: &[f64],
+impl IndexPlan {
+    /// Derives the plan for joining `items` against `consumers` (both in
+    /// one term space): the vocabulary is one past the highest term id on
+    /// either side, the maxima come from the items.
+    pub fn derive(items: &[SparseVector], consumers: &[SparseVector]) -> Self {
+        let both = || items.iter().chain(consumers).flat_map(|v| v.entries());
+        let vocab_size = both().map(|(t, _)| t.index() + 1).max().unwrap_or(0);
+        let mut freq = vec![0u32; vocab_size];
+        for (t, _) in both() {
+            freq[t.index()] += 1;
+        }
+        let mut terms: Vec<usize> = (0..vocab_size).collect();
+        terms.sort_by_key(|&t| (freq[t], t));
+        let mut term_order_rank = vec![0u32; vocab_size];
+        for (rank, t) in terms.into_iter().enumerate() {
+            term_order_rank[t] = rank as u32;
+        }
+        IndexPlan {
+            max_weights: term_max_weights(items, vocab_size),
+            term_order_rank,
+        }
+    }
+
+    /// Raises the query-side maxima to cover `observed` per-term query
+    /// weights too (growing the vocabulary if queries carried unseen
+    /// terms), so an index built from the widened plan is exact for the
+    /// workload that actually arrived.  The term order is untouched:
+    /// widening never reorders the terms consumers carry.
+    pub fn widened(mut self, observed: &[f64]) -> Self {
+        if self.max_weights.len() < observed.len() {
+            self.max_weights.resize(observed.len(), 0.0);
+        }
+        for (max, &seen) in self.max_weights.iter_mut().zip(observed) {
+            *max = max.max(seen);
+        }
+        self
+    }
+
+    /// Size of the term space the plan covers.
+    pub fn vocab_size(&self) -> usize {
+        self.max_weights.len().max(self.term_order_rank.len())
+    }
+
+    /// Emits the prefix postings of consumer `doc`: its terms in the
+    /// global order, cut where the suffix bound drops below σ, every
+    /// posting carrying the suffix remainder bound.
+    pub fn prefix_postings(
+        &self,
+        doc: usize,
+        vector: &SparseVector,
         sigma: f64,
-    ) -> Self {
-        let mut index = InvertedIndex::default();
-        for (doc, vector) in consumers.iter().enumerate() {
-            let ordered = vector.terms_in_order(term_order_rank);
-            let plen = prefix_length(vector, &ordered, max_weights, sigma);
-            let bound = suffix_remainder_bound(vector, &ordered, plen, max_weights);
-            index.total_entries += vector.len();
-            for term in &ordered[..plen] {
-                index.indexed_entries += 1;
-                index.postings.entry(*term).or_default().push(Posting {
-                    doc,
-                    weight: vector.weight(*term),
-                    bound,
-                });
-            }
+        mut emit: impl FnMut(u32, Posting),
+    ) {
+        let ordered = vector.terms_in_order(&self.term_order_rank);
+        let plen = prefix_length(vector, &ordered, &self.max_weights, sigma);
+        let bound = suffix_remainder_bound(vector, &ordered, plen, &self.max_weights);
+        for term in &ordered[..plen] {
+            let weight = vector.weight(*term);
+            emit(term.0, Posting { doc, weight, bound });
         }
-        index
-    }
-
-    /// Builds an index from already-computed postings (used by the
-    /// MapReduce join, whose first job produces exactly these lists).
-    pub fn from_postings(postings: impl IntoIterator<Item = (TermId, Vec<Posting>)>) -> Self {
-        let mut map: HashMap<TermId, Vec<Posting>> = HashMap::new();
-        let mut indexed = 0;
-        for (term, list) in postings {
-            indexed += list.len();
-            map.entry(term).or_default().extend(list);
-        }
-        InvertedIndex {
-            postings: map,
-            indexed_entries: indexed,
-            total_entries: indexed,
-        }
-    }
-
-    /// Postings of a term (empty if the term is not indexed).
-    pub fn postings(&self, term: TermId) -> &[Posting] {
-        self.postings
-            .get(&term)
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
-    }
-
-    /// Number of distinct indexed terms.
-    pub fn num_terms(&self) -> usize {
-        self.postings.len()
-    }
-
-    /// Number of indexed (term, doc) entries.
-    pub fn num_entries(&self) -> usize {
-        self.indexed_entries
-    }
-
-    /// Fraction of vector entries that were pruned away by prefix
-    /// filtering (0.0 when nothing was pruned or the input was empty).
-    pub fn pruning_ratio(&self) -> f64 {
-        if self.total_entries == 0 {
-            0.0
-        } else {
-            1.0 - self.indexed_entries as f64 / self.total_entries as f64
-        }
-    }
-
-    /// The distinct candidate documents found by probing the index with
-    /// every term of `query`.
-    ///
-    /// Reference single-machine probe: the MapReduce join no longer calls
-    /// this — its probe mapper emits one record per (term, posting) hit
-    /// and leaves the deduplication to the engine's combiner — but the
-    /// equivalence of the two probe paths is what the join's tests check
-    /// against.
-    pub fn candidates(&self, query: &SparseVector) -> Vec<usize> {
-        let mut docs: Vec<usize> = query
-            .entries()
-            .iter()
-            .flat_map(|&(term, _)| self.postings(term).iter().map(|p| p.doc))
-            .collect();
-        docs.sort_unstable();
-        docs.dedup();
-        docs
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prefix::term_max_weights;
+    use smr_text::TermId;
 
     fn vec_of(entries: &[(u32, f64)]) -> SparseVector {
         SparseVector::from_entries(entries.iter().map(|&(t, w)| (TermId(t), w)))
     }
 
     #[test]
-    fn build_indexes_only_prefixes() {
-        let consumers = vec![
-            vec_of(&[(0, 0.9), (1, 0.05)]),
-            vec_of(&[(1, 0.8), (2, 0.05)]),
-        ];
+    fn derive_ranks_rarest_terms_first_and_takes_maxima_from_the_items() {
+        let items = vec![vec_of(&[(0, 0.5), (2, 0.1)]), vec_of(&[(0, 0.3)])];
+        let consumers = vec![vec_of(&[(0, 0.9), (1, 0.9)]), vec_of(&[(1, 0.2), (2, 0.2)])];
+        let plan = IndexPlan::derive(&items, &consumers);
+        assert_eq!(plan.vocab_size(), 3);
+        assert_eq!(plan.max_weights, vec![0.5, 0.0, 0.1]);
+        // Frequencies: t0 = 3, t1 = 2, t2 = 2; ties toward the lower id.
+        assert_eq!(plan.term_order_rank, vec![2, 0, 1]);
+        assert_eq!(IndexPlan::derive(&[], &[]).vocab_size(), 0);
+    }
+
+    #[test]
+    fn widening_raises_maxima_grows_the_vocabulary_and_is_idempotent_when_empty() {
+        let items = vec![vec_of(&[(0, 0.5), (1, 0.4)])];
+        let plan = IndexPlan::derive(&items, &items);
+        assert_eq!(plan.clone().widened(&[]), plan);
+        let wide = plan.clone().widened(&[0.6, 0.1, 0.0, 0.01]);
+        assert_eq!(wide.max_weights, vec![0.6, 0.4, 0.0, 0.01]);
+        assert_eq!(wide.term_order_rank, plan.term_order_rank);
+        assert_eq!(wide.vocab_size(), 4);
+    }
+
+    #[test]
+    fn prefix_postings_index_only_the_prefix_and_carry_the_bound() {
         let items = vec![vec_of(&[(0, 1.0), (1, 1.0), (2, 1.0)])];
-        let maxw = term_max_weights(&items, 3);
-        // Identity order: term 0 first.
-        let rank = vec![0, 1, 2];
-        let index = InvertedIndex::build(&consumers, &rank, &maxw, 0.5);
-        // The 0.05-weight tails cannot reach 0.5 and are pruned.
-        assert!(index.num_entries() < 4);
-        assert!(index.pruning_ratio() > 0.0);
-        assert!(!index.postings(TermId(0)).is_empty());
-    }
-
-    #[test]
-    fn candidates_are_deduplicated() {
-        let consumers = vec![vec_of(&[(0, 1.0), (1, 1.0)])];
-        let items = vec![vec_of(&[(0, 1.0), (1, 1.0)])];
-        let maxw = term_max_weights(&items, 2);
-        let index = InvertedIndex::build(&consumers, &[0, 1], &maxw, 0.1);
-        let candidates = index.candidates(&items[0]);
-        assert_eq!(candidates, vec![0]);
-    }
-
-    #[test]
-    fn from_postings_round_trips() {
-        let index = InvertedIndex::from_postings(vec![
-            (
-                TermId(3),
-                vec![Posting {
-                    doc: 0,
-                    weight: 0.5,
-                    bound: 0.0,
-                }],
-            ),
-            (
-                TermId(7),
-                vec![Posting {
-                    doc: 1,
-                    weight: 0.25,
-                    bound: 0.0,
-                }],
-            ),
-        ]);
-        assert_eq!(index.num_terms(), 2);
-        assert_eq!(index.num_entries(), 2);
-        assert_eq!(index.postings(TermId(3)).len(), 1);
-        assert!(index.postings(TermId(9)).is_empty());
-    }
-
-    #[test]
-    fn empty_index_behaves() {
-        let index = InvertedIndex::default();
-        assert_eq!(index.num_terms(), 0);
-        assert_eq!(index.pruning_ratio(), 0.0);
-        assert!(index.candidates(&vec_of(&[(0, 1.0)])).is_empty());
+        let consumer = vec_of(&[(0, 0.9), (1, 0.05)]);
+        let plan = IndexPlan {
+            max_weights: term_max_weights(&items, 3),
+            term_order_rank: vec![0, 1, 2],
+        };
+        let mut postings = Vec::new();
+        plan.prefix_postings(7, &consumer, 0.5, |t, p| postings.push((t, p)));
+        // The 0.05-weight tail cannot reach 0.5 and is pruned into the bound.
+        let expected = Posting {
+            doc: 7,
+            weight: 0.9,
+            bound: 0.05,
+        };
+        assert_eq!(postings, vec![(0, expected)]);
     }
 }

@@ -21,28 +21,37 @@
 //!   surviving pair from the flow's chunked [`DiskVectorStore`] — it holds
 //!   no `Arc` of either corpus — for the exact dot product.
 //!
-//! The two jobs run as one lazy [`Dataset`](smr_mapreduce::flow::Dataset)
-//! chain over a shared [`FlowContext`]; the probe job reports the join's
-//! domain counters ([`counter`]) — `candidates_pruned`, `verify_exact`,
+//! The two jobs run as one lazy [`Dataset`] chain over a shared
+//! [`FlowContext`]; the probe job reports the join's domain counters
+//! ([`counter`]) — `candidates_pruned`, `verify_exact`,
 //! `index_partitions` — in its [`JobMetrics::user_counters`].
 //!
 //! The output is the candidate-edge [`BipartiteGraph`] handed to the
 //! matching algorithms, byte-identical to an exact all-pairs join
 //! thresholded at σ.
+//!
+//! Each decision of the stage is stated once and called from everywhere
+//! it applies — the exact join, the sketch generators of `smr_sketch` and
+//! the serving path: *alignment* ([`AlignedCorpora`]), the *index plan*
+//! and posting rule ([`IndexPlan`]), the *probe* ([`probe_index`] walking
+//! partition runs for a per-run visitor, pruning with [`survives`]) and
+//! the *chain* ([`candidate_chain`], with [`prefix_filter_join`] its
+//! index → probe instance).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 use smr_graph::{BipartiteGraph, GraphBuilder};
-use smr_mapreduce::flow::FlowContext;
-use smr_mapreduce::{Combiner, Counters, Emitter, JobConfig, JobMetrics, Mapper, Reducer};
+use smr_mapreduce::flow::{Dataset, FlowContext};
+use smr_mapreduce::types::{Key, Value};
+use smr_mapreduce::{Combiner, Counters, Emitter, JobMetrics, Mapper, Reducer};
 use smr_storage::impl_codec_struct;
 use smr_text::{Corpus, SparseVector, TermId};
 
 use crate::accum::ScoreAccumulator;
-use crate::index::Posting;
-use crate::prefix::{prefix_length, suffix_remainder_bound, term_max_weights};
+use crate::align::AlignedCorpora;
+use crate::index::{IndexPlan, Posting};
 use crate::store::{DiskVectorStore, IndexPartition, PartitionedIndex, PostingsRef};
 
 /// Names of the join's domain counters, reported in the probe job's
@@ -72,51 +81,13 @@ pub mod counter {
 /// two can differ in the last bits; the slack keeps the prune strictly
 /// conservative (a pair at exactly σ always survives to exact
 /// verification) while remaining far below any meaningful similarity
-/// difference of unit-normalized vectors.  Public so every candidate
-/// generator prunes with the same conservativeness.
-pub const PRUNE_SLACK: f64 = 1e-9;
+/// difference of unit-normalized vectors.
+const PRUNE_SLACK: f64 = 1e-9;
 
 /// Generator tag of the exact prefix-filter join in [`SimJoinResult`]
 /// (recall = 1.0 by construction — it is the reference every sketch
 /// generator is measured against).
 pub const EXACT_GENERATOR: &str = "exact";
-
-/// Configuration of the MapReduce similarity join.
-#[derive(Debug, Clone)]
-pub struct SimJoinConfig {
-    /// Similarity threshold σ: only pairs with dot product ≥ σ become
-    /// candidate edges.
-    pub sigma: f64,
-    /// MapReduce job configuration used by both jobs.
-    pub job: JobConfig,
-}
-
-impl Default for SimJoinConfig {
-    fn default() -> Self {
-        SimJoinConfig {
-            sigma: 0.1,
-            job: JobConfig::named("simjoin"),
-        }
-    }
-}
-
-impl SimJoinConfig {
-    /// Sets the similarity threshold.
-    ///
-    /// # Panics
-    /// Panics if `sigma` is not strictly positive.
-    pub fn with_threshold(mut self, sigma: f64) -> Self {
-        assert!(sigma > 0.0, "threshold must be positive");
-        self.sigma = sigma;
-        self
-    }
-
-    /// Sets the MapReduce job configuration.
-    pub fn with_job(mut self, job: JobConfig) -> Self {
-        self.job = job;
-        self
-    }
-}
 
 /// Shuffle volume of one MapReduce stage of a candidate generator — the
 /// same two fields for every stage of every generator, so a frontier table
@@ -180,77 +151,16 @@ pub struct SimJoinResult {
     pub job_metrics: Vec<JobMetrics>,
 }
 
-impl SimJoinResult {
-    /// Assembles a result from a generator's outputs, deriving the uniform
-    /// per-stage and total shuffle counters from `job_metrics` — the one
-    /// construction path shared by the exact join and every sketch
-    /// generator, so the counters mean the same thing in every row of a
-    /// frontier table.
-    #[allow(clippy::too_many_arguments)]
-    pub fn assemble(
-        generator: impl Into<String>,
-        graph: BipartiteGraph,
-        candidate_pairs: usize,
-        candidates_pruned: usize,
-        verify_exact: usize,
-        index_partitions: usize,
-        indexed_entries: usize,
-        job_metrics: Vec<JobMetrics>,
-    ) -> Self {
-        let stage_shuffles = stage_shuffles(&job_metrics);
-        let shuffled_records = stage_shuffles.iter().map(|s| s.records).sum();
-        let shuffled_bytes = stage_shuffles.iter().map(|s| s.bytes).sum();
-        SimJoinResult {
-            generator: generator.into(),
-            graph,
-            candidate_pairs,
-            candidates_pruned,
-            verify_exact,
-            index_partitions,
-            indexed_entries,
-            stage_shuffles,
-            shuffled_records,
-            shuffled_bytes,
-            job_metrics,
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Job 1: indexing
 // ---------------------------------------------------------------------------
 
-/// Job 1's mapper: emits each consumer's prefix postings (terms in the
-/// global rarest-first order, prefix cut where the suffix bound drops
-/// below σ, every posting carrying the suffix-remainder bound).  Public so
-/// alternative candidate generators (the `smr_sketch` crate) can reuse the
-/// exact index stage and differ only in how they probe it.
-pub struct IndexMapper {
+/// Job 1's mapper: emits each consumer's prefix postings
+/// ([`IndexPlan::prefix_postings`]).
+struct IndexMapper {
     consumers: Arc<[SparseVector]>,
-    term_order_rank: Arc<Vec<u32>>,
-    max_weights: Arc<Vec<f64>>,
+    plan: Arc<IndexPlan>,
     sigma: f64,
-}
-
-impl IndexMapper {
-    /// Creates the index mapper over a shared consumer corpus.
-    ///
-    /// `term_order_rank` is the global prefix-filter term order (see
-    /// [`rarest_first_rank`]); `max_weights` the per-term maxima of the
-    /// *query* side the prefixes are pruned against.
-    pub fn new(
-        consumers: Arc<[SparseVector]>,
-        term_order_rank: Arc<Vec<u32>>,
-        max_weights: Arc<Vec<f64>>,
-        sigma: f64,
-    ) -> Self {
-        IndexMapper {
-            consumers,
-            term_order_rank,
-            max_weights,
-            sigma,
-        }
-    }
 }
 
 impl Mapper for IndexMapper {
@@ -260,20 +170,10 @@ impl Mapper for IndexMapper {
     type OutValue = Posting;
 
     fn map(&self, doc: &usize, _: &usize, out: &mut Emitter<u32, Posting>) {
-        let vector = &self.consumers[*doc];
-        let ordered = vector.terms_in_order(&self.term_order_rank);
-        let plen = prefix_length(vector, &ordered, &self.max_weights, self.sigma);
-        let bound = suffix_remainder_bound(vector, &ordered, plen, &self.max_weights);
-        for term in &ordered[..plen] {
-            out.emit(
-                term.0,
-                Posting {
-                    doc: *doc,
-                    weight: vector.weight(*term),
-                    bound,
-                },
-            );
-        }
+        self.plan
+            .prefix_postings(*doc, &self.consumers[*doc], self.sigma, |term, posting| {
+                out.emit(term, posting)
+            });
     }
 }
 
@@ -281,8 +181,7 @@ impl Mapper for IndexMapper {
 /// deterministic — map tasks cover contiguous input ranges and runs merge
 /// in task order — so the grouped postings already arrive in ascending doc
 /// order; re-sorting (or cloning into per-term lists) would be pure waste.
-#[derive(Debug, Default)]
-pub struct IndexReducer;
+struct IndexReducer;
 
 impl Reducer for IndexReducer {
     type Key = u32;
@@ -321,24 +220,59 @@ pub struct PartialScore {
 
 impl_codec_struct!(PartialScore { score, remainder });
 
-struct ProbeMapper {
-    items: Arc<[SparseVector]>,
-    index: Arc<PartitionedIndex>,
-    sigma: f64,
-    counters: Counters,
+/// Whether a candidate's accumulated evidence can still reach σ — the one
+/// prune test of the candidate stage (mapper, verify reducer and serving
+/// point query all decide with it): `score + remainder ≥ σ − slack`.
+pub fn survives(partial: &PartialScore, sigma: f64) -> bool {
+    partial.score + partial.remainder >= sigma - PRUNE_SLACK
 }
 
-/// Accumulates a query's partial products against one index partition —
-/// the shared core of the batch probe mapper, the serving-time
-/// [`crate::serving::ServingIndex`] point query, and the perf harness's
-/// probe lane.  Both the query slice and the partition's term ranges are
-/// sorted by term id; iterate whichever side is shorter and look the term
-/// up on the other — and skip terms with empty postings before ever
-/// entering the posting loop.  The inner loop walks the partition's
-/// struct-of-arrays posting columns directly (see
-/// [`crate::store::PostingsRef`]), folding into the open-addressed
-/// [`ScoreAccumulator`].
-#[doc(hidden)]
+/// Probes `index` with one query: walks the query's entries (sorted by
+/// term id) in runs that route to the same term-range partition, hands
+/// each non-empty partition and its run to `visit` — which folds partial
+/// products into the accumulator; the exact visitor is
+/// [`probe_partition`] — and returns the candidates that [`survives`]
+/// keeps, sorted by doc, plus how many it pruned.
+///
+/// All of a query's probing happens in this one call, so partial products
+/// accumulate in ascending term order (the floating-point sum is
+/// scheduling-independent) and the prune runs on *complete* scores.  Only
+/// the partitions the query's terms fall into are ever opened.
+pub fn probe_index(
+    index: &PartitionedIndex,
+    entries: &[(TermId, f64)],
+    sigma: f64,
+    mut visit: impl FnMut(&IndexPartition, &[(TermId, f64)], &mut ScoreAccumulator),
+) -> (Vec<(usize, PartialScore)>, u64) {
+    let mut scores = ScoreAccumulator::new();
+    let mut start = 0;
+    while start < entries.len() {
+        let p = index.partition_of(entries[start].0);
+        let mut end = start + 1;
+        while end < entries.len() && index.partition_of(entries[end].0) == p {
+            end += 1;
+        }
+        let partition = index.partition(p);
+        if !partition.is_empty() {
+            visit(&partition, &entries[start..end], &mut scores);
+        }
+        start = end;
+    }
+    let mut candidates = scores.drain_sorted();
+    let generated = candidates.len();
+    candidates.retain(|(_, partial)| survives(partial, sigma));
+    let pruned = (generated - candidates.len()) as u64;
+    (candidates, pruned)
+}
+
+/// The exact per-run visitor of [`probe_index`]: accumulates every partial
+/// product of a query run against one index partition.  Both the query
+/// slice and the partition's term ranges are sorted by term id; iterate
+/// whichever side is shorter and look the term up on the other — and skip
+/// terms with empty postings before ever entering the posting loop.  The
+/// inner loop walks the partition's struct-of-arrays posting columns
+/// directly (see [`crate::store::PostingsRef`]), folding into the
+/// open-addressed [`ScoreAccumulator`].
 pub fn probe_partition(
     partition: &IndexPartition,
     query: &[(TermId, f64)],
@@ -370,7 +304,22 @@ pub fn probe_partition(
     }
 }
 
-impl Mapper for ProbeMapper {
+/// Job 2's mapper: probes the index with every item through `visit` (the
+/// per-run visitor of [`probe_index`], additionally told which item is
+/// probing) and emits the surviving candidates — a pruned candidate never
+/// crosses the shuffle.
+struct ProbeMapper<F> {
+    items: Arc<[SparseVector]>,
+    index: Arc<PartitionedIndex>,
+    sigma: f64,
+    counters: Counters,
+    visit: F,
+}
+
+impl<F> Mapper for ProbeMapper<F>
+where
+    F: Fn(usize, &IndexPartition, &[(TermId, f64)], &mut ScoreAccumulator) + Send + Sync,
+{
     type InKey = usize; // item dense index
     type InValue = usize; // ditto
     type OutKey = (usize, usize); // (item, consumer) candidate pair
@@ -378,36 +327,14 @@ impl Mapper for ProbeMapper {
 
     fn map(&self, item: &usize, _: &usize, out: &mut Emitter<(usize, usize), PartialScore>) {
         let entries = self.items[*item].entries();
-        if entries.is_empty() {
-            return;
-        }
-        // All of an item's probes happen in this one call, so the partial
-        // products accumulate locally (in ascending term order — the
-        // floating-point sum is scheduling-independent) and the
-        // suffix-bound prune can run on *complete* scores before anything
-        // is emitted: a pruned candidate never crosses the shuffle.
-        let mut scores = ScoreAccumulator::new();
-        let mut start = 0;
-        while start < entries.len() {
-            let p = self.index.partition_of(entries[start].0);
-            let mut end = start + 1;
-            while end < entries.len() && self.index.partition_of(entries[end].0) == p {
-                end += 1;
-            }
-            let partition = self.index.partition(p);
-            if !partition.is_empty() {
-                probe_partition(&partition, &entries[start..end], &mut scores);
-            }
-            start = end;
-        }
-        let candidates = scores.drain_sorted();
-        let mut pruned = 0u64;
-        for (doc, partial) in candidates {
-            if partial.score + partial.remainder >= self.sigma - PRUNE_SLACK {
-                out.emit((*item, doc), partial);
-            } else {
-                pruned += 1;
-            }
+        let (survivors, pruned) = probe_index(
+            &self.index,
+            entries,
+            self.sigma,
+            |partition, run, scores| (self.visit)(*item, partition, run, scores),
+        );
+        for (doc, partial) in survivors {
+            out.emit((*item, doc), partial);
         }
         if pruned > 0 {
             self.counters.add(counter::CANDIDATES_PRUNED, pruned);
@@ -420,23 +347,26 @@ impl Mapper for ProbeMapper {
 /// max), so however the engine slices a pair's records across buffers,
 /// spills and runs, exactly one accumulated record per candidate reaches
 /// the reducer, carrying the full prefix score.
-#[derive(Debug, Default)]
-pub struct PartialScoreCombiner;
+struct PartialScoreCombiner;
+
+fn fold_partials(partials: &[PartialScore]) -> PartialScore {
+    let mut total = PartialScore {
+        score: 0.0,
+        remainder: 0.0,
+    };
+    for partial in partials {
+        total.score += partial.score;
+        total.remainder = total.remainder.max(partial.remainder);
+    }
+    total
+}
 
 impl Combiner for PartialScoreCombiner {
     type Key = (usize, usize);
     type Value = PartialScore;
 
     fn combine(&self, _pair: &(usize, usize), partials: &[PartialScore]) -> Vec<PartialScore> {
-        let mut total = PartialScore {
-            score: 0.0,
-            remainder: 0.0,
-        };
-        for partial in partials {
-            total.score += partial.score;
-            total.remainder = total.remainder.max(partial.remainder);
-        }
-        vec![total]
+        vec![fold_partials(partials)]
     }
 }
 
@@ -444,9 +374,9 @@ impl Combiner for PartialScoreCombiner {
 /// in-memory copy of either corpus: the accumulated score is thresholded
 /// first (a pair that cannot reach σ is dropped without any fetch), and
 /// only survivors cost a chunked read from the [`DiskVectorStore`]s plus
-/// one exact dot product.  Public so sketch generators can close their
-/// chains with the same exact-verification stage (emitted candidates
-/// carry true, bit-identical scores whatever generated them).
+/// one exact dot product.  [`candidate_chain`] builds one per chain, so
+/// every generator closes with the same exact-verification stage (emitted
+/// candidates carry true, bit-identical scores whatever generated them).
 pub struct VerifyReducer {
     items: DiskVectorStore,
     consumers: DiskVectorStore,
@@ -455,20 +385,18 @@ pub struct VerifyReducer {
 }
 
 impl VerifyReducer {
-    /// Creates a verify reducer fetching survivor vectors from the two
-    /// chunked disk stores, reporting [`counter::VERIFY_EXACT`] /
-    /// [`counter::CANDIDATES_PRUNED`] into `counters`.
-    pub fn new(
-        items: DiskVectorStore,
-        consumers: DiskVectorStore,
-        sigma: f64,
-        counters: Counters,
-    ) -> Self {
-        VerifyReducer {
-            items,
-            consumers,
-            sigma,
-            counters,
+    /// Verifies one pair unconditionally: counts it as
+    /// [`counter::VERIFY_EXACT`], fetches both vectors, and emits the pair
+    /// with its exact similarity if that reaches σ.  For generators whose
+    /// candidates carry no partial score to threshold first.
+    pub fn verify(&self, pair: &(usize, usize), out: &mut Emitter<(usize, usize), f64>) {
+        let (item, consumer) = *pair;
+        self.counters.add(counter::VERIFY_EXACT, 1);
+        let similarity = self
+            .items
+            .with_vector(item, |x| self.consumers.with_vector(consumer, |y| x.dot(y)));
+        if similarity >= self.sigma {
+            out.emit(*pair, similarity);
         }
     }
 }
@@ -485,13 +413,9 @@ impl Reducer for VerifyReducer {
         partials: &[PartialScore],
         out: &mut Emitter<(usize, usize), f64>,
     ) {
-        let mut score = 0.0;
-        let mut remainder = 0.0f64;
-        for partial in partials {
-            score += partial.score;
-            remainder = remainder.max(partial.remainder);
-        }
-        if score + remainder < self.sigma - PRUNE_SLACK {
+        if survives(&fold_partials(partials), self.sigma) {
+            self.verify(pair, out);
+        } else {
             // Map-side pruning already catches this in the current
             // dataflow; the guard keeps the reducer correct on its own
             // terms (it sees only accumulated evidence, never vectors).
@@ -499,36 +423,20 @@ impl Reducer for VerifyReducer {
             // candidate accounting can tell it apart from map-side ones.
             self.counters.add(counter::CANDIDATES_PRUNED, 1);
             self.counters.add(counter::VERIFY_PRUNED, 1);
-            return;
-        }
-        let (item, consumer) = *pair;
-        self.counters.add(counter::VERIFY_EXACT, 1);
-        let similarity = self
-            .items
-            .with_vector(item, |x| self.consumers.with_vector(consumer, |y| x.dot(y)));
-        if similarity >= self.sigma {
-            out.emit(*pair, similarity);
         }
     }
 }
 
-/// Runs the two-job MapReduce similarity join between item and consumer
-/// corpora that share a vocabulary-independent term space.
-///
-/// The two corpora are first re-vectorized over a shared vocabulary (they
-/// are usually built independently, so their term ids would not otherwise
-/// line up); pre-aligned vectors can be joined directly with
-/// [`mapreduce_similarity_join_vectors`].
-pub fn mapreduce_similarity_join(
-    items: &Corpus,
-    consumers: &Corpus,
-    config: &SimJoinConfig,
-) -> SimJoinResult {
-    let flow = FlowContext::new(config.job.clone());
-    mapreduce_similarity_join_flow(items, consumers, config.sigma, &flow)
-}
+// ---------------------------------------------------------------------------
+// The two-job chain
+// ---------------------------------------------------------------------------
 
-/// Runs the two-job join through a caller-provided [`FlowContext`]: both
+/// Runs the exact two-job join between item and consumer corpora.
+///
+/// The two corpora are first aligned over a shared vocabulary
+/// ([`AlignedCorpora::of`] — they are usually built independently, so
+/// their term ids would not otherwise line up); pre-aligned vectors can be
+/// joined directly with [`mapreduce_similarity_join_vectors_flow`].  Both
 /// jobs execute as one lazy `Dataset` chain under the flow's `JobConfig`
 /// and report into the flow's [`smr_mapreduce::FlowReport`] alongside any
 /// other jobs of the surrounding pipeline.
@@ -538,51 +446,20 @@ pub fn mapreduce_similarity_join_flow(
     sigma: f64,
     flow: &FlowContext,
 ) -> SimJoinResult {
-    let (item_vectors, consumer_vectors) = align_vector_spaces(items, consumers);
+    let aligned = AlignedCorpora::of(items, consumers);
     mapreduce_similarity_join_vectors_flow(
-        &item_vectors,
-        &consumer_vectors,
-        &item_labels(items),
-        &consumer_labels(consumers),
+        aligned.item_vectors(),
+        aligned.consumer_vectors(),
+        &aligned.item_labels(),
+        &aligned.consumer_labels(),
         sigma,
         flow,
     )
 }
 
-/// Runs the join directly on pre-vectorized inputs (both sides must share
-/// the same term space).
-pub fn mapreduce_similarity_join_vectors(
-    item_vectors: &[SparseVector],
-    consumer_vectors: &[SparseVector],
-    item_names: &[String],
-    consumer_names: &[String],
-    config: &SimJoinConfig,
-) -> SimJoinResult {
-    let flow = FlowContext::new(config.job.clone());
-    mapreduce_similarity_join_vectors_flow(
-        item_vectors,
-        consumer_vectors,
-        item_names,
-        consumer_names,
-        config.sigma,
-        &flow,
-    )
-}
-
-/// The core of the join: a two-stage [`Dataset`](smr_mapreduce::flow::Dataset)
-/// chain over `flow`, streaming its side data through the flow's side
-/// store.
-///
-/// Each corpus enters the chain exactly once, behind a shared
-/// `Arc<[SparseVector]>` riding in the job's mapper (the job *inputs* are
-/// just dense indices), and is additionally persisted as chunked vector
-/// datasets for the verify stage.  Stage 1 (`…-index`) builds the pruned
-/// inverted index; the chain's `then` combinator persists it in term-range
-/// partitions and constructs stage 2 (`…-probe`) around the partition
-/// handle: on-demand probing, partial-product accumulation with map-side
-/// suffix-bound pruning, summing combiner, and exact verification against
-/// the disk-backed vectors.  Records flow between the stages by move;
-/// nothing executes until the terminal `collect`.
+/// Runs the exact join directly on pre-vectorized inputs (both sides must
+/// share the same term space): [`prefix_filter_join`] with the exact
+/// visitor, [`probe_partition`].
 pub fn mapreduce_similarity_join_vectors_flow(
     item_vectors: &[SparseVector],
     consumer_vectors: &[SparseVector],
@@ -591,93 +468,161 @@ pub fn mapreduce_similarity_join_vectors_flow(
     sigma: f64,
     flow: &FlowContext,
 ) -> SimJoinResult {
-    assert_eq!(item_vectors.len(), item_names.len());
-    assert_eq!(consumer_vectors.len(), consumer_names.len());
-    assert!(sigma > 0.0, "threshold must be positive");
+    prefix_filter_join(
+        EXACT_GENERATOR,
+        "",
+        (item_vectors, item_names),
+        (consumer_vectors, consumer_names),
+        sigma,
+        flow,
+        Counters::new(),
+        |_, partition, run, scores| probe_partition(partition, run, scores),
+    )
+}
 
-    let vocab_size = item_vectors
-        .iter()
-        .chain(consumer_vectors.iter())
-        .flat_map(|v| v.entries().iter().map(|(t, _)| t.index() + 1))
-        .max()
-        .unwrap_or(0);
-    let max_weights = Arc::new(term_max_weights(item_vectors, vocab_size));
-    let term_order_rank = Arc::new(rarest_first_rank(
-        item_vectors,
-        consumer_vectors,
-        vocab_size,
-    ));
-
-    // One shared copy of each corpus; the per-job clones of the old
-    // dataflow are gone (job inputs are index lists).
-    let items: Arc<[SparseVector]> = item_vectors.into();
-    let consumers: Arc<[SparseVector]> = consumer_vectors.into();
-
-    let jobs_start = flow.num_jobs();
+/// The prefix-filter instance of [`candidate_chain`]: stage 1
+/// (`{stage_prefix}index`) builds the pruned inverted index from the
+/// [`IndexPlan`] of the two sides; the hand-off persists it in term-range
+/// partitions under the chain's side prefix; stage 2 (`{stage_prefix}probe`)
+/// probes it on demand with `visit` — partial-product accumulation with
+/// map-side suffix-bound pruning, summing combiner, exact verification.
+///
+/// `visit` is [`probe_index`]'s per-run visitor, additionally told which
+/// item is probing.  The exact join passes [`probe_partition`]; a sampling
+/// generator passes a visitor that skips (and rescales) contributions.
+/// `counters` is the set the probe job reports; a visitor that counts
+/// holds a clone of it.
+#[allow(clippy::too_many_arguments)]
+pub fn prefix_filter_join<F>(
+    generator: &str,
+    stage_prefix: &str,
+    items: (&[SparseVector], &[String]),
+    consumers: (&[SparseVector], &[String]),
+    sigma: f64,
+    flow: &FlowContext,
+    counters: Counters,
+    visit: F,
+) -> SimJoinResult
+where
+    F: Fn(usize, &IndexPartition, &[(TermId, f64)], &mut ScoreAccumulator) + Send + Sync + 'static,
+{
+    let plan = Arc::new(IndexPlan::derive(items.0, consumers.0));
+    let vocab_size = plan.vocab_size();
+    // One shared copy of each corpus: the job inputs are dense indices,
+    // the vectors ride in the mappers.
+    let item_vectors: Arc<[SparseVector]> = items.0.into();
+    let consumer_vectors: Arc<[SparseVector]> = consumers.0.into();
     let side = flow.side_store();
-    // Unique per join within this flow, so chained joins never collide.
-    let side_prefix = format!("simjoin-{jobs_start}");
-    let item_store = DiskVectorStore::write(&side, &format!("{side_prefix}/items"), &items);
-    let consumer_store =
-        DiskVectorStore::write(&side, &format!("{side_prefix}/consumers"), &consumers);
-
-    let counters = Counters::new();
-    // `then` runs inside the lazy plan, so the index size is smuggled out
-    // through a shared cell instead of a return value.
-    let indexed_entries = Arc::new(AtomicUsize::new(0));
-    let indexed_entries_probe = Arc::clone(&indexed_entries);
-
-    let index_input: Vec<(usize, usize)> = (0..consumers.len()).map(|i| (i, i)).collect();
-    let probe_input: Vec<(usize, usize)> = (0..items.len()).map(|i| (i, i)).collect();
-    let probe_items = Arc::clone(&items);
+    let index_name = format!("{stage_prefix}index");
+    let probe_name = format!("{stage_prefix}probe");
     let probe_counters = counters.clone();
-    let side_index = side.clone();
-    let index_prefix = format!("{side_prefix}/index");
-
-    let verified = flow
-        .dataset(index_input)
-        .map_with(IndexMapper {
-            consumers: Arc::clone(&consumers),
-            term_order_rank,
-            max_weights,
-            sigma,
-        })
-        .named("index")
-        .reduce_with(IndexReducer)
-        .then(move |postings, flow| {
+    candidate_chain(
+        generator,
+        items,
+        consumers,
+        sigma,
+        flow,
+        counters,
+        move |consumer_ids| {
+            consumer_ids
+                .map_with(IndexMapper {
+                    consumers: consumer_vectors,
+                    plan,
+                    sigma,
+                })
+                .named(index_name)
+                .reduce_with(IndexReducer)
+        },
+        move |postings, item_ids, side_prefix, verify| {
             // Job 1's output becomes job 2's side data: the index goes to
             // the flow's side store in term-range partitions that probe
             // mappers open on demand (the distributed-cache role, without
             // shipping the whole index to every mapper).
-            indexed_entries_probe.store(postings.len(), Ordering::Relaxed);
-            let index = Arc::new(PartitionedIndex::write(
-                &side_index,
-                &index_prefix,
-                postings,
-                vocab_size,
-            ));
+            let index_prefix = format!("{side_prefix}/index");
+            let index = PartitionedIndex::write(&side, &index_prefix, postings, vocab_size);
             probe_counters.add(counter::INDEX_PARTITIONS, index.num_partitions() as u64);
-            flow.dataset(probe_input)
+            item_ids
                 .map_with(ProbeMapper {
-                    items: probe_items,
-                    index,
+                    items: item_vectors,
+                    index: Arc::new(index),
                     sigma,
                     counters: probe_counters.clone(),
+                    visit,
                 })
-                .named("probe")
+                .named(probe_name)
                 .combined_with(PartialScoreCombiner)
-                .with_counters(probe_counters.clone())
-                .reduce_with(VerifyReducer {
-                    items: item_store,
-                    consumers: consumer_store,
-                    sigma,
-                    counters: probe_counters,
-                })
+                .with_counters(probe_counters)
+                .reduce_with(verify)
+        },
+    )
+}
+
+/// The one two-job chain under every candidate generator: stages both
+/// sides as chunked [`DiskVectorStore`]s under a chain-unique prefix of
+/// the flow's side store, runs `index_job` over the consumers' dense
+/// indices, hands its output — with the items' dense indices, the side
+/// prefix and the chain's [`VerifyReducer`] — to `probe_job`, which
+/// returns the sealed second job ending in exact verification; then
+/// reclaims the side prefix, closes the candidate accounting and
+/// assembles the verified pairs into the candidate graph.
+///
+/// Records flow between the stages by move and nothing executes until the
+/// helper collects the chain.  `counters` must be the set `probe_job`
+/// runs its job with: the accounting reads [`counter`]'s names from it
+/// (a generator that never prunes or partitions leaves those at zero).
+#[allow(clippy::too_many_arguments)]
+pub fn candidate_chain<K: Key, V: Value>(
+    generator: &str,
+    (item_vectors, item_names): (&[SparseVector], &[String]),
+    (consumer_vectors, consumer_names): (&[SparseVector], &[String]),
+    sigma: f64,
+    flow: &FlowContext,
+    counters: Counters,
+    index_job: impl FnOnce(Dataset<usize, usize>) -> Dataset<K, V>,
+    probe_job: impl FnOnce(
+            Vec<(K, V)>,
+            Dataset<usize, usize>,
+            &str,
+            VerifyReducer,
+        ) -> Dataset<(usize, usize), f64>
+        + 'static,
+) -> SimJoinResult {
+    assert_eq!(item_vectors.len(), item_names.len());
+    assert_eq!(consumer_vectors.len(), consumer_names.len());
+    assert!(sigma > 0.0, "threshold must be positive");
+
+    let jobs_start = flow.num_jobs();
+    let side = flow.side_store();
+    // Unique per chain within this flow, so chained joins (or mixed
+    // generators in one pipeline) never collide.
+    let side_prefix = format!("{generator}-{jobs_start}");
+    let verify = VerifyReducer {
+        items: DiskVectorStore::write(&side, &format!("{side_prefix}/items"), item_vectors),
+        consumers: DiskVectorStore::write(
+            &side,
+            &format!("{side_prefix}/consumers"),
+            consumer_vectors,
+        ),
+        sigma,
+        counters: counters.clone(),
+    };
+    let dense = |n: usize| -> Vec<(usize, usize)> { (0..n).map(|i| (i, i)).collect() };
+    let item_ids = dense(item_vectors.len());
+    // `then` runs inside the lazy plan, so the index size is smuggled out
+    // through a shared cell instead of a return value.
+    let indexed_entries = Arc::new(AtomicUsize::new(0));
+    let indexed_entries_probe = Arc::clone(&indexed_entries);
+    let probe_prefix = side_prefix.clone();
+
+    let verified = index_job(flow.dataset(dense(consumer_vectors.len())))
+        .then(move |indexed, flow| {
+            indexed_entries_probe.store(indexed.len(), Ordering::Relaxed);
+            probe_job(indexed, flow.dataset(item_ids), &probe_prefix, verify)
         })
         .collect();
 
-    // This join's side data (index partitions, vector chunks) is dead once
-    // the chain has run; reclaim it now instead of at flow drop.
+    // The chain's side data (index partitions, vector chunks) is dead once
+    // it has run; reclaim it now instead of at flow drop.
     let dataset_prefix = format!("{side_prefix}/");
     for path in side.paths() {
         if path.starts_with(&dataset_prefix) {
@@ -687,19 +632,15 @@ pub fn mapreduce_similarity_join_vectors_flow(
 
     let job_metrics = flow.jobs_from(jobs_start);
     let candidates_pruned = counters.get(counter::CANDIDATES_PRUNED) as usize;
-    let verify_exact = counters.get(counter::VERIFY_EXACT) as usize;
-    let index_partitions = counters.get(counter::INDEX_PARTITIONS) as usize;
     // Generated candidates = reduce-input groups + *map-side* prunes.  A
     // reducer-side prune (VERIFY_PRUNED, a subset of CANDIDATES_PRUNED)
     // is already one of the groups, so it must not be added again.
     let map_side_pruned = candidates_pruned - counters.get(counter::VERIFY_PRUNED) as usize;
     let candidate_pairs = job_metrics
         .last()
-        .map(|m| m.reduce_input_groups as usize)
-        .unwrap_or(0)
+        .map_or(0, |m| m.reduce_input_groups as usize)
         + map_side_pruned;
 
-    // Assemble the candidate-edge graph.
     let mut builder = GraphBuilder::new();
     for name in item_names {
         builder.add_item(name.clone());
@@ -715,90 +656,30 @@ pub fn mapreduce_similarity_join_vectors_flow(
         );
     }
 
-    SimJoinResult::assemble(
-        EXACT_GENERATOR,
-        builder.build(),
+    // The uniform per-stage and total shuffle counters: derived from the
+    // job metrics here, for every generator, so they mean the same thing
+    // in every row of a frontier table.
+    let stage_shuffles = stage_shuffles(&job_metrics);
+    SimJoinResult {
+        generator: generator.to_string(),
+        graph: builder.build(),
         candidate_pairs,
         candidates_pruned,
-        verify_exact,
-        index_partitions,
-        indexed_entries.load(Ordering::Relaxed),
+        verify_exact: counters.get(counter::VERIFY_EXACT) as usize,
+        index_partitions: counters.get(counter::INDEX_PARTITIONS) as usize,
+        indexed_entries: indexed_entries.load(Ordering::Relaxed),
+        shuffled_records: stage_shuffles.iter().map(|s| s.records).sum(),
+        shuffled_bytes: stage_shuffles.iter().map(|s| s.bytes).sum(),
+        stage_shuffles,
         job_metrics,
-    )
-}
-
-/// Global term order for prefix filtering: rarest terms first, measured by
-/// how many vectors (on either side) contain the term.  Returns, for each
-/// term id, its rank in that order.
-///
-/// Public so alternative candidate generators can build the *same* index
-/// job 1 builds — identical prefixes, identical postings — and differ only
-/// downstream.
-pub fn rarest_first_rank(
-    items: &[SparseVector],
-    consumers: &[SparseVector],
-    vocab_size: usize,
-) -> Vec<u32> {
-    let mut freq = vec![0u32; vocab_size];
-    for v in items.iter().chain(consumers.iter()) {
-        for &(t, _) in v.entries() {
-            freq[t.index()] += 1;
-        }
     }
-    let mut terms: Vec<usize> = (0..vocab_size).collect();
-    terms.sort_by_key(|&t| (freq[t], t));
-    let mut rank = vec![0u32; vocab_size];
-    for (r, t) in terms.into_iter().enumerate() {
-        rank[t] = r as u32;
-    }
-    rank
-}
-
-/// Re-vectorizes the two corpora over a shared vocabulary so that their dot
-/// products are meaningful, returning the aligned vectors.  This is the
-/// alignment every candidate generator must apply before joining corpora
-/// (the sketch generators reuse it so their vectors — and therefore their
-/// exact-verified scores — are bit-identical to the exact join's).
-pub fn align_vector_spaces(
-    items: &Corpus,
-    consumers: &Corpus,
-) -> (Vec<SparseVector>, Vec<SparseVector>) {
-    use smr_text::{Document, TokenizerConfig};
-    let mut all_docs: Vec<Document> = Vec::with_capacity(items.len() + consumers.len());
-    for i in 0..items.len() {
-        all_docs.push(items.document(i).clone());
-    }
-    for i in 0..consumers.len() {
-        all_docs.push(consumers.document(i).clone());
-    }
-    let joint = Corpus::build(all_docs, &TokenizerConfig::default());
-    let item_vectors = (0..items.len()).map(|i| joint.vector(i).clone()).collect();
-    let consumer_vectors = (items.len()..items.len() + consumers.len())
-        .map(|i| joint.vector(i).clone())
-        .collect();
-    (item_vectors, consumer_vectors)
-}
-
-/// The document ids of a corpus, in dense index order — the node labels a
-/// candidate generator hands to the graph builder.
-pub fn corpus_labels(corpus: &Corpus) -> Vec<String> {
-    (0..corpus.len())
-        .map(|i| corpus.document(i).id.clone())
-        .collect()
-}
-
-fn item_labels(corpus: &Corpus) -> Vec<String> {
-    corpus_labels(corpus)
-}
-
-fn consumer_labels(corpus: &Corpus) -> Vec<String> {
-    corpus_labels(corpus)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::baseline::baseline_similarity_join;
+    use smr_mapreduce::JobConfig;
     use smr_text::{Document, TokenizerConfig};
 
     fn tag_corpus(docs: &[(&str, &str)]) -> Corpus {
@@ -834,10 +715,40 @@ mod tests {
             .collect()
     }
 
-    fn config(sigma: f64) -> SimJoinConfig {
-        SimJoinConfig::default()
-            .with_threshold(sigma)
-            .with_job(JobConfig::named("simjoin-test").with_threads(2))
+    fn flow() -> FlowContext {
+        FlowContext::new(JobConfig::named("simjoin-test").with_threads(2))
+    }
+
+    fn names(prefix: &str, n: usize) -> Vec<String> {
+        (0..n).map(|i| format!("{prefix}{i}")).collect()
+    }
+
+    /// The exact join over synthetic vectors under the test flow.
+    fn join(items: &[SparseVector], consumers: &[SparseVector], sigma: f64) -> SimJoinResult {
+        join_in(items, consumers, sigma, &flow())
+    }
+
+    fn join_in(
+        items: &[SparseVector],
+        consumers: &[SparseVector],
+        sigma: f64,
+        flow: &FlowContext,
+    ) -> SimJoinResult {
+        mapreduce_similarity_join_vectors_flow(
+            items,
+            consumers,
+            &names("t", items.len()),
+            &names("c", consumers.len()),
+            sigma,
+            flow,
+        )
+    }
+
+    fn brute_force_pairs(items: &[SparseVector], consumers: &[SparseVector], sigma: f64) -> usize {
+        items
+            .iter()
+            .map(|x| consumers.iter().filter(|y| x.dot(y) >= sigma).count())
+            .sum()
     }
 
     #[test]
@@ -854,7 +765,7 @@ mod tests {
             ("u3", "cooking pasta pizza"),
         ]);
         for sigma in [0.05, 0.2, 0.5] {
-            let mr = mapreduce_similarity_join(&items, &consumers, &config(sigma));
+            let mr = mapreduce_similarity_join_flow(&items, &consumers, sigma, &flow());
             let base = baseline_similarity_join(&items, &consumers, sigma);
             assert_eq!(
                 mr.graph.num_edges(),
@@ -868,28 +779,11 @@ mod tests {
     fn mapreduce_join_matches_brute_force_on_random_vectors() {
         let items = synthetic_vectors(12, 20, 1);
         let consumers = synthetic_vectors(18, 20, 2);
-        let item_names: Vec<String> = (0..items.len()).map(|i| format!("t{i}")).collect();
-        let consumer_names: Vec<String> = (0..consumers.len()).map(|i| format!("c{i}")).collect();
         for sigma in [0.1, 0.3, 0.6] {
-            let result = mapreduce_similarity_join_vectors(
-                &items,
-                &consumers,
-                &item_names,
-                &consumer_names,
-                &config(sigma),
-            );
-            // Brute-force ground truth.
-            let mut expected = 0usize;
-            for x in &items {
-                for y in &consumers {
-                    if x.dot(y) >= sigma {
-                        expected += 1;
-                    }
-                }
-            }
+            let result = join(&items, &consumers, sigma);
             assert_eq!(
                 result.graph.num_edges(),
-                expected,
+                brute_force_pairs(&items, &consumers, sigma),
                 "edge count differs for sigma={sigma}"
             );
             assert!(result.graph.edges().iter().all(|e| e.weight >= sigma));
@@ -910,17 +804,8 @@ mod tests {
     fn higher_threshold_indexes_fewer_entries_and_generates_fewer_candidates() {
         let items = synthetic_vectors(10, 15, 3);
         let consumers = synthetic_vectors(15, 15, 4);
-        let names_i: Vec<String> = (0..items.len()).map(|i| format!("t{i}")).collect();
-        let names_c: Vec<String> = (0..consumers.len()).map(|i| format!("c{i}")).collect();
-        let loose = mapreduce_similarity_join_vectors(
-            &items,
-            &consumers,
-            &names_i,
-            &names_c,
-            &config(0.05),
-        );
-        let tight =
-            mapreduce_similarity_join_vectors(&items, &consumers, &names_i, &names_c, &config(0.7));
+        let loose = join(&items, &consumers, 0.05);
+        let tight = join(&items, &consumers, 0.7);
         assert!(tight.indexed_entries <= loose.indexed_entries);
         assert!(tight.candidate_pairs <= loose.candidate_pairs);
         assert!(tight.graph.num_edges() <= loose.graph.num_edges());
@@ -934,10 +819,7 @@ mod tests {
         // the shuffle.
         let items = synthetic_vectors(12, 10, 5);
         let consumers = synthetic_vectors(14, 10, 6);
-        let names_i: Vec<String> = (0..items.len()).map(|i| format!("t{i}")).collect();
-        let names_c: Vec<String> = (0..consumers.len()).map(|i| format!("c{i}")).collect();
-        let result =
-            mapreduce_similarity_join_vectors(&items, &consumers, &names_i, &names_c, &config(0.4));
+        let result = join(&items, &consumers, 0.4);
         let probe = &result.job_metrics[1];
         assert!(result.candidates_pruned > 0, "{result:?}");
         assert_eq!(
@@ -969,15 +851,10 @@ mod tests {
             result.index_partitions
         );
         // Pruning never loses a true pair.
-        let mut expected = 0usize;
-        for x in &items {
-            for y in &consumers {
-                if x.dot(y) >= 0.4 {
-                    expected += 1;
-                }
-            }
-        }
-        assert_eq!(result.graph.num_edges(), expected);
+        assert_eq!(
+            result.graph.num_edges(),
+            brute_force_pairs(&items, &consumers, 0.4)
+        );
     }
 
     /// Hand-wires the two jobs — index persisted to a side store, probe
@@ -992,8 +869,6 @@ mod tests {
 
         let items = synthetic_vectors(14, 16, 21);
         let consumers = synthetic_vectors(17, 16, 22);
-        let names_i: Vec<String> = (0..items.len()).map(|i| format!("t{i}")).collect();
-        let names_c: Vec<String> = (0..consumers.len()).map(|i| format!("c{i}")).collect();
         let sigma = 0.15;
         let job_config = JobConfig::named("regression").with_threads(2);
 
@@ -1002,21 +877,11 @@ mod tests {
             std::env::temp_dir().join(format!("smr-simjoin-regression-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&side_root);
         let side = DatasetStore::open(&side_root).unwrap();
-        let vocab_size = items
-            .iter()
-            .chain(consumers.iter())
-            .flat_map(|v| v.entries().iter().map(|(t, _)| t.index() + 1))
-            .max()
-            .unwrap_or(0);
-        let max_weights = Arc::new(term_max_weights(&items, vocab_size));
-        let term_order_rank = Arc::new(rarest_first_rank(&items, &consumers, vocab_size));
-        let items_arc: Arc<[SparseVector]> = items.as_slice().into();
-        let consumers_arc: Arc<[SparseVector]> = consumers.as_slice().into();
+        let plan = Arc::new(IndexPlan::derive(&items, &consumers));
         let index_result = Job::new(job_config.clone().with_name("regression-index")).run(
             &IndexMapper {
-                consumers: Arc::clone(&consumers_arc),
-                term_order_rank,
-                max_weights,
+                consumers: consumers.as_slice().into(),
+                plan: Arc::clone(&plan),
                 sigma,
             },
             &IndexReducer,
@@ -1026,16 +891,22 @@ mod tests {
             &side,
             "index",
             index_result.output,
-            vocab_size,
+            plan.vocab_size(),
         ));
         let manual_counters = Counters::new();
         let probe_result = Job::new(job_config.clone().with_name("regression-probe"))
             .run_with_combiner(
                 &ProbeMapper {
-                    items: Arc::clone(&items_arc),
+                    items: items.as_slice().into(),
                     index: Arc::clone(&index),
                     sigma,
                     counters: manual_counters.clone(),
+                    visit: |_,
+                            partition: &IndexPartition,
+                            run: &[(TermId, f64)],
+                            scores: &mut _| {
+                        probe_partition(partition, run, scores)
+                    },
                 },
                 &PartialScoreCombiner,
                 &VerifyReducer {
@@ -1049,9 +920,7 @@ mod tests {
 
         // --- the flow chain ---
         let flow = FlowContext::new(job_config);
-        let result = mapreduce_similarity_join_vectors_flow(
-            &items, &consumers, &names_i, &names_c, sigma, &flow,
-        );
+        let result = join_in(&items, &consumers, sigma, &flow);
 
         // Output records byte-identical: same edges, same order, same
         // weights.
@@ -1116,33 +985,22 @@ mod tests {
     fn spilled_and_in_memory_joins_produce_the_same_graph() {
         let items = synthetic_vectors(10, 14, 7);
         let consumers = synthetic_vectors(12, 14, 8);
-        let names_i: Vec<String> = (0..items.len()).map(|i| format!("t{i}")).collect();
-        let names_c: Vec<String> = (0..consumers.len()).map(|i| format!("c{i}")).collect();
         let sigma = 0.2;
-        let in_memory = mapreduce_similarity_join_vectors(
-            &items,
-            &consumers,
-            &names_i,
-            &names_c,
-            &config(sigma).with_job(
-                JobConfig::named("simjoin-memory")
+        let budgeted = |name: &str, budget| {
+            FlowContext::new(
+                JobConfig::named(name)
                     .with_threads(2)
-                    .with_memory_budget(None),
-            ),
-        );
+                    .with_memory_budget(budget),
+            )
+        };
+        let in_memory = join_in(&items, &consumers, sigma, &budgeted("simjoin-memory", None));
         // A budget of a few hundred bytes forces both join jobs through
         // the disk-spilling shuffle.
-        let spilled_config = SimJoinConfig::default().with_threshold(sigma).with_job(
-            JobConfig::named("simjoin-spilled")
-                .with_threads(2)
-                .with_memory_budget(Some(256)),
-        );
-        let spilled = mapreduce_similarity_join_vectors(
+        let spilled = join_in(
             &items,
             &consumers,
-            &names_i,
-            &names_c,
-            &spilled_config,
+            sigma,
+            &budgeted("simjoin-spilled", Some(256)),
         );
         assert_eq!(spilled.graph.num_edges(), in_memory.graph.num_edges());
         assert_eq!(spilled.candidate_pairs, in_memory.candidate_pairs);
@@ -1157,12 +1015,8 @@ mod tests {
     fn side_data_is_reclaimed_from_the_flow_store() {
         let items = synthetic_vectors(8, 12, 31);
         let consumers = synthetic_vectors(9, 12, 32);
-        let names_i: Vec<String> = (0..items.len()).map(|i| format!("t{i}")).collect();
-        let names_c: Vec<String> = (0..consumers.len()).map(|i| format!("c{i}")).collect();
         let flow = FlowContext::new(JobConfig::named("cleanup").with_threads(2));
-        let _ = mapreduce_similarity_join_vectors_flow(
-            &items, &consumers, &names_i, &names_c, 0.2, &flow,
-        );
+        let _ = join_in(&items, &consumers, 0.2, &flow);
         assert!(
             flow.side_store().paths().is_empty(),
             "the join must not leak side datasets into the flow"
@@ -1171,8 +1025,7 @@ mod tests {
 
     #[test]
     fn empty_corpora_produce_an_empty_graph() {
-        let empty: Vec<SparseVector> = Vec::new();
-        let result = mapreduce_similarity_join_vectors(&empty, &empty, &[], &[], &config(0.2));
+        let result = join(&[], &[], 0.2);
         assert_eq!(result.graph.num_edges(), 0);
         assert_eq!(result.graph.num_items(), 0);
         assert_eq!(result.candidate_pairs, 0);
@@ -1184,25 +1037,12 @@ mod tests {
     fn candidate_pairs_never_miss_a_true_pair() {
         let items = synthetic_vectors(8, 12, 9);
         let consumers = synthetic_vectors(9, 12, 10);
-        let names_i: Vec<String> = (0..items.len()).map(|i| format!("t{i}")).collect();
-        let names_c: Vec<String> = (0..consumers.len()).map(|i| format!("c{i}")).collect();
         let sigma = 0.25;
-        let result = mapreduce_similarity_join_vectors(
-            &items,
-            &consumers,
-            &names_i,
-            &names_c,
-            &config(sigma),
+        let result = join(&items, &consumers, sigma);
+        assert_eq!(
+            result.graph.num_edges(),
+            brute_force_pairs(&items, &consumers, sigma)
         );
-        let mut true_pairs = 0usize;
-        for x in &items {
-            for y in &consumers {
-                if x.dot(y) >= sigma {
-                    true_pairs += 1;
-                }
-            }
-        }
-        assert_eq!(result.graph.num_edges(), true_pairs);
         // Prefix filtering may generate extra candidates, never fewer than
         // the verified result; pruning may only eat into that surplus.
         assert!(result.candidate_pairs >= result.graph.num_edges());

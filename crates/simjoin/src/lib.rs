@@ -7,15 +7,18 @@
 //! prefix-filtering self-join of Baraglia, De Francisci Morales and
 //! Lucchese to the bipartite (item × consumer) case.
 //!
+//! * [`align`] — both sides of the join vectorized over one joint
+//!   vocabulary ([`AlignedCorpora`]), and later text into the same space,
 //! * [`prefix`] — the prefix-filtering bounds: which entries of a consumer
 //!   vector must be indexed so that no pair above the threshold can be
 //!   missed, and what the pruned suffix could still contribute (the
 //!   *remainder bound* of partial-product verification),
-//! * [`index`] — the pruned inverted index over consumer vectors,
+//! * [`index`] — the [`IndexPlan`] (query-side maxima + global term order)
+//!   and the one rule turning a consumer vector into prefix postings,
 //! * [`store`] — the join's disk-backed side data: the index in term-range
 //!   partitions and the corpora in vector chunks, both opened on demand,
 //! * [`baseline`] — an exact all-pairs join used as ground truth,
-//! * [`join`] — the two-MapReduce-job join (index construction, then
+//! * [`join`] — the two-MapReduce-job chain (index construction, then
 //!   partial-product probing with suffix-bound pruning + exact
 //!   verification) producing a [`smr_graph::BipartiteGraph`]; see
 //!   `docs/simjoin.md` for the filter math and the dataflow,
@@ -26,6 +29,7 @@
 //! # Example
 //!
 //! ```
+//! use smr_mapreduce::{FlowContext, JobConfig};
 //! use smr_simjoin::prelude::*;
 //! use smr_text::prelude::*;
 //!
@@ -43,8 +47,8 @@
 //!     ],
 //!     &TokenizerConfig::default(),
 //! );
-//! let config = SimJoinConfig::default().with_threshold(0.05);
-//! let result = mapreduce_similarity_join(&items, &consumers, &config);
+//! let flow = FlowContext::new(JobConfig::named("simjoin"));
+//! let result = mapreduce_similarity_join_flow(&items, &consumers, 0.05, &flow);
 //! // Each item ends up connected to the consumer with matching interests.
 //! assert_eq!(result.graph.num_edges(), 2);
 //! ```
@@ -53,6 +57,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod accum;
+pub mod align;
 pub mod baseline;
 pub mod index;
 pub mod join;
@@ -61,13 +66,13 @@ pub mod serving;
 pub mod store;
 
 pub use accum::ScoreAccumulator;
+pub use align::AlignedCorpora;
 pub use baseline::baseline_similarity_join;
-pub use index::{InvertedIndex, Posting};
+pub use index::{IndexPlan, Posting};
 pub use join::{
-    align_vector_spaces, corpus_labels, mapreduce_similarity_join, mapreduce_similarity_join_flow,
-    mapreduce_similarity_join_vectors, mapreduce_similarity_join_vectors_flow, rarest_first_rank,
-    stage_shuffles, IndexMapper, IndexReducer, PartialScore, PartialScoreCombiner, SimJoinConfig,
-    SimJoinResult, StageShuffle, VerifyReducer, EXACT_GENERATOR, PRUNE_SLACK,
+    candidate_chain, mapreduce_similarity_join_flow, mapreduce_similarity_join_vectors_flow,
+    prefix_filter_join, probe_index, probe_partition, stage_shuffles, survives, PartialScore,
+    SimJoinResult, StageShuffle, VerifyReducer, EXACT_GENERATOR,
 };
 pub use prefix::{prefix_length, suffix_remainder_bound, term_max_weights};
 pub use serving::{ScoredMatch, ServingIndex};
@@ -75,12 +80,12 @@ pub use store::{DiskVectorStore, IndexPartition, PartitionedIndex, PostingsRef};
 
 /// Convenience re-exports.
 pub mod prelude {
+    pub use crate::align::AlignedCorpora;
     pub use crate::baseline::baseline_similarity_join;
-    pub use crate::index::{InvertedIndex, Posting};
+    pub use crate::index::{IndexPlan, Posting};
     pub use crate::join::{
-        mapreduce_similarity_join, mapreduce_similarity_join_flow,
-        mapreduce_similarity_join_vectors, mapreduce_similarity_join_vectors_flow, PartialScore,
-        SimJoinConfig, SimJoinResult,
+        mapreduce_similarity_join_flow, mapreduce_similarity_join_vectors_flow, PartialScore,
+        SimJoinResult,
     };
     pub use crate::prefix::{prefix_length, suffix_remainder_bound, term_max_weights};
     pub use crate::serving::{ScoredMatch, ServingIndex};

@@ -36,10 +36,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use smr_storage::DatasetStore;
 use smr_text::SparseVector;
 
-use crate::accum::ScoreAccumulator;
-use crate::index::Posting;
-use crate::join::{probe_partition, rarest_first_rank, PRUNE_SLACK};
-use crate::prefix::{prefix_length, suffix_remainder_bound, term_max_weights};
+use crate::index::{IndexPlan, Posting};
+use crate::join::{probe_index, probe_partition};
 use crate::store::{DiskVectorStore, PartitionedIndex};
 
 /// One serving-time candidate: a consumer whose exact similarity with the
@@ -59,10 +57,8 @@ pub struct ServingIndex {
     index: PartitionedIndex,
     consumers: DiskVectorStore,
     sigma: f64,
-    /// Global prefix-filter term order (rarest first), as built.
-    term_order_rank: Vec<u32>,
-    /// Per-term query-side maxima the prefix bounds were computed against.
-    max_weights: Vec<f64>,
+    /// The term order and query-side maxima the prefixes were cut with.
+    plan: IndexPlan,
     /// Queries seen so far that carried some term heavier than its
     /// build-time maximum — queries the exactness contract no longer
     /// covers (see [`ServingIndex::maxima_exceeded`]).
@@ -71,19 +67,14 @@ pub struct ServingIndex {
 }
 
 impl ServingIndex {
-    /// Builds a serving index over `consumers` in `store` under `prefix`,
-    /// with every knob explicit:
+    /// Builds a serving index over `consumers` in `store` under `prefix`
+    /// at threshold `sigma`.  `plan` fixes the global term order and the
+    /// per-term upper bounds on the weight any future query may carry; the
+    /// prefix of each consumer is pruned against these, so they are the
+    /// exactness contract of the index.
     ///
-    /// * `query_max_weights` — per-term upper bounds on the weight any
-    ///   future query may carry; the prefix of each consumer is pruned
-    ///   against these, so they are the exactness contract of the index.
-    /// * `term_order_rank` — the global term order for prefix filtering
-    ///   (see [`rarest_first_rank`][crate::mapreduce_similarity_join]'s
-    ///   rarest-first order in the batch join).
-    /// * `sigma` — the similarity threshold served.
-    ///
-    /// The postings written are identical to what the batch join's job 1
-    /// indexes for the same inputs.
+    /// The postings written are the ones the batch join's job 1 indexes
+    /// for the same plan ([`IndexPlan::prefix_postings`]).
     ///
     /// # Panics
     /// Panics if `sigma` is not strictly positive.
@@ -91,42 +82,32 @@ impl ServingIndex {
         store: &DatasetStore,
         prefix: &str,
         consumers: &[SparseVector],
-        query_max_weights: Vec<f64>,
-        term_order_rank: Vec<u32>,
+        plan: IndexPlan,
         sigma: f64,
     ) -> Self {
         assert!(sigma > 0.0, "threshold must be positive");
-        let vocab_size = query_max_weights.len().max(term_order_rank.len());
-        let mut postings: Vec<(u32, Posting)> = Vec::new();
-        for (doc, vector) in consumers.iter().enumerate() {
-            emit_prefix_postings(
-                doc,
-                vector,
-                &term_order_rank,
-                &query_max_weights,
-                sigma,
-                &mut postings,
-            );
-        }
-        let index =
-            PartitionedIndex::write(store, &format!("{prefix}/index"), postings, vocab_size);
+        let postings = prefix_postings(&plan, 0, consumers, sigma);
+        let index = PartitionedIndex::write(
+            store,
+            &format!("{prefix}/index"),
+            postings,
+            plan.vocab_size(),
+        );
         let vectors = DiskVectorStore::write(store, &format!("{prefix}/consumers"), consumers);
         ServingIndex {
             index,
             consumers: vectors,
             sigma,
-            term_order_rank,
-            max_weights: query_max_weights,
+            plan,
             maxima_exceeded: AtomicU64::new(0),
             len: consumers.len(),
         }
     }
 
-    /// Builds a serving index sized for a known query corpus: the
-    /// query-side maxima and the rarest-first term order are derived from
-    /// `items` and `consumers` exactly as the batch join derives them, so
-    /// `match_one` with any of the `items` reproduces the batch join's
-    /// candidates for that item.
+    /// Builds a serving index sized for a known query corpus: the plan is
+    /// [`IndexPlan::derive`]d from `items` and `consumers` exactly as the
+    /// batch join derives it, so `match_one` with any of the `items`
+    /// reproduces the batch join's candidates for that item.
     pub fn for_corpora(
         store: &DatasetStore,
         prefix: &str,
@@ -134,15 +115,8 @@ impl ServingIndex {
         consumers: &[SparseVector],
         sigma: f64,
     ) -> Self {
-        let vocab_size = items
-            .iter()
-            .chain(consumers.iter())
-            .flat_map(|v| v.entries().iter().map(|(t, _)| t.index() + 1))
-            .max()
-            .unwrap_or(0);
-        let max_weights = term_max_weights(items, vocab_size);
-        let rank = rarest_first_rank(items, consumers, vocab_size);
-        Self::build(store, prefix, consumers, max_weights, rank, sigma)
+        let plan = IndexPlan::derive(items, consumers);
+        Self::build(store, prefix, consumers, plan, sigma)
     }
 
     /// The similarity threshold this index serves.
@@ -191,9 +165,11 @@ impl ServingIndex {
     /// maximum (a missing vocabulary entry counts as maximum 0): the
     /// per-query predicate behind [`ServingIndex::maxima_exceeded`].
     pub fn query_exceeds_maxima(&self, query: &SparseVector) -> bool {
-        query.entries().iter().any(|&(term, weight)| {
-            weight > self.max_weights.get(term.index()).copied().unwrap_or(0.0)
-        })
+        let maxima = &self.plan.max_weights;
+        query
+            .entries()
+            .iter()
+            .any(|&(term, weight)| weight > maxima.get(term.index()).copied().unwrap_or(0.0))
     }
 
     /// Answers one point query: the top-`k` consumers whose exact dot
@@ -230,29 +206,11 @@ impl ServingIndex {
         if self.query_exceeds_maxima(query) {
             self.maxima_exceeded.fetch_add(1, Ordering::Relaxed);
         }
-        // Probe each partition some query term routes to, in term order —
-        // the same run-grouping the batch probe mapper uses, so partial
-        // products accumulate in the same floating-point order.
-        let mut scores = ScoreAccumulator::new();
-        let mut start = 0;
-        while start < entries.len() {
-            let p = self.index.partition_of(entries[start].0);
-            let mut end = start + 1;
-            while end < entries.len() && self.index.partition_of(entries[end].0) == p {
-                end += 1;
-            }
-            let partition = self.index.partition(p);
-            if !partition.is_empty() {
-                probe_partition(&partition, &entries[start..end], &mut scores);
-            }
-            start = end;
-        }
-        let candidates = scores.drain_sorted();
+        // The batch probe mapper's walk and prune, so partial products
+        // accumulate in the same floating-point order.
+        let (survivors, _) = probe_index(&self.index, entries, self.sigma, probe_partition);
         let mut matches = Vec::new();
-        for (doc, partial) in candidates {
-            if partial.score + partial.remainder < self.sigma - PRUNE_SLACK {
-                continue;
-            }
+        for (doc, _) in survivors {
             let score = self.consumers.with_vector(doc, |y| query.dot(y));
             if score >= self.sigma {
                 matches.push(ScoredMatch {
@@ -274,17 +232,7 @@ impl ServingIndex {
         if batch.is_empty() {
             return assigned;
         }
-        let mut postings: Vec<(u32, Posting)> = Vec::new();
-        for (offset, vector) in batch.iter().enumerate() {
-            emit_prefix_postings(
-                self.len + offset,
-                vector,
-                &self.term_order_rank,
-                &self.max_weights,
-                self.sigma,
-                &mut postings,
-            );
-        }
+        let postings = prefix_postings(&self.plan, self.len, batch, self.sigma);
         self.index.append(postings);
         self.consumers.append(batch);
         self.len += batch.len();
@@ -292,30 +240,20 @@ impl ServingIndex {
     }
 }
 
-/// Computes one consumer's prefix postings exactly as the batch join's
-/// index mapper does: terms in global order, prefix cut where the suffix
-/// bound drops below σ, every posting carrying the suffix-remainder bound.
-fn emit_prefix_postings(
-    doc: usize,
-    vector: &SparseVector,
-    term_order_rank: &[u32],
-    max_weights: &[f64],
+/// The prefix postings of `vectors`, numbered as consumers `first..`.
+fn prefix_postings(
+    plan: &IndexPlan,
+    first: usize,
+    vectors: &[SparseVector],
     sigma: f64,
-    out: &mut Vec<(u32, Posting)>,
-) {
-    let ordered = vector.terms_in_order(term_order_rank);
-    let plen = prefix_length(vector, &ordered, max_weights, sigma);
-    let bound = suffix_remainder_bound(vector, &ordered, plen, max_weights);
-    for term in &ordered[..plen] {
-        out.push((
-            term.0,
-            Posting {
-                doc,
-                weight: vector.weight(*term),
-                bound,
-            },
-        ));
+) -> Vec<(u32, Posting)> {
+    let mut postings = Vec::new();
+    for (offset, vector) in vectors.iter().enumerate() {
+        plan.prefix_postings(first + offset, vector, sigma, |term, posting| {
+            postings.push((term, posting))
+        });
     }
+    postings
 }
 
 #[cfg(test)]

@@ -12,10 +12,10 @@
 //! regression guard) assert exact counts.
 
 use proptest::prelude::*;
-use smr_mapreduce::JobConfig;
+use smr_mapreduce::{FlowContext, JobConfig};
 use smr_simjoin::{
-    baseline_similarity_join, mapreduce_similarity_join, mapreduce_similarity_join_vectors,
-    SimJoinConfig, SimJoinResult,
+    baseline_similarity_join, mapreduce_similarity_join_flow,
+    mapreduce_similarity_join_vectors_flow, SimJoinResult,
 };
 use smr_text::{Corpus, Document, SparseVector, TermId, TokenizerConfig};
 
@@ -49,8 +49,8 @@ fn canonical_edges(graph: &smr_graph::BipartiteGraph) -> Vec<(u32, u32, u64)> {
     edges
 }
 
-fn join_config(sigma: f64, budget: Option<u64>, threads: usize) -> SimJoinConfig {
-    SimJoinConfig::default().with_threshold(sigma).with_job(
+fn join_flow(budget: Option<u64>, threads: usize) -> FlowContext {
+    FlowContext::new(
         JobConfig::named("join-props")
             .with_threads(threads)
             .with_memory_budget(budget),
@@ -73,10 +73,11 @@ proptest! {
             let expected = canonical_edges(&baseline_similarity_join(&items, &consumers, sigma));
             for budget in [Some(64u64), Some(4 * 1024), None] {
                 for threads in [1usize, 8] {
-                    let result = mapreduce_similarity_join(
+                    let result = mapreduce_similarity_join_flow(
                         &items,
                         &consumers,
-                        &join_config(sigma, budget, threads),
+                        sigma,
+                        &join_flow(budget, threads),
                     );
                     prop_assert!(
                         canonical_edges(&result.graph) == expected,
@@ -124,12 +125,13 @@ fn run_synthetic(sigma: f64, budget: Option<u64>, threads: usize) -> SimJoinResu
     let consumers = synthetic_vectors(24, 16, 42);
     let names_i: Vec<String> = (0..items.len()).map(|i| format!("t{i}")).collect();
     let names_c: Vec<String> = (0..consumers.len()).map(|i| format!("c{i}")).collect();
-    mapreduce_similarity_join_vectors(
+    mapreduce_similarity_join_vectors_flow(
         &items,
         &consumers,
         &names_i,
         &names_c,
-        &join_config(sigma, budget, threads),
+        sigma,
+        &join_flow(budget, threads),
     )
 }
 

@@ -2,13 +2,14 @@
 //! corpora, the point-query result for *every* item — candidates and
 //! bit-identical scores — equals the batch join's candidate set restricted
 //! to that item, with the batch side run under memory budgets
-//! {4 KiB, unlimited}.  The serving path shares the batch probe's partial
-//! products and suffix-bound prune, so it may never return a different
-//! candidate set.
+//! {4 KiB, unlimited}.  The serving path shares the batch join's index
+//! plan, posting rule, probe walk and prune, so it may never hold a
+//! different posting or return a different candidate set — at the build
+//! and after appends.
 
 use proptest::prelude::*;
-use smr_mapreduce::JobConfig;
-use smr_simjoin::{mapreduce_similarity_join_vectors, ServingIndex, SimJoinConfig};
+use smr_mapreduce::{FlowContext, JobConfig};
+use smr_simjoin::{mapreduce_similarity_join_vectors_flow, IndexPlan, ServingIndex};
 use smr_storage::DatasetStore;
 use smr_text::{SparseVector, TermId};
 
@@ -65,17 +66,23 @@ proptest! {
                 ServingIndex::for_corpora(&store, "serve", &items, &consumers, sigma);
 
             for budget in [Some(4 * 1024u64), None] {
-                let batch = mapreduce_similarity_join_vectors(
+                let batch = mapreduce_similarity_join_vectors_flow(
                     &items,
                     &consumers,
                     &names_i,
                     &names_c,
-                    &SimJoinConfig::default().with_threshold(sigma).with_job(
+                    sigma,
+                    &FlowContext::new(
                         JobConfig::named("serving-props")
                             .with_threads(2)
                             .with_memory_budget(budget),
                     ),
                 );
+                // Posting-level identity with job 1: the standing index
+                // holds exactly the entries, in exactly the partitions, the
+                // batch index job produced.
+                prop_assert_eq!(serving.num_postings(), batch.indexed_entries);
+                prop_assert_eq!(serving.num_partitions(), batch.index_partitions);
                 // The batch edge list restricted to each item, with
                 // bit-exact weights.
                 for (t, item) in items.iter().enumerate() {
@@ -115,6 +122,22 @@ proptest! {
                         .collect();
                     prop_assert_eq!(&top, &ranked[..k.min(ranked.len())]);
                 }
+            }
+
+            // Appending is indistinguishable from having been there at the
+            // build: half the consumers indexed, the rest appended, equals
+            // a from-scratch build over all of them under the same plan.
+            let plan = IndexPlan::derive(&items, &consumers);
+            let split = consumers.len() / 2;
+            let mut appended =
+                ServingIndex::build(&store, "appended", &consumers[..split], plan.clone(), sigma);
+            appended.append_batch(&consumers[split..]);
+            let scratch = ServingIndex::build(&store, "scratch", &consumers, plan, sigma);
+            prop_assert_eq!(appended.len(), scratch.len());
+            prop_assert_eq!(appended.num_postings(), scratch.num_postings());
+            prop_assert_eq!(scratch.num_postings(), serving.num_postings());
+            for item in &items {
+                prop_assert_eq!(appended.candidates(item), scratch.candidates(item));
             }
             std::fs::remove_dir_all(store.root()).unwrap();
         }

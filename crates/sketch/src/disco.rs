@@ -13,9 +13,9 @@
 //! `n_t`, making the probe's cost independent of term popularity.
 //!
 //! The sampled estimate only *selects* candidates; every survivor still
-//! goes through the exact [`VerifyReducer`], so emitted edges carry true,
-//! bit-identical scores and the output is always a subset of the exact
-//! join's edge set.  Recall is lost in two places: a pair whose sampled
+//! goes through the exact [`smr_simjoin::VerifyReducer`], so emitted edges
+//! carry true, bit-identical scores and the output is always a subset of
+//! the exact join's edge set.  Recall is lost in two places: a pair whose sampled
 //! contributions all miss is never seen, and a pair whose estimate
 //! undershoots σ is pruned before verification.
 //!
@@ -24,20 +24,11 @@
 //! count, memory budget or shard layout — the engine's determinism
 //! contract holds for the sketch path exactly as for the exact path.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-
 use smr_mapreduce::flow::FlowContext;
-use smr_mapreduce::{Counters, Emitter, Mapper};
-use smr_simjoin::join::counter as sj_counter;
-use smr_simjoin::{
-    rarest_first_rank, term_max_weights, IndexMapper, IndexReducer, PartialScore,
-    PartialScoreCombiner, PartitionedIndex, ScoreAccumulator, SimJoinResult, VerifyReducer,
-    PRUNE_SLACK,
-};
+use smr_mapreduce::Counters;
+use smr_simjoin::{prefix_filter_join, SimJoinResult};
 use smr_text::SparseVector;
 
-use crate::common::{build_graph, cleanup_side, open_side, vocab_size, SideData};
 use crate::hash::{hash_unit, hash_words};
 use crate::CandidateGenerator;
 
@@ -75,96 +66,6 @@ impl DiscoSampler {
     }
 }
 
-/// The sampled probe mapper: [`super::CandidateGenerator`] plumbing aside,
-/// this is the exact probe mapper with one extra conditional — a posting's
-/// contribution enters the partial score only if its coordinate hash
-/// clears the term's sampling probability, scaled by `1/p_t` when it does.
-struct SampledProbeMapper {
-    items: Arc<[SparseVector]>,
-    index: Arc<PartitionedIndex>,
-    sigma: f64,
-    seed: u64,
-    lambda: f64,
-    counters: Counters,
-}
-
-impl Mapper for SampledProbeMapper {
-    type InKey = usize; // item dense index
-    type InValue = usize; // ditto
-    type OutKey = (usize, usize); // (item, consumer) candidate pair
-    type OutValue = PartialScore;
-
-    fn map(&self, item: &usize, _: &usize, out: &mut Emitter<(usize, usize), PartialScore>) {
-        let entries = self.items[*item].entries();
-        if entries.is_empty() {
-            return;
-        }
-        // Like the exact probe, all of an item's probing happens in this
-        // one call: partials accumulate locally in ascending term order
-        // (term-range partitions visited in order, terms in order within
-        // each), so the floating-point estimate is scheduling-independent
-        // and the suffix-bound prune runs on complete estimates.
-        let mut scores = ScoreAccumulator::new();
-        let mut sampled_out = 0u64;
-        let mut start = 0;
-        while start < entries.len() {
-            let p = self.index.partition_of(entries[start].0);
-            let mut end = start + 1;
-            while end < entries.len() && self.index.partition_of(entries[end].0) == p {
-                end += 1;
-            }
-            let partition = self.index.partition(p);
-            if !partition.is_empty() {
-                for &(term, weight) in &entries[start..end] {
-                    let postings = partition.postings(term.0);
-                    if postings.is_empty() {
-                        continue;
-                    }
-                    // A term never straddles partitions, so this list is
-                    // the term's entire (prefix-pruned) posting list and
-                    // n_t is a global property of the index.
-                    let keep = (self.lambda / postings.len() as f64).min(1.0);
-                    for i in 0..postings.len() {
-                        let doc = postings.docs[i];
-                        if keep < 1.0 {
-                            let h =
-                                hash_words(self.seed, &[term.0 as u64, *item as u64, doc as u64]);
-                            if hash_unit(h) >= keep {
-                                sampled_out += 1;
-                                continue;
-                            }
-                        }
-                        // Inverse-probability scaling keeps the estimate
-                        // unbiased, so the σ prune below is a noisy but
-                        // centred version of the exact prune.
-                        scores.accumulate(
-                            doc,
-                            weight * postings.weights[i] / keep,
-                            postings.bounds[i],
-                        );
-                    }
-                }
-            }
-            start = end;
-        }
-        let candidates = scores.drain_sorted();
-        let mut pruned = 0u64;
-        for (doc, partial) in candidates {
-            if partial.score + partial.remainder >= self.sigma - PRUNE_SLACK {
-                out.emit((*item, doc), partial);
-            } else {
-                pruned += 1;
-            }
-        }
-        if pruned > 0 {
-            self.counters.add(sj_counter::CANDIDATES_PRUNED, pruned);
-        }
-        if sampled_out > 0 {
-            self.counters.add(crate::counter::SAMPLED_OUT, sampled_out);
-        }
-    }
-}
-
 impl CandidateGenerator for DiscoSampler {
     fn name(&self) -> String {
         if self.lambda.fract() == 0.0 {
@@ -174,6 +75,10 @@ impl CandidateGenerator for DiscoSampler {
         }
     }
 
+    /// The exact join's chain ([`prefix_filter_join`]) with one extra
+    /// conditional in the per-run probe visitor: a posting's contribution
+    /// enters the partial score only if its coordinate hash clears the
+    /// term's sampling probability, scaled by `1/p_t` when it does.
     fn generate_vectors(
         &self,
         item_vectors: &[SparseVector],
@@ -183,104 +88,51 @@ impl CandidateGenerator for DiscoSampler {
         sigma: f64,
         flow: &FlowContext,
     ) -> SimJoinResult {
-        assert_eq!(item_vectors.len(), item_names.len());
-        assert_eq!(consumer_vectors.len(), consumer_names.len());
-        assert!(sigma > 0.0, "threshold must be positive");
-
-        let vocab = vocab_size(item_vectors, consumer_vectors);
-        let max_weights = Arc::new(term_max_weights(item_vectors, vocab));
-        let term_order_rank = Arc::new(rarest_first_rank(item_vectors, consumer_vectors, vocab));
-        let items: Arc<[SparseVector]> = item_vectors.into();
-        let consumers: Arc<[SparseVector]> = consumer_vectors.into();
-
-        let jobs_start = flow.num_jobs();
-        let SideData {
-            side,
-            prefix,
-            item_store,
-            consumer_store,
-        } = open_side(flow, "disco", jobs_start, item_vectors, consumer_vectors);
-
+        let DiscoSampler { seed, lambda } = *self;
         let counters = Counters::new();
-        let indexed_entries = Arc::new(AtomicUsize::new(0));
-        let indexed_entries_probe = Arc::clone(&indexed_entries);
-
-        let index_input: Vec<(usize, usize)> = (0..consumers.len()).map(|i| (i, i)).collect();
-        let probe_input: Vec<(usize, usize)> = (0..items.len()).map(|i| (i, i)).collect();
-        let probe_items = Arc::clone(&items);
-        let probe_counters = counters.clone();
-        let side_index = side.clone();
-        let index_prefix = format!("{prefix}/index");
-        let seed = self.seed;
-        let lambda = self.lambda;
-
-        let verified = flow
-            .dataset(index_input)
-            .map_with(IndexMapper::new(
-                Arc::clone(&consumers),
-                term_order_rank,
-                max_weights,
-                sigma,
-            ))
-            .named("disco-index")
-            .reduce_with(IndexReducer)
-            .then(move |postings, flow| {
-                // Same handoff as the exact join: job 1's postings become
-                // job 2's side data in term-range partitions.
-                indexed_entries_probe.store(postings.len(), Ordering::Relaxed);
-                let index = Arc::new(PartitionedIndex::write(
-                    &side_index,
-                    &index_prefix,
-                    postings,
-                    vocab,
-                ));
-                probe_counters.add(sj_counter::INDEX_PARTITIONS, index.num_partitions() as u64);
-                flow.dataset(probe_input)
-                    .map_with(SampledProbeMapper {
-                        items: probe_items,
-                        index,
-                        sigma,
-                        seed,
-                        lambda,
-                        counters: probe_counters.clone(),
-                    })
-                    .named("disco-probe")
-                    .combined_with(PartialScoreCombiner)
-                    .with_counters(probe_counters.clone())
-                    .reduce_with(VerifyReducer::new(
-                        item_store,
-                        consumer_store,
-                        sigma,
-                        probe_counters,
-                    ))
-            })
-            .collect();
-
-        cleanup_side(&side, &prefix);
-
-        let job_metrics = flow.jobs_from(jobs_start);
-        let candidates_pruned = counters.get(sj_counter::CANDIDATES_PRUNED) as usize;
-        let verify_exact = counters.get(sj_counter::VERIFY_EXACT) as usize;
-        let index_partitions = counters.get(sj_counter::INDEX_PARTITIONS) as usize;
-        // Same closed accounting as the exact join: generated candidates =
-        // reduce-input groups + map-side prunes (a reducer-side prune is
-        // already one of the groups).
-        let map_side_pruned = candidates_pruned - counters.get(sj_counter::VERIFY_PRUNED) as usize;
-        let candidate_pairs = job_metrics
-            .last()
-            .map(|m| m.reduce_input_groups as usize)
-            .unwrap_or(0)
-            + map_side_pruned;
-
-        SimJoinResult::assemble(
-            self.name(),
-            build_graph(item_names, consumer_names, verified),
-            candidate_pairs,
-            candidates_pruned,
-            verify_exact,
-            index_partitions,
-            indexed_entries.load(Ordering::Relaxed),
-            job_metrics,
+        let sampled_out = counters.clone();
+        prefix_filter_join(
+            &self.name(),
+            "disco-",
+            (item_vectors, item_names),
+            (consumer_vectors, consumer_names),
+            sigma,
+            flow,
+            counters,
+            move |item, partition, run, scores| {
+                let mut skipped = 0u64;
+                for &(term, weight) in run {
+                    let postings = partition.postings(term.0);
+                    if postings.is_empty() {
+                        continue;
+                    }
+                    // A term never straddles partitions, so this list is
+                    // the term's entire (prefix-pruned) posting list and
+                    // n_t is a global property of the index.
+                    let keep = (lambda / postings.len() as f64).min(1.0);
+                    for i in 0..postings.len() {
+                        let doc = postings.docs[i];
+                        if keep < 1.0 {
+                            let h = hash_words(seed, &[term.0 as u64, item as u64, doc as u64]);
+                            if hash_unit(h) >= keep {
+                                skipped += 1;
+                                continue;
+                            }
+                        }
+                        // Inverse-probability scaling keeps the estimate
+                        // unbiased, so the σ prune is a noisy but centred
+                        // version of the exact prune.
+                        scores.accumulate(
+                            doc,
+                            weight * postings.weights[i] / keep,
+                            postings.bounds[i],
+                        );
+                    }
+                }
+                if skipped > 0 {
+                    sampled_out.add(crate::counter::SAMPLED_OUT, skipped);
+                }
+            },
         )
     }
 }

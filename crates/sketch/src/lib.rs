@@ -52,14 +52,13 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-mod common;
 pub mod disco;
 pub mod exact;
 pub mod hash;
 pub mod lsh;
 
 use smr_mapreduce::flow::FlowContext;
-use smr_simjoin::{align_vector_spaces, corpus_labels, SimJoinResult};
+use smr_simjoin::{AlignedCorpora, SimJoinResult};
 use smr_text::{Corpus, SparseVector};
 
 pub use disco::DiscoSampler;
@@ -101,7 +100,7 @@ pub trait CandidateGenerator: std::fmt::Debug + Send + Sync {
     fn name(&self) -> String;
 
     /// Runs the generator on pre-aligned vectors (both sides must share
-    /// one term space; see [`align_vector_spaces`]).
+    /// one term space; see [`AlignedCorpora`]).
     fn generate_vectors(
         &self,
         item_vectors: &[SparseVector],
@@ -122,12 +121,12 @@ pub trait CandidateGenerator: std::fmt::Debug + Send + Sync {
         sigma: f64,
         flow: &FlowContext,
     ) -> SimJoinResult {
-        let (item_vectors, consumer_vectors) = align_vector_spaces(items, consumers);
+        let aligned = AlignedCorpora::of(items, consumers);
         self.generate_vectors(
-            &item_vectors,
-            &consumer_vectors,
-            &corpus_labels(items),
-            &corpus_labels(consumers),
+            aligned.item_vectors(),
+            aligned.consumer_vectors(),
+            &aligned.item_labels(),
+            &aligned.consumer_labels(),
             sigma,
             flow,
         )

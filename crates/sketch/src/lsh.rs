@@ -18,9 +18,9 @@
 //!   signature with the *same* seeded hash functions, looks up its band
 //!   keys, and emits each distinct co-bucketed consumer once.  A dedicated
 //!   verify reducer fetches the pair's vectors from the chunked
-//!   [`DiskVectorStore`]s and keeps the pair only if the exact dot product
-//!   reaches σ — so, as with DISCO, the output is a subset of the exact
-//!   join's edges with bit-identical scores.
+//!   [`smr_simjoin::DiskVectorStore`]s and keeps the pair only if the
+//!   exact dot product reaches σ — so, as with DISCO, the output is a
+//!   subset of the exact join's edges with bit-identical scores.
 //!
 //! MinHash approximates *Jaccard* while the join thresholds *cosine*; the
 //! two agree on direction (shared terms) but not on weights, which is
@@ -29,16 +29,13 @@
 //! thread count, memory budget or shard layout.
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use smr_mapreduce::flow::FlowContext;
 use smr_mapreduce::{Counters, Emitter, Mapper, Reducer};
-use smr_simjoin::join::counter as sj_counter;
-use smr_simjoin::{DiskVectorStore, SimJoinResult};
+use smr_simjoin::{candidate_chain, SimJoinResult, VerifyReducer};
 use smr_text::SparseVector;
 
-use crate::common::{build_graph, cleanup_side, open_side, vocab_size, SideData};
 use crate::hash::hash_words;
 use crate::CandidateGenerator;
 
@@ -197,17 +194,12 @@ impl Mapper for BucketProbeMapper {
     }
 }
 
-/// Verifies every candidate pair exactly: one chunked vector fetch per
-/// side and one dot product, keeping the pair only at `similarity ≥ σ`.
-/// Unlike the exact join's verify stage there is no partial score to
-/// pre-threshold — LSH candidates arrive with no evidence beyond the
-/// collision itself.
-struct BucketVerifyReducer {
-    items: DiskVectorStore,
-    consumers: DiskVectorStore,
-    sigma: f64,
-    counters: Counters,
-}
+/// Verifies every candidate pair exactly ([`VerifyReducer::verify`]: one
+/// chunked vector fetch per side and one dot product, keeping the pair
+/// only at `similarity ≥ σ`).  Unlike the exact join's verify stage there
+/// is no partial score to pre-threshold — LSH candidates arrive with no
+/// evidence beyond the collision itself.
+struct BucketVerifyReducer(VerifyReducer);
 
 impl Reducer for BucketVerifyReducer {
     type Key = (usize, usize);
@@ -216,14 +208,7 @@ impl Reducer for BucketVerifyReducer {
     type OutValue = f64;
 
     fn reduce(&self, pair: &(usize, usize), _: &[()], out: &mut Emitter<(usize, usize), f64>) {
-        let (item, consumer) = *pair;
-        self.counters.add(sj_counter::VERIFY_EXACT, 1);
-        let similarity = self
-            .items
-            .with_vector(item, |x| self.consumers.with_vector(consumer, |y| x.dot(y)));
-        if similarity >= self.sigma {
-            out.emit(*pair, similarity);
-        }
+        self.0.verify(pair, out);
     }
 }
 
@@ -241,53 +226,39 @@ impl CandidateGenerator for LshBander {
         sigma: f64,
         flow: &FlowContext,
     ) -> SimJoinResult {
-        assert_eq!(item_vectors.len(), item_names.len());
-        assert_eq!(consumer_vectors.len(), consumer_names.len());
-        assert!(sigma > 0.0, "threshold must be positive");
-
-        // The banding jobs never look at term weights, but the vocabulary
-        // check keeps misuse loud: a term id beyond either side's space
-        // would mean the corpora were not aligned.
-        let _ = vocab_size(item_vectors, consumer_vectors);
+        let LshBander { seed, bands, rows } = *self;
         let items: Arc<[SparseVector]> = item_vectors.into();
         let consumers: Arc<[SparseVector]> = consumer_vectors.into();
-
-        let jobs_start = flow.num_jobs();
-        let SideData {
-            side,
-            prefix,
-            item_store,
-            consumer_store,
-        } = open_side(flow, "lsh", jobs_start, item_vectors, consumer_vectors);
-
         let counters = Counters::new();
-        let indexed_entries = Arc::new(AtomicUsize::new(0));
-        let indexed_entries_probe = Arc::clone(&indexed_entries);
-
-        let band_input: Vec<(usize, usize)> = (0..consumers.len()).map(|i| (i, i)).collect();
-        let probe_input: Vec<(usize, usize)> = (0..items.len()).map(|i| (i, i)).collect();
-        let probe_items = Arc::clone(&items);
         let probe_counters = counters.clone();
-        let (seed, bands, rows) = (self.seed, self.bands, self.rows);
-
-        let verified = flow
-            .dataset(band_input)
-            .map_with(BandMapper {
-                consumers: Arc::clone(&consumers),
-                seed,
-                bands,
-                rows,
-            })
-            .named("lsh-bands")
-            .reduce_with(BandReducer)
-            .then(move |postings, flow| {
+        // Every candidate is verified — LSH has no pre-verification prune
+        // and no inverted index, so the chain's accounting reads zero
+        // pruned, zero partitions, and generated = reduce-input groups.
+        candidate_chain(
+            &self.name(),
+            (item_vectors, item_names),
+            (consumer_vectors, consumer_names),
+            sigma,
+            flow,
+            counters,
+            move |consumer_ids| {
+                consumer_ids
+                    .map_with(BandMapper {
+                        consumers,
+                        seed,
+                        bands,
+                        rows,
+                    })
+                    .named("lsh-bands")
+                    .reduce_with(BandReducer)
+            },
+            move |postings, item_ids, _side_prefix, verify| {
                 // Job 1's output becomes job 2's side data.  Each bucket
                 // arrives as one contiguous run (one reduce group, members
                 // in doc order), but runs are ordered by reduce partition,
                 // not globally by key — so group by adjacency, then sort
                 // the buckets so probe lookups are binary searches and the
                 // list is identical under every partition layout.
-                indexed_entries_probe.store(postings.len(), Ordering::Relaxed);
                 let mut buckets: Vec<(u64, Vec<u32>)> = Vec::new();
                 for (key, doc) in postings {
                     match buckets.last_mut() {
@@ -297,46 +268,18 @@ impl CandidateGenerator for LshBander {
                 }
                 buckets.sort_unstable_by_key(|(key, _)| *key);
                 probe_counters.add(crate::counter::BAND_BUCKETS, buckets.len() as u64);
-                let buckets = Arc::new(buckets);
-                flow.dataset(probe_input)
+                item_ids
                     .map_with(BucketProbeMapper {
-                        items: probe_items,
-                        buckets,
+                        items,
+                        buckets: Arc::new(buckets),
                         seed,
                         bands,
                         rows,
                     })
                     .named("lsh-probe")
-                    .with_counters(probe_counters.clone())
-                    .reduce_with(BucketVerifyReducer {
-                        items: item_store,
-                        consumers: consumer_store,
-                        sigma,
-                        counters: probe_counters,
-                    })
-            })
-            .collect();
-
-        cleanup_side(&side, &prefix);
-
-        let job_metrics = flow.jobs_from(jobs_start);
-        let verify_exact = counters.get(sj_counter::VERIFY_EXACT) as usize;
-        // Every candidate is verified — LSH has no pre-verification prune,
-        // so generated candidates are exactly the reduce-input groups.
-        let candidate_pairs = job_metrics
-            .last()
-            .map(|m| m.reduce_input_groups as usize)
-            .unwrap_or(0);
-
-        SimJoinResult::assemble(
-            self.name(),
-            build_graph(item_names, consumer_names, verified),
-            candidate_pairs,
-            0,
-            verify_exact,
-            0,
-            indexed_entries.load(Ordering::Relaxed),
-            job_metrics,
+                    .with_counters(probe_counters)
+                    .reduce_with(BucketVerifyReducer(verify))
+            },
         )
     }
 }

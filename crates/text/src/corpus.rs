@@ -30,12 +30,16 @@ impl Document {
 }
 
 /// A vectorized corpus: the documents, the shared vocabulary and one sparse
-/// vector per document.
+/// vector per document — plus the tokenizer and weighting it was built
+/// with, so later text can be vectorized the same way.
 #[derive(Debug, Clone)]
 pub struct Corpus {
     documents: Vec<Document>,
     vocab: Vocabulary,
     vectors: Vec<SparseVector>,
+    tokenizer: Tokenizer,
+    weighting: Weighting,
+    normalize: bool,
 }
 
 impl Corpus {
@@ -70,7 +74,23 @@ impl Corpus {
             documents,
             vocab,
             vectors,
+            tokenizer,
+            weighting,
+            normalize,
         }
+    }
+
+    /// The tokenizer configuration the corpus was built with.
+    pub fn tokenizer_config(&self) -> &TokenizerConfig {
+        self.tokenizer.config()
+    }
+
+    /// Vectorizes `text` exactly as the corpus' own documents were: same
+    /// tokenizer, vocabulary, weighting and normalization.  Terms outside
+    /// the vocabulary are dropped.
+    pub fn vectorize(&self, text: &str) -> SparseVector {
+        TfIdf::new(&self.vocab, self.weighting, self.normalize)
+            .vectorize(&self.tokenizer.tokenize(text))
     }
 
     /// Number of documents.
@@ -81,6 +101,11 @@ impl Corpus {
     /// Whether the corpus is empty.
     pub fn is_empty(&self) -> bool {
         self.documents.is_empty()
+    }
+
+    /// All documents, in index order.
+    pub fn documents(&self) -> &[Document] {
+        &self.documents
     }
 
     /// The document at `index`.
@@ -133,6 +158,10 @@ mod tests {
         assert!(!c.vector(0).is_empty());
         assert_eq!(c.vectors().len(), 3);
         assert!(c.vocabulary().len() >= 5);
+        assert_eq!(c.tokenizer_config(), &TokenizerConfig::default());
+        for i in 0..c.len() {
+            assert_eq!(&c.vectorize(&c.document(i).text), c.vector(i));
+        }
     }
 
     #[test]

@@ -40,9 +40,9 @@ use smr_mapreduce::flow::{FlowContext, FlowReport};
 use smr_mapreduce::JobConfig;
 use smr_matching::runner::RunnerConfig;
 use smr_matching::{run_algorithm, AlgorithmKind, GreedyMrConfig, MatchingRun, StackMrConfig};
-use smr_simjoin::StageShuffle;
+use smr_simjoin::{AlignedCorpora, StageShuffle};
 use smr_sketch::{CandidateGenerator, ExactPrefixJoin};
-use smr_text::{Corpus, TokenizerConfig};
+use smr_text::TokenizerConfig;
 
 /// Builder for the paper's end-to-end pipeline: tokenize → similarity
 /// join → capacities → matching, all through one [`FlowContext`].
@@ -162,7 +162,8 @@ impl MatchingPipeline {
         self
     }
 
-    /// Sets the tokenizer both corpora are built with.
+    /// Sets the tokenizer items, consumers and (in serving mode) arriving
+    /// texts are vectorized with.
     pub fn tokenizer(mut self, tokenizer: TokenizerConfig) -> Self {
         self.tokenizer = tokenizer;
         self
@@ -341,15 +342,29 @@ impl MatchingPipeline {
     /// answers point queries and absorbs arrivals — no batch matching job
     /// runs.  See [`crate::serving`] for the serving dataflow.
     pub fn serve(self) -> crate::serving::ServingPipeline {
-        crate::serving::ServingPipeline::build(self.dataset, self.sigma, self.alpha)
+        crate::serving::ServingPipeline::build(
+            self.dataset,
+            &self.tokenizer,
+            self.sigma,
+            self.alpha,
+            self.job.spill_dir,
+        )
     }
 
     fn join_stage(self, flow: &FlowContext) -> CandidateGraph {
-        let items = Corpus::build(self.dataset.items.clone(), &self.tokenizer);
-        let consumers = Corpus::build(self.dataset.consumers.clone(), &self.tokenizer);
-        let join = self
-            .generator
-            .generate(&items, &consumers, self.sigma, flow);
+        let aligned = AlignedCorpora::build(
+            &self.dataset.items,
+            &self.dataset.consumers,
+            &self.tokenizer,
+        );
+        let join = self.generator.generate_vectors(
+            aligned.item_vectors(),
+            aligned.consumer_vectors(),
+            &aligned.item_labels(),
+            &aligned.consumer_labels(),
+            self.sigma,
+            flow,
+        );
         let capacities = self.dataset.capacities(self.alpha);
         CandidateGraph {
             dataset: self.dataset,

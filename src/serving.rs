@@ -17,11 +17,12 @@
 //!   prefix postings are appended to the on-disk index partitions and
 //!   they join the assignment with their own capacity.
 //!
-//! The handle vectorizes arriving documents over the same joint
-//! vocabulary the batch join aligns the two corpora with, so a point
-//! query for one of the original items returns exactly the batch join's
-//! candidate edges for it (`tests/serving_equivalence.rs` locks this).
-//! See `docs/serving.md` for the dataflow.
+//! The handle vectorizes arriving documents through the same
+//! [`AlignedCorpora`] the batch join is fed from — same tokenizer, same
+//! joint vocabulary — so a point query for one of the original items
+//! returns exactly the batch join's candidate edges for it
+//! (`point_queries_reproduce_the_batch_candidate_edges` locks this).  See
+//! `docs/serving.md` for the dataflow.
 
 use std::ops::Range;
 use std::path::PathBuf;
@@ -30,9 +31,9 @@ use std::sync::Mutex;
 
 use smr_datagen::SocialDataset;
 use smr_matching::IncrementalMatcher;
-use smr_simjoin::{rarest_first_rank, term_max_weights, ScoredMatch, ServingIndex};
+use smr_simjoin::{AlignedCorpora, IndexPlan, ScoredMatch, ServingIndex};
 use smr_storage::DatasetStore;
-use smr_text::{Corpus, Document, SparseVector, TfIdf, TokenizerConfig, Vocabulary, Weighting};
+use smr_text::{Document, SparseVector, TokenizerConfig};
 
 static SERVE_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -50,23 +51,25 @@ pub struct ItemAssignment {
 }
 
 /// A standing serving handle over a dataset: the similarity index kept
-/// alive on disk, the joint vocabulary to vectorize arrivals with, and an
+/// alive on disk, the aligned corpora to vectorize arrivals with, and an
 /// online capacity-aware assignment.
 ///
 /// Created by [`crate::MatchingPipeline::serve`]; the on-disk index lives
-/// in a private directory removed when the handle is dropped.
+/// in a private directory (under the pipeline's spill base) removed when
+/// the handle is dropped.
 #[derive(Debug)]
 pub struct ServingPipeline {
     index: ServingIndex,
     matcher: IncrementalMatcher,
-    vocab: Vocabulary,
+    /// The build corpora in one term space: the item side of every
+    /// [`IndexPlan`], and the vectorizer of every arrival.
+    aligned: AlignedCorpora,
     consumer_ids: Vec<String>,
     sigma: f64,
     store: DatasetStore,
     store_root: PathBuf,
-    /// The corpora behind the standing index, kept current as consumers
-    /// arrive — what [`ServingPipeline::rebuild`] rebuilds from.
-    item_vectors: Vec<SparseVector>,
+    /// Every indexed consumer, kept current as consumers arrive — what
+    /// [`ServingPipeline::rebuild`] rebuilds from.
     consumer_vectors: Vec<SparseVector>,
     /// Elementwise maxima of every query vector served so far.  A rebuild
     /// folds these into the item-side maxima, so the fresh index's
@@ -81,45 +84,44 @@ pub struct ServingPipeline {
 impl ServingPipeline {
     /// Builds the serving structures for `dataset` at threshold `sigma`,
     /// with consumer capacities scaled by `alpha` — the serving-mode
-    /// counterpart of the batch pipeline's join + matching stages.
-    pub(crate) fn build(dataset: SocialDataset, sigma: f64, alpha: f64) -> Self {
-        // The batch join re-vectorizes both corpora over one joint
-        // vocabulary before indexing; serving must vectorize arrivals the
-        // same way or point queries would not line up with batch edges.
-        let mut all_docs: Vec<Document> =
-            Vec::with_capacity(dataset.items.len() + dataset.consumers.len());
-        all_docs.extend(dataset.items.iter().cloned());
-        all_docs.extend(dataset.consumers.iter().cloned());
-        let joint = Corpus::build(all_docs, &TokenizerConfig::default());
-        let item_vectors: Vec<SparseVector> = (0..dataset.items.len())
-            .map(|i| joint.vector(i).clone())
-            .collect();
-        let consumer_vectors: Vec<SparseVector> = (dataset.items.len()..joint.len())
-            .map(|i| joint.vector(i).clone())
-            .collect();
+    /// counterpart of the batch pipeline's join + matching stages.  The
+    /// index directory is created under `spill_dir` (the system temp
+    /// directory when `None`), like every other piece of side data.
+    pub(crate) fn build(
+        dataset: SocialDataset,
+        tokenizer: &TokenizerConfig,
+        sigma: f64,
+        alpha: f64,
+        spill_dir: Option<PathBuf>,
+    ) -> Self {
+        let aligned = AlignedCorpora::build(&dataset.items, &dataset.consumers, tokenizer);
+        let consumer_vectors = aligned.consumer_vectors().to_vec();
 
-        let store_root = std::env::temp_dir().join(format!(
+        let store_root = spill_dir.unwrap_or_else(std::env::temp_dir).join(format!(
             "smr-serve-{}-{}",
             std::process::id(),
             SERVE_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
         let store = DatasetStore::open(&store_root)
             .unwrap_or_else(|e| panic!("failed to open serving store at {store_root:?}: {e}"));
-        let index =
-            ServingIndex::for_corpora(&store, "serve", &item_vectors, &consumer_vectors, sigma);
+        let index = ServingIndex::for_corpora(
+            &store,
+            "serve",
+            aligned.item_vectors(),
+            &consumer_vectors,
+            sigma,
+        );
 
         let caps = dataset.capacities(alpha);
         let matcher = IncrementalMatcher::new(Vec::new(), caps.consumer_capacities().to_vec());
-        let consumer_ids = dataset.consumers.iter().map(|d| d.id.clone()).collect();
         ServingPipeline {
             index,
             matcher,
-            vocab: joint.vocabulary().clone(),
-            consumer_ids,
+            consumer_ids: aligned.consumer_labels(),
+            aligned,
             sigma,
             store,
             store_root,
-            item_vectors,
             consumer_vectors,
             observed_query_max: Mutex::new(Vec::new()),
             epoch: 0,
@@ -127,13 +129,11 @@ impl ServingPipeline {
     }
 
     /// Vectorizes a document text exactly as the batch join would have:
-    /// joint vocabulary, tf·idf weights, unit L2 norm.  Terms outside the
-    /// joint vocabulary are dropped (they cannot contribute to any indexed
-    /// similarity).
+    /// the pipeline's tokenizer, joint vocabulary, tf·idf weights, unit L2
+    /// norm.  Terms outside the joint vocabulary are dropped (they cannot
+    /// contribute to any indexed similarity).
     pub fn vectorize(&self, text: &str) -> SparseVector {
-        let tokenizer = smr_text::Tokenizer::new(TokenizerConfig::default());
-        let tokens = tokenizer.tokenize(text);
-        TfIdf::new(&self.vocab, Weighting::TfIdf, true).vectorize(&tokens)
+        self.aligned.vectorize(text)
     }
 
     /// Point query: the top-`k` consumers matching `text` at σ, heaviest
@@ -244,34 +244,27 @@ impl ServingPipeline {
         if !self.needs_rebuild() {
             return false;
         }
+        self.reindex();
+        true
+    }
+
+    /// Replaces the standing index with one built from the current
+    /// corpora under the batch plan widened by the observed query maxima.
+    fn reindex(&mut self) {
         let observed = self
             .observed_query_max
             .lock()
             .expect("observed-maxima lock poisoned")
             .clone();
-        let corpus_vocab = self
-            .item_vectors
-            .iter()
-            .chain(self.consumer_vectors.iter())
-            .flat_map(|v| v.entries().iter().map(|(t, _)| t.index() + 1))
-            .max()
-            .unwrap_or(0);
-        let vocab_size = corpus_vocab.max(observed.len());
-        let mut max_weights = term_max_weights(&self.item_vectors, vocab_size);
-        for (term, &weight) in observed.iter().enumerate() {
-            if weight > max_weights[term] {
-                max_weights[term] = weight;
-            }
-        }
-        let rank = rarest_first_rank(&self.item_vectors, &self.consumer_vectors, vocab_size);
+        let plan = IndexPlan::derive(self.aligned.item_vectors(), &self.consumer_vectors)
+            .widened(&observed);
         let old_prefix = format!("{}/", self.rebuild_prefix());
         self.epoch += 1;
         self.index = ServingIndex::build(
             &self.store,
             &self.rebuild_prefix(),
             &self.consumer_vectors,
-            max_weights,
-            rank,
+            plan,
             self.sigma,
         );
         for path in self.store.paths() {
@@ -279,7 +272,6 @@ impl ServingPipeline {
                 self.store.remove(&path);
             }
         }
-        true
     }
 
     /// The store prefix of the current epoch's index datasets ("serve"
@@ -462,6 +454,37 @@ mod tests {
         }
         served_edges.sort_unstable();
         assert_eq!(served_edges, batch_edges);
+    }
+
+    #[test]
+    fn reindexing_with_nothing_observed_reproduces_the_build() {
+        let dataset = small_dataset();
+        let mut serving = MatchingPipeline::new(dataset.clone()).sigma(0.12).serve();
+        // Querying the index directly leaves the observed maxima empty.
+        let queries: Vec<SparseVector> = dataset
+            .items
+            .iter()
+            .map(|d| serving.vectorize(&d.text))
+            .collect();
+        let candidates = |serving: &ServingPipeline| -> Vec<Vec<ScoredMatch>> {
+            queries
+                .iter()
+                .map(|q| serving.index().candidates(q))
+                .collect()
+        };
+        let built = candidates(&serving);
+        let postings = serving.index().num_postings();
+        let partitions = serving.index().num_partitions();
+
+        // Drift-free, `rebuild` declines; forced through the widen step
+        // with empty observations, the plan — and so the index — is the
+        // one `for_corpora` built.
+        assert!(!serving.rebuild());
+        serving.reindex();
+        assert_eq!(serving.index().num_postings(), postings);
+        assert_eq!(serving.index().num_partitions(), partitions);
+        assert_eq!(candidates(&serving), built);
+        assert!(!serving.needs_rebuild());
     }
 
     #[test]

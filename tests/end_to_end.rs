@@ -7,9 +7,7 @@ use social_content_matching::mapreduce::{FlowContext, JobConfig};
 use social_content_matching::matching::{
     greedy_matching, optimal_matching, GreedyMr, GreedyMrConfig, StackMr, StackMrConfig,
 };
-use social_content_matching::simjoin::{
-    baseline_similarity_join, mapreduce_similarity_join, SimJoinConfig,
-};
+use social_content_matching::simjoin::{baseline_similarity_join, mapreduce_similarity_join_flow};
 use social_content_matching::text::{Corpus, TokenizerConfig};
 
 fn quick_job(name: &str) -> JobConfig {
@@ -27,12 +25,11 @@ fn flickr_pipeline(sigma: f64) -> (social_content_matching::graph::BipartiteGrap
     .generate();
     let items = Corpus::build(dataset.items.clone(), &TokenizerConfig::tags_only());
     let users = Corpus::build(dataset.consumers.clone(), &TokenizerConfig::tags_only());
-    let join = mapreduce_similarity_join(
+    let join = mapreduce_similarity_join_flow(
         &items,
         &users,
-        &SimJoinConfig::default()
-            .with_threshold(sigma)
-            .with_job(quick_job("e2e-join")),
+        sigma,
+        &FlowContext::new(quick_job("e2e-join")),
     );
     let caps = dataset.capacities(1.0);
     (join.graph, caps)
@@ -96,12 +93,11 @@ fn similarity_join_and_baseline_agree_on_the_answers_dataset() {
     let questions = Corpus::build(dataset.items.clone(), &TokenizerConfig::default());
     let users = Corpus::build(dataset.consumers.clone(), &TokenizerConfig::default());
     for sigma in [0.1, 0.3] {
-        let mr = mapreduce_similarity_join(
+        let mr = mapreduce_similarity_join_flow(
             &questions,
             &users,
-            &SimJoinConfig::default()
-                .with_threshold(sigma)
-                .with_job(quick_job("agree-join")),
+            sigma,
+            &FlowContext::new(quick_job("agree-join")),
         );
         let baseline = baseline_similarity_join(&questions, &users, sigma);
         assert_eq!(

@@ -1,5 +1,5 @@
 //! Regression tests for the `flow` API redesign: the old hand-wired entry
-//! points (`mapreduce_similarity_join` + `GreedyMr::run` / `StackMr::run`)
+//! points (`mapreduce_similarity_join_flow` + `GreedyMr::run` / `StackMr::run`)
 //! and the new `Dataset`-chain path behind `MatchingPipeline` must produce
 //! byte-identical results, and a single `FlowReport` must reproduce the
 //! paper's per-stage job counts (2 similarity-join jobs, one job per
@@ -11,7 +11,7 @@ use social_content_matching::mapreduce::JobConfig;
 use social_content_matching::matching::{
     AlgorithmKind, GreedyMr, GreedyMrConfig, StackMr, StackMrConfig,
 };
-use social_content_matching::simjoin::{mapreduce_similarity_join, SimJoinConfig};
+use social_content_matching::simjoin::mapreduce_similarity_join_flow;
 use social_content_matching::text::{Corpus, TokenizerConfig};
 use social_content_matching::MatchingPipeline;
 
@@ -36,17 +36,12 @@ fn quick_job(name: &str) -> JobConfig {
 fn pipeline_run_is_byte_identical_to_the_pre_redesign_glue() {
     let dataset = dataset();
 
-    // --- the pre-redesign glue, verbatim: hand-built corpora, the old
-    // simjoin wrapper, a self-contained GreedyMr run ---
+    // --- the pre-redesign glue, verbatim: hand-built corpora, the join
+    // on a flow of its own, a self-contained GreedyMr run ---
     let items = Corpus::build(dataset.items.clone(), &TokenizerConfig::tags_only());
     let users = Corpus::build(dataset.consumers.clone(), &TokenizerConfig::tags_only());
-    let join = mapreduce_similarity_join(
-        &items,
-        &users,
-        &SimJoinConfig::default()
-            .with_threshold(SIGMA)
-            .with_job(quick_job("old")),
-    );
+    let join =
+        mapreduce_similarity_join_flow(&items, &users, SIGMA, &FlowContext::new(quick_job("old")));
     let caps = dataset.capacities(1.0);
     let old_flow = FlowContext::new(quick_job("old"));
     let old_matching = GreedyMr::new(GreedyMrConfig::default().with_job(quick_job("old"))).run(
@@ -119,13 +114,8 @@ fn stack_mr_through_the_pipeline_matches_the_old_wrapper() {
     let dataset = dataset();
     let items = Corpus::build(dataset.items.clone(), &TokenizerConfig::tags_only());
     let users = Corpus::build(dataset.consumers.clone(), &TokenizerConfig::tags_only());
-    let join = mapreduce_similarity_join(
-        &items,
-        &users,
-        &SimJoinConfig::default()
-            .with_threshold(SIGMA)
-            .with_job(quick_job("old")),
-    );
+    let join =
+        mapreduce_similarity_join_flow(&items, &users, SIGMA, &FlowContext::new(quick_job("old")));
     let caps = dataset.capacities(1.0);
     let old_flow = FlowContext::new(quick_job("old"));
     let old = StackMr::new(

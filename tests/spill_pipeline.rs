@@ -7,7 +7,8 @@
 //! 2. report `disk_runs > 0` and `spill_bytes > 0` in its job metrics,
 //! 3. keep everything it writes under the configured spill directory and
 //!    leave **no temp files behind** once the jobs (and their
-//!    `SpillManager`s) and the flow are done.
+//!    `SpillManager`s) and the flow are done — and so must the standing
+//!    index of `serve()`.
 
 use social_content_matching::datagen::FlickrGenerator;
 use social_content_matching::mapreduce::{FlowContext, JobConfig};
@@ -123,6 +124,42 @@ fn budgeted_pipeline_is_byte_identical_spills_and_cleans_up() {
         std::fs::read_dir(&spill_base).unwrap().count(),
         0,
         "no temp files may outlive the pipeline"
+    );
+    std::fs::remove_dir_all(&spill_base).unwrap();
+}
+
+/// Names in `dir` that a serving index of this process would carry.
+fn serving_dirs(dir: &std::path::Path) -> Vec<String> {
+    let ours = format!("smr-serve-{}-", std::process::id());
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|name| name.starts_with(&ours))
+        .collect()
+}
+
+#[test]
+fn serving_index_lives_under_the_spill_base_and_is_removed_on_drop() {
+    let spill_base = std::env::temp_dir().join(format!("smr-e2e-serve-{}", std::process::id()));
+    std::fs::create_dir_all(&spill_base).unwrap();
+    let dataset = dataset();
+    let probe = dataset.items[0].text.clone();
+
+    let serving = MatchingPipeline::new(dataset)
+        .sigma(0.1)
+        .spill_dir(&spill_base)
+        .serve();
+    // The standing index is side data like any other: under the base, not
+    // in the system temp directory.
+    assert_eq!(serving_dirs(&spill_base).len(), 1);
+    assert_eq!(serving_dirs(&std::env::temp_dir()), Vec::<String>::new());
+    assert!(!serving.match_text(&probe, 5).is_empty());
+
+    drop(serving);
+    assert_eq!(
+        std::fs::read_dir(&spill_base).unwrap().count(),
+        0,
+        "the serving directory must not outlive the handle"
     );
     std::fs::remove_dir_all(&spill_base).unwrap();
 }
