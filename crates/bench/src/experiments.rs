@@ -1534,7 +1534,13 @@ mod tests {
         assert_eq!(graph.num_edges(), 372_730);
         let run = set.run(AlgorithmKind::GreedyMr, &graph, &caps, 1.0);
         assert_eq!(run.rounds, 32);
-        assert_eq!(run.total_shuffled_records(), 5_349_918);
+        // A round shuffles one note per live adjacency entry plus one
+        // own-record message per live node.  Summed over the 32 rounds
+        // the live adjacency entries are 2 674 959 (the first round alone
+        // lists every edge from both ends, 2 × 372 730; the retired
+        // two-views-per-entry protocol shuffled exactly twice this sum,
+        // 5 349 918) and the live nodes 33 027.
+        assert_eq!(run.total_shuffled_records(), 2_674_959 + 33_027);
         assert!(run.matching.is_feasible(&graph, &caps));
     }
 

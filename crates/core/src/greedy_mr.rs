@@ -4,14 +4,20 @@
 //! Every round is one MapReduce job over the node-centric graph
 //! representation:
 //!
-//! * **map** — every node `v` proposes its `b(v)` heaviest live edges and
-//!   sends, for every live incident edge, its view of that edge (proposal
-//!   flag and residual capacity) to both endpoints;
-//! * **reduce** — every node unifies the two views of each incident edge:
-//!   edges proposed by *both* endpoints enter the solution, the node's
-//!   residual capacity is decreased accordingly, matched edges and edges
-//!   towards saturated neighbours are dropped from the adjacency, and the
-//!   updated node record is emitted for the next round.
+//! * **map** — every node `v` proposes its `b(v)` heaviest live edges.
+//!   It sends itself its own record and, across every live incident
+//!   edge, one note to the neighbour: "I propose this edge" and "I am
+//!   saturated" as two flag bits ([`RoundMsg`]) — one record per live
+//!   node plus one per live adjacency entry crosses the shuffle;
+//! * **reduce** — every node reads its capacity, adjacency and own
+//!   proposals off its own record (the adjacency is kept heaviest first,
+//!   so the proposals are its first `b(v)` entries in mapper and reducer
+//!   alike) and holds each edge against the neighbour's note: edges
+//!   proposed by *both* endpoints enter the solution, the node's residual
+//!   capacity is decreased accordingly, matched edges, edges towards
+//!   saturated neighbours and edges without a note (the neighbour has
+//!   retired) are dropped from the adjacency, and the updated node record
+//!   is emitted for the next round.
 //!
 //! The algorithm stops when no live edge remains.  The solution grows
 //! monotonically and is feasible after every round, which is the *any-time*
@@ -38,36 +44,18 @@ use smr_storage::impl_codec_struct;
 
 use crate::config::GreedyMrConfig;
 use crate::result::{AlgorithmKind, MatchingRun};
-use crate::state::{build_node_records, AdjEdge, NodeRecord};
+use crate::state::{build_node_records, own_record, peer_notes, AdjEdge, NodeRecord, RoundMsg};
 
-/// A message exchanged between the two endpoints of an edge during one
-/// GreedyMR round.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EdgeView {
-    /// The edge this message describes.
-    pub edge: EdgeId,
-    /// The node that sent this view.
-    pub sender: NodeId,
-    /// The node the message is about to reach (the other endpoint, or the
-    /// sender itself for the self-addressed copy).
-    pub other: NodeId,
-    /// Edge weight.
-    pub weight: f64,
-    /// Residual capacity of the sender at the start of the round.
-    pub sender_capacity: u64,
-    /// Whether the sender proposes this edge (it is among the sender's
-    /// `b(v)` heaviest live edges).
-    pub proposed: bool,
-}
+/// Note flag: the sender proposes the edge (it is among the sender's
+/// `b(v)` heaviest live edges).
+const PROPOSED: u8 = 1;
+/// Note flag: the sender's residual capacity was zero at the start of the
+/// round.
+const SATURATED: u8 = 2;
 
-impl_codec_struct!(EdgeView {
-    edge,
-    sender,
-    other,
-    weight,
-    sender_capacity,
-    proposed
-});
+/// The message of a GreedyMR round: the node's own record, or a
+/// neighbour's [`PROPOSED`] / [`SATURATED`] flags for one edge.
+type GreedyMsg = RoundMsg<NodeRecord, u8>;
 
 /// Output of one reducer invocation: the node's updated record plus the
 /// edges it matched this round.
@@ -89,32 +77,20 @@ impl Mapper for ProposeMapper {
     type InKey = NodeId;
     type InValue = NodeRecord;
     type OutKey = NodeId;
-    type OutValue = EdgeView;
+    type OutValue = GreedyMsg;
 
-    fn map(&self, node: &NodeId, record: &NodeRecord, out: &mut Emitter<NodeId, EdgeView>) {
+    fn map(&self, node: &NodeId, record: &NodeRecord, out: &mut Emitter<NodeId, GreedyMsg>) {
         debug_assert_eq!(*node, record.node);
-        // Determine the proposals: the b(v) heaviest live edges.
-        let proposal_count = (record.capacity as usize).min(record.adjacency.len());
-        let proposed_idx = record.heaviest_edges(proposal_count);
-        let mut proposed = vec![false; record.adjacency.len()];
-        for idx in proposed_idx {
-            proposed[idx] = true;
-        }
+        // The proposals are the b(v) heaviest live edges: a prefix of the
+        // heaviest-first adjacency (empty for a saturated node).
+        let proposals = record.proposal_count();
+        let saturated = if record.capacity == 0 { SATURATED } else { 0 };
         for (idx, adj) in record.adjacency.iter().enumerate() {
-            let view = EdgeView {
-                edge: adj.edge,
-                sender: record.node,
-                other: adj.other,
-                weight: adj.weight,
-                sender_capacity: record.capacity,
-                proposed: proposed[idx] && record.capacity > 0,
-            };
-            // Both endpoints must learn the sender's view: the neighbour to
-            // compute the proposal intersection, the sender itself so that
-            // its reducer has its own proposals and capacity available.
-            out.emit(adj.other, view.clone());
-            out.emit(record.node, view);
+            let proposed = if idx < proposals { PROPOSED } else { 0 };
+            out.emit(adj.other, RoundMsg::peer(adj.edge, proposed | saturated));
         }
+        // The node's own reducer reads everything else off the record.
+        out.emit(*node, RoundMsg::own(record.clone()));
     }
 }
 
@@ -123,62 +99,48 @@ struct IntersectReducer;
 
 impl Reducer for IntersectReducer {
     type Key = NodeId;
-    type InValue = EdgeView;
+    type InValue = GreedyMsg;
     type OutKey = NodeId;
     type OutValue = GreedyRoundOutput;
 
     fn reduce(
         &self,
         node: &NodeId,
-        views: &[EdgeView],
+        msgs: &[GreedyMsg],
         out: &mut Emitter<NodeId, GreedyRoundOutput>,
     ) {
-        // Split the incoming views into the node's own views and the
-        // neighbours' views, indexed by edge.
-        let own: Vec<&EdgeView> = views.iter().filter(|m| m.sender == *node).collect();
-        if own.is_empty() {
-            // The node emitted nothing this round (it had disappeared
-            // earlier); nothing to output.
+        let Some(record) = own_record(msgs) else {
+            // The node sent nothing this round (it had retired earlier);
+            // only late notes from neighbours arrived.  Nothing to output.
             return;
-        }
-        let capacity = own[0].sender_capacity;
-        let neighbour_views: std::collections::HashMap<EdgeId, &EdgeView> = views
-            .iter()
-            .filter(|m| m.sender != *node)
-            .map(|m| (m.edge, m))
-            .collect();
+        };
+        let capacity = record.capacity;
+        let proposals = record.proposal_count();
+        let notes = peer_notes(msgs);
 
         let mut matched: Vec<EdgeId> = Vec::new();
         let mut next_adjacency: Vec<AdjEdge> = Vec::new();
-        for own_view in &own {
-            let neighbour_view = neighbour_views.get(&own_view.edge).copied();
-            match neighbour_view {
-                Some(nv) => {
-                    if own_view.proposed && nv.proposed {
-                        matched.push(own_view.edge);
-                    } else if nv.sender_capacity == 0 || capacity == 0 {
-                        // The neighbour (or this node) is saturated: the
-                        // edge can never be matched, drop it.
-                    } else {
-                        next_adjacency.push(AdjEdge::new(
-                            own_view.edge,
-                            own_view.other,
-                            own_view.weight,
-                        ));
-                    }
-                }
-                None => {
-                    // The neighbour no longer exists; drop the edge.
-                }
+        for (idx, adj) in record.adjacency.iter().enumerate() {
+            let Some(note) = notes.get(adj.edge) else {
+                // The neighbour no longer exists; drop the edge.
+                continue;
+            };
+            if idx < proposals && note & PROPOSED != 0 {
+                matched.push(adj.edge);
+            } else if note & SATURATED != 0 || capacity == 0 {
+                // The neighbour (or this node) is saturated: the edge can
+                // never be matched, drop it.
+            } else {
+                // Deletion preserves the heaviest-first order.
+                next_adjacency.push(*adj);
             }
         }
         matched.sort_unstable();
-        matched.dedup();
         let new_capacity = capacity - matched.len() as u64;
         // A node whose capacity reached zero drops all remaining edges: its
         // neighbours do the same in this very round because they see the
-        // capacity in the messages (or will see capacity 0 next round if it
-        // became zero only now).
+        // saturation flag in the notes (or, if it became zero only now,
+        // will find no note from the retired node next round).
         let adjacency = if new_capacity == 0 {
             Vec::new()
         } else {
@@ -233,7 +195,10 @@ impl GreedyMr {
         state.seed(
             build_node_records(graph, caps)
                 .into_iter()
-                .map(|(node, record)| {
+                .map(|(node, mut record)| {
+                    // Sorted once, here: mapper and reducer read every
+                    // round's proposals off the adjacency's prefix.
+                    record.sort_heaviest_first();
                     (
                         node,
                         GreedyRoundOutput {
@@ -501,6 +466,49 @@ mod tests {
             spilled.job_metrics.iter().map(|m| m.disk_runs).sum::<u64>() > 0,
             "a 256-byte budget must force disk runs"
         );
+    }
+
+    #[test]
+    fn a_saturated_node_retires_and_its_neighbours_drop_the_edge_in_the_same_round() {
+        // `Capacities` rules out zero, so the saturation flag is driven
+        // on hand-built records: item 0 has no capacity left but still
+        // lists edge 0, the heavier of consumer 0's two edges.
+        let (t0, t1, c0) = (NodeId::item(0), NodeId::item(1), NodeId::consumer(0));
+        let records = vec![
+            (t0, NodeRecord::new(t0, 0, vec![AdjEdge::new(0, c0, 2.0)])),
+            (t1, NodeRecord::new(t1, 1, vec![AdjEdge::new(1, c0, 1.0)])),
+            (
+                c0,
+                NodeRecord::new(
+                    c0,
+                    1,
+                    vec![AdjEdge::new(0, t0, 2.0), AdjEdge::new(1, t1, 1.0)],
+                ),
+            ),
+        ];
+        let flow = FlowContext::new(JobConfig::named("greedy-mr-test").with_threads(2));
+        let mut output = flow
+            .dataset(records)
+            .map_with(ProposeMapper)
+            .reduce_with(IntersectReducer)
+            .collect();
+        output.sort_by_key(|(node, _)| *node);
+        let round = |node: NodeId, capacity: u64, adjacency: Vec<AdjEdge>| {
+            let record = NodeRecord::new(node, capacity, adjacency);
+            let matched = Vec::new();
+            (node, GreedyRoundOutput { record, matched })
+        };
+        assert_eq!(
+            output,
+            vec![
+                round(t0, 0, vec![]),
+                round(t1, 1, vec![AdjEdge::new(1, c0, 1.0)]),
+                // Consumer 0 proposed edge 0 in vain; edge 1 lives on.
+                round(c0, 1, vec![AdjEdge::new(1, t1, 1.0)]),
+            ]
+        );
+        // 4 adjacency entries + 3 nodes crossed the shuffle.
+        assert_eq!(flow.report().total_shuffled_records(), 7);
     }
 
     #[test]

@@ -33,7 +33,7 @@ use smr_mapreduce::{Emitter, JobConfig, JobMetrics, Mapper, Reducer, RoundState,
 use smr_storage::impl_codec_struct;
 
 use crate::config::MarkingStrategy;
-use crate::state::{AdjEdge, NodeRecord};
+use crate::state::{own_record, peer_notes, AdjEdge, NodeRecord, RoundMsg};
 
 /// A per-edge annotation inside the working records of the matcher.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -91,42 +91,11 @@ impl_codec_struct!(WorkRecord {
     edges
 });
 
-/// The message exchanged by all four stage jobs: one endpoint's view of one
-/// edge, plus a per-node heartbeat (edge = `usize::MAX`) so records survive
-/// rounds in which a node has nothing to say.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StageMsg {
-    /// The edge the flag refers to (`usize::MAX` for heartbeats).
-    pub edge: EdgeId,
-    /// The sender of the message.
-    pub sender: NodeId,
-    /// Stage-specific flag (marked / selected / keep / in-F).
-    pub flag: bool,
-    /// The sender's working record, attached only to the self-addressed
-    /// heartbeat so that the reducer has its own state available.
-    pub record: Option<WorkRecord>,
-}
-
-impl_codec_struct!(StageMsg {
-    edge,
-    sender,
-    flag,
-    record
-});
-
-impl StageMsg {
-    fn heartbeat(record: WorkRecord) -> (NodeId, StageMsg) {
-        (
-            record.node,
-            StageMsg {
-                edge: usize::MAX,
-                sender: record.node,
-                flag: false,
-                record: Some(record),
-            },
-        )
-    }
-}
+/// The message exchanged by all four stage jobs ([`RoundMsg`]): the
+/// node's working record, self-addressed so that it survives stages in
+/// which no neighbour has anything to say, or a neighbour's stage-specific
+/// flag for one edge (marked / selected / dropped from F / survives).
+type FlagMsg = RoundMsg<WorkRecord, bool>;
 
 /// Result of one maximal b-matching computation.
 #[derive(Debug, Clone, Default)]
@@ -215,9 +184,9 @@ impl Mapper for MarkMapper {
     type InKey = NodeId;
     type InValue = WorkRecord;
     type OutKey = NodeId;
-    type OutValue = StageMsg;
+    type OutValue = FlagMsg;
 
-    fn map(&self, _node: &NodeId, record: &WorkRecord, out: &mut Emitter<NodeId, StageMsg>) {
+    fn map(&self, _node: &NodeId, record: &WorkRecord, out: &mut Emitter<NodeId, FlagMsg>) {
         let mut rng = node_rng(self.seed, self.iteration, record.node);
         let to_mark = ((record.capacity as f64 / 2.0).ceil() as usize).max(1);
         let candidates: Vec<(usize, f64)> = record
@@ -235,23 +204,14 @@ impl Mapper for MarkMapper {
             v
         };
         for (i, e) in record.edges.iter().enumerate() {
-            out.emit(
-                e.other,
-                StageMsg {
-                    edge: e.edge,
-                    sender: record.node,
-                    flag: marked_set[i],
-                    record: None,
-                },
-            );
+            out.emit(e.other, RoundMsg::peer(e.edge, marked_set[i]));
         }
-        // Self heartbeat with own marks recorded in the attached record.
+        // Own marks travel in the self-addressed record.
         let mut own = record.clone();
         for (i, e) in own.edges.iter_mut().enumerate() {
             e.marked_by_self = marked_set[i];
         }
-        let (k, v) = StageMsg::heartbeat(own);
-        out.emit(k, v);
+        out.emit(own.node, RoundMsg::own(own));
     }
 }
 
@@ -259,17 +219,17 @@ struct MarkReducer;
 
 impl Reducer for MarkReducer {
     type Key = NodeId;
-    type InValue = StageMsg;
+    type InValue = FlagMsg;
     type OutKey = NodeId;
     type OutValue = WorkRecord;
 
-    fn reduce(&self, node: &NodeId, msgs: &[StageMsg], out: &mut Emitter<NodeId, WorkRecord>) {
-        let Some(mut record) = own_record(msgs) else {
+    fn reduce(&self, node: &NodeId, msgs: &[FlagMsg], out: &mut Emitter<NodeId, WorkRecord>) {
+        let Some(mut record) = own_record(msgs).cloned() else {
             return;
         };
-        let neighbour_flags = neighbour_flag_map(msgs, *node);
+        let marks = peer_notes(msgs);
         for e in &mut record.edges {
-            e.marked_by_other = neighbour_flags.get(&e.edge).copied().unwrap_or(false);
+            e.marked_by_other = marks.get(e.edge).unwrap_or(false);
         }
         out.emit(*node, record);
     }
@@ -288,9 +248,9 @@ impl Mapper for SelectMapper {
     type InKey = NodeId;
     type InValue = WorkRecord;
     type OutKey = NodeId;
-    type OutValue = StageMsg;
+    type OutValue = FlagMsg;
 
-    fn map(&self, _node: &NodeId, record: &WorkRecord, out: &mut Emitter<NodeId, StageMsg>) {
+    fn map(&self, _node: &NodeId, record: &WorkRecord, out: &mut Emitter<NodeId, FlagMsg>) {
         let mut rng = node_rng(
             self.seed,
             self.iteration.wrapping_add(0x5e1ec7),
@@ -316,24 +276,15 @@ impl Mapper for SelectMapper {
             v
         };
         for (i, e) in record.edges.iter().enumerate() {
-            out.emit(
-                e.other,
-                StageMsg {
-                    edge: e.edge,
-                    sender: record.node,
-                    flag: selected_set[i],
-                    record: None,
-                },
-            );
+            out.emit(e.other, RoundMsg::peer(e.edge, selected_set[i]));
         }
         let mut own = record.clone();
         for (i, e) in own.edges.iter_mut().enumerate() {
             // An edge enters F if this node selected it (it was marked by
-            // the neighbour); the neighbour's selections arrive as messages.
+            // the neighbour); the neighbour's selections arrive as notes.
             e.in_f = selected_set[i];
         }
-        let (k, v) = StageMsg::heartbeat(own);
-        out.emit(k, v);
+        out.emit(own.node, RoundMsg::own(own));
     }
 }
 
@@ -341,17 +292,17 @@ struct SelectReducer;
 
 impl Reducer for SelectReducer {
     type Key = NodeId;
-    type InValue = StageMsg;
+    type InValue = FlagMsg;
     type OutKey = NodeId;
     type OutValue = WorkRecord;
 
-    fn reduce(&self, node: &NodeId, msgs: &[StageMsg], out: &mut Emitter<NodeId, WorkRecord>) {
-        let Some(mut record) = own_record(msgs) else {
+    fn reduce(&self, node: &NodeId, msgs: &[FlagMsg], out: &mut Emitter<NodeId, WorkRecord>) {
+        let Some(mut record) = own_record(msgs).cloned() else {
             return;
         };
-        let neighbour_flags = neighbour_flag_map(msgs, *node);
+        let selections = peer_notes(msgs);
         for e in &mut record.edges {
-            let selected_by_other = neighbour_flags.get(&e.edge).copied().unwrap_or(false);
+            let selected_by_other = selections.get(e.edge).unwrap_or(false);
             e.in_f = e.in_f || selected_by_other;
         }
         out.emit(*node, record);
@@ -371,9 +322,9 @@ impl Mapper for MatchFixMapper {
     type InKey = NodeId;
     type InValue = WorkRecord;
     type OutKey = NodeId;
-    type OutValue = StageMsg;
+    type OutValue = FlagMsg;
 
-    fn map(&self, _node: &NodeId, record: &WorkRecord, out: &mut Emitter<NodeId, StageMsg>) {
+    fn map(&self, _node: &NodeId, record: &WorkRecord, out: &mut Emitter<NodeId, FlagMsg>) {
         let mut rng = node_rng(
             self.seed,
             self.iteration.wrapping_add(0xf1f1f1),
@@ -398,15 +349,7 @@ impl Mapper for MatchFixMapper {
         }
         for (i, e) in record.edges.iter().enumerate() {
             if e.in_f {
-                out.emit(
-                    e.other,
-                    StageMsg {
-                        edge: e.edge,
-                        sender: record.node,
-                        flag: dropped[i],
-                        record: None,
-                    },
-                );
+                out.emit(e.other, RoundMsg::peer(e.edge, dropped[i]));
             }
         }
         let mut own = record.clone();
@@ -415,8 +358,7 @@ impl Mapper for MatchFixMapper {
                 e.in_f = false;
             }
         }
-        let (k, v) = StageMsg::heartbeat(own);
-        out.emit(k, v);
+        out.emit(own.node, RoundMsg::own(own));
     }
 }
 
@@ -424,18 +366,18 @@ struct MatchFixReducer;
 
 impl Reducer for MatchFixReducer {
     type Key = NodeId;
-    type InValue = StageMsg;
+    type InValue = FlagMsg;
     type OutKey = NodeId;
     type OutValue = WorkRecord;
 
-    fn reduce(&self, node: &NodeId, msgs: &[StageMsg], out: &mut Emitter<NodeId, WorkRecord>) {
-        let Some(mut record) = own_record(msgs) else {
+    fn reduce(&self, node: &NodeId, msgs: &[FlagMsg], out: &mut Emitter<NodeId, WorkRecord>) {
+        let Some(mut record) = own_record(msgs).cloned() else {
             return;
         };
-        // flag == true means "the sender dropped this edge from F".
-        let neighbour_drops = neighbour_flag_map(msgs, *node);
+        // A true note means "the sender dropped this edge from F".
+        let drops = peer_notes(msgs);
         for e in &mut record.edges {
-            if neighbour_drops.get(&e.edge).copied().unwrap_or(false) {
+            if drops.get(e.edge).unwrap_or(false) {
                 e.in_f = false;
             }
         }
@@ -453,27 +395,18 @@ impl Mapper for CleanupMapper {
     type InKey = NodeId;
     type InValue = WorkRecord;
     type OutKey = NodeId;
-    type OutValue = StageMsg;
+    type OutValue = FlagMsg;
 
-    fn map(&self, _node: &NodeId, record: &WorkRecord, out: &mut Emitter<NodeId, StageMsg>) {
+    fn map(&self, _node: &NodeId, record: &WorkRecord, out: &mut Emitter<NodeId, FlagMsg>) {
         let matched = record.edges.iter().filter(|e| e.in_f).count() as u64;
         let new_capacity = record.capacity.saturating_sub(matched);
         for e in &record.edges {
-            // flag == true means "this edge survives at my end": it is not
+            // A true note means "this edge survives at my end": it is not
             // in F and I am not saturated after this iteration.
             let survives = !e.in_f && new_capacity > 0;
-            out.emit(
-                e.other,
-                StageMsg {
-                    edge: e.edge,
-                    sender: record.node,
-                    flag: survives,
-                    record: None,
-                },
-            );
+            out.emit(e.other, RoundMsg::peer(e.edge, survives));
         }
-        let (k, v) = StageMsg::heartbeat(record.clone());
-        out.emit(k, v);
+        out.emit(record.node, RoundMsg::own(record.clone()));
     }
 }
 
@@ -493,15 +426,15 @@ struct CleanupReducer;
 
 impl Reducer for CleanupReducer {
     type Key = NodeId;
-    type InValue = StageMsg;
+    type InValue = FlagMsg;
     type OutKey = NodeId;
     type OutValue = CleanupOutput;
 
-    fn reduce(&self, node: &NodeId, msgs: &[StageMsg], out: &mut Emitter<NodeId, CleanupOutput>) {
+    fn reduce(&self, node: &NodeId, msgs: &[FlagMsg], out: &mut Emitter<NodeId, CleanupOutput>) {
         let Some(record) = own_record(msgs) else {
             return;
         };
-        let neighbour_survives = neighbour_flag_map(msgs, *node);
+        let neighbour_survives = peer_notes(msgs);
         let matched: Vec<EdgeId> = record
             .edges
             .iter()
@@ -515,7 +448,7 @@ impl Reducer for CleanupReducer {
             record
                 .edges
                 .iter()
-                .filter(|e| !e.in_f && neighbour_survives.get(&e.edge).copied().unwrap_or(false))
+                .filter(|e| !e.in_f && neighbour_survives.get(e.edge).unwrap_or(false))
                 .map(|e| WorkEdge {
                     marked_by_self: false,
                     marked_by_other: false,
@@ -536,30 +469,6 @@ impl Reducer for CleanupReducer {
             },
         );
     }
-}
-
-// ---------------------------------------------------------------------------
-// Shared reducer helpers
-// ---------------------------------------------------------------------------
-
-/// Extracts the node's own record from the heartbeat message.
-fn own_record(msgs: &[StageMsg]) -> Option<WorkRecord> {
-    msgs.iter().find_map(|m| m.record.clone())
-}
-
-/// Builds an edge → flag map from the neighbours' messages.
-fn neighbour_flag_map(msgs: &[StageMsg], node: NodeId) -> HashMap<EdgeId, bool> {
-    let mut map = HashMap::new();
-    for m in msgs {
-        if m.sender != node && m.edge != usize::MAX {
-            // If both endpoints somehow message about the same edge the
-            // flag is OR-ed, which is the conservative choice for every
-            // stage that uses it.
-            let entry = map.entry(m.edge).or_insert(false);
-            *entry = *entry || m.flag;
-        }
-    }
-    map
 }
 
 // ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ use smr_storage::impl_codec_struct;
 use crate::config::{MarkingStrategy, StackMrConfig};
 use crate::maximal::MaximalMatcher;
 use crate::result::{AlgorithmKind, MatchingRun};
-use crate::state::{build_node_records, AdjEdge, NodeRecord};
+use crate::state::{build_node_records, own_record, peer_notes, AdjEdge, NodeRecord, RoundMsg};
 
 // ---------------------------------------------------------------------------
 // Push-phase records and messages
@@ -64,26 +64,9 @@ impl_codec_struct!(StackNodeRecord {
     adjacency
 });
 
-/// Message of the coverage and push jobs: one endpoint's `y/b` value for
-/// one edge, or a self-addressed heartbeat carrying the full record.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DualMsg {
-    /// The edge (or `usize::MAX` for the heartbeat).
-    pub edge: EdgeId,
-    /// Sender node.
-    pub sender: NodeId,
-    /// The sender's `y_v / b(v)`.
-    pub dual_over_capacity: f64,
-    /// Attached record (heartbeat only).
-    pub record: Option<StackNodeRecord>,
-}
-
-impl_codec_struct!(DualMsg {
-    edge,
-    sender,
-    dual_over_capacity,
-    record
-});
+/// Message of the coverage and push jobs ([`RoundMsg`]): the node's own
+/// record, or a neighbour's `y_v / b(v)` for one edge.
+type RatioMsg = RoundMsg<StackNodeRecord, f64>;
 
 /// A mapper that sends `y/b` along every live edge (used by both the
 /// coverage job and the push job; the push job additionally restricts the
@@ -94,30 +77,14 @@ impl Mapper for DualExchangeMapper {
     type InKey = NodeId;
     type InValue = StackNodeRecord;
     type OutKey = NodeId;
-    type OutValue = DualMsg;
+    type OutValue = RatioMsg;
 
-    fn map(&self, _node: &NodeId, record: &StackNodeRecord, out: &mut Emitter<NodeId, DualMsg>) {
+    fn map(&self, _node: &NodeId, record: &StackNodeRecord, out: &mut Emitter<NodeId, RatioMsg>) {
         let ratio = record.dual / record.capacity as f64;
         for adj in &record.adjacency {
-            out.emit(
-                adj.other,
-                DualMsg {
-                    edge: adj.edge,
-                    sender: record.node,
-                    dual_over_capacity: ratio,
-                    record: None,
-                },
-            );
+            out.emit(adj.other, RoundMsg::peer(adj.edge, ratio));
         }
-        out.emit(
-            record.node,
-            DualMsg {
-                edge: usize::MAX,
-                sender: record.node,
-                dual_over_capacity: ratio,
-                record: Some(record.clone()),
-            },
-        );
+        out.emit(record.node, RoundMsg::own(record.clone()));
     }
 }
 
@@ -128,25 +95,20 @@ struct CoverageReducer {
 
 impl Reducer for CoverageReducer {
     type Key = NodeId;
-    type InValue = DualMsg;
+    type InValue = RatioMsg;
     type OutKey = NodeId;
     type OutValue = StackNodeRecord;
 
-    fn reduce(&self, node: &NodeId, msgs: &[DualMsg], out: &mut Emitter<NodeId, StackNodeRecord>) {
-        let Some(record) = msgs.iter().find_map(|m| m.record.clone()) else {
+    fn reduce(&self, node: &NodeId, msgs: &[RatioMsg], out: &mut Emitter<NodeId, StackNodeRecord>) {
+        let Some(record) = own_record(msgs) else {
             return;
         };
         let own_ratio = record.dual / record.capacity as f64;
-        let neighbour_ratios: std::collections::HashMap<EdgeId, f64> = msgs
-            .iter()
-            .filter(|m| m.sender != *node && m.edge != usize::MAX)
-            .map(|m| (m.edge, m.dual_over_capacity))
-            .collect();
+        let neighbour_ratios = peer_notes(msgs);
         let mut surviving = Vec::with_capacity(record.adjacency.len());
         for adj in &record.adjacency {
-            let neighbour = neighbour_ratios.get(&adj.edge);
-            match neighbour {
-                Some(&neighbour_ratio) => {
+            match neighbour_ratios.get(adj.edge) {
+                Some(neighbour_ratio) => {
                     let lhs = own_ratio + neighbour_ratio;
                     let weakly_covered = lhs >= adj.weight * self.weak_factor - 1e-15;
                     if !weakly_covered {
@@ -163,7 +125,7 @@ impl Reducer for CoverageReducer {
             *node,
             StackNodeRecord {
                 adjacency: surviving,
-                ..record
+                ..*record
             },
         );
     }
@@ -177,26 +139,22 @@ struct PushReducer {
 
 impl Reducer for PushReducer {
     type Key = NodeId;
-    type InValue = DualMsg;
+    type InValue = RatioMsg;
     type OutKey = NodeId;
     type OutValue = StackNodeRecord;
 
-    fn reduce(&self, node: &NodeId, msgs: &[DualMsg], out: &mut Emitter<NodeId, StackNodeRecord>) {
-        let Some(record) = msgs.iter().find_map(|m| m.record.clone()) else {
+    fn reduce(&self, node: &NodeId, msgs: &[RatioMsg], out: &mut Emitter<NodeId, StackNodeRecord>) {
+        let Some(record) = own_record(msgs) else {
             return;
         };
         let own_ratio = record.dual / record.capacity as f64;
-        let neighbour_ratios: std::collections::HashMap<EdgeId, f64> = msgs
-            .iter()
-            .filter(|m| m.sender != *node && m.edge != usize::MAX)
-            .map(|m| (m.edge, m.dual_over_capacity))
-            .collect();
+        let neighbour_ratios = peer_notes(msgs);
         let mut increase = 0.0;
         for adj in &record.adjacency {
             if !self.layer.contains(&adj.edge) {
                 continue;
             }
-            if let Some(&neighbour_ratio) = neighbour_ratios.get(&adj.edge) {
+            if let Some(neighbour_ratio) = neighbour_ratios.get(adj.edge) {
                 // δ(e) = (w(e) − y_u/b(u) − y_v/b(v)) / 2, computed with the
                 // dual values both endpoints held at the start of the round.
                 let delta = (adj.weight - own_ratio - neighbour_ratio) / 2.0;
@@ -209,7 +167,7 @@ impl Reducer for PushReducer {
             *node,
             StackNodeRecord {
                 dual: record.dual + increase,
-                ..record
+                ..record.clone()
             },
         );
     }
@@ -237,67 +195,43 @@ impl_codec_struct!(PopNodeRecord {
     adjacency
 });
 
-/// Message of a pop job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PopMsg {
-    /// The edge (or `usize::MAX` for the heartbeat).
-    pub edge: EdgeId,
-    /// Sender node.
-    pub sender: NodeId,
-    /// Attached record (heartbeat only).
-    pub record: Option<PopNodeRecord>,
-}
+/// Message of a pop job ([`RoundMsg`]): the node's own record, or a
+/// neighbour's nomination of one edge (the note itself is the payload).
+type NominateMsg = RoundMsg<PopNodeRecord, ()>;
 
-impl_codec_struct!(PopMsg {
-    edge,
-    sender,
-    record
-});
-
-/// Mapper of a pop job: an active node nominates its edges of the current
-/// layer that are not yet in the solution.
-struct PopMapper {
+/// The edges of the popped layer still open for inclusion — what both
+/// halves of a pop job need to tell a node's nominations.
+#[derive(Clone)]
+struct PopLayer {
     layer: Arc<HashSet<EdgeId>>,
     already_included: Arc<HashSet<EdgeId>>,
 }
+
+impl PopLayer {
+    /// The edges `record`'s node nominates: an active node nominates its
+    /// edges of the current layer that are not yet in the solution.
+    fn nominations<'a>(&'a self, record: &'a PopNodeRecord) -> impl Iterator<Item = &'a AdjEdge> {
+        let active = record.residual > 0;
+        record.adjacency.iter().filter(move |adj| {
+            active && self.layer.contains(&adj.edge) && !self.already_included.contains(&adj.edge)
+        })
+    }
+}
+
+/// Mapper of a pop job: sends every nomination to the neighbour across it.
+struct PopMapper(PopLayer);
 
 impl Mapper for PopMapper {
     type InKey = NodeId;
     type InValue = PopNodeRecord;
     type OutKey = NodeId;
-    type OutValue = PopMsg;
+    type OutValue = NominateMsg;
 
-    fn map(&self, _node: &NodeId, record: &PopNodeRecord, out: &mut Emitter<NodeId, PopMsg>) {
-        if record.residual > 0 {
-            for adj in &record.adjacency {
-                if self.layer.contains(&adj.edge) && !self.already_included.contains(&adj.edge) {
-                    out.emit(
-                        adj.other,
-                        PopMsg {
-                            edge: adj.edge,
-                            sender: record.node,
-                            record: None,
-                        },
-                    );
-                    out.emit(
-                        record.node,
-                        PopMsg {
-                            edge: adj.edge,
-                            sender: record.node,
-                            record: None,
-                        },
-                    );
-                }
-            }
+    fn map(&self, _node: &NodeId, record: &PopNodeRecord, out: &mut Emitter<NodeId, NominateMsg>) {
+        for adj in self.0.nominations(record) {
+            out.emit(adj.other, RoundMsg::peer(adj.edge, ()));
         }
-        out.emit(
-            record.node,
-            PopMsg {
-                edge: usize::MAX,
-                sender: record.node,
-                record: Some(record.clone()),
-            },
-        );
+        out.emit(record.node, RoundMsg::own(record.clone()));
     }
 }
 
@@ -313,40 +247,35 @@ pub struct PopOutput {
 impl_codec_struct!(PopOutput { record, included });
 
 /// Reducer of a pop job: an edge is included when *both* endpoints
-/// nominated it (i.e. both were still active).
-struct PopReducer;
+/// nominated it (i.e. both were still active) — the node re-derives its
+/// own nominations from its record and holds them against the notes.
+struct PopReducer(PopLayer);
 
 impl Reducer for PopReducer {
     type Key = NodeId;
-    type InValue = PopMsg;
+    type InValue = NominateMsg;
     type OutKey = NodeId;
     type OutValue = PopOutput;
 
-    fn reduce(&self, node: &NodeId, msgs: &[PopMsg], out: &mut Emitter<NodeId, PopOutput>) {
-        let Some(record) = msgs.iter().find_map(|m| m.record.clone()) else {
+    fn reduce(&self, node: &NodeId, msgs: &[NominateMsg], out: &mut Emitter<NodeId, PopOutput>) {
+        let Some(record) = own_record(msgs) else {
             return;
         };
-        let own_nominations: HashSet<EdgeId> = msgs
-            .iter()
-            .filter(|m| m.sender == *node && m.edge != usize::MAX)
-            .map(|m| m.edge)
-            .collect();
-        let mut included: Vec<EdgeId> = msgs
-            .iter()
-            .filter(|m| {
-                m.sender != *node && m.edge != usize::MAX && own_nominations.contains(&m.edge)
-            })
-            .map(|m| m.edge)
+        let nominated_by_other = peer_notes(msgs);
+        let mut included: Vec<EdgeId> = self
+            .0
+            .nominations(record)
+            .filter(|adj| nominated_by_other.get(adj.edge).is_some())
+            .map(|adj| adj.edge)
             .collect();
         included.sort_unstable();
-        included.dedup();
         let new_residual = record.residual - included.len() as i64;
         out.emit(
             *node,
             PopOutput {
                 record: PopNodeRecord {
                     residual: new_residual,
-                    ..record
+                    ..record.clone()
                 },
                 included,
             },
@@ -518,16 +447,15 @@ impl StackMr {
 
         for (layer_idx, layer) in layers.iter().enumerate().rev() {
             flow.mark_round();
-            let layer_set: Arc<HashSet<EdgeId>> = Arc::new(layer.iter().copied().collect());
-            let included_arc = Arc::new(included_so_far.clone());
+            let pop_layer = PopLayer {
+                layer: Arc::new(layer.iter().copied().collect()),
+                already_included: Arc::new(included_so_far.clone()),
+            };
             let popped = pop_state
                 .dataset_with(|node, out| (node, out.record))
-                .map_with(PopMapper {
-                    layer: layer_set,
-                    already_included: included_arc,
-                })
+                .map_with(PopMapper(pop_layer.clone()))
                 .named(format!("pop-{layer_idx}"))
-                .reduce_with(PopReducer)
+                .reduce_with(PopReducer(pop_layer))
                 .collect();
             rounds += 1;
 

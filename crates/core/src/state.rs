@@ -6,10 +6,14 @@
 //! considers live.  Map functions make decisions locally to a node; reduce
 //! functions receive both endpoints' views of every edge and unify them,
 //! yielding a consistent graph representation as output.
+//!
+//! Every round job of every matcher exchanges the same message,
+//! [`RoundMsg`]: a node sends *itself* its record and each neighbour one
+//! small note about the edge they share.
 
 use serde::{Deserialize, Serialize};
 use smr_graph::{BipartiteGraph, Capacities, EdgeId, NodeId};
-use smr_storage::impl_codec_struct;
+use smr_storage::{impl_codec_struct, Codec, CodecError};
 
 /// One entry of a node's adjacency list.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -71,20 +75,126 @@ impl NodeRecord {
         self.adjacency.is_empty()
     }
 
-    /// The indices (into `adjacency`) of the node's `k` heaviest live
-    /// edges, ties broken by edge id so that the choice is deterministic.
-    pub fn heaviest_edges(&self, k: usize) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.adjacency.len()).collect();
-        order.sort_by(|&a, &b| {
-            let ea = &self.adjacency[a];
-            let eb = &self.adjacency[b];
-            eb.weight
-                .partial_cmp(&ea.weight)
+    /// Orders the adjacency heaviest first, ties broken by edge id so
+    /// that the order is deterministic.  Deleting entries preserves it, so
+    /// a record sorted once stays sorted for a whole run.
+    pub fn sort_heaviest_first(&mut self) {
+        self.adjacency.sort_by(|a, b| {
+            b.weight
+                .partial_cmp(&a.weight)
                 .expect("edge weights are finite")
-                .then(ea.edge.cmp(&eb.edge))
+                .then(a.edge.cmp(&b.edge))
         });
-        order.truncate(k);
-        order
+    }
+
+    /// How many edges the node proposes in a GreedyMR round: its `b(v)`
+    /// heaviest live edges — on a record kept in
+    /// [`NodeRecord::sort_heaviest_first`] order, the first so many
+    /// adjacency entries.
+    pub fn proposal_count(&self) -> usize {
+        (self.capacity as usize).min(self.adjacency.len())
+    }
+}
+
+/// The message of every round job: what a node's reducer needs is its own
+/// record plus one note per live edge from the neighbour across it —
+/// everything else about an edge (weight, the other endpoint, the node's
+/// capacity) is already in the record's adjacency.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RoundMsg<R, P> {
+    /// The sender's own record, self-addressed so that it survives rounds
+    /// in which no neighbour has anything to say.  Boxed: in the shuffle
+    /// buffers the variant costs a pointer, not the record's width.
+    Own(Box<R>),
+    /// A note from the neighbour across `edge`.
+    Peer {
+        /// The shared edge.
+        edge: EdgeId,
+        /// What the neighbour says about it: stage flags, or its dual.
+        payload: P,
+    },
+}
+
+impl<R, P> RoundMsg<R, P> {
+    /// The self-addressed message carrying `record`.
+    pub fn own(record: R) -> Self {
+        RoundMsg::Own(Box::new(record))
+    }
+
+    /// A note about `edge` for the neighbour across it.
+    pub fn peer(edge: EdgeId, payload: P) -> Self {
+        RoundMsg::Peer { edge, payload }
+    }
+}
+
+impl<R: Codec, P: Codec> Codec for RoundMsg<R, P> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        // Tag byte (0 = own record, 1 = peer note), then the fields.
+        match self {
+            RoundMsg::Own(record) => {
+                out.push(0);
+                record.encode(out);
+            }
+            RoundMsg::Peer { edge, payload } => {
+                out.push(1);
+                edge.encode(out);
+                payload.encode(out);
+            }
+        }
+    }
+
+    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+        match u8::decode(input)? {
+            0 => Ok(RoundMsg::own(R::decode(input)?)),
+            1 => Ok(RoundMsg::peer(usize::decode(input)?, P::decode(input)?)),
+            other => Err(CodecError::InvalidData(format!(
+                "invalid RoundMsg tag {other}"
+            ))),
+        }
+    }
+
+    fn encoded_len(&self) -> usize {
+        1 + match self {
+            RoundMsg::Own(record) => record.encoded_len(),
+            RoundMsg::Peer { edge, payload } => edge.encoded_len() + payload.encoded_len(),
+        }
+    }
+}
+
+/// The node's own record among a reduce group's messages; `None` when the
+/// node has retired and only late notes from neighbours arrived.
+pub fn own_record<R, P>(msgs: &[RoundMsg<R, P>]) -> Option<&R> {
+    msgs.iter().find_map(|m| match m {
+        RoundMsg::Own(record) => Some(&**record),
+        RoundMsg::Peer { .. } => None,
+    })
+}
+
+/// The neighbours' notes of a reduce group, looked up by edge.  An edge
+/// without a note means the neighbour sent none: it has retired.
+pub fn peer_notes<R, P: Copy>(msgs: &[RoundMsg<R, P>]) -> PeerNotes<P> {
+    let mut notes: Vec<(EdgeId, P)> = msgs
+        .iter()
+        .filter_map(|m| match m {
+            RoundMsg::Own(_) => None,
+            RoundMsg::Peer { edge, payload } => Some((*edge, *payload)),
+        })
+        .collect();
+    notes.sort_unstable_by_key(|(edge, _)| *edge);
+    PeerNotes(notes)
+}
+
+/// Edge-sorted neighbour notes (see [`peer_notes`]).
+#[derive(Debug, Clone)]
+pub struct PeerNotes<P>(Vec<(EdgeId, P)>);
+
+impl<P: Copy> PeerNotes<P> {
+    /// The neighbour's note about `edge`, if it sent one.
+    pub fn get(&self, edge: EdgeId) -> Option<P> {
+        self.0
+            .binary_search_by_key(&edge, |(e, _)| *e)
+            .ok()
+            .map(|i| self.0[i].1)
     }
 }
 
@@ -159,41 +269,78 @@ mod tests {
         assert!(records.iter().all(|(k, _)| *k != NodeId::item(1)));
     }
 
-    #[test]
-    fn heaviest_edges_orders_by_weight_then_id() {
-        let g = graph();
-        let caps = Capacities::uniform(&g, 2, 2);
-        let records = build_node_records(&g, &caps);
-        let (_, c1) = records
-            .iter()
-            .find(|(k, _)| *k == NodeId::consumer(1))
-            .unwrap();
-        // Consumer 1 has edges 1 (w=3.0) and 2 (w=2.0).
-        let top = c1.heaviest_edges(1);
-        assert_eq!(c1.adjacency[top[0]].edge, 1);
-        let both = c1.heaviest_edges(5);
-        assert_eq!(both.len(), 2);
-        assert_eq!(c1.adjacency[both[0]].edge, 1);
-        assert_eq!(c1.adjacency[both[1]].edge, 2);
+    fn edge_ids(adjacency: &[AdjEdge]) -> Vec<EdgeId> {
+        adjacency.iter().map(|adj| adj.edge).collect()
     }
 
     #[test]
-    fn heaviest_edges_breaks_weight_ties_by_edge_id() {
-        let g = BipartiteGraph::from_edges(
-            1,
-            3,
-            vec![
-                Edge::new(ItemId(0), ConsumerId(0), 1.0),
-                Edge::new(ItemId(0), ConsumerId(1), 1.0),
-                Edge::new(ItemId(0), ConsumerId(2), 1.0),
-            ],
+    fn heaviest_first_orders_by_weight_then_id() {
+        let g = graph();
+        let caps = Capacities::uniform(&g, 2, 2);
+        let mut records = build_node_records(&g, &caps);
+        // Item 0 lists edge 0 (w=1.0) before edge 1 (w=3.0).
+        let (_, t0) = records
+            .iter_mut()
+            .find(|(k, _)| *k == NodeId::item(0))
+            .unwrap();
+        assert_eq!(edge_ids(&t0.adjacency), vec![0, 1]);
+        t0.sort_heaviest_first();
+        assert_eq!(edge_ids(&t0.adjacency), vec![1, 0]);
+        assert_eq!(t0.proposal_count(), 2, "capacity 2, two live edges");
+        t0.capacity = 1;
+        assert_eq!(t0.proposal_count(), 1);
+        t0.capacity = 0;
+        assert_eq!(t0.proposal_count(), 0, "a saturated node proposes nothing");
+    }
+
+    #[test]
+    fn heaviest_first_breaks_weight_ties_by_edge_id_and_survives_deletion() {
+        // Built in descending edge-id order so the sort has work to do.
+        let mut t0 = NodeRecord::new(
+            NodeId::item(0),
+            2,
+            (0..4)
+                .rev()
+                .map(|e| AdjEdge::new(e, NodeId::consumer(e as u32), 1.0))
+                .collect(),
         );
-        let caps = Capacities::uniform(&g, 2, 1);
-        let records = build_node_records(&g, &caps);
-        let (_, t0) = records.iter().find(|(k, _)| *k == NodeId::item(0)).unwrap();
-        let picks = t0.heaviest_edges(2);
-        assert_eq!(t0.adjacency[picks[0]].edge, 0);
-        assert_eq!(t0.adjacency[picks[1]].edge, 1);
+        t0.sort_heaviest_first();
+        assert_eq!(edge_ids(&t0.adjacency), vec![0, 1, 2, 3]);
+        // The proposals are the prefix: edges 0 and 1.
+        assert_eq!(edge_ids(&t0.adjacency[..t0.proposal_count()]), vec![0, 1]);
+        // Deleting an entry (a matched or dropped edge) keeps the order,
+        // so the next round's proposals are again the prefix, with no
+        // re-sort: edges 1 and 2.
+        t0.adjacency.remove(0);
+        assert_eq!(edge_ids(&t0.adjacency[..t0.proposal_count()]), vec![1, 2]);
+    }
+
+    #[test]
+    fn round_messages_round_trip_and_split_into_own_record_and_notes() {
+        let record = NodeRecord::new(
+            NodeId::item(3),
+            2,
+            vec![AdjEdge::new(9, NodeId::consumer(1), 0.5)],
+        );
+        let msgs: Vec<RoundMsg<NodeRecord, u8>> = vec![
+            RoundMsg::peer(9, 3),
+            RoundMsg::own(record.clone()),
+            RoundMsg::peer(4, 0),
+        ];
+        for msg in &msgs {
+            let bytes = msg.encode_to_vec();
+            assert!(msg.encoded_len() <= bytes.len(), "a reserve hint");
+            assert_eq!(&RoundMsg::decode_all(&bytes).unwrap(), msg);
+        }
+        assert!(RoundMsg::<NodeRecord, u8>::decode_all(&[7]).is_err());
+        assert_eq!(own_record(&msgs), Some(&record));
+        let notes = peer_notes(&msgs);
+        assert_eq!(notes.get(9), Some(3));
+        assert_eq!(notes.get(4), Some(0));
+        assert_eq!(notes.get(5), None, "no note: the neighbour has retired");
+        assert_eq!(own_record(&msgs[..1]), None);
+        // The buffers hold a pointer or a small note, never a record.
+        assert!(std::mem::size_of::<RoundMsg<NodeRecord, u8>>() <= 16);
     }
 
     #[test]

@@ -26,8 +26,10 @@
 //!    records that different tasks emitted for the same key collapse
 //!    before they ever reach a reducer.
 //! 5. **Reduce** — worker threads pull reduce partitions from a second
-//!    task queue, group the (already sorted) partition by key and run the
-//!    reducer.
+//!    task queue, take the (already sorted) partition by value, unzip it
+//!    once into group keys plus one contiguous value buffer and hand the
+//!    reducer's per-task entry the groups as slices of that buffer: no
+//!    value is copied between the merge's output and the reducer's input.
 //!
 //! Determinism: task indices, not worker threads, decide every ordering
 //! decision — runs merge in `(task, spill sequence)` order and key ties
@@ -50,7 +52,7 @@ use crate::metrics::JobMetrics;
 use crate::partition::{CombiningPartitionBuffer, HashPartitioner, Partitioner};
 use crate::shuffle::{merge_streams, merge_streams_combining, RunStream};
 use crate::task_queue::TaskQueue;
-use crate::types::{Combiner, Emitter, Mapper, Reducer};
+use crate::types::{Combiner, Emitter, Mapper, ReduceGroups, Reducer};
 
 /// Below this many run records the k-way merge runs inline on the calling
 /// thread: spawning merge workers costs more than the merge itself.
@@ -231,7 +233,7 @@ impl Job {
         // here removes its temp directory before the reduce starts.
         drop(spill);
 
-        let output = self.reduce_phase(&partitions, reducer, &counters, &mut metrics);
+        let output = self.reduce_phase(partitions, reducer, &counters, &mut metrics);
         finish_metrics(&counters, &mut metrics);
 
         JobResult {
@@ -464,11 +466,12 @@ impl Job {
     }
 
     /// The reduce phase: workers pull sorted partitions from a task
-    /// queue, group by key and run the reducer; output is concatenated in
-    /// partition order.
+    /// queue, take each by value, group it by key ([`GroupedPartition`])
+    /// and run the reducer's per-task entry over the groups; output is
+    /// concatenated in partition order.
     pub(crate) fn reduce_phase<K, V, R>(
         &self,
-        partitions: &[Vec<(K, V)>],
+        partitions: Vec<Vec<(K, V)>>,
         reducer: &R,
         counters: &Counters,
         metrics: &mut JobMetrics,
@@ -487,19 +490,20 @@ impl Job {
             Mutex::new(Vec::with_capacity(num_reduce_tasks));
         let reduce_queue = TaskQueue::unit(num_reduce_tasks);
         let reduce_queue_ref = &reduce_queue;
+        // Each task takes its partition out of its slot: the records move
+        // into the task's value buffer and are freed when the task ends.
+        let partitions: Vec<Mutex<Vec<(K, V)>>> = partitions.into_iter().map(Mutex::new).collect();
+        let partitions_ref = &partitions;
 
         crossbeam::thread::scope(|scope| {
             for _ in 0..num_threads.min(num_reduce_tasks) {
                 scope.spawn(|_| {
                     while let Some(task) = reduce_queue_ref.claim() {
-                        let partition = &partitions[task.index];
+                        let partition = mem::take(&mut *partitions_ref[task.index].lock());
+                        let grouped = GroupedPartition::new(partition);
                         let mut emitter = Emitter::new();
-                        let mut groups = 0u64;
-                        for (key, values) in group_by_key(partition) {
-                            reducer.reduce(key, &values, &mut emitter);
-                            groups += 1;
-                        }
-                        counters.add(builtin::REDUCE_INPUT_GROUPS, groups);
+                        reducer.reduce_task(grouped.groups(), &mut emitter);
+                        counters.add(builtin::REDUCE_INPUT_GROUPS, grouped.keys.len() as u64);
                         let out = emitter.into_pairs();
                         counters.add(builtin::REDUCE_OUTPUT_RECORDS, out.len() as u64);
                         partition_results.lock().push((task.index, out));
@@ -634,21 +638,37 @@ where
     spilled
 }
 
-/// Iterates over `(key, values)` groups of a sorted partition: equal keys
-/// are adjacent (the shuffle always sorts), so grouping is a single pass.
-fn group_by_key<K: Ord + Clone, V: Clone>(partition: &[(K, V)]) -> Vec<(&K, Vec<V>)> {
-    let mut groups = Vec::new();
-    let mut i = 0;
-    while i < partition.len() {
-        let mut j = i + 1;
-        while j < partition.len() && partition[j].0 == partition[i].0 {
-            j += 1;
+/// A sorted reduce partition unzipped, by move, into one key per group
+/// and one contiguous value buffer: equal keys are adjacent (the shuffle
+/// always sorts), so grouping is a single pass that keeps the first key
+/// of every run, drops the repeats and clones nothing.
+struct GroupedPartition<K, V> {
+    keys: Vec<K>,
+    /// `ends[i]` is one past group `i`'s last value; parallel to `keys`.
+    ends: Vec<usize>,
+    values: Vec<V>,
+}
+
+impl<K: PartialEq, V> GroupedPartition<K, V> {
+    fn new(partition: Vec<(K, V)>) -> Self {
+        let mut keys: Vec<K> = Vec::new();
+        let mut ends = Vec::new();
+        let mut values = Vec::with_capacity(partition.len());
+        for (key, value) in partition {
+            if keys.last() == Some(&key) {
+                *ends.last_mut().expect("one end per key") += 1;
+            } else {
+                keys.push(key);
+                ends.push(values.len() + 1);
+            }
+            values.push(value);
         }
-        let values: Vec<V> = partition[i..j].iter().map(|(_, v)| v.clone()).collect();
-        groups.push((&partition[i].0, values));
-        i = j;
+        GroupedPartition { keys, ends, values }
     }
-    groups
+
+    fn groups(&self) -> ReduceGroups<'_, K, V> {
+        ReduceGroups::new(&self.keys, &self.ends, &self.values)
+    }
 }
 
 #[cfg(test)]
@@ -1094,17 +1114,23 @@ mod tests {
     }
 
     #[test]
-    fn group_by_key_groups_adjacent_equal_keys() {
+    fn grouped_partition_slices_adjacent_equal_keys() {
         let mut data = vec![(2, 'a'), (1, 'b'), (2, 'c'), (3, 'd'), (1, 'e')];
         data.sort_by_key(|&(k, _)| k);
-        let groups: Vec<(i32, Vec<char>)> = group_by_key(&data)
-            .into_iter()
-            .map(|(k, v)| (*k, v))
-            .collect();
+        let grouped = GroupedPartition::new(data);
+        assert_eq!(grouped.groups().len(), 3);
+        let groups: Vec<(i32, &[char])> = grouped.groups().map(|(k, v)| (*k, v)).collect();
         assert_eq!(
             groups,
-            vec![(1, vec!['b', 'e']), (2, vec!['a', 'c']), (3, vec!['d'])]
+            vec![(1, &['b', 'e'][..]), (2, &['a', 'c'][..]), (3, &['d'][..])]
         );
-        assert!(group_by_key::<i32, char>(&[]).is_empty());
+        // Every group is a window of the one value buffer, in order.
+        assert_eq!(grouped.values, vec!['b', 'e', 'a', 'c', 'd']);
+        assert_eq!(
+            GroupedPartition::<i32, char>::new(Vec::new())
+                .groups()
+                .count(),
+            0
+        );
     }
 }

@@ -158,7 +158,7 @@ pub use partition::{CombiningPartitionBuffer, HashPartitioner, Partitioner};
 pub use process_shard::{ProcessShardRuntime, ShardJob, ShardJobCheck, ShardRole};
 pub use shuffle::merge_runs;
 pub use task_queue::{Task, TaskQueue};
-pub use types::{Codec, Combiner, Emitter, IdentityCombiner, Mapper, Reducer};
+pub use types::{Codec, Combiner, Emitter, IdentityCombiner, Mapper, ReduceGroups, Reducer};
 
 /// Convenience re-exports for users of the engine.
 pub mod prelude {
@@ -171,5 +171,7 @@ pub mod prelude {
     };
     pub use crate::metrics::JobMetrics;
     pub use crate::partition::{HashPartitioner, Partitioner};
-    pub use crate::types::{Codec, Combiner, Emitter, IdentityCombiner, Mapper, Reducer};
+    pub use crate::types::{
+        Codec, Combiner, Emitter, IdentityCombiner, Mapper, ReduceGroups, Reducer,
+    };
 }

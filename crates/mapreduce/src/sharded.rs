@@ -135,7 +135,7 @@ impl Job {
                 }
 
                 let partitions = self.merge_phase(runs, combiner, &counters, &mut metrics);
-                let output = self.reduce_phase(&partitions, reducer, &counters, &mut metrics);
+                let output = self.reduce_phase(partitions, reducer, &counters, &mut metrics);
 
                 publish_output(&job.output_path, &output);
                 finish_metrics(&counters, &mut metrics);

@@ -123,6 +123,50 @@ pub trait Mapper: Send + Sync {
     );
 }
 
+/// The key groups of one reduce task, in key order: an iterator of
+/// `(key, values)` where every `values` is a slice of the task's one
+/// contiguous value buffer — the merged partition, moved in and unzipped
+/// once, never copied per group.  Values appear in shuffle order (map
+/// task, then emission order).
+#[derive(Debug, Clone)]
+pub struct ReduceGroups<'a, K, V> {
+    keys: std::slice::Iter<'a, K>,
+    /// `ends[i]` is one past group `i`'s last value; parallel to `keys`.
+    ends: std::slice::Iter<'a, usize>,
+    values: &'a [V],
+    start: usize,
+}
+
+impl<'a, K, V> ReduceGroups<'a, K, V> {
+    pub(crate) fn new(keys: &'a [K], ends: &'a [usize], values: &'a [V]) -> Self {
+        debug_assert_eq!(keys.len(), ends.len());
+        ReduceGroups {
+            keys: keys.iter(),
+            ends: ends.iter(),
+            values,
+            start: 0,
+        }
+    }
+}
+
+impl<'a, K, V> Iterator for ReduceGroups<'a, K, V> {
+    type Item = (&'a K, &'a [V]);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let key = self.keys.next()?;
+        let end = *self.ends.next()?;
+        let values = &self.values[self.start..end];
+        self.start = end;
+        Some((key, values))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.keys.size_hint()
+    }
+}
+
+impl<K, V> ExactSizeIterator for ReduceGroups<'_, K, V> {}
+
 /// The user-defined reduce function.
 ///
 /// For every intermediate key the engine collects all values (from all map
@@ -144,6 +188,22 @@ pub trait Reducer: Send + Sync {
         values: &[Self::InValue],
         out: &mut Emitter<Self::OutKey, Self::OutValue>,
     );
+
+    /// Processes every key group of one reduce task, in key order — the
+    /// analogue of Hadoop's `Reducer.run(Context)`.  The default calls
+    /// [`Reducer::reduce`] once per group; a reducer overrides it to hold
+    /// state for the span of a task instead of a group (cursors into side
+    /// data, counts flushed once at the end).  An override must emit
+    /// exactly what the per-group calls would have.
+    fn reduce_task(
+        &self,
+        groups: ReduceGroups<'_, Self::Key, Self::InValue>,
+        out: &mut Emitter<Self::OutKey, Self::OutValue>,
+    ) {
+        for (key, values) in groups {
+            self.reduce(key, values, out);
+        }
+    }
 }
 
 /// An optional map-side combiner.

@@ -1,10 +1,14 @@
 //! Property-based and integration tests of the MapReduce engine's
 //! contract: the result of a job never depends on the number of map tasks,
 //! reduce partitions or worker threads, combiners never change the output,
-//! and the built-in counters are consistent with each other.
+//! the built-in counters are consistent with each other, and no value is
+//! copied between a mapper's `emit` and the reducer that reads it.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
 use smr_mapreduce::prelude::*;
+use smr_storage::CodecError;
 
 /// Mapper that explodes each record into (key mod groups, value) pairs.
 struct Spread {
@@ -42,6 +46,128 @@ impl Combiner for MaxCombiner {
     fn combine(&self, _k: &u32, vs: &[u64]) -> Vec<u64> {
         vec![vs.iter().copied().max().unwrap_or(0)]
     }
+}
+
+/// A shuffled value whose every `Clone` is counted.
+#[derive(Debug, PartialEq)]
+struct Tracked(u64);
+
+static TRACKED_CLONES: AtomicU64 = AtomicU64::new(0);
+
+impl Clone for Tracked {
+    fn clone(&self) -> Self {
+        TRACKED_CLONES.fetch_add(1, Ordering::Relaxed);
+        Tracked(self.0)
+    }
+}
+
+impl Codec for Tracked {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.0.encode(out);
+    }
+    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+        u64::decode(input).map(Tracked)
+    }
+}
+
+/// Emits, for input record `i`, the freshly built values `2i` and `2i + 1`
+/// under two keys: ids ascend in (map task, emission) order.
+struct Track {
+    groups: u32,
+}
+
+impl Mapper for Track {
+    type InKey = u32;
+    type InValue = u64;
+    type OutKey = u32;
+    type OutValue = Tracked;
+    fn map(&self, i: &u32, _: &u64, out: &mut Emitter<u32, Tracked>) {
+        out.emit(i % self.groups, Tracked(2 * *i as u64));
+        out.emit((i + 1) % self.groups, Tracked(2 * *i as u64 + 1));
+    }
+}
+
+/// Emits every group's value ids in the order the reducer saw them.
+struct Ids;
+
+impl Reducer for Ids {
+    type Key = u32;
+    type InValue = Tracked;
+    type OutKey = u32;
+    type OutValue = Vec<u64>;
+    fn reduce(&self, k: &u32, vs: &[Tracked], out: &mut Emitter<u32, Vec<u64>>) {
+        out.emit(*k, vs.iter().map(|v| v.0).collect());
+    }
+}
+
+/// [`Ids`] through the per-task entry, counting the tasks it was given.
+struct IdsPerTask {
+    tasks: AtomicU64,
+}
+
+impl Reducer for IdsPerTask {
+    type Key = u32;
+    type InValue = Tracked;
+    type OutKey = u32;
+    type OutValue = Vec<u64>;
+    fn reduce(&self, _: &u32, _: &[Tracked], _: &mut Emitter<u32, Vec<u64>>) {
+        unreachable!("the engine enters through reduce_task");
+    }
+    fn reduce_task(
+        &self,
+        groups: ReduceGroups<'_, u32, Tracked>,
+        out: &mut Emitter<u32, Vec<u64>>,
+    ) {
+        self.tasks.fetch_add(1, Ordering::Relaxed);
+        for (k, vs) in groups {
+            Ids.reduce(k, vs, out);
+        }
+    }
+}
+
+#[test]
+fn shuffled_values_reach_the_reducer_by_move_in_shuffle_order() {
+    let input: Vec<(u32, u64)> = (0..600u32).map(|i| (i, 0)).collect();
+    let groups = 7u32;
+    for threads in [1, 2] {
+        for budget in [None, Some(4096)] {
+            let job = Job::new(
+                JobConfig::named("by-move")
+                    .with_threads(threads)
+                    .with_map_tasks(4)
+                    .with_reduce_tasks(3)
+                    .with_memory_budget(budget),
+            );
+            let result = job.run(&Track { groups }, &Ids, input.clone());
+            assert_eq!(result.metrics.disk_runs > 0, budget.is_some());
+            assert_eq!(result.output.len(), groups as usize);
+            let mut seen = 0;
+            for (key, ids) in &result.output {
+                assert!(
+                    ids.windows(2).all(|w| w[0] < w[1]),
+                    "threads={threads} budget={budget:?}: group {key} out of shuffle order"
+                );
+                seen += ids.len();
+            }
+            assert_eq!(seen, 2 * input.len());
+
+            let per_task = IdsPerTask {
+                tasks: AtomicU64::new(0),
+            };
+            let overridden = job.run(&Track { groups }, &per_task, input.clone());
+            assert_eq!(overridden.output, result.output);
+            assert_eq!(per_task.tasks.into_inner(), 3, "one entry per reduce task");
+            assert_eq!(
+                overridden.metrics.reduce_input_groups,
+                result.metrics.reduce_input_groups
+            );
+        }
+    }
+    assert_eq!(
+        TRACKED_CLONES.load(Ordering::Relaxed),
+        0,
+        "a combiner-less job never clones a value between map output and reducer input"
+    );
 }
 
 fn reference(input: &[(u32, u64)], groups: u32) -> std::collections::BTreeMap<u32, u64> {

@@ -45,14 +45,14 @@ use serde::{Deserialize, Serialize};
 use smr_graph::{BipartiteGraph, GraphBuilder};
 use smr_mapreduce::flow::{Dataset, FlowContext};
 use smr_mapreduce::types::{Key, Value};
-use smr_mapreduce::{Combiner, Counters, Emitter, JobMetrics, Mapper, Reducer};
+use smr_mapreduce::{Combiner, Counters, Emitter, JobMetrics, Mapper, ReduceGroups, Reducer};
 use smr_storage::impl_codec_struct;
 use smr_text::{Corpus, SparseVector, TermId};
 
 use crate::accum::ScoreAccumulator;
 use crate::align::AlignedCorpora;
 use crate::index::{IndexPlan, Posting};
-use crate::store::{DiskVectorStore, IndexPartition, PartitionedIndex, PostingsRef};
+use crate::store::{DiskVectorStore, IndexPartition, PartitionedIndex, PostingsRef, VectorCursor};
 
 /// Names of the join's domain counters, reported in the probe job's
 /// [`JobMetrics::user_counters`].
@@ -377,6 +377,10 @@ impl Combiner for PartialScoreCombiner {
 /// one exact dot product.  [`candidate_chain`] builds one per chain, so
 /// every generator closes with the same exact-verification stage (emitted
 /// candidates carry true, bit-identical scores whatever generated them).
+///
+/// The work happens in a `VerifyTask`, the reducer's state for the span
+/// of one reduce task: the engine's per-task entry opens one, so nothing
+/// shared (counter map, chunk LRU) is touched per pair.
 pub struct VerifyReducer {
     items: DiskVectorStore,
     consumers: DiskVectorStore,
@@ -385,30 +389,63 @@ pub struct VerifyReducer {
 }
 
 impl VerifyReducer {
-    /// Verifies one pair unconditionally: counts it as
-    /// [`counter::VERIFY_EXACT`], fetches both vectors, and emits the pair
-    /// with its exact similarity if that reaches σ.  For generators whose
-    /// candidates carry no partial score to threshold first.
-    pub fn verify(&self, pair: &(usize, usize), out: &mut Emitter<(usize, usize), f64>) {
-        let (item, consumer) = *pair;
-        self.counters.add(counter::VERIFY_EXACT, 1);
-        let similarity = self
-            .items
-            .with_vector(item, |x| self.consumers.with_vector(consumer, |y| x.dot(y)));
-        if similarity >= self.sigma {
-            out.emit(*pair, similarity);
+    /// Verifies every pair of one reduce task unconditionally: counts
+    /// each as [`counter::VERIFY_EXACT`], fetches both vectors, and emits
+    /// the pair with its exact similarity if that reaches σ.  For
+    /// generators whose candidates carry no partial score to threshold
+    /// first.
+    pub fn verify_all<'a>(
+        &self,
+        pairs: impl Iterator<Item = &'a (usize, usize)>,
+        out: &mut Emitter<(usize, usize), f64>,
+    ) {
+        let mut task = self.task();
+        for pair in pairs {
+            task.verify(pair, out);
+        }
+    }
+
+    /// Opens the verification state of one reduce task.
+    fn task(&self) -> VerifyTask<'_> {
+        VerifyTask {
+            items: self.items.cursor(),
+            consumers: self.consumers.cursor(),
+            sigma: self.sigma,
+            counters: &self.counters,
+            verified: 0,
+            pruned: 0,
         }
     }
 }
 
-impl Reducer for VerifyReducer {
-    type Key = (usize, usize);
-    type InValue = PartialScore;
-    type OutKey = (usize, usize);
-    type OutValue = f64;
+/// One reduce task's worth of exact verification: a [`VectorCursor`] per
+/// side (reduce keys arrive sorted by `(item, consumer)`, so the item
+/// cursor changes chunk once per 256 items and the consumer cursor a
+/// handful of times per item) and local counts, added to the shared
+/// [`Counters`] once when the task is dropped.
+struct VerifyTask<'a> {
+    items: VectorCursor<'a>,
+    consumers: VectorCursor<'a>,
+    sigma: f64,
+    counters: &'a Counters,
+    verified: u64,
+    pruned: u64,
+}
 
+impl VerifyTask<'_> {
+    /// Verifies one pair exactly.
+    fn verify(&mut self, pair: &(usize, usize), out: &mut Emitter<(usize, usize), f64>) {
+        let (item, consumer) = *pair;
+        self.verified += 1;
+        let similarity = self.items.get(item).dot(self.consumers.get(consumer));
+        if similarity >= self.sigma {
+            out.emit(*pair, similarity);
+        }
+    }
+
+    /// Thresholds one pair's accumulated score, then verifies it.
     fn reduce(
-        &self,
+        &mut self,
         pair: &(usize, usize),
         partials: &[PartialScore],
         out: &mut Emitter<(usize, usize), f64>,
@@ -419,10 +456,51 @@ impl Reducer for VerifyReducer {
             // Map-side pruning already catches this in the current
             // dataflow; the guard keeps the reducer correct on its own
             // terms (it sees only accumulated evidence, never vectors).
-            // VERIFY_PRUNED marks it as a post-shuffle prune so the
-            // candidate accounting can tell it apart from map-side ones.
-            self.counters.add(counter::CANDIDATES_PRUNED, 1);
-            self.counters.add(counter::VERIFY_PRUNED, 1);
+            self.pruned += 1;
+        }
+    }
+}
+
+impl Drop for VerifyTask<'_> {
+    fn drop(&mut self) {
+        // A counter exists only once something was counted under it, as
+        // when every pair added its own 1.
+        if self.verified > 0 {
+            self.counters.add(counter::VERIFY_EXACT, self.verified);
+        }
+        if self.pruned > 0 {
+            // VERIFY_PRUNED marks a post-shuffle prune so the candidate
+            // accounting can tell it apart from map-side ones.
+            self.counters.add(counter::CANDIDATES_PRUNED, self.pruned);
+            self.counters.add(counter::VERIFY_PRUNED, self.pruned);
+        }
+    }
+}
+
+impl Reducer for VerifyReducer {
+    type Key = (usize, usize);
+    type InValue = PartialScore;
+    type OutKey = (usize, usize);
+    type OutValue = f64;
+
+    /// A task of one group.
+    fn reduce(
+        &self,
+        pair: &(usize, usize),
+        partials: &[PartialScore],
+        out: &mut Emitter<(usize, usize), f64>,
+    ) {
+        self.task().reduce(pair, partials, out);
+    }
+
+    fn reduce_task(
+        &self,
+        groups: ReduceGroups<'_, (usize, usize), PartialScore>,
+        out: &mut Emitter<(usize, usize), f64>,
+    ) {
+        let mut task = self.task();
+        for (pair, partials) in groups {
+            task.reduce(pair, partials, out);
         }
     }
 }

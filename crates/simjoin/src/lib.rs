@@ -76,7 +76,7 @@ pub use join::{
 };
 pub use prefix::{prefix_length, suffix_remainder_bound, term_max_weights};
 pub use serving::{ScoredMatch, ServingIndex};
-pub use store::{DiskVectorStore, IndexPartition, PartitionedIndex, PostingsRef};
+pub use store::{DiskVectorStore, IndexPartition, PartitionedIndex, PostingsRef, VectorCursor};
 
 /// Convenience re-exports.
 pub mod prelude {

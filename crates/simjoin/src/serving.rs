@@ -210,8 +210,10 @@ impl ServingIndex {
         // accumulate in the same floating-point order.
         let (survivors, _) = probe_index(&self.index, entries, self.sigma, probe_partition);
         let mut matches = Vec::new();
+        // Survivors arrive in consumer order: one cursor for the query.
+        let mut consumers = self.consumers.cursor();
         for (doc, _) in survivors {
-            let score = self.consumers.with_vector(doc, |y| query.dot(y));
+            let score = query.dot(consumers.get(doc));
             if score >= self.sigma {
                 matches.push(ScoredMatch {
                     consumer: doc,

@@ -10,7 +10,8 @@
 //!   partitions instead of the whole index.
 //! * [`DiskVectorStore`] — a corpus as fixed-size **vector chunks**.  The
 //!   verify reducer fetches the two vectors of a surviving candidate from
-//!   here instead of holding `Arc` clones of both corpora.
+//!   here instead of holding `Arc` clones of both corpora, through a
+//!   [`VectorCursor`] that pins the chunk it last read.
 //!
 //! Both keep a small bounded LRU cache of decoded partitions/chunks.
 //! Concurrent misses on the same block coalesce into a single disk read
@@ -528,14 +529,52 @@ impl DiskVectorStore {
         })
     }
 
-    /// Calls `f` with the vector at dense index `i`.
+    /// Calls `f` with the vector at dense index `i`: a one-read
+    /// [`VectorCursor`].
     ///
     /// # Panics
     /// Panics when `i` is out of range.
     pub fn with_vector<R>(&self, i: usize, f: impl FnOnce(&SparseVector) -> R) -> R {
-        assert!(i < self.len, "vector index {i} out of range ({})", self.len);
-        let chunk = self.chunk(i / VECTOR_CHUNK);
-        f(&chunk[i % VECTOR_CHUNK])
+        f(self.cursor().get(i))
+    }
+
+    /// A read cursor for a run of lookups (one reduce task, the survivors
+    /// of one query).  It borrows the store, so [`DiskVectorStore::append`]
+    /// (`&mut self`) cannot run while a cursor is alive: a pinned chunk is
+    /// never stale, and invalidation stays the shared cache's job.
+    pub fn cursor(&self) -> VectorCursor<'_> {
+        VectorCursor {
+            store: self,
+            pinned: None,
+        }
+    }
+}
+
+/// Sequential-friendly reads from a [`DiskVectorStore`]: the cursor pins
+/// the chunk of its last lookup and goes back to the store's shared LRU
+/// (lock, rank refresh, possibly a disk read) only when the chunk index
+/// changes — once per chunk of 256 vectors on an ascending walk
+/// instead of once per vector.  It holds at most that one chunk.
+#[derive(Debug)]
+pub struct VectorCursor<'a> {
+    store: &'a DiskVectorStore,
+    pinned: Option<(usize, Arc<Vec<SparseVector>>)>,
+}
+
+impl VectorCursor<'_> {
+    /// The vector at dense index `i`.
+    ///
+    /// # Panics
+    /// Panics when `i` is out of range.
+    pub fn get(&mut self, i: usize) -> &SparseVector {
+        let len = self.store.len;
+        assert!(i < len, "vector index {i} out of range ({len})");
+        let c = i / VECTOR_CHUNK;
+        if !matches!(&self.pinned, Some((pinned, _)) if *pinned == c) {
+            self.pinned = Some((c, self.store.chunk(c)));
+        }
+        let (_, chunk) = self.pinned.as_ref().expect("pinned above");
+        &chunk[i % VECTOR_CHUNK]
     }
 }
 
@@ -647,6 +686,50 @@ mod tests {
         for i in [0, 1, VECTOR_CHUNK - 1, VECTOR_CHUNK, VECTOR_CHUNK + 2] {
             disk.with_vector(i, |v| assert_eq!(v, &vectors[i], "vector {i}"));
         }
+        std::fs::remove_dir_all(store.root()).unwrap();
+    }
+
+    #[test]
+    fn cursor_walk_reads_every_chunk_once_and_agrees_with_with_vector() {
+        let store = temp_store("cursor-walk");
+        let vectors: Vec<SparseVector> = (0..2 * VECTOR_CHUNK + 7)
+            .map(|i| SparseVector::from_entries([(TermId(i as u32), 1.0 + i as f64)]))
+            .collect();
+        let disk = DiskVectorStore::write(&store, "v", &vectors);
+        let mut cursor = disk.cursor();
+        let walked: Vec<SparseVector> = (0..disk.len()).map(|i| cursor.get(i).clone()).collect();
+        drop(cursor);
+        assert_eq!(walked, vectors);
+        assert_eq!(
+            disk.disk_reads(),
+            vectors.len().div_ceil(VECTOR_CHUNK) as u64,
+            "an in-order walk of a cold store reads each chunk once"
+        );
+        for (i, expected) in walked.iter().enumerate().step_by(37) {
+            disk.with_vector(i, |v| assert_eq!(v, expected, "vector {i}"));
+        }
+        std::fs::remove_dir_all(store.root()).unwrap();
+    }
+
+    #[test]
+    fn a_later_store_on_the_same_thread_never_sees_an_earlier_stores_chunk() {
+        // The hazard a memo keyed by the store's address would have: the
+        // first store is dropped, the second may land on the same address,
+        // and the same indices must still read the second store's vectors.
+        let store = temp_store("cursor-reuse");
+        let read = |tag: f64| -> Vec<f64> {
+            let vectors: Vec<SparseVector> = (0..VECTOR_CHUNK + 5)
+                .map(|i| SparseVector::from_entries([(TermId(0), tag + i as f64)]))
+                .collect();
+            let disk = DiskVectorStore::write(&store, "v", &vectors);
+            let mut cursor = disk.cursor();
+            [0, 3, VECTOR_CHUNK, VECTOR_CHUNK + 4]
+                .map(|i| cursor.get(i).weight(TermId(0)))
+                .to_vec()
+        };
+        let c = VECTOR_CHUNK as f64;
+        assert_eq!(read(1000.0), [1000.0, 1003.0, 1000.0 + c, 1004.0 + c]);
+        assert_eq!(read(5000.0), [5000.0, 5003.0, 5000.0 + c, 5004.0 + c]);
         std::fs::remove_dir_all(store.root()).unwrap();
     }
 

@@ -32,7 +32,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use smr_mapreduce::flow::FlowContext;
-use smr_mapreduce::{Counters, Emitter, Mapper, Reducer};
+use smr_mapreduce::{Counters, Emitter, Mapper, ReduceGroups, Reducer};
 use smr_simjoin::{candidate_chain, SimJoinResult, VerifyReducer};
 use smr_text::SparseVector;
 
@@ -194,11 +194,11 @@ impl Mapper for BucketProbeMapper {
     }
 }
 
-/// Verifies every candidate pair exactly ([`VerifyReducer::verify`]: one
-/// chunked vector fetch per side and one dot product, keeping the pair
-/// only at `similarity ≥ σ`).  Unlike the exact join's verify stage there
-/// is no partial score to pre-threshold — LSH candidates arrive with no
-/// evidence beyond the collision itself.
+/// Verifies every candidate pair exactly ([`VerifyReducer::verify_all`]:
+/// one dot product over vectors read through a per-task cursor, keeping
+/// the pair only at `similarity ≥ σ`).  Unlike the exact join's verify
+/// stage there is no partial score to pre-threshold — LSH candidates
+/// arrive with no evidence beyond the collision itself.
 struct BucketVerifyReducer(VerifyReducer);
 
 impl Reducer for BucketVerifyReducer {
@@ -207,8 +207,17 @@ impl Reducer for BucketVerifyReducer {
     type OutKey = (usize, usize);
     type OutValue = f64;
 
+    /// A task of one group.
     fn reduce(&self, pair: &(usize, usize), _: &[()], out: &mut Emitter<(usize, usize), f64>) {
-        self.0.verify(pair, out);
+        self.0.verify_all(std::iter::once(pair), out);
+    }
+
+    fn reduce_task(
+        &self,
+        groups: ReduceGroups<'_, (usize, usize), ()>,
+        out: &mut Emitter<(usize, usize), f64>,
+    ) {
+        self.0.verify_all(groups.map(|(pair, _)| pair), out);
     }
 }
 

@@ -3,6 +3,8 @@
 //!
 //! * the centralized greedy and GreedyMR always produce feasible matchings
 //!   worth at least half of the optimum,
+//! * GreedyMR's rounds — matching, round count, any-time trace, records
+//!   shuffled — equal a direct simulation of the paper's Algorithm 3,
 //! * StackMR never violates capacities by more than the (1+ε) factor and
 //!   achieves its 1/(6+ε) guarantee,
 //! * the exact solver dominates every approximation,
@@ -12,7 +14,9 @@
 
 use proptest::prelude::*;
 
-use social_content_matching::graph::{BipartiteGraph, Capacities, ConsumerId, Edge, ItemId};
+use social_content_matching::graph::{
+    BipartiteGraph, Capacities, ConsumerId, Edge, EdgeId, ItemId, Matching, NodeId,
+};
 use social_content_matching::mapreduce::prelude::*;
 use social_content_matching::matching::{
     greedy_matching, optimal_matching, stack_matching, GreedyMr, GreedyMrConfig, StackMr,
@@ -23,8 +27,15 @@ use social_content_matching::text::{SparseVector, TermId};
 /// A random small b-matching instance: a bipartite graph with up to
 /// 6 × 6 nodes, random edges with positive weights, and random capacities.
 fn instance_strategy() -> impl Strategy<Value = (BipartiteGraph, Capacities)> {
-    (2usize..6, 2usize..6)
-        .prop_flat_map(|(items, consumers)| {
+    instance_strategy_with(false)
+}
+
+/// [`instance_strategy`] where, when `ties`, every third instance carries
+/// one weight on all edges, so only the edge-id tie-break orders them.
+/// (Capacities start at 1: [`Capacities`] rejects zero by construction.)
+fn instance_strategy_with(ties: bool) -> impl Strategy<Value = (BipartiteGraph, Capacities)> {
+    (2usize..6, 2usize..6, 0u8..if ties { 3 } else { 1 })
+        .prop_flat_map(move |(items, consumers, tie)| {
             let edge_strategy = proptest::collection::vec(
                 (0..items as u32, 0..consumers as u32, 0.01f64..1.0),
                 1..(items * consumers + 1),
@@ -32,26 +43,95 @@ fn instance_strategy() -> impl Strategy<Value = (BipartiteGraph, Capacities)> {
             let item_caps = proptest::collection::vec(1u64..4, items);
             let consumer_caps = proptest::collection::vec(1u64..4, consumers);
             (
-                Just(items),
-                Just(consumers),
+                Just((items, consumers, tie == 2)),
                 edge_strategy,
                 item_caps,
                 consumer_caps,
             )
         })
-        .prop_map(|(items, consumers, raw_edges, item_caps, consumer_caps)| {
-            // Deduplicate parallel edges to keep instances clean.
-            let mut seen = std::collections::HashSet::new();
-            let mut edges = Vec::new();
-            for (t, c, w) in raw_edges {
-                if seen.insert((t, c)) {
-                    edges.push(Edge::new(ItemId(t), ConsumerId(c), w));
+        .prop_map(
+            |((items, consumers, tied), raw_edges, item_caps, consumer_caps)| {
+                // Deduplicate parallel edges to keep instances clean.
+                let mut seen = std::collections::HashSet::new();
+                let mut edges = Vec::new();
+                for (t, c, w) in raw_edges {
+                    if seen.insert((t, c)) {
+                        let w = if tied { 0.5 } else { w };
+                        edges.push(Edge::new(ItemId(t), ConsumerId(c), w));
+                    }
+                }
+                let graph = BipartiteGraph::from_edges(items, consumers, edges);
+                let caps = Capacities::from_vectors(item_caps, consumer_caps);
+                (graph, caps)
+            },
+        )
+}
+
+/// What a GreedyMR run must report, from a direct simulation of the
+/// paper's Algorithm 3 on the whole graph.
+struct GreedyModel {
+    matching: Matching,
+    value_per_round: Vec<f64>,
+    /// Per round: live adjacency entries + live nodes.
+    shuffle_records: Vec<u64>,
+}
+
+/// Per round: every live node proposes its `b(v)` heaviest live edges
+/// (ties to the lower edge id); an edge proposed from both ends matches;
+/// an edge whose other end is saturated or has retired drops; a node left
+/// without capacity or without edges retires.
+fn simulate_algorithm_3(graph: &BipartiteGraph, caps: &Capacities) -> GreedyModel {
+    use std::collections::BTreeMap;
+    // A live node: (residual capacity, live edges heaviest first).
+    let mut live: BTreeMap<NodeId, (u64, Vec<EdgeId>)> = graph
+        .nodes()
+        .filter(|&v| graph.degree(v) > 0)
+        .map(|v| {
+            let mut edges = graph.incident_edges(v).to_vec();
+            edges.sort_by(|&a, &b| {
+                let (wa, wb) = (graph.edge(a).weight, graph.edge(b).weight);
+                wb.partial_cmp(&wa).unwrap().then(a.cmp(&b))
+            });
+            (v, (caps.of(v), edges))
+        })
+        .collect();
+    let mut model = GreedyModel {
+        matching: Matching::new(graph.num_edges()),
+        value_per_round: Vec::new(),
+        shuffle_records: Vec::new(),
+    };
+    while !live.is_empty() {
+        let entries: usize = live.values().map(|(_, edges)| edges.len()).sum();
+        model.shuffle_records.push((entries + live.len()) as u64);
+        let proposes = |v: NodeId, e: EdgeId| {
+            live.get(&v)
+                .is_some_and(|(cap, edges)| edges.iter().take(*cap as usize).any(|&p| p == e))
+        };
+        let mut next = BTreeMap::new();
+        for (&v, (cap, edges)) in &live {
+            let mut left = *cap;
+            let mut kept = Vec::new();
+            for &e in edges {
+                let u = graph.edge(e).other_endpoint(v);
+                // The other end still lists the edge, or it has retired.
+                let Some((cap_u, _)) = live.get(&u).filter(|(_, es)| es.contains(&e)) else {
+                    continue;
+                };
+                if proposes(v, e) && proposes(u, e) {
+                    model.matching.insert(e);
+                    left -= 1;
+                } else if *cap > 0 && *cap_u > 0 {
+                    kept.push(e);
                 }
             }
-            let graph = BipartiteGraph::from_edges(items, consumers, edges);
-            let caps = Capacities::from_vectors(item_caps, consumer_caps);
-            (graph, caps)
-        })
+            if left > 0 && !kept.is_empty() {
+                next.insert(v, (left, kept));
+            }
+        }
+        live = next;
+        model.value_per_round.push(model.matching.value(graph));
+    }
+    model
 }
 
 fn single_thread_job(name: &str) -> JobConfig {
@@ -85,6 +165,23 @@ proptest! {
         for window in run.value_per_round.windows(2) {
             prop_assert!(window[1] >= window[0] - 1e-12);
         }
+    }
+
+    #[test]
+    fn greedy_mr_rounds_equal_a_simulation_of_algorithm_3(
+        (graph, caps) in instance_strategy_with(true),
+        threads in 1usize..3,
+    ) {
+        let job = JobConfig::named("prop-greedy-model").with_threads(threads);
+        let run = GreedyMr::new(GreedyMrConfig::default().with_job(job.clone()))
+            .run(&graph, &caps, &FlowContext::new(job));
+        let model = simulate_algorithm_3(&graph, &caps);
+        prop_assert_eq!(run.matching.to_edge_vec(), model.matching.to_edge_vec());
+        prop_assert_eq!(run.rounds, model.shuffle_records.len());
+        prop_assert_eq!(&run.value_per_round, &model.value_per_round);
+        let shuffled: Vec<u64> = run.job_metrics.iter().map(|m| m.shuffle_records).collect();
+        prop_assert_eq!(shuffled, model.shuffle_records);
+        prop_assert!(run.matching.is_feasible(&graph, &caps));
     }
 
     #[test]
