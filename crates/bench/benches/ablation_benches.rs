@@ -1,13 +1,12 @@
-//! Ablation benchmarks for the design choices called out in `DESIGN.md`:
+//! Ablation benchmarks for the two algorithm parameters of StackMR:
 //!
 //! * the marking strategy of the maximal-matching subroutine
 //!   (random = StackMR, heaviest-first = StackGreedyMR,
 //!   weight-proportional = the third variant the paper dismisses),
-//! * the slackness parameter ε (violation vs rounds trade-off),
-//! * the thread count of the MapReduce engine (scaling of one GreedyMR
-//!   round),
-//! * the shuffle engine: streaming sorted-runs + k-way merge vs the
-//!   legacy concat+sort path, on a full GreedyMR run.
+//! * the slackness parameter ε (violation vs rounds trade-off).
+//!
+//! Engine thread scaling and memory budgets are workloads of the repo
+//! benchmark (`mapreduce.t1_over_t2`, `batch-spill`), not criterion groups.
 
 use std::time::Duration;
 
@@ -15,7 +14,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use smr_datagen::{RandomGraphConfig, WeightDistribution};
 use smr_graph::Capacities;
 use smr_mapreduce::{FlowContext, JobConfig};
-use smr_matching::{GreedyMr, GreedyMrConfig, MarkingStrategy, StackMr, StackMrConfig};
+use smr_matching::{MarkingStrategy, StackMr, StackMrConfig};
 
 fn bench_graph(num_edges: usize, seed: u64) -> (smr_graph::BipartiteGraph, Capacities) {
     let graph = RandomGraphConfig {
@@ -93,66 +92,5 @@ fn bench_epsilon(c: &mut Criterion) {
     group.finish();
 }
 
-/// Thread-count ablation of the MapReduce engine, measured on a full
-/// GreedyMR run.
-fn bench_threads(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_engine_threads");
-    group.sample_size(10);
-    group.warm_up_time(Duration::from_millis(500));
-    group.measurement_time(Duration::from_secs(2));
-    let (graph, caps) = bench_graph(3_000, 17);
-    for &threads in &[1usize, 2, 8] {
-        group.bench_with_input(
-            BenchmarkId::new("greedymr_threads", threads),
-            &threads,
-            |b, &t| {
-                b.iter(|| {
-                    let job = JobConfig::named("ablation").with_threads(t);
-                    GreedyMr::new(GreedyMrConfig::default().with_job(job.clone())).run(
-                        &graph,
-                        &caps,
-                        &FlowContext::new(job),
-                    )
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
-/// Out-of-core ablation: identical GreedyMR runs with an unlimited,
-/// a moderate and a tiny memory budget — the cost of spilling sorted runs
-/// to disk and streaming them back through the external merge.
-fn bench_memory_budget(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_memory_budget");
-    group.sample_size(10);
-    group.warm_up_time(Duration::from_millis(500));
-    group.measurement_time(Duration::from_secs(2));
-    let (graph, caps) = bench_graph(3_000, 19);
-    for (name, budget) in [
-        ("unlimited", None),
-        ("256KiB", Some(256 * 1024u64)),
-        ("4KiB", Some(4 * 1024)),
-    ] {
-        group.bench_function(BenchmarkId::new("greedymr_budget", name), |b| {
-            b.iter(|| {
-                let job = JobConfig::named("ablation").with_memory_budget(budget);
-                GreedyMr::new(GreedyMrConfig::default().with_job(job.clone())).run(
-                    &graph,
-                    &caps,
-                    &FlowContext::new(job),
-                )
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    ablation_benches,
-    bench_marking_strategy,
-    bench_epsilon,
-    bench_threads,
-    bench_memory_budget,
-);
+criterion_group!(ablation_benches, bench_marking_strategy, bench_epsilon);
 criterion_main!(ablation_benches);

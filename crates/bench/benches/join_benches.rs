@@ -1,11 +1,8 @@
 //! Criterion group for the streaming similarity join — the group the CI
-//! bench smoke step runs:
-//!
-//! * the two-job MapReduce join (prefix filter + partial products +
-//!   suffix-bound pruning) vs the brute-force all-pairs baseline,
-//! * the same join under a 4 KiB memory budget, forcing the out-of-core
-//!   shuffle on both jobs (the regime the `spill-test` CI job runs the
-//!   whole suite in).
+//! bench smoke step runs: the two-job MapReduce join (prefix filter +
+//! partial products + suffix-bound pruning) vs the brute-force all-pairs
+//! baseline.  The join under a small memory budget is the repo
+//! benchmark's `batch-spill` workload.
 
 use std::time::Duration;
 
@@ -15,8 +12,7 @@ use smr_mapreduce::{FlowContext, JobConfig};
 use smr_simjoin::{baseline_similarity_join, mapreduce_similarity_join_flow};
 use smr_text::{Corpus, TokenizerConfig};
 
-/// Streaming similarity join vs the brute-force baseline, in memory and
-/// under a tiny budget.
+/// Streaming similarity join vs the brute-force baseline.
 fn bench_join(c: &mut Criterion) {
     let mut group = c.benchmark_group("join_similarity");
     group.sample_size(10);
@@ -33,18 +29,6 @@ fn bench_join(c: &mut Criterion) {
                 &consumers,
                 sigma,
                 &FlowContext::new(JobConfig::named("join-bench")),
-            )
-        })
-    });
-    group.bench_function("streaming_budget_4KiB", |b| {
-        b.iter(|| {
-            mapreduce_similarity_join_flow(
-                &items,
-                &consumers,
-                sigma,
-                &FlowContext::new(
-                    JobConfig::named("join-bench-spill").with_memory_budget(Some(4 * 1024)),
-                ),
             )
         })
     });

@@ -179,26 +179,6 @@ fn bench_greedymr_worst_case(c: &mut Criterion) {
     group.finish();
 }
 
-/// End-to-end smoke-scale regeneration of the evaluation (Table 1 +
-/// Figure 1 + Figure 4 on flickr-small), the closest single number to
-/// "how long does reproducing the paper take".
-fn bench_end_to_end(c: &mut Criterion) {
-    let mut group = c.benchmark_group("end_to_end_smoke_evaluation");
-    group.sample_size(10);
-    group.warm_up_time(Duration::from_millis(500));
-    group.measurement_time(Duration::from_secs(2));
-    group.bench_function("table1_fig1_fig4_smoke", |b| {
-        b.iter(|| {
-            let mut set = smoke_set();
-            let t1 = experiments::table1(&mut set);
-            let f1 = experiments::quality_and_iterations(&mut set, DatasetPreset::FlickrSmall);
-            let f4 = experiments::violations(&mut set);
-            (t1.num_rows(), f1.num_rows(), f4.num_rows())
-        })
-    });
-    group.finish();
-}
-
 /// Exact solver vs the approximations (the "why approximation algorithms"
 /// motivation of Section 1).
 fn bench_exact_vs_greedy(c: &mut Criterion) {
@@ -224,7 +204,6 @@ criterion_group!(
     bench_anytime,
     bench_distributions,
     bench_greedymr_worst_case,
-    bench_end_to_end,
     bench_exact_vs_greedy,
 );
 criterion_main!(paper_benches);

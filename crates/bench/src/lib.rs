@@ -9,12 +9,14 @@
 //! | `fig5` | Figure 5 — GreedyMR any-time convergence | [`experiments::anytime`] |
 //! | `fig6` | Figure 6 — edge-similarity distributions | [`experiments::similarity_distribution`] |
 //! | `fig7` | Figure 7 — capacity distributions | [`experiments::capacity_distribution`] |
+//! | `sketch` | — (recall vs shuffle cost of the candidate generators) | [`experiments::sketch_frontier`] |
 //!
-//! The binary `run-experiments` drives them from the command line:
+//! [`experiments::EXPERIMENTS`] is that table in code; the binary
+//! `run-experiments` dispatches on it:
 //!
 //! ```text
-//! cargo run --release -p smr-bench --bin run-experiments -- all
-//! cargo run --release -p smr-bench --bin run-experiments -- fig1 --scale small
+//! cargo run --release -p smr_bench --bin run-experiments -- all
+//! cargo run --release -p smr_bench --bin run-experiments -- fig1 --scale smoke
 //! ```
 //!
 //! Each experiment prints a plain-text table; `EXPERIMENTS.md` at the

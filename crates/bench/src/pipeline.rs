@@ -5,7 +5,7 @@
 
 use smr_datagen::{DatasetPreset, SocialDataset};
 use smr_graph::{BipartiteGraph, Capacities};
-use smr_mapreduce::{FlowReport, JobConfig};
+use smr_mapreduce::JobConfig;
 use smr_text::TokenizerConfig;
 use social_content_matching::MatchingPipeline;
 
@@ -23,10 +23,6 @@ pub struct DatasetInstance {
     pub base_graph: BipartiteGraph,
     /// The loosest σ (every edge of `base_graph` has weight ≥ this).
     pub base_sigma: f64,
-    /// Number of MapReduce jobs the similarity join used (always 2).
-    pub simjoin_jobs: usize,
-    /// Per-job metrics of the similarity join.
-    pub join_report: FlowReport,
 }
 
 impl DatasetInstance {
@@ -50,8 +46,6 @@ impl DatasetInstance {
             dataset: candidate.dataset,
             base_graph: candidate.graph,
             base_sigma,
-            simjoin_jobs: candidate.simjoin_jobs,
-            join_report: candidate.report,
         }
     }
 
@@ -78,9 +72,6 @@ mod tests {
     fn instance_generation_produces_a_nonempty_candidate_graph() {
         let instance = DatasetInstance::generate(DatasetPreset::FlickrSmall, quick_job());
         assert!(instance.base_graph.num_edges() > 0);
-        assert_eq!(instance.simjoin_jobs, 2);
-        assert_eq!(instance.join_report.num_jobs(), 2);
-        assert!(instance.join_report.total_shuffled_records() > 0);
         assert_eq!(
             instance.base_graph.num_items(),
             instance.dataset.num_items()

@@ -37,11 +37,6 @@ impl Table {
         self.rows.len()
     }
 
-    /// The title.
-    pub fn title(&self) -> &str {
-        &self.title
-    }
-
     /// Renders the table with aligned columns.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
@@ -105,7 +100,6 @@ mod tests {
         // Title + header + separator + 2 rows.
         assert_eq!(lines.len(), 5);
         assert_eq!(t.num_rows(), 2);
-        assert_eq!(t.title(), "demo");
     }
 
     #[test]

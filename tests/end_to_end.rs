@@ -1,11 +1,15 @@
 //! End-to-end integration tests spanning every crate of the workspace:
-//! dataset generation → similarity join → capacities → matching.
+//! dataset generation → similarity join → capacities → matching, plus
+//! the two exact-count regression guards of the join and of GreedyMR's
+//! rounds.
 
+use smr_bench::{ExperimentScale, ExperimentSet};
 use social_content_matching::datagen::{AnswersGenerator, DatasetPreset, FlickrGenerator};
 use social_content_matching::graph::Capacities;
 use social_content_matching::mapreduce::{FlowContext, JobConfig};
 use social_content_matching::matching::{
-    greedy_matching, optimal_matching, GreedyMr, GreedyMrConfig, StackMr, StackMrConfig,
+    greedy_matching, optimal_matching, AlgorithmKind, GreedyMr, GreedyMrConfig, StackMr,
+    StackMrConfig,
 };
 use social_content_matching::simjoin::{baseline_similarity_join, mapreduce_similarity_join_flow};
 use social_content_matching::text::{Corpus, TokenizerConfig};
@@ -173,4 +177,54 @@ fn anytime_trace_reaches_95_percent_before_the_last_round() {
         fraction < 1.0,
         "95% of the value should be reached before the final round (got {fraction})"
     );
+}
+
+/// CI regression guard: the streaming join's candidate accounting for
+/// `flickr-small` at σ = 0.16 is deterministic (map-side pruning runs
+/// on complete per-item scores, independent of threads and budgets).
+/// These exact counts gate against silent regressions in the prefix
+/// filter, the suffix bound or the partial-product accumulation.
+#[test]
+fn join_counts_regression_guard_flickr_small_sigma_016() {
+    let candidate =
+        social_content_matching::MatchingPipeline::new(DatasetPreset::FlickrSmall.generate())
+            .tokenizer(TokenizerConfig::tags_only())
+            .sigma(0.16)
+            .job(JobConfig::named("join-guard").with_threads(2))
+            .build_graph();
+    // 12 654 candidates is also what the pre-streaming dedup probe
+    // shuffled (and exactly verified) at this σ; the suffix bound now
+    // prunes 2 025 of them before the shuffle.  3 502 edges matches
+    // the seed baseline in EXPERIMENTS.md, byte for byte.
+    assert_eq!(candidate.candidate_pairs, 12_654);
+    assert_eq!(candidate.candidates_pruned, 2_025);
+    assert_eq!(candidate.verify_exact, 10_629);
+    assert_eq!(candidate.graph.num_edges(), 3_502);
+}
+
+#[test]
+fn rounds_regression_guard_flickr_large_sigma_009() {
+    // The densest point of the flickr-large sweep at the grown preset
+    // size (4 200 photos / 640 users).  Rounds-to-convergence and the
+    // total shuffle volume are exact-deterministic for GreedyMR (no
+    // combiner on the round jobs, so threads and memory budgets move
+    // bytes around without changing what crosses the shuffle); any
+    // drift here means the round semantics changed, not just the
+    // schedule.
+    let mut set = ExperimentSet::new(ExperimentScale::Full, 2, 2011);
+    let (graph, caps) = {
+        let instance = set.instance(DatasetPreset::FlickrLarge);
+        (instance.graph_at(0.09), instance.capacities(1.0))
+    };
+    assert_eq!(graph.num_edges(), 372_730);
+    let run = set.run(AlgorithmKind::GreedyMr, &graph, &caps);
+    assert_eq!(run.rounds, 32);
+    // A round shuffles one note per live adjacency entry plus one
+    // own-record message per live node.  Summed over the 32 rounds
+    // the live adjacency entries are 2 674 959 (the first round alone
+    // lists every edge from both ends, 2 × 372 730; the retired
+    // two-views-per-entry protocol shuffled exactly twice this sum,
+    // 5 349 918) and the live nodes 33 027.
+    assert_eq!(run.total_shuffled_records(), 2_674_959 + 33_027);
+    assert!(run.matching.is_feasible(&graph, &caps));
 }
