@@ -1,7 +1,7 @@
 //! Algorithm configuration.
 
 use serde::{Deserialize, Serialize};
-use smr_mapreduce::{JobConfig, RoundStateMode};
+use smr_mapreduce::JobConfig;
 
 /// How the marking stage of the maximal b-matching subroutine chooses the
 /// edges a node proposes to its neighbours (Section 6, "Variants").
@@ -25,11 +25,6 @@ pub struct GreedyMrConfig {
     /// Safety bound on the number of rounds (the algorithm may need a
     /// number of rounds linear in `|E|` in the worst case).
     pub max_rounds: usize,
-    /// Where the surviving node records live between rounds: on disk in
-    /// the flow's side store (the default), or in RAM (the reference the
-    /// disk path is property-tested against).  Both modes produce
-    /// byte-identical matchings.
-    pub round_state: RoundStateMode,
 }
 
 impl Default for GreedyMrConfig {
@@ -37,7 +32,6 @@ impl Default for GreedyMrConfig {
         GreedyMrConfig {
             job: JobConfig::named("greedy-mr"),
             max_rounds: 100_000,
-            round_state: RoundStateMode::DiskBacked,
         }
     }
 }
@@ -50,8 +44,8 @@ impl GreedyMrConfig {
     }
 
     /// Sets the engine memory budget every round runs under (`None` =
-    /// unlimited) — a passthrough to [`JobConfig::with_memory_budget`]
-    /// used by the `spill` bench experiment to A/B whole algorithm runs.
+    /// unlimited) — a passthrough to [`JobConfig::with_memory_budget`], so
+    /// whole algorithm runs can be budgeted.
     pub fn with_memory_budget(mut self, bytes: Option<u64>) -> Self {
         self.job = self.job.with_memory_budget(bytes);
         self
@@ -67,13 +61,6 @@ impl GreedyMrConfig {
     /// Sets the round budget.
     pub fn with_max_rounds(mut self, max_rounds: usize) -> Self {
         self.max_rounds = max_rounds;
-        self
-    }
-
-    /// Selects where the inter-round state lives (see
-    /// [`RoundStateMode`]).
-    pub fn with_round_state(mut self, mode: RoundStateMode) -> Self {
-        self.round_state = mode;
         self
     }
 }
@@ -99,10 +86,6 @@ pub struct StackMrConfig {
     /// Safety bound on the iterations of one maximal-matching computation
     /// (the expected number is `O(log³ n)`).
     pub max_maximal_iterations: usize,
-    /// Where the surviving records of the push rounds and the maximal
-    /// subroutine live between rounds (see
-    /// [`GreedyMrConfig::round_state`]).
-    pub round_state: RoundStateMode,
 }
 
 impl Default for StackMrConfig {
@@ -114,7 +97,6 @@ impl Default for StackMrConfig {
             job: JobConfig::named("stack-mr"),
             max_push_rounds: 10_000,
             max_maximal_iterations: 10_000,
-            round_state: RoundStateMode::DiskBacked,
         }
     }
 }
@@ -166,13 +148,6 @@ impl StackMrConfig {
     /// [`GreedyMrConfig::with_spill_dir`]).
     pub fn with_spill_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
         self.job = self.job.with_spill_dir(dir);
-        self
-    }
-
-    /// Selects where the inter-round state lives (see
-    /// [`RoundStateMode`]).
-    pub fn with_round_state(mut self, mode: RoundStateMode) -> Self {
-        self.round_state = mode;
         self
     }
 
@@ -237,22 +212,6 @@ mod tests {
             .with_job(JobConfig::named("x").with_threads(1));
         assert_eq!(c.max_rounds, 5);
         assert_eq!(c.job.name, "x");
-    }
-
-    #[test]
-    fn round_state_defaults_to_disk_and_is_configurable() {
-        assert_eq!(
-            GreedyMrConfig::default().round_state,
-            RoundStateMode::DiskBacked
-        );
-        assert_eq!(
-            StackMrConfig::default().round_state,
-            RoundStateMode::DiskBacked
-        );
-        let g = GreedyMrConfig::default().with_round_state(RoundStateMode::InMemory);
-        assert_eq!(g.round_state, RoundStateMode::InMemory);
-        let s = StackMrConfig::default().with_round_state(RoundStateMode::InMemory);
-        assert_eq!(s.round_state, RoundStateMode::InMemory);
     }
 
     #[test]

@@ -2,22 +2,26 @@
 //! (Section 5.4, Algorithm 3).
 //!
 //! Every round is one MapReduce job over the node-centric graph
-//! representation:
+//! representation, kept as partition-resident state
+//! ([`RoundState`]): a node's record stays in its partition and never
+//! crosses the shuffle.
 //!
-//! * **map** — every node `v` proposes its `b(v)` heaviest live edges.
-//!   It sends itself its own record and, across every live incident
-//!   edge, one note to the neighbour: "I propose this edge" and "I am
-//!   saturated" as two flag bits ([`RoundMsg`]) — one record per live
-//!   node plus one per live adjacency entry crosses the shuffle;
-//! * **reduce** — every node reads its capacity, adjacency and own
-//!   proposals off its own record (the adjacency is kept heaviest first,
-//!   so the proposals are its first `b(v)` entries in mapper and reducer
-//!   alike) and holds each edge against the neighbour's note: edges
-//!   proposed by *both* endpoints enter the solution, the node's residual
+//! * **map** — every node `v` proposes its `b(v)` heaviest live edges:
+//!   across every live incident edge it sends the neighbour one note,
+//!   "I propose this edge" and "I am saturated" as two flag bits
+//!   ([`RoundMsg`]) — one record per live adjacency entry crosses the
+//!   shuffle;
+//! * **reduce** — every node gets its own record beside its notes and
+//!   reads its capacity, adjacency and own proposals off the record (the
+//!   adjacency is kept heaviest first, so the proposals are its first
+//!   `b(v)` entries in mapper and reducer alike); it holds each edge
+//!   against the neighbour's note: edges proposed by *both* endpoints
+//!   enter the solution (emitted as side output), the node's residual
 //!   capacity is decreased accordingly, matched edges, edges towards
 //!   saturated neighbours and edges without a note (the neighbour has
-//!   retired) are dropped from the adjacency, and the updated node record
-//!   is emitted for the next round.
+//!   retired) are dropped from the adjacency, and the node keeps its
+//!   record for the next round — or retires, once it has no capacity or
+//!   no edge left.
 //!
 //! The algorithm stops when no live edge remains.  The solution grows
 //! monotonically and is feasible after every round, which is the *any-time*
@@ -25,26 +29,22 @@
 //! any round and still return a valid b-matching.
 //!
 //! Execution is structured as an [`IterativeJob`] driven by the
-//! [`IterativeDriver`], with every round's MapReduce job built through a
+//! [`IterativeDriver`], with every round's MapReduce job run through a
 //! [`FlowContext`] — so the driver's round accounting and the flow's
 //! per-job metrics describe the same jobs, and the caller-provided flow
 //! of [`GreedyMr::run`] folds the rounds into a larger pipeline's
-//! [`smr_mapreduce::FlowReport`].  Between rounds the surviving node
-//! records live in a [`RoundState`] (disk-backed by default), so the
-//! run never retains the full candidate edge list in memory.
+//! [`smr_mapreduce::FlowReport`].
 
-use serde::{Deserialize, Serialize};
 use smr_graph::{BipartiteGraph, Capacities, EdgeId, Matching, NodeId};
 use smr_mapreduce::flow::FlowContext;
 use smr_mapreduce::{
-    Emitter, IterativeDriver, IterativeJob, JobMetrics, Mapper, Reducer, RoundOutcome, RoundState,
-    RunSummary,
+    Emitter, IterativeDriver, IterativeJob, JobMetrics, Mapper, RoundOutcome, RoundState,
+    RunSummary, StateReducer,
 };
-use smr_storage::impl_codec_struct;
 
 use crate::config::GreedyMrConfig;
 use crate::result::{AlgorithmKind, MatchingRun};
-use crate::state::{build_node_records, own_record, peer_notes, AdjEdge, NodeRecord, RoundMsg};
+use crate::state::{build_node_records, peer_notes, NodeRecord, RoundMsg};
 
 /// Note flag: the sender proposes the edge (it is among the sender's
 /// `b(v)` heaviest live edges).
@@ -53,22 +53,9 @@ const PROPOSED: u8 = 1;
 /// round.
 const SATURATED: u8 = 2;
 
-/// The message of a GreedyMR round: the node's own record, or a
-/// neighbour's [`PROPOSED`] / [`SATURATED`] flags for one edge.
-type GreedyMsg = RoundMsg<NodeRecord, u8>;
-
-/// Output of one reducer invocation: the node's updated record plus the
-/// edges it matched this round.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct GreedyRoundOutput {
-    /// The updated node record (empty adjacency when the node is done).
-    pub record: NodeRecord,
-    /// Edges newly matched this round (each matched edge is reported by
-    /// both endpoints; the driver deduplicates).
-    pub matched: Vec<EdgeId>,
-}
-
-impl_codec_struct!(GreedyRoundOutput { record, matched });
+/// The message of a GreedyMR round: a neighbour's [`PROPOSED`] /
+/// [`SATURATED`] flags for one edge.
+type GreedyMsg = RoundMsg<u8>;
 
 /// The map function of a GreedyMR round.
 struct ProposeMapper;
@@ -87,72 +74,59 @@ impl Mapper for ProposeMapper {
         let saturated = if record.capacity == 0 { SATURATED } else { 0 };
         for (idx, adj) in record.adjacency.iter().enumerate() {
             let proposed = if idx < proposals { PROPOSED } else { 0 };
-            out.emit(adj.other, RoundMsg::peer(adj.edge, proposed | saturated));
+            out.emit(adj.other, RoundMsg::new(adj.edge, proposed | saturated));
         }
-        // The node's own reducer reads everything else off the record.
-        out.emit(*node, RoundMsg::own(record.clone()));
     }
 }
 
-/// The reduce function of a GreedyMR round.
+/// The reduce function of a GreedyMR round; its side output is the
+/// matched edges, each reported by both endpoints.
 struct IntersectReducer;
 
-impl Reducer for IntersectReducer {
+impl StateReducer for IntersectReducer {
     type Key = NodeId;
-    type InValue = GreedyMsg;
-    type OutKey = NodeId;
-    type OutValue = GreedyRoundOutput;
+    type State = NodeRecord;
+    type Note = GreedyMsg;
+    type OutKey = EdgeId;
+    type OutValue = ();
 
     fn reduce(
         &self,
-        node: &NodeId,
+        _node: &NodeId,
+        mut record: NodeRecord,
         msgs: &[GreedyMsg],
-        out: &mut Emitter<NodeId, GreedyRoundOutput>,
-    ) {
-        let Some(record) = own_record(msgs) else {
-            // The node sent nothing this round (it had retired earlier);
-            // only late notes from neighbours arrived.  Nothing to output.
-            return;
-        };
+        out: &mut Emitter<EdgeId, ()>,
+    ) -> Option<NodeRecord> {
         let capacity = record.capacity;
         let proposals = record.proposal_count();
         let notes = peer_notes(msgs);
 
-        let mut matched: Vec<EdgeId> = Vec::new();
-        let mut next_adjacency: Vec<AdjEdge> = Vec::new();
-        for (idx, adj) in record.adjacency.iter().enumerate() {
+        let mut idx = 0;
+        let mut matched = 0;
+        // Deletion preserves the heaviest-first order.
+        record.adjacency.retain(|adj| {
+            let proposed = idx < proposals;
+            idx += 1;
             let Some(note) = notes.get(adj.edge) else {
                 // The neighbour no longer exists; drop the edge.
-                continue;
+                return false;
             };
-            if idx < proposals && note & PROPOSED != 0 {
-                matched.push(adj.edge);
-            } else if note & SATURATED != 0 || capacity == 0 {
-                // The neighbour (or this node) is saturated: the edge can
-                // never be matched, drop it.
+            if proposed && note & PROPOSED != 0 {
+                out.emit(adj.edge, ());
+                matched += 1;
+                false
             } else {
-                // Deletion preserves the heaviest-first order.
-                next_adjacency.push(*adj);
+                // An edge whose neighbour (or this node) is saturated can
+                // never be matched: drop it.
+                note & SATURATED == 0 && capacity > 0
             }
-        }
-        matched.sort_unstable();
-        let new_capacity = capacity - matched.len() as u64;
-        // A node whose capacity reached zero drops all remaining edges: its
-        // neighbours do the same in this very round because they see the
-        // saturation flag in the notes (or, if it became zero only now,
-        // will find no note from the retired node next round).
-        let adjacency = if new_capacity == 0 {
-            Vec::new()
-        } else {
-            next_adjacency
-        };
-        out.emit(
-            *node,
-            GreedyRoundOutput {
-                record: NodeRecord::new(*node, new_capacity, adjacency),
-                matched,
-            },
-        );
+        });
+        record.capacity = capacity - matched;
+        // A node whose capacity reached zero retires with all remaining
+        // edges: its neighbours drop them in this very round because they
+        // see the saturation flag in the notes (or, if it became zero only
+        // now, will find no note from the retired node next round).
+        (record.capacity > 0 && !record.is_isolated()).then_some(record)
     }
 }
 
@@ -179,19 +153,17 @@ impl GreedyMr {
     /// [`smr_mapreduce::FlowReport`], unified with whatever other jobs the
     /// surrounding pipeline ran.
     ///
-    /// Between rounds the surviving node records live in a
-    /// [`RoundState`] — on disk in the flow's side store by default
-    /// ([`crate::GreedyMrConfig::round_state`]), with matched-out nodes
-    /// retired via tombstones instead of a rewritten survivor list — so
-    /// no stage of the run holds the full candidate edge list in memory.
+    /// Between rounds the surviving node records stay in their
+    /// partitions of a [`RoundState`] — in RAM within the memory budget's
+    /// share per reduce task, in run files above it — and matched-out
+    /// nodes retire from it as their reducers decide.
     pub fn run(
         &self,
         graph: &BipartiteGraph,
         caps: &Capacities,
         flow: &FlowContext,
     ) -> MatchingRun {
-        let mut state: RoundState<NodeId, GreedyRoundOutput> =
-            flow.round_state("greedy-rounds", self.config.round_state);
+        let mut state = flow.round_state("greedy-rounds");
         state.seed(
             build_node_records(graph, caps)
                 .into_iter()
@@ -199,13 +171,7 @@ impl GreedyMr {
                     // Sorted once, here: mapper and reducer read every
                     // round's proposals off the adjacency's prefix.
                     record.sort_heaviest_first();
-                    (
-                        node,
-                        GreedyRoundOutput {
-                            record,
-                            matched: Vec::new(),
-                        },
-                    )
+                    (node, record)
                 })
                 .collect(),
         );
@@ -237,12 +203,11 @@ impl GreedyMr {
 }
 
 /// The per-round state of a GreedyMR run, driven by [`IterativeDriver`].
-/// The records surviving between rounds live in `state` (disk-backed by
-/// default), not in this struct.
+/// The records surviving between rounds live in `state`.
 struct GreedyRounds<'a> {
     flow: &'a FlowContext,
     graph: &'a BipartiteGraph,
-    state: RoundState<NodeId, GreedyRoundOutput>,
+    state: RoundState<NodeId, NodeRecord>,
     matching: Matching,
     value_per_round: Vec<f64>,
 }
@@ -251,28 +216,18 @@ impl IterativeJob for GreedyRounds<'_> {
     fn run_round(&mut self, round: usize) -> (RoundOutcome, Vec<JobMetrics>) {
         self.flow.mark_round();
         let jobs_before = self.flow.num_jobs();
-        let output = self
+        let matched = self
             .state
-            .dataset_with(|node, out| (node, out.record))
-            .map_with(ProposeMapper)
-            .named(format!("round-{round}"))
-            .reduce_with(IntersectReducer)
-            .collect();
+            .round(format!("round-{round}"), ProposeMapper, IntersectReducer);
         let metrics = self.flow.jobs_from(jobs_before);
 
-        // Absorb the round output: matched edges land in the matching,
-        // matched-out (isolated) nodes are retired from the next round's
-        // input.  Progress is guaranteed: the globally heaviest live edge
-        // is the heaviest live edge of both of its endpoints, so both
-        // propose it and it is matched — every round either matches an
-        // edge or runs on an already-empty graph.
-        let matching = &mut self.matching;
-        self.state.absorb(output, |_, out| {
-            for &e in &out.matched {
-                matching.insert(e);
-            }
-            !out.record.is_isolated()
-        });
+        // Progress is guaranteed: the globally heaviest live edge is the
+        // heaviest live edge of both of its endpoints, so both propose it
+        // and it is matched — every round either matches an edge or runs
+        // on an already-empty graph.
+        for (edge, ()) in matched {
+            self.matching.insert(edge);
+        }
         self.value_per_round.push(self.matching.value(self.graph));
         if self.state.is_empty() {
             (RoundOutcome::Converged, metrics)
@@ -287,6 +242,7 @@ mod tests {
     use super::*;
     use crate::exact::optimal_matching;
     use crate::greedy::greedy_matching;
+    use crate::state::AdjEdge;
     use smr_graph::{ConsumerId, Edge, GraphBuilder, ItemId};
     use smr_mapreduce::JobConfig;
 
@@ -486,29 +442,43 @@ mod tests {
                 ),
             ),
         ];
-        let flow = FlowContext::new(JobConfig::named("greedy-mr-test").with_threads(2));
-        let mut output = flow
-            .dataset(records)
-            .map_with(ProposeMapper)
-            .reduce_with(IntersectReducer)
+        // The round by hand: every node's notes, routed to their
+        // receivers, then every node's reducer over its own record.
+        let mut notes: std::collections::BTreeMap<NodeId, Vec<GreedyMsg>> = Default::default();
+        for (node, record) in &records {
+            let mut out = Emitter::new();
+            ProposeMapper.map(node, record, &mut out);
+            for (to, note) in out.into_pairs() {
+                notes.entry(to).or_default().push(note);
+            }
+        }
+        let mut matched = Emitter::new();
+        let next: Vec<Option<NodeRecord>> = records
+            .iter()
+            .map(|(node, record)| {
+                let own = notes.get(node).map_or(&[][..], Vec::as_slice);
+                IntersectReducer.reduce(node, record.clone(), own, &mut matched)
+            })
             .collect();
-        output.sort_by_key(|(node, _)| *node);
-        let round = |node: NodeId, capacity: u64, adjacency: Vec<AdjEdge>| {
-            let record = NodeRecord::new(node, capacity, adjacency);
-            let matched = Vec::new();
-            (node, GreedyRoundOutput { record, matched })
-        };
         assert_eq!(
-            output,
+            next,
             vec![
-                round(t0, 0, vec![]),
-                round(t1, 1, vec![AdjEdge::new(1, c0, 1.0)]),
+                None,
+                Some(NodeRecord::new(t1, 1, vec![AdjEdge::new(1, c0, 1.0)])),
                 // Consumer 0 proposed edge 0 in vain; edge 1 lives on.
-                round(c0, 1, vec![AdjEdge::new(1, t1, 1.0)]),
+                Some(NodeRecord::new(c0, 1, vec![AdjEdge::new(1, t1, 1.0)])),
             ]
         );
-        // 4 adjacency entries + 3 nodes crossed the shuffle.
-        assert_eq!(flow.report().total_shuffled_records(), 7);
+        assert!(matched.is_empty());
+
+        // Through the engine: the 4 adjacency entries cross the shuffle,
+        // the records do not, and the saturated item retires.
+        let flow = FlowContext::new(JobConfig::named("greedy-mr-test").with_threads(2));
+        let mut state = flow.round_state("saturated");
+        state.seed(records);
+        assert!(state.round("r", ProposeMapper, IntersectReducer).is_empty());
+        assert_eq!(state.len(), 2);
+        assert_eq!(flow.report().total_shuffled_records(), 4);
     }
 
     #[test]

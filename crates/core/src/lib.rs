@@ -44,8 +44,8 @@
 //! let caps = Capacities::uniform(&graph, 2, 1);
 //!
 //! // One flow hosts every job of the run (and anything else the
-//! // surrounding pipeline executes); inter-round state lives in the
-//! // flow's disk-backed side store.
+//! // surrounding pipeline executes); inter-round state stays in its
+//! // partitions beside the round jobs.
 //! let flow = smr_mapreduce::FlowContext::new(smr_mapreduce::JobConfig::named("quick-start"));
 //! let run = GreedyMr::new(GreedyMrConfig::default()).run(&graph, &caps, &flow);
 //! assert!(run.matching.is_feasible(&graph, &caps));

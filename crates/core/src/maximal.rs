@@ -20,6 +20,14 @@
 //!    removed together with their incident edges.
 //!
 //! The iteration repeats until the working graph has no edges left.
+//!
+//! The working records are the partition-resident state of a
+//! [`smr_mapreduce::RoundState`]: in every stage the mapper sends each
+//! neighbour one flag about the edge they share, and the reducer holds
+//! the node's own record against its neighbours' flags.  Where a stage
+//! needs the node's own random choice (its selections, its dropped
+//! edges), the reducer draws it again from the node's seeded generator
+//! over the same record, exactly as the mapper drew it.
 
 use std::collections::HashMap;
 
@@ -29,11 +37,11 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use smr_graph::{EdgeId, NodeId};
 use smr_mapreduce::flow::FlowContext;
-use smr_mapreduce::{Emitter, JobConfig, JobMetrics, Mapper, Reducer, RoundState, RoundStateMode};
+use smr_mapreduce::{Emitter, JobConfig, JobMetrics, Mapper, StateReducer};
 use smr_storage::impl_codec_struct;
 
 use crate::config::MarkingStrategy;
-use crate::state::{own_record, peer_notes, AdjEdge, NodeRecord, RoundMsg};
+use crate::state::{peer_notes, AdjEdge, NodeRecord, RoundMsg};
 
 /// A per-edge annotation inside the working records of the matcher.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -44,8 +52,6 @@ pub struct WorkEdge {
     pub other: NodeId,
     /// Edge weight.
     pub weight: f64,
-    /// Whether this node marked the edge in the current iteration.
-    pub marked_by_self: bool,
     /// Whether the other endpoint marked the edge in the current iteration.
     pub marked_by_other: bool,
     /// Whether the edge is currently in the candidate set `F`.
@@ -56,7 +62,6 @@ impl_codec_struct!(WorkEdge {
     edge,
     other,
     weight,
-    marked_by_self,
     marked_by_other,
     in_f
 });
@@ -67,7 +72,6 @@ impl WorkEdge {
             edge: adj.edge,
             other: adj.other,
             weight: adj.weight,
-            marked_by_self: false,
             marked_by_other: false,
             in_f: false,
         }
@@ -91,11 +95,10 @@ impl_codec_struct!(WorkRecord {
     edges
 });
 
-/// The message exchanged by all four stage jobs ([`RoundMsg`]): the
-/// node's working record, self-addressed so that it survives stages in
-/// which no neighbour has anything to say, or a neighbour's stage-specific
-/// flag for one edge (marked / selected / dropped from F / survives).
-type FlagMsg = RoundMsg<WorkRecord, bool>;
+/// The message exchanged by all four stage jobs ([`RoundMsg`]): a
+/// neighbour's stage-specific flag for one edge (marked / selected /
+/// dropped from F / survives).
+type FlagMsg = RoundMsg<bool>;
 
 /// Result of one maximal b-matching computation.
 #[derive(Debug, Clone, Default)]
@@ -108,7 +111,7 @@ pub struct MaximalResult {
     pub jobs: usize,
     /// Metrics of every job in order.
     pub job_metrics: Vec<JobMetrics>,
-    /// Largest on-disk inter-iteration state (zero in `InMemory` mode).
+    /// Largest encoded size the working records reached.
     pub max_round_state_bytes: u64,
 }
 
@@ -170,17 +173,34 @@ fn pick_edges(
     }
 }
 
+/// `len` flags, set at the `picked` indices.
+fn flags(len: usize, picked: Vec<usize>) -> Vec<bool> {
+    let mut flags = vec![false; len];
+    for i in picked {
+        flags[i] = true;
+    }
+    flags
+}
+
+/// Every stage's side output: the edges entering the matching (only
+/// cleanup emits any).
+type Matched = Emitter<EdgeId, ()>;
+
 // ---------------------------------------------------------------------------
 // Stage 1: marking
 // ---------------------------------------------------------------------------
 
-struct MarkMapper {
+/// Every node marks `⌈c(v)/2⌉` of its edges and tells each neighbour
+/// whether their edge is marked.  A node's own marks matter only to its
+/// neighbours, so its reducer records just theirs.
+#[derive(Clone, Copy)]
+struct Mark {
     strategy: MarkingStrategy,
     seed: u64,
     iteration: u64,
 }
 
-impl Mapper for MarkMapper {
+impl Mapper for Mark {
     type InKey = NodeId;
     type InValue = WorkRecord;
     type OutKey = NodeId;
@@ -196,42 +216,31 @@ impl Mapper for MarkMapper {
             .map(|(i, e)| (i, e.weight))
             .collect();
         let marked = pick_edges(self.strategy, &mut rng, &candidates, to_mark);
-        let marked_set: Vec<bool> = {
-            let mut v = vec![false; record.edges.len()];
-            for i in marked {
-                v[i] = true;
-            }
-            v
-        };
-        for (i, e) in record.edges.iter().enumerate() {
-            out.emit(e.other, RoundMsg::peer(e.edge, marked_set[i]));
+        for (e, marked) in record.edges.iter().zip(flags(record.edges.len(), marked)) {
+            out.emit(e.other, RoundMsg::new(e.edge, marked));
         }
-        // Own marks travel in the self-addressed record.
-        let mut own = record.clone();
-        for (i, e) in own.edges.iter_mut().enumerate() {
-            e.marked_by_self = marked_set[i];
-        }
-        out.emit(own.node, RoundMsg::own(own));
     }
 }
 
-struct MarkReducer;
-
-impl Reducer for MarkReducer {
+impl StateReducer for Mark {
     type Key = NodeId;
-    type InValue = FlagMsg;
-    type OutKey = NodeId;
-    type OutValue = WorkRecord;
+    type State = WorkRecord;
+    type Note = FlagMsg;
+    type OutKey = EdgeId;
+    type OutValue = ();
 
-    fn reduce(&self, node: &NodeId, msgs: &[FlagMsg], out: &mut Emitter<NodeId, WorkRecord>) {
-        let Some(mut record) = own_record(msgs).cloned() else {
-            return;
-        };
+    fn reduce(
+        &self,
+        _node: &NodeId,
+        mut record: WorkRecord,
+        msgs: &[FlagMsg],
+        _out: &mut Matched,
+    ) -> Option<WorkRecord> {
         let marks = peer_notes(msgs);
         for e in &mut record.edges {
             e.marked_by_other = marks.get(e.edge).unwrap_or(false);
         }
-        out.emit(*node, record);
+        Some(record)
     }
 }
 
@@ -239,18 +248,16 @@ impl Reducer for MarkReducer {
 // Stage 2: selection
 // ---------------------------------------------------------------------------
 
-struct SelectMapper {
+/// Every node selects up to `max(⌊c(v)/2⌋, 1)` of the edges its
+/// neighbours marked; an edge enters F when either end selected it.
+#[derive(Clone, Copy)]
+struct Select {
     seed: u64,
     iteration: u64,
 }
 
-impl Mapper for SelectMapper {
-    type InKey = NodeId;
-    type InValue = WorkRecord;
-    type OutKey = NodeId;
-    type OutValue = FlagMsg;
-
-    fn map(&self, _node: &NodeId, record: &WorkRecord, out: &mut Emitter<NodeId, FlagMsg>) {
+impl Select {
+    fn selections(&self, record: &WorkRecord) -> Vec<bool> {
         let mut rng = node_rng(
             self.seed,
             self.iteration.wrapping_add(0x5e1ec7),
@@ -268,44 +275,43 @@ impl Mapper for SelectMapper {
         // among the neighbour-marked edges regardless of the marking
         // strategy.
         let selected = pick_edges(MarkingStrategy::Random, &mut rng, &candidates, quota);
-        let selected_set: Vec<bool> = {
-            let mut v = vec![false; record.edges.len()];
-            for i in selected {
-                v[i] = true;
-            }
-            v
-        };
-        for (i, e) in record.edges.iter().enumerate() {
-            out.emit(e.other, RoundMsg::peer(e.edge, selected_set[i]));
-        }
-        let mut own = record.clone();
-        for (i, e) in own.edges.iter_mut().enumerate() {
-            // An edge enters F if this node selected it (it was marked by
-            // the neighbour); the neighbour's selections arrive as notes.
-            e.in_f = selected_set[i];
-        }
-        out.emit(own.node, RoundMsg::own(own));
+        flags(record.edges.len(), selected)
     }
 }
 
-struct SelectReducer;
-
-impl Reducer for SelectReducer {
-    type Key = NodeId;
-    type InValue = FlagMsg;
+impl Mapper for Select {
+    type InKey = NodeId;
+    type InValue = WorkRecord;
     type OutKey = NodeId;
-    type OutValue = WorkRecord;
+    type OutValue = FlagMsg;
 
-    fn reduce(&self, node: &NodeId, msgs: &[FlagMsg], out: &mut Emitter<NodeId, WorkRecord>) {
-        let Some(mut record) = own_record(msgs).cloned() else {
-            return;
-        };
-        let selections = peer_notes(msgs);
-        for e in &mut record.edges {
-            let selected_by_other = selections.get(e.edge).unwrap_or(false);
-            e.in_f = e.in_f || selected_by_other;
+    fn map(&self, _node: &NodeId, record: &WorkRecord, out: &mut Emitter<NodeId, FlagMsg>) {
+        for (e, selected) in record.edges.iter().zip(self.selections(record)) {
+            out.emit(e.other, RoundMsg::new(e.edge, selected));
         }
-        out.emit(*node, record);
+    }
+}
+
+impl StateReducer for Select {
+    type Key = NodeId;
+    type State = WorkRecord;
+    type Note = FlagMsg;
+    type OutKey = EdgeId;
+    type OutValue = ();
+
+    fn reduce(
+        &self,
+        _node: &NodeId,
+        mut record: WorkRecord,
+        msgs: &[FlagMsg],
+        _out: &mut Matched,
+    ) -> Option<WorkRecord> {
+        let by_other = peer_notes(msgs);
+        let by_self = self.selections(&record);
+        for (e, by_self) in record.edges.iter_mut().zip(by_self) {
+            e.in_f = by_self || by_other.get(e.edge).unwrap_or(false);
+        }
+        Some(record)
     }
 }
 
@@ -313,18 +319,16 @@ impl Reducer for SelectReducer {
 // Stage 3: matching (capacity-1 conflict resolution)
 // ---------------------------------------------------------------------------
 
-struct MatchFixMapper {
+/// A node of capacity 1 keeps one of its F edges at random and drops the
+/// rest; a dropped edge leaves F at both ends.
+#[derive(Clone, Copy)]
+struct MatchFix {
     seed: u64,
     iteration: u64,
 }
 
-impl Mapper for MatchFixMapper {
-    type InKey = NodeId;
-    type InValue = WorkRecord;
-    type OutKey = NodeId;
-    type OutValue = FlagMsg;
-
-    fn map(&self, _node: &NodeId, record: &WorkRecord, out: &mut Emitter<NodeId, FlagMsg>) {
+impl MatchFix {
+    fn drops(&self, record: &WorkRecord) -> Vec<bool> {
         let mut rng = node_rng(
             self.seed,
             self.iteration.wrapping_add(0xf1f1f1),
@@ -337,51 +341,54 @@ impl Mapper for MatchFixMapper {
             .filter(|(_, e)| e.in_f)
             .map(|(i, _)| i)
             .collect();
-        // A node of capacity 1 may keep only one F edge; it drops the rest.
-        let mut dropped = vec![false; record.edges.len()];
         if record.capacity == 1 && f_indices.len() > 1 {
             let keep = f_indices[rng.gen_range(0..f_indices.len())];
-            for &i in &f_indices {
-                if i != keep {
-                    dropped[i] = true;
-                }
-            }
+            let dropped = f_indices.into_iter().filter(|&i| i != keep).collect();
+            flags(record.edges.len(), dropped)
+        } else {
+            vec![false; record.edges.len()]
         }
-        for (i, e) in record.edges.iter().enumerate() {
-            if e.in_f {
-                out.emit(e.other, RoundMsg::peer(e.edge, dropped[i]));
-            }
-        }
-        let mut own = record.clone();
-        for (i, e) in own.edges.iter_mut().enumerate() {
-            if dropped[i] {
-                e.in_f = false;
-            }
-        }
-        out.emit(own.node, RoundMsg::own(own));
     }
 }
 
-struct MatchFixReducer;
-
-impl Reducer for MatchFixReducer {
-    type Key = NodeId;
-    type InValue = FlagMsg;
+impl Mapper for MatchFix {
+    type InKey = NodeId;
+    type InValue = WorkRecord;
     type OutKey = NodeId;
-    type OutValue = WorkRecord;
+    type OutValue = FlagMsg;
 
-    fn reduce(&self, node: &NodeId, msgs: &[FlagMsg], out: &mut Emitter<NodeId, WorkRecord>) {
-        let Some(mut record) = own_record(msgs).cloned() else {
-            return;
-        };
+    fn map(&self, _node: &NodeId, record: &WorkRecord, out: &mut Emitter<NodeId, FlagMsg>) {
+        for (e, dropped) in record.edges.iter().zip(self.drops(record)) {
+            if e.in_f {
+                out.emit(e.other, RoundMsg::new(e.edge, dropped));
+            }
+        }
+    }
+}
+
+impl StateReducer for MatchFix {
+    type Key = NodeId;
+    type State = WorkRecord;
+    type Note = FlagMsg;
+    type OutKey = EdgeId;
+    type OutValue = ();
+
+    fn reduce(
+        &self,
+        _node: &NodeId,
+        mut record: WorkRecord,
+        msgs: &[FlagMsg],
+        _out: &mut Matched,
+    ) -> Option<WorkRecord> {
         // A true note means "the sender dropped this edge from F".
-        let drops = peer_notes(msgs);
-        for e in &mut record.edges {
-            if drops.get(e.edge).unwrap_or(false) {
+        let by_other = peer_notes(msgs);
+        let by_self = self.drops(&record);
+        for (e, by_self) in record.edges.iter_mut().zip(by_self) {
+            if by_self || by_other.get(e.edge).unwrap_or(false) {
                 e.in_f = false;
             }
         }
-        out.emit(*node, record);
+        Some(record)
     }
 }
 
@@ -389,9 +396,13 @@ impl Reducer for MatchFixReducer {
 // Stage 4: cleanup
 // ---------------------------------------------------------------------------
 
-struct CleanupMapper;
+/// F enters the matching (side output, reported by both ends), capacities
+/// drop by the node's F edges, and saturated nodes retire with their
+/// edges.
+#[derive(Clone, Copy)]
+struct Cleanup;
 
-impl Mapper for CleanupMapper {
+impl Mapper for Cleanup {
     type InKey = NodeId;
     type InValue = WorkRecord;
     type OutKey = NodeId;
@@ -404,70 +415,39 @@ impl Mapper for CleanupMapper {
             // A true note means "this edge survives at my end": it is not
             // in F and I am not saturated after this iteration.
             let survives = !e.in_f && new_capacity > 0;
-            out.emit(e.other, RoundMsg::peer(e.edge, survives));
+            out.emit(e.other, RoundMsg::new(e.edge, survives));
         }
-        out.emit(record.node, RoundMsg::own(record.clone()));
     }
 }
 
-/// The cleanup reducer's output: the updated working record plus the edges
-/// this node saw entering the matching this iteration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CleanupOutput {
-    /// Updated working record (possibly with an empty edge list).
-    pub record: WorkRecord,
-    /// Edges added to the maximal matching this iteration.
-    pub matched: Vec<EdgeId>,
-}
-
-impl_codec_struct!(CleanupOutput { record, matched });
-
-struct CleanupReducer;
-
-impl Reducer for CleanupReducer {
+impl StateReducer for Cleanup {
     type Key = NodeId;
-    type InValue = FlagMsg;
-    type OutKey = NodeId;
-    type OutValue = CleanupOutput;
+    type State = WorkRecord;
+    type Note = FlagMsg;
+    type OutKey = EdgeId;
+    type OutValue = ();
 
-    fn reduce(&self, node: &NodeId, msgs: &[FlagMsg], out: &mut Emitter<NodeId, CleanupOutput>) {
-        let Some(record) = own_record(msgs) else {
-            return;
-        };
+    fn reduce(
+        &self,
+        _node: &NodeId,
+        mut record: WorkRecord,
+        msgs: &[FlagMsg],
+        out: &mut Matched,
+    ) -> Option<WorkRecord> {
         let neighbour_survives = peer_notes(msgs);
-        let matched: Vec<EdgeId> = record
+        let mut matched = 0;
+        for e in record.edges.iter().filter(|e| e.in_f) {
+            out.emit(e.edge, ());
+            matched += 1;
+        }
+        record.capacity = record.capacity.saturating_sub(matched);
+        if record.capacity == 0 {
+            return None;
+        }
+        record
             .edges
-            .iter()
-            .filter(|e| e.in_f)
-            .map(|e| e.edge)
-            .collect();
-        let new_capacity = record.capacity.saturating_sub(matched.len() as u64);
-        let surviving_edges: Vec<WorkEdge> = if new_capacity == 0 {
-            Vec::new()
-        } else {
-            record
-                .edges
-                .iter()
-                .filter(|e| !e.in_f && neighbour_survives.get(e.edge).unwrap_or(false))
-                .map(|e| WorkEdge {
-                    marked_by_self: false,
-                    marked_by_other: false,
-                    in_f: false,
-                    ..*e
-                })
-                .collect()
-        };
-        out.emit(
-            *node,
-            CleanupOutput {
-                record: WorkRecord {
-                    node: *node,
-                    capacity: new_capacity,
-                    edges: surviving_edges,
-                },
-                matched,
-            },
-        );
+            .retain(|e| !e.in_f && neighbour_survives.get(e.edge).unwrap_or(false));
+        (!record.edges.is_empty()).then_some(record)
     }
 }
 
@@ -486,9 +466,6 @@ pub struct MaximalMatcher {
     pub job: JobConfig,
     /// Safety bound on the number of iterations.
     pub max_iterations: usize,
-    /// Where the working records live between Garrido iterations
-    /// (disk-backed in the flow's side store by default).
-    pub round_state: RoundStateMode,
 }
 
 impl MaximalMatcher {
@@ -499,17 +476,14 @@ impl MaximalMatcher {
             seed,
             job,
             max_iterations: 10_000,
-            round_state: RoundStateMode::default(),
         }
     }
 
     /// Computes a maximal b-matching of the subgraph described by
     /// `records` (node, capacity `c(v)`, live adjacency), with every
-    /// iteration's four stage jobs chained through `flow` — one lazy
-    /// `Dataset` chain per iteration (mark → select → match → cleanup),
-    /// records moving between the stages by value.  Between iterations
-    /// the working records live in a [`RoundState`] (disk-backed by
-    /// default), with finished nodes retired via tombstones.
+    /// iteration's four stage jobs run through `flow` as rounds over the
+    /// working records (mark → select → match → cleanup), kept in a
+    /// [`smr_mapreduce::RoundState`] from which finished nodes retire.
     /// `stage_prefix` namespaces the job names when the matcher runs
     /// inside a larger flow (StackMR passes `maximal-{push_round}`); an
     /// empty prefix names jobs `{flow}-mark-{i}` etc.
@@ -527,22 +501,20 @@ impl MaximalMatcher {
             }
         };
 
-        let mut state: RoundState<NodeId, CleanupOutput> =
-            flow.round_state("maximal-work", self.round_state);
+        let mut state = flow.round_state("maximal-work");
         state.seed(
             records
                 .iter()
                 .filter(|(_, r)| !r.adjacency.is_empty() && r.capacity > 0)
                 .map(|(n, r)| {
+                    let edges = r.adjacency.iter().map(WorkEdge::from_adj).collect();
+                    let capacity = r.capacity;
                     (
                         *n,
-                        CleanupOutput {
-                            record: WorkRecord {
-                                node: r.node,
-                                capacity: r.capacity,
-                                edges: r.adjacency.iter().map(WorkEdge::from_adj).collect(),
-                            },
-                            matched: Vec::new(),
+                        WorkRecord {
+                            node: r.node,
+                            capacity,
+                            edges,
                         },
                     )
                 })
@@ -552,44 +524,24 @@ impl MaximalMatcher {
         let jobs_start = flow.num_jobs();
         let mut result = MaximalResult::default();
         while !state.is_empty() && result.iterations < self.max_iterations {
-            let iteration = result.iterations as u64;
-            // One Garrido iteration = one four-job chain.
-            let cleaned = state
-                .dataset_with(|node, out| (node, out.record))
-                .map_with(MarkMapper {
-                    strategy: self.strategy,
-                    seed: self.seed,
-                    iteration,
-                })
-                .named(stage("mark", iteration))
-                .reduce_with(MarkReducer)
-                .map_with(SelectMapper {
-                    seed: self.seed,
-                    iteration,
-                })
-                .named(stage("select", iteration))
-                .reduce_with(SelectReducer)
-                .map_with(MatchFixMapper {
-                    seed: self.seed,
-                    iteration,
-                })
-                .named(stage("match", iteration))
-                .reduce_with(MatchFixReducer)
-                .map_with(CleanupMapper)
-                .named(stage("cleanup", iteration))
-                .reduce_with(CleanupReducer)
-                .collect();
-
+            let (seed, iteration) = (self.seed, result.iterations as u64);
+            // One Garrido iteration = four rounds.
+            let mark = Mark {
+                strategy: self.strategy,
+                seed,
+                iteration,
+            };
+            state.round(stage("mark", iteration), mark, mark);
+            let select = Select { seed, iteration };
+            state.round(stage("select", iteration), select, select);
+            let fix = MatchFix { seed, iteration };
+            state.round(stage("match", iteration), fix, fix);
+            let matched = state.round(stage("cleanup", iteration), Cleanup, Cleanup);
+            result
+                .edges
+                .extend(matched.into_iter().map(|(edge, ())| edge));
             result.jobs += 4;
             result.iterations += 1;
-
-            // Matched edges land in the result; saturated and edgeless
-            // nodes are retired from the next iteration's input.
-            let edges = &mut result.edges;
-            state.absorb(cleaned, |_, output| {
-                edges.extend(output.matched.iter().copied());
-                !output.record.edges.is_empty() && output.record.capacity > 0
-            });
         }
         result.job_metrics = flow.jobs_from(jobs_start);
         result.max_round_state_bytes = state.max_state_bytes();

@@ -62,10 +62,10 @@ pub struct MatchingRun {
     pub value_per_round: Vec<f64>,
     /// Metrics of every MapReduce job in execution order.
     pub job_metrics: Vec<JobMetrics>,
-    /// Largest on-disk inter-round state the run held at any point, in
-    /// bytes — what the in-memory round path would have kept resident
-    /// between rounds.  Zero for centralized algorithms and for runs in
-    /// [`smr_mapreduce::RoundStateMode::InMemory`] mode.
+    /// Peak resident round state, in encoded bytes: the largest
+    /// [`smr_mapreduce::RoundState::max_state_bytes`] of the run's round
+    /// states (partitions in RAM and in run files alike).  Zero for
+    /// centralized algorithms.
     pub max_round_state_bytes: u64,
 }
 

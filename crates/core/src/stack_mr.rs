@@ -25,20 +25,26 @@
 //! factor of at most `(1+ε)`; the approximation guarantee is `1/(6+ε)`
 //! (Theorem 1).  With the paper's experimental setting ε = 1, observed
 //! violations stay in the single-digit percent range (Figure 4).
+//!
+//! Every job is a round over partition-resident state
+//! ([`smr_mapreduce::RoundState`]): the push rounds over the nodes' duals
+//! and live edges, the maximal matcher over its working records, the pop
+//! rounds over residual capacities.  A node's record stays in its
+//! partition; its mapper sends each neighbour one note per shared edge
+//! and its reducer gets the record beside the notes it received.
 
 use std::collections::HashSet;
-use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 use smr_graph::{BipartiteGraph, Capacities, EdgeId, Matching, NodeId};
 use smr_mapreduce::flow::FlowContext;
-use smr_mapreduce::{Emitter, Mapper, Reducer, RoundState};
+use smr_mapreduce::{Emitter, Mapper, StateReducer};
 use smr_storage::impl_codec_struct;
 
 use crate::config::{MarkingStrategy, StackMrConfig};
 use crate::maximal::MaximalMatcher;
 use crate::result::{AlgorithmKind, MatchingRun};
-use crate::state::{build_node_records, own_record, peer_notes, AdjEdge, NodeRecord, RoundMsg};
+use crate::state::{build_node_records, peer_notes, AdjEdge, NodeRecord, RoundMsg};
 
 // ---------------------------------------------------------------------------
 // Push-phase records and messages
@@ -64,9 +70,9 @@ impl_codec_struct!(StackNodeRecord {
     adjacency
 });
 
-/// Message of the coverage and push jobs ([`RoundMsg`]): the node's own
-/// record, or a neighbour's `y_v / b(v)` for one edge.
-type RatioMsg = RoundMsg<StackNodeRecord, f64>;
+/// Message of the coverage and push jobs ([`RoundMsg`]): a neighbour's
+/// `y_v / b(v)` for one edge.
+type RatioMsg = RoundMsg<f64>;
 
 /// A mapper that sends `y/b` along every live edge (used by both the
 /// coverage job and the push job; the push job additionally restricts the
@@ -82,71 +88,78 @@ impl Mapper for DualExchangeMapper {
     fn map(&self, _node: &NodeId, record: &StackNodeRecord, out: &mut Emitter<NodeId, RatioMsg>) {
         let ratio = record.dual / record.capacity as f64;
         for adj in &record.adjacency {
-            out.emit(adj.other, RoundMsg::peer(adj.edge, ratio));
+            out.emit(adj.other, RoundMsg::new(adj.edge, ratio));
         }
-        out.emit(record.node, RoundMsg::own(record.clone()));
     }
 }
 
-/// Reducer of the coverage job: drops weakly covered edges.
-struct CoverageReducer {
-    weak_factor: f64,
+/// Reducer of the coverage job: drops weakly covered edges, retires a
+/// node left without edges, and emits every other node's record, at its
+/// layer capacity, as the maximal-matching input.
+struct CoverageReducer<'a> {
+    config: &'a StackMrConfig,
 }
 
-impl Reducer for CoverageReducer {
+impl StateReducer for CoverageReducer<'_> {
     type Key = NodeId;
-    type InValue = RatioMsg;
+    type State = StackNodeRecord;
+    type Note = RatioMsg;
     type OutKey = NodeId;
-    type OutValue = StackNodeRecord;
+    type OutValue = NodeRecord;
 
-    fn reduce(&self, node: &NodeId, msgs: &[RatioMsg], out: &mut Emitter<NodeId, StackNodeRecord>) {
-        let Some(record) = own_record(msgs) else {
-            return;
-        };
+    fn reduce(
+        &self,
+        node: &NodeId,
+        mut record: StackNodeRecord,
+        msgs: &[RatioMsg],
+        out: &mut Emitter<NodeId, NodeRecord>,
+    ) -> Option<StackNodeRecord> {
         let own_ratio = record.dual / record.capacity as f64;
+        let weak_factor = self.config.weak_coverage_factor();
         let neighbour_ratios = peer_notes(msgs);
-        let mut surviving = Vec::with_capacity(record.adjacency.len());
-        for adj in &record.adjacency {
-            match neighbour_ratios.get(adj.edge) {
-                Some(neighbour_ratio) => {
+        // An edge without a note lost its neighbour (all of the
+        // neighbour's edges were covered in an earlier round): drop it.
+        record.adjacency.retain(|adj| {
+            neighbour_ratios
+                .get(adj.edge)
+                .is_some_and(|neighbour_ratio| {
                     let lhs = own_ratio + neighbour_ratio;
-                    let weakly_covered = lhs >= adj.weight * self.weak_factor - 1e-15;
-                    if !weakly_covered {
-                        surviving.push(*adj);
-                    }
-                }
-                None => {
-                    // The neighbour vanished (all of its edges were covered
-                    // in an earlier round); drop the edge.
-                }
-            }
+                    let weakly_covered = lhs >= adj.weight * weak_factor - 1e-15;
+                    !weakly_covered
+                })
+        });
+        if record.adjacency.is_empty() {
+            return None;
         }
+        let layer_capacity = self.config.layer_capacity(record.capacity);
         out.emit(
             *node,
-            StackNodeRecord {
-                adjacency: surviving,
-                ..*record
-            },
+            NodeRecord::new(record.node, layer_capacity, record.adjacency.clone()),
         );
+        Some(record)
     }
 }
 
 /// Reducer of the push job: raises `y_v` by `Σ δ(e)` over the node's layer
 /// edges.
-struct PushReducer {
-    layer: Arc<HashSet<EdgeId>>,
+struct PushReducer<'a> {
+    layer: &'a HashSet<EdgeId>,
 }
 
-impl Reducer for PushReducer {
+impl StateReducer for PushReducer<'_> {
     type Key = NodeId;
-    type InValue = RatioMsg;
+    type State = StackNodeRecord;
+    type Note = RatioMsg;
     type OutKey = NodeId;
-    type OutValue = StackNodeRecord;
+    type OutValue = ();
 
-    fn reduce(&self, node: &NodeId, msgs: &[RatioMsg], out: &mut Emitter<NodeId, StackNodeRecord>) {
-        let Some(record) = own_record(msgs) else {
-            return;
-        };
+    fn reduce(
+        &self,
+        _node: &NodeId,
+        mut record: StackNodeRecord,
+        msgs: &[RatioMsg],
+        _out: &mut Emitter<NodeId, ()>,
+    ) -> Option<StackNodeRecord> {
         let own_ratio = record.dual / record.capacity as f64;
         let neighbour_ratios = peer_notes(msgs);
         let mut increase = 0.0;
@@ -163,13 +176,8 @@ impl Reducer for PushReducer {
                 }
             }
         }
-        out.emit(
-            *node,
-            StackNodeRecord {
-                dual: record.dual + increase,
-                ..record.clone()
-            },
-        );
+        record.dual += increase;
+        Some(record)
     }
 }
 
@@ -195,22 +203,22 @@ impl_codec_struct!(PopNodeRecord {
     adjacency
 });
 
-/// Message of a pop job ([`RoundMsg`]): the node's own record, or a
-/// neighbour's nomination of one edge (the note itself is the payload).
-type NominateMsg = RoundMsg<PopNodeRecord, ()>;
+/// Message of a pop job ([`RoundMsg`]): a neighbour's nomination of one
+/// edge (the note itself is the payload).
+type NominateMsg = RoundMsg<()>;
 
 /// The edges of the popped layer still open for inclusion — what both
 /// halves of a pop job need to tell a node's nominations.
-#[derive(Clone)]
-struct PopLayer {
-    layer: Arc<HashSet<EdgeId>>,
-    already_included: Arc<HashSet<EdgeId>>,
+#[derive(Clone, Copy)]
+struct PopLayer<'a> {
+    layer: &'a HashSet<EdgeId>,
+    already_included: &'a HashSet<EdgeId>,
 }
 
-impl PopLayer {
+impl PopLayer<'_> {
     /// The edges `record`'s node nominates: an active node nominates its
     /// edges of the current layer that are not yet in the solution.
-    fn nominations<'a>(&'a self, record: &'a PopNodeRecord) -> impl Iterator<Item = &'a AdjEdge> {
+    fn nominations<'r>(&'r self, record: &'r PopNodeRecord) -> impl Iterator<Item = &'r AdjEdge> {
         let active = record.residual > 0;
         record.adjacency.iter().filter(move |adj| {
             active && self.layer.contains(&adj.edge) && !self.already_included.contains(&adj.edge)
@@ -219,67 +227,47 @@ impl PopLayer {
 }
 
 /// Mapper of a pop job: sends every nomination to the neighbour across it.
-struct PopMapper(PopLayer);
-
-impl Mapper for PopMapper {
+impl Mapper for PopLayer<'_> {
     type InKey = NodeId;
     type InValue = PopNodeRecord;
     type OutKey = NodeId;
     type OutValue = NominateMsg;
 
     fn map(&self, _node: &NodeId, record: &PopNodeRecord, out: &mut Emitter<NodeId, NominateMsg>) {
-        for adj in self.0.nominations(record) {
-            out.emit(adj.other, RoundMsg::peer(adj.edge, ()));
+        for adj in self.nominations(record) {
+            out.emit(adj.other, RoundMsg::new(adj.edge, ()));
         }
-        out.emit(record.node, RoundMsg::own(record.clone()));
     }
 }
-
-/// Output of a pop job for one node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PopOutput {
-    /// The node's updated record.
-    pub record: PopNodeRecord,
-    /// Edges of the popped layer included in the solution at this node.
-    pub included: Vec<EdgeId>,
-}
-
-impl_codec_struct!(PopOutput { record, included });
 
 /// Reducer of a pop job: an edge is included when *both* endpoints
 /// nominated it (i.e. both were still active) — the node re-derives its
 /// own nominations from its record and holds them against the notes.
-struct PopReducer(PopLayer);
-
-impl Reducer for PopReducer {
+/// Included edges are the side output, reported by both endpoints.
+impl StateReducer for PopLayer<'_> {
     type Key = NodeId;
-    type InValue = NominateMsg;
-    type OutKey = NodeId;
-    type OutValue = PopOutput;
+    type State = PopNodeRecord;
+    type Note = NominateMsg;
+    type OutKey = EdgeId;
+    type OutValue = ();
 
-    fn reduce(&self, node: &NodeId, msgs: &[NominateMsg], out: &mut Emitter<NodeId, PopOutput>) {
-        let Some(record) = own_record(msgs) else {
-            return;
-        };
+    fn reduce(
+        &self,
+        _node: &NodeId,
+        mut record: PopNodeRecord,
+        msgs: &[NominateMsg],
+        out: &mut Emitter<EdgeId, ()>,
+    ) -> Option<PopNodeRecord> {
         let nominated_by_other = peer_notes(msgs);
-        let mut included: Vec<EdgeId> = self
-            .0
-            .nominations(record)
-            .filter(|adj| nominated_by_other.get(adj.edge).is_some())
-            .map(|adj| adj.edge)
-            .collect();
-        included.sort_unstable();
-        let new_residual = record.residual - included.len() as i64;
-        out.emit(
-            *node,
-            PopOutput {
-                record: PopNodeRecord {
-                    residual: new_residual,
-                    ..record.clone()
-                },
-                included,
-            },
-        );
+        let mut included = 0;
+        for adj in self.nominations(&record) {
+            if nominated_by_other.get(adj.edge).is_some() {
+                out.emit(adj.edge, ());
+                included += 1;
+            }
+        }
+        record.residual -= included;
+        Some(record)
     }
 }
 
@@ -309,11 +297,10 @@ impl StackMr {
     /// the flow's `JobConfig` governs the engine and all jobs report into
     /// the flow's [`smr_mapreduce::FlowReport`].
     ///
-    /// Between rounds the surviving node records live in [`RoundState`]s
-    /// — on disk in the flow's side store by default
-    /// ([`crate::StackMrConfig::round_state`]), with covered-out nodes
-    /// retired via tombstones — so no phase of the run holds the full
-    /// candidate edge list in memory between rounds.
+    /// Between rounds the surviving node records stay in their
+    /// partitions of [`smr_mapreduce::RoundState`]s — in RAM within the
+    /// memory budget's share per reduce task, in run files above it — and
+    /// covered-out nodes retire from them as their reducers decide.
     pub fn run(
         &self,
         graph: &BipartiteGraph,
@@ -332,8 +319,7 @@ impl StackMr {
         // ------------------------------------------------------------------
         // Push phase.
         // ------------------------------------------------------------------
-        let mut push_state: RoundState<NodeId, StackNodeRecord> =
-            flow.round_state("stack-push", self.config.round_state);
+        let mut push_state = flow.round_state("stack-push");
         push_state.seed(
             build_node_records(graph, caps)
                 .into_iter()
@@ -350,40 +336,27 @@ impl StackMr {
                 })
                 .collect(),
         );
-        let weak_factor = self.config.weak_coverage_factor();
         let mut layers: Vec<Vec<EdgeId>> = Vec::new();
 
         for push_round in 0..self.config.max_push_rounds {
             flow.mark_round();
-            // (1) Remove weakly covered edges; covered-out nodes retire
-            // from the round state via tombstones.
-            let covered = push_state
-                .dataset()
-                .map_with(DualExchangeMapper)
-                .named(format!("coverage-{push_round}"))
-                .reduce_with(CoverageReducer { weak_factor })
-                .collect();
-            push_state.absorb(covered, |_, r| !r.adjacency.is_empty());
+            // (1) Remove weakly covered edges; covered-out nodes retire.
+            // The survivors at their layer capacities max(1, ⌈ε·b(v)⌉)
+            // are the maximal matcher's input.
+            let matcher_input = push_state.round(
+                format!("coverage-{push_round}"),
+                DualExchangeMapper,
+                CoverageReducer {
+                    config: &self.config,
+                },
+            );
             if push_state.is_empty() {
                 break;
             }
             rounds += 1;
             value_per_round.push(0.0);
 
-            // (2) Maximal b-matching with layer capacities max(1, ⌈ε·b(v)⌉).
-            let layer_config = self.config.clone();
-            let matcher_input: Vec<(NodeId, NodeRecord)> = push_state
-                .dataset_with(move |node, r| {
-                    (
-                        node,
-                        NodeRecord::new(
-                            r.node,
-                            layer_config.layer_capacity(r.capacity),
-                            r.adjacency,
-                        ),
-                    )
-                })
-                .collect();
+            // (2) Maximal b-matching of the surviving graph.
             let matcher = MaximalMatcher {
                 strategy: self.config.marking,
                 seed: self.config.seed.wrapping_add(push_round as u64),
@@ -392,7 +365,6 @@ impl StackMr {
                 // (and name) from the FlowContext.
                 job: flow.config().clone(),
                 max_iterations: self.config.max_maximal_iterations,
-                round_state: self.config.round_state,
             };
             let maximal = matcher.compute(&matcher_input, flow, &format!("maximal-{push_round}"));
             max_round_state_bytes = max_round_state_bytes.max(maximal.max_round_state_bytes);
@@ -404,40 +376,33 @@ impl StackMr {
             }
 
             // (3) Push the layer: raise the duals of its edges.
-            let layer_arc = Arc::new(layer);
-            let pushed = push_state
-                .dataset()
-                .map_with(DualExchangeMapper)
-                .named(format!("push-{push_round}"))
-                .reduce_with(PushReducer {
-                    layer: Arc::clone(&layer_arc),
-                })
-                .collect();
-            push_state.absorb(pushed, |_, _| true);
+            push_state.round(
+                format!("push-{push_round}"),
+                DualExchangeMapper,
+                PushReducer { layer: &layer },
+            );
             layers.push(maximal.edges);
         }
         max_round_state_bytes = max_round_state_bytes.max(push_state.max_state_bytes());
-        push_state.clear();
+        drop(push_state);
 
         // ------------------------------------------------------------------
         // Pop phase: one job per layer, from the top of the stack.
         // ------------------------------------------------------------------
         let mut matching = Matching::new(graph.num_edges());
-        let mut pop_state: RoundState<NodeId, PopOutput> =
-            flow.round_state("stack-pop", self.config.round_state);
+        let mut pop_state = flow.round_state("stack-pop");
         pop_state.seed(
             build_node_records(graph, caps)
                 .into_iter()
                 .map(|(node, r)| {
+                    let residual = r.capacity as i64;
+                    let adjacency = r.adjacency;
                     (
                         node,
-                        PopOutput {
-                            record: PopNodeRecord {
-                                node: r.node,
-                                residual: r.capacity as i64,
-                                adjacency: r.adjacency,
-                            },
-                            included: Vec::new(),
+                        PopNodeRecord {
+                            node,
+                            residual,
+                            adjacency,
                         },
                     )
                 })
@@ -447,28 +412,18 @@ impl StackMr {
 
         for (layer_idx, layer) in layers.iter().enumerate().rev() {
             flow.mark_round();
+            let layer: HashSet<EdgeId> = layer.iter().copied().collect();
             let pop_layer = PopLayer {
-                layer: Arc::new(layer.iter().copied().collect()),
-                already_included: Arc::new(included_so_far.clone()),
+                layer: &layer,
+                already_included: &included_so_far,
             };
-            let popped = pop_state
-                .dataset_with(|node, out| (node, out.record))
-                .map_with(PopMapper(pop_layer.clone()))
-                .named(format!("pop-{layer_idx}"))
-                .reduce_with(PopReducer(pop_layer))
-                .collect();
+            let included = pop_state.round(format!("pop-{layer_idx}"), pop_layer, pop_layer);
             rounds += 1;
-
-            let matching_ref = &mut matching;
-            let included_ref = &mut included_so_far;
-            pop_state.absorb(popped, |_, output| {
-                for &e in &output.included {
-                    if matching_ref.insert(e) {
-                        included_ref.insert(e);
-                    }
+            for (edge, ()) in included {
+                if matching.insert(edge) {
+                    included_so_far.insert(edge);
                 }
-                true
-            });
+            }
             value_per_round.push(matching.value(graph));
         }
         max_round_state_bytes = max_round_state_bytes.max(pop_state.max_state_bytes());

@@ -4,12 +4,14 @@
 //! Every record is keyed by a node and carries that node's local view of
 //! the graph: its residual capacity and the list of incident edges it still
 //! considers live.  Map functions make decisions locally to a node; reduce
-//! functions receive both endpoints' views of every edge and unify them,
-//! yielding a consistent graph representation as output.
+//! functions hold a node's record against its neighbours' notes about the
+//! edges they share, yielding a consistent graph representation as output.
 //!
-//! Every round job of every matcher exchanges the same message,
-//! [`RoundMsg`]: a node sends *itself* its record and each neighbour one
-//! small note about the edge they share.
+//! The records are the partition-resident state of a
+//! [`smr_mapreduce::RoundState`]: a node's record never crosses the
+//! shuffle, its reducer gets it beside the round's messages, and every
+//! round job of every matcher exchanges the same message, [`RoundMsg`] —
+//! one small note per live edge, sent to the neighbour across it.
 
 use serde::{Deserialize, Serialize};
 use smr_graph::{BipartiteGraph, Capacities, EdgeId, NodeId};
@@ -96,105 +98,59 @@ impl NodeRecord {
     }
 }
 
-/// The message of every round job: what a node's reducer needs is its own
-/// record plus one note per live edge from the neighbour across it —
-/// everything else about an edge (weight, the other endpoint, the node's
-/// capacity) is already in the record's adjacency.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RoundMsg<R, P> {
-    /// The sender's own record, self-addressed so that it survives rounds
-    /// in which no neighbour has anything to say.  Boxed: in the shuffle
-    /// buffers the variant costs a pointer, not the record's width.
-    Own(Box<R>),
-    /// A note from the neighbour across `edge`.
-    Peer {
-        /// The shared edge.
-        edge: EdgeId,
-        /// What the neighbour says about it: stage flags, or its dual.
-        payload: P,
-    },
+/// The message of every round job: a neighbour's note about the edge it
+/// shares with the receiving node.  Everything else about the edge
+/// (weight, the other endpoint, the node's capacity) is in the receiver's
+/// own record, which the round's reducer gets beside its notes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RoundMsg<P> {
+    /// The shared edge.
+    pub edge: EdgeId,
+    /// What the neighbour says about it: stage flags, or its dual.
+    pub payload: P,
 }
 
-impl<R, P> RoundMsg<R, P> {
-    /// The self-addressed message carrying `record`.
-    pub fn own(record: R) -> Self {
-        RoundMsg::Own(Box::new(record))
-    }
-
+impl<P> RoundMsg<P> {
     /// A note about `edge` for the neighbour across it.
-    pub fn peer(edge: EdgeId, payload: P) -> Self {
-        RoundMsg::Peer { edge, payload }
+    pub fn new(edge: EdgeId, payload: P) -> Self {
+        RoundMsg { edge, payload }
     }
 }
 
-impl<R: Codec, P: Codec> Codec for RoundMsg<R, P> {
+impl<P: Codec> Codec for RoundMsg<P> {
     fn encode(&self, out: &mut Vec<u8>) {
-        // Tag byte (0 = own record, 1 = peer note), then the fields.
-        match self {
-            RoundMsg::Own(record) => {
-                out.push(0);
-                record.encode(out);
-            }
-            RoundMsg::Peer { edge, payload } => {
-                out.push(1);
-                edge.encode(out);
-                payload.encode(out);
-            }
-        }
+        self.edge.encode(out);
+        self.payload.encode(out);
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
-        match u8::decode(input)? {
-            0 => Ok(RoundMsg::own(R::decode(input)?)),
-            1 => Ok(RoundMsg::peer(usize::decode(input)?, P::decode(input)?)),
-            other => Err(CodecError::InvalidData(format!(
-                "invalid RoundMsg tag {other}"
-            ))),
-        }
+        Ok(RoundMsg::new(usize::decode(input)?, P::decode(input)?))
     }
 
     fn encoded_len(&self) -> usize {
-        1 + match self {
-            RoundMsg::Own(record) => record.encoded_len(),
-            RoundMsg::Peer { edge, payload } => edge.encoded_len() + payload.encoded_len(),
-        }
+        self.edge.encoded_len() + self.payload.encoded_len()
     }
 }
 
-/// The node's own record among a reduce group's messages; `None` when the
-/// node has retired and only late notes from neighbours arrived.
-pub fn own_record<R, P>(msgs: &[RoundMsg<R, P>]) -> Option<&R> {
-    msgs.iter().find_map(|m| match m {
-        RoundMsg::Own(record) => Some(&**record),
-        RoundMsg::Peer { .. } => None,
-    })
-}
-
-/// The neighbours' notes of a reduce group, looked up by edge.  An edge
-/// without a note means the neighbour sent none: it has retired.
-pub fn peer_notes<R, P: Copy>(msgs: &[RoundMsg<R, P>]) -> PeerNotes<P> {
-    let mut notes: Vec<(EdgeId, P)> = msgs
-        .iter()
-        .filter_map(|m| match m {
-            RoundMsg::Own(_) => None,
-            RoundMsg::Peer { edge, payload } => Some((*edge, *payload)),
-        })
-        .collect();
-    notes.sort_unstable_by_key(|(edge, _)| *edge);
+/// A node's notes of one round, looked up by edge.  An edge without a
+/// note means the neighbour sent none: it has retired.
+pub fn peer_notes<P: Copy>(msgs: &[RoundMsg<P>]) -> PeerNotes<P> {
+    let mut notes = msgs.to_vec();
+    notes.sort_unstable_by_key(|note| note.edge);
     PeerNotes(notes)
 }
 
 /// Edge-sorted neighbour notes (see [`peer_notes`]).
 #[derive(Debug, Clone)]
-pub struct PeerNotes<P>(Vec<(EdgeId, P)>);
+pub struct PeerNotes<P>(Vec<RoundMsg<P>>);
 
 impl<P: Copy> PeerNotes<P> {
     /// The neighbour's note about `edge`, if it sent one.
     pub fn get(&self, edge: EdgeId) -> Option<P> {
         self.0
-            .binary_search_by_key(&edge, |(e, _)| *e)
+            .binary_search_by_key(&edge, |note| note.edge)
             .ok()
-            .map(|i| self.0[i].1)
+            .map(|i| self.0[i].payload)
     }
 }
 
@@ -316,31 +272,18 @@ mod tests {
     }
 
     #[test]
-    fn round_messages_round_trip_and_split_into_own_record_and_notes() {
-        let record = NodeRecord::new(
-            NodeId::item(3),
-            2,
-            vec![AdjEdge::new(9, NodeId::consumer(1), 0.5)],
-        );
-        let msgs: Vec<RoundMsg<NodeRecord, u8>> = vec![
-            RoundMsg::peer(9, 3),
-            RoundMsg::own(record.clone()),
-            RoundMsg::peer(4, 0),
-        ];
+    fn round_messages_round_trip_and_index_by_edge() {
+        let msgs: Vec<RoundMsg<u8>> = vec![RoundMsg::new(9, 3), RoundMsg::new(4, 0)];
         for msg in &msgs {
             let bytes = msg.encode_to_vec();
-            assert!(msg.encoded_len() <= bytes.len(), "a reserve hint");
+            assert_eq!(msg.encoded_len(), bytes.len());
             assert_eq!(&RoundMsg::decode_all(&bytes).unwrap(), msg);
         }
-        assert!(RoundMsg::<NodeRecord, u8>::decode_all(&[7]).is_err());
-        assert_eq!(own_record(&msgs), Some(&record));
+        assert!(RoundMsg::<u8>::decode_all(&[7]).is_err());
         let notes = peer_notes(&msgs);
         assert_eq!(notes.get(9), Some(3));
         assert_eq!(notes.get(4), Some(0));
         assert_eq!(notes.get(5), None, "no note: the neighbour has retired");
-        assert_eq!(own_record(&msgs[..1]), None);
-        // The buffers hold a pointer or a small note, never a record.
-        assert!(std::mem::size_of::<RoundMsg<NodeRecord, u8>>() <= 16);
     }
 
     #[test]

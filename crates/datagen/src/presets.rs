@@ -21,10 +21,9 @@
 //! skewed capacity distribution than flickr-small, and yahoo-answers has
 //! uniform item capacities with many more items than consumers.
 //!
-//! `flickr-xl` is not one of the paper's datasets: it is the *spill tier*,
-//! sized so that shuffle-heavy jobs overflow a small memory budget and
-//! exercise the engine's disk-spilling path (the `spill` experiment
-//! A/B-s budgets on it).  It is therefore not part of
+//! `flickr-xl` is not one of the paper's datasets: it is the *scale tier*,
+//! the largest Flickr-shaped input, which feeds the repo benchmark's
+//! `serving-mixed` workload.  It is therefore not part of
 //! [`DatasetPreset::all`] — the paper sweeps stay laptop-fast — but is
 //! addressable by name everywhere presets are.
 

@@ -159,6 +159,13 @@ impl Codec for NodeId {
             ))),
         }
     }
+
+    fn encoded_len(&self) -> usize {
+        1 + match self {
+            NodeId::Item(t) => t.encoded_len(),
+            NodeId::Consumer(c) => c.encoded_len(),
+        }
+    }
 }
 
 impl fmt::Display for NodeId {
@@ -190,6 +197,7 @@ mod tests {
     fn ids_round_trip_through_the_codec() {
         for node in [NodeId::item(0), NodeId::item(u32::MAX), NodeId::consumer(7)] {
             let bytes = node.encode_to_vec();
+            assert_eq!(node.encoded_len(), bytes.len());
             assert_eq!(NodeId::decode_all(&bytes).unwrap(), node);
         }
         assert!(NodeId::decode_all(&[2, 0, 0, 0, 0]).is_err(), "bad tag");

@@ -8,11 +8,10 @@
 //! per-iteration solution values of Figure 5.
 //!
 //! The inter-round state of a driven job lives in a
-//! [`RoundState`](crate::flow::RoundState): in its default disk-backed
-//! mode, the records surviving between rounds sit in the flow's side
-//! store as run files (with retirees tombstoned away at read time), so
-//! the driver's loop never requires the full record set in RAM between
-//! rounds.  Jobs mark round boundaries with
+//! [`RoundState`](crate::flow::RoundState): partitioned over the reduce
+//! tasks, each partition in RAM within its share of the memory budget
+//! and in a run file above it, so the driver's loop never holds the
+//! record set itself.  Jobs mark round boundaries with
 //! [`FlowContext::mark_round`](crate::flow::FlowContext::mark_round) so
 //! a [`FlowReport`](crate::flow::FlowReport) can attribute jobs to rounds
 //! without aliasing.
@@ -207,44 +206,60 @@ mod tests {
     #[test]
     fn driver_runs_a_disk_backed_round_state_job_out_of_core() {
         use crate::config::JobConfig;
-        use crate::flow::{FlowContext, RoundState, RoundStateMode};
+        use crate::flow::{FlowContext, RoundState};
+        use crate::types::{Emitter, Mapper, StateReducer};
 
-        // An iterative job whose only inter-round state is a disk-backed
-        // RoundState: counters drain by one per round and retire at zero.
-        struct Drain {
+        // Counters drain by one per round and retire at zero; nobody
+        // sends notes.
+        struct Drain;
+        impl Mapper for Drain {
+            type InKey = u32;
+            type InValue = u64;
+            type OutKey = u32;
+            type OutValue = ();
+            fn map(&self, _: &u32, _: &u64, _: &mut Emitter<u32, ()>) {}
+        }
+        impl StateReducer for Drain {
+            type Key = u32;
+            type State = u64;
+            type Note = ();
+            type OutKey = u32;
+            type OutValue = ();
+            fn reduce(&self, _: &u32, c: u64, _: &[()], _: &mut Emitter<u32, ()>) -> Option<u64> {
+                (c > 1).then(|| c - 1)
+            }
+        }
+        // An iterative job whose only inter-round state is a RoundState
+        // whose partitions all outgrow a 16-byte budget.
+        struct Draining {
             state: RoundState<u32, u64>,
             flow: FlowContext,
         }
-        impl IterativeJob for Drain {
-            fn run_round(&mut self, _round: usize) -> (RoundOutcome, Vec<JobMetrics>) {
+        impl IterativeJob for Draining {
+            fn run_round(&mut self, round: usize) -> (RoundOutcome, Vec<JobMetrics>) {
                 self.flow.mark_round();
-                let output: Vec<(u32, u64)> = self
-                    .state
-                    .dataset()
-                    .collect()
-                    .into_iter()
-                    .map(|(k, c)| (k, c - 1))
-                    .collect();
-                self.state.absorb(output, |_, c| *c > 0);
+                let jobs = self.flow.num_jobs();
+                let _ = self.state.round(format!("drain-{round}"), Drain, Drain);
                 let outcome = if self.state.is_empty() {
                     RoundOutcome::Converged
                 } else {
                     RoundOutcome::Continue
                 };
-                (outcome, Vec::new())
+                (outcome, self.flow.jobs_from(jobs))
             }
         }
 
-        let flow = FlowContext::new(JobConfig::named("driver-rs"));
-        let mut state = flow.round_state("drain", RoundStateMode::DiskBacked);
+        let flow = FlowContext::new(JobConfig::named("driver-rs").with_memory_budget(Some(16)));
+        let mut state = flow.round_state("drain");
         state.seed(vec![(1u32, 2u64), (2, 4), (3, 1)]);
-        let mut job = Drain {
+        let mut job = Draining {
             state,
             flow: flow.clone(),
         };
         let summary = IterativeDriver::new(100).run(&mut job);
         assert!(summary.converged);
         assert_eq!(summary.rounds, 4, "the deepest counter holds 4 rounds");
+        assert_eq!(summary.jobs, 4);
         assert_eq!(flow.report().num_rounds(), 4);
         assert!(job.state.max_state_bytes() > 0);
     }

@@ -30,6 +30,9 @@
 //!    once into group keys plus one contiguous value buffer and hand the
 //!    reducer's per-task entry the groups as slices of that buffer: no
 //!    value is copied between the merge's output and the reducer's input.
+//!    A round over partition-resident state ([`crate::flow::RoundState`])
+//!    runs the same phases: its map tasks are the state's partitions, and
+//!    reduce task *p* takes state partition *p* beside its merged notes.
 //!
 //! Determinism: task indices, not worker threads, decide every ordering
 //! decision — runs merge in `(task, spill sequence)` order and key ties
@@ -51,8 +54,8 @@ use crate::counters::{builtin, Counters};
 use crate::metrics::JobMetrics;
 use crate::partition::{CombiningPartitionBuffer, HashPartitioner, Partitioner};
 use crate::shuffle::{merge_streams, merge_streams_combining, RunStream};
-use crate::task_queue::TaskQueue;
-use crate::types::{Combiner, Emitter, Mapper, ReduceGroups, Reducer};
+use crate::task_queue::{Task, TaskQueue};
+use crate::types::{Combiner, Emitter, Key, Mapper, ReduceGroups, Reducer, Value};
 
 /// Below this many run records the k-way merge runs inline on the calling
 /// thread: spawning merge workers costs more than the merge itself.
@@ -92,6 +95,35 @@ impl<K, V> RunSource<K, V> {
 
 /// Every sorted run of a job, bucketed by reduce partition.
 pub(crate) type TaggedRuns<K, V> = Vec<Mutex<Vec<TaggedRun<K, V>>>>;
+
+/// The input of a map phase and its cut into map tasks.  Every process of
+/// a sharded session cuts it identically: the task index space is what
+/// the shards divide.
+pub(crate) trait MapInput<K, V>: Sync {
+    /// Records the input holds.
+    fn records(&self) -> usize;
+    /// The map tasks the input splits into.
+    fn tasks(&self, config: &JobConfig) -> TaskQueue;
+    /// Calls `f` with every record of `task`, in order.
+    fn for_each(&self, task: &Task, f: impl FnMut(&K, &V));
+}
+
+/// A job's input records split into contiguous near-equal ranges.
+impl<K: Sync, V: Sync> MapInput<K, V> for Vec<(K, V)> {
+    fn records(&self) -> usize {
+        self.len()
+    }
+
+    fn tasks(&self, config: &JobConfig) -> TaskQueue {
+        TaskQueue::split(self.len(), config.effective_map_tasks(self.len()))
+    }
+
+    fn for_each(&self, task: &Task, mut f: impl FnMut(&K, &V)) {
+        for (key, value) in &self[task.range.clone()] {
+            f(key, value);
+        }
+    }
+}
 
 /// The output of a completed job.
 #[derive(Debug, Clone)]
@@ -185,61 +217,76 @@ impl Job {
         R: Reducer<Key = M::OutKey, InValue = M::OutValue>,
         P: Partitioner<M::OutKey>,
     {
-        let num_reduce_tasks = self.config.effective_reduce_tasks();
-
-        let mut metrics = JobMetrics {
-            job_name: self.config.name.clone(),
-            reduce_tasks: num_reduce_tasks,
-            ..JobMetrics::default()
-        };
-        counters.add(builtin::MAP_INPUT_RECORDS, input.len() as u64);
-        metrics.map_input_records = input.len() as u64;
-
+        let mut metrics = self.start_metrics(&counters, input.len());
         // An identity combiner is a no-op by contract: drop it so the job
         // skips the combine machinery (no per-group `values.to_vec()`, no
         // combining-buffer spills) instead of paying for nothing.
         let combiner = combiner.filter(|c| !c.is_identity());
+        let reduce = |partitions: Vec<Vec<_>>, metrics: &mut JobMetrics| {
+            let units = vec![(); partitions.len()];
+            let (output, _) = self.reduce_phase(
+                partitions,
+                units,
+                |_, (), groups, out| reducer.reduce_task(groups, out),
+                &counters,
+                metrics,
+            );
+            output
+        };
 
         // A job opted into process sharding delegates to the installed
         // multi-process runtime (when a sharded session is active): this
         // process then plays coordinator or worker.  See `sharded.rs`.
-        if self.config.process_shards.is_some() {
-            if let Some(runtime) = crate::process_shard::current_runtime() {
-                return self.run_process_sharded(
-                    runtime,
-                    mapper,
-                    combiner,
-                    reducer,
-                    partitioner,
-                    input,
-                    counters,
-                    metrics,
-                );
-            }
-        }
-
-        // Map + shuffle: one sorted vector of records per reduce partition.
-        let (runs, spill) = self.map_phase(
-            mapper,
-            combiner,
-            partitioner,
-            &input,
-            &counters,
-            &mut metrics,
-            None,
-        );
-        let partitions = self.merge_phase(runs, combiner, &counters, &mut metrics);
-        // The merge consumed every disk run: dropping the spill manager
-        // here removes its temp directory before the reduce starts.
-        drop(spill);
-
-        let output = self.reduce_phase(partitions, reducer, &counters, &mut metrics);
+        let output = if let Some(runtime) = self.shard_runtime() {
+            self.run_process_sharded(
+                runtime,
+                mapper,
+                combiner,
+                partitioner,
+                input,
+                &counters,
+                &mut metrics,
+                |_, partitions, published, metrics| {
+                    let output = reduce(partitions, metrics);
+                    crate::sharded::publish(published, |push| output.iter().for_each(push));
+                    output
+                },
+                crate::sharded::try_read,
+            )
+        } else {
+            // Map + shuffle: one sorted vector of records per reduce partition.
+            let (runs, spill) = self.map_phase(
+                mapper,
+                combiner,
+                partitioner,
+                &input,
+                &counters,
+                &mut metrics,
+                None,
+            );
+            let partitions = self.merge_phase(runs, combiner, &counters, &mut metrics);
+            // The merge consumed every disk run: dropping the spill manager
+            // here removes its temp directory before the reduce starts.
+            drop(spill);
+            reduce(partitions, &mut metrics)
+        };
         finish_metrics(&counters, &mut metrics);
 
         JobResult {
             output,
             metrics,
             counters,
+        }
+    }
+
+    /// The metrics a job starts with, and its input counter.
+    pub(crate) fn start_metrics(&self, counters: &Counters, input_records: usize) -> JobMetrics {
+        counters.add(builtin::MAP_INPUT_RECORDS, input_records as u64);
+        JobMetrics {
+            job_name: self.config.name.clone(),
+            reduce_tasks: self.config.effective_reduce_tasks(),
+            map_input_records: input_records as u64,
+            ..JobMetrics::default()
         }
     }
 
@@ -259,7 +306,7 @@ impl Job {
         mapper: &M,
         combiner: Option<&C>,
         partitioner: &P,
-        input: &[(M::InKey, M::InValue)],
+        input: &impl MapInput<M::InKey, M::InValue>,
         counters: &Counters,
         metrics: &mut JobMetrics,
         shard: Option<std::ops::Range<usize>>,
@@ -286,7 +333,7 @@ impl Job {
         // Map: pull tasks from the queue, emit sorted runs per
         // (task, partition) — several per task when the task spills.
         let map_start = Instant::now();
-        let queue = TaskQueue::split(input.len(), self.config.effective_map_tasks(input.len()));
+        let queue = input.tasks(&self.config);
         metrics.map_tasks = queue.num_tasks();
 
         let runs: TaggedRuns<M::OutKey, M::OutValue> = (0..num_reduce_tasks)
@@ -320,7 +367,7 @@ impl Job {
                         // 0, 1, …; the final in-memory run sorts after all
                         // of them (usize::MAX), preserving emission order.
                         let mut seq = 0usize;
-                        for (key, value) in &input[task.range.clone()] {
+                        input.for_each(&task, |key, value| {
                             mapper.map(key, value, &mut emitter);
                             emitter.drain_each(|out_key, out_value| {
                                 map_output += 1;
@@ -351,7 +398,7 @@ impl Job {
                                     }
                                 }
                             }
-                        }
+                        });
                         spills_ref.fetch_add(buffer.spills(), Ordering::Relaxed);
                         for (p, run) in buffer.into_sorted_runs(combiner).into_iter().enumerate() {
                             if !run.is_empty() {
@@ -466,47 +513,65 @@ impl Job {
     }
 
     /// The reduce phase: workers pull sorted partitions from a task
-    /// queue, take each by value, group it by key ([`GroupedPartition`])
-    /// and run the reducer's per-task entry over the groups; output is
-    /// concatenated in partition order.
-    pub(crate) fn reduce_phase<K, V, R>(
+    /// queue, take each by value together with its `state` entry — `()`
+    /// for a plain job, the state partition for a round
+    /// ([`crate::flow::RoundState`]) — group the partition by key
+    /// ([`GroupedPartition`]) and run `task` over the groups.  Output is
+    /// concatenated in partition order; the tasks' results come back in
+    /// partition order too.
+    pub(crate) fn reduce_phase<K, V, S, T, OK, OV>(
         &self,
         partitions: Vec<Vec<(K, V)>>,
-        reducer: &R,
+        state: Vec<S>,
+        task: impl Fn(usize, S, ReduceGroups<'_, K, V>, &mut Emitter<OK, OV>) -> T + Sync,
         counters: &Counters,
         metrics: &mut JobMetrics,
-    ) -> Vec<(R::OutKey, R::OutValue)>
+    ) -> (Vec<(OK, OV)>, Vec<T>)
     where
-        K: crate::types::Key,
-        V: crate::types::Value,
-        R: Reducer<Key = K, InValue = V>,
+        K: Key,
+        V: Value,
+        S: Send,
+        T: Send,
+        OK: Send,
+        OV: Send,
     {
+        assert_eq!(partitions.len(), state.len(), "one state per partition");
         let num_threads = self.config.effective_threads();
         let num_reduce_tasks = partitions.len();
 
         let reduce_start = Instant::now();
-        type PartitionResults<K, V> = Mutex<Vec<(usize, Vec<(K, V)>)>>;
-        let partition_results: PartitionResults<R::OutKey, R::OutValue> =
+        type PartitionResults<K, V, T> = Mutex<Vec<(usize, Vec<(K, V)>, T)>>;
+        let partition_results: PartitionResults<OK, OV, T> =
             Mutex::new(Vec::with_capacity(num_reduce_tasks));
         let reduce_queue = TaskQueue::unit(num_reduce_tasks);
         let reduce_queue_ref = &reduce_queue;
-        // Each task takes its partition out of its slot: the records move
-        // into the task's value buffer and are freed when the task ends.
-        let partitions: Vec<Mutex<Vec<(K, V)>>> = partitions.into_iter().map(Mutex::new).collect();
-        let partitions_ref = &partitions;
+        // Each task takes its partition and state out of their slot: the
+        // records move into the task's value buffer and are freed when the
+        // task ends.
+        type TaskInputs<K, V, S> = Vec<Mutex<Option<(Vec<(K, V)>, S)>>>;
+        let inputs: TaskInputs<K, V, S> = partitions
+            .into_iter()
+            .zip(state)
+            .map(|input| Mutex::new(Some(input)))
+            .collect();
+        let inputs_ref = &inputs;
+        let task_ref = &task;
 
         crossbeam::thread::scope(|scope| {
             for _ in 0..num_threads.min(num_reduce_tasks) {
                 scope.spawn(|_| {
-                    while let Some(task) = reduce_queue_ref.claim() {
-                        let partition = mem::take(&mut *partitions_ref[task.index].lock());
+                    while let Some(claimed) = reduce_queue_ref.claim() {
+                        let (partition, state) = inputs_ref[claimed.index]
+                            .lock()
+                            .take()
+                            .expect("every reduce task is claimed once");
                         let grouped = GroupedPartition::new(partition);
                         let mut emitter = Emitter::new();
-                        reducer.reduce_task(grouped.groups(), &mut emitter);
+                        let result = task_ref(claimed.index, state, grouped.groups(), &mut emitter);
                         counters.add(builtin::REDUCE_INPUT_GROUPS, grouped.keys.len() as u64);
                         let out = emitter.into_pairs();
                         counters.add(builtin::REDUCE_OUTPUT_RECORDS, out.len() as u64);
-                        partition_results.lock().push((task.index, out));
+                        partition_results.lock().push((claimed.index, out, result));
                     }
                 });
             }
@@ -514,13 +579,16 @@ impl Job {
         .expect("reduce worker thread panicked");
 
         let mut partition_results = partition_results.into_inner();
-        partition_results.sort_unstable_by_key(|(index, _)| *index);
-        let output: Vec<(R::OutKey, R::OutValue)> = partition_results
-            .into_iter()
-            .flat_map(|(_, out)| out)
-            .collect();
+        partition_results.sort_unstable_by_key(|(index, _, _)| *index);
+        let mut output =
+            Vec::with_capacity(partition_results.iter().map(|(_, o, _)| o.len()).sum());
+        let mut results = Vec::with_capacity(num_reduce_tasks);
+        for (_, out, result) in partition_results {
+            output.extend(out);
+            results.push(result);
+        }
         metrics.timings.reduce = reduce_start.elapsed();
-        output
+        (output, results)
     }
 }
 

@@ -67,21 +67,21 @@
 //! assert_eq!(flow.report().num_jobs(), 1);
 //! ```
 
-use std::collections::HashSet;
 use std::marker::PhantomData;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
-use smr_storage::{DatasetStore, RunReader, StorageError};
+use smr_storage::{DatasetStore, StorageError};
 
 use crate::config::JobConfig;
 use crate::counters::Counters;
-use crate::executor::Job;
+use crate::executor::{Job, MapInput};
 use crate::metrics::JobMetrics;
 use crate::partition::{HashPartitioner, Partitioner};
-use crate::types::{Combiner, IdentityCombiner, Key, Mapper, Reducer, Value};
+use crate::round::{partition_sorted, StatePartition, StateSpill};
+use crate::types::{Combiner, IdentityCombiner, Key, Mapper, Reducer, StateReducer, Value};
 
 /// The records a dataset materializes to.
 pub type Records<K, V> = Vec<(K, V)>;
@@ -472,35 +472,20 @@ impl FlowContext {
         side.clone()
     }
 
-    /// Creates a [`RoundState`] for an iterative computation driven
-    /// through this flow: the record set that survives from one round to
-    /// the next.  In [`RoundStateMode::DiskBacked`] mode (the default of
-    /// the matching algorithms) the records live in the flow's
-    /// [`FlowContext::side_store`] as run files between rounds, with
-    /// retired records dropped by a tombstone-aware reader at load time;
-    /// [`RoundStateMode::InMemory`] keeps the reference `Vec` semantics.
-    /// Both modes yield byte-identical round inputs.
-    pub fn round_state<K: Key, V: Value>(
-        &self,
-        name: impl Into<String>,
-        mode: RoundStateMode,
-    ) -> RoundState<K, V> {
+    /// Creates an empty [`RoundState`] for an iterative computation driven
+    /// through this flow: the records that survive from one round to the
+    /// next, partitioned over the flow's reduce tasks.  Partitions that
+    /// outgrow their share of the memory budget live in run files in the
+    /// flow's [`FlowContext::side_store`].
+    pub fn round_state<K: Key, S: Value>(&self, name: impl Into<String>) -> RoundState<K, S> {
         static ROUND_STATE_SEQ: AtomicUsize = AtomicUsize::new(0);
         let seq = ROUND_STATE_SEQ.fetch_add(1, Ordering::Relaxed);
         RoundState {
             ctx: self.clone(),
             name: format!("rs{seq}-{}", name.into()),
-            round: 0,
+            generation: 0,
+            partitions: Vec::new(),
             max_state_bytes: 0,
-            slot: match mode {
-                RoundStateMode::InMemory => RoundSlot::Memory(Vec::new()),
-                RoundStateMode::DiskBacked => RoundSlot::Disk {
-                    file: None,
-                    live: 0,
-                    tombstones: Arc::new(HashSet::new()),
-                    handle: None,
-                },
-            },
         }
     }
 
@@ -567,95 +552,55 @@ impl<K: Key, V: Value> PersistedDataset<K, V> {
     }
 }
 
-/// Where the surviving records of an iterative computation live between
-/// rounds (see [`FlowContext::round_state`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RoundStateMode {
-    /// Survivors stay in a `Vec` in RAM between rounds — the reference
-    /// semantics the disk-backed mode is locked against.
-    InMemory,
-    /// Round outputs are written to run files in the flow's side store and
-    /// streamed back as the next round's input; retired records are
-    /// tombstoned and skipped at read time instead of being rewritten.
-    /// No round's full record set is retained in RAM between rounds.
-    #[default]
-    DiskBacked,
-}
-
-/// The inter-round state of an iterative job chain: the `(K, V)` records
-/// that survive from one round to the next.
+/// The inter-round state of an iterative job chain: one `(K, S)` record
+/// per key that survives from one round to the next, kept beside the
+/// jobs instead of flowing through them.
 ///
-/// The contract both storage modes satisfy identically:
+/// [`RoundState::seed`] hash-partitions the records over the flow's
+/// reduce tasks and sorts each partition by key; the partition count is
+/// fixed per flow, so results are deterministic per task layout.  A
+/// partition stays in RAM while its encoded size is within the memory
+/// budget's share per reduce task (always, without a budget) and lives in
+/// one run file in the flow's [`FlowContext::side_store`] above that.
 ///
-/// * [`RoundState::seed`] installs the round-0 records;
-/// * [`RoundState::dataset_with`] exposes the current live records — in
-///   seeding order, minus retirees — as a lazy [`Dataset`] source;
-/// * [`RoundState::absorb`] takes a round's output (whose keys must be
-///   unique, as reducer outputs keyed by node are), calls `keep` on every
-///   record *in output order*, and retires the records `keep` rejects.
-///
-/// In [`RoundStateMode::DiskBacked`] mode the absorbed output is written
-/// to a run file in the flow's [`FlowContext::side_store`] exactly as the
-/// round emitted it; retirement is applied by a tombstone-aware
-/// [`smr_storage::RunReader`] while streaming the file back, so the
-/// survivor list is never rewritten wholesale.  Round files are removed as
-/// soon as they are superseded (and on drop).
-pub struct RoundState<K: Key, V: Value> {
+/// [`RoundState::round`] runs one job over the state: map task *p* reads
+/// partition *p* by reference and emits notes to other keys, and reduce
+/// task *p* merge-joins partition *p* with the notes merged for it
+/// ([`StateReducer`]) and writes partition *p* of the next round itself.
+/// State records are moved from round to round and never cloned; a file
+/// is removed as soon as its partition is superseded, and on drop.
+pub struct RoundState<K: Key, S: Value> {
     ctx: FlowContext,
     name: String,
-    round: usize,
+    /// Bumped per installed state, naming its partition files.
+    generation: usize,
+    partitions: Vec<StatePartition<K, S>>,
     max_state_bytes: u64,
-    slot: RoundSlot<K, V>,
 }
 
-enum RoundSlot<K, V> {
-    Memory(Records<K, V>),
-    Disk {
-        /// Side-store dataset holding the latest absorbed round output
-        /// (`None` before seeding).
-        file: Option<String>,
-        /// Records in the file minus tombstoned ones.
-        live: usize,
-        /// Keys retired from the current file.
-        tombstones: Arc<HashSet<K>>,
-        /// The round file's descriptor, kept open from the moment the file
-        /// is installed: re-reads dup it (`try_clone`) instead of paying a
-        /// path open per round.  `None` when the open failed (the reader
-        /// falls back to opening by name) or before seeding.
-        handle: Option<Arc<std::fs::File>>,
-    },
-}
-
-impl<K: Key, V: Value> std::fmt::Debug for RoundState<K, V> {
+impl<K: Key, S: Value> std::fmt::Debug for RoundState<K, S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RoundState")
             .field("name", &self.name)
-            .field("round", &self.round)
+            .field("partitions", &self.partitions.len())
             .field("live", &self.len())
             .finish()
     }
 }
 
-impl<K: Key, V: Value> RoundState<K, V> {
-    /// Installs the round-0 records, replacing any current state.
-    pub fn seed(&mut self, records: Records<K, V>) {
-        match &mut self.slot {
-            RoundSlot::Memory(current) => *current = records,
-            RoundSlot::Disk { .. } => {
-                let file = self.file_name(self.round);
-                let live = records.len();
-                self.write_round_file(&file, &records);
-                self.replace_disk_slot(Some(file), live, HashSet::new());
-            }
-        }
+impl<K: Key, S: Value> RoundState<K, S> {
+    /// Installs the round-0 records, replacing any current state.  Keys
+    /// must be unique.
+    pub fn seed(&mut self, mut records: Records<K, S>) {
+        records.sort_by(|a, b| a.0.cmp(&b.0));
+        let spill = self.next_spill();
+        let parts = self.ctx.config().effective_reduce_tasks();
+        self.install(partition_sorted(records, parts, spill.as_ref()));
     }
 
     /// Number of live (non-retired) records.
     pub fn len(&self) -> usize {
-        match &self.slot {
-            RoundSlot::Memory(records) => records.len(),
-            RoundSlot::Disk { live, .. } => *live,
-        }
+        self.partitions.records()
     }
 
     /// Whether no live records remain — the usual convergence signal.
@@ -663,200 +608,55 @@ impl<K: Key, V: Value> RoundState<K, V> {
         self.len() == 0
     }
 
-    /// Rounds absorbed so far.
-    pub fn round(&self) -> usize {
-        self.round
-    }
-
-    /// Largest on-disk round file this state has held, in bytes — what the
-    /// in-memory path would have kept resident between rounds.  Zero in
-    /// [`RoundStateMode::InMemory`] mode.
+    /// The largest encoded size, in bytes, the whole state has had after
+    /// its seed or any round — in RAM and in run files alike.
     pub fn max_state_bytes(&self) -> u64 {
         self.max_state_bytes
     }
 
-    /// The current live records as a lazy [`Dataset`] source, projected
-    /// through `proj` record by record (e.g. unwrapping a round-output
-    /// envelope into the next round's mapper input).  Live records arrive
-    /// in their original output order; in disk-backed mode they are
-    /// streamed from the round file with retirees skipped, never
-    /// materializing the raw file contents as a whole.
-    pub fn dataset_with<K2, V2, F>(&self, proj: F) -> Dataset<K2, V2>
+    /// Runs one round: a job named `stage` (see [`JobStage::named`]) whose
+    /// `mapper` reads every state record by reference and emits notes,
+    /// and whose `reducer` gets every key's state beside its notes and
+    /// keeps or retires it.  Returns the reducers' side output in
+    /// partition order.  The job's metrics land in the flow's
+    /// [`FlowReport`].
+    pub fn round<M, R>(
+        &mut self,
+        stage: impl Into<String>,
+        mapper: M,
+        reducer: R,
+    ) -> Records<R::OutKey, R::OutValue>
     where
-        K2: Key,
-        V2: Value,
-        F: Fn(K, V) -> (K2, V2) + 'static,
+        M: Mapper<InKey = K, InValue = S, OutKey = K, OutValue = R::Note>,
+        R: StateReducer<Key = K, State = S>,
     {
-        match &self.slot {
-            RoundSlot::Memory(records) => {
-                let records = records.clone();
-                Dataset {
-                    ctx: self.ctx.clone(),
-                    thunk: Box::new(move |_| {
-                        records.into_iter().map(|(k, v)| proj(k, v)).collect()
-                    }),
-                }
-            }
-            RoundSlot::Disk {
-                file,
-                live,
-                tombstones,
-                handle,
-            } => {
-                let file = file.clone();
-                let expect = *live;
-                let tombstones = Arc::clone(tombstones);
-                let handle = handle.clone();
-                let store = self.ctx.side_store();
-                Dataset {
-                    ctx: self.ctx.clone(),
-                    thunk: Box::new(move |_| {
-                        let Some(file) = file else {
-                            return Vec::new();
-                        };
-                        // Re-reads go through the descriptor opened when the
-                        // round file was installed: `try_clone` + rewind is
-                        // cheaper than a path lookup + open per round.  The
-                        // dup shares the file offset, so collects of one
-                        // round must stay sequential (they do: the driver
-                        // collects a round's dataset exactly once at a time).
-                        let reader = match &handle {
-                            Some(handle) => handle
-                                .try_clone()
-                                .map_err(StorageError::from)
-                                .and_then(RunReader::<(K, V)>::from_file)
-                                .and_then(|r| r.check_type().map(|()| r)),
-                            None => store.open_reader::<(K, V)>(&file),
-                        };
-                        let mut reader = reader
-                            .unwrap_or_else(|e| panic!("failed to open round state `{file}`: {e}"));
-                        let mut records = Vec::with_capacity(expect);
-                        if tombstones.is_empty() {
-                            // Nothing is retired yet (every record of a fresh
-                            // seed or a fully-kept round survives): stream the
-                            // file without the per-record tombstone lookup.
-                            while let Some((k, v)) = reader.next_record().unwrap_or_else(|e| {
-                                panic!("failed to stream round state `{file}`: {e}")
-                            }) {
-                                records.push(proj(k, v));
-                            }
-                        } else {
-                            let mut retained =
-                                reader.retained(move |(k, _): &(K, V)| !tombstones.contains(k));
-                            while let Some((k, v)) = retained.next_record().unwrap_or_else(|e| {
-                                panic!("failed to stream round state `{file}`: {e}")
-                            }) {
-                                records.push(proj(k, v));
-                            }
-                        }
-                        records
-                    }),
-                }
-            }
-        }
+        let name = self.ctx.job_name(Some(&stage.into()));
+        let job = Job::new(self.ctx.config().clone().with_name(name));
+        let spill = self.next_spill();
+        let state = std::mem::take(&mut self.partitions);
+        let result = job.run_round(&mapper, &reducer, state, spill.as_ref());
+        self.ctx.record_job(result.metrics);
+        self.install(result.state);
+        result.side
     }
 
-    /// The current live records, unprojected.
-    pub fn dataset(&self) -> Dataset<K, V> {
-        self.dataset_with(|k, v| (k, v))
+    /// Where the partitions of the next state spill (nowhere without a
+    /// budget), under a file name no live partition uses.
+    fn next_spill(&mut self) -> Option<StateSpill> {
+        self.generation += 1;
+        let config = self.ctx.config();
+        let budget = config.memory_budget?;
+        Some(StateSpill {
+            share: budget / config.effective_reduce_tasks() as u64,
+            dir: self.ctx.side_store().root().to_path_buf(),
+            name: format!("{}-{}", self.name, self.generation),
+        })
     }
 
-    /// Absorbs a round's output as the next round's state.  `keep` is
-    /// called once per output record, in output order (side effects like
-    /// collecting matched edges are deterministic); records it rejects are
-    /// retired.  Keys must be unique within `output` — true for reducer
-    /// outputs keyed by node — since retirement is tracked per key.
-    pub fn absorb<F>(&mut self, output: Records<K, V>, mut keep: F)
-    where
-        F: FnMut(&K, &V) -> bool,
-    {
-        self.round += 1;
-        match &mut self.slot {
-            RoundSlot::Memory(current) => {
-                let mut survivors = Vec::with_capacity(output.len());
-                for (k, v) in output {
-                    if keep(&k, &v) {
-                        survivors.push((k, v));
-                    }
-                }
-                *current = survivors;
-            }
-            RoundSlot::Disk { .. } => {
-                let mut tombstones = HashSet::new();
-                for (k, v) in &output {
-                    if !keep(k, v) {
-                        tombstones.insert(k.clone());
-                    }
-                }
-                let live = output.len() - tombstones.len();
-                let file = self.file_name(self.round);
-                self.write_round_file(&file, &output);
-                self.replace_disk_slot(Some(file), live, tombstones);
-            }
-        }
-    }
-
-    /// Drops the state (and its disk file) explicitly.
-    pub fn clear(&mut self) {
-        match &mut self.slot {
-            RoundSlot::Memory(records) => records.clear(),
-            RoundSlot::Disk { .. } => self.replace_disk_slot(None, 0, HashSet::new()),
-        }
-    }
-
-    fn file_name(&self, round: usize) -> String {
-        format!("{}-r{round}", self.name)
-    }
-
-    fn write_round_file(&mut self, file: &str, records: &Records<K, V>) {
-        let store = self.ctx.side_store();
-        // A failed round-state write is an environment failure (disk
-        // full, permissions), like a failed persist.
-        store
-            .write(file, records)
-            .unwrap_or_else(|e| panic!("failed to write round state `{file}`: {e}"));
-        self.max_state_bytes = self.max_state_bytes.max(store.file_size(file));
-    }
-
-    /// Installs a new disk slot, removing the superseded round file and
-    /// keeping the new file's descriptor open for the round's re-reads.
-    fn replace_disk_slot(&mut self, file: Option<String>, live: usize, tombstones: HashSet<K>) {
-        let store = self.ctx.side_store();
-        // A failed open only costs the keep-open optimization: readers
-        // fall back to opening the file by name.
-        let handle = file
-            .as_deref()
-            .and_then(|name| store.open_file(name).ok())
-            .map(Arc::new);
-        let RoundSlot::Disk {
-            file: old_file,
-            live: old_live,
-            tombstones: old_tombstones,
-            handle: old_handle,
-        } = &mut self.slot
-        else {
-            unreachable!("replace_disk_slot on an in-memory slot");
-        };
-        if let Some(old) = old_file.take() {
-            if file.as_deref() != Some(old.as_str()) {
-                store.remove(&old);
-            }
-        }
-        *old_file = file;
-        *old_live = live;
-        *old_tombstones = Arc::new(tombstones);
-        *old_handle = handle;
-    }
-}
-
-impl<K: Key, V: Value> Drop for RoundState<K, V> {
-    fn drop(&mut self) {
-        if let RoundSlot::Disk {
-            file: Some(file), ..
-        } = &self.slot
-        {
-            self.ctx.side_store().remove(file);
-        }
+    fn install(&mut self, partitions: Vec<StatePartition<K, S>>) {
+        let bytes = partitions.iter().map(StatePartition::bytes).sum();
+        self.max_state_bytes = self.max_state_bytes.max(bytes);
+        self.partitions = partitions;
     }
 }
 
@@ -1554,71 +1354,125 @@ mod tests {
         assert_eq!(report.jobs_from(99).len(), 0);
     }
 
-    /// Runs the same two-round retire-and-continue workload through both
-    /// round-state modes and returns what each round's job consumed.
-    fn drive_round_state(mode: RoundStateMode) -> (Vec<Records<String, u64>>, usize, u64) {
-        let flow = FlowContext::new(config());
-        let mut state: RoundState<String, u64> = flow.round_state("words", mode);
-        let seed: Records<String, u64> = flow
-            .dataset(input())
-            .map_with(SplitWords)
-            .reduce_with(SumCounts)
-            .collect();
-        state.seed(seed);
-
-        let mut inputs = Vec::new();
-        while !state.is_empty() {
-            // The "round job": decrement each count, doubling the key
-            // through the projection to prove it is applied.
-            let round_input: Records<String, u64> =
-                state.dataset_with(|w, c| (format!("{w}!"), c)).collect();
-            inputs.push(round_input.clone());
-            let output: Records<String, u64> = round_input
-                .into_iter()
-                .map(|(w, c)| (w.trim_end_matches('!').to_string(), c - 1))
-                .collect();
-            // Retire words whose count reached zero — the tombstone path.
-            state.absorb(output, |_, c| *c > 0);
+    /// A round workload over `(key, history)` state: every key tells
+    /// `(3k + 1) % 40` its key (keys 30..40 have no state, so some notes
+    /// go nowhere) and appends what it heard plus itself; a key retires
+    /// once its history passes four entries.
+    struct Gossip;
+    impl Mapper for Gossip {
+        type InKey = u32;
+        type InValue = Vec<u32>;
+        type OutKey = u32;
+        type OutValue = u32;
+        fn map(&self, k: &u32, _: &Vec<u32>, out: &mut Emitter<u32, u32>) {
+            out.emit((3 * k + 1) % 40, *k);
         }
-        (inputs, state.round(), state.max_state_bytes())
+    }
+    impl StateReducer for Gossip {
+        type Key = u32;
+        type State = Vec<u32>;
+        type Note = u32;
+        type OutKey = u32;
+        type OutValue = usize;
+        fn reduce(
+            &self,
+            k: &u32,
+            mut history: Vec<u32>,
+            notes: &[u32],
+            out: &mut Emitter<u32, usize>,
+        ) -> Option<Vec<u32>> {
+            out.emit(*k, notes.len());
+            history.extend_from_slice(notes);
+            history.push(*k);
+            (history.len() <= 4).then_some(history)
+        }
+    }
+
+    fn gossip_state(flow: &FlowContext) -> RoundState<u32, Vec<u32>> {
+        let mut state = flow.round_state("gossip");
+        state.seed((0..30).rev().map(|k| (k, Vec::new())).collect());
+        state
+    }
+
+    fn state_records<K: Key, S: Value>(state: &RoundState<K, S>) -> Records<K, S> {
+        let mut records = Vec::new();
+        for partition in &state.partitions {
+            partition.for_each(|record| records.push(record.clone()));
+        }
+        records
+    }
+
+    type GossipTrace = Vec<(Records<u32, usize>, Records<u32, Vec<u32>>)>;
+
+    /// Runs [`Gossip`] to convergence under `budget`: every round's side
+    /// output and state, the peak state bytes, and whether any partition
+    /// lived in a file.
+    fn gossip(budget: Option<u64>) -> (GossipTrace, u64, bool) {
+        let flow = FlowContext::new(config().with_reduce_tasks(3).with_memory_budget(budget));
+        let mut state = gossip_state(&flow);
+        let mut trace = Vec::new();
+        let mut on_disk = false;
+        while !state.is_empty() {
+            on_disk |= state
+                .partitions
+                .iter()
+                .any(|p| matches!(p, StatePartition::Disk(_)));
+            let side = state.round("gossip", Gossip, Gossip);
+            trace.push((side, state_records(&state)));
+        }
+        (trace, state.max_state_bytes(), on_disk)
     }
 
     #[test]
     fn disk_backed_round_state_is_byte_identical_to_in_memory() {
-        let (memory_inputs, memory_rounds, memory_bytes) =
-            drive_round_state(RoundStateMode::InMemory);
-        let (disk_inputs, disk_rounds, disk_bytes) = drive_round_state(RoundStateMode::DiskBacked);
-        assert_eq!(memory_inputs, disk_inputs, "round inputs must not differ");
-        assert_eq!(memory_rounds, disk_rounds);
-        assert!(memory_inputs.len() >= 2, "the workload must iterate");
-        assert_eq!(memory_bytes, 0, "in-memory mode holds no disk state");
-        assert!(disk_bytes > 0, "disk mode must report its round files");
+        let (memory, memory_bytes, memory_on_disk) = gossip(None);
+        // 64 bytes over 3 partitions: every partition outgrows its share.
+        let (disk, disk_bytes, disk_on_disk) = gossip(Some(64));
+        assert!(memory.len() >= 2, "the workload must iterate");
+        assert!(!memory_on_disk && disk_on_disk);
+        assert_eq!(memory, disk, "side output and state must not differ");
+        assert_eq!(memory_bytes, disk_bytes, "encoded size, wherever it lives");
+        assert!(memory_bytes > 0);
     }
 
     #[test]
     fn disk_round_state_keeps_one_file_and_cleans_up() {
-        let flow = FlowContext::new(config());
-        let side = flow.side_store();
-        let mut state: RoundState<u32, u64> = flow.round_state("s", RoundStateMode::DiskBacked);
-        state.seed(vec![(1, 10), (2, 20), (3, 30)]);
-        assert_eq!(side.paths().len(), 1, "seed writes one round file");
-        state.absorb(vec![(1, 11), (2, 21), (3, 31)], |k, _| *k != 2);
-        assert_eq!(
-            side.paths().len(),
-            1,
-            "the superseded round file is removed"
-        );
-        assert_eq!(state.len(), 2, "one record was tombstoned");
-        // The tombstoned record is dropped at read time, order preserved.
-        assert_eq!(state.dataset().collect(), vec![(1, 11), (3, 31)]);
-        let file = side.paths()[0].clone();
-        assert_eq!(
-            side.record_count(&file),
-            3,
-            "the file keeps every output record; retirement is read-side"
-        );
+        let flow = FlowContext::new(config().with_reduce_tasks(3).with_memory_budget(Some(64)));
+        let files = || -> std::collections::BTreeSet<_> {
+            let dir = std::fs::read_dir(flow.side_store().root()).unwrap();
+            dir.map(|entry| entry.unwrap().file_name()).collect()
+        };
+        let mut state = gossip_state(&flow);
+        let seeded = files();
+        assert_eq!(seeded.len(), 3, "one file per partition over its share");
+        let _ = state.round("gossip", Gossip, Gossip);
+        let next = files();
+        assert_eq!(next.len(), 3, "each reduce task writes its partition");
+        assert!(seeded.is_disjoint(&next), "superseded files are removed");
         drop(state);
-        assert!(side.paths().is_empty(), "drop removes the round file");
+        assert!(files().is_empty(), "drop removes every partition file");
+    }
+
+    #[test]
+    fn keys_with_state_are_reduced_and_notes_to_keys_without_state_dropped() {
+        let flow = FlowContext::new(config().with_reduce_tasks(3).with_memory_budget(None));
+        let mut state = gossip_state(&flow);
+        let side = state.round("gossip", Gossip, Gossip);
+        // Keys 0..30 tell (3k + 1) % 40: 23 of them tell a key with
+        // state, the 7 that tell 30..40 reach nobody.
+        assert_eq!(side.len(), 30, "every key with state is reduced once");
+        let unnoted = side.iter().filter(|(_, notes)| *notes == 0).count();
+        assert_eq!(unnoted, 7, "keys without notes are reduced too");
+        assert_eq!(side.iter().map(|(_, notes)| notes).sum::<usize>(), 23);
+        assert_eq!(state.len(), 30, "and carried forward");
+        let job = &flow.report().jobs[0];
+        assert_eq!(job.job_name, "flow-test-gossip");
+        assert_eq!(job.map_input_records, 30);
+        assert_eq!(job.shuffle_records, 30, "every note crossed the shuffle");
+        assert_eq!(
+            job.reduce_input_groups, 30,
+            "23 groups with state, 7 without"
+        );
     }
 
     #[test]

@@ -141,6 +141,7 @@ pub mod flow;
 pub mod metrics;
 pub mod partition;
 pub mod process_shard;
+mod round;
 mod sharded;
 pub mod shuffle;
 pub mod task_queue;
@@ -150,15 +151,15 @@ pub use config::JobConfig;
 pub use counters::{Counter, Counters};
 pub use driver::{IterativeDriver, IterativeJob, RoundOutcome, RunSummary};
 pub use executor::{Job, JobResult};
-pub use flow::{
-    Dataset, FlowContext, FlowError, FlowReport, PersistedDataset, RoundState, RoundStateMode,
-};
+pub use flow::{Dataset, FlowContext, FlowError, FlowReport, PersistedDataset, RoundState};
 pub use metrics::{JobMetrics, PhaseTimings};
 pub use partition::{CombiningPartitionBuffer, HashPartitioner, Partitioner};
 pub use process_shard::{ProcessShardRuntime, ShardJob, ShardJobCheck, ShardRole};
 pub use shuffle::merge_runs;
 pub use task_queue::{Task, TaskQueue};
-pub use types::{Codec, Combiner, Emitter, IdentityCombiner, Mapper, ReduceGroups, Reducer};
+pub use types::{
+    Codec, Combiner, Emitter, IdentityCombiner, Mapper, ReduceGroups, Reducer, StateReducer,
+};
 
 /// Convenience re-exports for users of the engine.
 pub mod prelude {
@@ -167,11 +168,11 @@ pub mod prelude {
     pub use crate::driver::{IterativeDriver, IterativeJob, RoundOutcome, RunSummary};
     pub use crate::executor::{Job, JobResult};
     pub use crate::flow::{
-        Dataset, FlowContext, FlowError, FlowReport, PersistedDataset, RoundState, RoundStateMode,
+        Dataset, FlowContext, FlowError, FlowReport, PersistedDataset, RoundState,
     };
     pub use crate::metrics::JobMetrics;
     pub use crate::partition::{HashPartitioner, Partitioner};
     pub use crate::types::{
-        Codec, Combiner, Emitter, IdentityCombiner, Mapper, ReduceGroups, Reducer,
+        Codec, Combiner, Emitter, IdentityCombiner, Mapper, ReduceGroups, Reducer, StateReducer,
     };
 }

@@ -24,7 +24,11 @@
 //! The publish uses the run format's pending-count commit protocol: a
 //! worker polling `output.run` sees `Truncated` until the coordinator's
 //! `finish()` patches the record count, so a half-written output is never
-//! adopted.
+//! adopted.  A round over partition-resident state
+//! ([`crate::flow::RoundState`]) publishes one more payload: the next
+//! state goes to `state.run` beside `output.run`, finished before
+//! `output.run` is created, so a committed output implies a complete
+//! state, and workers adopt both.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -36,35 +40,45 @@ use smr_storage::{
 };
 
 use crate::counters::Counters;
-use crate::executor::{finish_metrics, Job, JobResult, RunSource, TaggedRun, TaggedRuns};
+use crate::executor::{Job, MapInput, RunSource, TaggedRun, TaggedRuns};
 use crate::metrics::JobMetrics;
 use crate::partition::Partitioner;
 use crate::process_shard::{shard_task_range, ProcessShardRuntime, ShardJobCheck, ShardRole};
-use crate::task_queue::TaskQueue;
-use crate::types::{Combiner, Mapper, Reducer};
+use crate::types::{Combiner, Mapper};
 
 impl Job {
-    /// Runs one job through the sharded multi-process runtime.  Called by
-    /// [`Job::run_full`] after the common prologue (metrics init, input
-    /// counter, identity-combiner filtering); `combiner` is already
-    /// filtered.
+    /// The installed shard runtime, when this job opted into process
+    /// sharding and a sharded session is active.
+    pub(crate) fn shard_runtime(&self) -> Option<Arc<dyn ProcessShardRuntime>> {
+        self.config().process_shards?;
+        crate::process_shard::current_runtime()
+    }
+
+    /// Runs one job through the sharded multi-process runtime and returns
+    /// its output; the caller has done the common prologue (metrics init,
+    /// input counter, identity-combiner filtering) and finishes the
+    /// metrics.  On the coordinator, `reduce` gets the input back (a round
+    /// joins its state partitions), the merged partitions and the path to
+    /// publish the output at; on a worker, `adopt` reads a published
+    /// output, `None` while it is not committed.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_process_sharded<M, C, R, P>(
+    pub(crate) fn run_process_sharded<M, C, P, I, O>(
         &self,
         runtime: Arc<dyn ProcessShardRuntime>,
         mapper: &M,
         combiner: Option<&C>,
-        reducer: &R,
         partitioner: &P,
-        input: Vec<(M::InKey, M::InValue)>,
-        counters: Counters,
-        mut metrics: JobMetrics,
-    ) -> JobResult<R::OutKey, R::OutValue>
+        input: I,
+        counters: &Counters,
+        metrics: &mut JobMetrics,
+        reduce: impl FnOnce(I, Vec<Vec<(M::OutKey, M::OutValue)>>, &Path, &mut JobMetrics) -> O,
+        adopt: impl Fn(&Path) -> Option<O>,
+    ) -> O
     where
         M: Mapper,
         C: Combiner<Key = M::OutKey, Value = M::OutValue>,
-        R: Reducer<Key = M::OutKey, InValue = M::OutValue>,
         P: Partitioner<M::OutKey>,
+        I: MapInput<M::InKey, M::InValue>,
     {
         let config = self.config();
         let job = runtime.begin_job(config);
@@ -72,11 +86,10 @@ impl Job {
         // The *scheduled* task count (0 for an empty input), computed the
         // same way on every participant and cross-checked through the
         // manifest: it defines the task index space the shards partition.
-        let num_map_tasks =
-            TaskQueue::split(input.len(), config.effective_map_tasks(input.len())).num_tasks();
+        let num_map_tasks = input.tasks(config).num_tasks();
         let check = ShardJobCheck {
             job_name: config.name.clone(),
-            input_records: input.len() as u64,
+            input_records: input.records() as u64,
             num_map_tasks: num_map_tasks as u64,
         };
 
@@ -134,29 +147,16 @@ impl Job {
                     }
                 }
 
-                let partitions = self.merge_phase(runs, combiner, &counters, &mut metrics);
-                let output = self.reduce_phase(partitions, reducer, &counters, &mut metrics);
-
-                publish_output(&job.output_path, &output);
-                finish_metrics(&counters, &mut metrics);
-                JobResult {
-                    output,
-                    metrics,
-                    counters,
-                }
+                let partitions = self.merge_phase(runs, combiner, counters, metrics);
+                reduce(input, partitions, &job.output_path, metrics)
             }
             ShardRole::Worker { shard, attempt } => {
                 // A respawned worker replaying the session fast-forwards
                 // through jobs whose output is already published: the
                 // adopted output reconstructs the exact program state, no
                 // map work needed.
-                if let Some(output) = try_read_output::<R::OutKey, R::OutValue>(&job.output_path) {
-                    finish_metrics(&counters, &mut metrics);
-                    return JobResult {
-                        output,
-                        metrics,
-                        counters,
-                    };
+                if let Some(output) = adopt(&job.output_path) {
+                    return output;
                 }
 
                 // Map only this shard's slice of the global task space,
@@ -170,8 +170,8 @@ impl Job {
                     combiner,
                     partitioner,
                     &input,
-                    &counters,
-                    &mut metrics,
+                    counters,
+                    metrics,
                     Some(range),
                 );
                 let after = counters.snapshot();
@@ -216,17 +216,12 @@ impl Job {
                 // Lockstep: adopt the coordinator's reduced output as this
                 // job's result, so everything downstream of the job (next
                 // rounds, derived state) replays identically.
-                let output = poll_output::<R::OutKey, R::OutValue>(
+                poll_output(
                     &job.output_path,
                     runtime.output_poll_interval(),
                     runtime.output_timeout(),
-                );
-                finish_metrics(&counters, &mut metrics);
-                JobResult {
-                    output,
-                    metrics,
-                    counters,
-                }
+                    adopt,
+                )
             }
         }
     }
@@ -288,17 +283,17 @@ where
     entries
 }
 
-/// Publishes the job's reduced output at `path`.  The record count in the
-/// run header stays at the pending sentinel until `finish()`, which is
-/// the atomic commit point for pollers.
-fn publish_output<K: Codec, V: Codec>(path: &Path, output: &[(K, V)]) {
-    let mut writer: RunWriter<(K, V)> = RunWriter::create(path)
+/// Publishes the records `write` pushes as a run file at `path`.  The
+/// record count in the run header stays at the pending sentinel until
+/// `finish()`, which is the atomic commit point for pollers.
+pub(crate) fn publish<R: Codec>(path: &Path, write: impl FnOnce(&mut dyn FnMut(&R))) {
+    let mut writer: RunWriter<R> = RunWriter::create(path)
         .unwrap_or_else(|e| panic!("cannot create job output {path:?}: {e}"));
-    for record in output {
+    write(&mut |record: &R| {
         writer
             .push(record)
-            .unwrap_or_else(|e| panic!("cannot write job output {path:?}: {e}"));
-    }
+            .unwrap_or_else(|e| panic!("cannot write job output {path:?}: {e}"))
+    });
     writer
         .finish()
         .unwrap_or_else(|e| panic!("cannot publish job output {path:?}: {e}"));
@@ -307,8 +302,8 @@ fn publish_output<K: Codec, V: Codec>(path: &Path, output: &[(K, V)]) {
 /// One non-blocking attempt to adopt a published output.  `None` means
 /// "not published yet" (missing file, or header/body still pending);
 /// anything else unreadable is a protocol violation and panics.
-fn try_read_output<K: Codec, V: Codec>(path: &Path) -> Option<Vec<(K, V)>> {
-    let reader = match RunReader::<(K, V)>::open(path) {
+pub(crate) fn try_read<R: Codec>(path: &Path) -> Option<Vec<R>> {
+    let reader = match RunReader::<R>::open(path) {
         Ok(reader) => reader,
         Err(StorageError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => return None,
         Err(StorageError::Truncated { .. }) => return None,
@@ -329,15 +324,16 @@ fn try_read_output<K: Codec, V: Codec>(path: &Path) -> Option<Vec<(K, V)>> {
 /// Polls for the published output until `timeout`.  A worker that never
 /// sees the output has lost its coordinator: it exits rather than linger
 /// as an orphan (the exit code is only ever observed by a human).
-fn poll_output<K: Codec, V: Codec>(
+fn poll_output<O>(
     path: &Path,
     interval: Duration,
     timeout: Duration,
-) -> Vec<(K, V)> {
+    adopt: impl Fn(&Path) -> Option<O>,
+) -> O {
     let deadline = Instant::now() + timeout;
     loop {
-        if let Some(records) = try_read_output(path) {
-            return records;
+        if let Some(output) = adopt(path) {
+            return output;
         }
         if Instant::now() > deadline {
             eprintln!(

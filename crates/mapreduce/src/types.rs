@@ -206,6 +206,39 @@ pub trait Reducer: Send + Sync {
     }
 }
 
+/// The reduce side of a round over partition-resident state (see
+/// [`crate::flow::RoundState::round`]): the reducer of a key gets the
+/// key's state record beside the notes that arrived for it.
+///
+/// Reduce task *p* merge-joins state partition *p* with its merged notes,
+/// so `reduce` is called once for every key that has state, in key order,
+/// with the notes in shuffle order — an empty slice when none arrived.
+/// Notes addressed to keys without state are dropped.  The state is moved
+/// in and the reducer moves it back out: `Some` keeps it for the next
+/// round, `None` retires the key.  Anything else the round produces
+/// (matched edges, a derived dataset) is emitted as side output.
+pub trait StateReducer: Send + Sync {
+    /// The key of state records and notes.
+    type Key: Key;
+    /// A key's state record.
+    type State: Value;
+    /// What a mapper tells another key about its own state.
+    type Note: Value;
+    /// Side-output key type.
+    type OutKey: Key;
+    /// Side-output value type.
+    type OutValue: Value;
+
+    /// Reduces one key: its state and its notes.
+    fn reduce(
+        &self,
+        key: &Self::Key,
+        state: Self::State,
+        notes: &[Self::Note],
+        out: &mut Emitter<Self::OutKey, Self::OutValue>,
+    ) -> Option<Self::State>;
+}
+
 /// An optional map-side combiner.
 ///
 /// A combiner is applied to the output of every map *task* before the

@@ -1,8 +1,9 @@
 //! Property-based and integration tests of the MapReduce engine's
 //! contract: the result of a job never depends on the number of map tasks,
 //! reduce partitions or worker threads, combiners never change the output,
-//! the built-in counters are consistent with each other, and no value is
-//! copied between a mapper's `emit` and the reducer that reads it.
+//! the built-in counters are consistent with each other, no value is
+//! copied between a mapper's `emit` and the reducer that reads it, and a
+//! round's state records move from round to round without a copy.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -167,6 +168,105 @@ fn shuffled_values_reach_the_reducer_by_move_in_shuffle_order() {
         TRACKED_CLONES.load(Ordering::Relaxed),
         0,
         "a combiner-less job never clones a value between map output and reducer input"
+    );
+}
+
+/// A round-state record whose every `Clone` is counted.
+#[derive(Debug, PartialEq)]
+struct TrackedState(u64);
+
+static STATE_CLONES: AtomicU64 = AtomicU64::new(0);
+
+impl Clone for TrackedState {
+    fn clone(&self) -> Self {
+        STATE_CLONES.fetch_add(1, Ordering::Relaxed);
+        TrackedState(self.0)
+    }
+}
+
+impl Codec for TrackedState {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.0.encode(out);
+    }
+    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+        u64::decode(input).map(TrackedState)
+    }
+    fn encoded_len(&self) -> usize {
+        8
+    }
+}
+
+/// Every key tells the next one its counter; a key doubles its counter,
+/// adds what it heard, reports the result and retires past 1 000.
+struct Pass {
+    keys: u32,
+}
+
+impl Mapper for Pass {
+    type InKey = u32;
+    type InValue = TrackedState;
+    type OutKey = u32;
+    type OutValue = u64;
+    fn map(&self, k: &u32, state: &TrackedState, out: &mut Emitter<u32, u64>) {
+        out.emit((k + 1) % self.keys, state.0);
+    }
+}
+
+impl StateReducer for Pass {
+    type Key = u32;
+    type State = TrackedState;
+    type Note = u64;
+    type OutKey = u32;
+    type OutValue = u64;
+    fn reduce(
+        &self,
+        k: &u32,
+        mut state: TrackedState,
+        notes: &[u64],
+        out: &mut Emitter<u32, u64>,
+    ) -> Option<TrackedState> {
+        state.0 = 2 * state.0 + notes.iter().sum::<u64>();
+        out.emit(*k, state.0);
+        (state.0 <= 1_000).then_some(state)
+    }
+}
+
+#[test]
+fn round_state_records_move_and_are_never_cloned() {
+    let keys = 600u32;
+    let mut traces = Vec::new();
+    for threads in [1, 2] {
+        // 600 records of 12 encoded bytes over 3 partitions: at 4 KiB
+        // every partition outgrows its 1 365-byte share.
+        for budget in [None, Some(4096)] {
+            let flow = FlowContext::new(
+                JobConfig::named("state-by-move")
+                    .with_threads(threads)
+                    .with_reduce_tasks(3)
+                    .with_memory_budget(budget),
+            );
+            let mut state = flow.round_state("tracked");
+            state.seed(
+                (0..keys)
+                    .map(|k| (k, TrackedState(u64::from(k % 7) + 1)))
+                    .collect(),
+            );
+            let mut trace = Vec::new();
+            while !state.is_empty() {
+                trace.push(state.round("pass", Pass { keys }, Pass { keys }));
+            }
+            traces.push(trace);
+        }
+    }
+    assert!(traces[0].len() >= 3, "the workload must iterate");
+    assert!(
+        traces.iter().all(|trace| *trace == traces[0]),
+        "the layout is pinned: same side output at every thread count and budget"
+    );
+    assert_eq!(
+        STATE_CLONES.load(Ordering::Relaxed),
+        0,
+        "state records move from round to round, never clone"
     );
 }
 

@@ -142,20 +142,6 @@ impl DatasetStore {
         Ok(reader)
     }
 
-    /// Opens the raw file behind the dataset at `name` without reading
-    /// anything.  Callers that re-read the same dataset many times can
-    /// keep this descriptor open and hand clones of it to
-    /// [`RunReader::from_file`], skipping the per-read path lookup.
-    pub fn open_file(&self, name: &str) -> Result<std::fs::File, StorageError> {
-        let path = self.file_for(name);
-        if !path.exists() {
-            return Err(StorageError::Missing {
-                name: name.to_string(),
-            });
-        }
-        Ok(std::fs::File::open(path)?)
-    }
-
     /// Number of records stored at `name` (read from the header only).
     /// Zero when the dataset is missing.
     pub fn record_count(&self, name: &str) -> u64 {
@@ -165,14 +151,6 @@ impl DatasetStore {
         }
         RunReader::<()>::open(&path)
             .map(|r| r.records())
-            .unwrap_or(0)
-    }
-
-    /// On-disk size of the dataset at `name` in bytes (header included).
-    /// Zero when the dataset is missing.
-    pub fn file_size(&self, name: &str) -> u64 {
-        std::fs::metadata(self.file_for(name))
-            .map(|m| m.len())
             .unwrap_or(0)
     }
 

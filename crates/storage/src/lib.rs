@@ -39,5 +39,5 @@ pub mod spill;
 pub use codec::{Codec, CodecError};
 pub use kv::DatasetStore;
 pub use manifest::{ManifestRun, ShardManifest, MANIFEST_VERSION};
-pub use run::{CompletedRun, RetainedRecords, RunReader, RunWriter, StorageError, FORMAT_VERSION};
+pub use run::{CompletedRun, RunReader, RunWriter, StorageError, FORMAT_VERSION};
 pub use spill::SpillManager;

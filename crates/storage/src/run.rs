@@ -360,16 +360,7 @@ pub struct RunReader<R> {
 impl<R: Codec> RunReader<R> {
     /// Opens `path`, validating magic, version and writer completion.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, StorageError> {
-        Self::from_file(File::open(path.as_ref())?)
-    }
-
-    /// Reads a run from an already-open `file`, validating magic, version
-    /// and writer completion.  The handle is rewound first, so a handle
-    /// cloned from a previous reader (whose offset it shares) starts at
-    /// the header again — this lets callers keep one descriptor open
-    /// across repeated re-reads instead of paying a path lookup each time.
-    pub fn from_file(mut file: File) -> Result<Self, StorageError> {
-        file.seek(SeekFrom::Start(0))?;
+        let file = File::open(path.as_ref())?;
         let file_len = file.metadata()?.len();
         let mut reader = BufReader::new(file);
         let mut magic = [0u8; 4];
@@ -498,20 +489,6 @@ impl<R: Codec> RunReader<R> {
         Ok(())
     }
 
-    /// Wraps the reader in a retirement-aware view: records the `live`
-    /// predicate rejects are skipped (and counted) instead of yielded.
-    ///
-    /// This is how iterative consumers drop retired records without
-    /// rewriting the run: the file keeps every record the producing round
-    /// emitted, and retirement is applied while streaming it back.
-    pub fn retained<F: FnMut(&R) -> bool>(self, live: F) -> RetainedRecords<R, F> {
-        RetainedRecords {
-            reader: self,
-            live,
-            skipped: 0,
-        }
-    }
-
     /// Reads the remaining records into a vector.
     pub fn read_to_end(mut self) -> Result<Vec<R>, StorageError> {
         let remaining = usize::try_from(self.expected - self.read).unwrap_or(usize::MAX);
@@ -569,48 +546,6 @@ impl<R: Codec> Iterator for RunReader<R> {
     fn size_hint(&self) -> (usize, Option<usize>) {
         let remaining = usize::try_from(self.expected.saturating_sub(self.read)).unwrap_or(0);
         (remaining, Some(remaining))
-    }
-}
-
-/// A streaming, retirement-aware view over a run file: records rejected by
-/// the `live` predicate are decoded (the frame must still be consumed) but
-/// never yielded.  Built by [`RunReader::retained`].
-#[derive(Debug)]
-pub struct RetainedRecords<R, F> {
-    reader: RunReader<R>,
-    live: F,
-    skipped: u64,
-}
-
-impl<R: Codec, F: FnMut(&R) -> bool> RetainedRecords<R, F> {
-    /// Records skipped as retired so far.
-    pub fn skipped(&self) -> u64 {
-        self.skipped
-    }
-
-    /// Reads the next live record; `Ok(None)` at a clean end of file.
-    pub fn next_record(&mut self) -> Result<Option<R>, StorageError> {
-        while let Some(record) = self.reader.next_record()? {
-            if (self.live)(&record) {
-                return Ok(Some(record));
-            }
-            self.skipped += 1;
-        }
-        Ok(None)
-    }
-}
-
-impl<R: Codec, F: FnMut(&R) -> bool> Iterator for RetainedRecords<R, F> {
-    type Item = Result<R, StorageError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.next_record().transpose()
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        // Every remaining record may yet be retired: only the upper bound
-        // of the underlying reader survives.
-        (0, self.reader.size_hint().1)
     }
 }
 
@@ -699,43 +634,6 @@ mod tests {
         let mut expected: Vec<u64> = (0..10).collect();
         expected.push(99);
         assert_eq!(reader.read_to_end().unwrap(), expected);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn retained_skips_retired_records_and_counts_them() {
-        let path = temp_path("retained.run");
-        let mut writer: RunWriter<(u32, String)> = RunWriter::create(&path).unwrap();
-        for i in 0..20u32 {
-            writer.push(&(i, format!("v{i}"))).unwrap();
-        }
-        writer.finish().unwrap();
-
-        let reader: RunReader<(u32, String)> = RunReader::open(&path).unwrap();
-        let mut retained = reader.retained(|(k, _)| k % 3 != 0);
-        let live: Vec<(u32, String)> = retained.by_ref().map(|r| r.unwrap()).collect();
-        assert_eq!(
-            live.iter().map(|(k, _)| *k).collect::<Vec<_>>(),
-            (0..20u32).filter(|k| k % 3 != 0).collect::<Vec<_>>(),
-            "live records keep the file order"
-        );
-        assert_eq!(retained.skipped(), 7, "0, 3, …, 18 are retired");
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn retained_with_an_all_dead_predicate_is_empty_but_clean() {
-        let path = temp_path("retained-empty.run");
-        let mut writer: RunWriter<u64> = RunWriter::create(&path).unwrap();
-        for i in 0..5u64 {
-            writer.push(&i).unwrap();
-        }
-        writer.finish().unwrap();
-
-        let reader: RunReader<u64> = RunReader::open(&path).unwrap();
-        let mut retained = reader.retained(|_| false);
-        assert!(retained.next_record().unwrap().is_none());
-        assert_eq!(retained.skipped(), 5);
         std::fs::remove_file(&path).unwrap();
     }
 

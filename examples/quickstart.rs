@@ -57,7 +57,7 @@ fn main() {
     println!("centralized greedy : value {:.2}", greedy.value(&graph));
 
     // GreedyMR: the MapReduce greedy.  All jobs of a run go through one
-    // FlowContext; inter-round state lives in its disk-backed side store.
+    // FlowContext; inter-round state stays in partitions beside the jobs.
     let greedy_mr =
         GreedyMr::new(GreedyMrConfig::default()).run(&graph, &caps, &FlowContext::named("greedy"));
     println!(

@@ -1,11 +1,13 @@
 //! End-to-end integration tests spanning every crate of the workspace:
 //! dataset generation → similarity join → capacities → matching, plus
-//! the two exact-count regression guards of the join and of GreedyMR's
-//! rounds.
+//! the exact-count regression guards of the join and of GreedyMR's
+//! rounds, and a golden pin of StackMR's output.
 
 use smr_bench::{ExperimentScale, ExperimentSet};
 use social_content_matching::datagen::{AnswersGenerator, DatasetPreset, FlickrGenerator};
-use social_content_matching::graph::Capacities;
+use social_content_matching::graph::{
+    BipartiteGraph, Capacities, ConsumerId, GraphBuilder, ItemId,
+};
 use social_content_matching::mapreduce::{FlowContext, JobConfig};
 use social_content_matching::matching::{
     greedy_matching, optimal_matching, AlgorithmKind, GreedyMr, GreedyMrConfig, StackMr,
@@ -219,12 +221,152 @@ fn rounds_regression_guard_flickr_large_sigma_009() {
     assert_eq!(graph.num_edges(), 372_730);
     let run = set.run(AlgorithmKind::GreedyMr, &graph, &caps);
     assert_eq!(run.rounds, 32);
-    // A round shuffles one note per live adjacency entry plus one
-    // own-record message per live node.  Summed over the 32 rounds
-    // the live adjacency entries are 2 674 959 (the first round alone
-    // lists every edge from both ends, 2 × 372 730; the retired
-    // two-views-per-entry protocol shuffled exactly twice this sum,
-    // 5 349 918) and the live nodes 33 027.
-    assert_eq!(run.total_shuffled_records(), 2_674_959 + 33_027);
+    // A round shuffles one note per live adjacency entry; the node
+    // records stay in their state partitions.  Summed over the 32 rounds
+    // the live adjacency entries are 2 674 959: the first round alone
+    // lists every edge from both ends, 2 × 372 730.  (The retired
+    // two-views-per-entry protocol shuffled twice this sum, 5 349 918,
+    // and the retired own-record message one more record per live node
+    // and round, 33 027.)
+    assert_eq!(run.total_shuffled_records(), 2_674_959);
     assert!(run.matching.is_feasible(&graph, &caps));
+}
+
+/// The instance of `crates/core/tests/determinism.rs`: 9 items, 11
+/// consumers, 74 edges.
+fn determinism_instance() -> (BipartiteGraph, Capacities) {
+    let mut builder = GraphBuilder::new();
+    let items: Vec<ItemId> = (0..9).map(|i| builder.add_item(format!("t{i}"))).collect();
+    let consumers: Vec<ConsumerId> = (0..11)
+        .map(|i| builder.add_consumer(format!("c{i}")))
+        .collect();
+    let mut weight = 0.137_f64;
+    for (ti, &item) in items.iter().enumerate() {
+        for (ci, &consumer) in consumers.iter().enumerate() {
+            if (ti * 5 + ci * 7) % 4 != 0 {
+                weight = (weight * 757.31 + 0.191).fract().max(0.01);
+                builder.add_edge(item, consumer, weight);
+            }
+        }
+    }
+    let graph = builder.build();
+    let caps = Capacities::uniform(&graph, 3, 2);
+    (graph, caps)
+}
+
+/// A yahoo-answers-shaped smoke graph: the preset's generator at a tenth
+/// of its size, joined at the preset's densest σ (8 128 edges).
+fn answers_smoke_instance() -> (BipartiteGraph, Capacities) {
+    let dataset = AnswersGenerator {
+        num_questions: 260,
+        num_users: 82,
+        vocabulary: 170,
+        num_topics: 8,
+        seed: 2011,
+        ..AnswersGenerator::default()
+    }
+    .generate();
+    let questions = Corpus::build(dataset.items.clone(), &TokenizerConfig::default());
+    let users = Corpus::build(dataset.consumers.clone(), &TokenizerConfig::default());
+    let join = mapreduce_similarity_join_flow(
+        &questions,
+        &users,
+        0.07,
+        &FlowContext::new(quick_job("golden-join")),
+    );
+    (join.graph, dataset.capacities(1.0))
+}
+
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+    for byte in words.into_iter().flat_map(u64::to_le_bytes) {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// Golden pin of StackMR and StackGreedyMR: matched edges (count and
+/// FNV-1a of the ids), rounds, jobs and the any-time trace bit for bit,
+/// on two fixed instances, at threads {1, 2} × budgets {∞, 4 KiB} with
+/// the task layout pinned.  The values were recorded before the round
+/// state became partition-resident; how the state is stored must not
+/// move them.
+#[test]
+fn stack_mr_golden_across_threads_and_budgets() {
+    // (instance, heaviest-first marking, matched, edge-id digest, rounds,
+    // MapReduce jobs, trace digest)
+    let golden = [
+        (
+            "determinism",
+            false,
+            22,
+            0x2c72_b03b_feaf_5324,
+            2,
+            12,
+            0xe60a_7fb9_9956_c5fc,
+        ),
+        (
+            "determinism",
+            true,
+            22,
+            0x92c7_f0f8_9a41_f8bf,
+            2,
+            16,
+            0xf9eb_780a_1c84_5bdb,
+        ),
+        (
+            "answers",
+            false,
+            250,
+            0x21ad_ac8f_753e_87a6,
+            4,
+            31,
+            0xa266_ce33_2b50_d2f9,
+        ),
+        (
+            "answers",
+            true,
+            256,
+            0x3c81_fc9f_0127_e1c4,
+            2,
+            20,
+            0x9fa5_27aa_c84c_f90d,
+        ),
+    ];
+    let determinism = determinism_instance();
+    let answers = answers_smoke_instance();
+    for (instance, greedy, matched, edges, rounds, mr_jobs, trace) in golden {
+        let (graph, caps) = if instance == "answers" {
+            &answers
+        } else {
+            &determinism
+        };
+        for threads in [1, 2] {
+            for budget in [None, Some(4096)] {
+                let job = JobConfig::named("golden")
+                    .with_threads(threads)
+                    .with_map_tasks(4)
+                    .with_reduce_tasks(4)
+                    .with_memory_budget(budget);
+                let mut config = StackMrConfig::default().with_seed(99).with_job(job.clone());
+                if greedy {
+                    config = config.stack_greedy();
+                }
+                let run = StackMr::new(config).run(graph, caps, &FlowContext::new(job));
+                let got = (
+                    run.matching.len(),
+                    fnv1a(run.matching.edges().map(|e| e as u64)),
+                    run.rounds,
+                    run.mr_jobs,
+                    fnv1a(run.value_per_round.iter().map(|v| v.to_bits())),
+                );
+                assert_eq!(
+                    got,
+                    (matched, edges, rounds, mr_jobs, trace),
+                    "{instance} greedy={greedy} threads={threads} budget={budget:?}"
+                );
+            }
+        }
+    }
 }

@@ -72,7 +72,8 @@ fn instance_strategy_with(ties: bool) -> impl Strategy<Value = (BipartiteGraph, 
 struct GreedyModel {
     matching: Matching,
     value_per_round: Vec<f64>,
-    /// Per round: live adjacency entries + live nodes.
+    /// Per round: live adjacency entries, one note each (the node
+    /// records stay in their state partitions).
     shuffle_records: Vec<u64>,
 }
 
@@ -102,7 +103,7 @@ fn simulate_algorithm_3(graph: &BipartiteGraph, caps: &Capacities) -> GreedyMode
     };
     while !live.is_empty() {
         let entries: usize = live.values().map(|(_, edges)| edges.len()).sum();
-        model.shuffle_records.push((entries + live.len()) as u64);
+        model.shuffle_records.push(entries as u64);
         let proposes = |v: NodeId, e: EdgeId| {
             live.get(&v)
                 .is_some_and(|(cap, edges)| edges.iter().take(*cap as usize).any(|&p| p == e))
@@ -171,8 +172,15 @@ proptest! {
     fn greedy_mr_rounds_equal_a_simulation_of_algorithm_3(
         (graph, caps) in instance_strategy_with(true),
         threads in 1usize..3,
+        spill in any::<bool>(),
     ) {
-        let job = JobConfig::named("prop-greedy-model").with_threads(threads);
+        // A 64-byte budget puts every state partition of these small
+        // instances in a run file (4 KiB would hold them all in RAM);
+        // the model holds either way.
+        let budget = spill.then_some(64);
+        let job = JobConfig::named("prop-greedy-model")
+            .with_threads(threads)
+            .with_memory_budget(budget);
         let run = GreedyMr::new(GreedyMrConfig::default().with_job(job.clone()))
             .run(&graph, &caps, &FlowContext::new(job));
         let model = simulate_algorithm_3(&graph, &caps);
