@@ -3,44 +3,40 @@
 //!
 //! Every round is one MapReduce job over the node-centric graph
 //! representation, kept as partition-resident state
-//! ([`RoundState`]): a node's record stays in its partition and never
+//! ([`smr_mapreduce::RoundState`]): a node's record stays in its partition and never
 //! crosses the shuffle.
 //!
-//! * **map** — every node `v` proposes its `b(v)` heaviest live edges:
+//! * **notes** — every node `v` proposes its `b(v)` heaviest live edges:
 //!   across every live incident edge it sends the neighbour one note,
 //!   "I propose this edge" and "I am saturated" as two flag bits
 //!   ([`RoundMsg`]) — one record per live adjacency entry crosses the
-//!   shuffle;
+//!   shuffle.  The notes of round 1 come from a map pass over the seeded
+//!   records; every later round's notes are emitted by the reducer that
+//!   wrote the record the round before;
 //! * **reduce** — every node gets its own record beside its notes and
 //!   reads its capacity, adjacency and own proposals off the record (the
 //!   adjacency is kept heaviest first, so the proposals are its first
-//!   `b(v)` entries in mapper and reducer alike); it holds each edge
-//!   against the neighbour's note: edges proposed by *both* endpoints
-//!   enter the solution (emitted as side output), the node's residual
-//!   capacity is decreased accordingly, matched edges, edges towards
-//!   saturated neighbours and edges without a note (the neighbour has
-//!   retired) are dropped from the adjacency, and the node keeps its
-//!   record for the next round — or retires, once it has no capacity or
-//!   no edge left.
+//!   `b(v)` entries); it holds each edge against the neighbour's note:
+//!   edges proposed by *both* endpoints enter the solution (emitted as
+//!   side output), the node's residual capacity is decreased
+//!   accordingly, matched edges, edges towards saturated neighbours and
+//!   edges without a note (the neighbour has retired) are dropped from
+//!   the adjacency, and the node keeps its record — and proposes again —
+//!   or retires, once it has no capacity or no edge left.
 //!
 //! The algorithm stops when no live edge remains.  The solution grows
 //! monotonically and is feasible after every round, which is the *any-time*
 //! property highlighted in the paper (Figure 5): the run can be stopped at
 //! any round and still return a valid b-matching.
 //!
-//! Execution is structured as an [`IterativeJob`] driven by the
-//! [`IterativeDriver`], with every round's MapReduce job run through a
-//! [`FlowContext`] — so the driver's round accounting and the flow's
-//! per-job metrics describe the same jobs, and the caller-provided flow
-//! of [`GreedyMr::run`] folds the rounds into a larger pipeline's
-//! [`smr_mapreduce::FlowReport`].
+//! The run is a plain loop over [`smr_mapreduce::RoundState::round`] on a
+//! [`FlowContext`], one round per [`FlowContext::mark_round`], so the
+//! caller-provided flow of [`GreedyMr::run`] folds the rounds into a
+//! larger pipeline's [`smr_mapreduce::FlowReport`].
 
 use smr_graph::{BipartiteGraph, Capacities, EdgeId, Matching, NodeId};
 use smr_mapreduce::flow::FlowContext;
-use smr_mapreduce::{
-    Emitter, IterativeDriver, IterativeJob, JobMetrics, Mapper, RoundOutcome, RoundState,
-    RunSummary, StateReducer,
-};
+use smr_mapreduce::{Emitter, StateReducer};
 
 use crate::config::GreedyMrConfig;
 use crate::result::{AlgorithmKind, MatchingRun};
@@ -57,30 +53,22 @@ const SATURATED: u8 = 2;
 /// [`SATURATED`] flags for one edge.
 type GreedyMsg = RoundMsg<u8>;
 
-/// The map function of a GreedyMR round.
-struct ProposeMapper;
-
-impl Mapper for ProposeMapper {
-    type InKey = NodeId;
-    type InValue = NodeRecord;
-    type OutKey = NodeId;
-    type OutValue = GreedyMsg;
-
-    fn map(&self, node: &NodeId, record: &NodeRecord, out: &mut Emitter<NodeId, GreedyMsg>) {
-        debug_assert_eq!(*node, record.node);
-        // The proposals are the b(v) heaviest live edges: a prefix of the
-        // heaviest-first adjacency (empty for a saturated node).
-        let proposals = record.proposal_count();
-        let saturated = if record.capacity == 0 { SATURATED } else { 0 };
-        for (idx, adj) in record.adjacency.iter().enumerate() {
-            let proposed = if idx < proposals { PROPOSED } else { 0 };
-            out.emit(adj.other, RoundMsg::new(adj.edge, proposed | saturated));
-        }
+/// The notes of a GreedyMR round about `record`: one per live edge, to
+/// the neighbour across it.
+fn propose(_node: &NodeId, record: &NodeRecord, out: &mut Emitter<NodeId, GreedyMsg>) {
+    // The proposals are the b(v) heaviest live edges: a prefix of the
+    // heaviest-first adjacency (empty for a saturated node).
+    let proposals = record.proposal_count();
+    let saturated = if record.capacity == 0 { SATURATED } else { 0 };
+    for (idx, adj) in record.adjacency.iter().enumerate() {
+        let proposed = if idx < proposals { PROPOSED } else { 0 };
+        out.emit(adj.other, RoundMsg::new(adj.edge, proposed | saturated));
     }
 }
 
 /// The reduce function of a GreedyMR round; its side output is the
-/// matched edges, each reported by both endpoints.
+/// matched edges, each reported by both endpoints, and a node it keeps
+/// proposes for the next round.
 struct IntersectReducer;
 
 impl StateReducer for IntersectReducer {
@@ -92,10 +80,11 @@ impl StateReducer for IntersectReducer {
 
     fn reduce(
         &self,
-        _node: &NodeId,
+        node: &NodeId,
         mut record: NodeRecord,
         msgs: &[GreedyMsg],
         out: &mut Emitter<EdgeId, ()>,
+        next: &mut Emitter<NodeId, GreedyMsg>,
     ) -> Option<NodeRecord> {
         let capacity = record.capacity;
         let proposals = record.proposal_count();
@@ -126,7 +115,11 @@ impl StateReducer for IntersectReducer {
         // edges: its neighbours drop them in this very round because they
         // see the saturation flag in the notes (or, if it became zero only
         // now, will find no note from the retired node next round).
-        (record.capacity > 0 && !record.is_isolated()).then_some(record)
+        if record.capacity == 0 || record.is_isolated() {
+            return None;
+        }
+        propose(node, &record, next);
+        Some(record)
     }
 }
 
@@ -154,7 +147,7 @@ impl GreedyMr {
     /// surrounding pipeline ran.
     ///
     /// Between rounds the surviving node records stay in their
-    /// partitions of a [`RoundState`] — in RAM within the memory budget's
+    /// partitions of a [`smr_mapreduce::RoundState`] — in RAM within the memory budget's
     /// share per reduce task, in run files above it — and matched-out
     /// nodes retire from it as their reducers decide.
     pub fn run(
@@ -168,71 +161,40 @@ impl GreedyMr {
             build_node_records(graph, caps)
                 .into_iter()
                 .map(|(node, mut record)| {
-                    // Sorted once, here: mapper and reducer read every
-                    // round's proposals off the adjacency's prefix.
+                    // Sorted once, here: every round's proposals are the
+                    // adjacency's prefix.
                     record.sort_heaviest_first();
                     (node, record)
                 })
                 .collect(),
         );
-        let mut rounds = GreedyRounds {
-            flow,
-            graph,
-            state,
-            matching: Matching::new(graph.num_edges()),
-            value_per_round: Vec::new(),
-        };
-        // An edgeless graph runs zero rounds (and zero jobs), exactly like
-        // the pre-flow driver loop.
-        let summary = if rounds.state.is_empty() {
-            RunSummary::default()
-        } else {
-            IterativeDriver::new(self.config.max_rounds).run(&mut rounds)
-        };
+        state.map(propose);
 
+        // An edgeless graph runs zero rounds (and zero jobs).
+        let jobs_start = flow.num_jobs();
+        let mut matching = Matching::new(graph.num_edges());
+        let mut value_per_round = Vec::new();
+        while !state.is_empty() && value_per_round.len() < self.config.max_rounds {
+            flow.mark_round();
+            let round = value_per_round.len();
+            // Progress is guaranteed: the globally heaviest live edge is
+            // the heaviest live edge of both of its endpoints, so both
+            // propose it and it is matched.
+            for (edge, ()) in state.round(format!("round-{round}"), IntersectReducer) {
+                matching.insert(edge);
+            }
+            value_per_round.push(matching.value(graph));
+        }
+
+        let rounds = value_per_round.len();
         MatchingRun {
             algorithm: AlgorithmKind::GreedyMr,
-            matching: rounds.matching,
-            mr_jobs: summary.jobs,
-            rounds: summary.rounds,
-            value_per_round: rounds.value_per_round,
-            job_metrics: summary.job_metrics,
-            max_round_state_bytes: rounds.state.max_state_bytes(),
-        }
-    }
-}
-
-/// The per-round state of a GreedyMR run, driven by [`IterativeDriver`].
-/// The records surviving between rounds live in `state`.
-struct GreedyRounds<'a> {
-    flow: &'a FlowContext,
-    graph: &'a BipartiteGraph,
-    state: RoundState<NodeId, NodeRecord>,
-    matching: Matching,
-    value_per_round: Vec<f64>,
-}
-
-impl IterativeJob for GreedyRounds<'_> {
-    fn run_round(&mut self, round: usize) -> (RoundOutcome, Vec<JobMetrics>) {
-        self.flow.mark_round();
-        let jobs_before = self.flow.num_jobs();
-        let matched = self
-            .state
-            .round(format!("round-{round}"), ProposeMapper, IntersectReducer);
-        let metrics = self.flow.jobs_from(jobs_before);
-
-        // Progress is guaranteed: the globally heaviest live edge is the
-        // heaviest live edge of both of its endpoints, so both propose it
-        // and it is matched — every round either matches an edge or runs
-        // on an already-empty graph.
-        for (edge, ()) in matched {
-            self.matching.insert(edge);
-        }
-        self.value_per_round.push(self.matching.value(self.graph));
-        if self.state.is_empty() {
-            (RoundOutcome::Converged, metrics)
-        } else {
-            (RoundOutcome::Continue, metrics)
+            matching,
+            mr_jobs: rounds,
+            rounds,
+            value_per_round,
+            job_metrics: flow.jobs_from(jobs_start),
+            max_round_state_bytes: state.max_state_bytes(),
         }
     }
 }
@@ -447,17 +409,18 @@ mod tests {
         let mut notes: std::collections::BTreeMap<NodeId, Vec<GreedyMsg>> = Default::default();
         for (node, record) in &records {
             let mut out = Emitter::new();
-            ProposeMapper.map(node, record, &mut out);
+            propose(node, record, &mut out);
             for (to, note) in out.into_pairs() {
                 notes.entry(to).or_default().push(note);
             }
         }
         let mut matched = Emitter::new();
+        let mut proposals = Emitter::new();
         let next: Vec<Option<NodeRecord>> = records
             .iter()
             .map(|(node, record)| {
                 let own = notes.get(node).map_or(&[][..], Vec::as_slice);
-                IntersectReducer.reduce(node, record.clone(), own, &mut matched)
+                IntersectReducer.reduce(node, record.clone(), own, &mut matched, &mut proposals)
             })
             .collect();
         assert_eq!(
@@ -470,13 +433,22 @@ mod tests {
             ]
         );
         assert!(matched.is_empty());
+        // The kept nodes propose edge 1 to each other for the next round.
+        assert_eq!(
+            proposals.into_pairs(),
+            vec![
+                (c0, RoundMsg::new(1, PROPOSED)),
+                (t1, RoundMsg::new(1, PROPOSED)),
+            ]
+        );
 
         // Through the engine: the 4 adjacency entries cross the shuffle,
         // the records do not, and the saturated item retires.
         let flow = FlowContext::new(JobConfig::named("greedy-mr-test").with_threads(2));
         let mut state = flow.round_state("saturated");
         state.seed(records);
-        assert!(state.round("r", ProposeMapper, IntersectReducer).is_empty());
+        state.map(propose);
+        assert!(state.round("r", IntersectReducer).is_empty());
         assert_eq!(state.len(), 2);
         assert_eq!(flow.report().total_shuffled_records(), 4);
     }

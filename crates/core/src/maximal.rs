@@ -22,12 +22,13 @@
 //! The iteration repeats until the working graph has no edges left.
 //!
 //! The working records are the partition-resident state of a
-//! [`smr_mapreduce::RoundState`]: in every stage the mapper sends each
-//! neighbour one flag about the edge they share, and the reducer holds
-//! the node's own record against its neighbours' flags.  Where a stage
-//! needs the node's own random choice (its selections, its dropped
-//! edges), the reducer draws it again from the node's seeded generator
-//! over the same record, exactly as the mapper drew it.
+//! [`smr_mapreduce::RoundState`]: in every stage each node sends each
+//! neighbour one flag about the edge they share, and the stage's reducer
+//! holds the node's own record against its neighbours' flags.  The
+//! reducer of one stage makes the node's choice for the next — its marks,
+//! selections or drops, each drawn once from the node's seeded generator
+//! — records it and emits the next stage's flags, so no stage re-reads
+//! the state in a map pass; only the first marks come from one.
 
 use std::collections::HashMap;
 
@@ -37,7 +38,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use smr_graph::{EdgeId, NodeId};
 use smr_mapreduce::flow::FlowContext;
-use smr_mapreduce::{Emitter, JobConfig, JobMetrics, Mapper, StateReducer};
+use smr_mapreduce::{Emitter, JobConfig, JobMetrics, StateReducer};
 use smr_storage::impl_codec_struct;
 
 use crate::config::MarkingStrategy;
@@ -190,36 +191,37 @@ type Matched = Emitter<EdgeId, ()>;
 // Stage 1: marking
 // ---------------------------------------------------------------------------
 
-/// Every node marks `⌈c(v)/2⌉` of its edges and tells each neighbour
-/// whether their edge is marked.  A node's own marks matter only to its
-/// neighbours, so its reducer records just theirs.
-#[derive(Clone, Copy)]
-struct Mark {
+/// The notes of the marking stage: the node marks `⌈c(v)/2⌉` of its
+/// edges and tells each neighbour whether their edge is marked.  A node's
+/// own marks matter only to its neighbours.
+fn mark_notes(
     strategy: MarkingStrategy,
     seed: u64,
     iteration: u64,
+    record: &WorkRecord,
+    out: &mut Emitter<NodeId, FlagMsg>,
+) {
+    let mut rng = node_rng(seed, iteration, record.node);
+    let to_mark = ((record.capacity as f64 / 2.0).ceil() as usize).max(1);
+    let candidates: Vec<(usize, f64)> = record
+        .edges
+        .iter()
+        .enumerate()
+        .map(|(i, e)| (i, e.weight))
+        .collect();
+    let marked = pick_edges(strategy, &mut rng, &candidates, to_mark);
+    for (e, marked) in record.edges.iter().zip(flags(record.edges.len(), marked)) {
+        out.emit(e.other, RoundMsg::new(e.edge, marked));
+    }
 }
 
-impl Mapper for Mark {
-    type InKey = NodeId;
-    type InValue = WorkRecord;
-    type OutKey = NodeId;
-    type OutValue = FlagMsg;
-
-    fn map(&self, _node: &NodeId, record: &WorkRecord, out: &mut Emitter<NodeId, FlagMsg>) {
-        let mut rng = node_rng(self.seed, self.iteration, record.node);
-        let to_mark = ((record.capacity as f64 / 2.0).ceil() as usize).max(1);
-        let candidates: Vec<(usize, f64)> = record
-            .edges
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (i, e.weight))
-            .collect();
-        let marked = pick_edges(self.strategy, &mut rng, &candidates, to_mark);
-        for (e, marked) in record.edges.iter().zip(flags(record.edges.len(), marked)) {
-            out.emit(e.other, RoundMsg::new(e.edge, marked));
-        }
-    }
+/// Records the neighbours' marks; then every node selects up to
+/// `max(⌊c(v)/2⌋, 1)` of the edges its neighbours marked, puts them in F
+/// and tells each neighbour whether it selected their edge.
+#[derive(Clone, Copy)]
+struct Mark {
+    seed: u64,
+    iteration: u64,
 }
 
 impl StateReducer for Mark {
@@ -235,29 +237,12 @@ impl StateReducer for Mark {
         mut record: WorkRecord,
         msgs: &[FlagMsg],
         _out: &mut Matched,
+        next: &mut Emitter<NodeId, FlagMsg>,
     ) -> Option<WorkRecord> {
         let marks = peer_notes(msgs);
         for e in &mut record.edges {
             e.marked_by_other = marks.get(e.edge).unwrap_or(false);
         }
-        Some(record)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Stage 2: selection
-// ---------------------------------------------------------------------------
-
-/// Every node selects up to `max(⌊c(v)/2⌋, 1)` of the edges its
-/// neighbours marked; an edge enters F when either end selected it.
-#[derive(Clone, Copy)]
-struct Select {
-    seed: u64,
-    iteration: u64,
-}
-
-impl Select {
-    fn selections(&self, record: &WorkRecord) -> Vec<bool> {
         let mut rng = node_rng(
             self.seed,
             self.iteration.wrapping_add(0x5e1ec7),
@@ -275,21 +260,27 @@ impl Select {
         // among the neighbour-marked edges regardless of the marking
         // strategy.
         let selected = pick_edges(MarkingStrategy::Random, &mut rng, &candidates, quota);
-        flags(record.edges.len(), selected)
+        let selected = flags(record.edges.len(), selected);
+        for (e, selected) in record.edges.iter_mut().zip(selected) {
+            e.in_f = selected;
+            next.emit(e.other, RoundMsg::new(e.edge, selected));
+        }
+        Some(record)
     }
 }
 
-impl Mapper for Select {
-    type InKey = NodeId;
-    type InValue = WorkRecord;
-    type OutKey = NodeId;
-    type OutValue = FlagMsg;
+// ---------------------------------------------------------------------------
+// Stage 2: selection
+// ---------------------------------------------------------------------------
 
-    fn map(&self, _node: &NodeId, record: &WorkRecord, out: &mut Emitter<NodeId, FlagMsg>) {
-        for (e, selected) in record.edges.iter().zip(self.selections(record)) {
-            out.emit(e.other, RoundMsg::new(e.edge, selected));
-        }
-    }
+/// An edge enters F when either end selected it; then a node of capacity
+/// 1 keeps one of its F edges at random, drops the rest and tells each F
+/// neighbour whether it dropped their edge.  A dropped edge leaves F at
+/// both ends.
+#[derive(Clone, Copy)]
+struct Select {
+    seed: u64,
+    iteration: u64,
 }
 
 impl StateReducer for Select {
@@ -305,30 +296,12 @@ impl StateReducer for Select {
         mut record: WorkRecord,
         msgs: &[FlagMsg],
         _out: &mut Matched,
+        next: &mut Emitter<NodeId, FlagMsg>,
     ) -> Option<WorkRecord> {
         let by_other = peer_notes(msgs);
-        let by_self = self.selections(&record);
-        for (e, by_self) in record.edges.iter_mut().zip(by_self) {
-            e.in_f = by_self || by_other.get(e.edge).unwrap_or(false);
+        for e in &mut record.edges {
+            e.in_f |= by_other.get(e.edge).unwrap_or(false);
         }
-        Some(record)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Stage 3: matching (capacity-1 conflict resolution)
-// ---------------------------------------------------------------------------
-
-/// A node of capacity 1 keeps one of its F edges at random and drops the
-/// rest; a dropped edge leaves F at both ends.
-#[derive(Clone, Copy)]
-struct MatchFix {
-    seed: u64,
-    iteration: u64,
-}
-
-impl MatchFix {
-    fn drops(&self, record: &WorkRecord) -> Vec<bool> {
         let mut rng = node_rng(
             self.seed,
             self.iteration.wrapping_add(0xf1f1f1),
@@ -341,30 +314,32 @@ impl MatchFix {
             .filter(|(_, e)| e.in_f)
             .map(|(i, _)| i)
             .collect();
-        if record.capacity == 1 && f_indices.len() > 1 {
+        let dropped = if record.capacity == 1 && f_indices.len() > 1 {
             let keep = f_indices[rng.gen_range(0..f_indices.len())];
-            let dropped = f_indices.into_iter().filter(|&i| i != keep).collect();
-            flags(record.edges.len(), dropped)
+            f_indices.into_iter().filter(|&i| i != keep).collect()
         } else {
-            vec![false; record.edges.len()]
-        }
-    }
-}
-
-impl Mapper for MatchFix {
-    type InKey = NodeId;
-    type InValue = WorkRecord;
-    type OutKey = NodeId;
-    type OutValue = FlagMsg;
-
-    fn map(&self, _node: &NodeId, record: &WorkRecord, out: &mut Emitter<NodeId, FlagMsg>) {
-        for (e, dropped) in record.edges.iter().zip(self.drops(record)) {
+            Vec::new()
+        };
+        let dropped = flags(record.edges.len(), dropped);
+        for (e, dropped) in record.edges.iter_mut().zip(dropped) {
             if e.in_f {
-                out.emit(e.other, RoundMsg::new(e.edge, dropped));
+                next.emit(e.other, RoundMsg::new(e.edge, dropped));
+                e.in_f = !dropped;
             }
         }
+        Some(record)
     }
 }
+
+// ---------------------------------------------------------------------------
+// Stage 3: matching (capacity-1 conflict resolution)
+// ---------------------------------------------------------------------------
+
+/// Edges a neighbour dropped leave F; then every node tells each
+/// neighbour whether their edge survives at its end: it is not in F and
+/// the node is not saturated after this iteration.
+#[derive(Clone, Copy)]
+struct MatchFix;
 
 impl StateReducer for MatchFix {
     type Key = NodeId;
@@ -379,14 +354,20 @@ impl StateReducer for MatchFix {
         mut record: WorkRecord,
         msgs: &[FlagMsg],
         _out: &mut Matched,
+        next: &mut Emitter<NodeId, FlagMsg>,
     ) -> Option<WorkRecord> {
         // A true note means "the sender dropped this edge from F".
         let by_other = peer_notes(msgs);
-        let by_self = self.drops(&record);
-        for (e, by_self) in record.edges.iter_mut().zip(by_self) {
-            if by_self || by_other.get(e.edge).unwrap_or(false) {
+        for e in &mut record.edges {
+            if by_other.get(e.edge).unwrap_or(false) {
                 e.in_f = false;
             }
+        }
+        let matched = record.edges.iter().filter(|e| e.in_f).count() as u64;
+        let new_capacity = record.capacity.saturating_sub(matched);
+        for e in &record.edges {
+            let survives = !e.in_f && new_capacity > 0;
+            next.emit(e.other, RoundMsg::new(e.edge, survives));
         }
         Some(record)
     }
@@ -398,26 +379,12 @@ impl StateReducer for MatchFix {
 
 /// F enters the matching (side output, reported by both ends), capacities
 /// drop by the node's F edges, and saturated nodes retire with their
-/// edges.
+/// edges; a node that stays marks for the next iteration.
 #[derive(Clone, Copy)]
-struct Cleanup;
-
-impl Mapper for Cleanup {
-    type InKey = NodeId;
-    type InValue = WorkRecord;
-    type OutKey = NodeId;
-    type OutValue = FlagMsg;
-
-    fn map(&self, _node: &NodeId, record: &WorkRecord, out: &mut Emitter<NodeId, FlagMsg>) {
-        let matched = record.edges.iter().filter(|e| e.in_f).count() as u64;
-        let new_capacity = record.capacity.saturating_sub(matched);
-        for e in &record.edges {
-            // A true note means "this edge survives at my end": it is not
-            // in F and I am not saturated after this iteration.
-            let survives = !e.in_f && new_capacity > 0;
-            out.emit(e.other, RoundMsg::new(e.edge, survives));
-        }
-    }
+struct Cleanup {
+    strategy: MarkingStrategy,
+    seed: u64,
+    iteration: u64,
 }
 
 impl StateReducer for Cleanup {
@@ -433,6 +400,7 @@ impl StateReducer for Cleanup {
         mut record: WorkRecord,
         msgs: &[FlagMsg],
         out: &mut Matched,
+        next: &mut Emitter<NodeId, FlagMsg>,
     ) -> Option<WorkRecord> {
         let neighbour_survives = peer_notes(msgs);
         let mut matched = 0;
@@ -447,7 +415,11 @@ impl StateReducer for Cleanup {
         record
             .edges
             .retain(|e| !e.in_f && neighbour_survives.get(e.edge).unwrap_or(false));
-        (!record.edges.is_empty()).then_some(record)
+        if record.edges.is_empty() {
+            return None;
+        }
+        mark_notes(self.strategy, self.seed, self.iteration + 1, &record, next);
+        Some(record)
     }
 }
 
@@ -521,22 +493,24 @@ impl MaximalMatcher {
                 .collect(),
         );
 
+        let (strategy, seed) = (self.strategy, self.seed);
+        state.map(|_, record, out| mark_notes(strategy, seed, 0, record, out));
+
         let jobs_start = flow.num_jobs();
         let mut result = MaximalResult::default();
         while !state.is_empty() && result.iterations < self.max_iterations {
-            let (seed, iteration) = (self.seed, result.iterations as u64);
-            // One Garrido iteration = four rounds.
-            let mark = Mark {
-                strategy: self.strategy,
+            let iteration = result.iterations as u64;
+            // One Garrido iteration = four rounds, each named for the
+            // stage whose notes it consumes.
+            state.round(stage("mark", iteration), Mark { seed, iteration });
+            state.round(stage("select", iteration), Select { seed, iteration });
+            state.round(stage("match", iteration), MatchFix);
+            let cleanup = Cleanup {
+                strategy,
                 seed,
                 iteration,
             };
-            state.round(stage("mark", iteration), mark, mark);
-            let select = Select { seed, iteration };
-            state.round(stage("select", iteration), select, select);
-            let fix = MatchFix { seed, iteration };
-            state.round(stage("match", iteration), fix, fix);
-            let matched = state.round(stage("cleanup", iteration), Cleanup, Cleanup);
+            let matched = state.round(stage("cleanup", iteration), cleanup);
             result
                 .edges
                 .extend(matched.into_iter().map(|(edge, ())| edge));

@@ -30,15 +30,19 @@
 //! ([`smr_mapreduce::RoundState`]): the push rounds over the nodes' duals
 //! and live edges, the maximal matcher over its working records, the pop
 //! rounds over residual capacities.  A node's record stays in its
-//! partition; its mapper sends each neighbour one note per shared edge
-//! and its reducer gets the record beside the notes it received.
+//! partition; it sends each neighbour one note per shared edge, and its
+//! reducer gets the record beside the notes it received.  The push
+//! reducer emits the next coverage round's notes and a pop reducer the
+//! next layer's nominations; the coverage reducer emits none, so no notes
+//! wait in memory through the maximal matcher, and the push round's
+//! notes come from a map pass over the push state after it.
 
 use std::collections::HashSet;
 
 use serde::{Deserialize, Serialize};
 use smr_graph::{BipartiteGraph, Capacities, EdgeId, Matching, NodeId};
 use smr_mapreduce::flow::FlowContext;
-use smr_mapreduce::{Emitter, Mapper, StateReducer};
+use smr_mapreduce::{Emitter, StateReducer};
 use smr_storage::impl_codec_struct;
 
 use crate::config::{MarkingStrategy, StackMrConfig};
@@ -74,22 +78,12 @@ impl_codec_struct!(StackNodeRecord {
 /// `y_v / b(v)` for one edge.
 type RatioMsg = RoundMsg<f64>;
 
-/// A mapper that sends `y/b` along every live edge (used by both the
-/// coverage job and the push job; the push job additionally restricts the
-/// reducer-side update to the current layer).
-struct DualExchangeMapper;
-
-impl Mapper for DualExchangeMapper {
-    type InKey = NodeId;
-    type InValue = StackNodeRecord;
-    type OutKey = NodeId;
-    type OutValue = RatioMsg;
-
-    fn map(&self, _node: &NodeId, record: &StackNodeRecord, out: &mut Emitter<NodeId, RatioMsg>) {
-        let ratio = record.dual / record.capacity as f64;
-        for adj in &record.adjacency {
-            out.emit(adj.other, RoundMsg::new(adj.edge, ratio));
-        }
+/// The notes of the coverage and push rounds: `y_v / b(v)` along every
+/// live edge.
+fn dual_ratios(_node: &NodeId, record: &StackNodeRecord, out: &mut Emitter<NodeId, RatioMsg>) {
+    let ratio = record.dual / record.capacity as f64;
+    for adj in &record.adjacency {
+        out.emit(adj.other, RoundMsg::new(adj.edge, ratio));
     }
 }
 
@@ -113,6 +107,7 @@ impl StateReducer for CoverageReducer<'_> {
         mut record: StackNodeRecord,
         msgs: &[RatioMsg],
         out: &mut Emitter<NodeId, NodeRecord>,
+        _next: &mut Emitter<NodeId, RatioMsg>,
     ) -> Option<StackNodeRecord> {
         let own_ratio = record.dual / record.capacity as f64;
         let weak_factor = self.config.weak_coverage_factor();
@@ -141,7 +136,7 @@ impl StateReducer for CoverageReducer<'_> {
 }
 
 /// Reducer of the push job: raises `y_v` by `Σ δ(e)` over the node's layer
-/// edges.
+/// edges and sends the new ratio for the next coverage round.
 struct PushReducer<'a> {
     layer: &'a HashSet<EdgeId>,
 }
@@ -155,10 +150,11 @@ impl StateReducer for PushReducer<'_> {
 
     fn reduce(
         &self,
-        _node: &NodeId,
+        node: &NodeId,
         mut record: StackNodeRecord,
         msgs: &[RatioMsg],
         _out: &mut Emitter<NodeId, ()>,
+        next: &mut Emitter<NodeId, RatioMsg>,
     ) -> Option<StackNodeRecord> {
         let own_ratio = record.dual / record.capacity as f64;
         let neighbour_ratios = peer_notes(msgs);
@@ -177,6 +173,7 @@ impl StateReducer for PushReducer<'_> {
             }
         }
         record.dual += increase;
+        dual_ratios(node, &record, next);
         Some(record)
     }
 }
@@ -207,43 +204,36 @@ impl_codec_struct!(PopNodeRecord {
 /// edge (the note itself is the payload).
 type NominateMsg = RoundMsg<()>;
 
-/// The edges of the popped layer still open for inclusion — what both
-/// halves of a pop job need to tell a node's nominations.
-#[derive(Clone, Copy)]
-struct PopLayer<'a> {
-    layer: &'a HashSet<EdgeId>,
-    already_included: &'a HashSet<EdgeId>,
-}
-
-impl PopLayer<'_> {
-    /// The edges `record`'s node nominates: an active node nominates its
-    /// edges of the current layer that are not yet in the solution.
-    fn nominations<'r>(&'r self, record: &'r PopNodeRecord) -> impl Iterator<Item = &'r AdjEdge> {
-        let active = record.residual > 0;
-        record.adjacency.iter().filter(move |adj| {
-            active && self.layer.contains(&adj.edge) && !self.already_included.contains(&adj.edge)
-        })
-    }
-}
-
-/// Mapper of a pop job: sends every nomination to the neighbour across it.
-impl Mapper for PopLayer<'_> {
-    type InKey = NodeId;
-    type InValue = PopNodeRecord;
-    type OutKey = NodeId;
-    type OutValue = NominateMsg;
-
-    fn map(&self, _node: &NodeId, record: &PopNodeRecord, out: &mut Emitter<NodeId, NominateMsg>) {
-        for adj in self.nominations(record) {
+/// The notes of a pop round: an active node nominates its stacked edges
+/// of `layer` to the neighbour across each.
+fn nominate(
+    layer: &HashSet<EdgeId>,
+    record: &PopNodeRecord,
+    out: &mut Emitter<NodeId, NominateMsg>,
+) {
+    if record.residual > 0 {
+        for adj in record
+            .adjacency
+            .iter()
+            .filter(|adj| layer.contains(&adj.edge))
+        {
             out.emit(adj.other, RoundMsg::new(adj.edge, ()));
         }
     }
 }
 
-/// Reducer of a pop job: an edge is included when *both* endpoints
-/// nominated it (i.e. both were still active) — the node re-derives its
-/// own nominations from its record and holds them against the notes.
-/// Included edges are the side output, reported by both endpoints.
+/// Reducer of a pop job: an edge of the popped layer is included when
+/// *both* endpoints nominated it (i.e. both were still active) — the
+/// node holds its own nominations against the notes.  Included edges are
+/// the side output, reported by both endpoints, and leave the node's
+/// adjacency, so no later layer nominates them again; then the node
+/// nominates its edges of the next layer down, if any.
+#[derive(Clone, Copy)]
+struct PopLayer<'a> {
+    layer: &'a HashSet<EdgeId>,
+    next: Option<&'a HashSet<EdgeId>>,
+}
+
 impl StateReducer for PopLayer<'_> {
     type Key = NodeId;
     type State = PopNodeRecord;
@@ -257,16 +247,25 @@ impl StateReducer for PopLayer<'_> {
         mut record: PopNodeRecord,
         msgs: &[NominateMsg],
         out: &mut Emitter<EdgeId, ()>,
+        next: &mut Emitter<NodeId, NominateMsg>,
     ) -> Option<PopNodeRecord> {
         let nominated_by_other = peer_notes(msgs);
+        let active = record.residual > 0;
         let mut included = 0;
-        for adj in self.nominations(&record) {
-            if nominated_by_other.get(adj.edge).is_some() {
+        record.adjacency.retain(|adj| {
+            let include = active
+                && self.layer.contains(&adj.edge)
+                && nominated_by_other.get(adj.edge).is_some();
+            if include {
                 out.emit(adj.edge, ());
                 included += 1;
             }
-        }
+            !include
+        });
         record.residual -= included;
+        if let Some(layer) = self.next {
+            nominate(layer, &record, next);
+        }
         Some(record)
     }
 }
@@ -336,7 +335,8 @@ impl StackMr {
                 })
                 .collect(),
         );
-        let mut layers: Vec<Vec<EdgeId>> = Vec::new();
+        push_state.map(dual_ratios);
+        let mut layers: Vec<HashSet<EdgeId>> = Vec::new();
 
         for push_round in 0..self.config.max_push_rounds {
             flow.mark_round();
@@ -345,7 +345,6 @@ impl StackMr {
             // are the maximal matcher's input.
             let matcher_input = push_state.round(
                 format!("coverage-{push_round}"),
-                DualExchangeMapper,
                 CoverageReducer {
                     config: &self.config,
                 },
@@ -376,12 +375,9 @@ impl StackMr {
             }
 
             // (3) Push the layer: raise the duals of its edges.
-            push_state.round(
-                format!("push-{push_round}"),
-                DualExchangeMapper,
-                PushReducer { layer: &layer },
-            );
-            layers.push(maximal.edges);
+            push_state.map(dual_ratios);
+            push_state.round(format!("push-{push_round}"), PushReducer { layer: &layer });
+            layers.push(layer);
         }
         max_round_state_bytes = max_round_state_bytes.max(push_state.max_state_bytes());
         drop(push_state);
@@ -408,22 +404,20 @@ impl StackMr {
                 })
                 .collect(),
         );
-        let mut included_so_far: HashSet<EdgeId> = HashSet::new();
+        if let Some(top) = layers.last() {
+            pop_state.map(|_, record, out| nominate(top, record, out));
+        }
 
         for (layer_idx, layer) in layers.iter().enumerate().rev() {
             flow.mark_round();
-            let layer: HashSet<EdgeId> = layer.iter().copied().collect();
             let pop_layer = PopLayer {
-                layer: &layer,
-                already_included: &included_so_far,
+                layer,
+                next: layer_idx.checked_sub(1).map(|below| &layers[below]),
             };
-            let included = pop_state.round(format!("pop-{layer_idx}"), pop_layer, pop_layer);
-            rounds += 1;
-            for (edge, ()) in included {
-                if matching.insert(edge) {
-                    included_so_far.insert(edge);
-                }
+            for (edge, ()) in pop_state.round(format!("pop-{layer_idx}"), pop_layer) {
+                matching.insert(edge);
             }
+            rounds += 1;
             value_per_round.push(matching.value(graph));
         }
         max_round_state_bytes = max_round_state_bytes.max(pop_state.max_state_bytes());

@@ -3,15 +3,16 @@
 //!
 //! Every record is keyed by a node and carries that node's local view of
 //! the graph: its residual capacity and the list of incident edges it still
-//! considers live.  Map functions make decisions locally to a node; reduce
-//! functions hold a node's record against its neighbours' notes about the
-//! edges they share, yielding a consistent graph representation as output.
+//! considers live.  Decisions are local to a node; reduce functions hold a
+//! node's record against its neighbours' notes about the edges they share,
+//! yielding a consistent graph representation as output.
 //!
 //! The records are the partition-resident state of a
 //! [`smr_mapreduce::RoundState`]: a node's record never crosses the
-//! shuffle, its reducer gets it beside the round's messages, and every
-//! round job of every matcher exchanges the same message, [`RoundMsg`] —
-//! one small note per live edge, sent to the neighbour across it.
+//! shuffle, its reducer gets it beside the round's messages and sends the
+//! next round's, and every round job of every matcher exchanges the same
+//! message, [`RoundMsg`] — one small note per live edge, sent to the
+//! neighbour across it.
 
 use serde::{Deserialize, Serialize};
 use smr_graph::{BipartiteGraph, Capacities, EdgeId, NodeId};

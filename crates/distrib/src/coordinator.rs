@@ -231,6 +231,10 @@ fn manifest_pending(err: &StorageError) -> bool {
 }
 
 impl ProcessShardRuntime for CoordinatorRuntime {
+    fn role(&self) -> ShardRole {
+        ShardRole::Coordinator
+    }
+
     fn begin_job(&self, _config: &JobConfig) -> ShardJob {
         let mut state = lock(&self.state);
         let seq = state.job_seq;
@@ -241,7 +245,6 @@ impl ProcessShardRuntime for CoordinatorRuntime {
         ShardJob {
             seq,
             num_shards: self.opts.shards,
-            role: ShardRole::Coordinator,
             output_path: job_dir.join("output.run"),
             job_dir,
             attempt_dir: None,

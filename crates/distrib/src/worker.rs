@@ -43,16 +43,19 @@ impl WorkerRuntime {
 }
 
 impl ProcessShardRuntime for WorkerRuntime {
+    fn role(&self) -> ShardRole {
+        ShardRole::Worker {
+            shard: self.shard,
+            attempt: self.attempt,
+        }
+    }
+
     fn begin_job(&self, _config: &JobConfig) -> ShardJob {
         let seq = self.job_seq.fetch_add(1, Ordering::SeqCst);
         let job_dir = self.session_dir.join(format!("job-{seq}"));
         ShardJob {
             seq,
             num_shards: self.num_shards,
-            role: ShardRole::Worker {
-                shard: self.shard,
-                attempt: self.attempt,
-            },
             output_path: job_dir.join("output.run"),
             attempt_dir: Some(
                 job_dir

@@ -1,6 +1,7 @@
 //! End-to-end smoke tests for the multi-process sharded runtime: word
 //! count across worker processes must be byte-identical to the in-process
-//! engine, fresh runs and retried runs alike.
+//! engine, fresh runs and retried runs alike, and so must rounds over
+//! partition-resident state, which run on the coordinator alone.
 //!
 //! Every test passes explicit worker arguments (`--exact <test_name>`) so
 //! the re-invoked test binary replays only the calling test.
@@ -112,5 +113,75 @@ fn killed_worker_is_retried_to_the_same_bytes() {
     assert!(
         stats.respawns >= 1,
         "the injected fault must have forced at least one respawn, got {stats:?}"
+    );
+}
+
+/// A round workload: every key tells `(3k + 1) % 40` its counter (keys
+/// 30..40 have no state), adds one plus what it heard, reports the sum
+/// and retires past 1 000.
+struct Relay;
+
+fn relay_notes(k: &u32, count: &u64, out: &mut Emitter<u32, u64>) {
+    out.emit((3 * k + 1) % 40, *count);
+}
+
+impl StateReducer for Relay {
+    type Key = u32;
+    type State = u64;
+    type Note = u64;
+    type OutKey = u32;
+    type OutValue = u64;
+    fn reduce(
+        &self,
+        k: &u32,
+        count: u64,
+        notes: &[u64],
+        out: &mut Emitter<u32, u64>,
+        next: &mut Emitter<u32, u64>,
+    ) -> Option<u64> {
+        let count = count + 1 + notes.iter().sum::<u64>();
+        out.emit(*k, count);
+        let kept = (count <= 1_000).then_some(count);
+        if let Some(count) = &kept {
+            relay_notes(k, count, next);
+        }
+        kept
+    }
+}
+
+/// Every round's side output, live count and peak state bytes.
+type RelayTrace = Vec<(Vec<(u32, u64)>, usize, u64)>;
+
+/// Runs [`Relay`] to convergence.
+fn relay(config: JobConfig) -> RelayTrace {
+    let flow = FlowContext::new(config);
+    let mut state = flow.round_state("relay");
+    state.seed((0..30).map(|k| (k, u64::from(k))).collect());
+    state.map(relay_notes);
+    let mut trace = Vec::new();
+    while !state.is_empty() {
+        let side = state.round("relay", Relay);
+        trace.push((side, state.len(), state.max_state_bytes()));
+    }
+    trace
+}
+
+#[test]
+fn rounds_over_state_run_on_the_coordinator_to_the_same_bytes() {
+    let test_name = "rounds_over_state_run_on_the_coordinator_to_the_same_bytes";
+    let config = JobConfig::named("smoke-relay")
+        .with_threads(2)
+        .with_reduce_tasks(3);
+    let local = relay(config.clone());
+    let sharded = run_sharded(options(2, test_name), || {
+        relay(config.clone().with_process_shards(2))
+    });
+    assert!(local.len() >= 3, "the workload must iterate");
+    assert_eq!(sharded, local, "side output, len and max_state_bytes");
+    let stats = last_session_stats().expect("a session just completed");
+    assert_eq!(
+        stats.jobs,
+        local.len() as u64,
+        "every round is a numbered job"
     );
 }

@@ -80,7 +80,9 @@ pub struct JobConfig {
     /// split across that many worker OS processes, each running the
     /// existing map + combine + spill path over a contiguous slice of the
     /// job's map tasks and shipping sorted runs back through run files;
-    /// the coordinator merges and reduces.  Output is byte-identical to
+    /// the coordinator merges and reduces.  A round over a
+    /// [`crate::RoundState`] has no map phase and runs on the
+    /// coordinator alone.  Output is byte-identical to
     /// the in-process engine for any shard count.  Outside a sharded
     /// session the flag is inert and the job runs in process.  `None`
     /// (the default) never delegates.

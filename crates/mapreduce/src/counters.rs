@@ -121,8 +121,7 @@ impl Counters {
     }
 
     /// Merges another counter set into this one by adding values
-    /// counter-by-counter.  Used by the iterative driver to accumulate
-    /// totals across rounds.
+    /// counter-by-counter, e.g. to accumulate totals across rounds.
     pub fn merge_from(&self, other: &Counters) {
         for (name, value) in other.snapshot() {
             self.add(&name, value);

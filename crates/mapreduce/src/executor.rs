@@ -31,8 +31,10 @@
 //!    reducer's per-task entry the groups as slices of that buffer: no
 //!    value is copied between the merge's output and the reducer's input.
 //!    A round over partition-resident state ([`crate::flow::RoundState`])
-//!    runs the same phases: its map tasks are the state's partitions, and
-//!    reduce task *p* takes state partition *p* beside its merged notes.
+//!    runs the merge and reduce phases: reduce task *p* takes state
+//!    partition *p* beside its merged notes and emits the next round's
+//!    notes through the map side's own emission path (`TaskOutput`),
+//!    as if it were map task *p*.
 //!
 //! Determinism: task indices, not worker threads, decide every ordering
 //! decision — runs merge in `(task, spill sequence)` order and key ties
@@ -43,7 +45,6 @@
 //! recorded in [`JobMetrics`].
 
 use std::mem;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use parking_lot::Mutex;
@@ -96,31 +97,159 @@ impl<K, V> RunSource<K, V> {
 /// Every sorted run of a job, bucketed by reduce partition.
 pub(crate) type TaggedRuns<K, V> = Vec<Mutex<Vec<TaggedRun<K, V>>>>;
 
-/// The input of a map phase and its cut into map tasks.  Every process of
-/// a sharded session cuts it identically: the task index space is what
-/// the shards divide.
-pub(crate) trait MapInput<K, V>: Sync {
-    /// Records the input holds.
-    fn records(&self) -> usize;
-    /// The map tasks the input splits into.
-    fn tasks(&self, config: &JobConfig) -> TaskQueue;
-    /// Calls `f` with every record of `task`, in order.
-    fn for_each(&self, task: &Task, f: impl FnMut(&K, &V));
+/// The map side of one job: a bucket of tagged sorted runs per reduce
+/// partition, filled by the job's [`TaskOutput`]s, and — under a memory
+/// budget — the spill manager backing the runs that went to disk.
+pub(crate) struct MapOutput<K, V> {
+    runs: TaggedRuns<K, V>,
+    spill: Option<SpillManager>,
+    combine_buffer_records: usize,
 }
 
-/// A job's input records split into contiguous near-equal ranges.
-impl<K: Sync, V: Sync> MapInput<K, V> for Vec<(K, V)> {
-    fn records(&self) -> usize {
-        self.len()
+impl<K: Key, V: Value> MapOutput<K, V> {
+    /// An empty map side for a job under `config`.  The spill manager's
+    /// temp directory is created on the first spill and removed when the
+    /// manager drops, after the merge (or the shard export) has consumed
+    /// every disk run.
+    pub(crate) fn new(config: &JobConfig) -> Self {
+        MapOutput {
+            runs: (0..config.effective_reduce_tasks())
+                .map(|_| Mutex::new(Vec::new()))
+                .collect(),
+            spill: config.memory_budget.map(|budget| {
+                SpillManager::new(budget, config.effective_threads(), config.spill_dir.clone())
+            }),
+            combine_buffer_records: config.combine_buffer_records,
+        }
     }
 
-    fn tasks(&self, config: &JobConfig) -> TaskQueue {
-        TaskQueue::split(self.len(), config.effective_map_tasks(self.len()))
+    /// The emission path of map task `task`.
+    pub(crate) fn task<'a, C, P>(
+        &'a self,
+        task: usize,
+        combiner: Option<&'a C>,
+        partitioner: &'a P,
+    ) -> TaskOutput<'a, K, V, C, P> {
+        TaskOutput {
+            output: self,
+            task,
+            combiner,
+            partitioner,
+            buffer: CombiningPartitionBuffer::new(self.runs.len(), self.combine_buffer_records),
+            emitter: Emitter::new(),
+            seq: 0,
+            map_output: 0,
+            combine_output: 0,
+        }
     }
 
-    fn for_each(&self, task: &Task, mut f: impl FnMut(&K, &V)) {
-        for (key, value) in &self[task.range.clone()] {
-            f(key, value);
+    /// Seals the map side once every task has finished: the spill
+    /// counters land in `counters`, and the runs come back with the spill
+    /// manager whose files back the disk runs — keep it alive until the
+    /// runs are consumed.
+    pub(crate) fn finish(self, counters: &Counters) -> (TaggedRuns<K, V>, Option<SpillManager>) {
+        if let Some(manager) = &self.spill {
+            counters.add(builtin::SPILL_BYTES, manager.spilled_bytes());
+            counters.add(builtin::DISK_RUNS, manager.disk_runs());
+        }
+        (self.runs, self.spill)
+    }
+}
+
+/// One map task's emission path: every pair the task emits is routed
+/// into its [`CombiningPartitionBuffer`]; under a memory budget a buffer
+/// past the task's share combines and then spills its sorted runs to
+/// disk; [`TaskOutput::finish`] adds the task's final in-memory runs.
+/// Every run is tagged with the task index and a spill sequence number.
+/// A map task and a round's reduce task emit through the same type.
+pub(crate) struct TaskOutput<'a, K, V, C, P> {
+    output: &'a MapOutput<K, V>,
+    task: usize,
+    combiner: Option<&'a C>,
+    partitioner: &'a P,
+    buffer: CombiningPartitionBuffer<K, V>,
+    emitter: Emitter<K, V>,
+    /// The next spilled chunk's sequence number: chunks get 0, 1, …, and
+    /// the final in-memory run sorts after all of them (`usize::MAX`),
+    /// preserving emission order.
+    seq: usize,
+    map_output: u64,
+    combine_output: u64,
+}
+
+impl<K, V, C, P> TaskOutput<'_, K, V, C, P>
+where
+    K: Key,
+    V: Value,
+    C: Combiner<Key = K, Value = V>,
+    P: Partitioner<K>,
+{
+    /// Runs `emit` with the task's emitter and routes what it emitted,
+    /// spilling when the buffer has outgrown the task's share of the
+    /// budget.  Returns what `emit` returned.
+    pub(crate) fn emit<T>(&mut self, emit: impl FnOnce(&mut Emitter<K, V>) -> T) -> T {
+        let result = emit(&mut self.emitter);
+        let partitions = self.output.runs.len();
+        self.emitter.drain_each(|key, value| {
+            self.map_output += 1;
+            let p = self.partitioner.partition(&key, partitions);
+            self.buffer.push(p, key, value, self.combiner);
+        });
+        let Some(manager) = &self.output.spill else {
+            return result;
+        };
+        if self.buffer.approx_bytes() > manager.task_budget() {
+            // Last resort before disk: combine.  The combine must free
+            // real headroom (half the budget) to stave off the spill —
+            // merely squeaking back under budget would re-trigger a
+            // full-buffer combine every few pushes, the thrash the
+            // watermark back-off exists to prevent.
+            if let Some(combiner) = self.combiner {
+                self.buffer.combine_now(combiner);
+            }
+            if self.buffer.approx_bytes() > manager.task_budget() / 2 {
+                // Just combined (when a combiner exists): the buckets
+                // only need sorting.
+                let runs = self.buffer.take_sorted_runs(None::<&C>);
+                self.add_runs(self.seq, runs, |run| {
+                    let spilled = manager.write_run(&run);
+                    RunSource::Disk(spilled.unwrap_or_else(|e| panic!("failed to spill run: {e}")))
+                });
+                self.seq += 1;
+            }
+        }
+        result
+    }
+
+    /// Seals the task: its final sorted runs join the map side, and its
+    /// record counts land in `counters`.
+    pub(crate) fn finish(mut self, counters: &Counters) {
+        counters.add(builtin::COMBINE_SPILLS, self.buffer.spills());
+        let runs = self.buffer.take_sorted_runs(self.combiner);
+        self.add_runs(usize::MAX, runs, RunSource::Memory);
+        counters.add(builtin::MAP_OUTPUT_RECORDS, self.map_output);
+        counters.add(builtin::COMBINE_OUTPUT_RECORDS, self.combine_output);
+    }
+
+    /// Adds the non-empty ones of `runs`, one per partition, under spill
+    /// sequence `seq`, stored by `store`.  Their records leave the task
+    /// here, so they count as combine output.
+    fn add_runs(
+        &mut self,
+        seq: usize,
+        runs: Vec<Vec<(K, V)>>,
+        store: impl Fn(Vec<(K, V)>) -> RunSource<K, V>,
+    ) {
+        for (p, run) in runs.into_iter().enumerate() {
+            if !run.is_empty() {
+                self.combine_output += run.len() as u64;
+                let source = store(run);
+                self.output.runs[p].lock().push(TaggedRun {
+                    task: self.task,
+                    seq,
+                    source,
+                });
+            }
         }
     }
 }
@@ -222,40 +351,24 @@ impl Job {
         // skips the combine machinery (no per-group `values.to_vec()`, no
         // combining-buffer spills) instead of paying for nothing.
         let combiner = combiner.filter(|c| !c.is_identity());
-        let reduce = |partitions: Vec<Vec<_>>, metrics: &mut JobMetrics| {
-            let units = vec![(); partitions.len()];
-            let (output, _) = self.reduce_phase(
-                partitions,
-                units,
-                |_, (), groups, out| reducer.reduce_task(groups, out),
-                &counters,
-                metrics,
-            );
-            output
-        };
 
         // A job opted into process sharding delegates to the installed
         // multi-process runtime (when a sharded session is active): this
         // process then plays coordinator or worker.  See `sharded.rs`.
         let output = if let Some(runtime) = self.shard_runtime() {
             self.run_process_sharded(
-                runtime,
+                runtime.as_ref(),
                 mapper,
                 combiner,
+                reducer,
                 partitioner,
-                input,
+                &input,
                 &counters,
                 &mut metrics,
-                |_, partitions, published, metrics| {
-                    let output = reduce(partitions, metrics);
-                    crate::sharded::publish(published, |push| output.iter().for_each(push));
-                    output
-                },
-                crate::sharded::try_read,
             )
         } else {
             // Map + shuffle: one sorted vector of records per reduce partition.
-            let (runs, spill) = self.map_phase(
+            let (runs, spill) = self.map_records(
                 mapper,
                 combiner,
                 partitioner,
@@ -268,7 +381,7 @@ impl Job {
             // The merge consumed every disk run: dropping the spill manager
             // here removes its temp directory before the reduce starts.
             drop(spill);
-            reduce(partitions, &mut metrics)
+            self.reduce_groups(reducer, partitions, &counters, &mut metrics)
         };
         finish_metrics(&counters, &mut metrics);
 
@@ -290,23 +403,15 @@ impl Job {
         }
     }
 
-    /// The streaming map phase: map tasks emit per-partition sorted runs
-    /// (combining while partitioning, spilling to disk under a memory
-    /// budget).  When `shard` is given, only map tasks whose index falls
-    /// inside that range are executed — the task queue, the task index
-    /// space and every per-task decision (spill points, run sequence
-    /// numbers) are identical to an unsharded run, which is what makes
-    /// runs produced by different processes merge to byte-identical
-    /// output.  Returns the runs and the spill manager whose temp files
-    /// back the disk runs (the caller must keep it alive until the runs
-    /// are consumed).
+    /// The streaming map phase over a job's input records, cut into
+    /// contiguous near-equal map tasks: see [`Job::map_phase`].
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn map_phase<M, C, P>(
+    pub(crate) fn map_records<M, C, P>(
         &self,
         mapper: &M,
         combiner: Option<&C>,
         partitioner: &P,
-        input: &impl MapInput<M::InKey, M::InValue>,
+        input: &[(M::InKey, M::InValue)],
         counters: &Counters,
         metrics: &mut JobMetrics,
         shard: Option<std::ops::Range<usize>>,
@@ -316,115 +421,74 @@ impl Job {
         C: Combiner<Key = M::OutKey, Value = M::OutValue>,
         P: Partitioner<M::OutKey>,
     {
-        let num_threads = self.config.effective_threads();
-        let num_reduce_tasks = self.config.effective_reduce_tasks();
-        let combine_buffer_records = self.config.combine_buffer_records;
+        let queue = TaskQueue::split(input.len(), self.config.effective_map_tasks(input.len()));
+        self.map_phase(
+            queue,
+            combiner,
+            partitioner,
+            counters,
+            metrics,
+            shard,
+            |task, out| {
+                for (key, value) in &input[task.range.clone()] {
+                    out.emit(|emitter| mapper.map(key, value, emitter));
+                }
+            },
+        )
+    }
 
-        // The spill manager exists only under a memory budget; its temp
-        // directory is created lazily on the first spill and removed when
-        // it drops (after the merge — or the shard export — has consumed
-        // every disk run, so no temp files survive the job either way).
-        let spill_manager = self
-            .config
-            .memory_budget
-            .map(|budget| SpillManager::new(budget, num_threads, self.config.spill_dir.clone()));
-        let spill = spill_manager.as_ref();
-
-        // Map: pull tasks from the queue, emit sorted runs per
-        // (task, partition) — several per task when the task spills.
+    /// The streaming map phase: worker threads pull the tasks of `queue`
+    /// and `map_task` feeds each task's input through its own
+    /// [`TaskOutput`], yielding per-partition sorted runs (combining while
+    /// partitioning, spilling to disk under a memory budget).  When
+    /// `shard` is given, only map tasks whose index falls inside that
+    /// range are executed — the task queue, the task index space and
+    /// every per-task decision (spill points, run sequence numbers) are
+    /// identical to an unsharded run, which is what makes runs produced
+    /// by different processes merge to byte-identical output.  Returns
+    /// the runs and the spill manager whose temp files back the disk runs
+    /// (the caller must keep it alive until the runs are consumed).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn map_phase<K, V, C, P>(
+        &self,
+        queue: TaskQueue,
+        combiner: Option<&C>,
+        partitioner: &P,
+        counters: &Counters,
+        metrics: &mut JobMetrics,
+        shard: Option<std::ops::Range<usize>>,
+        map_task: impl Fn(&Task, &mut TaskOutput<'_, K, V, C, P>) + Sync,
+    ) -> (TaggedRuns<K, V>, Option<SpillManager>)
+    where
+        K: Key,
+        V: Value,
+        C: Combiner<Key = K, Value = V>,
+        P: Partitioner<K>,
+    {
         let map_start = Instant::now();
-        let queue = input.tasks(&self.config);
         metrics.map_tasks = queue.num_tasks();
-
-        let runs: TaggedRuns<M::OutKey, M::OutValue> = (0..num_reduce_tasks)
-            .map(|_| Mutex::new(Vec::new()))
-            .collect();
-        let spills = AtomicU64::new(0);
-        let queue_ref = &queue;
-        let runs_ref = &runs;
-        let spills_ref = &spills;
-        let shard_ref = &shard;
-
+        let output = MapOutput::new(&self.config);
         crossbeam::thread::scope(|scope| {
-            for _ in 0..num_threads.min(queue.num_tasks()) {
+            for _ in 0..self.config.effective_threads().min(queue.num_tasks()) {
                 scope.spawn(|_| {
-                    let mut emitter = Emitter::new();
-                    let mut map_output = 0u64;
-                    let mut combine_output = 0u64;
-                    while let Some(task) = queue_ref.claim() {
+                    while let Some(task) = queue.claim() {
                         // A sharded worker claims from the *global* task
                         // queue but executes only its own slice: skipping
                         // is cheap and keeps task indices identical to an
                         // unsharded run.
-                        if let Some(range) = shard_ref {
-                            if !range.contains(&task.index) {
-                                continue;
-                            }
+                        if shard.as_ref().is_some_and(|s| !s.contains(&task.index)) {
+                            continue;
                         }
-                        let mut buffer =
-                            CombiningPartitionBuffer::new(num_reduce_tasks, combine_buffer_records);
-                        // Spilled chunks of this task get sequence numbers
-                        // 0, 1, …; the final in-memory run sorts after all
-                        // of them (usize::MAX), preserving emission order.
-                        let mut seq = 0usize;
-                        input.for_each(&task, |key, value| {
-                            mapper.map(key, value, &mut emitter);
-                            emitter.drain_each(|out_key, out_value| {
-                                map_output += 1;
-                                let p = partitioner.partition(&out_key, num_reduce_tasks);
-                                buffer.push(p, out_key, out_value, combiner);
-                            });
-                            if let Some(manager) = spill {
-                                if buffer.approx_bytes() > manager.task_budget() {
-                                    // Last resort before disk: combine.  The
-                                    // combine must free real headroom (half
-                                    // the budget) to stave off the spill —
-                                    // merely squeaking back under budget
-                                    // would re-trigger a full-buffer combine
-                                    // every few pushes, the thrash the
-                                    // watermark back-off exists to prevent.
-                                    if let Some(combiner) = combiner {
-                                        buffer.combine_now(combiner);
-                                    }
-                                    if buffer.approx_bytes() > manager.task_budget() / 2 {
-                                        combine_output += spill_buffer(
-                                            &mut buffer,
-                                            manager,
-                                            runs_ref,
-                                            task.index,
-                                            seq,
-                                        );
-                                        seq += 1;
-                                    }
-                                }
-                            }
-                        });
-                        spills_ref.fetch_add(buffer.spills(), Ordering::Relaxed);
-                        for (p, run) in buffer.into_sorted_runs(combiner).into_iter().enumerate() {
-                            if !run.is_empty() {
-                                combine_output += run.len() as u64;
-                                runs_ref[p].lock().push(TaggedRun {
-                                    task: task.index,
-                                    seq: usize::MAX,
-                                    source: RunSource::Memory(run),
-                                });
-                            }
-                        }
+                        let mut out = output.task(task.index, combiner, partitioner);
+                        map_task(&task, &mut out);
+                        out.finish(counters);
                     }
-                    counters.add(builtin::MAP_OUTPUT_RECORDS, map_output);
-                    counters.add(builtin::COMBINE_OUTPUT_RECORDS, combine_output);
                 });
             }
         })
         .expect("map worker thread panicked");
-        counters.add(builtin::COMBINE_SPILLS, spills.into_inner());
-        if let Some(manager) = spill {
-            counters.add(builtin::SPILL_BYTES, manager.spilled_bytes());
-            counters.add(builtin::DISK_RUNS, manager.disk_runs());
-        }
         metrics.timings.map = map_start.elapsed();
-
-        (runs, spill_manager)
+        output.finish(counters)
     }
 
     /// The shuffle: k-way merge each partition's runs (parallel over
@@ -510,6 +574,26 @@ impl Job {
         metrics.timings.shuffle = shuffle_start.elapsed();
 
         merged.into_iter().map(Mutex::into_inner).collect()
+    }
+
+    /// The reduce phase of a plain job: `reducer`'s per-task entry over
+    /// every merged partition.
+    pub(crate) fn reduce_groups<R: Reducer>(
+        &self,
+        reducer: &R,
+        partitions: Vec<Vec<(R::Key, R::InValue)>>,
+        counters: &Counters,
+        metrics: &mut JobMetrics,
+    ) -> Vec<(R::OutKey, R::OutValue)> {
+        let units = vec![(); partitions.len()];
+        self.reduce_phase(
+            partitions,
+            units,
+            |_, (), groups, out| reducer.reduce_task(groups, out),
+            counters,
+            metrics,
+        )
+        .0
     }
 
     /// The reduce phase: workers pull sorted partitions from a task
@@ -665,45 +749,6 @@ where
         Some(combiner) => merge_streams_combining(streams, combiner),
         None => merge_streams(streams),
     }
-}
-
-/// Drains `buffer` into sorted runs and writes every non-empty one to a
-/// spill file, registering the disk runs under `(task, seq)`.  Returns the
-/// number of records spilled (they leave the map task here, so they count
-/// as combine output).
-fn spill_buffer<K, V>(
-    buffer: &mut CombiningPartitionBuffer<K, V>,
-    manager: &SpillManager,
-    runs: &[Mutex<Vec<TaggedRun<K, V>>>],
-    task: usize,
-    seq: usize,
-) -> u64
-where
-    K: crate::types::Key,
-    V: crate::types::Value,
-{
-    // The caller just combined (when a combiner exists), so the buckets
-    // only need sorting — pass no combiner to avoid a second pass.
-    let mut spilled = 0u64;
-    for (p, run) in buffer
-        .take_sorted_runs(None::<&crate::types::IdentityCombiner<K, V>>)
-        .into_iter()
-        .enumerate()
-    {
-        if run.is_empty() {
-            continue;
-        }
-        spilled += run.len() as u64;
-        let completed = manager
-            .write_run(&run)
-            .unwrap_or_else(|e| panic!("failed to spill run: {e}"));
-        runs[p].lock().push(TaggedRun {
-            task,
-            seq,
-            source: RunSource::Disk(completed),
-        });
-    }
-    spilled
 }
 
 /// A sorted reduce partition unzipped, by move, into one key per group

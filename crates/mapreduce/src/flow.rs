@@ -22,6 +22,10 @@
 //!   *construction* depends on the previous job's output (e.g. the
 //!   similarity join builds an inverted index from job 1's output and ships
 //!   it to job 2's mapper).
+//! * [`RoundState`] — the state of an iterative chain, kept in partitions
+//!   beside its round jobs: a round has no map phase, its reducer joins
+//!   each key's state with the notes sent to it and emits the notes of the
+//!   next round.
 //!
 //! Records move between stages by value: a completed job's output `Vec` is
 //! handed to the next job as its input without cloning or re-sorting.
@@ -77,11 +81,14 @@ use smr_storage::{DatasetStore, StorageError};
 
 use crate::config::JobConfig;
 use crate::counters::Counters;
-use crate::executor::{Job, MapInput};
+use crate::executor::Job;
 use crate::metrics::JobMetrics;
 use crate::partition::{HashPartitioner, Partitioner};
-use crate::round::{partition_sorted, StatePartition, StateSpill};
-use crate::types::{Combiner, IdentityCombiner, Key, Mapper, Reducer, StateReducer, Value};
+use crate::round::{live, partition_sorted, PendingNotes, StatePartition, StateSpill};
+use crate::sharded::replays_rounds;
+use crate::types::{
+    Combiner, Emitter, IdentityCombiner, Key, Mapper, Reducer, StateReducer, Value,
+};
 
 /// The records a dataset materializes to.
 pub type Records<K, V> = Vec<(K, V)>;
@@ -474,10 +481,14 @@ impl FlowContext {
 
     /// Creates an empty [`RoundState`] for an iterative computation driven
     /// through this flow: the records that survive from one round to the
-    /// next, partitioned over the flow's reduce tasks.  Partitions that
-    /// outgrow their share of the memory budget live in run files in the
-    /// flow's [`FlowContext::side_store`].
-    pub fn round_state<K: Key, S: Value>(&self, name: impl Into<String>) -> RoundState<K, S> {
+    /// next, partitioned over the flow's reduce tasks, and the notes
+    /// pending for the next round.  Partitions that outgrow their share of
+    /// the memory budget live in run files in the flow's
+    /// [`FlowContext::side_store`].
+    pub fn round_state<K: Key, S: Value, N: Value>(
+        &self,
+        name: impl Into<String>,
+    ) -> RoundState<K, S, N> {
         static ROUND_STATE_SEQ: AtomicUsize = AtomicUsize::new(0);
         let seq = ROUND_STATE_SEQ.fetch_add(1, Ordering::Relaxed);
         RoundState {
@@ -485,6 +496,8 @@ impl FlowContext {
             name: format!("rs{seq}-{}", name.into()),
             generation: 0,
             partitions: Vec::new(),
+            pending: None,
+            live: 0,
             max_state_bytes: 0,
         }
     }
@@ -554,7 +567,8 @@ impl<K: Key, V: Value> PersistedDataset<K, V> {
 
 /// The inter-round state of an iterative job chain: one `(K, S)` record
 /// per key that survives from one round to the next, kept beside the
-/// jobs instead of flowing through them.
+/// jobs instead of flowing through them, and the `N` notes pending for
+/// the next round.
 ///
 /// [`RoundState::seed`] hash-partitions the records over the flow's
 /// reduce tasks and sorts each partition by key; the partition count is
@@ -563,44 +577,80 @@ impl<K: Key, V: Value> PersistedDataset<K, V> {
 /// budget's share per reduce task (always, without a budget) and lives in
 /// one run file in the flow's [`FlowContext::side_store`] above that.
 ///
-/// [`RoundState::round`] runs one job over the state: map task *p* reads
-/// partition *p* by reference and emits notes to other keys, and reduce
-/// task *p* merge-joins partition *p* with the notes merged for it
-/// ([`StateReducer`]) and writes partition *p* of the next round itself.
-/// State records are moved from round to round and never cloned; a file
-/// is removed as soon as its partition is superseded, and on drop.
-pub struct RoundState<K: Key, S: Value> {
+/// [`RoundState::round`] runs one job without a map phase: it merges the
+/// pending notes, and reduce task *p* merge-joins partition *p* with the
+/// notes merged for it ([`StateReducer`]), writes partition *p* of the
+/// next round itself and emits the notes of the round after — which stay
+/// pending, in RAM or in spill files within the budget, until that round
+/// consumes them.  [`RoundState::map`] emits notes with a pass over the
+/// state instead: after `seed`, and wherever the next round's notes
+/// cannot come from the previous round's reducer.  State records are
+/// moved from round to round and never cloned; a file is removed as soon
+/// as its partition or its notes are consumed, and on drop.
+///
+/// In a sharded session the coordinator runs every round; a worker holds
+/// no state and adopts each round's side output, live count and peak
+/// bytes from the coordinator.
+pub struct RoundState<K: Key, S: Value, N: Value> {
     ctx: FlowContext,
     name: String,
     /// Bumped per installed state, naming its partition files.
     generation: usize,
     partitions: Vec<StatePartition<K, S>>,
+    /// The notes the next round consumes.
+    pending: Option<PendingNotes<K, N>>,
+    live: usize,
     max_state_bytes: u64,
 }
 
-impl<K: Key, S: Value> std::fmt::Debug for RoundState<K, S> {
+impl<K: Key, S: Value, N: Value> std::fmt::Debug for RoundState<K, S, N> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RoundState")
             .field("name", &self.name)
             .field("partitions", &self.partitions.len())
-            .field("live", &self.len())
+            .field("live", &self.live)
+            .field("notes_pending", &self.pending.is_some())
             .finish()
     }
 }
 
-impl<K: Key, S: Value> RoundState<K, S> {
-    /// Installs the round-0 records, replacing any current state.  Keys
-    /// must be unique.
+impl<K: Key, S: Value, N: Value> RoundState<K, S, N> {
+    /// Installs the round-0 records, replacing any current state and
+    /// dropping any pending notes.  Keys must be unique.
     pub fn seed(&mut self, mut records: Records<K, S>) {
+        self.pending = None;
+        if replays_rounds(self.ctx.config()) {
+            // A sharded worker holds no state; it only counts it.
+            let bytes = records
+                .iter()
+                .map(|(k, s)| k.encoded_len() + s.encoded_len());
+            self.max_state_bytes = self.max_state_bytes.max(bytes.sum::<usize>() as u64);
+            self.live = records.len();
+            return;
+        }
         records.sort_by(|a, b| a.0.cmp(&b.0));
         let spill = self.next_spill();
         let parts = self.ctx.config().effective_reduce_tasks();
         self.install(partition_sorted(records, parts, spill.as_ref()));
     }
 
+    /// Emits the next round's notes with a pass over the state: `notes`
+    /// reads every record by reference, partition by partition, and
+    /// replaces any pending notes.  A run calls it after `seed`, and
+    /// where the previous round's reducer cannot emit the notes — it held
+    /// a different state, or emitting early would hold the notes in
+    /// memory across other work.
+    pub fn map(&mut self, notes: impl Fn(&K, &S, &mut Emitter<K, N>) + Sync) {
+        if replays_rounds(self.ctx.config()) {
+            return;
+        }
+        let job = Job::new(self.ctx.config().clone());
+        self.pending = Some(job.map_state(&self.partitions, notes));
+    }
+
     /// Number of live (non-retired) records.
     pub fn len(&self) -> usize {
-        self.partitions.records()
+        self.live
     }
 
     /// Whether no live records remain — the usual convergence signal.
@@ -614,30 +664,41 @@ impl<K: Key, S: Value> RoundState<K, S> {
         self.max_state_bytes
     }
 
-    /// Runs one round: a job named `stage` (see [`JobStage::named`]) whose
-    /// `mapper` reads every state record by reference and emits notes,
-    /// and whose `reducer` gets every key's state beside its notes and
-    /// keeps or retires it.  Returns the reducers' side output in
-    /// partition order.  The job's metrics land in the flow's
-    /// [`FlowReport`].
-    pub fn round<M, R>(
+    /// Runs one round: a job named `stage` (see [`JobStage::named`]) that
+    /// merges the pending notes — none, when nothing emitted any — and
+    /// whose `reducer` gets every key's state beside its notes, keeps or
+    /// retires it, and emits the notes of the next round.  Returns the
+    /// reducers' side output in partition order.  The job's metrics land
+    /// in the flow's [`FlowReport`]: its map side is the emission of the
+    /// notes it consumed, so `timings.map` is zero unless they came from
+    /// [`RoundState::map`].
+    pub fn round<R>(
         &mut self,
         stage: impl Into<String>,
-        mapper: M,
         reducer: R,
     ) -> Records<R::OutKey, R::OutValue>
     where
-        M: Mapper<InKey = K, InValue = S, OutKey = K, OutValue = R::Note>,
-        R: StateReducer<Key = K, State = S>,
+        R: StateReducer<Key = K, State = S, Note = N>,
     {
         let name = self.ctx.job_name(Some(&stage.into()));
         let job = Job::new(self.ctx.config().clone().with_name(name));
-        let spill = self.next_spill();
-        let state = std::mem::take(&mut self.partitions);
-        let result = job.run_round(&mapper, &reducer, state, spill.as_ref());
-        self.ctx.record_job(result.metrics);
-        self.install(result.state);
-        result.side
+        let (side, live, max_state_bytes) = job.run_round_sharded(|| {
+            let spill = self.next_spill();
+            let parts = self.ctx.config().effective_reduce_tasks();
+            let notes = self
+                .pending
+                .take()
+                .unwrap_or_else(|| PendingNotes::none(parts));
+            let state = std::mem::take(&mut self.partitions);
+            let result = job.run_round(&reducer, state, notes, spill.as_ref());
+            self.ctx.record_job(result.metrics);
+            self.install(result.state);
+            self.pending = Some(result.notes);
+            (result.side, self.live as u64, self.max_state_bytes)
+        });
+        self.live = live as usize;
+        self.max_state_bytes = max_state_bytes;
+        side
     }
 
     /// Where the partitions of the next state spill (nowhere without a
@@ -656,6 +717,7 @@ impl<K: Key, S: Value> RoundState<K, S> {
     fn install(&mut self, partitions: Vec<StatePartition<K, S>>) {
         let bytes = partitions.iter().map(StatePartition::bytes).sum();
         self.max_state_bytes = self.max_state_bytes.max(bytes);
+        self.live = live(&partitions);
         self.partitions = partitions;
     }
 }
@@ -1357,17 +1419,17 @@ mod tests {
     /// A round workload over `(key, history)` state: every key tells
     /// `(3k + 1) % 40` its key (keys 30..40 have no state, so some notes
     /// go nowhere) and appends what it heard plus itself; a key retires
-    /// once its history passes four entries.
-    struct Gossip;
-    impl Mapper for Gossip {
-        type InKey = u32;
-        type InValue = Vec<u32>;
-        type OutKey = u32;
-        type OutValue = u32;
-        fn map(&self, k: &u32, _: &Vec<u32>, out: &mut Emitter<u32, u32>) {
-            out.emit((3 * k + 1) % 40, *k);
-        }
+    /// once its history passes four entries.  With `emit`, the reducer
+    /// emits the next round's notes of every key it keeps.
+    #[derive(Clone, Copy)]
+    struct Gossip {
+        emit: bool,
     }
+
+    fn gossip_notes(k: &u32, _: &Vec<u32>, out: &mut Emitter<u32, u32>) {
+        out.emit((3 * k + 1) % 40, *k);
+    }
+
     impl StateReducer for Gossip {
         type Key = u32;
         type State = Vec<u32>;
@@ -1380,59 +1442,34 @@ mod tests {
             mut history: Vec<u32>,
             notes: &[u32],
             out: &mut Emitter<u32, usize>,
+            next: &mut Emitter<u32, u32>,
         ) -> Option<Vec<u32>> {
             out.emit(*k, notes.len());
             history.extend_from_slice(notes);
             history.push(*k);
-            (history.len() <= 4).then_some(history)
+            let kept = (history.len() <= 4).then_some(history);
+            if let (true, Some(history)) = (self.emit, &kept) {
+                gossip_notes(k, history, next);
+            }
+            kept
         }
     }
 
-    fn gossip_state(flow: &FlowContext) -> RoundState<u32, Vec<u32>> {
+    const FUSED: Gossip = Gossip { emit: true };
+
+    fn gossip_state(flow: &FlowContext) -> RoundState<u32, Vec<u32>, u32> {
         let mut state = flow.round_state("gossip");
         state.seed((0..30).rev().map(|k| (k, Vec::new())).collect());
+        state.map(gossip_notes);
         state
     }
 
-    fn state_records<K: Key, S: Value>(state: &RoundState<K, S>) -> Records<K, S> {
+    fn state_records<K: Key, S: Value, N: Value>(state: &RoundState<K, S, N>) -> Records<K, S> {
         let mut records = Vec::new();
         for partition in &state.partitions {
-            partition.for_each(|record| records.push(record.clone()));
+            partition.for_each(|key, record| records.push((key.clone(), record.clone())));
         }
         records
-    }
-
-    type GossipTrace = Vec<(Records<u32, usize>, Records<u32, Vec<u32>>)>;
-
-    /// Runs [`Gossip`] to convergence under `budget`: every round's side
-    /// output and state, the peak state bytes, and whether any partition
-    /// lived in a file.
-    fn gossip(budget: Option<u64>) -> (GossipTrace, u64, bool) {
-        let flow = FlowContext::new(config().with_reduce_tasks(3).with_memory_budget(budget));
-        let mut state = gossip_state(&flow);
-        let mut trace = Vec::new();
-        let mut on_disk = false;
-        while !state.is_empty() {
-            on_disk |= state
-                .partitions
-                .iter()
-                .any(|p| matches!(p, StatePartition::Disk(_)));
-            let side = state.round("gossip", Gossip, Gossip);
-            trace.push((side, state_records(&state)));
-        }
-        (trace, state.max_state_bytes(), on_disk)
-    }
-
-    #[test]
-    fn disk_backed_round_state_is_byte_identical_to_in_memory() {
-        let (memory, memory_bytes, memory_on_disk) = gossip(None);
-        // 64 bytes over 3 partitions: every partition outgrows its share.
-        let (disk, disk_bytes, disk_on_disk) = gossip(Some(64));
-        assert!(memory.len() >= 2, "the workload must iterate");
-        assert!(!memory_on_disk && disk_on_disk);
-        assert_eq!(memory, disk, "side output and state must not differ");
-        assert_eq!(memory_bytes, disk_bytes, "encoded size, wherever it lives");
-        assert!(memory_bytes > 0);
     }
 
     #[test]
@@ -1445,7 +1482,7 @@ mod tests {
         let mut state = gossip_state(&flow);
         let seeded = files();
         assert_eq!(seeded.len(), 3, "one file per partition over its share");
-        let _ = state.round("gossip", Gossip, Gossip);
+        let _ = state.round("gossip", FUSED);
         let next = files();
         assert_eq!(next.len(), 3, "each reduce task writes its partition");
         assert!(seeded.is_disjoint(&next), "superseded files are removed");
@@ -1457,7 +1494,7 @@ mod tests {
     fn keys_with_state_are_reduced_and_notes_to_keys_without_state_dropped() {
         let flow = FlowContext::new(config().with_reduce_tasks(3).with_memory_budget(None));
         let mut state = gossip_state(&flow);
-        let side = state.round("gossip", Gossip, Gossip);
+        let side = state.round("gossip", FUSED);
         // Keys 0..30 tell (3k + 1) % 40: 23 of them tell a key with
         // state, the 7 that tell 30..40 reach nobody.
         assert_eq!(side.len(), 30, "every key with state is reduced once");
@@ -1473,6 +1510,128 @@ mod tests {
             job.reduce_input_groups, 30,
             "23 groups with state, 7 without"
         );
+    }
+
+    /// The per-job counts the fused round must reproduce.
+    fn record_flow(m: &JobMetrics) -> [u64; 6] {
+        [
+            m.map_input_records,
+            m.map_output_records,
+            m.shuffle_records,
+            m.merge_runs,
+            m.spill_bytes,
+            m.disk_runs,
+        ]
+    }
+
+    #[test]
+    fn reducer_emitted_notes_match_a_map_pass_before_every_round() {
+        let base = std::env::temp_dir().join(format!("smr-flow-fused-{}", std::process::id()));
+        let spill_dirs = || {
+            let names = std::fs::read_dir(&base)
+                .unwrap()
+                .map(|e| e.unwrap().file_name());
+            names
+                .filter(|name| name.to_string_lossy().starts_with("smr-spill-"))
+                .count()
+        };
+        let mut traces = Vec::new();
+        let (mut reduce_task_spills, mut state_on_disk) = (0, false);
+        for threads in [1, 2] {
+            for budget in [None, Some(4096), Some(64)] {
+                let _ = std::fs::remove_dir_all(&base);
+                std::fs::create_dir_all(&base).unwrap();
+                let job = config()
+                    .with_threads(threads)
+                    .with_reduce_tasks(3)
+                    .with_memory_budget(budget)
+                    .with_spill_dir(&base);
+                let (fused_flow, model_flow) =
+                    (FlowContext::new(job.clone()), FlowContext::new(job));
+                // The model: a map pass before every round, whose reducer
+                // emits nothing.
+                let (mut fused, mut model) = (gossip_state(&fused_flow), gossip_state(&model_flow));
+                let mut trace = Vec::new();
+                while !model.is_empty() {
+                    if !trace.is_empty() {
+                        model.map(gossip_notes);
+                    }
+                    state_on_disk |=
+                        (fused.partitions.iter()).any(|p| matches!(p, StatePartition::Disk(_)));
+                    let side = fused.round("gossip", FUSED);
+                    assert_eq!(side, model.round("gossip", Gossip { emit: false }));
+                    assert_eq!(state_records(&fused), state_records(&model));
+                    assert!(spill_dirs() <= 1, "only pending notes keep their files");
+                    trace.push((side, state_records(&fused)));
+                }
+                let rounds = trace.len();
+                assert!(fused.is_empty() && rounds >= 3, "the workload must iterate");
+                traces.push((trace, fused.max_state_bytes()));
+                let (fused_jobs, model_jobs) = (fused_flow.report().jobs, model_flow.report().jobs);
+                let flows = |jobs: &[JobMetrics]| jobs.iter().map(record_flow).collect::<Vec<_>>();
+                assert_eq!(
+                    flows(&fused_jobs),
+                    flows(&model_jobs),
+                    "threads={threads} budget={budget:?}"
+                );
+                // A reduce task's emission is timed inside its round.
+                assert!(fused_jobs[1..].iter().all(|job| job.timings.map.is_zero()));
+                reduce_task_spills += fused_jobs[1..].iter().map(|job| job.disk_runs).sum::<u64>();
+                drop((fused, model));
+                assert_eq!(
+                    spill_dirs(),
+                    0,
+                    "dropping the state removes its pending notes"
+                );
+            }
+        }
+        assert!(
+            reduce_task_spills > 0,
+            "some notes must spill from a reduce task"
+        );
+        // 64 bytes over 3 partitions: every partition outgrows its share.
+        assert!(state_on_disk);
+        assert!(
+            traces.iter().all(|trace| *trace == traces[0]),
+            "side output, state and encoded size at every thread count and budget"
+        );
+        std::fs::remove_dir_all(&base).unwrap();
+    }
+
+    #[test]
+    fn a_disk_backed_round_state_drains_out_of_core_without_notes() {
+        // Counters drain by one per round and retire at zero; nobody
+        // sends notes, and every partition outgrows a 16-byte budget.
+        struct Drain;
+        impl StateReducer for Drain {
+            type Key = u32;
+            type State = u64;
+            type Note = ();
+            type OutKey = u32;
+            type OutValue = ();
+            fn reduce(
+                &self,
+                _: &u32,
+                c: u64,
+                _: &[()],
+                _: &mut Emitter<u32, ()>,
+                _: &mut Emitter<u32, ()>,
+            ) -> Option<u64> {
+                (c > 1).then(|| c - 1)
+            }
+        }
+        let flow = FlowContext::new(JobConfig::named("drain").with_memory_budget(Some(16)));
+        let mut state = flow.round_state("drain");
+        state.seed(vec![(1u32, 2u64), (2, 4), (3, 1)]);
+        while !state.is_empty() {
+            flow.mark_round();
+            let _ = state.round(format!("drain-{}", flow.report().num_rounds()), Drain);
+        }
+        let report = flow.report();
+        assert_eq!(report.num_rounds(), 4, "the deepest counter holds 4 rounds");
+        assert_eq!(report.num_jobs(), 4);
+        assert_eq!(report.totals.shuffle_records, 0);
+        assert!(state.max_state_bytes() > 0);
     }
 
     #[test]

@@ -30,8 +30,10 @@
 //!   shuffled, wall-clock per phase) so the experiments can report the same
 //!   efficiency measures the paper reports (number of MapReduce iterations,
 //!   communication cost per round),
-//! * an iterative [`driver`] for algorithms that chain many rounds
-//!   (GreedyMR, StackMR),
+//! * rounds over partition-resident state ([`flow::RoundState`]) for the
+//!   algorithms that chain many rounds (GreedyMR, StackMR): only notes
+//!   cross the shuffle, and the reducer of one round emits the notes of
+//!   the next,
 //! * one file-backed `smr_storage::DatasetStore` per [`flow`] standing in
 //!   for HDFS between jobs and rounds.
 //!
@@ -135,7 +137,6 @@
 
 pub mod config;
 pub mod counters;
-pub mod driver;
 pub mod executor;
 pub mod flow;
 pub mod metrics;
@@ -149,7 +150,6 @@ pub mod types;
 
 pub use config::JobConfig;
 pub use counters::{Counter, Counters};
-pub use driver::{IterativeDriver, IterativeJob, RoundOutcome, RunSummary};
 pub use executor::{Job, JobResult};
 pub use flow::{Dataset, FlowContext, FlowError, FlowReport, PersistedDataset, RoundState};
 pub use metrics::{JobMetrics, PhaseTimings};
@@ -165,7 +165,6 @@ pub use types::{
 pub mod prelude {
     pub use crate::config::JobConfig;
     pub use crate::counters::Counters;
-    pub use crate::driver::{IterativeDriver, IterativeJob, RoundOutcome, RunSummary};
     pub use crate::executor::{Job, JobResult};
     pub use crate::flow::{
         Dataset, FlowContext, FlowError, FlowReport, PersistedDataset, RoundState,

@@ -32,9 +32,10 @@ use crate::config::JobConfig;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardRole {
     /// The session owner: spawns workers, merges their runs, reduces and
-    /// publishes each job's output.
+    /// publishes each job's output, and runs every round.
     Coordinator,
-    /// A spawned worker: maps its shard of each job and ships runs back.
+    /// A spawned worker: maps its shard of each job, ships runs back and
+    /// adopts every published output.
     Worker {
         /// The shard this worker owns, `0..num_shards`.
         shard: usize,
@@ -44,7 +45,7 @@ pub enum ShardRole {
 }
 
 /// Everything the executor needs to know about one sharded job: where its
-/// files live and which side of the protocol to play.
+/// files live.
 #[derive(Debug, Clone)]
 pub struct ShardJob {
     /// Sequence number of the job within the session (both sides count
@@ -53,8 +54,6 @@ pub struct ShardJob {
     pub seq: u64,
     /// Total worker processes in the session.
     pub num_shards: usize,
-    /// This process's role.
-    pub role: ShardRole,
     /// The job's directory inside the session directory.
     pub job_dir: PathBuf,
     /// Where the coordinator publishes the job's reduced output as a run
@@ -84,6 +83,10 @@ pub struct ShardJobCheck {
 
 /// The runtime a sharded session installs; see the module docs.
 pub trait ProcessShardRuntime: Send + Sync + std::fmt::Debug {
+    /// Which side of the session this process plays.  A worker also holds
+    /// no round state: rounds run on the coordinator alone.
+    fn role(&self) -> ShardRole;
+
     /// Called by every participant at the start of each sharded job;
     /// advances the session's job sequence and resolves the job's
     /// directories.
@@ -199,6 +202,9 @@ mod tests {
         #[derive(Debug)]
         struct Dummy;
         impl ProcessShardRuntime for Dummy {
+            fn role(&self) -> ShardRole {
+                ShardRole::Coordinator
+            }
             fn begin_job(&self, _config: &JobConfig) -> ShardJob {
                 unreachable!()
             }

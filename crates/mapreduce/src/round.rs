@@ -4,27 +4,32 @@
 //! An iterative algorithm's state — one record per key, surviving from
 //! round to round — is hash-partitioned once with the job's
 //! [`HashPartitioner`] over its reduce task count, and every partition is
-//! kept sorted by key.  A round ([`Job::run_round`]) is one job whose map
-//! task *p* reads state partition *p* by reference and emits notes only,
-//! and whose reduce task *p* merge-joins state partition *p* with the
-//! notes merged for it and writes partition *p* of the next round: the
+//! kept sorted by key.  A round ([`Job::run_round`]) is one job without a
+//! map phase: it merges the notes emitted before it, and its reduce task
+//! *p* merge-joins state partition *p* with the notes merged for it,
+//! writes partition *p* of the next round and emits the next round's
+//! notes, tagged task *p*, through the map side's emission path.  The
 //! state never crosses the shuffle and never passes through the driver —
 //! the "Schimmy" pattern of Lin & Schatz (*Design Patterns for Efficient
-//! Graph Algorithms in MapReduce*, MLG 2010).  A partition stays in RAM
-//! while its encoded size is within `memory_budget / reduce_tasks`, and
-//! lives in one run file above that.
+//! Graph Algorithms in MapReduce*, MLG 2010) — and every state record is
+//! touched once per round.  Notes the previous reducer cannot emit come
+//! from a map pass over the state ([`Job::map_state`]), whose map task *p*
+//! is partition *p*.  A partition stays in RAM while its encoded size is
+//! within `memory_budget / reduce_tasks`, and lives in one run file above
+//! that.
 
 use std::path::{Path, PathBuf};
+use std::time::Duration;
 
-use smr_storage::{Codec, RunReader, RunWriter};
+use parking_lot::Mutex;
+use smr_storage::{Codec, RunReader, RunWriter, SpillManager};
 
-use crate::config::JobConfig;
 use crate::counters::Counters;
-use crate::executor::{finish_metrics, Job, MapInput};
+use crate::executor::{finish_metrics, Job, MapOutput, TaggedRuns, TaskOutput};
 use crate::metrics::JobMetrics;
 use crate::partition::{HashPartitioner, Partitioner};
-use crate::task_queue::{Task, TaskQueue};
-use crate::types::{Emitter, IdentityCombiner, Key, Mapper, ReduceGroups, StateReducer, Value};
+use crate::task_queue::TaskQueue;
+use crate::types::{Emitter, IdentityCombiner, Key, ReduceGroups, StateReducer, Value};
 
 /// One partition of a round state, sorted by key.
 #[derive(Debug)]
@@ -83,13 +88,13 @@ impl<K: Key, S: Value> StatePartition<K, S> {
 
     /// Calls `f` with every record in key order, streaming a spilled
     /// partition from its file.
-    pub(crate) fn for_each(&self, mut f: impl FnMut(&(K, S))) {
+    pub(crate) fn for_each(&self, mut f: impl FnMut(&K, &S)) {
         match self {
-            StatePartition::Memory(records, _) => records.iter().for_each(f),
+            StatePartition::Memory(records, _) => records.iter().for_each(|(k, s)| f(k, s)),
             StatePartition::Disk(file) => {
                 let mut reader = file.open();
-                while let Some(record) = file.read(&mut reader) {
-                    f(&record);
+                while let Some((key, state)) = file.read(&mut reader) {
+                    f(&key, &state);
                 }
             }
         }
@@ -105,22 +110,6 @@ impl<K: Key, S: Value> StatePartition<K, S> {
                 Box::new(std::iter::from_fn(move || file.read(&mut reader)))
             }
         }
-    }
-}
-
-/// A round's map task *p* is state partition *p*, whatever the thread
-/// count.
-impl<K: Key, S: Value> MapInput<K, S> for Vec<StatePartition<K, S>> {
-    fn records(&self) -> usize {
-        self.iter().map(StatePartition::len).sum()
-    }
-
-    fn tasks(&self, _config: &JobConfig) -> TaskQueue {
-        TaskQueue::unit(self.len())
-    }
-
-    fn for_each(&self, task: &Task, mut f: impl FnMut(&K, &S)) {
-        self[task.index].for_each(|(key, state)| f(key, state));
     }
 }
 
@@ -201,8 +190,7 @@ impl<K: Key, S: Value> PartitionWriter<K, S> {
 }
 
 /// Hash-partitions records over `n` partitions.  The records must arrive
-/// in key order within each partition — a sorted seed, or a state
-/// published in partition order.
+/// in key order within each partition, as a sorted seed does.
 pub(crate) fn partition_sorted<K: Key, S: Value>(
     records: impl IntoIterator<Item = (K, S)>,
     n: usize,
@@ -217,14 +205,57 @@ pub(crate) fn partition_sorted<K: Key, S: Value>(
     writers.into_iter().map(PartitionWriter::finish).collect()
 }
 
+/// The number of records in `state`.
+pub(crate) fn live<K: Key, S: Value>(state: &[StatePartition<K, S>]) -> usize {
+    state.iter().map(StatePartition::len).sum()
+}
+
+/// The notes a round consumes, emitted before it runs — by the reduce
+/// tasks of the round before, or by a map pass over the state
+/// ([`Job::map_state`]): their sorted runs, tagged task *p* for state
+/// partition *p*; the spill manager backing the runs on disk; and the
+/// counters of their emission, which become the consuming job's.
+pub(crate) struct PendingNotes<K, N> {
+    runs: TaggedRuns<K, N>,
+    spill: Option<SpillManager>,
+    counters: Counters,
+    /// The state records the notes were emitted for: the consuming job's
+    /// map input.
+    records: usize,
+    /// Emitting tasks, one per state partition.
+    tasks: usize,
+    /// The map pass's wall time; zero for notes a reduce task emitted,
+    /// which took their time inside that round's reduce.
+    map_time: Duration,
+}
+
+impl<K: Key, N: Value> PendingNotes<K, N> {
+    /// No notes at all, for a round over `parts` partitions: every key
+    /// is reduced with an empty slice.
+    pub(crate) fn none(parts: usize) -> Self {
+        PendingNotes {
+            runs: (0..parts).map(|_| Mutex::new(Vec::new())).collect(),
+            spill: None,
+            counters: Counters::new(),
+            records: 0,
+            tasks: 0,
+            map_time: Duration::ZERO,
+        }
+    }
+}
+
+/// The emission path of a round's notes: no combiner, hash-partitioned.
+type NoteOutput<'a, K, N> = TaskOutput<'a, K, N, IdentityCombiner<K, N>, HashPartitioner<K>>;
+
 /// Reduce task *p* of a round: merge-joins state partition *p* with the
-/// notes merged for it, both in key order, and writes partition *p* of
-/// the next round.
+/// notes merged for it, both in key order, writes partition *p* of the
+/// next round and emits the next round's notes as map task *p* would.
 fn join<R: StateReducer>(
     reducer: &R,
     state: StatePartition<R::Key, R::State>,
     notes: ReduceGroups<'_, R::Key, R::Note>,
     out: &mut Emitter<R::OutKey, R::OutValue>,
+    emission: &mut NoteOutput<'_, R::Key, R::Note>,
     mut next: PartitionWriter<R::Key, R::State>,
 ) -> StatePartition<R::Key, R::State> {
     let mut notes = notes.peekable();
@@ -232,116 +263,125 @@ fn join<R: StateReducer>(
         // Notes sorting before the next key with state were addressed to
         // keys without state: they are dropped.
         while notes.next_if(|(to, _)| *to < &key).is_some() {}
-        let own = notes.next_if(|(to, _)| *to == &key);
-        if let Some(record) = reducer.reduce(&key, record, own.map_or(&[], |(_, n)| n), out) {
+        let own = notes
+            .next_if(|(to, _)| *to == &key)
+            .map_or(&[][..], |(_, n)| n);
+        let kept = emission.emit(|next_notes| reducer.reduce(&key, record, own, out, next_notes));
+        if let Some(record) = kept {
             next.push(key, record);
         }
     }
     next.finish()
 }
 
-/// Reads the state a sharded coordinator published at `path`.
-fn adopt_state<K: Key, S: Value>(
-    path: &Path,
-    n: usize,
-    spill: Option<&StateSpill>,
-) -> Vec<StatePartition<K, S>> {
-    let mut reader = RunReader::<(K, S)>::open(path)
-        .and_then(|reader| reader.check_type().map(|()| reader))
-        .unwrap_or_else(|e| panic!("sharded round state at {path:?} unreadable: {e}"));
-    let records = std::iter::from_fn(move || {
-        reader
-            .next_record()
-            .unwrap_or_else(|e| panic!("sharded round state at {path:?} unreadable: {e}"))
-    });
-    partition_sorted(records, n, spill)
-}
-
-/// What one round produced.
-pub(crate) struct RoundResult<K, S, OK, OV> {
-    pub(crate) side: Vec<(OK, OV)>,
-    pub(crate) state: Vec<StatePartition<K, S>>,
+/// What one round of `R` produced.
+pub(crate) struct RoundResult<R: StateReducer> {
+    pub(crate) side: Vec<(R::OutKey, R::OutValue)>,
+    pub(crate) state: Vec<StatePartition<R::Key, R::State>>,
+    /// The notes the reducers emitted for the next round.
+    pub(crate) notes: PendingNotes<R::Key, R::Note>,
     pub(crate) metrics: JobMetrics,
 }
 
 impl Job {
     /// Runs one round over `state`, partitioned over this job's reduce
-    /// tasks; partitions of the next state spill as `next` says.
-    pub(crate) fn run_round<M, R>(
+    /// tasks: merges `notes`, joins, writes the next state (its
+    /// partitions spill as `next` says) and collects the notes the
+    /// reducer emits for the round after.
+    pub(crate) fn run_round<R: StateReducer>(
         &self,
-        mapper: &M,
         reducer: &R,
         state: Vec<StatePartition<R::Key, R::State>>,
+        notes: PendingNotes<R::Key, R::Note>,
         next: Option<&StateSpill>,
-    ) -> RoundResult<R::Key, R::State, R::OutKey, R::OutValue>
-    where
-        M: Mapper<InKey = R::Key, InValue = R::State, OutKey = R::Key, OutValue = R::Note>,
-        R: StateReducer,
-    {
-        let parts = state.len();
+    ) -> RoundResult<R> {
         assert_eq!(
-            parts,
+            state.len(),
             self.config().effective_reduce_tasks(),
             "round state is partitioned over the job's reduce tasks"
         );
-        let counters = Counters::new();
-        let mut metrics = self.start_metrics(&counters, state.records());
-        let combiner = None::<&IdentityCombiner<R::Key, R::Note>>;
-        let partitioner = HashPartitioner::new();
-        let reduce = |state, partitions, metrics: &mut JobMetrics| {
-            self.reduce_phase(
-                partitions,
-                state,
-                |p, part, notes, out| {
-                    join(reducer, part, notes, out, PartitionWriter::new(next, p))
-                },
-                &counters,
-                metrics,
-            )
-        };
+        let counters = notes.counters;
+        let mut metrics = self.start_metrics(&counters, notes.records);
+        metrics.map_tasks = notes.tasks;
+        metrics.timings.map = notes.map_time;
+        let partitions = self.merge_phase(notes.runs, no_combiner(), &counters, &mut metrics);
+        // The merge consumed every disk run.
+        drop(notes.spill);
 
-        let (side, state) = if let Some(runtime) = self.shard_runtime() {
-            self.run_process_sharded(
-                runtime,
-                mapper,
-                combiner,
-                &partitioner,
-                state,
-                &counters,
-                &mut metrics,
-                |state, partitions, published, metrics| {
-                    let (side, state) = reduce(state, partitions, metrics);
-                    crate::sharded::publish(&published.with_file_name("state.run"), |push| {
-                        state.iter().for_each(|part| part.for_each(&mut *push))
-                    });
-                    crate::sharded::publish(published, |push| side.iter().for_each(push));
-                    (side, state)
-                },
-                |published| {
-                    let side = crate::sharded::try_read(published)?;
-                    let state = adopt_state(&published.with_file_name("state.run"), parts, next);
-                    Some((side, state))
-                },
-            )
-        } else {
-            let (runs, spill) = self.map_phase(
-                mapper,
-                combiner,
-                &partitioner,
-                &state,
-                &counters,
-                &mut metrics,
-                None,
-            );
-            let partitions = self.merge_phase(runs, combiner, &counters, &mut metrics);
-            drop(spill);
-            reduce(state, partitions, &mut metrics)
-        };
+        let emitted = MapOutput::new(self.config());
+        let emitted_counters = Counters::new();
+        let partitioner = HashPartitioner::new();
+        let (side, state) = self.reduce_phase(
+            partitions,
+            state,
+            |p, part, groups, out| {
+                let mut emission = emitted.task(p, no_combiner(), &partitioner);
+                let part = join(
+                    reducer,
+                    part,
+                    groups,
+                    out,
+                    &mut emission,
+                    PartitionWriter::new(next, p),
+                );
+                emission.finish(&emitted_counters);
+                part
+            },
+            &counters,
+            &mut metrics,
+        );
         finish_metrics(&counters, &mut metrics);
+        let (runs, spill) = emitted.finish(&emitted_counters);
+        let notes = PendingNotes {
+            runs,
+            spill,
+            counters: emitted_counters,
+            records: live(&state),
+            tasks: state.len(),
+            map_time: Duration::ZERO,
+        };
         RoundResult {
             side,
             state,
+            notes,
             metrics,
         }
     }
+
+    /// A map pass over `state`: map task *p* reads state partition *p* by
+    /// reference and emits `notes` of every record — the same notes, runs
+    /// and tags the reduce task writing partition *p* would have emitted.
+    pub(crate) fn map_state<K: Key, S: Value, N: Value>(
+        &self,
+        state: &[StatePartition<K, S>],
+        notes: impl Fn(&K, &S, &mut Emitter<K, N>) + Sync,
+    ) -> PendingNotes<K, N> {
+        let counters = Counters::new();
+        let mut metrics = JobMetrics::default();
+        let (runs, spill) = self.map_phase(
+            TaskQueue::unit(state.len()),
+            no_combiner(),
+            &HashPartitioner::new(),
+            &counters,
+            &mut metrics,
+            None,
+            |task, out| {
+                state[task.index]
+                    .for_each(|key, record| out.emit(|emitter| notes(key, record, emitter)))
+            },
+        );
+        PendingNotes {
+            runs,
+            spill,
+            counters,
+            records: live(state),
+            tasks: metrics.map_tasks,
+            map_time: metrics.timings.map,
+        }
+    }
+}
+
+/// Rounds run without a combiner: every note reaches its reducer.
+fn no_combiner<'a, K: Key, N: Value>() -> Option<&'a IdentityCombiner<K, N>> {
+    None
 }

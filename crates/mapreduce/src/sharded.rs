@@ -24,11 +24,13 @@
 //! The publish uses the run format's pending-count commit protocol: a
 //! worker polling `output.run` sees `Truncated` until the coordinator's
 //! `finish()` patches the record count, so a half-written output is never
-//! adopted.  A round over partition-resident state
-//! ([`crate::flow::RoundState`]) publishes one more payload: the next
-//! state goes to `state.run` beside `output.run`, finished before
-//! `output.run` is created, so a committed output implies a complete
-//! state, and workers adopt both.
+//! adopted.
+//!
+//! A round over partition-resident state ([`crate::flow::RoundState`])
+//! has no map phase, hence no worker work: the coordinator runs it in
+//! process and publishes its side output together with the state's live
+//! count and peak bytes as one record; workers hold no round state and
+//! adopt that record ([`Job::run_round_sharded`]).
 
 use std::path::Path;
 use std::sync::Arc;
@@ -39,46 +41,46 @@ use smr_storage::{
     Codec, CompletedRun, ManifestRun, RunReader, RunWriter, ShardManifest, StorageError,
 };
 
+use crate::config::JobConfig;
 use crate::counters::Counters;
-use crate::executor::{Job, MapInput, RunSource, TaggedRun, TaggedRuns};
+use crate::executor::{Job, RunSource, TaggedRun, TaggedRuns};
 use crate::metrics::JobMetrics;
 use crate::partition::Partitioner;
-use crate::process_shard::{shard_task_range, ProcessShardRuntime, ShardJobCheck, ShardRole};
-use crate::types::{Combiner, Mapper};
+use crate::process_shard::{
+    current_runtime, shard_task_range, ProcessShardRuntime, ShardJob, ShardJobCheck, ShardRole,
+};
+use crate::task_queue::TaskQueue;
+use crate::types::{Combiner, Mapper, Reducer};
 
 impl Job {
     /// The installed shard runtime, when this job opted into process
     /// sharding and a sharded session is active.
     pub(crate) fn shard_runtime(&self) -> Option<Arc<dyn ProcessShardRuntime>> {
         self.config().process_shards?;
-        crate::process_shard::current_runtime()
+        current_runtime()
     }
 
     /// Runs one job through the sharded multi-process runtime and returns
     /// its output; the caller has done the common prologue (metrics init,
     /// input counter, identity-combiner filtering) and finishes the
-    /// metrics.  On the coordinator, `reduce` gets the input back (a round
-    /// joins its state partitions), the merged partitions and the path to
-    /// publish the output at; on a worker, `adopt` reads a published
-    /// output, `None` while it is not committed.
+    /// metrics.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_process_sharded<M, C, P, I, O>(
+    pub(crate) fn run_process_sharded<M, C, R, P>(
         &self,
-        runtime: Arc<dyn ProcessShardRuntime>,
+        runtime: &dyn ProcessShardRuntime,
         mapper: &M,
         combiner: Option<&C>,
+        reducer: &R,
         partitioner: &P,
-        input: I,
+        input: &[(M::InKey, M::InValue)],
         counters: &Counters,
         metrics: &mut JobMetrics,
-        reduce: impl FnOnce(I, Vec<Vec<(M::OutKey, M::OutValue)>>, &Path, &mut JobMetrics) -> O,
-        adopt: impl Fn(&Path) -> Option<O>,
-    ) -> O
+    ) -> Vec<(R::OutKey, R::OutValue)>
     where
         M: Mapper,
         C: Combiner<Key = M::OutKey, Value = M::OutValue>,
+        R: Reducer<Key = M::OutKey, InValue = M::OutValue>,
         P: Partitioner<M::OutKey>,
-        I: MapInput<M::InKey, M::InValue>,
     {
         let config = self.config();
         let job = runtime.begin_job(config);
@@ -86,14 +88,15 @@ impl Job {
         // The *scheduled* task count (0 for an empty input), computed the
         // same way on every participant and cross-checked through the
         // manifest: it defines the task index space the shards partition.
-        let num_map_tasks = input.tasks(config).num_tasks();
+        let num_map_tasks =
+            TaskQueue::split(input.len(), config.effective_map_tasks(input.len())).num_tasks();
         let check = ShardJobCheck {
             job_name: config.name.clone(),
-            input_records: input.records() as u64,
+            input_records: input.len() as u64,
             num_map_tasks: num_map_tasks as u64,
         };
 
-        match job.role {
+        match runtime.role() {
             ShardRole::Coordinator => {
                 let manifests = runtime.collect_manifests(&job, &check);
 
@@ -148,14 +151,16 @@ impl Job {
                 }
 
                 let partitions = self.merge_phase(runs, combiner, counters, metrics);
-                reduce(input, partitions, &job.output_path, metrics)
+                let output = self.reduce_groups(reducer, partitions, counters, metrics);
+                publish(&job.output_path, |push| output.iter().for_each(push));
+                output
             }
             ShardRole::Worker { shard, attempt } => {
                 // A respawned worker replaying the session fast-forwards
                 // through jobs whose output is already published: the
                 // adopted output reconstructs the exact program state, no
                 // map work needed.
-                if let Some(output) = adopt(&job.output_path) {
+                if let Some(output) = try_read(&job.output_path) {
                     return output;
                 }
 
@@ -165,11 +170,11 @@ impl Job {
                 // isolates the deltas this shard contributed.
                 let range = shard_task_range(shard, job.num_shards, num_map_tasks);
                 let before = counters.snapshot();
-                let (runs, spill) = self.map_phase(
+                let (runs, spill) = self.map_records(
                     mapper,
                     combiner,
                     partitioner,
-                    &input,
+                    input,
                     counters,
                     metrics,
                     Some(range),
@@ -216,15 +221,41 @@ impl Job {
                 // Lockstep: adopt the coordinator's reduced output as this
                 // job's result, so everything downstream of the job (next
                 // rounds, derived state) replays identically.
-                poll_output(
-                    &job.output_path,
-                    runtime.output_poll_interval(),
-                    runtime.output_timeout(),
-                    adopt,
-                )
+                adopt(runtime, &job)
             }
         }
     }
+
+    /// Runs one round of a [`crate::flow::RoundState`].  In a sharded
+    /// session the coordinator runs it in process with `run` and
+    /// publishes what `run` returns — the side output with the state's
+    /// live count and peak bytes — as the job's one output record, and a
+    /// worker, which holds no round state, adopts that record instead.
+    /// The round is numbered like any sharded job.  Outside a session,
+    /// `run` runs.
+    pub(crate) fn run_round_sharded<T: Codec>(&self, run: impl FnOnce() -> T) -> T {
+        let Some(runtime) = self.shard_runtime() else {
+            return run();
+        };
+        let job = runtime.begin_job(self.config());
+        if runtime.role() == ShardRole::Coordinator {
+            let result = run();
+            publish(&job.output_path, |push| push(&result));
+            result
+        } else {
+            let mut published = adopt(runtime.as_ref(), &job);
+            assert_eq!(published.len(), 1, "a round publishes one record");
+            published.swap_remove(0)
+        }
+    }
+}
+
+/// Whether this process is a worker of the sharded session jobs under
+/// `config` run in: a worker replays rounds without holding their state
+/// (see [`Job::run_round_sharded`]).
+pub(crate) fn replays_rounds(config: &JobConfig) -> bool {
+    config.process_shards.is_some()
+        && current_runtime().is_some_and(|runtime| runtime.role() != ShardRole::Coordinator)
 }
 
 /// Writes every run to `attempt_dir` in the wire format and returns the
@@ -286,7 +317,7 @@ where
 /// Publishes the records `write` pushes as a run file at `path`.  The
 /// record count in the run header stays at the pending sentinel until
 /// `finish()`, which is the atomic commit point for pollers.
-pub(crate) fn publish<R: Codec>(path: &Path, write: impl FnOnce(&mut dyn FnMut(&R))) {
+fn publish<R: Codec>(path: &Path, write: impl FnOnce(&mut dyn FnMut(&R))) {
     let mut writer: RunWriter<R> = RunWriter::create(path)
         .unwrap_or_else(|e| panic!("cannot create job output {path:?}: {e}"));
     write(&mut |record: &R| {
@@ -302,7 +333,7 @@ pub(crate) fn publish<R: Codec>(path: &Path, write: impl FnOnce(&mut dyn FnMut(&
 /// One non-blocking attempt to adopt a published output.  `None` means
 /// "not published yet" (missing file, or header/body still pending);
 /// anything else unreadable is a protocol violation and panics.
-pub(crate) fn try_read<R: Codec>(path: &Path) -> Option<Vec<R>> {
+fn try_read<R: Codec>(path: &Path) -> Option<Vec<R>> {
     let reader = match RunReader::<R>::open(path) {
         Ok(reader) => reader,
         Err(StorageError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => return None,
@@ -321,18 +352,16 @@ pub(crate) fn try_read<R: Codec>(path: &Path) -> Option<Vec<R>> {
     }
 }
 
-/// Polls for the published output until `timeout`.  A worker that never
-/// sees the output has lost its coordinator: it exits rather than linger
-/// as an orphan (the exit code is only ever observed by a human).
-fn poll_output<O>(
-    path: &Path,
-    interval: Duration,
-    timeout: Duration,
-    adopt: impl Fn(&Path) -> Option<O>,
-) -> O {
+/// Worker: polls for `job`'s published output until the runtime's
+/// timeout and adopts it.  A worker that never sees the output has lost
+/// its coordinator: it exits rather than linger as an orphan (the exit
+/// code is only ever observed by a human).
+fn adopt<R: Codec>(runtime: &dyn ProcessShardRuntime, job: &ShardJob) -> Vec<R> {
+    let path = &job.output_path;
+    let timeout = runtime.output_timeout();
     let deadline = Instant::now() + timeout;
     loop {
-        if let Some(output) = adopt(path) {
+        if let Some(output) = try_read(path) {
             return output;
         }
         if Instant::now() > deadline {
@@ -342,6 +371,6 @@ fn poll_output<O>(
             );
             std::process::exit(86);
         }
-        std::thread::sleep(interval);
+        std::thread::sleep(runtime.output_poll_interval());
     }
 }

@@ -217,12 +217,17 @@ pub trait Reducer: Send + Sync {
 /// in and the reducer moves it back out: `Some` keeps it for the next
 /// round, `None` retires the key.  Anything else the round produces
 /// (matched edges, a derived dataset) is emitted as side output.
+///
+/// The reducer that writes a record also holds it, so it emits the notes
+/// of the next round about that record on `next`: a round needs no map
+/// pass over the state.  Emit notes only when the very next round on the
+/// same state consumes them, and only for a record that is kept.
 pub trait StateReducer: Send + Sync {
     /// The key of state records and notes.
     type Key: Key;
     /// A key's state record.
     type State: Value;
-    /// What a mapper tells another key about its own state.
+    /// What a key tells another key about its own state.
     type Note: Value;
     /// Side-output key type.
     type OutKey: Key;
@@ -236,6 +241,7 @@ pub trait StateReducer: Send + Sync {
         state: Self::State,
         notes: &[Self::Note],
         out: &mut Emitter<Self::OutKey, Self::OutValue>,
+        next: &mut Emitter<Self::Key, Self::Note>,
     ) -> Option<Self::State>;
 }
 

@@ -69,6 +69,9 @@ impl Codec for Tracked {
     fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
         u64::decode(input).map(Tracked)
     }
+    fn encoded_len(&self) -> usize {
+        8
+    }
 }
 
 /// Emits, for input record `i`, the freshly built values `2i` and `2i + 1`
@@ -197,17 +200,14 @@ impl Codec for TrackedState {
 }
 
 /// Every key tells the next one its counter; a key doubles its counter,
-/// adds what it heard, reports the result and retires past 1 000.
+/// adds what it heard, reports the result, tells the next key again and
+/// retires past 1 000.
 struct Pass {
     keys: u32,
 }
 
-impl Mapper for Pass {
-    type InKey = u32;
-    type InValue = TrackedState;
-    type OutKey = u32;
-    type OutValue = u64;
-    fn map(&self, k: &u32, state: &TrackedState, out: &mut Emitter<u32, u64>) {
+impl Pass {
+    fn notes(&self, k: &u32, state: &TrackedState, out: &mut Emitter<u32, u64>) {
         out.emit((k + 1) % self.keys, state.0);
     }
 }
@@ -224,10 +224,15 @@ impl StateReducer for Pass {
         mut state: TrackedState,
         notes: &[u64],
         out: &mut Emitter<u32, u64>,
+        next: &mut Emitter<u32, u64>,
     ) -> Option<TrackedState> {
         state.0 = 2 * state.0 + notes.iter().sum::<u64>();
         out.emit(*k, state.0);
-        (state.0 <= 1_000).then_some(state)
+        let kept = (state.0 <= 1_000).then_some(state);
+        if let Some(state) = &kept {
+            self.notes(k, state, next);
+        }
+        kept
     }
 }
 
@@ -251,9 +256,11 @@ fn round_state_records_move_and_are_never_cloned() {
                     .map(|k| (k, TrackedState(u64::from(k % 7) + 1)))
                     .collect(),
             );
+            let pass = Pass { keys };
+            state.map(|k, s, out| pass.notes(k, s, out));
             let mut trace = Vec::new();
             while !state.is_empty() {
-                trace.push(state.round("pass", Pass { keys }, Pass { keys }));
+                trace.push(state.round("pass", Pass { keys }));
             }
             traces.push(trace);
         }

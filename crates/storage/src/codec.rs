@@ -73,16 +73,13 @@ pub trait Codec: Sized {
     /// consumed bytes.
     fn decode(input: &mut &[u8]) -> Result<Self, CodecError>;
 
-    /// Size hint for [`Codec::encode`]: how many bytes the encoding of
-    /// `self` occupies.  Used to pre-size buffers on hot paths; every
-    /// implementation in this crate (and the ones generated by
-    /// [`crate::impl_codec_struct!`] / [`crate::impl_codec_newtype!`])
-    /// returns the exact size.  Hand-written implementations may return a
-    /// cheaper lower bound — the default is `0` — since callers only use
-    /// it to `reserve`.
-    fn encoded_len(&self) -> usize {
-        0
-    }
+    /// Exactly how many bytes [`Codec::encode`] appends for `self`.  The
+    /// engine sizes buffers with it and sizes round-state partitions
+    /// against their share of the memory budget, so it must be exact: a
+    /// type that under-reports never spills.  Required, so that every
+    /// implementation states it; [`crate::impl_codec_struct!`] and
+    /// [`crate::impl_codec_newtype!`] generate it.
+    fn encoded_len(&self) -> usize;
 
     /// Encodes into a caller-owned scratch buffer, clearing it first, and
     /// returns the encoded bytes as a slice.  Reusing one scratch across
@@ -411,22 +408,6 @@ mod tests {
         // A smaller record never reallocates an already-grown scratch.
         "y".to_string().encode_into(&mut scratch);
         assert_eq!(scratch.capacity(), cap);
-    }
-
-    #[test]
-    fn default_encoded_len_hint_is_permitted_to_underestimate() {
-        struct Opaque;
-        impl Codec for Opaque {
-            fn encode(&self, out: &mut Vec<u8>) {
-                out.push(7);
-            }
-            fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
-                take(input, 1)?;
-                Ok(Opaque)
-            }
-        }
-        assert_eq!(Opaque.encoded_len(), 0);
-        assert_eq!(Opaque.encode_to_vec(), vec![7]);
     }
 
     #[test]
