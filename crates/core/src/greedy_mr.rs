@@ -6,23 +6,25 @@
 //! ([`smr_mapreduce::RoundState`]): a node's record stays in its partition and never
 //! crosses the shuffle.
 //!
-//! * **notes** — every node `v` proposes its `b(v)` heaviest live edges:
-//!   across every live incident edge it sends the neighbour one note,
-//!   "I propose this edge" and "I am saturated" as two flag bits
-//!   ([`RoundMsg`]) — one record per live adjacency entry crosses the
-//!   shuffle.  The notes of round 1 come from a map pass over the seeded
-//!   records; every later round's notes are emitted by the reducer that
-//!   wrote the record the round before;
+//! * **notes** — only what can change a neighbour's decision crosses the
+//!   shuffle ([`RoundMsg`]): every live node `v` sends a *proposal* across
+//!   each of its `b(v)` heaviest live edges, and a node that retires with
+//!   edges left sends a *retirement* across each of them.  A live
+//!   neighbour's edge that `v` does not propose gets no note, so a round
+//!   shuffles `Σ min(b(v), deg v)` proposals plus the retirements of the
+//!   round before, not one note per live adjacency entry.  The notes of round 1 come from
+//!   a map pass over the seeded records; every later round's notes are
+//!   emitted by the reducer that wrote the record the round before;
 //! * **reduce** — every node gets its own record beside its notes and
 //!   reads its capacity, adjacency and own proposals off the record (the
 //!   adjacency is kept heaviest first, so the proposals are its first
 //!   `b(v)` entries); it holds each edge against the neighbour's note:
 //!   edges proposed by *both* endpoints enter the solution (emitted as
 //!   side output), the node's residual capacity is decreased
-//!   accordingly, matched edges, edges towards saturated neighbours and
-//!   edges without a note (the neighbour has retired) are dropped from
-//!   the adjacency, and the node keeps its record — and proposes again —
-//!   or retires, once it has no capacity or no edge left.
+//!   accordingly, matched edges and edges whose neighbour retired are
+//!   dropped from the adjacency, edges without a note stay, and the node
+//!   keeps its record — and proposes again — or retires, once it has no
+//!   capacity or no edge left.
 //!
 //! The algorithm stops when no live edge remains.  The solution grows
 //! monotonically and is feasible after every round, which is the *any-time*
@@ -42,33 +44,36 @@ use crate::config::GreedyMrConfig;
 use crate::result::{AlgorithmKind, MatchingRun};
 use crate::state::{build_node_records, peer_notes, NodeRecord, RoundMsg};
 
-/// Note flag: the sender proposes the edge (it is among the sender's
-/// `b(v)` heaviest live edges).
-const PROPOSED: u8 = 1;
-/// Note flag: the sender's residual capacity was zero at the start of the
-/// round.
-const SATURATED: u8 = 2;
+/// Note: the sender proposes the edge (it is among the sender's `b(v)`
+/// heaviest live edges).
+const PROPOSE: bool = true;
+/// Note: the sender has retired (its capacity is used up) and holds the
+/// edge no more.
+const RETIRE: bool = false;
 
-/// The message of a GreedyMR round: a neighbour's [`PROPOSED`] /
-/// [`SATURATED`] flags for one edge.
-type GreedyMsg = RoundMsg<u8>;
+/// The message of a GreedyMR round: a neighbour's [`PROPOSE`] or
+/// [`RETIRE`] for one edge.
+type GreedyMsg = RoundMsg<bool>;
 
-/// The notes of a GreedyMR round about `record`: one per live edge, to
-/// the neighbour across it.
-fn propose(_node: &NodeId, record: &NodeRecord, out: &mut Emitter<NodeId, GreedyMsg>) {
-    // The proposals are the b(v) heaviest live edges: a prefix of the
-    // heaviest-first adjacency (empty for a saturated node).
-    let proposals = record.proposal_count();
-    let saturated = if record.capacity == 0 { SATURATED } else { 0 };
-    for (idx, adj) in record.adjacency.iter().enumerate() {
-        let proposed = if idx < proposals { PROPOSED } else { 0 };
-        out.emit(adj.other, RoundMsg::new(adj.edge, proposed | saturated));
+/// The notes of a GreedyMR round about `record`: a proposal across each
+/// of the node's `b(v)` heaviest live edges — a prefix of the
+/// heaviest-first adjacency — or, for a node without capacity, a
+/// retirement across every edge it still lists.
+fn notes(_node: &NodeId, record: &NodeRecord, out: &mut Emitter<NodeId, GreedyMsg>) {
+    let (edges, note) = if record.capacity == 0 {
+        (&record.adjacency[..], RETIRE)
+    } else {
+        (&record.adjacency[..record.proposal_count()], PROPOSE)
+    };
+    for adj in edges {
+        out.emit(adj.other, RoundMsg::new(adj.edge, note));
     }
 }
 
 /// The reduce function of a GreedyMR round; its side output is the
-/// matched edges, each reported by both endpoints, and a node it keeps
-/// proposes for the next round.
+/// matched edges, each reported by both endpoints.  A node it keeps
+/// proposes for the next round, and a node it retires with edges left
+/// tells their neighbours.
 struct IntersectReducer;
 
 impl StateReducer for IntersectReducer {
@@ -88,7 +93,7 @@ impl StateReducer for IntersectReducer {
     ) -> Option<NodeRecord> {
         let capacity = record.capacity;
         let proposals = record.proposal_count();
-        let notes = peer_notes(msgs);
+        let received = peer_notes(msgs);
 
         let mut idx = 0;
         let mut matched = 0;
@@ -96,30 +101,28 @@ impl StateReducer for IntersectReducer {
         record.adjacency.retain(|adj| {
             let proposed = idx < proposals;
             idx += 1;
-            let Some(note) = notes.get(adj.edge) else {
-                // The neighbour no longer exists; drop the edge.
-                return false;
-            };
-            if proposed && note & PROPOSED != 0 {
-                out.emit(adj.edge, ());
-                matched += 1;
-                false
-            } else {
-                // An edge whose neighbour (or this node) is saturated can
-                // never be matched: drop it.
-                note & SATURATED == 0 && capacity > 0
+            match received.get(adj.edge) {
+                // The neighbour has retired: drop the edge.
+                Some(RETIRE) => false,
+                Some(PROPOSE) if proposed => {
+                    out.emit(adj.edge, ());
+                    matched += 1;
+                    false
+                }
+                // A live neighbour, proposing the edge or not: it stays,
+                // unless this node has no capacity to match it.
+                _ => capacity > 0,
             }
         });
         record.capacity = capacity - matched;
-        // A node whose capacity reached zero retires with all remaining
-        // edges: its neighbours drop them in this very round because they
-        // see the saturation flag in the notes (or, if it became zero only
-        // now, will find no note from the retired node next round).
-        if record.capacity == 0 || record.is_isolated() {
+        // A node whose capacity reached zero retires and tells the
+        // neighbours across its remaining edges, which drop them next
+        // round; a node without edges has no one to tell.
+        if record.is_isolated() {
             return None;
         }
-        propose(node, &record, next);
-        Some(record)
+        notes(node, &record, next);
+        (record.capacity > 0).then_some(record)
     }
 }
 
@@ -168,7 +171,7 @@ impl GreedyMr {
                 })
                 .collect(),
         );
-        state.map(propose);
+        state.map(notes);
 
         // An edgeless graph runs zero rounds (and zero jobs).
         let jobs_start = flow.num_jobs();
@@ -366,7 +369,7 @@ mod tests {
         let (g, caps) = small_instance();
         let in_memory = run(GreedyMr::new(config().with_memory_budget(None)), &g, &caps);
         let spilled = run(
-            GreedyMr::new(config().with_memory_budget(Some(256))),
+            GreedyMr::new(config().with_memory_budget(Some(64))),
             &g,
             &caps,
         );
@@ -382,15 +385,15 @@ mod tests {
         );
         assert!(
             spilled.job_metrics.iter().map(|m| m.disk_runs).sum::<u64>() > 0,
-            "a 256-byte budget must force disk runs"
+            "a 64-byte budget must force disk runs"
         );
     }
 
     #[test]
     fn a_saturated_node_retires_and_its_neighbours_drop_the_edge_in_the_same_round() {
-        // `Capacities` rules out zero, so the saturation flag is driven
-        // on hand-built records: item 0 has no capacity left but still
-        // lists edge 0, the heavier of consumer 0's two edges.
+        // `Capacities` rules out zero, so a saturated seed is driven on
+        // hand-built records: item 0 has no capacity left but still lists
+        // edge 0, the heavier of consumer 0's two edges.
         let (t0, t1, c0) = (NodeId::item(0), NodeId::item(1), NodeId::consumer(0));
         let records = vec![
             (t0, NodeRecord::new(t0, 0, vec![AdjEdge::new(0, c0, 2.0)])),
@@ -406,20 +409,28 @@ mod tests {
         ];
         // The round by hand: every node's notes, routed to their
         // receivers, then every node's reducer over its own record.
-        let mut notes: std::collections::BTreeMap<NodeId, Vec<GreedyMsg>> = Default::default();
+        let mut sent: std::collections::BTreeMap<NodeId, Vec<GreedyMsg>> = Default::default();
         for (node, record) in &records {
             let mut out = Emitter::new();
-            propose(node, record, &mut out);
+            notes(node, record, &mut out);
             for (to, note) in out.into_pairs() {
-                notes.entry(to).or_default().push(note);
+                sent.entry(to).or_default().push(note);
             }
         }
+        // Item 0 retires edge 0; item 1 and consumer 0 propose their
+        // heaviest edges, 1 and 0; consumer 0's edge 1 gets no note.
+        assert_eq!(
+            sent[&c0],
+            vec![RoundMsg::new(0, RETIRE), RoundMsg::new(1, PROPOSE)]
+        );
+        assert_eq!(sent[&t0], vec![RoundMsg::new(0, PROPOSE)]);
+        assert!(!sent.contains_key(&t1));
         let mut matched = Emitter::new();
         let mut proposals = Emitter::new();
         let next: Vec<Option<NodeRecord>> = records
             .iter()
             .map(|(node, record)| {
-                let own = notes.get(node).map_or(&[][..], Vec::as_slice);
+                let own = sent.get(node).map_or(&[][..], Vec::as_slice);
                 IntersectReducer.reduce(node, record.clone(), own, &mut matched, &mut proposals)
             })
             .collect();
@@ -433,24 +444,50 @@ mod tests {
             ]
         );
         assert!(matched.is_empty());
-        // The kept nodes propose edge 1 to each other for the next round.
+        // The kept nodes propose edge 1 to each other for the next round;
+        // item 0 dropped its only edge, so it retires without a note.
         assert_eq!(
             proposals.into_pairs(),
             vec![
-                (c0, RoundMsg::new(1, PROPOSED)),
-                (t1, RoundMsg::new(1, PROPOSED)),
+                (c0, RoundMsg::new(1, PROPOSE)),
+                (t1, RoundMsg::new(1, PROPOSE)),
             ]
         );
 
-        // Through the engine: the 4 adjacency entries cross the shuffle,
-        // the records do not, and the saturated item retires.
+        // Through the engine: the 3 notes cross the shuffle, the records
+        // do not, and the saturated item retires.
         let flow = FlowContext::new(JobConfig::named("greedy-mr-test").with_threads(2));
         let mut state = flow.round_state("saturated");
         state.seed(records);
-        state.map(propose);
+        state.map(notes);
         assert!(state.round("r", IntersectReducer).is_empty());
         assert_eq!(state.len(), 2);
-        assert_eq!(flow.report().total_shuffled_records(), 4);
+        assert_eq!(flow.report().total_shuffled_records(), 3);
+    }
+
+    #[test]
+    fn a_node_that_saturates_tells_its_remaining_neighbours() {
+        // Item 0 (capacity 1) and consumer 0 propose edge 0 to each other
+        // and match it; item 0 is then saturated but still lists edge 1,
+        // which consumer 1 proposed, so it retires across it.
+        let (t0, c0, c1) = (NodeId::item(0), NodeId::consumer(0), NodeId::consumer(1));
+        let t0_record = NodeRecord::new(
+            t0,
+            1,
+            vec![AdjEdge::new(0, c0, 2.0), AdjEdge::new(1, c1, 1.0)],
+        );
+        let mut matched = Emitter::new();
+        let mut next = Emitter::new();
+        let kept = IntersectReducer.reduce(
+            &t0,
+            t0_record,
+            &[RoundMsg::new(1, PROPOSE), RoundMsg::new(0, PROPOSE)],
+            &mut matched,
+            &mut next,
+        );
+        assert_eq!(kept, None);
+        assert_eq!(matched.into_pairs(), vec![(0, ())]);
+        assert_eq!(next.into_pairs(), vec![(c1, RoundMsg::new(1, RETIRE))]);
     }
 
     #[test]

@@ -22,13 +22,17 @@
 //! The iteration repeats until the working graph has no edges left.
 //!
 //! The working records are the partition-resident state of a
-//! [`smr_mapreduce::RoundState`]: in every stage each node sends each
-//! neighbour one flag about the edge they share, and the stage's reducer
-//! holds the node's own record against its neighbours' flags.  The
-//! reducer of one stage makes the node's choice for the next — its marks,
-//! selections or drops, each drawn once from the node's seeded generator
-//! — records it and emits the next stage's flags, so no stage re-reads
-//! the state in a map pass; only the first marks come from one.
+//! [`smr_mapreduce::RoundState`]: in every stage a node sends a flag
+//! across each edge the flag is *true* for — marked, selected, dropped
+//! from F, or "I am saturated" — and nothing across the others, and the
+//! stage's reducer holds the node's own record against its neighbours'
+//! flags, reading a missing flag as false.  So a stage shuffles the
+//! node's `⌈c(v)/2⌉` marks or its selections, drops and saturations, not
+//! one flag per live edge.  The reducer of one stage makes the node's
+//! choice for the next — its marks, selections or drops, each drawn once
+//! from the node's seeded generator — records it and emits the next
+//! stage's flags, so no stage re-reads the state in a map pass; only the
+//! first marks come from one.
 
 use std::collections::HashMap;
 
@@ -98,8 +102,9 @@ impl_codec_struct!(WorkRecord {
 
 /// The message exchanged by all four stage jobs ([`RoundMsg`]): a
 /// neighbour's stage-specific flag for one edge (marked / selected /
-/// dropped from F / survives).
-type FlagMsg = RoundMsg<bool>;
+/// dropped from F / saturated), sent only when it is true, so the note
+/// itself is the flag.
+type FlagMsg = RoundMsg<()>;
 
 /// Result of one maximal b-matching computation.
 #[derive(Debug, Clone, Default)]
@@ -183,6 +188,11 @@ fn flags(len: usize, picked: Vec<usize>) -> Vec<bool> {
     flags
 }
 
+/// Raises the flag of `e` at its other end.
+fn flag(e: &WorkEdge, out: &mut Emitter<NodeId, FlagMsg>) {
+    out.emit(e.other, RoundMsg::new(e.edge, ()));
+}
+
 /// Every stage's side output: the edges entering the matching (only
 /// cleanup emits any).
 type Matched = Emitter<EdgeId, ()>;
@@ -192,8 +202,8 @@ type Matched = Emitter<EdgeId, ()>;
 // ---------------------------------------------------------------------------
 
 /// The notes of the marking stage: the node marks `⌈c(v)/2⌉` of its
-/// edges and tells each neighbour whether their edge is marked.  A node's
-/// own marks matter only to its neighbours.
+/// edges and flags each marked edge to its neighbour.  A node's own marks
+/// matter only to its neighbours.
 fn mark_notes(
     strategy: MarkingStrategy,
     seed: u64,
@@ -209,15 +219,14 @@ fn mark_notes(
         .enumerate()
         .map(|(i, e)| (i, e.weight))
         .collect();
-    let marked = pick_edges(strategy, &mut rng, &candidates, to_mark);
-    for (e, marked) in record.edges.iter().zip(flags(record.edges.len(), marked)) {
-        out.emit(e.other, RoundMsg::new(e.edge, marked));
+    for i in pick_edges(strategy, &mut rng, &candidates, to_mark) {
+        flag(&record.edges[i], out);
     }
 }
 
 /// Records the neighbours' marks; then every node selects up to
 /// `max(⌊c(v)/2⌋, 1)` of the edges its neighbours marked, puts them in F
-/// and tells each neighbour whether it selected their edge.
+/// and flags each selected edge to its neighbour.
 #[derive(Clone, Copy)]
 struct Mark {
     seed: u64,
@@ -241,7 +250,7 @@ impl StateReducer for Mark {
     ) -> Option<WorkRecord> {
         let marks = peer_notes(msgs);
         for e in &mut record.edges {
-            e.marked_by_other = marks.get(e.edge).unwrap_or(false);
+            e.marked_by_other = marks.contains(e.edge);
         }
         let mut rng = node_rng(
             self.seed,
@@ -263,7 +272,9 @@ impl StateReducer for Mark {
         let selected = flags(record.edges.len(), selected);
         for (e, selected) in record.edges.iter_mut().zip(selected) {
             e.in_f = selected;
-            next.emit(e.other, RoundMsg::new(e.edge, selected));
+            if selected {
+                flag(e, next);
+            }
         }
         Some(record)
     }
@@ -274,9 +285,8 @@ impl StateReducer for Mark {
 // ---------------------------------------------------------------------------
 
 /// An edge enters F when either end selected it; then a node of capacity
-/// 1 keeps one of its F edges at random, drops the rest and tells each F
-/// neighbour whether it dropped their edge.  A dropped edge leaves F at
-/// both ends.
+/// 1 keeps one of its F edges at random, drops the rest and flags each
+/// dropped edge to its neighbour.  A dropped edge leaves F at both ends.
 #[derive(Clone, Copy)]
 struct Select {
     seed: u64,
@@ -300,7 +310,7 @@ impl StateReducer for Select {
     ) -> Option<WorkRecord> {
         let by_other = peer_notes(msgs);
         for e in &mut record.edges {
-            e.in_f |= by_other.get(e.edge).unwrap_or(false);
+            e.in_f |= by_other.contains(e.edge);
         }
         let mut rng = node_rng(
             self.seed,
@@ -322,9 +332,9 @@ impl StateReducer for Select {
         };
         let dropped = flags(record.edges.len(), dropped);
         for (e, dropped) in record.edges.iter_mut().zip(dropped) {
-            if e.in_f {
-                next.emit(e.other, RoundMsg::new(e.edge, dropped));
-                e.in_f = !dropped;
+            if dropped {
+                flag(e, next);
+                e.in_f = false;
             }
         }
         Some(record)
@@ -335,9 +345,9 @@ impl StateReducer for Select {
 // Stage 3: matching (capacity-1 conflict resolution)
 // ---------------------------------------------------------------------------
 
-/// Edges a neighbour dropped leave F; then every node tells each
-/// neighbour whether their edge survives at its end: it is not in F and
-/// the node is not saturated after this iteration.
+/// Edges a neighbour dropped leave F, which is now the same at both ends
+/// of every edge; then a node that F saturates flags its edges outside F
+/// to their neighbours, which drop them at cleanup.
 #[derive(Clone, Copy)]
 struct MatchFix;
 
@@ -356,18 +366,18 @@ impl StateReducer for MatchFix {
         _out: &mut Matched,
         next: &mut Emitter<NodeId, FlagMsg>,
     ) -> Option<WorkRecord> {
-        // A true note means "the sender dropped this edge from F".
-        let by_other = peer_notes(msgs);
+        // A note means "the sender dropped this edge from F".
+        let dropped_by_other = peer_notes(msgs);
         for e in &mut record.edges {
-            if by_other.get(e.edge).unwrap_or(false) {
+            if dropped_by_other.contains(e.edge) {
                 e.in_f = false;
             }
         }
         let matched = record.edges.iter().filter(|e| e.in_f).count() as u64;
-        let new_capacity = record.capacity.saturating_sub(matched);
-        for e in &record.edges {
-            let survives = !e.in_f && new_capacity > 0;
-            next.emit(e.other, RoundMsg::new(e.edge, survives));
+        if record.capacity <= matched {
+            for e in record.edges.iter().filter(|e| !e.in_f) {
+                flag(e, next);
+            }
         }
         Some(record)
     }
@@ -378,8 +388,9 @@ impl StateReducer for MatchFix {
 // ---------------------------------------------------------------------------
 
 /// F enters the matching (side output, reported by both ends), capacities
-/// drop by the node's F edges, and saturated nodes retire with their
-/// edges; a node that stays marks for the next iteration.
+/// drop by the node's F edges, saturated nodes retire with their edges
+/// and the others drop their edges to saturated neighbours; a node that
+/// stays marks for the next iteration.
 #[derive(Clone, Copy)]
 struct Cleanup {
     strategy: MarkingStrategy,
@@ -402,7 +413,7 @@ impl StateReducer for Cleanup {
         out: &mut Matched,
         next: &mut Emitter<NodeId, FlagMsg>,
     ) -> Option<WorkRecord> {
-        let neighbour_survives = peer_notes(msgs);
+        let saturated_other = peer_notes(msgs);
         let mut matched = 0;
         for e in record.edges.iter().filter(|e| e.in_f) {
             out.emit(e.edge, ());
@@ -414,7 +425,7 @@ impl StateReducer for Cleanup {
         }
         record
             .edges
-            .retain(|e| !e.in_f && neighbour_survives.get(e.edge).unwrap_or(false));
+            .retain(|e| !e.in_f && !saturated_other.contains(e.edge));
         if record.edges.is_empty() {
             return None;
         }
@@ -459,6 +470,11 @@ impl MaximalMatcher {
     /// `stage_prefix` namespaces the job names when the matcher runs
     /// inside a larger flow (StackMR passes `maximal-{push_round}`); an
     /// empty prefix names jobs `{flow}-mark-{i}` etc.
+    ///
+    /// Every edge a record of capacity > 0 lists must be listed by its
+    /// other endpoint's record too, at capacity > 0, as the records of a
+    /// graph (or of StackMR's coverage survivors) are: a flag that is not
+    /// sent reads as false, so the two ends of an edge decide it together.
     pub fn compute(
         &self,
         records: &[(NodeId, NodeRecord)],
@@ -473,6 +489,10 @@ impl MaximalMatcher {
             }
         };
 
+        debug_assert!(
+            lists_every_edge_at_both_ends(records),
+            "a maximal matcher's input lists an edge at one end only"
+        );
         let mut state = flow.round_state("maximal-work");
         state.seed(
             records
@@ -525,6 +545,18 @@ impl MaximalMatcher {
     }
 }
 
+/// Whether every edge of the records of capacity > 0 is listed by both of
+/// its ends (see [`MaximalMatcher::compute`]).
+fn lists_every_edge_at_both_ends(records: &[(NodeId, NodeRecord)]) -> bool {
+    let mut ends: HashMap<EdgeId, u32> = HashMap::new();
+    for (_, record) in records.iter().filter(|(_, r)| r.capacity > 0) {
+        for adj in &record.adjacency {
+            *ends.entry(adj.edge).or_default() += 1;
+        }
+    }
+    ends.values().all(|&n| n == 2)
+}
+
 /// A simple centralized maximal b-matching (greedy scan) used as a
 /// reference in tests: scan the live edges in id order and keep an edge
 /// whenever both endpoints still have residual capacity.
@@ -558,7 +590,7 @@ pub fn maximal_b_matching_centralized(records: &[(NodeId, NodeRecord)]) -> Vec<E
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::build_node_records;
+    use crate::state::{build_node_records, total_live_edge_entries};
     use smr_graph::{BipartiteGraph, Capacities, ConsumerId, Edge, ItemId, Matching};
 
     fn grid_graph(items: usize, consumers: usize) -> BipartiteGraph {
@@ -624,6 +656,30 @@ mod tests {
         assert_maximal(&g, &caps, &result.edges);
         assert!(result.iterations >= 1);
         assert_eq!(result.jobs, result.iterations * 4);
+    }
+
+    #[test]
+    fn stages_send_only_true_flags() {
+        let g = grid_graph(6, 6);
+        let caps = Capacities::uniform(&g, 1, 1);
+        let records = build_node_records(&g, &caps);
+        let result = compute(&matcher(MarkingStrategy::Random, 1), &records);
+        let shuffled: Vec<u64> = result.job_metrics[..4]
+            .iter()
+            .map(|m| m.shuffle_records)
+            .collect();
+        let nodes = records.len() as u64;
+        // Capacity 1: every node marks ⌈1/2⌉ = 1 edge, and selects at
+        // most max(⌊1/2⌋, 1) = 1 of the edges marked towards it.
+        assert_eq!(shuffled[0], nodes, "one mark per node");
+        assert!(shuffled[1] <= nodes, "at most one selection per node");
+        // A flag per live adjacency entry would be 2|E| per stage.
+        let entries = total_live_edge_entries(&records) as u64;
+        assert!(
+            shuffled.iter().all(|&n| n < entries),
+            "{shuffled:?} vs {entries}"
+        );
+        assert_maximal(&g, &caps, &result.edges);
     }
 
     #[test]

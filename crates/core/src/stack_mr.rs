@@ -30,12 +30,16 @@
 //! ([`smr_mapreduce::RoundState`]): the push rounds over the nodes' duals
 //! and live edges, the maximal matcher over its working records, the pop
 //! rounds over residual capacities.  A node's record stays in its
-//! partition; it sends each neighbour one note per shared edge, and its
-//! reducer gets the record beside the notes it received.  The push
-//! reducer emits the next coverage round's notes and a pop reducer the
-//! next layer's nominations; the coverage reducer emits none, so no notes
-//! wait in memory through the maximal matcher, and the push round's
-//! notes come from a map pass over the push state after it.
+//! partition; it sends a note across an edge only where the neighbour's
+//! decision needs it — its ratio `y_v/b(v)` across every live edge for
+//! coverage, but across the new layer's edges only for the push, the
+//! only edges whose `δ(e)` is computed; nominations across the popped
+//! layer's edges only — and its reducer gets the record beside the notes
+//! it received.  The push reducer emits the next coverage round's notes
+//! and a pop reducer the next layer's nominations; the coverage reducer
+//! emits none, so no notes wait in memory through the maximal matcher,
+//! and the push round's notes come from a map pass over the push state
+//! after it.
 
 use std::collections::HashSet;
 
@@ -78,12 +82,20 @@ impl_codec_struct!(StackNodeRecord {
 /// `y_v / b(v)` for one edge.
 type RatioMsg = RoundMsg<f64>;
 
-/// The notes of the coverage and push rounds: `y_v / b(v)` along every
-/// live edge.
-fn dual_ratios(_node: &NodeId, record: &StackNodeRecord, out: &mut Emitter<NodeId, RatioMsg>) {
+/// The notes of the coverage and push rounds: `y_v / b(v)` along the
+/// record's live edges — every one for a coverage round, and only the
+/// pushed `layer`'s for a push round, the only edges whose `δ(e)` the push
+/// computes.
+fn dual_ratios(
+    record: &StackNodeRecord,
+    layer: Option<&HashSet<EdgeId>>,
+    out: &mut Emitter<NodeId, RatioMsg>,
+) {
     let ratio = record.dual / record.capacity as f64;
     for adj in &record.adjacency {
-        out.emit(adj.other, RoundMsg::new(adj.edge, ratio));
+        if layer.is_none_or(|layer| layer.contains(&adj.edge)) {
+            out.emit(adj.other, RoundMsg::new(adj.edge, ratio));
+        }
     }
 }
 
@@ -150,7 +162,7 @@ impl StateReducer for PushReducer<'_> {
 
     fn reduce(
         &self,
-        node: &NodeId,
+        _node: &NodeId,
         mut record: StackNodeRecord,
         msgs: &[RatioMsg],
         _out: &mut Emitter<NodeId, ()>,
@@ -173,7 +185,7 @@ impl StateReducer for PushReducer<'_> {
             }
         }
         record.dual += increase;
-        dual_ratios(node, &record, next);
+        dual_ratios(&record, None, next);
         Some(record)
     }
 }
@@ -253,9 +265,8 @@ impl StateReducer for PopLayer<'_> {
         let active = record.residual > 0;
         let mut included = 0;
         record.adjacency.retain(|adj| {
-            let include = active
-                && self.layer.contains(&adj.edge)
-                && nominated_by_other.get(adj.edge).is_some();
+            let include =
+                active && self.layer.contains(&adj.edge) && nominated_by_other.contains(adj.edge);
             if include {
                 out.emit(adj.edge, ());
                 included += 1;
@@ -335,7 +346,7 @@ impl StackMr {
                 })
                 .collect(),
         );
-        push_state.map(dual_ratios);
+        push_state.map(|_, record, out| dual_ratios(record, None, out));
         let mut layers: Vec<HashSet<EdgeId>> = Vec::new();
 
         for push_round in 0..self.config.max_push_rounds {
@@ -375,7 +386,7 @@ impl StackMr {
             }
 
             // (3) Push the layer: raise the duals of its edges.
-            push_state.map(dual_ratios);
+            push_state.map(|_, record, out| dual_ratios(record, Some(&layer), out));
             push_state.round(format!("push-{push_round}"), PushReducer { layer: &layer });
             layers.push(layer);
         }

@@ -11,8 +11,11 @@
 //! [`smr_mapreduce::RoundState`]: a node's record never crosses the
 //! shuffle, its reducer gets it beside the round's messages and sends the
 //! next round's, and every round job of every matcher exchanges the same
-//! message, [`RoundMsg`] — one small note per live edge, sent to the
-//! neighbour across it.
+//! message, [`RoundMsg`] — a small note about one edge, sent to the
+//! neighbour across it.  A node sends a note only where it can change the
+//! neighbour's decision; an edge without a note means what the protocol
+//! of the round says it means (not proposed, not marked, not covered …),
+//! so the shuffle carries the exceptions, not every live edge.
 
 use serde::{Deserialize, Serialize};
 use smr_graph::{BipartiteGraph, Capacities, EdgeId, NodeId};
@@ -134,7 +137,8 @@ impl<P: Codec> Codec for RoundMsg<P> {
 }
 
 /// A node's notes of one round, looked up by edge.  An edge without a
-/// note means the neighbour sent none: it has retired.
+/// note means the neighbour sent none, which each round's protocol reads
+/// as its default.
 pub fn peer_notes<P: Copy>(msgs: &[RoundMsg<P>]) -> PeerNotes<P> {
     let mut notes = msgs.to_vec();
     notes.sort_unstable_by_key(|note| note.edge);
@@ -152,6 +156,12 @@ impl<P: Copy> PeerNotes<P> {
             .binary_search_by_key(&edge, |note| note.edge)
             .ok()
             .map(|i| self.0[i].payload)
+    }
+
+    /// Whether the neighbour sent a note about `edge`: for a note whose
+    /// presence is the whole message, such as a mark or a nomination.
+    pub fn contains(&self, edge: EdgeId) -> bool {
+        self.get(edge).is_some()
     }
 }
 
@@ -284,7 +294,8 @@ mod tests {
         let notes = peer_notes(&msgs);
         assert_eq!(notes.get(9), Some(3));
         assert_eq!(notes.get(4), Some(0));
-        assert_eq!(notes.get(5), None, "no note: the neighbour has retired");
+        assert_eq!(notes.get(5), None, "no note: the neighbour sent none");
+        assert!(notes.contains(4) && !notes.contains(5));
     }
 
     #[test]

@@ -221,14 +221,12 @@ fn rounds_regression_guard_flickr_large_sigma_009() {
     assert_eq!(graph.num_edges(), 372_730);
     let run = set.run(AlgorithmKind::GreedyMr, &graph, &caps);
     assert_eq!(run.rounds, 32);
-    // A round shuffles one note per live adjacency entry; the node
-    // records stay in their state partitions.  Summed over the 32 rounds
-    // the live adjacency entries are 2 674 959: the first round alone
-    // lists every edge from both ends, 2 × 372 730.  (The retired
-    // two-views-per-entry protocol shuffled twice this sum, 5 349 918,
-    // and the retired own-record message one more record per live node
-    // and round, 33 027.)
-    assert_eq!(run.total_shuffled_records(), 2_674_959);
+    // A round shuffles one note per proposal, min(b(v), live degree)
+    // for every live node, plus one per edge a node retired with the
+    // round before; the node records stay in their state partitions.
+    // Summed over the 32 rounds that is 694 975 notes, against
+    // 2 674 959 live adjacency entries.
+    assert_eq!(run.total_shuffled_records(), 694_975);
     assert!(run.matching.is_feasible(&graph, &caps));
 }
 
