@@ -27,9 +27,9 @@
 //!    before they ever reach a reducer.
 //! 5. **Reduce** — worker threads pull reduce partitions from a second
 //!    task queue, take the (already sorted) partition by value, unzip it
-//!    once into group keys plus one contiguous value buffer and hand the
-//!    reducer's per-task entry the groups as slices of that buffer: no
-//!    value is copied between the merge's output and the reducer's input.
+//!    once into group keys plus one contiguous value buffer and call the
+//!    reducer once per group with a slice of that buffer: no value is
+//!    copied between the merge's output and the reducer's input.
 //!    A round over partition-resident state ([`crate::flow::RoundState`])
 //!    runs the merge and reduce phases: reduce task *p* takes state
 //!    partition *p* beside its merged notes and emits the next round's
@@ -576,8 +576,8 @@ impl Job {
         merged.into_iter().map(Mutex::into_inner).collect()
     }
 
-    /// The reduce phase of a plain job: `reducer`'s per-task entry over
-    /// every merged partition.
+    /// The reduce phase of a plain job: `reducer` once per group of every
+    /// merged partition.
     pub(crate) fn reduce_groups<R: Reducer>(
         &self,
         reducer: &R,
@@ -589,7 +589,11 @@ impl Job {
         self.reduce_phase(
             partitions,
             units,
-            |_, (), groups, out| reducer.reduce_task(groups, out),
+            |_, (), groups, out| {
+                for (key, values) in groups {
+                    reducer.reduce(key, values, out);
+                }
+            },
             counters,
             metrics,
         )

@@ -158,7 +158,7 @@ pub use process_shard::{ProcessShardRuntime, ShardJob, ShardJobCheck, ShardRole}
 pub use shuffle::merge_runs;
 pub use task_queue::{Task, TaskQueue};
 pub use types::{
-    Codec, Combiner, Emitter, IdentityCombiner, Mapper, ReduceGroups, Reducer, StateReducer,
+    Codec, Combiner, Emitter, IdentityCombiner, IdentityReducer, Mapper, Reducer, StateReducer,
 };
 
 /// Convenience re-exports for users of the engine.
@@ -172,6 +172,6 @@ pub mod prelude {
     pub use crate::metrics::JobMetrics;
     pub use crate::partition::{HashPartitioner, Partitioner};
     pub use crate::types::{
-        Codec, Combiner, Emitter, IdentityCombiner, Mapper, ReduceGroups, Reducer, StateReducer,
+        Codec, Combiner, Emitter, IdentityCombiner, IdentityReducer, Mapper, Reducer, StateReducer,
     };
 }

@@ -129,7 +129,7 @@ pub trait Mapper: Send + Sync {
 /// once, never copied per group.  Values appear in shuffle order (map
 /// task, then emission order).
 #[derive(Debug, Clone)]
-pub struct ReduceGroups<'a, K, V> {
+pub(crate) struct ReduceGroups<'a, K, V> {
     keys: std::slice::Iter<'a, K>,
     /// `ends[i]` is one past group `i`'s last value; parallel to `keys`.
     ends: std::slice::Iter<'a, usize>,
@@ -188,22 +188,6 @@ pub trait Reducer: Send + Sync {
         values: &[Self::InValue],
         out: &mut Emitter<Self::OutKey, Self::OutValue>,
     );
-
-    /// Processes every key group of one reduce task, in key order — the
-    /// analogue of Hadoop's `Reducer.run(Context)`.  The default calls
-    /// [`Reducer::reduce`] once per group; a reducer overrides it to hold
-    /// state for the span of a task instead of a group (cursors into side
-    /// data, counts flushed once at the end).  An override must emit
-    /// exactly what the per-group calls would have.
-    fn reduce_task(
-        &self,
-        groups: ReduceGroups<'_, Self::Key, Self::InValue>,
-        out: &mut Emitter<Self::OutKey, Self::OutValue>,
-    ) {
-        for (key, values) in groups {
-            self.reduce(key, values, out);
-        }
-    }
 }
 
 /// The reduce side of a round over partition-resident state (see
@@ -306,6 +290,37 @@ impl<K: Key, V: Value> Combiner for IdentityCombiner<K, V> {
     }
 }
 
+/// A reducer that passes every value through under its key, in shuffle
+/// order: for jobs whose map side does all the work, so the shuffle only
+/// partitions and orders the records and the reduce output keeps that
+/// order.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IdentityReducer<K, V> {
+    _marker: std::marker::PhantomData<fn() -> (K, V)>,
+}
+
+impl<K, V> IdentityReducer<K, V> {
+    /// Creates the identity reducer.
+    pub fn new() -> Self {
+        IdentityReducer {
+            _marker: std::marker::PhantomData,
+        }
+    }
+}
+
+impl<K: Key, V: Value> Reducer for IdentityReducer<K, V> {
+    type Key = K;
+    type InValue = V;
+    type OutKey = K;
+    type OutValue = V;
+
+    fn reduce(&self, key: &K, values: &[V], out: &mut Emitter<K, V>) {
+        for value in values {
+            out.emit(key.clone(), value.clone());
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -349,5 +364,13 @@ mod tests {
         let c: IdentityCombiner<u32, u32> = IdentityCombiner::new();
         let vals = vec![3, 1, 2];
         assert_eq!(c.combine(&0, &vals), vals);
+    }
+
+    #[test]
+    fn identity_reducer_emits_every_value_under_its_key_in_order() {
+        let r: IdentityReducer<u32, u32> = IdentityReducer::new();
+        let mut out = Emitter::new();
+        r.reduce(&7, &[3, 1, 2], &mut out);
+        assert_eq!(out.into_pairs(), vec![(7, 3), (7, 1), (7, 2)]);
     }
 }

@@ -104,31 +104,6 @@ impl Reducer for Ids {
     }
 }
 
-/// [`Ids`] through the per-task entry, counting the tasks it was given.
-struct IdsPerTask {
-    tasks: AtomicU64,
-}
-
-impl Reducer for IdsPerTask {
-    type Key = u32;
-    type InValue = Tracked;
-    type OutKey = u32;
-    type OutValue = Vec<u64>;
-    fn reduce(&self, _: &u32, _: &[Tracked], _: &mut Emitter<u32, Vec<u64>>) {
-        unreachable!("the engine enters through reduce_task");
-    }
-    fn reduce_task(
-        &self,
-        groups: ReduceGroups<'_, u32, Tracked>,
-        out: &mut Emitter<u32, Vec<u64>>,
-    ) {
-        self.tasks.fetch_add(1, Ordering::Relaxed);
-        for (k, vs) in groups {
-            Ids.reduce(k, vs, out);
-        }
-    }
-}
-
 #[test]
 fn shuffled_values_reach_the_reducer_by_move_in_shuffle_order() {
     let input: Vec<(u32, u64)> = (0..600u32).map(|i| (i, 0)).collect();
@@ -154,17 +129,6 @@ fn shuffled_values_reach_the_reducer_by_move_in_shuffle_order() {
                 seen += ids.len();
             }
             assert_eq!(seen, 2 * input.len());
-
-            let per_task = IdsPerTask {
-                tasks: AtomicU64::new(0),
-            };
-            let overridden = job.run(&Track { groups }, &per_task, input.clone());
-            assert_eq!(overridden.output, result.output);
-            assert_eq!(per_task.tasks.into_inner(), 3, "one entry per reduce task");
-            assert_eq!(
-                overridden.metrics.reduce_input_groups,
-                result.metrics.reduce_input_groups
-            );
         }
     }
     assert_eq!(

@@ -5,21 +5,20 @@
 //!   `(term, posting)` pairs for the terms of its prefix only; each
 //!   posting carries the consumer's *suffix remainder bound* (what the
 //!   pruned tail of its vector could still contribute to any dot product).
-//!   The reducer streams the grouped postings through unchanged — the
+//!   The reducer passes the grouped postings through unchanged — the
 //!   engine's deterministic merge already delivers them in doc order — and
 //!   the index is persisted in **term-range partitions** through the
 //!   flow's side [`smr_storage::DatasetStore`].
-//! * **Job 2 — probing and verification with partial products**: every
-//!   item probes only the index partitions its terms fall into (opened on
-//!   demand, never the whole index), accumulating
-//!   `w_item · w_consumer` **partial products** per candidate.  A
-//!   candidate whose accumulated score plus remainder bound cannot reach σ
-//!   is pruned *before the shuffle* — it never becomes a record.  The
-//!   summing `PartialScoreCombiner` keeps the per-pair accumulation
-//!   correct at any engine granularity, and the verify reducer thresholds
-//!   the accumulated score once more, fetching the two vectors of a
-//!   surviving pair from the flow's chunked [`DiskVectorStore`] — it holds
-//!   no `Arc` of either corpus — for the exact dot product.
+//! * **Job 2 — probing and verification**: every item probes only the
+//!   index partitions its terms fall into (opened on demand, never the
+//!   whole index), accumulating `w_item · w_consumer` **partial products**
+//!   per candidate.  A candidate whose accumulated score plus remainder
+//!   bound cannot reach σ is pruned; every other candidate is verified on
+//!   the spot with one exact dot product against the consumer vector the
+//!   mapper already holds ([`verify_candidates`]).  Only pairs whose
+//!   similarity reaches σ are emitted, so the shuffle carries true edges
+//!   only; its pass-through reducer fixes their order (hash partition,
+//!   then pair), and that order fixes the edge ids.
 //!
 //! The two jobs run as one lazy [`Dataset`] chain over a shared
 //! [`FlowContext`]; the probe job reports the join's domain counters
@@ -34,42 +33,34 @@
 //! it applies — the exact join, the sketch generators of `smr_sketch` and
 //! the serving path: *alignment* ([`AlignedCorpora`]), the *index plan*
 //! and posting rule ([`IndexPlan`]), the *probe* ([`probe_index`] walking
-//! partition runs for a per-run visitor, pruning with [`survives`]) and
-//! the *chain* ([`candidate_chain`], with [`prefix_filter_join`] its
-//! index → probe instance).
+//! partition runs for a per-run visitor, pruning with [`survives`]), the
+//! *verification* ([`verify_candidates`]) and the *chain*
+//! ([`candidate_chain`], with [`prefix_filter_join`] its index → probe
+//! instance).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
 use smr_graph::{BipartiteGraph, GraphBuilder};
 use smr_mapreduce::flow::{Dataset, FlowContext};
 use smr_mapreduce::types::{Key, Value};
-use smr_mapreduce::{Combiner, Counters, Emitter, JobMetrics, Mapper, ReduceGroups, Reducer};
-use smr_storage::impl_codec_struct;
+use smr_mapreduce::{Counters, Emitter, IdentityReducer, JobMetrics, Mapper};
 use smr_text::{Corpus, SparseVector, TermId};
 
 use crate::accum::ScoreAccumulator;
 use crate::align::AlignedCorpora;
 use crate::index::{IndexPlan, Posting};
-use crate::store::{DiskVectorStore, IndexPartition, PartitionedIndex, PostingsRef, VectorCursor};
+use crate::store::{IndexPartition, PartitionedIndex, PostingsRef};
 
 /// Names of the join's domain counters, reported in the probe job's
 /// [`JobMetrics::user_counters`].
 pub mod counter {
     /// Candidate pairs discarded because accumulated partial products plus
-    /// the remainder bound cannot reach σ — no vector fetch, no dot
-    /// product (and, for the map-side majority, no shuffle record).
+    /// the remainder bound cannot reach σ — no dot product, no shuffle
+    /// record.
     pub const CANDIDATES_PRUNED: &str = "candidates_pruned";
-    /// The subset of [`CANDIDATES_PRUNED`] discarded at the *reducer*:
-    /// pairs whose accumulated evidence only revealed them unreachable
-    /// after the shuffle.  Zero in the current dataflow (the mapper prunes
-    /// on complete per-item scores), but kept separate so the candidate
-    /// accounting cannot double-count a reduce-input group as a map-side
-    /// prune if a future dataflow splits a pair's partials.
-    pub const VERIFY_PRUNED: &str = "verify_pruned";
-    /// Surviving candidates verified with an exact dot product against
-    /// vectors fetched from the disk store.
+    /// Candidates verified with an exact dot product in the probe mapper
+    /// ([`crate::join::verify_candidates`]).
     pub const VERIFY_EXACT: &str = "verify_exact";
     /// Term-range partitions job 1's index was persisted into.
     pub const INDEX_PARTITIONS: &str = "index_partitions";
@@ -125,13 +116,13 @@ pub struct SimJoinResult {
     /// The candidate-edge graph (items × consumers, weights = similarity).
     pub graph: BipartiteGraph,
     /// Number of candidate pairs generated by probing, before any pruning
-    /// or verification (what a dedup-only probe would have shuffled).
+    /// or verification: `candidates_pruned + verify_exact`.
     pub candidate_pairs: usize,
     /// Candidates discarded on `partial score + remainder bound < σ`
-    /// without a shuffle record or a vector fetch.
+    /// without a dot product.
     pub candidates_pruned: usize,
-    /// Candidates that reached exact verification (a vector fetch and a
-    /// dot product each).
+    /// Candidates that reached exact verification (one in-RAM dot product
+    /// each, in the probe mapper).
     pub verify_exact: usize,
     /// Term-range partitions the inverted index was persisted into (zero
     /// for generators that do not build an inverted index).
@@ -177,52 +168,27 @@ impl Mapper for IndexMapper {
     }
 }
 
-/// Streams each term's postings through unchanged.  The engine's merge is
-/// deterministic — map tasks cover contiguous input ranges and runs merge
-/// in task order — so the grouped postings already arrive in ascending doc
-/// order; re-sorting (or cloning into per-term lists) would be pure waste.
-struct IndexReducer;
-
-impl Reducer for IndexReducer {
-    type Key = u32;
-    type InValue = Posting;
-    type OutKey = u32;
-    type OutValue = Posting;
-
-    fn reduce(&self, term: &u32, postings: &[Posting], out: &mut Emitter<u32, Posting>) {
-        debug_assert!(
-            postings.windows(2).all(|w| w[0].doc <= w[1].doc),
-            "the engine's merge must deliver postings in doc order"
-        );
-        for posting in postings {
-            out.emit(*term, *posting);
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Job 2: probing + partial-product verification
+// Job 2: probing + exact verification
 // ---------------------------------------------------------------------------
 
 /// The accumulated evidence for one candidate pair: the sum of partial
 /// products over shared indexed terms, and the upper bound on what the
 /// consumer's unindexed suffix could still add.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PartialScore {
     /// `Σ w_item(t) · w_consumer(t)` over the shared indexed terms seen so
     /// far.
     pub score: f64,
     /// Upper bound on the unindexed remainder of the dot product (the
-    /// consumer's suffix bound; every partial of a pair carries the same
-    /// value).
+    /// consumer's suffix bound; every posting of a consumer carries the
+    /// same value).
     pub remainder: f64,
 }
 
-impl_codec_struct!(PartialScore { score, remainder });
-
 /// Whether a candidate's accumulated evidence can still reach σ — the one
-/// prune test of the candidate stage (mapper, verify reducer and serving
-/// point query all decide with it): `score + remainder ≥ σ − slack`.
+/// prune test of the candidate stage (the probe mapper and the serving
+/// point query both decide with it): `score + remainder ≥ σ − slack`.
 pub fn survives(partial: &PartialScore, sigma: f64) -> bool {
     partial.score + partial.remainder >= sigma - PRUNE_SLACK
 }
@@ -304,12 +270,47 @@ pub fn probe_partition(
     }
 }
 
+/// Verifies one item's candidates exactly — the last decision of the
+/// candidate stage, taken in the probe mapper of every generator, where
+/// both vectors are already in RAM: one dot product
+/// `vector · consumers[doc]` per candidate, emitting
+/// `((item, doc), similarity)` only when it reaches σ.  The number of
+/// verified candidates is added to [`counter::VERIFY_EXACT`] once per
+/// call.
+///
+/// Whatever generated the candidates, an emitted weight is the exact
+/// similarity: bit-identical across generators and to the serving path.
+pub fn verify_candidates(
+    item: usize,
+    vector: &SparseVector,
+    consumers: &[SparseVector],
+    candidates: impl IntoIterator<Item = usize>,
+    sigma: f64,
+    counters: &Counters,
+    out: &mut Emitter<(usize, usize), f64>,
+) {
+    let mut verified = 0u64;
+    for doc in candidates {
+        verified += 1;
+        let similarity = vector.dot(&consumers[doc]);
+        if similarity >= sigma {
+            out.emit((item, doc), similarity);
+        }
+    }
+    // A counter exists only once something was counted under it.
+    if verified > 0 {
+        counters.add(counter::VERIFY_EXACT, verified);
+    }
+}
+
 /// Job 2's mapper: probes the index with every item through `visit` (the
 /// per-run visitor of [`probe_index`], additionally told which item is
-/// probing) and emits the surviving candidates — a pruned candidate never
-/// crosses the shuffle.
+/// probing) and verifies the surviving candidates against the in-RAM
+/// consumer vectors ([`verify_candidates`]) — neither a pruned nor a
+/// failed candidate crosses the shuffle.
 struct ProbeMapper<F> {
     items: Arc<[SparseVector]>,
+    consumers: Arc<[SparseVector]>,
     index: Arc<PartitionedIndex>,
     sigma: f64,
     counters: Counters,
@@ -322,185 +323,28 @@ where
 {
     type InKey = usize; // item dense index
     type InValue = usize; // ditto
-    type OutKey = (usize, usize); // (item, consumer) candidate pair
-    type OutValue = PartialScore;
+    type OutKey = (usize, usize); // (item, consumer) edge
+    type OutValue = f64; // exact similarity, ≥ σ
 
-    fn map(&self, item: &usize, _: &usize, out: &mut Emitter<(usize, usize), PartialScore>) {
-        let entries = self.items[*item].entries();
+    fn map(&self, item: &usize, _: &usize, out: &mut Emitter<(usize, usize), f64>) {
+        let vector = &self.items[*item];
         let (survivors, pruned) = probe_index(
             &self.index,
-            entries,
+            vector.entries(),
             self.sigma,
             |partition, run, scores| (self.visit)(*item, partition, run, scores),
         );
-        for (doc, partial) in survivors {
-            out.emit((*item, doc), partial);
-        }
+        verify_candidates(
+            *item,
+            vector,
+            &self.consumers,
+            survivors.into_iter().map(|(doc, _)| doc),
+            self.sigma,
+            &self.counters,
+            out,
+        );
         if pruned > 0 {
             self.counters.add(counter::CANDIDATES_PRUNED, pruned);
-        }
-    }
-}
-
-/// Map-side combiner of job 2: partial products of the same pair **sum**
-/// (and the remainder bounds — identical by construction — take their
-/// max), so however the engine slices a pair's records across buffers,
-/// spills and runs, exactly one accumulated record per candidate reaches
-/// the reducer, carrying the full prefix score.
-struct PartialScoreCombiner;
-
-fn fold_partials(partials: &[PartialScore]) -> PartialScore {
-    let mut total = PartialScore {
-        score: 0.0,
-        remainder: 0.0,
-    };
-    for partial in partials {
-        total.score += partial.score;
-        total.remainder = total.remainder.max(partial.remainder);
-    }
-    total
-}
-
-impl Combiner for PartialScoreCombiner {
-    type Key = (usize, usize);
-    type Value = PartialScore;
-
-    fn combine(&self, _pair: &(usize, usize), partials: &[PartialScore]) -> Vec<PartialScore> {
-        vec![fold_partials(partials)]
-    }
-}
-
-/// Verifies surviving candidates exactly.  The reducer holds **no**
-/// in-memory copy of either corpus: the accumulated score is thresholded
-/// first (a pair that cannot reach σ is dropped without any fetch), and
-/// only survivors cost a chunked read from the [`DiskVectorStore`]s plus
-/// one exact dot product.  [`candidate_chain`] builds one per chain, so
-/// every generator closes with the same exact-verification stage (emitted
-/// candidates carry true, bit-identical scores whatever generated them).
-///
-/// The work happens in a `VerifyTask`, the reducer's state for the span
-/// of one reduce task: the engine's per-task entry opens one, so nothing
-/// shared (counter map, chunk LRU) is touched per pair.
-pub struct VerifyReducer {
-    items: DiskVectorStore,
-    consumers: DiskVectorStore,
-    sigma: f64,
-    counters: Counters,
-}
-
-impl VerifyReducer {
-    /// Verifies every pair of one reduce task unconditionally: counts
-    /// each as [`counter::VERIFY_EXACT`], fetches both vectors, and emits
-    /// the pair with its exact similarity if that reaches σ.  For
-    /// generators whose candidates carry no partial score to threshold
-    /// first.
-    pub fn verify_all<'a>(
-        &self,
-        pairs: impl Iterator<Item = &'a (usize, usize)>,
-        out: &mut Emitter<(usize, usize), f64>,
-    ) {
-        let mut task = self.task();
-        for pair in pairs {
-            task.verify(pair, out);
-        }
-    }
-
-    /// Opens the verification state of one reduce task.
-    fn task(&self) -> VerifyTask<'_> {
-        VerifyTask {
-            items: self.items.cursor(),
-            consumers: self.consumers.cursor(),
-            sigma: self.sigma,
-            counters: &self.counters,
-            verified: 0,
-            pruned: 0,
-        }
-    }
-}
-
-/// One reduce task's worth of exact verification: a [`VectorCursor`] per
-/// side (reduce keys arrive sorted by `(item, consumer)`, so the item
-/// cursor changes chunk once per 256 items and the consumer cursor a
-/// handful of times per item) and local counts, added to the shared
-/// [`Counters`] once when the task is dropped.
-struct VerifyTask<'a> {
-    items: VectorCursor<'a>,
-    consumers: VectorCursor<'a>,
-    sigma: f64,
-    counters: &'a Counters,
-    verified: u64,
-    pruned: u64,
-}
-
-impl VerifyTask<'_> {
-    /// Verifies one pair exactly.
-    fn verify(&mut self, pair: &(usize, usize), out: &mut Emitter<(usize, usize), f64>) {
-        let (item, consumer) = *pair;
-        self.verified += 1;
-        let similarity = self.items.get(item).dot(self.consumers.get(consumer));
-        if similarity >= self.sigma {
-            out.emit(*pair, similarity);
-        }
-    }
-
-    /// Thresholds one pair's accumulated score, then verifies it.
-    fn reduce(
-        &mut self,
-        pair: &(usize, usize),
-        partials: &[PartialScore],
-        out: &mut Emitter<(usize, usize), f64>,
-    ) {
-        if survives(&fold_partials(partials), self.sigma) {
-            self.verify(pair, out);
-        } else {
-            // Map-side pruning already catches this in the current
-            // dataflow; the guard keeps the reducer correct on its own
-            // terms (it sees only accumulated evidence, never vectors).
-            self.pruned += 1;
-        }
-    }
-}
-
-impl Drop for VerifyTask<'_> {
-    fn drop(&mut self) {
-        // A counter exists only once something was counted under it, as
-        // when every pair added its own 1.
-        if self.verified > 0 {
-            self.counters.add(counter::VERIFY_EXACT, self.verified);
-        }
-        if self.pruned > 0 {
-            // VERIFY_PRUNED marks a post-shuffle prune so the candidate
-            // accounting can tell it apart from map-side ones.
-            self.counters.add(counter::CANDIDATES_PRUNED, self.pruned);
-            self.counters.add(counter::VERIFY_PRUNED, self.pruned);
-        }
-    }
-}
-
-impl Reducer for VerifyReducer {
-    type Key = (usize, usize);
-    type InValue = PartialScore;
-    type OutKey = (usize, usize);
-    type OutValue = f64;
-
-    /// A task of one group.
-    fn reduce(
-        &self,
-        pair: &(usize, usize),
-        partials: &[PartialScore],
-        out: &mut Emitter<(usize, usize), f64>,
-    ) {
-        self.task().reduce(pair, partials, out);
-    }
-
-    fn reduce_task(
-        &self,
-        groups: ReduceGroups<'_, (usize, usize), PartialScore>,
-        out: &mut Emitter<(usize, usize), f64>,
-    ) {
-        let mut task = self.task();
-        for (pair, partials) in groups {
-            task.reduce(pair, partials, out);
         }
     }
 }
@@ -562,8 +406,8 @@ pub fn mapreduce_similarity_join_vectors_flow(
 /// (`{stage_prefix}index`) builds the pruned inverted index from the
 /// [`IndexPlan`] of the two sides; the hand-off persists it in term-range
 /// partitions under the chain's side prefix; stage 2 (`{stage_prefix}probe`)
-/// probes it on demand with `visit` — partial-product accumulation with
-/// map-side suffix-bound pruning, summing combiner, exact verification.
+/// probes it on demand with `visit` — partial-product accumulation,
+/// suffix-bound pruning and exact verification, all in the mapper.
 ///
 /// `visit` is [`probe_index`]'s per-run visitor, additionally told which
 /// item is probing.  The exact join passes [`probe_partition`]; a sampling
@@ -587,9 +431,10 @@ where
     let plan = Arc::new(IndexPlan::derive(items.0, consumers.0));
     let vocab_size = plan.vocab_size();
     // One shared copy of each corpus: the job inputs are dense indices,
-    // the vectors ride in the mappers.
+    // the vectors ride in the mappers (the consumers in both jobs').
     let item_vectors: Arc<[SparseVector]> = items.0.into();
     let consumer_vectors: Arc<[SparseVector]> = consumers.0.into();
+    let probe_consumers = Arc::clone(&consumer_vectors);
     let side = flow.side_store();
     let index_name = format!("{stage_prefix}index");
     let probe_name = format!("{stage_prefix}probe");
@@ -609,9 +454,9 @@ where
                     sigma,
                 })
                 .named(index_name)
-                .reduce_with(IndexReducer)
+                .reduce_with(IdentityReducer::new())
         },
-        move |postings, item_ids, side_prefix, verify| {
+        move |postings, item_ids, side_prefix| {
             // Job 1's output becomes job 2's side data: the index goes to
             // the flow's side store in term-range partitions that probe
             // mappers open on demand (the distributed-cache role, without
@@ -622,32 +467,32 @@ where
             item_ids
                 .map_with(ProbeMapper {
                     items: item_vectors,
+                    consumers: probe_consumers,
                     index: Arc::new(index),
                     sigma,
                     counters: probe_counters.clone(),
                     visit,
                 })
                 .named(probe_name)
-                .combined_with(PartialScoreCombiner)
                 .with_counters(probe_counters)
-                .reduce_with(verify)
+                .reduce_with(IdentityReducer::new())
         },
     )
 }
 
-/// The one two-job chain under every candidate generator: stages both
-/// sides as chunked [`DiskVectorStore`]s under a chain-unique prefix of
-/// the flow's side store, runs `index_job` over the consumers' dense
-/// indices, hands its output — with the items' dense indices, the side
-/// prefix and the chain's [`VerifyReducer`] — to `probe_job`, which
-/// returns the sealed second job ending in exact verification; then
-/// reclaims the side prefix, closes the candidate accounting and
-/// assembles the verified pairs into the candidate graph.
+/// The one two-job chain under every candidate generator: runs
+/// `index_job` over the consumers' dense indices, hands its output — with
+/// the items' dense indices and a chain-unique prefix of the flow's side
+/// store — to `probe_job`, which returns the sealed second job emitting
+/// verified `((item, consumer), similarity)` edges; then reclaims the side
+/// prefix, closes the candidate accounting and assembles the edges into
+/// the candidate graph.
 ///
 /// Records flow between the stages by move and nothing executes until the
 /// helper collects the chain.  `counters` must be the set `probe_job`
-/// runs its job with: the accounting reads [`counter`]'s names from it
-/// (a generator that never prunes or partitions leaves those at zero).
+/// runs its job with: the accounting reads [`counter`]'s names from it,
+/// and `candidate_pairs = candidates_pruned + verify_exact` for every
+/// generator (one that never prunes or partitions leaves those at zero).
 #[allow(clippy::too_many_arguments)]
 pub fn candidate_chain<K: Key, V: Value>(
     generator: &str,
@@ -657,12 +502,7 @@ pub fn candidate_chain<K: Key, V: Value>(
     flow: &FlowContext,
     counters: Counters,
     index_job: impl FnOnce(Dataset<usize, usize>) -> Dataset<K, V>,
-    probe_job: impl FnOnce(
-            Vec<(K, V)>,
-            Dataset<usize, usize>,
-            &str,
-            VerifyReducer,
-        ) -> Dataset<(usize, usize), f64>
+    probe_job: impl FnOnce(Vec<(K, V)>, Dataset<usize, usize>, &str) -> Dataset<(usize, usize), f64>
         + 'static,
 ) -> SimJoinResult {
     assert_eq!(item_vectors.len(), item_names.len());
@@ -674,16 +514,6 @@ pub fn candidate_chain<K: Key, V: Value>(
     // Unique per chain within this flow, so chained joins (or mixed
     // generators in one pipeline) never collide.
     let side_prefix = format!("{generator}-{jobs_start}");
-    let verify = VerifyReducer {
-        items: DiskVectorStore::write(&side, &format!("{side_prefix}/items"), item_vectors),
-        consumers: DiskVectorStore::write(
-            &side,
-            &format!("{side_prefix}/consumers"),
-            consumer_vectors,
-        ),
-        sigma,
-        counters: counters.clone(),
-    };
     let dense = |n: usize| -> Vec<(usize, usize)> { (0..n).map(|i| (i, i)).collect() };
     let item_ids = dense(item_vectors.len());
     // `then` runs inside the lazy plan, so the index size is smuggled out
@@ -695,12 +525,12 @@ pub fn candidate_chain<K: Key, V: Value>(
     let verified = index_job(flow.dataset(dense(consumer_vectors.len())))
         .then(move |indexed, flow| {
             indexed_entries_probe.store(indexed.len(), Ordering::Relaxed);
-            probe_job(indexed, flow.dataset(item_ids), &probe_prefix, verify)
+            probe_job(indexed, flow.dataset(item_ids), &probe_prefix)
         })
         .collect();
 
-    // The chain's side data (index partitions, vector chunks) is dead once
-    // it has run; reclaim it now instead of at flow drop.
+    // The chain's side data (index partitions) is dead once it has run;
+    // reclaim it now instead of at flow drop.
     let dataset_prefix = format!("{side_prefix}/");
     for path in side.paths() {
         if path.starts_with(&dataset_prefix) {
@@ -710,14 +540,7 @@ pub fn candidate_chain<K: Key, V: Value>(
 
     let job_metrics = flow.jobs_from(jobs_start);
     let candidates_pruned = counters.get(counter::CANDIDATES_PRUNED) as usize;
-    // Generated candidates = reduce-input groups + *map-side* prunes.  A
-    // reducer-side prune (VERIFY_PRUNED, a subset of CANDIDATES_PRUNED)
-    // is already one of the groups, so it must not be added again.
-    let map_side_pruned = candidates_pruned - counters.get(counter::VERIFY_PRUNED) as usize;
-    let candidate_pairs = job_metrics
-        .last()
-        .map_or(0, |m| m.reduce_input_groups as usize)
-        + map_side_pruned;
+    let verify_exact = counters.get(counter::VERIFY_EXACT) as usize;
 
     let mut builder = GraphBuilder::new();
     for name in item_names {
@@ -741,9 +564,9 @@ pub fn candidate_chain<K: Key, V: Value>(
     SimJoinResult {
         generator: generator.to_string(),
         graph: builder.build(),
-        candidate_pairs,
+        candidate_pairs: candidates_pruned + verify_exact,
         candidates_pruned,
-        verify_exact: counters.get(counter::VERIFY_EXACT) as usize,
+        verify_exact,
         index_partitions: counters.get(counter::INDEX_PARTITIONS) as usize,
         indexed_entries: indexed_entries.load(Ordering::Relaxed),
         shuffled_records: stage_shuffles.iter().map(|s| s.records).sum(),
@@ -866,14 +689,19 @@ mod tests {
             );
             assert!(result.graph.edges().iter().all(|e| e.weight >= sigma));
             assert_eq!(result.job_metrics.len(), 2);
-            // Candidate accounting is closed: generated = pruned + shuffled.
-            let probe = &result.job_metrics[1];
+            // Candidate accounting is closed: generated = pruned +
+            // verified, and only the verified edges cross the probe
+            // shuffle.
             assert_eq!(
                 result.candidate_pairs,
-                result.candidates_pruned + probe.reduce_input_groups as usize,
+                result.candidates_pruned + result.verify_exact,
                 "sigma={sigma}"
             );
-            assert_eq!(result.verify_exact, probe.reduce_input_groups as usize);
+            assert_eq!(
+                result.job_metrics[1].shuffle_records,
+                result.graph.num_edges() as u64,
+                "sigma={sigma}"
+            );
             assert!(result.index_partitions >= 1);
         }
     }
@@ -893,27 +721,26 @@ mod tests {
     fn suffix_bound_pruning_shrinks_the_probe_shuffle() {
         // Vectors share many terms with wide weight spreads, so plenty of
         // candidate pairs share only light terms: their partial score plus
-        // remainder bound cannot reach σ and they must be pruned *before*
-        // the shuffle.
+        // remainder bound cannot reach σ and they must be pruned before
+        // any dot product.
         let items = synthetic_vectors(12, 10, 5);
         let consumers = synthetic_vectors(14, 10, 6);
         let result = join(&items, &consumers, 0.4);
         let probe = &result.job_metrics[1];
         assert!(result.candidates_pruned > 0, "{result:?}");
+        // Exact verification is exactly the surviving candidates — pruned
+        // pairs never cost a dot product.
         assert_eq!(
-            probe.shuffle_records,
-            (result.candidate_pairs - result.candidates_pruned) as u64,
-            "only unpruned candidates may cross the shuffle"
+            result.verify_exact,
+            result.candidate_pairs - result.candidates_pruned,
+            "one exact verification per survivor"
         );
+        // Only true edges cross the shuffle: neither a pruned nor a
+        // failed candidate becomes a record.
+        assert_eq!(probe.shuffle_records, result.graph.num_edges() as u64);
         assert!(
             (probe.shuffle_records as usize) < result.candidate_pairs,
             "pruning must shrink the shuffle below the generated candidates"
-        );
-        // Exact verification is exactly the surviving candidates — pruned
-        // pairs never cost a vector fetch.
-        assert_eq!(
-            result.verify_exact, probe.shuffle_records as usize,
-            "one exact verification per survivor"
         );
         // The domain counters are reported through the probe job.
         assert_eq!(
@@ -936,7 +763,8 @@ mod tests {
     }
 
     /// Hand-wires the two jobs — index persisted to a side store, probe
-    /// verified against disk-backed vectors — and checks the flow chain
+    /// candidates verified in the mapper against the in-RAM vectors,
+    /// edges passed through the reducer — and checks the flow chain
     /// against it, byte for byte: same edges in the same order with the
     /// same weights, same candidate accounting and same per-job record
     /// flow.
@@ -956,13 +784,14 @@ mod tests {
         let _ = std::fs::remove_dir_all(&side_root);
         let side = DatasetStore::open(&side_root).unwrap();
         let plan = Arc::new(IndexPlan::derive(&items, &consumers));
+        let consumer_vectors: Arc<[SparseVector]> = consumers.as_slice().into();
         let index_result = Job::new(job_config.clone().with_name("regression-index")).run(
             &IndexMapper {
-                consumers: consumers.as_slice().into(),
+                consumers: Arc::clone(&consumer_vectors),
                 plan: Arc::clone(&plan),
                 sigma,
             },
-            &IndexReducer,
+            &IdentityReducer::new(),
             (0..consumers.len()).map(|i| (i, i)).collect(),
         );
         let index = Arc::new(PartitionedIndex::write(
@@ -972,29 +801,20 @@ mod tests {
             plan.vocab_size(),
         ));
         let manual_counters = Counters::new();
-        let probe_result = Job::new(job_config.clone().with_name("regression-probe"))
-            .run_with_combiner(
-                &ProbeMapper {
-                    items: items.as_slice().into(),
-                    index: Arc::clone(&index),
-                    sigma,
-                    counters: manual_counters.clone(),
-                    visit: |_,
-                            partition: &IndexPartition,
-                            run: &[(TermId, f64)],
-                            scores: &mut _| {
-                        probe_partition(partition, run, scores)
-                    },
+        let probe_result = Job::new(job_config.clone().with_name("regression-probe")).run(
+            &ProbeMapper {
+                items: items.as_slice().into(),
+                consumers: consumer_vectors,
+                index: Arc::clone(&index),
+                sigma,
+                counters: manual_counters.clone(),
+                visit: |_, partition: &IndexPartition, run: &[(TermId, f64)], scores: &mut _| {
+                    probe_partition(partition, run, scores)
                 },
-                &PartialScoreCombiner,
-                &VerifyReducer {
-                    items: DiskVectorStore::write(&side, "items", &items),
-                    consumers: DiskVectorStore::write(&side, "consumers", &consumers),
-                    sigma,
-                    counters: manual_counters.clone(),
-                },
-                (0..items.len()).map(|i| (i, i)).collect(),
-            );
+            },
+            &IdentityReducer::new(),
+            (0..items.len()).map(|i| (i, i)).collect(),
+        );
 
         // --- the flow chain ---
         let flow = FlowContext::new(job_config);
@@ -1004,6 +824,11 @@ mod tests {
         // weights.
         let manual_edges: Vec<((usize, usize), f64)> = probe_result.output;
         assert_eq!(result.graph.num_edges(), manual_edges.len());
+        assert_eq!(
+            probe_result.metrics.shuffle_records,
+            manual_edges.len() as u64,
+            "only verified edges cross the probe shuffle"
+        );
         for (edge, ((item, consumer), weight)) in
             result.graph.edges().iter().zip(manual_edges.iter())
         {
@@ -1025,15 +850,8 @@ mod tests {
         );
         assert_eq!(
             result.candidate_pairs,
-            (probe_result.metrics.reduce_input_groups
-                + manual_counters.get(counter::CANDIDATES_PRUNED)
-                - manual_counters.get(counter::VERIFY_PRUNED)) as usize
-        );
-        assert_eq!(
-            manual_counters.get(counter::VERIFY_PRUNED),
-            0,
-            "the map-side prune runs on complete scores; nothing is left \
-             for the reducer guard"
+            (manual_counters.get(counter::CANDIDATES_PRUNED)
+                + manual_counters.get(counter::VERIFY_EXACT)) as usize
         );
         let report = flow.report();
         assert_eq!(report.num_jobs(), 2, "the join is exactly two jobs");

@@ -15,12 +15,14 @@
 //!   *remainder bound* of partial-product verification),
 //! * [`index`] — the [`IndexPlan`] (query-side maxima + global term order)
 //!   and the one rule turning a consumer vector into prefix postings,
-//! * [`store`] — the join's disk-backed side data: the index in term-range
-//!   partitions and the corpora in vector chunks, both opened on demand,
+//! * [`store`] — disk-backed side data: the index in term-range
+//!   partitions and the serving corpus in vector chunks, both opened on
+//!   demand,
 //! * [`baseline`] — an exact all-pairs join used as ground truth,
 //! * [`join`] — the two-MapReduce-job chain (index construction, then
-//!   partial-product probing with suffix-bound pruning + exact
-//!   verification) producing a [`smr_graph::BipartiteGraph`]; see
+//!   partial-product probing with suffix-bound pruning and exact
+//!   verification in the probe mapper) producing a
+//!   [`smr_graph::BipartiteGraph`]; see
 //!   `docs/simjoin.md` for the filter math and the dataflow,
 //! * [`serving`] — the index kept alive after the batch build: point
 //!   queries ([`ServingIndex::match_one`]) and micro-batch appends against
@@ -71,8 +73,8 @@ pub use baseline::baseline_similarity_join;
 pub use index::{IndexPlan, Posting};
 pub use join::{
     candidate_chain, mapreduce_similarity_join_flow, mapreduce_similarity_join_vectors_flow,
-    prefix_filter_join, probe_index, probe_partition, stage_shuffles, survives, PartialScore,
-    SimJoinResult, StageShuffle, VerifyReducer, EXACT_GENERATOR,
+    prefix_filter_join, probe_index, probe_partition, stage_shuffles, survives, verify_candidates,
+    PartialScore, SimJoinResult, StageShuffle, EXACT_GENERATOR,
 };
 pub use prefix::{prefix_length, suffix_remainder_bound, term_max_weights};
 pub use serving::{ScoredMatch, ServingIndex};

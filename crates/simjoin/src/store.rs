@@ -1,17 +1,16 @@
 //! Disk-backed side data of the streaming join.
 //!
-//! The two artifacts the join used to hold wholesale in memory now live in
-//! a [`DatasetStore`] (normally a flow's side store) and are opened on
-//! demand:
+//! Two artifacts of the candidate stage live in a [`DatasetStore`]
+//! (normally a flow's side store) and are opened on demand:
 //!
 //! * [`PartitionedIndex`] — job 1's pruned inverted index, persisted in
 //!   **term-range partitions**.  A probe mapper only opens the partitions
 //!   its query terms fall into, so a mapper's working set is a handful of
 //!   partitions instead of the whole index.
 //! * [`DiskVectorStore`] — a corpus as fixed-size **vector chunks**.  The
-//!   verify reducer fetches the two vectors of a surviving candidate from
-//!   here instead of holding `Arc` clones of both corpora, through a
-//!   [`VectorCursor`] that pins the chunk it last read.
+//!   serving index reads the consumer vector of a surviving candidate
+//!   from here, through a [`VectorCursor`] that pins the chunk it last
+//!   read.
 //!
 //! Both keep a small bounded LRU cache of decoded partitions/chunks.
 //! Concurrent misses on the same block coalesce into a single disk read
@@ -385,6 +384,12 @@ impl PartitionedIndex {
             // keeping each term's postings in their deterministic doc
             // order.
             bucket.sort_by_key(|(term, _)| *term);
+            debug_assert!(
+                bucket
+                    .windows(2)
+                    .all(|w| w[0].0 != w[1].0 || w[0].1.doc <= w[1].1.doc),
+                "the engine's merge must deliver each term's postings in doc order"
+            );
             write_block(store, &format!("{prefix}/part-{p}"), &bucket);
         }
         PartitionedIndex {
@@ -538,8 +543,7 @@ impl DiskVectorStore {
         f(self.cursor().get(i))
     }
 
-    /// A read cursor for a run of lookups (one reduce task, the survivors
-    /// of one query).  It borrows the store, so [`DiskVectorStore::append`]
+    /// A read cursor for a run of lookups (the survivors of one query).  It borrows the store, so [`DiskVectorStore::append`]
     /// (`&mut self`) cannot run while a cursor is alive: a pinned chunk is
     /// never stale, and invalidation stays the shared cache's job.
     pub fn cursor(&self) -> VectorCursor<'_> {

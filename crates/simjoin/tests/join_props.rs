@@ -3,8 +3,8 @@
 //! **byte-identical** to [`baseline_similarity_join`] — same edge set with
 //! bit-identical weights — across a σ sweep × memory budgets
 //! {64 B, 4 KiB, unlimited} × thread counts {1, 8}.  Suffix-bound pruning
-//! and partial-product verification are pure optimizations; they may never
-//! change a single output bit.
+//! and verification in the probe mapper are pure optimizations; they may
+//! never change a single output bit.
 //!
 //! A separate determinism test pins the pruned-pair counts: 20 identical
 //! runs must report identical `candidate_pairs` / `candidates_pruned` /
@@ -91,6 +91,12 @@ proptest! {
                         result.candidates_pruned + result.verify_exact
                     );
                     prop_assert!(result.verify_exact >= result.graph.num_edges());
+                    // Verification happens in the probe mapper: the probe
+                    // job shuffles exactly the edges.
+                    prop_assert_eq!(
+                        result.job_metrics[1].shuffle_records,
+                        result.graph.num_edges() as u64
+                    );
                 }
             }
         }

@@ -1,10 +1,10 @@
 //! DISCO-style sampled probing (Bosagh Zadeh & Goel, *Dimension
 //! Independent Similarity Computation*).
 //!
-//! The exact probe emits one partial product per `(item, consumer)`
+//! The exact probe accumulates one partial product per `(item, consumer)`
 //! co-occurrence on an indexed term, so popular terms with `n_t` postings
-//! contribute `O(n_t)` work and shuffle volume per probing item — the
-//! communication cost scales with the dimension of the data.  DISCO's
+//! contribute `O(n_t)` work per probing item — the probe's cost scales
+//! with the dimension of the data.  DISCO's
 //! observation is that popular terms are also the most *redundant*: a pair
 //! that is similar shares many terms, so sampling each term's
 //! contributions with probability `p_t = min(1, λ/n_t)` (and scaling the
@@ -12,10 +12,11 @@
 //! unbiased) caps every term's expected emissions at λ regardless of
 //! `n_t`, making the probe's cost independent of term popularity.
 //!
-//! The sampled estimate only *selects* candidates; every survivor still
-//! goes through the exact [`smr_simjoin::VerifyReducer`], so emitted edges
-//! carry true, bit-identical scores and the output is always a subset of
-//! the exact join's edge set.  Recall is lost in two places: a pair whose sampled
+//! The sampled estimate only *selects* candidates; every survivor is
+//! still verified exactly in the probe mapper
+//! ([`smr_simjoin::verify_candidates`]), so emitted edges carry true,
+//! bit-identical scores and the output is always a subset of the exact
+//! join's edge set.  Recall is lost in two places: a pair whose sampled
 //! contributions all miss is never seen, and a pair whose estimate
 //! undershoots σ is pruned before verification.
 //!
@@ -37,7 +38,7 @@ use crate::CandidateGenerator;
 ///
 /// `lambda` is the expected number of postings sampled per term per
 /// probing item: larger λ samples more (λ ≥ max posting-list length is
-/// exactly the full probe), smaller λ trades recall for shuffle volume.
+/// exactly the full probe), smaller λ trades recall for probe work.
 #[derive(Debug, Clone, Copy)]
 pub struct DiscoSampler {
     seed: u64,

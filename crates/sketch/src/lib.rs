@@ -2,8 +2,8 @@
 //! prefix-filter similarity join.
 //!
 //! The paper's pipeline spends its pre-matching budget producing the
-//! candidate-edge graph, and the exact join's shuffle volume grows with
-//! the dimension of the data.  This crate abstracts the generation step
+//! candidate-edge graph, and the exact join's probe work grows with the
+//! dimension of the data.  This crate abstracts the generation step
 //! behind [`CandidateGenerator`] and provides three implementations, all
 //! expressed as the same two-job `Dataset` chain over a shared
 //! [`FlowContext`]:
@@ -16,12 +16,13 @@
 //! * [`LshBander`] — seeded MinHash signatures banded into bucket keys; a
 //!   band-bucket join replaces the inverted-index probe (see [`lsh`]).
 //!
-//! Both sketches close their chains with **exact verification** against
-//! the chunked [`smr_simjoin::DiskVectorStore`], so whatever candidates
-//! they surface carry true scores: a sketch generator's edge set is
-//! always a *subset* of the exact join's, with bit-identical weights on
-//! surviving pairs.  What varies is recall and shuffle volume — the
-//! frontier the `run-experiments sketch` harness in `smr_bench` measures.
+//! Both sketches verify whatever candidates they surface **exactly**, in
+//! their probe mappers against the in-RAM vectors
+//! ([`smr_simjoin::verify_candidates`]), so those candidates carry true
+//! scores: a sketch generator's edge set is always a *subset* of the
+//! exact join's, with bit-identical weights on surviving pairs.  What
+//! varies is recall and cost — the frontier the `run-experiments sketch`
+//! harness in `smr_bench` measures.
 //! All pseudo-randomness is stateless coordinate hashing ([`hash`]), so
 //! every generator honours the engine's determinism contract: identical
 //! output for any thread count, memory budget or shard layout.

@@ -10,17 +10,18 @@
 //! — the classic LSH S-curve, steep around `(1/bands)^(1/rows)`.
 //!
 //! * **Job 1 — banding**: every consumer emits `(band key, doc)` for each
-//!   of its bands; the reducer streams the grouped band postings through,
+//!   of its bands; the reducer passes the grouped band postings through,
 //!   and the chain's `then` materializes them as a sorted bucket list that
 //!   the probe mappers share (the distributed-cache role the partitioned
 //!   index plays for the exact join).
 //! * **Job 2 — bucket probe + verification**: every item computes its own
 //!   signature with the *same* seeded hash functions, looks up its band
-//!   keys, and emits each distinct co-bucketed consumer once.  A dedicated
-//!   verify reducer fetches the pair's vectors from the chunked
-//!   [`smr_simjoin::DiskVectorStore`]s and keeps the pair only if the
-//!   exact dot product reaches σ — so, as with DISCO, the output is a
-//!   subset of the exact join's edges with bit-identical scores.
+//!   keys, and verifies each distinct co-bucketed consumer once with an
+//!   exact dot product against the in-RAM consumer vector
+//!   ([`smr_simjoin::verify_candidates`]), emitting the pair only if it
+//!   reaches σ — so, as with DISCO, the output is a subset of the exact
+//!   join's edges with bit-identical scores, and only those edges cross
+//!   the shuffle.
 //!
 //! MinHash approximates *Jaccard* while the join thresholds *cosine*; the
 //! two agree on direction (shared terms) but not on weights, which is
@@ -32,8 +33,8 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use smr_mapreduce::flow::FlowContext;
-use smr_mapreduce::{Counters, Emitter, Mapper, ReduceGroups, Reducer};
-use smr_simjoin::{candidate_chain, SimJoinResult, VerifyReducer};
+use smr_mapreduce::{Counters, Emitter, IdentityReducer, Mapper};
+use smr_simjoin::{candidate_chain, verify_candidates, SimJoinResult};
 use smr_text::SparseVector;
 
 use crate::hash::hash_words;
@@ -135,43 +136,29 @@ impl Mapper for BandMapper {
     }
 }
 
-/// Streams each bucket's members through unchanged (the engine's merge
-/// already groups them per key, in doc order).
-#[derive(Debug, Default)]
-struct BandReducer;
-
-impl Reducer for BandReducer {
-    type Key = u64;
-    type InValue = u32;
-    type OutKey = u64;
-    type OutValue = u32;
-
-    fn reduce(&self, key: &u64, docs: &[u32], out: &mut Emitter<u64, u32>) {
-        for doc in docs {
-            out.emit(*key, *doc);
-        }
-    }
-}
-
 /// Job 2's mapper: an item's band keys, looked up in the shared sorted
-/// bucket list; every distinct co-bucketed consumer becomes exactly one
-/// emitted candidate pair (deduplicated across bands locally, so a pair
-/// costs one shuffle record however many bands it collides in).
+/// bucket list; every distinct co-bucketed consumer is verified exactly
+/// once (deduplicated across bands locally, so a pair costs one dot
+/// product however many bands it collides in) and emitted only if its
+/// similarity reaches σ.
 struct BucketProbeMapper {
     items: Arc<[SparseVector]>,
+    consumers: Arc<[SparseVector]>,
     buckets: Arc<Vec<(u64, Vec<u32>)>>,
     seed: u64,
     bands: usize,
     rows: usize,
+    sigma: f64,
+    counters: Counters,
 }
 
 impl Mapper for BucketProbeMapper {
     type InKey = usize; // item dense index
     type InValue = usize; // ditto
-    type OutKey = (usize, usize); // (item, consumer) candidate pair
-    type OutValue = ();
+    type OutKey = (usize, usize); // (item, consumer) edge
+    type OutValue = f64; // exact similarity, ≥ σ
 
-    fn map(&self, item: &usize, _: &usize, out: &mut Emitter<(usize, usize), ()>) {
+    fn map(&self, item: &usize, _: &usize, out: &mut Emitter<(usize, usize), f64>) {
         let vector = &self.items[*item];
         if vector.entries().is_empty() {
             return;
@@ -188,36 +175,15 @@ impl Mapper for BucketProbeMapper {
                 candidates.extend(self.buckets[i].1.iter().copied());
             }
         }
-        for consumer in candidates {
-            out.emit((*item, consumer as usize), ());
-        }
-    }
-}
-
-/// Verifies every candidate pair exactly ([`VerifyReducer::verify_all`]:
-/// one dot product over vectors read through a per-task cursor, keeping
-/// the pair only at `similarity ≥ σ`).  Unlike the exact join's verify
-/// stage there is no partial score to pre-threshold — LSH candidates
-/// arrive with no evidence beyond the collision itself.
-struct BucketVerifyReducer(VerifyReducer);
-
-impl Reducer for BucketVerifyReducer {
-    type Key = (usize, usize);
-    type InValue = ();
-    type OutKey = (usize, usize);
-    type OutValue = f64;
-
-    /// A task of one group.
-    fn reduce(&self, pair: &(usize, usize), _: &[()], out: &mut Emitter<(usize, usize), f64>) {
-        self.0.verify_all(std::iter::once(pair), out);
-    }
-
-    fn reduce_task(
-        &self,
-        groups: ReduceGroups<'_, (usize, usize), ()>,
-        out: &mut Emitter<(usize, usize), f64>,
-    ) {
-        self.0.verify_all(groups.map(|(pair, _)| pair), out);
+        verify_candidates(
+            *item,
+            vector,
+            &self.consumers,
+            candidates.into_iter().map(|consumer| consumer as usize),
+            self.sigma,
+            &self.counters,
+            out,
+        );
     }
 }
 
@@ -238,11 +204,12 @@ impl CandidateGenerator for LshBander {
         let LshBander { seed, bands, rows } = *self;
         let items: Arc<[SparseVector]> = item_vectors.into();
         let consumers: Arc<[SparseVector]> = consumer_vectors.into();
+        let probe_consumers = Arc::clone(&consumers);
         let counters = Counters::new();
         let probe_counters = counters.clone();
         // Every candidate is verified — LSH has no pre-verification prune
         // and no inverted index, so the chain's accounting reads zero
-        // pruned, zero partitions, and generated = reduce-input groups.
+        // pruned, zero partitions, and generated = verified.
         candidate_chain(
             &self.name(),
             (item_vectors, item_names),
@@ -259,9 +226,9 @@ impl CandidateGenerator for LshBander {
                         rows,
                     })
                     .named("lsh-bands")
-                    .reduce_with(BandReducer)
+                    .reduce_with(IdentityReducer::new())
             },
-            move |postings, item_ids, _side_prefix, verify| {
+            move |postings, item_ids, _side_prefix| {
                 // Job 1's output becomes job 2's side data.  Each bucket
                 // arrives as one contiguous run (one reduce group, members
                 // in doc order), but runs are ordered by reduce partition,
@@ -280,14 +247,17 @@ impl CandidateGenerator for LshBander {
                 item_ids
                     .map_with(BucketProbeMapper {
                         items,
+                        consumers: probe_consumers,
                         buckets: Arc::new(buckets),
                         seed,
                         bands,
                         rows,
+                        sigma,
+                        counters: probe_counters.clone(),
                     })
                     .named("lsh-probe")
                     .with_counters(probe_counters)
-                    .reduce_with(BucketVerifyReducer(verify))
+                    .reduce_with(IdentityReducer::new())
             },
         )
     }

@@ -1,4 +1,4 @@
-//! Property tests locking the sketch generators to their two contracts:
+//! Property tests locking the sketch generators to their contracts:
 //!
 //! 1. **Determinism** — for a fixed seed, `DiscoSampler` and `LshBander`
 //!    produce identical edge sets *and* identical candidate accounting
@@ -9,6 +9,9 @@
 //!    prefix-filter join's edge set with a **bit-identical** weight: the
 //!    sketches pick candidates differently but verify them with the same
 //!    exact dot product against the same aligned vectors.
+//! 3. **Verified before the shuffle** — for the exact join, DISCO and LSH
+//!    alike the probe stage shuffles exactly the edges, and the candidate
+//!    accounting closes.
 
 use std::collections::HashMap;
 
@@ -92,6 +95,8 @@ proptest! {
         let sigma = 0.2;
 
         let exact = run(&ExactPrefixJoin::new(), &items, &consumers, sigma, None, 2);
+        prop_assert_eq!(exact.stage_shuffles[1].records, exact.graph.num_edges() as u64);
+        prop_assert_eq!(exact.candidate_pairs, exact.candidates_pruned + exact.verify_exact);
         let exact_weights: HashMap<(u32, u32), u64> = exact
             .graph
             .edges()
@@ -146,6 +151,12 @@ proptest! {
             prop_assert_eq!(
                 reference.candidate_pairs,
                 reference.candidates_pruned + reference.verify_exact
+            );
+            // (c) verified in the probe mapper: the probe stage shuffles
+            // exactly the edges.
+            prop_assert_eq!(
+                reference.stage_shuffles[1].records,
+                reference.graph.num_edges() as u64
             );
         }
     }

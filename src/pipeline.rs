@@ -76,8 +76,8 @@ pub struct CandidateGraph {
     /// Candidates the join discarded on `partial score + remainder bound
     /// < σ` without touching the vectors.
     pub candidates_pruned: usize,
-    /// Candidates that cost an exact dot product against the disk-backed
-    /// vector store.
+    /// Candidates that cost an exact dot product (in the join's probe
+    /// mapper).
     pub verify_exact: usize,
     /// `(term, document)` entries indexed after prefix pruning (for
     /// sketch generators, the size of whatever standing structure their
