@@ -381,7 +381,7 @@ mod tests {
         assert_eq!(
             spilled.total_shuffled_records(),
             in_memory.total_shuffled_records(),
-            "GreedyMR has no combiner, so spilling must not change the record flow"
+            "every emitted note is shuffled, so spilling must not change the record flow"
         );
         assert!(
             spilled.job_metrics.iter().map(|m| m.disk_runs).sum::<u64>() > 0,

@@ -4,8 +4,8 @@
 //! nondeterminism into algorithm output: the same GreedyMR job, run many
 //! times under different thread counts, has to produce the identical
 //! matching *and* the identical `records_shuffled` counter every time
-//! (the per-task combine/spill schedule depends only on task content, so
-//! even the engine counters are scheduling-invariant).
+//! (the per-task spill schedule depends only on task content, so even
+//! the engine counters are scheduling-invariant).
 
 use smr_graph::{BipartiteGraph, Capacities, ConsumerId, GraphBuilder, ItemId};
 use smr_mapreduce::{FlowContext, JobConfig};
@@ -69,8 +69,8 @@ fn greedy_mr_is_deterministic_across_20_runs_with_varying_thread_counts() {
 fn greedy_mr_per_round_shuffle_counters_are_budget_invariant() {
     // Round-by-round, a run that spills every few records to disk must
     // report exactly the record flow of the unlimited-memory run — and
-    // the identical matching (GreedyMR runs no combiner, so the spill
-    // path moves bytes without changing a single record).
+    // the identical matching (every emitted record is shuffled, so the
+    // spill path moves bytes without changing a single record).
     let (graph, caps) = instance();
     // The flow's JobConfig governs the rounds, so the budget override
     // (beating any SMR_MEMORY_BUDGET ambient in the environment) has to

@@ -10,12 +10,10 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use smr_storage::{DatasetStore, StorageError};
 use smr_text::Document;
 
 use crate::powerlaw::{PowerLawSampler, ZipfSampler};
 use crate::social::{ItemCapacityPolicy, SocialDataset};
-use crate::stream::{DocumentSink, StoreDocumentSink, StreamedDataset};
 
 /// Configuration of the Yahoo!-Answers-like generator.
 #[derive(Debug, Clone)]
@@ -65,61 +63,9 @@ impl Default for AnswersGenerator {
 }
 
 impl AnswersGenerator {
-    /// Generates the dataset in memory.
+    /// Generates the dataset in memory: one question document per
+    /// question and one user document per user, each in id order.
     pub fn generate(&self) -> SocialDataset {
-        let mut items = Vec::with_capacity(self.num_questions);
-        let mut consumers = Vec::with_capacity(self.num_users);
-        let consumer_activity = self
-            .generate_into(&mut items, &mut consumers)
-            .expect("in-memory sinks cannot fail");
-        let dataset = SocialDataset {
-            name: "yahoo-answers-synthetic".to_string(),
-            items,
-            consumers,
-            // Questions have no quality signal: uniform capacities.
-            item_quality: vec![1; self.num_questions],
-            consumer_activity,
-            item_capacity_policy: ItemCapacityPolicy::Uniform,
-        };
-        debug_assert!(dataset.validate().is_ok());
-        dataset
-    }
-
-    /// Generates the dataset straight into `store`, streaming the
-    /// documents to disk under `{prefix}/items` and `{prefix}/consumers`
-    /// (see [`FlickrGenerator::generate_to_store`] — same contract:
-    /// loading the handle back yields exactly what [`generate`] produces).
-    ///
-    /// [`FlickrGenerator::generate_to_store`]: crate::flickr::FlickrGenerator::generate_to_store
-    /// [`generate`]: AnswersGenerator::generate
-    pub fn generate_to_store(
-        &self,
-        store: &DatasetStore,
-        prefix: &str,
-    ) -> Result<StreamedDataset, StorageError> {
-        let mut items = StoreDocumentSink::create(store, format!("{prefix}/items"));
-        let mut consumers = StoreDocumentSink::create(store, format!("{prefix}/consumers"));
-        let consumer_activity = self.generate_into(&mut items, &mut consumers)?;
-        Ok(StreamedDataset {
-            name: "yahoo-answers-synthetic".to_string(),
-            items: format!("{prefix}/items"),
-            consumers: format!("{prefix}/consumers"),
-            num_items: items.finish()?,
-            num_consumers: consumers.finish()?,
-            item_quality: vec![1; self.num_questions],
-            consumer_activity,
-            item_capacity_policy: ItemCapacityPolicy::Uniform,
-        })
-    }
-
-    /// The generation core: emits question documents into `items` and user
-    /// documents into `consumers` (both one at a time, in id order),
-    /// returning `consumer_activity`.
-    pub fn generate_into(
-        &self,
-        items: &mut dyn DocumentSink,
-        consumers: &mut dyn DocumentSink,
-    ) -> Result<Vec<u64>, StorageError> {
         assert!(self.num_questions > 0 && self.num_users > 0);
         assert!(self.num_topics > 0 && self.vocabulary >= self.num_topics);
         let mut rng = StdRng::seed_from_u64(self.seed);
@@ -137,18 +83,19 @@ impl AnswersGenerator {
             }
         };
 
-        // Questions: one topic each, streamed out as they are drawn.
+        // Questions: one topic each.
+        let mut items = Vec::with_capacity(self.num_questions);
         for q in 0..self.num_questions {
             let topic = topic_sampler.sample(&mut rng);
             let words: Vec<String> = (0..self.words_per_question)
                 .map(|_| format!("word{}", draw_word(&mut rng, topic)))
                 .collect();
-            items.push(Document::new(format!("question-{q}"), words.join(" ")))?;
+            items.push(Document::new(format!("question-{q}"), words.join(" ")));
         }
 
         // Users: a couple of preferred topics; their document accumulates
-        // the words of the answers they wrote.  One user document is in
-        // flight at a time.
+        // the words of the answers they wrote.
+        let mut consumers = Vec::with_capacity(self.num_users);
         let mut consumer_activity = Vec::with_capacity(self.num_users);
         for u in 0..self.num_users {
             let answers = activity_sampler.sample(&mut rng);
@@ -165,10 +112,20 @@ impl AnswersGenerator {
                     words.push(format!("word{}", draw_word(&mut rng, topic)));
                 }
             }
-            consumers.push(Document::new(format!("user-{u}"), words.join(" ")))?;
+            consumers.push(Document::new(format!("user-{u}"), words.join(" ")));
         }
 
-        Ok(consumer_activity)
+        let dataset = SocialDataset {
+            name: "yahoo-answers-synthetic".to_string(),
+            items,
+            consumers,
+            // Questions have no quality signal: uniform capacities.
+            item_quality: vec![1; self.num_questions],
+            consumer_activity,
+            item_capacity_policy: ItemCapacityPolicy::Uniform,
+        };
+        debug_assert!(dataset.validate().is_ok());
+        dataset
     }
 }
 
@@ -236,21 +193,6 @@ mod tests {
         let ones = d.consumer_activity.iter().filter(|&&a| a == 1).count();
         assert!(ones > d.num_consumers() / 3);
         assert!(*d.consumer_activity.iter().max().unwrap() > 10);
-    }
-
-    #[test]
-    fn streamed_generation_matches_in_memory() {
-        let root = std::env::temp_dir().join(format!("smr-answers-stream-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        let store = DatasetStore::open(root).unwrap();
-        let streamed = small().generate_to_store(&store, "answers").unwrap();
-        let loaded = streamed.load(&store).unwrap();
-        let in_memory = small().generate();
-        assert_eq!(loaded.items, in_memory.items);
-        assert_eq!(loaded.consumers, in_memory.consumers);
-        assert_eq!(loaded.item_quality, in_memory.item_quality);
-        assert_eq!(loaded.consumer_activity, in_memory.consumer_activity);
-        assert_eq!(loaded.item_capacity_policy, in_memory.item_capacity_policy);
     }
 
     #[test]

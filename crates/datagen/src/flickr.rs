@@ -18,12 +18,10 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use smr_storage::{DatasetStore, StorageError};
 use smr_text::Document;
 
 use crate::powerlaw::{PowerLawSampler, ZipfSampler};
 use crate::social::{ItemCapacityPolicy, SocialDataset};
-use crate::stream::{DocumentSink, StoreDocumentSink, StreamedDataset};
 
 /// Configuration of the flickr-like generator.
 #[derive(Debug, Clone)]
@@ -75,63 +73,9 @@ impl Default for FlickrGenerator {
 }
 
 impl FlickrGenerator {
-    /// Generates the dataset in memory.
+    /// Generates the dataset in memory: one photo document per photo and
+    /// one user document per user, each in id order.
     pub fn generate(&self) -> SocialDataset {
-        let mut items = Vec::with_capacity(self.num_photos);
-        let mut consumers = Vec::with_capacity(self.num_users);
-        let (item_quality, consumer_activity) = self
-            .generate_into(&mut items, &mut consumers)
-            .expect("in-memory sinks cannot fail");
-        let dataset = SocialDataset {
-            name: "flickr-synthetic".to_string(),
-            items,
-            consumers,
-            item_quality,
-            consumer_activity,
-            item_capacity_policy: ItemCapacityPolicy::QualityProportional,
-        };
-        debug_assert!(dataset.validate().is_ok());
-        dataset
-    }
-
-    /// Generates the dataset straight into `store`, streaming the
-    /// documents to disk under `{prefix}/items` and `{prefix}/consumers`
-    /// so at most one sink batch of documents is resident at a time.
-    ///
-    /// The returned handle loads back to exactly what [`generate`]
-    /// produces for the same configuration (both paths share
-    /// [`generate_into`]).
-    ///
-    /// [`generate`]: FlickrGenerator::generate
-    /// [`generate_into`]: FlickrGenerator::generate_into
-    pub fn generate_to_store(
-        &self,
-        store: &DatasetStore,
-        prefix: &str,
-    ) -> Result<StreamedDataset, StorageError> {
-        let mut items = StoreDocumentSink::create(store, format!("{prefix}/items"));
-        let mut consumers = StoreDocumentSink::create(store, format!("{prefix}/consumers"));
-        let (item_quality, consumer_activity) = self.generate_into(&mut items, &mut consumers)?;
-        Ok(StreamedDataset {
-            name: "flickr-synthetic".to_string(),
-            items: format!("{prefix}/items"),
-            consumers: format!("{prefix}/consumers"),
-            num_items: items.finish()?,
-            num_consumers: consumers.finish()?,
-            item_quality,
-            consumer_activity,
-            item_capacity_policy: ItemCapacityPolicy::QualityProportional,
-        })
-    }
-
-    /// The generation core: emits photo documents into `items` (one per
-    /// photo, in id order) and user documents into `consumers` (one per
-    /// user, in id order), returning `(item_quality, consumer_activity)`.
-    pub fn generate_into(
-        &self,
-        items: &mut dyn DocumentSink,
-        consumers: &mut dyn DocumentSink,
-    ) -> Result<(Vec<u64>, Vec<u64>), StorageError> {
         assert!(self.num_photos > 0 && self.num_users > 0);
         assert!((0.0..=1.0).contains(&self.topicality));
         let mut rng = StdRng::seed_from_u64(self.seed);
@@ -152,10 +96,9 @@ impl FlickrGenerator {
             consumer_activity.push(activity_sampler.sample(&mut rng));
         }
 
-        // Photos: owner (activity-proportional), tags, favourites.  Photo
-        // documents stream out one at a time; only the per-user used-tag
-        // sets accumulate (O(users), not O(photos · text)).
+        // Photos: owner (activity-proportional), tags, favourites.
         let total_activity: u64 = consumer_activity.iter().sum();
+        let mut items = Vec::with_capacity(self.num_photos);
         let mut item_quality = Vec::with_capacity(self.num_photos);
         // Track which tags each user actually used so the user document is
         // the union of the tags of their photos plus their interests.
@@ -181,13 +124,13 @@ impl FlickrGenerator {
                 .map(|&t| format!("tag{t}"))
                 .collect::<Vec<_>>()
                 .join(" ");
-            items.push(Document::new(format!("photo-{photo}"), text))?;
+            items.push(Document::new(format!("photo-{photo}"), text));
             item_quality.push(favorites_sampler.sample(&mut rng));
         }
 
         // Consumers: interests plus the tags of their own photos (known
-        // only once every photo has been assigned, so these flush at the
-        // end).
+        // only once every photo has been assigned).
+        let mut consumers = Vec::with_capacity(self.num_users);
         for u in 0..self.num_users {
             let mut tags: Vec<usize> = user_interests[u]
                 .iter()
@@ -201,10 +144,19 @@ impl FlickrGenerator {
                 .map(|&t| format!("tag{t}"))
                 .collect::<Vec<_>>()
                 .join(" ");
-            consumers.push(Document::new(format!("user-{u}"), text))?;
+            consumers.push(Document::new(format!("user-{u}"), text));
         }
 
-        Ok((item_quality, consumer_activity))
+        let dataset = SocialDataset {
+            name: "flickr-synthetic".to_string(),
+            items,
+            consumers,
+            item_quality,
+            consumer_activity,
+            item_capacity_policy: ItemCapacityPolicy::QualityProportional,
+        };
+        debug_assert!(dataset.validate().is_ok());
+        dataset
     }
 }
 
@@ -293,28 +245,6 @@ mod tests {
             })
         });
         assert!(any_overlap);
-    }
-
-    #[test]
-    fn streamed_generation_matches_in_memory() {
-        let root = std::env::temp_dir().join(format!("smr-flickr-stream-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        let store = DatasetStore::open(root).unwrap();
-        let streamed = small().generate_to_store(&store, "flickr").unwrap();
-        assert_eq!(streamed.num_items, 60);
-        assert_eq!(streamed.num_consumers, 15);
-        let loaded = streamed.load(&store).unwrap();
-        let in_memory = small().generate();
-        assert_eq!(loaded.items, in_memory.items);
-        assert_eq!(loaded.consumers, in_memory.consumers);
-        assert_eq!(loaded.item_quality, in_memory.item_quality);
-        assert_eq!(loaded.consumer_activity, in_memory.consumer_activity);
-        assert_eq!(loaded.item_capacity_policy, in_memory.item_capacity_policy);
-        // Capacities come straight off the handle, no document access.
-        assert_eq!(
-            streamed.capacities(1.0).item_capacities(),
-            in_memory.capacities(1.0).item_capacities()
-        );
     }
 
     #[test]

@@ -27,9 +27,6 @@
 //!   `flickr-large` and `yahoo-answers`,
 //! * [`random_graph`] — direct generation of weighted candidate-edge
 //!   graphs (bypassing the similarity join) for fast benchmarking,
-//! * [`stream`] — streaming generation: documents flow straight into a
-//!   disk-backed [`smr_storage::DatasetStore`] (`generate_to_store`)
-//!   instead of accumulating in RAM,
 //! * [`arrivals`] — deterministic item-arrival orders for the serving
 //!   pipeline (seeded shuffles carrying per-arrival capacities),
 //! * [`pathological`] — adversarial instances (the increasing-weight path
@@ -47,7 +44,6 @@ pub mod powerlaw;
 pub mod presets;
 pub mod random_graph;
 pub mod social;
-pub mod stream;
 
 pub use answers::AnswersGenerator;
 pub use arrivals::{ArrivalStream, ItemArrival};
@@ -55,7 +51,6 @@ pub use flickr::FlickrGenerator;
 pub use presets::{DatasetPreset, PresetInstance};
 pub use random_graph::{RandomGraphConfig, WeightDistribution};
 pub use social::SocialDataset;
-pub use stream::{DocumentSink, StoreDocumentSink, StreamedDataset};
 
 /// Convenience re-exports.
 pub mod prelude {
@@ -67,5 +62,4 @@ pub mod prelude {
     pub use crate::presets::{DatasetPreset, PresetInstance};
     pub use crate::random_graph::{RandomGraphConfig, WeightDistribution};
     pub use crate::social::SocialDataset;
-    pub use crate::stream::{DocumentSink, StoreDocumentSink, StreamedDataset};
 }

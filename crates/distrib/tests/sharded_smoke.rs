@@ -33,15 +33,6 @@ impl Reducer for Sum {
     }
 }
 
-struct SumCombine;
-impl Combiner for SumCombine {
-    type Key = String;
-    type Value = u64;
-    fn combine(&self, _k: &String, vs: &[u64]) -> Vec<u64> {
-        vec![vs.iter().sum()]
-    }
-}
-
 fn corpus() -> Vec<(usize, String)> {
     let words = ["pablo", "picasso", "monet", "art", "photo", "tag", "flickr"];
     (0..97)
@@ -53,7 +44,7 @@ fn corpus() -> Vec<(usize, String)> {
 }
 
 fn word_count(config: JobConfig) -> JobResult<String, u64> {
-    Job::new(config).run_with_combiner(&Tokenize, &SumCombine, &Sum, corpus())
+    Job::new(config).run(&Tokenize, &Sum, corpus())
 }
 
 fn options(shards: usize, test_name: &str) -> ShardOptions {

@@ -2,10 +2,6 @@
 
 use std::path::PathBuf;
 
-/// Default size (in records) of the per-task combining buffer used by the
-/// streaming shuffle.
-pub const DEFAULT_COMBINE_BUFFER_RECORDS: usize = 8 * 1024;
-
 /// Environment variable providing the default memory budget in bytes
 /// (see [`JobConfig::memory_budget`]).  Unset, empty, unparsable or `0`
 /// all mean "unlimited".
@@ -33,8 +29,8 @@ fn env_spill_dir() -> Option<PathBuf> {
     Some(PathBuf::from(dir))
 }
 
-/// Configuration of a single MapReduce job (and, via the driver, of every
-/// round of an iterative algorithm).
+/// Configuration of a single MapReduce job (and, through a
+/// [`crate::FlowContext`], of every job and round of a chain).
 ///
 /// The defaults give a job that uses every available core, one map task per
 /// core and one reduce task per core, which is what the experiments use.
@@ -52,25 +48,19 @@ pub struct JobConfig {
     pub num_map_tasks: usize,
     /// Number of reduce partitions.  `0` means "one per worker thread".
     pub num_reduce_tasks: usize,
-    /// Number of intermediate records a map task buffers before applying
-    /// the combiner in place (bounding the task's memory in combined
-    /// records rather than raw map output).  Ignored when the job has no
-    /// combiner.
-    pub combine_buffer_records: usize,
     /// Memory budget in bytes for the job's map-side buffers, divided
-    /// evenly among the worker threads.  A task whose combining buffer
+    /// evenly among the worker threads.  A task whose buffered map output
     /// outgrows its share — estimated as records ×
     /// `size_of::<(K, V)>()`, a lower bound for heap-carrying types —
-    /// first combines in place (if a combiner is configured) and, when
-    /// still over budget, **spills its sorted run to disk** instead of
-    /// growing without bound; the shuffle then streams disk and in-memory
+    /// **spills its sorted runs to disk** instead of growing without
+    /// bound; the shuffle then streams disk and in-memory
     /// runs through one external k-way merge.  `None` (the default unless
     /// the [`MEMORY_BUDGET_ENV`] environment variable is set) disables
     /// spilling.  The job's output is byte-identical for every budget.
     pub memory_budget: Option<u64>,
     /// Directory spilled runs are written under (a per-job subdirectory is
     /// created lazily and removed when the job finishes); a
-    /// [`crate::FlowContext`] roots its store and side data here too.
+    /// [`crate::FlowContext`] roots its side store here too.
     /// `None` (the default unless [`SPILL_DIR_ENV`] is set) uses the
     /// system temp directory.
     pub spill_dir: Option<PathBuf>,
@@ -78,7 +68,7 @@ pub struct JobConfig {
     /// *and* a process-shard runtime is installed (the `smr_distrib` crate
     /// installs one inside its sharded sessions), the job's map phase is
     /// split across that many worker OS processes, each running the
-    /// existing map + combine + spill path over a contiguous slice of the
+    /// existing map + spill path over a contiguous slice of the
     /// job's map tasks and shipping sorted runs back through run files;
     /// the coordinator merges and reduces.  A round over a
     /// [`crate::RoundState`] has no map phase and runs on the
@@ -96,7 +86,6 @@ impl Default for JobConfig {
             num_threads: 0,
             num_map_tasks: 0,
             num_reduce_tasks: 0,
-            combine_buffer_records: DEFAULT_COMBINE_BUFFER_RECORDS,
             memory_budget: env_memory_budget(),
             spill_dir: env_spill_dir(),
             process_shards: None,
@@ -132,16 +121,6 @@ impl JobConfig {
     /// Sets the number of reduce tasks (0 = one per worker).
     pub fn with_reduce_tasks(mut self, n: usize) -> Self {
         self.num_reduce_tasks = n;
-        self
-    }
-
-    /// Sets the streaming-shuffle combining-buffer size in records.
-    ///
-    /// # Panics
-    /// Panics if `records` is zero.
-    pub fn with_combine_buffer_records(mut self, records: usize) -> Self {
-        assert!(records > 0, "combine buffer must hold at least one record");
-        self.combine_buffer_records = records;
         self
     }
 
@@ -214,18 +193,15 @@ mod tests {
         assert!(c.effective_threads() >= 1);
         assert!(c.effective_map_tasks(100) >= 1);
         assert!(c.effective_reduce_tasks() >= 1);
-        assert!(c.combine_buffer_records > 0);
     }
 
     #[test]
     fn memory_budget_and_spill_dir_are_configurable() {
         let c = JobConfig::named("s")
             .with_memory_budget(Some(4096))
-            .with_spill_dir("/tmp/spills")
-            .with_combine_buffer_records(16);
+            .with_spill_dir("/tmp/spills");
         assert_eq!(c.memory_budget, Some(4096));
         assert_eq!(c.spill_dir, Some(PathBuf::from("/tmp/spills")));
-        assert_eq!(c.combine_buffer_records, 16);
         // Explicit None overrides whatever the environment provided.
         let unlimited = c.with_memory_budget(None);
         assert_eq!(unlimited.memory_budget, None);
@@ -239,12 +215,6 @@ mod tests {
                 .memory_budget,
             None
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one record")]
-    fn zero_combine_buffer_is_rejected() {
-        let _ = JobConfig::default().with_combine_buffer_records(0);
     }
 
     #[test]

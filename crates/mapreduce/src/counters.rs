@@ -48,20 +48,14 @@ impl Counter {
 pub mod builtin {
     /// Records read by map tasks.
     pub const MAP_INPUT_RECORDS: &str = "map_input_records";
-    /// Records emitted by map tasks (before combining).
+    /// Records emitted by map tasks.
     pub const MAP_OUTPUT_RECORDS: &str = "map_output_records";
-    /// Records emitted by combiners (what is actually shuffled).
-    pub const COMBINE_OUTPUT_RECORDS: &str = "combine_output_records";
-    /// Records that crossed the shuffle into reduce partitions.  Under
-    /// the streaming shuffle this is counted *after* the merge-side
-    /// combine, so it can be smaller than `combine_output_records`.
+    /// Records that crossed the shuffle into reduce partitions.
     pub const SHUFFLE_RECORDS: &str = "shuffle_records";
     /// Approximate shuffled payload in bytes (records × record size).
     pub const SHUFFLE_BYTES: &str = "shuffle_bytes";
     /// Sorted runs merged by the streaming shuffle.
     pub const MERGE_RUNS: &str = "merge_runs";
-    /// In-place combine passes triggered by map-task buffer overflow.
-    pub const COMBINE_SPILLS: &str = "combine_spills";
     /// Encoded bytes of sorted runs spilled to disk under a memory budget.
     pub const SPILL_BYTES: &str = "spill_bytes";
     /// Sorted runs spilled to disk under a memory budget.

@@ -1,4 +1,4 @@
-//! The parallel job executor: map → combine-while-partitioning → merge →
+//! The parallel job executor: map → partition → sort/spill → merge →
 //! reduce, with disk spilling under a memory budget.
 //!
 //! The executor is an in-process model of a Hadoop job, built around a
@@ -6,25 +6,20 @@
 //!
 //! 1. **Map** — worker threads pull map tasks from a work-stealing
 //!    [`TaskQueue`] (an atomic claim index over never-empty input ranges).
-//!    Each task routes every emitted pair straight into a
-//!    [`CombiningPartitionBuffer`], which applies the optional combiner
-//!    *while partitioning*: when the bounded in-memory buffer overflows it
-//!    combines in place, so a task's memory is bounded by its combined
-//!    working set rather than its raw map output.
+//!    Each task routes every emitted pair straight into the bucket of its
+//!    reduce partition ([`hash_partition`]), in emission order.
 //! 2. **Spill** — under a [`JobConfig::memory_budget`] each task watches
-//!    its buffer's byte estimate against its share of the budget.  When
-//!    combining cannot keep the buffer under budget, the task drains it
-//!    early: each partition bucket becomes a *sorted run* written to a
+//!    its buckets' byte estimate against its share of the budget.  Past
+//!    it, the task sorts every bucket into a *sorted run* written to a
 //!    spill file through the job's `SpillManager` (`spill_bytes` /
-//!    `disk_runs` metrics), and the buffer starts over empty.
-//! 3. **Run generation** — at task end every partition bucket is sorted
-//!    once (at task granularity) and combined, yielding the task's final
-//!    in-memory sorted run per partition.
+//!    `disk_runs` metrics), and the buckets start over empty.
+//! 3. **Run generation** — at task end every bucket is sorted once (at
+//!    task granularity), yielding the task's final in-memory sorted run
+//!    per partition.  Every sort is stable: equal keys keep their
+//!    emission order.
 //! 4. **Merge** — the shuffle k-way merges each reduce partition's runs
 //!    (`O(n log k)`), streaming disk runs and in-memory runs through the
-//!    same heap and applying the combiner once more across runs, so
-//!    records that different tasks emitted for the same key collapse
-//!    before they ever reach a reducer.
+//!    same tournament.
 //! 5. **Reduce** — worker threads pull reduce partitions from a second
 //!    task queue, take the (already sorted) partition by value, unzip it
 //!    once into group keys plus one contiguous value buffer and call the
@@ -53,10 +48,10 @@ use smr_storage::{CompletedRun, RunReader, SpillManager};
 use crate::config::JobConfig;
 use crate::counters::{builtin, Counters};
 use crate::metrics::JobMetrics;
-use crate::partition::{CombiningPartitionBuffer, HashPartitioner, Partitioner};
-use crate::shuffle::{merge_streams, merge_streams_combining, RunStream};
+use crate::partition::hash_partition;
+use crate::shuffle::{merge_streams, RunStream};
 use crate::task_queue::{Task, TaskQueue};
-use crate::types::{Combiner, Emitter, Key, Mapper, ReduceGroups, Reducer, Value};
+use crate::types::{Emitter, Key, Mapper, ReduceGroups, Reducer, Value};
 
 /// Below this many run records the k-way merge runs inline on the calling
 /// thread: spawning merge workers costs more than the merge itself.
@@ -103,7 +98,6 @@ pub(crate) type TaggedRuns<K, V> = Vec<Mutex<Vec<TaggedRun<K, V>>>>;
 pub(crate) struct MapOutput<K, V> {
     runs: TaggedRuns<K, V>,
     spill: Option<SpillManager>,
-    combine_buffer_records: usize,
 }
 
 impl<K: Key, V: Value> MapOutput<K, V> {
@@ -119,27 +113,19 @@ impl<K: Key, V: Value> MapOutput<K, V> {
             spill: config.memory_budget.map(|budget| {
                 SpillManager::new(budget, config.effective_threads(), config.spill_dir.clone())
             }),
-            combine_buffer_records: config.combine_buffer_records,
         }
     }
 
     /// The emission path of map task `task`.
-    pub(crate) fn task<'a, C, P>(
-        &'a self,
-        task: usize,
-        combiner: Option<&'a C>,
-        partitioner: &'a P,
-    ) -> TaskOutput<'a, K, V, C, P> {
+    pub(crate) fn task(&self, task: usize) -> TaskOutput<'_, K, V> {
         TaskOutput {
             output: self,
             task,
-            combiner,
-            partitioner,
-            buffer: CombiningPartitionBuffer::new(self.runs.len(), self.combine_buffer_records),
+            buckets: (0..self.runs.len()).map(|_| Vec::new()).collect(),
+            buffered: 0,
             emitter: Emitter::new(),
             seq: 0,
             map_output: 0,
-            combine_output: 0,
         }
     }
 
@@ -156,100 +142,78 @@ impl<K: Key, V: Value> MapOutput<K, V> {
     }
 }
 
-/// One map task's emission path: every pair the task emits is routed
-/// into its [`CombiningPartitionBuffer`]; under a memory budget a buffer
-/// past the task's share combines and then spills its sorted runs to
-/// disk; [`TaskOutput::finish`] adds the task's final in-memory runs.
-/// Every run is tagged with the task index and a spill sequence number.
-/// A map task and a round's reduce task emit through the same type.
-pub(crate) struct TaskOutput<'a, K, V, C, P> {
+/// One map task's emission path: every pair the task emits is appended
+/// to the bucket of its reduce partition; under a memory budget, buckets
+/// past the task's share are sorted and spilled to disk as runs;
+/// [`TaskOutput::finish`] adds the task's final in-memory runs.  Every
+/// run is tagged with the task index and a spill sequence number.  A map
+/// task and a round's reduce task emit through the same type.
+pub(crate) struct TaskOutput<'a, K, V> {
     output: &'a MapOutput<K, V>,
     task: usize,
-    combiner: Option<&'a C>,
-    partitioner: &'a P,
-    buffer: CombiningPartitionBuffer<K, V>,
+    /// One bucket per reduce partition, in emission order.
+    buckets: Vec<Vec<(K, V)>>,
+    /// Records across all buckets.
+    buffered: usize,
     emitter: Emitter<K, V>,
     /// The next spilled chunk's sequence number: chunks get 0, 1, …, and
     /// the final in-memory run sorts after all of them (`usize::MAX`),
     /// preserving emission order.
     seq: usize,
     map_output: u64,
-    combine_output: u64,
 }
 
-impl<K, V, C, P> TaskOutput<'_, K, V, C, P>
-where
-    K: Key,
-    V: Value,
-    C: Combiner<Key = K, Value = V>,
-    P: Partitioner<K>,
-{
+impl<K: Key, V: Value> TaskOutput<'_, K, V> {
     /// Runs `emit` with the task's emitter and routes what it emitted,
-    /// spilling when the buffer has outgrown the task's share of the
+    /// spilling when the buckets have outgrown the task's share of the
     /// budget.  Returns what `emit` returned.
     pub(crate) fn emit<T>(&mut self, emit: impl FnOnce(&mut Emitter<K, V>) -> T) -> T {
         let result = emit(&mut self.emitter);
-        let partitions = self.output.runs.len();
+        let partitions = self.buckets.len();
         self.emitter.drain_each(|key, value| {
             self.map_output += 1;
-            let p = self.partitioner.partition(&key, partitions);
-            self.buffer.push(p, key, value, self.combiner);
+            self.buffered += 1;
+            self.buckets[hash_partition(&key, partitions)].push((key, value));
         });
-        let Some(manager) = &self.output.spill else {
+        let output = self.output;
+        let Some(manager) = &output.spill else {
             return result;
         };
-        if self.buffer.approx_bytes() > manager.task_budget() {
-            // Last resort before disk: combine.  The combine must free
-            // real headroom (half the budget) to stave off the spill —
-            // merely squeaking back under budget would re-trigger a
-            // full-buffer combine every few pushes, the thrash the
-            // watermark back-off exists to prevent.
-            if let Some(combiner) = self.combiner {
-                self.buffer.combine_now(combiner);
-            }
-            if self.buffer.approx_bytes() > manager.task_budget() / 2 {
-                // Just combined (when a combiner exists): the buckets
-                // only need sorting.
-                let runs = self.buffer.take_sorted_runs(None::<&C>);
-                self.add_runs(self.seq, runs, |run| {
-                    let spilled = manager.write_run(&run);
-                    RunSource::Disk(spilled.unwrap_or_else(|e| panic!("failed to spill run: {e}")))
-                });
-                self.seq += 1;
-            }
+        // Records × `size_of::<(K, V)>()`: a lower bound for
+        // heap-carrying types, measured like `shuffle_bytes`.
+        if (self.buffered * mem::size_of::<(K, V)>()) as u64 > manager.task_budget() {
+            self.flush(self.seq, |run| {
+                let spilled = manager.write_run(&run);
+                RunSource::Disk(spilled.unwrap_or_else(|e| panic!("failed to spill run: {e}")))
+            });
+            self.seq += 1;
         }
         result
     }
 
     /// Seals the task: its final sorted runs join the map side, and its
-    /// record counts land in `counters`.
+    /// record count lands in `counters`.
     pub(crate) fn finish(mut self, counters: &Counters) {
-        counters.add(builtin::COMBINE_SPILLS, self.buffer.spills());
-        let runs = self.buffer.take_sorted_runs(self.combiner);
-        self.add_runs(usize::MAX, runs, RunSource::Memory);
+        self.flush(usize::MAX, RunSource::Memory);
         counters.add(builtin::MAP_OUTPUT_RECORDS, self.map_output);
-        counters.add(builtin::COMBINE_OUTPUT_RECORDS, self.combine_output);
     }
 
-    /// Adds the non-empty ones of `runs`, one per partition, under spill
-    /// sequence `seq`, stored by `store`.  Their records leave the task
-    /// here, so they count as combine output.
-    fn add_runs(
-        &mut self,
-        seq: usize,
-        runs: Vec<Vec<(K, V)>>,
-        store: impl Fn(Vec<(K, V)>) -> RunSource<K, V>,
-    ) {
-        for (p, run) in runs.into_iter().enumerate() {
-            if !run.is_empty() {
-                self.combine_output += run.len() as u64;
-                let source = store(run);
-                self.output.runs[p].lock().push(TaggedRun {
-                    task: self.task,
-                    seq,
-                    source,
-                });
+    /// Empties every non-empty bucket into the map side as one run of its
+    /// partition under spill sequence `seq`, stored by `store`.  The sort
+    /// is stable, so equal keys keep their emission order.
+    fn flush(&mut self, seq: usize, store: impl Fn(Vec<(K, V)>) -> RunSource<K, V>) {
+        self.buffered = 0;
+        for (p, bucket) in self.buckets.iter_mut().enumerate() {
+            if bucket.is_empty() {
+                continue;
             }
+            let mut run = mem::take(bucket);
+            run.sort_by(|a, b| a.0.cmp(&b.0));
+            self.output.runs[p].lock().push(TaggedRun {
+                task: self.task,
+                seq,
+                source: store(run),
+            });
         }
     }
 }
@@ -284,7 +248,7 @@ impl Job {
         &self.config
     }
 
-    /// Runs the job with no combiner and hash partitioning.
+    /// Runs the job with a fresh counter set.
     pub fn run<M, R>(
         &self,
         mapper: &M,
@@ -295,62 +259,24 @@ impl Job {
         M: Mapper,
         R: Reducer<Key = M::OutKey, InValue = M::OutValue>,
     {
-        self.run_full(
-            mapper,
-            None::<&crate::types::IdentityCombiner<M::OutKey, M::OutValue>>,
-            reducer,
-            &HashPartitioner::new(),
-            input,
-            Counters::new(),
-        )
+        self.run_full(mapper, reducer, input, Counters::new())
     }
 
-    /// Runs the job with a map-side combiner and hash partitioning.
-    pub fn run_with_combiner<M, C, R>(
+    /// Runs the job with an externally supplied counter set, so user
+    /// counters bumped from map/reduce code holding a clone of it land in
+    /// the job's metrics.
+    pub fn run_full<M, R>(
         &self,
         mapper: &M,
-        combiner: &C,
         reducer: &R,
-        input: Vec<(M::InKey, M::InValue)>,
-    ) -> JobResult<R::OutKey, R::OutValue>
-    where
-        M: Mapper,
-        C: Combiner<Key = M::OutKey, Value = M::OutValue>,
-        R: Reducer<Key = M::OutKey, InValue = M::OutValue>,
-    {
-        self.run_full(
-            mapper,
-            Some(combiner),
-            reducer,
-            &HashPartitioner::new(),
-            input,
-            Counters::new(),
-        )
-    }
-
-    /// Runs the job with every knob exposed: optional combiner, custom
-    /// partitioner and an externally supplied counter set (so iterative
-    /// algorithms can accumulate user counters across rounds).
-    pub fn run_full<M, C, R, P>(
-        &self,
-        mapper: &M,
-        combiner: Option<&C>,
-        reducer: &R,
-        partitioner: &P,
         input: Vec<(M::InKey, M::InValue)>,
         counters: Counters,
     ) -> JobResult<R::OutKey, R::OutValue>
     where
         M: Mapper,
-        C: Combiner<Key = M::OutKey, Value = M::OutValue>,
         R: Reducer<Key = M::OutKey, InValue = M::OutValue>,
-        P: Partitioner<M::OutKey>,
     {
         let mut metrics = self.start_metrics(&counters, input.len());
-        // An identity combiner is a no-op by contract: drop it so the job
-        // skips the combine machinery (no per-group `values.to_vec()`, no
-        // combining-buffer spills) instead of paying for nothing.
-        let combiner = combiner.filter(|c| !c.is_identity());
 
         // A job opted into process sharding delegates to the installed
         // multi-process runtime (when a sharded session is active): this
@@ -359,25 +285,15 @@ impl Job {
             self.run_process_sharded(
                 runtime.as_ref(),
                 mapper,
-                combiner,
                 reducer,
-                partitioner,
                 &input,
                 &counters,
                 &mut metrics,
             )
         } else {
             // Map + shuffle: one sorted vector of records per reduce partition.
-            let (runs, spill) = self.map_records(
-                mapper,
-                combiner,
-                partitioner,
-                &input,
-                &counters,
-                &mut metrics,
-                None,
-            );
-            let partitions = self.merge_phase(runs, combiner, &counters, &mut metrics);
+            let (runs, spill) = self.map_records(mapper, &input, &counters, &mut metrics, None);
+            let partitions = self.merge_phase(runs, &counters, &mut metrics);
             // The merge consumed every disk run: dropping the spill manager
             // here removes its temp directory before the reduce starts.
             drop(spill);
@@ -405,66 +321,41 @@ impl Job {
 
     /// The streaming map phase over a job's input records, cut into
     /// contiguous near-equal map tasks: see [`Job::map_phase`].
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn map_records<M, C, P>(
+    pub(crate) fn map_records<M: Mapper>(
         &self,
         mapper: &M,
-        combiner: Option<&C>,
-        partitioner: &P,
         input: &[(M::InKey, M::InValue)],
         counters: &Counters,
         metrics: &mut JobMetrics,
         shard: Option<std::ops::Range<usize>>,
-    ) -> (TaggedRuns<M::OutKey, M::OutValue>, Option<SpillManager>)
-    where
-        M: Mapper,
-        C: Combiner<Key = M::OutKey, Value = M::OutValue>,
-        P: Partitioner<M::OutKey>,
-    {
+    ) -> (TaggedRuns<M::OutKey, M::OutValue>, Option<SpillManager>) {
         let queue = TaskQueue::split(input.len(), self.config.effective_map_tasks(input.len()));
-        self.map_phase(
-            queue,
-            combiner,
-            partitioner,
-            counters,
-            metrics,
-            shard,
-            |task, out| {
-                for (key, value) in &input[task.range.clone()] {
-                    out.emit(|emitter| mapper.map(key, value, emitter));
-                }
-            },
-        )
+        self.map_phase(queue, counters, metrics, shard, |task, out| {
+            for (key, value) in &input[task.range.clone()] {
+                out.emit(|emitter| mapper.map(key, value, emitter));
+            }
+        })
     }
 
     /// The streaming map phase: worker threads pull the tasks of `queue`
     /// and `map_task` feeds each task's input through its own
-    /// [`TaskOutput`], yielding per-partition sorted runs (combining while
-    /// partitioning, spilling to disk under a memory budget).  When
-    /// `shard` is given, only map tasks whose index falls inside that
-    /// range are executed — the task queue, the task index space and
-    /// every per-task decision (spill points, run sequence numbers) are
-    /// identical to an unsharded run, which is what makes runs produced
-    /// by different processes merge to byte-identical output.  Returns
-    /// the runs and the spill manager whose temp files back the disk runs
-    /// (the caller must keep it alive until the runs are consumed).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn map_phase<K, V, C, P>(
+    /// [`TaskOutput`], yielding per-partition sorted runs (spilled to disk
+    /// under a memory budget).  When `shard` is given, only map tasks
+    /// whose index falls inside that range are executed — the task queue,
+    /// the task index space and every per-task decision (spill points,
+    /// run sequence numbers) are identical to an unsharded run, which is
+    /// what makes runs produced by different processes merge to
+    /// byte-identical output.  Returns the runs and the spill manager
+    /// whose temp files back the disk runs (the caller must keep it alive
+    /// until the runs are consumed).
+    pub(crate) fn map_phase<K: Key, V: Value>(
         &self,
         queue: TaskQueue,
-        combiner: Option<&C>,
-        partitioner: &P,
         counters: &Counters,
         metrics: &mut JobMetrics,
         shard: Option<std::ops::Range<usize>>,
-        map_task: impl Fn(&Task, &mut TaskOutput<'_, K, V, C, P>) + Sync,
-    ) -> (TaggedRuns<K, V>, Option<SpillManager>)
-    where
-        K: Key,
-        V: Value,
-        C: Combiner<Key = K, Value = V>,
-        P: Partitioner<K>,
-    {
+        map_task: impl Fn(&Task, &mut TaskOutput<'_, K, V>) + Sync,
+    ) -> (TaggedRuns<K, V>, Option<SpillManager>) {
         let map_start = Instant::now();
         metrics.map_tasks = queue.num_tasks();
         let output = MapOutput::new(&self.config);
@@ -479,7 +370,7 @@ impl Job {
                         if shard.as_ref().is_some_and(|s| !s.contains(&task.index)) {
                             continue;
                         }
-                        let mut out = output.task(task.index, combiner, partitioner);
+                        let mut out = output.task(task.index);
                         map_task(&task, &mut out);
                         out.finish(counters);
                     }
@@ -492,28 +383,21 @@ impl Job {
     }
 
     /// The shuffle: k-way merge each partition's runs (parallel over
-    /// partitions), streaming disk and memory runs uniformly and
-    /// combining equal keys that straddle runs.  Small jobs merge
-    /// inline: spawning workers costs more than merging a few thousand
-    /// records, and the merged result is identical either way (no
-    /// ordering decision depends on the execution site).
+    /// partitions), streaming disk and memory runs uniformly.  Small jobs
+    /// merge inline: spawning workers costs more than merging a few
+    /// thousand records, and the merged result is identical either way
+    /// (no ordering decision depends on the execution site).
     ///
     /// Runs may come from the local map phase or — in a sharded session —
     /// from run files that worker processes shipped back: the
     /// `(task, seq)` sort makes the merge indifferent to where a run was
     /// produced.
-    pub(crate) fn merge_phase<K, V, C>(
+    pub(crate) fn merge_phase<K: Key, V: Value>(
         &self,
         runs: TaggedRuns<K, V>,
-        combiner: Option<&C>,
         counters: &Counters,
         metrics: &mut JobMetrics,
-    ) -> Vec<Vec<(K, V)>>
-    where
-        K: crate::types::Key,
-        V: crate::types::Value,
-        C: Combiner<Key = K, Value = V>,
-    {
+    ) -> Vec<Vec<(K, V)>> {
         let num_threads = self.config.effective_threads();
         let num_reduce_tasks = runs.len();
         let runs_ref = &runs;
@@ -537,9 +421,9 @@ impl Job {
                 runs_merged += partition_runs.len() as u64;
                 let sources: Vec<RunSource<K, V>> =
                     partition_runs.into_iter().map(|run| run.source).collect();
-                let combined = merge_sources(sources, MAX_MERGE_FAN_IN, combiner);
-                shuffled += combined.len() as u64;
-                *merged_ref[task.index].lock() = combined;
+                let partition = merge_sources(sources, MAX_MERGE_FAN_IN);
+                shuffled += partition.len() as u64;
+                *merged_ref[task.index].lock() = partition;
             }
             counters.add(builtin::SHUFFLE_RECORDS, shuffled);
             counters.add(builtin::SHUFFLE_BYTES, shuffled * record_bytes);
@@ -696,33 +580,16 @@ pub(crate) fn finish_metrics(counters: &Counters, metrics: &mut JobMetrics) {
 }
 
 /// Merges a reduce partition's runs (already in `(task, seq)` order) into
-/// one sorted, combined vector, holding at most `fan_in` run files open at
-/// a time.
+/// one sorted vector, holding at most `fan_in` run files open at a time.
 ///
 /// When the partition has more runs than `fan_in`, batches of `fan_in`
 /// consecutive runs collapse into in-memory intermediate runs, pass after
 /// pass, until a single final merge remains — `⌈log_fan_in(runs)⌉` passes,
-/// in practice two.  Intermediate passes merge **without** combining: a
-/// pure merge keeps equal keys in exactly the run order of a flat merge,
-/// so the one combining pass at the end folds values in the same order
-/// however many passes ran, and the output stays byte-identical to the
-/// unbounded merge without assuming anything about the combiner beyond the
-/// engine's usual contract.
-fn merge_sources<K, V, C>(
-    sources: Vec<RunSource<K, V>>,
-    fan_in: usize,
-    combiner: Option<&C>,
-) -> Vec<(K, V)>
-where
-    K: crate::types::Key,
-    V: crate::types::Value,
-    C: Combiner<Key = K, Value = V>,
-{
-    fn open<K, V>(source: RunSource<K, V>) -> RunStream<K, V>
-    where
-        K: crate::types::Key,
-        V: crate::types::Value,
-    {
+/// in practice two.  Merging consecutive runs keeps equal keys in exactly
+/// the run order of a flat merge, so the output is byte-identical to the
+/// unbounded merge.
+fn merge_sources<K: Key, V: Value>(sources: Vec<RunSource<K, V>>, fan_in: usize) -> Vec<(K, V)> {
+    fn open<K: Key, V: Value>(source: RunSource<K, V>) -> RunStream<K, V> {
         match source {
             RunSource::Memory(records) => RunStream::Memory(records.into_iter()),
             RunSource::Disk(run) => RunStream::Disk(
@@ -748,11 +615,7 @@ where
         }
         sources = next;
     }
-    let streams: Vec<RunStream<K, V>> = sources.into_iter().map(open).collect();
-    match combiner {
-        Some(combiner) => merge_streams_combining(streams, combiner),
-        None => merge_streams(streams),
-    }
+    merge_streams(sources.into_iter().map(open).collect())
 }
 
 /// A sorted reduce partition unzipped, by move, into one key per group
@@ -791,7 +654,6 @@ impl<K: PartialEq, V> GroupedPartition<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::IdentityCombiner;
 
     struct SplitWords;
     impl Mapper for SplitWords {
@@ -814,15 +676,6 @@ mod tests {
         type OutValue = u64;
         fn reduce(&self, k: &String, vs: &[u64], out: &mut Emitter<String, u64>) {
             out.emit(k.clone(), vs.iter().sum());
-        }
-    }
-
-    struct SumCombiner;
-    impl Combiner for SumCombiner {
-        type Key = String;
-        type Value = u64;
-        fn combine(&self, _k: &String, vs: &[u64]) -> Vec<u64> {
-            vec![vs.iter().sum()]
         }
     }
 
@@ -861,72 +714,6 @@ mod tests {
         assert_eq!(result.metrics.reduce_input_groups, 6);
         assert_eq!(result.metrics.reduce_output_records, 6);
         assert!(result.metrics.shuffle_bytes > 0);
-    }
-
-    #[test]
-    fn word_count_with_combiner_shuffles_fewer_records() {
-        let job = Job::new(
-            JobConfig::named("wc-combine")
-                .with_threads(2)
-                .with_map_tasks(2)
-                .with_reduce_tasks(3),
-        );
-        let result =
-            job.run_with_combiner(&SplitWords, &SumCombiner, &SumCounts, word_count_input());
-        let mut out = result.output;
-        out.sort();
-        assert_eq!(out, expected_counts());
-        assert!(
-            result.metrics.shuffle_records < result.metrics.map_output_records,
-            "combiner should reduce shuffled records: {} vs {}",
-            result.metrics.shuffle_records,
-            result.metrics.map_output_records
-        );
-        assert!(result.metrics.combine_reduction() > 0.0);
-    }
-
-    #[test]
-    fn merge_side_combine_collapses_cross_task_duplicates() {
-        // With several map tasks, the same word is emitted (task-combined)
-        // by more than one task; the merge-side combine collapses those, so
-        // the shuffle ends with exactly one record per distinct key.
-        let config = JobConfig::named("wc-merge-combine")
-            .with_threads(2)
-            .with_map_tasks(4)
-            .with_reduce_tasks(2);
-        let result = Job::new(config).run_with_combiner(
-            &SplitWords,
-            &SumCombiner,
-            &SumCounts,
-            word_count_input(),
-        );
-        let mut out = result.output;
-        out.sort();
-        assert_eq!(out, expected_counts());
-        assert!(result.metrics.merge_runs > 0);
-        assert_eq!(
-            result.metrics.shuffle_records, 6,
-            "exactly one record per distinct key must cross the shuffle"
-        );
-    }
-
-    #[test]
-    fn tiny_combine_buffer_spills_and_stays_correct() {
-        let job = Job::new(
-            JobConfig::named("wc-spill")
-                .with_threads(2)
-                .with_map_tasks(2)
-                .with_combine_buffer_records(2),
-        );
-        let result =
-            job.run_with_combiner(&SplitWords, &SumCombiner, &SumCounts, word_count_input());
-        let mut out = result.output;
-        out.sort();
-        assert_eq!(out, expected_counts());
-        assert!(
-            result.counters.get(builtin::COMBINE_SPILLS) > 0,
-            "a 2-record buffer over 13 map outputs must spill"
-        );
     }
 
     #[test]
@@ -990,56 +777,12 @@ mod tests {
         assert_eq!(keys, sorted);
     }
 
-    #[test]
-    fn identity_combiner_changes_nothing() {
-        let job = Job::new(JobConfig::named("id"));
-        let with_id = job.run_with_combiner(
-            &SplitWords,
-            &IdentityCombiner::new(),
-            &SumCounts,
-            word_count_input(),
-        );
-        assert_eq!(
-            with_id.metrics.shuffle_records,
-            with_id.metrics.map_output_records
-        );
-    }
-
-    #[test]
-    fn identity_combiner_skips_the_combine_pass_entirely() {
-        // A 1-record combining buffer would spill on every push if the
-        // identity combiner were actually run; the executor must detect
-        // `is_identity()` and behave exactly like a combiner-less job.
-        let config = JobConfig::named("id-skip")
-            .with_threads(2)
-            .with_map_tasks(3)
-            .with_combine_buffer_records(1);
-        let with_id = Job::new(config.clone()).run_with_combiner(
-            &SplitWords,
-            &IdentityCombiner::new(),
-            &SumCounts,
-            word_count_input(),
-        );
-        assert_eq!(
-            with_id.counters.get(builtin::COMBINE_SPILLS),
-            0,
-            "identity combiner must never trigger a combining-buffer spill"
-        );
-        let without = Job::new(config).run(&SplitWords, &SumCounts, word_count_input());
-        assert_eq!(with_id.output, without.output);
-        assert_eq!(
-            with_id.metrics.shuffle_records,
-            without.metrics.shuffle_records
-        );
-    }
-
     // ----------------------------------------------------------------------
     // Memory budget / disk spilling
     // ----------------------------------------------------------------------
 
-    /// Runs word count (with and without combiner) under `budget` and
-    /// returns the result.
-    fn run_budgeted(budget: Option<u64>, use_combiner: bool) -> JobResult<String, u64> {
+    /// Runs word count under `budget` and returns the result.
+    fn run_budgeted(budget: Option<u64>) -> JobResult<String, u64> {
         let job = Job::new(
             JobConfig::named("wc-budget")
                 .with_threads(2)
@@ -1047,95 +790,33 @@ mod tests {
                 .with_reduce_tasks(2)
                 .with_memory_budget(budget),
         );
-        if use_combiner {
-            job.run_with_combiner(&SplitWords, &SumCombiner, &SumCounts, word_count_input())
-        } else {
-            job.run(&SplitWords, &SumCounts, word_count_input())
-        }
+        job.run(&SplitWords, &SumCounts, word_count_input())
     }
 
     #[test]
     fn tiny_memory_budget_spills_to_disk_and_output_is_byte_identical() {
-        for use_combiner in [false, true] {
-            let unlimited = run_budgeted(None, use_combiner);
-            assert_eq!(unlimited.metrics.disk_runs, 0);
-            assert_eq!(unlimited.metrics.spill_bytes, 0);
+        let unlimited = run_budgeted(None);
+        assert_eq!(unlimited.metrics.disk_runs, 0);
+        assert_eq!(unlimited.metrics.spill_bytes, 0);
 
-            // A budget far below one record per worker forces a spill on
-            // (nearly) every push.
-            let spilled = run_budgeted(Some(2), use_combiner);
-            assert_eq!(
-                spilled.output, unlimited.output,
-                "combiner={use_combiner}: spilled output must be byte-identical"
-            );
-            assert!(spilled.metrics.disk_runs > 0, "combiner={use_combiner}");
-            assert!(spilled.metrics.spill_bytes > 0, "combiner={use_combiner}");
-            assert_eq!(
-                spilled.metrics.shuffle_records,
-                unlimited.metrics.shuffle_records
-            );
-        }
-    }
-
-    #[test]
-    fn steady_state_near_the_budget_spills_instead_of_thrashing() {
-        // A combined working set of 48 distinct (u32, u64) keys is ~768
-        // bytes: between budget/2 (512) and the 1024-byte budget.  A
-        // combine pass gets back under budget but can never free real
-        // headroom, so without the budget/2 spill rule the engine would
-        // re-sort and re-combine the whole buffer on (nearly) every push.
-        struct KeyMod;
-        impl Mapper for KeyMod {
-            type InKey = u32;
-            type InValue = u64;
-            type OutKey = u32;
-            type OutValue = u64;
-            fn map(&self, k: &u32, v: &u64, out: &mut Emitter<u32, u64>) {
-                out.emit(k % 48, *v);
-            }
-        }
-        struct SumU32;
-        impl Combiner for SumU32 {
-            type Key = u32;
-            type Value = u64;
-            fn combine(&self, _k: &u32, vs: &[u64]) -> Vec<u64> {
-                vec![vs.iter().sum()]
-            }
-        }
-        struct SumRed;
-        impl Reducer for SumRed {
-            type Key = u32;
-            type InValue = u64;
-            type OutKey = u32;
-            type OutValue = u64;
-            fn reduce(&self, k: &u32, vs: &[u64], out: &mut Emitter<u32, u64>) {
-                out.emit(*k, vs.iter().sum());
-            }
-        }
-        let input: Vec<(u32, u64)> = (0..4000u32).map(|i| (i, 1u64)).collect();
-        let job = Job::new(
-            JobConfig::named("near-budget")
-                .with_threads(1)
-                .with_map_tasks(1)
-                .with_reduce_tasks(1)
-                .with_memory_budget(Some(1024)),
+        // A budget far below one record per worker forces a spill on
+        // (nearly) every push.
+        let spilled = run_budgeted(Some(2));
+        assert_eq!(
+            spilled.output, unlimited.output,
+            "spilled output must be byte-identical"
         );
-        let result = job.run_with_combiner(&KeyMod, &SumU32, &SumRed, input);
-        assert_eq!(result.output.len(), 48);
-        assert_eq!(result.output.iter().map(|(_, v)| v).sum::<u64>(), 4000);
-        assert!(result.metrics.disk_runs > 0, "{:?}", result.metrics);
-        let combine_passes = result.counters.get(builtin::COMBINE_SPILLS);
-        assert!(
-            combine_passes < result.metrics.map_output_records / 16,
-            "near-budget steady state must not combine per push: \
-             {combine_passes} passes for {} records",
-            result.metrics.map_output_records
+        assert!(spilled.metrics.disk_runs > 0);
+        assert!(spilled.metrics.spill_bytes > 0);
+        assert_eq!(
+            spilled.metrics.shuffle_records,
+            unlimited.metrics.shuffle_records
         );
     }
 
     #[test]
     fn generous_budget_never_touches_disk() {
-        let result = run_budgeted(Some(64 * 1024 * 1024), true);
+        let result = run_budgeted(Some(64 * 1024 * 1024));
         assert_eq!(result.metrics.disk_runs, 0);
         assert_eq!(result.metrics.spill_bytes, 0);
     }
@@ -1172,17 +853,9 @@ mod tests {
 
     #[test]
     fn bounded_fan_in_merge_is_byte_identical_to_flat_merge() {
-        let flat = merge_sources(
-            overlapping_runs(9),
-            usize::MAX,
-            None::<&IdentityCombiner<u64, u64>>,
-        );
+        let flat = merge_sources(overlapping_runs(9), usize::MAX);
         for fan_in in [2, 3, 4, 8] {
-            let bounded = merge_sources(
-                overlapping_runs(9),
-                fan_in,
-                None::<&IdentityCombiner<u64, u64>>,
-            );
+            let bounded = merge_sources(overlapping_runs(9), fan_in);
             assert_eq!(bounded, flat, "fan-in {fan_in} diverged from flat merge");
         }
         // Equal keys must still come out in run order, not batch order.
@@ -1195,24 +868,6 @@ mod tests {
     }
 
     #[test]
-    fn bounded_fan_in_merge_combines_once_at_the_final_pass() {
-        struct SumU64;
-        impl Combiner for SumU64 {
-            type Key = u64;
-            type Value = u64;
-            fn combine(&self, _k: &u64, vs: &[u64]) -> Vec<u64> {
-                vec![vs.iter().sum()]
-            }
-        }
-        let flat = merge_sources(overlapping_runs(11), usize::MAX, Some(&SumU64));
-        let bounded = merge_sources(overlapping_runs(11), 2, Some(&SumU64));
-        assert_eq!(bounded, flat);
-        // Each key's combined value is the sum over every run containing it.
-        let (_, total) = *flat.iter().find(|(k, _)| *k == 10).unwrap();
-        assert_eq!(total, (1..=10).sum::<u64>());
-    }
-
-    #[test]
     fn bounded_fan_in_merge_streams_disk_runs_in_batches() {
         let manager = SpillManager::new(1024, 1, None);
         let sources: Vec<RunSource<u64, u64>> = (0..9u64)
@@ -1221,12 +876,8 @@ mod tests {
                 RunSource::Disk(manager.write_run(&records).unwrap())
             })
             .collect();
-        let merged = merge_sources(sources, 2, None::<&IdentityCombiner<u64, u64>>);
-        let flat = merge_sources(
-            overlapping_runs(9),
-            usize::MAX,
-            None::<&IdentityCombiner<u64, u64>>,
-        );
+        let merged = merge_sources(sources, 2);
+        let flat = merge_sources(overlapping_runs(9), usize::MAX);
         assert_eq!(merged, flat);
     }
 

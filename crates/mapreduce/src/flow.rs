@@ -6,16 +6,16 @@
 //! adds the plan-builder API that callers chain jobs with:
 //!
 //! * [`FlowContext`] — shared execution state: the [`JobConfig`] every job
-//!   of the chain runs under, the file-backed [`DatasetStore`] standing in
-//!   for HDFS (persisted datasets plus transient side data), and the
-//!   accumulated [`JobMetrics`] of every job the flow has executed
+//!   of the chain runs under, a file-backed side store standing in for
+//!   HDFS ([`FlowContext::side_store`]), and the accumulated
+//!   [`JobMetrics`] of every job the flow has executed
 //!   ([`FlowContext::report`] snapshots them as a [`FlowReport`]).
 //! * [`Dataset<K, V>`] — a *deferred* computation producing `(K, V)`
-//!   records.  Nothing runs until a terminal ([`Dataset::collect`] or
-//!   [`Dataset::persist`]) is invoked; combinators only extend the plan.
+//!   records.  Nothing runs until the terminal [`Dataset::collect`] is
+//!   invoked; combinators only extend the plan.
 //! * [`JobStage`] — a job under construction: [`Dataset::map_with`] fixes
-//!   the mapper, [`JobStage::combined_with`] / [`JobStage::partitioned_by`]
-//!   optionally fix the combiner and partitioner, and
+//!   the mapper, [`JobStage::named`] / [`JobStage::with_counters`]
+//!   optionally name it and supply its counters, and
 //!   [`JobStage::reduce_with`] completes the job, yielding the next
 //!   `Dataset` in the chain.
 //! * [`Dataset::then`] — the multi-job chain combinator for stages whose
@@ -71,24 +71,19 @@
 //! assert_eq!(flow.report().num_jobs(), 1);
 //! ```
 
-use std::marker::PhantomData;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
-use smr_storage::{DatasetStore, StorageError};
+use smr_storage::DatasetStore;
 
 use crate::config::JobConfig;
 use crate::counters::Counters;
 use crate::executor::Job;
 use crate::metrics::JobMetrics;
-use crate::partition::{HashPartitioner, Partitioner};
 use crate::round::{live, partition_sorted, PendingNotes, StatePartition, StateSpill};
 use crate::sharded::replays_rounds;
-use crate::types::{
-    Combiner, Emitter, IdentityCombiner, Key, Mapper, Reducer, StateReducer, Value,
-};
+use crate::types::{Emitter, Key, Mapper, Reducer, StateReducer, Value};
 
 /// The records a dataset materializes to.
 pub type Records<K, V> = Vec<(K, V)>;
@@ -96,23 +91,9 @@ pub type Records<K, V> = Vec<(K, V)>;
 /// The deferred computation behind a [`Dataset`].
 type SourceThunk<K, V> = Box<dyn FnOnce(&FlowContext) -> Records<K, V>>;
 
-/// A typed error raised by the flow's persistence layer.
+/// A typed error raised by the flow's storage.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FlowError {
-    /// Nothing was persisted at the path.
-    MissingDataset {
-        /// The requested path.
-        path: String,
-    },
-    /// The dataset at the path was persisted with a different record type.
-    TypeMismatch {
-        /// The requested path.
-        path: String,
-        /// Record type the dataset was persisted with.
-        stored: String,
-        /// Record type the caller requested.
-        requested: String,
-    },
     /// The storage backend failed (I/O error, corrupt file, …).
     Storage {
         /// The requested path.
@@ -124,20 +105,8 @@ pub enum FlowError {
 
 impl std::fmt::Display for FlowError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FlowError::MissingDataset { path } => write!(f, "no dataset persisted at `{path}`"),
-            FlowError::TypeMismatch {
-                path,
-                stored,
-                requested,
-            } => write!(
-                f,
-                "dataset at `{path}` holds `{stored}`, requested `{requested}`"
-            ),
-            FlowError::Storage { path, message } => {
-                write!(f, "storage error at `{path}`: {message}")
-            }
-        }
+        let FlowError::Storage { path, message } = self;
+        write!(f, "storage error at `{path}`: {message}")
     }
 }
 
@@ -150,11 +119,9 @@ pub struct FlowReport {
     pub jobs: Vec<JobMetrics>,
     /// Accumulated totals over all jobs.
     pub totals: JobMetrics,
-    /// Persistence errors the flow swallowed to keep a pipeline running
-    /// (e.g. [`FlowContext::load`] of a handle whose path has since been
-    /// rewritten with a different record type, or a storage failure while
-    /// reading a persisted dataset back).  A healthy run has none;
-    /// anything here is a pipeline bug surfacing.
+    /// Storage errors the flow swallowed to keep a pipeline running.  No
+    /// path records one yet — storage failures still panic — so this is
+    /// always empty; a healthy run has none.
     pub errors: Vec<FlowError>,
     /// Job indices at which iterative rounds started (recorded by
     /// [`FlowContext::mark_round`]), in order.  Empty for non-iterative
@@ -163,7 +130,7 @@ pub struct FlowReport {
 }
 
 impl FlowReport {
-    fn new(jobs: Vec<JobMetrics>, errors: Vec<FlowError>, round_starts: Vec<usize>) -> Self {
+    fn new(jobs: Vec<JobMetrics>, round_starts: Vec<usize>) -> Self {
         let mut totals = JobMetrics {
             job_name: "totals".to_string(),
             ..JobMetrics::default()
@@ -174,7 +141,7 @@ impl FlowReport {
         FlowReport {
             jobs,
             totals,
-            errors,
+            errors: Vec::new(),
             round_starts,
         }
     }
@@ -243,39 +210,28 @@ impl FlowReport {
 struct FlowInner {
     config: JobConfig,
     jobs: Mutex<Vec<JobMetrics>>,
-    /// The store over the flow's one directory: opened up front by
-    /// [`FlowContext::with_disk_store`], created on first use otherwise.
-    store: OnceLock<DatasetStore>,
-    /// Whether the directory outlives the flow (`with_disk_store`) or dies
-    /// with it (`new`).
-    keep_store: bool,
-    errors: Mutex<Vec<FlowError>>,
     anonymous_jobs: AtomicUsize,
     /// Job indices at which iterative rounds started.
     round_starts: Mutex<Vec<usize>>,
-    /// The `_side` sub-store (see [`FlowContext::side_store`]).
+    /// The flow's one directory (see [`FlowContext::side_store`]),
+    /// created on first use.
     side: OnceLock<DatasetStore>,
 }
 
 impl Drop for FlowInner {
     fn drop(&mut self) {
         // Side data is transient by contract: whatever jobs parked there
-        // (index partitions, vector chunks) dies with the flow.  A flow
-        // that picked its own directory takes all of it along.
-        let doomed = if self.keep_store {
-            self.side.get()
-        } else {
-            self.store.get()
-        };
-        if let Some(store) = doomed {
+        // (index partitions, vector chunks, round state) dies with the
+        // flow.
+        if let Some(store) = self.side.get() {
             let _ = std::fs::remove_dir_all(store.root());
         }
     }
 }
 
 /// Shared state of a job chain: the [`JobConfig`] every job runs under,
-/// the [`DatasetStore`] standing in for the distributed file system, and
-/// the accumulated metrics of every executed job.
+/// the side store standing in for the distributed file system, and the
+/// accumulated metrics of every executed job.
 ///
 /// Cloning a `FlowContext` is cheap and every clone shares the same state,
 /// so one context can be threaded through an entire pipeline (similarity
@@ -291,66 +247,23 @@ impl std::fmt::Debug for FlowContext {
         f.debug_struct("FlowContext")
             .field("config", &self.inner.config)
             .field("jobs", &self.inner.jobs.lock().len())
-            .field("persisted", &self.persisted_paths())
             .finish()
     }
 }
 
 impl FlowContext {
     /// Creates a flow whose jobs all run under `config`.  The config's
-    /// `name` prefixes every job name of the chain.  Persisted datasets and
-    /// side data live in a directory of the flow's own — created on first
-    /// use under [`JobConfig::spill_dir`] (the system temp directory when
-    /// unset) and removed when the flow drops.
+    /// `name` prefixes every job name of the chain.
     pub fn new(config: JobConfig) -> Self {
-        FlowContext::with_store(config, None)
-    }
-
-    /// Creates a flow whose store is rooted at `dir` (created if missing)
-    /// and outlives the flow: datasets already present under `dir` (e.g.
-    /// from an earlier run) are visible to `load`, and persisted datasets
-    /// stay behind when the flow drops.  Only the side data is removed.
-    pub fn with_disk_store(
-        config: JobConfig,
-        dir: impl Into<PathBuf>,
-    ) -> Result<Self, StorageError> {
-        let store = DatasetStore::open(dir)?;
-        Ok(FlowContext::with_store(config, Some(store)))
-    }
-
-    fn with_store(config: JobConfig, kept: Option<DatasetStore>) -> Self {
         FlowContext {
             inner: Arc::new(FlowInner {
                 config,
                 jobs: Mutex::new(Vec::new()),
-                keep_store: kept.is_some(),
-                store: kept.map(OnceLock::from).unwrap_or_default(),
-                errors: Mutex::new(Vec::new()),
                 anonymous_jobs: AtomicUsize::new(0),
                 round_starts: Mutex::new(Vec::new()),
                 side: OnceLock::new(),
             }),
         }
-    }
-
-    /// The flow's store, created on first use for [`FlowContext::new`]
-    /// flows.
-    ///
-    /// # Panics
-    /// Panics when the directory cannot be created (an environment
-    /// failure, like a failed persist).
-    fn store(&self) -> &DatasetStore {
-        static FLOW_SEQ: AtomicUsize = AtomicUsize::new(0);
-        self.inner.store.get_or_init(|| {
-            let base = self.inner.config.spill_dir.clone();
-            let dir = base.unwrap_or_else(std::env::temp_dir).join(format!(
-                "smr-flow-{}-{}",
-                std::process::id(),
-                FLOW_SEQ.fetch_add(1, Ordering::Relaxed)
-            ));
-            DatasetStore::open(&dir)
-                .unwrap_or_else(|e| panic!("failed to open flow store at {dir:?}: {e}"))
-        })
     }
 
     /// Creates a flow with a default config carrying the given name.
@@ -387,12 +300,10 @@ impl FlowContext {
         self.inner.round_starts.lock().push(jobs);
     }
 
-    /// Snapshot of every executed job plus accumulated totals and any
-    /// swallowed persistence errors.
+    /// Snapshot of every executed job plus accumulated totals.
     pub fn report(&self) -> FlowReport {
         FlowReport::new(
             self.inner.jobs.lock().clone(),
-            self.inner.errors.lock().clone(),
             self.inner.round_starts.lock().clone(),
         )
     }
@@ -406,55 +317,6 @@ impl FlowContext {
         }
     }
 
-    /// Creates a dataset that lazily reads the records behind a typed
-    /// [`PersistedDataset`] handle (see [`Dataset::persist`]).  The handle
-    /// carries the record type the dataset was persisted with, so a
-    /// mistyped load is a compile error, not a runtime
-    /// [`FlowError::TypeMismatch`] — that error remains reachable only
-    /// when the path behind a handle is later rewritten at a different
-    /// type, in which case the load materializes empty and the error is
-    /// recorded in [`FlowReport::errors`].  A handle whose backing dataset
-    /// has been removed from the store reads as empty, mirroring a missing
-    /// path.
-    pub fn load<K: Key, V: Value>(&self, persisted: &PersistedDataset<K, V>) -> Dataset<K, V> {
-        let path = persisted.path().to_string();
-        Dataset {
-            ctx: self.clone(),
-            thunk: Box::new(move |ctx| match ctx.read_persisted(&path) {
-                Ok(records) => records,
-                Err(FlowError::MissingDataset { .. }) => Vec::new(),
-                Err(error) => {
-                    ctx.inner.errors.lock().push(error);
-                    Vec::new()
-                }
-            }),
-        }
-    }
-
-    /// Reads a persisted dataset back out of the flow's store, with typed
-    /// errors for missing paths, record-type mismatches and storage
-    /// failures.
-    pub fn read_persisted<K: Key, V: Value>(&self, path: &str) -> Result<Records<K, V>, FlowError> {
-        let path = path.to_string();
-        // A store nobody has written to yet holds nothing (and is not
-        // created just to find that out).
-        let Some(store) = self.inner.store.get() else {
-            return Err(FlowError::MissingDataset { path });
-        };
-        store.read::<(K, V)>(&path).map_err(|error| match error {
-            StorageError::Missing { .. } => FlowError::MissingDataset { path },
-            StorageError::TypeMismatch { stored, requested } => FlowError::TypeMismatch {
-                path,
-                stored,
-                requested,
-            },
-            other => FlowError::Storage {
-                path,
-                message: other.to_string(),
-            },
-        })
-    }
-
     /// The flow's *side-data* store: a disk-backed [`DatasetStore`] for
     /// data that jobs ship around outside the shuffle — the Hadoop
     /// distributed-cache role.  A job chain parks derived artifacts here
@@ -462,17 +324,23 @@ impl FlowContext {
     /// chunks) and later stages open them on demand instead of holding
     /// them in memory for the whole chain.
     ///
-    /// The store is the `_side` subdirectory of the flow's store, created
-    /// on first use, shared by every clone of the context and deleted when
-    /// the flow drops: side data is transient, even where
-    /// [`Dataset::persist`] outputs are kept.
+    /// The store is the flow's one directory, `smr-flow-{pid}-{seq}`
+    /// under [`JobConfig::spill_dir`] (the system temp directory when
+    /// unset): created on first use, shared by every clone of the context
+    /// and deleted when the flow drops.
     ///
     /// # Panics
     /// Panics when the store directory cannot be created (an environment
-    /// failure, like a failed persist).
+    /// failure, like a full disk).
     pub fn side_store(&self) -> DatasetStore {
+        static FLOW_SEQ: AtomicUsize = AtomicUsize::new(0);
         let side = self.inner.side.get_or_init(|| {
-            let dir = self.store().root().join("_side");
+            let base = self.inner.config.spill_dir.clone();
+            let dir = base.unwrap_or_else(std::env::temp_dir).join(format!(
+                "smr-flow-{}-{}",
+                std::process::id(),
+                FLOW_SEQ.fetch_add(1, Ordering::Relaxed)
+            ));
             DatasetStore::open(&dir)
                 .unwrap_or_else(|e| panic!("failed to open flow side store at {dir:?}: {e}"))
         });
@@ -502,21 +370,6 @@ impl FlowContext {
         }
     }
 
-    /// The paths of every persisted dataset, sorted.
-    pub fn persisted_paths(&self) -> Vec<String> {
-        let store = self.inner.store.get();
-        store.map(DatasetStore::paths).unwrap_or_default()
-    }
-
-    fn persist_records<K: Key, V: Value>(&self, path: &str, records: Records<K, V>) -> usize {
-        // A failed persist is an environment failure (disk full,
-        // permissions), not a recoverable pipeline state.
-        self.store()
-            .write(path, &records)
-            .unwrap_or_else(|e| panic!("failed to persist `{path}`: {e}"));
-        records.len()
-    }
-
     fn record_job(&self, metrics: JobMetrics) {
         self.inner.jobs.lock().push(metrics);
     }
@@ -531,37 +384,6 @@ impl FlowContext {
                 format!("{}-job-{n}", self.inner.config.name)
             }
         }
-    }
-}
-
-/// A typed handle to a dataset persisted in a flow's store, returned by
-/// [`Dataset::persist`] and accepted by [`FlowContext::load`].
-///
-/// The handle remembers the record type `(K, V)` the dataset was written
-/// with, so loading it back cannot mismatch types — the runtime
-/// type-mismatch error of the removed stringly-typed path accessors is
-/// unrepresentable through this API.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PersistedDataset<K, V> {
-    path: String,
-    records: usize,
-    _marker: PhantomData<fn() -> (K, V)>,
-}
-
-impl<K: Key, V: Value> PersistedDataset<K, V> {
-    /// The path the dataset is persisted under.
-    pub fn path(&self) -> &str {
-        &self.path
-    }
-
-    /// Number of records persisted.
-    pub fn len(&self) -> usize {
-        self.records
-    }
-
-    /// Whether the persisted dataset is empty.
-    pub fn is_empty(&self) -> bool {
-        self.records == 0
     }
 }
 
@@ -724,10 +546,9 @@ impl<K: Key, S: Value, N: Value> RoundState<K, S, N> {
 
 /// A deferred chain of MapReduce jobs producing `(K, V)` records.
 ///
-/// Nothing executes until a terminal — [`Dataset::collect`] or
-/// [`Dataset::persist`] — runs the plan.  Each completed job hands its
-/// output records to the next job *by move*; no stage clones or re-sorts
-/// between jobs.
+/// Nothing executes until the terminal [`Dataset::collect`] runs the
+/// plan.  Each completed job hands its output records to the next job
+/// *by move*; no stage clones or re-sorts between jobs.
 pub struct Dataset<K: Key, V: Value> {
     ctx: FlowContext,
     thunk: SourceThunk<K, V>,
@@ -745,10 +566,9 @@ impl<K: Key, V: Value> Dataset<K, V> {
         &self.ctx
     }
 
-    /// Starts the next job of the chain by fixing its mapper.  The
-    /// combiner and partitioner default to none / hash partitioning;
+    /// Starts the next job of the chain by fixing its mapper;
     /// [`JobStage::reduce_with`] completes the job.
-    pub fn map_with<M>(self, mapper: M) -> DefaultJobStage<M>
+    pub fn map_with<M>(self, mapper: M) -> JobStage<M>
     where
         M: Mapper<InKey = K, InValue = V> + 'static,
     {
@@ -756,8 +576,6 @@ impl<K: Key, V: Value> Dataset<K, V> {
             ctx: self.ctx,
             input: self.thunk,
             mapper,
-            combiner: None,
-            partitioner: HashPartitioner::new(),
             stage_name: None,
             counters: None,
         }
@@ -802,45 +620,19 @@ impl<K: Key, V: Value> Dataset<K, V> {
         let Dataset { ctx, thunk } = self;
         thunk(&ctx)
     }
-
-    /// Terminal: executes the chain and persists the final records in the
-    /// flow's store under `path`.  Returns a typed [`PersistedDataset`]
-    /// handle that [`FlowContext::load`] reads back without any chance of
-    /// a record-type mismatch.
-    pub fn persist(self, path: &str) -> PersistedDataset<K, V> {
-        let Dataset { ctx, thunk } = self;
-        let records = thunk(&ctx);
-        let count = ctx.persist_records(path, records);
-        PersistedDataset {
-            path: path.to_string(),
-            records: count,
-            _marker: PhantomData,
-        }
-    }
 }
 
-/// The [`JobStage`] produced by [`Dataset::map_with`]: no combiner yet,
-/// hash partitioning.
-pub type DefaultJobStage<M> = JobStage<
-    M,
-    IdentityCombiner<<M as Mapper>::OutKey, <M as Mapper>::OutValue>,
-    HashPartitioner<<M as Mapper>::OutKey>,
->;
-
 /// One MapReduce job under construction inside a [`Dataset`] chain: the
-/// mapper is fixed, the combiner and partitioner are optional, and
-/// [`JobStage::reduce_with`] seals the job.
-pub struct JobStage<M: Mapper, C, P> {
+/// mapper is fixed, and [`JobStage::reduce_with`] seals the job.
+pub struct JobStage<M: Mapper> {
     ctx: FlowContext,
     input: SourceThunk<M::InKey, M::InValue>,
     mapper: M,
-    combiner: Option<C>,
-    partitioner: P,
     stage_name: Option<String>,
     counters: Option<Counters>,
 }
 
-impl<M: Mapper, C, P> std::fmt::Debug for JobStage<M, C, P> {
+impl<M: Mapper> std::fmt::Debug for JobStage<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("JobStage")
             .field("stage_name", &self.stage_name)
@@ -848,51 +640,12 @@ impl<M: Mapper, C, P> std::fmt::Debug for JobStage<M, C, P> {
     }
 }
 
-impl<M, C, P> JobStage<M, C, P>
-where
-    M: Mapper + 'static,
-    C: Combiner<Key = M::OutKey, Value = M::OutValue> + 'static,
-    P: Partitioner<M::OutKey> + 'static,
-{
+impl<M: Mapper + 'static> JobStage<M> {
     /// Names this job: the executed job is called `{flow name}-{name}` and
     /// shows up under that name in the [`FlowReport`].
     pub fn named(mut self, name: impl Into<String>) -> Self {
         self.stage_name = Some(name.into());
         self
-    }
-
-    /// Adds a map-side combiner (applied while partitioning and again
-    /// across sorted runs during the merge, exactly as
-    /// [`Job::run_with_combiner`] would).
-    pub fn combined_with<C2>(self, combiner: C2) -> JobStage<M, C2, P>
-    where
-        C2: Combiner<Key = M::OutKey, Value = M::OutValue> + 'static,
-    {
-        JobStage {
-            ctx: self.ctx,
-            input: self.input,
-            mapper: self.mapper,
-            combiner: Some(combiner),
-            partitioner: self.partitioner,
-            stage_name: self.stage_name,
-            counters: self.counters,
-        }
-    }
-
-    /// Replaces the default hash partitioner.
-    pub fn partitioned_by<P2>(self, partitioner: P2) -> JobStage<M, C, P2>
-    where
-        P2: Partitioner<M::OutKey> + 'static,
-    {
-        JobStage {
-            ctx: self.ctx,
-            input: self.input,
-            mapper: self.mapper,
-            combiner: self.combiner,
-            partitioner,
-            stage_name: self.stage_name,
-            counters: self.counters,
-        }
     }
 
     /// Runs the job with an externally supplied [`Counters`] set instead
@@ -917,8 +670,6 @@ where
             ctx,
             input,
             mapper,
-            combiner,
-            partitioner,
             stage_name,
             counters,
         } = self;
@@ -928,14 +679,7 @@ where
                 let records = input(ctx);
                 let name = ctx.job_name(stage_name.as_deref());
                 let job = Job::new(ctx.config().clone().with_name(name));
-                let result = job.run_full(
-                    &mapper,
-                    combiner.as_ref(),
-                    &reducer,
-                    &partitioner,
-                    records,
-                    counters.unwrap_or_default(),
-                );
+                let result = job.run_full(&mapper, &reducer, records, counters.unwrap_or_default());
                 ctx.record_job(result.metrics);
                 result.output
             }),
@@ -970,15 +714,6 @@ mod tests {
         type OutValue = u64;
         fn reduce(&self, k: &String, vs: &[u64], out: &mut Emitter<String, u64>) {
             out.emit(k.clone(), vs.iter().sum());
-        }
-    }
-
-    struct SumCombiner;
-    impl Combiner for SumCombiner {
-        type Key = String;
-        type Value = u64;
-        fn combine(&self, _k: &String, vs: &[u64]) -> Vec<u64> {
-            vec![vs.iter().sum()]
         }
     }
 
@@ -1067,7 +802,6 @@ mod tests {
             .dataset(input())
             .map_with(SplitWords)
             .named("count")
-            .combined_with(SumCombiner)
             .reduce_with(SumCounts)
             .map_with(ThresholdMapper(2))
             .named("frequent")
@@ -1137,118 +871,6 @@ mod tests {
         assert_eq!(inner.report().job_names(), vec!["inner-flow-inner"]);
     }
 
-    /// The persist/load contract is identical for both constructors.
-    fn check_persist_and_load(flow: FlowContext) {
-        let counts = flow
-            .dataset(input())
-            .map_with(SplitWords)
-            .reduce_with(SumCounts)
-            .persist("iteration-0/counts");
-        assert!(!counts.is_empty());
-        assert_eq!(counts.path(), "iteration-0/counts");
-        assert_eq!(
-            flow.persisted_paths(),
-            vec!["iteration-0/counts".to_string()]
-        );
-
-        // The typed handle reads back without any type re-assertion.
-        let reloaded = flow.load(&counts).collect();
-        assert_eq!(reloaded.len(), counts.len());
-        let the = reloaded.iter().find(|(w, _)| w == "the").expect("the");
-        assert_eq!(the.1, 3);
-
-        // A handle whose backing dataset is gone reads as empty (like an
-        // empty part-file directory) and is NOT recorded as an error…
-        let gone: PersistedDataset<String, u64> = PersistedDataset {
-            path: "nope".to_string(),
-            records: 0,
-            _marker: PhantomData,
-        };
-        let missing: Vec<(String, u64)> = flow.load(&gone).collect();
-        assert!(missing.is_empty());
-        assert!(flow.report().errors.is_empty());
-        assert!(matches!(
-            flow.read_persisted::<String, u64>("nope"),
-            Err(FlowError::MissingDataset { .. })
-        ));
-
-        // …but a handle whose path has since been rewritten at a
-        // different record type is a surfaced pipeline bug: the load
-        // materializes empty and the typed error lands in the report.
-        assert!(matches!(
-            flow.read_persisted::<u64, u64>("iteration-0/counts"),
-            Err(FlowError::TypeMismatch { .. })
-        ));
-        let _ = flow
-            .dataset(vec![(1u64, 2u64)])
-            .persist("iteration-0/counts");
-        let stale: Vec<(String, u64)> = flow.load(&counts).collect();
-        assert!(stale.is_empty());
-        let errors = flow.report().errors;
-        assert_eq!(errors.len(), 1, "{errors:?}");
-        assert!(matches!(&errors[0], FlowError::TypeMismatch { path, .. }
-            if path == "iteration-0/counts"));
-    }
-
-    #[test]
-    fn persist_and_load_round_trip_through_a_transient_flow() {
-        let base = std::env::temp_dir().join(format!("smr-flow-base-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&base);
-        std::fs::create_dir_all(&base).unwrap();
-        let entries = || std::fs::read_dir(&base).unwrap().count();
-
-        let flow = FlowContext::new(config().with_spill_dir(&base));
-        let _ = flow
-            .dataset(input())
-            .map_with(SplitWords)
-            .reduce_with(SumCounts)
-            .collect();
-        assert!(flow.persisted_paths().is_empty());
-        assert_eq!(
-            entries(),
-            0,
-            "a flow that never persists or opens side data creates no directory"
-        );
-        check_persist_and_load(flow.clone());
-        assert_eq!(
-            entries(),
-            1,
-            "the flow's directory sits under the spill base"
-        );
-        drop(flow);
-        assert_eq!(entries(), 0, "a transient flow leaves no directory behind");
-        std::fs::remove_dir_all(&base).unwrap();
-    }
-
-    #[test]
-    fn persist_and_load_round_trip_through_a_kept_directory() {
-        let dir = std::env::temp_dir().join(format!("smr-flow-disk-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        check_persist_and_load(FlowContext::with_disk_store(config(), &dir).unwrap());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn disk_persisted_datasets_survive_the_flow_that_wrote_them() {
-        let dir = std::env::temp_dir().join(format!("smr-flow-surv-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        {
-            let flow = FlowContext::with_disk_store(config(), &dir).unwrap();
-            let _ = flow
-                .dataset(input())
-                .map_with(SplitWords)
-                .reduce_with(SumCounts)
-                .persist("stage-1/counts");
-        }
-        // A fresh flow over the same directory sees the dataset.
-        let flow = FlowContext::with_disk_store(config(), &dir).unwrap();
-        let counts = flow
-            .read_persisted::<String, u64>("stage-1/counts")
-            .unwrap();
-        assert!(counts.iter().any(|(w, c)| w == "the" && *c == 3));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
     #[test]
     fn external_counters_land_in_the_job_metrics() {
         struct CountingMapper(Counters);
@@ -1282,61 +904,57 @@ mod tests {
 
     #[test]
     fn side_store_is_shared_lazy_and_removed_with_the_flow() {
-        let side_root;
-        {
-            let flow = FlowContext::new(config());
-            let store = flow.side_store();
-            side_root = store.root().to_path_buf();
-            store.write("chunk-0", &[1u64, 2]).unwrap();
-            // Clones see the same store (and the same datasets).
-            assert_eq!(
-                flow.clone().side_store().read::<u64>("chunk-0").unwrap(),
-                [1, 2]
-            );
-            // Side data never shows up among persisted datasets.
-            assert!(flow.persisted_paths().is_empty());
-        }
-        assert!(
-            !side_root.exists(),
-            "side data must not survive the flow that wrote it"
-        );
-    }
+        let base = std::env::temp_dir().join(format!("smr-flow-base-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&base);
+        std::fs::create_dir_all(&base).unwrap();
+        let entries = || std::fs::read_dir(&base).unwrap().count();
 
-    #[test]
-    fn disk_flow_side_store_lives_under_the_store_root_and_is_transient() {
-        let dir = std::env::temp_dir().join(format!("smr-flow-sidedisk-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        {
-            let flow = FlowContext::with_disk_store(config(), &dir).unwrap();
-            let side = flow.side_store();
-            assert!(side.root().starts_with(&dir));
-            side.write("x", &[7u8]).unwrap();
-            let _ = flow
-                .dataset(input())
-                .map_with(SplitWords)
-                .reduce_with(SumCounts)
-                .persist("kept");
-            // Side data stays invisible to the persisted namespace.
-            assert_eq!(flow.persisted_paths(), vec!["kept".to_string()]);
-        }
-        // The persisted dataset survives; the side data does not.
-        let reopened = FlowContext::with_disk_store(config(), &dir).unwrap();
-        assert_eq!(reopened.persisted_paths(), vec!["kept".to_string()]);
-        assert!(!dir.join("_side").exists());
-        std::fs::remove_dir_all(&dir).unwrap();
+        let flow = FlowContext::new(config().with_spill_dir(&base));
+        let _ = flow
+            .dataset(input())
+            .map_with(SplitWords)
+            .reduce_with(SumCounts)
+            .collect();
+        assert_eq!(
+            entries(),
+            0,
+            "a flow that never opens side data creates no directory"
+        );
+        let store = flow.side_store();
+        assert_eq!(store.root().parent(), Some(base.as_path()));
+        assert!(store
+            .root()
+            .file_name()
+            .unwrap()
+            .to_string_lossy()
+            .starts_with("smr-flow-"));
+        store.write("chunk-0", &[1u64, 2]).unwrap();
+        // Clones see the same store (and the same datasets).
+        assert_eq!(
+            flow.clone().side_store().read::<u64>("chunk-0").unwrap(),
+            [1, 2]
+        );
+        assert_eq!(entries(), 1, "the flow owns one directory");
+        drop(flow);
+        assert_eq!(entries(), 0, "side data must not survive the flow");
+        std::fs::remove_dir_all(&base).unwrap();
     }
 
     #[test]
     fn clones_share_jobs_and_store() {
         let flow = FlowContext::new(config());
         let clone = flow.clone();
-        let _ = clone
+        let counts = clone
             .dataset(input())
             .map_with(SplitWords)
             .reduce_with(SumCounts)
-            .persist("shared");
+            .collect();
+        clone.side_store().write("shared", &counts).unwrap();
         assert_eq!(flow.num_jobs(), 1);
-        assert!(flow.read_persisted::<String, u64>("shared").is_ok());
+        assert_eq!(
+            flow.side_store().read::<(String, u64)>("shared").unwrap(),
+            counts
+        );
     }
 
     #[test]
@@ -1371,17 +989,6 @@ mod tests {
                 .collect();
         }
         assert_eq!(flow.report().job_names(), vec!["anon-job-0", "anon-job-1"]);
-    }
-
-    #[test]
-    fn persist_reports_the_record_count() {
-        let flow = FlowContext::new(config());
-        let written = flow
-            .dataset(input())
-            .map_with(SplitWords)
-            .reduce_with(SumCounts)
-            .persist("counts");
-        assert_eq!(written.len(), 6, "six distinct words");
     }
 
     #[test]
@@ -1632,35 +1239,5 @@ mod tests {
         assert_eq!(report.num_jobs(), 4);
         assert_eq!(report.totals.shuffle_records, 0);
         assert!(state.max_state_bytes() > 0);
-    }
-
-    #[test]
-    fn custom_partitioner_is_honoured() {
-        #[derive(Clone, Copy)]
-        struct FirstByte;
-        impl Partitioner<String> for FirstByte {
-            fn partition(&self, key: &String, num_partitions: usize) -> usize {
-                key.as_bytes().first().map(|b| *b as usize).unwrap_or(0) % num_partitions
-            }
-        }
-        let flow = FlowContext::new(config().with_reduce_tasks(2));
-        let mut via_flow = flow
-            .dataset(input())
-            .map_with(SplitWords)
-            .partitioned_by(FirstByte)
-            .reduce_with(SumCounts)
-            .collect();
-        via_flow.sort();
-        let direct = Job::new(config().with_reduce_tasks(2)).run_full(
-            &SplitWords,
-            None::<&IdentityCombiner<String, u64>>,
-            &SumCounts,
-            &FirstByte,
-            input(),
-            Counters::new(),
-        );
-        let mut direct_out = direct.output;
-        direct_out.sort();
-        assert_eq!(via_flow, direct_out);
     }
 }

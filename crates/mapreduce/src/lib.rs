@@ -10,22 +10,21 @@
 //! reduce : <k2, [v2]> -> [<k3, v3>]
 //! ```
 //!
-//! plus the shuffle (partition, sort, group) in between, optional combiners,
-//! counters, and the ability to chain jobs iteratively while keeping state
-//! in a distributed file system.  This crate provides exactly those pieces:
+//! plus the shuffle (partition, sort, group) in between, counters, and the
+//! ability to chain jobs iteratively while keeping state in a distributed
+//! file system.  This crate provides exactly those pieces:
 //!
-//! * [`Mapper`], [`Reducer`], [`Combiner`], [`Partitioner`] traits
-//!   ([`types`]; every key/value type also implements the
-//!   `smr_storage::Codec` binary codec so records can live on disk),
+//! * [`Mapper`] and [`Reducer`] traits ([`types`]; every key/value type
+//!   also implements the `smr_storage::Codec` binary codec so records can
+//!   live on disk),
 //! * a parallel [`executor`] with a *streaming, out-of-core* shuffle:
 //!   worker threads pull map tasks from a work-stealing [`task_queue`],
-//!   combine while partitioning
-//!   ([`partition::CombiningPartitionBuffer`]), emit per-partition sorted
-//!   runs — spilled to disk when the task outgrows its share of
-//!   [`JobConfig::memory_budget`] — and k-way merge them per reduce
-//!   partition ([`shuffle`]), streaming disk and in-memory runs uniformly;
-//!   all on a pool of worker threads built with `crossbeam` scoped
-//!   threads (see `docs/engine.md` for the data flow),
+//!   hash-partition what they emit ([`partition::hash_partition`]), emit
+//!   per-partition sorted runs — spilled to disk when the task outgrows
+//!   its share of [`JobConfig::memory_budget`] — and k-way merge them per
+//!   reduce partition ([`shuffle`]), streaming disk and in-memory runs
+//!   uniformly; all on a pool of worker threads built with `crossbeam`
+//!   scoped threads (see `docs/engine.md` for the data flow),
 //! * per-job [`counters`] and [`metrics`] (records in/out, groups, bytes
 //!   shuffled, wall-clock per phase) so the experiments can report the same
 //!   efficiency measures the paper reports (number of MapReduce iterations,
@@ -34,8 +33,9 @@
 //!   algorithms that chain many rounds (GreedyMR, StackMR): only notes
 //!   cross the shuffle, and the reducer of one round emits the notes of
 //!   the next,
-//! * one file-backed `smr_storage::DatasetStore` per [`flow`] standing in
-//!   for HDFS between jobs and rounds.
+//! * one transient file-backed `smr_storage::DatasetStore` per [`flow`]
+//!   ([`FlowContext::side_store`]) standing in for HDFS between jobs and
+//!   rounds.
 //!
 //! The engine is deliberately faithful to the programming model rather than
 //! to the physical deployment: the number of rounds an algorithm needs, the
@@ -151,27 +151,19 @@ pub mod types;
 pub use config::JobConfig;
 pub use counters::{Counter, Counters};
 pub use executor::{Job, JobResult};
-pub use flow::{Dataset, FlowContext, FlowError, FlowReport, PersistedDataset, RoundState};
+pub use flow::{Dataset, FlowContext, FlowError, FlowReport, RoundState};
 pub use metrics::{JobMetrics, PhaseTimings};
-pub use partition::{CombiningPartitionBuffer, HashPartitioner, Partitioner};
 pub use process_shard::{ProcessShardRuntime, ShardJob, ShardJobCheck, ShardRole};
 pub use shuffle::merge_runs;
 pub use task_queue::{Task, TaskQueue};
-pub use types::{
-    Codec, Combiner, Emitter, IdentityCombiner, IdentityReducer, Mapper, Reducer, StateReducer,
-};
+pub use types::{Codec, Emitter, IdentityReducer, Mapper, Reducer, StateReducer};
 
 /// Convenience re-exports for users of the engine.
 pub mod prelude {
     pub use crate::config::JobConfig;
     pub use crate::counters::Counters;
     pub use crate::executor::{Job, JobResult};
-    pub use crate::flow::{
-        Dataset, FlowContext, FlowError, FlowReport, PersistedDataset, RoundState,
-    };
+    pub use crate::flow::{Dataset, FlowContext, FlowError, FlowReport, RoundState};
     pub use crate::metrics::JobMetrics;
-    pub use crate::partition::{HashPartitioner, Partitioner};
-    pub use crate::types::{
-        Codec, Combiner, Emitter, IdentityCombiner, IdentityReducer, Mapper, Reducer, StateReducer,
-    };
+    pub use crate::types::{Codec, Emitter, IdentityReducer, Mapper, Reducer, StateReducer};
 }

@@ -6,9 +6,10 @@ use std::time::Duration;
 /// Wall-clock time spent in each phase of a job.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PhaseTimings {
-    /// Time spent running map tasks (includes combining).
+    /// Time spent running map tasks (includes sorting and spilling their
+    /// runs).
     pub map: Duration,
-    /// Time spent partitioning, sorting and grouping intermediate pairs.
+    /// Time spent merging the sorted runs of every reduce partition.
     pub shuffle: Duration,
     /// Time spent running reduce tasks.
     pub reduce: Duration,
@@ -28,17 +29,16 @@ pub struct JobMetrics {
     pub job_name: String,
     /// Records read by map tasks.
     pub map_input_records: u64,
-    /// Records emitted by map tasks before combining.
+    /// Records emitted by map tasks.
     pub map_output_records: u64,
-    /// Records after map-side combining (equals `map_output_records` when
-    /// no combiner is configured).  This is what crosses the shuffle and is
-    /// the paper's per-round communication cost, O(|E|) for the matching
-    /// jobs.
+    /// Records that crossed the shuffle (equal to `map_output_records`:
+    /// every emitted record reaches a reducer).  This is the paper's
+    /// per-round communication cost, O(|E|) for the matching jobs.
     pub shuffle_records: u64,
     /// Approximate shuffled payload in bytes: shuffled records times the
     /// in-memory size of one `(key, value)` record.  A lower bound for
-    /// heap-carrying types (e.g. `String` keys), but measured identically
-    /// in both shuffle modes so A/B comparisons are meaningful.
+    /// heap-carrying types (e.g. `String` keys), but the same for every
+    /// memory budget, so A/B comparisons are meaningful.
     pub shuffle_bytes: u64,
     /// Sorted runs the streaming shuffle merged across all reduce
     /// partitions (in-memory and on-disk runs alike).
@@ -65,9 +65,9 @@ pub struct JobMetrics {
 }
 
 impl JobMetrics {
-    /// Combiner effectiveness: fraction of map output records eliminated
-    /// before the shuffle (0.0 when no combiner ran or nothing was
-    /// eliminated).
+    /// Fraction of map output records eliminated before the shuffle.  The
+    /// engine has no combiner, so this is 0.0 for every job; it stays for
+    /// callers that still report it.
     pub fn combine_reduction(&self) -> f64 {
         if self.map_output_records == 0 {
             return 0.0;

@@ -1,272 +1,31 @@
-//! Partitioning of intermediate keys into reduce tasks, and the per-task
-//! combining buffer that applies the combiner *while* partitioning.
+//! Partitioning of intermediate keys into reduce tasks.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use std::marker::PhantomData;
 
-use crate::shuffle::combine_sorted_groups;
-use crate::types::{Combiner, Key, Value};
-
-/// Assigns every intermediate key to one of `num_partitions` reduce tasks.
+/// The reduce partition in `0..num_partitions` that `key` belongs to.
 ///
-/// The default [`HashPartitioner`] mirrors Hadoop's `HashPartitioner`.  The
-/// matching algorithms rely only on the contract that *all* values of a key
-/// reach the same reducer, never on which partition that is.
-pub trait Partitioner<K>: Send + Sync {
-    /// Returns the partition index in `0..num_partitions` for `key`.
-    fn partition(&self, key: &K, num_partitions: usize) -> usize;
-}
-
-/// Hash-based partitioner (the default).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct HashPartitioner<K> {
-    _marker: PhantomData<fn() -> K>,
-}
-
-impl<K> HashPartitioner<K> {
-    /// Creates a hash partitioner.
-    pub fn new() -> Self {
-        HashPartitioner {
-            _marker: PhantomData,
-        }
-    }
-}
-
-impl<K: Hash + Send + Sync> Partitioner<K> for HashPartitioner<K> {
-    fn partition(&self, key: &K, num_partitions: usize) -> usize {
-        debug_assert!(num_partitions > 0);
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        (hasher.finish() % num_partitions as u64) as usize
-    }
-}
-
-/// Per-map-task buffer that routes intermediate pairs into per-partition
-/// buckets and applies the combiner *during* partitioning.
-///
-/// The buffer holds at most roughly `capacity` records: when the watermark
-/// is crossed, every bucket is sorted and run through the combiner in
-/// place, shrinking the buffer back to one combined group per key.  A task
-/// thus never accumulates its full raw map output before combining — its
-/// memory is bounded by the combined working set, not by what the mapper
-/// emits.  If a combine pass fails to shrink the buffer (e.g. an identity
-/// combiner), the watermark doubles so the buffer degrades to plain
-/// buffering instead of re-sorting on every push.
-///
-/// Under a memory budget the executor additionally watches
-/// [`CombiningPartitionBuffer::approx_bytes`] — an estimate of records ×
-/// `size_of::<(K, V)>()` — and, when combining cannot keep the buffer
-/// under its byte threshold, drains it early with
-/// [`CombiningPartitionBuffer::take_sorted_runs`] and spills the runs to
-/// disk, so the buffer never combines-in-place forever on a working set
-/// that simply does not fit.
-///
-/// [`CombiningPartitionBuffer::into_sorted_runs`] finishes the task: each
-/// bucket is sorted by key (stable) and combined once more, yielding the
-/// per-partition *sorted runs* the streaming shuffle merges.
-#[derive(Debug)]
-pub struct CombiningPartitionBuffer<K, V> {
-    buckets: Vec<Vec<(K, V)>>,
-    buffered: usize,
-    watermark: usize,
-    capacity: usize,
-    spills: u64,
-}
-
-impl<K: Key, V: Value> CombiningPartitionBuffer<K, V> {
-    /// Creates a buffer with one bucket per reduce partition and the given
-    /// record capacity.
-    pub fn new(num_partitions: usize, capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        CombiningPartitionBuffer {
-            buckets: (0..num_partitions).map(|_| Vec::new()).collect(),
-            buffered: 0,
-            watermark: capacity,
-            capacity,
-            spills: 0,
-        }
-    }
-
-    /// Number of in-place combine passes the buffer has run so far.
-    pub fn spills(&self) -> u64 {
-        self.spills
-    }
-
-    /// Records currently buffered across all partitions.
-    pub fn len(&self) -> usize {
-        self.buffered
-    }
-
-    /// Whether nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.buffered == 0
-    }
-
-    /// Estimated bytes currently buffered: records ×
-    /// `size_of::<(K, V)>()`.  A lower bound for heap-carrying types,
-    /// measured identically to the engine's `shuffle_bytes`.
-    pub fn approx_bytes(&self) -> u64 {
-        (self.buffered * std::mem::size_of::<(K, V)>()) as u64
-    }
-
-    /// Adds one intermediate pair to `partition`, combining in place when
-    /// the buffer watermark is crossed and a combiner is present.
-    pub fn push<C>(&mut self, partition: usize, key: K, value: V, combiner: Option<&C>)
-    where
-        C: Combiner<Key = K, Value = V>,
-    {
-        self.buckets[partition].push((key, value));
-        self.buffered += 1;
-        if let Some(combiner) = combiner {
-            if self.buffered >= self.watermark {
-                self.combine_in_place(combiner);
-            }
-        }
-    }
-
-    /// Runs one in-place combine pass immediately (the executor's last
-    /// attempt to get back under a byte budget before spilling to disk).
-    pub fn combine_now<C: Combiner<Key = K, Value = V>>(&mut self, combiner: &C) {
-        self.combine_in_place(combiner);
-    }
-
-    fn combine_in_place<C: Combiner<Key = K, Value = V>>(&mut self, combiner: &C) {
-        self.spills += 1;
-        self.buffered = 0;
-        for bucket in &mut self.buckets {
-            let mut pairs = std::mem::take(bucket);
-            pairs.sort_by(|a, b| a.0.cmp(&b.0));
-            *bucket = combine_sorted_groups(pairs, combiner);
-            self.buffered += bucket.len();
-        }
-        // Combining must shrink the buffer below the watermark to be worth
-        // repeating; otherwise back off exponentially.
-        self.watermark = self.capacity.max(2 * self.buffered);
-    }
-
-    /// Drains the buffer: sorts every bucket by key (stable), applies the
-    /// final combine pass and returns one sorted run per partition,
-    /// leaving the buffer empty and reusable.  This is the spill path's
-    /// entry point; [`CombiningPartitionBuffer::into_sorted_runs`] is the
-    /// end-of-task variant.
-    pub fn take_sorted_runs<C>(&mut self, combiner: Option<&C>) -> Vec<Vec<(K, V)>>
-    where
-        C: Combiner<Key = K, Value = V>,
-    {
-        self.buffered = 0;
-        self.watermark = self.capacity;
-        self.buckets
-            .iter_mut()
-            .map(|bucket| {
-                let mut bucket = std::mem::take(bucket);
-                bucket.sort_by(|a, b| a.0.cmp(&b.0));
-                match combiner {
-                    Some(combiner) => combine_sorted_groups(bucket, combiner),
-                    None => bucket,
-                }
-            })
-            .collect()
-    }
-
-    /// Finishes the task: sorts every bucket by key (stable) and applies
-    /// the final combine pass, returning one sorted run per partition.
-    pub fn into_sorted_runs<C>(mut self, combiner: Option<&C>) -> Vec<Vec<(K, V)>>
-    where
-        C: Combiner<Key = K, Value = V>,
-    {
-        self.take_sorted_runs(combiner)
-    }
+/// Mirrors Hadoop's default hash partitioning.  The matching algorithms
+/// rely only on the contract that *all* values of a key reach the same
+/// reducer, never on which partition that is; but the reduce output is
+/// emitted in partition order, so the hash pins the byte layout of every
+/// job.
+pub fn hash_partition<K: Hash>(key: &K, num_partitions: usize) -> usize {
+    debug_assert!(num_partitions > 0);
+    let mut hasher = DefaultHasher::new();
+    key.hash(&mut hasher);
+    (hasher.finish() % num_partitions as u64) as usize
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::IdentityCombiner;
-
-    struct SumCombiner;
-    impl Combiner for SumCombiner {
-        type Key = u32;
-        type Value = u64;
-        fn combine(&self, _k: &u32, vs: &[u64]) -> Vec<u64> {
-            vec![vs.iter().sum()]
-        }
-    }
-
-    #[test]
-    fn buffer_routes_pairs_and_produces_sorted_combined_runs() {
-        let mut buffer: CombiningPartitionBuffer<u32, u64> = CombiningPartitionBuffer::new(2, 100);
-        for (k, v) in [(4u32, 1u64), (0, 2), (4, 3), (1, 4), (0, 5)] {
-            buffer.push((k % 2) as usize, k, v, Some(&SumCombiner));
-        }
-        assert_eq!(buffer.len(), 5);
-        let runs = buffer.into_sorted_runs(Some(&SumCombiner));
-        assert_eq!(runs.len(), 2);
-        assert_eq!(runs[0], vec![(0, 7), (4, 4)]);
-        assert_eq!(runs[1], vec![(1, 4)]);
-    }
-
-    #[test]
-    fn overflow_combines_in_place_and_counts_spills() {
-        let mut buffer: CombiningPartitionBuffer<u32, u64> = CombiningPartitionBuffer::new(1, 4);
-        for i in 0..32u64 {
-            buffer.push(0, (i % 2) as u32, 1, Some(&SumCombiner));
-        }
-        assert!(buffer.spills() > 0, "small buffer must spill");
-        // Whatever the spill schedule, the buffer never holds the full raw
-        // output: 2 distinct keys combine down to ≤ capacity records.
-        assert!(buffer.len() <= 8, "buffer held {} records", buffer.len());
-        let runs = buffer.into_sorted_runs(Some(&SumCombiner));
-        assert_eq!(runs[0], vec![(0, 16), (1, 16)]);
-    }
-
-    #[test]
-    fn identity_combiner_backs_off_instead_of_thrashing() {
-        let mut buffer: CombiningPartitionBuffer<u32, u64> = CombiningPartitionBuffer::new(1, 4);
-        let identity: IdentityCombiner<u32, u64> = IdentityCombiner::new();
-        for i in 0..1000u64 {
-            buffer.push(0, i as u32, i, Some(&identity));
-        }
-        // The watermark doubles whenever combining fails to shrink the
-        // buffer, so the number of futile passes stays logarithmic.
-        assert!(buffer.spills() <= 10, "spilled {} times", buffer.spills());
-        assert_eq!(buffer.len(), 1000);
-    }
-
-    #[test]
-    fn without_a_combiner_the_buffer_only_sorts() {
-        let mut buffer: CombiningPartitionBuffer<u32, u64> = CombiningPartitionBuffer::new(1, 2);
-        let no_combiner: Option<&SumCombiner> = None;
-        for (k, v) in [(3u32, 1u64), (1, 2), (3, 3), (2, 4)] {
-            buffer.push(0, k, v, no_combiner);
-        }
-        assert_eq!(buffer.spills(), 0);
-        let runs = buffer.into_sorted_runs(no_combiner);
-        assert_eq!(runs[0], vec![(1, 2), (2, 4), (3, 1), (3, 3)]);
-    }
-
-    #[test]
-    fn take_sorted_runs_drains_and_leaves_the_buffer_reusable() {
-        let mut buffer: CombiningPartitionBuffer<u32, u64> = CombiningPartitionBuffer::new(2, 100);
-        for (k, v) in [(4u32, 1u64), (0, 2)] {
-            buffer.push((k % 2) as usize, k, v, Some(&SumCombiner));
-        }
-        assert!(buffer.approx_bytes() > 0);
-        let first = buffer.take_sorted_runs(Some(&SumCombiner));
-        assert_eq!(first[0], vec![(0, 2), (4, 1)]);
-        assert!(buffer.is_empty());
-        assert_eq!(buffer.approx_bytes(), 0);
-        buffer.push(0, 2, 9, Some(&SumCombiner));
-        let second = buffer.into_sorted_runs(Some(&SumCombiner));
-        assert_eq!(second[0], vec![(2, 9)]);
-    }
 
     #[test]
     fn hash_partitioner_is_deterministic_and_in_range() {
-        let p: HashPartitioner<u64> = HashPartitioner::new();
         for key in 0u64..1000 {
-            let a = p.partition(&key, 7);
-            let b = p.partition(&key, 7);
+            let a = hash_partition(&key, 7);
+            let b = hash_partition(&key, 7);
             assert_eq!(a, b);
             assert!(a < 7);
         }
@@ -274,10 +33,9 @@ mod tests {
 
     #[test]
     fn hash_partitioner_spreads_keys() {
-        let p: HashPartitioner<u64> = HashPartitioner::new();
         let mut hits = vec![0usize; 8];
         for key in 0u64..4096 {
-            hits[p.partition(&key, 8)] += 1;
+            hits[hash_partition(&key, 8)] += 1;
         }
         // Every partition should receive a non-trivial share of uniform keys.
         for h in hits {
@@ -287,7 +45,6 @@ mod tests {
 
     #[test]
     fn single_partition_takes_everything() {
-        let p: HashPartitioner<String> = HashPartitioner::new();
-        assert_eq!(p.partition(&"anything".to_string(), 1), 0);
+        assert_eq!(hash_partition(&"anything".to_string(), 1), 0);
     }
 }

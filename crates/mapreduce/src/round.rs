@@ -2,11 +2,11 @@
 //! [`crate::flow::RoundState`].
 //!
 //! An iterative algorithm's state — one record per key, surviving from
-//! round to round — is hash-partitioned once with the job's
-//! [`HashPartitioner`] over its reduce task count, and every partition is
-//! kept sorted by key.  A round ([`Job::run_round`]) is one job without a
-//! map phase: it merges the notes emitted before it, and its reduce task
-//! *p* merge-joins state partition *p* with the notes merged for it,
+//! round to round — is hash-partitioned once ([`hash_partition`]) over
+//! the job's reduce task count, and every partition is kept sorted by
+//! key.  A round ([`Job::run_round`]) is one job without a map phase: it
+//! merges the notes emitted before it, and its reduce task *p*
+//! merge-joins state partition *p* with the notes merged for it,
 //! writes partition *p* of the next round and emits the next round's
 //! notes, tagged task *p*, through the map side's emission path.  The
 //! state never crosses the shuffle and never passes through the driver —
@@ -27,9 +27,9 @@ use smr_storage::{Codec, RunReader, RunWriter, SpillManager};
 use crate::counters::Counters;
 use crate::executor::{finish_metrics, Job, MapOutput, TaggedRuns, TaskOutput};
 use crate::metrics::JobMetrics;
-use crate::partition::{HashPartitioner, Partitioner};
+use crate::partition::hash_partition;
 use crate::task_queue::TaskQueue;
-use crate::types::{Emitter, IdentityCombiner, Key, ReduceGroups, StateReducer, Value};
+use crate::types::{Emitter, Key, ReduceGroups, StateReducer, Value};
 
 /// One partition of a round state, sorted by key.
 #[derive(Debug)]
@@ -196,11 +196,10 @@ pub(crate) fn partition_sorted<K: Key, S: Value>(
     n: usize,
     spill: Option<&StateSpill>,
 ) -> Vec<StatePartition<K, S>> {
-    let partitioner = HashPartitioner::new();
     let mut writers: Vec<PartitionWriter<K, S>> =
         (0..n).map(|p| PartitionWriter::new(spill, p)).collect();
     for (key, state) in records {
-        writers[partitioner.partition(&key, n)].push(key, state);
+        writers[hash_partition(&key, n)].push(key, state);
     }
     writers.into_iter().map(PartitionWriter::finish).collect()
 }
@@ -244,9 +243,6 @@ impl<K: Key, N: Value> PendingNotes<K, N> {
     }
 }
 
-/// The emission path of a round's notes: no combiner, hash-partitioned.
-type NoteOutput<'a, K, N> = TaskOutput<'a, K, N, IdentityCombiner<K, N>, HashPartitioner<K>>;
-
 /// Reduce task *p* of a round: merge-joins state partition *p* with the
 /// notes merged for it, both in key order, writes partition *p* of the
 /// next round and emits the next round's notes as map task *p* would.
@@ -255,7 +251,7 @@ fn join<R: StateReducer>(
     state: StatePartition<R::Key, R::State>,
     notes: ReduceGroups<'_, R::Key, R::Note>,
     out: &mut Emitter<R::OutKey, R::OutValue>,
-    emission: &mut NoteOutput<'_, R::Key, R::Note>,
+    emission: &mut TaskOutput<'_, R::Key, R::Note>,
     mut next: PartitionWriter<R::Key, R::State>,
 ) -> StatePartition<R::Key, R::State> {
     let mut notes = notes.peekable();
@@ -304,18 +300,17 @@ impl Job {
         let mut metrics = self.start_metrics(&counters, notes.records);
         metrics.map_tasks = notes.tasks;
         metrics.timings.map = notes.map_time;
-        let partitions = self.merge_phase(notes.runs, no_combiner(), &counters, &mut metrics);
+        let partitions = self.merge_phase(notes.runs, &counters, &mut metrics);
         // The merge consumed every disk run.
         drop(notes.spill);
 
         let emitted = MapOutput::new(self.config());
         let emitted_counters = Counters::new();
-        let partitioner = HashPartitioner::new();
         let (side, state) = self.reduce_phase(
             partitions,
             state,
             |p, part, groups, out| {
-                let mut emission = emitted.task(p, no_combiner(), &partitioner);
+                let mut emission = emitted.task(p);
                 let part = join(
                     reducer,
                     part,
@@ -360,8 +355,6 @@ impl Job {
         let mut metrics = JobMetrics::default();
         let (runs, spill) = self.map_phase(
             TaskQueue::unit(state.len()),
-            no_combiner(),
-            &HashPartitioner::new(),
             &counters,
             &mut metrics,
             None,
@@ -379,9 +372,4 @@ impl Job {
             map_time: metrics.timings.map,
         }
     }
-}
-
-/// Rounds run without a combiner: every note reaches its reducer.
-fn no_combiner<'a, K: Key, N: Value>() -> Option<&'a IdentityCombiner<K, N>> {
-    None
 }

@@ -45,12 +45,11 @@ use crate::config::JobConfig;
 use crate::counters::Counters;
 use crate::executor::{Job, RunSource, TaggedRun, TaggedRuns};
 use crate::metrics::JobMetrics;
-use crate::partition::Partitioner;
 use crate::process_shard::{
     current_runtime, shard_task_range, ProcessShardRuntime, ShardJob, ShardJobCheck, ShardRole,
 };
 use crate::task_queue::TaskQueue;
-use crate::types::{Combiner, Mapper, Reducer};
+use crate::types::{Mapper, Reducer};
 
 impl Job {
     /// The installed shard runtime, when this job opted into process
@@ -62,25 +61,19 @@ impl Job {
 
     /// Runs one job through the sharded multi-process runtime and returns
     /// its output; the caller has done the common prologue (metrics init,
-    /// input counter, identity-combiner filtering) and finishes the
-    /// metrics.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_process_sharded<M, C, R, P>(
+    /// input counter) and finishes the metrics.
+    pub(crate) fn run_process_sharded<M, R>(
         &self,
         runtime: &dyn ProcessShardRuntime,
         mapper: &M,
-        combiner: Option<&C>,
         reducer: &R,
-        partitioner: &P,
         input: &[(M::InKey, M::InValue)],
         counters: &Counters,
         metrics: &mut JobMetrics,
     ) -> Vec<(R::OutKey, R::OutValue)>
     where
         M: Mapper,
-        C: Combiner<Key = M::OutKey, Value = M::OutValue>,
         R: Reducer<Key = M::OutKey, InValue = M::OutValue>,
-        P: Partitioner<M::OutKey>,
     {
         let config = self.config();
         let job = runtime.begin_job(config);
@@ -150,7 +143,7 @@ impl Job {
                     }
                 }
 
-                let partitions = self.merge_phase(runs, combiner, counters, metrics);
+                let partitions = self.merge_phase(runs, counters, metrics);
                 let output = self.reduce_groups(reducer, partitions, counters, metrics);
                 publish(&job.output_path, |push| output.iter().for_each(push));
                 output
@@ -170,15 +163,7 @@ impl Job {
                 // isolates the deltas this shard contributed.
                 let range = shard_task_range(shard, job.num_shards, num_map_tasks);
                 let before = counters.snapshot();
-                let (runs, spill) = self.map_records(
-                    mapper,
-                    combiner,
-                    partitioner,
-                    input,
-                    counters,
-                    metrics,
-                    Some(range),
-                );
+                let (runs, spill) = self.map_records(mapper, input, counters, metrics, Some(range));
                 let after = counters.snapshot();
                 // A zero delta still matters when the map phase *created*
                 // the counter (`add(name, 0)` materialises the key):

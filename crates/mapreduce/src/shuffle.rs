@@ -1,8 +1,8 @@
 //! The streaming shuffle: external k-way merge of per-task sorted runs.
 //!
-//! Every map task hands the shuffle *sorted runs* per reduce partition
-//! (see [`crate::partition::CombiningPartitionBuffer`]) — in memory
-//! normally, on disk when the task ran over its memory budget and spilled.
+//! Every map task hands the shuffle *sorted runs* per reduce partition —
+//! in memory normally, on disk when the task ran over its memory budget
+//! and spilled.
 //! Bringing a partition into reducer order is then a k-way merge of k
 //! already-sorted runs — `O(n log k)` comparisons instead of an
 //! `O(n log n)` full re-sort, and no concatenated intermediate copy.  The
@@ -28,12 +28,11 @@
 //! would produce — regardless of which worker thread ran which task and of
 //! where each run's bytes live.
 
-use std::cell::Cell;
 use std::cmp::Ordering;
 
 use smr_storage::RunReader;
 
-use crate::types::{Combiner, Key, Value};
+use crate::types::{Key, Value};
 
 /// One sorted run feeding the merge: either still in memory, or spilled to
 /// a run file and streamed back record by record.
@@ -241,127 +240,9 @@ where
     merged
 }
 
-thread_local! {
-    /// Key clones taken by the combine fan-out on this thread.  The merge
-    /// paths move keys instead of cloning them wherever they can; this
-    /// counter is the executable proof — tests assert it stays at zero
-    /// for single-output combiners (the overwhelmingly common kind).
-    static KEY_CLONES: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Key clones the combine fan-out paths have taken on the calling thread
-/// so far.  Test/bench instrumentation, not public API.
-#[doc(hidden)]
-pub fn key_clones_on_this_thread() -> u64 {
-    KEY_CLONES.with(Cell::get)
-}
-
-/// Clones a key for a multi-output combiner fan-out, counting it.
-fn clone_key_counted<K: Clone>(key: &K) -> K {
-    KEY_CLONES.with(|count| count.set(count.get() + 1));
-    key.clone()
-}
-
-/// Emits a combiner's outputs for one group, moving the key into the last
-/// output and cloning it only for the outputs before it — zero clones for
-/// the usual one-output combiner.
-fn emit_combined<K: Clone, V>(key: K, mut outputs: Vec<V>, out: &mut Vec<(K, V)>) {
-    let last = outputs.pop();
-    for value in outputs {
-        out.push((clone_key_counted(&key), value));
-    }
-    if let Some(value) = last {
-        out.push((key, value));
-    }
-}
-
-/// Merges sorted record streams and applies `combiner` to every key group
-/// in one fused pass: records stream from the tournament straight into
-/// per-key groups, with no intermediate merged vector and no second scan.
-///
-/// A group holding a single value passes through untouched — it is
-/// already the output of a map-side combine, so re-applying the combiner
-/// would only burn cycles (the combiner contract makes the extra
-/// application a no-op semantically).  The result is byte-identical to
-/// [`merge_streams`] followed by a grouped combine.
-pub(crate) fn merge_streams_combining<C: Combiner, I>(
-    streams: Vec<I>,
-    combiner: &C,
-) -> Vec<(C::Key, C::Value)>
-where
-    I: Iterator<Item = (C::Key, C::Value)>,
-{
-    let total: usize = streams.iter().map(|i| i.size_hint().0).sum();
-    let mut tree = LoserTree::new(streams);
-    let mut combined = Vec::with_capacity(total);
-    let mut group: Option<(C::Key, Vec<C::Value>)> = None;
-    let flush = |group: Option<(C::Key, Vec<C::Value>)>, out: &mut Vec<_>| {
-        if let Some((key, mut values)) = group {
-            if values.len() == 1 {
-                out.push((key, values.pop().expect("one value")));
-            } else {
-                let outputs = combiner.combine(&key, &values);
-                emit_combined(key, outputs, out);
-            }
-        }
-    };
-    while let Some((key, value)) = tree.pop() {
-        match &mut group {
-            Some((group_key, values)) if *group_key == key => values.push(value),
-            _ => {
-                flush(group.take(), &mut combined);
-                group = Some((key, vec![value]));
-            }
-        }
-    }
-    flush(group, &mut combined);
-    combined
-}
-
-/// Applies a combiner to a key-sorted sequence in one pass, consuming the
-/// input.  Keys and values are moved, not cloned — a multi-output
-/// combiner clones its key only for the outputs before the last.
-///
-/// Every group goes through the combiner exactly once — including
-/// singleton groups, matching the legacy per-task combine.  Used for
-/// task-side combining (final run generation and buffer spills).
-pub(crate) fn combine_sorted_groups<C: Combiner>(
-    pairs: Vec<(C::Key, C::Value)>,
-    combiner: &C,
-) -> Vec<(C::Key, C::Value)> {
-    let mut combined = Vec::with_capacity(pairs.len());
-    let mut iter = pairs.into_iter().peekable();
-    while let Some((key, value)) = iter.next() {
-        let mut values = vec![value];
-        while iter.peek().is_some_and(|(next_key, _)| *next_key == key) {
-            values.push(iter.next().expect("peeked").1);
-        }
-        let outputs = combiner.combine(&key, &values);
-        emit_combined(key, outputs, &mut combined);
-    }
-    combined
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Test shorthand: the fused merge+combine over in-memory runs.
-    fn merge_runs_combining<C: Combiner>(
-        runs: Vec<Vec<(C::Key, C::Value)>>,
-        combiner: &C,
-    ) -> Vec<(C::Key, C::Value)> {
-        merge_streams_combining(runs.into_iter().map(Vec::into_iter).collect(), combiner)
-    }
-
-    struct SumCombiner;
-    impl Combiner for SumCombiner {
-        type Key = u32;
-        type Value = u64;
-        fn combine(&self, _k: &u32, vs: &[u64]) -> Vec<u64> {
-            vec![vs.iter().sum()]
-        }
-    }
 
     /// Reference implementation: concatenate in run order, stable-sort by
     /// key — exactly what the legacy shuffle does.
@@ -513,97 +394,5 @@ mod tests {
         assert_eq!(merged, merge_runs(vec![disk_run, memory_run]));
         assert_eq!(merged, vec![(1, 'd'), (2, 'm'), (5, 'e'), (5, 'n')]);
         std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn combine_sorted_groups_collapses_each_group_once() {
-        let pairs = vec![(1u32, 10u64), (1, 20), (2, 5), (3, 1), (3, 2), (3, 3)];
-        let combined = combine_sorted_groups(pairs, &SumCombiner);
-        assert_eq!(combined, vec![(1, 30), (2, 5), (3, 6)]);
-    }
-
-    struct CountingCombiner(std::sync::atomic::AtomicUsize);
-    impl Combiner for CountingCombiner {
-        type Key = u32;
-        type Value = u64;
-        fn combine(&self, _k: &u32, vs: &[u64]) -> Vec<u64> {
-            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            vec![vs.iter().sum()]
-        }
-    }
-
-    #[test]
-    fn merging_combine_skips_singleton_groups() {
-        let runs = vec![vec![(1u32, 10u64), (2, 5)], vec![(2, 6), (3, 1)]];
-        let combiner = CountingCombiner(std::sync::atomic::AtomicUsize::new(0));
-        let combined = merge_runs_combining(runs, &combiner);
-        assert_eq!(combined, vec![(1, 10), (2, 11), (3, 1)]);
-        // Only the key-2 group (two values, straddling the runs) went
-        // through the combiner.
-        assert_eq!(combiner.0.load(std::sync::atomic::Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn merging_combine_matches_merge_then_combine() {
-        let runs = vec![
-            vec![(1u32, 1u64), (1, 2), (4, 4)],
-            vec![(0, 9), (1, 3), (4, 1)],
-            vec![(4, 2)],
-        ];
-        let fused = merge_runs_combining(runs.clone(), &SumCombiner);
-        assert_eq!(fused, vec![(0, 9), (1, 6), (4, 7)]);
-        // Zero and one-run inputs go through the same grouped path.
-        let empty: Vec<Vec<(u32, u64)>> = Vec::new();
-        assert!(merge_runs_combining(empty, &SumCombiner).is_empty());
-        let single = vec![vec![(1u32, 1u64), (1, 2), (2, 5)]];
-        assert_eq!(
-            merge_runs_combining(single, &SumCombiner),
-            vec![(1, 3), (2, 5)]
-        );
-    }
-
-    #[test]
-    fn single_output_combiners_never_clone_keys() {
-        let runs = vec![
-            vec![(1u32, 1u64), (1, 2), (4, 4)],
-            vec![(0, 9), (1, 3), (4, 1)],
-        ];
-        let before = key_clones_on_this_thread();
-        let fused = merge_runs_combining(runs, &SumCombiner);
-        assert_eq!(fused, vec![(0, 9), (1, 6), (4, 5)]);
-        let sorted =
-            combine_sorted_groups(vec![(1u32, 1u64), (1, 2), (2, 5), (3, 7)], &SumCombiner);
-        assert_eq!(sorted, vec![(1, 3), (2, 5), (3, 7)]);
-        assert_eq!(
-            key_clones_on_this_thread(),
-            before,
-            "a one-output combiner must move its key, never clone it"
-        );
-    }
-
-    /// A combiner that fans each group out to one output per value —
-    /// exercises the clone-all-but-last path.
-    struct FanOutCombiner;
-    impl Combiner for FanOutCombiner {
-        type Key = u32;
-        type Value = u64;
-        fn combine(&self, _k: &u32, vs: &[u64]) -> Vec<u64> {
-            vs.to_vec()
-        }
-    }
-
-    #[test]
-    fn multi_output_combiners_clone_one_key_less_than_their_outputs() {
-        let before = key_clones_on_this_thread();
-        // One group of three values → three outputs → exactly two clones.
-        let combined = combine_sorted_groups(vec![(7u32, 1u64), (7, 2), (7, 3)], &FanOutCombiner);
-        assert_eq!(combined, vec![(7, 1), (7, 2), (7, 3)]);
-        assert_eq!(key_clones_on_this_thread(), before + 2);
-    }
-
-    #[test]
-    fn combine_sorted_groups_handles_empty_input() {
-        let combined = combine_sorted_groups(Vec::new(), &SumCombiner);
-        assert!(combined.is_empty());
     }
 }

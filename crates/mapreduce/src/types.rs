@@ -7,8 +7,8 @@
 //! reduce : <k2, [v2]> -> [<k3, v3>]
 //! ```
 //!
-//! User code implements [`Mapper`] and [`Reducer`] (and optionally
-//! [`Combiner`]) and hands them to [`crate::Job::run`].  Emission goes
+//! User code implements [`Mapper`] and [`Reducer`] and hands them to
+//! [`crate::Job::run`].  Emission goes
 //! through an [`Emitter`] so that the engine can count output records and
 //! avoid intermediate allocations in user code.
 
@@ -22,9 +22,9 @@ pub use smr_storage::Codec;
 /// exactly as Hadoop presents keys to reducers in sorted order), hashable
 /// (for hash partitioning), cloneable/sendable (the engine moves them
 /// across worker threads) and encodable ([`Codec`]): under a memory budget
-/// the shuffle spills sorted runs to disk, and the flow layer persists
-/// datasets in a file-backed store, so every key must have a canonical
-/// binary encoding.  Primitives, `String`, tuples and `Vec`s come with one;
+/// the shuffle spills sorted runs to disk, and a flow's round state and
+/// side data live in run files, so every key must have a canonical binary
+/// encoding.  Primitives, `String`, tuples and `Vec`s come with one;
 /// user types get theirs via `smr_storage::impl_codec_struct!`.
 pub trait Key: Clone + Send + Sync + Ord + Hash + Codec + 'static {}
 impl<T: Clone + Send + Sync + Ord + Hash + Codec + 'static> Key for T {}
@@ -229,67 +229,6 @@ pub trait StateReducer: Send + Sync {
     ) -> Option<Self::State>;
 }
 
-/// An optional map-side combiner.
-///
-/// A combiner is applied to the output of every map *task* before the
-/// shuffle, reducing the number of records that must be moved.  It must be
-/// semantically idempotent with respect to the reducer: applying the
-/// combiner any number of times must not change the final reduce output.
-pub trait Combiner: Send + Sync {
-    /// Intermediate key type.
-    type Key: Key;
-    /// Intermediate value type.
-    type Value: Value;
-
-    /// Combines all values for `key` produced by a single map task into a
-    /// (typically shorter) list of values.
-    fn combine(&self, key: &Self::Key, values: &[Self::Value]) -> Vec<Self::Value>;
-
-    /// Whether this combiner passes every value through unchanged.
-    ///
-    /// The executor skips the combine machinery entirely for identity
-    /// combiners (no per-group `values.to_vec()`, no combining buffer
-    /// spills, no merge-side combine) — the job behaves exactly as if no
-    /// combiner was configured, which is semantically identical for any
-    /// correct identity implementation.  Defaults to `false`; only
-    /// implementations that truly emit their input verbatim may return
-    /// `true`.
-    fn is_identity(&self) -> bool {
-        false
-    }
-}
-
-/// A combiner that performs no combining (every value passes through).
-///
-/// Useful as the default when a job has no combiner: the engine treats it
-/// as a no-op and skips the combine pass entirely.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct IdentityCombiner<K, V> {
-    _marker: std::marker::PhantomData<fn() -> (K, V)>,
-}
-
-impl<K, V> IdentityCombiner<K, V> {
-    /// Creates the identity combiner.
-    pub fn new() -> Self {
-        IdentityCombiner {
-            _marker: std::marker::PhantomData,
-        }
-    }
-}
-
-impl<K: Key, V: Value> Combiner for IdentityCombiner<K, V> {
-    type Key = K;
-    type Value = V;
-
-    fn combine(&self, _key: &K, values: &[V]) -> Vec<V> {
-        values.to_vec()
-    }
-
-    fn is_identity(&self) -> bool {
-        true
-    }
-}
-
 /// A reducer that passes every value through under its key, in shuffle
 /// order: for jobs whose map side does all the work, so the shuffle only
 /// partitions and orders the records and the reduce output keeps that
@@ -357,13 +296,6 @@ mod tests {
         assert!(e.is_empty());
         e.emit(2, 2);
         assert_eq!(e.drain(), vec![(2, 2)]);
-    }
-
-    #[test]
-    fn identity_combiner_passes_values_through() {
-        let c: IdentityCombiner<u32, u32> = IdentityCombiner::new();
-        let vals = vec![3, 1, 2];
-        assert_eq!(c.combine(&0, &vals), vals);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based and integration tests of the MapReduce engine's
 //! contract: the result of a job never depends on the number of map tasks,
-//! reduce partitions or worker threads, combiners never change the output,
-//! the built-in counters are consistent with each other, no value is
+//! reduce partitions or worker threads, the built-in counters are
+//! consistent with each other at every memory budget, no value is
 //! copied between a mapper's `emit` and the reducer that reads it, and a
 //! round's state records move from round to round without a copy.
 
@@ -36,16 +36,6 @@ impl Reducer for Max {
     type OutValue = u64;
     fn reduce(&self, k: &u32, vs: &[u64], out: &mut Emitter<u32, u64>) {
         out.emit(*k, vs.iter().copied().max().unwrap_or(0));
-    }
-}
-
-struct MaxCombiner;
-
-impl Combiner for MaxCombiner {
-    type Key = u32;
-    type Value = u64;
-    fn combine(&self, _k: &u32, vs: &[u64]) -> Vec<u64> {
-        vec![vs.iter().copied().max().unwrap_or(0)]
     }
 }
 
@@ -134,7 +124,7 @@ fn shuffled_values_reach_the_reducer_by_move_in_shuffle_order() {
     assert_eq!(
         TRACKED_CLONES.load(Ordering::Relaxed),
         0,
-        "a combiner-less job never clones a value between map output and reducer input"
+        "a job never clones a value between map output and reducer input"
     );
 }
 
@@ -275,45 +265,29 @@ proptest! {
     }
 
     #[test]
-    fn combiner_never_changes_the_result(
-        input in proptest::collection::vec((0u32..30, 0u64..1_000), 1..60),
-        groups in 1u32..6,
-    ) {
-        // The random input, and one fixed heavy-hitter input: 200 records
-        // over 3 keys, so every map task holds many values per key.
-        let heavy_hitters: Vec<(u32, u64)> = (0..200).map(|i| (i % 3, u64::from(i))).collect();
-        for (input, heavy) in [(input, false), (heavy_hitters, true)] {
-            let job = Job::new(JobConfig::named("prop-combiner").with_threads(2));
-            let plain = job.run(&Spread { groups }, &Max, input.clone());
-            let combined = job.run_with_combiner(&Spread { groups }, &MaxCombiner, &Max, input);
-            let mut a = plain.output;
-            let mut b = combined.output;
-            a.sort();
-            b.sort();
-            prop_assert_eq!(a, b);
-            // The combiner can only reduce (or keep) the shuffle volume,
-            // and with many values per key it strictly reduces it.
-            if heavy {
-                prop_assert!(combined.metrics.shuffle_records < plain.metrics.shuffle_records);
-            } else {
-                prop_assert!(combined.metrics.shuffle_records <= plain.metrics.shuffle_records);
-            }
-        }
-    }
-
-    #[test]
     fn builtin_counters_are_consistent(
         input in proptest::collection::vec((0u32..40, 0u64..100), 0..60),
         groups in 1u32..5,
+        spill in 0u8..2,
     ) {
-        let job = Job::new(JobConfig::named("prop-counters").with_threads(3));
+        // No budget, or 64 B: below one record per worker, so every task
+        // spills.
+        let budget = (spill == 1).then_some(64u64);
+        let job = Job::new(
+            JobConfig::named("prop-counters")
+                .with_threads(3)
+                .with_memory_budget(budget),
+        );
         let result = job.run(&Spread { groups }, &Max, input.clone());
         let m = &result.metrics;
         prop_assert_eq!(m.map_input_records, input.len() as u64);
         // Spread emits exactly two records per input record.
         prop_assert_eq!(m.map_output_records, 2 * input.len() as u64);
-        // Without a combiner everything emitted is shuffled.
+        // Everything emitted is shuffled, spilled or not.
         prop_assert_eq!(m.shuffle_records, m.map_output_records);
+        if budget.is_none() {
+            prop_assert_eq!(m.disk_runs, 0);
+        }
         // Max emits one record per group; groups cannot exceed the key space.
         prop_assert_eq!(m.reduce_output_records, m.reduce_input_groups);
         prop_assert!(m.reduce_input_groups <= groups as u64);

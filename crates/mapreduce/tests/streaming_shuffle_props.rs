@@ -1,10 +1,9 @@
 //! Property tests locking the streaming shuffle to a sequential reference
-//! model: for random mapper/reducer/combiner instances over random inputs,
+//! model: for random mapper/reducer instances over random inputs,
 //! `JobResult.output` is **byte-identical** to a single-threaded
 //! simulation of the MapReduce contract — across thread counts 1/2/8, map
-//! task counts 1/7/64, tiny combining buffers that force in-place combine
-//! passes, and memory budgets {64 B, 4 KB, unlimited} that force the
-//! disk-spilling shuffle path.
+//! task counts 1/7/64, and memory budgets {64 B, 4 KB, unlimited} that
+//! force the disk-spilling shuffle path.
 //!
 //! The reducer family includes an order-sensitive op (`First`) so the
 //! tests pin down not just the multiset of output records but the exact
@@ -12,8 +11,8 @@
 //! guarantee that spilled runs merge back in emission order.
 
 use proptest::prelude::*;
+use smr_mapreduce::partition::hash_partition;
 use smr_mapreduce::prelude::*;
-use smr_mapreduce::HashPartitioner;
 
 /// A mapper whose shape (fan-out, key space, key mixing) is generated per
 /// test case.
@@ -39,9 +38,7 @@ impl Mapper for RandomMapper {
     }
 }
 
-/// The associative fold a combiner/reducer pair applies.  Every op honours
-/// the combiner contract (applying it any number of times, at any
-/// granularity, leaves the final reduce output unchanged).
+/// The fold a reducer applies.
 #[derive(Debug, Clone, Copy)]
 enum Op {
     Sum,
@@ -71,15 +68,6 @@ impl Op {
     }
 }
 
-struct OpCombiner(Op);
-impl Combiner for OpCombiner {
-    type Key = u32;
-    type Value = u64;
-    fn combine(&self, _k: &u32, vs: &[u64]) -> Vec<u64> {
-        vec![self.0.fold(vs)]
-    }
-}
-
 struct OpReducer(Op);
 impl Reducer for OpReducer {
     type Key = u32;
@@ -94,9 +82,7 @@ impl Reducer for OpReducer {
 struct Case {
     mapper: RandomMapper,
     op: Op,
-    use_combiner: bool,
     reduce_tasks: usize,
-    combine_buffer: usize,
     input: Vec<(u32, u64)>,
 }
 
@@ -107,37 +93,24 @@ impl Case {
                 .with_memory_budget(budget)
                 .with_threads(threads)
                 .with_map_tasks(map_tasks)
-                .with_reduce_tasks(self.reduce_tasks)
-                .with_combine_buffer_records(self.combine_buffer),
+                .with_reduce_tasks(self.reduce_tasks),
         );
-        let result = if self.use_combiner {
-            job.run_with_combiner(
-                &self.mapper,
-                &OpCombiner(self.op),
-                &OpReducer(self.op),
-                self.input.clone(),
-            )
-        } else {
-            job.run(&self.mapper, &OpReducer(self.op), self.input.clone())
-        };
-        result.output
+        job.run(&self.mapper, &OpReducer(self.op), self.input.clone())
+            .output
     }
 
     /// A sequential simulation of the MapReduce contract, independent of
     /// the engine: map every record in input order, partition in emission
     /// order, stable-sort each partition by key, group adjacent keys and
-    /// reduce.  Combiners are deliberately *not* modelled: by their
-    /// contract they must not change the final output, so one model covers
-    /// every combining schedule (task-side, merge-side, spill-chunked).
+    /// reduce.
     fn reference_model(&self) -> Vec<(u32, u64)> {
-        let partitioner: HashPartitioner<u32> = HashPartitioner::new();
         let mut partitions: Vec<Vec<(u32, u64)>> =
             (0..self.reduce_tasks).map(|_| Vec::new()).collect();
         let mut emitter = Emitter::new();
         for (k, v) in &self.input {
             self.mapper.map(k, v, &mut emitter);
             emitter.drain_each(|key, value| {
-                let p = partitioner.partition(&key, self.reduce_tasks);
+                let p = hash_partition(&key, self.reduce_tasks);
                 partitions[p].push((key, value));
             });
         }
@@ -172,16 +145,12 @@ proptest! {
         key_mod in 1u32..13,
         mix in 0u32..100,
         op_index in 0u8..4,
-        combiner_coin in 0u32..2,
         reduce_tasks in 1usize..5,
-        combine_buffer in 1usize..20,
     ) {
         let case = Case {
             mapper: RandomMapper { fanout, key_mod, mix },
             op: Op::from_index(op_index),
-            use_combiner: combiner_coin == 1,
             reduce_tasks,
-            combine_buffer,
             input,
         };
         let reference = case.reference_model();
@@ -203,16 +172,12 @@ proptest! {
         key_mod in 1u32..13,
         mix in 0u32..100,
         op_index in 0u8..4,
-        combiner_coin in 0u32..2,
         reduce_tasks in 1usize..5,
-        combine_buffer in 1usize..20,
     ) {
         let case = Case {
             mapper: RandomMapper { fanout, key_mod, mix },
             op: Op::from_index(op_index),
-            use_combiner: combiner_coin == 1,
             reduce_tasks,
-            combine_buffer,
             input,
         };
         let reference = case.reference_model();
@@ -228,43 +193,5 @@ proptest! {
                 );
             }
         }
-    }
-
-    #[test]
-    fn merge_side_combining_never_increases_shuffle_volume(
-        input in proptest::collection::vec((0u32..30, 0u64..1_000), 1..60),
-        key_mod in 1u32..8,
-        map_tasks in 2usize..8,
-    ) {
-        let mapper = RandomMapper { fanout: 2, key_mod, mix: 7 };
-        let run = |use_combiner: bool| {
-            let job = Job::new(
-                JobConfig::named("prop-volume")
-                    .with_memory_budget(None)
-                    .with_threads(2)
-                    .with_map_tasks(map_tasks)
-                    .with_reduce_tasks(2),
-            );
-            if use_combiner {
-                job.run_with_combiner(
-                    &mapper,
-                    &OpCombiner(Op::Sum),
-                    &OpReducer(Op::Sum),
-                    input.clone(),
-                )
-            } else {
-                job.run(&mapper, &OpReducer(Op::Sum), input.clone())
-            }
-        };
-        let plain = run(false);
-        let combined = run(true);
-        prop_assert_eq!(combined.output, plain.output);
-        // Combining can only shrink what reaches reducers.
-        prop_assert!(combined.metrics.shuffle_records <= plain.metrics.shuffle_records);
-        // Both runs agree on what the map side produced.
-        prop_assert_eq!(
-            combined.metrics.map_output_records,
-            plain.metrics.map_output_records
-        );
     }
 }

@@ -130,7 +130,7 @@ impl DatasetStore {
 
     /// Opens a streaming reader over the dataset at `name`, verifying the
     /// stored type tag.
-    pub fn open_reader<R: Codec>(&self, name: &str) -> Result<RunReader<R>, StorageError> {
+    fn open_reader<R: Codec>(&self, name: &str) -> Result<RunReader<R>, StorageError> {
         let path = self.file_for(name);
         if !path.exists() {
             return Err(StorageError::Missing {
@@ -140,18 +140,6 @@ impl DatasetStore {
         let reader: RunReader<R> = RunReader::open(&path)?;
         reader.check_type()?;
         Ok(reader)
-    }
-
-    /// Number of records stored at `name` (read from the header only).
-    /// Zero when the dataset is missing.
-    pub fn record_count(&self, name: &str) -> u64 {
-        let path = self.file_for(name);
-        if !path.exists() {
-            return 0;
-        }
-        RunReader::<()>::open(&path)
-            .map(|r| r.records())
-            .unwrap_or(0)
     }
 
     /// Whether a dataset exists at `name`.
@@ -180,18 +168,6 @@ impl DatasetStore {
             .collect();
         names.sort();
         names
-    }
-
-    /// Total records across all datasets (headers only).
-    pub fn total_records(&self) -> u64 {
-        self.paths().iter().map(|n| self.record_count(n)).sum()
-    }
-
-    /// Removes every dataset.
-    pub fn clear(&self) {
-        for name in self.paths() {
-            self.remove(&name);
-        }
     }
 }
 
@@ -234,7 +210,6 @@ mod tests {
         let records: Vec<(String, u64)> = vec![("a".into(), 1), ("b".into(), 2)];
         store.write("iteration-0/graph", &records).unwrap();
         assert!(store.exists("iteration-0/graph"));
-        assert_eq!(store.record_count("iteration-0/graph"), 2);
         assert_eq!(
             store.read::<(String, u64)>("iteration-0/graph").unwrap(),
             records
@@ -271,13 +246,12 @@ mod tests {
                 ("c".to_string(), 3)
             ]
         );
-        assert_eq!(store.record_count("log"), 3);
         // Appending at the wrong type is a typed error, not corruption.
         assert!(matches!(
             store.append::<(u64, u64)>("log", &[(1, 1)]),
             Err(StorageError::TypeMismatch { .. })
         ));
-        assert_eq!(store.record_count("log"), 3);
+        assert_eq!(store.read::<(String, u64)>("log").unwrap().len(), 3);
         // Atomic writes go through temp files; none may remain.
         store.write("log", &[("z".to_string(), 9u64)]).unwrap();
         let leftovers = std::fs::read_dir(store.root())
@@ -314,15 +288,14 @@ mod tests {
     }
 
     #[test]
-    fn paths_and_clear_cover_encoded_names() {
+    fn paths_and_remove_cover_encoded_names() {
         let store = temp_store("paths");
         store.write("b/nested", &[1u8]).unwrap();
         store.write("a", &[2u8, 3]).unwrap();
         assert_eq!(store.paths(), vec!["a".to_string(), "b/nested".to_string()]);
-        assert_eq!(store.total_records(), 3);
         assert!(store.remove("a"));
         assert!(!store.remove("a"));
-        store.clear();
+        assert!(store.remove("b/nested"));
         assert!(store.paths().is_empty());
         std::fs::remove_dir_all(store.root()).unwrap();
     }

@@ -13,11 +13,11 @@
 //!   format version, the record count (patched on finish, so half-written
 //!   files are rejected) and the record type's name.
 //! * [`SpillManager`] — owns a job's memory budget and a self-cleaning
-//!   temp directory: map tasks whose combining buffer outgrows their
+//!   temp directory: map tasks whose buffered output outgrows their
 //!   budget share spill sorted runs through it, and the directory is
 //!   removed when the manager drops.
 //! * [`DatasetStore`] — file-backed named datasets with per-dataset type
-//!   tags, backing the flow layer's `persist`/`load` and side data.
+//!   tags, backing the flow layer's side data.
 //! * [`ShardManifest`] — the length-prefixed, checksummed commit record a
 //!   sharded worker process leaves beside its run files so the
 //!   multi-process runtime (`smr_distrib`) can treat the run format as a

@@ -2,7 +2,7 @@
 //! the coordinator.
 //!
 //! In the sharded multi-process runtime (`smr_distrib`, see
-//! `docs/distrib.md`) a worker runs the map + combine + spill path over
+//! `docs/distrib.md`) a worker runs the map + spill path over
 //! its slice of a job's map tasks and leaves the per-partition sorted
 //! runs behind as ordinary run files.  The [`ShardManifest`] is the
 //! *commit record* for that work: one small file naming every run the

@@ -1,7 +1,6 @@
 //! Document corpus: documents, vocabulary and vectors in one place.
 
 use serde::{Deserialize, Serialize};
-use smr_storage::impl_codec_struct;
 
 use crate::sparse::SparseVector;
 use crate::tfidf::{TfIdf, Weighting};
@@ -16,8 +15,6 @@ pub struct Document {
     /// The raw text (or space-separated tag list).
     pub text: String,
 }
-
-impl_codec_struct!(Document { id, text });
 
 impl Document {
     /// Creates a document.

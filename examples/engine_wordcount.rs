@@ -1,9 +1,12 @@
 //! Using the MapReduce substrate directly: the classic word-count job,
-//! with and without a combiner, showing the counters the engine exposes.
+//! run in memory and again under a 4 KiB memory budget, showing the
+//! counters the engine exposes.
 //!
 //! The matching algorithms of this workspace are written against exactly
 //! this engine; this example is the smallest possible end-to-end tour of
-//! its API (mapper, reducer, combiner, job configuration, metrics).
+//! its API (mapper, reducer, job configuration, metrics) and of its
+//! out-of-core shuffle: the budgeted run spills sorted runs to disk and
+//! still produces the same bytes.
 //!
 //! ```text
 //! cargo run --example engine_wordcount
@@ -39,53 +42,49 @@ impl Reducer for Sum {
     }
 }
 
-struct SumCombiner;
-
-impl Combiner for SumCombiner {
-    type Key = String;
-    type Value = u64;
-
-    fn combine(&self, _word: &String, counts: &[u64]) -> Vec<u64> {
-        vec![counts.iter().sum()]
-    }
-}
-
 fn main() {
-    let documents: Vec<(usize, String)> = vec![
-        (0, "the quick brown fox jumps over the lazy dog".to_string()),
-        (1, "the dog barks and the fox runs".to_string()),
-        (2, "quick quick slow the fox the fox".to_string()),
+    let sentences = [
+        "the quick brown fox jumps over the lazy dog",
+        "the dog barks and the fox runs",
+        "quick quick slow the fox the fox",
     ];
+    let documents: Vec<(usize, String)> = (0..300)
+        .map(|i| (i, sentences[i % sentences.len()].to_string()))
+        .collect();
 
-    let job = Job::new(
-        JobConfig::named("wordcount")
-            .with_map_tasks(3)
-            .with_reduce_tasks(2),
-    );
-
-    let plain = job.run(&Tokenize, &Sum, documents.clone());
-    let combined = job.run_with_combiner(&Tokenize, &SumCombiner, &Sum, documents);
+    let config = JobConfig::named("wordcount")
+        .with_threads(2)
+        .with_map_tasks(3)
+        .with_reduce_tasks(2);
+    let plain =
+        Job::new(config.clone().with_memory_budget(None)).run(&Tokenize, &Sum, documents.clone());
 
     println!("top words:");
-    let mut counts = combined.output.clone();
+    let mut counts = plain.output.clone();
     counts.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     for (word, count) in counts.iter().take(5) {
         println!("  {word:<8} {count}");
     }
 
+    let m = &plain.metrics;
+    println!("\nin memory:");
+    println!("  map output records: {}", m.map_output_records);
+    println!("  shuffled records  : {}", m.shuffle_records);
+    println!("  merged runs       : {}", m.merge_runs);
     println!(
-        "\nshuffle volume without combiner: {} records",
-        plain.metrics.shuffle_records
+        "  map tasks: {}, reduce tasks: {}, wall time: {:?}",
+        m.map_tasks,
+        m.reduce_tasks,
+        m.timings.total()
     );
-    println!(
-        "shuffle volume with combiner   : {} records ({:.0}% saved)",
-        combined.metrics.shuffle_records,
-        100.0 * combined.metrics.combine_reduction()
-    );
-    println!(
-        "map tasks: {}, reduce tasks: {}, wall time: {:?}",
-        combined.metrics.map_tasks,
-        combined.metrics.reduce_tasks,
-        combined.metrics.timings.total()
-    );
+
+    let budgeted = Job::new(config.with_memory_budget(Some(4096))).run(&Tokenize, &Sum, documents);
+    let m = &budgeted.metrics;
+    println!("\nunder a 4 KiB memory budget:");
+    println!("  spilled bytes     : {}", m.spill_bytes);
+    println!("  disk runs         : {}", m.disk_runs);
+    println!("  merged runs       : {}", m.merge_runs);
+    let identical = budgeted.output == plain.output;
+    println!("  identical output  : {identical}");
+    assert!(identical, "the budget must not change the output");
 }

@@ -208,9 +208,9 @@ fn join_counts_regression_guard_flickr_small_sigma_016() {
 fn rounds_regression_guard_flickr_large_sigma_009() {
     // The densest point of the flickr-large sweep at the grown preset
     // size (4 200 photos / 640 users).  Rounds-to-convergence and the
-    // total shuffle volume are exact-deterministic for GreedyMR (no
-    // combiner on the round jobs, so threads and memory budgets move
-    // bytes around without changing what crosses the shuffle); any
+    // total shuffle volume are exact-deterministic for GreedyMR (every
+    // emitted note crosses the shuffle, so threads and memory budgets
+    // move bytes around without changing what crosses it); any
     // drift here means the round semantics changed, not just the
     // schedule.
     let mut set = ExperimentSet::new(ExperimentScale::Full, 2, 2011);
