@@ -60,7 +60,7 @@ pub struct JobConfig {
     pub memory_budget: Option<u64>,
     /// Directory spilled runs are written under (a per-job subdirectory is
     /// created lazily and removed when the job finishes); a
-    /// [`crate::FlowContext`] roots its side store here too.
+    /// [`crate::FlowContext`] roots its round-state directory here too.
     /// `None` (the default unless [`SPILL_DIR_ENV`] is set) uses the
     /// system temp directory.
     pub spill_dir: Option<PathBuf>,

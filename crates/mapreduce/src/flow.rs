@@ -6,8 +6,8 @@
 //! adds the plan-builder API that callers chain jobs with:
 //!
 //! * [`FlowContext`] — shared execution state: the [`JobConfig`] every job
-//!   of the chain runs under, a file-backed side store standing in for
-//!   HDFS ([`FlowContext::side_store`]), and the accumulated
+//!   of the chain runs under, a transient directory for round-state spill
+//!   files ([`FlowContext::side_store`]), and the accumulated
 //!   [`JobMetrics`] of every job the flow has executed
 //!   ([`FlowContext::report`] snapshots them as a [`FlowReport`]).
 //! * [`Dataset<K, V>`] — a *deferred* computation producing `(K, V)`
@@ -71,11 +71,11 @@
 //! assert_eq!(flow.report().num_jobs(), 1);
 //! ```
 
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
-use smr_storage::DatasetStore;
 
 use crate::config::JobConfig;
 use crate::counters::Counters;
@@ -215,22 +215,21 @@ struct FlowInner {
     round_starts: Mutex<Vec<usize>>,
     /// The flow's one directory (see [`FlowContext::side_store`]),
     /// created on first use.
-    side: OnceLock<DatasetStore>,
+    side: OnceLock<PathBuf>,
 }
 
 impl Drop for FlowInner {
     fn drop(&mut self) {
-        // Side data is transient by contract: whatever jobs parked there
-        // (index partitions, vector chunks, round state) dies with the
-        // flow.
-        if let Some(store) = self.side.get() {
-            let _ = std::fs::remove_dir_all(store.root());
+        // The directory is transient by contract: whatever round state
+        // spilled there dies with the flow.
+        if let Some(dir) = self.side.get() {
+            let _ = std::fs::remove_dir_all(dir);
         }
     }
 }
 
 /// Shared state of a job chain: the [`JobConfig`] every job runs under,
-/// the side store standing in for the distributed file system, and the
+/// a transient directory for round-state spill files, and the
 /// accumulated metrics of every executed job.
 ///
 /// Cloning a `FlowContext` is cheap and every clone shares the same state,
@@ -317,42 +316,37 @@ impl FlowContext {
         }
     }
 
-    /// The flow's *side-data* store: a disk-backed [`DatasetStore`] for
-    /// data that jobs ship around outside the shuffle — the Hadoop
-    /// distributed-cache role.  A job chain parks derived artifacts here
-    /// (an inverted index in term-range partitions, a corpus in vector
-    /// chunks) and later stages open them on demand instead of holding
-    /// them in memory for the whole chain.
-    ///
-    /// The store is the flow's one directory, `smr-flow-{pid}-{seq}`
-    /// under [`JobConfig::spill_dir`] (the system temp directory when
-    /// unset): created on first use, shared by every clone of the context
-    /// and deleted when the flow drops.
+    /// The flow's one directory, where [`RoundState`] partitions that
+    /// outgrow their share of the memory budget live between rounds:
+    /// `smr-flow-{pid}-{seq}` under [`JobConfig::spill_dir`] (the system
+    /// temp directory when unset), created on first use, shared by every
+    /// clone of the context and deleted when the flow drops.  A flow that
+    /// never spills round state creates no directory.
     ///
     /// # Panics
-    /// Panics when the store directory cannot be created (an environment
+    /// Panics when the directory cannot be created (an environment
     /// failure, like a full disk).
-    pub fn side_store(&self) -> DatasetStore {
+    pub fn side_store(&self) -> &Path {
         static FLOW_SEQ: AtomicUsize = AtomicUsize::new(0);
-        let side = self.inner.side.get_or_init(|| {
+        self.inner.side.get_or_init(|| {
             let base = self.inner.config.spill_dir.clone();
             let dir = base.unwrap_or_else(std::env::temp_dir).join(format!(
                 "smr-flow-{}-{}",
                 std::process::id(),
                 FLOW_SEQ.fetch_add(1, Ordering::Relaxed)
             ));
-            DatasetStore::open(&dir)
-                .unwrap_or_else(|e| panic!("failed to open flow side store at {dir:?}: {e}"))
-        });
-        side.clone()
+            std::fs::create_dir_all(&dir)
+                .unwrap_or_else(|e| panic!("failed to create flow directory {dir:?}: {e}"));
+            dir
+        })
     }
 
     /// Creates an empty [`RoundState`] for an iterative computation driven
     /// through this flow: the records that survive from one round to the
     /// next, partitioned over the flow's reduce tasks, and the notes
     /// pending for the next round.  Partitions that outgrow their share of
-    /// the memory budget live in run files in the flow's
-    /// [`FlowContext::side_store`].
+    /// the memory budget live in run files in the flow's directory
+    /// ([`FlowContext::side_store`]).
     pub fn round_state<K: Key, S: Value, N: Value>(
         &self,
         name: impl Into<String>,
@@ -397,7 +391,8 @@ impl FlowContext {
 /// fixed per flow, so results are deterministic per task layout.  A
 /// partition stays in RAM while its encoded size is within the memory
 /// budget's share per reduce task (always, without a budget) and lives in
-/// one run file in the flow's [`FlowContext::side_store`] above that.
+/// one run file in the flow's directory ([`FlowContext::side_store`])
+/// above that.
 ///
 /// [`RoundState::round`] runs one job without a map phase: it merges the
 /// pending notes, and reduce task *p* merge-joins partition *p* with the
@@ -531,7 +526,7 @@ impl<K: Key, S: Value, N: Value> RoundState<K, S, N> {
         let budget = config.memory_budget?;
         Some(StateSpill {
             share: budget / config.effective_reduce_tasks() as u64,
-            dir: self.ctx.side_store().root().to_path_buf(),
+            dir: self.ctx.side_store().to_path_buf(),
             name: format!("{}-{}", self.name, self.generation),
         })
     }
@@ -918,25 +913,22 @@ mod tests {
         assert_eq!(
             entries(),
             0,
-            "a flow that never opens side data creates no directory"
+            "a flow that never asks for its directory creates none"
         );
-        let store = flow.side_store();
-        assert_eq!(store.root().parent(), Some(base.as_path()));
-        assert!(store
-            .root()
+        let dir = flow.side_store().to_path_buf();
+        assert_eq!(dir.parent(), Some(base.as_path()));
+        assert!(dir
             .file_name()
             .unwrap()
             .to_string_lossy()
             .starts_with("smr-flow-"));
-        store.write("chunk-0", &[1u64, 2]).unwrap();
-        // Clones see the same store (and the same datasets).
-        assert_eq!(
-            flow.clone().side_store().read::<u64>("chunk-0").unwrap(),
-            [1, 2]
-        );
+        std::fs::write(dir.join("state.run"), b"x").unwrap();
+        // Clones see the same directory (and the same files).
+        assert_eq!(flow.clone().side_store(), dir);
+        assert!(flow.clone().side_store().join("state.run").exists());
         assert_eq!(entries(), 1, "the flow owns one directory");
         drop(flow);
-        assert_eq!(entries(), 0, "side data must not survive the flow");
+        assert_eq!(entries(), 0, "the directory must not survive the flow");
         std::fs::remove_dir_all(&base).unwrap();
     }
 
@@ -949,12 +941,9 @@ mod tests {
             .map_with(SplitWords)
             .reduce_with(SumCounts)
             .collect();
-        clone.side_store().write("shared", &counts).unwrap();
+        assert!(!counts.is_empty());
         assert_eq!(flow.num_jobs(), 1);
-        assert_eq!(
-            flow.side_store().read::<(String, u64)>("shared").unwrap(),
-            counts
-        );
+        assert_eq!(flow.side_store(), clone.side_store());
     }
 
     #[test]
@@ -1083,7 +1072,7 @@ mod tests {
     fn disk_round_state_keeps_one_file_and_cleans_up() {
         let flow = FlowContext::new(config().with_reduce_tasks(3).with_memory_budget(Some(64)));
         let files = || -> std::collections::BTreeSet<_> {
-            let dir = std::fs::read_dir(flow.side_store().root()).unwrap();
+            let dir = std::fs::read_dir(flow.side_store()).unwrap();
             dir.map(|entry| entry.unwrap().file_name()).collect()
         };
         let mut state = gossip_state(&flow);

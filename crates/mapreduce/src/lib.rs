@@ -33,9 +33,9 @@
 //!   algorithms that chain many rounds (GreedyMR, StackMR): only notes
 //!   cross the shuffle, and the reducer of one round emits the notes of
 //!   the next,
-//! * one transient file-backed `smr_storage::DatasetStore` per [`flow`]
-//!   ([`FlowContext::side_store`]) standing in for HDFS between jobs and
-//!   rounds.
+//! * one transient directory per [`flow`] ([`FlowContext::side_store`])
+//!   holding the round-state partitions that outgrow their share of the
+//!   memory budget between rounds.
 //!
 //! The engine is deliberately faithful to the programming model rather than
 //! to the physical deployment: the number of rounds an algorithm needs, the

@@ -22,9 +22,8 @@ pub use smr_storage::Codec;
 /// exactly as Hadoop presents keys to reducers in sorted order), hashable
 /// (for hash partitioning), cloneable/sendable (the engine moves them
 /// across worker threads) and encodable ([`Codec`]): under a memory budget
-/// the shuffle spills sorted runs to disk, and a flow's round state and
-/// side data live in run files, so every key must have a canonical binary
-/// encoding.  Primitives, `String`, tuples and `Vec`s come with one;
+/// the shuffle spills sorted runs to disk, and a flow's round state lives
+/// in run files, so every key must have a canonical binary encoding.  Primitives, `String`, tuples and `Vec`s come with one;
 /// user types get theirs via `smr_storage::impl_codec_struct!`.
 pub trait Key: Clone + Send + Sync + Ord + Hash + Codec + 'static {}
 impl<T: Clone + Send + Sync + Ord + Hash + Codec + 'static> Key for T {}

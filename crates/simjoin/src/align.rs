@@ -66,6 +66,12 @@ impl AlignedCorpora {
         labels(&self.joint.documents()[self.num_items..])
     }
 
+    /// Number of terms in the joint vocabulary: every term id of an
+    /// aligned or vectorized vector is below it.
+    pub fn vocab_size(&self) -> usize {
+        self.joint.vocabulary().len()
+    }
+
     /// Vectorizes `text` in the joint term space, exactly as the aligned
     /// documents were; terms outside the joint vocabulary are dropped
     /// (they cannot contribute to any similarity).
@@ -96,6 +102,7 @@ mod tests {
         let consumers = docs(&["bake bread"]);
         let stemmed = AlignedCorpora::build(&items, &consumers, &TokenizerConfig::default());
         assert_eq!(stemmed.item_vectors().len(), 2);
+        assert_eq!(stemmed.vocab_size(), 4, "bake, bread, vintag, car");
         assert_eq!(stemmed.consumer_labels(), vec!["d0"]);
         assert!(stemmed.item_vectors()[0].dot(&stemmed.consumer_vectors()[0]) > 0.99);
         assert_eq!(

@@ -7,23 +7,23 @@
 //!   pruned tail of its vector could still contribute to any dot product).
 //!   The reducer passes the grouped postings through unchanged — the
 //!   engine's deterministic merge already delivers them in doc order — and
-//!   the index is persisted in **term-range partitions** through the
-//!   flow's side [`smr_storage::DatasetStore`].
-//! * **Job 2 — probing and verification**: every item probes only the
-//!   index partitions its terms fall into (opened on demand, never the
-//!   whole index), accumulating `w_item · w_consumer` **partial products**
-//!   per candidate.  A candidate whose accumulated score plus remainder
-//!   bound cannot reach σ is pruned; every other candidate is verified on
-//!   the spot with one exact dot product against the consumer vector the
-//!   mapper already holds ([`verify_candidates`]).  Only pairs whose
+//!   the hand-off folds them into one in-RAM [`InvertedIndex`] that rides
+//!   in the probe mapper beside both corpora (the distributed-cache role).
+//! * **Job 2 — probing and verification**: every item probes the index
+//!   once with all its terms, accumulating `w_item · w_consumer`
+//!   **partial products** per candidate.  A candidate whose accumulated
+//!   score plus remainder bound cannot reach σ is pruned; every other
+//!   candidate is verified on the spot with one exact dot product against
+//!   the consumer vector the mapper already holds
+//!   ([`verify_candidates`]).  Only pairs whose
 //!   similarity reaches σ are emitted, so the shuffle carries true edges
 //!   only; its pass-through reducer fixes their order (hash partition,
 //!   then pair), and that order fixes the edge ids.
 //!
 //! The two jobs run as one lazy [`Dataset`] chain over a shared
 //! [`FlowContext`]; the probe job reports the join's domain counters
-//! ([`counter`]) — `candidates_pruned`, `verify_exact`,
-//! `index_partitions` — in its [`JobMetrics::user_counters`].
+//! ([`counter`]) — `candidates_pruned` and `verify_exact` — in its
+//! [`JobMetrics::user_counters`].
 //!
 //! The output is the candidate-edge [`BipartiteGraph`] handed to the
 //! matching algorithms, byte-identical to an exact all-pairs join
@@ -32,8 +32,8 @@
 //! Each decision of the stage is stated once and called from everywhere
 //! it applies — the exact join, the sketch generators of `smr_sketch` and
 //! the serving path: *alignment* ([`AlignedCorpora`]), the *index plan*
-//! and posting rule ([`IndexPlan`]), the *probe* ([`probe_index`] walking
-//! partition runs for a per-run visitor, pruning with [`survives`]), the
+//! and posting rule ([`IndexPlan`]), the *probe* ([`probe_index`] handing
+//! the query to a visitor, pruning with [`survives`]), the
 //! *verification* ([`verify_candidates`]) and the *chain*
 //! ([`candidate_chain`], with [`prefix_filter_join`] its index → probe
 //! instance).
@@ -49,8 +49,7 @@ use smr_text::{Corpus, SparseVector, TermId};
 
 use crate::accum::ScoreAccumulator;
 use crate::align::AlignedCorpora;
-use crate::index::{IndexPlan, Posting};
-use crate::store::{IndexPartition, PartitionedIndex, PostingsRef};
+use crate::index::{IndexPlan, InvertedIndex, Posting, PostingsRef};
 
 /// Names of the join's domain counters, reported in the probe job's
 /// [`JobMetrics::user_counters`].
@@ -62,8 +61,6 @@ pub mod counter {
     /// Candidates verified with an exact dot product in the probe mapper
     /// ([`crate::join::verify_candidates`]).
     pub const VERIFY_EXACT: &str = "verify_exact";
-    /// Term-range partitions job 1's index was persisted into.
-    pub const INDEX_PARTITIONS: &str = "index_partitions";
 }
 
 /// Absolute slack subtracted from σ before a candidate is pruned on its
@@ -124,9 +121,6 @@ pub struct SimJoinResult {
     /// Candidates that reached exact verification (one in-RAM dot product
     /// each, in the probe mapper).
     pub verify_exact: usize,
-    /// Term-range partitions the inverted index was persisted into (zero
-    /// for generators that do not build an inverted index).
-    pub index_partitions: usize,
     /// Number of (term, document) entries indexed by job 1 (after prefix
     /// pruning); for sketch generators, the size of whatever standing
     /// structure job 1 built (e.g. MinHash band postings).
@@ -193,36 +187,24 @@ pub fn survives(partial: &PartialScore, sigma: f64) -> bool {
     partial.score + partial.remainder >= sigma - PRUNE_SLACK
 }
 
-/// Probes `index` with one query: walks the query's entries (sorted by
-/// term id) in runs that route to the same term-range partition, hands
-/// each non-empty partition and its run to `visit` — which folds partial
-/// products into the accumulator; the exact visitor is
-/// [`probe_partition`] — and returns the candidates that [`survives`]
-/// keeps, sorted by doc, plus how many it pruned.
+/// Probes `index` with one query: hands the index and the query's entries
+/// (sorted by term id) to `visit` — which folds partial products into the
+/// accumulator; the exact visitor is [`probe_postings`] — and returns the
+/// candidates that [`survives`] keeps, sorted by doc, plus how many it
+/// pruned.
 ///
 /// All of a query's probing happens in this one call, so partial products
 /// accumulate in ascending term order (the floating-point sum is
-/// scheduling-independent) and the prune runs on *complete* scores.  Only
-/// the partitions the query's terms fall into are ever opened.
+/// scheduling-independent) and the prune runs on *complete* scores.
 pub fn probe_index(
-    index: &PartitionedIndex,
+    index: &InvertedIndex,
     entries: &[(TermId, f64)],
     sigma: f64,
-    mut visit: impl FnMut(&IndexPartition, &[(TermId, f64)], &mut ScoreAccumulator),
+    visit: impl FnOnce(&InvertedIndex, &[(TermId, f64)], &mut ScoreAccumulator),
 ) -> (Vec<(usize, PartialScore)>, u64) {
     let mut scores = ScoreAccumulator::new();
-    let mut start = 0;
-    while start < entries.len() {
-        let p = index.partition_of(entries[start].0);
-        let mut end = start + 1;
-        while end < entries.len() && index.partition_of(entries[end].0) == p {
-            end += 1;
-        }
-        let partition = index.partition(p);
-        if !partition.is_empty() {
-            visit(&partition, &entries[start..end], &mut scores);
-        }
-        start = end;
+    if !index.is_empty() && !entries.is_empty() {
+        visit(index, entries, &mut scores);
     }
     let mut candidates = scores.drain_sorted();
     let generated = candidates.len();
@@ -231,16 +213,15 @@ pub fn probe_index(
     (candidates, pruned)
 }
 
-/// The exact per-run visitor of [`probe_index`]: accumulates every partial
-/// product of a query run against one index partition.  Both the query
-/// slice and the partition's term ranges are sorted by term id; iterate
-/// whichever side is shorter and look the term up on the other — and skip
-/// terms with empty postings before ever entering the posting loop.  The
-/// inner loop walks the partition's struct-of-arrays posting columns
-/// directly (see [`crate::store::PostingsRef`]), folding into the
-/// open-addressed [`ScoreAccumulator`].
-pub fn probe_partition(
-    partition: &IndexPartition,
+/// The exact visitor of [`probe_index`]: accumulates every partial
+/// product of a query against the index.  Both the query and the index's
+/// terms are sorted by term id; iterate whichever side is shorter and look
+/// the term up on the other — and skip terms with empty postings before
+/// ever entering the posting loop.  The inner loop walks the index's
+/// struct-of-arrays posting columns directly (see [`PostingsRef`]),
+/// folding into the open-addressed [`ScoreAccumulator`].
+pub fn probe_postings(
+    index: &InvertedIndex,
     query: &[(TermId, f64)],
     scores: &mut ScoreAccumulator,
 ) {
@@ -253,15 +234,15 @@ pub fn probe_partition(
             );
         }
     }
-    if partition.num_terms() < query.len() {
-        for (i, term) in partition.term_ids().iter().enumerate() {
+    if index.num_terms() < query.len() {
+        for (i, term) in index.term_ids().iter().enumerate() {
             if let Ok(q) = query.binary_search_by_key(&TermId(*term), |&(t, _)| t) {
-                accumulate(query[q].1, partition.postings_at(i), scores);
+                accumulate(query[q].1, index.postings_at(i), scores);
             }
         }
     } else {
         for &(term, weight) in query {
-            let postings = partition.postings(term.0);
+            let postings = index.postings(term.0);
             if postings.is_empty() {
                 continue;
             }
@@ -304,14 +285,14 @@ pub fn verify_candidates(
 }
 
 /// Job 2's mapper: probes the index with every item through `visit` (the
-/// per-run visitor of [`probe_index`], additionally told which item is
-/// probing) and verifies the surviving candidates against the in-RAM
-/// consumer vectors ([`verify_candidates`]) — neither a pruned nor a
-/// failed candidate crosses the shuffle.
+/// visitor of [`probe_index`], additionally told which item is probing)
+/// and verifies the surviving candidates against the in-RAM consumer
+/// vectors ([`verify_candidates`]) — neither a pruned nor a failed
+/// candidate crosses the shuffle.
 struct ProbeMapper<F> {
     items: Arc<[SparseVector]>,
     consumers: Arc<[SparseVector]>,
-    index: Arc<PartitionedIndex>,
+    index: Arc<InvertedIndex>,
     sigma: f64,
     counters: Counters,
     visit: F,
@@ -319,7 +300,7 @@ struct ProbeMapper<F> {
 
 impl<F> Mapper for ProbeMapper<F>
 where
-    F: Fn(usize, &IndexPartition, &[(TermId, f64)], &mut ScoreAccumulator) + Send + Sync,
+    F: Fn(usize, &InvertedIndex, &[(TermId, f64)], &mut ScoreAccumulator) + Send + Sync,
 {
     type InKey = usize; // item dense index
     type InValue = usize; // ditto
@@ -332,7 +313,7 @@ where
             &self.index,
             vector.entries(),
             self.sigma,
-            |partition, run, scores| (self.visit)(*item, partition, run, scores),
+            |index, query, scores| (self.visit)(*item, index, query, scores),
         );
         verify_candidates(
             *item,
@@ -381,7 +362,7 @@ pub fn mapreduce_similarity_join_flow(
 
 /// Runs the exact join directly on pre-vectorized inputs (both sides must
 /// share the same term space): [`prefix_filter_join`] with the exact
-/// visitor, [`probe_partition`].
+/// visitor, [`probe_postings`].
 pub fn mapreduce_similarity_join_vectors_flow(
     item_vectors: &[SparseVector],
     consumer_vectors: &[SparseVector],
@@ -398,19 +379,19 @@ pub fn mapreduce_similarity_join_vectors_flow(
         sigma,
         flow,
         Counters::new(),
-        |_, partition, run, scores| probe_partition(partition, run, scores),
+        |_, index, query, scores| probe_postings(index, query, scores),
     )
 }
 
 /// The prefix-filter instance of [`candidate_chain`]: stage 1
 /// (`{stage_prefix}index`) builds the pruned inverted index from the
-/// [`IndexPlan`] of the two sides; the hand-off persists it in term-range
-/// partitions under the chain's side prefix; stage 2 (`{stage_prefix}probe`)
-/// probes it on demand with `visit` — partial-product accumulation,
-/// suffix-bound pruning and exact verification, all in the mapper.
+/// [`IndexPlan`] of the two sides; the hand-off folds it into one in-RAM
+/// [`InvertedIndex`]; stage 2 (`{stage_prefix}probe`) probes it with
+/// `visit` — partial-product accumulation, suffix-bound pruning and exact
+/// verification, all in the mapper.
 ///
-/// `visit` is [`probe_index`]'s per-run visitor, additionally told which
-/// item is probing.  The exact join passes [`probe_partition`]; a sampling
+/// `visit` is [`probe_index`]'s visitor, additionally told which item is
+/// probing.  The exact join passes [`probe_postings`]; a sampling
 /// generator passes a visitor that skips (and rescales) contributions.
 /// `counters` is the set the probe job reports; a visitor that counts
 /// holds a clone of it.
@@ -426,16 +407,14 @@ pub fn prefix_filter_join<F>(
     visit: F,
 ) -> SimJoinResult
 where
-    F: Fn(usize, &IndexPartition, &[(TermId, f64)], &mut ScoreAccumulator) + Send + Sync + 'static,
+    F: Fn(usize, &InvertedIndex, &[(TermId, f64)], &mut ScoreAccumulator) + Send + Sync + 'static,
 {
     let plan = Arc::new(IndexPlan::derive(items.0, consumers.0));
-    let vocab_size = plan.vocab_size();
     // One shared copy of each corpus: the job inputs are dense indices,
     // the vectors ride in the mappers (the consumers in both jobs').
     let item_vectors: Arc<[SparseVector]> = items.0.into();
     let consumer_vectors: Arc<[SparseVector]> = consumers.0.into();
     let probe_consumers = Arc::clone(&consumer_vectors);
-    let side = flow.side_store();
     let index_name = format!("{stage_prefix}index");
     let probe_name = format!("{stage_prefix}probe");
     let probe_counters = counters.clone();
@@ -456,14 +435,10 @@ where
                 .named(index_name)
                 .reduce_with(IdentityReducer::new())
         },
-        move |postings, item_ids, side_prefix| {
-            // Job 1's output becomes job 2's side data: the index goes to
-            // the flow's side store in term-range partitions that probe
-            // mappers open on demand (the distributed-cache role, without
-            // shipping the whole index to every mapper).
-            let index_prefix = format!("{side_prefix}/index");
-            let index = PartitionedIndex::write(&side, &index_prefix, postings, vocab_size);
-            probe_counters.add(counter::INDEX_PARTITIONS, index.num_partitions() as u64);
+        move |postings, item_ids| {
+            // Job 1's output becomes job 2's side data: one in-RAM index
+            // shared by every probe mapper, beside the corpora they hold.
+            let index = InvertedIndex::from_records(postings);
             item_ids
                 .map_with(ProbeMapper {
                     items: item_vectors,
@@ -482,17 +457,16 @@ where
 
 /// The one two-job chain under every candidate generator: runs
 /// `index_job` over the consumers' dense indices, hands its output — with
-/// the items' dense indices and a chain-unique prefix of the flow's side
-/// store — to `probe_job`, which returns the sealed second job emitting
-/// verified `((item, consumer), similarity)` edges; then reclaims the side
-/// prefix, closes the candidate accounting and assembles the edges into
-/// the candidate graph.
+/// the items' dense indices — to `probe_job`, which returns the sealed
+/// second job emitting verified `((item, consumer), similarity)` edges;
+/// then closes the candidate accounting and assembles the edges into the
+/// candidate graph.
 ///
 /// Records flow between the stages by move and nothing executes until the
 /// helper collects the chain.  `counters` must be the set `probe_job`
 /// runs its job with: the accounting reads [`counter`]'s names from it,
 /// and `candidate_pairs = candidates_pruned + verify_exact` for every
-/// generator (one that never prunes or partitions leaves those at zero).
+/// generator (one that never prunes leaves that counter at zero).
 #[allow(clippy::too_many_arguments)]
 pub fn candidate_chain<K: Key, V: Value>(
     generator: &str,
@@ -502,41 +476,26 @@ pub fn candidate_chain<K: Key, V: Value>(
     flow: &FlowContext,
     counters: Counters,
     index_job: impl FnOnce(Dataset<usize, usize>) -> Dataset<K, V>,
-    probe_job: impl FnOnce(Vec<(K, V)>, Dataset<usize, usize>, &str) -> Dataset<(usize, usize), f64>
-        + 'static,
+    probe_job: impl FnOnce(Vec<(K, V)>, Dataset<usize, usize>) -> Dataset<(usize, usize), f64> + 'static,
 ) -> SimJoinResult {
     assert_eq!(item_vectors.len(), item_names.len());
     assert_eq!(consumer_vectors.len(), consumer_names.len());
     assert!(sigma > 0.0, "threshold must be positive");
 
     let jobs_start = flow.num_jobs();
-    let side = flow.side_store();
-    // Unique per chain within this flow, so chained joins (or mixed
-    // generators in one pipeline) never collide.
-    let side_prefix = format!("{generator}-{jobs_start}");
     let dense = |n: usize| -> Vec<(usize, usize)> { (0..n).map(|i| (i, i)).collect() };
     let item_ids = dense(item_vectors.len());
     // `then` runs inside the lazy plan, so the index size is smuggled out
     // through a shared cell instead of a return value.
     let indexed_entries = Arc::new(AtomicUsize::new(0));
     let indexed_entries_probe = Arc::clone(&indexed_entries);
-    let probe_prefix = side_prefix.clone();
 
     let verified = index_job(flow.dataset(dense(consumer_vectors.len())))
         .then(move |indexed, flow| {
             indexed_entries_probe.store(indexed.len(), Ordering::Relaxed);
-            probe_job(indexed, flow.dataset(item_ids), &probe_prefix)
+            probe_job(indexed, flow.dataset(item_ids))
         })
         .collect();
-
-    // The chain's side data (index partitions) is dead once it has run;
-    // reclaim it now instead of at flow drop.
-    let dataset_prefix = format!("{side_prefix}/");
-    for path in side.paths() {
-        if path.starts_with(&dataset_prefix) {
-            side.remove(&path);
-        }
-    }
 
     let job_metrics = flow.jobs_from(jobs_start);
     let candidates_pruned = counters.get(counter::CANDIDATES_PRUNED) as usize;
@@ -567,7 +526,6 @@ pub fn candidate_chain<K: Key, V: Value>(
         candidate_pairs: candidates_pruned + verify_exact,
         candidates_pruned,
         verify_exact,
-        index_partitions: counters.get(counter::INDEX_PARTITIONS) as usize,
         indexed_entries: indexed_entries.load(Ordering::Relaxed),
         shuffled_records: stage_shuffles.iter().map(|s| s.records).sum(),
         shuffled_bytes: stage_shuffles.iter().map(|s| s.bytes).sum(),
@@ -702,7 +660,6 @@ mod tests {
                 result.graph.num_edges() as u64,
                 "sigma={sigma}"
             );
-            assert!(result.index_partitions >= 1);
         }
     }
 
@@ -751,10 +708,6 @@ mod tests {
             probe.user_counters[counter::VERIFY_EXACT] as usize,
             result.verify_exact
         );
-        assert_eq!(
-            probe.user_counters[counter::INDEX_PARTITIONS] as usize,
-            result.index_partitions
-        );
         // Pruning never loses a true pair.
         assert_eq!(
             result.graph.num_edges(),
@@ -762,8 +715,8 @@ mod tests {
         );
     }
 
-    /// Hand-wires the two jobs — index persisted to a side store, probe
-    /// candidates verified in the mapper against the in-RAM vectors,
+    /// Hand-wires the two jobs — index folded in RAM, probe candidates
+    /// verified in the mapper against the in-RAM vectors,
     /// edges passed through the reducer — and checks the flow chain
     /// against it, byte for byte: same edges in the same order with the
     /// same weights, same candidate accounting and same per-job record
@@ -771,7 +724,6 @@ mod tests {
     #[test]
     fn flow_chain_is_byte_identical_to_the_hand_wired_two_job_path() {
         use smr_mapreduce::Job;
-        use smr_storage::DatasetStore;
 
         let items = synthetic_vectors(14, 16, 21);
         let consumers = synthetic_vectors(17, 16, 22);
@@ -779,10 +731,6 @@ mod tests {
         let job_config = JobConfig::named("regression").with_threads(2);
 
         // --- the hand-wired path ---
-        let side_root =
-            std::env::temp_dir().join(format!("smr-simjoin-regression-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&side_root);
-        let side = DatasetStore::open(&side_root).unwrap();
         let plan = Arc::new(IndexPlan::derive(&items, &consumers));
         let consumer_vectors: Arc<[SparseVector]> = consumers.as_slice().into();
         let index_result = Job::new(job_config.clone().with_name("regression-index")).run(
@@ -794,12 +742,7 @@ mod tests {
             &IdentityReducer::new(),
             (0..consumers.len()).map(|i| (i, i)).collect(),
         );
-        let index = Arc::new(PartitionedIndex::write(
-            &side,
-            "index",
-            index_result.output,
-            plan.vocab_size(),
-        ));
+        let index = Arc::new(InvertedIndex::from_records(index_result.output));
         let manual_counters = Counters::new();
         let probe_result = Job::new(job_config.clone().with_name("regression-probe")).run(
             &ProbeMapper {
@@ -808,8 +751,8 @@ mod tests {
                 index: Arc::clone(&index),
                 sigma,
                 counters: manual_counters.clone(),
-                visit: |_, partition: &IndexPartition, run: &[(TermId, f64)], scores: &mut _| {
-                    probe_partition(partition, run, scores)
+                visit: |_, index: &InvertedIndex, query: &[(TermId, f64)], scores: &mut _| {
+                    probe_postings(index, query, scores)
                 },
             },
             &IdentityReducer::new(),
@@ -839,7 +782,7 @@ mod tests {
 
         // Same candidate accounting and stage structure, reported through
         // one FlowReport.
-        assert_eq!(result.indexed_entries, index.num_entries());
+        assert_eq!(result.indexed_entries, index.num_postings());
         assert_eq!(
             result.candidates_pruned,
             manual_counters.get(counter::CANDIDATES_PRUNED) as usize
@@ -874,7 +817,6 @@ mod tests {
             report.total_shuffled_records(),
             index_result.metrics.shuffle_records + probe_result.metrics.shuffle_records
         );
-        std::fs::remove_dir_all(&side_root).unwrap();
     }
 
     #[test]
@@ -908,15 +850,27 @@ mod tests {
     }
 
     #[test]
-    fn side_data_is_reclaimed_from_the_flow_store() {
+    fn the_join_creates_no_side_directory() {
         let items = synthetic_vectors(8, 12, 31);
         let consumers = synthetic_vectors(9, 12, 32);
-        let flow = FlowContext::new(JobConfig::named("cleanup").with_threads(2));
-        let _ = join_in(&items, &consumers, 0.2, &flow);
-        assert!(
-            flow.side_store().paths().is_empty(),
-            "the join must not leak side datasets into the flow"
-        );
+        let base = std::env::temp_dir().join(format!("smr-simjoin-side-{}", std::process::id()));
+        std::fs::create_dir_all(&base).unwrap();
+        for budget in [None, Some(256)] {
+            let flow = FlowContext::new(
+                JobConfig::named("no-side")
+                    .with_threads(2)
+                    .with_memory_budget(budget)
+                    .with_spill_dir(&base),
+            );
+            let _ = join_in(&items, &consumers, 0.2, &flow);
+            assert_eq!(
+                std::fs::read_dir(&base).unwrap().count(),
+                0,
+                "the index lives in RAM: nothing under the spill base while the flow lives \
+                 (budget {budget:?})"
+            );
+        }
+        std::fs::remove_dir_all(&base).unwrap();
     }
 
     #[test]

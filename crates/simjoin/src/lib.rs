@@ -13,20 +13,18 @@
 //!   vector must be indexed so that no pair above the threshold can be
 //!   missed, and what the pruned suffix could still contribute (the
 //!   *remainder bound* of partial-product verification),
-//! * [`index`] — the [`IndexPlan`] (query-side maxima + global term order)
-//!   and the one rule turning a consumer vector into prefix postings,
-//! * [`store`] — disk-backed side data: the index in term-range
-//!   partitions and the serving corpus in vector chunks, both opened on
-//!   demand,
+//! * [`index`] — the [`IndexPlan`] (query-side maxima + global term order),
+//!   the one rule turning a consumer vector into prefix postings, and the
+//!   in-RAM [`InvertedIndex`] both the batch probe and serving read,
 //! * [`baseline`] — an exact all-pairs join used as ground truth,
 //! * [`join`] — the two-MapReduce-job chain (index construction, then
 //!   partial-product probing with suffix-bound pruning and exact
 //!   verification in the probe mapper) producing a
 //!   [`smr_graph::BipartiteGraph`]; see
 //!   `docs/simjoin.md` for the filter math and the dataflow,
-//! * [`serving`] — the index kept alive after the batch build: point
-//!   queries ([`ServingIndex::match_one`]) and micro-batch appends against
-//!   the same on-disk partitions; see `docs/serving.md`.
+//! * [`serving`] — the index kept alive after the batch build, with the
+//!   consumer vectors it owns: point queries ([`ServingIndex::match_one`])
+//!   and micro-batch appends; see `docs/serving.md`.
 //!
 //! # Example
 //!
@@ -65,31 +63,28 @@ pub mod index;
 pub mod join;
 pub mod prefix;
 pub mod serving;
-pub mod store;
 
 pub use accum::ScoreAccumulator;
 pub use align::AlignedCorpora;
 pub use baseline::baseline_similarity_join;
-pub use index::{IndexPlan, Posting};
+pub use index::{IndexPlan, InvertedIndex, Posting, PostingsRef};
 pub use join::{
     candidate_chain, mapreduce_similarity_join_flow, mapreduce_similarity_join_vectors_flow,
-    prefix_filter_join, probe_index, probe_partition, stage_shuffles, survives, verify_candidates,
+    prefix_filter_join, probe_index, probe_postings, stage_shuffles, survives, verify_candidates,
     PartialScore, SimJoinResult, StageShuffle, EXACT_GENERATOR,
 };
 pub use prefix::{prefix_length, suffix_remainder_bound, term_max_weights};
 pub use serving::{ScoredMatch, ServingIndex};
-pub use store::{DiskVectorStore, IndexPartition, PartitionedIndex, PostingsRef, VectorCursor};
 
 /// Convenience re-exports.
 pub mod prelude {
     pub use crate::align::AlignedCorpora;
     pub use crate::baseline::baseline_similarity_join;
-    pub use crate::index::{IndexPlan, Posting};
+    pub use crate::index::{IndexPlan, InvertedIndex, Posting};
     pub use crate::join::{
         mapreduce_similarity_join_flow, mapreduce_similarity_join_vectors_flow, PartialScore,
         SimJoinResult,
     };
     pub use crate::prefix::{prefix_length, suffix_remainder_bound, term_max_weights};
     pub use crate::serving::{ScoredMatch, ServingIndex};
-    pub use crate::store::{DiskVectorStore, IndexPartition, PartitionedIndex};
 }

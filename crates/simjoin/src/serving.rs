@@ -1,23 +1,21 @@
 //! A standing serving index: point queries and micro-updates against the
-//! persisted similarity-join index.
+//! similarity-join index, kept in RAM.
 //!
 //! The batch join builds its pruned inverted index, probes it once with
 //! every item, and throws it away.  [`ServingIndex`] keeps the same
-//! structure alive — the term-range [`PartitionedIndex`] plus the chunked
-//! consumer [`DiskVectorStore`] — and answers two requests the batch path
-//! cannot:
+//! structure alive — the [`InvertedIndex`] plus the consumer vectors it
+//! owns — and answers two requests the batch path cannot:
 //!
 //! * [`ServingIndex::match_one`] — "a new item just arrived: who are its
 //!   candidate consumers right now?"  One query runs exactly the batch
-//!   probe per partition (partial products over shared indexed terms, the
+//!   probe (partial products over shared indexed terms, the
 //!   suffix-remainder prune at `σ − slack`), then verifies the survivors
-//!   with exact dot products from the vector chunks.  No corpus scan: the
-//!   query only opens the partitions its terms fall into.
+//!   with exact dot products against the owned vectors.  No corpus scan:
+//!   the query only touches the postings of its own terms.
 //! * [`ServingIndex::append_batch`] — "these consumers just joined the
-//!   corpus."  Each new vector's prefix postings are **appended** to the
-//!   partition files their terms route to (cost proportional to the new
-//!   postings, not the index), and only the touched cache entries are
-//!   invalidated; untouched partitions keep serving from cache.
+//!   corpus."  Each new vector's prefix postings join the index after the
+//!   existing postings of their terms, and the vectors join the owned
+//!   corpus.
 //!
 //! **Exactness.**  A query probes the same postings the batch probe mapper
 //! would see and prunes with the same bound at the same slack, and both
@@ -33,12 +31,10 @@
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use smr_storage::DatasetStore;
 use smr_text::SparseVector;
 
-use crate::index::{IndexPlan, Posting};
-use crate::join::{probe_index, probe_partition};
-use crate::store::{DiskVectorStore, PartitionedIndex};
+use crate::index::{IndexPlan, InvertedIndex, Posting};
+use crate::join::{probe_index, probe_postings};
 
 /// One serving-time candidate: a consumer whose exact similarity with the
 /// query reached σ.
@@ -50,12 +46,13 @@ pub struct ScoredMatch {
     pub score: f64,
 }
 
-/// A standing, disk-backed similarity index over a consumer corpus,
+/// A standing, in-RAM similarity index over a consumer corpus it owns,
 /// answering point queries and absorbing micro-batches of new consumers.
 #[derive(Debug)]
 pub struct ServingIndex {
-    index: PartitionedIndex,
-    consumers: DiskVectorStore,
+    index: InvertedIndex,
+    /// Every indexed consumer, by dense index.
+    consumers: Vec<SparseVector>,
     sigma: f64,
     /// The term order and query-side maxima the prefixes were cut with.
     plan: IndexPlan,
@@ -63,44 +60,33 @@ pub struct ServingIndex {
     /// build-time maximum — queries the exactness contract no longer
     /// covers (see [`ServingIndex::maxima_exceeded`]).
     maxima_exceeded: AtomicU64,
-    len: usize,
 }
 
 impl ServingIndex {
-    /// Builds a serving index over `consumers` in `store` under `prefix`
-    /// at threshold `sigma`.  `plan` fixes the global term order and the
-    /// per-term upper bounds on the weight any future query may carry; the
-    /// prefix of each consumer is pruned against these, so they are the
-    /// exactness contract of the index.
+    /// Builds a serving index over a copy of `consumers` at threshold
+    /// `sigma`.  `plan` fixes the global term order and
+    /// the per-term upper bounds on the weight any future query may carry;
+    /// the prefix of each consumer is pruned against these, so they are
+    /// the exactness contract of the index.
     ///
-    /// The postings written are the ones the batch join's job 1 indexes
+    /// The postings indexed are the ones the batch join's job 1 indexes
     /// for the same plan ([`IndexPlan::prefix_postings`]).
     ///
     /// # Panics
     /// Panics if `sigma` is not strictly positive.
-    pub fn build(
-        store: &DatasetStore,
-        prefix: &str,
-        consumers: &[SparseVector],
-        plan: IndexPlan,
-        sigma: f64,
-    ) -> Self {
+    pub fn build(consumers: &[SparseVector], plan: IndexPlan, sigma: f64) -> Self {
+        Self::build_owned(consumers.to_vec(), plan, sigma)
+    }
+
+    fn build_owned(consumers: Vec<SparseVector>, plan: IndexPlan, sigma: f64) -> Self {
         assert!(sigma > 0.0, "threshold must be positive");
-        let postings = prefix_postings(&plan, 0, consumers, sigma);
-        let index = PartitionedIndex::write(
-            store,
-            &format!("{prefix}/index"),
-            postings,
-            plan.vocab_size(),
-        );
-        let vectors = DiskVectorStore::write(store, &format!("{prefix}/consumers"), consumers);
+        let index = InvertedIndex::from_records(prefix_postings(&plan, 0, &consumers, sigma));
         ServingIndex {
             index,
-            consumers: vectors,
+            consumers,
             sigma,
             plan,
             maxima_exceeded: AtomicU64::new(0),
-            len: consumers.len(),
         }
     }
 
@@ -108,15 +94,16 @@ impl ServingIndex {
     /// [`IndexPlan::derive`]d from `items` and `consumers` exactly as the
     /// batch join derives it, so `match_one` with any of the `items`
     /// reproduces the batch join's candidates for that item.
-    pub fn for_corpora(
-        store: &DatasetStore,
-        prefix: &str,
-        items: &[SparseVector],
-        consumers: &[SparseVector],
-        sigma: f64,
-    ) -> Self {
-        let plan = IndexPlan::derive(items, consumers);
-        Self::build(store, prefix, consumers, plan, sigma)
+    pub fn for_corpora(items: &[SparseVector], consumers: &[SparseVector], sigma: f64) -> Self {
+        Self::build(consumers, IndexPlan::derive(items, consumers), sigma)
+    }
+
+    /// Re-cuts every consumer's prefix under `plan` and resets the drift
+    /// counter: the index a fresh [`ServingIndex::build`] over the current
+    /// consumers would give, without copying them.
+    pub fn reindex(&mut self, plan: IndexPlan) {
+        let consumers = std::mem::take(&mut self.consumers);
+        *self = ServingIndex::build_owned(consumers, plan, self.sigma);
     }
 
     /// The similarity threshold this index serves.
@@ -126,28 +113,29 @@ impl ServingIndex {
 
     /// Number of consumers currently indexed.
     pub fn len(&self) -> usize {
-        self.len
+        self.consumers.len()
     }
 
     /// Whether the index holds no consumers.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.consumers.is_empty()
+    }
+
+    /// The indexed consumer vectors, by dense index.
+    pub fn consumers(&self) -> &[SparseVector] {
+        &self.consumers
     }
 
     /// Number of `(term, doc)` postings currently indexed.
     pub fn num_postings(&self) -> usize {
-        self.index.num_entries()
+        self.index.num_postings()
     }
 
-    /// Number of term-range partitions behind the index.
-    pub fn num_partitions(&self) -> usize {
-        self.index.num_partitions()
-    }
-
-    /// Disk reads performed so far (index partitions + vector chunks) —
-    /// cache hits and coalesced concurrent misses excluded.
+    /// Disk reads performed so far: always 0, the index and the vectors
+    /// live in RAM.  Kept for readers of the serving benchmark's
+    /// `disk_reads_per_query`.
     pub fn disk_reads(&self) -> u64 {
-        self.index.disk_reads() + self.consumers.disk_reads()
+        0
     }
 
     /// How many queries so far carried some term **strictly heavier** than
@@ -176,10 +164,10 @@ impl ServingIndex {
     /// product with `query` reaches σ, heaviest first (ties broken toward
     /// the lower consumer index, the batch join's candidate order).
     ///
-    /// The query opens only the index partitions its terms fall into,
-    /// accumulates partial products per candidate, prunes candidates whose
-    /// score plus suffix-remainder bound cannot reach σ, and fetches
-    /// vectors for exact verification of the survivors only.
+    /// The query accumulates partial products per candidate over the
+    /// postings of its terms, prunes candidates whose score plus
+    /// suffix-remainder bound cannot reach σ, and verifies the survivors
+    /// only with exact dot products.
     pub fn match_one(&self, query: &SparseVector, k: usize) -> Vec<ScoredMatch> {
         if k == 0 {
             return Vec::new();
@@ -208,36 +196,29 @@ impl ServingIndex {
         }
         // The batch probe mapper's walk and prune, so partial products
         // accumulate in the same floating-point order.
-        let (survivors, _) = probe_index(&self.index, entries, self.sigma, probe_partition);
-        let mut matches = Vec::new();
-        // Survivors arrive in consumer order: one cursor for the query.
-        let mut consumers = self.consumers.cursor();
-        for (doc, _) in survivors {
-            let score = query.dot(consumers.get(doc));
-            if score >= self.sigma {
-                matches.push(ScoredMatch {
-                    consumer: doc,
-                    score,
-                });
-            }
-        }
-        matches
+        let (survivors, _) = probe_index(&self.index, entries, self.sigma, probe_postings);
+        survivors
+            .into_iter()
+            .map(|(doc, _)| ScoredMatch {
+                consumer: doc,
+                score: query.dot(&self.consumers[doc]),
+            })
+            .filter(|m| m.score >= self.sigma)
+            .collect()
     }
 
     /// Absorbs a micro-batch of new consumers, returning the dense indices
-    /// they were assigned.  Each vector's prefix postings are appended to
-    /// the partitions its terms route to and the vectors join the chunked
-    /// store; only the touched partition/chunk cache entries are
-    /// invalidated, so queries keep hitting warm cache everywhere else.
+    /// they were assigned.  Each vector's prefix postings join the index
+    /// after the existing postings of their terms, and the vectors join
+    /// the owned corpus.
     pub fn append_batch(&mut self, batch: &[SparseVector]) -> Range<usize> {
-        let assigned = self.len..self.len + batch.len();
+        let assigned = self.len()..self.len() + batch.len();
         if batch.is_empty() {
             return assigned;
         }
-        let postings = prefix_postings(&self.plan, self.len, batch, self.sigma);
+        let postings = prefix_postings(&self.plan, self.len(), batch, self.sigma);
         self.index.append(postings);
-        self.consumers.append(batch);
-        self.len += batch.len();
+        self.consumers.extend_from_slice(batch);
         assigned
     }
 }
@@ -263,12 +244,6 @@ mod tests {
     use super::*;
     use smr_text::TermId;
 
-    fn temp_store(tag: &str) -> DatasetStore {
-        let root = std::env::temp_dir().join(format!("smr-serving-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        DatasetStore::open(root).unwrap()
-    }
-
     fn vec_of(entries: &[(u32, f64)]) -> SparseVector {
         SparseVector::from_entries(entries.iter().map(|&(t, w)| (TermId(t), w)))
     }
@@ -289,10 +264,9 @@ mod tests {
 
     #[test]
     fn point_queries_return_exactly_the_thresholded_pairs() {
-        let store = temp_store("point");
         let (items, consumers) = small_corpora();
         let sigma = 0.3;
-        let serving = ServingIndex::for_corpora(&store, "serve", &items, &consumers, sigma);
+        let serving = ServingIndex::for_corpora(&items, &consumers, sigma);
         for item in &items {
             let got = serving.candidates(item);
             for m in &got {
@@ -309,12 +283,10 @@ mod tests {
             let got_ids: Vec<usize> = got.iter().map(|m| m.consumer).collect();
             assert_eq!(got_ids, expected);
         }
-        std::fs::remove_dir_all(store.root()).unwrap();
     }
 
     #[test]
     fn top_k_ranks_by_score_then_consumer() {
-        let store = temp_store("topk");
         let consumers = vec![
             vec_of(&[(0, 0.5)]),
             vec_of(&[(0, 0.9)]),
@@ -322,13 +294,7 @@ mod tests {
             vec_of(&[(0, 0.4)]),
         ];
         let query = vec_of(&[(0, 1.0)]);
-        let serving = ServingIndex::for_corpora(
-            &store,
-            "serve",
-            std::slice::from_ref(&query),
-            &consumers,
-            0.45,
-        );
+        let serving = ServingIndex::for_corpora(std::slice::from_ref(&query), &consumers, 0.45);
         let top = serving.match_one(&query, 2);
         assert_eq!(top.len(), 2);
         // Equal scores 0.9/0.9: the lower consumer index wins.
@@ -337,15 +303,13 @@ mod tests {
         assert_eq!(serving.match_one(&query, 0), Vec::new());
         let all = serving.match_one(&query, usize::MAX);
         assert_eq!(all.len(), 3, "0.4 stays below sigma");
-        std::fs::remove_dir_all(store.root()).unwrap();
     }
 
     #[test]
     fn append_batch_extends_the_candidate_set_incrementally() {
-        let store = temp_store("append");
         let (items, consumers) = small_corpora();
         let sigma = 0.3;
-        let mut serving = ServingIndex::for_corpora(&store, "serve", &items, &consumers, sigma);
+        let mut serving = ServingIndex::for_corpora(&items, &consumers, sigma);
         let query = &items[0];
         let before = serving.candidates(query).len();
 
@@ -364,18 +328,16 @@ mod tests {
         // the grown corpus yields the same candidates for every item.
         let mut grown = consumers.clone();
         grown.push(newcomer);
-        let rebuilt = ServingIndex::for_corpora(&store, "rebuilt", &items, &grown, sigma);
+        let rebuilt = ServingIndex::for_corpora(&items, &grown, sigma);
         for item in &items {
             assert_eq!(serving.candidates(item), rebuilt.candidates(item));
         }
-        std::fs::remove_dir_all(store.root()).unwrap();
     }
 
     #[test]
     fn queries_beyond_the_declared_maxima_are_counted() {
-        let store = temp_store("maxima");
         let (items, consumers) = small_corpora();
-        let serving = ServingIndex::for_corpora(&store, "serve", &items, &consumers, 0.3);
+        let serving = ServingIndex::for_corpora(&items, &consumers, 0.3);
         assert_eq!(serving.maxima_exceeded(), 0);
 
         // Every build-corpus item is covered by construction: the maxima
@@ -405,20 +367,17 @@ mod tests {
         // Covered queries keep not counting afterwards.
         let _ = serving.candidates(&items[1]);
         assert_eq!(serving.maxima_exceeded(), 2);
-        std::fs::remove_dir_all(store.root()).unwrap();
     }
 
     #[test]
     fn empty_batches_and_empty_queries_are_no_ops() {
-        let store = temp_store("edge");
         let (items, consumers) = small_corpora();
-        let mut serving = ServingIndex::for_corpora(&store, "serve", &items, &consumers, 0.3);
+        let mut serving = ServingIndex::for_corpora(&items, &consumers, 0.3);
         assert_eq!(serving.append_batch(&[]), 3..3);
         assert_eq!(serving.len(), 3);
         assert!(serving.match_one(&SparseVector::default(), 5).is_empty());
         assert!(!serving.is_empty());
         assert!(serving.num_postings() > 0);
-        assert!(serving.num_partitions() >= 1);
-        std::fs::remove_dir_all(store.root()).unwrap();
+        assert_eq!(serving.disk_reads(), 0);
     }
 }

@@ -10,22 +10,7 @@
 use proptest::prelude::*;
 use smr_mapreduce::{FlowContext, JobConfig};
 use smr_simjoin::{mapreduce_similarity_join_vectors_flow, IndexPlan, ServingIndex};
-use smr_storage::DatasetStore;
 use smr_text::{SparseVector, TermId};
-
-use std::sync::atomic::{AtomicU64, Ordering};
-
-static CASE_SEQ: AtomicU64 = AtomicU64::new(0);
-
-fn temp_store() -> DatasetStore {
-    let root = std::env::temp_dir().join(format!(
-        "smr-serving-props-{}-{}",
-        std::process::id(),
-        CASE_SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&root);
-    DatasetStore::open(root).unwrap()
-}
 
 /// Turns a proptest-generated tag list into a normalized sparse vector
 /// (tags collapse into distinct terms of a shared 24-term space).
@@ -61,9 +46,8 @@ proptest! {
         let names_c: Vec<String> = (0..consumers.len()).map(|i| format!("c{i}")).collect();
 
         for sigma in [0.1, 0.35] {
-            let store = temp_store();
             let serving =
-                ServingIndex::for_corpora(&store, "serve", &items, &consumers, sigma);
+                ServingIndex::for_corpora(&items, &consumers, sigma);
 
             for budget in [Some(4 * 1024u64), None] {
                 let batch = mapreduce_similarity_join_vectors_flow(
@@ -79,10 +63,8 @@ proptest! {
                     ),
                 );
                 // Posting-level identity with job 1: the standing index
-                // holds exactly the entries, in exactly the partitions, the
-                // batch index job produced.
+                // holds exactly the entries the batch index job produced.
                 prop_assert_eq!(serving.num_postings(), batch.indexed_entries);
-                prop_assert_eq!(serving.num_partitions(), batch.index_partitions);
                 // The batch edge list restricted to each item, with
                 // bit-exact weights.
                 for (t, item) in items.iter().enumerate() {
@@ -130,16 +112,15 @@ proptest! {
             let plan = IndexPlan::derive(&items, &consumers);
             let split = consumers.len() / 2;
             let mut appended =
-                ServingIndex::build(&store, "appended", &consumers[..split], plan.clone(), sigma);
+                ServingIndex::build(&consumers[..split], plan.clone(), sigma);
             appended.append_batch(&consumers[split..]);
-            let scratch = ServingIndex::build(&store, "scratch", &consumers, plan, sigma);
+            let scratch = ServingIndex::build(&consumers, plan, sigma);
             prop_assert_eq!(appended.len(), scratch.len());
             prop_assert_eq!(appended.num_postings(), scratch.num_postings());
             prop_assert_eq!(scratch.num_postings(), serving.num_postings());
             for item in &items {
                 prop_assert_eq!(appended.candidates(item), scratch.candidates(item));
             }
-            std::fs::remove_dir_all(store.root()).unwrap();
         }
     }
 }

@@ -77,7 +77,7 @@ impl CandidateGenerator for DiscoSampler {
     }
 
     /// The exact join's chain ([`prefix_filter_join`]) with one extra
-    /// conditional in the per-run probe visitor: a posting's contribution
+    /// conditional in the probe visitor: a posting's contribution
     /// enters the partial score only if its coordinate hash clears the
     /// term's sampling probability, scaled by `1/p_t` when it does.
     fn generate_vectors(
@@ -100,16 +100,15 @@ impl CandidateGenerator for DiscoSampler {
             sigma,
             flow,
             counters,
-            move |item, partition, run, scores| {
+            move |item, index, query, scores| {
                 let mut skipped = 0u64;
-                for &(term, weight) in run {
-                    let postings = partition.postings(term.0);
+                for &(term, weight) in query {
+                    let postings = index.postings(term.0);
                     if postings.is_empty() {
                         continue;
                     }
-                    // A term never straddles partitions, so this list is
-                    // the term's entire (prefix-pruned) posting list and
-                    // n_t is a global property of the index.
+                    // The term's entire (prefix-pruned) posting list: n_t
+                    // is a global property of the index.
                     let keep = (lambda / postings.len() as f64).min(1.0);
                     for i in 0..postings.len() {
                         let doc = postings.docs[i];

@@ -12,7 +12,7 @@
 //! * **Job 1 — banding**: every consumer emits `(band key, doc)` for each
 //!   of its bands; the reducer passes the grouped band postings through,
 //!   and the chain's `then` materializes them as a sorted bucket list that
-//!   the probe mappers share (the distributed-cache role the partitioned
+//!   the probe mappers share (the distributed-cache role the inverted
 //!   index plays for the exact join).
 //! * **Job 2 — bucket probe + verification**: every item computes its own
 //!   signature with the *same* seeded hash functions, looks up its band
@@ -209,7 +209,7 @@ impl CandidateGenerator for LshBander {
         let probe_counters = counters.clone();
         // Every candidate is verified — LSH has no pre-verification prune
         // and no inverted index, so the chain's accounting reads zero
-        // pruned, zero partitions, and generated = verified.
+        // pruned and generated = verified.
         candidate_chain(
             &self.name(),
             (item_vectors, item_names),
@@ -228,7 +228,7 @@ impl CandidateGenerator for LshBander {
                     .named("lsh-bands")
                     .reduce_with(IdentityReducer::new())
             },
-            move |postings, item_ids, _side_prefix| {
+            move |postings, item_ids| {
                 // Job 1's output becomes job 2's side data.  Each bucket
                 // arrives as one contiguous run (one reduce group, members
                 // in doc order), but runs are ordered by reduce partition,

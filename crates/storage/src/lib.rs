@@ -16,28 +16,24 @@
 //!   temp directory: map tasks whose buffered output outgrows their
 //!   budget share spill sorted runs through it, and the directory is
 //!   removed when the manager drops.
-//! * [`DatasetStore`] — file-backed named datasets with per-dataset type
-//!   tags, backing the flow layer's side data.
 //! * [`ShardManifest`] — the length-prefixed, checksummed commit record a
 //!   sharded worker process leaves beside its run files so the
 //!   multi-process runtime (`smr_distrib`) can treat the run format as a
 //!   wire format (see `docs/distrib.md`).
 //!
 //! The crate is deliberately dependency-free (std only) and sits below the
-//! engine: `smr_mapreduce` builds its disk-spilling shuffle and file-backed
-//! flow persistence on top of these pieces.
+//! engine: `smr_mapreduce` builds its disk-spilling shuffle and its spilled
+//! round state on top of these pieces.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod codec;
-pub mod kv;
 pub mod manifest;
 pub mod run;
 pub mod spill;
 
 pub use codec::{Codec, CodecError};
-pub use kv::DatasetStore;
 pub use manifest::{ManifestRun, ShardManifest, MANIFEST_VERSION};
 pub use run::{CompletedRun, RunReader, RunWriter, StorageError, FORMAT_VERSION};
 pub use spill::SpillManager;

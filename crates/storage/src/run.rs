@@ -3,7 +3,7 @@
 //!
 //! A *run file* holds a sequence of [`Codec`]-encoded records — in the
 //! engine, one sorted run of `(key, value)` pairs spilled by a map task,
-//! or one persisted flow dataset.  The on-disk layout (version 2) batches
+//! or one spilled round-state partition.  The on-disk layout (version 2) batches
 //! record frames into blocks:
 //!
 //! ```text
@@ -90,11 +90,6 @@ pub enum StorageError {
     },
     /// A record payload failed to decode.
     Codec(CodecError),
-    /// The requested dataset does not exist.
-    Missing {
-        /// The dataset name or path.
-        name: String,
-    },
 }
 
 impl fmt::Display for StorageError {
@@ -114,7 +109,6 @@ impl fmt::Display for StorageError {
                 write!(f, "truncated file: {found} of {expected} records")
             }
             StorageError::Codec(e) => write!(f, "corrupt record: {e}"),
-            StorageError::Missing { name } => write!(f, "no dataset at `{name}`"),
         }
     }
 }
@@ -186,63 +180,6 @@ impl<R: Codec> RunWriter<R> {
             writer,
             path,
             records: 0,
-            bytes: 0,
-            block: Vec::new(),
-            block_records: 0,
-            _marker: PhantomData,
-        })
-    }
-
-    /// Opens an existing, finished run file to append more frames, without
-    /// reading or rewriting the records already there.
-    ///
-    /// The header is validated first (magic, version, completed count).
-    /// The stored record count stays untouched until [`RunWriter::finish`]
-    /// patches in the new total — so a crash mid-append leaves the file
-    /// readable at its *old* count (any partial trailing block is beyond
-    /// the count and ignored), and this method truncates such leftovers
-    /// away before appending.
-    pub fn append_to(path: impl Into<PathBuf>) -> Result<Self, StorageError> {
-        let path = path.into();
-        let reader = RunReader::<R>::open(&path)?;
-        let existing = reader.records();
-        drop(reader);
-        let mut file = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(&path)?;
-        // Walk the committed blocks to the end of the `existing` records;
-        // anything after that is debris from a crashed append.
-        let mut pos = {
-            file.seek(SeekFrom::Start((MAGIC.len() + 2 + 8) as u64))?;
-            let mut tag_len = [0u8; 8];
-            file.read_exact(&mut tag_len)?;
-            (MAGIC.len() + 2 + 8 + 8) as u64 + u64::from_le_bytes(tag_len)
-        };
-        // `finish` always flushes the partial block, so a committed count
-        // lands exactly on a block boundary.
-        let mut seen = 0u64;
-        while seen < existing {
-            file.seek(SeekFrom::Start(pos))?;
-            let mut header = [0u8; 8];
-            file.read_exact(&mut header)?;
-            let block_len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
-            let n_records = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-            seen += u64::from(n_records);
-            pos += 8 + u64::from(block_len);
-        }
-        if seen != existing {
-            return Err(StorageError::Truncated {
-                expected: existing,
-                found: seen,
-            });
-        }
-        file.set_len(pos)?;
-        file.seek(SeekFrom::Start(pos))?;
-        Ok(RunWriter {
-            writer: BufWriter::new(file),
-            path,
-            records: existing,
             bytes: 0,
             block: Vec::new(),
             block_records: 0,
@@ -327,11 +264,9 @@ impl<R: Codec> RunWriter<R> {
 pub struct CompletedRun {
     /// Where the run lives.
     pub path: PathBuf,
-    /// Records in the file (including pre-existing ones after an
-    /// [`RunWriter::append_to`]).
+    /// Records in the file.
     pub records: u64,
-    /// Frame bytes written by *this* writer (headers and pre-existing
-    /// frames excluded).
+    /// Frame bytes written (headers excluded).
     pub bytes: u64,
 }
 
@@ -566,10 +501,16 @@ fn read_exact_or_truncated(reader: &mut impl Read, buf: &mut [u8]) -> Result<(),
 mod tests {
     use super::*;
 
+    /// `name` in a directory of its own, so tests never share one.
     fn temp_path(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("smr-run-tests-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("smr-run-tests-{}-{name}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(name)
+    }
+
+    /// Removes the directory [`temp_path`] made for `path`.
+    fn remove_temp(path: &Path) {
+        std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
     }
 
     #[test]
@@ -588,7 +529,7 @@ mod tests {
         reader.check_type().unwrap();
         assert_eq!(reader.records(), 100);
         assert_eq!(reader.read_to_end().unwrap(), records);
-        std::fs::remove_file(&path).unwrap();
+        remove_temp(&path);
     }
 
     #[test]
@@ -603,38 +544,7 @@ mod tests {
         writer.finish().unwrap();
         let reader: RunReader<(u64, String)> = RunReader::open(&path).unwrap();
         assert_eq!(reader.read_to_end().unwrap(), records);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn append_truncates_crash_debris_behind_the_committed_count() {
-        let path = temp_path("append-debris.run");
-        let mut writer: RunWriter<u64> = RunWriter::create(&path).unwrap();
-        for i in 0..10u64 {
-            writer.push(&i).unwrap();
-        }
-        writer.finish().unwrap();
-        // Simulate a crashed append: whole extra blocks and a partial
-        // trailing one, none of them reflected in the committed count.
-        let clean_len = std::fs::metadata(&path).unwrap().len();
-        {
-            use std::io::Write as _;
-            let mut file = std::fs::OpenOptions::new()
-                .append(true)
-                .open(&path)
-                .unwrap();
-            file.write_all(&[0xDE, 0xAD, 0xBE, 0xEF, 0x01]).unwrap();
-        }
-        let mut appender: RunWriter<u64> = RunWriter::append_to(&path).unwrap();
-        appender.push(&99).unwrap();
-        let run = appender.finish().unwrap();
-        assert_eq!(run.records, 11);
-        assert!(std::fs::metadata(&path).unwrap().len() > clean_len);
-        let reader: RunReader<u64> = RunReader::open(&path).unwrap();
-        let mut expected: Vec<u64> = (0..10).collect();
-        expected.push(99);
-        assert_eq!(reader.read_to_end().unwrap(), expected);
-        std::fs::remove_file(&path).unwrap();
+        remove_temp(&path);
     }
 
     #[test]
@@ -644,7 +554,7 @@ mod tests {
         writer.finish().unwrap();
         let reader: RunReader<u64> = RunReader::open(&path).unwrap();
         assert!(reader.read_to_end().unwrap().is_empty());
-        std::fs::remove_file(&path).unwrap();
+        remove_temp(&path);
     }
 
     #[test]
@@ -659,7 +569,7 @@ mod tests {
             Err(StorageError::Truncated { .. }) => {}
             other => panic!("expected Truncated, got {other:?}"),
         }
-        std::fs::remove_file(&path).unwrap();
+        remove_temp(&path);
     }
 
     #[test]
@@ -679,7 +589,7 @@ mod tests {
             }
             other => panic!("expected VersionMismatch, got {other:?}"),
         }
-        std::fs::remove_file(&path).unwrap();
+        remove_temp(&path);
     }
 
     #[test]
@@ -690,7 +600,7 @@ mod tests {
             RunReader::<u64>::open(&path),
             Err(StorageError::InvalidMagic { .. })
         ));
-        std::fs::remove_file(&path).unwrap();
+        remove_temp(&path);
     }
 
     #[test]
@@ -704,7 +614,7 @@ mod tests {
             reader.check_type(),
             Err(StorageError::TypeMismatch { .. })
         ));
-        std::fs::remove_file(&path).unwrap();
+        remove_temp(&path);
     }
 
     #[test]
@@ -724,7 +634,7 @@ mod tests {
             reader.next_record(),
             Err(StorageError::Truncated { .. })
         ));
-        std::fs::remove_file(&path).unwrap();
+        remove_temp(&path);
     }
 
     #[test]
@@ -754,7 +664,7 @@ mod tests {
             }
             assert!(failed, "cut at {cut} silently succeeded");
         }
-        std::fs::remove_file(&path).unwrap();
+        remove_temp(&path);
     }
 
     #[test]

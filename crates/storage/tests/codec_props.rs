@@ -9,10 +9,16 @@ use smr_storage::{Codec, CodecError, RunReader, RunWriter, StorageError, FORMAT_
 /// a structured value with nested variable-size fields.
 type Record = (String, (u64, Vec<u32>, Option<i64>));
 
+/// A file in a directory of the test's own (`tag`), removed by
+/// [`remove_temp`].
 fn temp_file(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("smr-codec-props-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("smr-codec-props-{}-{tag}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir.join(format!("{tag}.run"))
+}
+
+fn remove_temp(path: &std::path::Path) {
+    std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
 }
 
 /// Strategy for printable-ASCII strings (the shim has no string strategy).
@@ -115,7 +121,7 @@ proptest! {
             },
         };
         prop_assert!(failed, "truncation at {cut}/{} went unnoticed", bytes.len());
-        std::fs::remove_file(&path).unwrap();
+        remove_temp(&path);
     }
 
     #[test]
@@ -138,6 +144,6 @@ proptest! {
             }
             other => prop_assert!(false, "expected VersionMismatch, got {other:?}"),
         }
-        std::fs::remove_file(&path).unwrap();
+        remove_temp(&path);
     }
 }

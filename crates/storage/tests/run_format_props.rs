@@ -2,7 +2,6 @@
 //! contract:
 //!
 //! - files round-trip byte-identically through writer and reader;
-//! - appends read back as the exact concatenation;
 //! - a file whose header carries *any other* version — the retired
 //!   unframed version 1 included — is rejected with a clean
 //!   [`StorageError::VersionMismatch`] naming the version found, never
@@ -10,12 +9,18 @@
 
 use proptest::prelude::*;
 use smr_storage::{Codec, RunReader, RunWriter, StorageError, FORMAT_VERSION};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
+/// A file in a directory of the test's own (`tag`), removed by
+/// [`remove_temp`].
 fn temp_path(tag: &str, case: u64) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("smr-run-props-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("smr-run-props-{}-{tag}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir.join(format!("{tag}-{case}.run"))
+}
+
+fn remove_temp(path: &Path) {
+    std::fs::remove_dir_all(path.parent().unwrap()).unwrap();
 }
 
 fn records_from(lens: &[u16]) -> Vec<(u64, String)> {
@@ -65,7 +70,7 @@ proptest! {
         let reader: RunReader<(u64, String)> = RunReader::open(&path).unwrap();
         prop_assert_eq!(reader.records(), records.len() as u64);
         prop_assert_eq!(reader.read_to_end().unwrap(), records);
-        std::fs::remove_file(&path).unwrap();
+        remove_temp(&path);
     }
 
     #[test]
@@ -81,7 +86,7 @@ proptest! {
             let path = temp_path("version", case ^ u64::from(version));
             std::fs::write(&path, unframed_file(version, &records_from(&lens))).unwrap();
             let opened = RunReader::<(u64, String)>::open(&path);
-            std::fs::remove_file(&path).unwrap();
+            remove_temp(&path);
             match opened {
                 Err(StorageError::VersionMismatch { found, expected }) => {
                     prop_assert_eq!(found, version);
@@ -90,27 +95,5 @@ proptest! {
                 other => prop_assert!(false, "expected VersionMismatch, got {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn appends_read_back_as_the_concatenation(
-        case in 0u64..u64::MAX,
-        first in proptest::collection::vec(0u16..256, 0..40),
-        second in proptest::collection::vec(0u16..256, 1..40),
-    ) {
-        let head = records_from(&first);
-        let tail = records_from(&second);
-        let path = temp_path("append", case);
-        write_run(&path, &head);
-        let mut appender: RunWriter<(u64, String)> = RunWriter::append_to(&path).unwrap();
-        for record in &tail {
-            appender.push(record).unwrap();
-        }
-        appender.finish().unwrap();
-        let reader: RunReader<(u64, String)> = RunReader::open(&path).unwrap();
-        let mut expected = head.clone();
-        expected.extend(tail.iter().cloned());
-        prop_assert_eq!(reader.read_to_end().unwrap(), expected);
-        std::fs::remove_file(&path).unwrap();
     }
 }

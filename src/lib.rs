@@ -16,7 +16,7 @@
 //! * [`datagen`] — synthetic dataset generators standing in for the paper's
 //!   flickr and Yahoo! Answers crawls,
 //! * [`storage`] — the out-of-core layer: binary record codec, spill-run
-//!   files, the spill manager and disk-backed dataset stores,
+//!   files, the spill manager and shard manifests,
 //! * [`distrib`] — multi-process sharded execution: a coordinator that
 //!   splits each job's map phase across worker OS processes exchanging
 //!   run files, with supervision and byte-identical output (see

@@ -211,10 +211,9 @@ impl MatchingPipeline {
     }
 
     /// Sets the directory everything the run writes goes under — spilled
-    /// runs and the flow's side data (index partitions, vector chunks,
-    /// round state); default: the system temp directory.  Each job cleans
-    /// its spill files up when it finishes, the flow its side data when
-    /// the run ends.
+    /// runs and the flow's spilled round state; default: the system temp
+    /// directory.  Each job cleans its spill files up when it finishes,
+    /// the flow its round state when the run ends.
     pub fn spill_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
         self.job = self.job.with_spill_dir(dir);
         self
@@ -347,7 +346,6 @@ impl MatchingPipeline {
             &self.tokenizer,
             self.sigma,
             self.alpha,
-            self.job.spill_dir,
         )
     }
 

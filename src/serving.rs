@@ -14,8 +14,8 @@
 //!   within its capacity, preempting strictly lighter assignments when a
 //!   better match arrives,
 //! * [`ServingPipeline::add_consumers`] absorbs new consumers: their
-//!   prefix postings are appended to the on-disk index partitions and
-//!   they join the assignment with their own capacity.
+//!   prefix postings join the in-RAM index and they join the assignment
+//!   with their own capacity.
 //!
 //! The handle vectorizes arriving documents through the same
 //! [`AlignedCorpora`] the batch join is fed from — same tokenizer, same
@@ -25,17 +25,12 @@
 //! `docs/serving.md` for the dataflow.
 
 use std::ops::Range;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use smr_datagen::SocialDataset;
 use smr_matching::IncrementalMatcher;
 use smr_simjoin::{AlignedCorpora, IndexPlan, ScoredMatch, ServingIndex};
-use smr_storage::DatasetStore;
 use smr_text::{Document, SparseVector, TokenizerConfig};
-
-static SERVE_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// The outcome of one arrival committed via [`ServingPipeline::assign`].
 #[derive(Debug, Clone)]
@@ -51,14 +46,15 @@ pub struct ItemAssignment {
 }
 
 /// A standing serving handle over a dataset: the similarity index kept
-/// alive on disk, the aligned corpora to vectorize arrivals with, and an
+/// alive in RAM, the aligned corpora to vectorize arrivals with, and an
 /// online capacity-aware assignment.
 ///
-/// Created by [`crate::MatchingPipeline::serve`]; the on-disk index lives
-/// in a private directory (under the pipeline's spill base) removed when
-/// the handle is dropped.
+/// Created by [`crate::MatchingPipeline::serve`]; it holds no files.
 #[derive(Debug)]
 pub struct ServingPipeline {
+    /// The standing index; it owns every indexed consumer vector, kept
+    /// current as consumers arrive — what [`ServingPipeline::rebuild`]
+    /// rebuilds from.
     index: ServingIndex,
     matcher: IncrementalMatcher,
     /// The build corpora in one term space: the item side of every
@@ -66,51 +62,26 @@ pub struct ServingPipeline {
     aligned: AlignedCorpora,
     consumer_ids: Vec<String>,
     sigma: f64,
-    store: DatasetStore,
-    store_root: PathBuf,
-    /// Every indexed consumer, kept current as consumers arrive — what
-    /// [`ServingPipeline::rebuild`] rebuilds from.
-    consumer_vectors: Vec<SparseVector>,
     /// Elementwise maxima of every query vector served so far.  A rebuild
     /// folds these into the item-side maxima, so the fresh index's
     /// exactness contract covers the drifted workload, not just the
     /// original corpus.  Behind a mutex because queries take `&self`.
     observed_query_max: Mutex<Vec<f64>>,
-    /// Rebuild epoch, used to give each rebuilt index a fresh dataset
-    /// prefix in the store.
-    epoch: u64,
 }
 
 impl ServingPipeline {
     /// Builds the serving structures for `dataset` at threshold `sigma`,
     /// with consumer capacities scaled by `alpha` — the serving-mode
-    /// counterpart of the batch pipeline's join + matching stages.  The
-    /// index directory is created under `spill_dir` (the system temp
-    /// directory when `None`), like every other piece of side data.
+    /// counterpart of the batch pipeline's join + matching stages.
     pub(crate) fn build(
         dataset: SocialDataset,
         tokenizer: &TokenizerConfig,
         sigma: f64,
         alpha: f64,
-        spill_dir: Option<PathBuf>,
     ) -> Self {
         let aligned = AlignedCorpora::build(&dataset.items, &dataset.consumers, tokenizer);
-        let consumer_vectors = aligned.consumer_vectors().to_vec();
-
-        let store_root = spill_dir.unwrap_or_else(std::env::temp_dir).join(format!(
-            "smr-serve-{}-{}",
-            std::process::id(),
-            SERVE_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let store = DatasetStore::open(&store_root)
-            .unwrap_or_else(|e| panic!("failed to open serving store at {store_root:?}: {e}"));
-        let index = ServingIndex::for_corpora(
-            &store,
-            "serve",
-            aligned.item_vectors(),
-            &consumer_vectors,
-            sigma,
-        );
+        let index =
+            ServingIndex::for_corpora(aligned.item_vectors(), aligned.consumer_vectors(), sigma);
 
         let caps = dataset.capacities(alpha);
         let matcher = IncrementalMatcher::new(Vec::new(), caps.consumer_capacities().to_vec());
@@ -120,11 +91,7 @@ impl ServingPipeline {
             consumer_ids: aligned.consumer_labels(),
             aligned,
             sigma,
-            store,
-            store_root,
-            consumer_vectors,
             observed_query_max: Mutex::new(Vec::new()),
-            epoch: 0,
         }
     }
 
@@ -144,6 +111,9 @@ impl ServingPipeline {
 
     /// Point query over a pre-vectorized arrival (must be in the joint
     /// term space, e.g. from [`ServingPipeline::vectorize`]).
+    ///
+    /// # Panics
+    /// Panics if `query` carries a term at or beyond the joint vocabulary.
     pub fn match_vector(&self, query: &SparseVector, k: usize) -> Vec<ScoredMatch> {
         self.observe_query(query);
         self.index.match_one(query, k)
@@ -153,6 +123,14 @@ impl ServingPipeline {
     /// so a later [`ServingPipeline::rebuild`] can cover the workload that
     /// actually arrived.
     fn observe_query(&self, query: &SparseVector) {
+        let vocab_size = self.aligned.vocab_size();
+        if let Some(&(term, _)) = query.entries().last() {
+            assert!(
+                term.index() < vocab_size,
+                "query term {} is outside the joint vocabulary of {vocab_size} terms",
+                term.index()
+            );
+        }
         let mut observed = self
             .observed_query_max
             .lock()
@@ -190,7 +168,6 @@ impl ServingPipeline {
         let vectors: Vec<SparseVector> =
             documents.iter().map(|d| self.vectorize(&d.text)).collect();
         let range = self.index.append_batch(&vectors);
-        self.consumer_vectors.extend(vectors);
         for doc in documents {
             self.matcher.add_consumer(capacity);
             self.consumer_ids.push(doc.id.clone());
@@ -237,9 +214,8 @@ impl ServingPipeline {
     /// very arrivals that tripped the detector are inside the new
     /// exactness contract.  Consumers added via
     /// [`ServingPipeline::add_consumers`] are re-indexed from scratch
-    /// (their prefixes are re-cut against the widened maxima), the drift
-    /// counter resets to zero, and the old index's datasets are reclaimed
-    /// from the store.
+    /// (their prefixes are re-cut against the widened maxima) and the drift
+    /// counter resets to zero.
     pub fn rebuild(&mut self) -> bool {
         if !self.needs_rebuild() {
             return false;
@@ -256,36 +232,13 @@ impl ServingPipeline {
             .lock()
             .expect("observed-maxima lock poisoned")
             .clone();
-        let plan = IndexPlan::derive(self.aligned.item_vectors(), &self.consumer_vectors)
+        let plan = IndexPlan::derive(self.aligned.item_vectors(), self.index.consumers())
             .widened(&observed);
-        let old_prefix = format!("{}/", self.rebuild_prefix());
-        self.epoch += 1;
-        self.index = ServingIndex::build(
-            &self.store,
-            &self.rebuild_prefix(),
-            &self.consumer_vectors,
-            plan,
-            self.sigma,
-        );
-        for path in self.store.paths() {
-            if path.starts_with(&old_prefix) {
-                self.store.remove(&path);
-            }
-        }
+        self.index.reindex(plan);
     }
 
-    /// The store prefix of the current epoch's index datasets ("serve"
-    /// for the original build, "serve-N" for the N-th rebuild).
-    fn rebuild_prefix(&self) -> String {
-        if self.epoch == 0 {
-            "serve".to_string()
-        } else {
-            format!("serve-{}", self.epoch)
-        }
-    }
-
-    /// The standing index (point queries, append stats, disk-read
-    /// counters).
+    /// The standing index (point queries, consumer vectors, drift
+    /// counter).
     pub fn index(&self) -> &ServingIndex {
         &self.index
     }
@@ -293,12 +246,6 @@ impl ServingPipeline {
     /// The online assignment (current edges, total weight, residuals).
     pub fn matcher(&self) -> &IncrementalMatcher {
         &self.matcher
-    }
-}
-
-impl Drop for ServingPipeline {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.store_root);
     }
 }
 
@@ -474,7 +421,6 @@ mod tests {
         };
         let built = candidates(&serving);
         let postings = serving.index().num_postings();
-        let partitions = serving.index().num_partitions();
 
         // Drift-free, `rebuild` declines; forced through the widen step
         // with empty observations, the plan — and so the index — is the
@@ -482,7 +428,6 @@ mod tests {
         assert!(!serving.rebuild());
         serving.reindex();
         assert_eq!(serving.index().num_postings(), postings);
-        assert_eq!(serving.index().num_partitions(), partitions);
         assert_eq!(candidates(&serving), built);
         assert!(!serving.needs_rebuild());
     }
@@ -528,5 +473,66 @@ mod tests {
         );
         let outcome = serving.assign(&probe_item.text, 1, 4);
         assert_eq!(outcome.assigned.len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "query term 4294967295 is outside the joint vocabulary of")]
+    fn queries_outside_the_joint_vocabulary_are_rejected() {
+        let serving = MatchingPipeline::new(small_dataset()).sigma(0.12).serve();
+        let query = SparseVector::from_entries([(smr_text::TermId(u32::MAX), 0.5)]);
+        let _ = serving.match_vector(&query, 4);
+    }
+
+    #[test]
+    fn concurrent_point_queries_match_the_sequential_answers() {
+        let dataset = small_dataset();
+        let reference = MatchingPipeline::new(dataset.clone()).sigma(0.12).serve();
+        let serving = MatchingPipeline::new(dataset.clone()).sigma(0.12).serve();
+        let mut queries: Vec<SparseVector> = dataset
+            .items
+            .iter()
+            .map(|d| serving.vectorize(&d.text))
+            .collect();
+        // Drifted queries: each carries more weight on a term than any
+        // build-time item (unit vectors bound every maximum by 1.0).
+        let drifted: Vec<SparseVector> = queries
+            .iter()
+            .take(5)
+            .map(|q| SparseVector::from_entries([(q.entries()[0].0, 2.0)]))
+            .collect();
+        queries.extend(drifted.iter().cloned());
+        let sequential: Vec<Vec<ScoredMatch>> = queries
+            .iter()
+            .map(|q| reference.match_vector(q, usize::MAX))
+            .collect();
+        assert_eq!(reference.index().maxima_exceeded(), drifted.len() as u64);
+
+        let threads = 4;
+        let answers: Vec<Vec<(usize, Vec<ScoredMatch>)>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|t| {
+                    let (serving, queries) = (&serving, &queries);
+                    scope.spawn(move || {
+                        (t..queries.len())
+                            .step_by(threads)
+                            .map(|i| (i, serving.match_vector(&queries[i], usize::MAX)))
+                            .collect()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let mut answered = 0;
+        for (i, got) in answers.into_iter().flatten() {
+            assert_eq!(got, sequential[i], "query {i}");
+            answered += 1;
+        }
+        assert_eq!(answered, queries.len());
+        assert_eq!(
+            serving.index().maxima_exceeded(),
+            drifted.len() as u64,
+            "each drifted query counts exactly once"
+        );
+        assert!(serving.needs_rebuild());
     }
 }

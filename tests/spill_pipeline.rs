@@ -7,12 +7,13 @@
 //! 2. report `disk_runs > 0` and `spill_bytes > 0` in its job metrics,
 //! 3. keep everything it writes under the configured spill directory and
 //!    leave **no temp files behind** once the jobs (and their
-//!    `SpillManager`s) and the flow are done — and so must the standing
-//!    index of `serve()`.
+//!    `SpillManager`s) and the flow are done — while `serve()`, whose
+//!    standing index lives in RAM, writes nothing at all.
 
 use social_content_matching::datagen::FlickrGenerator;
 use social_content_matching::mapreduce::{FlowContext, JobConfig};
 use social_content_matching::matching::AlgorithmKind;
+use social_content_matching::text::{Document, SparseVector};
 use social_content_matching::{MatchingPipeline, PipelineRun};
 
 fn dataset() -> social_content_matching::datagen::SocialDataset {
@@ -113,11 +114,11 @@ fn budgeted_pipeline_is_byte_identical_spills_and_cleans_up() {
     let per_job_runs: u64 = budgeted.report.jobs.iter().map(|m| m.disk_runs).sum();
     assert_eq!(per_job_runs, budgeted.report.totals.disk_runs);
 
-    // (3) A flow under the same spill setting roots its side data (index
-    // partitions, vector chunks, round state) under the base too…
+    // (3) A flow under the same spill setting roots its directory (round
+    // state past its budget share) under the base too…
     {
         let flow = FlowContext::new(job("spill-e2e", 2).with_spill_dir(&spill_base));
-        assert!(flow.side_store().root().starts_with(&spill_base));
+        assert!(flow.side_store().starts_with(&spill_base));
     }
     // …and every SpillManager and flow removed its directory.
     assert_eq!(
@@ -128,39 +129,28 @@ fn budgeted_pipeline_is_byte_identical_spills_and_cleans_up() {
     std::fs::remove_dir_all(&spill_base).unwrap();
 }
 
-/// Names in `dir` that a serving index of this process would carry.
-fn serving_dirs(dir: &std::path::Path) -> Vec<String> {
-    let ours = format!("smr-serve-{}-", std::process::id());
-    std::fs::read_dir(dir)
-        .unwrap()
-        .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
-        .filter(|name| name.starts_with(&ours))
-        .collect()
-}
-
 #[test]
-fn serving_index_lives_under_the_spill_base_and_is_removed_on_drop() {
+fn serve_creates_no_directory() {
     let spill_base = std::env::temp_dir().join(format!("smr-e2e-serve-{}", std::process::id()));
     std::fs::create_dir_all(&spill_base).unwrap();
+    let entries = || std::fs::read_dir(&spill_base).unwrap().count();
     let dataset = dataset();
-    let probe = dataset.items[0].text.clone();
+    let probe = dataset.items[0].clone();
 
-    let serving = MatchingPipeline::new(dataset)
+    let mut serving = MatchingPipeline::new(dataset)
         .sigma(0.1)
         .spill_dir(&spill_base)
+        .memory_budget(Some(1024))
         .serve();
-    // The standing index is side data like any other: under the base, not
-    // in the system temp directory.
-    assert_eq!(serving_dirs(&spill_base).len(), 1);
-    assert_eq!(serving_dirs(&std::env::temp_dir()), Vec::<String>::new());
-    assert!(!serving.match_text(&probe, 5).is_empty());
-
+    assert_eq!(entries(), 0, "the standing index lives in RAM");
+    // Queries, appends and a rebuild touch no file either.
+    assert!(!serving.match_text(&probe.text, 5).is_empty());
+    serving.add_consumers(&[Document::new("late", probe.text.clone())], 2);
+    let heavy = SparseVector::from_entries([(serving.vectorize(&probe.text).entries()[0].0, 2.0)]);
+    let _ = serving.match_vector(&heavy, 5);
+    assert!(serving.rebuild());
+    assert_eq!(entries(), 0, "serving holds no files");
     drop(serving);
-    assert_eq!(
-        std::fs::read_dir(&spill_base).unwrap().count(),
-        0,
-        "the serving directory must not outlive the handle"
-    );
     std::fs::remove_dir_all(&spill_base).unwrap();
 }
 
