@@ -101,6 +101,16 @@ impl Default for StackMrConfig {
     }
 }
 
+/// Panics unless ε is finite and strictly positive: ε = ∞ makes the
+/// weak-coverage factor 0, so every edge would be covered before the
+/// first push and the matching would be silently empty.
+pub(crate) fn assert_valid_epsilon(epsilon: f64) {
+    assert!(
+        epsilon.is_finite() && epsilon > 0.0,
+        "epsilon must be positive and finite"
+    );
+}
+
 impl StackMrConfig {
     /// The StackGreedyMR variant of the configuration (heaviest-first
     /// marking), leaving everything else unchanged.
@@ -112,9 +122,9 @@ impl StackMrConfig {
     /// Sets ε.
     ///
     /// # Panics
-    /// Panics if `epsilon` is not strictly positive.
+    /// Panics if `epsilon` is not finite and strictly positive.
     pub fn with_epsilon(mut self, epsilon: f64) -> Self {
-        assert!(epsilon > 0.0, "epsilon must be positive");
+        assert_valid_epsilon(epsilon);
         self.epsilon = epsilon;
         self
     }
@@ -203,6 +213,18 @@ mod tests {
     #[should_panic(expected = "epsilon must be positive")]
     fn zero_epsilon_is_rejected() {
         StackMrConfig::default().with_epsilon(0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "epsilon must be positive and finite")]
+    fn infinite_epsilon_is_rejected() {
+        StackMrConfig::default().with_epsilon(f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "epsilon must be positive and finite")]
+    fn nan_epsilon_is_rejected() {
+        StackMrConfig::default().with_epsilon(f64::NAN);
     }
 
     #[test]

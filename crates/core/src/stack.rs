@@ -21,6 +21,8 @@
 
 use smr_graph::{BipartiteGraph, Capacities, Matching, NodeId};
 
+use crate::config::assert_valid_epsilon;
+
 /// Dual variables for every node of a bipartite graph.
 #[derive(Debug, Clone)]
 pub(crate) struct DualVariables {
@@ -84,7 +86,7 @@ pub fn stack_matching(graph: &BipartiteGraph, caps: &Capacities, epsilon: f64) -
         caps.matches(graph),
         "capacities were built for a different graph"
     );
-    assert!(epsilon > 0.0, "epsilon must be positive");
+    assert_valid_epsilon(epsilon);
 
     let mut duals = DualVariables::new(graph);
     let mut live: Vec<bool> = vec![true; graph.num_edges()];
@@ -236,6 +238,20 @@ mod tests {
         let g = BipartiteGraph::from_edges(2, 2, vec![]);
         let caps = Capacities::uniform(&g, 1, 1);
         assert!(stack_matching(&g, &caps, 1.0).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "epsilon must be positive and finite")]
+    fn infinite_epsilon_is_rejected() {
+        let (g, caps) = k33();
+        stack_matching(&g, &caps, f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "epsilon must be positive and finite")]
+    fn nan_epsilon_is_rejected() {
+        let (g, caps) = k33();
+        stack_matching(&g, &caps, f64::NAN);
     }
 
     #[test]

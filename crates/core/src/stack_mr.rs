@@ -6,7 +6,7 @@
 //!
 //! 1. removes every edge that has become *weakly covered*
 //!    (`y_u/b(u) + y_v/b(v) ≥ w(e)/(3+2ε)`, Definition 1) — one MapReduce
-//!    job exchanging the dual values along the edges;
+//!    job;
 //! 2. computes a maximal b-matching of the remaining graph with per-node
 //!    capacity `max(1, ⌈ε·b(v)⌉)` using the four-stage randomized algorithm
 //!    of [`crate::maximal`] — four MapReduce jobs per Garrido iteration;
@@ -29,19 +29,28 @@
 //! Every job is a round over partition-resident state
 //! ([`smr_mapreduce::RoundState`]): the push rounds over the nodes' duals
 //! and live edges, the maximal matcher over its working records, the pop
-//! rounds over residual capacities.  A node's record stays in its
-//! partition; it sends a note across an edge only where the neighbour's
-//! decision needs it — its ratio `y_v/b(v)` across every live edge for
-//! coverage, but across the new layer's edges only for the push, the
-//! only edges whose `δ(e)` is computed; nominations across the popped
-//! layer's edges only — and its reducer gets the record beside the notes
-//! it received.  The push reducer emits the next coverage round's notes
-//! and a pop reducer the next layer's nominations; the coverage reducer
-//! emits none, so no notes wait in memory through the maximal matcher,
-//! and the push round's notes come from a map pass over the push state
-//! after it.
-
-use std::collections::HashSet;
+//! rounds over residual capacities and stacked edges.  A node's record
+//! stays in its partition, and its reducer gets it beside the notes its
+//! neighbours sent across their shared edges.
+//!
+//! **Which notes travel.**  Both tests of the push phase read the ratio
+//! `y_u/b(u)` of the neighbour across each live edge, and a node keeps the
+//! last one it heard in its own record ([`StackEdge::peer_ratio`]).  Every
+//! dual starts at 0, so every kept ratio starts at 0.0 and the first
+//! coverage round runs without notes.  A dual changes only in a push round,
+//! and a push reducer whose dual rose sends its new ratio across every
+//! live edge; the next coverage round writes those notes into the kept
+//! ratios before it tests.  A missing note therefore means "unchanged",
+//! and the push round itself needs none: the ratios it reads are exactly
+//! the ones the coverage round before it tested.  The pop rounds send
+//! nominations across the popped layer's edges only, over a pop state
+//! that holds the stacked edges alone: a node with none has no record.
+//!
+//! A missing note can never mean "the neighbour retired": the coverage
+//! test is symmetric — both ends add the same two ratios, `+` on `f64` is
+//! commutative, and both compare against the same threshold — so an edge
+//! is dropped at both ends in the same round, and a node retires only
+//! once all its edges are gone at both ends.
 
 use serde::{Deserialize, Serialize};
 use smr_graph::{BipartiteGraph, Capacities, EdgeId, Matching, NodeId};
@@ -49,14 +58,46 @@ use smr_mapreduce::flow::FlowContext;
 use smr_mapreduce::{Emitter, StateReducer};
 use smr_storage::impl_codec_struct;
 
-use crate::config::{MarkingStrategy, StackMrConfig};
+use crate::config::{assert_valid_epsilon, MarkingStrategy, StackMrConfig};
 use crate::maximal::MaximalMatcher;
 use crate::result::{AlgorithmKind, MatchingRun};
 use crate::state::{build_node_records, peer_notes, AdjEdge, NodeRecord, RoundMsg};
 
+/// The layer of an edge on no layer of the stack.
+const UNSTACKED: u32 = u32::MAX;
+
 // ---------------------------------------------------------------------------
 // Push-phase records and messages
 // ---------------------------------------------------------------------------
+
+/// One live edge of a push-phase record: the adjacency entry and the
+/// neighbour's ratio as of its last note.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct StackEdge {
+    /// Global edge identifier.
+    pub edge: EdgeId,
+    /// The other endpoint.
+    pub other: NodeId,
+    /// Edge weight.
+    pub weight: f64,
+    /// The other endpoint's `y_u / b(u)`: 0.0 until its dual first rises,
+    /// then the ratio of its last note.
+    pub peer_ratio: f64,
+}
+
+impl_codec_struct!(StackEdge {
+    edge,
+    other,
+    weight,
+    peer_ratio
+});
+
+impl StackEdge {
+    /// The adjacency entry, without the ratio.
+    fn adj(&self) -> AdjEdge {
+        AdjEdge::new(self.edge, self.other, self.weight)
+    }
+}
 
 /// The push-phase state of one node.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -68,7 +109,7 @@ pub struct StackNodeRecord {
     /// The dual variable `y_v`.
     pub dual: f64,
     /// Live (not yet weakly covered) incident edges.
-    pub adjacency: Vec<AdjEdge>,
+    pub adjacency: Vec<StackEdge>,
 }
 
 impl_codec_struct!(StackNodeRecord {
@@ -78,30 +119,25 @@ impl_codec_struct!(StackNodeRecord {
     adjacency
 });
 
-/// Message of the coverage and push jobs ([`RoundMsg`]): a neighbour's
+/// Message of the coverage rounds ([`RoundMsg`]): a neighbour's new
 /// `y_v / b(v)` for one edge.
 type RatioMsg = RoundMsg<f64>;
 
-/// The notes of the coverage and push rounds: `y_v / b(v)` along the
-/// record's live edges — every one for a coverage round, and only the
-/// pushed `layer`'s for a push round, the only edges whose `δ(e)` the push
-/// computes.
-fn dual_ratios(
-    record: &StackNodeRecord,
-    layer: Option<&HashSet<EdgeId>>,
-    out: &mut Emitter<NodeId, RatioMsg>,
-) {
+/// The notes a push reducer sends after raising the dual: the new
+/// `y_v / b(v)` across every live edge of the record, for the next
+/// coverage round to keep.  A node whose dual did not rise sends none.
+fn dual_ratios(record: &StackNodeRecord, out: &mut Emitter<NodeId, RatioMsg>) {
     let ratio = record.dual / record.capacity as f64;
     for adj in &record.adjacency {
-        if layer.is_none_or(|layer| layer.contains(&adj.edge)) {
-            out.emit(adj.other, RoundMsg::new(adj.edge, ratio));
-        }
+        out.emit(adj.other, RoundMsg::new(adj.edge, ratio));
     }
 }
 
-/// Reducer of the coverage job: drops weakly covered edges, retires a
-/// node left without edges, and emits every other node's record, at its
-/// layer capacity, as the maximal-matching input.
+/// Reducer of the coverage job: keeps each neighbour ratio it was sent
+/// (an edge without a note keeps the one it has: that neighbour's dual
+/// did not change), drops weakly covered edges, retires a node left
+/// without edges, and emits every other node's record, at its layer
+/// capacity, as the maximal-matching input.
 struct CoverageReducer<'a> {
     config: &'a StackMrConfig,
 }
@@ -124,33 +160,35 @@ impl StateReducer for CoverageReducer<'_> {
         let own_ratio = record.dual / record.capacity as f64;
         let weak_factor = self.config.weak_coverage_factor();
         let neighbour_ratios = peer_notes(msgs);
-        // An edge without a note lost its neighbour (all of the
-        // neighbour's edges were covered in an earlier round): drop it.
-        record.adjacency.retain(|adj| {
-            neighbour_ratios
-                .get(adj.edge)
-                .is_some_and(|neighbour_ratio| {
-                    let lhs = own_ratio + neighbour_ratio;
-                    let weakly_covered = lhs >= adj.weight * weak_factor - 1e-15;
-                    !weakly_covered
-                })
+        record.adjacency.retain_mut(|adj| {
+            if let Some(neighbour_ratio) = neighbour_ratios.get(adj.edge) {
+                adj.peer_ratio = neighbour_ratio;
+            }
+            let lhs = own_ratio + adj.peer_ratio;
+            let weakly_covered = lhs >= adj.weight * weak_factor - 1e-15;
+            !weakly_covered
         });
         if record.adjacency.is_empty() {
             return None;
         }
         let layer_capacity = self.config.layer_capacity(record.capacity);
+        let adjacency = record.adjacency.iter().map(StackEdge::adj).collect();
         out.emit(
             *node,
-            NodeRecord::new(record.node, layer_capacity, record.adjacency.clone()),
+            NodeRecord::new(record.node, layer_capacity, adjacency),
         );
         Some(record)
     }
 }
 
-/// Reducer of the push job: raises `y_v` by `Σ δ(e)` over the node's layer
-/// edges and sends the new ratio for the next coverage round.
+/// Reducer of the push job: raises `y_v` by `Σ δ(e)` over the node's edges
+/// on the pushed `layer`, each `δ(e)` from the neighbour ratio the record
+/// keeps — the one the coverage round before tested, as the neighbour's
+/// dual has not moved since — and, if the dual rose, sends the new ratio
+/// for the next coverage round.  It receives no notes.
 struct PushReducer<'a> {
-    layer: &'a HashSet<EdgeId>,
+    layer_of: &'a [u32],
+    layer: u32,
 }
 
 impl StateReducer for PushReducer<'_> {
@@ -168,24 +206,24 @@ impl StateReducer for PushReducer<'_> {
         _out: &mut Emitter<NodeId, ()>,
         next: &mut Emitter<NodeId, RatioMsg>,
     ) -> Option<StackNodeRecord> {
+        debug_assert!(msgs.is_empty(), "a push round is sent no notes");
         let own_ratio = record.dual / record.capacity as f64;
-        let neighbour_ratios = peer_notes(msgs);
         let mut increase = 0.0;
         for adj in &record.adjacency {
-            if !self.layer.contains(&adj.edge) {
+            if self.layer_of[adj.edge] != self.layer {
                 continue;
             }
-            if let Some(neighbour_ratio) = neighbour_ratios.get(adj.edge) {
-                // δ(e) = (w(e) − y_u/b(u) − y_v/b(v)) / 2, computed with the
-                // dual values both endpoints held at the start of the round.
-                let delta = (adj.weight - own_ratio - neighbour_ratio) / 2.0;
-                if delta > 0.0 {
-                    increase += delta;
-                }
+            // δ(e) = (w(e) − y_u/b(u) − y_v/b(v)) / 2, computed with the
+            // dual values both endpoints held at the start of the round.
+            let delta = (adj.weight - own_ratio - adj.peer_ratio) / 2.0;
+            if delta > 0.0 {
+                increase += delta;
             }
         }
-        record.dual += increase;
-        dual_ratios(&record, None, next);
+        if increase > 0.0 {
+            record.dual += increase;
+            dual_ratios(&record, next);
+        }
         Some(record)
     }
 }
@@ -219,7 +257,8 @@ type NominateMsg = RoundMsg<()>;
 /// The notes of a pop round: an active node nominates its stacked edges
 /// of `layer` to the neighbour across each.
 fn nominate(
-    layer: &HashSet<EdgeId>,
+    layer_of: &[u32],
+    layer: u32,
     record: &PopNodeRecord,
     out: &mut Emitter<NodeId, NominateMsg>,
 ) {
@@ -227,7 +266,7 @@ fn nominate(
         for adj in record
             .adjacency
             .iter()
-            .filter(|adj| layer.contains(&adj.edge))
+            .filter(|adj| layer_of[adj.edge] == layer)
         {
             out.emit(adj.other, RoundMsg::new(adj.edge, ()));
         }
@@ -238,12 +277,12 @@ fn nominate(
 /// *both* endpoints nominated it (i.e. both were still active) — the
 /// node holds its own nominations against the notes.  Included edges are
 /// the side output, reported by both endpoints, and leave the node's
-/// adjacency, so no later layer nominates them again; then the node
-/// nominates its edges of the next layer down, if any.
+/// adjacency; then the node nominates its edges of the next layer down,
+/// if any.
 #[derive(Clone, Copy)]
 struct PopLayer<'a> {
-    layer: &'a HashSet<EdgeId>,
-    next: Option<&'a HashSet<EdgeId>>,
+    layer_of: &'a [u32],
+    layer: u32,
 }
 
 impl StateReducer for PopLayer<'_> {
@@ -265,8 +304,9 @@ impl StateReducer for PopLayer<'_> {
         let active = record.residual > 0;
         let mut included = 0;
         record.adjacency.retain(|adj| {
-            let include =
-                active && self.layer.contains(&adj.edge) && nominated_by_other.contains(adj.edge);
+            let include = active
+                && self.layer_of[adj.edge] == self.layer
+                && nominated_by_other.contains(adj.edge);
             if include {
                 out.emit(adj.edge, ());
                 included += 1;
@@ -274,8 +314,8 @@ impl StateReducer for PopLayer<'_> {
             !include
         });
         record.residual -= included;
-        if let Some(layer) = self.next {
-            nominate(layer, &record, next);
+        if let Some(below) = self.layer.checked_sub(1) {
+            nominate(self.layer_of, below, &record, next);
         }
         Some(record)
     }
@@ -311,12 +351,17 @@ impl StackMr {
     /// partitions of [`smr_mapreduce::RoundState`]s — in RAM within the
     /// memory budget's share per reduce task, in run files above it — and
     /// covered-out nodes retire from them as their reducers decide.
+    ///
+    /// # Panics
+    /// Panics if the configuration's `epsilon` is not finite and strictly
+    /// positive.
     pub fn run(
         &self,
         graph: &BipartiteGraph,
         caps: &Capacities,
         flow: &FlowContext,
     ) -> MatchingRun {
+        assert_valid_epsilon(self.config.epsilon);
         let algorithm = match self.config.marking {
             MarkingStrategy::HeaviestFirst => AlgorithmKind::StackGreedyMr,
             _ => AlgorithmKind::StackMr,
@@ -327,27 +372,40 @@ impl StackMr {
         let mut max_round_state_bytes = 0u64;
 
         // ------------------------------------------------------------------
-        // Push phase.
+        // Push phase.  Every dual starts at 0, so every kept neighbour
+        // ratio starts at 0.0 and the first coverage round has no notes.
         // ------------------------------------------------------------------
         let mut push_state = flow.round_state("stack-push");
         push_state.seed(
             build_node_records(graph, caps)
                 .into_iter()
                 .map(|(node, r)| {
-                    (
-                        node,
-                        StackNodeRecord {
-                            node: r.node,
-                            capacity: r.capacity,
-                            dual: 0.0,
-                            adjacency: r.adjacency,
-                        },
-                    )
+                    let adjacency = r
+                        .adjacency
+                        .iter()
+                        .map(|adj| StackEdge {
+                            edge: adj.edge,
+                            other: adj.other,
+                            weight: adj.weight,
+                            peer_ratio: 0.0,
+                        })
+                        .collect();
+                    let record = StackNodeRecord {
+                        node: r.node,
+                        capacity: r.capacity,
+                        dual: 0.0,
+                        adjacency,
+                    };
+                    (node, record)
                 })
                 .collect(),
         );
-        push_state.map(|_, record, out| dual_ratios(record, None, out));
-        let mut layers: Vec<HashSet<EdgeId>> = Vec::new();
+        // Each edge's top layer, UNSTACKED for an edge on none.  An edge
+        // pushed again moves up to its new layer: only there can the pop
+        // phase include it, since an endpoint that cannot take it on its
+        // top layer has no residual capacity left below.
+        let mut layer_of = vec![UNSTACKED; graph.num_edges()];
+        let mut num_layers = 0u32;
 
         for push_round in 0..self.config.max_push_rounds {
             flow.mark_round();
@@ -378,54 +436,60 @@ impl StackMr {
             };
             let maximal = matcher.compute(&matcher_input, flow, &format!("maximal-{push_round}"));
             max_round_state_bytes = max_round_state_bytes.max(maximal.max_round_state_bytes);
-            let layer: HashSet<EdgeId> = maximal.edges.iter().copied().collect();
-            if layer.is_empty() {
+            if maximal.edges.is_empty() {
                 // No further progress is possible (should not happen while
                 // live edges remain, but guards against degenerate inputs).
                 break;
             }
 
             // (3) Push the layer: raise the duals of its edges.
-            push_state.map(|_, record, out| dual_ratios(record, Some(&layer), out));
-            push_state.round(format!("push-{push_round}"), PushReducer { layer: &layer });
-            layers.push(layer);
+            let layer = num_layers;
+            for &edge in &maximal.edges {
+                layer_of[edge] = layer;
+            }
+            num_layers += 1;
+            push_state.round(
+                format!("push-{push_round}"),
+                PushReducer {
+                    layer_of: &layer_of,
+                    layer,
+                },
+            );
         }
         max_round_state_bytes = max_round_state_bytes.max(push_state.max_state_bytes());
         drop(push_state);
 
         // ------------------------------------------------------------------
-        // Pop phase: one job per layer, from the top of the stack.
+        // Pop phase: one job per layer, from the top of the stack, over the
+        // nodes with a stacked edge.
         // ------------------------------------------------------------------
         let mut matching = Matching::new(graph.num_edges());
         let mut pop_state = flow.round_state("stack-pop");
         pop_state.seed(
             build_node_records(graph, caps)
                 .into_iter()
-                .map(|(node, r)| {
-                    let residual = r.capacity as i64;
-                    let adjacency = r.adjacency;
-                    (
+                .filter_map(|(node, mut r)| {
+                    r.adjacency.retain(|adj| layer_of[adj.edge] != UNSTACKED);
+                    let record = PopNodeRecord {
                         node,
-                        PopNodeRecord {
-                            node,
-                            residual,
-                            adjacency,
-                        },
-                    )
+                        residual: r.capacity as i64,
+                        adjacency: r.adjacency,
+                    };
+                    (!record.adjacency.is_empty()).then_some((node, record))
                 })
                 .collect(),
         );
-        if let Some(top) = layers.last() {
-            pop_state.map(|_, record, out| nominate(top, record, out));
+        if let Some(top) = num_layers.checked_sub(1) {
+            pop_state.map(|_, record, out| nominate(&layer_of, top, record, out));
         }
 
-        for (layer_idx, layer) in layers.iter().enumerate().rev() {
+        for layer in (0..num_layers).rev() {
             flow.mark_round();
             let pop_layer = PopLayer {
+                layer_of: &layer_of,
                 layer,
-                next: layer_idx.checked_sub(1).map(|below| &layers[below]),
             };
-            for (edge, ()) in pop_state.round(format!("pop-{layer_idx}"), pop_layer) {
+            for (edge, ()) in pop_state.round(format!("pop-{layer}"), pop_layer) {
                 matching.insert(edge);
             }
             rounds += 1;
@@ -556,6 +620,142 @@ mod tests {
         for phase in ["coverage-0", "maximal-0-mark-0", "push-0", "pop-"] {
             assert!(names.contains(phase), "missing {phase} in {names}");
         }
+    }
+
+    #[test]
+    fn duals_travel_only_from_the_push_that_raised_them() {
+        let g = random_graph(6, 8, 3);
+        let caps = Capacities::uniform(&g, 2, 2);
+        let config = test_config(17);
+        let flow = FlowContext::new(config.job.clone());
+        let run = StackMr::new(config).run(&g, &caps, &flow);
+        let report = flow.report();
+        // Shuffled records per job, keyed by stage name.
+        let shuffled: Vec<(&str, u64)> = report
+            .jobs
+            .iter()
+            .map(|m| {
+                let stage = m.job_name.strip_prefix("stack-mr-test-").unwrap();
+                (stage, m.shuffle_records)
+            })
+            .collect();
+        let of = |stage: &str| shuffled.iter().find(|(s, _)| *s == stage).unwrap().1;
+        // Every kept ratio starts at 0.0, the first coverage round's only
+        // possible note; a push reads its ratios from the state.
+        assert_eq!(of("coverage-0"), 0);
+        assert!(of("coverage-1") > 0, "raised duals must travel");
+        let pushes: Vec<u64> = shuffled
+            .iter()
+            .filter(|(stage, _)| stage.starts_with("push-"))
+            .map(|&(_, n)| n)
+            .collect();
+        assert_eq!(pushes, vec![0, 0], "two push rounds, no notes");
+        // The protocol's notes on this instance: 163, against 257 with a
+        // ratio across every live edge in every coverage round and across
+        // each layer edge in every push round.
+        assert_eq!(report.total_shuffled_records(), 163);
+        assert_eq!(run.total_shuffled_records(), 163);
+    }
+
+    /// Both endpoint records of one edge of weight `w`, at `duals` and
+    /// `caps`, each keeping the ratio the other's push would have sent.
+    fn edge_ends(w: f64, duals: (f64, f64), caps: (u64, u64)) -> [StackNodeRecord; 2] {
+        let end = |node, other, capacity, dual, peer: (f64, u64)| StackNodeRecord {
+            node,
+            capacity,
+            dual,
+            adjacency: vec![StackEdge {
+                edge: 0,
+                other,
+                weight: w,
+                peer_ratio: peer.0 / peer.1 as f64,
+            }],
+        };
+        let (item, consumer) = (NodeId::item(0), NodeId::consumer(0));
+        [
+            end(item, consumer, caps.0, duals.0, (duals.1, caps.1)),
+            end(consumer, item, caps.1, duals.1, (duals.0, caps.0)),
+        ]
+    }
+
+    /// Whether each end keeps the edge after a coverage round without notes.
+    fn kept_at_both_ends(config: &StackMrConfig, ends: [StackNodeRecord; 2]) -> [bool; 2] {
+        ends.map(|record| {
+            let node = record.node;
+            let mut out = Emitter::new();
+            let mut next = Emitter::new();
+            let kept = CoverageReducer { config }.reduce(&node, record, &[], &mut out, &mut next);
+            assert!(next.is_empty(), "a coverage round sends no notes");
+            kept.is_some()
+        })
+    }
+
+    #[test]
+    fn both_ends_of_an_edge_keep_or_drop_it_together() {
+        let config = test_config(1);
+        let w = 0.7;
+        let threshold = w * config.weak_coverage_factor() - 1e-15;
+        // The item's ratio is a dual over capacity 3, which rounds; the
+        // consumer's (capacity 1) is its dual, chosen so that the two sum
+        // to exactly the threshold, and one ulp either side of it (the
+        // consumer's ratio is in the threshold's binade, so one ulp of it
+        // is one ulp of the sum).
+        let item_dual = 0.003;
+        let item_ratio = item_dual / 3.0;
+        let on = threshold - item_ratio;
+        assert_eq!(item_ratio + on, threshold);
+        assert_eq!(item_ratio + on.next_down(), threshold.next_down());
+        assert_eq!(item_ratio + on.next_up(), threshold.next_up());
+        for (consumer_dual, kept) in [(on.next_down(), true), (on, false), (on.next_up(), false)] {
+            assert_eq!(
+                kept_at_both_ends(&config, edge_ends(w, (item_dual, consumer_dual), (3, 1))),
+                [kept, kept],
+                "ratios {item_ratio} + {consumer_dual} against {threshold}"
+            );
+        }
+        // All-tie weights and capacities: equal ratios at both ends of a
+        // run of equal-weight edges, on the threshold and one ulp away.
+        let tie = threshold / 2.0;
+        for edge_dual in [tie.next_down(), tie, tie.next_up()] {
+            let ends = edge_ends(w, (edge_dual * 2.0, edge_dual * 2.0), (2, 2));
+            let [item_kept, consumer_kept] = kept_at_both_ends(&config, ends);
+            assert_eq!(item_kept, consumer_kept, "tie dual {edge_dual}");
+        }
+        // A note overrides the kept ratio before the test.
+        let [item, _] = edge_ends(w, (0.0, 0.0), (1, 1));
+        let mut out = Emitter::new();
+        let mut next = Emitter::new();
+        let covered = CoverageReducer { config: &config }.reduce(
+            &NodeId::item(0),
+            item,
+            &[RoundMsg::new(0, w)],
+            &mut out,
+            &mut next,
+        );
+        assert!(
+            covered.is_none(),
+            "the neighbour's new ratio covers the edge"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "epsilon must be positive and finite")]
+    fn infinite_epsilon_set_on_the_field_is_rejected() {
+        let g = random_graph(3, 3, 4);
+        let caps = Capacities::uniform(&g, 1, 1);
+        let mut config = test_config(1);
+        config.epsilon = f64::INFINITY;
+        run(StackMr::new(config), &g, &caps);
+    }
+
+    #[test]
+    #[should_panic(expected = "epsilon must be positive and finite")]
+    fn nan_epsilon_set_on_the_field_is_rejected() {
+        let g = random_graph(3, 3, 4);
+        let caps = Capacities::uniform(&g, 1, 1);
+        let mut config = test_config(1);
+        config.epsilon = f64::NAN;
+        run(StackMr::new(config), &g, &caps);
     }
 
     #[test]
