@@ -1,69 +1,53 @@
-//! Open-addressed partial-score accumulation for the probe hot loop.
+//! The dense partial-score table of the probe hot loop.
 //!
 //! Every probe — batch [`crate::join`], serving point queries, sampled
 //! sketch generators — folds `(doc, weight · weight)` products into a
-//! per-query score table and then drains it sorted by doc.  The std
-//! `HashMap` paid SipHash plus an occupied-entry branch chain per posting;
-//! this table keys directly on the dense doc index with a Fibonacci
-//! multiplicative hash and linear probing over three parallel arrays, so
-//! the accumulate step is a handful of arithmetic ops and (usually) one
-//! cache line.
+//! per-query score table and then drains it in doc order.  Docs are dense
+//! indices below [`crate::InvertedIndex::num_docs`], so the table is two
+//! columns indexed by doc (running score, remainder bound) plus a touched
+//! bitmap with one `u64` per 64 docs: accumulating is a bit test and an
+//! add, and draining walks the bitmap in order, so candidates come out
+//! sorted by doc without a sort.
 //!
-//! Determinism: the table only changes *where* a doc's running sum lives,
-//! never the order products are added to it (that is the caller's term
-//! order), and [`ScoreAccumulator::drain_sorted`] emits candidates sorted
-//! by doc exactly as the previous `collect`-then-`sort_unstable_by_key`
-//! did — so switching accumulators is byte-identical on the wire.
+//! Determinism: each doc's running sum starts from `0.0` and takes the
+//! products in the order the caller folds them (the probe's ascending
+//! term order), and candidates drain sorted by doc — so a doc's score is
+//! bit-identical to the prefix terms' share of `SparseVector::dot`
+//! (see [`crate::join::Probe::finish`]).
 
 use crate::join::PartialScore;
 
-/// Sentinel marking an empty slot; dense doc indices never reach it.
-const EMPTY: usize = usize::MAX;
-
-/// The Fibonacci multiplier `2^64 / φ`, spreading consecutive doc indices
-/// across the table.
-const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// An open-addressed `doc -> PartialScore` accumulation table.
+/// A dense `doc -> PartialScore` accumulation table for one query at a
+/// time.
 ///
-/// Semantics match the `HashMap<usize, PartialScore>` it replaced:
 /// [`ScoreAccumulator::accumulate`] adds a product to the doc's running
 /// score, and the remainder bound is captured from the doc's **first**
-/// posting (every posting of a doc carries the same bound, so first-wins
-/// and max-wins agree; first-wins is what `or_insert` did).
+/// posting (every posting of a doc carries the same bound).  A visitor
+/// whose products are not the exact ones — it skipped or rescaled some —
+/// says so with [`ScoreAccumulator::mark_sampled`].
 #[derive(Debug)]
 pub struct ScoreAccumulator {
-    /// Slot keys (doc indices), `EMPTY` when vacant.
-    keys: Vec<usize>,
-    /// Running `Σ product` per slot, parallel to `keys`.
+    /// Running `Σ product` per doc; defined only where `touched` is set.
     scores: Vec<f64>,
-    /// The doc's suffix remainder bound, parallel to `keys`.
+    /// The doc's suffix remainder bound, parallel to `scores`.
     remainders: Vec<f64>,
-    /// Number of occupied slots.
+    /// Bit `doc % 64` of word `doc / 64` is set once `doc` is accumulated.
+    touched: Vec<u64>,
+    /// Number of touched docs.
     len: usize,
-}
-
-impl Default for ScoreAccumulator {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// Whether some product was skipped or rescaled since the last drain.
+    sampled: bool,
 }
 
 impl ScoreAccumulator {
-    /// An empty accumulator with a small initial table.
-    pub fn new() -> Self {
-        Self::with_capacity(8)
-    }
-
-    /// An empty accumulator sized to hold `docs` distinct docs without
-    /// growing.
-    pub fn with_capacity(docs: usize) -> Self {
-        let slots = (docs.max(4) * 2).next_power_of_two();
+    /// An empty table for docs `0..num_docs`.
+    pub fn for_docs(num_docs: usize) -> Self {
         ScoreAccumulator {
-            keys: vec![EMPTY; slots],
-            scores: vec![0.0; slots],
-            remainders: vec![0.0; slots],
+            scores: vec![0.0; num_docs],
+            remainders: vec![0.0; num_docs],
+            touched: vec![0; num_docs.div_ceil(64)],
             len: 0,
+            sampled: false,
         }
     }
 
@@ -77,85 +61,53 @@ impl ScoreAccumulator {
         self.len == 0
     }
 
-    /// The slot where `doc` lives or would be inserted: Fibonacci hash of
-    /// the doc index, then linear probing.  The table always keeps vacant
-    /// slots (load factor ≤ 1/2), so the probe terminates.
-    fn slot_of(keys: &[usize], doc: usize) -> usize {
-        let mask = keys.len() - 1;
-        let shift = 64 - keys.len().trailing_zeros();
-        let mut slot = ((doc as u64).wrapping_mul(FIB) >> shift) as usize;
-        loop {
-            let key = keys[slot];
-            if key == doc || key == EMPTY {
-                return slot;
-            }
-            slot = (slot + 1) & mask;
-        }
-    }
-
-    /// Doubles the table and re-places every occupied slot.
-    fn grow(&mut self) {
-        let slots = self.keys.len() * 2;
-        let mut keys = vec![EMPTY; slots];
-        let mut scores = vec![0.0; slots];
-        let mut remainders = vec![0.0; slots];
-        for from in 0..self.keys.len() {
-            let doc = self.keys[from];
-            if doc == EMPTY {
-                continue;
-            }
-            let to = Self::slot_of(&keys, doc);
-            keys[to] = doc;
-            scores[to] = self.scores[from];
-            remainders[to] = self.remainders[from];
-        }
-        self.keys = keys;
-        self.scores = scores;
-        self.remainders = remainders;
-    }
-
     /// Adds `product` to `doc`'s running score; on the doc's first
-    /// appearance, records `bound` as its remainder.
+    /// appearance, starts the score at `0.0` and records `bound` as its
+    /// remainder.
+    ///
+    /// # Panics
+    /// Panics when `doc` is not below the table's `num_docs`.
     #[inline]
     pub fn accumulate(&mut self, doc: usize, product: f64, bound: f64) {
-        debug_assert_ne!(doc, EMPTY, "doc index collides with the vacancy sentinel");
-        if (self.len + 1) * 2 > self.keys.len() {
-            self.grow();
-        }
-        let slot = Self::slot_of(&self.keys, doc);
-        if self.keys[slot] == EMPTY {
-            self.keys[slot] = doc;
-            // Stale values from before a drain may linger in the value
-            // columns; a slot's state is defined at insertion.
-            self.scores[slot] = 0.0;
-            self.remainders[slot] = bound;
+        let (word, bit) = (doc / 64, 1u64 << (doc % 64));
+        if self.touched[word] & bit == 0 {
+            self.touched[word] |= bit;
+            // Values from an earlier query may linger in the columns; a
+            // doc's state is defined at its first touch.
+            self.scores[doc] = 0.0;
+            self.remainders[doc] = bound;
             self.len += 1;
         }
-        self.scores[slot] += product;
+        self.scores[doc] += product;
+    }
+
+    /// Records that this query's scores are sampled: some product was
+    /// skipped or rescaled, so a score is not the exact partial sum.
+    pub fn mark_sampled(&mut self) {
+        self.sampled = true;
     }
 
     /// Empties the table into `(doc, PartialScore)` candidates sorted by
-    /// doc, leaving the accumulator ready for reuse at its current
-    /// capacity.
-    pub fn drain_sorted(&mut self) -> Vec<(usize, PartialScore)> {
+    /// doc, plus whether the query was [sampled](Self::mark_sampled),
+    /// leaving the accumulator ready for the next query.
+    pub fn drain_sorted(&mut self) -> (Vec<(usize, PartialScore)>, bool) {
         let mut out = Vec::with_capacity(self.len);
-        for slot in 0..self.keys.len() {
-            let doc = self.keys[slot];
-            if doc == EMPTY {
-                continue;
+        for (w, word) in self.touched.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let doc = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                out.push((
+                    doc,
+                    PartialScore {
+                        score: self.scores[doc],
+                        remainder: self.remainders[doc],
+                    },
+                ));
             }
-            out.push((
-                doc,
-                PartialScore {
-                    score: self.scores[slot],
-                    remainder: self.remainders[slot],
-                },
-            ));
-            self.keys[slot] = EMPTY;
         }
         self.len = 0;
-        out.sort_unstable_by_key(|(doc, _)| *doc);
-        out
+        (out, std::mem::take(&mut self.sampled))
     }
 }
 
@@ -163,6 +115,10 @@ impl ScoreAccumulator {
 mod tests {
     use super::*;
     use std::collections::HashMap;
+
+    fn partial(score: f64, remainder: f64) -> PartialScore {
+        PartialScore { score, remainder }
+    }
 
     #[test]
     fn accumulates_like_the_hashmap_it_replaced() {
@@ -173,98 +129,91 @@ mod tests {
             (8, 1.0, 0.2),
             (1, 0.0625, 0.7),
         ];
-        let mut table = ScoreAccumulator::new();
+        let mut table = ScoreAccumulator::for_docs(9);
         let mut model: HashMap<usize, PartialScore> = HashMap::new();
         for (doc, product, bound) in postings {
             table.accumulate(doc, product, bound);
-            let entry = model.entry(doc).or_insert(PartialScore {
-                score: 0.0,
-                remainder: bound,
-            });
-            entry.score += product;
+            model.entry(doc).or_insert(partial(0.0, bound)).score += product;
         }
         let mut expected: Vec<(usize, PartialScore)> = model.into_iter().collect();
         expected.sort_unstable_by_key(|(doc, _)| *doc);
-        assert_eq!(table.drain_sorted(), expected);
+        assert_eq!(table.drain_sorted(), (expected, false));
     }
 
     #[test]
     fn first_bound_wins_for_a_doc() {
-        let mut table = ScoreAccumulator::new();
+        let mut table = ScoreAccumulator::for_docs(6);
         table.accumulate(5, 1.0, 0.25);
         table.accumulate(5, 1.0, 0.75);
-        let drained = table.drain_sorted();
-        assert_eq!(drained.len(), 1);
-        assert_eq!(drained[0].1.remainder, 0.25);
-        assert_eq!(drained[0].1.score, 2.0);
+        assert_eq!(table.drain_sorted().0, vec![(5, partial(2.0, 0.25))]);
     }
 
     #[test]
-    fn growth_preserves_every_running_sum() {
-        let mut table = ScoreAccumulator::with_capacity(2);
-        for doc in 0..1000usize {
-            table.accumulate(doc % 257, 1.0, doc as f64);
+    fn drain_walks_the_bitmap_in_doc_order_across_words() {
+        // Touched out of order, over several bitmap words and both ends
+        // of a word: the drain yields doc order with no sort.
+        let docs = [199usize, 64, 0, 130, 63, 127, 1, 128];
+        let mut table = ScoreAccumulator::for_docs(200);
+        for &doc in &docs {
+            table.accumulate(doc, doc as f64, 0.5);
         }
-        let drained = table.drain_sorted();
-        assert_eq!(drained.len(), 257);
-        let total: f64 = drained.iter().map(|(_, p)| p.score).sum();
-        assert_eq!(total, 1000.0);
-        // Sorted by doc and each doc's bound is from its first posting.
-        for (i, (doc, partial)) in drained.iter().enumerate() {
-            assert_eq!(*doc, i);
-            assert_eq!(partial.remainder, *doc as f64);
-        }
-    }
-
-    #[test]
-    fn drain_resets_for_reuse() {
-        let mut table = ScoreAccumulator::new();
-        table.accumulate(1, 1.0, 0.0);
-        assert_eq!(table.len(), 1);
-        table.drain_sorted();
-        assert!(table.is_empty());
-        table.accumulate(2, 3.0, 0.5);
+        assert_eq!(table.len(), docs.len());
+        let (drained, sampled) = table.drain_sorted();
+        let mut expected = docs.to_vec();
+        expected.sort_unstable();
         assert_eq!(
-            table.drain_sorted(),
-            vec![(
-                2,
-                PartialScore {
-                    score: 3.0,
-                    remainder: 0.5
-                }
-            )]
+            drained.iter().map(|(d, _)| *d).collect::<Vec<_>>(),
+            expected
         );
+        assert!(drained.iter().all(|(d, p)| p.score == *d as f64));
+        assert!(!sampled);
     }
 
     #[test]
-    fn reusing_a_slot_after_drain_starts_from_zero() {
-        // The same doc lands in the same slot across queries; its stale
-        // score and bound from the previous query must not leak.
-        let mut table = ScoreAccumulator::new();
+    fn drain_resets_every_doc_and_the_sampled_flag_for_reuse() {
+        let mut table = ScoreAccumulator::for_docs(70);
         table.accumulate(5, 10.0, 0.9);
-        table.drain_sorted();
+        table.accumulate(69, 1.0, 0.0);
+        table.mark_sampled();
+        assert!(table.drain_sorted().1);
+        assert!(table.is_empty());
+        assert_eq!(table.drain_sorted(), (Vec::new(), false));
+        // The same doc in the next query starts from zero with its new
+        // bound: the stale score and bound do not leak.
         table.accumulate(5, 1.0, 0.1);
-        assert_eq!(
-            table.drain_sorted(),
-            vec![(
-                5,
-                PartialScore {
-                    score: 1.0,
-                    remainder: 0.1
-                }
-            )]
-        );
+        assert_eq!(table.drain_sorted(), (vec![(5, partial(1.0, 0.1))], false));
     }
 
     #[test]
-    fn adversarial_doc_indices_still_probe_to_distinct_slots() {
-        // Doc indices a power-of-two stride apart defeat masked identity
-        // hashing; the Fibonacci multiply must still spread them.
-        let mut table = ScoreAccumulator::new();
-        for i in 0..64usize {
-            table.accumulate(i << 32, 1.0, 0.0);
+    fn a_doc_sum_starts_from_zero_like_a_dot_product() {
+        // `0.0 + (-0.0)` is `+0.0`, as in `SparseVector::dot`'s sum; a table
+        // that stored the first product as-is would keep `-0.0`.
+        let mut table = ScoreAccumulator::for_docs(1);
+        table.accumulate(0, -0.0, 0.0);
+        let (drained, _) = table.drain_sorted();
+        assert_eq!(drained[0].1.score.to_bits(), 0.0f64.to_bits());
+    }
+
+    #[test]
+    fn a_table_sized_by_num_docs_after_an_append_takes_every_posted_doc() {
+        use crate::index::{InvertedIndex, Posting};
+        let posting = |doc| Posting {
+            doc,
+            weight: 1.0,
+            bound: 0.0,
+        };
+        let mut index = InvertedIndex::from_records(vec![(0, posting(3)), (2, posting(1))]);
+        assert_eq!(index.num_docs(), 4);
+        index.append(vec![(1, posting(130)), (0, posting(7))]);
+        assert_eq!(index.num_docs(), 131, "one past the largest posted doc");
+        let mut table = ScoreAccumulator::for_docs(index.num_docs());
+        for i in 0..index.num_terms() {
+            let postings = index.postings_at(i);
+            for (&doc, &weight) in postings.docs.iter().zip(postings.weights) {
+                table.accumulate(doc, weight, 0.0);
+            }
         }
-        assert_eq!(table.len(), 64);
-        assert_eq!(table.drain_sorted().len(), 64);
+        let docs: Vec<usize> = table.drain_sorted().0.into_iter().map(|(d, _)| d).collect();
+        assert_eq!(docs, [1, 3, 7, 130]);
     }
 }

@@ -1,17 +1,18 @@
 //! What gets indexed and where it lives: the [`Posting`] record, the
 //! [`IndexPlan`] that decides, for any consumer vector, which of its
-//! entries become postings, and the in-RAM [`InvertedIndex`] that holds
-//! them.
+//! entries become postings, the in-RAM [`InvertedIndex`] that holds
+//! them, and the [`SuffixTable`] of the entries left out.
 //!
 //! The batch join's job 1 and the standing
 //! [`crate::serving::ServingIndex`] both fill an [`InvertedIndex`] through
 //! [`IndexPlan::prefix_postings`], so they index exactly the same prefix
 //! entries with the same per-posting suffix remainder bound, in the same
-//! order within a term.
+//! order within a term.  Both keep the complementary [`SuffixTable`],
+//! cut by the same [`IndexPlan::cut`].
 
 use serde::{Deserialize, Serialize};
 use smr_storage::impl_codec_struct;
-use smr_text::SparseVector;
+use smr_text::{SparseVector, TermId};
 
 use crate::prefix::{prefix_length, suffix_remainder_bound, term_max_weights};
 
@@ -85,9 +86,20 @@ impl IndexPlan {
         self
     }
 
-    /// Emits the prefix postings of consumer `doc`: its terms in the
-    /// global order, cut where the suffix bound drops below σ, every
-    /// posting carrying the suffix remainder bound.
+    /// The one prefix/suffix decision for a consumer vector: its terms in
+    /// the global order, and the length of the prefix to index — cut
+    /// where the suffix bound drops below σ.  `ordered[..plen]` is
+    /// indexed ([`IndexPlan::prefix_postings`]), `ordered[plen..]` is the
+    /// unindexed suffix ([`SuffixTable`]).
+    pub fn cut(&self, vector: &SparseVector, sigma: f64) -> (Vec<TermId>, usize) {
+        let ordered = vector.terms_in_order(&self.term_order_rank);
+        let plen = prefix_length(vector, &ordered, &self.max_weights, sigma);
+        (ordered, plen)
+    }
+
+    /// Emits the prefix postings of consumer `doc`: the indexed part of
+    /// its [`IndexPlan::cut`], every posting carrying the suffix remainder
+    /// bound.
     pub fn prefix_postings(
         &self,
         doc: usize,
@@ -95,13 +107,59 @@ impl IndexPlan {
         sigma: f64,
         mut emit: impl FnMut(u32, Posting),
     ) {
-        let ordered = vector.terms_in_order(&self.term_order_rank);
-        let plen = prefix_length(vector, &ordered, &self.max_weights, sigma);
+        let (ordered, plen) = self.cut(vector, sigma);
         let bound = suffix_remainder_bound(vector, &ordered, plen, &self.max_weights);
         for term in &ordered[..plen] {
             let weight = vector.weight(*term);
             emit(term.0, Posting { doc, weight, bound });
         }
+    }
+}
+
+/// Every consumer's unindexed suffix terms — the entries
+/// [`IndexPlan::cut`] leaves out of the index — in one CSR table: consumer
+/// `doc`'s terms, ascending by id, are `terms[starts[doc]..starts[doc + 1]]`.
+///
+/// A probe's partial score for `doc` covers exactly the item's terms
+/// that meet `doc`'s indexed prefix, so it is the whole dot product
+/// whenever the item meets none of these (see
+/// [`crate::join::Probe::finish`]).
+#[derive(Debug, PartialEq)]
+pub struct SuffixTable {
+    /// `consumers + 1` offsets into `terms`.
+    starts: Vec<usize>,
+    /// Suffix term ids, consumer after consumer, ascending within one.
+    terms: Vec<u32>,
+}
+
+impl SuffixTable {
+    /// The suffixes of `consumers` (dense indices `0..`) under `plan` at σ.
+    pub fn build(plan: &IndexPlan, consumers: &[SparseVector], sigma: f64) -> Self {
+        let mut table = SuffixTable {
+            starts: vec![0],
+            terms: Vec::new(),
+        };
+        table.extend(plan, consumers, sigma);
+        table
+    }
+
+    /// Appends the suffixes of `vectors` as the next dense indices.
+    pub fn extend(&mut self, plan: &IndexPlan, vectors: &[SparseVector], sigma: f64) {
+        for vector in vectors {
+            let (ordered, plen) = plan.cut(vector, sigma);
+            let first = self.terms.len();
+            self.terms.extend(ordered[plen..].iter().map(|t| t.0));
+            self.terms[first..].sort_unstable();
+            self.starts.push(self.terms.len());
+        }
+    }
+
+    /// Consumer `doc`'s unindexed suffix terms, ascending.
+    ///
+    /// # Panics
+    /// Panics when `doc` is not in the table.
+    pub fn suffix(&self, doc: usize) -> &[u32] {
+        &self.terms[self.starts[doc]..self.starts[doc + 1]]
     }
 }
 
@@ -169,6 +227,8 @@ pub struct InvertedIndex {
     docs: Vec<usize>,
     weights: Vec<f64>,
     bounds: Vec<f64>,
+    /// One past the largest posted doc.
+    num_docs: usize,
 }
 
 impl InvertedIndex {
@@ -187,12 +247,14 @@ impl InvertedIndex {
             docs: Vec::with_capacity(records.len()),
             weights: Vec::with_capacity(records.len()),
             bounds: Vec::with_capacity(records.len()),
+            num_docs: 0,
         };
         for (term, posting) in records {
             if index.terms.last() != Some(&term) {
                 index.terms.push(term);
                 index.starts.push(index.docs.len());
             }
+            index.num_docs = index.num_docs.max(posting.doc + 1);
             index.docs.push(posting.doc);
             index.weights.push(posting.weight);
             index.bounds.push(posting.bound);
@@ -255,6 +317,12 @@ impl InvertedIndex {
         self.docs.len()
     }
 
+    /// One past the largest doc index any posting names: the size of a
+    /// dense per-doc table over this index's candidates.
+    pub fn num_docs(&self) -> usize {
+        self.num_docs
+    }
+
     /// Whether the index holds no postings.
     pub fn is_empty(&self) -> bool {
         self.terms.is_empty()
@@ -264,7 +332,6 @@ impl InvertedIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smr_text::TermId;
 
     fn vec_of(entries: &[(u32, f64)]) -> SparseVector {
         SparseVector::from_entries(entries.iter().map(|&(t, w)| (TermId(t), w)))
@@ -314,6 +381,35 @@ mod tests {
             bound: 0.05,
         };
         assert_eq!(postings, vec![(0, expected)]);
+    }
+
+    #[test]
+    fn the_suffix_table_holds_exactly_the_terms_the_prefix_leaves_out() {
+        let items = vec![vec_of(&[(0, 0.8), (1, 0.6), (2, 0.5), (3, 0.4)])];
+        let consumers = vec![
+            vec_of(&[(0, 0.9), (1, 0.3), (3, 0.05)]),
+            vec_of(&[(2, 0.1), (3, 0.1)]),
+            vec_of(&[(1, 0.7), (2, 0.6)]),
+        ];
+        let plan = IndexPlan::derive(&items, &consumers);
+        let sigma = 0.4;
+        let table = SuffixTable::build(&plan, &consumers, sigma);
+        for (doc, vector) in consumers.iter().enumerate() {
+            let mut indexed = Vec::new();
+            plan.prefix_postings(doc, vector, sigma, |t, _| indexed.push(t));
+            let suffix = table.suffix(doc);
+            assert!(suffix.windows(2).all(|w| w[0] < w[1]), "ascending");
+            let mut all: Vec<u32> = indexed.iter().chain(suffix).copied().collect();
+            all.sort_unstable();
+            let terms: Vec<u32> = vector.entries().iter().map(|(t, _)| t.0).collect();
+            assert_eq!(all, terms, "doc {doc}: prefix and suffix split its terms");
+        }
+        // Doc 1 cannot reach σ at all: all suffix, nothing indexed.
+        assert_eq!(table.suffix(1), [2, 3]);
+        // Extending is building over the concatenation.
+        let mut grown = SuffixTable::build(&plan, &consumers[..1], sigma);
+        grown.extend(&plan, &consumers[1..], sigma);
+        assert_eq!(grown, table);
     }
 
     fn posting(doc: usize, weight: f64) -> Posting {

@@ -11,19 +11,22 @@
 //!   in the probe mapper beside both corpora (the distributed-cache role).
 //! * **Job 2 — probing and verification**: every item probes the index
 //!   once with all its terms, accumulating `w_item · w_consumer`
-//!   **partial products** per candidate.  A candidate whose accumulated
-//!   score plus remainder bound cannot reach σ is pruned; every other
-//!   candidate is verified on the spot with one exact dot product against
-//!   the consumer vector the mapper already holds
-//!   ([`verify_candidates`]).  Only pairs whose
+//!   **partial products** per candidate, in ascending term order.  A
+//!   candidate whose accumulated score plus remainder bound cannot reach
+//!   σ is pruned; every other candidate is finished on the spot
+//!   ([`Probe::finish`]).  Its partial score already is the exact
+//!   similarity, bit for bit, when the item meets none of the consumer's
+//!   unindexed suffix terms (the hand-off's [`SuffixTable`]); otherwise
+//!   it costs one dot product against the consumer vector the mapper
+//!   already holds.  Only pairs whose
 //!   similarity reaches σ are emitted, so the shuffle carries true edges
 //!   only; its pass-through reducer fixes their order (hash partition,
 //!   then pair), and that order fixes the edge ids.
 //!
 //! The two jobs run as one lazy [`Dataset`] chain over a shared
 //! [`FlowContext`]; the probe job reports the join's domain counters
-//! ([`counter`]) — `candidates_pruned` and `verify_exact` — in its
-//! [`JobMetrics::user_counters`].
+//! ([`counter`]) — `candidates_pruned`, `verify_exact` and `verify_dot`
+//! — in its [`JobMetrics::user_counters`].
 //!
 //! The output is the candidate-edge [`BipartiteGraph`] handed to the
 //! matching algorithms, byte-identical to an exact all-pairs join
@@ -32,9 +35,10 @@
 //! Each decision of the stage is stated once and called from everywhere
 //! it applies — the exact join, the sketch generators of `smr_sketch` and
 //! the serving path: *alignment* ([`AlignedCorpora`]), the *index plan*
-//! and posting rule ([`IndexPlan`]), the *probe* ([`probe_index`] handing
-//! the query to a visitor, pruning with [`survives`]), the
-//! *verification* ([`verify_candidates`]) and the *chain*
+//! and prefix/suffix cut ([`IndexPlan`]), the *probe* ([`probe_index`]
+//! handing the query to a visitor, pruning with [`survives`]), the
+//! *finish* ([`Probe::finish`]; [`verify_candidates`] for generators
+//! without partial scores) and the *chain*
 //! ([`candidate_chain`], with [`prefix_filter_join`] its index → probe
 //! instance).
 
@@ -49,7 +53,7 @@ use smr_text::{Corpus, SparseVector, TermId};
 
 use crate::accum::ScoreAccumulator;
 use crate::align::AlignedCorpora;
-use crate::index::{IndexPlan, InvertedIndex, Posting, PostingsRef};
+use crate::index::{IndexPlan, InvertedIndex, Posting, PostingsRef, SuffixTable};
 
 /// Names of the join's domain counters, reported in the probe job's
 /// [`JobMetrics::user_counters`].
@@ -58,18 +62,32 @@ pub mod counter {
     /// the remainder bound cannot reach σ — no dot product, no shuffle
     /// record.
     pub const CANDIDATES_PRUNED: &str = "candidates_pruned";
-    /// Candidates verified with an exact dot product in the probe mapper
-    /// ([`crate::join::verify_candidates`]).
+    /// Candidates that survived the prune and reached verification in
+    /// the probe mapper ([`crate::join::Probe::finish`],
+    /// [`crate::join::verify_candidates`]).
     pub const VERIFY_EXACT: &str = "verify_exact";
+    /// Verified candidates that cost a real dot product: survivors whose
+    /// item meets the consumer's unindexed suffix, every survivor of a
+    /// sampled probe, and every candidate of a generator without partial
+    /// scores.  At most `verify_exact`.
+    pub const VERIFY_DOT: &str = "verify_dot";
 }
 
 /// Absolute slack subtracted from σ before a candidate is pruned on its
-/// partial score.  Partial products are accumulated in a different
-/// floating-point order than the exact verification dot product, so the
-/// two can differ in the last bits; the slack keeps the prune strictly
-/// conservative (a pair at exactly σ always survives to exact
-/// verification) while remaining far below any meaningful similarity
-/// difference of unit-normalized vectors.
+/// partial score.
+///
+/// A partial score adds the products of the shared *indexed* terms in
+/// ascending term order from `0.0` — the very operations
+/// `SparseVector::dot` performs on those terms.  The two differ only by
+/// the consumer's unindexed suffix terms the item also carries: without
+/// any, the partial score *is* the dot product, bit for bit (which is why
+/// [`Probe::finish`] may emit it); with some, the dot interleaves their
+/// products between the prefix ones, so the rounded dot can exceed the
+/// rounded `score + remainder` the prune tests by a few ulps even though,
+/// in exact arithmetic, the remainder bounds the suffix's share.  The
+/// slack keeps the prune strictly conservative (a pair at exactly σ
+/// always survives to verification) while remaining far below any
+/// meaningful similarity difference of unit-normalized vectors.
 const PRUNE_SLACK: f64 = 1e-9;
 
 /// Generator tag of the exact prefix-filter join in [`SimJoinResult`]
@@ -118,9 +136,11 @@ pub struct SimJoinResult {
     /// Candidates discarded on `partial score + remainder bound < σ`
     /// without a dot product.
     pub candidates_pruned: usize,
-    /// Candidates that reached exact verification (one in-RAM dot product
-    /// each, in the probe mapper).
+    /// Candidates that reached exact verification in the probe mapper.
     pub verify_exact: usize,
+    /// Verified candidates that cost an in-RAM dot product (the rest were
+    /// finished from their partial score; see [`Probe::finish`]).
+    pub verify_dot: usize,
     /// Number of (term, document) entries indexed by job 1 (after prefix
     /// pruning); for sketch generators, the size of whatever standing
     /// structure job 1 built (e.g. MinHash band postings).
@@ -187,11 +207,75 @@ pub fn survives(partial: &PartialScore, sigma: f64) -> bool {
     partial.score + partial.remainder >= sigma - PRUNE_SLACK
 }
 
-/// Probes `index` with one query: hands the index and the query's entries
-/// (sorted by term id) to `visit` — which folds partial products into the
-/// accumulator; the exact visitor is [`probe_postings`] — and returns the
-/// candidates that [`survives`] keeps, sorted by doc, plus how many it
-/// pruned.
+/// The outcome of one query's probe ([`probe_index`]).
+#[derive(Debug)]
+pub struct Probe {
+    /// The candidates [`survives`] kept, sorted by doc.
+    pub survivors: Vec<(usize, PartialScore)>,
+    /// How many candidates the prune discarded.
+    pub pruned: u64,
+    /// Whether the visitor skipped or rescaled products
+    /// ([`ScoreAccumulator::mark_sampled`]): the scores are then
+    /// estimates, not exact partial sums.
+    pub sampled: bool,
+}
+
+impl Probe {
+    /// The finish rule — the one place a survivor's similarity is
+    /// decided, for the batch probe mapper and the serving point query
+    /// alike: hands `(doc, similarity)` to `visit` for every survivor, in
+    /// doc order, and returns how many cost a dot product.
+    ///
+    /// A survivor's partial score sums `x_t · y_t` over the item's terms
+    /// in the consumer's indexed prefix, in ascending term order from
+    /// `0.0`.  When the item meets none of the consumer's unindexed suffix
+    /// terms (`suffixes`), those are all the terms the two share, and
+    /// `SparseVector::dot` performs exactly the same operations: the
+    /// partial score is the similarity, bit for bit.  Otherwise — or when
+    /// the probe was [sampled](Probe::sampled) — the similarity is
+    /// `vector.dot(&consumers[doc])`.
+    pub fn finish(
+        &self,
+        vector: &SparseVector,
+        consumers: &[SparseVector],
+        suffixes: &SuffixTable,
+        mut visit: impl FnMut(usize, f64),
+    ) -> u64 {
+        let query = vector.entries();
+        let mut dots = 0;
+        for &(doc, partial) in &self.survivors {
+            let similarity = if self.sampled || meets(query, suffixes.suffix(doc)) {
+                dots += 1;
+                vector.dot(&consumers[doc])
+            } else {
+                partial.score
+            };
+            visit(doc, similarity);
+        }
+        dots
+    }
+}
+
+/// Whether some term of `suffix` is among the `query`'s terms (both
+/// ascending by term id).
+fn meets(query: &[(TermId, f64)], suffix: &[u32]) -> bool {
+    let (mut q, mut s) = (0, 0);
+    while q < query.len() && s < suffix.len() {
+        match query[q].0 .0.cmp(&suffix[s]) {
+            std::cmp::Ordering::Less => q += 1,
+            std::cmp::Ordering::Greater => s += 1,
+            std::cmp::Ordering::Equal => return true,
+        }
+    }
+    false
+}
+
+/// Probes `index` with one query: hands the index, the query's entries
+/// (sorted by term id) and a score table sized by
+/// [`InvertedIndex::num_docs`] to `visit` — which folds partial products
+/// into the table; the exact visitor is [`probe_postings`] — and returns
+/// the candidates that [`survives`] keeps, sorted by doc, with how many
+/// it pruned and whether the visitor sampled.
 ///
 /// All of a query's probing happens in this one call, so partial products
 /// accumulate in ascending term order (the floating-point sum is
@@ -201,16 +285,24 @@ pub fn probe_index(
     entries: &[(TermId, f64)],
     sigma: f64,
     visit: impl FnOnce(&InvertedIndex, &[(TermId, f64)], &mut ScoreAccumulator),
-) -> (Vec<(usize, PartialScore)>, u64) {
-    let mut scores = ScoreAccumulator::new();
-    if !index.is_empty() && !entries.is_empty() {
-        visit(index, entries, &mut scores);
+) -> Probe {
+    if index.is_empty() || entries.is_empty() {
+        return Probe {
+            survivors: Vec::new(),
+            pruned: 0,
+            sampled: false,
+        };
     }
-    let mut candidates = scores.drain_sorted();
-    let generated = candidates.len();
-    candidates.retain(|(_, partial)| survives(partial, sigma));
-    let pruned = (generated - candidates.len()) as u64;
-    (candidates, pruned)
+    let mut scores = ScoreAccumulator::for_docs(index.num_docs());
+    visit(index, entries, &mut scores);
+    let (mut survivors, sampled) = scores.drain_sorted();
+    let generated = survivors.len();
+    survivors.retain(|(_, partial)| survives(partial, sigma));
+    Probe {
+        pruned: (generated - survivors.len()) as u64,
+        survivors,
+        sampled,
+    }
 }
 
 /// The exact visitor of [`probe_index`]: accumulates every partial
@@ -219,7 +311,8 @@ pub fn probe_index(
 /// the term up on the other — and skip terms with empty postings before
 /// ever entering the posting loop.  The inner loop walks the index's
 /// struct-of-arrays posting columns directly (see [`PostingsRef`]),
-/// folding into the open-addressed [`ScoreAccumulator`].
+/// folding into the dense [`ScoreAccumulator`].  Either way each doc's
+/// products arrive in ascending term order.
 pub fn probe_postings(
     index: &InvertedIndex,
     query: &[(TermId, f64)],
@@ -251,13 +344,13 @@ pub fn probe_postings(
     }
 }
 
-/// Verifies one item's candidates exactly — the last decision of the
-/// candidate stage, taken in the probe mapper of every generator, where
+/// Verifies one item's candidates exactly when the generator has no
+/// partial scores to finish from (LSH buckets), in the probe mapper where
 /// both vectors are already in RAM: one dot product
 /// `vector · consumers[doc]` per candidate, emitting
 /// `((item, doc), similarity)` only when it reaches σ.  The number of
-/// verified candidates is added to [`counter::VERIFY_EXACT`] once per
-/// call.
+/// verified candidates is added to [`counter::VERIFY_EXACT`] and to
+/// [`counter::VERIFY_DOT`] once per call.
 ///
 /// Whatever generated the candidates, an emitted weight is the exact
 /// similarity: bit-identical across generators and to the serving path.
@@ -278,21 +371,28 @@ pub fn verify_candidates(
             out.emit((item, doc), similarity);
         }
     }
-    // A counter exists only once something was counted under it.
-    if verified > 0 {
-        counters.add(counter::VERIFY_EXACT, verified);
+    count(counters, counter::VERIFY_EXACT, verified);
+    count(counters, counter::VERIFY_DOT, verified);
+}
+
+/// Adds `delta` to the counter `name` — only when non-zero, since a
+/// counter exists only once something was counted under it.
+fn count(counters: &Counters, name: &str, delta: u64) {
+    if delta > 0 {
+        counters.add(name, delta);
     }
 }
 
 /// Job 2's mapper: probes the index with every item through `visit` (the
 /// visitor of [`probe_index`], additionally told which item is probing)
-/// and verifies the surviving candidates against the in-RAM consumer
-/// vectors ([`verify_candidates`]) — neither a pruned nor a failed
-/// candidate crosses the shuffle.
+/// and finishes the surviving candidates against the in-RAM consumer
+/// vectors and their suffixes ([`Probe::finish`]) — neither a pruned nor
+/// a failed candidate crosses the shuffle.
 struct ProbeMapper<F> {
     items: Arc<[SparseVector]>,
     consumers: Arc<[SparseVector]>,
     index: Arc<InvertedIndex>,
+    suffixes: Arc<SuffixTable>,
     sigma: f64,
     counters: Counters,
     visit: F,
@@ -309,24 +409,29 @@ where
 
     fn map(&self, item: &usize, _: &usize, out: &mut Emitter<(usize, usize), f64>) {
         let vector = &self.items[*item];
-        let (survivors, pruned) = probe_index(
+        let probe = probe_index(
             &self.index,
             vector.entries(),
             self.sigma,
             |index, query, scores| (self.visit)(*item, index, query, scores),
         );
-        verify_candidates(
-            *item,
+        let dots = probe.finish(
             vector,
             &self.consumers,
-            survivors.into_iter().map(|(doc, _)| doc),
-            self.sigma,
-            &self.counters,
-            out,
+            &self.suffixes,
+            |doc, similarity| {
+                if similarity >= self.sigma {
+                    out.emit((*item, doc), similarity);
+                }
+            },
         );
-        if pruned > 0 {
-            self.counters.add(counter::CANDIDATES_PRUNED, pruned);
-        }
+        count(&self.counters, counter::CANDIDATES_PRUNED, probe.pruned);
+        count(
+            &self.counters,
+            counter::VERIFY_EXACT,
+            probe.survivors.len() as u64,
+        );
+        count(&self.counters, counter::VERIFY_DOT, dots);
     }
 }
 
@@ -386,13 +491,16 @@ pub fn mapreduce_similarity_join_vectors_flow(
 /// The prefix-filter instance of [`candidate_chain`]: stage 1
 /// (`{stage_prefix}index`) builds the pruned inverted index from the
 /// [`IndexPlan`] of the two sides; the hand-off folds it into one in-RAM
-/// [`InvertedIndex`]; stage 2 (`{stage_prefix}probe`) probes it with
-/// `visit` — partial-product accumulation, suffix-bound pruning and exact
-/// verification, all in the mapper.
+/// [`InvertedIndex`] and cuts the consumers' [`SuffixTable`] beside it;
+/// stage 2 (`{stage_prefix}probe`) probes it with `visit` —
+/// partial-product accumulation, suffix-bound pruning and exact
+/// verification ([`Probe::finish`]), all in the mapper.
 ///
 /// `visit` is [`probe_index`]'s visitor, additionally told which item is
 /// probing.  The exact join passes [`probe_postings`]; a sampling
-/// generator passes a visitor that skips (and rescales) contributions.
+/// generator passes a visitor that skips (and rescales) contributions and
+/// says so with [`ScoreAccumulator::mark_sampled`], so its survivors are
+/// verified with a dot product.
 /// `counters` is the set the probe job reports; a visitor that counts
 /// holds a clone of it.
 #[allow(clippy::too_many_arguments)]
@@ -415,6 +523,7 @@ where
     let item_vectors: Arc<[SparseVector]> = items.0.into();
     let consumer_vectors: Arc<[SparseVector]> = consumers.0.into();
     let probe_consumers = Arc::clone(&consumer_vectors);
+    let probe_plan = Arc::clone(&plan);
     let index_name = format!("{stage_prefix}index");
     let probe_name = format!("{stage_prefix}probe");
     let probe_counters = counters.clone();
@@ -437,13 +546,16 @@ where
         },
         move |postings, item_ids| {
             // Job 1's output becomes job 2's side data: one in-RAM index
-            // shared by every probe mapper, beside the corpora they hold.
+            // shared by every probe mapper, beside the corpora they hold
+            // and the consumers' unindexed suffixes.
             let index = InvertedIndex::from_records(postings);
+            let suffixes = SuffixTable::build(&probe_plan, &probe_consumers, sigma);
             item_ids
                 .map_with(ProbeMapper {
                     items: item_vectors,
                     consumers: probe_consumers,
                     index: Arc::new(index),
+                    suffixes: Arc::new(suffixes),
                     sigma,
                     counters: probe_counters.clone(),
                     visit,
@@ -466,7 +578,8 @@ where
 /// helper collects the chain.  `counters` must be the set `probe_job`
 /// runs its job with: the accounting reads [`counter`]'s names from it,
 /// and `candidate_pairs = candidates_pruned + verify_exact` for every
-/// generator (one that never prunes leaves that counter at zero).
+/// generator (one that never prunes leaves that counter at zero), with
+/// `verify_dot ≤ verify_exact`.
 #[allow(clippy::too_many_arguments)]
 pub fn candidate_chain<K: Key, V: Value>(
     generator: &str,
@@ -500,6 +613,7 @@ pub fn candidate_chain<K: Key, V: Value>(
     let job_metrics = flow.jobs_from(jobs_start);
     let candidates_pruned = counters.get(counter::CANDIDATES_PRUNED) as usize;
     let verify_exact = counters.get(counter::VERIFY_EXACT) as usize;
+    let verify_dot = counters.get(counter::VERIFY_DOT) as usize;
 
     let mut builder = GraphBuilder::new();
     for name in item_names {
@@ -526,6 +640,7 @@ pub fn candidate_chain<K: Key, V: Value>(
         candidate_pairs: candidates_pruned + verify_exact,
         candidates_pruned,
         verify_exact,
+        verify_dot,
         indexed_entries: indexed_entries.load(Ordering::Relaxed),
         shuffled_records: stage_shuffles.iter().map(|s| s.records).sum(),
         shuffled_bytes: stage_shuffles.iter().map(|s| s.bytes).sum(),
@@ -692,6 +807,8 @@ mod tests {
             result.candidate_pairs - result.candidates_pruned,
             "one exact verification per survivor"
         );
+        // Only survivors meeting their consumer's suffix cost a dot.
+        assert!(result.verify_dot <= result.verify_exact);
         // Only true edges cross the shuffle: neither a pruned nor a
         // failed candidate becomes a record.
         assert_eq!(probe.shuffle_records, result.graph.num_edges() as u64);
@@ -707,6 +824,10 @@ mod tests {
         assert_eq!(
             probe.user_counters[counter::VERIFY_EXACT] as usize,
             result.verify_exact
+        );
+        assert_eq!(
+            probe.user_counters[counter::VERIFY_DOT] as usize,
+            result.verify_dot
         );
         // Pruning never loses a true pair.
         assert_eq!(
@@ -743,12 +864,14 @@ mod tests {
             (0..consumers.len()).map(|i| (i, i)).collect(),
         );
         let index = Arc::new(InvertedIndex::from_records(index_result.output));
+        let suffixes = Arc::new(SuffixTable::build(&plan, &consumers, sigma));
         let manual_counters = Counters::new();
         let probe_result = Job::new(job_config.clone().with_name("regression-probe")).run(
             &ProbeMapper {
                 items: items.as_slice().into(),
                 consumers: consumer_vectors,
                 index: Arc::clone(&index),
+                suffixes,
                 sigma,
                 counters: manual_counters.clone(),
                 visit: |_, index: &InvertedIndex, query: &[(TermId, f64)], scores: &mut _| {
@@ -790,6 +913,10 @@ mod tests {
         assert_eq!(
             result.verify_exact,
             manual_counters.get(counter::VERIFY_EXACT) as usize
+        );
+        assert_eq!(
+            result.verify_dot,
+            manual_counters.get(counter::VERIFY_DOT) as usize
         );
         assert_eq!(
             result.candidate_pairs,
@@ -844,6 +971,7 @@ mod tests {
         assert_eq!(spilled.candidate_pairs, in_memory.candidate_pairs);
         assert_eq!(spilled.candidates_pruned, in_memory.candidates_pruned);
         assert_eq!(spilled.verify_exact, in_memory.verify_exact);
+        assert_eq!(spilled.verify_dot, in_memory.verify_dot);
         assert_eq!(spilled.graph.edges(), in_memory.graph.edges());
         let spilled_runs: u64 = spilled.job_metrics.iter().map(|m| m.disk_runs).sum();
         assert!(spilled_runs > 0, "the budgeted join must hit the disk");
@@ -881,6 +1009,193 @@ mod tests {
         assert_eq!(result.candidate_pairs, 0);
         assert_eq!(result.candidates_pruned, 0);
         assert_eq!(result.verify_exact, 0);
+        assert_eq!(result.verify_dot, 0);
+    }
+
+    /// Cuts `consumers` under `plan` at σ into an index and a suffix
+    /// table, probes them with `x` through the exact visitor and finishes
+    /// every survivor: each similarity must carry the bits of `x.dot(y)`.
+    /// Returns `(survivors, dot products paid)`.
+    fn finish_against(
+        plan: &IndexPlan,
+        consumers: &[SparseVector],
+        sigma: f64,
+        x: &SparseVector,
+    ) -> (usize, u64) {
+        let mut postings = Vec::new();
+        for (doc, y) in consumers.iter().enumerate() {
+            plan.prefix_postings(doc, y, sigma, |term, posting| {
+                postings.push((term, posting))
+            });
+        }
+        let index = InvertedIndex::from_records(postings);
+        let suffixes = SuffixTable::build(plan, consumers, sigma);
+        let probe = probe_index(&index, x.entries(), sigma, probe_postings);
+        let mut finished = 0;
+        let dots = probe.finish(x, consumers, &suffixes, |doc, similarity| {
+            finished += 1;
+            assert_eq!(
+                similarity.to_bits(),
+                x.dot(&consumers[doc]).to_bits(),
+                "doc {doc}: {similarity} vs {}",
+                x.dot(&consumers[doc])
+            );
+        });
+        assert_eq!(finished, probe.survivors.len());
+        (finished, dots)
+    }
+
+    fn vec_of(entries: &[(u32, f64)]) -> SparseVector {
+        SparseVector::from_entries(entries.iter().map(|&(t, w)| (TermId(t), w)))
+    }
+
+    /// A plan with the identity term order and every query maximum 1.
+    fn flat_plan(vocab: u32) -> IndexPlan {
+        IndexPlan {
+            max_weights: vec![1.0; vocab as usize],
+            term_order_rank: (0..vocab).collect(),
+        }
+    }
+
+    #[test]
+    fn finished_similarities_are_the_bits_of_the_dot_product() {
+        let items = synthetic_vectors(30, 24, 41);
+        let consumers = synthetic_vectors(40, 24, 42);
+        let plan = IndexPlan::derive(&items, &consumers);
+        let (mut survivors, mut dots) = (0, 0);
+        for sigma in [0.1, 0.2, 0.35, 0.5] {
+            for x in &items {
+                let (s, d) = finish_against(&plan, &consumers, sigma, x);
+                survivors += s;
+                dots += d;
+            }
+        }
+        // Both sides of the rule ran: survivors whose item met the
+        // consumer's suffix (dotted) and survivors finished from the score.
+        assert!(dots > 0, "no survivor met a suffix");
+        assert!((dots as usize) < survivors, "every survivor was dotted");
+    }
+
+    #[test]
+    fn a_query_longer_than_the_index_term_list_finishes_exactly() {
+        // Doc 0: prefix {t0} (0.9 alone reaches σ), suffix {t1, t2}.  Doc 1:
+        // every term heavy enough to be indexed, so its suffix is empty.
+        let consumers = vec![
+            vec_of(&[(0, 0.9), (1, 0.3), (2, 0.1)]),
+            vec_of(&[(3, 0.7), (4, 0.6)]),
+        ];
+        let plan = flat_plan(8);
+        let sigma = 0.5;
+        let suffixes = SuffixTable::build(&plan, &consumers, sigma);
+        assert_eq!(suffixes.suffix(0), [1, 2]);
+        assert!(suffixes.suffix(1).is_empty());
+        // All eight terms: the walk iterates the index's three terms and
+        // looks each up in the query.
+        let long = vec_of(
+            &(0..8)
+                .map(|t| (t, 0.6 + 0.05 * t as f64))
+                .collect::<Vec<_>>(),
+        );
+        // Meets doc 0's suffix (dotted); doc 1 has none (finished).
+        assert_eq!(finish_against(&plan, &consumers, sigma, &long), (2, 1));
+        let mut postings = Vec::new();
+        for (doc, y) in consumers.iter().enumerate() {
+            plan.prefix_postings(doc, y, sigma, |t, p| postings.push((t, p)));
+        }
+        assert!(InvertedIndex::from_records(postings).num_terms() < long.len());
+        // Short queries walk their own terms: disjoint from the suffix,
+        // then sharing it.
+        let disjoint = vec_of(&[(0, 0.8), (3, 0.3), (4, 0.9)]);
+        assert_eq!(finish_against(&plan, &consumers, sigma, &disjoint), (2, 0));
+        let shared = vec_of(&[(0, 0.8), (2, 0.6)]);
+        assert_eq!(finish_against(&plan, &consumers, sigma, &shared), (1, 1));
+    }
+
+    #[test]
+    fn all_tie_weights_finish_exactly() {
+        // Binary tag vectors, unit-normalised: every weight of a vector
+        // ties, so the cut falls wherever the global order puts it.
+        let vectors: Vec<SparseVector> = (0..10u32)
+            .map(|i| {
+                let tags = (0..12u32).filter(|t| (t * 7 + i * 3) % 5 < 3);
+                vec_of(&tags.map(|t| (t, 1.0)).collect::<Vec<_>>()).normalized()
+            })
+            .collect();
+        let plan = IndexPlan::derive(&vectors, &vectors);
+        let (mut survivors, mut dots) = (0, 0);
+        for sigma in [0.3, 0.45, 0.6] {
+            let suffixes = SuffixTable::build(&plan, &vectors, sigma);
+            assert!((0..vectors.len()).any(|doc| !suffixes.suffix(doc).is_empty()));
+            for x in &vectors {
+                let (s, d) = finish_against(&plan, &vectors, sigma, x);
+                survivors += s;
+                dots += d;
+            }
+        }
+        assert!(dots > 0 && (dots as usize) < survivors);
+    }
+
+    #[test]
+    fn a_consumer_that_is_all_suffix_is_never_a_candidate_and_finishes_by_its_dot() {
+        // Prefix length 0: even the whole vector cannot reach σ, so
+        // nothing is indexed and its suffix is every term.
+        let consumers = vec![vec_of(&[(0, 0.9)]), vec_of(&[(1, 0.1), (2, 0.2)])];
+        let plan = flat_plan(3);
+        let sigma = 0.5;
+        let suffixes = SuffixTable::build(&plan, &consumers, sigma);
+        assert_eq!(plan.cut(&consumers[1], sigma).1, 0);
+        assert_eq!(suffixes.suffix(1), [1, 2]);
+        let x = vec_of(&[(0, 0.7), (1, 0.5), (2, 0.5)]);
+        assert_eq!(finish_against(&plan, &consumers, sigma, &x), (1, 0));
+        // Handed to the finish anyway, with the empty score it would
+        // carry, it takes the dot whenever the item shares a term with it
+        // and is `0.0` — the dot's bits — when it shares none.
+        let probe = Probe {
+            survivors: vec![(
+                1,
+                PartialScore {
+                    score: 0.0,
+                    remainder: 0.3,
+                },
+            )],
+            pruned: 0,
+            sampled: false,
+        };
+        for (x, dotted) in [(x, 1), (vec_of(&[(0, 1.0)]), 0)] {
+            let mut got = None;
+            let dots = probe.finish(&x, &consumers, &suffixes, |_, s| got = Some(s));
+            assert_eq!(dots, dotted);
+            assert_eq!(got.map(f64::to_bits), Some(x.dot(&consumers[1]).to_bits()));
+        }
+    }
+
+    #[test]
+    fn a_sampled_probe_dots_every_survivor() {
+        let consumers = vec![vec_of(&[(0, 0.9)])];
+        let suffixes = SuffixTable::build(&flat_plan(1), &consumers, 0.5);
+        let x = vec_of(&[(0, 0.8)]);
+        let mut probe = Probe {
+            survivors: vec![(
+                0,
+                PartialScore {
+                    score: 0.25, // a rescaled estimate, not x · y
+                    remainder: 0.0,
+                },
+            )],
+            pruned: 0,
+            sampled: true,
+        };
+        let mut got = Vec::new();
+        assert_eq!(
+            probe.finish(&x, &consumers, &suffixes, |_, s| got.push(s)),
+            1
+        );
+        probe.sampled = false;
+        assert_eq!(
+            probe.finish(&x, &consumers, &suffixes, |_, s| got.push(s)),
+            0
+        );
+        assert_eq!(got, [x.dot(&consumers[0]), 0.25]);
     }
 
     #[test]

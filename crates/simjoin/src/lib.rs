@@ -14,9 +14,12 @@
 //!   missed, and what the pruned suffix could still contribute (the
 //!   *remainder bound* of partial-product verification),
 //! * [`index`] — the [`IndexPlan`] (query-side maxima + global term order),
-//!   the one rule turning a consumer vector into prefix postings, and the
-//!   in-RAM [`InvertedIndex`] both the batch probe and serving read,
+//!   the one cut of a consumer vector into indexed prefix and unindexed
+//!   suffix, the in-RAM [`InvertedIndex`] both the batch probe and serving
+//!   read, and the [`SuffixTable`] they finish candidates with,
 //! * [`baseline`] — an exact all-pairs join used as ground truth,
+//! * [`accum`] — the dense per-query score table the probe folds partial
+//!   products into,
 //! * [`join`] — the two-MapReduce-job chain (index construction, then
 //!   partial-product probing with suffix-bound pruning and exact
 //!   verification in the probe mapper) producing a
@@ -67,11 +70,11 @@ pub mod serving;
 pub use accum::ScoreAccumulator;
 pub use align::AlignedCorpora;
 pub use baseline::baseline_similarity_join;
-pub use index::{IndexPlan, InvertedIndex, Posting, PostingsRef};
+pub use index::{IndexPlan, InvertedIndex, Posting, PostingsRef, SuffixTable};
 pub use join::{
     candidate_chain, mapreduce_similarity_join_flow, mapreduce_similarity_join_vectors_flow,
     prefix_filter_join, probe_index, probe_postings, stage_shuffles, survives, verify_candidates,
-    PartialScore, SimJoinResult, StageShuffle, EXACT_GENERATOR,
+    PartialScore, Probe, SimJoinResult, StageShuffle, EXACT_GENERATOR,
 };
 pub use prefix::{prefix_length, suffix_remainder_bound, term_max_weights};
 pub use serving::{ScoredMatch, ServingIndex};

@@ -3,23 +3,27 @@
 //!
 //! The batch join builds its pruned inverted index, probes it once with
 //! every item, and throws it away.  [`ServingIndex`] keeps the same
-//! structure alive — the [`InvertedIndex`] plus the consumer vectors it
-//! owns — and answers two requests the batch path cannot:
+//! structure alive — the [`InvertedIndex`], the [`SuffixTable`] of what
+//! it leaves out, and the consumer vectors it owns — and answers two
+//! requests the batch path cannot:
 //!
 //! * [`ServingIndex::match_one`] — "a new item just arrived: who are its
 //!   candidate consumers right now?"  One query runs exactly the batch
 //!   probe (partial products over shared indexed terms, the
-//!   suffix-remainder prune at `σ − slack`), then verifies the survivors
-//!   with exact dot products against the owned vectors.  No corpus scan:
-//!   the query only touches the postings of its own terms.
+//!   suffix-remainder prune at `σ − slack`), then finishes the survivors
+//!   by the batch rule ([`crate::join::Probe::finish`]): the partial
+//!   score where the query meets none of the consumer's suffix terms, an
+//!   exact dot product against the owned vector otherwise.  No corpus
+//!   scan: the query only touches the postings of its own terms.
 //! * [`ServingIndex::append_batch`] — "these consumers just joined the
 //!   corpus."  Each new vector's prefix postings join the index after the
-//!   existing postings of their terms, and the vectors join the owned
-//!   corpus.
+//!   existing postings of their terms, its suffix joins the table, and
+//!   the vectors join the owned corpus.
 //!
 //! **Exactness.**  A query probes the same postings the batch probe mapper
-//! would see and prunes with the same bound at the same slack, and both
-//! paths accept a pair only after an exact dot product reaches σ.  So for
+//! would see, prunes with the same bound at the same slack and finishes
+//! by the same rule, and both paths accept a pair only once its exact
+//! similarity reaches σ.  So for
 //! any query vector whose per-term weights stay within the query-side
 //! maxima the index was built with, `match_one` returns *exactly* the
 //! batch join's candidate set for that query (proptest-locked in
@@ -33,7 +37,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use smr_text::SparseVector;
 
-use crate::index::{IndexPlan, InvertedIndex, Posting};
+use crate::index::{IndexPlan, InvertedIndex, Posting, SuffixTable};
 use crate::join::{probe_index, probe_postings};
 
 /// One serving-time candidate: a consumer whose exact similarity with the
@@ -51,6 +55,8 @@ pub struct ScoredMatch {
 #[derive(Debug)]
 pub struct ServingIndex {
     index: InvertedIndex,
+    /// Every consumer's unindexed suffix terms, by dense index.
+    suffixes: SuffixTable,
     /// Every indexed consumer, by dense index.
     consumers: Vec<SparseVector>,
     sigma: f64,
@@ -81,8 +87,10 @@ impl ServingIndex {
     fn build_owned(consumers: Vec<SparseVector>, plan: IndexPlan, sigma: f64) -> Self {
         assert!(sigma > 0.0, "threshold must be positive");
         let index = InvertedIndex::from_records(prefix_postings(&plan, 0, &consumers, sigma));
+        let suffixes = SuffixTable::build(&plan, &consumers, sigma);
         ServingIndex {
             index,
+            suffixes,
             consumers,
             sigma,
             plan,
@@ -166,8 +174,8 @@ impl ServingIndex {
     ///
     /// The query accumulates partial products per candidate over the
     /// postings of its terms, prunes candidates whose score plus
-    /// suffix-remainder bound cannot reach σ, and verifies the survivors
-    /// only with exact dot products.
+    /// suffix-remainder bound cannot reach σ, and finishes the survivors
+    /// exactly ([`crate::join::Probe::finish`]).
     pub fn match_one(&self, query: &SparseVector, k: usize) -> Vec<ScoredMatch> {
         if k == 0 {
             return Vec::new();
@@ -194,23 +202,23 @@ impl ServingIndex {
         if self.query_exceeds_maxima(query) {
             self.maxima_exceeded.fetch_add(1, Ordering::Relaxed);
         }
-        // The batch probe mapper's walk and prune, so partial products
-        // accumulate in the same floating-point order.
-        let (survivors, _) = probe_index(&self.index, entries, self.sigma, probe_postings);
-        survivors
-            .into_iter()
-            .map(|(doc, _)| ScoredMatch {
-                consumer: doc,
-                score: query.dot(&self.consumers[doc]),
-            })
-            .filter(|m| m.score >= self.sigma)
-            .collect()
+        // The batch probe mapper's walk, prune and finish, so partial
+        // products accumulate in the same floating-point order and every
+        // score is the same bits.
+        let probe = probe_index(&self.index, entries, self.sigma, probe_postings);
+        let mut matches = Vec::new();
+        probe.finish(query, &self.consumers, &self.suffixes, |consumer, score| {
+            if score >= self.sigma {
+                matches.push(ScoredMatch { consumer, score });
+            }
+        });
+        matches
     }
 
     /// Absorbs a micro-batch of new consumers, returning the dense indices
     /// they were assigned.  Each vector's prefix postings join the index
-    /// after the existing postings of their terms, and the vectors join
-    /// the owned corpus.
+    /// after the existing postings of their terms, its suffix joins the
+    /// suffix table, and the vectors join the owned corpus.
     pub fn append_batch(&mut self, batch: &[SparseVector]) -> Range<usize> {
         let assigned = self.len()..self.len() + batch.len();
         if batch.is_empty() {
@@ -218,6 +226,7 @@ impl ServingIndex {
         }
         let postings = prefix_postings(&self.plan, self.len(), batch, self.sigma);
         self.index.append(postings);
+        self.suffixes.extend(&self.plan, batch, self.sigma);
         self.consumers.extend_from_slice(batch);
         assigned
     }

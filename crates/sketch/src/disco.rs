@@ -13,8 +13,10 @@
 //! `n_t`, making the probe's cost independent of term popularity.
 //!
 //! The sampled estimate only *selects* candidates; every survivor is
-//! still verified exactly in the probe mapper
-//! ([`smr_simjoin::verify_candidates`]), so emitted edges carry true,
+//! still verified with an exact dot product in the probe mapper (the
+//! visitor marks its scores sampled, so
+//! [`smr_simjoin::Probe::finish`] never takes them as similarities),
+//! so emitted edges carry true,
 //! bit-identical scores and the output is always a subset of the exact
 //! join's edge set.  Recall is lost in two places: a pair whose sampled
 //! contributions all miss is never seen, and a pair whose estimate
@@ -102,6 +104,8 @@ impl CandidateGenerator for DiscoSampler {
             counters,
             move |item, index, query, scores| {
                 let mut skipped = 0u64;
+                // Any term thinned below probability 1 skips or rescales.
+                let mut sampled = false;
                 for &(term, weight) in query {
                     let postings = index.postings(term.0);
                     if postings.is_empty() {
@@ -110,6 +114,7 @@ impl CandidateGenerator for DiscoSampler {
                     // The term's entire (prefix-pruned) posting list: n_t
                     // is a global property of the index.
                     let keep = (lambda / postings.len() as f64).min(1.0);
+                    sampled |= keep < 1.0;
                     for i in 0..postings.len() {
                         let doc = postings.docs[i];
                         if keep < 1.0 {
@@ -129,10 +134,65 @@ impl CandidateGenerator for DiscoSampler {
                         );
                     }
                 }
+                if sampled {
+                    scores.mark_sampled();
+                }
                 if skipped > 0 {
                     sampled_out.add(crate::counter::SAMPLED_OUT, skipped);
                 }
             },
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use smr_mapreduce::JobConfig;
+    use smr_text::TermId;
+
+    /// Dense-ish normalised vectors with varied weights, so every term
+    /// carries many postings.
+    fn vectors(n: u32, salt: u32) -> Vec<SparseVector> {
+        (0..n)
+            .map(|i| {
+                let entries = (0..10u32)
+                    .filter(|t| !(t * 5 + i * 3 + salt).is_multiple_of(4))
+                    .map(|t| (TermId(t), 1.0 + ((t * 7 + i * 11 + salt) % 9) as f64));
+                SparseVector::from_entries(entries).normalized()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sampled_scores_are_never_taken_as_similarities() {
+        let (items, consumers) = (vectors(20, 1), vectors(30, 2));
+        let names = |prefix: &str, n: usize| -> Vec<String> {
+            (0..n).map(|i| format!("{prefix}{i}")).collect()
+        };
+        let flow = FlowContext::new(JobConfig::named("disco-sampled").with_threads(2));
+        let result = DiscoSampler::new(3, 1.0).generate_vectors(
+            &items,
+            &consumers,
+            &names("t", items.len()),
+            &names("c", consumers.len()),
+            0.3,
+            &flow,
+        );
+        let probe = &result.job_metrics[1];
+        assert!(probe.user_counters[crate::counter::SAMPLED_OUT] > 0);
+        assert!(
+            result.verify_exact > 0,
+            "some survivor reached verification"
+        );
+        assert_eq!(
+            result.verify_dot, result.verify_exact,
+            "every survivor of a sampled probe costs a dot product"
+        );
+        assert!(result.graph.num_edges() > 0);
+        for edge in result.graph.edges() {
+            let exact = items[edge.item.0 as usize].dot(&consumers[edge.consumer.0 as usize]);
+            assert_eq!(edge.weight.to_bits(), exact.to_bits());
+        }
     }
 }

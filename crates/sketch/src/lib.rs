@@ -17,8 +17,9 @@
 //!   band-bucket join replaces the inverted-index probe (see [`lsh`]).
 //!
 //! Both sketches verify whatever candidates they surface **exactly**, in
-//! their probe mappers against the in-RAM vectors
-//! ([`smr_simjoin::verify_candidates`]), so those candidates carry true
+//! their probe mappers with one dot product each against the in-RAM
+//! vectors ([`smr_simjoin::Probe::finish`] on a sampled probe,
+//! [`smr_simjoin::verify_candidates`]), so those candidates carry true
 //! scores: a sketch generator's edge set is always a *subset* of the
 //! exact join's, with bit-identical weights on surviving pairs.  What
 //! varies is recall and cost — the frontier the `run-experiments sketch`

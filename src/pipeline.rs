@@ -76,9 +76,12 @@ pub struct CandidateGraph {
     /// Candidates the join discarded on `partial score + remainder bound
     /// < σ` without touching the vectors.
     pub candidates_pruned: usize,
-    /// Candidates that cost an exact dot product (in the join's probe
+    /// Candidates that reached exact verification (in the join's probe
     /// mapper).
     pub verify_exact: usize,
+    /// Verified candidates that cost an in-RAM dot product; the rest were
+    /// finished from their partial score.
+    pub verify_dot: usize,
     /// `(term, document)` entries indexed after prefix pruning (for
     /// sketch generators, the size of whatever standing structure their
     /// first job built).
@@ -112,8 +115,10 @@ pub struct PipelineRun {
     pub candidate_pairs: usize,
     /// Candidates the join pruned without touching the vectors.
     pub candidates_pruned: usize,
-    /// Candidates that cost an exact dot product.
+    /// Candidates that reached exact verification.
     pub verify_exact: usize,
+    /// Verified candidates that cost a dot product.
+    pub verify_dot: usize,
     /// `(term, document)` entries indexed after prefix pruning.
     pub indexed_entries: usize,
     /// Tag of the candidate generator that produced the graph.
@@ -326,6 +331,7 @@ impl MatchingPipeline {
             candidate_pairs: candidate.candidate_pairs,
             candidates_pruned: candidate.candidates_pruned,
             verify_exact: candidate.verify_exact,
+            verify_dot: candidate.verify_dot,
             indexed_entries: candidate.indexed_entries,
             generator: candidate.generator,
             shuffled_records: candidate.shuffled_records,
@@ -371,6 +377,7 @@ impl MatchingPipeline {
             candidate_pairs: join.candidate_pairs,
             candidates_pruned: join.candidates_pruned,
             verify_exact: join.verify_exact,
+            verify_dot: join.verify_dot,
             indexed_entries: join.indexed_entries,
             generator: join.generator,
             stage_shuffles: join.stage_shuffles,

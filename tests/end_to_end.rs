@@ -196,11 +196,15 @@ fn join_counts_regression_guard_flickr_small_sigma_016() {
             .build_graph();
     // 12 654 candidates is also what the pre-streaming dedup probe
     // shuffled (and exactly verified) at this σ; the suffix bound now
-    // prunes 2 025 of them before the shuffle.  3 502 edges matches
-    // the seed baseline in EXPERIMENTS.md, byte for byte.
+    // prunes 2 025 of them before the shuffle.  Of the 10 629 survivors,
+    // 7 677 meet their consumer's unindexed suffix and cost a dot
+    // product; the other 2 952 are finished from their partial score.
+    // 3 502 edges matches the seed baseline in EXPERIMENTS.md, byte for
+    // byte.
     assert_eq!(candidate.candidate_pairs, 12_654);
     assert_eq!(candidate.candidates_pruned, 2_025);
     assert_eq!(candidate.verify_exact, 10_629);
+    assert_eq!(candidate.verify_dot, 7_677);
     assert_eq!(candidate.graph.num_edges(), 3_502);
 }
 
