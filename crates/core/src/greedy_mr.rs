@@ -6,15 +6,19 @@
 //! ([`smr_mapreduce::RoundState`]): a node's record stays in its partition and never
 //! crosses the shuffle.
 //!
-//! * **notes** — only what can change a neighbour's decision crosses the
-//!   shuffle ([`RoundMsg`]): every live node `v` sends a *proposal* across
-//!   each of its `b(v)` heaviest live edges, and a node that retires with
-//!   edges left sends a *retirement* across each of them.  A live
-//!   neighbour's edge that `v` does not propose gets no note, so a round
-//!   shuffles `Σ min(b(v), deg v)` proposals plus the retirements of the
-//!   round before, not one note per live adjacency entry.  The notes of round 1 come from
-//!   a map pass over the seeded records; every later round's notes are
-//!   emitted by the reducer that wrote the record the round before;
+//! * **notes** — only proposals cross the shuffle ([`RoundMsg`]): every
+//!   live node `v` sends one across each of its `b(v)` heaviest live
+//!   edges.  A live neighbour's edge that `v` does not propose gets no
+//!   note, so a round shuffles `Σ min(b(v), deg v)` proposals, not one
+//!   note per live adjacency entry.  The notes of round 1 come from a map
+//!   pass over the seeded records; every later round's notes are emitted
+//!   by the reducer that wrote the record the round before;
+//! * **retirements** — a node retires once its matched degree reaches
+//!   `b(v)`.  The driver reads that off the matched edges each round
+//!   reports and marks the node in a [`NodeTable`] of retirements, which
+//!   the next round's reducer reads by reference: one flag per node in
+//!   driver RAM, outside the memory budget, instead of a note across
+//!   every edge the node still lists;
 //! * **reduce** — every node gets its own record beside its notes and
 //!   reads its capacity, adjacency and own proposals off the record (the
 //!   adjacency is kept heaviest first, so the proposals are its first
@@ -42,41 +46,35 @@ use smr_mapreduce::{Emitter, StateReducer};
 
 use crate::config::GreedyMrConfig;
 use crate::result::{AlgorithmKind, MatchingRun};
-use crate::state::{build_node_records, peer_notes, NodeRecord, RoundMsg};
+use crate::state::{build_node_records, peer_notes, NodeRecord, NodeTable, RoundMsg};
 
 /// Note: the sender proposes the edge (it is among the sender's `b(v)`
 /// heaviest live edges).
 const PROPOSE: bool = true;
-/// Note: the sender has retired (its capacity is used up) and holds the
-/// edge no more.
-const RETIRE: bool = false;
 
-/// The message of a GreedyMR round: a neighbour's [`PROPOSE`] or
-/// [`RETIRE`] for one edge.
+/// The message of a GreedyMR round: a neighbour's [`PROPOSE`] for one
+/// edge.
 type GreedyMsg = RoundMsg<bool>;
 
 /// The notes of a GreedyMR round about `record`: a proposal across each
 /// of the node's `b(v)` heaviest live edges — a prefix of the
-/// heaviest-first adjacency — or, for a node without capacity, a
-/// retirement across every edge it still lists.
-fn notes(_node: &NodeId, record: &NodeRecord, out: &mut Emitter<NodeId, GreedyMsg>) {
-    let (edges, note) = if record.capacity == 0 {
-        (&record.adjacency[..], RETIRE)
-    } else {
-        (&record.adjacency[..record.proposal_count()], PROPOSE)
-    };
-    for adj in edges {
-        out.emit(adj.other, RoundMsg::new(adj.edge, note));
+/// heaviest-first adjacency.
+fn propose(_node: &NodeId, record: &NodeRecord, out: &mut Emitter<NodeId, GreedyMsg>) {
+    for adj in &record.adjacency[..record.proposal_count()] {
+        out.emit(adj.other, RoundMsg::new(adj.edge, PROPOSE));
     }
 }
 
 /// The reduce function of a GreedyMR round; its side output is the
-/// matched edges, each reported by both endpoints.  A node it keeps
-/// proposes for the next round, and a node it retires with edges left
-/// tells their neighbours.
-struct IntersectReducer;
+/// matched edges, each reported by both endpoints.  It drops the edges
+/// to the neighbours `retired` marks, and a node it keeps proposes for
+/// the next round.
+struct IntersectReducer<'a> {
+    /// The nodes that had retired by the end of the round before.
+    retired: &'a NodeTable<bool>,
+}
 
-impl StateReducer for IntersectReducer {
+impl StateReducer for IntersectReducer<'_> {
     type Key = NodeId;
     type State = NodeRecord;
     type Note = GreedyMsg;
@@ -101,28 +99,28 @@ impl StateReducer for IntersectReducer {
         record.adjacency.retain(|adj| {
             let proposed = idx < proposals;
             idx += 1;
-            match received.get(adj.edge) {
+            if self.retired[adj.other] {
                 // The neighbour has retired: drop the edge.
-                Some(RETIRE) => false,
-                Some(PROPOSE) if proposed => {
-                    out.emit(adj.edge, ());
-                    matched += 1;
-                    false
-                }
+                false
+            } else if proposed && received.contains(adj.edge) {
+                out.emit(adj.edge, ());
+                matched += 1;
+                false
+            } else {
                 // A live neighbour, proposing the edge or not: it stays,
                 // unless this node has no capacity to match it.
-                _ => capacity > 0,
+                capacity > 0
             }
         });
         record.capacity = capacity - matched;
-        // A node whose capacity reached zero retires and tells the
-        // neighbours across its remaining edges, which drop them next
-        // round; a node without edges has no one to tell.
-        if record.is_isolated() {
+        // A node whose capacity reached zero retires, and its neighbours
+        // read that from the driver's table next round; a node without
+        // edges retires too.
+        if record.capacity == 0 || record.is_isolated() {
             return None;
         }
-        notes(node, &record, next);
-        (record.capacity > 0).then_some(record)
+        propose(node, &record, next);
+        Some(record)
     }
 }
 
@@ -152,7 +150,9 @@ impl GreedyMr {
     /// Between rounds the surviving node records stay in their
     /// partitions of a [`smr_mapreduce::RoundState`] — in RAM within the memory budget's
     /// share per reduce task, in run files above it — and matched-out
-    /// nodes retire from it as their reducers decide.
+    /// nodes retire from it as their reducers decide.  The driver keeps
+    /// each node's unmatched capacity and retirement beside the state,
+    /// one entry per node, updated from every round's matched edges.
     pub fn run(
         &self,
         graph: &BipartiteGraph,
@@ -171,11 +171,16 @@ impl GreedyMr {
                 })
                 .collect(),
         );
-        state.map(notes);
+        state.map(propose);
 
         // An edgeless graph runs zero rounds (and zero jobs).
         let jobs_start = flow.num_jobs();
         let mut matching = Matching::new(graph.num_edges());
+        let mut unmatched = NodeTable::for_graph(graph, 0);
+        for v in graph.nodes() {
+            unmatched[v] = caps.of(v);
+        }
+        let mut retired = NodeTable::for_graph(graph, false);
         let mut value_per_round = Vec::new();
         while !state.is_empty() && value_per_round.len() < self.config.max_rounds {
             flow.mark_round();
@@ -183,8 +188,16 @@ impl GreedyMr {
             // Progress is guaranteed: the globally heaviest live edge is
             // the heaviest live edge of both of its endpoints, so both
             // propose it and it is matched.
-            for (edge, ()) in state.round(format!("round-{round}"), IntersectReducer) {
-                matching.insert(edge);
+            let reducer = IntersectReducer { retired: &retired };
+            for (edge, ()) in state.round(format!("round-{round}"), reducer) {
+                // Both endpoints report the edge; count it once.
+                if matching.insert(edge) {
+                    let edge = graph.edge(edge);
+                    for v in [NodeId::Item(edge.item), NodeId::Consumer(edge.consumer)] {
+                        unmatched[v] -= 1;
+                        retired[v] = unmatched[v] == 0;
+                    }
+                }
             }
             value_per_round.push(matching.value(graph));
         }
@@ -389,14 +402,24 @@ mod tests {
         );
     }
 
+    /// The retirements of a round-state test: `retired` marked, every
+    /// other node of a 2×2 graph live.
+    fn retired_table(retired: &[NodeId]) -> NodeTable<bool> {
+        let mut table = NodeTable::new(2, 2, false);
+        for &v in retired {
+            table[v] = true;
+        }
+        table
+    }
+
     #[test]
     fn a_saturated_node_retires_and_its_neighbours_drop_the_edge_in_the_same_round() {
-        // `Capacities` rules out zero, so a saturated seed is driven on
-        // hand-built records: item 0 has no capacity left but still lists
-        // edge 0, the heavier of consumer 0's two edges.
+        // Item 0 saturated in an earlier round: it has no record left, and
+        // the driver's table marks it retired.  Consumer 0 still lists
+        // edge 0 to it, the heavier of its two edges.
         let (t0, t1, c0) = (NodeId::item(0), NodeId::item(1), NodeId::consumer(0));
+        let retired = retired_table(&[t0]);
         let records = vec![
-            (t0, NodeRecord::new(t0, 0, vec![AdjEdge::new(0, c0, 2.0)])),
             (t1, NodeRecord::new(t1, 1, vec![AdjEdge::new(1, c0, 1.0)])),
             (
                 c0,
@@ -412,40 +435,37 @@ mod tests {
         let mut sent: std::collections::BTreeMap<NodeId, Vec<GreedyMsg>> = Default::default();
         for (node, record) in &records {
             let mut out = Emitter::new();
-            notes(node, record, &mut out);
+            propose(node, record, &mut out);
             for (to, note) in out.into_pairs() {
                 sent.entry(to).or_default().push(note);
             }
         }
-        // Item 0 retires edge 0; item 1 and consumer 0 propose their
-        // heaviest edges, 1 and 0; consumer 0's edge 1 gets no note.
-        assert_eq!(
-            sent[&c0],
-            vec![RoundMsg::new(0, RETIRE), RoundMsg::new(1, PROPOSE)]
-        );
+        // Item 1 and consumer 0 propose their heaviest edges, 1 and 0;
+        // consumer 0's edge 1 gets no note, and no note says that item 0
+        // retired.
+        assert_eq!(sent[&c0], vec![RoundMsg::new(1, PROPOSE)]);
         assert_eq!(sent[&t0], vec![RoundMsg::new(0, PROPOSE)]);
         assert!(!sent.contains_key(&t1));
         let mut matched = Emitter::new();
         let mut proposals = Emitter::new();
+        let reducer = IntersectReducer { retired: &retired };
         let next: Vec<Option<NodeRecord>> = records
             .iter()
             .map(|(node, record)| {
                 let own = sent.get(node).map_or(&[][..], Vec::as_slice);
-                IntersectReducer.reduce(node, record.clone(), own, &mut matched, &mut proposals)
+                reducer.reduce(node, record.clone(), own, &mut matched, &mut proposals)
             })
             .collect();
         assert_eq!(
             next,
             vec![
-                None,
                 Some(NodeRecord::new(t1, 1, vec![AdjEdge::new(1, c0, 1.0)])),
                 // Consumer 0 proposed edge 0 in vain; edge 1 lives on.
                 Some(NodeRecord::new(c0, 1, vec![AdjEdge::new(1, t1, 1.0)])),
             ]
         );
         assert!(matched.is_empty());
-        // The kept nodes propose edge 1 to each other for the next round;
-        // item 0 dropped its only edge, so it retires without a note.
+        // The kept nodes propose edge 1 to each other for the next round.
         assert_eq!(
             proposals.into_pairs(),
             vec![
@@ -454,22 +474,72 @@ mod tests {
             ]
         );
 
-        // Through the engine: the 3 notes cross the shuffle, the records
-        // do not, and the saturated item retires.
+        // Through the engine: the 2 proposals cross the shuffle (the one
+        // to item 0 finds no record), the records do not, and both nodes
+        // stay.
         let flow = FlowContext::new(JobConfig::named("greedy-mr-test").with_threads(2));
         let mut state = flow.round_state("saturated");
         state.seed(records);
-        state.map(notes);
-        assert!(state.round("r", IntersectReducer).is_empty());
+        state.map(propose);
+        assert!(state.round("r", reducer).is_empty());
         assert_eq!(state.len(), 2);
-        assert_eq!(flow.report().total_shuffled_records(), 3);
+        assert_eq!(flow.report().total_shuffled_records(), 2);
     }
 
     #[test]
-    fn a_node_that_saturates_tells_its_remaining_neighbours() {
+    fn a_neighbour_marked_retired_is_dropped_without_a_note() {
+        // Consumer 0 (capacity 2) proposes both its edges, and item 1
+        // proposes edge 1 back.  Item 0 is marked retired and sent no
+        // note: edge 0 is dropped unmatched, edge 1 is matched.
+        let (t0, t1, c0) = (NodeId::item(0), NodeId::item(1), NodeId::consumer(0));
+        let record = NodeRecord::new(
+            c0,
+            2,
+            vec![AdjEdge::new(0, t0, 2.0), AdjEdge::new(1, t1, 1.0)],
+        );
+        let mut matched = Emitter::new();
+        let mut next = Emitter::new();
+        let kept = IntersectReducer {
+            retired: &retired_table(&[t0]),
+        }
+        .reduce(
+            &c0,
+            record.clone(),
+            &[RoundMsg::new(1, PROPOSE)],
+            &mut matched,
+            &mut next,
+        );
+        assert_eq!(kept, None, "no edge left");
+        assert_eq!(matched.into_pairs(), vec![(1, ())]);
+        assert!(next.is_empty(), "an isolated node proposes nothing");
+
+        // With item 0 live, the same notes keep edge 0 for the next round.
+        let mut matched = Emitter::new();
+        let mut next = Emitter::new();
+        let kept = IntersectReducer {
+            retired: &retired_table(&[]),
+        }
+        .reduce(
+            &c0,
+            record,
+            &[RoundMsg::new(1, PROPOSE)],
+            &mut matched,
+            &mut next,
+        );
+        assert_eq!(
+            kept,
+            Some(NodeRecord::new(c0, 1, vec![AdjEdge::new(0, t0, 2.0)]))
+        );
+        assert_eq!(matched.into_pairs(), vec![(1, ())]);
+        assert_eq!(next.into_pairs(), vec![(t0, RoundMsg::new(0, PROPOSE))]);
+    }
+
+    #[test]
+    fn a_node_that_saturates_retires_without_a_note() {
         // Item 0 (capacity 1) and consumer 0 propose edge 0 to each other
         // and match it; item 0 is then saturated but still lists edge 1,
-        // which consumer 1 proposed, so it retires across it.
+        // which consumer 1 proposed.  It retires and sends nothing: the
+        // driver marks it retired from the matched edge.
         let (t0, c0, c1) = (NodeId::item(0), NodeId::consumer(0), NodeId::consumer(1));
         let t0_record = NodeRecord::new(
             t0,
@@ -478,7 +548,10 @@ mod tests {
         );
         let mut matched = Emitter::new();
         let mut next = Emitter::new();
-        let kept = IntersectReducer.reduce(
+        let kept = IntersectReducer {
+            retired: &retired_table(&[]),
+        }
+        .reduce(
             &t0,
             t0_record,
             &[RoundMsg::new(1, PROPOSE), RoundMsg::new(0, PROPOSE)],
@@ -487,7 +560,7 @@ mod tests {
         );
         assert_eq!(kept, None);
         assert_eq!(matched.into_pairs(), vec![(0, ())]);
-        assert_eq!(next.into_pairs(), vec![(c1, RoundMsg::new(1, RETIRE))]);
+        assert!(next.is_empty());
     }
 
     #[test]

@@ -22,17 +22,22 @@
 //! The iteration repeats until the working graph has no edges left.
 //!
 //! The working records are the partition-resident state of a
-//! [`smr_mapreduce::RoundState`]: in every stage a node sends a flag
-//! across each edge the flag is *true* for — marked, selected, dropped
-//! from F, or "I am saturated" — and nothing across the others, and the
-//! stage's reducer holds the node's own record against its neighbours'
-//! flags, reading a missing flag as false.  So a stage shuffles the
-//! node's `⌈c(v)/2⌉` marks or its selections, drops and saturations, not
-//! one flag per live edge.  The reducer of one stage makes the node's
-//! choice for the next — its marks, selections or drops, each drawn once
-//! from the node's seeded generator — records it and emits the next
-//! stage's flags, so no stage re-reads the state in a map pass; only the
-//! first marks come from one.
+//! [`smr_mapreduce::RoundState`]: in the first three stages a node sends a
+//! flag across each edge the flag is *true* for — marked, selected or
+//! dropped from F — and nothing across the others, and the stage's
+//! reducer holds the node's own record against its neighbours' flags,
+//! reading a missing flag as false.  So a stage shuffles the node's
+//! `⌈c(v)/2⌉` marks or its selections or drops, not one flag per live
+//! edge.  The reducer of one stage makes the node's choice for the next —
+//! its marks, selections or drops, each drawn once from the node's seeded
+//! generator — records it and emits the next stage's flags, so no stage
+//! re-reads the state in a map pass; only the first marks come from one.
+//!
+//! "F saturates me" is a fact about a node, not an edge: the matching
+//! stage reports each node F saturates as side output, the driver marks
+//! it in a [`NodeTable`] — one flag per node in driver RAM, outside the
+//! memory budget — and cleanup reads the neighbours' flags from there,
+//! so the cleanup job shuffles nothing.
 
 use std::collections::HashMap;
 
@@ -46,7 +51,7 @@ use smr_mapreduce::{Emitter, JobConfig, JobMetrics, StateReducer};
 use smr_storage::impl_codec_struct;
 
 use crate::config::MarkingStrategy;
-use crate::state::{peer_notes, AdjEdge, NodeRecord, RoundMsg};
+use crate::state::{peer_notes, AdjEdge, NodeRecord, NodeTable, RoundMsg};
 
 /// A per-edge annotation inside the working records of the matcher.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -100,10 +105,9 @@ impl_codec_struct!(WorkRecord {
     edges
 });
 
-/// The message exchanged by all four stage jobs ([`RoundMsg`]): a
-/// neighbour's stage-specific flag for one edge (marked / selected /
-/// dropped from F / saturated), sent only when it is true, so the note
-/// itself is the flag.
+/// The message of the stage jobs ([`RoundMsg`]): a neighbour's
+/// stage-specific flag for one edge (marked / selected / dropped from F),
+/// sent only when it is true, so the note itself is the flag.
 type FlagMsg = RoundMsg<()>;
 
 /// Result of one maximal b-matching computation.
@@ -193,8 +197,8 @@ fn flag(e: &WorkEdge, out: &mut Emitter<NodeId, FlagMsg>) {
     out.emit(e.other, RoundMsg::new(e.edge, ()));
 }
 
-/// Every stage's side output: the edges entering the matching (only
-/// cleanup emits any).
+/// The side output of the marking and selection stages, which emit none,
+/// and of cleanup: the edges entering the matching.
 type Matched = Emitter<EdgeId, ()>;
 
 // ---------------------------------------------------------------------------
@@ -346,8 +350,8 @@ impl StateReducer for Select {
 // ---------------------------------------------------------------------------
 
 /// Edges a neighbour dropped leave F, which is now the same at both ends
-/// of every edge; then a node that F saturates flags its edges outside F
-/// to their neighbours, which drop them at cleanup.
+/// of every edge; then a node that F saturates reports itself as side
+/// output, and its neighbours drop their other edges to it at cleanup.
 #[derive(Clone, Copy)]
 struct MatchFix;
 
@@ -355,16 +359,16 @@ impl StateReducer for MatchFix {
     type Key = NodeId;
     type State = WorkRecord;
     type Note = FlagMsg;
-    type OutKey = EdgeId;
+    type OutKey = NodeId;
     type OutValue = ();
 
     fn reduce(
         &self,
-        _node: &NodeId,
+        node: &NodeId,
         mut record: WorkRecord,
         msgs: &[FlagMsg],
-        _out: &mut Matched,
-        next: &mut Emitter<NodeId, FlagMsg>,
+        out: &mut Emitter<NodeId, ()>,
+        _next: &mut Emitter<NodeId, FlagMsg>,
     ) -> Option<WorkRecord> {
         // A note means "the sender dropped this edge from F".
         let dropped_by_other = peer_notes(msgs);
@@ -375,9 +379,7 @@ impl StateReducer for MatchFix {
         }
         let matched = record.edges.iter().filter(|e| e.in_f).count() as u64;
         if record.capacity <= matched {
-            for e in record.edges.iter().filter(|e| !e.in_f) {
-                flag(e, next);
-            }
+            out.emit(*node, ());
         }
         Some(record)
     }
@@ -389,16 +391,18 @@ impl StateReducer for MatchFix {
 
 /// F enters the matching (side output, reported by both ends), capacities
 /// drop by the node's F edges, saturated nodes retire with their edges
-/// and the others drop their edges to saturated neighbours; a node that
-/// stays marks for the next iteration.
+/// and the others drop their edges to the neighbours `saturated` marks;
+/// a node that stays marks for the next iteration.
 #[derive(Clone, Copy)]
-struct Cleanup {
+struct Cleanup<'a> {
     strategy: MarkingStrategy,
     seed: u64,
     iteration: u64,
+    /// The nodes F has saturated, this iteration or an earlier one.
+    saturated: &'a NodeTable<bool>,
 }
 
-impl StateReducer for Cleanup {
+impl StateReducer for Cleanup<'_> {
     type Key = NodeId;
     type State = WorkRecord;
     type Note = FlagMsg;
@@ -413,7 +417,7 @@ impl StateReducer for Cleanup {
         out: &mut Matched,
         next: &mut Emitter<NodeId, FlagMsg>,
     ) -> Option<WorkRecord> {
-        let saturated_other = peer_notes(msgs);
+        debug_assert!(msgs.is_empty(), "a cleanup round is sent no notes");
         let mut matched = 0;
         for e in record.edges.iter().filter(|e| e.in_f) {
             out.emit(e.edge, ());
@@ -423,9 +427,7 @@ impl StateReducer for Cleanup {
         if record.capacity == 0 {
             return None;
         }
-        record
-            .edges
-            .retain(|e| !e.in_f && !saturated_other.contains(e.edge));
+        record.edges.retain(|e| !e.in_f && !self.saturated[e.other]);
         if record.edges.is_empty() {
             return None;
         }
@@ -466,10 +468,11 @@ impl MaximalMatcher {
     /// `records` (node, capacity `c(v)`, live adjacency), with every
     /// iteration's four stage jobs run through `flow` as rounds over the
     /// working records (mark → select → match → cleanup), kept in a
-    /// [`smr_mapreduce::RoundState`] from which finished nodes retire.
-    /// `stage_prefix` namespaces the job names when the matcher runs
-    /// inside a larger flow (StackMR passes `maximal-{push_round}`); an
-    /// empty prefix names jobs `{flow}-mark-{i}` etc.
+    /// [`smr_mapreduce::RoundState`] from which finished nodes retire, and
+    /// the nodes F saturates marked in a table beside it.  `stage_prefix`
+    /// namespaces the job names when the matcher runs inside a larger
+    /// flow (StackMR passes `maximal-{push_round}`); an empty prefix names
+    /// jobs `{flow}-mark-{i}` etc.
     ///
     /// Every edge a record of capacity > 0 lists must be listed by its
     /// other endpoint's record too, at capacity > 0, as the records of a
@@ -515,6 +518,13 @@ impl MaximalMatcher {
 
         let (strategy, seed) = (self.strategy, self.seed);
         state.map(|_, record, out| mark_notes(strategy, seed, 0, record, out));
+        let (items, consumers) = records.iter().fold((0, 0), |(t, c), (node, _)| match node {
+            NodeId::Item(i) => (t.max(i.index() + 1), c),
+            NodeId::Consumer(j) => (t, c.max(j.index() + 1)),
+        });
+        // Every edge a live record lists ends at another record's key, so
+        // the keys span every node cleanup looks up.
+        let mut saturated = NodeTable::new(items, consumers, false);
 
         let jobs_start = flow.num_jobs();
         let mut result = MaximalResult::default();
@@ -524,11 +534,14 @@ impl MaximalMatcher {
             // stage whose notes it consumes.
             state.round(stage("mark", iteration), Mark { seed, iteration });
             state.round(stage("select", iteration), Select { seed, iteration });
-            state.round(stage("match", iteration), MatchFix);
+            for (node, ()) in state.round(stage("match", iteration), MatchFix) {
+                saturated[node] = true;
+            }
             let cleanup = Cleanup {
                 strategy,
                 seed,
                 iteration,
+                saturated: &saturated,
             };
             let matched = state.round(stage("cleanup", iteration), cleanup);
             result
@@ -679,7 +692,86 @@ mod tests {
             shuffled.iter().all(|&n| n < entries),
             "{shuffled:?} vs {entries}"
         );
+        // Saturations are side data: no cleanup job shuffles anything.
+        let cleanups: Vec<u64> = result
+            .job_metrics
+            .iter()
+            .filter(|m| m.job_name.contains("-cleanup-"))
+            .map(|m| m.shuffle_records)
+            .collect();
+        assert_eq!(cleanups.len(), result.iterations);
+        assert!(cleanups.iter().all(|&n| n == 0), "{cleanups:?}");
         assert_maximal(&g, &caps, &result.edges);
+    }
+
+    #[test]
+    fn leaves_drop_their_edges_to_a_centre_f_saturates_at_that_cleanup() {
+        // A capacity-1 star: item 0 at the centre, consumers 0..5 around
+        // it.  Every leaf marks its one edge, the centre selects one of
+        // them and keeps one F edge, so F saturates it in iteration 0.
+        let leaves = 5u32;
+        let g = BipartiteGraph::from_edges(
+            1,
+            leaves as usize,
+            (0..leaves)
+                .map(|c| Edge::new(ItemId(0), ConsumerId(c), 1.0 + c as f64))
+                .collect(),
+        );
+        let caps = Capacities::uniform(&g, 1, 1);
+        let records = build_node_records(&g, &caps);
+        let result = compute(&matcher(MarkingStrategy::Random, 4), &records);
+        assert_eq!(result.edges.len(), 1);
+        assert_eq!(result.iterations, 1, "every leaf is done at cleanup 0");
+        assert_maximal(&g, &caps, &result.edges);
+
+        // By hand: the matching stage reports the centre, and each
+        // unmatched leaf drops its edge to it, with no note, and retires.
+        let centre = NodeId::item(0);
+        let work = |node: NodeId, capacity, edges: Vec<(EdgeId, NodeId, bool)>| WorkRecord {
+            node,
+            capacity,
+            edges: edges
+                .into_iter()
+                .map(|(edge, other, in_f)| WorkEdge {
+                    edge,
+                    other,
+                    weight: 1.0,
+                    marked_by_other: false,
+                    in_f,
+                })
+                .collect(),
+        };
+        let centre_edges = (0..leaves)
+            .map(|c| (c as EdgeId, NodeId::consumer(c), c == 2))
+            .collect();
+        let mut reported = Emitter::new();
+        let mut next = Emitter::new();
+        MatchFix.reduce(
+            &centre,
+            work(centre, 1, centre_edges),
+            &[],
+            &mut reported,
+            &mut next,
+        );
+        assert_eq!(reported.into_pairs(), vec![(centre, ())]);
+        assert!(next.is_empty(), "saturation is not a note");
+        let mut saturated = NodeTable::new(1, leaves as usize, false);
+        saturated[centre] = true;
+        let cleanup = Cleanup {
+            strategy: MarkingStrategy::Random,
+            seed: 4,
+            iteration: 0,
+            saturated: &saturated,
+        };
+        for c in (0..leaves).filter(|&c| c != 2) {
+            let leaf = NodeId::consumer(c);
+            let mut matched = Emitter::new();
+            let mut marks = Emitter::new();
+            let record = work(leaf, 1, vec![(c as EdgeId, centre, false)]);
+            let kept = cleanup.reduce(&leaf, record, &[], &mut matched, &mut marks);
+            assert_eq!(kept, None, "leaf {c} keeps no edge");
+            assert!(matched.is_empty() && marks.is_empty());
+        }
     }
 
     #[test]

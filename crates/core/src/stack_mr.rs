@@ -34,23 +34,23 @@
 //! neighbours sent across their shared edges.
 //!
 //! **Which notes travel.**  Both tests of the push phase read the ratio
-//! `y_u/b(u)` of the neighbour across each live edge, and a node keeps the
-//! last one it heard in its own record ([`StackEdge::peer_ratio`]).  Every
-//! dual starts at 0, so every kept ratio starts at 0.0 and the first
-//! coverage round runs without notes.  A dual changes only in a push round,
-//! and a push reducer whose dual rose sends its new ratio across every
-//! live edge; the next coverage round writes those notes into the kept
-//! ratios before it tests.  A missing note therefore means "unchanged",
-//! and the push round itself needs none: the ratios it reads are exactly
-//! the ones the coverage round before it tested.  The pop rounds send
+//! `y_u/b(u)` of the neighbour across each live edge.  That is a fact
+//! about the neighbour, not the edge, so it does not travel as a note
+//! per edge: a push reducer whose dual rose reports its new ratio as side
+//! output, and the driver writes it into a [`NodeTable`] of ratios that
+//! the next coverage and push reducers read by reference.  Every dual
+//! starts at 0, so every entry starts at 0.0, and a dual changes only in
+//! a push round, so the ratios a push reads are exactly the ones the
+//! coverage round before it tested.  The table is |V| entries in driver
+//! RAM, outside the memory budget, like the edge-indexed `layer_of`, and
+//! every push-phase job shuffles nothing.  The pop rounds send
 //! nominations across the popped layer's edges only, over a pop state
 //! that holds the stacked edges alone: a node with none has no record.
 //!
-//! A missing note can never mean "the neighbour retired": the coverage
-//! test is symmetric — both ends add the same two ratios, `+` on `f64` is
-//! commutative, and both compare against the same threshold — so an edge
-//! is dropped at both ends in the same round, and a node retires only
-//! once all its edges are gone at both ends.
+//! The coverage test is symmetric — both ends add the same two ratios,
+//! `+` on `f64` is commutative, and both compare against the same
+//! threshold — so an edge is dropped at both ends in the same round, and
+//! a node retires only once all its edges are gone at both ends.
 
 use serde::{Deserialize, Serialize};
 use smr_graph::{BipartiteGraph, Capacities, EdgeId, Matching, NodeId};
@@ -61,7 +61,7 @@ use smr_storage::impl_codec_struct;
 use crate::config::{assert_valid_epsilon, MarkingStrategy, StackMrConfig};
 use crate::maximal::MaximalMatcher;
 use crate::result::{AlgorithmKind, MatchingRun};
-use crate::state::{build_node_records, peer_notes, AdjEdge, NodeRecord, RoundMsg};
+use crate::state::{build_node_records, peer_notes, AdjEdge, NodeRecord, NodeTable, RoundMsg};
 
 /// The layer of an edge on no layer of the stack.
 const UNSTACKED: u32 = u32::MAX;
@@ -69,35 +69,6 @@ const UNSTACKED: u32 = u32::MAX;
 // ---------------------------------------------------------------------------
 // Push-phase records and messages
 // ---------------------------------------------------------------------------
-
-/// One live edge of a push-phase record: the adjacency entry and the
-/// neighbour's ratio as of its last note.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct StackEdge {
-    /// Global edge identifier.
-    pub edge: EdgeId,
-    /// The other endpoint.
-    pub other: NodeId,
-    /// Edge weight.
-    pub weight: f64,
-    /// The other endpoint's `y_u / b(u)`: 0.0 until its dual first rises,
-    /// then the ratio of its last note.
-    pub peer_ratio: f64,
-}
-
-impl_codec_struct!(StackEdge {
-    edge,
-    other,
-    weight,
-    peer_ratio
-});
-
-impl StackEdge {
-    /// The adjacency entry, without the ratio.
-    fn adj(&self) -> AdjEdge {
-        AdjEdge::new(self.edge, self.other, self.weight)
-    }
-}
 
 /// The push-phase state of one node.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -109,7 +80,7 @@ pub struct StackNodeRecord {
     /// The dual variable `y_v`.
     pub dual: f64,
     /// Live (not yet weakly covered) incident edges.
-    pub adjacency: Vec<StackEdge>,
+    pub adjacency: Vec<AdjEdge>,
 }
 
 impl_codec_struct!(StackNodeRecord {
@@ -119,33 +90,20 @@ impl_codec_struct!(StackNodeRecord {
     adjacency
 });
 
-/// Message of the coverage rounds ([`RoundMsg`]): a neighbour's new
-/// `y_v / b(v)` for one edge.
-type RatioMsg = RoundMsg<f64>;
-
-/// The notes a push reducer sends after raising the dual: the new
-/// `y_v / b(v)` across every live edge of the record, for the next
-/// coverage round to keep.  A node whose dual did not rise sends none.
-fn dual_ratios(record: &StackNodeRecord, out: &mut Emitter<NodeId, RatioMsg>) {
-    let ratio = record.dual / record.capacity as f64;
-    for adj in &record.adjacency {
-        out.emit(adj.other, RoundMsg::new(adj.edge, ratio));
-    }
-}
-
-/// Reducer of the coverage job: keeps each neighbour ratio it was sent
-/// (an edge without a note keeps the one it has: that neighbour's dual
-/// did not change), drops weakly covered edges, retires a node left
-/// without edges, and emits every other node's record, at its layer
-/// capacity, as the maximal-matching input.
+/// Reducer of the coverage job: drops weakly covered edges, each tested
+/// against the neighbour's ratio in `ratios`, retires a node left without
+/// edges, and emits every other node's record, at its layer capacity, as
+/// the maximal-matching input.  It sends no notes.
 struct CoverageReducer<'a> {
     config: &'a StackMrConfig,
+    /// Every node's `y_v / b(v)`.
+    ratios: &'a NodeTable<f64>,
 }
 
 impl StateReducer for CoverageReducer<'_> {
     type Key = NodeId;
     type State = StackNodeRecord;
-    type Note = RatioMsg;
+    type Note = ();
     type OutKey = NodeId;
     type OutValue = NodeRecord;
 
@@ -153,18 +111,15 @@ impl StateReducer for CoverageReducer<'_> {
         &self,
         node: &NodeId,
         mut record: StackNodeRecord,
-        msgs: &[RatioMsg],
+        msgs: &[()],
         out: &mut Emitter<NodeId, NodeRecord>,
-        _next: &mut Emitter<NodeId, RatioMsg>,
+        _next: &mut Emitter<NodeId, ()>,
     ) -> Option<StackNodeRecord> {
+        debug_assert!(msgs.is_empty(), "a coverage round is sent no notes");
         let own_ratio = record.dual / record.capacity as f64;
         let weak_factor = self.config.weak_coverage_factor();
-        let neighbour_ratios = peer_notes(msgs);
-        record.adjacency.retain_mut(|adj| {
-            if let Some(neighbour_ratio) = neighbour_ratios.get(adj.edge) {
-                adj.peer_ratio = neighbour_ratio;
-            }
-            let lhs = own_ratio + adj.peer_ratio;
+        record.adjacency.retain(|adj| {
+            let lhs = own_ratio + self.ratios[adj.other];
             let weakly_covered = lhs >= adj.weight * weak_factor - 1e-15;
             !weakly_covered
         });
@@ -172,39 +127,40 @@ impl StateReducer for CoverageReducer<'_> {
             return None;
         }
         let layer_capacity = self.config.layer_capacity(record.capacity);
-        let adjacency = record.adjacency.iter().map(StackEdge::adj).collect();
         out.emit(
             *node,
-            NodeRecord::new(record.node, layer_capacity, adjacency),
+            NodeRecord::new(record.node, layer_capacity, record.adjacency.clone()),
         );
         Some(record)
     }
 }
 
 /// Reducer of the push job: raises `y_v` by `Σ δ(e)` over the node's edges
-/// on the pushed `layer`, each `δ(e)` from the neighbour ratio the record
-/// keeps — the one the coverage round before tested, as the neighbour's
-/// dual has not moved since — and, if the dual rose, sends the new ratio
-/// for the next coverage round.  It receives no notes.
+/// on the pushed `layer`, each `δ(e)` from the neighbour's ratio in
+/// `ratios` — the one the coverage round before tested, as no dual has
+/// moved since — and, if the dual rose, reports the node's new
+/// `y_v / b(v)` as side output, for the driver to write into the table.
+/// It neither receives nor sends notes.
 struct PushReducer<'a> {
     layer_of: &'a [u32],
     layer: u32,
+    ratios: &'a NodeTable<f64>,
 }
 
 impl StateReducer for PushReducer<'_> {
     type Key = NodeId;
     type State = StackNodeRecord;
-    type Note = RatioMsg;
+    type Note = ();
     type OutKey = NodeId;
-    type OutValue = ();
+    type OutValue = f64;
 
     fn reduce(
         &self,
-        _node: &NodeId,
+        node: &NodeId,
         mut record: StackNodeRecord,
-        msgs: &[RatioMsg],
-        _out: &mut Emitter<NodeId, ()>,
-        next: &mut Emitter<NodeId, RatioMsg>,
+        msgs: &[()],
+        out: &mut Emitter<NodeId, f64>,
+        _next: &mut Emitter<NodeId, ()>,
     ) -> Option<StackNodeRecord> {
         debug_assert!(msgs.is_empty(), "a push round is sent no notes");
         let own_ratio = record.dual / record.capacity as f64;
@@ -215,14 +171,14 @@ impl StateReducer for PushReducer<'_> {
             }
             // δ(e) = (w(e) − y_u/b(u) − y_v/b(v)) / 2, computed with the
             // dual values both endpoints held at the start of the round.
-            let delta = (adj.weight - own_ratio - adj.peer_ratio) / 2.0;
+            let delta = (adj.weight - own_ratio - self.ratios[adj.other]) / 2.0;
             if delta > 0.0 {
                 increase += delta;
             }
         }
         if increase > 0.0 {
             record.dual += increase;
-            dual_ratios(&record, next);
+            out.emit(*node, record.dual / record.capacity as f64);
         }
         Some(record)
     }
@@ -372,34 +328,25 @@ impl StackMr {
         let mut max_round_state_bytes = 0u64;
 
         // ------------------------------------------------------------------
-        // Push phase.  Every dual starts at 0, so every kept neighbour
-        // ratio starts at 0.0 and the first coverage round has no notes.
+        // Push phase.  Every dual starts at 0, so every ratio does too.
         // ------------------------------------------------------------------
         let mut push_state = flow.round_state("stack-push");
         push_state.seed(
             build_node_records(graph, caps)
                 .into_iter()
                 .map(|(node, r)| {
-                    let adjacency = r
-                        .adjacency
-                        .iter()
-                        .map(|adj| StackEdge {
-                            edge: adj.edge,
-                            other: adj.other,
-                            weight: adj.weight,
-                            peer_ratio: 0.0,
-                        })
-                        .collect();
                     let record = StackNodeRecord {
                         node: r.node,
                         capacity: r.capacity,
                         dual: 0.0,
-                        adjacency,
+                        adjacency: r.adjacency,
                     };
                     (node, record)
                 })
                 .collect(),
         );
+        // Every node's y_v / b(v), written from each push's side output.
+        let mut ratios = NodeTable::for_graph(graph, 0.0);
         // Each edge's top layer, UNSTACKED for an edge on none.  An edge
         // pushed again moves up to its new layer: only there can the pop
         // phase include it, since an endpoint that cannot take it on its
@@ -416,6 +363,7 @@ impl StackMr {
                 format!("coverage-{push_round}"),
                 CoverageReducer {
                     config: &self.config,
+                    ratios: &ratios,
                 },
             );
             if push_state.is_empty() {
@@ -448,13 +396,14 @@ impl StackMr {
                 layer_of[edge] = layer;
             }
             num_layers += 1;
-            push_state.round(
-                format!("push-{push_round}"),
-                PushReducer {
-                    layer_of: &layer_of,
-                    layer,
-                },
-            );
+            let push = PushReducer {
+                layer_of: &layer_of,
+                layer,
+                ratios: &ratios,
+            };
+            for (node, ratio) in push_state.round(format!("push-{push_round}"), push) {
+                ratios[node] = ratio;
+            }
         }
         max_round_state_bytes = max_round_state_bytes.max(push_state.max_state_bytes());
         drop(push_state);
@@ -515,6 +464,7 @@ impl StackMr {
 mod tests {
     use super::*;
     use crate::exact::optimal_matching;
+    use crate::maximal::maximal_b_matching_centralized;
     use smr_graph::{ConsumerId, Edge, GraphBuilder, ItemId};
     use smr_mapreduce::JobConfig;
 
@@ -623,7 +573,7 @@ mod tests {
     }
 
     #[test]
-    fn duals_travel_only_from_the_push_that_raised_them() {
+    fn the_push_phase_shuffles_nothing() {
         let g = random_graph(6, 8, 3);
         let caps = Capacities::uniform(&g, 2, 2);
         let config = test_config(17);
@@ -639,52 +589,62 @@ mod tests {
                 (stage, m.shuffle_records)
             })
             .collect();
-        let of = |stage: &str| shuffled.iter().find(|(s, _)| *s == stage).unwrap().1;
-        // Every kept ratio starts at 0.0, the first coverage round's only
-        // possible note; a push reads its ratios from the state.
-        assert_eq!(of("coverage-0"), 0);
-        assert!(of("coverage-1") > 0, "raised duals must travel");
-        let pushes: Vec<u64> = shuffled
+        // Every ratio a coverage or push round reads is in the driver's
+        // table, so no job of the push phase has a note to shuffle.
+        let push_phase: Vec<(&str, u64)> = shuffled
             .iter()
-            .filter(|(stage, _)| stage.starts_with("push-"))
-            .map(|&(_, n)| n)
+            .copied()
+            .filter(|(stage, _)| stage.starts_with("coverage-") || stage.starts_with("push-"))
             .collect();
-        assert_eq!(pushes, vec![0, 0], "two push rounds, no notes");
-        // The protocol's notes on this instance: 163, against 257 with a
-        // ratio across every live edge in every coverage round and across
-        // each layer edge in every push round.
-        assert_eq!(report.total_shuffled_records(), 163);
-        assert_eq!(run.total_shuffled_records(), 163);
+        assert_eq!(push_phase.len(), 5, "three coverage rounds, two pushes");
+        assert!(push_phase.iter().all(|&(_, n)| n == 0), "{push_phase:?}");
+        // The protocol's notes on this instance: the maximal matcher's
+        // marks, selections and drops and the pop phase's nominations,
+        // 77 in all, against 163 when every raised ratio crossed the
+        // shuffle once per live edge and every saturation once per edge
+        // outside F.
+        assert_eq!(report.total_shuffled_records(), 77);
+        assert_eq!(run.total_shuffled_records(), 77);
     }
 
     /// Both endpoint records of one edge of weight `w`, at `duals` and
-    /// `caps`, each keeping the ratio the other's push would have sent.
-    fn edge_ends(w: f64, duals: (f64, f64), caps: (u64, u64)) -> [StackNodeRecord; 2] {
-        let end = |node, other, capacity, dual, peer: (f64, u64)| StackNodeRecord {
+    /// `caps`, and the ratio table their pushes would have filled.
+    fn edge_ends(
+        w: f64,
+        duals: (f64, f64),
+        caps: (u64, u64),
+    ) -> ([StackNodeRecord; 2], NodeTable<f64>) {
+        let (item, consumer) = (NodeId::item(0), NodeId::consumer(0));
+        let end = |node, other, capacity, dual| StackNodeRecord {
             node,
             capacity,
             dual,
-            adjacency: vec![StackEdge {
-                edge: 0,
-                other,
-                weight: w,
-                peer_ratio: peer.0 / peer.1 as f64,
-            }],
+            adjacency: vec![AdjEdge::new(0, other, w)],
         };
-        let (item, consumer) = (NodeId::item(0), NodeId::consumer(0));
-        [
-            end(item, consumer, caps.0, duals.0, (duals.1, caps.1)),
-            end(consumer, item, caps.1, duals.1, (duals.0, caps.0)),
-        ]
+        let mut ratios = NodeTable::new(1, 1, 0.0);
+        ratios[item] = duals.0 / caps.0 as f64;
+        ratios[consumer] = duals.1 / caps.1 as f64;
+        let ends = [
+            end(item, consumer, caps.0, duals.0),
+            end(consumer, item, caps.1, duals.1),
+        ];
+        (ends, ratios)
     }
 
-    /// Whether each end keeps the edge after a coverage round without notes.
-    fn kept_at_both_ends(config: &StackMrConfig, ends: [StackNodeRecord; 2]) -> [bool; 2] {
+    /// Whether each end keeps the edge after a coverage round.
+    fn kept_at_both_ends(
+        config: &StackMrConfig,
+        (ends, ratios): ([StackNodeRecord; 2], NodeTable<f64>),
+    ) -> [bool; 2] {
         ends.map(|record| {
             let node = record.node;
             let mut out = Emitter::new();
             let mut next = Emitter::new();
-            let kept = CoverageReducer { config }.reduce(&node, record, &[], &mut out, &mut next);
+            let coverage = CoverageReducer {
+                config,
+                ratios: &ratios,
+            };
+            let kept = coverage.reduce(&node, record, &[], &mut out, &mut next);
             assert!(next.is_empty(), "a coverage round sends no notes");
             kept.is_some()
         })
@@ -721,21 +681,101 @@ mod tests {
             let [item_kept, consumer_kept] = kept_at_both_ends(&config, ends);
             assert_eq!(item_kept, consumer_kept, "tie dual {edge_dual}");
         }
-        // A note overrides the kept ratio before the test.
-        let [item, _] = edge_ends(w, (0.0, 0.0), (1, 1));
+        // The test reads the neighbour's ratio from the table alone.
+        let ([item, _], mut ratios) = edge_ends(w, (0.0, 0.0), (1, 1));
+        ratios[NodeId::consumer(0)] = w;
         let mut out = Emitter::new();
         let mut next = Emitter::new();
-        let covered = CoverageReducer { config: &config }.reduce(
-            &NodeId::item(0),
-            item,
-            &[RoundMsg::new(0, w)],
-            &mut out,
-            &mut next,
-        );
+        let covered = CoverageReducer {
+            config: &config,
+            ratios: &ratios,
+        }
+        .reduce(&NodeId::item(0), item, &[], &mut out, &mut next);
         assert!(
             covered.is_none(),
             "the neighbour's new ratio covers the edge"
         );
+    }
+
+    #[test]
+    fn a_push_fills_the_ratio_table_with_exactly_the_raised_duals() {
+        let g = random_graph(6, 8, 3);
+        let caps = Capacities::from_vectors(
+            (0..6).map(|t| 1 + t % 3).collect(),
+            (0..8).map(|c| 1 + c % 2).collect(),
+        );
+        let config = test_config(5);
+        let records: Vec<(NodeId, StackNodeRecord)> = build_node_records(&g, &caps)
+            .into_iter()
+            .map(|(node, r)| {
+                let record = StackNodeRecord {
+                    node,
+                    capacity: r.capacity,
+                    dual: 0.0,
+                    adjacency: r.adjacency,
+                };
+                (node, record)
+            })
+            .collect();
+        // The first coverage round and its maximal matching, by hand.
+        let mut ratios = NodeTable::for_graph(&g, 0.0);
+        let mut matcher_input = Emitter::new();
+        let coverage = CoverageReducer {
+            config: &config,
+            ratios: &ratios,
+        };
+        let covered: Vec<(NodeId, StackNodeRecord)> = records
+            .into_iter()
+            .filter_map(|(node, record)| {
+                let kept =
+                    coverage.reduce(&node, record, &[], &mut matcher_input, &mut Emitter::new());
+                kept.map(|record| (node, record))
+            })
+            .collect();
+        let mut layer_of = vec![UNSTACKED; g.num_edges()];
+        let layer = maximal_b_matching_centralized(&matcher_input.into_pairs());
+        assert!(!layer.is_empty());
+        for &edge in &layer {
+            layer_of[edge] = 0;
+        }
+        // The push: every record through the reducer, its side output
+        // into the table as the driver writes it.
+        let push = PushReducer {
+            layer_of: &layer_of,
+            layer: 0,
+            ratios: &ratios,
+        };
+        let mut raised = Emitter::new();
+        let pushed: Vec<StackNodeRecord> = covered
+            .into_iter()
+            .filter_map(|(node, record)| {
+                push.reduce(&node, record, &[], &mut raised, &mut Emitter::new())
+            })
+            .collect();
+        for (node, ratio) in raised.into_pairs() {
+            ratios[node] = ratio;
+        }
+        let mut rose = 0;
+        for record in &pushed {
+            let ratio = ratios[record.node];
+            if record.dual > 0.0 {
+                rose += 1;
+                assert_eq!(
+                    ratio.to_bits(),
+                    (record.dual / record.capacity as f64).to_bits(),
+                    "{}",
+                    record.node
+                );
+            } else {
+                assert_eq!(ratio.to_bits(), 0.0f64.to_bits(), "{}", record.node);
+            }
+        }
+        // Only layer endpoints rise, and every one of them does.
+        let on_layer = |node: NodeId| g.incident_edges(node).iter().any(|&e| layer_of[e] == 0);
+        assert_eq!(rose, g.nodes().filter(|&v| on_layer(v)).count());
+        for v in g.nodes().filter(|&v| !on_layer(v)) {
+            assert_eq!(ratios[v].to_bits(), 0.0f64.to_bits(), "{v}");
+        }
     }
 
     #[test]

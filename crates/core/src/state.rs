@@ -16,6 +16,17 @@
 //! neighbour's decision; an edge without a note means what the protocol
 //! of the round says it means (not proposed, not marked, not covered …),
 //! so the shuffle carries the exceptions, not every live edge.
+//!
+//! A fact about a node rather than an edge — GreedyMR's "I retired", the
+//! maximal matcher's "F saturates me", StackMR's `y_v/b(v)` — would be a
+//! note across every edge the node still lists.  It travels instead as
+//! side output of the round that decides it, which the driver writes into
+//! a [`NodeTable`] and hands by reference to the next round's reducer.  A
+//! table is |V| entries in driver RAM, outside the memory budget, like
+//! StackMR's edge-indexed `layer_of`.
+
+use std::cmp::Reverse;
+use std::ops::{Index, IndexMut};
 
 use serde::{Deserialize, Serialize};
 use smr_graph::{BipartiteGraph, Capacities, EdgeId, NodeId};
@@ -84,13 +95,20 @@ impl NodeRecord {
     /// Orders the adjacency heaviest first, ties broken by edge id so
     /// that the order is deterministic.  Deleting entries preserves it, so
     /// a record sorted once stays sorted for a whole run.
+    ///
+    /// # Panics
+    /// Panics on a weight that is not finite and positive, which no
+    /// [`BipartiteGraph`] admits: only for those do the bit patterns order
+    /// like the weights.
     pub fn sort_heaviest_first(&mut self) {
-        self.adjacency.sort_by(|a, b| {
-            b.weight
-                .partial_cmp(&a.weight)
-                .expect("edge weights are finite")
-                .then(a.edge.cmp(&b.edge))
-        });
+        assert!(
+            self.adjacency
+                .iter()
+                .all(|adj| adj.weight.is_finite() && adj.weight > 0.0),
+            "edge weights are finite and positive"
+        );
+        self.adjacency
+            .sort_unstable_by_key(|adj| (Reverse(adj.weight.to_bits()), adj.edge));
     }
 
     /// How many edges the node proposes in a GreedyMR round: its `b(v)`
@@ -162,6 +180,60 @@ impl<P: Copy> PeerNotes<P> {
     /// presence is the whole message, such as a mark or a nomination.
     pub fn contains(&self, edge: EdgeId) -> bool {
         self.get(edge).is_some()
+    }
+}
+
+/// One value per node of a graph: the side data a round reads about its
+/// neighbours, filled by the driver between rounds.  Items take the first
+/// slots and consumers the rest, so the table is dense.
+#[derive(Debug, Clone, PartialEq)]
+pub struct NodeTable<T> {
+    items: usize,
+    values: Vec<T>,
+}
+
+impl<T: Clone> NodeTable<T> {
+    /// A table over `items` items and `consumers` consumers, every entry
+    /// `fill`.
+    pub fn new(items: usize, consumers: usize, fill: T) -> Self {
+        NodeTable {
+            items,
+            values: vec![fill; items + consumers],
+        }
+    }
+
+    /// A table over the nodes of `graph`, every entry `fill`.
+    pub fn for_graph(graph: &BipartiteGraph, fill: T) -> Self {
+        NodeTable::new(graph.num_items(), graph.num_consumers(), fill)
+    }
+}
+
+impl<T> NodeTable<T> {
+    /// The node's slot: items first, then consumers.  An item past the
+    /// table's items would land on a consumer's slot, not out of bounds.
+    fn slot(&self, node: NodeId) -> usize {
+        match node {
+            NodeId::Item(t) => {
+                debug_assert!(t.index() < self.items, "item {t} outside the table");
+                t.index()
+            }
+            NodeId::Consumer(c) => self.items + c.index(),
+        }
+    }
+}
+
+impl<T> Index<NodeId> for NodeTable<T> {
+    type Output = T;
+
+    fn index(&self, node: NodeId) -> &T {
+        &self.values[self.slot(node)]
+    }
+}
+
+impl<T> IndexMut<NodeId> for NodeTable<T> {
+    fn index_mut(&mut self, node: NodeId) -> &mut T {
+        let slot = self.slot(node);
+        &mut self.values[slot]
     }
 }
 
@@ -296,6 +368,35 @@ mod tests {
         assert_eq!(notes.get(4), Some(0));
         assert_eq!(notes.get(5), None, "no note: the neighbour sent none");
         assert!(notes.contains(4) && !notes.contains(5));
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and positive")]
+    fn heaviest_first_rejects_a_non_positive_weight() {
+        let mut t0 = NodeRecord::new(
+            NodeId::item(0),
+            1,
+            vec![
+                AdjEdge::new(0, NodeId::consumer(0), 1.0),
+                AdjEdge::new(1, NodeId::consumer(1), -0.0),
+            ],
+        );
+        t0.sort_heaviest_first();
+    }
+
+    #[test]
+    fn node_tables_give_items_and_consumers_their_own_slots() {
+        let g = graph();
+        let mut table = NodeTable::for_graph(&g, 0u8);
+        table[NodeId::item(1)] = 1;
+        table[NodeId::consumer(0)] = 2;
+        table[NodeId::consumer(1)] = 3;
+        assert_eq!(
+            table.values,
+            vec![0, 1, 2, 3],
+            "items first, then consumers"
+        );
+        assert_eq!(table[NodeId::consumer(1)], 3);
     }
 
     #[test]

@@ -1,14 +1,13 @@
 //! `Codec::encoded_len` is exact for every codec the engine sizes data
 //! with — the primitives, `String`, `Vec`, `Option`, tuples, both struct
-//! macros, `NodeId`, `RoundMsg`, the four matcher state records and
-//! `StackEdge`:
+//! macros, `NodeId`, `RoundMsg` and the four matcher state records:
 //! state partitions and emitted notes spill by it, so an under-reporting
 //! codec would never spill.
 
 use proptest::prelude::*;
 use smr_graph::NodeId;
 use smr_matching::maximal::{WorkEdge, WorkRecord};
-use smr_matching::stack_mr::{PopNodeRecord, StackEdge, StackNodeRecord};
+use smr_matching::stack_mr::{PopNodeRecord, StackNodeRecord};
 use smr_matching::state::{AdjEdge, NodeRecord, RoundMsg};
 use smr_storage::{impl_codec_newtype, impl_codec_struct, Codec};
 
@@ -102,7 +101,6 @@ proptest! {
         dual in any::<f64>(),
         adjacency in adjacency(),
         flags in proptest::collection::vec((any::<bool>(), any::<bool>()), 0..6),
-        peer_ratios in proptest::collection::vec(any::<f64>(), 0..6),
     ) {
         let edges = adjacency
             .iter()
@@ -115,22 +113,9 @@ proptest! {
                 in_f,
             })
             .collect();
-        let stack_edges: Vec<StackEdge> = adjacency
-            .iter()
-            .zip(&peer_ratios)
-            .map(|(adj, &peer_ratio)| StackEdge {
-                edge: adj.edge,
-                other: adj.other,
-                weight: adj.weight,
-                peer_ratio,
-            })
-            .collect();
-        for stack_edge in &stack_edges {
-            exact(stack_edge)?;
-        }
         exact(&NodeRecord::new(n, capacity, adjacency.clone()))?;
         exact(&WorkRecord { node: n, capacity, edges })?;
-        exact(&StackNodeRecord { node: n, capacity, dual, adjacency: stack_edges })?;
+        exact(&StackNodeRecord { node: n, capacity, dual, adjacency: adjacency.clone() })?;
         exact(&PopNodeRecord { node: n, residual: capacity as i64, adjacency })?;
     }
 }

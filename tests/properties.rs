@@ -72,17 +72,16 @@ fn instance_strategy_with(ties: bool) -> impl Strategy<Value = (BipartiteGraph, 
 struct GreedyModel {
     matching: Matching,
     value_per_round: Vec<f64>,
-    /// Per round: the notes that cross the shuffle (the node records stay
-    /// in their state partitions) — one per proposal, and one per edge a
-    /// node retired with the round before.
+    /// Per round: the notes that cross the shuffle — one per proposal.
+    /// The node records stay in their state partitions, and retirements
+    /// reach the neighbours as the driver's side data, not as notes.
     shuffle_records: Vec<u64>,
 }
 
 /// Per round: every live node proposes its `b(v)` heaviest live edges
 /// (ties to the lower edge id); an edge proposed from both ends matches;
 /// an edge whose other end is saturated or has retired drops; a node left
-/// without capacity or without edges retires, and tells the neighbours
-/// across the edges it had left.
+/// without capacity or without edges retires.
 fn simulate_algorithm_3(graph: &BipartiteGraph, caps: &Capacities) -> GreedyModel {
     use std::collections::BTreeMap;
     // A live node: (residual capacity, live edges heaviest first).
@@ -103,14 +102,12 @@ fn simulate_algorithm_3(graph: &BipartiteGraph, caps: &Capacities) -> GreedyMode
         value_per_round: Vec::new(),
         shuffle_records: Vec::new(),
     };
-    let mut retirements = 0;
     while !live.is_empty() {
         let proposals: u64 = live
             .values()
             .map(|(cap, edges)| edges.len().min(*cap as usize) as u64)
             .sum();
-        model.shuffle_records.push(proposals + retirements);
-        retirements = 0;
+        model.shuffle_records.push(proposals);
         let proposes = |v: NodeId, e: EdgeId| {
             live.get(&v)
                 .is_some_and(|(cap, edges)| edges.iter().take(*cap as usize).any(|&p| p == e))
@@ -132,9 +129,7 @@ fn simulate_algorithm_3(graph: &BipartiteGraph, caps: &Capacities) -> GreedyMode
                     kept.push(e);
                 }
             }
-            if left == 0 {
-                retirements += kept.len() as u64;
-            } else if !kept.is_empty() {
+            if left > 0 && !kept.is_empty() {
                 next.insert(v, (left, kept));
             }
         }
