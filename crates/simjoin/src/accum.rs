@@ -12,8 +12,8 @@
 //! Determinism: each doc's running sum starts from `0.0` and takes the
 //! products in the order the caller folds them (the probe's ascending
 //! term order), and candidates drain sorted by doc — so a doc's score is
-//! bit-identical to the prefix terms' share of `SparseVector::dot`
-//! (see [`crate::join::Probe::finish`]).
+//! bit-identical to the first additions of `SparseVector::dot`, the ones
+//! over the consumer's indexed prefix (see [`crate::join::Probe::finish`]).
 
 use crate::join::PartialScore;
 

@@ -1,7 +1,9 @@
 //! What gets indexed and where it lives: the [`Posting`] record, the
-//! [`IndexPlan`] that decides, for any consumer vector, which of its
-//! entries become postings, the in-RAM [`InvertedIndex`] that holds
-//! them, and the [`SuffixTable`] of the entries left out.
+//! [`IndexPlan`] that decides, for any consumer vector, how many of its
+//! leading entries become postings, the in-RAM [`InvertedIndex`] that
+//! holds them, and the [`SuffixTable`] recording where each consumer's
+//! unindexed suffix starts.  The filter's term order is ascending term id
+//! (rarest first in a [`smr_text::Corpus`]): a prefix is `entries()[..plen]`.
 //!
 //! The batch join's job 1 and the standing
 //! [`crate::serving::ServingIndex`] both fill an [`InvertedIndex`] through
@@ -12,7 +14,7 @@
 
 use serde::{Deserialize, Serialize};
 use smr_storage::impl_codec_struct;
-use smr_text::{SparseVector, TermId};
+use smr_text::SparseVector;
 
 use crate::prefix::{prefix_length, suffix_remainder_bound, term_max_weights};
 
@@ -34,18 +36,14 @@ pub struct Posting {
 
 impl_codec_struct!(Posting { doc, weight, bound });
 
-/// The two tables prefix filtering is parameterised by: the per-term
-/// maxima of the *query* (item) side the prefixes are pruned against —
-/// the exactness contract of the index — and the global term order.
+/// The table prefix filtering is parameterised by: the per-term maxima of
+/// the *query* (item) side the prefixes are pruned against — the
+/// exactness contract of the index.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IndexPlan {
     /// `max_weights[t]`: the largest weight any query may carry on term
     /// `t` (`0.0` for terms no query carries).
     pub max_weights: Vec<f64>,
-    /// `term_order_rank[t]`: the rank of term `t` in the global order,
-    /// rarest first, measured by how many vectors on either side contain
-    /// the term (ties toward the lower term id).
-    pub term_order_rank: Vec<u32>,
 }
 
 impl IndexPlan {
@@ -53,29 +51,22 @@ impl IndexPlan {
     /// one term space): the vocabulary is one past the highest term id on
     /// either side, the maxima come from the items.
     pub fn derive(items: &[SparseVector], consumers: &[SparseVector]) -> Self {
-        let both = || items.iter().chain(consumers).flat_map(|v| v.entries());
-        let vocab_size = both().map(|(t, _)| t.index() + 1).max().unwrap_or(0);
-        let mut freq = vec![0u32; vocab_size];
-        for (t, _) in both() {
-            freq[t.index()] += 1;
-        }
-        let mut terms: Vec<usize> = (0..vocab_size).collect();
-        terms.sort_by_key(|&t| (freq[t], t));
-        let mut term_order_rank = vec![0u32; vocab_size];
-        for (rank, t) in terms.into_iter().enumerate() {
-            term_order_rank[t] = rank as u32;
-        }
+        let vocab_size = items
+            .iter()
+            .chain(consumers)
+            .filter_map(|v| v.entries().last())
+            .map(|(t, _)| t.index() + 1)
+            .max()
+            .unwrap_or(0);
         IndexPlan {
             max_weights: term_max_weights(items, vocab_size),
-            term_order_rank,
         }
     }
 
     /// Raises the query-side maxima to cover `observed` per-term query
     /// weights too (growing the vocabulary if queries carried unseen
     /// terms), so an index built from the widened plan is exact for the
-    /// workload that actually arrived.  The term order is untouched:
-    /// widening never reorders the terms consumers carry.
+    /// workload that actually arrived.
     pub fn widened(mut self, observed: &[f64]) -> Self {
         if self.max_weights.len() < observed.len() {
             self.max_weights.resize(observed.len(), 0.0);
@@ -86,15 +77,13 @@ impl IndexPlan {
         self
     }
 
-    /// The one prefix/suffix decision for a consumer vector: its terms in
-    /// the global order, and the length of the prefix to index — cut
-    /// where the suffix bound drops below σ.  `ordered[..plen]` is
-    /// indexed ([`IndexPlan::prefix_postings`]), `ordered[plen..]` is the
+    /// The one prefix/suffix decision for a consumer vector: the length
+    /// of the prefix to index, cut where the suffix bound drops below σ.
+    /// `vector.entries()[..plen]` is indexed
+    /// ([`IndexPlan::prefix_postings`]), `vector.entries()[plen..]` is the
     /// unindexed suffix ([`SuffixTable`]).
-    pub fn cut(&self, vector: &SparseVector, sigma: f64) -> (Vec<TermId>, usize) {
-        let ordered = vector.terms_in_order(&self.term_order_rank);
-        let plen = prefix_length(vector, &ordered, &self.max_weights, sigma);
-        (ordered, plen)
+    pub fn cut(&self, vector: &SparseVector, sigma: f64) -> usize {
+        prefix_length(vector, &self.max_weights, sigma)
     }
 
     /// Emits the prefix postings of consumer `doc`: the indexed part of
@@ -107,37 +96,31 @@ impl IndexPlan {
         sigma: f64,
         mut emit: impl FnMut(u32, Posting),
     ) {
-        let (ordered, plen) = self.cut(vector, sigma);
-        let bound = suffix_remainder_bound(vector, &ordered, plen, &self.max_weights);
-        for term in &ordered[..plen] {
-            let weight = vector.weight(*term);
+        let plen = self.cut(vector, sigma);
+        let bound = suffix_remainder_bound(vector, plen, &self.max_weights);
+        for &(term, weight) in &vector.entries()[..plen] {
             emit(term.0, Posting { doc, weight, bound });
         }
     }
 }
 
-/// Every consumer's unindexed suffix terms — the entries
-/// [`IndexPlan::cut`] leaves out of the index — in one CSR table: consumer
-/// `doc`'s terms, ascending by id, are `terms[starts[doc]..starts[doc + 1]]`.
+/// Where every consumer's unindexed suffix starts — one prefix length per
+/// consumer, cut by [`IndexPlan::cut`]: consumer `doc`'s entries
+/// `[..prefix_len(doc)]` are indexed, the rest are its suffix.
 ///
-/// A probe's partial score for `doc` covers exactly the item's terms
-/// that meet `doc`'s indexed prefix, so it is the whole dot product
-/// whenever the item meets none of these (see
-/// [`crate::join::Probe::finish`]).
+/// A probe's partial score for `doc` covers the item's products over
+/// that prefix; [`crate::join::Probe::finish`] continues it over the
+/// suffix.
 #[derive(Debug, PartialEq)]
 pub struct SuffixTable {
-    /// `consumers + 1` offsets into `terms`.
-    starts: Vec<usize>,
-    /// Suffix term ids, consumer after consumer, ascending within one.
-    terms: Vec<u32>,
+    prefix_lens: Vec<u32>,
 }
 
 impl SuffixTable {
     /// The suffixes of `consumers` (dense indices `0..`) under `plan` at σ.
     pub fn build(plan: &IndexPlan, consumers: &[SparseVector], sigma: f64) -> Self {
         let mut table = SuffixTable {
-            starts: vec![0],
-            terms: Vec::new(),
+            prefix_lens: Vec::with_capacity(consumers.len()),
         };
         table.extend(plan, consumers, sigma);
         table
@@ -145,21 +128,17 @@ impl SuffixTable {
 
     /// Appends the suffixes of `vectors` as the next dense indices.
     pub fn extend(&mut self, plan: &IndexPlan, vectors: &[SparseVector], sigma: f64) {
-        for vector in vectors {
-            let (ordered, plen) = plan.cut(vector, sigma);
-            let first = self.terms.len();
-            self.terms.extend(ordered[plen..].iter().map(|t| t.0));
-            self.terms[first..].sort_unstable();
-            self.starts.push(self.terms.len());
-        }
+        self.prefix_lens
+            .extend(vectors.iter().map(|v| plan.cut(v, sigma) as u32));
     }
 
-    /// Consumer `doc`'s unindexed suffix terms, ascending.
+    /// How many leading entries of consumer `doc` are indexed: its suffix
+    /// is `entries()[prefix_len(doc)..]`.
     ///
     /// # Panics
     /// Panics when `doc` is not in the table.
-    pub fn suffix(&self, doc: usize) -> &[u32] {
-        &self.terms[self.starts[doc]..self.starts[doc + 1]]
+    pub fn prefix_len(&self, doc: usize) -> usize {
+        self.prefix_lens[doc] as usize
     }
 }
 
@@ -332,24 +311,22 @@ impl InvertedIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smr_text::TermId;
 
     fn vec_of(entries: &[(u32, f64)]) -> SparseVector {
         SparseVector::from_entries(entries.iter().map(|&(t, w)| (TermId(t), w)))
     }
 
     #[test]
-    fn derive_ranks_rarest_terms_first_and_takes_maxima_from_the_items() {
+    fn derive_takes_maxima_from_the_items_over_both_sides_vocabulary() {
         let items = vec![vec_of(&[(0, 0.5), (2, 0.1)]), vec_of(&[(0, 0.3)])];
-        let consumers = vec![vec_of(&[(0, 0.9), (1, 0.9)]), vec_of(&[(1, 0.2), (2, 0.2)])];
+        let consumers = vec![vec_of(&[(0, 0.9), (1, 0.9)]), vec_of(&[(1, 0.2), (3, 0.2)])];
         let plan = IndexPlan::derive(&items, &consumers);
-        assert_eq!(plan.max_weights, vec![0.5, 0.0, 0.1]);
-        // Frequencies: t0 = 3, t1 = 2, t2 = 2; ties toward the lower id.
-        assert_eq!(plan.term_order_rank, vec![2, 0, 1]);
+        assert_eq!(plan.max_weights, vec![0.5, 0.0, 0.1, 0.0]);
         assert_eq!(
             IndexPlan::derive(&[], &[]),
             IndexPlan {
-                max_weights: vec![],
-                term_order_rank: vec![]
+                max_weights: vec![]
             }
         );
     }
@@ -361,7 +338,6 @@ mod tests {
         assert_eq!(plan.clone().widened(&[]), plan);
         let wide = plan.clone().widened(&[0.6, 0.1, 0.0, 0.01]);
         assert_eq!(wide.max_weights, vec![0.6, 0.4, 0.0, 0.01]);
-        assert_eq!(wide.term_order_rank, plan.term_order_rank);
     }
 
     #[test]
@@ -370,7 +346,6 @@ mod tests {
         let consumer = vec_of(&[(0, 0.9), (1, 0.05)]);
         let plan = IndexPlan {
             max_weights: term_max_weights(&items, 3),
-            term_order_rank: vec![0, 1, 2],
         };
         let mut postings = Vec::new();
         plan.prefix_postings(7, &consumer, 0.5, |t, p| postings.push((t, p)));
@@ -384,7 +359,7 @@ mod tests {
     }
 
     #[test]
-    fn the_suffix_table_holds_exactly_the_terms_the_prefix_leaves_out() {
+    fn the_suffix_table_starts_each_suffix_where_the_prefix_postings_end() {
         let items = vec![vec_of(&[(0, 0.8), (1, 0.6), (2, 0.5), (3, 0.4)])];
         let consumers = vec![
             vec_of(&[(0, 0.9), (1, 0.3), (3, 0.05)]),
@@ -397,15 +372,15 @@ mod tests {
         for (doc, vector) in consumers.iter().enumerate() {
             let mut indexed = Vec::new();
             plan.prefix_postings(doc, vector, sigma, |t, _| indexed.push(t));
-            let suffix = table.suffix(doc);
-            assert!(suffix.windows(2).all(|w| w[0] < w[1]), "ascending");
-            let mut all: Vec<u32> = indexed.iter().chain(suffix).copied().collect();
-            all.sort_unstable();
-            let terms: Vec<u32> = vector.entries().iter().map(|(t, _)| t.0).collect();
-            assert_eq!(all, terms, "doc {doc}: prefix and suffix split its terms");
+            let plen = table.prefix_len(doc);
+            let prefix: Vec<u32> = vector.entries()[..plen].iter().map(|(t, _)| t.0).collect();
+            assert_eq!(indexed, prefix, "doc {doc}: the postings are the prefix");
         }
+        assert_eq!(table.prefix_len(0), 1, "0.3·0.6 + 0.05·0.4 < 0.4");
         // Doc 1 cannot reach σ at all: all suffix, nothing indexed.
-        assert_eq!(table.suffix(1), [2, 3]);
+        assert_eq!(table.prefix_len(1), 0);
+        // Doc 2's last entry alone (0.6·0.5) stays below σ.
+        assert_eq!(table.prefix_len(2), 1);
         // Extending is building over the concatenation.
         let mut grown = SuffixTable::build(&plan, &consumers[..1], sigma);
         grown.extend(&plan, &consumers[1..], sigma);

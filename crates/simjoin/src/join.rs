@@ -14,11 +14,12 @@
 //!   **partial products** per candidate, in ascending term order.  A
 //!   candidate whose accumulated score plus remainder bound cannot reach
 //!   σ is pruned; every other candidate is finished on the spot
-//!   ([`Probe::finish`]).  Its partial score already is the exact
-//!   similarity, bit for bit, when the item meets none of the consumer's
-//!   unindexed suffix terms (the hand-off's [`SuffixTable`]); otherwise
-//!   it costs one dot product against the consumer vector the mapper
-//!   already holds.  Only pairs whose
+//!   ([`Probe::finish`]).  Term ids ascend in the filter's order, so
+//!   the partial score is the dot product's first additions: the finish
+//!   continues it over the consumer's unindexed suffix (where the
+//!   hand-off's [`SuffixTable`] says it starts), merging only the tails
+//!   of the two vectors against the consumer vector the mapper already
+//!   holds — the similarity, bit for bit.  Only pairs whose
 //!   similarity reaches σ are emitted, so the shuffle carries true edges
 //!   only; its pass-through reducer fixes their order (hash partition,
 //!   then pair), and that order fixes the edge ids.
@@ -49,6 +50,7 @@ use smr_graph::{BipartiteGraph, GraphBuilder};
 use smr_mapreduce::flow::{Dataset, FlowContext};
 use smr_mapreduce::types::{Key, Value};
 use smr_mapreduce::{Counters, Emitter, IdentityReducer, JobMetrics, Mapper};
+use smr_text::sparse::add_products;
 use smr_text::{Corpus, SparseVector, TermId};
 
 use crate::accum::ScoreAccumulator;
@@ -66,10 +68,11 @@ pub mod counter {
     /// the probe mapper ([`crate::join::Probe::finish`],
     /// [`crate::join::verify_candidates`]).
     pub const VERIFY_EXACT: &str = "verify_exact";
-    /// Verified candidates that cost a real dot product: survivors whose
-    /// item meets the consumer's unindexed suffix, every survivor of a
-    /// sampled probe, and every candidate of a generator without partial
-    /// scores.  At most `verify_exact`.
+    /// Verified candidates that took a product beyond their partial score:
+    /// survivors whose item meets the consumer's unindexed suffix (a tail
+    /// product, [`crate::join::Probe::finish`]), every survivor of a
+    /// sampled probe and every candidate of a generator without partial
+    /// scores (a full dot product).  At most `verify_exact`.
     pub const VERIFY_DOT: &str = "verify_dot";
 }
 
@@ -77,17 +80,16 @@ pub mod counter {
 /// partial score.
 ///
 /// A partial score adds the products of the shared *indexed* terms in
-/// ascending term order from `0.0` — the very operations
-/// `SparseVector::dot` performs on those terms.  The two differ only by
-/// the consumer's unindexed suffix terms the item also carries: without
-/// any, the partial score *is* the dot product, bit for bit (which is why
-/// [`Probe::finish`] may emit it); with some, the dot interleaves their
-/// products between the prefix ones, so the rounded dot can exceed the
-/// rounded `score + remainder` the prune tests by a few ulps even though,
-/// in exact arithmetic, the remainder bounds the suffix's share.  The
-/// slack keeps the prune strictly conservative (a pair at exactly σ
-/// always survives to verification) while remaining far below any
-/// meaningful similarity difference of unit-normalized vectors.
+/// ascending term order from `0.0`.  Term ids ascend in the filter's order
+/// (a `Corpus` numbers its vocabulary rarest first), so every prefix id
+/// lies below every suffix id and those are the first additions
+/// `SparseVector::dot` performs; [`Probe::finish`] continues them over the
+/// consumer's suffix.  The remainder bounds the suffix's share only in
+/// exact arithmetic: rounded, `score + tail` can exceed the rounded
+/// `score + remainder` the prune tests by a few ulps.  The slack keeps the
+/// prune strictly conservative (a pair at exactly σ always survives to
+/// verification) while remaining far below any meaningful similarity
+/// difference of unit-normalized vectors.
 const PRUNE_SLACK: f64 = 1e-9;
 
 /// Generator tag of the exact prefix-filter join in [`SimJoinResult`]
@@ -138,8 +140,9 @@ pub struct SimJoinResult {
     pub candidates_pruned: usize,
     /// Candidates that reached exact verification in the probe mapper.
     pub verify_exact: usize,
-    /// Verified candidates that cost an in-RAM dot product (the rest were
-    /// finished from their partial score; see [`Probe::finish`]).
+    /// Verified candidates that took a product beyond their partial score:
+    /// a suffix-tail product ([`Probe::finish`]), or a full dot product
+    /// for sampled probes and generators without partial scores.
     pub verify_dot: usize,
     /// Number of (term, document) entries indexed by job 1 (after prefix
     /// pruning); for sketch generators, the size of whatever standing
@@ -224,16 +227,21 @@ impl Probe {
     /// The finish rule — the one place a survivor's similarity is
     /// decided, for the batch probe mapper and the serving point query
     /// alike: hands `(doc, similarity)` to `visit` for every survivor, in
-    /// doc order, and returns how many cost a dot product.
+    /// doc order, and returns how many took a product beyond their
+    /// partial score.
     ///
-    /// A survivor's partial score sums `x_t · y_t` over the item's terms
-    /// in the consumer's indexed prefix, in ascending term order from
-    /// `0.0`.  When the item meets none of the consumer's unindexed suffix
-    /// terms (`suffixes`), those are all the terms the two share, and
-    /// `SparseVector::dot` performs exactly the same operations: the
-    /// partial score is the similarity, bit for bit.  Otherwise — or when
-    /// the probe was [sampled](Probe::sampled) — the similarity is
-    /// `vector.dot(&consumers[doc])`.
+    /// The filter's order is ascending term id, so a consumer's indexed
+    /// prefix is `entries()[..plen]` and every suffix id lies above every
+    /// prefix id.  A survivor's partial score sums `x_t · y_t` over the
+    /// item's terms in that prefix, in ascending term order from `0.0`:
+    /// the first additions `SparseVector::dot` makes.  The finish
+    /// continues the sum by merging the item's entries from the
+    /// consumer's first suffix id with `entries()[plen..]` (`suffixes`):
+    /// the dot's remaining additions, in its order.  So the similarity is
+    /// the dot product, bit for bit, and a survivor whose item meets no
+    /// suffix term costs no multiplication at all.  A
+    /// [sampled](Probe::sampled) probe's scores are estimates, so its
+    /// survivors take the full `vector.dot(&consumers[doc])`.
     pub fn finish(
         &self,
         vector: &SparseVector,
@@ -242,32 +250,24 @@ impl Probe {
         mut visit: impl FnMut(usize, f64),
     ) -> u64 {
         let query = vector.entries();
-        let mut dots = 0;
+        let mut extended = 0;
         for &(doc, partial) in &self.survivors {
-            let similarity = if self.sampled || meets(query, suffixes.suffix(doc)) {
-                dots += 1;
+            let similarity = if self.sampled {
+                extended += 1;
                 vector.dot(&consumers[doc])
             } else {
-                partial.score
+                let tail = &consumers[doc].entries()[suffixes.prefix_len(doc)..];
+                let from = tail.first().map_or(query.len(), |&(first, _)| {
+                    query.partition_point(|&(t, _)| t < first)
+                });
+                let (similarity, added) = add_products(partial.score, &query[from..], tail);
+                extended += u64::from(added);
+                similarity
             };
             visit(doc, similarity);
         }
-        dots
+        extended
     }
-}
-
-/// Whether some term of `suffix` is among the `query`'s terms (both
-/// ascending by term id).
-fn meets(query: &[(TermId, f64)], suffix: &[u32]) -> bool {
-    let (mut q, mut s) = (0, 0);
-    while q < query.len() && s < suffix.len() {
-        match query[q].0 .0.cmp(&suffix[s]) {
-            std::cmp::Ordering::Less => q += 1,
-            std::cmp::Ordering::Greater => s += 1,
-            std::cmp::Ordering::Equal => return true,
-        }
-    }
-    false
 }
 
 /// Probes `index` with one query: hands the index, the query's entries
@@ -1049,11 +1049,10 @@ mod tests {
         SparseVector::from_entries(entries.iter().map(|&(t, w)| (TermId(t), w)))
     }
 
-    /// A plan with the identity term order and every query maximum 1.
+    /// A plan with every query maximum 1.
     fn flat_plan(vocab: u32) -> IndexPlan {
         IndexPlan {
             max_weights: vec![1.0; vocab as usize],
-            term_order_rank: (0..vocab).collect(),
         }
     }
 
@@ -1087,8 +1086,8 @@ mod tests {
         let plan = flat_plan(8);
         let sigma = 0.5;
         let suffixes = SuffixTable::build(&plan, &consumers, sigma);
-        assert_eq!(suffixes.suffix(0), [1, 2]);
-        assert!(suffixes.suffix(1).is_empty());
+        assert_eq!(suffixes.prefix_len(0), 1);
+        assert_eq!(suffixes.prefix_len(1), 2);
         // All eight terms: the walk iterates the index's three terms and
         // looks each up in the query.
         let long = vec_of(
@@ -1096,7 +1095,7 @@ mod tests {
                 .map(|t| (t, 0.6 + 0.05 * t as f64))
                 .collect::<Vec<_>>(),
         );
-        // Meets doc 0's suffix (dotted); doc 1 has none (finished).
+        // Meets doc 0's suffix (a tail product); doc 1 has none.
         assert_eq!(finish_against(&plan, &consumers, sigma, &long), (2, 1));
         let mut postings = Vec::new();
         for (doc, y) in consumers.iter().enumerate() {
@@ -1125,7 +1124,7 @@ mod tests {
         let (mut survivors, mut dots) = (0, 0);
         for sigma in [0.3, 0.45, 0.6] {
             let suffixes = SuffixTable::build(&plan, &vectors, sigma);
-            assert!((0..vectors.len()).any(|doc| !suffixes.suffix(doc).is_empty()));
+            assert!((0..vectors.len()).any(|doc| suffixes.prefix_len(doc) < vectors[doc].len()));
             for x in &vectors {
                 let (s, d) = finish_against(&plan, &vectors, sigma, x);
                 survivors += s;
@@ -1135,38 +1134,87 @@ mod tests {
         assert!(dots > 0 && (dots as usize) < survivors);
     }
 
-    #[test]
-    fn a_consumer_that_is_all_suffix_is_never_a_candidate_and_finishes_by_its_dot() {
-        // Prefix length 0: even the whole vector cannot reach σ, so
-        // nothing is indexed and its suffix is every term.
-        let consumers = vec![vec_of(&[(0, 0.9)]), vec_of(&[(1, 0.1), (2, 0.2)])];
-        let plan = flat_plan(3);
-        let sigma = 0.5;
-        let suffixes = SuffixTable::build(&plan, &consumers, sigma);
-        assert_eq!(plan.cut(&consumers[1], sigma).1, 0);
-        assert_eq!(suffixes.suffix(1), [1, 2]);
-        let x = vec_of(&[(0, 0.7), (1, 0.5), (2, 0.5)]);
-        assert_eq!(finish_against(&plan, &consumers, sigma, &x), (1, 0));
-        // Handed to the finish anyway, with the empty score it would
-        // carry, it takes the dot whenever the item shares a term with it
-        // and is `0.0` — the dot's bits — when it shares none.
+    /// Finishes one survivor `doc` of `x` whose partial score is the
+    /// probe's (its products over `doc`'s indexed prefix), asserting the
+    /// bits of `x.dot(y)`; returns whether it took a tail product.
+    fn finish_one(
+        consumers: &[SparseVector],
+        suffixes: &SuffixTable,
+        doc: usize,
+        x: &SparseVector,
+    ) -> bool {
+        let plen = suffixes.prefix_len(doc);
+        let score = consumers[doc].entries()[..plen]
+            .iter()
+            .filter_map(|&(t, w)| {
+                x.entries()
+                    .iter()
+                    .find(|(u, _)| *u == t)
+                    .map(|(_, v)| v * w)
+            })
+            .fold(0.0, |sum, product| sum + product);
         let probe = Probe {
             survivors: vec![(
-                1,
+                doc,
                 PartialScore {
-                    score: 0.0,
-                    remainder: 0.3,
+                    score,
+                    remainder: 1.0,
                 },
             )],
             pruned: 0,
             sampled: false,
         };
-        for (x, dotted) in [(x, 1), (vec_of(&[(0, 1.0)]), 0)] {
-            let mut got = None;
-            let dots = probe.finish(&x, &consumers, &suffixes, |_, s| got = Some(s));
-            assert_eq!(dots, dotted);
-            assert_eq!(got.map(f64::to_bits), Some(x.dot(&consumers[1]).to_bits()));
+        let mut got = None;
+        let tails = probe.finish(x, consumers, suffixes, |_, s| got = Some(s));
+        let dot = x.dot(&consumers[doc]);
+        assert_eq!(
+            got.map(f64::to_bits),
+            Some(dot.to_bits()),
+            "doc {doc}: {got:?} vs {dot}"
+        );
+        tails == 1
+    }
+
+    #[test]
+    fn the_tail_merge_is_the_dot_product_for_every_shape_of_suffix() {
+        // Doc 0: prefix {t1}, suffix {t3, t5}.  Doc 1: all suffix (even
+        // the whole vector cannot reach σ).  Doc 2: empty suffix.
+        let consumers = vec![
+            vec_of(&[(1, 0.9), (3, 0.2), (5, 0.1)]),
+            vec_of(&[(2, 0.1), (4, 0.2)]),
+            vec_of(&[(0, 0.7), (6, 0.6)]),
+        ];
+        let plan = flat_plan(8);
+        let sigma = 0.5;
+        let suffixes = SuffixTable::build(&plan, &consumers, sigma);
+        assert_eq!(
+            (0..3).map(|d| suffixes.prefix_len(d)).collect::<Vec<_>>(),
+            [1, 0, 2]
+        );
+        let cases = [
+            // The item has no entry at or after the first suffix id.
+            (0, vec![(0, 0.4), (1, 0.3), (2, 0.5)], false),
+            // Entries past the first suffix id, but none shared.
+            (0, vec![(1, 0.3), (4, 0.5), (7, 0.2)], false),
+            // The tail meets at the first suffix term, then again later.
+            (0, vec![(1, 0.3), (3, 0.7), (5, 0.1)], true),
+            (0, vec![(0, 0.2), (3, 0.7)], true),
+            // Prefix length 0: the score is `0.0`, the whole vector the tail.
+            (1, vec![(2, 0.6), (4, 0.5)], true),
+            (1, vec![(0, 1.0)], false),
+            // An empty suffix: the partial score is the similarity.
+            (2, vec![(0, 0.3), (6, 0.9), (7, 0.1)], false),
+        ];
+        for (doc, x, tail) in cases {
+            assert_eq!(
+                finish_one(&consumers, &suffixes, doc, &vec_of(&x)),
+                tail,
+                "doc {doc}, item {x:?}"
+            );
         }
+        // Through the real probe, the all-suffix doc is never a candidate.
+        let x = vec_of(&[(0, 0.8), (1, 0.7), (2, 0.5), (4, 0.5), (6, 0.2)]);
+        assert_eq!(finish_against(&plan, &consumers, sigma, &x), (2, 0));
     }
 
     #[test]

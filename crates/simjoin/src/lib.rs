@@ -7,22 +7,30 @@
 //! prefix-filtering self-join of Baraglia, De Francisci Morales and
 //! Lucchese to the bipartite (item × consumer) case.
 //!
+//! The filter's global term order is ascending term id: a
+//! [`smr_text::Corpus`] numbers its vocabulary rarest first, so a
+//! consumer's indexed prefix is `entries()[..plen]` and a survivor's
+//! partial score is the start of its dot product.  Vectors numbered any
+//! other way still join exactly, only less selectively.
+//!
 //! * [`align`] — both sides of the join vectorized over one joint
 //!   vocabulary ([`AlignedCorpora`]), and later text into the same space,
-//! * [`prefix`] — the prefix-filtering bounds: which entries of a consumer
-//!   vector must be indexed so that no pair above the threshold can be
-//!   missed, and what the pruned suffix could still contribute (the
-//!   *remainder bound* of partial-product verification),
-//! * [`index`] — the [`IndexPlan`] (query-side maxima + global term order),
-//!   the one cut of a consumer vector into indexed prefix and unindexed
-//!   suffix, the in-RAM [`InvertedIndex`] both the batch probe and serving
-//!   read, and the [`SuffixTable`] they finish candidates with,
+//! * [`prefix`] — the prefix-filtering bounds: how many leading entries
+//!   of a consumer vector must be indexed so that no pair above the
+//!   threshold can be missed, and what the pruned suffix could still
+//!   contribute (the *remainder bound* of partial-product verification),
+//! * [`index`] — the [`IndexPlan`] (query-side maxima), the one cut of a
+//!   consumer vector into indexed prefix and unindexed suffix at a
+//!   prefix length, the in-RAM [`InvertedIndex`] both the batch probe and
+//!   serving read, and the [`SuffixTable`] of prefix lengths they finish
+//!   candidates with,
 //! * [`baseline`] — an exact all-pairs join used as ground truth,
 //! * [`accum`] — the dense per-query score table the probe folds partial
 //!   products into,
 //! * [`join`] — the two-MapReduce-job chain (index construction, then
 //!   partial-product probing with suffix-bound pruning and exact
-//!   verification in the probe mapper) producing a
+//!   verification in the probe mapper, each survivor finished by merging
+//!   the suffix tails) producing a
 //!   [`smr_graph::BipartiteGraph`]; see
 //!   `docs/simjoin.md` for the filter math and the dataflow,
 //! * [`serving`] — the index kept alive after the batch build, with the

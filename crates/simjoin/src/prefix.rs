@@ -2,7 +2,11 @@
 //!
 //! The idea (Chaudhuri et al., adapted by Baraglia et al. to MapReduce):
 //! order the entries of every vector by a fixed global term order and index
-//! only a *prefix* of each vector.  The prefix is chosen so that the
+//! only a *prefix* of each vector.  Here that order is ascending term id: a
+//! [`smr_text::Corpus`] numbers its vocabulary rarest first, so a vector's
+//! entries already run from its rarest term, and its prefix is
+//! `entries()[..prefix_length]`.  Vectors numbered any other way still
+//! join exactly, only with less selective prefixes.  The prefix is chosen so that the
 //! remaining suffix alone cannot produce a dot product of σ or more with
 //! *any* vector of the other side; therefore every pair with similarity at
 //! least σ shares at least one term inside the indexed prefix and cannot be
@@ -33,38 +37,25 @@ pub fn term_max_weights(vectors: &[SparseVector], vocab_size: usize) -> Vec<f64>
     max_w
 }
 
-/// Number of leading entries of `ordered_terms` (the vector's terms in the
-/// global order) that must be indexed so that the suffix bound drops below
-/// `sigma`.
+/// Number of leading entries of `vector` (ascending by term id) that must
+/// be indexed so that the suffix bound drops below `sigma`.
 ///
-/// Returns a value in `0..=ordered_terms.len()`: `0` means the whole vector
-/// can be skipped (it cannot reach σ with anything), `len` means every
-/// entry must be indexed.
-pub fn prefix_length(
-    vector: &SparseVector,
-    ordered_terms: &[TermId],
-    max_weights: &[f64],
-    sigma: f64,
-) -> usize {
+/// Returns a value in `0..=vector.len()`: `0` means the whole vector can
+/// be skipped (it cannot reach σ with anything), `len` means every entry
+/// must be indexed.
+pub fn prefix_length(vector: &SparseVector, max_weights: &[f64], sigma: f64) -> usize {
     debug_assert!(sigma > 0.0, "threshold must be positive");
-    // Suffix bounds computed from the back: suffix_bound[k] is the largest
-    // possible contribution of entries k.. against any opposite vector.
+    // The suffix bound grows from the back: once entries k.. could reach
+    // the threshold on their own, entry k must be part of the prefix and
+    // everything after k may be pruned.
     let mut suffix_bound = 0.0;
-    let mut prefix = ordered_terms.len();
-    for (k, term) in ordered_terms.iter().enumerate().rev() {
-        let w = vector.weight(*term);
-        let maxw = max_weights.get(term.index()).copied().unwrap_or(0.0);
-        let candidate_bound = suffix_bound + w * maxw;
-        if candidate_bound >= sigma {
-            // Entries k.. could reach the threshold on their own, so entry k
-            // must be part of the prefix; everything after k may be pruned.
-            prefix = k + 1;
-            break;
+    for (k, &(term, w)) in vector.entries().iter().enumerate().rev() {
+        suffix_bound += w * max_weight(max_weights, term);
+        if suffix_bound >= sigma {
+            return k + 1;
         }
-        suffix_bound = candidate_bound;
-        prefix = k;
     }
-    prefix
+    0
 }
 
 /// Upper bound on the contribution of the *unindexed* suffix of a vector
@@ -79,17 +70,19 @@ pub fn prefix_length(
 /// discarded without ever touching the vectors.
 pub fn suffix_remainder_bound(
     vector: &SparseVector,
-    ordered_terms: &[TermId],
     prefix_len: usize,
     max_weights: &[f64],
 ) -> f64 {
-    ordered_terms[prefix_len.min(ordered_terms.len())..]
+    let entries = vector.entries();
+    entries[prefix_len.min(entries.len())..]
         .iter()
-        .map(|term| {
-            let maxw = max_weights.get(term.index()).copied().unwrap_or(0.0);
-            vector.weight(*term).abs() * maxw
-        })
+        .map(|&(term, w)| w.abs() * max_weight(max_weights, term))
         .sum()
+}
+
+/// The query-side maximum of `term` (`0.0` beyond the table).
+fn max_weight(max_weights: &[f64], term: TermId) -> f64 {
+    max_weights.get(term.index()).copied().unwrap_or(0.0)
 }
 
 #[cfg(test)]
@@ -118,46 +111,42 @@ mod tests {
     #[test]
     fn prefix_is_zero_when_nothing_can_reach_the_threshold() {
         let v = vec_of(&[(0, 0.1), (1, 0.1)]);
-        let order = vec![TermId(0), TermId(1)];
         let maxw = vec![0.2, 0.2];
         // Best possible dot product is 0.1*0.2 + 0.1*0.2 = 0.04 < 0.5.
-        assert_eq!(prefix_length(&v, &order, &maxw, 0.5), 0);
+        assert_eq!(prefix_length(&v, &maxw, 0.5), 0);
     }
 
     #[test]
     fn prefix_covers_everything_when_the_last_term_alone_suffices() {
         let v = vec_of(&[(0, 1.0), (1, 1.0)]);
-        let order = vec![TermId(0), TermId(1)];
         let maxw = vec![1.0, 1.0];
         // Even the final entry alone can contribute 1.0 ≥ 0.5, so the whole
         // vector must be indexed.
-        assert_eq!(prefix_length(&v, &order, &maxw, 0.5), 2);
+        assert_eq!(prefix_length(&v, &maxw, 0.5), 2);
     }
 
     #[test]
     fn prefix_stops_where_the_suffix_bound_falls_below_sigma() {
-        // Ordered terms: t0 (heavy), t1, t2 (light tail).
+        // Terms in id order: t0 (heavy), t1, t2 (light tail).
         let v = vec_of(&[(0, 1.0), (1, 0.3), (2, 0.1)]);
-        let order = vec![TermId(0), TermId(1), TermId(2)];
         let maxw = vec![1.0, 1.0, 1.0];
         // Suffix {t2}: bound 0.1 < 0.5  -> prunable.
         // Suffix {t1,t2}: bound 0.4 < 0.5 -> prunable.
         // Suffix {t0,t1,t2}: bound 1.4 ≥ 0.5 -> t0 must be indexed.
-        assert_eq!(prefix_length(&v, &order, &maxw, 0.5), 1);
+        assert_eq!(prefix_length(&v, &maxw, 0.5), 1);
     }
 
     #[test]
     fn suffix_remainder_bound_sums_the_pruned_tail() {
         let v = vec_of(&[(0, 1.0), (1, 0.3), (2, 0.1)]);
-        let order = vec![TermId(0), TermId(1), TermId(2)];
         let maxw = vec![1.0, 0.5, 1.0];
         // Suffix {t1, t2}: 0.3·0.5 + 0.1·1.0.
-        let bound = suffix_remainder_bound(&v, &order, 1, &maxw);
+        let bound = suffix_remainder_bound(&v, 1, &maxw);
         assert!((bound - 0.25).abs() < 1e-12);
         // Whole vector indexed ⇒ nothing remains.
-        assert_eq!(suffix_remainder_bound(&v, &order, 3, &maxw), 0.0);
+        assert_eq!(suffix_remainder_bound(&v, 3, &maxw), 0.0);
         // Out-of-range prefix lengths clamp instead of panicking.
-        assert_eq!(suffix_remainder_bound(&v, &order, 9, &maxw), 0.0);
+        assert_eq!(suffix_remainder_bound(&v, 9, &maxw), 0.0);
     }
 
     #[test]
@@ -174,21 +163,15 @@ mod tests {
             vec_of(&[(0, 0.1), (3, 0.9)]),
         ];
         let maxw = term_max_weights(&items, 4);
-        let order: Vec<TermId> = (0..4).map(TermId).collect();
         for sigma in [0.1, 0.3, 0.5] {
             for y in &consumers {
-                let ordered: Vec<TermId> = order
-                    .iter()
-                    .copied()
-                    .filter(|t| y.weight(*t) != 0.0)
-                    .collect();
-                let plen = prefix_length(y, &ordered, &maxw, sigma);
-                let bound = suffix_remainder_bound(y, &ordered, plen, &maxw);
+                let plen = prefix_length(y, &maxw, sigma);
+                let bound = suffix_remainder_bound(y, plen, &maxw);
                 assert!(bound < sigma, "the pruned suffix can never reach sigma");
                 for x in &items {
-                    let prefix_part: f64 = ordered[..plen]
+                    let prefix_part: f64 = y.entries()[..plen]
                         .iter()
-                        .map(|t| x.weight(*t) * y.weight(*t))
+                        .map(|&(t, w)| x.weight(t) * w)
                         .sum();
                     assert!(
                         prefix_part + bound >= x.dot(y) - 1e-12,
@@ -215,20 +198,13 @@ mod tests {
             vec_of(&[(0, 0.1), (3, 0.9)]),
         ];
         let maxw = term_max_weights(&items, 4);
-        let order: Vec<TermId> = (0..4).map(TermId).collect();
         for sigma in [0.1, 0.3, 0.5] {
             for y in &consumers {
-                let ordered: Vec<TermId> = order
-                    .iter()
-                    .copied()
-                    .filter(|t| y.weight(*t) != 0.0)
-                    .collect();
-                let plen = prefix_length(y, &ordered, &maxw, sigma);
-                let prefix: Vec<TermId> = ordered[..plen].to_vec();
+                let prefix = &y.entries()[..prefix_length(y, &maxw, sigma)];
                 for x in &items {
                     if x.dot(y) >= sigma {
                         assert!(
-                            prefix.iter().any(|t| x.weight(*t) != 0.0),
+                            prefix.iter().any(|&(t, _)| x.weight(t) != 0.0),
                             "pair above threshold shares no prefix term (sigma={sigma})"
                         );
                     }

@@ -3,8 +3,8 @@
 //!
 //! The batch join builds its pruned inverted index, probes it once with
 //! every item, and throws it away.  [`ServingIndex`] keeps the same
-//! structure alive — the [`InvertedIndex`], the [`SuffixTable`] of what
-//! it leaves out, and the consumer vectors it owns — and answers two
+//! structure alive — the [`InvertedIndex`], the [`SuffixTable`] of where
+//! each consumer's unindexed suffix starts, and the consumer vectors it owns — and answers two
 //! requests the batch path cannot:
 //!
 //! * [`ServingIndex::match_one`] — "a new item just arrived: who are its
@@ -12,12 +12,12 @@
 //!   probe (partial products over shared indexed terms, the
 //!   suffix-remainder prune at `σ − slack`), then finishes the survivors
 //!   by the batch rule ([`crate::join::Probe::finish`]): the partial
-//!   score where the query meets none of the consumer's suffix terms, an
-//!   exact dot product against the owned vector otherwise.  No corpus
+//!   score, continued over the tail of the consumer's owned vector past
+//!   its indexed prefix — the exact dot product, bit for bit.  No corpus
 //!   scan: the query only touches the postings of its own terms.
 //! * [`ServingIndex::append_batch`] — "these consumers just joined the
 //!   corpus."  Each new vector's prefix postings join the index after the
-//!   existing postings of their terms, its suffix joins the table, and
+//!   existing postings of their terms, its prefix length joins the table, and
 //!   the vectors join the owned corpus.
 //!
 //! **Exactness.**  A query probes the same postings the batch probe mapper
@@ -55,12 +55,12 @@ pub struct ScoredMatch {
 #[derive(Debug)]
 pub struct ServingIndex {
     index: InvertedIndex,
-    /// Every consumer's unindexed suffix terms, by dense index.
+    /// Where every consumer's unindexed suffix starts, by dense index.
     suffixes: SuffixTable,
     /// Every indexed consumer, by dense index.
     consumers: Vec<SparseVector>,
     sigma: f64,
-    /// The term order and query-side maxima the prefixes were cut with.
+    /// The query-side maxima the prefixes were cut with.
     plan: IndexPlan,
     /// Queries seen so far that carried some term heavier than its
     /// build-time maximum — queries the exactness contract no longer
@@ -70,7 +70,7 @@ pub struct ServingIndex {
 
 impl ServingIndex {
     /// Builds a serving index over a copy of `consumers` at threshold
-    /// `sigma`.  `plan` fixes the global term order and
+    /// `sigma`.  `plan` fixes
     /// the per-term upper bounds on the weight any future query may carry;
     /// the prefix of each consumer is pruned against these, so they are
     /// the exactness contract of the index.
@@ -217,8 +217,8 @@ impl ServingIndex {
 
     /// Absorbs a micro-batch of new consumers, returning the dense indices
     /// they were assigned.  Each vector's prefix postings join the index
-    /// after the existing postings of their terms, its suffix joins the
-    /// suffix table, and the vectors join the owned corpus.
+    /// after the existing postings of their terms, its prefix length joins
+    /// the suffix table, and the vectors join the owned corpus.
     pub fn append_batch(&mut self, batch: &[SparseVector]) -> Range<usize> {
         let assigned = self.len()..self.len() + batch.len();
         if batch.is_empty() {

@@ -6,6 +6,10 @@
 //! and verification in the probe mapper are pure optimizations; they may
 //! never change a single output bit.
 //!
+//! Vectors numbered any other way than a `Corpus` numbers them (rarest
+//! first) still join exactly: the filter's order is then a worse one, so
+//! only selectivity may suffer, never an edge or a weight bit.
+//!
 //! A separate determinism test pins the pruned-pair counts: 20 identical
 //! runs must report identical `candidate_pairs` / `candidates_pruned` /
 //! `verify_exact`, which is what lets the experiment tables (and the CI
@@ -99,6 +103,77 @@ proptest! {
                     );
                 }
             }
+        }
+    }
+}
+
+/// The ids `0..n` in a seeded Fisher–Yates order.
+fn shuffled_ids(n: u32, seed: u64) -> Vec<u32> {
+    let mut ids: Vec<u32> = (0..n).collect();
+    let mut state = seed | 1;
+    for i in (1..ids.len()).rev() {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ids.swap(i, (state >> 33) as usize % (i + 1));
+    }
+    ids
+}
+
+/// `vectors` with term `t` renamed `permutation[t]`.
+fn renumbered(vectors: &[SparseVector], permutation: &[u32]) -> Vec<SparseVector> {
+    vectors
+        .iter()
+        .map(|v| {
+            SparseVector::from_entries(
+                v.entries()
+                    .iter()
+                    .map(|&(t, w)| (TermId(permutation[t.index()]), w)),
+            )
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn a_join_over_ids_in_any_order_returns_the_brute_force_edges(
+        item_docs in proptest::collection::vec(
+            proptest::collection::vec(0u8..24, 0..10), 1..14),
+        consumer_docs in proptest::collection::vec(
+            proptest::collection::vec(0u8..24, 0..10), 1..16),
+        seed in any::<u64>(),
+    ) {
+        let permutation = shuffled_ids(24, seed);
+        let items = corpus("t", &item_docs);
+        let consumers = corpus("c", &consumer_docs);
+        let items = renumbered(items.vectors(), &permutation);
+        let consumers = renumbered(consumers.vectors(), &permutation);
+        let names_i: Vec<String> = (0..items.len()).map(|i| format!("t{i}")).collect();
+        let names_c: Vec<String> = (0..consumers.len()).map(|i| format!("c{i}")).collect();
+        for sigma in [0.08, 0.2, 0.45] {
+            let mut expected = Vec::new();
+            for (t, x) in items.iter().enumerate() {
+                for (c, y) in consumers.iter().enumerate() {
+                    let dot = x.dot(y);
+                    if dot >= sigma {
+                        expected.push((t as u32, c as u32, dot.to_bits()));
+                    }
+                }
+            }
+            let result = mapreduce_similarity_join_vectors_flow(
+                &items,
+                &consumers,
+                &names_i,
+                &names_c,
+                sigma,
+                &join_flow(None, 2),
+            );
+            prop_assert!(
+                canonical_edges(&result.graph) == expected,
+                "renumbered join diverged from brute force (sigma={sigma})"
+            );
         }
     }
 }

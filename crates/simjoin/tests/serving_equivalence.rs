@@ -124,3 +124,69 @@ proptest! {
         }
     }
 }
+
+/// Deterministic pseudo-random tag lists, vectorized like the proptest's.
+fn seeded_vectors(n: usize, seed: u64) -> Vec<SparseVector> {
+    let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+    let mut next = move |below: u64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) % below
+    };
+    (0..n)
+        .map(|_| {
+            let tags: Vec<u8> = (0..1 + next(9)).map(|_| next(24) as u8).collect();
+            vectorize(&tags)
+        })
+        .collect()
+}
+
+/// Consumers grown by `append_batch`, then re-cut by `reindex`, answer
+/// every item with the batch join's candidates over all of them.
+#[test]
+fn appended_and_reindexed_candidates_equal_the_batch_join_bit_for_bit() {
+    let items = seeded_vectors(16, 7);
+    let consumers = seeded_vectors(22, 8);
+    let names_i: Vec<String> = (0..items.len()).map(|i| format!("t{i}")).collect();
+    let names_c: Vec<String> = (0..consumers.len()).map(|i| format!("c{i}")).collect();
+    let split = consumers.len() / 3;
+    for sigma in [0.1, 0.35] {
+        let batch = mapreduce_similarity_join_vectors_flow(
+            &items,
+            &consumers,
+            &names_i,
+            &names_c,
+            sigma,
+            &FlowContext::new(JobConfig::named("serving-reindex").with_threads(2)),
+        );
+        assert!(batch.graph.num_edges() > 0);
+        let check = |serving: &ServingIndex, when: &str| {
+            for (t, item) in items.iter().enumerate() {
+                let mut expected: Vec<(usize, u64)> = batch
+                    .graph
+                    .edges()
+                    .iter()
+                    .filter(|e| e.item.index() == t)
+                    .map(|e| (e.consumer.index(), e.weight.to_bits()))
+                    .collect();
+                expected.sort_unstable();
+                let got: Vec<(usize, u64)> = serving
+                    .candidates(item)
+                    .into_iter()
+                    .map(|m| (m.consumer, m.score.to_bits()))
+                    .collect();
+                assert_eq!(got, expected, "item {t} {when} (sigma={sigma})");
+            }
+        };
+        let mut serving = ServingIndex::build(
+            &consumers[..split],
+            IndexPlan::derive(&items, &consumers[..split]),
+            sigma,
+        );
+        serving.append_batch(&consumers[split..]);
+        check(&serving, "after append_batch");
+        serving.reindex(IndexPlan::derive(&items, &consumers));
+        check(&serving, "after reindex");
+    }
+}

@@ -28,7 +28,10 @@ impl Document {
 
 /// A vectorized corpus: the documents, the shared vocabulary and one sparse
 /// vector per document — plus the tokenizer and weighting it was built
-/// with, so later text can be vectorized the same way.
+/// with, so later text can be vectorized the same way.  The vocabulary is
+/// numbered rarest first (document frequency ascending, ties by first
+/// appearance) before anything is vectorized, so ascending term id is the
+/// similarity join's prefix filter order.
 #[derive(Debug, Clone)]
 pub struct Corpus {
     documents: Vec<Document>,
@@ -62,6 +65,7 @@ impl Corpus {
         for tokens in &token_streams {
             vocab.observe_document(tokens.iter().map(|s| s.as_str()));
         }
+        vocab.number_rarest_first();
         let weigher = TfIdf::new(&vocab, weighting, normalize);
         let vectors: Vec<SparseVector> = token_streams
             .iter()
@@ -134,6 +138,7 @@ impl Corpus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vocab::TermId;
 
     fn sample() -> Corpus {
         Corpus::build(
@@ -159,6 +164,39 @@ mod tests {
         for i in 0..c.len() {
             assert_eq!(&c.vectorize(&c.document(i).text), c.vector(i));
         }
+    }
+
+    #[test]
+    fn the_vocabulary_is_numbered_rarest_first_with_ties_by_first_appearance() {
+        let c = Corpus::build(
+            vec![
+                Document::new("d0", "sun beach sea"),
+                Document::new("d1", "sea sun"),
+                Document::new("d2", "sea dune"),
+            ],
+            &TokenizerConfig::tags_only(),
+        );
+        let vocab = c.vocabulary();
+        let names: Vec<&str> = (0..vocab.len() as u32)
+            .map(|id| vocab.term(TermId(id)))
+            .collect();
+        // df: beach 1, dune 1 (beach seen first), sun 2, sea 3.
+        assert_eq!(names, ["beach", "dune", "sun", "sea"]);
+        let dfs: Vec<u32> = (0..vocab.len() as u32)
+            .map(|id| vocab.doc_freq(TermId(id)))
+            .collect();
+        assert_eq!(dfs, [1, 1, 2, 3]);
+        for i in 0..c.len() {
+            assert_eq!(&c.vectorize(&c.document(i).text), c.vector(i));
+        }
+        // Each vector runs from its rarest term to its most common one.
+        let d0: Vec<&str> = c
+            .vector(0)
+            .entries()
+            .iter()
+            .map(|(t, _)| vocab.term(*t))
+            .collect();
+        assert_eq!(d0, ["beach", "sun", "sea"]);
     }
 
     #[test]

@@ -66,20 +66,7 @@ impl SparseVector {
 
     /// Dot product with another sparse vector.
     pub fn dot(&self, other: &SparseVector) -> f64 {
-        let (mut i, mut j) = (0, 0);
-        let mut sum = 0.0;
-        while i < self.entries.len() && j < other.entries.len() {
-            match self.entries[i].0.cmp(&other.entries[j].0) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    sum += self.entries[i].1 * other.entries[j].1;
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        sum
+        add_products(0.0, &self.entries, &other.entries).0
     }
 
     /// Euclidean (L2) norm.
@@ -127,15 +114,27 @@ impl SparseVector {
             self.scaled(1.0 / n)
         }
     }
+}
 
-    /// The term ids of this vector in the given global order (used to take
-    /// prefixes for the similarity join).  Terms of the vector that are
-    /// missing from `order_rank` keep their relative id order at the end.
-    pub fn terms_in_order(&self, order_rank: &[u32]) -> Vec<TermId> {
-        let mut terms: Vec<TermId> = self.entries.iter().map(|(t, _)| *t).collect();
-        terms.sort_by_key(|t| order_rank.get(t.index()).copied().unwrap_or(u32::MAX));
-        terms
+/// Adds to `sum` the product of every term the entry lists `a` and `b`
+/// share (both ascending by term id), in ascending term order — from
+/// `0.0` over two whole vectors, the additions of [`SparseVector::dot`].
+/// Also returns whether any product was added.
+pub fn add_products(mut sum: f64, a: &[(TermId, f64)], b: &[(TermId, f64)]) -> (f64, bool) {
+    let (mut i, mut j, mut added) = (0, 0, false);
+    while i < a.len() && j < b.len() {
+        match a[i].0.cmp(&b[j].0) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                sum += a[i].1 * b[j].1;
+                added = true;
+                i += 1;
+                j += 1;
+            }
+        }
     }
+    (sum, added)
 }
 
 #[cfg(test)]
@@ -200,14 +199,5 @@ mod tests {
         let s = a.scaled(3.0);
         assert_eq!(s.weight(TermId(0)), 3.0);
         assert_eq!(s.weight(TermId(1)), -6.0);
-    }
-
-    #[test]
-    fn terms_in_order_respects_global_rank() {
-        let a = v(&[(0, 1.0), (1, 1.0), (2, 1.0)]);
-        // Global rank: term 2 is rarest (rank 0), then 0, then 1.
-        let rank = vec![1, 2, 0];
-        let ordered = a.terms_in_order(&rank);
-        assert_eq!(ordered, vec![TermId(2), TermId(0), TermId(1)]);
     }
 }

@@ -23,9 +23,9 @@ impl TermId {
 
 /// A growable term dictionary.
 ///
-/// Besides interning terms it tracks document frequencies, which both the
-/// tf·idf weighting and the prefix-filtering term ordering (rarest-first)
-/// of the similarity join rely on.
+/// Besides interning terms (ids in first-seen order, until a
+/// [`crate::Corpus`] renumbers them rarest first) it tracks document
+/// frequencies, which the tf·idf weighting relies on.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Vocabulary {
     terms: Vec<String>,
@@ -102,13 +102,26 @@ impl Vocabulary {
         ((n + 1.0) / (df + 1.0)).ln() + 1.0
     }
 
-    /// All term ids ordered by *increasing* document frequency (ties broken
-    /// by id).  This is the canonical term order used by prefix filtering:
-    /// putting the rarest terms first makes prefixes maximally selective.
-    pub fn rarest_first_order(&self) -> Vec<TermId> {
-        let mut ids: Vec<TermId> = (0..self.terms.len() as u32).map(TermId).collect();
-        ids.sort_by_key(|id| (self.doc_freq(*id), id.0));
-        ids
+    /// Renumbers the terms in place, rarest first: by document frequency,
+    /// ties in first-seen order.
+    pub(crate) fn number_rarest_first(&mut self) {
+        let mut order: Vec<u32> = (0..self.terms.len() as u32).collect();
+        order.sort_by_key(|&old| self.doc_freq[old as usize]);
+        // Term `order[new]` moves to `new`, one cycle at a time; a filled
+        // slot is marked a fixed point.
+        for start in 0..order.len() {
+            let mut slot = start;
+            while order[slot] as usize != start {
+                let old = std::mem::replace(&mut order[slot], slot as u32) as usize;
+                self.terms.swap(slot, old);
+                self.doc_freq.swap(slot, old);
+                slot = old;
+            }
+            order[slot] = slot as u32;
+        }
+        for (id, term) in self.terms.iter().enumerate() {
+            *self.index.get_mut(term).expect("every term is indexed") = TermId(id as u32);
+        }
     }
 }
 
@@ -154,15 +167,46 @@ mod tests {
     }
 
     #[test]
-    fn rarest_first_order_sorts_by_doc_freq() {
+    fn numbering_rarest_first_sorts_by_doc_freq_then_first_appearance() {
         let mut v = Vocabulary::new();
-        v.observe_document(["x", "y"]);
+        v.observe_document(["y", "x"]);
         v.observe_document(["y", "z"]);
         v.observe_document(["y"]);
-        let order = v.rarest_first_order();
-        let names: Vec<&str> = order.iter().map(|&id| v.term(id)).collect();
-        // x and z have df 1 (tie broken by id: x interned before z), y has df 3.
+        v.number_rarest_first();
+        let names: Vec<&str> = (0..3).map(|id| v.term(TermId(id))).collect();
+        // x and z have df 1 (x appeared first), y has df 3.
         assert_eq!(names, vec!["x", "z", "y"]);
+        for (id, name) in names.iter().enumerate() {
+            assert_eq!(v.get(name), Some(TermId(id as u32)));
+        }
+        assert_eq!(v.doc_freq(TermId(2)), 3);
+        assert_eq!(v.num_documents(), 3);
+
+        // Forty terms with scattered frequencies: long permutation cycles.
+        let names: Vec<String> = (0..40).map(|t| format!("t{t}")).collect();
+        let mut v = Vocabulary::new();
+        for doc in 0..12usize {
+            v.observe_document(
+                names
+                    .iter()
+                    .enumerate()
+                    .filter(|(t, _)| (t * 7 + 3) % 13 >= doc)
+                    .map(|(_, n)| n.as_str()),
+            );
+        }
+        let mut expected: Vec<(u32, &str)> = names
+            .iter()
+            .map(|n| (v.doc_freq(v.get(n).unwrap()), n.as_str()))
+            .collect();
+        expected.sort_by_key(|&(df, _)| df);
+        v.number_rarest_first();
+        for (id, (df, name)) in expected.into_iter().enumerate() {
+            let id = TermId(id as u32);
+            assert_eq!(
+                (v.term(id), v.doc_freq(id), v.get(name)),
+                (name, df, Some(id))
+            );
+        }
     }
 
     #[test]
@@ -170,6 +214,5 @@ mod tests {
         let v = Vocabulary::new();
         assert!(v.is_empty());
         assert_eq!(v.num_documents(), 0);
-        assert!(v.rarest_first_order().is_empty());
     }
 }

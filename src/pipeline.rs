@@ -79,8 +79,9 @@ pub struct CandidateGraph {
     /// Candidates that reached exact verification (in the join's probe
     /// mapper).
     pub verify_exact: usize,
-    /// Verified candidates that cost an in-RAM dot product; the rest were
-    /// finished from their partial score.
+    /// Verified candidates that took a product beyond their partial score
+    /// (a suffix-tail product, or a full dot product for a sampled
+    /// probe); the rest were finished from their partial score alone.
     pub verify_dot: usize,
     /// `(term, document)` entries indexed after prefix pruning (for
     /// sketch generators, the size of whatever standing structure their
@@ -117,7 +118,7 @@ pub struct PipelineRun {
     pub candidates_pruned: usize,
     /// Candidates that reached exact verification.
     pub verify_exact: usize,
-    /// Verified candidates that cost a dot product.
+    /// Verified candidates that took a product beyond their partial score.
     pub verify_dot: usize,
     /// `(term, document)` entries indexed after prefix pruning.
     pub indexed_entries: usize,

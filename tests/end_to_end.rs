@@ -197,7 +197,7 @@ fn join_counts_regression_guard_flickr_small_sigma_016() {
     // 12 654 candidates is also what the pre-streaming dedup probe
     // shuffled (and exactly verified) at this σ; the suffix bound now
     // prunes 2 025 of them before the shuffle.  Of the 10 629 survivors,
-    // 7 677 meet their consumer's unindexed suffix and cost a dot
+    // 7 677 meet their consumer's unindexed suffix and take a tail
     // product; the other 2 952 are finished from their partial score.
     // 3 502 edges matches the seed baseline in EXPERIMENTS.md, byte for
     // byte.
@@ -326,7 +326,7 @@ fn stack_mr_golden_across_threads_and_budgets() {
             0x21ad_ac8f_753e_87a6,
             4,
             31,
-            0xa266_ce33_2b50_d2f9,
+            0x9d94_e31e_63d1_9350,
         ),
         (
             "answers",
