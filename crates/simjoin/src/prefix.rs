@@ -2,15 +2,16 @@
 //!
 //! The idea (Chaudhuri et al., adapted by Baraglia et al. to MapReduce):
 //! order the entries of every vector by a fixed global term order and index
-//! only a *prefix* of each vector.  Here that order is ascending term id: a
-//! [`smr_text::Corpus`] numbers its vocabulary rarest first, so a vector's
-//! entries already run from its rarest term, and its prefix is
-//! `entries()[..prefix_length]`.  Vectors numbered any other way still
-//! join exactly, only with less selective prefixes.  The prefix is chosen so that the
+//! only a *prefix* of each vector.  The prefix is chosen so that the
 //! remaining suffix alone cannot produce a dot product of σ or more with
 //! *any* vector of the other side; therefore every pair with similarity at
 //! least σ shares at least one term inside the indexed prefix and cannot be
 //! missed by an index probe.
+//!
+//! Here that order is ascending term id: a [`smr_text::Corpus`] numbers
+//! its vocabulary rarest first, so a vector's prefix is
+//! `entries()[..prefix_length]`.  Vectors numbered any other way still
+//! join exactly, only with less selective prefixes.
 //!
 //! For dot products the bound of a suffix `S` of vector `y` against the
 //! item side is `Σ_{i ∈ S} y_i · maxw(i)` where `maxw(i)` is the largest
