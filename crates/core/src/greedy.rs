@@ -6,7 +6,7 @@
 //! ½-approximation of the maximum-weight b-matching (Theorem 2); the
 //! triangle instance in the paper's appendix shows the bound is tight.
 
-use smr_graph::{BipartiteGraph, Capacities, Matching, NodeId};
+use smr_graph::{BipartiteGraph, Capacities, Matching};
 
 /// Runs the centralized greedy algorithm.
 ///
@@ -44,20 +44,6 @@ pub fn greedy_matching(graph: &BipartiteGraph, caps: &Capacities) -> Matching {
     matching
 }
 
-/// Runs the centralized greedy algorithm and also reports, for every node,
-/// how much of its capacity was used.  Useful for diagnostics and tests.
-pub fn greedy_matching_with_usage(
-    graph: &BipartiteGraph,
-    caps: &Capacities,
-) -> (Matching, Vec<(NodeId, u64)>) {
-    let matching = greedy_matching(graph, caps);
-    let usage = graph
-        .nodes()
-        .map(|v| (v, matching.degree(graph, v) as u64))
-        .collect();
-    (matching, usage)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -67,10 +53,9 @@ mod tests {
     /// bipartite setting: greedy picks the single heaviest edge and blocks
     /// the two unit edges that together are worth more.
     ///
-    /// Items {t0}, consumers {c0, c1} cannot express the triangle exactly,
-    /// so we use a path: t0–c0 (1+δ), t0–c1 (1.0), t1–c0 (1.0) with
-    /// b(t0)=2, b(c0)=1, b(t1)=1, b(c1)=1.  Greedy takes t0–c0 first, then
-    /// t0–c1; optimal takes t0–c0? Let's check in the test body instead.
+    /// The triangle becomes the path t0–c0 (1+δ), t0–c1 (1.0), t1–c0 (1.0)
+    /// with unit capacities: greedy takes t0–c0 alone, the optimum takes
+    /// the two unit edges.
     fn path_graph(delta: f64) -> (BipartiteGraph, Capacities) {
         let g = BipartiteGraph::from_edges(
             2,
@@ -135,16 +120,6 @@ mod tests {
         let caps = Capacities::uniform(&g, 1, 1);
         let m = greedy_matching(&g, &caps);
         assert!(m.is_empty());
-    }
-
-    #[test]
-    fn usage_report_matches_degrees() {
-        let (g, caps) = path_graph(0.2);
-        let (m, usage) = greedy_matching_with_usage(&g, &caps);
-        for (node, used) in usage {
-            assert_eq!(used, m.degree(&g, node) as u64);
-            assert!(used <= caps.of(node));
-        }
     }
 
     #[test]

@@ -48,20 +48,17 @@ use crate::config::GreedyMrConfig;
 use crate::result::{AlgorithmKind, MatchingRun};
 use crate::state::{build_node_records, peer_notes, NodeRecord, NodeTable, RoundMsg};
 
-/// Note: the sender proposes the edge (it is among the sender's `b(v)`
-/// heaviest live edges).
-const PROPOSE: bool = true;
-
-/// The message of a GreedyMR round: a neighbour's [`PROPOSE`] for one
-/// edge.
-type GreedyMsg = RoundMsg<bool>;
+/// The message of a GreedyMR round: a neighbour's proposal of one edge,
+/// one of its `b(v)` heaviest live edges (the note itself is the
+/// payload).
+type GreedyMsg = RoundMsg<()>;
 
 /// The notes of a GreedyMR round about `record`: a proposal across each
 /// of the node's `b(v)` heaviest live edges — a prefix of the
 /// heaviest-first adjacency.
 fn propose(_node: &NodeId, record: &NodeRecord, out: &mut Emitter<NodeId, GreedyMsg>) {
     for adj in &record.adjacency[..record.proposal_count()] {
-        out.emit(adj.other, RoundMsg::new(adj.edge, PROPOSE));
+        out.emit(adj.other, RoundMsg::new(adj.edge, ()));
     }
 }
 
@@ -451,8 +448,8 @@ mod tests {
         // Item 1 and consumer 0 propose their heaviest edges, 1 and 0;
         // consumer 0's edge 1 gets no note, and no note says that item 0
         // retired.
-        assert_eq!(sent[&c0], vec![RoundMsg::new(1, PROPOSE)]);
-        assert_eq!(sent[&t0], vec![RoundMsg::new(0, PROPOSE)]);
+        assert_eq!(sent[&c0], vec![RoundMsg::new(1, ())]);
+        assert_eq!(sent[&t0], vec![RoundMsg::new(0, ())]);
         assert!(!sent.contains_key(&t1));
         let mut matched = Emitter::new();
         let mut proposals = Emitter::new();
@@ -476,10 +473,7 @@ mod tests {
         // The kept nodes propose edge 1 to each other for the next round.
         assert_eq!(
             proposals.into_pairs(),
-            vec![
-                (c0, RoundMsg::new(1, PROPOSE)),
-                (t1, RoundMsg::new(1, PROPOSE)),
-            ]
+            vec![(c0, RoundMsg::new(1, ())), (t1, RoundMsg::new(1, ()))]
         );
 
         // Through the engine: the 2 proposals cross the shuffle (the one
@@ -513,7 +507,7 @@ mod tests {
         .reduce(
             &c0,
             record.clone(),
-            &[RoundMsg::new(1, PROPOSE)],
+            &[RoundMsg::new(1, ())],
             &mut matched,
             &mut next,
         );
@@ -530,7 +524,7 @@ mod tests {
         .reduce(
             &c0,
             record,
-            &[RoundMsg::new(1, PROPOSE)],
+            &[RoundMsg::new(1, ())],
             &mut matched,
             &mut next,
         );
@@ -539,7 +533,7 @@ mod tests {
             Some(NodeRecord::new(c0, 1, vec![AdjEdge::new(0, t0, 2.0)]))
         );
         assert_eq!(matched.into_pairs(), vec![(1, ())]);
-        assert_eq!(next.into_pairs(), vec![(t0, RoundMsg::new(0, PROPOSE))]);
+        assert_eq!(next.into_pairs(), vec![(t0, RoundMsg::new(0, ()))]);
     }
 
     #[test]
@@ -562,7 +556,7 @@ mod tests {
         .reduce(
             &t0,
             t0_record,
-            &[RoundMsg::new(1, PROPOSE), RoundMsg::new(0, PROPOSE)],
+            &[RoundMsg::new(1, ()), RoundMsg::new(0, ())],
             &mut matched,
             &mut next,
         );

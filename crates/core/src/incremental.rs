@@ -131,7 +131,7 @@ impl IncrementalMatcher {
     }
 
     /// The slot of the consumer's lightest held edge (ties: latest arrival
-    /// first) — the victim order of preemption and capacity shrinking.
+    /// first) — the victim order of preemption.
     fn lightest_slot(&self, consumer: usize) -> Option<usize> {
         self.per_consumer[consumer]
             .iter()
@@ -146,14 +146,13 @@ impl IncrementalMatcher {
     }
 
     /// Removes the edge in `slot` at `consumer`, restoring the item's
-    /// capacity (but **not** the consumer's residual — callers decide what
-    /// the freed slot becomes).  Returns the freed item.
-    fn evict(&mut self, consumer: usize, slot: usize) -> usize {
+    /// capacity (but **not** the consumer's residual: the preempting edge
+    /// takes the freed slot).
+    fn evict(&mut self, consumer: usize, slot: usize) {
         let evicted = self.per_consumer[consumer].swap_remove(slot);
         self.item_residual[evicted.item] += 1;
         self.total_weight -= evicted.weight;
         self.len -= 1;
-        evicted.item
     }
 
     fn accept(&mut self, item: usize, consumer: usize, weight: f64) {
@@ -207,59 +206,6 @@ impl IncrementalMatcher {
             .into_iter()
             .filter(|&i| self.offer(edges[i].0, edges[i].1, edges[i].2))
             .count()
-    }
-
-    /// The consumer leaves the system: every edge it holds is released —
-    /// the items get their capacity back, so later arrivals (or re-offers
-    /// of the freed items' edges) can assign them elsewhere — and the
-    /// consumer's capacity drops to zero, rejecting all future offers.
-    /// Returns the freed items, ascending.
-    ///
-    /// # Panics
-    /// Panics if the consumer is unregistered.
-    pub fn depart(&mut self, consumer: usize) -> Vec<usize> {
-        assert!(
-            consumer < self.consumer_residual.len(),
-            "unregistered consumer {consumer}"
-        );
-        self.consumer_residual[consumer] = 0;
-        let mut freed = Vec::new();
-        while !self.per_consumer[consumer].is_empty() {
-            freed.push(self.evict(consumer, 0));
-        }
-        freed.sort_unstable();
-        freed
-    }
-
-    /// Re-sizes a consumer's capacity to `b` (its *total* capacity: held
-    /// edges plus residual).  Raising it frees residual for future offers;
-    /// lowering it first absorbs unused residual and then, when the
-    /// consumer still holds more than `b` edges, evicts the lightest held
-    /// edges (ties: latest arrival first, the preemption victim order),
-    /// restoring the evicted items' capacity.  Returns the evicted items
-    /// in eviction order (empty when nothing had to go).
-    ///
-    /// # Panics
-    /// Panics if the consumer is unregistered.
-    pub fn set_capacity(&mut self, consumer: usize, b: u64) -> Vec<usize> {
-        assert!(
-            consumer < self.consumer_residual.len(),
-            "unregistered consumer {consumer}"
-        );
-        let held = self.per_consumer[consumer].len() as u64;
-        if b >= held {
-            self.consumer_residual[consumer] = b - held;
-            return Vec::new();
-        }
-        self.consumer_residual[consumer] = 0;
-        let mut evicted = Vec::new();
-        while self.per_consumer[consumer].len() as u64 > b {
-            let slot = self
-                .lightest_slot(consumer)
-                .expect("shrinking a non-empty hold");
-            evicted.push(self.evict(consumer, slot));
-        }
-        evicted
     }
 
     /// The current assignment as `(item, consumer, weight)` triples,
@@ -456,88 +402,6 @@ mod tests {
         let mut inc = IncrementalMatcher::new(vec![1], vec![0]);
         assert!(!inc.offer(0, 0, 1.0));
         assert!(inc.is_empty());
-    }
-
-    #[test]
-    fn departure_frees_item_capacity_for_re_offers() {
-        let mut inc = IncrementalMatcher::new(vec![1, 1], vec![2, 1]);
-        assert!(inc.offer(0, 0, 0.8));
-        assert!(inc.offer(1, 0, 0.6));
-        assert!(
-            !inc.offer(0, 1, 0.9),
-            "item 0's capacity is spent while consumer 0 holds it"
-        );
-
-        let freed = inc.depart(0);
-        assert_eq!(freed, vec![0, 1], "both held items are released");
-        assert!(inc.is_empty());
-        assert!((inc.total_weight() - 0.0).abs() < 1e-12);
-        assert_eq!(inc.item_residual(0), 1);
-        assert_eq!(inc.item_residual(1), 1);
-        assert_eq!(inc.consumer_residual(0), 0, "a departed consumer is closed");
-
-        // The freed capacity is immediately usable elsewhere...
-        assert!(inc.offer(0, 1, 0.9), "freed item re-assigns to consumer 1");
-        assert_eq!(inc.assignment(), vec![(0, 1, 0.9)]);
-        // ...but the departed consumer rejects everything.
-        assert!(!inc.offer(1, 0, 1.0));
-        assert_eq!(inc.preemptions(), 0, "departure is not preemption");
-    }
-
-    #[test]
-    fn raising_capacity_admits_previously_rejected_offers() {
-        let mut inc = IncrementalMatcher::new(vec![1, 1], vec![1]);
-        assert!(inc.offer(0, 0, 0.7));
-        assert!(!inc.offer(1, 0, 0.5), "saturated and lighter: rejected");
-
-        assert_eq!(inc.set_capacity(0, 2), Vec::<usize>::new());
-        assert_eq!(inc.consumer_residual(0), 1);
-        assert!(inc.offer(1, 0, 0.5), "the new slot admits the offer");
-        assert_eq!(inc.assignment(), vec![(0, 0, 0.7), (1, 0, 0.5)]);
-    }
-
-    #[test]
-    fn lowering_capacity_evicts_lightest_first_and_frees_the_items() {
-        let mut inc = IncrementalMatcher::new(vec![1, 1, 1, 1], vec![3, 1]);
-        assert!(inc.offer(0, 0, 0.9));
-        assert!(inc.offer(1, 0, 0.3));
-        assert!(inc.offer(2, 0, 0.6));
-
-        let evicted = inc.set_capacity(0, 1);
-        assert_eq!(evicted, vec![1, 2], "lightest first: 0.3 then 0.6");
-        assert_eq!(
-            inc.assignment(),
-            vec![(0, 0, 0.9)],
-            "the heaviest edge survives"
-        );
-        assert_eq!(inc.consumer_residual(0), 0);
-        assert!((inc.total_weight() - 0.9).abs() < 1e-12);
-
-        // The evicted items' capacity came back and re-offers elsewhere.
-        assert!(inc.offer(1, 1, 0.4));
-        assert_eq!(inc.item_residual(2), 1);
-
-        // Absorbing only unused residual evicts nothing.
-        let mut slack = IncrementalMatcher::new(vec![1], vec![5]);
-        assert!(slack.offer(0, 0, 0.5));
-        assert_eq!(slack.set_capacity(0, 1), Vec::<usize>::new());
-        assert_eq!(slack.consumer_residual(0), 0);
-        assert_eq!(slack.len(), 1);
-    }
-
-    #[test]
-    fn capacity_shrink_ties_evict_the_latest_arrival_first() {
-        let mut inc = IncrementalMatcher::new(vec![1, 1, 1], vec![3]);
-        assert!(inc.offer(0, 0, 0.5));
-        assert!(inc.offer(1, 0, 0.5));
-        assert!(inc.offer(2, 0, 0.8));
-        let evicted = inc.set_capacity(0, 1);
-        assert_eq!(
-            evicted,
-            vec![1, 0],
-            "equal weights: later arrivals go first"
-        );
-        assert_eq!(inc.assignment(), vec![(2, 0, 0.8)]);
     }
 
     #[test]

@@ -61,7 +61,6 @@ pub mod greedy;
 pub mod greedy_mr;
 pub mod incremental;
 pub mod maximal;
-pub mod repair;
 pub mod result;
 pub mod runner;
 pub mod stack;
@@ -74,7 +73,6 @@ pub use greedy::greedy_matching;
 pub use greedy_mr::GreedyMr;
 pub use incremental::IncrementalMatcher;
 pub use maximal::{maximal_b_matching_centralized, MaximalMatcher};
-pub use repair::{repair_violations, RepairReport};
 pub use result::{AlgorithmKind, MatchingRun};
 pub use runner::run_algorithm;
 pub use stack::stack_matching;
@@ -88,7 +86,6 @@ pub mod prelude {
     pub use crate::greedy_mr::GreedyMr;
     pub use crate::incremental::IncrementalMatcher;
     pub use crate::maximal::{maximal_b_matching_centralized, MaximalMatcher};
-    pub use crate::repair::{repair_violations, RepairReport};
     pub use crate::result::{AlgorithmKind, MatchingRun};
     pub use crate::runner::run_algorithm;
     pub use crate::stack::stack_matching;

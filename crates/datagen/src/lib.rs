@@ -27,17 +27,13 @@
 //!   `flickr-large` and `yahoo-answers`,
 //! * [`random_graph`] — direct generation of weighted candidate-edge
 //!   graphs (bypassing the similarity join) for fast benchmarking,
-//! * [`arrivals`] — deterministic item-arrival orders for the serving
-//!   pipeline (seeded shuffles carrying per-arrival capacities),
-//! * [`pathological`] — adversarial instances (the increasing-weight path
-//!   that forces GreedyMR into a linear number of rounds, the greedy
-//!   tightness example).
+//! * [`pathological`] — the increasing-weight path that forces GreedyMR
+//!   into a linear number of rounds.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod answers;
-pub mod arrivals;
 pub mod flickr;
 pub mod pathological;
 pub mod powerlaw;
@@ -46,7 +42,6 @@ pub mod random_graph;
 pub mod social;
 
 pub use answers::AnswersGenerator;
-pub use arrivals::{ArrivalStream, ItemArrival};
 pub use flickr::FlickrGenerator;
 pub use presets::{DatasetPreset, PresetInstance};
 pub use random_graph::{RandomGraphConfig, WeightDistribution};
@@ -55,7 +50,6 @@ pub use social::SocialDataset;
 /// Convenience re-exports.
 pub mod prelude {
     pub use crate::answers::AnswersGenerator;
-    pub use crate::arrivals::{ArrivalStream, ItemArrival};
     pub use crate::flickr::FlickrGenerator;
     pub use crate::pathological;
     pub use crate::powerlaw::{PowerLawSampler, ZipfSampler};

@@ -1,4 +1,4 @@
-//! Adversarial and didactic instances from the paper.
+//! Adversarial instances from the paper.
 
 use smr_graph::{BipartiteGraph, Capacities, ConsumerId, Edge, ItemId};
 
@@ -27,40 +27,6 @@ pub fn increasing_weight_path(length: usize) -> (BipartiteGraph, Capacities) {
     let graph = BipartiteGraph::from_edges(num_items, num_consumers, edges);
     let caps = Capacities::uniform(&graph, 1, 1);
     (graph, caps)
-}
-
-/// The tightness example for the greedy ½ guarantee (appendix of the
-/// paper), adapted to the bipartite setting: greedy takes the single
-/// `(1+delta)`-edge and blocks the two unit edges whose total weight is 2.
-pub fn greedy_tightness_instance(delta: f64) -> (BipartiteGraph, Capacities) {
-    assert!(delta > 0.0, "delta must be positive");
-    let graph = BipartiteGraph::from_edges(
-        2,
-        2,
-        vec![
-            Edge::new(ItemId(0), ConsumerId(0), 1.0 + delta),
-            Edge::new(ItemId(0), ConsumerId(1), 1.0),
-            Edge::new(ItemId(1), ConsumerId(0), 1.0),
-        ],
-    );
-    let caps = Capacities::uniform(&graph, 1, 1);
-    (graph, caps)
-}
-
-/// A complete bipartite graph with weights `1 + (t·|C| + c) / (|T|·|C|)`
-/// (all distinct), useful for stress-testing because every node has full
-/// degree.
-pub fn complete_bipartite(num_items: usize, num_consumers: usize) -> BipartiteGraph {
-    assert!(num_items > 0 && num_consumers > 0);
-    let mut edges = Vec::with_capacity(num_items * num_consumers);
-    let total = (num_items * num_consumers) as f64;
-    for t in 0..num_items {
-        for c in 0..num_consumers {
-            let weight = 1.0 + (t * num_consumers + c) as f64 / total;
-            edges.push(Edge::new(ItemId(t as u32), ConsumerId(c as u32), weight));
-        }
-    }
-    BipartiteGraph::from_edges(num_items, num_consumers, edges)
 }
 
 #[cfg(test)]
@@ -93,49 +59,5 @@ mod tests {
     #[should_panic(expected = "at least two nodes")]
     fn degenerate_path_is_rejected() {
         increasing_weight_path(1);
-    }
-
-    #[test]
-    fn tightness_instance_exposes_the_half_bound() {
-        let (g, caps) = greedy_tightness_instance(0.1);
-        let greedy = smr_matching_greedy_reference(&g, &caps);
-        // Greedy picks the heaviest edge only: value 1.1; optimum is 2.0.
-        assert!((greedy - 1.1).abs() < 1e-9);
-    }
-
-    /// A tiny local re-implementation of greedy used only to keep this
-    /// crate free of a dependency on `smr-matching` (which depends on this
-    /// crate's sibling `smr-graph` but not vice versa).
-    fn smr_matching_greedy_reference(g: &BipartiteGraph, caps: &Capacities) -> f64 {
-        let mut order: Vec<usize> = (0..g.num_edges()).collect();
-        order.sort_by(|&a, &b| {
-            g.edge(b)
-                .weight
-                .partial_cmp(&g.edge(a).weight)
-                .unwrap()
-                .then(a.cmp(&b))
-        });
-        let mut item_r: Vec<u64> = caps.item_capacities().to_vec();
-        let mut cons_r: Vec<u64> = caps.consumer_capacities().to_vec();
-        let mut value = 0.0;
-        for e in order {
-            let edge = g.edge(e);
-            if item_r[edge.item.index()] > 0 && cons_r[edge.consumer.index()] > 0 {
-                item_r[edge.item.index()] -= 1;
-                cons_r[edge.consumer.index()] -= 1;
-                value += edge.weight;
-            }
-        }
-        value
-    }
-
-    #[test]
-    fn complete_bipartite_has_all_edges_with_distinct_weights() {
-        let g = complete_bipartite(4, 3);
-        assert_eq!(g.num_edges(), 12);
-        let mut weights = g.weights();
-        weights.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        weights.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
-        assert_eq!(weights.len(), 12, "weights must be pairwise distinct");
     }
 }

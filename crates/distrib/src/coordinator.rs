@@ -19,6 +19,13 @@ use crate::session::{
 /// How often the coordinator re-checks a shard for a committed manifest.
 const MANIFEST_POLL: Duration = Duration::from_millis(2);
 
+/// How long the coordinator waits for a shard's manifest in each job
+/// before killing and respawning the worker; also the shutdown grace.
+const WORKER_TIMEOUT: Duration = Duration::from_secs(120);
+
+/// Spawn attempts per shard before the session panics.
+const MAX_ATTEMPTS: u64 = 3;
+
 #[derive(Debug)]
 struct WorkerSlot {
     /// Current spawn attempt, starting at 1.
@@ -141,7 +148,7 @@ impl CoordinatorRuntime {
                 let _ = child.wait();
             }
             slot.child = None;
-            if slot.attempt >= self.opts.max_attempts {
+            if slot.attempt >= MAX_ATTEMPTS {
                 (slot.attempt, true)
             } else {
                 slot.attempt += 1;
@@ -194,7 +201,7 @@ impl CoordinatorRuntime {
         let grace = if std::thread::panicking() {
             Duration::ZERO
         } else {
-            self.opts.worker_timeout
+            WORKER_TIMEOUT
         };
         let deadline = Instant::now() + grace;
         for slot in &mut state.workers {
@@ -254,7 +261,7 @@ impl ProcessShardRuntime for CoordinatorRuntime {
     fn collect_manifests(&self, job: &ShardJob, expect: &ShardJobCheck) -> Vec<ShardManifest> {
         let mut manifests = Vec::with_capacity(self.opts.shards);
         for shard in 0..self.opts.shards {
-            let mut deadline = Instant::now() + self.opts.worker_timeout;
+            let mut deadline = Instant::now() + WORKER_TIMEOUT;
             loop {
                 let attempt = lock(&self.state).workers[shard].attempt;
                 let manifest_path = manifest_path(&job.job_dir, shard, attempt);
@@ -280,13 +287,13 @@ impl ProcessShardRuntime for CoordinatorRuntime {
                             std::thread::sleep(MANIFEST_POLL);
                             continue;
                         }
-                        deadline = Instant::now() + self.opts.worker_timeout;
+                        deadline = Instant::now() + WORKER_TIMEOUT;
                     }
                     Err(err) => {
                         // Undecodable manifest (checksum, version,
                         // truncation): reject it and re-execute the shard.
                         self.retry(shard, &format!("invalid manifest: {err}"));
-                        deadline = Instant::now() + self.opts.worker_timeout;
+                        deadline = Instant::now() + WORKER_TIMEOUT;
                     }
                 }
             }

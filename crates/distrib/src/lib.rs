@@ -34,8 +34,8 @@
 //!
 //! # Supervision
 //!
-//! The coordinator gives each shard a per-job deadline and a bounded
-//! number of spawn attempts ([`ShardOptions::max_attempts`]).  A dead
+//! The coordinator gives each shard a per-job deadline (120 s) and a
+//! bounded number of spawn attempts (3).  A dead
 //! worker, a deadline, or a manifest that fails validation (bad checksum,
 //! foreign format version, truncation) kills the attempt and re-executes
 //! the shard in a **fresh attempt directory**; the replacement worker

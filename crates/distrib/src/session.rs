@@ -16,7 +16,6 @@
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-use std::time::Duration;
 
 use smr_mapreduce::process_shard::{clear_runtime, current_runtime, install_runtime};
 
@@ -60,12 +59,6 @@ pub struct ShardOptions {
     /// `["--exact", "<test_name>", "--nocapture"]` so the child runs only
     /// the calling test.
     pub worker_args: Option<Vec<String>>,
-    /// How long the coordinator waits for a shard's manifest in each job
-    /// before killing and respawning the worker.
-    pub worker_timeout: Duration,
-    /// Spawn attempts per shard before the session panics (1 = no
-    /// retries).
-    pub max_attempts: u64,
     /// Fault injection: this shard's worker writes a corrupt manifest and
     /// aborts on its first commit of attempt 1.  Defaults from
     /// [`FAIL_ENV`].
@@ -84,8 +77,6 @@ impl ShardOptions {
             shards,
             session_key: "session".to_string(),
             worker_args: None,
-            worker_timeout: Duration::from_secs(120),
-            max_attempts: 3,
             fail_shard: std::env::var(FAIL_ENV)
                 .ok()
                 .and_then(|s| s.trim().parse().ok()),
@@ -101,22 +92,6 @@ impl ShardOptions {
     /// Sets explicit worker arguments (see [`ShardOptions::worker_args`]).
     pub fn with_worker_args<S: Into<String>>(mut self, args: impl IntoIterator<Item = S>) -> Self {
         self.worker_args = Some(args.into_iter().map(Into::into).collect());
-        self
-    }
-
-    /// Sets the per-job manifest deadline per shard.
-    pub fn with_worker_timeout(mut self, timeout: Duration) -> Self {
-        self.worker_timeout = timeout;
-        self
-    }
-
-    /// Sets the spawn-attempt budget per shard.
-    ///
-    /// # Panics
-    /// Panics if `attempts` is zero.
-    pub fn with_max_attempts(mut self, attempts: u64) -> Self {
-        assert!(attempts > 0, "at least one attempt is required");
-        self.max_attempts = attempts;
         self
     }
 

@@ -286,15 +286,6 @@ impl GraphBuilder {
         id
     }
 
-    /// Adds `count` anonymous items, returning the id of the first.
-    pub fn add_items(&mut self, count: usize) -> ItemId {
-        let first = ItemId(self.item_labels.len() as u32);
-        for i in 0..count {
-            self.add_item(format!("t{}", first.0 as usize + i));
-        }
-        first
-    }
-
     /// Adds `count` anonymous consumers, returning the id of the first.
     pub fn add_consumers(&mut self, count: usize) -> ConsumerId {
         let first = ConsumerId(self.consumer_labels.len() as u32);
@@ -431,14 +422,12 @@ mod tests {
     #[test]
     fn builder_bulk_add() {
         let mut b = GraphBuilder::new();
-        let first_item = b.add_items(3);
         let first_consumer = b.add_consumers(2);
-        assert_eq!(first_item, ItemId(0));
         assert_eq!(first_consumer, ConsumerId(0));
-        assert_eq!(b.num_items(), 3);
         assert_eq!(b.num_consumers(), 2);
-        let more = b.add_items(2);
-        assert_eq!(more, ItemId(3));
+        let more = b.add_consumers(3);
+        assert_eq!(more, ConsumerId(2));
+        assert_eq!(b.num_consumers(), 5);
     }
 
     #[test]

@@ -87,32 +87,6 @@ impl NodeId {
     pub fn consumer(index: u32) -> Self {
         NodeId::Consumer(ConsumerId(index))
     }
-
-    /// Whether this node is an item.
-    pub fn is_item(self) -> bool {
-        matches!(self, NodeId::Item(_))
-    }
-
-    /// Whether this node is a consumer.
-    pub fn is_consumer(self) -> bool {
-        matches!(self, NodeId::Consumer(_))
-    }
-
-    /// The item id, if this node is an item.
-    pub fn as_item(self) -> Option<ItemId> {
-        match self {
-            NodeId::Item(t) => Some(t),
-            NodeId::Consumer(_) => None,
-        }
-    }
-
-    /// The consumer id, if this node is a consumer.
-    pub fn as_consumer(self) -> Option<ConsumerId> {
-        match self {
-            NodeId::Consumer(c) => Some(c),
-            NodeId::Item(_) => None,
-        }
-    }
 }
 
 impl Ord for NodeId {
@@ -208,16 +182,9 @@ mod tests {
     }
 
     #[test]
-    fn node_id_constructors_and_accessors() {
-        let t = NodeId::item(3);
-        let c = NodeId::consumer(5);
-        assert!(t.is_item());
-        assert!(!t.is_consumer());
-        assert!(c.is_consumer());
-        assert_eq!(t.as_item(), Some(ItemId(3)));
-        assert_eq!(t.as_consumer(), None);
-        assert_eq!(c.as_consumer(), Some(ConsumerId(5)));
-        assert_eq!(c.as_item(), None);
+    fn node_id_constructors_build_the_variants() {
+        assert_eq!(NodeId::item(3), NodeId::Item(ItemId(3)));
+        assert_eq!(NodeId::consumer(5), NodeId::Consumer(ConsumerId(5)));
     }
 
     #[test]

@@ -13,8 +13,7 @@
 //! * [`matching`] — b-matching solutions: value, feasibility, and the
 //!   average capacity-violation measure ε′ of Section 6,
 //! * [`stats`] — histograms of edge similarities and capacities
-//!   (Figures 6 and 7),
-//! * [`io`] — a plain-text edge-list format for persisting graphs.
+//!   (Figures 6 and 7).
 //!
 //! # Example
 //!
@@ -42,7 +41,6 @@
 pub mod bipartite;
 pub mod capacity;
 pub mod ids;
-pub mod io;
 pub mod matching;
 pub mod stats;
 

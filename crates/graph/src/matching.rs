@@ -41,11 +41,6 @@ impl Matching {
         m
     }
 
-    /// Number of edges the underlying graph has.
-    pub fn num_graph_edges(&self) -> usize {
-        self.selected.len()
-    }
-
     /// Number of selected edges.
     pub fn len(&self) -> usize {
         self.num_selected

@@ -103,20 +103,6 @@ impl Histogram {
             self.counts[i] as f64 / self.total as f64
         }
     }
-
-    /// Renders the histogram as aligned text rows `lower_bound count frac`.
-    pub fn to_rows(&self) -> Vec<String> {
-        self.bucket_lower_bounds
-            .iter()
-            .zip(&self.counts)
-            .map(|(b, c)| {
-                format!(
-                    "{b:>12.4} {c:>10} {:>8.4}",
-                    *c as f64 / self.total.max(1) as f64
-                )
-            })
-            .collect()
-    }
 }
 
 /// Five-number-ish summary of a sample.
@@ -250,11 +236,5 @@ mod tests {
         assert_eq!(items.counts[0], 1); // capacity 1
         assert_eq!(items.counts[3], 1); // capacity 8 in [8,16)
         assert_eq!(consumers.counts[1], 2); // capacity 2 in [2,4)
-    }
-
-    #[test]
-    fn to_rows_renders_one_line_per_bucket() {
-        let h = Histogram::linear(&[0.5], 0.0, 1.0, 3);
-        assert_eq!(h.to_rows().len(), 3);
     }
 }

@@ -113,14 +113,6 @@ impl Counters {
             .map(|(k, v)| (k.clone(), v.get()))
             .collect()
     }
-
-    /// Merges another counter set into this one by adding values
-    /// counter-by-counter, e.g. to accumulate totals across rounds.
-    pub fn merge_from(&self, other: &Counters) {
-        for (name, value) in other.snapshot() {
-            self.add(&name, value);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -163,17 +155,5 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(cs.get("n"), 8000);
-    }
-
-    #[test]
-    fn merge_from_adds_counter_by_counter() {
-        let a = Counters::new();
-        let b = Counters::new();
-        a.add("x", 1);
-        b.add("x", 2);
-        b.add("y", 7);
-        a.merge_from(&b);
-        assert_eq!(a.get("x"), 3);
-        assert_eq!(a.get("y"), 7);
     }
 }

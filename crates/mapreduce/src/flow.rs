@@ -157,13 +157,6 @@ impl FlowReport {
         self.totals.shuffle_records
     }
 
-    /// Total bytes shuffled across all jobs — the record count's byte-level
-    /// companion, so cost tables can compare chains whose records differ in
-    /// size (e.g. candidate generators shuffling different value types).
-    pub fn total_shuffled_bytes(&self) -> u64 {
-        self.totals.shuffle_bytes
-    }
-
     /// The job names in execution order.
     pub fn job_names(&self) -> Vec<&str> {
         self.jobs.iter().map(|m| m.job_name.as_str()).collect()

@@ -74,12 +74,6 @@ impl SparseVector {
         self.entries.iter().map(|(_, w)| w * w).sum::<f64>().sqrt()
     }
 
-    /// Sum of weights (L1 mass); useful for prefix-filtering bounds on
-    /// dot-product similarity.
-    pub fn l1(&self) -> f64 {
-        self.entries.iter().map(|(_, w)| w.abs()).sum()
-    }
-
     /// Maximum absolute weight of any entry (zero for an empty vector).
     pub fn max_weight(&self) -> f64 {
         self.entries
@@ -173,7 +167,6 @@ mod tests {
     fn norms_and_cosine() {
         let a = v(&[(0, 3.0), (1, 4.0)]);
         assert!((a.norm() - 5.0).abs() < 1e-12);
-        assert!((a.l1() - 7.0).abs() < 1e-12);
         assert_eq!(a.max_weight(), 4.0);
         let b = v(&[(0, 3.0), (1, 4.0)]);
         assert!((a.cosine(&b) - 1.0).abs() < 1e-12);

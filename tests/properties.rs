@@ -4,7 +4,9 @@
 //! * the centralized greedy and GreedyMR always produce feasible matchings
 //!   worth at least half of the optimum,
 //! * GreedyMR's rounds — matching, round count, any-time trace, records
-//!   shuffled — equal a direct simulation of the paper's Algorithm 3,
+//!   shuffled — equal a direct simulation of the paper's Algorithm 3, and
+//!   on the increasing-weight path of Section 5.4 it needs one round per
+//!   edge and still equals the centralized greedy,
 //! * StackMR never violates capacities by more than the (1+ε) factor and
 //!   achieves its 1/(6+ε) guarantee,
 //! * the exact solver dominates every approximation,
@@ -14,6 +16,7 @@
 
 use proptest::prelude::*;
 
+use social_content_matching::datagen::pathological::increasing_weight_path;
 use social_content_matching::graph::{
     BipartiteGraph, Capacities, ConsumerId, Edge, EdgeId, ItemId, Matching, NodeId,
 };
@@ -65,6 +68,22 @@ fn instance_strategy_with(ties: bool) -> impl Strategy<Value = (BipartiteGraph, 
                 (graph, caps)
             },
         )
+}
+
+/// The instances of the Algorithm-3 oracle: three in four are
+/// [`instance_strategy_with`]`(true)`; the fourth is GreedyMR's worst case
+/// of Section 5.4, the increasing-weight path over `k ∈ 2..=64` nodes,
+/// returned with its `k`.
+fn algorithm_3_instance_strategy(
+) -> impl Strategy<Value = (BipartiteGraph, Capacities, Option<usize>)> {
+    (instance_strategy_with(true), 0u8..4, 2usize..=64).prop_map(|((graph, caps), arm, k)| {
+        if arm == 0 {
+            let (graph, caps) = increasing_weight_path(k);
+            (graph, caps, Some(k))
+        } else {
+            (graph, caps, None)
+        }
+    })
 }
 
 /// What a GreedyMR run must report, from a direct simulation of the
@@ -174,7 +193,7 @@ proptest! {
 
     #[test]
     fn greedy_mr_rounds_equal_a_simulation_of_algorithm_3(
-        (graph, caps) in instance_strategy_with(true),
+        (graph, caps, path) in algorithm_3_instance_strategy(),
         threads in 1usize..3,
         spill in any::<bool>(),
     ) {
@@ -194,6 +213,12 @@ proptest! {
         let shuffled: Vec<u64> = run.job_metrics.iter().map(|m| m.shuffle_records).collect();
         prop_assert_eq!(shuffled, model.shuffle_records);
         prop_assert!(run.matching.is_feasible(&graph, &caps));
+        // The worst case: cascading updates cost one round per edge, and
+        // the result is still the centralized greedy's.
+        if let Some(k) = path {
+            prop_assert_eq!(run.rounds, k - 1);
+            prop_assert_eq!(&run.matching, &greedy_matching(&graph, &caps));
+        }
     }
 
     #[test]
