@@ -97,10 +97,8 @@ impl ExperimentSet {
         caps: &Capacities,
     ) -> MatchingRun {
         let config = smr_matching::runner::RunnerConfig {
-            greedy_mr: GreedyMrConfig::default().with_job(self.job().with_name("greedy-mr")),
-            stack_mr: StackMrConfig::default()
-                .with_seed(self.seed)
-                .with_job(self.job().with_name("stack-mr")),
+            greedy_mr: GreedyMrConfig::default(),
+            stack_mr: StackMrConfig::default().with_seed(self.seed),
         };
         let flow = FlowContext::new(self.job());
         smr_matching::run_algorithm(algorithm, graph, caps, &config, &flow)

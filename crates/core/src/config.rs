@@ -1,7 +1,6 @@
 //! Algorithm configuration.
 
 use serde::{Deserialize, Serialize};
-use smr_mapreduce::JobConfig;
 
 /// How the marking stage of the maximal b-matching subroutine chooses the
 /// edges a node proposes to its neighbours (Section 6, "Variants").
@@ -12,16 +11,11 @@ pub enum MarkingStrategy {
     Random,
     /// Mark the heaviest edges — the StackGreedyMR variant.
     HeaviestFirst,
-    /// Mark edges randomly with probability proportional to their weight —
-    /// the third variant mentioned (and dismissed) in the paper.
-    WeightProportional,
 }
 
 /// Configuration of [`crate::GreedyMr`].
 #[derive(Debug, Clone)]
 pub struct GreedyMrConfig {
-    /// MapReduce job configuration used for every round.
-    pub job: JobConfig,
     /// Safety bound on the number of rounds (the algorithm may need a
     /// number of rounds linear in `|E|` in the worst case).
     pub max_rounds: usize,
@@ -30,34 +24,12 @@ pub struct GreedyMrConfig {
 impl Default for GreedyMrConfig {
     fn default() -> Self {
         GreedyMrConfig {
-            job: JobConfig::named("greedy-mr"),
             max_rounds: 100_000,
         }
     }
 }
 
 impl GreedyMrConfig {
-    /// Sets the MapReduce job configuration.
-    pub fn with_job(mut self, job: JobConfig) -> Self {
-        self.job = job;
-        self
-    }
-
-    /// Sets the engine memory budget every round runs under (`None` =
-    /// unlimited) — a passthrough to [`JobConfig::with_memory_budget`], so
-    /// whole algorithm runs can be budgeted.
-    pub fn with_memory_budget(mut self, bytes: Option<u64>) -> Self {
-        self.job = self.job.with_memory_budget(bytes);
-        self
-    }
-
-    /// Sets the directory spilled runs are written under — a passthrough
-    /// to [`JobConfig::with_spill_dir`].
-    pub fn with_spill_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
-        self.job = self.job.with_spill_dir(dir);
-        self
-    }
-
     /// Sets the round budget.
     pub fn with_max_rounds(mut self, max_rounds: usize) -> Self {
         self.max_rounds = max_rounds;
@@ -78,8 +50,6 @@ pub struct StackMrConfig {
     /// Seed of the pseudo-random generator used by the randomized maximal
     /// b-matching subroutine; runs with equal seeds are reproducible.
     pub seed: u64,
-    /// MapReduce job configuration used for every job of every phase.
-    pub job: JobConfig,
     /// Safety bound on push rounds (the theoretical bound is
     /// `O(log³n/ε² · log(w_max/w_min))` w.h.p.).
     pub max_push_rounds: usize,
@@ -94,7 +64,6 @@ impl Default for StackMrConfig {
             epsilon: 1.0,
             marking: MarkingStrategy::Random,
             seed: 42,
-            job: JobConfig::named("stack-mr"),
             max_push_rounds: 10_000,
             max_maximal_iterations: 10_000,
         }
@@ -129,35 +98,9 @@ impl StackMrConfig {
         self
     }
 
-    /// Sets the marking strategy.
-    pub fn with_marking(mut self, marking: MarkingStrategy) -> Self {
-        self.marking = marking;
-        self
-    }
-
     /// Sets the random seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the MapReduce job configuration.
-    pub fn with_job(mut self, job: JobConfig) -> Self {
-        self.job = job;
-        self
-    }
-
-    /// Sets the engine memory budget used by every job of every phase
-    /// (see [`GreedyMrConfig::with_memory_budget`]).
-    pub fn with_memory_budget(mut self, bytes: Option<u64>) -> Self {
-        self.job = self.job.with_memory_budget(bytes);
-        self
-    }
-
-    /// Sets the directory spilled runs are written under (see
-    /// [`GreedyMrConfig::with_spill_dir`]).
-    pub fn with_spill_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
-        self.job = self.job.with_spill_dir(dir);
         self
     }
 
@@ -229,30 +172,7 @@ mod tests {
 
     #[test]
     fn greedy_config_builder() {
-        let c = GreedyMrConfig::default()
-            .with_max_rounds(5)
-            .with_job(JobConfig::named("x").with_threads(1));
+        let c = GreedyMrConfig::default().with_max_rounds(5);
         assert_eq!(c.max_rounds, 5);
-        assert_eq!(c.job.name, "x");
-    }
-
-    #[test]
-    fn memory_budget_passthrough_reaches_the_job_config() {
-        let greedy = GreedyMrConfig::default()
-            .with_memory_budget(Some(4096))
-            .with_spill_dir("/tmp/greedy-spills");
-        assert_eq!(greedy.job.memory_budget, Some(4096));
-        assert_eq!(
-            greedy.job.spill_dir,
-            Some(std::path::PathBuf::from("/tmp/greedy-spills"))
-        );
-        let stack = StackMrConfig::default()
-            .with_memory_budget(Some(4096))
-            .with_spill_dir("/tmp/stack-spills");
-        assert_eq!(stack.job.memory_budget, Some(4096));
-        assert_eq!(
-            stack.job.spill_dir,
-            Some(std::path::PathBuf::from("/tmp/stack-spills"))
-        );
     }
 }

@@ -229,14 +229,13 @@ mod tests {
     use smr_graph::{ConsumerId, Edge, GraphBuilder, ItemId};
     use smr_mapreduce::JobConfig;
 
-    fn config() -> GreedyMrConfig {
-        GreedyMrConfig::default().with_job(JobConfig::named("greedy-mr-test").with_threads(2))
+    fn job() -> JobConfig {
+        JobConfig::named("greedy-mr-test").with_threads(2)
     }
 
-    /// Test helper: run under a throwaway flow built from the config's job.
+    /// Test helper: run under a throwaway flow.
     fn run(alg: GreedyMr, g: &BipartiteGraph, caps: &Capacities) -> MatchingRun {
-        let flow = FlowContext::new(alg.config.job.clone());
-        alg.run(g, caps, &flow)
+        alg.run(g, caps, &FlowContext::new(job()))
     }
 
     fn small_instance() -> (BipartiteGraph, Capacities) {
@@ -257,7 +256,7 @@ mod tests {
     #[test]
     fn greedy_mr_finds_the_same_value_as_centralized_greedy_on_unique_weights() {
         let (g, caps) = small_instance();
-        let run = run(GreedyMr::new(config()), &g, &caps);
+        let run = run(GreedyMr::new(GreedyMrConfig::default()), &g, &caps);
         let centralized = greedy_matching(&g, &caps);
         assert!(run.matching.is_feasible(&g, &caps));
         // With all-distinct weights both algorithms pick the same edges.
@@ -282,7 +281,7 @@ mod tests {
         }
         let g = b.build();
         let caps = Capacities::uniform(&g, 3, 2);
-        let run = run(GreedyMr::new(config()), &g, &caps);
+        let run = run(GreedyMr::new(GreedyMrConfig::default()), &g, &caps);
         assert!(run.matching.is_feasible(&g, &caps));
         let opt = optimal_matching(&g, &caps);
         assert!(
@@ -296,7 +295,7 @@ mod tests {
     #[test]
     fn value_trace_is_monotone_and_any_time() {
         let (g, caps) = small_instance();
-        let run = run(GreedyMr::new(config()), &g, &caps);
+        let run = run(GreedyMr::new(GreedyMrConfig::default()), &g, &caps);
         assert!(!run.value_per_round.is_empty());
         for pair in run.value_per_round.windows(2) {
             assert!(pair[1] >= pair[0] - 1e-12, "value decreased across rounds");
@@ -307,7 +306,7 @@ mod tests {
     #[test]
     fn rounds_and_jobs_are_counted() {
         let (g, caps) = small_instance();
-        let run = run(GreedyMr::new(config()), &g, &caps);
+        let run = run(GreedyMr::new(GreedyMrConfig::default()), &g, &caps);
         assert!(run.rounds >= 1);
         assert_eq!(run.mr_jobs, run.rounds);
         assert_eq!(run.job_metrics.len(), run.mr_jobs);
@@ -318,7 +317,7 @@ mod tests {
     fn empty_graph_finishes_without_rounds() {
         let g = BipartiteGraph::from_edges(3, 3, vec![]);
         let caps = Capacities::uniform(&g, 1, 1);
-        let run = run(GreedyMr::new(config()), &g, &caps);
+        let run = run(GreedyMr::new(GreedyMrConfig::default()), &g, &caps);
         assert_eq!(run.rounds, 0);
         assert!(run.matching.is_empty());
     }
@@ -345,7 +344,7 @@ mod tests {
         }
         let g = builder.build();
         let caps = Capacities::uniform(&g, 1, 1);
-        let run = run(GreedyMr::new(config()), &g, &caps);
+        let run = run(GreedyMr::new(GreedyMrConfig::default()), &g, &caps);
         assert!(run.matching.is_feasible(&g, &caps));
         // The number of rounds grows with the path length (not O(1)).
         assert!(
@@ -360,10 +359,10 @@ mod tests {
     fn shared_flow_reports_every_round_of_the_run() {
         use smr_mapreduce::flow::FlowContext;
         let (g, caps) = small_instance();
-        let baseline = run(GreedyMr::new(config()), &g, &caps);
+        let baseline = run(GreedyMr::new(GreedyMrConfig::default()), &g, &caps);
 
-        let flow = FlowContext::new(JobConfig::named("greedy-mr-test").with_threads(2));
-        let run = GreedyMr::new(config()).run(&g, &caps, &flow);
+        let flow = FlowContext::new(job());
+        let run = GreedyMr::new(GreedyMrConfig::default()).run(&g, &caps, &flow);
 
         // Same result as the self-contained entry point…
         assert_eq!(run.matching.to_edge_vec(), baseline.matching.to_edge_vec());
@@ -385,11 +384,15 @@ mod tests {
     #[test]
     fn spilled_and_in_memory_runs_agree_on_the_matching() {
         let (g, caps) = small_instance();
-        let in_memory = run(GreedyMr::new(config().with_memory_budget(None)), &g, &caps);
-        let spilled = run(
-            GreedyMr::new(config().with_memory_budget(Some(64))),
+        let in_memory = GreedyMr::new(GreedyMrConfig::default()).run(
             &g,
             &caps,
+            &FlowContext::new(job().with_memory_budget(None)),
+        );
+        let spilled = GreedyMr::new(GreedyMrConfig::default()).run(
+            &g,
+            &caps,
+            &FlowContext::new(job().with_memory_budget(Some(64))),
         );
         assert_eq!(
             spilled.matching.to_edge_vec(),
@@ -479,7 +482,7 @@ mod tests {
         // Through the engine: the 2 proposals cross the shuffle (the one
         // to item 0 finds no record), the records do not, and both nodes
         // stay.
-        let flow = FlowContext::new(JobConfig::named("greedy-mr-test").with_threads(2));
+        let flow = FlowContext::new(job());
         let mut state = flow.round_state("saturated");
         state.seed(records);
         state.map(propose);
@@ -568,7 +571,11 @@ mod tests {
     #[test]
     fn respects_round_budget() {
         let (g, caps) = small_instance();
-        let run = run(GreedyMr::new(config().with_max_rounds(1)), &g, &caps);
+        let run = run(
+            GreedyMr::new(GreedyMrConfig::default().with_max_rounds(1)),
+            &g,
+            &caps,
+        );
         assert_eq!(run.rounds, 1);
         // Still feasible (any-time property).
         assert!(run.matching.is_feasible(&g, &caps));
@@ -578,7 +585,7 @@ mod tests {
     fn capacities_above_degree_match_every_edge() {
         let (g, _) = small_instance();
         let caps = Capacities::uniform(&g, 10, 10);
-        let run = run(GreedyMr::new(config()), &g, &caps);
+        let run = run(GreedyMr::new(GreedyMrConfig::default()), &g, &caps);
         assert_eq!(run.matching.len(), g.num_edges());
     }
 }

@@ -8,8 +8,7 @@
 //! each of which is one MapReduce job here (Section 5.3):
 //!
 //! 1. **marking** — every node `v` marks `⌈c(v)/2⌉` of its incident edges
-//!    (uniformly at random for StackMR, heaviest-first for StackGreedyMR,
-//!    or weight-proportional for the third variant);
+//!    (uniformly at random for StackMR, heaviest-first for StackGreedyMR);
 //! 2. **selection** — every node selects up to `max(⌊c(v)/2⌋, 1)` edges
 //!    among those marked by its *neighbours*; selected edges form the set
 //!    `F`;
@@ -47,7 +46,7 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use smr_graph::{EdgeId, NodeId};
 use smr_mapreduce::flow::FlowContext;
-use smr_mapreduce::{Emitter, JobConfig, JobMetrics, StateReducer};
+use smr_mapreduce::{Emitter, JobMetrics, StateReducer};
 use smr_storage::impl_codec_struct;
 
 use crate::config::MarkingStrategy;
@@ -166,19 +165,6 @@ fn pick_edges(
                     .then(a.0.cmp(&b.0))
             });
             ordered.into_iter().take(k).map(|(i, _)| i).collect()
-        }
-        MarkingStrategy::WeightProportional => {
-            // Efraimidis–Spirakis weighted sampling without replacement:
-            // key = u^(1/w), take the k largest keys.
-            let mut keyed: Vec<(usize, f64)> = candidates
-                .iter()
-                .map(|&(i, w)| {
-                    let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-                    (i, u.powf(1.0 / w.max(1e-12)))
-                })
-                .collect();
-            keyed.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("keys are finite"));
-            keyed.into_iter().take(k).map(|(i, _)| i).collect()
         }
     }
 }
@@ -447,19 +433,16 @@ pub struct MaximalMatcher {
     pub strategy: MarkingStrategy,
     /// Seed for the per-node pseudo-random generators.
     pub seed: u64,
-    /// MapReduce job configuration for every stage job.
-    pub job: JobConfig,
     /// Safety bound on the number of iterations.
     pub max_iterations: usize,
 }
 
 impl MaximalMatcher {
     /// Creates a matcher.
-    pub fn new(strategy: MarkingStrategy, seed: u64, job: JobConfig) -> Self {
+    pub fn new(strategy: MarkingStrategy, seed: u64) -> Self {
         MaximalMatcher {
             strategy,
             seed,
-            job,
             max_iterations: 10_000,
         }
     }
@@ -605,6 +588,7 @@ mod tests {
     use super::*;
     use crate::state::{build_node_records, total_live_edge_entries};
     use smr_graph::{BipartiteGraph, Capacities, ConsumerId, Edge, ItemId, Matching};
+    use smr_mapreduce::JobConfig;
 
     fn grid_graph(items: usize, consumers: usize) -> BipartiteGraph {
         let mut edges = Vec::new();
@@ -646,17 +630,9 @@ mod tests {
         }
     }
 
-    fn matcher(strategy: MarkingStrategy, seed: u64) -> MaximalMatcher {
-        MaximalMatcher::new(
-            strategy,
-            seed,
-            JobConfig::named("maximal-test").with_threads(2),
-        )
-    }
-
-    /// Test helper: run under a throwaway flow built from the matcher's job.
+    /// Test helper: run under a throwaway flow.
     fn compute(m: &MaximalMatcher, records: &[(NodeId, NodeRecord)]) -> MaximalResult {
-        let flow = FlowContext::new(m.job.clone());
+        let flow = FlowContext::new(JobConfig::named("maximal-test").with_threads(2));
         m.compute(records, &flow, "")
     }
 
@@ -665,7 +641,7 @@ mod tests {
         let g = grid_graph(6, 6);
         let caps = Capacities::uniform(&g, 1, 1);
         let records = build_node_records(&g, &caps);
-        let result = compute(&matcher(MarkingStrategy::Random, 1), &records);
+        let result = compute(&MaximalMatcher::new(MarkingStrategy::Random, 1), &records);
         assert_maximal(&g, &caps, &result.edges);
         assert!(result.iterations >= 1);
         assert_eq!(result.jobs, result.iterations * 4);
@@ -676,7 +652,7 @@ mod tests {
         let g = grid_graph(6, 6);
         let caps = Capacities::uniform(&g, 1, 1);
         let records = build_node_records(&g, &caps);
-        let result = compute(&matcher(MarkingStrategy::Random, 1), &records);
+        let result = compute(&MaximalMatcher::new(MarkingStrategy::Random, 1), &records);
         let shuffled: Vec<u64> = result.job_metrics[..4]
             .iter()
             .map(|m| m.shuffle_records)
@@ -719,7 +695,7 @@ mod tests {
         );
         let caps = Capacities::uniform(&g, 1, 1);
         let records = build_node_records(&g, &caps);
-        let result = compute(&matcher(MarkingStrategy::Random, 4), &records);
+        let result = compute(&MaximalMatcher::new(MarkingStrategy::Random, 4), &records);
         assert_eq!(result.edges.len(), 1);
         assert_eq!(result.iterations, 1, "every leaf is done at cleanup 0");
         assert_maximal(&g, &caps, &result.edges);
@@ -779,7 +755,7 @@ mod tests {
         let g = grid_graph(5, 7);
         let caps = Capacities::uniform(&g, 3, 2);
         let records = build_node_records(&g, &caps);
-        let result = compute(&matcher(MarkingStrategy::Random, 7), &records);
+        let result = compute(&MaximalMatcher::new(MarkingStrategy::Random, 7), &records);
         assert_maximal(&g, &caps, &result.edges);
     }
 
@@ -788,16 +764,10 @@ mod tests {
         let g = grid_graph(6, 5);
         let caps = Capacities::uniform(&g, 2, 2);
         let records = build_node_records(&g, &caps);
-        let result = compute(&matcher(MarkingStrategy::HeaviestFirst, 3), &records);
-        assert_maximal(&g, &caps, &result.edges);
-    }
-
-    #[test]
-    fn weight_proportional_marking_also_yields_maximal_matchings() {
-        let g = grid_graph(4, 6);
-        let caps = Capacities::uniform(&g, 2, 1);
-        let records = build_node_records(&g, &caps);
-        let result = compute(&matcher(MarkingStrategy::WeightProportional, 11), &records);
+        let result = compute(
+            &MaximalMatcher::new(MarkingStrategy::HeaviestFirst, 3),
+            &records,
+        );
         assert_maximal(&g, &caps, &result.edges);
     }
 
@@ -806,11 +776,11 @@ mod tests {
         let g = grid_graph(6, 6);
         let caps = Capacities::uniform(&g, 2, 2);
         let records = build_node_records(&g, &caps);
-        let a = compute(&matcher(MarkingStrategy::Random, 99), &records);
-        let b = compute(&matcher(MarkingStrategy::Random, 99), &records);
+        let a = compute(&MaximalMatcher::new(MarkingStrategy::Random, 99), &records);
+        let b = compute(&MaximalMatcher::new(MarkingStrategy::Random, 99), &records);
         assert_eq!(a.edges, b.edges);
         assert_eq!(a.iterations, b.iterations);
-        let c = compute(&matcher(MarkingStrategy::Random, 100), &records);
+        let c = compute(&MaximalMatcher::new(MarkingStrategy::Random, 100), &records);
         // A different seed is allowed to (and almost surely does) produce a
         // different maximal matching, but both must be maximal.
         assert_maximal(&g, &caps, &c.edges);
@@ -818,7 +788,7 @@ mod tests {
 
     #[test]
     fn empty_input_terminates_immediately() {
-        let result = compute(&matcher(MarkingStrategy::Random, 0), &[]);
+        let result = compute(&MaximalMatcher::new(MarkingStrategy::Random, 0), &[]);
         assert!(result.edges.is_empty());
         assert_eq!(result.iterations, 0);
         assert_eq!(result.jobs, 0);
@@ -837,11 +807,7 @@ mod tests {
     fn pick_edges_respects_the_quota_for_every_strategy() {
         let mut rng = node_rng(1, 2, NodeId::item(3));
         let candidates: Vec<(usize, f64)> = (0..10).map(|i| (i, (i + 1) as f64)).collect();
-        for strategy in [
-            MarkingStrategy::Random,
-            MarkingStrategy::HeaviestFirst,
-            MarkingStrategy::WeightProportional,
-        ] {
+        for strategy in [MarkingStrategy::Random, MarkingStrategy::HeaviestFirst] {
             let picked = pick_edges(strategy, &mut rng, &candidates, 4);
             assert_eq!(picked.len(), 4, "{strategy:?}");
             let picked_all = pick_edges(strategy, &mut rng, &candidates, 100);

@@ -376,10 +376,6 @@ impl StackMr {
             let matcher = MaximalMatcher {
                 strategy: self.config.marking,
                 seed: self.config.seed.wrapping_add(push_round as u64),
-                // `job` only matters for the standalone in-memory path;
-                // under a shared flow every stage job takes its config
-                // (and name) from the FlowContext.
-                job: flow.config().clone(),
                 max_iterations: self.config.max_maximal_iterations,
             };
             let maximal = matcher.compute(&matcher_input, flow, &format!("maximal-{push_round}"));
@@ -469,15 +465,16 @@ mod tests {
     use smr_mapreduce::JobConfig;
 
     fn test_config(seed: u64) -> StackMrConfig {
-        StackMrConfig::default()
-            .with_seed(seed)
-            .with_job(JobConfig::named("stack-mr-test").with_threads(2))
+        StackMrConfig::default().with_seed(seed)
     }
 
-    /// Test helper: run under a throwaway flow built from the config's job.
+    fn job() -> JobConfig {
+        JobConfig::named("stack-mr-test").with_threads(2)
+    }
+
+    /// Test helper: run under a throwaway flow.
     fn run(alg: StackMr, g: &BipartiteGraph, caps: &Capacities) -> MatchingRun {
-        let flow = FlowContext::new(alg.config.job.clone());
-        alg.run(g, caps, &flow)
+        alg.run(g, caps, &FlowContext::new(job()))
     }
 
     fn random_graph(items: usize, consumers: usize, keep_mod: usize) -> BipartiteGraph {
@@ -554,7 +551,7 @@ mod tests {
         let caps = Capacities::uniform(&g, 2, 2);
         let baseline = run(StackMr::new(test_config(17)), &g, &caps);
 
-        let flow = FlowContext::new(JobConfig::named("stack-mr-test").with_threads(2));
+        let flow = FlowContext::new(job());
         let run = StackMr::new(test_config(17)).run(&g, &caps, &flow);
 
         assert_eq!(run.matching.to_edge_vec(), baseline.matching.to_edge_vec());
@@ -577,7 +574,7 @@ mod tests {
         let g = random_graph(6, 8, 3);
         let caps = Capacities::uniform(&g, 2, 2);
         let config = test_config(17);
-        let flow = FlowContext::new(config.job.clone());
+        let flow = FlowContext::new(job());
         let run = StackMr::new(config).run(&g, &caps, &flow);
         let report = flow.report();
         // Shuffled records per job, keyed by stage name.
@@ -802,15 +799,15 @@ mod tests {
     fn spilled_and_in_memory_runs_agree_on_the_matching() {
         let g = random_graph(6, 7, 3);
         let caps = Capacities::uniform(&g, 2, 2);
-        let in_memory = run(
-            StackMr::new(test_config(21).with_memory_budget(None)),
+        let in_memory = StackMr::new(test_config(21)).run(
             &g,
             &caps,
+            &FlowContext::new(job().with_memory_budget(None)),
         );
-        let spilled = run(
-            StackMr::new(test_config(21).with_memory_budget(Some(256))),
+        let spilled = StackMr::new(test_config(21)).run(
             &g,
             &caps,
+            &FlowContext::new(job().with_memory_budget(Some(256))),
         );
         assert_eq!(
             spilled.matching.to_edge_vec(),

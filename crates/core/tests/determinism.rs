@@ -39,11 +39,7 @@ fn greedy_mr_is_deterministic_across_20_runs_with_varying_thread_counts() {
     let thread_counts = [1usize, 2, 3, 4, 8];
     let run_with = |threads: usize| {
         let job = JobConfig::named("determinism").with_threads(threads);
-        GreedyMr::new(GreedyMrConfig::default().with_job(job.clone())).run(
-            &graph,
-            &caps,
-            &FlowContext::new(job),
-        )
+        GreedyMr::new(GreedyMrConfig::default()).run(&graph, &caps, &FlowContext::new(job))
     };
     let baseline = run_with(1);
     assert!(!baseline.matching.is_empty());
@@ -78,19 +74,13 @@ fn greedy_mr_per_round_shuffle_counters_are_budget_invariant() {
     let unlimited = JobConfig::named("ab")
         .with_threads(4)
         .with_memory_budget(None);
-    let in_memory = GreedyMr::new(GreedyMrConfig::default().with_job(unlimited.clone())).run(
-        &graph,
-        &caps,
-        &FlowContext::new(unlimited),
-    );
+    let in_memory =
+        GreedyMr::new(GreedyMrConfig::default()).run(&graph, &caps, &FlowContext::new(unlimited));
     let budgeted = JobConfig::named("ab")
         .with_threads(4)
         .with_memory_budget(Some(512));
-    let spilled = GreedyMr::new(GreedyMrConfig::default().with_job(budgeted.clone())).run(
-        &graph,
-        &caps,
-        &FlowContext::new(budgeted),
-    );
+    let spilled =
+        GreedyMr::new(GreedyMrConfig::default()).run(&graph, &caps, &FlowContext::new(budgeted));
     assert_eq!(
         spilled.matching.to_edge_vec(),
         in_memory.matching.to_edge_vec()
@@ -117,7 +107,7 @@ fn seeded_stack_mr_is_deterministic_across_thread_counts() {
     let (graph, caps) = instance();
     let run_with = |threads: usize| {
         let job = JobConfig::named("determinism-stack").with_threads(threads);
-        StackMr::new(StackMrConfig::default().with_seed(99).with_job(job.clone())).run(
+        StackMr::new(StackMrConfig::default().with_seed(99)).run(
             &graph,
             &caps,
             &FlowContext::new(job),

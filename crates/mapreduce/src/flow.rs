@@ -82,7 +82,6 @@ use crate::counters::Counters;
 use crate::executor::Job;
 use crate::metrics::JobMetrics;
 use crate::round::{live, partition_sorted, PendingNotes, StatePartition, StateSpill};
-use crate::sharded::replays_rounds;
 use crate::types::{Emitter, Key, Mapper, Reducer, StateReducer, Value};
 
 /// The records a dataset materializes to.
@@ -397,10 +396,6 @@ impl FlowContext {
 /// cannot come from the previous round's reducer.  State records are
 /// moved from round to round and never cloned; a file is removed as soon
 /// as its partition or its notes are consumed, and on drop.
-///
-/// In a sharded session the coordinator runs every round; a worker holds
-/// no state and adopts each round's side output, live count and peak
-/// bytes from the coordinator.
 pub struct RoundState<K: Key, S: Value, N: Value> {
     ctx: FlowContext,
     name: String,
@@ -429,15 +424,6 @@ impl<K: Key, S: Value, N: Value> RoundState<K, S, N> {
     /// dropping any pending notes.  Keys must be unique.
     pub fn seed(&mut self, mut records: Records<K, S>) {
         self.pending = None;
-        if replays_rounds(self.ctx.config()) {
-            // A sharded worker holds no state; it only counts it.
-            let bytes = records
-                .iter()
-                .map(|(k, s)| k.encoded_len() + s.encoded_len());
-            self.max_state_bytes = self.max_state_bytes.max(bytes.sum::<usize>() as u64);
-            self.live = records.len();
-            return;
-        }
         records.sort_by(|a, b| a.0.cmp(&b.0));
         let spill = self.next_spill();
         let parts = self.ctx.config().effective_reduce_tasks();
@@ -451,9 +437,6 @@ impl<K: Key, S: Value, N: Value> RoundState<K, S, N> {
     /// a different state, or emitting early would hold the notes in
     /// memory across other work.
     pub fn map(&mut self, notes: impl Fn(&K, &S, &mut Emitter<K, N>) + Sync) {
-        if replays_rounds(self.ctx.config()) {
-            return;
-        }
         let job = Job::new(self.ctx.config().clone());
         self.pending = Some(job.map_state(&self.partitions, notes));
     }
@@ -492,23 +475,18 @@ impl<K: Key, S: Value, N: Value> RoundState<K, S, N> {
     {
         let name = self.ctx.job_name(Some(&stage.into()));
         let job = Job::new(self.ctx.config().clone().with_name(name));
-        let (side, live, max_state_bytes) = job.run_round_sharded(|| {
-            let spill = self.next_spill();
-            let parts = self.ctx.config().effective_reduce_tasks();
-            let notes = self
-                .pending
-                .take()
-                .unwrap_or_else(|| PendingNotes::none(parts));
-            let state = std::mem::take(&mut self.partitions);
-            let result = job.run_round(&reducer, state, notes, spill.as_ref());
-            self.ctx.record_job(result.metrics);
-            self.install(result.state);
-            self.pending = Some(result.notes);
-            (result.side, self.live as u64, self.max_state_bytes)
-        });
-        self.live = live as usize;
-        self.max_state_bytes = max_state_bytes;
-        side
+        let spill = self.next_spill();
+        let parts = self.ctx.config().effective_reduce_tasks();
+        let notes = self
+            .pending
+            .take()
+            .unwrap_or_else(|| PendingNotes::none(parts));
+        let state = std::mem::take(&mut self.partitions);
+        let result = job.run_round(&reducer, state, notes, spill.as_ref());
+        self.ctx.record_job(result.metrics);
+        self.install(result.state);
+        self.pending = Some(result.notes);
+        result.side
     }
 
     /// Where the partitions of the next state spill (nowhere without a

@@ -32,7 +32,7 @@ use crate::config::JobConfig;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardRole {
     /// The session owner: spawns workers, merges their runs, reduces and
-    /// publishes each job's output, and runs every round.
+    /// publishes each job's output.
     Coordinator,
     /// A spawned worker: maps its shard of each job, ships runs back and
     /// adopts every published output.
@@ -83,8 +83,7 @@ pub struct ShardJobCheck {
 
 /// The runtime a sharded session installs; see the module docs.
 pub trait ProcessShardRuntime: Send + Sync + std::fmt::Debug {
-    /// Which side of the session this process plays.  A worker also holds
-    /// no round state: rounds run on the coordinator alone.
+    /// Which side of the session this process plays.
     fn role(&self) -> ShardRole;
 
     /// Called by every participant at the start of each sharded job;

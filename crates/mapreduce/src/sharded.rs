@@ -25,12 +25,6 @@
 //! worker polling `output.run` sees `Truncated` until the coordinator's
 //! `finish()` patches the record count, so a half-written output is never
 //! adopted.
-//!
-//! A round over partition-resident state ([`crate::flow::RoundState`])
-//! has no map phase, hence no worker work: the coordinator runs it in
-//! process and publishes its side output together with the state's live
-//! count and peak bytes as one record; workers hold no round state and
-//! adopt that record ([`Job::run_round_sharded`]).
 
 use std::path::Path;
 use std::sync::Arc;
@@ -41,7 +35,6 @@ use smr_storage::{
     Codec, CompletedRun, ManifestRun, RunReader, RunWriter, ShardManifest, StorageError,
 };
 
-use crate::config::JobConfig;
 use crate::counters::Counters;
 use crate::executor::{Job, RunSource, TaggedRun, TaggedRuns};
 use crate::metrics::JobMetrics;
@@ -145,7 +138,7 @@ impl Job {
 
                 let partitions = self.merge_phase(runs, counters, metrics);
                 let output = self.reduce_groups(reducer, partitions, counters, metrics);
-                publish(&job.output_path, |push| output.iter().for_each(push));
+                publish(&job.output_path, &output);
                 output
             }
             ShardRole::Worker { shard, attempt } => {
@@ -204,43 +197,12 @@ impl Job {
                 runtime.commit_manifest(&job, &manifest);
 
                 // Lockstep: adopt the coordinator's reduced output as this
-                // job's result, so everything downstream of the job (next
-                // rounds, derived state) replays identically.
+                // job's result, so everything downstream of the job (later
+                // jobs, derived state) replays identically.
                 adopt(runtime, &job)
             }
         }
     }
-
-    /// Runs one round of a [`crate::flow::RoundState`].  In a sharded
-    /// session the coordinator runs it in process with `run` and
-    /// publishes what `run` returns — the side output with the state's
-    /// live count and peak bytes — as the job's one output record, and a
-    /// worker, which holds no round state, adopts that record instead.
-    /// The round is numbered like any sharded job.  Outside a session,
-    /// `run` runs.
-    pub(crate) fn run_round_sharded<T: Codec>(&self, run: impl FnOnce() -> T) -> T {
-        let Some(runtime) = self.shard_runtime() else {
-            return run();
-        };
-        let job = runtime.begin_job(self.config());
-        if runtime.role() == ShardRole::Coordinator {
-            let result = run();
-            publish(&job.output_path, |push| push(&result));
-            result
-        } else {
-            let mut published = adopt(runtime.as_ref(), &job);
-            assert_eq!(published.len(), 1, "a round publishes one record");
-            published.swap_remove(0)
-        }
-    }
-}
-
-/// Whether this process is a worker of the sharded session jobs under
-/// `config` run in: a worker replays rounds without holding their state
-/// (see [`Job::run_round_sharded`]).
-pub(crate) fn replays_rounds(config: &JobConfig) -> bool {
-    config.process_shards.is_some()
-        && current_runtime().is_some_and(|runtime| runtime.role() != ShardRole::Coordinator)
 }
 
 /// Writes every run to `attempt_dir` in the wire format and returns the
@@ -299,17 +261,17 @@ where
     entries
 }
 
-/// Publishes the records `write` pushes as a run file at `path`.  The
-/// record count in the run header stays at the pending sentinel until
-/// `finish()`, which is the atomic commit point for pollers.
-fn publish<R: Codec>(path: &Path, write: impl FnOnce(&mut dyn FnMut(&R))) {
+/// Publishes `records` as a run file at `path`.  The record count in the
+/// run header stays at the pending sentinel until `finish()`, which is
+/// the atomic commit point for pollers.
+fn publish<R: Codec>(path: &Path, records: &[R]) {
     let mut writer: RunWriter<R> = RunWriter::create(path)
         .unwrap_or_else(|e| panic!("cannot create job output {path:?}: {e}"));
-    write(&mut |record: &R| {
+    for record in records {
         writer
             .push(record)
-            .unwrap_or_else(|e| panic!("cannot write job output {path:?}: {e}"))
-    });
+            .unwrap_or_else(|e| panic!("cannot write job output {path:?}: {e}"));
+    }
     writer
         .finish()
         .unwrap_or_else(|e| panic!("cannot publish job output {path:?}: {e}"));

@@ -5,14 +5,15 @@
 //! cargo run --release --example sharded_pipeline
 //! ```
 //!
-//! `MatchingPipeline::process_shards(n)` wraps the run in an
+//! `MatchingPipeline::process_shards(n)` wraps the similarity join in an
 //! `smr_distrib` session: a coordinator re-invokes this example as n
-//! worker processes, each maps its slice of every job's task space, and
-//! sorted runs + checksummed manifests in a shared session directory are
-//! the only channel between them (see docs/distrib.md).  The workers
+//! worker processes, each maps its slice of both join jobs' task spaces,
+//! and sorted runs + checksummed manifests in a shared session directory
+//! are the only channel between them (see docs/distrib.md).  The workers
 //! replay `main` from the top — which is why everything here is
-//! deterministic — and exit once their session ends, so only the
-//! coordinator prints.
+//! deterministic — and exit once the join's session ends; the matching
+//! rounds, which have no map phase, run on the coordinator alone, so only
+//! the coordinator prints.
 
 use social_content_matching::datagen::FlickrGenerator;
 use social_content_matching::distrib::{is_worker_process, last_session_stats};
@@ -51,6 +52,10 @@ fn main() {
         assert_eq!(local.matching.matching, sharded.matching.matching);
         if !is_worker_process() {
             let stats = last_session_stats().expect("session finished");
+            assert_eq!(
+                stats.jobs, sharded.simjoin_jobs as u64,
+                "the session holds exactly the join's jobs"
+            );
             println!(
                 "{} shards: {} edges, {} matched, value {:.2} — identical to local \
                  ({} sharded jobs, {} respawns)",

@@ -225,15 +225,17 @@ impl MatchingPipeline {
         self
     }
 
-    /// Runs every MapReduce job of the pipeline across `n` worker OS
-    /// processes (0 = stay in process): [`MatchingPipeline::run`] and
-    /// [`MatchingPipeline::build_graph`] wrap the whole pipeline in a
-    /// `smr_distrib` sharded session, so each job's map phase is split
-    /// across the workers and the output stays **byte-identical** to the
-    /// in-process run.  The session key defaults to the job config's
-    /// name — give concurrent pipelines distinct names.  For full control
-    /// of the session (worker arguments inside a test harness, timeouts,
-    /// fault injection) use [`MatchingPipeline::shard_options`].
+    /// Runs the similarity join's two jobs across `n` worker OS processes
+    /// (0 = stay in process): [`MatchingPipeline::run`] and
+    /// [`MatchingPipeline::build_graph`] wrap the candidate-graph stage in
+    /// a `smr_distrib` sharded session, so each join job's map phase is
+    /// split across the workers and the output stays **byte-identical**
+    /// to the in-process run.  The workers exit when the join is done;
+    /// the matching rounds, which have no map phase, run in this process.
+    /// The session key defaults to the job config's name — give
+    /// concurrent pipelines distinct names.  For full control of the
+    /// session (worker arguments inside a test harness, fault injection)
+    /// use [`MatchingPipeline::shard_options`].
     pub fn process_shards(self, n: usize) -> Self {
         if n == 0 {
             let mut this = self;
@@ -246,8 +248,8 @@ impl MatchingPipeline {
     }
 
     /// Like [`MatchingPipeline::process_shards`] with explicit session
-    /// options (shard count, session key, worker arguments, timeouts,
-    /// fault injection).
+    /// options (shard count, session key, worker arguments, fault
+    /// injection).
     pub fn shard_options(mut self, opts: ShardOptions) -> Self {
         self.job = self.job.with_process_shards(opts.shards);
         self.shard = Some(opts);
@@ -278,34 +280,17 @@ impl MatchingPipeline {
     /// that sweep σ or run several algorithms over one candidate graph
     /// (the experiment harness).
     pub fn build_graph(self) -> CandidateGraph {
-        match self.shard.clone() {
-            Some(opts) => run_sharded(opts, move || self.build_graph_inner()),
-            None => self.build_graph_inner(),
-        }
-    }
-
-    fn build_graph_inner(self) -> CandidateGraph {
         let flow = FlowContext::new(self.job.clone());
-        self.join_stage(&flow)
+        self.join(&flow)
     }
 
     /// Runs the complete pipeline: candidate graph, then the selected
     /// matching algorithm, every job through one flow.  With
-    /// [`MatchingPipeline::process_shards`] set this is a sharded
-    /// session: the map phase of every job — similarity join and every
-    /// matching round — executes across the worker processes.
+    /// [`MatchingPipeline::process_shards`] set, the similarity join is a
+    /// sharded session; the matching runs on this process after the
+    /// session has ended, because its rounds have no map phase to split.
     pub fn run(self) -> PipelineRun {
-        match self.shard.clone() {
-            Some(opts) => run_sharded(opts, move || self.run_inner()),
-            None => self.run_inner(),
-        }
-    }
-
-    fn run_inner(self) -> PipelineRun {
         let flow = FlowContext::new(self.job.clone());
-        // Only the algorithm-level knobs matter here: in flow mode the
-        // engine configuration (threads, shuffle, names) comes from the
-        // FlowContext, not from the configs' own `job` field.
         let mut greedy_config = GreedyMrConfig::default();
         if let Some(max_rounds) = self.max_rounds {
             greedy_config = greedy_config.with_max_rounds(max_rounds);
@@ -317,7 +302,7 @@ impl MatchingPipeline {
                 .with_seed(self.seed),
         };
         let algorithm = self.algorithm;
-        let candidate = self.join_stage(&flow);
+        let candidate = self.join(&flow);
         let matching = run_algorithm(
             algorithm,
             &candidate.graph,
@@ -354,6 +339,16 @@ impl MatchingPipeline {
             self.sigma,
             self.alpha,
         )
+    }
+
+    /// The candidate-graph stage, inside a sharded session when
+    /// [`MatchingPipeline::process_shards`] is set: the workers exit when
+    /// it returns.
+    fn join(self, flow: &FlowContext) -> CandidateGraph {
+        match self.shard.clone() {
+            Some(opts) => run_sharded(opts, || self.join_stage(flow)),
+            None => self.join_stage(flow),
+        }
     }
 
     fn join_stage(self, flow: &FlowContext) -> CandidateGraph {

@@ -95,9 +95,9 @@ fn assert_sharded_pipeline_equivalent(algorithm: AlgorithmKind, shards: usize, t
             let stats = last_session_stats().expect("a session just completed");
             assert_eq!(stats.shards, shards);
             assert_eq!(stats.respawns, 0, "fault-free run must not respawn");
-            assert!(
-                stats.jobs >= 2 + local.matching.mr_jobs as u64,
-                "every simjoin and matching job must have gone through the session"
+            assert_eq!(
+                stats.jobs, local.simjoin_jobs as u64,
+                "exactly the similarity join's jobs must go through the session"
             );
         }
     }

@@ -50,7 +50,7 @@ fn flickr_pipeline_produces_a_matchable_graph() {
     );
     assert!(caps.matches(&graph));
 
-    let run = GreedyMr::new(GreedyMrConfig::default().with_job(quick_job("e2e-greedy"))).run(
+    let run = GreedyMr::new(GreedyMrConfig::default()).run(
         &graph,
         &caps,
         &FlowContext::new(quick_job("e2e-greedy")),
@@ -63,14 +63,16 @@ fn flickr_pipeline_produces_a_matchable_graph() {
 #[test]
 fn greedy_mr_beats_stack_mr_on_value_and_both_respect_their_guarantees() {
     let (graph, caps) = flickr_pipeline(0.15);
-    let greedy_run = GreedyMr::new(GreedyMrConfig::default().with_job(quick_job("cmp-greedy")))
-        .run(&graph, &caps, &FlowContext::new(quick_job("cmp-greedy")));
-    let stack_run = StackMr::new(
-        StackMrConfig::default()
-            .with_seed(13)
-            .with_job(quick_job("cmp-stack")),
-    )
-    .run(&graph, &caps, &FlowContext::new(quick_job("cmp-stack")));
+    let greedy_run = GreedyMr::new(GreedyMrConfig::default()).run(
+        &graph,
+        &caps,
+        &FlowContext::new(quick_job("cmp-greedy")),
+    );
+    let stack_run = StackMr::new(StackMrConfig::default().with_seed(13)).run(
+        &graph,
+        &caps,
+        &FlowContext::new(quick_job("cmp-stack")),
+    );
 
     // The paper's headline comparison: GreedyMR consistently achieves the
     // higher b-matching value (it has the better guarantee too).
@@ -150,7 +152,7 @@ fn preset_sweep_shapes_match_the_paper() {
     assert!(dense.num_edges() > sparse.num_edges());
 
     let run_on = |graph: &social_content_matching::graph::BipartiteGraph| {
-        GreedyMr::new(GreedyMrConfig::default().with_job(quick_job("sweep-greedy")))
+        GreedyMr::new(GreedyMrConfig::default())
             .run(graph, &caps, &FlowContext::new(quick_job("sweep-greedy")))
             .value(graph)
     };
@@ -165,7 +167,7 @@ fn preset_sweep_shapes_match_the_paper() {
 #[test]
 fn anytime_trace_reaches_95_percent_before_the_last_round() {
     let (graph, caps) = flickr_pipeline(0.12);
-    let run = GreedyMr::new(GreedyMrConfig::default().with_job(quick_job("anytime"))).run(
+    let run = GreedyMr::new(GreedyMrConfig::default()).run(
         &graph,
         &caps,
         &FlowContext::new(quick_job("anytime")),
@@ -353,7 +355,7 @@ fn stack_mr_golden_across_threads_and_budgets() {
                     .with_map_tasks(4)
                     .with_reduce_tasks(4)
                     .with_memory_budget(budget);
-                let mut config = StackMrConfig::default().with_seed(99).with_job(job.clone());
+                let mut config = StackMrConfig::default().with_seed(99);
                 if greedy {
                     config = config.stack_greedy();
                 }

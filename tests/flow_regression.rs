@@ -44,11 +44,7 @@ fn pipeline_run_is_byte_identical_to_the_pre_redesign_glue() {
         mapreduce_similarity_join_flow(&items, &users, SIGMA, &FlowContext::new(quick_job("old")));
     let caps = dataset.capacities(1.0);
     let old_flow = FlowContext::new(quick_job("old"));
-    let old_matching = GreedyMr::new(GreedyMrConfig::default().with_job(quick_job("old"))).run(
-        &join.graph,
-        &caps,
-        &old_flow,
-    );
+    let old_matching = GreedyMr::new(GreedyMrConfig::default()).run(&join.graph, &caps, &old_flow);
 
     // --- the new chain ---
     let run = MatchingPipeline::new(dataset)
@@ -118,12 +114,8 @@ fn stack_mr_through_the_pipeline_matches_the_old_wrapper() {
         mapreduce_similarity_join_flow(&items, &users, SIGMA, &FlowContext::new(quick_job("old")));
     let caps = dataset.capacities(1.0);
     let old_flow = FlowContext::new(quick_job("old"));
-    let old = StackMr::new(
-        StackMrConfig::default()
-            .with_seed(13)
-            .with_job(quick_job("old")),
-    )
-    .run(&join.graph, &caps, &old_flow);
+    let old =
+        StackMr::new(StackMrConfig::default().with_seed(13)).run(&join.graph, &caps, &old_flow);
 
     let run = MatchingPipeline::new(dataset)
         .tokenizer(TokenizerConfig::tags_only())

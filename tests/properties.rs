@@ -177,10 +177,8 @@ proptest! {
 
     #[test]
     fn greedy_mr_is_feasible_and_half_optimal((graph, caps) in instance_strategy()) {
-        let run = GreedyMr::new(
-            GreedyMrConfig::default().with_job(single_thread_job("prop-greedy-mr")),
-        )
-        .run(&graph, &caps, &FlowContext::new(single_thread_job("prop-greedy-mr")));
+        let run = GreedyMr::new(GreedyMrConfig::default())
+            .run(&graph, &caps, &FlowContext::new(single_thread_job("prop-greedy-mr")));
         let optimal = optimal_matching(&graph, &caps);
         prop_assert!(run.matching.is_feasible(&graph, &caps));
         prop_assert!(run.value(&graph) <= optimal.value(&graph) + 1e-9);
@@ -204,7 +202,7 @@ proptest! {
         let job = JobConfig::named("prop-greedy-model")
             .with_threads(threads)
             .with_memory_budget(budget);
-        let run = GreedyMr::new(GreedyMrConfig::default().with_job(job.clone()))
+        let run = GreedyMr::new(GreedyMrConfig::default())
             .run(&graph, &caps, &FlowContext::new(job));
         let model = simulate_algorithm_3(&graph, &caps);
         prop_assert_eq!(run.matching.to_edge_vec(), model.matching.to_edge_vec());
@@ -224,13 +222,8 @@ proptest! {
     #[test]
     fn stack_mr_respects_violation_bound_and_guarantee((graph, caps) in instance_strategy()) {
         let epsilon = 1.0;
-        let run = StackMr::new(
-            StackMrConfig::default()
-                .with_epsilon(epsilon)
-                .with_seed(99)
-                .with_job(single_thread_job("prop-stack-mr")),
-        )
-        .run(&graph, &caps, &FlowContext::new(single_thread_job("prop-stack-mr")));
+        let run = StackMr::new(StackMrConfig::default().with_epsilon(epsilon).with_seed(99))
+            .run(&graph, &caps, &FlowContext::new(single_thread_job("prop-stack-mr")));
         let optimal = optimal_matching(&graph, &caps);
         prop_assert!(run.matching.max_violation(&graph, &caps) <= epsilon + 1e-9);
         prop_assert!(
@@ -316,10 +309,8 @@ proptest! {
 
     #[test]
     fn matching_violation_is_zero_iff_feasible((graph, caps) in instance_strategy()) {
-        let run = GreedyMr::new(
-            GreedyMrConfig::default().with_job(single_thread_job("prop-violation")),
-        )
-        .run(&graph, &caps, &FlowContext::new(single_thread_job("prop-violation")));
+        let run = GreedyMr::new(GreedyMrConfig::default())
+            .run(&graph, &caps, &FlowContext::new(single_thread_job("prop-violation")));
         let feasible = run.matching.is_feasible(&graph, &caps);
         let avg = run.matching.average_violation(&graph, &caps);
         let max = run.matching.max_violation(&graph, &caps);
