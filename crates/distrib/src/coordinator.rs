@@ -1,5 +1,5 @@
-//! The coordinator side: worker processes, manifest collection,
-//! supervision and retry.
+//! The coordinator side: each job's worker processes, manifest
+//! collection, supervision and retry.
 
 use std::fs::File;
 use std::path::{Path, PathBuf};
@@ -12,7 +12,7 @@ use smr_mapreduce::JobConfig;
 use smr_storage::{ShardManifest, StorageError};
 
 use crate::session::{
-    SessionStats, ShardOptions, ATTEMPT_ENV, DIR_ENV, FAIL_ENV, OCCURRENCE_ENV, ROLE_ENV,
+    SessionStats, ShardOptions, ATTEMPT_ENV, DIR_ENV, FAIL_ENV, JOB_ENV, OCCURRENCE_ENV, ROLE_ENV,
     SESSION_ENV, SHARDS_ENV, SHARD_ENV,
 };
 
@@ -20,7 +20,7 @@ use crate::session::{
 const MANIFEST_POLL: Duration = Duration::from_millis(2);
 
 /// How long the coordinator waits for a shard's manifest in each job
-/// before killing and respawning the worker; also the shutdown grace.
+/// before killing and respawning the worker.
 const WORKER_TIMEOUT: Duration = Duration::from_secs(120);
 
 /// Spawn attempts per shard before the session panics.
@@ -28,7 +28,7 @@ const MAX_ATTEMPTS: u64 = 3;
 
 #[derive(Debug)]
 struct WorkerSlot {
-    /// Current spawn attempt, starting at 1.
+    /// Current spawn attempt in the current job, starting at 1.
     attempt: u64,
     child: Option<Child>,
 }
@@ -75,26 +75,17 @@ impl CoordinatorRuntime {
         }
     }
 
-    /// Spawns attempt 1 of every shard's worker.  Workers start replaying
-    /// the program immediately, overlapping with the coordinator's own
-    /// progress towards the first sharded job.
-    pub(crate) fn spawn_all(&self) {
-        let mut state = lock(&self.state);
-        for shard in 0..self.opts.shards {
-            let slot = &mut state.workers[shard];
-            slot.attempt = 1;
-            slot.child = Some(self.spawn(shard, 1));
-        }
-    }
-
-    fn spawn(&self, shard: usize, attempt: u64) -> Child {
+    /// Spawns shard `shard`'s worker for `job`: it replays the program,
+    /// runs the sharded jobs before `job` in process, maps its slice of
+    /// `job`, commits its manifest and exits.
+    fn spawn(&self, job: &ShardJob, shard: usize, attempt: u64) -> Child {
         let exe = std::env::current_exe().expect("cannot resolve the current executable");
         let args: Vec<String> = self
             .opts
             .worker_args
             .clone()
             .unwrap_or_else(|| std::env::args().skip(1).collect());
-        let stderr = File::create(self.stderr_path(shard, attempt))
+        let stderr = File::create(stderr_path(job, shard, attempt))
             .expect("cannot create worker stderr file");
         let mut cmd = Command::new(exe);
         cmd.args(&args)
@@ -105,6 +96,7 @@ impl CoordinatorRuntime {
             .env(ATTEMPT_ENV, attempt.to_string())
             .env(SESSION_ENV, &self.opts.session_key)
             .env(OCCURRENCE_ENV, self.occurrence.to_string())
+            .env(JOB_ENV, job.seq.to_string())
             .stdin(Stdio::null())
             .stdout(Stdio::null())
             .stderr(stderr);
@@ -120,34 +112,15 @@ impl CoordinatorRuntime {
             .unwrap_or_else(|e| panic!("cannot spawn worker for shard {shard}: {e}"))
     }
 
-    fn stderr_path(&self, shard: usize, attempt: u64) -> PathBuf {
-        self.session_dir
-            .join(format!("shard-{shard}-attempt-{attempt}.stderr"))
-    }
-
-    fn stderr_tail(&self, shard: usize, attempt: u64) -> String {
-        match std::fs::read_to_string(self.stderr_path(shard, attempt)) {
-            Ok(contents) => {
-                let tail_at = contents.len().saturating_sub(4096);
-                contents[tail_at..].to_string()
-            }
-            Err(_) => "<no stderr captured>".to_string(),
-        }
-    }
-
     /// Kills shard `shard`'s current attempt and spawns the next one.
     ///
     /// # Panics
     /// Panics when the shard's attempt budget is exhausted.
-    fn retry(&self, shard: usize, reason: &str) {
+    fn retry(&self, job: &ShardJob, shard: usize, reason: &str) {
         let (attempt, exhausted) = {
             let mut state = lock(&self.state);
             let slot = &mut state.workers[shard];
-            if let Some(child) = slot.child.as_mut() {
-                let _ = child.kill();
-                let _ = child.wait();
-            }
-            slot.child = None;
+            reap(slot);
             if slot.attempt >= MAX_ATTEMPTS {
                 (slot.attempt, true)
             } else {
@@ -159,10 +132,10 @@ impl CoordinatorRuntime {
         if exhausted {
             panic!(
                 "shard {shard} failed after {attempt} attempts ({reason}); last stderr:\n{}",
-                self.stderr_tail(shard, attempt)
+                stderr_tail(job, shard, attempt)
             );
         }
-        let child = self.spawn(shard, attempt);
+        let child = self.spawn(job, shard, attempt);
         lock(&self.state).workers[shard].child = Some(child);
     }
 
@@ -192,41 +165,42 @@ impl CoordinatorRuntime {
         );
     }
 
-    /// Reaps every worker: normal grace period first (the workers are
-    /// finishing their replay of the program), then kill.  During a panic
-    /// unwind there is nothing to wait for — the workers will never see
-    /// the outputs they are polling — so they are killed immediately.
+    /// Reaps every worker and removes the session directory.  Once `f`
+    /// has returned every worker has committed; during a panic unwind the
+    /// workers' jobs are abandoned.  Either way there is nothing to wait
+    /// for.
     pub(crate) fn shutdown(&self) -> SessionStats {
         let mut state = lock(&self.state);
-        let grace = if std::thread::panicking() {
-            Duration::ZERO
-        } else {
-            WORKER_TIMEOUT
-        };
-        let deadline = Instant::now() + grace;
-        for slot in &mut state.workers {
-            let Some(child) = slot.child.as_mut() else {
-                continue;
-            };
-            loop {
-                match child.try_wait() {
-                    Ok(Some(_)) => break,
-                    Ok(None) if Instant::now() < deadline => std::thread::sleep(MANIFEST_POLL),
-                    _ => {
-                        let _ = child.kill();
-                        let _ = child.wait();
-                        break;
-                    }
-                }
-            }
-            slot.child = None;
-        }
+        state.workers.iter_mut().for_each(reap);
         let _ = std::fs::remove_dir_all(&self.session_dir);
         SessionStats {
             shards: self.opts.shards,
             jobs: state.job_seq,
             respawns: state.respawns,
         }
+    }
+}
+
+/// Kills and waits for a slot's worker, if it has one.
+fn reap(slot: &mut WorkerSlot) {
+    if let Some(mut child) = slot.child.take() {
+        let _ = child.kill();
+        let _ = child.wait();
+    }
+}
+
+fn stderr_path(job: &ShardJob, shard: usize, attempt: u64) -> PathBuf {
+    job.job_dir
+        .join(format!("shard-{shard}-attempt-{attempt}.stderr"))
+}
+
+fn stderr_tail(job: &ShardJob, shard: usize, attempt: u64) -> String {
+    match std::fs::read_to_string(stderr_path(job, shard, attempt)) {
+        Ok(contents) => {
+            let tail_at = contents.len().saturating_sub(4096);
+            contents[tail_at..].to_string()
+        }
+        Err(_) => "<no stderr captured>".to_string(),
     }
 }
 
@@ -242,20 +216,26 @@ impl ProcessShardRuntime for CoordinatorRuntime {
         ShardRole::Coordinator
     }
 
-    fn begin_job(&self, _config: &JobConfig) -> ShardJob {
+    fn begin_job(&self, _config: &JobConfig) -> Option<ShardJob> {
         let mut state = lock(&self.state);
         let seq = state.job_seq;
         state.job_seq += 1;
         let job_dir = self.session_dir.join(format!("job-{seq}"));
         std::fs::create_dir_all(&job_dir)
             .unwrap_or_else(|e| panic!("cannot create job dir {job_dir:?}: {e}"));
-        ShardJob {
+        let job = ShardJob {
             seq,
             num_shards: self.opts.shards,
-            output_path: job_dir.join("output.run"),
             job_dir,
             attempt_dir: None,
+        };
+        // The previous job's workers have committed and are exiting.
+        for (shard, slot) in state.workers.iter_mut().enumerate() {
+            reap(slot);
+            slot.attempt = 1;
+            slot.child = Some(self.spawn(&job, shard, 1));
         }
+        Some(job)
     }
 
     fn collect_manifests(&self, job: &ShardJob, expect: &ShardJobCheck) -> Vec<ShardManifest> {
@@ -263,7 +243,18 @@ impl ProcessShardRuntime for CoordinatorRuntime {
         for shard in 0..self.opts.shards {
             let mut deadline = Instant::now() + WORKER_TIMEOUT;
             loop {
-                let attempt = lock(&self.state).workers[shard].attempt;
+                // A worker exits right after its commit, so look at the
+                // worker *before* the manifest: a worker seen dead here
+                // with no manifest below really died without committing.
+                let (attempt, child_died) = {
+                    let mut state = lock(&self.state);
+                    let slot = &mut state.workers[shard];
+                    let died = slot
+                        .child
+                        .as_mut()
+                        .is_none_or(|child| !matches!(child.try_wait(), Ok(None)));
+                    (slot.attempt, died)
+                };
                 let manifest_path = manifest_path(&job.job_dir, shard, attempt);
                 match ShardManifest::read_from(&manifest_path) {
                     Ok(manifest) => {
@@ -272,17 +263,10 @@ impl ProcessShardRuntime for CoordinatorRuntime {
                         break;
                     }
                     Err(err) if manifest_pending(&err) => {
-                        let child_died = {
-                            let mut state = lock(&self.state);
-                            match state.workers[shard].child.as_mut() {
-                                Some(child) => matches!(child.try_wait(), Ok(Some(_)) | Err(_)),
-                                None => true,
-                            }
-                        };
                         if child_died {
-                            self.retry(shard, "worker exited without committing a manifest");
+                            self.retry(job, shard, "worker exited without committing a manifest");
                         } else if Instant::now() > deadline {
-                            self.retry(shard, "deadline exceeded waiting for the manifest");
+                            self.retry(job, shard, "deadline exceeded waiting for the manifest");
                         } else {
                             std::thread::sleep(MANIFEST_POLL);
                             continue;
@@ -292,7 +276,7 @@ impl ProcessShardRuntime for CoordinatorRuntime {
                     Err(err) => {
                         // Undecodable manifest (checksum, version,
                         // truncation): reject it and re-execute the shard.
-                        self.retry(shard, &format!("invalid manifest: {err}"));
+                        self.retry(job, shard, &format!("invalid manifest: {err}"));
                         deadline = Instant::now() + WORKER_TIMEOUT;
                     }
                 }
@@ -301,7 +285,7 @@ impl ProcessShardRuntime for CoordinatorRuntime {
         manifests
     }
 
-    fn commit_manifest(&self, _job: &ShardJob, _manifest: &ShardManifest) {
+    fn commit_manifest(&self, _job: &ShardJob, _manifest: &ShardManifest) -> ! {
         panic!("commit_manifest called on the coordinator");
     }
 }

@@ -12,19 +12,20 @@
 //! Mappers capture arbitrary program state (term dictionaries, capacity
 //! tables, `Arc`s into side data), so they cannot be serialized and shipped
 //! to a worker.  Instead every worker **re-executes the same program**:
-//! [`run_sharded`] wraps a closure; the coordinator spawns each worker by
-//! re-invoking the current executable (`std::process::Command`), and the
-//! worker's replay of the closure reconstructs all of that state
-//! deterministically.  Only the map phase of each sharded job diverges:
+//! [`run_sharded`] wraps a closure; as each sharded job begins, the
+//! coordinator spawns that job's workers by re-invoking the current
+//! executable (`std::process::Command`), and a worker's replay of the
+//! closure reconstructs all of that state deterministically, running the
+//! session's earlier sharded jobs in process.  Only the map phase of the
+//! worker's own job diverges:
 //!
 //! * a **worker** maps just its contiguous slice of the job's global
 //!   map-task index space, exports the resulting sorted runs as run files
 //!   plus a length-prefixed, checksummed [`ShardManifest`](smr_storage::ShardManifest),
-//!   then polls for the job's published
-//!   output and adopts it, keeping its replay in lockstep;
+//!   and exits;
 //! * the **coordinator** collects one valid manifest per shard, k-way
 //!   merges all shards' runs per reduce partition through the engine's
-//!   existing merge machinery, reduces, and publishes `output.run`.
+//!   existing merge machinery, and reduces.
 //!
 //! Because shards partition the *global task index space* and the merge
 //! orders runs by `(task, seq)` exactly as the local engine does, the
@@ -35,18 +36,16 @@
 //! # Supervision
 //!
 //! The coordinator gives each shard a per-job deadline (120 s) and a
-//! bounded number of spawn attempts (3).  A dead
-//! worker, a deadline, or a manifest that fails validation (bad checksum,
-//! foreign format version, truncation) kills the attempt and re-executes
-//! the shard in a **fresh attempt directory**; the replacement worker
-//! fast-forwards through already-published job outputs instead of
-//! re-mapping them.  A manifest that validates but *contradicts* the
+//! bounded number of spawn attempts (3).  A dead worker, a deadline, or a
+//! manifest that fails validation (bad checksum, foreign format version,
+//! truncation) kills the attempt and re-executes the shard in a **fresh
+//! attempt directory**.  A manifest that validates but *contradicts* the
 //! coordinator's own view of the job (name, input size, task count) is a
 //! lockstep divergence — a bug, not a fault — and panics.  The
 //! fault-injection hook ([`ShardOptions::fail_shard`], or the
-//! `SMR_DISTRIB_FAIL` environment variable) makes a chosen worker commit a
-//! corrupt manifest and abort on its first attempt, exercising exactly
-//! this recovery path in tests.
+//! `SMR_DISTRIB_FAIL` environment variable) makes a chosen shard's worker
+//! commit a corrupt manifest and abort on its first attempt at every job,
+//! exercising exactly this recovery path in tests.
 //!
 //! # Example
 //!
@@ -93,5 +92,6 @@ mod worker;
 
 pub use session::{
     is_worker_process, last_session_stats, run_sharded, session_active, SessionStats, ShardOptions,
-    ATTEMPT_ENV, DIR_ENV, FAIL_ENV, OCCURRENCE_ENV, ROLE_ENV, SESSION_ENV, SHARDS_ENV, SHARD_ENV,
+    ATTEMPT_ENV, DIR_ENV, FAIL_ENV, JOB_ENV, OCCURRENCE_ENV, ROLE_ENV, SESSION_ENV, SHARDS_ENV,
+    SHARD_ENV,
 };

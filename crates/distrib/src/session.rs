@@ -1,12 +1,13 @@
 //! Session entry point and role detection.
 //!
 //! A **session** is one [`run_sharded`] call: the coordinator installs its
-//! runtime, spawns the workers, runs the wrapped closure, and tears
-//! everything down; each worker process re-executes the same program and
-//! uses the `(session key, occurrence)` pair in its environment to
-//! recognise *which* `run_sharded` call it was spawned for — every other
-//! session it encounters on the way is replayed inline, in process, with
-//! no runtime installed (and therefore without spawning grandchildren).
+//! runtime, runs the wrapped closure — spawning each sharded job's
+//! workers as the job begins — and tears everything down; each worker
+//! process re-executes the same program and uses the `(session key,
+//! occurrence)` pair in its environment to recognise *which*
+//! `run_sharded` call it was spawned for — every other session it
+//! encounters on the way is replayed inline, in process, with no runtime
+//! installed (and therefore without spawning grandchildren).
 //!
 //! Identifying the target by key + per-key occurrence (rather than a
 //! process-global sequence number) keeps the match correct when several
@@ -36,6 +37,9 @@ pub const ATTEMPT_ENV: &str = "SMR_DISTRIB_ATTEMPT";
 pub const SESSION_ENV: &str = "SMR_DISTRIB_SESSION";
 /// Worker: which occurrence of that session key is targeted (1-based).
 pub const OCCURRENCE_ENV: &str = "SMR_DISTRIB_OCCURRENCE";
+/// Worker: the sequence number, within the session, of the sharded job
+/// this process was spawned for (0-based).
+pub const JOB_ENV: &str = "SMR_DISTRIB_JOB";
 /// Fault injection: the shard whose worker commits a corrupt manifest and
 /// aborts on attempt 1.  Read by [`ShardOptions::new`] on the coordinator
 /// and forwarded to every worker.
@@ -59,9 +63,8 @@ pub struct ShardOptions {
     /// `["--exact", "<test_name>", "--nocapture"]` so the child runs only
     /// the calling test.
     pub worker_args: Option<Vec<String>>,
-    /// Fault injection: this shard's worker writes a corrupt manifest and
-    /// aborts on its first commit of attempt 1.  Defaults from
-    /// [`FAIL_ENV`].
+    /// Fault injection: this shard's attempt-1 worker of every job writes
+    /// a corrupt manifest and aborts.  Defaults from [`FAIL_ENV`].
     pub fail_shard: Option<usize>,
 }
 
@@ -170,6 +173,7 @@ struct WorkerEnv {
     attempt: u64,
     session: String,
     occurrence: u64,
+    job: u64,
 }
 
 fn required_env(name: &str) -> String {
@@ -193,6 +197,7 @@ fn worker_env() -> Option<WorkerEnv> {
         attempt: parse(ATTEMPT_ENV),
         session: required_env(SESSION_ENV),
         occurrence: parse(OCCURRENCE_ENV),
+        job: parse(JOB_ENV),
     })
 }
 
@@ -211,14 +216,13 @@ fn sanitize(key: &str) -> String {
 /// Role dispatch (see the module docs):
 /// * in the **coordinator** (any process not spawned as a worker) this
 ///   takes the process-wide session lock, creates the session directory,
-///   installs the coordinator runtime, eagerly spawns the workers, runs
-///   `f`, then tears the session down (waits for workers, kills
-///   stragglers, removes the directory) and records
-///   [`last_session_stats`];
+///   installs the coordinator runtime, runs `f` — each sharded job spawns
+///   its own workers — then tears the session down (reaps the workers,
+///   removes the directory) and records [`last_session_stats`];
 /// * in a **worker process** whose environment targets this call, it
-///   installs the worker runtime, runs `f`, and **exits the process**
-///   (status 0) — the program beyond the session belongs to the
-///   coordinator alone;
+///   installs the worker runtime and runs `f`: the sharded jobs before
+///   the worker's own run in process, and the worker **exits the
+///   process** when it commits its manifest for its own job;
 /// * in a worker process replaying *some other* session on the way to its
 ///   target, `f` runs inline with no runtime installed: in process, and
 ///   without spawning grandchildren.
@@ -246,12 +250,15 @@ pub fn run_sharded<T>(opts: ShardOptions, f: impl FnOnce() -> T) -> T {
                 env.shard,
                 env.shards,
                 env.attempt,
+                env.job,
                 opts.fail_shard,
             ));
             install_runtime(runtime);
             let _ = f();
-            // The rest of the program belongs to the coordinator.
-            std::process::exit(0);
+            panic!(
+                "worker never reached sharded job {} (lockstep divergence)",
+                env.job
+            );
         }
         // A different session encountered during replay: run it inline.
         return f();
@@ -273,7 +280,6 @@ pub fn run_sharded<T>(opts: ShardOptions, f: impl FnOnce() -> T) -> T {
         occurrence,
     ));
     install_runtime(runtime.clone());
-    runtime.spawn_all();
 
     // Teardown must happen on every exit path, including a panicking `f`
     // (an assert in a test, a divergence panic): clear the runtime, reap

@@ -15,8 +15,11 @@ pub(crate) struct WorkerRuntime {
     shard: usize,
     num_shards: usize,
     attempt: u64,
+    /// The sequence number of the job this worker was spawned for; the
+    /// sharded jobs before it run in process.
+    target_job: u64,
     /// Fault injection: when this is `Some(self.shard)` and this process
-    /// is attempt 1, the first manifest commit writes garbage and aborts.
+    /// is attempt 1, the manifest commit writes garbage and aborts.
     fail_shard: Option<usize>,
     /// The worker's replay-local job counter; deterministic replay keeps
     /// it in lockstep with the coordinator's.
@@ -29,6 +32,7 @@ impl WorkerRuntime {
         shard: usize,
         num_shards: usize,
         attempt: u64,
+        target_job: u64,
         fail_shard: Option<usize>,
     ) -> Self {
         WorkerRuntime {
@@ -36,6 +40,7 @@ impl WorkerRuntime {
             shard,
             num_shards,
             attempt,
+            target_job,
             fail_shard,
             job_seq: AtomicU64::new(0),
         }
@@ -50,27 +55,29 @@ impl ProcessShardRuntime for WorkerRuntime {
         }
     }
 
-    fn begin_job(&self, _config: &JobConfig) -> ShardJob {
+    fn begin_job(&self, _config: &JobConfig) -> Option<ShardJob> {
         let seq = self.job_seq.fetch_add(1, Ordering::SeqCst);
+        if seq < self.target_job {
+            return None;
+        }
         let job_dir = self.session_dir.join(format!("job-{seq}"));
-        ShardJob {
+        Some(ShardJob {
             seq,
             num_shards: self.num_shards,
-            output_path: job_dir.join("output.run"),
             attempt_dir: Some(
                 job_dir
                     .join(format!("shard-{}", self.shard))
                     .join(format!("attempt-{}", self.attempt)),
             ),
             job_dir,
-        }
+        })
     }
 
     fn collect_manifests(&self, _job: &ShardJob, _expect: &ShardJobCheck) -> Vec<ShardManifest> {
         panic!("collect_manifests called on a worker");
     }
 
-    fn commit_manifest(&self, job: &ShardJob, manifest: &ShardManifest) {
+    fn commit_manifest(&self, job: &ShardJob, manifest: &ShardManifest) -> ! {
         let attempt_dir = job
             .attempt_dir
             .as_ref()
@@ -89,5 +96,27 @@ impl ProcessShardRuntime for WorkerRuntime {
         manifest
             .write_to(&path)
             .unwrap_or_else(|e| panic!("cannot commit manifest at {path:?}: {e}"));
+        // The rest of the program belongs to the coordinator.
+        std::process::exit(0);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn jobs_before_the_target_run_in_process() {
+        let runtime = WorkerRuntime::new(PathBuf::from("session"), 1, 2, 3, 2, None);
+        let config = JobConfig::named("job");
+        assert!(runtime.begin_job(&config).is_none());
+        assert!(runtime.begin_job(&config).is_none());
+        let job = runtime.begin_job(&config).expect("the target job");
+        assert_eq!(job.seq, 2);
+        assert_eq!(job.num_shards, 2);
+        assert_eq!(
+            job.attempt_dir,
+            Some(PathBuf::from("session/job-2/shard-1/attempt-3"))
+        );
     }
 }

@@ -1,6 +1,7 @@
 //! End-to-end smoke tests for the multi-process sharded runtime: word
 //! count across worker processes must be byte-identical to the in-process
-//! engine, fresh runs and retried runs alike, and so must rounds over
+//! engine, fresh runs and retried runs alike, chained jobs whose later
+//! workers replay the earlier job in process, and rounds over
 //! partition-resident state, which never enter the session.
 //!
 //! Every test passes explicit worker arguments (`--exact <test_name>`) so
@@ -171,4 +172,54 @@ fn rounds_over_state_run_in_process_to_the_same_bytes() {
     assert_eq!(sharded, local, "side output, len and max_state_bytes");
     let stats = last_session_stats().expect("a session just completed");
     assert_eq!(stats.jobs, 0, "no round is a session job");
+}
+
+/// Groups words by their count: the second job of a chained session.
+struct ByCount;
+impl Mapper for ByCount {
+    type InKey = String;
+    type InValue = u64;
+    type OutKey = u64;
+    type OutValue = String;
+    fn map(&self, word: &String, count: &u64, out: &mut Emitter<u64, String>) {
+        out.emit(*count, word.clone());
+    }
+}
+
+struct Join;
+impl Reducer for Join {
+    type Key = u64;
+    type InValue = String;
+    type OutKey = u64;
+    type OutValue = String;
+    fn reduce(&self, k: &u64, words: &[String], out: &mut Emitter<u64, String>) {
+        out.emit(*k, words.join(","));
+    }
+}
+
+/// Word count, then a job over its output.
+fn chained(config: JobConfig) -> Vec<(u64, String)> {
+    let counts = Job::new(config.clone()).run(&Tokenize, &Sum, corpus());
+    Job::new(config.with_name("smoke-by-count"))
+        .run(&ByCount, &Join, counts.output)
+        .output
+}
+
+#[test]
+fn a_later_jobs_worker_replays_the_earlier_job_in_process() {
+    let test_name = "a_later_jobs_worker_replays_the_earlier_job_in_process";
+    let config = JobConfig::named("smoke-chain")
+        .with_threads(2)
+        .with_map_tasks(8)
+        .with_reduce_tasks(3);
+    let local = chained(config.clone());
+    let opts = options(2, test_name).with_fail_shard(Some(1));
+    let sharded = run_sharded(opts, || chained(config.clone().with_process_shards(2)));
+    assert_eq!(sharded, local, "output must be byte-identical");
+    let stats = last_session_stats().expect("a session just completed");
+    assert_eq!(stats.jobs, 2, "both jobs are session jobs");
+    assert_eq!(
+        stats.respawns, 2,
+        "each job's first shard-1 worker aborts once, got {stats:?}"
+    );
 }

@@ -279,11 +279,12 @@ impl Job {
         let mut metrics = self.start_metrics(&counters, input.len());
 
         // A job opted into process sharding delegates to the installed
-        // multi-process runtime (when a sharded session is active): this
-        // process then plays coordinator or worker.  See `sharded.rs`.
-        let output = if let Some(runtime) = self.shard_runtime() {
+        // multi-process runtime (when a sharded session is active and gives
+        // this process a role in the job): this process then plays
+        // coordinator or worker.  See `sharded.rs`.
+        let output = if let Some((runtime, job)) = self.shard_runtime() {
             self.run_process_sharded(
-                runtime.as_ref(),
+                (runtime.as_ref(), job),
                 mapper,
                 reducer,
                 &input,

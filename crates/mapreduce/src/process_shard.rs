@@ -4,9 +4,10 @@
 //! `smr_mapreduce` cannot depend on the process-management crate
 //! (`smr_distrib` depends on *it*), so the executor talks to the sharded
 //! world through the [`ProcessShardRuntime`] trait: `smr_distrib`
-//! implements it twice — once for the coordinator (spawn workers, collect
-//! and validate shard manifests, supervise retries) and once for a worker
-//! (commit the shard's manifest, honour the fault-injection hook) — and
+//! implements it twice — once for the coordinator (spawn each job's
+//! workers, collect and validate shard manifests, supervise retries) and
+//! once for a worker (run the jobs before its own in process, commit the
+//! shard's manifest and exit, honour the fault-injection hook) — and
 //! installs the active implementation process-globally for the duration
 //! of a sharded session.
 //!
@@ -22,7 +23,6 @@
 
 use std::path::PathBuf;
 use std::sync::{Arc, RwLock};
-use std::time::Duration;
 
 use smr_storage::ShardManifest;
 
@@ -31,21 +31,21 @@ use crate::config::JobConfig;
 /// Which side of a sharded session this process is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardRole {
-    /// The session owner: spawns workers, merges their runs, reduces and
-    /// publishes each job's output.
+    /// The session owner: spawns each job's workers, merges their runs
+    /// and reduces.
     Coordinator,
-    /// A spawned worker: maps its shard of each job, ships runs back and
-    /// adopts every published output.
+    /// A worker spawned for one job: maps its shard of that job, ships
+    /// the runs back and exits.
     Worker {
         /// The shard this worker owns, `0..num_shards`.
         shard: usize,
-        /// The worker's spawn attempt, starting at 1.
+        /// The worker's spawn attempt for its job, starting at 1.
         attempt: u64,
     },
 }
 
-/// Everything the executor needs to know about one sharded job: where its
-/// files live.
+/// Everything the executor needs to know about one job this process takes
+/// a shard role in: its number and where its files live.
 #[derive(Debug, Clone)]
 pub struct ShardJob {
     /// Sequence number of the job within the session (both sides count
@@ -56,10 +56,6 @@ pub struct ShardJob {
     pub num_shards: usize,
     /// The job's directory inside the session directory.
     pub job_dir: PathBuf,
-    /// Where the coordinator publishes the job's reduced output as a run
-    /// file (the run header's pending-count commit protocol makes the
-    /// publish atomic for pollers).
-    pub output_path: PathBuf,
     /// Worker only: the attempt-scoped directory run files and the
     /// manifest go into (fresh per spawn attempt, so a retried shard
     /// never collides with its predecessor's debris).
@@ -88,8 +84,10 @@ pub trait ProcessShardRuntime: Send + Sync + std::fmt::Debug {
 
     /// Called by every participant at the start of each sharded job;
     /// advances the session's job sequence and resolves the job's
-    /// directories.
-    fn begin_job(&self, config: &JobConfig) -> ShardJob;
+    /// directories.  The coordinator spawns the job's workers here.
+    /// `None` means "run this job in process": a worker gets that for
+    /// the jobs before the one it was spawned for.
+    fn begin_job(&self, config: &JobConfig) -> Option<ShardJob>;
 
     /// Coordinator: block until every shard has committed a valid
     /// manifest for this job, spawning/respawning and retrying workers as
@@ -101,24 +99,14 @@ pub trait ProcessShardRuntime: Send + Sync + std::fmt::Debug {
     /// called on a worker.
     fn collect_manifests(&self, job: &ShardJob, expect: &ShardJobCheck) -> Vec<ShardManifest>;
 
-    /// Worker: atomically commit this shard's manifest for the job.  The
-    /// fault-injection hook lives here (a worker told to fail writes a
-    /// corrupt manifest and aborts instead).
+    /// Worker: atomically commit this shard's manifest for the job, then
+    /// exit the process — the worker's job is done.  The fault-injection
+    /// hook lives here (a worker told to fail writes a corrupt manifest
+    /// and aborts instead).
     ///
     /// # Panics
     /// Panics if called on the coordinator.
-    fn commit_manifest(&self, job: &ShardJob, manifest: &ShardManifest);
-
-    /// How often a worker polls for the published job output.
-    fn output_poll_interval(&self) -> Duration {
-        Duration::from_millis(2)
-    }
-
-    /// How long a worker waits for the published job output before
-    /// treating itself as orphaned and exiting.
-    fn output_timeout(&self) -> Duration {
-        Duration::from_secs(180)
-    }
+    fn commit_manifest(&self, job: &ShardJob, manifest: &ShardManifest) -> !;
 }
 
 static RUNTIME: RwLock<Option<Arc<dyn ProcessShardRuntime>>> = RwLock::new(None);
@@ -204,7 +192,7 @@ mod tests {
             fn role(&self) -> ShardRole {
                 ShardRole::Coordinator
             }
-            fn begin_job(&self, _config: &JobConfig) -> ShardJob {
+            fn begin_job(&self, _config: &JobConfig) -> Option<ShardJob> {
                 unreachable!()
             }
             fn collect_manifests(
@@ -214,7 +202,7 @@ mod tests {
             ) -> Vec<ShardManifest> {
                 unreachable!()
             }
-            fn commit_manifest(&self, _job: &ShardJob, _manifest: &ShardManifest) {
+            fn commit_manifest(&self, _job: &ShardJob, _manifest: &ShardManifest) -> ! {
                 unreachable!()
             }
         }

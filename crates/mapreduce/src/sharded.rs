@@ -9,31 +9,21 @@
 //! * the **worker** path runs the ordinary streaming map phase restricted
 //!   to the shard's contiguous slice of the global map-task space, exports
 //!   every `(partition, task, seq)` run as a run file in its attempt
-//!   directory, commits a checksummed [`ShardManifest`] naming them, then
-//!   blocks until the coordinator publishes the job's reduced output and
-//!   adopts it — keeping the worker's replay of the program in lockstep
-//!   with the coordinator;
+//!   directory and commits a checksummed [`ShardManifest`] naming them;
+//!   the commit ends the worker process;
 //! * the **coordinator** path collects one validated manifest per shard
 //!   (the runtime supervises spawning, timeouts and retries), folds the
 //!   workers' counter deltas into its own counter set, re-hydrates the
 //!   manifests' runs as disk runs and pushes them through the *existing*
 //!   merge and reduce phases — so the output is byte-identical to the
-//!   in-process engine for any shard count — and finally publishes the
-//!   output as a run file for the workers to adopt.
-//!
-//! The publish uses the run format's pending-count commit protocol: a
-//! worker polling `output.run` sees `Truncated` until the coordinator's
-//! `finish()` patches the record count, so a half-written output is never
-//! adopted.
+//!   in-process engine for any shard count.
 
 use std::path::Path;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::Mutex;
-use smr_storage::{
-    Codec, CompletedRun, ManifestRun, RunReader, RunWriter, ShardManifest, StorageError,
-};
+use smr_storage::{CompletedRun, ManifestRun, RunWriter, ShardManifest};
 
 use crate::counters::Counters;
 use crate::executor::{Job, RunSource, TaggedRun, TaggedRuns};
@@ -45,19 +35,23 @@ use crate::task_queue::TaskQueue;
 use crate::types::{Mapper, Reducer};
 
 impl Job {
-    /// The installed shard runtime, when this job opted into process
-    /// sharding and a sharded session is active.
-    pub(crate) fn shard_runtime(&self) -> Option<Arc<dyn ProcessShardRuntime>> {
+    /// The installed shard runtime and this job's place in its session,
+    /// when this job opted into process sharding, a sharded session is
+    /// active and the runtime gives this process a role in the job.
+    pub(crate) fn shard_runtime(&self) -> Option<(Arc<dyn ProcessShardRuntime>, ShardJob)> {
         self.config().process_shards?;
-        current_runtime()
+        let runtime = current_runtime()?;
+        let job = runtime.begin_job(self.config())?;
+        Some((runtime, job))
     }
 
     /// Runs one job through the sharded multi-process runtime and returns
-    /// its output; the caller has done the common prologue (metrics init,
-    /// input counter) and finishes the metrics.
+    /// its output (a worker never returns); the caller has done the
+    /// common prologue (metrics init, input counter) and finishes the
+    /// metrics.
     pub(crate) fn run_process_sharded<M, R>(
         &self,
-        runtime: &dyn ProcessShardRuntime,
+        (runtime, job): (&dyn ProcessShardRuntime, ShardJob),
         mapper: &M,
         reducer: &R,
         input: &[(M::InKey, M::InValue)],
@@ -69,7 +63,6 @@ impl Job {
         R: Reducer<Key = M::OutKey, InValue = M::OutValue>,
     {
         let config = self.config();
-        let job = runtime.begin_job(config);
         let num_reduce_tasks = config.effective_reduce_tasks();
         // The *scheduled* task count (0 for an empty input), computed the
         // same way on every participant and cross-checked through the
@@ -137,19 +130,9 @@ impl Job {
                 }
 
                 let partitions = self.merge_phase(runs, counters, metrics);
-                let output = self.reduce_groups(reducer, partitions, counters, metrics);
-                publish(&job.output_path, &output);
-                output
+                self.reduce_groups(reducer, partitions, counters, metrics)
             }
             ShardRole::Worker { shard, attempt } => {
-                // A respawned worker replaying the session fast-forwards
-                // through jobs whose output is already published: the
-                // adopted output reconstructs the exact program state, no
-                // map work needed.
-                if let Some(output) = try_read(&job.output_path) {
-                    return output;
-                }
-
                 // Map only this shard's slice of the global task space,
                 // with the exact per-task budget and spill schedule of an
                 // unsharded run.  The counter snapshot around the phase
@@ -194,12 +177,7 @@ impl Job {
                     counters: deltas,
                     map_micros: u64::try_from(metrics.timings.map.as_micros()).unwrap_or(u64::MAX),
                 };
-                runtime.commit_manifest(&job, &manifest);
-
-                // Lockstep: adopt the coordinator's reduced output as this
-                // job's result, so everything downstream of the job (later
-                // jobs, derived state) replays identically.
-                adopt(runtime, &job)
+                runtime.commit_manifest(&job, &manifest)
             }
         }
     }
@@ -259,65 +237,4 @@ where
         }
     }
     entries
-}
-
-/// Publishes `records` as a run file at `path`.  The record count in the
-/// run header stays at the pending sentinel until `finish()`, which is
-/// the atomic commit point for pollers.
-fn publish<R: Codec>(path: &Path, records: &[R]) {
-    let mut writer: RunWriter<R> = RunWriter::create(path)
-        .unwrap_or_else(|e| panic!("cannot create job output {path:?}: {e}"));
-    for record in records {
-        writer
-            .push(record)
-            .unwrap_or_else(|e| panic!("cannot write job output {path:?}: {e}"));
-    }
-    writer
-        .finish()
-        .unwrap_or_else(|e| panic!("cannot publish job output {path:?}: {e}"));
-}
-
-/// One non-blocking attempt to adopt a published output.  `None` means
-/// "not published yet" (missing file, or header/body still pending);
-/// anything else unreadable is a protocol violation and panics.
-fn try_read<R: Codec>(path: &Path) -> Option<Vec<R>> {
-    let reader = match RunReader::<R>::open(path) {
-        Ok(reader) => reader,
-        Err(StorageError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => return None,
-        Err(StorageError::Truncated { .. }) => return None,
-        Err(e) => panic!("sharded job output at {path:?} unreadable: {e}"),
-    };
-    reader
-        .check_type()
-        .unwrap_or_else(|e| panic!("sharded job output at {path:?}: {e}"));
-    match reader.read_to_end() {
-        Ok(records) => Some(records),
-        // The count patch races the read: treat any truncation as "not
-        // yet" and poll again.
-        Err(StorageError::Truncated { .. }) => None,
-        Err(e) => panic!("sharded job output at {path:?} unreadable: {e}"),
-    }
-}
-
-/// Worker: polls for `job`'s published output until the runtime's
-/// timeout and adopts it.  A worker that never sees the output has lost
-/// its coordinator: it exits rather than linger as an orphan (the exit
-/// code is only ever observed by a human).
-fn adopt<R: Codec>(runtime: &dyn ProcessShardRuntime, job: &ShardJob) -> Vec<R> {
-    let path = &job.output_path;
-    let timeout = runtime.output_timeout();
-    let deadline = Instant::now() + timeout;
-    loop {
-        if let Some(output) = try_read(path) {
-            return output;
-        }
-        if Instant::now() > deadline {
-            eprintln!(
-                "smr_distrib worker: no published output at {path:?} after {timeout:?}; \
-                 assuming the coordinator is gone"
-            );
-            std::process::exit(86);
-        }
-        std::thread::sleep(runtime.output_poll_interval());
-    }
 }

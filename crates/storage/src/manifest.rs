@@ -1,4 +1,4 @@
-//! The shard manifest: how a worker process publishes its map output to
+//! The shard manifest: how a worker process hands its map output to
 //! the coordinator.
 //!
 //! In the sharded multi-process runtime (`smr_distrib`, see

@@ -230,8 +230,8 @@ impl MatchingPipeline {
     /// [`MatchingPipeline::build_graph`] wrap the candidate-graph stage in
     /// a `smr_distrib` sharded session, so each join job's map phase is
     /// split across the workers and the output stays **byte-identical**
-    /// to the in-process run.  The workers exit when the join is done;
-    /// the matching rounds, which have no map phase, run in this process.
+    /// to the in-process run.  Each job's workers exit at their manifest
+    /// commit; the matching rounds, which have no map phase, run in this process.
     /// The session key defaults to the job config's name — give
     /// concurrent pipelines distinct names.  For full control of the
     /// session (worker arguments inside a test harness, fault injection)
@@ -342,8 +342,8 @@ impl MatchingPipeline {
     }
 
     /// The candidate-graph stage, inside a sharded session when
-    /// [`MatchingPipeline::process_shards`] is set: the workers exit when
-    /// it returns.
+    /// [`MatchingPipeline::process_shards`] is set: each job's workers exit
+    /// inside it, at their manifest commit.
     fn join(self, flow: &FlowContext) -> CandidateGraph {
         match self.shard.clone() {
             Some(opts) => run_sharded(opts, || self.join_stage(flow)),
