@@ -20,9 +20,10 @@
 //!   driver RAM, outside the memory budget, instead of a note across
 //!   every edge the node still lists;
 //! * **reduce** — every node gets its own record beside its notes and
-//!   reads its capacity, adjacency and own proposals off the record (the
-//!   adjacency is kept heaviest first, so the proposals are its first
-//!   `b(v)` entries); it holds each edge against the neighbour's note:
+//!   reads its capacity, adjacency and own proposals off the record (its
+//!   `b(v)` heaviest live entries are kept in order at the front of its
+//!   adjacency, so the proposals are that prefix; the rest is in no
+//!   particular order); it holds each edge against the neighbour's note:
 //!   edges proposed by *both* endpoints enter the solution (emitted as
 //!   side output), the node's residual capacity is decreased
 //!   accordingly, matched edges and edges whose neighbour retired are
@@ -54,8 +55,8 @@ use crate::state::{build_node_records, peer_notes, NodeRecord, NodeTable, RoundM
 type GreedyMsg = RoundMsg<()>;
 
 /// The notes of a GreedyMR round about `record`: a proposal across each
-/// of the node's `b(v)` heaviest live edges — a prefix of the
-/// heaviest-first adjacency.
+/// of the node's `b(v)` heaviest live edges — the adjacency's prefix
+/// that [`NodeRecord::select_heaviest`] put in order.
 fn propose(_node: &NodeId, record: &NodeRecord, out: &mut Emitter<NodeId, GreedyMsg>) {
     for adj in &record.adjacency[..record.proposal_count()] {
         out.emit(adj.other, RoundMsg::new(adj.edge, ()));
@@ -92,11 +93,13 @@ impl StateReducer for IntersectReducer<'_> {
 
         let mut idx = 0;
         let mut matched = 0;
-        // Deletion preserves the heaviest-first order.
+        let mut kept_proposals = 0;
+        // Deletion keeps the relative order, so the proposals that stay
+        // are still the heaviest entries, in order, at the front.
         record.adjacency.retain(|adj| {
             let proposed = idx < proposals;
             idx += 1;
-            if self.retired[adj.other] {
+            let keep = if self.retired[adj.other] {
                 // The neighbour has retired: drop the edge.
                 false
             } else if proposed && received.contains(adj.edge) {
@@ -107,7 +110,9 @@ impl StateReducer for IntersectReducer<'_> {
                 // A live neighbour, proposing the edge or not: it stays,
                 // unless this node has no capacity to match it.
                 capacity > 0
-            }
+            };
+            kept_proposals += usize::from(proposed && keep);
+            keep
         });
         record.capacity = capacity - matched;
         // A node whose capacity reached zero retires, and its neighbours
@@ -116,6 +121,9 @@ impl StateReducer for IntersectReducer<'_> {
         if record.capacity == 0 || record.is_isolated() {
             return None;
         }
+        // Refill the proposals the round matched or dropped from the
+        // unordered rest.
+        record.select_heaviest(kept_proposals);
         propose(node, &record, next);
         Some(record)
     }
@@ -161,9 +169,9 @@ impl GreedyMr {
             build_node_records(graph, caps)
                 .into_iter()
                 .map(|(node, mut record)| {
-                    // Sorted once, here: every round's proposals are the
-                    // adjacency's prefix.
-                    record.sort_heaviest_first();
+                    // Only the first proposals are put in order; each
+                    // round refills the ones it takes away.
+                    record.select_heaviest(0);
                     (node, record)
                 })
                 .collect(),

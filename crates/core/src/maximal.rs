@@ -50,7 +50,7 @@ use smr_mapreduce::{Emitter, JobMetrics, StateReducer};
 use smr_storage::impl_codec_struct;
 
 use crate::config::MarkingStrategy;
-use crate::state::{peer_notes, AdjEdge, NodeRecord, NodeTable, RoundMsg};
+use crate::state::{peer_notes, select_heaviest_prefix, AdjEdge, NodeRecord, NodeTable, RoundMsg};
 
 /// A per-edge annotation inside the working records of the matcher.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -159,12 +159,8 @@ fn pick_edges(
         }
         MarkingStrategy::HeaviestFirst => {
             let mut ordered: Vec<(usize, f64)> = candidates.to_vec();
-            ordered.sort_by(|a, b| {
-                b.1.partial_cmp(&a.1)
-                    .expect("edge weights are finite")
-                    .then(a.0.cmp(&b.0))
-            });
-            ordered.into_iter().take(k).map(|(i, _)| i).collect()
+            select_heaviest_prefix(&mut ordered, 0, k, |&(i, weight)| (weight, i));
+            ordered[..k].iter().map(|&(i, _)| i).collect()
         }
     }
 }

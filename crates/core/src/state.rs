@@ -92,32 +92,68 @@ impl NodeRecord {
         self.adjacency.is_empty()
     }
 
-    /// Orders the adjacency heaviest first, ties broken by edge id so
-    /// that the order is deterministic.  Deleting entries preserves it, so
-    /// a record sorted once stays sorted for a whole run.
+    /// Moves the node's proposals to the front of its adjacency: its
+    /// [`NodeRecord::proposal_count`] heaviest entries, heaviest first,
+    /// ties broken by edge id so that the order is deterministic.  The
+    /// rest of the adjacency is left in an unspecified but deterministic
+    /// order.  The first `sorted` entries must already be the `sorted`
+    /// heaviest, in that order: deleting entries keeps that true of the
+    /// ones that survive, so a round re-selects only the proposals it lost.
     ///
     /// # Panics
-    /// Panics on a weight that is not finite and positive, which no
-    /// [`BipartiteGraph`] admits: only for those do the bit patterns order
-    /// like the weights.
-    pub fn sort_heaviest_first(&mut self) {
-        assert!(
-            self.adjacency
-                .iter()
-                .all(|adj| adj.weight.is_finite() && adj.weight > 0.0),
-            "edge weights are finite and positive"
-        );
-        self.adjacency
-            .sort_unstable_by_key(|adj| (Reverse(adj.weight.to_bits()), adj.edge));
+    /// Panics on a weight that is not finite and positive among the
+    /// entries it compares, which no [`BipartiteGraph`] admits: only for
+    /// those do the bit patterns order like the weights.
+    pub fn select_heaviest(&mut self, sorted: usize) {
+        let k = self.proposal_count();
+        select_heaviest_prefix(&mut self.adjacency, sorted, k, |adj| (adj.weight, adj.edge));
     }
 
     /// How many edges the node proposes in a GreedyMR round: its `b(v)`
-    /// heaviest live edges — on a record kept in
-    /// [`NodeRecord::sort_heaviest_first`] order, the first so many
-    /// adjacency entries.
+    /// heaviest live edges — after [`NodeRecord::select_heaviest`], the
+    /// first so many adjacency entries.
     pub fn proposal_count(&self) -> usize {
         (self.capacity as usize).min(self.adjacency.len())
     }
+}
+
+/// Moves the `k` heaviest of `entries` to its front, heaviest first with
+/// ties broken toward the lower id, where `weight_and_id` reads an entry's
+/// weight and id; the rest stays in an unspecified but deterministic
+/// order.  The first `sorted` entries must already be the `sorted`
+/// heaviest, in that order.  Only the entries past them are compared: a
+/// selection splits off the missing ones and sorts just those, so no
+/// entry past the `k` heaviest is ever put in order.
+///
+/// # Panics
+/// Panics on a compared weight that is not finite and positive.
+pub(crate) fn select_heaviest_prefix<T>(
+    entries: &mut [T],
+    sorted: usize,
+    k: usize,
+    weight_and_id: impl Fn(&T) -> (f64, usize),
+) {
+    let k = k.min(entries.len());
+    if sorted >= k {
+        return;
+    }
+    let tail = &mut entries[sorted..];
+    assert!(
+        tail.iter().all(|entry| {
+            let (weight, _) = weight_and_id(entry);
+            weight.is_finite() && weight > 0.0
+        }),
+        "edge weights are finite and positive"
+    );
+    let heaviest_first = |entry: &T| {
+        let (weight, id) = weight_and_id(entry);
+        (Reverse(weight.to_bits()), id)
+    };
+    let missing = k - sorted;
+    if missing < tail.len() {
+        tail.select_nth_unstable_by_key(missing - 1, heaviest_first);
+    }
+    tail[..missing].sort_unstable_by_key(heaviest_first);
 }
 
 /// The message of every round job: a neighbour's note about the edge it
@@ -323,7 +359,7 @@ mod tests {
             .find(|(k, _)| *k == NodeId::item(0))
             .unwrap();
         assert_eq!(edge_ids(&t0.adjacency), vec![0, 1]);
-        t0.sort_heaviest_first();
+        t0.select_heaviest(0);
         assert_eq!(edge_ids(&t0.adjacency), vec![1, 0]);
         assert_eq!(t0.proposal_count(), 2, "capacity 2, two live edges");
         t0.capacity = 1;
@@ -334,7 +370,7 @@ mod tests {
 
     #[test]
     fn heaviest_first_breaks_weight_ties_by_edge_id_and_survives_deletion() {
-        // Built in descending edge-id order so the sort has work to do.
+        // Built in descending edge-id order so the selection has work to do.
         let mut t0 = NodeRecord::new(
             NodeId::item(0),
             2,
@@ -343,14 +379,14 @@ mod tests {
                 .map(|e| AdjEdge::new(e, NodeId::consumer(e as u32), 1.0))
                 .collect(),
         );
-        t0.sort_heaviest_first();
-        assert_eq!(edge_ids(&t0.adjacency), vec![0, 1, 2, 3]);
+        t0.select_heaviest(0);
         // The proposals are the prefix: edges 0 and 1.
         assert_eq!(edge_ids(&t0.adjacency[..t0.proposal_count()]), vec![0, 1]);
-        // Deleting an entry (a matched or dropped edge) keeps the order,
-        // so the next round's proposals are again the prefix, with no
-        // re-sort: edges 1 and 2.
+        // Deleting an entry (a matched or dropped edge) keeps the
+        // surviving proposal first; re-selecting past it refills the
+        // prefix from the unordered rest: edges 1 and 2.
         t0.adjacency.remove(0);
+        t0.select_heaviest(1);
         assert_eq!(edge_ids(&t0.adjacency[..t0.proposal_count()]), vec![1, 2]);
     }
 
@@ -381,7 +417,67 @@ mod tests {
                 AdjEdge::new(1, NodeId::consumer(1), -0.0),
             ],
         );
-        t0.sort_heaviest_first();
+        t0.select_heaviest(0);
+    }
+
+    #[test]
+    fn reselected_proposals_equal_a_full_sort_under_deletions() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        for seed in 0..300 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // Four distinct weights over up to 40 entries: many ties, so
+            // the edge-id tie break decides most of the order.
+            let len = rng.gen_range(0..40usize);
+            let mut ids: Vec<EdgeId> = (0..len).map(|i| i * 7 % 41).collect();
+            for i in (1..ids.len()).rev() {
+                ids.swap(i, rng.gen_range(0..i + 1));
+            }
+            let adjacency: Vec<AdjEdge> = ids
+                .iter()
+                .map(|&e| {
+                    let weight = [0.25, 0.5, 0.75, 1.0][rng.gen_range(0..4usize)];
+                    AdjEdge::new(e, NodeId::consumer(e as u32), weight)
+                })
+                .collect();
+            let mut reference = adjacency.clone();
+            reference.sort_by_key(|adj| (Reverse(adj.weight.to_bits()), adj.edge));
+            let mut record = NodeRecord::new(NodeId::item(0), rng.gen_range(1..7u64), adjacency);
+
+            let mut kept = 0;
+            loop {
+                record.select_heaviest(kept);
+                let k = record.proposal_count();
+                assert_eq!(record.adjacency[..k], reference[..k], "seed {seed}");
+                let mut listed = edge_ids(&record.adjacency);
+                listed.sort_unstable();
+                let mut expected = edge_ids(&reference);
+                expected.sort_unstable();
+                assert_eq!(listed, expected, "seed {seed}: the same entries");
+                if k == 0 {
+                    break;
+                }
+                // A round: delete entries anywhere, proposed or not, and
+                // take some capacity away.
+                let mut idx = 0;
+                kept = 0;
+                let mut deleted = Vec::new();
+                record.adjacency.retain(|adj| {
+                    let proposed = idx < k;
+                    idx += 1;
+                    let keep = rng.gen_bool(0.7);
+                    if keep {
+                        kept += usize::from(proposed);
+                    } else {
+                        deleted.push(adj.edge);
+                    }
+                    keep
+                });
+                reference.retain(|adj| !deleted.contains(&adj.edge));
+                record.capacity -= rng.gen_range(0..record.capacity.min(2) + 1);
+            }
+        }
     }
 
     #[test]

@@ -70,10 +70,11 @@ impl Edge {
 /// The undirected bipartite graph `G = (T, C, E)` with positive edge
 /// weights.
 ///
-/// The edge list is the primary representation; adjacency (per-node lists
-/// of incident edge indices) is built once at construction so that both the
-/// centralized algorithms and the node-centric MapReduce jobs can iterate
-/// over neighbourhoods cheaply.
+/// The edge list is the primary representation; the incidence (every
+/// node's incident edge indices, ascending) is built once at construction,
+/// one compressed array per side, so that both the centralized algorithms
+/// and the node-centric MapReduce jobs can iterate over neighbourhoods
+/// cheaply.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BipartiteGraph {
     num_items: usize,
@@ -81,10 +82,52 @@ pub struct BipartiteGraph {
     edges: Vec<Edge>,
     item_labels: Vec<String>,
     consumer_labels: Vec<String>,
-    /// `item_adj[t]` = indices of edges incident to item `t`.
-    item_adj: Vec<Vec<EdgeId>>,
-    /// `consumer_adj[c]` = indices of edges incident to consumer `c`.
-    consumer_adj: Vec<Vec<EdgeId>>,
+    /// The edges incident to each item.
+    item_edges: Incidence,
+    /// The edges incident to each consumer.
+    consumer_edges: Incidence,
+}
+
+/// One side's incidence in compressed sparse row form: node `v`'s
+/// incident edge indices are `edges[offsets[v]..offsets[v + 1]]`,
+/// ascending.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct Incidence {
+    offsets: Vec<usize>,
+    edges: Vec<EdgeId>,
+}
+
+impl Incidence {
+    /// The incidence of `nodes` nodes, where `endpoint` names each edge's
+    /// node on this side: one pass counts the degrees, one places the
+    /// edge ids.
+    fn new(nodes: usize, edges: &[Edge], endpoint: impl Fn(&Edge) -> usize) -> Self {
+        let mut offsets = vec![0; nodes + 1];
+        for e in edges {
+            offsets[endpoint(e)] += 1;
+        }
+        // Running sums: `offsets[v]` is where node `v`'s run ends.
+        for v in 1..=nodes {
+            offsets[v] += offsets[v - 1];
+        }
+        // Placed back to front, each run fills from its end, so it ends up
+        // ascending and `offsets[v]` ends at the run's start.
+        let mut ids = vec![0; edges.len()];
+        for (idx, e) in edges.iter().enumerate().rev() {
+            let v = endpoint(e);
+            offsets[v] -= 1;
+            ids[offsets[v]] = idx;
+        }
+        Incidence {
+            offsets,
+            edges: ids,
+        }
+    }
+
+    /// The edges incident to node `v`.
+    fn of(&self, v: usize) -> &[EdgeId] {
+        &self.edges[self.offsets[v]..self.offsets[v + 1]]
+    }
 }
 
 impl BipartiteGraph {
@@ -114,8 +157,6 @@ impl BipartiteGraph {
     ) -> Self {
         assert_eq!(item_labels.len(), num_items);
         assert_eq!(consumer_labels.len(), num_consumers);
-        let mut item_adj = vec![Vec::new(); num_items];
-        let mut consumer_adj = vec![Vec::new(); num_consumers];
         for (idx, e) in edges.iter().enumerate() {
             assert!(
                 e.item.index() < num_items,
@@ -132,17 +173,15 @@ impl BipartiteGraph {
                 "edge {idx} has non-positive or non-finite weight {}",
                 e.weight
             );
-            item_adj[e.item.index()].push(idx);
-            consumer_adj[e.consumer.index()].push(idx);
         }
         BipartiteGraph {
+            item_edges: Incidence::new(num_items, &edges, |e| e.item.index()),
+            consumer_edges: Incidence::new(num_consumers, &edges, |e| e.consumer.index()),
             num_items,
             num_consumers,
             edges,
             item_labels,
             consumer_labels,
-            item_adj,
-            consumer_adj,
         }
     }
 
@@ -186,11 +225,11 @@ impl BipartiteGraph {
         &self.consumer_labels[c.index()]
     }
 
-    /// Indices of the edges incident to `node`.
+    /// Indices of the edges incident to `node`, ascending.
     pub fn incident_edges(&self, node: NodeId) -> &[EdgeId] {
         match node {
-            NodeId::Item(t) => &self.item_adj[t.index()],
-            NodeId::Consumer(c) => &self.consumer_adj[c.index()],
+            NodeId::Item(t) => self.item_edges.of(t.index()),
+            NodeId::Consumer(c) => self.consumer_edges.of(c.index()),
         }
     }
 

@@ -26,8 +26,44 @@ fn graph_strategy() -> impl Strategy<Value = BipartiteGraph> {
         })
 }
 
+/// Checks the incidence against the edge list: every node lists exactly
+/// the edges that touch it, ascending, and the degrees sum to `2|E|`.
+fn incidence_matches_the_edge_list(graph: &BipartiteGraph) -> Result<(), TestCaseError> {
+    for v in graph.nodes() {
+        let touching: Vec<usize> = (0..graph.num_edges())
+            .filter(|&e| graph.edge(e).touches(v))
+            .collect();
+        prop_assert_eq!(graph.incident_edges(v), &touching[..]);
+    }
+    let degree_sum: usize = graph.nodes().map(|v| graph.degree(v)).sum();
+    prop_assert_eq!(degree_sum, 2 * graph.num_edges());
+    Ok(())
+}
+
+#[test]
+fn an_edgeless_graph_has_an_empty_incidence() {
+    for (items, consumers) in [(0, 0), (3, 0), (0, 2), (3, 2)] {
+        let graph = BipartiteGraph::from_edges(items, consumers, vec![]);
+        incidence_matches_the_edge_list(&graph).unwrap();
+        assert!(graph.nodes().all(|v| graph.incident_edges(v).is_empty()));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn incidence_lists_each_nodes_edges_ascending(graph in graph_strategy(), sigma in 0.0f64..1.0) {
+        // Two more nodes per side that no edge touches, past the ones the
+        // strategy leaves isolated.
+        let padded = BipartiteGraph::from_edges(
+            graph.num_items() + 2,
+            graph.num_consumers() + 2,
+            graph.edges().to_vec(),
+        );
+        incidence_matches_the_edge_list(&padded)?;
+        incidence_matches_the_edge_list(&padded.filter_by_threshold(sigma))?;
+    }
 
     #[test]
     fn adjacency_lists_the_same_edges_as_the_edge_list(graph in graph_strategy()) {

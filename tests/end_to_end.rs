@@ -236,6 +236,16 @@ fn rounds_regression_guard_flickr_large_sigma_009() {
     // entries.
     assert_eq!(run.total_shuffled_records(), 269_992);
     assert!(run.matching.is_feasible(&graph, &caps));
+    // Algorithm 3 ends at the centralized greedy matching (ties broken by
+    // edge id on both sides): the rounds propose each node's b(v)
+    // heaviest live edges, whichever order the rest of its adjacency is in.
+    let greedy = greedy_matching(&graph, &caps);
+    assert!(
+        run.matching == greedy,
+        "GreedyMR matched {} edges, the centralized greedy {}",
+        run.matching.len(),
+        greedy.len()
+    );
 }
 
 /// The instance of `crates/core/tests/determinism.rs`: 9 items, 11
