@@ -301,6 +301,32 @@ mod tests {
     }
 
     #[test]
+    fn matches_centralized_greedy_when_degrees_outgrow_the_proposals() {
+        // Degrees of 60 and 40 against capacities of 4 and 2: a node
+        // proposes from a short ordered prefix of a long unordered
+        // adjacency, and re-selects the proposals a round takes away.
+        let mut b = GraphBuilder::new();
+        let items: Vec<ItemId> = (0..40).map(|i| b.add_item(format!("t{i}"))).collect();
+        let consumers: Vec<ConsumerId> = (0..60).map(|i| b.add_consumer(format!("c{i}"))).collect();
+        let mut w = 0.61_f64;
+        for &t in &items {
+            for &c in &consumers {
+                // Eight weight levels: many ties, broken by edge id.
+                w = (w * 997.0 + 0.123).fract();
+                b.add_edge(t, c, 0.125 + (w * 8.0).floor() / 8.0);
+            }
+        }
+        let g = b.build();
+        let caps = Capacities::uniform(&g, 4, 2);
+        // Bounded, so a round that stops making progress fails the test
+        // instead of running forever.
+        let config = GreedyMrConfig::default().with_max_rounds(500);
+        let run = run(GreedyMr::new(config), &g, &caps);
+        assert!(run.rounds < 500);
+        assert_eq!(run.matching, greedy_matching(&g, &caps));
+    }
+
+    #[test]
     fn value_trace_is_monotone_and_any_time() {
         let (g, caps) = small_instance();
         let run = run(GreedyMr::new(GreedyMrConfig::default()), &g, &caps);

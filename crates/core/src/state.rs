@@ -423,6 +423,7 @@ mod tests {
     #[test]
     fn reselected_proposals_equal_a_full_sort_under_deletions() {
         use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
         use rand::{Rng, SeedableRng};
 
         for seed in 0..300 {
@@ -430,10 +431,8 @@ mod tests {
             // Four distinct weights over up to 40 entries: many ties, so
             // the edge-id tie break decides most of the order.
             let len = rng.gen_range(0..40usize);
-            let mut ids: Vec<EdgeId> = (0..len).map(|i| i * 7 % 41).collect();
-            for i in (1..ids.len()).rev() {
-                ids.swap(i, rng.gen_range(0..i + 1));
-            }
+            let mut ids: Vec<EdgeId> = (0..len).collect();
+            ids.shuffle(&mut rng);
             let adjacency: Vec<AdjEdge> = ids
                 .iter()
                 .map(|&e| {
