@@ -25,8 +25,6 @@
 //! * [`answers`] — the question-answering generator (question/answer text),
 //! * [`presets`] — laptop-scale stand-ins for `flickr-small`,
 //!   `flickr-large` and `yahoo-answers`,
-//! * [`random_graph`] — direct generation of weighted candidate-edge
-//!   graphs (bypassing the similarity join) for fast benchmarking,
 //! * [`pathological`] — the increasing-weight path that forces GreedyMR
 //!   into a linear number of rounds.
 
@@ -38,13 +36,11 @@ pub mod flickr;
 pub mod pathological;
 pub mod powerlaw;
 pub mod presets;
-pub mod random_graph;
 pub mod social;
 
 pub use answers::AnswersGenerator;
 pub use flickr::FlickrGenerator;
 pub use presets::{DatasetPreset, PresetInstance};
-pub use random_graph::{RandomGraphConfig, WeightDistribution};
 pub use social::SocialDataset;
 
 /// Convenience re-exports.
@@ -54,6 +50,5 @@ pub mod prelude {
     pub use crate::pathological;
     pub use crate::powerlaw::{PowerLawSampler, ZipfSampler};
     pub use crate::presets::{DatasetPreset, PresetInstance};
-    pub use crate::random_graph::{RandomGraphConfig, WeightDistribution};
     pub use crate::social::SocialDataset;
 }

@@ -1,27 +1,26 @@
-//! A lazy, typed dataflow layer over the job executor.
+//! A typed dataflow layer over the job executor.
 //!
 //! The paper's algorithms are *chains* of MapReduce jobs — the two-job
 //! similarity join of Section 4, the per-round jobs of GreedyMR and StackMR
 //! in Sections 5–6 — but [`crate::Job`] runs a single job.  This module
-//! adds the plan-builder API that callers chain jobs with:
+//! adds the API that callers chain jobs with:
 //!
 //! * [`FlowContext`] — shared execution state: the [`JobConfig`] every job
 //!   of the chain runs under, a transient directory for round-state spill
 //!   files ([`FlowContext::side_store`]), and the accumulated
 //!   [`JobMetrics`] of every job the flow has executed
 //!   ([`FlowContext::report`] snapshots them as a [`FlowReport`]).
-//! * [`Dataset<K, V>`] — a *deferred* computation producing `(K, V)`
-//!   records.  Nothing runs until the terminal [`Dataset::collect`] is
-//!   invoked; combinators only extend the plan.
+//! * [`Dataset<K, V>`] — the `(K, V)` records of one step of the chain:
+//!   the input ([`FlowContext::dataset`]) or a job's output.
+//!   [`Dataset::collect`] returns them.
 //! * [`JobStage`] — a job under construction: [`Dataset::map_with`] fixes
 //!   the mapper, [`JobStage::named`] / [`JobStage::with_counters`]
 //!   optionally name it and supply its counters, and
-//!   [`JobStage::reduce_with`] completes the job, yielding the next
-//!   `Dataset` in the chain.
-//! * [`Dataset::then`] — the multi-job chain combinator for stages whose
-//!   *construction* depends on the previous job's output (e.g. the
-//!   similarity join builds an inverted index from job 1's output and ships
-//!   it to job 2's mapper).
+//!   [`JobStage::reduce_with`] runs the job on the spot, yielding the
+//!   next `Dataset` in the chain.  A job built from an earlier job's
+//!   output (the similarity join builds an inverted index from job 1's
+//!   output and hands it to job 2's mapper) is plain straight-line code:
+//!   collect job 1, build job 2.  Mappers and reducers may borrow.
 //! * [`RoundState`] — the state of an iterative chain, kept in partitions
 //!   beside its round jobs: a round has no map phase, its reducer joins
 //!   each key's state with the notes sent to it and emits the notes of the
@@ -86,9 +85,6 @@ use crate::types::{Emitter, Key, Mapper, Reducer, StateReducer, Value};
 
 /// The records a dataset materializes to.
 pub type Records<K, V> = Vec<(K, V)>;
-
-/// The deferred computation behind a [`Dataset`].
-type SourceThunk<K, V> = Box<dyn FnOnce(&FlowContext) -> Records<K, V>>;
 
 /// A typed error raised by the flow's storage.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -161,12 +157,6 @@ impl FlowReport {
         self.jobs.iter().map(|m| m.job_name.as_str()).collect()
     }
 
-    /// The metrics of every job executed at or after job index `start`
-    /// (mirrors [`FlowContext::jobs_from`] on a snapshot).
-    pub fn jobs_from(&self, start: usize) -> &[JobMetrics] {
-        self.jobs.get(start..).unwrap_or_default()
-    }
-
     /// Number of iterative rounds the flow recorded (see
     /// [`FlowContext::mark_round`]).
     pub fn num_rounds(&self) -> usize {
@@ -187,15 +177,6 @@ impl FlowReport {
             .copied()
             .unwrap_or(self.jobs.len());
         self.jobs.get(start..end).unwrap_or_default()
-    }
-
-    /// The job names of round `round`, round-local like
-    /// [`FlowReport::round_jobs`].
-    pub fn round_job_names(&self, round: usize) -> Vec<&str> {
-        self.round_jobs(round)
-            .iter()
-            .map(|m| m.job_name.as_str())
-            .collect()
     }
 }
 
@@ -283,9 +264,9 @@ impl FlowContext {
 
     /// Marks the start of an iterative round: every job executed from now
     /// until the next mark belongs to this round.  The recorded boundaries
-    /// make [`FlowReport::round_jobs`] / [`FlowReport::round_job_names`]
-    /// round-local, so per-round metrics never alias across rounds (or
-    /// into pre-round jobs of a shared flow).
+    /// make [`FlowReport::round_jobs`] round-local, so per-round metrics
+    /// never alias across rounds (or into pre-round jobs of a shared
+    /// flow).
     pub fn mark_round(&self) {
         let jobs = self.inner.jobs.lock().len();
         self.inner.round_starts.lock().push(jobs);
@@ -299,12 +280,12 @@ impl FlowContext {
         )
     }
 
-    /// Creates a dataset from already materialized records.  The records
-    /// are moved into the plan and handed to the first job untouched.
+    /// Creates a dataset from already materialized records, handed to the
+    /// first job untouched.
     pub fn dataset<K: Key, V: Value>(&self, records: Records<K, V>) -> Dataset<K, V> {
         Dataset {
             ctx: self.clone(),
-            thunk: Box::new(move |_| records),
+            records,
         }
     }
 
@@ -510,14 +491,14 @@ impl<K: Key, S: Value, N: Value> RoundState<K, S, N> {
     }
 }
 
-/// A deferred chain of MapReduce jobs producing `(K, V)` records.
+/// The `(K, V)` records of one step of a job chain: a flow's input, or
+/// the output of the job [`JobStage::reduce_with`] has just run.
 ///
-/// Nothing executes until the terminal [`Dataset::collect`] runs the
-/// plan.  Each completed job hands its output records to the next job
-/// *by move*; no stage clones or re-sorts between jobs.
+/// A job hands its output records to the next job *by move*; no stage
+/// clones or re-sorts between jobs.
 pub struct Dataset<K: Key, V: Value> {
     ctx: FlowContext,
-    thunk: SourceThunk<K, V>,
+    records: Records<K, V>,
 }
 
 impl<K: Key, V: Value> std::fmt::Debug for Dataset<K, V> {
@@ -527,72 +508,32 @@ impl<K: Key, V: Value> std::fmt::Debug for Dataset<K, V> {
 }
 
 impl<K: Key, V: Value> Dataset<K, V> {
-    /// The flow this dataset belongs to.
-    pub fn context(&self) -> &FlowContext {
-        &self.ctx
-    }
-
     /// Starts the next job of the chain by fixing its mapper;
-    /// [`JobStage::reduce_with`] completes the job.
+    /// [`JobStage::reduce_with`] runs the job.
     pub fn map_with<M>(self, mapper: M) -> JobStage<M>
     where
-        M: Mapper<InKey = K, InValue = V> + 'static,
+        M: Mapper<InKey = K, InValue = V>,
     {
         JobStage {
             ctx: self.ctx,
-            input: self.thunk,
+            input: self.records,
             mapper,
             stage_name: None,
             counters: None,
         }
     }
 
-    /// Chains a continuation whose *plan* depends on this dataset's
-    /// output: `build` receives the materialized records (moved) and the
-    /// flow, and returns the dataset to execute next.  This is the general
-    /// multi-job combinator for chains where a later job is constructed
-    /// from an earlier job's output (side data, derived inputs); the
-    /// continuation runs lazily, when the final terminal executes.
-    ///
-    /// The returned dataset runs under *its own* flow: a continuation
-    /// built on a different [`FlowContext`] executes under that context's
-    /// config and reports into that context, not this one's.
-    pub fn then<K2, V2, F>(self, build: F) -> Dataset<K2, V2>
-    where
-        K2: Key,
-        V2: Value,
-        F: FnOnce(Records<K, V>, &FlowContext) -> Dataset<K2, V2> + 'static,
-    {
-        let Dataset { ctx, thunk } = self;
-        Dataset {
-            ctx,
-            thunk: Box::new(move |ctx| {
-                let records = thunk(ctx);
-                // Honour the continuation's own context: a dataset built
-                // on another flow must run (and report) there, not here.
-                let Dataset {
-                    ctx: next_ctx,
-                    thunk: next_thunk,
-                } = build(records, ctx);
-                next_thunk(&next_ctx)
-            }),
-        }
-    }
-
-    /// Terminal: executes every job of the chain and returns the final
-    /// records.  Metrics of every executed job land in the flow's
-    /// [`FlowReport`].
+    /// Returns the records.
     pub fn collect(self) -> Records<K, V> {
-        let Dataset { ctx, thunk } = self;
-        thunk(&ctx)
+        self.records
     }
 }
 
 /// One MapReduce job under construction inside a [`Dataset`] chain: the
-/// mapper is fixed, and [`JobStage::reduce_with`] seals the job.
+/// mapper is fixed, and [`JobStage::reduce_with`] runs the job.
 pub struct JobStage<M: Mapper> {
     ctx: FlowContext,
-    input: SourceThunk<M::InKey, M::InValue>,
+    input: Records<M::InKey, M::InValue>,
     mapper: M,
     stage_name: Option<String>,
     counters: Option<Counters>,
@@ -606,7 +547,7 @@ impl<M: Mapper> std::fmt::Debug for JobStage<M> {
     }
 }
 
-impl<M: Mapper + 'static> JobStage<M> {
+impl<M: Mapper> JobStage<M> {
     /// Names this job: the executed job is called `{flow name}-{name}` and
     /// shows up under that name in the [`FlowReport`].
     pub fn named(mut self, name: impl Into<String>) -> Self {
@@ -625,12 +566,11 @@ impl<M: Mapper + 'static> JobStage<M> {
         self
     }
 
-    /// Seals the job with its reducer, yielding the next dataset of the
-    /// chain.  The job itself runs only when a terminal executes the
-    /// chain; its metrics are recorded in the flow.
+    /// Runs the job with its reducer, records its metrics in the flow and
+    /// returns its output as the next dataset of the chain.
     pub fn reduce_with<R>(self, reducer: R) -> Dataset<R::OutKey, R::OutValue>
     where
-        R: Reducer<Key = M::OutKey, InValue = M::OutValue> + 'static,
+        R: Reducer<Key = M::OutKey, InValue = M::OutValue>,
     {
         let JobStage {
             ctx,
@@ -639,16 +579,13 @@ impl<M: Mapper + 'static> JobStage<M> {
             stage_name,
             counters,
         } = self;
+        let name = ctx.job_name(stage_name.as_deref());
+        let job = Job::new(ctx.config().clone().with_name(name));
+        let result = job.run_full(&mapper, &reducer, input, counters.unwrap_or_default());
+        ctx.record_job(result.metrics);
         Dataset {
             ctx,
-            thunk: Box::new(move |ctx| {
-                let records = input(ctx);
-                let name = ctx.job_name(stage_name.as_deref());
-                let job = Job::new(ctx.config().clone().with_name(name));
-                let result = job.run_full(&mapper, &reducer, records, counters.unwrap_or_default());
-                ctx.record_job(result.metrics);
-                result.output
-            }),
+            records: result.output,
         }
     }
 }
@@ -750,15 +687,20 @@ mod tests {
     }
 
     #[test]
-    fn nothing_runs_until_a_terminal_executes() {
+    fn reduce_with_runs_the_job_before_collect() {
         let flow = FlowContext::new(config());
-        let pending = flow
+        let counted = flow
             .dataset(input())
             .map_with(SplitWords)
+            .named("wc")
             .reduce_with(SumCounts);
-        assert_eq!(flow.num_jobs(), 0, "plan building must not execute jobs");
-        let _ = pending.collect();
-        assert_eq!(flow.num_jobs(), 1);
+        assert_eq!(flow.num_jobs(), 1, "reduce_with runs the job");
+        let report = flow.report();
+        assert_eq!(report.job_names(), vec!["flow-test-wc"]);
+        assert_eq!(report.jobs[0].map_input_records, 3);
+        assert_eq!(report.jobs[0].reduce_output_records, 6);
+        assert_eq!(counted.collect().len(), 6);
+        assert_eq!(flow.num_jobs(), 1, "collect runs nothing");
     }
 
     #[test]
@@ -792,49 +734,6 @@ mod tests {
             report.jobs[1].map_input_records,
             report.jobs[0].reduce_output_records
         );
-    }
-
-    #[test]
-    fn then_builds_the_next_job_from_the_previous_output() {
-        let flow = FlowContext::new(config());
-        let output = flow
-            .dataset(input())
-            .map_with(SplitWords)
-            .reduce_with(SumCounts)
-            .then(|counts, flow| {
-                // Side data derived from job 1's output, shipped into job
-                // 2's mapper — the similarity-join pattern.
-                let max = counts.iter().map(|(_, c)| *c).max().unwrap_or(0);
-                flow.dataset(counts)
-                    .map_with(ThresholdMapper(max))
-                    .reduce_with(JoinWords)
-            })
-            .collect();
-        assert_eq!(output, vec![(3, "the".to_string())]);
-        assert_eq!(flow.report().num_jobs(), 2);
-    }
-
-    #[test]
-    fn then_continuation_on_another_flow_reports_there() {
-        let outer = FlowContext::new(config());
-        let inner = FlowContext::new(config().with_name("inner-flow"));
-        let inner_clone = inner.clone();
-        let _ = outer
-            .dataset(input())
-            .map_with(SplitWords)
-            .reduce_with(SumCounts)
-            .then(move |counts, _| {
-                inner_clone
-                    .dataset(counts)
-                    .map_with(ThresholdMapper(1))
-                    .named("inner")
-                    .reduce_with(JoinWords)
-            })
-            .collect();
-        // Job 1 ran under the outer flow, the continuation under its own.
-        assert_eq!(outer.num_jobs(), 1);
-        assert_eq!(inner.num_jobs(), 1);
-        assert_eq!(inner.report().job_names(), vec!["inner-flow-inner"]);
     }
 
     #[test]
@@ -975,12 +874,15 @@ mod tests {
         assert_eq!(report.round_starts, vec![1, 2]);
         // Round-local: neither the pre-round job nor the other round's job
         // aliases into a round's view.
-        assert_eq!(report.round_job_names(0), vec!["flow-test-round-0"]);
-        assert_eq!(report.round_job_names(1), vec!["flow-test-round-1"]);
+        let names = |round| -> Vec<_> {
+            let jobs = report.round_jobs(round);
+            jobs.iter().map(|m| m.job_name.clone()).collect()
+        };
+        assert_eq!(names(0), vec!["flow-test-round-0"]);
+        assert_eq!(names(1), vec!["flow-test-round-1"]);
         assert!(report.round_jobs(2).is_empty());
-        // The job-index slice mirrors FlowContext::jobs_from.
-        assert_eq!(report.jobs_from(1).len(), 2);
-        assert_eq!(report.jobs_from(99).len(), 0);
+        assert_eq!(flow.jobs_from(1).len(), 2);
+        assert_eq!(flow.jobs_from(99).len(), 0);
     }
 
     /// A round workload over `(key, history)` state: every key tells

@@ -88,11 +88,10 @@
 //!
 //! # Chaining jobs: the `flow` API
 //!
-//! Multi-job algorithms build *lazy chains* with [`flow::Dataset`] instead
-//! of hand-wiring [`Job::run`] calls: combinators describe the plan, a
-//! terminal executes it, records move between jobs without cloning, and
-//! every job reports into one [`flow::FlowReport`].  Reusing the word-count
-//! mapper/reducer from above:
+//! Multi-job algorithms chain jobs with [`flow::Dataset`] instead of
+//! hand-wiring [`Job::run`] calls: each job runs at `reduce_with`, records
+//! move between jobs without cloning, and every job reports into one
+//! [`flow::FlowReport`].  Reusing the word-count mapper/reducer from above:
 //!
 //! ```
 //! # use smr_mapreduce::prelude::*;
@@ -123,10 +122,10 @@
 //! let flow = FlowContext::named("word-count");
 //! let input = vec![(0usize, "a b a".to_string()), (1usize, "b c".to_string())];
 //! let counts = flow
-//!     .dataset(input)            // lazy source
+//!     .dataset(input)            // the input records
 //!     .map_with(Tokenize)        // job 1 mapper...
-//!     .reduce_with(Sum)          // ...and reducer: the next Dataset
-//!     .collect();                // terminal: the chain runs here
+//!     .reduce_with(Sum)          // ...and reducer: the job runs here
+//!     .collect();                // its output records
 //! assert_eq!(counts.len(), 3);
 //! assert_eq!(flow.report().num_jobs(), 1);
 //! assert!(flow.report().total_shuffled_records() > 0);

@@ -24,8 +24,8 @@
 //!   only; its pass-through reducer fixes their order (hash partition,
 //!   then pair), and that order fixes the edge ids.
 //!
-//! The two jobs run as one lazy [`Dataset`] chain over a shared
-//! [`FlowContext`]; the probe job reports the join's domain counters
+//! The two jobs run one after the other as a [`Dataset`] chain over a
+//! shared [`FlowContext`]; the probe job reports the join's domain counters
 //! ([`counter`]) — `candidates_pruned`, `verify_exact` and `verify_dot`
 //! — in its [`JobMetrics::user_counters`].
 //!
@@ -42,9 +42,6 @@
 //! without partial scores) and the *chain*
 //! ([`candidate_chain`], with [`prefix_filter_join`] its index → probe
 //! instance).
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 use smr_graph::{BipartiteGraph, GraphBuilder};
 use smr_mapreduce::flow::{Dataset, FlowContext};
@@ -165,13 +162,13 @@ pub struct SimJoinResult {
 
 /// Job 1's mapper: emits each consumer's prefix postings
 /// ([`IndexPlan::prefix_postings`]).
-struct IndexMapper {
-    consumers: Arc<[SparseVector]>,
-    plan: Arc<IndexPlan>,
+struct IndexMapper<'a> {
+    consumers: &'a [SparseVector],
+    plan: &'a IndexPlan,
     sigma: f64,
 }
 
-impl Mapper for IndexMapper {
+impl Mapper for IndexMapper<'_> {
     type InKey = usize; // consumer dense index
     type InValue = usize; // ditto (the corpus itself rides in the mapper)
     type OutKey = u32; // term id
@@ -388,17 +385,17 @@ fn count(counters: &Counters, name: &str, delta: u64) {
 /// and finishes the surviving candidates against the in-RAM consumer
 /// vectors and their suffixes ([`Probe::finish`]) — neither a pruned nor
 /// a failed candidate crosses the shuffle.
-struct ProbeMapper<F> {
-    items: Arc<[SparseVector]>,
-    consumers: Arc<[SparseVector]>,
-    index: Arc<InvertedIndex>,
-    suffixes: Arc<SuffixTable>,
+struct ProbeMapper<'a, F> {
+    items: &'a [SparseVector],
+    consumers: &'a [SparseVector],
+    index: InvertedIndex,
+    suffixes: SuffixTable,
     sigma: f64,
     counters: Counters,
     visit: F,
 }
 
-impl<F> Mapper for ProbeMapper<F>
+impl<F> Mapper for ProbeMapper<'_, F>
 where
     F: Fn(usize, &InvertedIndex, &[(TermId, f64)], &mut ScoreAccumulator) + Send + Sync,
 {
@@ -415,16 +412,11 @@ where
             self.sigma,
             |index, query, scores| (self.visit)(*item, index, query, scores),
         );
-        let dots = probe.finish(
-            vector,
-            &self.consumers,
-            &self.suffixes,
-            |doc, similarity| {
-                if similarity >= self.sigma {
-                    out.emit((*item, doc), similarity);
-                }
-            },
-        );
+        let dots = probe.finish(vector, self.consumers, &self.suffixes, |doc, similarity| {
+            if similarity >= self.sigma {
+                out.emit((*item, doc), similarity);
+            }
+        });
         count(&self.counters, counter::CANDIDATES_PRUNED, probe.pruned);
         count(
             &self.counters,
@@ -445,9 +437,9 @@ where
 /// ([`AlignedCorpora::of`] — they are usually built independently, so
 /// their term ids would not otherwise line up); pre-aligned vectors can be
 /// joined directly with [`mapreduce_similarity_join_vectors_flow`].  Both
-/// jobs execute as one lazy `Dataset` chain under the flow's `JobConfig`
-/// and report into the flow's [`smr_mapreduce::FlowReport`] alongside any
-/// other jobs of the surrounding pipeline.
+/// jobs run as a `Dataset` chain under the flow's `JobConfig` and report
+/// into the flow's [`smr_mapreduce::FlowReport`] alongside any other jobs
+/// of the surrounding pipeline.
 pub fn mapreduce_similarity_join_flow(
     items: &Corpus,
     consumers: &Corpus,
@@ -515,17 +507,11 @@ pub fn prefix_filter_join<F>(
     visit: F,
 ) -> SimJoinResult
 where
-    F: Fn(usize, &InvertedIndex, &[(TermId, f64)], &mut ScoreAccumulator) + Send + Sync + 'static,
+    F: Fn(usize, &InvertedIndex, &[(TermId, f64)], &mut ScoreAccumulator) + Send + Sync,
 {
-    let plan = Arc::new(IndexPlan::derive(items.0, consumers.0));
-    // One shared copy of each corpus: the job inputs are dense indices,
-    // the vectors ride in the mappers (the consumers in both jobs').
-    let item_vectors: Arc<[SparseVector]> = items.0.into();
-    let consumer_vectors: Arc<[SparseVector]> = consumers.0.into();
-    let probe_consumers = Arc::clone(&consumer_vectors);
-    let probe_plan = Arc::clone(&plan);
-    let index_name = format!("{stage_prefix}index");
-    let probe_name = format!("{stage_prefix}probe");
+    // The job inputs are dense indices; the corpora ride in the mappers
+    // by reference (the consumers in both jobs').
+    let plan = IndexPlan::derive(items.0, consumers.0);
     let probe_counters = counters.clone();
     candidate_chain(
         generator,
@@ -534,33 +520,31 @@ where
         sigma,
         flow,
         counters,
-        move |consumer_ids| {
+        |consumer_ids| {
             consumer_ids
                 .map_with(IndexMapper {
-                    consumers: consumer_vectors,
-                    plan,
+                    consumers: consumers.0,
+                    plan: &plan,
                     sigma,
                 })
-                .named(index_name)
+                .named(format!("{stage_prefix}index"))
                 .reduce_with(IdentityReducer::new())
         },
-        move |postings, item_ids| {
+        |postings, item_ids| {
             // Job 1's output becomes job 2's side data: one in-RAM index
-            // shared by every probe mapper, beside the corpora they hold
+            // shared by every probe mapper, beside the corpora they read
             // and the consumers' unindexed suffixes.
-            let index = InvertedIndex::from_records(postings);
-            let suffixes = SuffixTable::build(&probe_plan, &probe_consumers, sigma);
             item_ids
                 .map_with(ProbeMapper {
-                    items: item_vectors,
-                    consumers: probe_consumers,
-                    index: Arc::new(index),
-                    suffixes: Arc::new(suffixes),
+                    items: items.0,
+                    consumers: consumers.0,
+                    index: InvertedIndex::from_records(postings),
+                    suffixes: SuffixTable::build(&plan, consumers.0, sigma),
                     sigma,
                     counters: probe_counters.clone(),
                     visit,
                 })
-                .named(probe_name)
+                .named(format!("{stage_prefix}probe"))
                 .with_counters(probe_counters)
                 .reduce_with(IdentityReducer::new())
         },
@@ -574,8 +558,8 @@ where
 /// then closes the candidate accounting and assembles the edges into the
 /// candidate graph.
 ///
-/// Records flow between the stages by move and nothing executes until the
-/// helper collects the chain.  `counters` must be the set `probe_job`
+/// Each closure's job runs when it calls `reduce_with`, index job first;
+/// records flow between the stages by move.  `counters` must be the set `probe_job`
 /// runs its job with: the accounting reads [`counter`]'s names from it,
 /// and `candidate_pairs = candidates_pruned + verify_exact` for every
 /// generator (one that never prunes leaves that counter at zero), with
@@ -589,7 +573,7 @@ pub fn candidate_chain<K: Key, V: Value>(
     flow: &FlowContext,
     counters: Counters,
     index_job: impl FnOnce(Dataset<usize, usize>) -> Dataset<K, V>,
-    probe_job: impl FnOnce(Vec<(K, V)>, Dataset<usize, usize>) -> Dataset<(usize, usize), f64> + 'static,
+    probe_job: impl FnOnce(Vec<(K, V)>, Dataset<usize, usize>) -> Dataset<(usize, usize), f64>,
 ) -> SimJoinResult {
     assert_eq!(item_vectors.len(), item_names.len());
     assert_eq!(consumer_vectors.len(), consumer_names.len());
@@ -597,18 +581,9 @@ pub fn candidate_chain<K: Key, V: Value>(
 
     let jobs_start = flow.num_jobs();
     let dense = |n: usize| -> Vec<(usize, usize)> { (0..n).map(|i| (i, i)).collect() };
-    let item_ids = dense(item_vectors.len());
-    // `then` runs inside the lazy plan, so the index size is smuggled out
-    // through a shared cell instead of a return value.
-    let indexed_entries = Arc::new(AtomicUsize::new(0));
-    let indexed_entries_probe = Arc::clone(&indexed_entries);
-
-    let verified = index_job(flow.dataset(dense(consumer_vectors.len())))
-        .then(move |indexed, flow| {
-            indexed_entries_probe.store(indexed.len(), Ordering::Relaxed);
-            probe_job(indexed, flow.dataset(item_ids))
-        })
-        .collect();
+    let indexed = index_job(flow.dataset(dense(consumer_vectors.len()))).collect();
+    let indexed_entries = indexed.len();
+    let verified = probe_job(indexed, flow.dataset(dense(item_vectors.len()))).collect();
 
     let job_metrics = flow.jobs_from(jobs_start);
     let candidates_pruned = counters.get(counter::CANDIDATES_PRUNED) as usize;
@@ -641,7 +616,7 @@ pub fn candidate_chain<K: Key, V: Value>(
         candidates_pruned,
         verify_exact,
         verify_dot,
-        indexed_entries: indexed_entries.load(Ordering::Relaxed),
+        indexed_entries,
         shuffled_records: stage_shuffles.iter().map(|s| s.records).sum(),
         shuffled_bytes: stage_shuffles.iter().map(|s| s.bytes).sum(),
         stage_shuffles,
@@ -852,32 +827,30 @@ mod tests {
         let job_config = JobConfig::named("regression").with_threads(2);
 
         // --- the hand-wired path ---
-        let plan = Arc::new(IndexPlan::derive(&items, &consumers));
-        let consumer_vectors: Arc<[SparseVector]> = consumers.as_slice().into();
+        let plan = IndexPlan::derive(&items, &consumers);
         let index_result = Job::new(job_config.clone().with_name("regression-index")).run(
             &IndexMapper {
-                consumers: Arc::clone(&consumer_vectors),
-                plan: Arc::clone(&plan),
+                consumers: &consumers,
+                plan: &plan,
                 sigma,
             },
             &IdentityReducer::new(),
             (0..consumers.len()).map(|i| (i, i)).collect(),
         );
-        let index = Arc::new(InvertedIndex::from_records(index_result.output));
-        let suffixes = Arc::new(SuffixTable::build(&plan, &consumers, sigma));
         let manual_counters = Counters::new();
-        let probe_result = Job::new(job_config.clone().with_name("regression-probe")).run(
-            &ProbeMapper {
-                items: items.as_slice().into(),
-                consumers: consumer_vectors,
-                index: Arc::clone(&index),
-                suffixes,
-                sigma,
-                counters: manual_counters.clone(),
-                visit: |_, index: &InvertedIndex, query: &[(TermId, f64)], scores: &mut _| {
-                    probe_postings(index, query, scores)
-                },
+        let probe_mapper = ProbeMapper {
+            items: &items,
+            consumers: &consumers,
+            index: InvertedIndex::from_records(index_result.output),
+            suffixes: SuffixTable::build(&plan, &consumers, sigma),
+            sigma,
+            counters: manual_counters.clone(),
+            visit: |_, index: &InvertedIndex, query: &[(TermId, f64)], scores: &mut _| {
+                probe_postings(index, query, scores)
             },
+        };
+        let probe_result = Job::new(job_config.clone().with_name("regression-probe")).run(
+            &probe_mapper,
             &IdentityReducer::new(),
             (0..items.len()).map(|i| (i, i)).collect(),
         );
@@ -905,7 +878,7 @@ mod tests {
 
         // Same candidate accounting and stage structure, reported through
         // one FlowReport.
-        assert_eq!(result.indexed_entries, index.num_postings());
+        assert_eq!(result.indexed_entries, probe_mapper.index.num_postings());
         assert_eq!(
             result.candidates_pruned,
             manual_counters.get(counter::CANDIDATES_PRUNED) as usize
