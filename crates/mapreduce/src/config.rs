@@ -48,15 +48,21 @@ pub struct JobConfig {
     pub num_map_tasks: usize,
     /// Number of reduce partitions.  `0` means "one per worker thread".
     pub num_reduce_tasks: usize,
-    /// Memory budget in bytes for the job's map-side buffers, divided
-    /// evenly among the worker threads.  A task whose buffered map output
-    /// outgrows its share — estimated as records ×
-    /// `size_of::<(K, V)>()`, a lower bound for heap-carrying types —
-    /// **spills its sorted runs to disk** instead of growing without
-    /// bound; the shuffle then streams disk and in-memory
-    /// runs through one external k-way merge.  `None` (the default unless
-    /// the [`MEMORY_BUDGET_ENV`] environment variable is set) disables
-    /// spilling.  The job's output is byte-identical for every budget.
+    /// Memory budget in encoded bytes ([`smr_storage::Codec::encoded_len`],
+    /// the engine's one byte measure), split into two shares:
+    ///
+    /// * **budget / threads per task buffer** — a map task (or a round's
+    ///   reduce task) whose buffered output passes this share **spills
+    ///   its sorted runs to disk** instead of growing without bound; the
+    ///   shuffle then streams disk and in-memory runs through one
+    ///   external k-way merge;
+    /// * **budget / reduce tasks per round-state partition** — every
+    ///   partition of a [`crate::flow::RoundState`] lives at once, so each
+    ///   keeps at most this share in RAM and the rest in its run file.
+    ///
+    /// `None` (the default unless the [`MEMORY_BUDGET_ENV`] environment
+    /// variable is set) disables spilling.  The job's output is
+    /// byte-identical for every budget.
     pub memory_budget: Option<u64>,
     /// Directory spilled runs are written under (a per-job subdirectory is
     /// created lazily and removed when the job finishes); a

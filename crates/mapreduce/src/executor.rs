@@ -8,11 +8,13 @@
 //!    [`TaskQueue`] (an atomic claim index over never-empty input ranges).
 //!    Each task routes every emitted pair straight into the bucket of its
 //!    reduce partition ([`hash_partition`]), in emission order.
-//! 2. **Spill** — under a [`JobConfig::memory_budget`] each task watches
-//!    its buckets' byte estimate against its share of the budget.  Past
-//!    it, the task sorts every bucket into a *sorted run* written to a
-//!    spill file through the job's `SpillManager` (`spill_bytes` /
-//!    `disk_runs` metrics), and the buckets start over empty.
+//! 2. **Spill** — each task keeps a running count of its buckets'
+//!    encoded bytes ([`smr_storage::Codec::encoded_len`], the engine's
+//!    one byte measure).  Under a [`JobConfig::memory_budget`], once the
+//!    count passes the task's share of the budget, the task sorts every
+//!    bucket into a *sorted run* written to a spill file through the
+//!    job's `SpillManager` (`spill_bytes` / `disk_runs` metrics), and the
+//!    buckets start over empty.
 //! 3. **Run generation** — at task end every bucket is sorted once (at
 //!    task granularity), yielding the task's final in-memory sorted run
 //!    per partition.  Every sort is stable: equal keys keep their
@@ -36,8 +38,8 @@
 //! break by run — so `JobResult.output` is byte-identical for any thread
 //! count **and any memory budget**: a job that spilled every few records
 //! produces exactly the bytes of the unlimited-memory run.  Record counts,
-//! shuffled bytes, merged runs, spilled bytes and per-phase wall time are
-//! recorded in [`JobMetrics`].
+//! shuffled bytes (the runs' encoded bytes), merged runs, spilled bytes
+//! and per-phase wall time are recorded in [`JobMetrics`].
 
 use std::mem;
 use std::time::Instant;
@@ -72,6 +74,8 @@ const MAX_MERGE_FAN_IN: usize = 64;
 pub(crate) struct TaggedRun<K, V> {
     pub(crate) task: usize,
     pub(crate) seq: usize,
+    /// The records' encoded bytes, summed into `shuffle_bytes`.
+    pub(crate) bytes: u64,
     pub(crate) source: RunSource<K, V>,
 }
 
@@ -121,7 +125,12 @@ impl<K: Key, V: Value> MapOutput<K, V> {
         TaskOutput {
             output: self,
             task,
-            buckets: (0..self.runs.len()).map(|_| Vec::new()).collect(),
+            buckets: (0..self.runs.len())
+                .map(|_| Bucket {
+                    records: Vec::new(),
+                    bytes: 0,
+                })
+                .collect(),
             buffered: 0,
             emitter: Emitter::new(),
             seq: 0,
@@ -142,19 +151,27 @@ impl<K: Key, V: Value> MapOutput<K, V> {
     }
 }
 
+/// One reduce partition's records of a task, in emission order, and
+/// their encoded bytes.
+struct Bucket<K, V> {
+    records: Vec<(K, V)>,
+    bytes: u64,
+}
+
 /// One map task's emission path: every pair the task emits is appended
-/// to the bucket of its reduce partition; under a memory budget, buckets
-/// past the task's share are sorted and spilled to disk as runs;
-/// [`TaskOutput::finish`] adds the task's final in-memory runs.  Every
-/// run is tagged with the task index and a spill sequence number.  A map
-/// task and a round's reduce task emit through the same type.
+/// to the bucket of its reduce partition; under a memory budget, once the
+/// buckets' encoded bytes pass the task's share they are sorted and
+/// spilled to disk as runs; [`TaskOutput::finish`] adds the task's final
+/// in-memory runs.  Every run is tagged with the task index and a spill
+/// sequence number.  A map task and a round's reduce task emit through
+/// the same type.
 pub(crate) struct TaskOutput<'a, K, V> {
     output: &'a MapOutput<K, V>,
     task: usize,
-    /// One bucket per reduce partition, in emission order.
-    buckets: Vec<Vec<(K, V)>>,
-    /// Records across all buckets.
-    buffered: usize,
+    /// One bucket per reduce partition.
+    buckets: Vec<Bucket<K, V>>,
+    /// Encoded bytes across all buckets.
+    buffered: u64,
     emitter: Emitter<K, V>,
     /// The next spilled chunk's sequence number: chunks get 0, 1, …, and
     /// the final in-memory run sorts after all of them (`usize::MAX`),
@@ -171,17 +188,18 @@ impl<K: Key, V: Value> TaskOutput<'_, K, V> {
         let result = emit(&mut self.emitter);
         let partitions = self.buckets.len();
         self.emitter.drain_each(|key, value| {
+            let bytes = (key.encoded_len() + value.encoded_len()) as u64;
             self.map_output += 1;
-            self.buffered += 1;
-            self.buckets[hash_partition(&key, partitions)].push((key, value));
+            self.buffered += bytes;
+            let bucket = &mut self.buckets[hash_partition(&key, partitions)];
+            bucket.bytes += bytes;
+            bucket.records.push((key, value));
         });
         let output = self.output;
         let Some(manager) = &output.spill else {
             return result;
         };
-        // Records × `size_of::<(K, V)>()`: a lower bound for
-        // heap-carrying types, measured like `shuffle_bytes`.
-        if (self.buffered * mem::size_of::<(K, V)>()) as u64 > manager.task_budget() {
+        if self.buffered > manager.task_budget() {
             self.flush(self.seq, |run| {
                 let spilled = manager.write_run(&run);
                 RunSource::Disk(spilled.unwrap_or_else(|e| panic!("failed to spill run: {e}")))
@@ -204,14 +222,15 @@ impl<K: Key, V: Value> TaskOutput<'_, K, V> {
     fn flush(&mut self, seq: usize, store: impl Fn(Vec<(K, V)>) -> RunSource<K, V>) {
         self.buffered = 0;
         for (p, bucket) in self.buckets.iter_mut().enumerate() {
-            if bucket.is_empty() {
+            if bucket.records.is_empty() {
                 continue;
             }
-            let mut run = mem::take(bucket);
+            let mut run = mem::take(&mut bucket.records);
             run.sort_by(|a, b| a.0.cmp(&b.0));
             self.output.runs[p].lock().push(TaggedRun {
                 task: self.task,
                 seq,
+                bytes: mem::take(&mut bucket.bytes),
                 source: store(run),
             });
         }
@@ -404,7 +423,6 @@ impl Job {
         let runs_ref = &runs;
 
         let shuffle_start = Instant::now();
-        let record_bytes = mem::size_of::<(K, V)>() as u64;
         let merge_queue = TaskQueue::unit(num_reduce_tasks);
         type MergedPartitions<K, V> = Vec<Mutex<Vec<(K, V)>>>;
         let merged: MergedPartitions<K, V> = (0..num_reduce_tasks)
@@ -415,11 +433,13 @@ impl Job {
 
         let merge_worker = || {
             let mut shuffled = 0u64;
+            let mut shuffled_bytes = 0u64;
             let mut runs_merged = 0u64;
             while let Some(task) = merge_queue_ref.claim() {
                 let mut partition_runs = mem::take(&mut *runs_ref[task.index].lock());
                 partition_runs.sort_unstable_by_key(|run| (run.task, run.seq));
                 runs_merged += partition_runs.len() as u64;
+                shuffled_bytes += partition_runs.iter().map(|run| run.bytes).sum::<u64>();
                 let sources: Vec<RunSource<K, V>> =
                     partition_runs.into_iter().map(|run| run.source).collect();
                 let partition = merge_sources(sources, MAX_MERGE_FAN_IN);
@@ -427,7 +447,7 @@ impl Job {
                 *merged_ref[task.index].lock() = partition;
             }
             counters.add(builtin::SHUFFLE_RECORDS, shuffled);
-            counters.add(builtin::SHUFFLE_BYTES, shuffled * record_bytes);
+            counters.add(builtin::SHUFFLE_BYTES, shuffled_bytes);
             counters.add(builtin::MERGE_RUNS, runs_merged);
         };
         let run_records: usize = runs
@@ -812,6 +832,72 @@ mod tests {
         assert_eq!(
             spilled.metrics.shuffle_records,
             unlimited.metrics.shuffle_records
+        );
+    }
+
+    /// Emits each input record once, keyed mod 17, with a 1 KiB value.
+    struct KibValues;
+    impl Mapper for KibValues {
+        type InKey = u32;
+        type InValue = u8;
+        type OutKey = u32;
+        type OutValue = Vec<u8>;
+        fn map(&self, k: &u32, fill: &u8, out: &mut Emitter<u32, Vec<u8>>) {
+            out.emit(k % 17, vec![*fill; 1024]);
+        }
+    }
+
+    /// Concatenates a key's values in engine order.
+    struct ConcatValues;
+    impl Reducer for ConcatValues {
+        type Key = u32;
+        type InValue = Vec<u8>;
+        type OutKey = u32;
+        type OutValue = Vec<u8>;
+        fn reduce(&self, k: &u32, vs: &[Vec<u8>], out: &mut Emitter<u32, Vec<u8>>) {
+            out.emit(*k, vs.concat());
+        }
+    }
+
+    #[test]
+    fn heap_carrying_values_spill_by_their_encoded_bytes() {
+        // One thread, so the task's share is the whole budget.
+        const BUDGET: u64 = 64 * 1024;
+        // A 4-byte key, the value's 8-byte length and its 1 KiB payload.
+        const RECORD: u64 = 4 + 8 + 1024;
+        let input: Vec<(u32, u8)> = (0..300).map(|i| (i, i as u8)).collect();
+        let run = |budget| {
+            let job = Job::new(
+                JobConfig::named("kib-values")
+                    .with_threads(1)
+                    .with_map_tasks(1)
+                    .with_reduce_tasks(1)
+                    .with_memory_budget(budget),
+            );
+            job.run(&KibValues, &ConcatValues, input.clone())
+        };
+        let unlimited = run(None);
+        let spilled = run(Some(BUDGET));
+        assert_eq!(unlimited.metrics.shuffle_bytes, 300 * RECORD);
+        assert_eq!(
+            spilled.metrics.shuffle_bytes,
+            unlimited.metrics.shuffle_bytes
+        );
+        // 300 KiB of values through a 64 KiB budget must spill: a value
+        // counts its payload, not its 24-byte `Vec` header.
+        let metrics = &spilled.metrics;
+        assert!(metrics.disk_runs >= 3, "{} disk runs", metrics.disk_runs);
+        // A run spills once it passes the share, so it holds at most the
+        // share plus one record; each frame adds a 4-byte length prefix.
+        assert!(
+            metrics.spill_bytes / metrics.disk_runs <= BUDGET + 4 + RECORD,
+            "{} bytes over {} runs",
+            metrics.spill_bytes,
+            metrics.disk_runs
+        );
+        assert_eq!(
+            spilled.output, unlimited.output,
+            "spilled output must be byte-identical"
         );
     }
 

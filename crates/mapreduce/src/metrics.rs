@@ -35,17 +35,16 @@ pub struct JobMetrics {
     /// every emitted record reaches a reducer).  This is the paper's
     /// per-round communication cost, O(|E|) for the matching jobs.
     pub shuffle_records: u64,
-    /// Approximate shuffled payload in bytes: shuffled records times the
-    /// in-memory size of one `(key, value)` record.  A lower bound for
-    /// heap-carrying types (e.g. `String` keys), but the same for every
-    /// memory budget, so A/B comparisons are meaningful.
+    /// Encoded bytes ([`smr_storage::Codec::encoded_len`]) of the records
+    /// that crossed the shuffle: the same for every memory budget, thread
+    /// count and shard count.
     pub shuffle_bytes: u64,
     /// Sorted runs the streaming shuffle merged across all reduce
     /// partitions (in-memory and on-disk runs alike).
     pub merge_runs: u64,
-    /// Encoded bytes of sorted runs spilled to disk because a map task's
-    /// buffer outgrew its share of the job's memory budget (zero without a
-    /// budget).
+    /// Frame bytes (encoded bytes plus a 4-byte length prefix per record)
+    /// of sorted runs spilled to disk because a map task's buffer outgrew
+    /// its share of the job's memory budget (zero without a budget).
     pub spill_bytes: u64,
     /// Sorted runs spilled to disk and streamed back through the external
     /// merge (zero without a memory budget).

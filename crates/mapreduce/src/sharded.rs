@@ -113,6 +113,11 @@ impl Job {
                             "shard {} manifest names partition {partition} of {num_reduce_tasks}",
                             manifest.shard
                         );
+                        let run = CompletedRun {
+                            path: attempt_dir.join(&entry.file),
+                            records: entry.records,
+                            bytes: entry.bytes,
+                        };
                         runs[partition].lock().push(TaggedRun {
                             task: entry.task as usize,
                             seq: if entry.seq == u64::MAX {
@@ -120,11 +125,8 @@ impl Job {
                             } else {
                                 entry.seq as usize
                             },
-                            source: RunSource::Disk(CompletedRun {
-                                path: attempt_dir.join(&entry.file),
-                                records: entry.records,
-                                bytes: entry.bytes,
-                            }),
+                            bytes: run.encoded_bytes(),
+                            source: RunSource::Disk(run),
                         });
                     }
                 }

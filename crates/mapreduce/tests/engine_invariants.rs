@@ -99,7 +99,9 @@ fn shuffled_values_reach_the_reducer_by_move_in_shuffle_order() {
     let input: Vec<(u32, u64)> = (0..600u32).map(|i| (i, 0)).collect();
     let groups = 7u32;
     for threads in [1, 2] {
-        for budget in [None, Some(4096)] {
+        // A map task buffers 300 records of 12 encoded bytes, past the
+        // 2 KiB budget at either thread count.
+        for budget in [None, Some(2048)] {
             let job = Job::new(
                 JobConfig::named("by-move")
                     .with_threads(threads)

@@ -2,8 +2,9 @@
 //! model: for random mapper/reducer instances over random inputs,
 //! `JobResult.output` is **byte-identical** to a single-threaded
 //! simulation of the MapReduce contract — across thread counts 1/2/8, map
-//! task counts 1/7/64, and memory budgets {64 B, 4 KB, unlimited} that
-//! force the disk-spilling shuffle path.
+//! task counts 1/7/64, and memory budgets {64 B, 4 KiB, 1 MiB, unlimited}
+//! that force the disk-spilling shuffle path.  The shuffled bytes do not
+//! move with the budget or the thread count either.
 //!
 //! The reducer family includes an order-sensitive op (`First`) so the
 //! tests pin down not just the multiset of output records but the exact
@@ -87,7 +88,7 @@ struct Case {
 }
 
 impl Case {
-    fn run(&self, budget: Option<u64>, threads: usize, map_tasks: usize) -> Vec<(u32, u64)> {
+    fn run(&self, budget: Option<u64>, threads: usize, map_tasks: usize) -> JobResult<u32, u64> {
         let job = Job::new(
             JobConfig::named("prop-model")
                 .with_memory_budget(budget)
@@ -96,7 +97,6 @@ impl Case {
                 .with_reduce_tasks(self.reduce_tasks),
         );
         job.run(&self.mapper, &OpReducer(self.op), self.input.clone())
-            .output
     }
 
     /// A sequential simulation of the MapReduce contract, independent of
@@ -156,7 +156,7 @@ proptest! {
         let reference = case.reference_model();
         for threads in [1usize, 2, 8] {
             for map_tasks in [1usize, 7, 64] {
-                let streaming = case.run(None, threads, map_tasks);
+                let streaming = case.run(None, threads, map_tasks).output;
                 prop_assert!(
                     streaming == reference,
                     "engine diverged from model (threads={threads} map_tasks={map_tasks}): {streaming:?} != {reference:?}"
@@ -181,15 +181,24 @@ proptest! {
             input,
         };
         let reference = case.reference_model();
-        // 64 B is below two records per worker (a (u32, u64) pair is 16
-        // bytes and the budget is split across threads), so nearly every
-        // push spills; 4 KB spills on larger cases only; None never does.
-        for budget in [Some(64u64), Some(4096), None] {
-            for threads in [1usize, 8] {
-                let output = case.run(budget, threads, 7);
+        // 64 B holds at most five records per worker (a (u32, u64) pair
+        // encodes to 12 bytes and the budget is split across threads), so
+        // nearly every push spills; 4 KiB spills on larger cases only;
+        // 1 MiB and None never do.
+        let mut shuffle_bytes = None;
+        for budget in [Some(64u64), Some(4096), Some(1 << 20), None] {
+            for threads in [1usize, 2, 8] {
+                let result = case.run(budget, threads, 7);
+                let output = &result.output;
                 prop_assert!(
-                    output == reference,
+                    output == &reference,
                     "budget={budget:?} threads={threads}: {output:?} != {reference:?}"
+                );
+                let bytes = result.metrics.shuffle_bytes;
+                let first = *shuffle_bytes.get_or_insert(bytes);
+                prop_assert!(
+                    bytes == first,
+                    "budget={budget:?} threads={threads}: shuffle_bytes {bytes} != {first}"
                 );
             }
         }

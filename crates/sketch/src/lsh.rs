@@ -11,9 +11,9 @@
 //!
 //! * **Job 1 — banding**: every consumer emits `(band key, doc)` for each
 //!   of its bands; the reducer passes the grouped band postings through,
-//!   and the chain's `then` materializes them as a sorted bucket list that
-//!   the probe mappers share (the distributed-cache role the inverted
-//!   index plays for the exact join).
+//!   and [`candidate_chain`] collects job 1's output and materializes it
+//!   as a sorted bucket list that the probe mappers share (the
+//!   distributed-cache role the inverted index plays for the exact join).
 //! * **Job 2 — bucket probe + verification**: every item computes its own
 //!   signature with the *same* seeded hash functions, looks up its band
 //!   keys, and verifies each distinct co-bucketed consumer once with an

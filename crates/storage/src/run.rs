@@ -270,6 +270,14 @@ pub struct CompletedRun {
     pub bytes: u64,
 }
 
+impl CompletedRun {
+    /// The records' encoded bytes ([`Codec::encoded_len`] summed): the
+    /// frame bytes less each frame's 4-byte length prefix.
+    pub fn encoded_bytes(&self) -> u64 {
+        self.bytes - 4 * self.records
+    }
+}
+
 /// Streams the records of a run file back, validating the header up front
 /// and the record count at the end.
 ///

@@ -54,8 +54,8 @@ impl SpillManager {
         }
     }
 
-    /// The per-worker share of the budget, in bytes: a task buffer holding
-    /// more than this many (estimated) bytes must spill.
+    /// The per-worker share of the budget, in bytes: a task buffer whose
+    /// records encode to more than this many bytes must spill.
     pub fn task_budget(&self) -> u64 {
         self.task_budget
     }
@@ -75,7 +75,7 @@ impl SpillManager {
         Ok(run)
     }
 
-    /// Encoded bytes spilled so far.
+    /// Frame bytes spilled so far (see [`CompletedRun::bytes`]).
     pub fn spilled_bytes(&self) -> u64 {
         self.spilled_bytes.load(Ordering::Relaxed)
     }

@@ -1,8 +1,9 @@
 //! Equivalence lock for the multi-process runtime over the full paper
 //! pipeline: for every shard count, memory budget and matcher, the sharded
 //! session must reproduce the in-process run **byte-identically** —
-//! similarity-join edges, final matching, and the per-job shuffled-record
-//! counts — and an injected worker crash must retry to the same bytes.
+//! similarity-join edges, final matching, and the per-job shuffled
+//! records and bytes — and an injected worker crash must retry to the
+//! same bytes.
 //!
 //! The matrix shards ∈ {1, 2, 4} × budgets {4 KiB, ∞} × {GreedyMR,
 //! StackMR} is enumerated exhaustively (one test per matcher × shard
@@ -41,11 +42,11 @@ fn pipeline(algorithm: AlgorithmKind, budget: Option<u64>, name: &str) -> Matchi
         )
 }
 
-fn shuffle_profile(run: &PipelineRun) -> Vec<(String, u64)> {
+fn shuffle_profile(run: &PipelineRun) -> Vec<(String, u64, u64)> {
     run.report
         .jobs
         .iter()
-        .map(|job| (job.job_name.clone(), job.shuffle_records))
+        .map(|job| (job.job_name.clone(), job.shuffle_records, job.shuffle_bytes))
         .collect()
 }
 
@@ -66,7 +67,7 @@ fn assert_runs_identical(local: &PipelineRun, sharded: &PipelineRun, what: &str)
     assert_eq!(
         shuffle_profile(local),
         shuffle_profile(sharded),
-        "{what}: every job must shuffle the same records"
+        "{what}: every job must shuffle the same records and bytes"
     );
 }
 
