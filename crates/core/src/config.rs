@@ -1,10 +1,8 @@
 //! Algorithm configuration.
 
-use serde::{Deserialize, Serialize};
-
 /// How the marking stage of the maximal b-matching subroutine chooses the
 /// edges a node proposes to its neighbours (Section 6, "Variants").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MarkingStrategy {
     /// Mark edges chosen uniformly at random — the StackMR default.
     #[default]

@@ -43,7 +43,6 @@ use std::collections::HashMap;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use smr_graph::{EdgeId, NodeId};
 use smr_mapreduce::flow::FlowContext;
 use smr_mapreduce::{Emitter, JobMetrics, StateReducer};
@@ -53,7 +52,7 @@ use crate::config::MarkingStrategy;
 use crate::state::{peer_notes, select_heaviest_prefix, AdjEdge, NodeRecord, NodeTable, RoundMsg};
 
 /// A per-edge annotation inside the working records of the matcher.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkEdge {
     /// Global edge id.
     pub edge: EdgeId,
@@ -88,7 +87,7 @@ impl WorkEdge {
 }
 
 /// The working record of one node during the maximal-matching computation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkRecord {
     /// The node.
     pub node: NodeId,

@@ -1,12 +1,11 @@
 //! Results reported by every algorithm run.
 
-use serde::{Deserialize, Serialize};
 use smr_graph::{BipartiteGraph, Capacities, Matching};
 use smr_mapreduce::JobMetrics;
 
 /// Which algorithm produced a run (used by the experiment harness when
 /// tabulating results).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AlgorithmKind {
     /// Centralized sequential greedy.
     Greedy,

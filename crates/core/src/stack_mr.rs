@@ -52,7 +52,6 @@
 //! threshold — so an edge is dropped at both ends in the same round, and
 //! a node retires only once all its edges are gone at both ends.
 
-use serde::{Deserialize, Serialize};
 use smr_graph::{BipartiteGraph, Capacities, EdgeId, Matching, NodeId};
 use smr_mapreduce::flow::FlowContext;
 use smr_mapreduce::{Emitter, StateReducer};
@@ -71,7 +70,7 @@ const UNSTACKED: u32 = u32::MAX;
 // ---------------------------------------------------------------------------
 
 /// The push-phase state of one node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StackNodeRecord {
     /// The node.
     pub node: NodeId,
@@ -189,7 +188,7 @@ impl StateReducer for PushReducer<'_> {
 // ---------------------------------------------------------------------------
 
 /// The pop-phase state of one node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PopNodeRecord {
     /// The node.
     pub node: NodeId,

@@ -28,12 +28,11 @@
 use std::cmp::Reverse;
 use std::ops::{Index, IndexMut};
 
-use serde::{Deserialize, Serialize};
 use smr_graph::{BipartiteGraph, Capacities, EdgeId, NodeId};
 use smr_storage::{impl_codec_struct, Codec, CodecError};
 
 /// One entry of a node's adjacency list.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdjEdge {
     /// Global edge identifier.
     pub edge: EdgeId,
@@ -61,7 +60,7 @@ impl AdjEdge {
 }
 
 /// A node's view of the current graph state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeRecord {
     /// The node this record describes.
     pub node: NodeId,

@@ -27,14 +27,12 @@
 //! [`DatasetPreset::all`] — the paper sweeps stay laptop-fast — but is
 //! addressable by name everywhere presets are.
 
-use serde::{Deserialize, Serialize};
-
 use crate::answers::AnswersGenerator;
 use crate::flickr::FlickrGenerator;
 use crate::social::SocialDataset;
 
 /// The three datasets of the paper's evaluation, at laptop scale.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DatasetPreset {
     /// Scaled-down `flickr-small`.
     FlickrSmall,

@@ -1,11 +1,10 @@
 //! The common container produced by every dataset generator.
 
-use serde::{Deserialize, Serialize};
 use smr_graph::{Capacities, CapacityModel};
 use smr_text::Document;
 
 /// How item capacities are derived from the dataset (Section 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ItemCapacityPolicy {
     /// Items share the consumer budget equally (Yahoo! Answers questions).
     Uniform,
@@ -16,7 +15,7 @@ pub enum ItemCapacityPolicy {
 
 /// A synthetic social-media dataset: documents for both sides plus the
 /// activity / quality signals the capacity formulas need.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SocialDataset {
     /// Dataset name (used in experiment reports).
     pub name: String,

@@ -1,7 +1,5 @@
 //! The weighted bipartite graph of Problem 1.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{ConsumerId, ItemId, NodeId};
 
 /// Index of an edge in a [`BipartiteGraph`].
@@ -12,7 +10,7 @@ pub type EdgeId = usize;
 /// Weights are the relevance scores `w(t, c) > 0` of the paper (for the
 /// social-content application they are tf·idf dot products produced by the
 /// similarity join).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Edge {
     /// The item endpoint.
     pub item: ItemId,
@@ -75,7 +73,7 @@ impl Edge {
 /// one compressed array per side, so that both the centralized algorithms
 /// and the node-centric MapReduce jobs can iterate over neighbourhoods
 /// cheaply.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BipartiteGraph {
     num_items: usize,
     num_consumers: usize,
@@ -91,7 +89,7 @@ pub struct BipartiteGraph {
 /// One side's incidence in compressed sparse row form: node `v`'s
 /// incident edge indices are `edges[offsets[v]..offsets[v + 1]]`,
 /// ascending.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Incidence {
     offsets: Vec<usize>,
     edges: Vec<EdgeId>,

@@ -13,13 +13,11 @@
 //!   split proportionally: `b(t) = max(1, q(t)·B)` (the flickr setting,
 //!   where `q` is the share of favourites a photo received).
 
-use serde::{Deserialize, Serialize};
-
 use crate::bipartite::BipartiteGraph;
 use crate::ids::{ConsumerId, ItemId, NodeId};
 
 /// Per-node capacities for a specific bipartite graph.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Capacities {
     item_caps: Vec<u64>,
     consumer_caps: Vec<u64>,
@@ -112,7 +110,7 @@ impl Capacities {
 
 /// The capacity-assignment policies of Section 4, parameterized by the
 /// activity factor α.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CapacityModel {
     /// The activity multiplier α: higher values simulate a system in which
     /// consumers log in (and therefore can be shown content) more often.

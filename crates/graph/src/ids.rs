@@ -5,20 +5,15 @@
 //! side, which keeps every per-node array (capacities, dual variables,
 //! degrees) a flat vector.
 
-use serde::{Deserialize, Serialize};
 use smr_storage::{impl_codec_newtype, Codec, CodecError};
 use std::fmt;
 
 /// Identifier of an item (a piece of content: a photo, a question, …).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ItemId(pub u32);
 
 /// Identifier of a consumer (a user the content is delivered to).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ConsumerId(pub u32);
 
 impl ItemId {
@@ -69,7 +64,7 @@ impl fmt::Display for ConsumerId {
 /// `NodeId` is the key type used by the MapReduce matching algorithms: the
 /// node-based graph representation of Section 5.3 keys every record by the
 /// node whose local neighbourhood it describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeId {
     /// An item node (left side, `T`).
     Item(ItemId),

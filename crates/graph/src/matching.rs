@@ -10,14 +10,12 @@
 //! ε′ = 1/|V| · Σ_v max(|M(v)| − b(v), 0) / b(v)
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 use crate::bipartite::{BipartiteGraph, EdgeId};
 use crate::capacity::Capacities;
 use crate::ids::NodeId;
 
 /// A (possibly infeasible) set of selected edges of a specific graph.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Matching {
     selected: Vec<bool>,
     num_selected: usize,

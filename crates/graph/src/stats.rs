@@ -5,13 +5,11 @@
 //! The experiment harness regenerates those plots as textual histograms
 //! built here.
 
-use serde::{Deserialize, Serialize};
-
 use crate::bipartite::BipartiteGraph;
 use crate::capacity::Capacities;
 
 /// A fixed-width or logarithmic histogram over positive values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     /// Inclusive lower bound of each bucket.
     pub bucket_lower_bounds: Vec<f64>,
@@ -106,7 +104,7 @@ impl Histogram {
 }
 
 /// Five-number-ish summary of a sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of observations.
     pub count: usize,

@@ -64,9 +64,11 @@ pub struct JobConfig {
     /// variable is set) disables spilling.  The job's output is
     /// byte-identical for every budget.
     pub memory_budget: Option<u64>,
-    /// Directory spilled runs are written under (a per-job subdirectory is
-    /// created lazily and removed when the job finishes); a
-    /// [`crate::FlowContext`] roots its round-state directory here too.
+    /// Where run files go: each job's spilled runs in an `smr-spill-*`
+    /// subdirectory, a [`crate::FlowContext`]'s round-state partitions in
+    /// its `smr-flow-*` subdirectory.  Each subdirectory
+    /// (`smr_storage::SpillDir`) is created with its first file and
+    /// removed once its owner and the last run file in it have dropped.
     /// `None` (the default unless [`SPILL_DIR_ENV`] is set) uses the
     /// system temp directory.
     pub spill_dir: Option<PathBuf>,

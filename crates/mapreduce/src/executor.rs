@@ -45,13 +45,13 @@ use std::mem;
 use std::time::Instant;
 
 use parking_lot::Mutex;
-use smr_storage::{CompletedRun, RunReader, SpillManager};
+use smr_storage::{Run, SpillManager};
 
 use crate::config::JobConfig;
 use crate::counters::{builtin, Counters};
 use crate::metrics::JobMetrics;
 use crate::partition::hash_partition;
-use crate::shuffle::{merge_streams, RunStream};
+use crate::shuffle::merge_streams;
 use crate::task_queue::{Task, TaskQueue};
 use crate::types::{Emitter, Key, Mapper, ReduceGroups, Reducer, Value};
 
@@ -74,23 +74,7 @@ const MAX_MERGE_FAN_IN: usize = 64;
 pub(crate) struct TaggedRun<K, V> {
     pub(crate) task: usize,
     pub(crate) seq: usize,
-    /// The records' encoded bytes, summed into `shuffle_bytes`.
-    pub(crate) bytes: u64,
-    pub(crate) source: RunSource<K, V>,
-}
-
-pub(crate) enum RunSource<K, V> {
-    Memory(Vec<(K, V)>),
-    Disk(CompletedRun),
-}
-
-impl<K, V> RunSource<K, V> {
-    fn len(&self) -> usize {
-        match self {
-            RunSource::Memory(run) => run.len(),
-            RunSource::Disk(run) => run.records as usize,
-        }
-    }
+    pub(crate) run: Run<(K, V)>,
 }
 
 /// Every sorted run of a job, bucketed by reduce partition.
@@ -98,7 +82,7 @@ pub(crate) type TaggedRuns<K, V> = Vec<Mutex<Vec<TaggedRun<K, V>>>>;
 
 /// The map side of one job: a bucket of tagged sorted runs per reduce
 /// partition, filled by the job's [`TaskOutput`]s, and — under a memory
-/// budget — the spill manager backing the runs that went to disk.
+/// budget — the spill manager that writes the runs going to disk.
 pub(crate) struct MapOutput<K, V> {
     runs: TaggedRuns<K, V>,
     spill: Option<SpillManager>,
@@ -106,9 +90,8 @@ pub(crate) struct MapOutput<K, V> {
 
 impl<K: Key, V: Value> MapOutput<K, V> {
     /// An empty map side for a job under `config`.  The spill manager's
-    /// temp directory is created on the first spill and removed when the
-    /// manager drops, after the merge (or the shard export) has consumed
-    /// every disk run.
+    /// directory is created on the first spill and removed with the last
+    /// disk run, once the merge (or the shard export) has consumed them.
     pub(crate) fn new(config: &JobConfig) -> Self {
         MapOutput {
             runs: (0..config.effective_reduce_tasks())
@@ -139,15 +122,13 @@ impl<K: Key, V: Value> MapOutput<K, V> {
     }
 
     /// Seals the map side once every task has finished: the spill
-    /// counters land in `counters`, and the runs come back with the spill
-    /// manager whose files back the disk runs — keep it alive until the
-    /// runs are consumed.
-    pub(crate) fn finish(self, counters: &Counters) -> (TaggedRuns<K, V>, Option<SpillManager>) {
+    /// counters land in `counters`, and the runs come back.
+    pub(crate) fn finish(self, counters: &Counters) -> TaggedRuns<K, V> {
         if let Some(manager) = &self.spill {
             counters.add(builtin::SPILL_BYTES, manager.spilled_bytes());
             counters.add(builtin::DISK_RUNS, manager.disk_runs());
         }
-        (self.runs, self.spill)
+        self.runs
     }
 }
 
@@ -200,9 +181,10 @@ impl<K: Key, V: Value> TaskOutput<'_, K, V> {
             return result;
         };
         if self.buffered > manager.task_budget() {
-            self.flush(self.seq, |run| {
-                let spilled = manager.write_run(&run);
-                RunSource::Disk(spilled.unwrap_or_else(|e| panic!("failed to spill run: {e}")))
+            self.flush(self.seq, |run, _| {
+                manager
+                    .write_run(&run)
+                    .unwrap_or_else(|e| panic!("failed to spill run: {e}"))
             });
             self.seq += 1;
         }
@@ -212,14 +194,14 @@ impl<K: Key, V: Value> TaskOutput<'_, K, V> {
     /// Seals the task: its final sorted runs join the map side, and its
     /// record count lands in `counters`.
     pub(crate) fn finish(mut self, counters: &Counters) {
-        self.flush(usize::MAX, RunSource::Memory);
+        self.flush(usize::MAX, Run::Memory);
         counters.add(builtin::MAP_OUTPUT_RECORDS, self.map_output);
     }
 
     /// Empties every non-empty bucket into the map side as one run of its
     /// partition under spill sequence `seq`, stored by `store`.  The sort
     /// is stable, so equal keys keep their emission order.
-    fn flush(&mut self, seq: usize, store: impl Fn(Vec<(K, V)>) -> RunSource<K, V>) {
+    fn flush(&mut self, seq: usize, store: impl Fn(Vec<(K, V)>, u64) -> Run<(K, V)>) {
         self.buffered = 0;
         for (p, bucket) in self.buckets.iter_mut().enumerate() {
             if bucket.records.is_empty() {
@@ -230,8 +212,7 @@ impl<K: Key, V: Value> TaskOutput<'_, K, V> {
             self.output.runs[p].lock().push(TaggedRun {
                 task: self.task,
                 seq,
-                bytes: mem::take(&mut bucket.bytes),
-                source: store(run),
+                run: store(run, mem::take(&mut bucket.bytes)),
             });
         }
     }
@@ -311,12 +292,11 @@ impl Job {
                 &mut metrics,
             )
         } else {
-            // Map + shuffle: one sorted vector of records per reduce partition.
-            let (runs, spill) = self.map_records(mapper, &input, &counters, &mut metrics, None);
+            // Map + shuffle: one sorted vector of records per reduce
+            // partition.  The merge consumes every disk run, removing its
+            // file and, with the last one, the spill directory.
+            let runs = self.map_records(mapper, &input, &counters, &mut metrics, None);
             let partitions = self.merge_phase(runs, &counters, &mut metrics);
-            // The merge consumed every disk run: dropping the spill manager
-            // here removes its temp directory before the reduce starts.
-            drop(spill);
             self.reduce_groups(reducer, partitions, &counters, &mut metrics)
         };
         finish_metrics(&counters, &mut metrics);
@@ -348,7 +328,7 @@ impl Job {
         counters: &Counters,
         metrics: &mut JobMetrics,
         shard: Option<std::ops::Range<usize>>,
-    ) -> (TaggedRuns<M::OutKey, M::OutValue>, Option<SpillManager>) {
+    ) -> TaggedRuns<M::OutKey, M::OutValue> {
         let queue = TaskQueue::split(input.len(), self.config.effective_map_tasks(input.len()));
         self.map_phase(queue, counters, metrics, shard, |task, out| {
             for (key, value) in &input[task.range.clone()] {
@@ -365,9 +345,7 @@ impl Job {
     /// the task index space and every per-task decision (spill points,
     /// run sequence numbers) are identical to an unsharded run, which is
     /// what makes runs produced by different processes merge to
-    /// byte-identical output.  Returns the runs and the spill manager
-    /// whose temp files back the disk runs (the caller must keep it alive
-    /// until the runs are consumed).
+    /// byte-identical output.
     pub(crate) fn map_phase<K: Key, V: Value>(
         &self,
         queue: TaskQueue,
@@ -375,7 +353,7 @@ impl Job {
         metrics: &mut JobMetrics,
         shard: Option<std::ops::Range<usize>>,
         map_task: impl Fn(&Task, &mut TaskOutput<'_, K, V>) + Sync,
-    ) -> (TaggedRuns<K, V>, Option<SpillManager>) {
+    ) -> TaggedRuns<K, V> {
         let map_start = Instant::now();
         metrics.map_tasks = queue.num_tasks();
         let output = MapOutput::new(&self.config);
@@ -439,10 +417,9 @@ impl Job {
                 let mut partition_runs = mem::take(&mut *runs_ref[task.index].lock());
                 partition_runs.sort_unstable_by_key(|run| (run.task, run.seq));
                 runs_merged += partition_runs.len() as u64;
-                shuffled_bytes += partition_runs.iter().map(|run| run.bytes).sum::<u64>();
-                let sources: Vec<RunSource<K, V>> =
-                    partition_runs.into_iter().map(|run| run.source).collect();
-                let partition = merge_sources(sources, MAX_MERGE_FAN_IN);
+                shuffled_bytes += partition_runs.iter().map(|t| t.run.bytes()).sum::<u64>();
+                let runs = partition_runs.into_iter().map(|t| t.run).collect();
+                let partition = merge_sources(runs, MAX_MERGE_FAN_IN);
                 shuffled += partition.len() as u64;
                 *merged_ref[task.index].lock() = partition;
             }
@@ -452,13 +429,7 @@ impl Job {
         };
         let run_records: usize = runs
             .iter()
-            .map(|partition| {
-                partition
-                    .lock()
-                    .iter()
-                    .map(|run| run.source.len())
-                    .sum::<usize>()
-            })
+            .map(|partition| partition.lock().iter().map(|t| t.run.len()).sum::<usize>())
             .sum();
         let merge_threads = if run_records < PARALLEL_MERGE_MIN_RECORDS {
             1
@@ -608,35 +579,24 @@ pub(crate) fn finish_metrics(counters: &Counters, metrics: &mut JobMetrics) {
 /// pass, until a single final merge remains — `⌈log_fan_in(runs)⌉` passes,
 /// in practice two.  Merging consecutive runs keeps equal keys in exactly
 /// the run order of a flat merge, so the output is byte-identical to the
-/// unbounded merge.
-fn merge_sources<K: Key, V: Value>(sources: Vec<RunSource<K, V>>, fan_in: usize) -> Vec<(K, V)> {
-    fn open<K: Key, V: Value>(source: RunSource<K, V>) -> RunStream<K, V> {
-        match source {
-            RunSource::Memory(records) => RunStream::Memory(records.into_iter()),
-            RunSource::Disk(run) => RunStream::Disk(
-                RunReader::open(&run.path)
-                    .unwrap_or_else(|e| panic!("spilled run unreadable: {e}")),
-            ),
-        }
-    }
-
+/// unbounded merge.  Each file run's file is removed once it is merged.
+fn merge_sources<K: Key, V: Value>(mut runs: Vec<Run<(K, V)>>, fan_in: usize) -> Vec<(K, V)> {
+    let merge =
+        |batch: Vec<Run<(K, V)>>| merge_streams(batch.into_iter().map(Run::into_iter).collect());
     let fan_in = fan_in.max(2);
-    let mut sources = sources;
-    while sources.len() > fan_in {
-        let mut next = Vec::with_capacity(sources.len().div_ceil(fan_in));
-        let mut batch = Vec::with_capacity(fan_in);
-        for source in sources {
-            batch.push(open(source));
-            if batch.len() == fan_in {
-                next.push(RunSource::Memory(merge_streams(mem::take(&mut batch))));
+    while runs.len() > fan_in {
+        let mut rest = runs.into_iter();
+        runs = Vec::new();
+        loop {
+            let batch: Vec<_> = rest.by_ref().take(fan_in).collect();
+            if batch.is_empty() {
+                break;
             }
+            let bytes = batch.iter().map(Run::bytes).sum();
+            runs.push(Run::Memory(merge(batch), bytes));
         }
-        if !batch.is_empty() {
-            next.push(RunSource::Memory(merge_streams(batch)));
-        }
-        sources = next;
     }
-    merge_streams(sources.into_iter().map(open).collect())
+    merge(runs)
 }
 
 /// A sorted reduce partition unzipped, by move, into one key per group
@@ -932,9 +892,9 @@ mod tests {
     /// Sorted runs with overlapping keys: run `r` holds keys
     /// `r, r+1, ..., r+9`, value `r` — so every key appears in several
     /// runs and value order across runs is observable.
-    fn overlapping_runs(count: usize) -> Vec<RunSource<u64, u64>> {
+    fn overlapping_runs(count: usize) -> Vec<Run<(u64, u64)>> {
         (0..count as u64)
-            .map(|r| RunSource::Memory((r..r + 10).map(|k| (k, r)).collect()))
+            .map(|r| Run::Memory((r..r + 10).map(|k| (k, r)).collect(), 160))
             .collect()
     }
 
@@ -957,10 +917,10 @@ mod tests {
     #[test]
     fn bounded_fan_in_merge_streams_disk_runs_in_batches() {
         let manager = SpillManager::new(1024, 1, None);
-        let sources: Vec<RunSource<u64, u64>> = (0..9u64)
+        let sources: Vec<Run<(u64, u64)>> = (0..9u64)
             .map(|r| {
                 let records: Vec<(u64, u64)> = (r..r + 10).map(|k| (k, r)).collect();
-                RunSource::Disk(manager.write_run(&records).unwrap())
+                manager.write_run(&records).unwrap()
             })
             .collect();
         let merged = merge_sources(sources, 2);

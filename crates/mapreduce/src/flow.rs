@@ -70,17 +70,18 @@
 //! assert_eq!(flow.report().num_jobs(), 1);
 //! ```
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
+use smr_storage::{Run, SpillDir};
 
 use crate::config::JobConfig;
 use crate::counters::Counters;
 use crate::executor::Job;
 use crate::metrics::JobMetrics;
-use crate::round::{live, partition_sorted, PendingNotes, StatePartition, StateSpill};
+use crate::round::{live, partition_sorted, PendingNotes, StateSpill};
 use crate::types::{Emitter, Key, Mapper, Reducer, StateReducer, Value};
 
 /// The records a dataset materializes to.
@@ -186,19 +187,8 @@ struct FlowInner {
     anonymous_jobs: AtomicUsize,
     /// Job indices at which iterative rounds started.
     round_starts: Mutex<Vec<usize>>,
-    /// The flow's one directory (see [`FlowContext::side_store`]),
-    /// created on first use.
-    side: OnceLock<PathBuf>,
-}
-
-impl Drop for FlowInner {
-    fn drop(&mut self) {
-        // The directory is transient by contract: whatever round state
-        // spilled there dies with the flow.
-        if let Some(dir) = self.side.get() {
-            let _ = std::fs::remove_dir_all(dir);
-        }
-    }
+    /// The flow's one directory (see [`FlowContext::side_store`]).
+    side: SpillDir,
 }
 
 /// Shared state of a job chain: the [`JobConfig`] every job runs under,
@@ -229,11 +219,11 @@ impl FlowContext {
     pub fn new(config: JobConfig) -> Self {
         FlowContext {
             inner: Arc::new(FlowInner {
-                config,
                 jobs: Mutex::new(Vec::new()),
                 anonymous_jobs: AtomicUsize::new(0),
                 round_starts: Mutex::new(Vec::new()),
-                side: OnceLock::new(),
+                side: SpillDir::new("smr-flow", config.spill_dir.clone()),
+                config,
             }),
         }
     }
@@ -293,25 +283,15 @@ impl FlowContext {
     /// outgrow their share of the memory budget live between rounds:
     /// `smr-flow-{pid}-{seq}` under [`JobConfig::spill_dir`] (the system
     /// temp directory when unset), created on first use, shared by every
-    /// clone of the context and deleted when the flow drops.  A flow that
-    /// never spills round state creates no directory.
+    /// clone of the context and deleted when the flow and the last
+    /// partition file in it drop.  A flow that never spills round state
+    /// creates no directory.
     ///
     /// # Panics
     /// Panics when the directory cannot be created (an environment
     /// failure, like a full disk).
     pub fn side_store(&self) -> &Path {
-        static FLOW_SEQ: AtomicUsize = AtomicUsize::new(0);
-        self.inner.side.get_or_init(|| {
-            let base = self.inner.config.spill_dir.clone();
-            let dir = base.unwrap_or_else(std::env::temp_dir).join(format!(
-                "smr-flow-{}-{}",
-                std::process::id(),
-                FLOW_SEQ.fetch_add(1, Ordering::Relaxed)
-            ));
-            std::fs::create_dir_all(&dir)
-                .unwrap_or_else(|e| panic!("failed to create flow directory {dir:?}: {e}"));
-            dir
-        })
+        (self.inner.side.path()).unwrap_or_else(|e| panic!("failed to create flow directory: {e}"))
     }
 
     /// Creates an empty [`RoundState`] for an iterative computation driven
@@ -324,12 +304,14 @@ impl FlowContext {
         &self,
         name: impl Into<String>,
     ) -> RoundState<K, S, N> {
-        static ROUND_STATE_SEQ: AtomicUsize = AtomicUsize::new(0);
-        let seq = ROUND_STATE_SEQ.fetch_add(1, Ordering::Relaxed);
+        let config = self.config();
         RoundState {
             ctx: self.clone(),
-            name: format!("rs{seq}-{}", name.into()),
-            generation: 0,
+            name: name.into(),
+            spill: config.memory_budget.map(|budget| StateSpill {
+                share: budget / config.effective_reduce_tasks() as u64,
+                dir: self.inner.side.clone(),
+            }),
             partitions: Vec::new(),
             pending: None,
             live: 0,
@@ -380,9 +362,10 @@ impl FlowContext {
 pub struct RoundState<K: Key, S: Value, N: Value> {
     ctx: FlowContext,
     name: String,
-    /// Bumped per installed state, naming its partition files.
-    generation: usize,
-    partitions: Vec<StatePartition<K, S>>,
+    /// Where partitions past their share of the budget go; `None`
+    /// without a budget.
+    spill: Option<StateSpill>,
+    partitions: Vec<Run<(K, S)>>,
     /// The notes the next round consumes.
     pending: Option<PendingNotes<K, N>>,
     live: usize,
@@ -406,9 +389,8 @@ impl<K: Key, S: Value, N: Value> RoundState<K, S, N> {
     pub fn seed(&mut self, mut records: Records<K, S>) {
         self.pending = None;
         records.sort_by(|a, b| a.0.cmp(&b.0));
-        let spill = self.next_spill();
         let parts = self.ctx.config().effective_reduce_tasks();
-        self.install(partition_sorted(records, parts, spill.as_ref()));
+        self.install(partition_sorted(records, parts, self.spill.as_ref()));
     }
 
     /// Emits the next round's notes with a pass over the state: `notes`
@@ -456,35 +438,21 @@ impl<K: Key, S: Value, N: Value> RoundState<K, S, N> {
     {
         let name = self.ctx.job_name(Some(&stage.into()));
         let job = Job::new(self.ctx.config().clone().with_name(name));
-        let spill = self.next_spill();
         let parts = self.ctx.config().effective_reduce_tasks();
         let notes = self
             .pending
             .take()
             .unwrap_or_else(|| PendingNotes::none(parts));
         let state = std::mem::take(&mut self.partitions);
-        let result = job.run_round(&reducer, state, notes, spill.as_ref());
+        let result = job.run_round(&reducer, state, notes, self.spill.as_ref());
         self.ctx.record_job(result.metrics);
         self.install(result.state);
         self.pending = Some(result.notes);
         result.side
     }
 
-    /// Where the partitions of the next state spill (nowhere without a
-    /// budget), under a file name no live partition uses.
-    fn next_spill(&mut self) -> Option<StateSpill> {
-        self.generation += 1;
-        let config = self.ctx.config();
-        let budget = config.memory_budget?;
-        Some(StateSpill {
-            share: budget / config.effective_reduce_tasks() as u64,
-            dir: self.ctx.side_store().to_path_buf(),
-            name: format!("{}-{}", self.name, self.generation),
-        })
-    }
-
-    fn install(&mut self, partitions: Vec<StatePartition<K, S>>) {
-        let bytes = partitions.iter().map(StatePartition::bytes).sum();
+    fn install(&mut self, partitions: Vec<Run<(K, S)>>) {
+        let bytes = partitions.iter().map(Run::bytes).sum();
         self.max_state_bytes = self.max_state_bytes.max(bytes);
         self.live = live(&partitions);
         self.partitions = partitions;
@@ -936,7 +904,7 @@ mod tests {
     fn state_records<K: Key, S: Value, N: Value>(state: &RoundState<K, S, N>) -> Records<K, S> {
         let mut records = Vec::new();
         for partition in &state.partitions {
-            partition.for_each(|key, record| records.push((key.clone(), record.clone())));
+            partition.for_each(|record| records.push(record.clone()));
         }
         records
     }
@@ -1025,8 +993,7 @@ mod tests {
                     if !trace.is_empty() {
                         model.map(gossip_notes);
                     }
-                    state_on_disk |=
-                        (fused.partitions.iter()).any(|p| matches!(p, StatePartition::Disk(_)));
+                    state_on_disk |= (fused.partitions.iter()).any(|p| matches!(p, Run::File(_)));
                     let side = fused.round("gossip", FUSED);
                     assert_eq!(side, model.round("gossip", Gossip { emit: false }));
                     assert_eq!(state_records(&fused), state_records(&model));

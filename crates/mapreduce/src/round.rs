@@ -18,11 +18,10 @@
 //! within `memory_budget / reduce_tasks`, and lives in one run file above
 //! that.
 
-use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use smr_storage::{Codec, RunReader, RunWriter, SpillManager};
+use smr_storage::{Run, RunFile, RunWriter, SpillDir, StorageError};
 
 use crate::counters::Counters;
 use crate::executor::{finish_metrics, Job, MapOutput, TaggedRuns, TaskOutput};
@@ -31,160 +30,63 @@ use crate::partition::hash_partition;
 use crate::task_queue::TaskQueue;
 use crate::types::{Emitter, Key, ReduceGroups, StateReducer, Value};
 
-/// One partition of a round state, sorted by key.
-#[derive(Debug)]
-pub(crate) enum StatePartition<K, S> {
-    /// Held in RAM, with its encoded size in bytes.
-    Memory(Vec<(K, S)>, u64),
-    /// Held in a run file.
-    Disk(StateFile),
-}
-
-/// The run file of one state partition, removed when dropped.
-#[derive(Debug)]
-pub(crate) struct StateFile {
-    path: PathBuf,
-    records: usize,
-    /// Encoded size of the records, as in RAM (frame headers excluded).
-    bytes: u64,
-}
-
-impl StateFile {
-    fn open<R: Codec>(&self) -> RunReader<R> {
-        RunReader::open(&self.path)
-            .unwrap_or_else(|e| panic!("failed to open round state {:?}: {e}", self.path))
-    }
-
-    fn read<R: Codec>(&self, reader: &mut RunReader<R>) -> Option<R> {
-        reader
-            .next_record()
-            .unwrap_or_else(|e| panic!("failed to stream round state {:?}: {e}", self.path))
-    }
-}
-
-impl Drop for StateFile {
-    fn drop(&mut self) {
-        // Best effort: a failed cleanup must not panic a drop.
-        let _ = std::fs::remove_file(&self.path);
-    }
-}
-
-impl<K: Key, S: Value> StatePartition<K, S> {
-    /// Records in the partition.
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            StatePartition::Memory(records, _) => records.len(),
-            StatePartition::Disk(file) => file.records,
-        }
-    }
-
-    /// Encoded size of the partition's records.
-    pub(crate) fn bytes(&self) -> u64 {
-        match self {
-            StatePartition::Memory(_, bytes) => *bytes,
-            StatePartition::Disk(file) => file.bytes,
-        }
-    }
-
-    /// Calls `f` with every record in key order, streaming a spilled
-    /// partition from its file.
-    pub(crate) fn for_each(&self, mut f: impl FnMut(&K, &S)) {
-        match self {
-            StatePartition::Memory(records, _) => records.iter().for_each(|(k, s)| f(k, s)),
-            StatePartition::Disk(file) => {
-                let mut reader = file.open();
-                while let Some((key, state)) = file.read(&mut reader) {
-                    f(&key, &state);
-                }
-            }
-        }
-    }
-
-    /// The records by move, in key order.  A spilled partition's file is
-    /// removed when the iterator drops.
-    fn into_records(self) -> Box<dyn Iterator<Item = (K, S)>> {
-        match self {
-            StatePartition::Memory(records, _) => Box::new(records.into_iter()),
-            StatePartition::Disk(file) => {
-                let mut reader = file.open();
-                Box::new(std::iter::from_fn(move || file.read(&mut reader)))
-            }
-        }
-    }
-}
-
 /// Where the partitions of a budgeted round state go once they outgrow
-/// their share of the budget: `{dir}/{name}-p{partition}.run`.
-#[derive(Debug, Clone)]
+/// their share of the budget.
+#[derive(Debug)]
 pub(crate) struct StateSpill {
     /// Encoded bytes a partition may hold in RAM.
     pub(crate) share: u64,
-    pub(crate) dir: PathBuf,
-    /// Unique per state and generation, so a partition never overwrites
-    /// the file of the partition it supersedes.
-    pub(crate) name: String,
+    /// The flow's directory, held by every partition file in it.
+    pub(crate) dir: SpillDir,
 }
 
 /// Builds one state partition from records pushed in key order: in RAM
-/// until the encoded size passes the spill share, then in its run file.
-struct PartitionWriter<K, S> {
+/// until the encoded size passes the spill share, then in a run file.
+struct PartitionWriter<'a, K, S> {
     records: Vec<(K, S)>,
     bytes: u64,
-    /// The share and the file path, under a budget.
-    spill: Option<(u64, PathBuf)>,
+    spill: Option<&'a StateSpill>,
     file: Option<RunWriter<(K, S)>>,
 }
 
-fn write_state<R: Codec>(file: &mut RunWriter<R>, path: &Path, record: &R) {
-    file.push(record)
-        .unwrap_or_else(|e| panic!("failed to write round state {path:?}: {e}"));
+/// A round-state file could not be written: an environment failure,
+/// like a full disk.
+fn write_failed<T>(e: StorageError) -> T {
+    panic!("failed to write round state: {e}")
 }
 
-impl<K: Key, S: Value> PartitionWriter<K, S> {
-    fn new(spill: Option<&StateSpill>, partition: usize) -> Self {
+impl<'a, K: Key, S: Value> PartitionWriter<'a, K, S> {
+    fn new(spill: Option<&'a StateSpill>) -> Self {
         PartitionWriter {
             records: Vec::new(),
             bytes: 0,
-            spill: spill.map(|s| {
-                let path = s.dir.join(format!("{}-p{partition}.run", s.name));
-                (s.share, path)
-            }),
+            spill,
             file: None,
         }
     }
 
     fn push(&mut self, key: K, state: S) {
         self.bytes += (key.encoded_len() + state.encoded_len()) as u64;
-        if let (Some(file), Some((_, path))) = (&mut self.file, &self.spill) {
-            write_state(file, path, &(key, state));
-            return;
+        if let Some(file) = &mut self.file {
+            return file.push(&(key, state)).unwrap_or_else(write_failed);
         }
         self.records.push((key, state));
-        if let Some((share, path)) = &self.spill {
-            if self.bytes > *share {
-                let mut file = RunWriter::create(path)
-                    .unwrap_or_else(|e| panic!("failed to write round state {path:?}: {e}"));
-                for record in std::mem::take(&mut self.records) {
-                    write_state(&mut file, path, &record);
-                }
-                self.file = Some(file);
+        if let Some(spill) = self.spill.filter(|spill| self.bytes > spill.share) {
+            let mut file = spill.dir.writer().unwrap_or_else(write_failed);
+            for record in std::mem::take(&mut self.records) {
+                file.push(&record).unwrap_or_else(write_failed);
             }
+            self.file = Some(file);
         }
     }
 
-    fn finish(self) -> StatePartition<K, S> {
+    fn finish(self) -> Run<(K, S)> {
         match (self.file, self.spill) {
-            (Some(file), Some((_, path))) => {
-                let run = file
-                    .finish()
-                    .unwrap_or_else(|e| panic!("failed to write round state {path:?}: {e}"));
-                StatePartition::Disk(StateFile {
-                    path,
-                    records: run.records as usize,
-                    bytes: self.bytes,
-                })
+            (Some(file), Some(spill)) => {
+                let run = file.finish().unwrap_or_else(write_failed);
+                Run::File(RunFile::new(run, Some(spill.dir.clone())))
             }
-            _ => StatePartition::Memory(self.records, self.bytes),
+            _ => Run::Memory(self.records, self.bytes),
         }
     }
 }
@@ -195,9 +97,9 @@ pub(crate) fn partition_sorted<K: Key, S: Value>(
     records: impl IntoIterator<Item = (K, S)>,
     n: usize,
     spill: Option<&StateSpill>,
-) -> Vec<StatePartition<K, S>> {
-    let mut writers: Vec<PartitionWriter<K, S>> =
-        (0..n).map(|p| PartitionWriter::new(spill, p)).collect();
+) -> Vec<Run<(K, S)>> {
+    let mut writers: Vec<PartitionWriter<'_, K, S>> =
+        (0..n).map(|_| PartitionWriter::new(spill)).collect();
     for (key, state) in records {
         writers[hash_partition(&key, n)].push(key, state);
     }
@@ -205,18 +107,17 @@ pub(crate) fn partition_sorted<K: Key, S: Value>(
 }
 
 /// The number of records in `state`.
-pub(crate) fn live<K: Key, S: Value>(state: &[StatePartition<K, S>]) -> usize {
-    state.iter().map(StatePartition::len).sum()
+pub(crate) fn live<K: Key, S: Value>(state: &[Run<(K, S)>]) -> usize {
+    state.iter().map(Run::len).sum()
 }
 
 /// The notes a round consumes, emitted before it runs — by the reduce
 /// tasks of the round before, or by a map pass over the state
 /// ([`Job::map_state`]): their sorted runs, tagged task *p* for state
-/// partition *p*; the spill manager backing the runs on disk; and the
-/// counters of their emission, which become the consuming job's.
+/// partition *p*, and the counters of their emission, which become the
+/// consuming job's.
 pub(crate) struct PendingNotes<K, N> {
     runs: TaggedRuns<K, N>,
-    spill: Option<SpillManager>,
     counters: Counters,
     /// The state records the notes were emitted for: the consuming job's
     /// map input.
@@ -234,7 +135,6 @@ impl<K: Key, N: Value> PendingNotes<K, N> {
     pub(crate) fn none(parts: usize) -> Self {
         PendingNotes {
             runs: (0..parts).map(|_| Mutex::new(Vec::new())).collect(),
-            spill: None,
             counters: Counters::new(),
             records: 0,
             tasks: 0,
@@ -248,14 +148,14 @@ impl<K: Key, N: Value> PendingNotes<K, N> {
 /// next round and emits the next round's notes as map task *p* would.
 fn join<R: StateReducer>(
     reducer: &R,
-    state: StatePartition<R::Key, R::State>,
+    state: Run<(R::Key, R::State)>,
     notes: ReduceGroups<'_, R::Key, R::Note>,
     out: &mut Emitter<R::OutKey, R::OutValue>,
     emission: &mut TaskOutput<'_, R::Key, R::Note>,
-    mut next: PartitionWriter<R::Key, R::State>,
-) -> StatePartition<R::Key, R::State> {
+    mut next: PartitionWriter<'_, R::Key, R::State>,
+) -> Run<(R::Key, R::State)> {
     let mut notes = notes.peekable();
-    for (key, record) in state.into_records() {
+    for (key, record) in state {
         // Notes sorting before the next key with state were addressed to
         // keys without state: they are dropped.
         while notes.next_if(|(to, _)| *to < &key).is_some() {}
@@ -273,7 +173,7 @@ fn join<R: StateReducer>(
 /// What one round of `R` produced.
 pub(crate) struct RoundResult<R: StateReducer> {
     pub(crate) side: Vec<(R::OutKey, R::OutValue)>,
-    pub(crate) state: Vec<StatePartition<R::Key, R::State>>,
+    pub(crate) state: Vec<Run<(R::Key, R::State)>>,
     /// The notes the reducers emitted for the next round.
     pub(crate) notes: PendingNotes<R::Key, R::Note>,
     pub(crate) metrics: JobMetrics,
@@ -287,7 +187,7 @@ impl Job {
     pub(crate) fn run_round<R: StateReducer>(
         &self,
         reducer: &R,
-        state: Vec<StatePartition<R::Key, R::State>>,
+        state: Vec<Run<(R::Key, R::State)>>,
         notes: PendingNotes<R::Key, R::Note>,
         next: Option<&StateSpill>,
     ) -> RoundResult<R> {
@@ -301,8 +201,6 @@ impl Job {
         metrics.map_tasks = notes.tasks;
         metrics.timings.map = notes.map_time;
         let partitions = self.merge_phase(notes.runs, &counters, &mut metrics);
-        // The merge consumed every disk run.
-        drop(notes.spill);
 
         let emitted = MapOutput::new(self.config());
         let emitted_counters = Counters::new();
@@ -317,7 +215,7 @@ impl Job {
                     groups,
                     out,
                     &mut emission,
-                    PartitionWriter::new(next, p),
+                    PartitionWriter::new(next),
                 );
                 emission.finish(&emitted_counters);
                 part
@@ -326,10 +224,8 @@ impl Job {
             &mut metrics,
         );
         finish_metrics(&counters, &mut metrics);
-        let (runs, spill) = emitted.finish(&emitted_counters);
         let notes = PendingNotes {
-            runs,
-            spill,
+            runs: emitted.finish(&emitted_counters),
             counters: emitted_counters,
             records: live(&state),
             tasks: state.len(),
@@ -348,24 +244,23 @@ impl Job {
     /// and tags the reduce task writing partition *p* would have emitted.
     pub(crate) fn map_state<K: Key, S: Value, N: Value>(
         &self,
-        state: &[StatePartition<K, S>],
+        state: &[Run<(K, S)>],
         notes: impl Fn(&K, &S, &mut Emitter<K, N>) + Sync,
     ) -> PendingNotes<K, N> {
         let counters = Counters::new();
         let mut metrics = JobMetrics::default();
-        let (runs, spill) = self.map_phase(
+        let runs = self.map_phase(
             TaskQueue::unit(state.len()),
             &counters,
             &mut metrics,
             None,
             |task, out| {
                 state[task.index]
-                    .for_each(|key, record| out.emit(|emitter| notes(key, record, emitter)))
+                    .for_each(|(key, record)| out.emit(|emitter| notes(key, record, emitter)))
             },
         );
         PendingNotes {
             runs,
-            spill,
             counters,
             records: live(state),
             tasks: metrics.map_tasks,

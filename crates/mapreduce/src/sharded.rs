@@ -23,10 +23,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use smr_storage::{CompletedRun, ManifestRun, RunWriter, ShardManifest};
+use smr_storage::{CompletedRun, ManifestRun, Run, RunFile, RunWriter, ShardManifest};
 
 use crate::counters::Counters;
-use crate::executor::{Job, RunSource, TaggedRun, TaggedRuns};
+use crate::executor::{Job, TaggedRun, TaggedRuns};
 use crate::metrics::JobMetrics;
 use crate::process_shard::{
     current_runtime, shard_task_range, ProcessShardRuntime, ShardJob, ShardJobCheck, ShardRole,
@@ -94,10 +94,11 @@ impl Job {
                 metrics.map_tasks = num_map_tasks;
                 metrics.timings.map = Duration::from_micros(map_micros);
 
-                // Re-hydrate every manifest entry as a disk run.  The
+                // Re-hydrate every manifest entry as a file run.  The
                 // `(task, seq)` tags survive the process boundary, so the
                 // existing merge machinery orders them exactly as it
                 // orders local runs — byte identity needs no new code.
+                // The runs hold no directory: the session removes its own.
                 let runs: TaggedRuns<M::OutKey, M::OutValue> = (0..num_reduce_tasks)
                     .map(|_| Mutex::new(Vec::new()))
                     .collect();
@@ -125,8 +126,7 @@ impl Job {
                             } else {
                                 entry.seq as usize
                             },
-                            bytes: run.encoded_bytes(),
-                            source: RunSource::Disk(run),
+                            run: Run::File(RunFile::new(run, None)),
                         });
                     }
                 }
@@ -141,7 +141,7 @@ impl Job {
                 // isolates the deltas this shard contributed.
                 let range = shard_task_range(shard, job.num_shards, num_map_tasks);
                 let before = counters.snapshot();
-                let (runs, spill) = self.map_records(mapper, input, counters, metrics, Some(range));
+                let runs = self.map_records(mapper, input, counters, metrics, Some(range));
                 let after = counters.snapshot();
                 // A zero delta still matters when the map phase *created*
                 // the counter (`add(name, 0)` materialises the key):
@@ -162,10 +162,9 @@ impl Job {
                     .expect("worker job has an attempt dir");
                 std::fs::create_dir_all(&attempt_dir)
                     .unwrap_or_else(|e| panic!("cannot create shard dir {attempt_dir:?}: {e}"));
+                // Exporting consumes the runs: the spill directory goes
+                // with the last spilled one.
                 let entries = export_runs(runs, &attempt_dir);
-                // Every spilled run has been copied out: the spill temp
-                // directory can go.
-                drop(spill);
 
                 let manifest = ShardManifest {
                     job_name: check.job_name.clone(),
@@ -204,8 +203,8 @@ where
             };
             let file = format!("p{partition:05}-t{:06}-s{seq_name}.run", run.task);
             let path = attempt_dir.join(&file);
-            let (records, bytes) = match run.source {
-                RunSource::Memory(records) => {
+            let (records, bytes) = match run.run {
+                Run::Memory(records, _) => {
                     let mut writer: RunWriter<(K, V)> = RunWriter::create(&path)
                         .unwrap_or_else(|e| panic!("cannot create shard run {path:?}: {e}"));
                     for record in &records {
@@ -218,7 +217,8 @@ where
                         .unwrap_or_else(|e| panic!("cannot finish shard run {path:?}: {e}"));
                     (done.records, done.bytes)
                 }
-                RunSource::Disk(completed) => {
+                Run::File(spilled) => {
+                    let completed = spilled.completed();
                     std::fs::copy(&completed.path, &path)
                         .unwrap_or_else(|e| panic!("cannot ship spilled run to {path:?}: {e}"));
                     (completed.records, completed.bytes)

@@ -6,10 +6,10 @@
 //! Bringing a partition into reducer order is then a k-way merge of k
 //! already-sorted runs — `O(n log k)` comparisons instead of an
 //! `O(n log n)` full re-sort, and no concatenated intermediate copy.  The
-//! merge is *external*: disk runs and in-memory runs (the two arms of the
-//! crate-internal `RunStream`) stream through the same tournament one
-//! record at a time, so a partition whose runs live on disk is merged
-//! without ever materializing more than one record per run.
+//! merge is *external*: file runs and in-memory runs (the two arms of
+//! `smr_storage::Run`) stream through the same tournament one record at a
+//! time, so a partition whose runs live on disk is merged without ever
+//! materializing more than one record per run.
 //!
 //! The merge core is a **loser tree** — a tournament where each internal
 //! node remembers the *loser* of its match, so replacing the winner's head
@@ -29,44 +29,6 @@
 //! where each run's bytes live.
 
 use std::cmp::Ordering;
-
-use smr_storage::RunReader;
-
-use crate::types::{Key, Value};
-
-/// One sorted run feeding the merge: either still in memory, or spilled to
-/// a run file and streamed back record by record.
-///
-/// A decode failure while streaming a disk run panics: a spill file the
-/// engine itself just wrote cannot legitimately fail to decode, so this is
-/// corruption (or an exhausted disk), not a recoverable state.
-#[derive(Debug)]
-pub(crate) enum RunStream<K, V> {
-    /// An in-memory sorted run.
-    Memory(std::vec::IntoIter<(K, V)>),
-    /// A sorted run spilled to disk.
-    Disk(RunReader<(K, V)>),
-}
-
-impl<K: Key, V: Value> Iterator for RunStream<K, V> {
-    type Item = (K, V);
-
-    fn next(&mut self) -> Option<(K, V)> {
-        match self {
-            RunStream::Memory(iter) => iter.next(),
-            RunStream::Disk(reader) => reader
-                .next_record()
-                .unwrap_or_else(|e| panic!("spilled run unreadable: {e}")),
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match self {
-            RunStream::Memory(iter) => iter.size_hint(),
-            RunStream::Disk(reader) => reader.size_hint(),
-        }
-    }
-}
 
 /// Sentinel for [`LoserTree::runner_up`]: no cached runner-up, the next
 /// pop must replay.
@@ -373,7 +335,7 @@ mod tests {
 
     #[test]
     fn external_merge_mixes_disk_and_memory_runs() {
-        use smr_storage::RunWriter;
+        use smr_storage::{Run, RunFile, RunWriter};
         let path =
             std::env::temp_dir().join(format!("smr-shuffle-mixed-{}.run", std::process::id()));
         let disk_run = vec![(1u32, 'd'), (5, 'e')];
@@ -381,18 +343,18 @@ mod tests {
         for r in &disk_run {
             writer.push(r).unwrap();
         }
-        writer.finish().unwrap();
+        let file = RunFile::new(writer.finish().unwrap(), None);
 
         let memory_run = vec![(2u32, 'm'), (5, 'n')];
-        let streams: Vec<RunStream<u32, char>> = vec![
-            RunStream::Disk(RunReader::open(&path).unwrap()),
-            RunStream::Memory(memory_run.clone().into_iter()),
+        let streams = vec![
+            Run::File(file).into_iter(),
+            Run::Memory(memory_run.clone(), 0).into_iter(),
         ];
         let merged = merge_streams(streams);
         // Same result as an all-in-memory merge in the same run order —
         // including the (5, _) tie, broken by run position.
         assert_eq!(merged, merge_runs(vec![disk_run, memory_run]));
         assert_eq!(merged, vec![(1, 'd'), (2, 'm'), (5, 'e'), (5, 'n')]);
-        std::fs::remove_file(&path).unwrap();
+        assert!(!path.exists(), "the merged file run is removed");
     }
 }

@@ -12,7 +12,6 @@
 //! order within a term.  Both keep the complementary [`SuffixTable`],
 //! cut by the same [`IndexPlan::cut`].
 
-use serde::{Deserialize, Serialize};
 use smr_storage::impl_codec_struct;
 use smr_text::SparseVector;
 
@@ -20,7 +19,7 @@ use crate::prefix::{prefix_length, suffix_remainder_bound, term_max_weights};
 
 /// One posting: a consumer (by dense index), the weight of the indexed
 /// term in its vector, and the consumer's suffix remainder bound.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Posting {
     /// Dense index of the consumer document.
     pub doc: usize,

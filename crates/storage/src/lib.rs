@@ -12,18 +12,25 @@
 //!   prefixed record frames behind a versioned header that records the
 //!   format version, the record count (patched on finish, so half-written
 //!   files are rejected) and the record type's name.
-//! * [`SpillManager`] — owns a job's memory budget and a self-cleaning
-//!   temp directory: map tasks whose buffered output outgrows their
-//!   budget share spill sorted runs through it, and the directory is
-//!   removed when the manager drops.
+//! * [`Run`] — a set of sorted records the engine parks between phases:
+//!   in RAM with its encoded bytes, or in a run file ([`RunFile`]) that
+//!   is removed when the run, or the iterator streaming it, drops.
+//!   Spilled map output, round-state partitions and the runs rebuilt
+//!   from a shard manifest are all runs.
+//! * [`SpillDir`] — the directory file runs live in: created with its
+//!   first file, held by every run in it, and removed when its last
+//!   holder drops.
+//! * [`SpillManager`] — owns a job's memory budget, a [`SpillDir`] and
+//!   the spill accounting: map tasks whose buffered output outgrows their
+//!   budget share spill sorted runs through it.
 //! * [`ShardManifest`] — the length-prefixed, checksummed commit record a
 //!   sharded worker process leaves beside its run files so the
 //!   multi-process runtime (`smr_distrib`) can treat the run format as a
 //!   wire format (see `docs/distrib.md`).
 //!
 //! The crate is deliberately dependency-free (std only) and sits below the
-//! engine: `smr_mapreduce` builds its disk-spilling shuffle and its spilled
-//! round state on top of these pieces.
+//! engine: `smr_mapreduce` builds its disk-spilling shuffle and its
+//! round state on these pieces.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -36,4 +43,4 @@ pub mod spill;
 pub use codec::{Codec, CodecError};
 pub use manifest::{ManifestRun, ShardManifest, MANIFEST_VERSION};
 pub use run::{CompletedRun, RunReader, RunWriter, StorageError, FORMAT_VERSION};
-pub use spill::SpillManager;
+pub use spill::{Run, RunFile, RunIter, SpillDir, SpillManager};

@@ -1,14 +1,12 @@
 //! Document corpus: documents, vocabulary and vectors in one place.
 
-use serde::{Deserialize, Serialize};
-
 use crate::sparse::SparseVector;
 use crate::tfidf::{TfIdf, Weighting};
 use crate::tokenize::{Tokenizer, TokenizerConfig};
 use crate::vocab::Vocabulary;
 
 /// A raw document: an external identifier plus its text.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Document {
     /// External identifier (photo id, question id, user id, …).
     pub id: String,

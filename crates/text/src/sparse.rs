@@ -5,13 +5,12 @@
 //! Vectors are stored as `(TermId, weight)` pairs sorted by term id so the
 //! dot product is a linear merge.
 
-use serde::{Deserialize, Serialize};
 use smr_storage::impl_codec_struct;
 
 use crate::vocab::TermId;
 
 /// A sparse vector over the term space, sorted by term id.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SparseVector {
     entries: Vec<(TermId, f64)>,
 }

@@ -2,13 +2,11 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::sparse::SparseVector;
 use crate::vocab::Vocabulary;
 
 /// Term-weighting schemes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Weighting {
     /// Raw term frequency.
     TermFrequency,

@@ -2,13 +2,10 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
 use smr_storage::impl_codec_newtype;
 
 /// Dense identifier of a term in a [`Vocabulary`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TermId(pub u32);
 
 impl_codec_newtype!(TermId(u32));
@@ -26,7 +23,7 @@ impl TermId {
 /// Besides interning terms (ids in first-seen order, until a
 /// [`crate::Corpus`] renumbers them rarest first) it tracks document
 /// frequencies, which the tf·idf weighting relies on.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Vocabulary {
     terms: Vec<String>,
     index: HashMap<String, TermId>,

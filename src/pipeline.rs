@@ -205,26 +205,6 @@ impl MatchingPipeline {
         self
     }
 
-    /// Sets the engine memory budget in bytes for every job of the
-    /// pipeline (`None` = unlimited).  Map tasks whose buffers outgrow
-    /// their share of the budget spill sorted runs to disk and the shuffle
-    /// streams them back — the pipeline's output is byte-identical for
-    /// every budget, and the spill volume is reported as
-    /// `spill_bytes`/`disk_runs` in the run's [`FlowReport`].
-    pub fn memory_budget(mut self, bytes: Option<u64>) -> Self {
-        self.job = self.job.with_memory_budget(bytes);
-        self
-    }
-
-    /// Sets the directory everything the run writes goes under — spilled
-    /// runs and the flow's spilled round state; default: the system temp
-    /// directory.  Each job cleans its spill files up when it finishes,
-    /// the flow its round state when the run ends.
-    pub fn spill_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
-        self.job = self.job.with_spill_dir(dir);
-        self
-    }
-
     /// Runs the similarity join's two jobs across `n` worker OS processes
     /// (0 = stay in process): [`MatchingPipeline::run`] and
     /// [`MatchingPipeline::build_graph`] wrap the candidate-graph stage in

@@ -42,15 +42,15 @@ fn run_pipeline(
     budget: Option<u64>,
     spill_dir: Option<&std::path::Path>,
 ) -> PipelineRun {
-    let mut pipeline = MatchingPipeline::new(dataset())
+    let mut job = job("spill-e2e", threads).with_memory_budget(budget);
+    if let Some(dir) = spill_dir {
+        job = job.with_spill_dir(dir);
+    }
+    MatchingPipeline::new(dataset())
         .sigma(0.1)
         .algorithm(AlgorithmKind::GreedyMr)
-        .job(job("spill-e2e", threads))
-        .memory_budget(budget);
-    if let Some(dir) = spill_dir {
-        pipeline = pipeline.spill_dir(dir);
-    }
-    pipeline.run()
+        .job(job)
+        .run()
 }
 
 /// Byte-identity of everything the pipeline produces.
@@ -139,8 +139,11 @@ fn serve_creates_no_directory() {
 
     let mut serving = MatchingPipeline::new(dataset)
         .sigma(0.1)
-        .spill_dir(&spill_base)
-        .memory_budget(Some(1024))
+        .job(
+            JobConfig::named("serve")
+                .with_memory_budget(Some(1024))
+                .with_spill_dir(&spill_base),
+        )
         .serve();
     assert_eq!(entries(), 0, "the standing index lives in RAM");
     // Queries, appends and a rebuild touch no file either.
