@@ -29,6 +29,7 @@ use std::cmp::Reverse;
 use std::ops::{Index, IndexMut};
 
 use smr_graph::{BipartiteGraph, Capacities, EdgeId, NodeId};
+use smr_storage::codec::{decode_fixed, encode_fixed, put_fixed, sum_widths};
 use smr_storage::{impl_codec_struct, Codec, CodecError};
 
 /// One entry of a node's adjacency list.
@@ -174,18 +175,42 @@ impl<P> RoundMsg<P> {
     }
 }
 
+/// Fixed-width whenever the payload is: the edge id, then the payload.
 impl<P: Codec> Codec for RoundMsg<P> {
+    const WIDTH: Option<usize> = sum_widths(&[EdgeId::WIDTH, P::WIDTH]);
+
     fn encode(&self, out: &mut Vec<u8>) {
+        if Self::WIDTH.is_some() {
+            return encode_fixed(self, out);
+        }
         self.edge.encode(out);
         self.payload.encode(out);
     }
 
     fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
-        Ok(RoundMsg::new(usize::decode(input)?, P::decode(input)?))
+        if Self::WIDTH.is_some() {
+            return decode_fixed(input);
+        }
+        Ok(RoundMsg::new(EdgeId::decode(input)?, P::decode(input)?))
     }
 
     fn encoded_len(&self) -> usize {
-        self.edge.encoded_len() + self.payload.encoded_len()
+        match Self::WIDTH {
+            Some(width) => width,
+            None => self.edge.encoded_len() + self.payload.encoded_len(),
+        }
+    }
+
+    fn write_fixed(&self, mut out: &mut [u8]) {
+        put_fixed(&self.edge, &mut out);
+        put_fixed(&self.payload, &mut out);
+    }
+
+    fn read_fixed(mut bytes: &[u8]) -> Result<Self, CodecError> {
+        Ok(RoundMsg::new(
+            decode_fixed(&mut bytes)?,
+            decode_fixed(&mut bytes)?,
+        ))
     }
 }
 

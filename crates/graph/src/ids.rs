@@ -5,6 +5,7 @@
 //! side, which keeps every per-node array (capacities, dual variables,
 //! degrees) a flat vector.
 
+use smr_storage::codec::{decode_fixed, encode_fixed};
 use smr_storage::{impl_codec_newtype, Codec, CodecError};
 use std::fmt;
 
@@ -104,35 +105,43 @@ impl PartialOrd for NodeId {
     }
 }
 
+/// A fixed-width record of 5 bytes: a tag byte (0 = item, 1 = consumer),
+/// then the dense index.
 impl Codec for NodeId {
+    const WIDTH: Option<usize> = <(u8, u32)>::WIDTH;
+
+    #[inline]
     fn encode(&self, out: &mut Vec<u8>) {
-        // Tag byte (0 = item, 1 = consumer), then the dense index.
-        match self {
-            NodeId::Item(t) => {
-                out.push(0);
-                t.encode(out);
-            }
-            NodeId::Consumer(c) => {
-                out.push(1);
-                c.encode(out);
-            }
-        }
+        encode_fixed(self, out);
     }
 
+    #[inline]
     fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
-        match u8::decode(input)? {
-            0 => Ok(NodeId::Item(ItemId::decode(input)?)),
-            1 => Ok(NodeId::Consumer(ConsumerId::decode(input)?)),
-            other => Err(CodecError::InvalidData(format!(
+        decode_fixed(input)
+    }
+
+    #[inline]
+    fn encoded_len(&self) -> usize {
+        5
+    }
+
+    #[inline]
+    fn write_fixed(&self, out: &mut [u8]) {
+        let tagged = match *self {
+            NodeId::Item(t) => (0u8, t.0),
+            NodeId::Consumer(c) => (1u8, c.0),
+        };
+        tagged.write_fixed(out);
+    }
+
+    #[inline]
+    fn read_fixed(bytes: &[u8]) -> Result<Self, CodecError> {
+        match <(u8, u32)>::read_fixed(bytes)? {
+            (0, index) => Ok(NodeId::item(index)),
+            (1, index) => Ok(NodeId::consumer(index)),
+            (other, _) => Err(CodecError::InvalidData(format!(
                 "invalid NodeId tag {other}"
             ))),
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            NodeId::Item(t) => t.encoded_len(),
-            NodeId::Consumer(c) => c.encoded_len(),
         }
     }
 }

@@ -317,6 +317,26 @@ mod tests {
     }
 
     #[test]
+    fn a_posting_is_a_fixed_width_record_of_its_three_fields() {
+        use smr_storage::Codec;
+        let posting = Posting {
+            doc: 0x0102,
+            weight: 0.5,
+            bound: 0.25,
+        };
+        let expected: Vec<u8> = [
+            [2, 1, 0, 0, 0, 0, 0, 0],
+            [0, 0, 0, 0, 0, 0, 0xE0, 0x3F],
+            [0, 0, 0, 0, 0, 0, 0xD0, 0x3F],
+        ]
+        .concat();
+        assert_eq!(Posting::WIDTH, Some(24));
+        assert_eq!(posting.encode_to_vec(), expected);
+        assert_eq!(posting.encoded_len(), 24);
+        assert_eq!(Posting::decode_all(&expected).unwrap(), posting);
+    }
+
+    #[test]
     fn derive_takes_maxima_from_the_items_over_both_sides_vocabulary() {
         let items = vec![vec_of(&[(0, 0.5), (2, 0.1)]), vec_of(&[(0, 0.3)])];
         let consumers = vec![vec_of(&[(0, 0.9), (1, 0.9)]), vec_of(&[(1, 0.2), (3, 0.2)])];

@@ -16,6 +16,18 @@
 //!
 //! Floating-point values are encoded by bit pattern, so round-tripping is
 //! exact for every value including NaNs and signed zeros.
+//!
+//! A *fixed-width* type — one whose every value encodes to the same
+//! number of bytes, [`Codec::WIDTH`] — also writes and reads itself into
+//! and out of an exact-size slice ([`Codec::write_fixed`] /
+//! [`Codec::read_fixed`]), and its `encode` / `decode` go through that
+//! slice form ([`encode_fixed`] / [`decode_fixed`]).  The integers,
+//! `f32`, `f64`, `char`, `bool`, `()` and tuples of fixed-width types are
+//! fixed-width, and so is every struct the two macros derive whose fields
+//! all are.  A `Vec` of a fixed-width element encodes with one `resize`
+//! and decodes after one bounds test of `len × width` bytes, element by
+//! element over exact-size chunks; the bytes are the same as element by
+//! element through `encode`.
 
 use std::fmt;
 
@@ -48,6 +60,7 @@ impl fmt::Display for CodecError {
 impl std::error::Error for CodecError {}
 
 /// Reads exactly `n` bytes from the front of `input`, advancing it.
+#[inline]
 fn take<'a>(input: &mut &'a [u8], n: usize) -> Result<&'a [u8], CodecError> {
     if input.len() < n {
         return Err(CodecError::UnexpectedEof {
@@ -66,6 +79,16 @@ fn take<'a>(input: &mut &'a [u8], n: usize) -> Result<&'a [u8], CodecError> {
 /// yields a value equal to the original and consumes exactly the bytes
 /// `encode` produced.
 pub trait Codec: Sized {
+    /// The number of bytes every value encodes to, when that number is
+    /// the same for every value of the type; `None` (the default) when it
+    /// is not.  A type that reports a width implements
+    /// [`Codec::write_fixed`] and [`Codec::read_fixed`], and routes
+    /// `encode` and `decode` through them ([`encode_fixed`] /
+    /// [`decode_fixed`]) so that the two forms cannot disagree.
+    /// [`crate::impl_codec_struct!`] and [`crate::impl_codec_newtype!`]
+    /// derive all of it whenever every field is fixed-width.
+    const WIDTH: Option<usize> = None;
+
     /// Appends the encoding of `self` to `out`.
     fn encode(&self, out: &mut Vec<u8>);
 
@@ -80,6 +103,22 @@ pub trait Codec: Sized {
     /// implementation states it; [`crate::impl_codec_struct!`] and
     /// [`crate::impl_codec_newtype!`] generate it.
     fn encoded_len(&self) -> usize;
+
+    /// Writes the encoding of `self` into `out`, which is exactly
+    /// [`Codec::WIDTH`] bytes long.  Only a fixed-width type implements
+    /// it; the default panics.
+    fn write_fixed(&self, out: &mut [u8]) {
+        let _ = out;
+        panic!("{} is not fixed-width", std::any::type_name::<Self>())
+    }
+
+    /// Decodes a value from `bytes`, which are exactly [`Codec::WIDTH`]
+    /// bytes long.  Only a fixed-width type implements it; the default
+    /// panics.
+    fn read_fixed(bytes: &[u8]) -> Result<Self, CodecError> {
+        let _ = bytes;
+        panic!("{} is not fixed-width", std::any::type_name::<Self>())
+    }
 
     /// Encodes into a caller-owned scratch buffer, clearing it first, and
     /// returns the encoded bytes as a slice.  Reusing one scratch across
@@ -112,18 +151,90 @@ pub trait Codec: Sized {
     }
 }
 
+/// The width of a fixed-width `T`.
+///
+/// # Panics
+/// Panics when `T` is not fixed-width.
+#[inline]
+fn fixed_width<T: Codec>() -> usize {
+    T::WIDTH.unwrap_or_else(|| panic!("{} is not fixed-width", std::any::type_name::<T>()))
+}
+
+/// [`Codec::encode`] of a fixed-width type: grows `out` by the width and
+/// writes the value into the new bytes with [`Codec::write_fixed`].
+#[inline]
+pub fn encode_fixed<T: Codec>(value: &T, out: &mut Vec<u8>) {
+    let start = out.len();
+    out.resize(start + fixed_width::<T>(), 0);
+    value.write_fixed(&mut out[start..]);
+}
+
+/// [`Codec::decode`] of a fixed-width type: takes the width's bytes from
+/// the front of `input` and reads them with [`Codec::read_fixed`].
+#[inline]
+pub fn decode_fixed<T: Codec>(input: &mut &[u8]) -> Result<T, CodecError> {
+    T::read_fixed(take(input, fixed_width::<T>())?)
+}
+
+/// Writes a fixed-width field into the front of `out` and advances `out`
+/// past it: how [`Codec::write_fixed`] of a record writes its fields in
+/// turn.
+///
+/// # Panics
+/// Panics when `out` is shorter than the field's width.
+#[inline]
+pub fn put_fixed<T: Codec>(value: &T, out: &mut &mut [u8]) {
+    let (head, tail) = std::mem::take(out).split_at_mut(fixed_width::<T>());
+    value.write_fixed(head);
+    *out = tail;
+}
+
+/// The width of a record whose fields have the given widths: their sum,
+/// or `None` when one of them is not fixed-width.
+pub const fn sum_widths(widths: &[Option<usize>]) -> Option<usize> {
+    let mut total = 0;
+    let mut i = 0;
+    while i < widths.len() {
+        match widths[i] {
+            Some(width) => total += width,
+            None => return None,
+        }
+        i += 1;
+    }
+    Some(total)
+}
+
+/// The [`Codec::WIDTH`] of the field `field` projects to: how
+/// [`crate::impl_codec_struct!`] names a field's type by the field's name.
+#[doc(hidden)]
+pub const fn field_width<S, F: Codec>(field: fn(&S) -> &F) -> Option<usize> {
+    let _ = field;
+    F::WIDTH
+}
+
 macro_rules! impl_codec_int {
     ($($ty:ty),+) => {$(
         impl Codec for $ty {
+            const WIDTH: Option<usize> = Some(std::mem::size_of::<$ty>());
+            #[inline]
             fn encode(&self, out: &mut Vec<u8>) {
-                out.extend_from_slice(&self.to_le_bytes());
+                encode_fixed(self, out);
             }
+            #[inline]
             fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
-                let bytes = take(input, std::mem::size_of::<$ty>())?;
-                Ok(<$ty>::from_le_bytes(bytes.try_into().expect("sized slice")))
+                decode_fixed(input)
             }
+            #[inline]
             fn encoded_len(&self) -> usize {
                 std::mem::size_of::<$ty>()
+            }
+            #[inline]
+            fn write_fixed(&self, out: &mut [u8]) {
+                out.copy_from_slice(&self.to_le_bytes());
+            }
+            #[inline]
+            fn read_fixed(bytes: &[u8]) -> Result<Self, CodecError> {
+                Ok(<$ty>::from_le_bytes(bytes.try_into().expect("exact-width slice")))
             }
         }
     )+};
@@ -131,94 +242,80 @@ macro_rules! impl_codec_int {
 
 impl_codec_int!(u8, u16, u32, u64, u128, i8, i16, i32, i64, i128);
 
-impl Codec for usize {
-    fn encode(&self, out: &mut Vec<u8>) {
-        (*self as u64).encode(out);
-    }
-    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
-        let v = u64::decode(input)?;
-        usize::try_from(v).map_err(|_| CodecError::InvalidData(format!("usize out of range: {v}")))
-    }
-    fn encoded_len(&self) -> usize {
-        8
-    }
-}
-
-impl Codec for isize {
-    fn encode(&self, out: &mut Vec<u8>) {
-        (*self as i64).encode(out);
-    }
-    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
-        let v = i64::decode(input)?;
-        isize::try_from(v).map_err(|_| CodecError::InvalidData(format!("isize out of range: {v}")))
-    }
-    fn encoded_len(&self) -> usize {
-        8
-    }
-}
-
-impl Codec for bool {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(u8::from(*self));
-    }
-    fn encoded_len(&self) -> usize {
-        1
-    }
-    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
-        match u8::decode(input)? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(CodecError::InvalidData(format!(
-                "invalid bool byte {other}"
-            ))),
+/// Implements the fixed-width [`Codec`] of a type `$ty` stored as the
+/// fixed-width `$repr`: `into` converts a value to its representation,
+/// `from` checks a decoded representation and converts it back.
+macro_rules! impl_codec_via {
+    ($ty:ty as $repr:ty, into: $into:expr, from: $from:expr) => {
+        impl Codec for $ty {
+            const WIDTH: Option<usize> = <$repr as Codec>::WIDTH;
+            #[inline]
+            fn encode(&self, out: &mut Vec<u8>) {
+                encode_fixed(self, out);
+            }
+            #[inline]
+            fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+                decode_fixed(input)
+            }
+            #[inline]
+            fn encoded_len(&self) -> usize {
+                std::mem::size_of::<$repr>()
+            }
+            #[inline]
+            fn write_fixed(&self, out: &mut [u8]) {
+                let into: fn(&$ty) -> $repr = $into;
+                into(self).write_fixed(out);
+            }
+            #[inline]
+            fn read_fixed(bytes: &[u8]) -> Result<Self, CodecError> {
+                let from: fn($repr) -> Result<$ty, CodecError> = $from;
+                from(<$repr>::read_fixed(bytes)?)
+            }
         }
-    }
+    };
 }
 
-impl Codec for f32 {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.to_bits().encode(out);
-    }
-    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
-        Ok(f32::from_bits(u32::decode(input)?))
-    }
-    fn encoded_len(&self) -> usize {
-        4
-    }
-}
+impl_codec_via!(usize as u64, into: |v| *v as u64, from: |v| {
+    usize::try_from(v).map_err(|_| CodecError::InvalidData(format!("usize out of range: {v}")))
+});
 
-impl Codec for f64 {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.to_bits().encode(out);
-    }
-    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
-        Ok(f64::from_bits(u64::decode(input)?))
-    }
-    fn encoded_len(&self) -> usize {
-        8
-    }
-}
+impl_codec_via!(isize as i64, into: |v| *v as i64, from: |v| {
+    isize::try_from(v).map_err(|_| CodecError::InvalidData(format!("isize out of range: {v}")))
+});
 
-impl Codec for char {
-    fn encode(&self, out: &mut Vec<u8>) {
-        (*self as u32).encode(out);
-    }
-    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
-        let v = u32::decode(input)?;
-        char::from_u32(v).ok_or_else(|| CodecError::InvalidData(format!("invalid char {v:#x}")))
-    }
-    fn encoded_len(&self) -> usize {
-        4
-    }
-}
+impl_codec_via!(bool as u8, into: |v| u8::from(*v), from: |v| match v {
+    0 => Ok(false),
+    1 => Ok(true),
+    other => Err(CodecError::InvalidData(format!("invalid bool byte {other}"))),
+});
+
+impl_codec_via!(f32 as u32, into: |v| v.to_bits(), from: |v| Ok(f32::from_bits(v)));
+
+impl_codec_via!(f64 as u64, into: |v| v.to_bits(), from: |v| Ok(f64::from_bits(v)));
+
+impl_codec_via!(char as u32, into: |v| *v as u32, from: |v| {
+    char::from_u32(v).ok_or_else(|| CodecError::InvalidData(format!("invalid char {v:#x}")))
+});
 
 impl Codec for () {
-    fn encode(&self, _out: &mut Vec<u8>) {}
-    fn decode(_input: &mut &[u8]) -> Result<Self, CodecError> {
-        Ok(())
+    const WIDTH: Option<usize> = Some(0);
+    #[inline]
+    fn encode(&self, out: &mut Vec<u8>) {
+        encode_fixed(self, out);
     }
+    #[inline]
+    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+        decode_fixed(input)
+    }
+    #[inline]
     fn encoded_len(&self) -> usize {
         0
+    }
+    #[inline]
+    fn write_fixed(&self, _out: &mut [u8]) {}
+    #[inline]
+    fn read_fixed(_bytes: &[u8]) -> Result<Self, CodecError> {
+        Ok(())
     }
 }
 
@@ -238,27 +335,64 @@ impl Codec for String {
     }
 }
 
+/// A `Vec` of a fixed-width element of non-zero width encodes its
+/// elements into one `resize` of the output and decodes them from
+/// exact-size chunks, after one checked test that the `len × width`
+/// bytes are there — so a corrupt length fails before any allocation
+/// larger than the input.  Other elements, zero-width ones included, go
+/// one `encode` / `decode` at a time.
 impl<T: Codec> Codec for Vec<T> {
     fn encode(&self, out: &mut Vec<u8>) {
         self.len().encode(out);
-        for item in self {
-            item.encode(out);
+        match T::WIDTH {
+            Some(width) if width > 0 => {
+                let start = out.len();
+                out.resize(start + width * self.len(), 0);
+                for (item, chunk) in self.iter().zip(out[start..].chunks_exact_mut(width)) {
+                    item.write_fixed(chunk);
+                }
+            }
+            _ => {
+                for item in self {
+                    item.encode(out);
+                }
+            }
         }
     }
     fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
         let len = usize::decode(input)?;
-        // Guard against a corrupt length forcing a huge allocation: never
-        // pre-reserve more elements than the remaining bytes could encode
-        // (every element costs at least one byte unless T is zero-sized).
-        let cap = len.min(input.len().max(1));
-        let mut items = Vec::with_capacity(cap);
-        for _ in 0..len {
-            items.push(T::decode(input)?);
+        match T::WIDTH {
+            Some(width) if width > 0 => {
+                let needed = len.checked_mul(width).ok_or(CodecError::UnexpectedEof {
+                    needed: usize::MAX,
+                    remaining: input.len(),
+                })?;
+                let bytes = take(input, needed)?;
+                let mut items = Vec::with_capacity(len);
+                for chunk in bytes.chunks_exact(width) {
+                    items.push(T::read_fixed(chunk)?);
+                }
+                Ok(items)
+            }
+            _ => {
+                // Guard against a corrupt length forcing a huge allocation:
+                // never pre-reserve more elements than the remaining bytes
+                // could encode (every element costs at least one byte unless
+                // T is zero-sized).
+                let cap = len.min(input.len().max(1));
+                let mut items = Vec::with_capacity(cap);
+                for _ in 0..len {
+                    items.push(T::decode(input)?);
+                }
+                Ok(items)
+            }
         }
-        Ok(items)
     }
     fn encoded_len(&self) -> usize {
-        8 + self.iter().map(Codec::encoded_len).sum::<usize>()
+        8 + match T::WIDTH {
+            Some(width) => width * self.len(),
+            None => self.iter().map(Codec::encoded_len).sum::<usize>(),
+        }
     }
 }
 
@@ -288,19 +422,40 @@ impl<T: Codec> Codec for Option<T> {
 
 macro_rules! impl_codec_tuple {
     ($(($($name:ident),+)),+ $(,)?) => {$(
+        #[allow(non_snake_case)]
         impl<$($name: Codec),+> Codec for ($($name,)+) {
+            const WIDTH: Option<usize> = sum_widths(&[$($name::WIDTH),+]);
+            #[inline]
             fn encode(&self, out: &mut Vec<u8>) {
-                #[allow(non_snake_case)]
+                if Self::WIDTH.is_some() {
+                    return encode_fixed(self, out);
+                }
                 let ($($name,)+) = self;
                 $($name.encode(out);)+
             }
+            #[inline]
             fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+                if Self::WIDTH.is_some() {
+                    return decode_fixed(input);
+                }
                 Ok(($($name::decode(input)?,)+))
             }
+            #[inline]
             fn encoded_len(&self) -> usize {
-                #[allow(non_snake_case)]
                 let ($($name,)+) = self;
-                0 $(+ $name.encoded_len())+
+                match Self::WIDTH {
+                    Some(width) => width,
+                    None => 0 $(+ $name.encoded_len())+,
+                }
+            }
+            #[inline]
+            fn write_fixed(&self, mut out: &mut [u8]) {
+                let ($($name,)+) = self;
+                $(put_fixed($name, &mut out);)+
+            }
+            #[inline]
+            fn read_fixed(mut bytes: &[u8]) -> Result<Self, CodecError> {
+                Ok(($(decode_fixed::<$name>(&mut bytes)?,)+))
             }
         }
     )+};
@@ -311,6 +466,12 @@ impl_codec_tuple!((A), (A, B), (A, B, C), (A, B, C, D));
 /// Implements [`Codec`] for a struct by encoding its named fields in the
 /// order given.
 ///
+/// The struct is fixed-width ([`Codec::WIDTH`]) when every field is: its
+/// width is the sum of theirs, and `encode` / `decode` write and read the
+/// fields into and out of one exact-size slice.  A struct with a
+/// variable-width field (a `String`, a `Vec`, an `Option`) encodes field
+/// by field.  The bytes are the same either way.
+///
 /// ```
 /// use smr_storage::{impl_codec_struct, Codec};
 ///
@@ -319,26 +480,51 @@ impl_codec_tuple!((A), (A, B), (A, B, C), (A, B, C, D));
 /// impl_codec_struct!(Edge { from, to, weight });
 ///
 /// let e = Edge { from: 1, to: 2, weight: 0.5 };
+/// assert_eq!(Edge::WIDTH, Some(16));
 /// assert_eq!(Edge::decode_all(&e.encode_to_vec()).unwrap(), e);
 /// ```
 #[macro_export]
 macro_rules! impl_codec_struct {
     ($ty:ident { $($field:ident),+ $(,)? }) => {
         impl $crate::Codec for $ty {
+            const WIDTH: Option<usize> = $crate::codec::sum_widths(&[$(
+                $crate::codec::field_width(|record: &$ty| &record.$field)
+            ),+]);
+            #[inline]
             fn encode(&self, out: &mut Vec<u8>) {
+                if Self::WIDTH.is_some() {
+                    return $crate::codec::encode_fixed(self, out);
+                }
                 $($crate::Codec::encode(&self.$field, out);)+
             }
+            #[inline]
             fn decode(input: &mut &[u8]) -> Result<Self, $crate::CodecError> {
+                if Self::WIDTH.is_some() {
+                    return $crate::codec::decode_fixed(input);
+                }
                 Ok($ty { $($field: $crate::Codec::decode(input)?,)+ })
             }
+            #[inline]
             fn encoded_len(&self) -> usize {
-                0 $(+ $crate::Codec::encoded_len(&self.$field))+
+                match Self::WIDTH {
+                    Some(width) => width,
+                    None => 0 $(+ $crate::Codec::encoded_len(&self.$field))+,
+                }
+            }
+            #[inline]
+            fn write_fixed(&self, mut out: &mut [u8]) {
+                $($crate::codec::put_fixed(&self.$field, &mut out);)+
+            }
+            #[inline]
+            fn read_fixed(mut bytes: &[u8]) -> Result<Self, $crate::CodecError> {
+                Ok($ty { $($field: $crate::codec::decode_fixed(&mut bytes)?,)+ })
             }
         }
     };
 }
 
-/// Implements [`Codec`] for a single-field tuple struct (newtype).
+/// Implements [`Codec`] for a single-field tuple struct (newtype): the
+/// inner value's encoding, fixed-width when the inner type is.
 ///
 /// ```
 /// use smr_storage::{impl_codec_newtype, Codec};
@@ -347,20 +533,33 @@ macro_rules! impl_codec_struct {
 /// struct TermId(u32);
 /// impl_codec_newtype!(TermId(u32));
 ///
+/// assert_eq!(TermId::WIDTH, Some(4));
 /// assert_eq!(TermId::decode_all(&TermId(7).encode_to_vec()).unwrap(), TermId(7));
 /// ```
 #[macro_export]
 macro_rules! impl_codec_newtype {
     ($ty:ident($inner:ty)) => {
         impl $crate::Codec for $ty {
+            const WIDTH: Option<usize> = <$inner as $crate::Codec>::WIDTH;
+            #[inline]
             fn encode(&self, out: &mut Vec<u8>) {
                 $crate::Codec::encode(&self.0, out);
             }
+            #[inline]
             fn decode(input: &mut &[u8]) -> Result<Self, $crate::CodecError> {
                 Ok($ty(<$inner as $crate::Codec>::decode(input)?))
             }
+            #[inline]
             fn encoded_len(&self) -> usize {
                 $crate::Codec::encoded_len(&self.0)
+            }
+            #[inline]
+            fn write_fixed(&self, out: &mut [u8]) {
+                $crate::Codec::write_fixed(&self.0, out);
+            }
+            #[inline]
+            fn read_fixed(bytes: &[u8]) -> Result<Self, $crate::CodecError> {
+                Ok($ty(<$inner as $crate::Codec>::read_fixed(bytes)?))
             }
         }
     };
@@ -473,6 +672,73 @@ mod tests {
         assert!(Vec::<u64>::decode_all(&bytes).is_err());
     }
 
+    #[test]
+    fn fixed_widths_of_the_primitives_and_tuples() {
+        assert_eq!(u8::WIDTH, Some(1));
+        assert_eq!(i128::WIDTH, Some(16));
+        assert_eq!(usize::WIDTH, Some(8));
+        assert_eq!(bool::WIDTH, Some(1));
+        assert_eq!(f64::WIDTH, Some(8));
+        assert_eq!(char::WIDTH, Some(4));
+        assert_eq!(<()>::WIDTH, Some(0));
+        assert_eq!(<(u8, u16, u32, u64)>::WIDTH, Some(15));
+        assert_eq!(String::WIDTH, None);
+        assert_eq!(Vec::<u8>::WIDTH, None);
+        assert_eq!(Option::<u8>::WIDTH, None);
+        assert_eq!(<(u32, String)>::WIDTH, None);
+    }
+
+    #[test]
+    fn a_fixed_width_vec_has_the_bytes_of_its_elements_in_turn() {
+        let items = vec![(1u32, 0.5f64), (2, -1.0), (u32::MAX, f64::NAN)];
+        let mut expected = items.len().encode_to_vec();
+        for (a, b) in &items {
+            expected.extend_from_slice(&a.to_le_bytes());
+            expected.extend_from_slice(&b.to_bits().to_le_bytes());
+        }
+        assert_eq!(items.encode_to_vec(), expected);
+        assert_eq!(items.encoded_len(), expected.len());
+        let back = Vec::<(u32, f64)>::decode_all(&expected).unwrap();
+        assert_eq!(back.encode_to_vec(), expected);
+    }
+
+    #[test]
+    fn hostile_fixed_width_lengths_are_errors() {
+        let body = [0u8; 24];
+        for len in [u64::MAX, u64::MAX / 8 + 1, 4, 1 << 62] {
+            let mut input = len.encode_to_vec();
+            input.extend_from_slice(&body);
+            assert!(
+                matches!(
+                    Vec::<u64>::decode_all(&input),
+                    Err(CodecError::UnexpectedEof { .. })
+                ),
+                "length {len}"
+            );
+        }
+        let mut bad_bool = 3usize.encode_to_vec();
+        bad_bool.extend_from_slice(&[1, 0, 2]);
+        assert!(matches!(
+            Vec::<bool>::decode_all(&bad_bool),
+            Err(CodecError::InvalidData(_))
+        ));
+    }
+
+    #[test]
+    fn zero_width_elements_go_one_at_a_time() {
+        // A `Vec<()>` is its length alone: decoding takes no element bytes
+        // and never chunks the input by a width of zero.
+        round_trip(vec![(); 5]);
+        round_trip(vec![((), ()); 3]);
+        assert_eq!(vec![(); 5].encode_to_vec(), 5usize.encode_to_vec());
+        assert_eq!(
+            Vec::<()>::decode_all(&3usize.encode_to_vec())
+                .unwrap()
+                .len(),
+            3
+        );
+    }
+
     #[derive(Debug, Clone, PartialEq)]
     struct Demo {
         id: u32,
@@ -493,5 +759,7 @@ mod tests {
             weights: vec![0.25, -1.0],
         });
         round_trip(Wrapper(u64::MAX));
+        assert_eq!(Demo::WIDTH, None);
+        assert_eq!(Wrapper::WIDTH, Some(8));
     }
 }

@@ -8,6 +8,12 @@
 //!   length-prefixed variable-size fields) with impls for the primitives
 //!   and [`impl_codec_struct!`] / [`impl_codec_newtype!`] for user types.
 //!   Every key/value type that crosses the engine's shuffle implements it.
+//!   A fixed-width type ([`Codec::WIDTH`]: the primitives, tuples of them,
+//!   and the structs the macros derive from them, such as the matchers'
+//!   adjacency entries and round notes) writes and reads itself into and
+//!   out of an exact-size slice, so a `Vec` of it — every matcher's
+//!   adjacency list — encodes with one `resize` and decodes after one
+//!   bounds test, and a run-file frame of it must be exactly that wide.
 //! * [`RunWriter`] / [`RunReader`] — sorted spill-run files: length-
 //!   prefixed record frames behind a versioned header that records the
 //!   format version, the record count (patched on finish, so half-written

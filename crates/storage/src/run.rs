@@ -187,13 +187,24 @@ impl<R: Codec> RunWriter<R> {
         })
     }
 
-    /// Appends one record frame, encoding straight into the block buffer.
+    /// Appends one record frame, encoding straight into the block buffer:
+    /// a fixed-width record ([`Codec::WIDTH`]) with one `resize` of the
+    /// buffer and [`Codec::write_fixed`] into the frame's payload.
     pub fn push(&mut self, record: &R) -> Result<(), StorageError> {
         let start = self.block.len();
-        self.block.reserve(4 + record.encoded_len());
-        self.block.extend_from_slice(&[0u8; 4]);
-        record.encode(&mut self.block);
-        let payload = self.block.len() - start - 4;
+        let payload = match R::WIDTH {
+            Some(width) => {
+                self.block.resize(start + 4 + width, 0);
+                record.write_fixed(&mut self.block[start + 4..]);
+                width
+            }
+            None => {
+                self.block.reserve(4 + record.encoded_len());
+                self.block.extend_from_slice(&[0u8; 4]);
+                record.encode(&mut self.block);
+                self.block.len() - start - 4
+            }
+        };
         let len = u32::try_from(payload)
             .ok()
             .filter(|len| *len <= u32::MAX - 8)
@@ -378,7 +389,9 @@ impl<R: Codec> RunReader<R> {
         self.expected
     }
 
-    /// Reads the next record; `Ok(None)` at a clean end of file.
+    /// Reads the next record; `Ok(None)` at a clean end of file.  The
+    /// frame of a fixed-width record ([`Codec::WIDTH`]) must be exactly
+    /// that wide, and is read with [`Codec::read_fixed`].
     pub fn next_record(&mut self) -> Result<Option<R>, StorageError> {
         if self.read == self.expected {
             return Ok(None);
@@ -399,13 +412,24 @@ impl<R: Codec> RunReader<R> {
             return Err(self.truncated());
         }
         let mut slice = &self.payload[self.cursor..self.cursor + len];
-        let record = R::decode(&mut slice)?;
-        if !slice.is_empty() {
-            return Err(StorageError::Codec(CodecError::InvalidData(format!(
-                "{} trailing bytes in frame",
-                slice.len()
-            ))));
-        }
+        let record = match R::WIDTH {
+            Some(width) if len != width => {
+                return Err(StorageError::Codec(CodecError::InvalidData(format!(
+                    "frame of {len} bytes for a {width}-byte record"
+                ))))
+            }
+            Some(_) => R::read_fixed(slice)?,
+            None => {
+                let record = R::decode(&mut slice)?;
+                if !slice.is_empty() {
+                    return Err(StorageError::Codec(CodecError::InvalidData(format!(
+                        "{} trailing bytes in frame",
+                        slice.len()
+                    ))));
+                }
+                record
+            }
+        };
         self.cursor += len;
         self.read += 1;
         Ok(Some(record))
@@ -642,6 +666,48 @@ mod tests {
             reader.next_record(),
             Err(StorageError::Truncated { .. })
         ));
+        remove_temp(&path);
+    }
+
+    #[test]
+    fn a_frame_that_is_not_the_record_width_is_rejected() {
+        // 4-byte and 9-byte frames, read back as 8-byte `u64` records.
+        let short = temp_path("short-frame.run");
+        let mut writer: RunWriter<u32> = RunWriter::create(&short).unwrap();
+        writer.push(&7).unwrap();
+        writer.finish().unwrap();
+        let long = temp_path("long-frame.run");
+        let mut writer: RunWriter<(u64, u8)> = RunWriter::create(&long).unwrap();
+        writer.push(&(7, 1)).unwrap();
+        writer.finish().unwrap();
+        for path in [&short, &long] {
+            let mut reader: RunReader<u64> = RunReader::open(path).unwrap();
+            assert!(
+                matches!(reader.next_record(), Err(StorageError::Codec(_))),
+                "{path:?}"
+            );
+            remove_temp(path);
+        }
+    }
+
+    #[test]
+    fn fixed_width_frames_hold_the_record_bytes() {
+        let path = temp_path("fixed-frames.run");
+        let records: Vec<(u32, f64)> = (0..5000).map(|i| (i, f64::from(i) / 3.0)).collect();
+        let mut writer: RunWriter<(u32, f64)> = RunWriter::create(&path).unwrap();
+        for record in &records {
+            writer.push(record).unwrap();
+        }
+        let run = writer.finish().unwrap();
+        assert_eq!(run.bytes, 5000 * (4 + 12));
+        assert_eq!(run.encoded_bytes(), 5000 * 12);
+        // The first frame: its length, then the record's own encoding.
+        let bytes = std::fs::read(&path).unwrap();
+        let first = 4 + 2 + 8 + 8 + std::any::type_name::<(u32, f64)>().len() + 8;
+        assert_eq!(bytes[first..first + 4], 12u32.to_le_bytes());
+        assert_eq!(bytes[first + 4..first + 16], records[0].encode_to_vec()[..]);
+        let reader: RunReader<(u32, f64)> = RunReader::open(&path).unwrap();
+        assert_eq!(reader.read_to_end().unwrap(), records);
         remove_temp(&path);
     }
 
