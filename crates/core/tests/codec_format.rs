@@ -7,8 +7,8 @@
 //! a faster encoding that drifted a single byte would fail here before it
 //! moved a spill or shuffle byte count.  The hostile inputs each return an
 //! `Err` without a panic; a decoder that sized an allocation by a corrupt
-//! length before testing it against the input would abort on the lengths
-//! used here (their allocations pass `isize::MAX` bytes).
+//! length before testing it against the input would panic on the largest
+//! lengths used here, whose allocations pass `isize::MAX` bytes.
 
 use smr_graph::NodeId;
 use smr_matching::maximal::{WorkEdge, WorkRecord};
