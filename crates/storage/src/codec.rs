@@ -84,7 +84,9 @@ pub trait Codec: Sized {
     /// is not.  A type that reports a width implements
     /// [`Codec::write_fixed`] and [`Codec::read_fixed`], and routes
     /// `encode` and `decode` through them ([`encode_fixed`] /
-    /// [`decode_fixed`]) so that the two forms cannot disagree.
+    /// [`decode_fixed`]) so that the two forms cannot disagree.  (A type
+    /// that sets only the width keeps working: the two methods' defaults
+    /// go through its `encode` / `decode`, one allocation per value.)
     /// [`crate::impl_codec_struct!`] and [`crate::impl_codec_newtype!`]
     /// derive all of it whenever every field is fixed-width.
     const WIDTH: Option<usize> = None;
@@ -105,19 +107,31 @@ pub trait Codec: Sized {
     fn encoded_len(&self) -> usize;
 
     /// Writes the encoding of `self` into `out`, which is exactly
-    /// [`Codec::WIDTH`] bytes long.  Only a fixed-width type implements
-    /// it; the default panics.
+    /// [`Codec::WIDTH`] bytes long.  The default goes through
+    /// [`Codec::encode`], so a type that reports a width but keeps its own
+    /// `encode` stays correct; one whose `encode` is [`encode_fixed`] must
+    /// implement it.
+    ///
+    /// # Panics
+    /// The default panics when `encode` does not write exactly
+    /// `out.len()` bytes.
     fn write_fixed(&self, out: &mut [u8]) {
-        let _ = out;
-        panic!("{} is not fixed-width", std::any::type_name::<Self>())
+        let mut bytes = Vec::with_capacity(out.len());
+        self.encode(&mut bytes);
+        assert_eq!(
+            bytes.len(),
+            out.len(),
+            "{} encoded to a width other than its WIDTH",
+            std::any::type_name::<Self>()
+        );
+        out.copy_from_slice(&bytes);
     }
 
     /// Decodes a value from `bytes`, which are exactly [`Codec::WIDTH`]
-    /// bytes long.  Only a fixed-width type implements it; the default
-    /// panics.
+    /// bytes long.  The default is [`Codec::decode_all`]; a type whose
+    /// `decode` is [`decode_fixed`] must implement it.
     fn read_fixed(bytes: &[u8]) -> Result<Self, CodecError> {
-        let _ = bytes;
-        panic!("{} is not fixed-width", std::any::type_name::<Self>())
+        Self::decode_all(bytes)
     }
 
     /// Encodes into a caller-owned scratch buffer, clearing it first, and
@@ -737,6 +751,39 @@ mod tests {
                 .len(),
             3
         );
+    }
+
+    /// Reports a width but keeps its own `encode` / `decode`, with the
+    /// default `write_fixed` / `read_fixed`.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct WidthOnly(u16);
+    impl Codec for WidthOnly {
+        const WIDTH: Option<usize> = Some(2);
+        fn encode(&self, out: &mut Vec<u8>) {
+            self.0.encode(out);
+        }
+        fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
+            Ok(WidthOnly(u16::decode(input)?))
+        }
+        fn encoded_len(&self) -> usize {
+            2
+        }
+    }
+
+    #[test]
+    fn a_type_that_sets_only_its_width_still_round_trips() {
+        round_trip(vec![WidthOnly(1), WidthOnly(0xBEEF)]);
+        round_trip(vec![(WidthOnly(7), 3u8); 4]);
+        assert_eq!(
+            vec![WidthOnly(0x0102)].encode_to_vec(),
+            [&1usize.encode_to_vec()[..], &[2, 1]].concat()
+        );
+        let mut short = 2usize.encode_to_vec();
+        short.extend_from_slice(&[1, 2, 3]);
+        assert!(matches!(
+            Vec::<WidthOnly>::decode_all(&short),
+            Err(CodecError::UnexpectedEof { .. })
+        ));
     }
 
     #[derive(Debug, Clone, PartialEq)]

@@ -13,7 +13,8 @@
 //!   adjacency entries and round notes) writes and reads itself into and
 //!   out of an exact-size slice, so a `Vec` of it — every matcher's
 //!   adjacency list — encodes with one `resize` and decodes after one
-//!   bounds test, and a run-file frame of it must be exactly that wide.
+//!   bounds test.  A run file frames it like any record, so a frame of
+//!   any other length fails to decode.
 //! * [`RunWriter`] / [`RunReader`] — sorted spill-run files: length-
 //!   prefixed record frames behind a versioned header that records the
 //!   format version, the record count (patched on finish, so half-written

@@ -187,24 +187,13 @@ impl<R: Codec> RunWriter<R> {
         })
     }
 
-    /// Appends one record frame, encoding straight into the block buffer:
-    /// a fixed-width record ([`Codec::WIDTH`]) with one `resize` of the
-    /// buffer and [`Codec::write_fixed`] into the frame's payload.
+    /// Appends one record frame, encoding straight into the block buffer.
     pub fn push(&mut self, record: &R) -> Result<(), StorageError> {
         let start = self.block.len();
-        let payload = match R::WIDTH {
-            Some(width) => {
-                self.block.resize(start + 4 + width, 0);
-                record.write_fixed(&mut self.block[start + 4..]);
-                width
-            }
-            None => {
-                self.block.reserve(4 + record.encoded_len());
-                self.block.extend_from_slice(&[0u8; 4]);
-                record.encode(&mut self.block);
-                self.block.len() - start - 4
-            }
-        };
+        self.block.reserve(4 + record.encoded_len());
+        self.block.extend_from_slice(&[0u8; 4]);
+        record.encode(&mut self.block);
+        let payload = self.block.len() - start - 4;
         let len = u32::try_from(payload)
             .ok()
             .filter(|len| *len <= u32::MAX - 8)
@@ -389,9 +378,7 @@ impl<R: Codec> RunReader<R> {
         self.expected
     }
 
-    /// Reads the next record; `Ok(None)` at a clean end of file.  The
-    /// frame of a fixed-width record ([`Codec::WIDTH`]) must be exactly
-    /// that wide, and is read with [`Codec::read_fixed`].
+    /// Reads the next record; `Ok(None)` at a clean end of file.
     pub fn next_record(&mut self) -> Result<Option<R>, StorageError> {
         if self.read == self.expected {
             return Ok(None);
@@ -412,24 +399,13 @@ impl<R: Codec> RunReader<R> {
             return Err(self.truncated());
         }
         let mut slice = &self.payload[self.cursor..self.cursor + len];
-        let record = match R::WIDTH {
-            Some(width) if len != width => {
-                return Err(StorageError::Codec(CodecError::InvalidData(format!(
-                    "frame of {len} bytes for a {width}-byte record"
-                ))))
-            }
-            Some(_) => R::read_fixed(slice)?,
-            None => {
-                let record = R::decode(&mut slice)?;
-                if !slice.is_empty() {
-                    return Err(StorageError::Codec(CodecError::InvalidData(format!(
-                        "{} trailing bytes in frame",
-                        slice.len()
-                    ))));
-                }
-                record
-            }
-        };
+        let record = R::decode(&mut slice)?;
+        if !slice.is_empty() {
+            return Err(StorageError::Codec(CodecError::InvalidData(format!(
+                "{} trailing bytes in frame",
+                slice.len()
+            ))));
+        }
         self.cursor += len;
         self.read += 1;
         Ok(Some(record))
