@@ -1,9 +1,25 @@
 //! Document corpus: documents, vocabulary and vectors in one place.
+//!
+//! [`Corpus::build_weighted`] takes the text to vectors in one pass over
+//! it: the tokenizer hands each term to the vocabulary as a borrowed
+//! `&str`, which interns it with one hash-map lookup, and the document
+//! keeps only the term's `u32` id, all documents' ids in one flat buffer.
+//! Document frequencies are counted from that buffer, the terms are
+//! numbered rarest first, and each document's ids are sorted and counted
+//! into its vector against one precomputed idf per term.  The lookup map
+//! keeps std's default (randomly keyed) hasher: its keys are words of the
+//! input text, so an adversary who knows a fixed hash function could
+//! choose words that collide.
+//!
+//! [`Corpus::vectorize`] takes later text through the same tokenizer and
+//! the same weigher with one lookup per token and no interning, so the
+//! vector of a built document's own text is that document's vector, bit
+//! for bit.
 
 use crate::sparse::SparseVector;
-use crate::tfidf::{TfIdf, Weighting};
+use crate::tfidf::{Weigher, Weighting};
 use crate::tokenize::{Tokenizer, TokenizerConfig};
-use crate::vocab::Vocabulary;
+use crate::vocab::{TermId, Vocabulary};
 
 /// A raw document: an external identifier plus its text.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -25,7 +41,7 @@ impl Document {
 }
 
 /// A vectorized corpus: the documents, the shared vocabulary and one sparse
-/// vector per document — plus the tokenizer and weighting it was built
+/// vector per document — plus the tokenizer and weigher it was built
 /// with, so later text can be vectorized the same way.  The vocabulary is
 /// numbered rarest first (document frequency ascending, ties by first
 /// appearance) before anything is vectorized, so ascending term id is the
@@ -36,8 +52,7 @@ pub struct Corpus {
     vocab: Vocabulary,
     vectors: Vec<SparseVector>,
     tokenizer: Tokenizer,
-    weighting: Weighting,
-    normalize: bool,
+    weigher: Weigher,
 }
 
 impl Corpus {
@@ -55,27 +70,31 @@ impl Corpus {
         normalize: bool,
     ) -> Self {
         let tokenizer = Tokenizer::new(tokenizer_config.clone());
-        let token_streams: Vec<Vec<String>> = documents
-            .iter()
-            .map(|d| tokenizer.tokenize(&d.text))
-            .collect();
         let mut vocab = Vocabulary::new();
-        for tokens in &token_streams {
-            vocab.observe_document(tokens.iter().map(|s| s.as_str()));
+        // Every document's term ids, document `d` at `ids[ends[d]..ends[d + 1]]`.
+        let mut ids: Vec<TermId> = Vec::new();
+        let mut ends = Vec::with_capacity(documents.len() + 1);
+        ends.push(0);
+        for document in &documents {
+            tokenizer.for_each_token(&document.text, |token| ids.push(vocab.intern(token)));
+            ends.push(ids.len());
         }
-        vocab.number_rarest_first();
-        let weigher = TfIdf::new(&vocab, weighting, normalize);
-        let vectors: Vec<SparseVector> = token_streams
-            .iter()
-            .map(|tokens| weigher.vectorize(tokens))
+        vocab.count_documents(ends.windows(2).map(|pair| &ids[pair[0]..pair[1]]));
+        let renumbered = vocab.number_rarest_first();
+        for id in &mut ids {
+            *id = renumbered[id.index()];
+        }
+        let weigher = Weigher::new(&vocab, weighting, normalize);
+        let vectors = ends
+            .windows(2)
+            .map(|pair| weigher.weigh(&mut ids[pair[0]..pair[1]]))
             .collect();
         Corpus {
             documents,
             vocab,
             vectors,
             tokenizer,
-            weighting,
-            normalize,
+            weigher,
         }
     }
 
@@ -85,11 +104,15 @@ impl Corpus {
     }
 
     /// Vectorizes `text` exactly as the corpus' own documents were: same
-    /// tokenizer, vocabulary, weighting and normalization.  Terms outside
-    /// the vocabulary are dropped.
+    /// tokenizer, vocabulary, weighting and normalization, so a built
+    /// document's text gets that document's vector bit for bit.  Terms
+    /// outside the vocabulary are dropped.
     pub fn vectorize(&self, text: &str) -> SparseVector {
-        TfIdf::new(&self.vocab, self.weighting, self.normalize)
-            .vectorize(&self.tokenizer.tokenize(text))
+        let mut ids = Vec::new();
+        self.tokenizer.for_each_token(text, |token| {
+            ids.extend(self.vocab.get(token));
+        });
+        self.weigher.weigh(&mut ids)
     }
 
     /// Number of documents.
@@ -136,7 +159,6 @@ impl Corpus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vocab::TermId;
 
     fn sample() -> Corpus {
         Corpus::build(
@@ -162,6 +184,12 @@ mod tests {
         for i in 0..c.len() {
             assert_eq!(&c.vectorize(&c.document(i).text), c.vector(i));
         }
+        // Terms outside the vocabulary are dropped.
+        assert_eq!(
+            c.vectorize("Vintage zeppelin restoration!"),
+            c.vectorize("vintage restoration")
+        );
+        assert!(c.vectorize("zeppelin").is_empty());
     }
 
     #[test]

@@ -12,9 +12,12 @@
 //!   frequencies,
 //! * [`sparse`] — sparse vectors sorted by term id, with dot product,
 //!   norms and cosine similarity,
-//! * [`tfidf`] — tf·idf weighting of a document corpus,
-//! * [`corpus`] — a small container tying documents, vocabulary and
-//!   vectors together for the similarity join.
+//! * [`tfidf`] — the weighting schemes (tf·idf, tf, binary),
+//! * [`corpus`] — documents, vocabulary and vectors in one place, built in
+//!   one pass over the text: each token is interned once as it streams out
+//!   of the tokenizer, and each document is weighted from its term ids.
+//!   [`Corpus::vectorize`] vectorizes later text with one lookup per token
+//!   and gives a built document's text that document's vector bit for bit.
 //!
 //! # Example
 //!
@@ -41,7 +44,7 @@ pub mod vocab;
 
 pub use corpus::{Corpus, Document};
 pub use sparse::SparseVector;
-pub use tfidf::{TfIdf, Weighting};
+pub use tfidf::Weighting;
 pub use tokenize::{Tokenizer, TokenizerConfig};
 pub use vocab::{TermId, Vocabulary};
 
@@ -49,7 +52,7 @@ pub use vocab::{TermId, Vocabulary};
 pub mod prelude {
     pub use crate::corpus::{Corpus, Document};
     pub use crate::sparse::SparseVector;
-    pub use crate::tfidf::{TfIdf, Weighting};
+    pub use crate::tfidf::Weighting;
     pub use crate::tokenize::{Tokenizer, TokenizerConfig};
     pub use crate::vocab::{TermId, Vocabulary};
 }

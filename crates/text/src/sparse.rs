@@ -40,6 +40,14 @@ impl SparseVector {
         SparseVector { entries: merged }
     }
 
+    /// A vector from entries already sorted by strictly ascending term id,
+    /// none of zero weight.
+    pub(crate) fn from_sorted(entries: Vec<(TermId, f64)>) -> Self {
+        debug_assert!(entries.windows(2).all(|pair| pair[0].0 < pair[1].0));
+        debug_assert!(entries.iter().all(|&(_, w)| w != 0.0));
+        SparseVector { entries }
+    }
+
     /// The entries, sorted by term id.
     pub fn entries(&self) -> &[(TermId, f64)] {
         &self.entries
@@ -100,11 +108,19 @@ impl SparseVector {
 
     /// Returns a copy normalized to unit L2 norm (unchanged if zero).
     pub fn normalized(&self) -> SparseVector {
+        let mut v = self.clone();
+        v.normalize();
+        v
+    }
+
+    /// Scales the vector to unit L2 norm in place (unchanged if zero).
+    pub(crate) fn normalize(&mut self) {
         let n = self.norm();
-        if n == 0.0 {
-            self.clone()
-        } else {
-            self.scaled(1.0 / n)
+        if n != 0.0 {
+            let factor = 1.0 / n;
+            for (_, w) in &mut self.entries {
+                *w *= factor;
+            }
         }
     }
 }

@@ -68,15 +68,43 @@ impl Tokenizer {
         &self.config
     }
 
-    /// Tokenizes `text` into normalized terms.
+    /// Hands each normalized term of `text` to `emit`, in text order.
+    ///
+    /// Every term is built in one buffer reused across the text: an ASCII
+    /// word is lower-cased in place, any other word through
+    /// [`str::to_lowercase`], then stop-words are dropped, the rest
+    /// stemmed in place and filtered by length.
+    pub fn for_each_token(&self, text: &str, mut emit: impl FnMut(&str)) {
+        let mut token = String::new();
+        for word in text.split(|c: char| !c.is_alphanumeric()) {
+            if word.is_empty() {
+                continue;
+            }
+            token.clear();
+            if word.is_ascii() {
+                token.push_str(word);
+                token.make_ascii_lowercase();
+            } else {
+                token.push_str(&word.to_lowercase());
+            }
+            if self.config.remove_stop_words && is_stop_word(&token) {
+                continue;
+            }
+            if self.config.stem {
+                stem(&mut token);
+            }
+            if token.len() >= self.config.min_token_len {
+                emit(&token);
+            }
+        }
+    }
+
+    /// Tokenizes `text` into normalized terms: [`Tokenizer::for_each_token`]
+    /// collected.
     pub fn tokenize(&self, text: &str) -> Vec<String> {
-        text.split(|c: char| !c.is_alphanumeric())
-            .filter(|t| !t.is_empty())
-            .map(|t| t.to_lowercase())
-            .filter(|t| !self.config.remove_stop_words || !is_stop_word(t))
-            .map(|t| if self.config.stem { stem(&t) } else { t })
-            .filter(|t| t.len() >= self.config.min_token_len)
-            .collect()
+        let mut tokens = Vec::new();
+        self.for_each_token(text, |t| tokens.push(t.to_string()));
+        tokens
     }
 }
 
@@ -91,68 +119,60 @@ pub fn is_stop_word(token: &str) -> bool {
     STOP_WORDS.binary_search(&token).is_ok()
 }
 
+/// Suffix rules of [`stem`], longer suffixes first: the first that applies
+/// wins.
+const SUFFIX_RULES: &[(&str, &str)] = &[
+    ("ations", "ate"),
+    ("ization", "ize"),
+    ("fulness", "ful"),
+    ("ousness", "ous"),
+    ("iveness", "ive"),
+    ("ation", "ate"),
+    ("ement", "e"),
+    ("ments", "ment"),
+    ("ingly", ""),
+    ("edly", ""),
+    ("iness", "y"),
+    ("ness", ""),
+    ("ing", "e"),
+    ("ies", "y"),
+    ("ied", "y"),
+    ("est", ""),
+    ("ers", "er"),
+    ("ed", ""),
+    ("ly", ""),
+    ("es", "e"),
+    ("s", ""),
+];
+
 /// A light rule-based suffix stemmer (subset of Porter's step-1 rules plus
-/// a few common derivational suffixes).
+/// a few common derivational suffixes), applied in place.
 ///
 /// The goal is stable conflation of plural and inflected forms
 /// ("questions" → "question", "baking" → "bake", "answered" → "answer"),
 /// not linguistic perfection.
-pub fn stem(token: &str) -> String {
-    let t = token;
-    if t.len() <= 3 {
-        return t.to_string();
+pub fn stem(token: &mut String) {
+    if token.len() <= 3 {
+        return;
     }
-    // Order matters: try longer suffixes first.
-    let rules: &[(&str, &str)] = &[
-        ("ations", "ate"),
-        ("ization", "ize"),
-        ("fulness", "ful"),
-        ("ousness", "ous"),
-        ("iveness", "ive"),
-        ("ation", "ate"),
-        ("ement", "e"),
-        ("ments", "ment"),
-        ("ingly", ""),
-        ("edly", ""),
-        ("iness", "y"),
-        ("ness", ""),
-        ("ing", "e"),
-        ("ies", "y"),
-        ("ied", "y"),
-        ("est", ""),
-        ("ers", "er"),
-        ("ed", ""),
-        ("ly", ""),
-        ("es", "e"),
-        ("s", ""),
-    ];
-    for (suffix, replacement) in rules {
-        if let Some(stemmed) = apply_rule(t, suffix, replacement) {
-            return stemmed;
-        }
+    if let Some((suffix, replacement)) = SUFFIX_RULES
+        .iter()
+        .find(|(suffix, _)| rule_applies(token, suffix))
+    {
+        token.truncate(token.len() - suffix.len());
+        token.push_str(replacement);
     }
-    t.to_string()
 }
 
-/// Applies one suffix rule if the stem it would leave is long enough.
-fn apply_rule(token: &str, suffix: &str, replacement: &str) -> Option<String> {
-    if !token.ends_with(suffix) {
-        return None;
-    }
-    let stem_len = token.len() - suffix.len();
+/// Whether a suffix rule applies: the token ends with `suffix` and the stem
+/// it would leave is long enough.
+fn rule_applies(token: &str, suffix: &str) -> bool {
     // Keep at least three characters of stem so that words like "this" or
-    // "class" are not mangled into nonsense.
-    if stem_len < 3 {
-        return None;
-    }
-    // Do not strip "s" from words ending in "ss" ("class", "less").
-    if suffix == "s" && token.ends_with("ss") {
-        return None;
-    }
-    let mut out = String::with_capacity(stem_len + replacement.len());
-    out.push_str(&token[..stem_len]);
-    out.push_str(replacement);
-    Some(out)
+    // "class" are not mangled into nonsense, and do not strip "s" from
+    // words ending in "ss" ("class", "less").
+    token.ends_with(suffix)
+        && token.len() - suffix.len() >= 3
+        && !(suffix == "s" && token.ends_with("ss"))
 }
 
 #[cfg(test)]
@@ -173,22 +193,28 @@ mod tests {
         assert!(!is_stop_word("bread"));
     }
 
+    fn stemmed(token: &str) -> String {
+        let mut token = token.to_string();
+        stem(&mut token);
+        token
+    }
+
     #[test]
     fn stemmer_conflates_common_inflections() {
-        assert_eq!(stem("questions"), "question");
-        assert_eq!(stem("baking"), "bake");
-        assert_eq!(stem("answered"), "answer");
-        assert_eq!(stem("photos"), "photo");
-        assert_eq!(stem("cities"), "city");
-        assert_eq!(stem("organization"), "organize");
+        assert_eq!(stemmed("questions"), "question");
+        assert_eq!(stemmed("baking"), "bake");
+        assert_eq!(stemmed("answered"), "answer");
+        assert_eq!(stemmed("photos"), "photo");
+        assert_eq!(stemmed("cities"), "city");
+        assert_eq!(stemmed("organization"), "organize");
     }
 
     #[test]
     fn stemmer_leaves_short_and_awkward_words_alone() {
-        assert_eq!(stem("is"), "is");
-        assert_eq!(stem("cat"), "cat");
-        assert_eq!(stem("class"), "class");
-        assert_eq!(stem("less"), "less");
+        assert_eq!(stemmed("is"), "is");
+        assert_eq!(stemmed("cat"), "cat");
+        assert_eq!(stemmed("class"), "class");
+        assert_eq!(stemmed("less"), "less");
     }
 
     #[test]

@@ -69,16 +69,21 @@ impl Vocabulary {
         self.terms.is_empty()
     }
 
-    /// Registers one document's terms: every *distinct* term's document
-    /// frequency is incremented and the document counter advances.
-    pub fn observe_document<'a>(&mut self, terms: impl IntoIterator<Item = &'a str>) {
-        let mut seen: Vec<TermId> = terms.into_iter().map(|t| self.intern(t)).collect();
-        seen.sort_unstable();
-        seen.dedup();
-        for id in seen {
-            self.doc_freq[id.index()] += 1;
+    /// Counts one more document per run of term ids: every distinct id of
+    /// a run adds one to its term's document frequency, however often it
+    /// repeats there.
+    pub(crate) fn count_documents<'a>(&mut self, runs: impl IntoIterator<Item = &'a [TermId]>) {
+        // The number of the last document each term was counted for.
+        let mut last_seen = vec![u32::MAX; self.len()];
+        for run in runs {
+            for id in run {
+                if last_seen[id.index()] != self.num_documents {
+                    last_seen[id.index()] = self.num_documents;
+                    self.doc_freq[id.index()] += 1;
+                }
+            }
+            self.num_documents += 1;
         }
-        self.num_documents += 1;
     }
 
     /// Document frequency of a term.
@@ -100,10 +105,15 @@ impl Vocabulary {
     }
 
     /// Renumbers the terms in place, rarest first: by document frequency,
-    /// ties in first-seen order.
-    pub(crate) fn number_rarest_first(&mut self) {
+    /// ties in first-seen order.  Returns the renumbering: the new id of
+    /// each old id.
+    pub(crate) fn number_rarest_first(&mut self) -> Vec<TermId> {
         let mut order: Vec<u32> = (0..self.terms.len() as u32).collect();
         order.sort_by_key(|&old| self.doc_freq[old as usize]);
+        let mut renumbered = vec![TermId(0); order.len()];
+        for (new, &old) in order.iter().enumerate() {
+            renumbered[old as usize] = TermId(new as u32);
+        }
         // Term `order[new]` moves to `new`, one cycle at a time; a filled
         // slot is marked a fixed point.
         for start in 0..order.len() {
@@ -119,12 +129,19 @@ impl Vocabulary {
         for (id, term) in self.terms.iter().enumerate() {
             *self.index.get_mut(term).expect("every term is indexed") = TermId(id as u32);
         }
+        renumbered
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Interns `terms` and counts them as one more document.
+    fn observe(v: &mut Vocabulary, terms: impl IntoIterator<Item = impl AsRef<str>>) {
+        let ids: Vec<TermId> = terms.into_iter().map(|t| v.intern(t.as_ref())).collect();
+        v.count_documents([ids.as_slice()]);
+    }
 
     #[test]
     fn intern_is_idempotent() {
@@ -143,8 +160,8 @@ mod tests {
     #[test]
     fn document_frequencies_count_distinct_terms_per_document() {
         let mut v = Vocabulary::new();
-        v.observe_document(["a", "b", "a"]);
-        v.observe_document(["b", "c"]);
+        observe(&mut v, ["a", "b", "a"]);
+        observe(&mut v, ["b", "c"]);
         assert_eq!(v.num_documents(), 2);
         assert_eq!(v.doc_freq(v.get("a").unwrap()), 1);
         assert_eq!(v.doc_freq(v.get("b").unwrap()), 2);
@@ -154,9 +171,9 @@ mod tests {
     #[test]
     fn idf_decreases_with_document_frequency() {
         let mut v = Vocabulary::new();
-        v.observe_document(["rare", "common"]);
-        v.observe_document(["common"]);
-        v.observe_document(["common"]);
+        observe(&mut v, ["rare", "common"]);
+        observe(&mut v, ["common"]);
+        observe(&mut v, ["common"]);
         let rare = v.get("rare").unwrap();
         let common = v.get("common").unwrap();
         assert!(v.idf(rare) > v.idf(common));
@@ -166,10 +183,11 @@ mod tests {
     #[test]
     fn numbering_rarest_first_sorts_by_doc_freq_then_first_appearance() {
         let mut v = Vocabulary::new();
-        v.observe_document(["y", "x"]);
-        v.observe_document(["y", "z"]);
-        v.observe_document(["y"]);
-        v.number_rarest_first();
+        observe(&mut v, ["y", "x"]);
+        observe(&mut v, ["y", "z"]);
+        observe(&mut v, ["y"]);
+        // y, x, z were first seen in that order.
+        assert_eq!(v.number_rarest_first(), [TermId(2), TermId(0), TermId(1)]);
         let names: Vec<&str> = (0..3).map(|id| v.term(TermId(id))).collect();
         // x and z have df 1 (x appeared first), y has df 3.
         assert_eq!(names, vec!["x", "z", "y"]);
@@ -183,7 +201,8 @@ mod tests {
         let names: Vec<String> = (0..40).map(|t| format!("t{t}")).collect();
         let mut v = Vocabulary::new();
         for doc in 0..12usize {
-            v.observe_document(
+            observe(
+                &mut v,
                 names
                     .iter()
                     .enumerate()
