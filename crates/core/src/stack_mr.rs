@@ -276,6 +276,40 @@ impl StateReducer for PopLayer<'_> {
     }
 }
 
+/// The pop phase's seed: one record per node with a stacked edge, in node
+/// order, its adjacency the stacked edges alone in ascending edge id (the
+/// order of [`BipartiteGraph::incident_edges`]).  One walk over
+/// `layer_of` finds them.
+fn pop_records(
+    graph: &BipartiteGraph,
+    caps: &Capacities,
+    layer_of: &[u32],
+) -> Vec<(NodeId, PopNodeRecord)> {
+    let mut stacked = NodeTable::for_graph(graph, Vec::new());
+    for (e, _) in layer_of
+        .iter()
+        .enumerate()
+        .filter(|&(_, &l)| l != UNSTACKED)
+    {
+        let edge = graph.edge(e);
+        let (item, consumer) = (NodeId::Item(edge.item), NodeId::Consumer(edge.consumer));
+        stacked[item].push(AdjEdge::new(e, consumer, edge.weight));
+        stacked[consumer].push(AdjEdge::new(e, item, edge.weight));
+    }
+    graph
+        .nodes()
+        .filter_map(|node| {
+            let adjacency = std::mem::take(&mut stacked[node]);
+            let record = PopNodeRecord {
+                node,
+                residual: caps.of(node) as i64,
+                adjacency,
+            };
+            (!record.adjacency.is_empty()).then_some((node, record))
+        })
+        .collect()
+}
+
 // ---------------------------------------------------------------------------
 // The algorithm driver
 // ---------------------------------------------------------------------------
@@ -409,20 +443,7 @@ impl StackMr {
         // ------------------------------------------------------------------
         let mut matching = Matching::new(graph.num_edges());
         let mut pop_state = flow.round_state("stack-pop");
-        pop_state.seed(
-            build_node_records(graph, caps)
-                .into_iter()
-                .filter_map(|(node, mut r)| {
-                    r.adjacency.retain(|adj| layer_of[adj.edge] != UNSTACKED);
-                    let record = PopNodeRecord {
-                        node,
-                        residual: r.capacity as i64,
-                        adjacency: r.adjacency,
-                    };
-                    (!record.adjacency.is_empty()).then_some((node, record))
-                })
-                .collect(),
-        );
+        pop_state.seed(pop_records(graph, caps, &layer_of));
         if let Some(top) = num_layers.checked_sub(1) {
             pop_state.map(|_, record, out| nominate(&layer_of, top, record, out));
         }
