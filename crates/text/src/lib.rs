@@ -15,9 +15,11 @@
 //! * [`tfidf`] — the weighting schemes (tf·idf, tf, binary),
 //! * [`corpus`] — documents, vocabulary and vectors in one place, built in
 //!   one pass over the text: each token is interned once as it streams out
-//!   of the tokenizer, and each document is weighted from its term ids.
-//!   [`Corpus::vectorize`] vectorizes later text with one lookup per token
-//!   and gives a built document's text that document's vector bit for bit.
+//!   of the tokenizer (into a map that keeps std's randomly keyed hasher,
+//!   since its keys are words of the input), and each document is weighted
+//!   from its term ids.  [`Corpus::vectorize`] vectorizes later text with
+//!   one lookup per token and gives a built document's text that
+//!   document's vector bit for bit.
 //!
 //! # Example
 //!

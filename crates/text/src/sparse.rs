@@ -99,22 +99,8 @@ impl SparseVector {
         }
     }
 
-    /// Returns a copy scaled by `factor`.
-    pub fn scaled(&self, factor: f64) -> SparseVector {
-        SparseVector {
-            entries: self.entries.iter().map(|&(t, w)| (t, w * factor)).collect(),
-        }
-    }
-
-    /// Returns a copy normalized to unit L2 norm (unchanged if zero).
-    pub fn normalized(&self) -> SparseVector {
-        let mut v = self.clone();
-        v.normalize();
-        v
-    }
-
-    /// Scales the vector to unit L2 norm in place (unchanged if zero).
-    pub(crate) fn normalize(&mut self) {
+    /// Scales the vector to unit L2 norm (unchanged if zero).
+    pub fn normalized(mut self) -> SparseVector {
         let n = self.norm();
         if n != 0.0 {
             let factor = 1.0 / n;
@@ -122,6 +108,7 @@ impl SparseVector {
                 *w *= factor;
             }
         }
+        self
     }
 }
 
@@ -193,19 +180,11 @@ mod tests {
     #[test]
     fn normalized_has_unit_norm() {
         let a = v(&[(0, 2.0), (3, 2.0), (8, 1.0)]);
-        let n = a.normalized();
+        let n = a.clone().normalized();
         assert!((n.norm() - 1.0).abs() < 1e-12);
         // Direction is preserved.
         assert!((n.cosine(&a) - 1.0).abs() < 1e-12);
         // Normalizing the zero vector is a no-op.
         assert!(SparseVector::new().normalized().is_empty());
-    }
-
-    #[test]
-    fn scaled_multiplies_every_entry() {
-        let a = v(&[(0, 1.0), (1, -2.0)]);
-        let s = a.scaled(3.0);
-        assert_eq!(s.weight(TermId(0)), 3.0);
-        assert_eq!(s.weight(TermId(1)), -6.0);
     }
 }

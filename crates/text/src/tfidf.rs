@@ -63,11 +63,12 @@ impl Weigher {
             };
             (id, w)
         }));
-        let mut v = SparseVector::from_sorted(entries);
+        let v = SparseVector::from_sorted(entries);
         if self.normalize {
-            v.normalize();
+            v.normalized()
+        } else {
+            v
         }
-        v
     }
 }
 

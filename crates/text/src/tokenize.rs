@@ -119,32 +119,6 @@ pub fn is_stop_word(token: &str) -> bool {
     STOP_WORDS.binary_search(&token).is_ok()
 }
 
-/// Suffix rules of [`stem`], longer suffixes first: the first that applies
-/// wins.
-const SUFFIX_RULES: &[(&str, &str)] = &[
-    ("ations", "ate"),
-    ("ization", "ize"),
-    ("fulness", "ful"),
-    ("ousness", "ous"),
-    ("iveness", "ive"),
-    ("ation", "ate"),
-    ("ement", "e"),
-    ("ments", "ment"),
-    ("ingly", ""),
-    ("edly", ""),
-    ("iness", "y"),
-    ("ness", ""),
-    ("ing", "e"),
-    ("ies", "y"),
-    ("ied", "y"),
-    ("est", ""),
-    ("ers", "er"),
-    ("ed", ""),
-    ("ly", ""),
-    ("es", "e"),
-    ("s", ""),
-];
-
 /// A light rule-based suffix stemmer (subset of Porter's step-1 rules plus
 /// a few common derivational suffixes), applied in place.
 ///
@@ -155,9 +129,32 @@ pub fn stem(token: &mut String) {
     if token.len() <= 3 {
         return;
     }
-    if let Some((suffix, replacement)) = SUFFIX_RULES
-        .iter()
-        .find(|(suffix, _)| rule_applies(token, suffix))
+    // Order matters: try longer suffixes first.
+    let rules: &[(&str, &str)] = &[
+        ("ations", "ate"),
+        ("ization", "ize"),
+        ("fulness", "ful"),
+        ("ousness", "ous"),
+        ("iveness", "ive"),
+        ("ation", "ate"),
+        ("ement", "e"),
+        ("ments", "ment"),
+        ("ingly", ""),
+        ("edly", ""),
+        ("iness", "y"),
+        ("ness", ""),
+        ("ing", "e"),
+        ("ies", "y"),
+        ("ied", "y"),
+        ("est", ""),
+        ("ers", "er"),
+        ("ed", ""),
+        ("ly", ""),
+        ("es", "e"),
+        ("s", ""),
+    ];
+    if let Some((suffix, replacement)) =
+        rules.iter().find(|(suffix, _)| rule_applies(token, suffix))
     {
         token.truncate(token.len() - suffix.len());
         token.push_str(replacement);

@@ -298,7 +298,7 @@ proptest! {
         // Cauchy–Schwarz.
         prop_assert!(va.dot(&vb).abs() <= va.norm() * vb.norm() + 1e-9);
         // Normalization yields unit (or zero) norm and preserves direction.
-        let na = va.normalized();
+        let na = va.clone().normalized();
         if va.norm() > 0.0 {
             prop_assert!((na.norm() - 1.0).abs() < 1e-9);
             prop_assert!(na.dot(&va) >= -1e-9);
