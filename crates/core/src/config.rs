@@ -48,13 +48,13 @@ pub struct StackMrConfig {
     /// Seed of the pseudo-random generator used by the randomized maximal
     /// b-matching subroutine; runs with equal seeds are reproducible.
     pub seed: u64,
-    /// Safety bound on push rounds (the theoretical bound is
-    /// `O(log³n/ε² · log(w_max/w_min))` w.h.p.).
-    pub max_push_rounds: usize,
-    /// Safety bound on the iterations of one maximal-matching computation
-    /// (the expected number is `O(log³ n)`).
-    pub max_maximal_iterations: usize,
 }
+
+/// Safety bound on StackMR's push rounds and on the iterations of one
+/// maximal-matching computation.  The theoretical bounds are
+/// `O(log³n/ε² · log(w_max/w_min))` push rounds w.h.p. and `O(log³ n)`
+/// iterations in expectation.
+pub(crate) const STACK_MR_ROUND_BOUND: usize = 10_000;
 
 impl Default for StackMrConfig {
     fn default() -> Self {
@@ -62,8 +62,6 @@ impl Default for StackMrConfig {
             epsilon: 1.0,
             marking: MarkingStrategy::Random,
             seed: 42,
-            max_push_rounds: 10_000,
-            max_maximal_iterations: 10_000,
         }
     }
 }

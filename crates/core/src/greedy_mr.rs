@@ -14,11 +14,12 @@
 //!   pass over the seeded records; every later round's notes are emitted
 //!   by the reducer that wrote the record the round before;
 //! * **retirements** — a node retires once its matched degree reaches
-//!   `b(v)`.  The driver reads that off the matched edges each round
-//!   reports and marks the node in a [`NodeTable`] of retirements, which
-//!   the next round's reducer reads by reference: one flag per node in
-//!   driver RAM, outside the memory budget, instead of a note across
-//!   every edge the node still lists;
+//!   `b(v)`.  The driver counts each node's unmatched capacity down from
+//!   `b(v)` over the matched edges each round reports, in a [`NodeTable`]
+//!   the next round's reducer reads by reference: a neighbour at 0 has
+//!   retired.  That is one entry per node in driver RAM, outside the
+//!   memory budget, instead of a note across every edge the node still
+//!   lists;
 //! * **reduce** — every node gets its own record beside its notes and
 //!   reads its capacity, adjacency and own proposals off the record (its
 //!   `b(v)` heaviest live entries are kept in order at the front of its
@@ -65,11 +66,11 @@ fn propose(_node: &NodeId, record: &NodeRecord, out: &mut Emitter<NodeId, Greedy
 
 /// The reduce function of a GreedyMR round; its side output is the
 /// matched edges, each reported by both endpoints.  It drops the edges
-/// to the neighbours `retired` marks, and a node it keeps proposes for
-/// the next round.
+/// to the neighbours without unmatched capacity, which have retired, and
+/// a node it keeps proposes for the next round.
 struct IntersectReducer<'a> {
-    /// The nodes that had retired by the end of the round before.
-    retired: &'a NodeTable<bool>,
+    /// Every node's capacity left unmatched by the end of the round before.
+    unmatched: &'a NodeTable<u64>,
 }
 
 impl StateReducer for IntersectReducer<'_> {
@@ -99,7 +100,7 @@ impl StateReducer for IntersectReducer<'_> {
         record.adjacency.retain(|adj| {
             let proposed = idx < proposals;
             idx += 1;
-            let keep = if self.retired[adj.other] {
+            let keep = if self.unmatched[adj.other] == 0 {
                 // The neighbour has retired: drop the edge.
                 false
             } else if proposed && received.contains(adj.edge) {
@@ -156,8 +157,8 @@ impl GreedyMr {
     /// partitions of a [`smr_mapreduce::RoundState`] — in RAM within the memory budget's
     /// share per reduce task, in run files above it — and matched-out
     /// nodes retire from it as their reducers decide.  The driver keeps
-    /// each node's unmatched capacity and retirement beside the state,
-    /// one entry per node, updated from every round's matched edges.
+    /// each node's unmatched capacity beside the state, one entry per
+    /// node, updated from every round's matched edges.
     pub fn run(
         &self,
         graph: &BipartiteGraph,
@@ -185,7 +186,6 @@ impl GreedyMr {
         for v in graph.nodes() {
             unmatched[v] = caps.of(v);
         }
-        let mut retired = NodeTable::for_graph(graph, false);
         // The matched edge ids, ascending: summing their weights in this
         // order makes `Matching::value`'s additions in O(|M|), not O(|E|).
         let mut matched: Vec<EdgeId> = Vec::new();
@@ -197,7 +197,9 @@ impl GreedyMr {
             // Progress is guaranteed: the globally heaviest live edge is
             // the heaviest live edge of both of its endpoints, so both
             // propose it and it is matched.
-            let reducer = IntersectReducer { retired: &retired };
+            let reducer = IntersectReducer {
+                unmatched: &unmatched,
+            };
             for (edge, ()) in state.round(format!("round-{round}"), reducer) {
                 // Both endpoints report the edge; count it once.
                 if matching.insert(edge) {
@@ -205,7 +207,6 @@ impl GreedyMr {
                     let edge = graph.edge(edge);
                     for v in [NodeId::Item(edge.item), NodeId::Consumer(edge.consumer)] {
                         unmatched[v] -= 1;
-                        retired[v] = unmatched[v] == 0;
                     }
                 }
             }
@@ -444,12 +445,12 @@ mod tests {
         );
     }
 
-    /// The retirements of a round-state test: `retired` marked, every
-    /// other node of a 2×2 graph live.
-    fn retired_table(retired: &[NodeId]) -> NodeTable<bool> {
-        let mut table = NodeTable::new(2, 2, false);
+    /// The unmatched capacities of a round-state test: `retired` at 0,
+    /// every other node of a 2×2 graph live at 1.
+    fn unmatched_table(retired: &[NodeId]) -> NodeTable<u64> {
+        let mut table = NodeTable::new(2, 2, 1);
         for &v in retired {
-            table[v] = true;
+            table[v] = 0;
         }
         table
     }
@@ -457,19 +458,15 @@ mod tests {
     #[test]
     fn a_saturated_node_retires_and_its_neighbours_drop_the_edge_in_the_same_round() {
         // Item 0 saturated in an earlier round: it has no record left, and
-        // the driver's table marks it retired.  Consumer 0 still lists
-        // edge 0 to it, the heavier of its two edges.
+        // the driver's table holds no capacity for it.  Consumer 0 still
+        // lists edge 0 to it, the heavier of its two edges.
         let (t0, t1, c0) = (NodeId::item(0), NodeId::item(1), NodeId::consumer(0));
-        let retired = retired_table(&[t0]);
+        let unmatched = unmatched_table(&[t0]);
         let records = vec![
-            (t1, NodeRecord::new(t1, 1, vec![AdjEdge::new(1, c0, 1.0)])),
+            (t1, NodeRecord::new(1, vec![AdjEdge::new(1, c0, 1.0)])),
             (
                 c0,
-                NodeRecord::new(
-                    c0,
-                    1,
-                    vec![AdjEdge::new(0, t0, 2.0), AdjEdge::new(1, t1, 1.0)],
-                ),
+                NodeRecord::new(1, vec![AdjEdge::new(0, t0, 2.0), AdjEdge::new(1, t1, 1.0)]),
             ),
         ];
         // The round by hand: every node's notes, routed to their
@@ -490,7 +487,9 @@ mod tests {
         assert!(!sent.contains_key(&t1));
         let mut matched = Emitter::new();
         let mut proposals = Emitter::new();
-        let reducer = IntersectReducer { retired: &retired };
+        let reducer = IntersectReducer {
+            unmatched: &unmatched,
+        };
         let next: Vec<Option<NodeRecord>> = records
             .iter()
             .map(|(node, record)| {
@@ -501,9 +500,9 @@ mod tests {
         assert_eq!(
             next,
             vec![
-                Some(NodeRecord::new(t1, 1, vec![AdjEdge::new(1, c0, 1.0)])),
+                Some(NodeRecord::new(1, vec![AdjEdge::new(1, c0, 1.0)])),
                 // Consumer 0 proposed edge 0 in vain; edge 1 lives on.
-                Some(NodeRecord::new(c0, 1, vec![AdjEdge::new(1, t1, 1.0)])),
+                Some(NodeRecord::new(1, vec![AdjEdge::new(1, t1, 1.0)])),
             ]
         );
         assert!(matched.is_empty());
@@ -526,20 +525,16 @@ mod tests {
     }
 
     #[test]
-    fn a_neighbour_marked_retired_is_dropped_without_a_note() {
+    fn a_retired_neighbour_is_dropped_without_a_note() {
         // Consumer 0 (capacity 2) proposes both its edges, and item 1
-        // proposes edge 1 back.  Item 0 is marked retired and sent no
+        // proposes edge 1 back.  Item 0 has retired and sent no
         // note: edge 0 is dropped unmatched, edge 1 is matched.
         let (t0, t1, c0) = (NodeId::item(0), NodeId::item(1), NodeId::consumer(0));
-        let record = NodeRecord::new(
-            c0,
-            2,
-            vec![AdjEdge::new(0, t0, 2.0), AdjEdge::new(1, t1, 1.0)],
-        );
+        let record = NodeRecord::new(2, vec![AdjEdge::new(0, t0, 2.0), AdjEdge::new(1, t1, 1.0)]);
         let mut matched = Emitter::new();
         let mut next = Emitter::new();
         let kept = IntersectReducer {
-            retired: &retired_table(&[t0]),
+            unmatched: &unmatched_table(&[t0]),
         }
         .reduce(
             &c0,
@@ -556,7 +551,7 @@ mod tests {
         let mut matched = Emitter::new();
         let mut next = Emitter::new();
         let kept = IntersectReducer {
-            retired: &retired_table(&[]),
+            unmatched: &unmatched_table(&[]),
         }
         .reduce(
             &c0,
@@ -567,7 +562,7 @@ mod tests {
         );
         assert_eq!(
             kept,
-            Some(NodeRecord::new(c0, 1, vec![AdjEdge::new(0, t0, 2.0)]))
+            Some(NodeRecord::new(1, vec![AdjEdge::new(0, t0, 2.0)]))
         );
         assert_eq!(matched.into_pairs(), vec![(1, ())]);
         assert_eq!(next.into_pairs(), vec![(t0, RoundMsg::new(0, ()))]);
@@ -578,17 +573,14 @@ mod tests {
         // Item 0 (capacity 1) and consumer 0 propose edge 0 to each other
         // and match it; item 0 is then saturated but still lists edge 1,
         // which consumer 1 proposed.  It retires and sends nothing: the
-        // driver marks it retired from the matched edge.
+        // driver counts its capacity down from the matched edge.
         let (t0, c0, c1) = (NodeId::item(0), NodeId::consumer(0), NodeId::consumer(1));
-        let t0_record = NodeRecord::new(
-            t0,
-            1,
-            vec![AdjEdge::new(0, c0, 2.0), AdjEdge::new(1, c1, 1.0)],
-        );
+        let t0_record =
+            NodeRecord::new(1, vec![AdjEdge::new(0, c0, 2.0), AdjEdge::new(1, c1, 1.0)]);
         let mut matched = Emitter::new();
         let mut next = Emitter::new();
         let kept = IntersectReducer {
-            retired: &retired_table(&[]),
+            unmatched: &unmatched_table(&[]),
         }
         .reduce(
             &t0,

@@ -31,6 +31,10 @@
 //! its marks, selections or drops, each drawn once from the node's seeded
 //! generator — records it and emits the next stage's flags, so no stage
 //! re-reads the state in a map pass; only the first marks come from one.
+//! A working record keeps only what outlives a stage: the node's capacity
+//! and, per live edge, whether it is in F.  It does not name its node:
+//! the generator is seeded from the key the reducer gets beside it, and a
+//! neighbour's marks are read from the notes where they are used.
 //!
 //! "F saturates me" is a fact about a node, not an edge: the matching
 //! stage reports each node F saturates as side output, the driver marks
@@ -45,10 +49,10 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use smr_graph::{EdgeId, NodeId};
 use smr_mapreduce::flow::FlowContext;
-use smr_mapreduce::{Emitter, JobMetrics, StateReducer};
+use smr_mapreduce::{Emitter, StateReducer};
 use smr_storage::impl_codec_struct;
 
-use crate::config::MarkingStrategy;
+use crate::config::{MarkingStrategy, STACK_MR_ROUND_BOUND};
 use crate::state::{peer_notes, select_heaviest_prefix, AdjEdge, NodeRecord, NodeTable, RoundMsg};
 
 /// A per-edge annotation inside the working records of the matcher.
@@ -60,8 +64,6 @@ pub struct WorkEdge {
     pub other: NodeId,
     /// Edge weight.
     pub weight: f64,
-    /// Whether the other endpoint marked the edge in the current iteration.
-    pub marked_by_other: bool,
     /// Whether the edge is currently in the candidate set `F`.
     pub in_f: bool,
 }
@@ -70,7 +72,6 @@ impl_codec_struct!(WorkEdge {
     edge,
     other,
     weight,
-    marked_by_other,
     in_f
 });
 
@@ -80,28 +81,23 @@ impl WorkEdge {
             edge: adj.edge,
             other: adj.other,
             weight: adj.weight,
-            marked_by_other: false,
             in_f: false,
         }
     }
 }
 
-/// The working record of one node during the maximal-matching computation.
+/// The working record of one node during the maximal-matching
+/// computation, keyed by the node like a [`NodeRecord`] and, like it,
+/// without the node.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkRecord {
-    /// The node.
-    pub node: NodeId,
     /// Remaining capacity `c(v)` inside this computation.
     pub capacity: u64,
     /// Live edges of the working graph.
     pub edges: Vec<WorkEdge>,
 }
 
-impl_codec_struct!(WorkRecord {
-    node,
-    capacity,
-    edges
-});
+impl_codec_struct!(WorkRecord { capacity, edges });
 
 /// The message of the stage jobs ([`RoundMsg`]): a neighbour's
 /// stage-specific flag for one edge (marked / selected / dropped from F),
@@ -113,12 +109,9 @@ type FlagMsg = RoundMsg<()>;
 pub struct MaximalResult {
     /// The edges of the maximal b-matching.
     pub edges: Vec<EdgeId>,
-    /// Number of Garrido-style iterations executed.
+    /// Number of Garrido-style iterations executed, each four MapReduce
+    /// jobs.
     pub iterations: usize,
-    /// Number of MapReduce jobs executed (four per iteration).
-    pub jobs: usize,
-    /// Metrics of every job in order.
-    pub job_metrics: Vec<JobMetrics>,
     /// Largest encoded size the working records reached.
     pub max_round_state_bytes: u64,
 }
@@ -193,10 +186,11 @@ fn mark_notes(
     strategy: MarkingStrategy,
     seed: u64,
     iteration: u64,
+    node: NodeId,
     record: &WorkRecord,
     out: &mut Emitter<NodeId, FlagMsg>,
 ) {
-    let mut rng = node_rng(seed, iteration, record.node);
+    let mut rng = node_rng(seed, iteration, node);
     let to_mark = ((record.capacity as f64 / 2.0).ceil() as usize).max(1);
     let candidates: Vec<(usize, f64)> = record
         .edges
@@ -227,27 +221,20 @@ impl StateReducer for Mark {
 
     fn reduce(
         &self,
-        _node: &NodeId,
+        node: &NodeId,
         mut record: WorkRecord,
         msgs: &[FlagMsg],
         _out: &mut Matched,
         next: &mut Emitter<NodeId, FlagMsg>,
     ) -> Option<WorkRecord> {
         let marks = peer_notes(msgs);
-        for e in &mut record.edges {
-            e.marked_by_other = marks.contains(e.edge);
-        }
-        let mut rng = node_rng(
-            self.seed,
-            self.iteration.wrapping_add(0x5e1ec7),
-            record.node,
-        );
+        let mut rng = node_rng(self.seed, self.iteration.wrapping_add(0x5e1ec7), *node);
         let quota = ((record.capacity / 2) as usize).max(1);
         let candidates: Vec<(usize, f64)> = record
             .edges
             .iter()
             .enumerate()
-            .filter(|(_, e)| e.marked_by_other)
+            .filter(|(_, e)| marks.contains(e.edge))
             .map(|(i, e)| (i, e.weight))
             .collect();
         // The selection stage of Garrido et al. picks uniformly at random
@@ -287,7 +274,7 @@ impl StateReducer for Select {
 
     fn reduce(
         &self,
-        _node: &NodeId,
+        node: &NodeId,
         mut record: WorkRecord,
         msgs: &[FlagMsg],
         _out: &mut Matched,
@@ -297,11 +284,7 @@ impl StateReducer for Select {
         for e in &mut record.edges {
             e.in_f |= by_other.contains(e.edge);
         }
-        let mut rng = node_rng(
-            self.seed,
-            self.iteration.wrapping_add(0xf1f1f1),
-            record.node,
-        );
+        let mut rng = node_rng(self.seed, self.iteration.wrapping_add(0xf1f1f1), *node);
         let f_indices: Vec<usize> = record
             .edges
             .iter()
@@ -392,7 +375,7 @@ impl StateReducer for Cleanup<'_> {
 
     fn reduce(
         &self,
-        _node: &NodeId,
+        node: &NodeId,
         mut record: WorkRecord,
         msgs: &[FlagMsg],
         out: &mut Matched,
@@ -412,7 +395,14 @@ impl StateReducer for Cleanup<'_> {
         if record.edges.is_empty() {
             return None;
         }
-        mark_notes(self.strategy, self.seed, self.iteration + 1, &record, next);
+        mark_notes(
+            self.strategy,
+            self.seed,
+            self.iteration + 1,
+            *node,
+            &record,
+            next,
+        );
         Some(record)
     }
 }
@@ -428,18 +418,12 @@ pub struct MaximalMatcher {
     pub strategy: MarkingStrategy,
     /// Seed for the per-node pseudo-random generators.
     pub seed: u64,
-    /// Safety bound on the number of iterations.
-    pub max_iterations: usize,
 }
 
 impl MaximalMatcher {
     /// Creates a matcher.
     pub fn new(strategy: MarkingStrategy, seed: u64) -> Self {
-        MaximalMatcher {
-            strategy,
-            seed,
-            max_iterations: 10_000,
-        }
+        MaximalMatcher { strategy, seed }
     }
 
     /// Computes a maximal b-matching of the subgraph described by
@@ -482,20 +466,13 @@ impl MaximalMatcher {
                 .map(|(n, r)| {
                     let edges = r.adjacency.iter().map(WorkEdge::from_adj).collect();
                     let capacity = r.capacity;
-                    (
-                        *n,
-                        WorkRecord {
-                            node: r.node,
-                            capacity,
-                            edges,
-                        },
-                    )
+                    (*n, WorkRecord { capacity, edges })
                 })
                 .collect(),
         );
 
         let (strategy, seed) = (self.strategy, self.seed);
-        state.map(|_, record, out| mark_notes(strategy, seed, 0, record, out));
+        state.map(|node, record, out| mark_notes(strategy, seed, 0, *node, record, out));
         let (items, consumers) = records.iter().fold((0, 0), |(t, c), (node, _)| match node {
             NodeId::Item(i) => (t.max(i.index() + 1), c),
             NodeId::Consumer(j) => (t, c.max(j.index() + 1)),
@@ -504,9 +481,8 @@ impl MaximalMatcher {
         // the keys span every node cleanup looks up.
         let mut saturated = NodeTable::new(items, consumers, false);
 
-        let jobs_start = flow.num_jobs();
         let mut result = MaximalResult::default();
-        while !state.is_empty() && result.iterations < self.max_iterations {
+        while !state.is_empty() && result.iterations < STACK_MR_ROUND_BOUND {
             let iteration = result.iterations as u64;
             // One Garrido iteration = four rounds, each named for the
             // stage whose notes it consumes.
@@ -525,10 +501,8 @@ impl MaximalMatcher {
             result
                 .edges
                 .extend(matched.into_iter().map(|(edge, ())| edge));
-            result.jobs += 4;
             result.iterations += 1;
         }
-        result.job_metrics = flow.jobs_from(jobs_start);
         result.max_round_state_bytes = state.max_state_bytes();
         result.edges.sort_unstable();
         result.edges.dedup();
@@ -625,10 +599,17 @@ mod tests {
         }
     }
 
-    /// Test helper: run under a throwaway flow.
+    fn flow() -> FlowContext {
+        FlowContext::new(JobConfig::named("maximal-test").with_threads(2))
+    }
+
+    /// Test helper: run under a throwaway flow, which ran four jobs per
+    /// iteration.
     fn compute(m: &MaximalMatcher, records: &[(NodeId, NodeRecord)]) -> MaximalResult {
-        let flow = FlowContext::new(JobConfig::named("maximal-test").with_threads(2));
-        m.compute(records, &flow, "")
+        let flow = flow();
+        let result = m.compute(records, &flow, "");
+        assert_eq!(flow.num_jobs(), 4 * result.iterations);
+        result
     }
 
     #[test]
@@ -639,7 +620,6 @@ mod tests {
         let result = compute(&MaximalMatcher::new(MarkingStrategy::Random, 1), &records);
         assert_maximal(&g, &caps, &result.edges);
         assert!(result.iterations >= 1);
-        assert_eq!(result.jobs, result.iterations * 4);
     }
 
     #[test]
@@ -647,11 +627,10 @@ mod tests {
         let g = grid_graph(6, 6);
         let caps = Capacities::uniform(&g, 1, 1);
         let records = build_node_records(&g, &caps);
-        let result = compute(&MaximalMatcher::new(MarkingStrategy::Random, 1), &records);
-        let shuffled: Vec<u64> = result.job_metrics[..4]
-            .iter()
-            .map(|m| m.shuffle_records)
-            .collect();
+        let flow = flow();
+        let result = MaximalMatcher::new(MarkingStrategy::Random, 1).compute(&records, &flow, "");
+        let jobs = flow.report().jobs;
+        let shuffled: Vec<u64> = jobs[..4].iter().map(|m| m.shuffle_records).collect();
         let nodes = records.len() as u64;
         // Capacity 1: every node marks ⌈1/2⌉ = 1 edge, and selects at
         // most max(⌊1/2⌋, 1) = 1 of the edges marked towards it.
@@ -664,8 +643,7 @@ mod tests {
             "{shuffled:?} vs {entries}"
         );
         // Saturations are side data: no cleanup job shuffles anything.
-        let cleanups: Vec<u64> = result
-            .job_metrics
+        let cleanups: Vec<u64> = jobs
             .iter()
             .filter(|m| m.job_name.contains("-cleanup-"))
             .map(|m| m.shuffle_records)
@@ -698,8 +676,7 @@ mod tests {
         // By hand: the matching stage reports the centre, and each
         // unmatched leaf drops its edge to it, with no note, and retires.
         let centre = NodeId::item(0);
-        let work = |node: NodeId, capacity, edges: Vec<(EdgeId, NodeId, bool)>| WorkRecord {
-            node,
+        let work = |capacity, edges: Vec<(EdgeId, NodeId, bool)>| WorkRecord {
             capacity,
             edges: edges
                 .into_iter()
@@ -707,7 +684,6 @@ mod tests {
                     edge,
                     other,
                     weight: 1.0,
-                    marked_by_other: false,
                     in_f,
                 })
                 .collect(),
@@ -719,7 +695,7 @@ mod tests {
         let mut next = Emitter::new();
         MatchFix.reduce(
             &centre,
-            work(centre, 1, centre_edges),
+            work(1, centre_edges),
             &[],
             &mut reported,
             &mut next,
@@ -738,7 +714,7 @@ mod tests {
             let leaf = NodeId::consumer(c);
             let mut matched = Emitter::new();
             let mut marks = Emitter::new();
-            let record = work(leaf, 1, vec![(c as EdgeId, centre, false)]);
+            let record = work(1, vec![(c as EdgeId, centre, false)]);
             let kept = cleanup.reduce(&leaf, record, &[], &mut matched, &mut marks);
             assert_eq!(kept, None, "leaf {c} keeps no edge");
             assert!(matched.is_empty() && marks.is_empty());
@@ -786,7 +762,6 @@ mod tests {
         let result = compute(&MaximalMatcher::new(MarkingStrategy::Random, 0), &[]);
         assert!(result.edges.is_empty());
         assert_eq!(result.iterations, 0);
-        assert_eq!(result.jobs, 0);
     }
 
     #[test]

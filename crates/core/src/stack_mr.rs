@@ -27,25 +27,28 @@
 //! violations stay in the single-digit percent range (Figure 4).
 //!
 //! Every job is a round over partition-resident state
-//! ([`smr_mapreduce::RoundState`]): the push rounds over the nodes' duals
-//! and live edges, the maximal matcher over its working records, the pop
-//! rounds over residual capacities and stacked edges.  A node's record
-//! stays in its partition, and its reducer gets it beside the notes its
-//! neighbours sent across their shared edges.
+//! ([`smr_mapreduce::RoundState`]) of [`NodeRecord`]s: the push rounds
+//! over each node's capacity `b(v)` and live edges, the maximal matcher
+//! over its working records, the pop rounds over each node's residual
+//! capacity and stacked edges.  A node's record stays in its partition,
+//! and its reducer gets it beside the notes its neighbours sent across
+//! their shared edges.
 //!
 //! **Which notes travel.**  Both tests of the push phase read the ratio
 //! `y_u/b(u)` of the neighbour across each live edge.  That is a fact
 //! about the neighbour, not the edge, so it does not travel as a note
-//! per edge: a push reducer whose dual rose reports its new ratio as side
-//! output, and the driver writes it into a [`NodeTable`] of ratios that
-//! the next coverage and push reducers read by reference.  Every dual
-//! starts at 0, so every entry starts at 0.0, and a dual changes only in
-//! a push round, so the ratios a push reads are exactly the ones the
-//! coverage round before it tested.  The table is |V| entries in driver
-//! RAM, outside the memory budget, like the edge-indexed `layer_of`, and
-//! every push-phase job shuffles nothing.  The pop rounds send
-//! nominations across the popped layer's edges only, over a pop state
-//! that holds the stacked edges alone: a node with none has no record.
+//! per edge, and the dual is not in the record either: a push reducer
+//! whose dual rose reports its new `y_v` as side output, and the driver
+//! writes it into a [`NodeTable`] of duals and `y_v/b(v)` into one of
+//! ratios, which the next coverage and push reducers read by reference,
+//! their own ratio included.  Every dual starts at 0, so every entry
+//! starts at 0.0, and a dual changes only in a push round, so the ratios
+//! a push reads are exactly the ones the coverage round before it tested.
+//! The tables are |V| entries each in driver RAM, outside the memory
+//! budget, like the edge-indexed `layer_of`, and every push-phase job
+//! shuffles nothing.  The pop rounds send nominations across the popped
+//! layer's edges only, over a pop state that holds the stacked edges
+//! alone: a node with none has no record.
 //!
 //! The coverage test is symmetric — both ends add the same two ratios,
 //! `+` on `f64` is commutative, and both compare against the same
@@ -55,9 +58,8 @@
 use smr_graph::{BipartiteGraph, Capacities, EdgeId, Matching, NodeId};
 use smr_mapreduce::flow::FlowContext;
 use smr_mapreduce::{Emitter, StateReducer};
-use smr_storage::impl_codec_struct;
 
-use crate::config::{assert_valid_epsilon, MarkingStrategy, StackMrConfig};
+use crate::config::{assert_valid_epsilon, MarkingStrategy, StackMrConfig, STACK_MR_ROUND_BOUND};
 use crate::maximal::MaximalMatcher;
 use crate::result::{AlgorithmKind, MatchingRun};
 use crate::state::{build_node_records, peer_notes, AdjEdge, NodeRecord, NodeTable, RoundMsg};
@@ -66,31 +68,12 @@ use crate::state::{build_node_records, peer_notes, AdjEdge, NodeRecord, NodeTabl
 const UNSTACKED: u32 = u32::MAX;
 
 // ---------------------------------------------------------------------------
-// Push-phase records and messages
+// Push phase: the state is each node's capacity `b(v)`, which never
+// changes there, and its live (not yet weakly covered) edges.
 // ---------------------------------------------------------------------------
 
-/// The push-phase state of one node.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StackNodeRecord {
-    /// The node.
-    pub node: NodeId,
-    /// The node's capacity `b(v)` (never changes during the push phase).
-    pub capacity: u64,
-    /// The dual variable `y_v`.
-    pub dual: f64,
-    /// Live (not yet weakly covered) incident edges.
-    pub adjacency: Vec<AdjEdge>,
-}
-
-impl_codec_struct!(StackNodeRecord {
-    node,
-    capacity,
-    dual,
-    adjacency
-});
-
 /// Reducer of the coverage job: drops weakly covered edges, each tested
-/// against the neighbour's ratio in `ratios`, retires a node left without
+/// against the two ends' ratios in `ratios`, retires a node left without
 /// edges, and emits every other node's record, at its layer capacity, as
 /// the maximal-matching input.  It sends no notes.
 struct CoverageReducer<'a> {
@@ -101,7 +84,7 @@ struct CoverageReducer<'a> {
 
 impl StateReducer for CoverageReducer<'_> {
     type Key = NodeId;
-    type State = StackNodeRecord;
+    type State = NodeRecord;
     type Note = ();
     type OutKey = NodeId;
     type OutValue = NodeRecord;
@@ -109,13 +92,13 @@ impl StateReducer for CoverageReducer<'_> {
     fn reduce(
         &self,
         node: &NodeId,
-        mut record: StackNodeRecord,
+        mut record: NodeRecord,
         msgs: &[()],
         out: &mut Emitter<NodeId, NodeRecord>,
         _next: &mut Emitter<NodeId, ()>,
-    ) -> Option<StackNodeRecord> {
+    ) -> Option<NodeRecord> {
         debug_assert!(msgs.is_empty(), "a coverage round is sent no notes");
-        let own_ratio = record.dual / record.capacity as f64;
+        let own_ratio = self.ratios[*node];
         let weak_factor = self.config.weak_coverage_factor();
         record.adjacency.retain(|adj| {
             let lhs = own_ratio + self.ratios[adj.other];
@@ -128,27 +111,28 @@ impl StateReducer for CoverageReducer<'_> {
         let layer_capacity = self.config.layer_capacity(record.capacity);
         out.emit(
             *node,
-            NodeRecord::new(record.node, layer_capacity, record.adjacency.clone()),
+            NodeRecord::new(layer_capacity, record.adjacency.clone()),
         );
         Some(record)
     }
 }
 
 /// Reducer of the push job: raises `y_v` by `Σ δ(e)` over the node's edges
-/// on the pushed `layer`, each `δ(e)` from the neighbour's ratio in
-/// `ratios` — the one the coverage round before tested, as no dual has
-/// moved since — and, if the dual rose, reports the node's new
-/// `y_v / b(v)` as side output, for the driver to write into the table.
-/// It neither receives nor sends notes.
+/// on the pushed `layer`, each `δ(e)` from the two ends' ratios in
+/// `ratios` — the ones the coverage round before tested, as no dual has
+/// moved since — and, if the dual rose, reports the node's new `y_v` as
+/// side output, for the driver to write into the tables.  It neither
+/// receives nor sends notes, and leaves the record as it is.
 struct PushReducer<'a> {
     layer_of: &'a [u32],
     layer: u32,
+    duals: &'a NodeTable<f64>,
     ratios: &'a NodeTable<f64>,
 }
 
 impl StateReducer for PushReducer<'_> {
     type Key = NodeId;
-    type State = StackNodeRecord;
+    type State = NodeRecord;
     type Note = ();
     type OutKey = NodeId;
     type OutValue = f64;
@@ -156,13 +140,13 @@ impl StateReducer for PushReducer<'_> {
     fn reduce(
         &self,
         node: &NodeId,
-        mut record: StackNodeRecord,
+        record: NodeRecord,
         msgs: &[()],
         out: &mut Emitter<NodeId, f64>,
         _next: &mut Emitter<NodeId, ()>,
-    ) -> Option<StackNodeRecord> {
+    ) -> Option<NodeRecord> {
         debug_assert!(msgs.is_empty(), "a push round is sent no notes");
-        let own_ratio = record.dual / record.capacity as f64;
+        let own_ratio = self.ratios[*node];
         let mut increase = 0.0;
         for adj in &record.adjacency {
             if self.layer_of[adj.edge] != self.layer {
@@ -176,34 +160,18 @@ impl StateReducer for PushReducer<'_> {
             }
         }
         if increase > 0.0 {
-            record.dual += increase;
-            out.emit(*node, record.dual / record.capacity as f64);
+            out.emit(*node, self.duals[*node] + increase);
         }
         Some(record)
     }
 }
 
 // ---------------------------------------------------------------------------
-// Pop-phase records and messages
+// Pop phase: the state is each node's residual capacity and the edges it
+// has on the stack.  A layer can include up to `⌈ε·b(v)⌉` edges at a node
+// with one unit left, the paper's (1+ε) violation; the residual then stops
+// at 0, since all the phase asks of it is whether it is positive.
 // ---------------------------------------------------------------------------
-
-/// The pop-phase state of one node.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PopNodeRecord {
-    /// The node.
-    pub node: NodeId,
-    /// Residual capacity; may go negative by at most `⌈ε·b(v)⌉ − 1` when a
-    /// layer overshoots, which is exactly the paper's (1+ε) violation.
-    pub residual: i64,
-    /// All edges of the node that appear somewhere on the stack.
-    pub adjacency: Vec<AdjEdge>,
-}
-
-impl_codec_struct!(PopNodeRecord {
-    node,
-    residual,
-    adjacency
-});
 
 /// Message of a pop job ([`RoundMsg`]): a neighbour's nomination of one
 /// edge (the note itself is the payload).
@@ -214,10 +182,10 @@ type NominateMsg = RoundMsg<()>;
 fn nominate(
     layer_of: &[u32],
     layer: u32,
-    record: &PopNodeRecord,
+    record: &NodeRecord,
     out: &mut Emitter<NodeId, NominateMsg>,
 ) {
-    if record.residual > 0 {
+    if record.capacity > 0 {
         for adj in record
             .adjacency
             .iter()
@@ -242,7 +210,7 @@ struct PopLayer<'a> {
 
 impl StateReducer for PopLayer<'_> {
     type Key = NodeId;
-    type State = PopNodeRecord;
+    type State = NodeRecord;
     type Note = NominateMsg;
     type OutKey = EdgeId;
     type OutValue = ();
@@ -250,13 +218,13 @@ impl StateReducer for PopLayer<'_> {
     fn reduce(
         &self,
         _node: &NodeId,
-        mut record: PopNodeRecord,
+        mut record: NodeRecord,
         msgs: &[NominateMsg],
         out: &mut Emitter<EdgeId, ()>,
         next: &mut Emitter<NodeId, NominateMsg>,
-    ) -> Option<PopNodeRecord> {
+    ) -> Option<NodeRecord> {
         let nominated_by_other = peer_notes(msgs);
-        let active = record.residual > 0;
+        let active = record.capacity > 0;
         let mut included = 0;
         record.adjacency.retain(|adj| {
             let include = active
@@ -268,7 +236,7 @@ impl StateReducer for PopLayer<'_> {
             }
             !include
         });
-        record.residual -= included;
+        record.capacity = record.capacity.saturating_sub(included);
         if let Some(below) = self.layer.checked_sub(1) {
             nominate(self.layer_of, below, &record, next);
         }
@@ -277,14 +245,14 @@ impl StateReducer for PopLayer<'_> {
 }
 
 /// The pop phase's seed: one record per node with a stacked edge, in node
-/// order, its adjacency the stacked edges alone in ascending edge id (the
-/// order of [`BipartiteGraph::incident_edges`]).  One walk over
-/// `layer_of` finds them.
+/// order, at capacity `b(v)`, its adjacency the stacked edges alone in
+/// ascending edge id (the order of [`BipartiteGraph::incident_edges`]).
+/// One walk over `layer_of` finds them.
 fn pop_records(
     graph: &BipartiteGraph,
     caps: &Capacities,
     layer_of: &[u32],
-) -> Vec<(NodeId, PopNodeRecord)> {
+) -> Vec<(NodeId, NodeRecord)> {
     let mut stacked = NodeTable::for_graph(graph, Vec::new());
     for (e, _) in layer_of
         .iter()
@@ -300,12 +268,7 @@ fn pop_records(
         .nodes()
         .filter_map(|node| {
             let adjacency = std::mem::take(&mut stacked[node]);
-            let record = PopNodeRecord {
-                node,
-                residual: caps.of(node) as i64,
-                adjacency,
-            };
-            (!record.adjacency.is_empty()).then_some((node, record))
+            (!adjacency.is_empty()).then(|| (node, NodeRecord::new(caps.of(node), adjacency)))
         })
         .collect()
 }
@@ -364,21 +327,10 @@ impl StackMr {
         // Push phase.  Every dual starts at 0, so every ratio does too.
         // ------------------------------------------------------------------
         let mut push_state = flow.round_state("stack-push");
-        push_state.seed(
-            build_node_records(graph, caps)
-                .into_iter()
-                .map(|(node, r)| {
-                    let record = StackNodeRecord {
-                        node: r.node,
-                        capacity: r.capacity,
-                        dual: 0.0,
-                        adjacency: r.adjacency,
-                    };
-                    (node, record)
-                })
-                .collect(),
-        );
-        // Every node's y_v / b(v), written from each push's side output.
+        push_state.seed(build_node_records(graph, caps));
+        // Every node's y_v and y_v / b(v), written from each push's side
+        // output.
+        let mut duals = NodeTable::for_graph(graph, 0.0);
         let mut ratios = NodeTable::for_graph(graph, 0.0);
         // Each edge's top layer, UNSTACKED for an edge on none.  An edge
         // pushed again moves up to its new layer: only there can the pop
@@ -387,7 +339,7 @@ impl StackMr {
         let mut layer_of = vec![UNSTACKED; graph.num_edges()];
         let mut num_layers = 0u32;
 
-        for push_round in 0..self.config.max_push_rounds {
+        for push_round in 0..STACK_MR_ROUND_BOUND {
             flow.mark_round();
             // (1) Remove weakly covered edges; covered-out nodes retire.
             // The survivors at their layer capacities max(1, ⌈ε·b(v)⌉)
@@ -406,11 +358,10 @@ impl StackMr {
             value_per_round.push(0.0);
 
             // (2) Maximal b-matching of the surviving graph.
-            let matcher = MaximalMatcher {
-                strategy: self.config.marking,
-                seed: self.config.seed.wrapping_add(push_round as u64),
-                max_iterations: self.config.max_maximal_iterations,
-            };
+            let matcher = MaximalMatcher::new(
+                self.config.marking,
+                self.config.seed.wrapping_add(push_round as u64),
+            );
             let maximal = matcher.compute(&matcher_input, flow, &format!("maximal-{push_round}"));
             max_round_state_bytes = max_round_state_bytes.max(maximal.max_round_state_bytes);
             if maximal.edges.is_empty() {
@@ -428,10 +379,12 @@ impl StackMr {
             let push = PushReducer {
                 layer_of: &layer_of,
                 layer,
+                duals: &duals,
                 ratios: &ratios,
             };
-            for (node, ratio) in push_state.round(format!("push-{push_round}"), push) {
-                ratios[node] = ratio;
+            for (node, dual) in push_state.round(format!("push-{push_round}"), push) {
+                duals[node] = dual;
+                ratios[node] = dual / caps.of(node) as f64;
             }
         }
         max_round_state_bytes = max_round_state_bytes.max(push_state.max_state_bytes());
@@ -624,37 +577,28 @@ mod tests {
         assert_eq!(run.total_shuffled_records(), 77);
     }
 
-    /// Both endpoint records of one edge of weight `w`, at `duals` and
-    /// `caps`, and the ratio table their pushes would have filled.
+    /// Both endpoint records of one edge of weight `w` at `caps`, and the
+    /// ratio table their pushes would have filled with `duals`.
     fn edge_ends(
         w: f64,
         duals: (f64, f64),
         caps: (u64, u64),
-    ) -> ([StackNodeRecord; 2], NodeTable<f64>) {
+    ) -> ([(NodeId, NodeRecord); 2], NodeTable<f64>) {
         let (item, consumer) = (NodeId::item(0), NodeId::consumer(0));
-        let end = |node, other, capacity, dual| StackNodeRecord {
-            node,
-            capacity,
-            dual,
-            adjacency: vec![AdjEdge::new(0, other, w)],
-        };
+        let end = |other, capacity| NodeRecord::new(capacity, vec![AdjEdge::new(0, other, w)]);
         let mut ratios = NodeTable::new(1, 1, 0.0);
         ratios[item] = duals.0 / caps.0 as f64;
         ratios[consumer] = duals.1 / caps.1 as f64;
-        let ends = [
-            end(item, consumer, caps.0, duals.0),
-            end(consumer, item, caps.1, duals.1),
-        ];
+        let ends = [(item, end(consumer, caps.0)), (consumer, end(item, caps.1))];
         (ends, ratios)
     }
 
     /// Whether each end keeps the edge after a coverage round.
     fn kept_at_both_ends(
         config: &StackMrConfig,
-        (ends, ratios): ([StackNodeRecord; 2], NodeTable<f64>),
+        (ends, ratios): ([(NodeId, NodeRecord); 2], NodeTable<f64>),
     ) -> [bool; 2] {
-        ends.map(|record| {
-            let node = record.node;
+        ends.map(|(node, record)| {
             let mut out = Emitter::new();
             let mut next = Emitter::new();
             let coverage = CoverageReducer {
@@ -699,7 +643,7 @@ mod tests {
             assert_eq!(item_kept, consumer_kept, "tie dual {edge_dual}");
         }
         // The test reads the neighbour's ratio from the table alone.
-        let ([item, _], mut ratios) = edge_ends(w, (0.0, 0.0), (1, 1));
+        let ([(item, record), _], mut ratios) = edge_ends(w, (0.0, 0.0), (1, 1));
         ratios[NodeId::consumer(0)] = w;
         let mut out = Emitter::new();
         let mut next = Emitter::new();
@@ -707,7 +651,7 @@ mod tests {
             config: &config,
             ratios: &ratios,
         }
-        .reduce(&NodeId::item(0), item, &[], &mut out, &mut next);
+        .reduce(&item, record, &[], &mut out, &mut next);
         assert!(
             covered.is_none(),
             "the neighbour's new ratio covers the edge"
@@ -715,33 +659,21 @@ mod tests {
     }
 
     #[test]
-    fn a_push_fills_the_ratio_table_with_exactly_the_raised_duals() {
+    fn a_push_reports_exactly_the_raised_duals() {
         let g = random_graph(6, 8, 3);
         let caps = Capacities::from_vectors(
             (0..6).map(|t| 1 + t % 3).collect(),
             (0..8).map(|c| 1 + c % 2).collect(),
         );
         let config = test_config(5);
-        let records: Vec<(NodeId, StackNodeRecord)> = build_node_records(&g, &caps)
-            .into_iter()
-            .map(|(node, r)| {
-                let record = StackNodeRecord {
-                    node,
-                    capacity: r.capacity,
-                    dual: 0.0,
-                    adjacency: r.adjacency,
-                };
-                (node, record)
-            })
-            .collect();
         // The first coverage round and its maximal matching, by hand.
-        let mut ratios = NodeTable::for_graph(&g, 0.0);
+        let (duals, ratios) = (NodeTable::for_graph(&g, 0.0), NodeTable::for_graph(&g, 0.0));
         let mut matcher_input = Emitter::new();
         let coverage = CoverageReducer {
             config: &config,
             ratios: &ratios,
         };
-        let covered: Vec<(NodeId, StackNodeRecord)> = records
+        let covered: Vec<(NodeId, NodeRecord)> = build_node_records(&g, &caps)
             .into_iter()
             .filter_map(|(node, record)| {
                 let kept =
@@ -755,44 +687,88 @@ mod tests {
         for &edge in &layer {
             layer_of[edge] = 0;
         }
-        // The push: every record through the reducer, its side output
-        // into the table as the driver writes it.
+        // The push: every record through the reducer, unchanged.
         let push = PushReducer {
             layer_of: &layer_of,
             layer: 0,
+            duals: &duals,
             ratios: &ratios,
         };
         let mut raised = Emitter::new();
-        let pushed: Vec<StackNodeRecord> = covered
-            .into_iter()
-            .filter_map(|(node, record)| {
-                push.reduce(&node, record, &[], &mut raised, &mut Emitter::new())
+        for (node, record) in covered {
+            let kept = push.reduce(&node, record.clone(), &[], &mut raised, &mut Emitter::new());
+            assert_eq!(kept, Some(record), "{node}");
+        }
+        // Every ratio was 0, so each layer edge raises both ends by w/2,
+        // summed in adjacency order: exactly the layer endpoints report,
+        // each once, with exactly that dual.
+        let expected: Vec<(NodeId, f64)> = g
+            .nodes()
+            .filter_map(|v| {
+                let on_layer = g.incident_edges(v).iter().filter(|&&e| layer_of[e] == 0);
+                let mut increase = 0.0;
+                for &e in on_layer {
+                    increase += g.edge(e).weight / 2.0;
+                }
+                (increase > 0.0).then_some((v, increase))
             })
             .collect();
-        for (node, ratio) in raised.into_pairs() {
-            ratios[node] = ratio;
-        }
-        let mut rose = 0;
-        for record in &pushed {
-            let ratio = ratios[record.node];
-            if record.dual > 0.0 {
-                rose += 1;
-                assert_eq!(
-                    ratio.to_bits(),
-                    (record.dual / record.capacity as f64).to_bits(),
-                    "{}",
-                    record.node
-                );
-            } else {
-                assert_eq!(ratio.to_bits(), 0.0f64.to_bits(), "{}", record.node);
-            }
-        }
-        // Only layer endpoints rise, and every one of them does.
-        let on_layer = |node: NodeId| g.incident_edges(node).iter().any(|&e| layer_of[e] == 0);
-        assert_eq!(rose, g.nodes().filter(|&v| on_layer(v)).count());
-        for v in g.nodes().filter(|&v| !on_layer(v)) {
-            assert_eq!(ratios[v].to_bits(), 0.0f64.to_bits(), "{v}");
-        }
+        let bits = |pairs: Vec<(NodeId, f64)>| {
+            let mut bits: Vec<(NodeId, u64)> = pairs
+                .into_iter()
+                .map(|(v, dual)| (v, dual.to_bits()))
+                .collect();
+            bits.sort_unstable();
+            bits
+        };
+        assert_eq!(bits(raised.into_pairs()), bits(expected));
+    }
+
+    #[test]
+    fn a_layer_that_overshoots_the_residual_leaves_the_node_inactive() {
+        // Item 0 has one unit left and two edges on the top layer 1, both
+        // nominated by their other ends, and one edge on layer 0.
+        let t0 = NodeId::item(0);
+        let record = NodeRecord::new(
+            1,
+            (0..3)
+                .map(|e| AdjEdge::new(e, NodeId::consumer(e as u32), 1.0))
+                .collect(),
+        );
+        let layer_of = [1, 1, 0];
+        let top = PopLayer {
+            layer_of: &layer_of,
+            layer: 1,
+        };
+        let mut included = Emitter::new();
+        let mut below = Emitter::new();
+        let nominations = [RoundMsg::new(1, ()), RoundMsg::new(0, ())];
+        let kept = top.reduce(&t0, record, &nominations, &mut included, &mut below);
+        // Both edges enter the solution, a (1+ε) overshoot; the residual
+        // stops at 0 and the node nominates nothing on layer 0.
+        assert_eq!(included.into_pairs(), vec![(0, ()), (1, ())]);
+        let kept = kept.expect("a node keeps its record through the pop phase");
+        assert_eq!(kept.capacity, 0);
+        assert_eq!(
+            kept.adjacency,
+            vec![AdjEdge::new(2, NodeId::consumer(2), 1.0)]
+        );
+        assert!(below.is_empty(), "an inactive node nominates nothing");
+        // Nor does it include the edge below when its neighbour nominates it.
+        let bottom = PopLayer {
+            layer_of: &layer_of,
+            layer: 0,
+        };
+        let mut included = Emitter::new();
+        let kept = bottom.reduce(
+            &t0,
+            kept,
+            &[RoundMsg::new(2, ())],
+            &mut included,
+            &mut Emitter::new(),
+        );
+        assert!(included.is_empty());
+        assert_eq!(kept.map(|record| record.capacity), Some(0));
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! The node-centric graph representation shared by the MapReduce
 //! algorithms (Section 5.3 of the paper).
 //!
-//! Every record is keyed by a node and carries that node's local view of
-//! the graph: its residual capacity and the list of incident edges it still
-//! considers live.  Decisions are local to a node; reduce functions hold a
-//! node's record against its neighbours' notes about the edges they share,
-//! yielding a consistent graph representation as output.
+//! Every matcher's round state is one [`NodeRecord`] per node, keyed by
+//! the node: its residual capacity and the list of incident edges it still
+//! considers live.  A record never names its own node; the key does, and
+//! each reducer gets the key beside the record.  Decisions are local to a
+//! node; reduce functions hold a node's record against its neighbours'
+//! notes about the edges they share, yielding a consistent graph
+//! representation as output.
 //!
 //! The records are the partition-resident state of a
 //! [`smr_mapreduce::RoundState`]: a node's record never crosses the
@@ -17,8 +19,9 @@
 //! of the round says it means (not proposed, not marked, not covered …),
 //! so the shuffle carries the exceptions, not every live edge.
 //!
-//! A fact about a node rather than an edge — GreedyMR's "I retired", the
-//! maximal matcher's "F saturates me", StackMR's `y_v/b(v)` — would be a
+//! A fact about a node rather than an edge — GreedyMR's unmatched
+//! capacity, the maximal matcher's "F saturates me", StackMR's dual `y_v`
+//! and its ratio `y_v/b(v)` — would be a
 //! note across every edge the node still lists.  It travels instead as
 //! side output of the round that decides it, which the driver writes into
 //! a [`NodeTable`] and hands by reference to the next round's reducer.  A
@@ -60,11 +63,10 @@ impl AdjEdge {
     }
 }
 
-/// A node's view of the current graph state.
+/// A node's view of the current graph state.  The node itself is the
+/// record's key in the round state, so the record does not name it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeRecord {
-    /// The node this record describes.
-    pub node: NodeId,
     /// Remaining capacity of the node.
     pub capacity: u64,
     /// Incident edges the node still considers live.
@@ -72,16 +74,14 @@ pub struct NodeRecord {
 }
 
 impl_codec_struct!(NodeRecord {
-    node,
     capacity,
     adjacency
 });
 
 impl NodeRecord {
     /// Creates a record.
-    pub fn new(node: NodeId, capacity: u64, adjacency: Vec<AdjEdge>) -> Self {
+    pub fn new(capacity: u64, adjacency: Vec<AdjEdge>) -> Self {
         NodeRecord {
-            node,
             capacity,
             adjacency,
         }
@@ -316,7 +316,7 @@ pub fn build_node_records(graph: &BipartiteGraph, caps: &Capacities) -> Vec<(Nod
                     AdjEdge::new(e, edge.other_endpoint(v), edge.weight)
                 })
                 .collect();
-            (v, NodeRecord::new(v, caps.of(v), adjacency))
+            (v, NodeRecord::new(caps.of(v), adjacency))
         })
         .collect()
 }
@@ -351,8 +351,7 @@ mod tests {
         let caps = Capacities::uniform(&g, 2, 1);
         let records = build_node_records(&g, &caps);
         assert_eq!(records.len(), 4);
-        let (key, item0) = records.iter().find(|(k, _)| *k == NodeId::item(0)).unwrap();
-        assert_eq!(*key, item0.node);
+        let (_, item0) = records.iter().find(|(k, _)| *k == NodeId::item(0)).unwrap();
         assert_eq!(item0.capacity, 2);
         assert_eq!(item0.adjacency.len(), 2);
         assert_eq!(item0.adjacency[0].other, NodeId::consumer(0));
@@ -396,7 +395,6 @@ mod tests {
     fn heaviest_first_breaks_weight_ties_by_edge_id_and_survives_deletion() {
         // Built in descending edge-id order so the selection has work to do.
         let mut t0 = NodeRecord::new(
-            NodeId::item(0),
             2,
             (0..4)
                 .rev()
@@ -434,7 +432,6 @@ mod tests {
     #[should_panic(expected = "finite and positive")]
     fn heaviest_first_rejects_a_non_positive_weight() {
         let mut t0 = NodeRecord::new(
-            NodeId::item(0),
             1,
             vec![
                 AdjEdge::new(0, NodeId::consumer(0), 1.0),
@@ -466,7 +463,7 @@ mod tests {
                 .collect();
             let mut reference = adjacency.clone();
             reference.sort_by_key(|adj| (Reverse(adj.weight.to_bits()), adj.edge));
-            let mut record = NodeRecord::new(NodeId::item(0), rng.gen_range(1..7u64), adjacency);
+            let mut record = NodeRecord::new(rng.gen_range(1..7u64), adjacency);
 
             let mut kept = 0;
             loop {

@@ -12,7 +12,6 @@
 
 use smr_graph::NodeId;
 use smr_matching::maximal::{WorkEdge, WorkRecord};
-use smr_matching::stack_mr::{PopNodeRecord, StackNodeRecord};
 use smr_matching::state::{AdjEdge, NodeRecord, RoundMsg};
 use smr_storage::{Codec, CodecError};
 
@@ -60,94 +59,53 @@ fn adjacency_bytes() -> Vec<u8> {
 fn fixed_widths_are_the_sums_of_their_fields() {
     assert_eq!(NodeId::WIDTH, Some(5));
     assert_eq!(AdjEdge::WIDTH, Some(21));
-    assert_eq!(WorkEdge::WIDTH, Some(23));
+    assert_eq!(WorkEdge::WIDTH, Some(22));
     assert_eq!(RoundMsg::<()>::WIDTH, Some(8));
     assert_eq!(RoundMsg::<f64>::WIDTH, Some(16));
     assert_eq!(<(NodeId, RoundMsg<()>)>::WIDTH, Some(13));
     assert_eq!(<((usize, usize), f64)>::WIDTH, Some(24));
     assert_eq!(NodeRecord::WIDTH, None);
-    assert_eq!(StackNodeRecord::WIDTH, None);
-    assert_eq!(PopNodeRecord::WIDTH, None);
     assert_eq!(WorkRecord::WIDTH, None);
 }
 
 #[test]
 fn node_record_bytes() {
-    let record = NodeRecord::new(NodeId::consumer(7), 2, adjacency());
-    let expected = bytes(&[
-        &[1, 7, 0, 0, 0],
-        &[2, 0, 0, 0, 0, 0, 0, 0],
-        &adjacency_bytes(),
-    ]);
+    let record = NodeRecord::new(2, adjacency());
+    let expected = bytes(&[&[2, 0, 0, 0, 0, 0, 0, 0], &adjacency_bytes()]);
     golden(record, &expected);
-    golden(
-        NodeRecord::new(NodeId::item(0), 0, Vec::new()),
-        &bytes(&[&[0, 0, 0, 0, 0], &[0; 8], &[0; 8]]),
-    );
-}
-
-#[test]
-fn stack_node_record_bytes() {
-    let record = StackNodeRecord {
-        node: NodeId::item(65_536),
-        capacity: 3,
-        dual: 0.25,
-        adjacency: adjacency(),
-    };
-    let expected = bytes(&[
-        &[0, 0, 0, 1, 0],
-        &[3, 0, 0, 0, 0, 0, 0, 0],
-        &QUARTER,
-        &adjacency_bytes(),
-    ]);
-    golden(record, &expected);
-}
-
-#[test]
-fn pop_node_record_bytes() {
-    let record = PopNodeRecord {
-        node: NodeId::consumer(1),
-        residual: -1,
-        adjacency: adjacency(),
-    };
-    let expected = bytes(&[&[1, 1, 0, 0, 0], &[0xFF; 8], &adjacency_bytes()]);
-    golden(record, &expected);
+    golden(NodeRecord::new(0, Vec::new()), &[0; 16]);
 }
 
 #[test]
 fn work_record_bytes() {
     let record = WorkRecord {
-        node: NodeId::item(4),
         capacity: 1,
         edges: vec![
             WorkEdge {
                 edge: 9,
                 other: NodeId::consumer(5),
                 weight: 0.5,
-                marked_by_other: true,
                 in_f: false,
             },
             WorkEdge {
                 edge: 10,
                 other: NodeId::consumer(6),
                 weight: 0.25,
-                marked_by_other: false,
                 in_f: true,
             },
         ],
     };
     let expected = bytes(&[
-        &[0, 4, 0, 0, 0],
         &[1, 0, 0, 0, 0, 0, 0, 0],
         &[2, 0, 0, 0, 0, 0, 0, 0],
         &[9, 0, 0, 0, 0, 0, 0, 0],
         &[1, 5, 0, 0, 0],
         &HALF,
-        &[1, 0],
+        &[0],
         &[10, 0, 0, 0, 0, 0, 0, 0],
         &[1, 6, 0, 0, 0],
         &QUARTER,
-        &[0, 1],
+        &[1],
     ]);
     golden(record, &expected);
 }
@@ -219,7 +177,7 @@ fn a_length_past_the_input_is_refused() {
             "length {len}"
         );
     }
-    let mut record = NodeRecord::new(NodeId::item(0), 1, adjacency()).encode_to_vec();
+    let mut record = NodeRecord::new(1, adjacency()).encode_to_vec();
     record.pop();
     assert!(matches!(
         NodeRecord::decode_all(&record),
@@ -229,33 +187,31 @@ fn a_length_past_the_input_is_refused() {
 
 #[test]
 fn a_bad_tag_inside_an_adjacency_element_is_refused() {
-    // node (5) + capacity (8) + length (8) + the first entry's edge (8).
-    let mut record = NodeRecord::new(NodeId::item(0), 1, adjacency()).encode_to_vec();
-    assert_eq!(record[29], 0, "the first entry's NodeId tag");
-    record[29] = 2;
+    // capacity (8) + length (8) + the first entry's edge (8).
+    let mut record = NodeRecord::new(1, adjacency()).encode_to_vec();
+    assert_eq!(record[24], 0, "the first entry's NodeId tag");
+    record[24] = 2;
     assert!(matches!(
         NodeRecord::decode_all(&record),
         Err(CodecError::InvalidData(_))
     ));
 
-    // The second entry's `marked_by_other`: its edge, NodeId and weight
-    // follow the first 23-byte entry.
-    let edge = |marked_by_other| WorkEdge {
+    // The second entry's `in_f`: its edge, NodeId and weight follow the
+    // first 22-byte entry.
+    let edge = |in_f| WorkEdge {
         edge: 1,
         other: NodeId::consumer(1),
         weight: 0.5,
-        marked_by_other,
-        in_f: false,
+        in_f,
     };
     let work = WorkRecord {
-        node: NodeId::item(0),
         capacity: 1,
         edges: vec![edge(false), edge(true)],
     };
     let mut record = work.encode_to_vec();
-    let marked_at = 5 + 8 + 8 + 23 + 8 + 5 + 8;
-    assert_eq!(record[marked_at], 1);
-    record[marked_at] = 2;
+    let in_f_at = 8 + 8 + 22 + 8 + 5 + 8;
+    assert_eq!(record[in_f_at], 1);
+    record[in_f_at] = 2;
     assert!(matches!(
         WorkRecord::decode_all(&record),
         Err(CodecError::InvalidData(_))

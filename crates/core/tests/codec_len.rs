@@ -1,13 +1,12 @@
 //! `Codec::encoded_len` is exact for every codec the engine sizes data
 //! with — the primitives, `String`, `Vec`, `Option`, tuples, both struct
-//! macros, `NodeId`, `RoundMsg` and the four matcher state records:
+//! macros, `NodeId`, `RoundMsg` and the two matcher state records:
 //! state partitions and emitted notes spill by it, so an under-reporting
 //! codec would never spill.
 
 use proptest::prelude::*;
 use smr_graph::NodeId;
 use smr_matching::maximal::{WorkEdge, WorkRecord};
-use smr_matching::stack_mr::{PopNodeRecord, StackNodeRecord};
 use smr_matching::state::{AdjEdge, NodeRecord, RoundMsg};
 use smr_storage::{impl_codec_newtype, impl_codec_struct, Codec};
 
@@ -96,26 +95,21 @@ proptest! {
 
     #[test]
     fn matcher_state_records(
-        n in node(),
         capacity in any::<u64>(),
-        dual in any::<f64>(),
         adjacency in adjacency(),
-        flags in proptest::collection::vec((any::<bool>(), any::<bool>()), 0..6),
+        flags in proptest::collection::vec(any::<bool>(), 0..6),
     ) {
         let edges = adjacency
             .iter()
             .zip(&flags)
-            .map(|(adj, &(marked_by_other, in_f))| WorkEdge {
+            .map(|(adj, &in_f)| WorkEdge {
                 edge: adj.edge,
                 other: adj.other,
                 weight: adj.weight,
-                marked_by_other,
                 in_f,
             })
             .collect();
-        exact(&NodeRecord::new(n, capacity, adjacency.clone()))?;
-        exact(&WorkRecord { node: n, capacity, edges })?;
-        exact(&StackNodeRecord { node: n, capacity, dual, adjacency: adjacency.clone() })?;
-        exact(&PopNodeRecord { node: n, residual: capacity as i64, adjacency })?;
+        exact(&NodeRecord::new(capacity, adjacency))?;
+        exact(&WorkRecord { capacity, edges })?;
     }
 }
