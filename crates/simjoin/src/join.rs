@@ -632,13 +632,11 @@ mod tests {
     use smr_text::{Document, TokenizerConfig};
 
     fn tag_corpus(docs: &[(&str, &str)]) -> Corpus {
-        Corpus::build_weighted(
+        Corpus::build(
             docs.iter()
                 .map(|(id, text)| Document::new(*id, *text))
                 .collect(),
             &TokenizerConfig::tags_only(),
-            smr_text::Weighting::Binary,
-            true,
         )
     }
 

@@ -1,6 +1,6 @@
 //! Document corpus: documents, vocabulary and vectors in one place.
 //!
-//! [`Corpus::build_weighted`] takes the text to vectors in one pass over
+//! [`Corpus::build`] takes the text to vectors in one pass over
 //! it: the tokenizer hands each term to the vocabulary as a borrowed
 //! `&str`, which interns it with one hash-map lookup, and the document
 //! keeps only the term's `u32` id, all documents' ids in one flat buffer.
@@ -17,7 +17,7 @@
 //! for bit.
 
 use crate::sparse::SparseVector;
-use crate::tfidf::{Weigher, Weighting};
+use crate::tfidf::Weigher;
 use crate::tokenize::{Tokenizer, TokenizerConfig};
 use crate::vocab::{TermId, Vocabulary};
 
@@ -59,16 +59,6 @@ impl Corpus {
     /// Tokenizes and vectorizes `documents` with tf·idf weighting and L2
     /// normalization (so dot products are cosine similarities in `[0, 1]`).
     pub fn build(documents: Vec<Document>, tokenizer_config: &TokenizerConfig) -> Self {
-        Corpus::build_weighted(documents, tokenizer_config, Weighting::TfIdf, true)
-    }
-
-    /// Tokenizes and vectorizes with an explicit weighting scheme.
-    pub fn build_weighted(
-        documents: Vec<Document>,
-        tokenizer_config: &TokenizerConfig,
-        weighting: Weighting,
-        normalize: bool,
-    ) -> Self {
         let tokenizer = Tokenizer::new(tokenizer_config.clone());
         let mut vocab = Vocabulary::new();
         // Every document's term ids, document `d` at `ids[ends[d]..ends[d + 1]]`.
@@ -84,7 +74,7 @@ impl Corpus {
         for id in &mut ids {
             *id = renumbered[id.index()];
         }
-        let weigher = Weigher::new(&vocab, weighting, normalize);
+        let weigher = Weigher::new(&vocab);
         let vectors = ends
             .windows(2)
             .map(|pair| weigher.weigh(&mut ids[pair[0]..pair[1]]))
@@ -242,22 +232,6 @@ mod tests {
             let s = c.similarity(i, i);
             assert!((s - 1.0).abs() < 1e-9, "self similarity of doc {i} was {s}");
         }
-    }
-
-    #[test]
-    fn binary_weighting_can_be_selected() {
-        let c = Corpus::build_weighted(
-            vec![
-                Document::new("tagged-1", "beach sunset beach"),
-                Document::new("tagged-2", "beach mountain"),
-            ],
-            &TokenizerConfig::tags_only(),
-            Weighting::Binary,
-            false,
-        );
-        let beach = c.vocabulary().get("beach").unwrap();
-        assert_eq!(c.vector(0).weight(beach), 1.0);
-        assert_eq!(c.vector(1).weight(beach), 1.0);
     }
 
     #[test]

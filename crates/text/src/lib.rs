@@ -12,7 +12,7 @@
 //!   frequencies,
 //! * [`sparse`] — sparse vectors sorted by term id, with dot product,
 //!   norms and cosine similarity,
-//! * [`tfidf`] — the weighting schemes (tf·idf, tf, binary),
+//! * [`tfidf`] — tf·idf weighting to unit vectors,
 //! * [`corpus`] — documents, vocabulary and vectors in one place, built in
 //!   one pass over the text: each token is interned once as it streams out
 //!   of the tokenizer (into a map that keeps std's randomly keyed hasher,
@@ -46,7 +46,6 @@ pub mod vocab;
 
 pub use corpus::{Corpus, Document};
 pub use sparse::SparseVector;
-pub use tfidf::Weighting;
 pub use tokenize::{Tokenizer, TokenizerConfig};
 pub use vocab::{TermId, Vocabulary};
 
@@ -54,7 +53,6 @@ pub use vocab::{TermId, Vocabulary};
 pub mod prelude {
     pub use crate::corpus::{Corpus, Document};
     pub use crate::sparse::SparseVector;
-    pub use crate::tfidf::Weighting;
     pub use crate::tokenize::{Tokenizer, TokenizerConfig};
     pub use crate::vocab::{TermId, Vocabulary};
 }

@@ -9,7 +9,7 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 use social_content_matching::datagen::DatasetPreset;
-use social_content_matching::text::{Corpus, Document, TermId, TokenizerConfig, Weighting};
+use social_content_matching::text::{Corpus, Document, TermId, TokenizerConfig};
 
 /// The reference model of tokenization, vocabulary and weighting.
 mod model {
@@ -143,22 +143,15 @@ mod model {
     }
 
     /// A corpus as the model builds it: vocabulary and `(term, weight
-    /// bits)` vectors.
+    /// bits)` vectors, tf·idf weighted and scaled to unit norm.
     pub struct Corpus {
         pub config: TokenizerConfig,
         pub vocab: Vocabulary,
-        pub weighting: Weighting,
-        pub normalize: bool,
         pub vectors: Vec<Vec<(u32, u64)>>,
     }
 
     impl Corpus {
-        pub fn build(
-            texts: &[String],
-            config: &TokenizerConfig,
-            weighting: Weighting,
-            normalize: bool,
-        ) -> Self {
+        pub fn build(texts: &[String], config: &TokenizerConfig) -> Self {
             let streams: Vec<Vec<String>> = texts.iter().map(|t| tokenize(config, t)).collect();
             let mut vocab = Vocabulary::default();
             for tokens in &streams {
@@ -168,8 +161,6 @@ mod model {
             let mut corpus = Corpus {
                 config: config.clone(),
                 vocab,
-                weighting,
-                normalize,
                 vectors: Vec::new(),
             };
             corpus.vectors = streams.iter().map(|t| corpus.vectorize_tokens(t)).collect();
@@ -189,23 +180,14 @@ mod model {
             }
             let mut entries: Vec<(u32, f64)> = counts
                 .into_iter()
-                .map(|(id, tf)| {
-                    let w = match self.weighting {
-                        Weighting::TermFrequency => tf,
-                        Weighting::TfIdf => tf * self.vocab.idf(id),
-                        Weighting::Binary => 1.0,
-                    };
-                    (id, w)
-                })
+                .map(|(id, tf)| (id, tf * self.vocab.idf(id)))
                 .collect();
             entries.sort_by_key(|(t, _)| *t);
             entries.retain(|(_, w)| *w != 0.0);
-            if self.normalize {
-                let n = entries.iter().map(|(_, w)| w * w).sum::<f64>().sqrt();
-                if n != 0.0 {
-                    let factor = 1.0 / n;
-                    entries = entries.iter().map(|&(t, w)| (t, w * factor)).collect();
-                }
+            let n = entries.iter().map(|(_, w)| w * w).sum::<f64>().sqrt();
+            if n != 0.0 {
+                let factor = 1.0 / n;
+                entries = entries.iter().map(|&(t, w)| (t, w * factor)).collect();
             }
             entries.into_iter().map(|(t, w)| (t, w.to_bits())).collect()
         }
@@ -219,8 +201,8 @@ fn bits(v: &social_content_matching::text::SparseVector) -> Vec<(u32, u64)> {
         .collect()
 }
 
-/// Builds `texts` both ways under every tokenizer configuration, weighting
-/// and normalization, and asserts that the vocabulary, the document
+/// Builds `texts` both ways under every tokenizer configuration, and
+/// asserts that the vocabulary, the document
 /// frequencies, every document vector and the vector of every `held_out`
 /// text agree bit for bit.
 fn assert_matches_model(texts: &[String], held_out: &[String]) {
@@ -230,37 +212,28 @@ fn assert_matches_model(texts: &[String], held_out: &[String]) {
         .map(|(i, t)| Document::new(format!("d{i}"), t.as_str()))
         .collect();
     for config in [TokenizerConfig::default(), TokenizerConfig::tags_only()] {
-        for weighting in [
-            Weighting::TfIdf,
-            Weighting::TermFrequency,
-            Weighting::Binary,
-        ] {
-            for normalize in [true, false] {
-                let setting = format!("{config:?} {weighting:?} normalize={normalize}");
-                let model = model::Corpus::build(texts, &config, weighting, normalize);
-                let corpus =
-                    Corpus::build_weighted(documents.clone(), &config, weighting, normalize);
-                let vocab = corpus.vocabulary();
-                let terms: Vec<&str> = (0..vocab.len() as u32)
-                    .map(|id| vocab.term(TermId(id)))
-                    .collect();
-                assert_eq!(terms, model.vocab.terms, "terms, {setting}");
-                let dfs: Vec<u32> = (0..vocab.len() as u32)
-                    .map(|id| vocab.doc_freq(TermId(id)))
-                    .collect();
-                assert_eq!(dfs, model.vocab.doc_freq, "doc_freq, {setting}");
-                assert_eq!(vocab.num_documents(), model.vocab.num_documents);
-                for (d, expected) in model.vectors.iter().enumerate() {
-                    assert_eq!(&bits(corpus.vector(d)), expected, "doc {d}, {setting}");
-                }
-                for text in held_out.iter().chain(texts) {
-                    assert_eq!(
-                        bits(&corpus.vectorize(text)),
-                        model.vectorize(text),
-                        "vectorize({text:?}), {setting}"
-                    );
-                }
-            }
+        let setting = format!("{config:?}");
+        let model = model::Corpus::build(texts, &config);
+        let corpus = Corpus::build(documents.clone(), &config);
+        let vocab = corpus.vocabulary();
+        let terms: Vec<&str> = (0..vocab.len() as u32)
+            .map(|id| vocab.term(TermId(id)))
+            .collect();
+        assert_eq!(terms, model.vocab.terms, "terms, {setting}");
+        let dfs: Vec<u32> = (0..vocab.len() as u32)
+            .map(|id| vocab.doc_freq(TermId(id)))
+            .collect();
+        assert_eq!(dfs, model.vocab.doc_freq, "doc_freq, {setting}");
+        assert_eq!(vocab.num_documents(), model.vocab.num_documents);
+        for (d, expected) in model.vectors.iter().enumerate() {
+            assert_eq!(&bits(corpus.vector(d)), expected, "doc {d}, {setting}");
+        }
+        for text in held_out.iter().chain(texts) {
+            assert_eq!(
+                bits(&corpus.vectorize(text)),
+                model.vectorize(text),
+                "vectorize({text:?}), {setting}"
+            );
         }
     }
 }
@@ -371,7 +344,7 @@ fn the_presets_equal_the_reference_model() {
             "no such words here".to_string(),
         ];
         let config = TokenizerConfig::default();
-        let model = model::Corpus::build(&texts, &config, Weighting::TfIdf, true);
+        let model = model::Corpus::build(&texts, &config);
         let documents: Vec<Document> = data.items.into_iter().chain(data.consumers).collect();
         let corpus = Corpus::build(documents, &config);
         let vocab = corpus.vocabulary();
