@@ -91,7 +91,6 @@ mod session;
 mod worker;
 
 pub use session::{
-    is_worker_process, last_session_stats, run_sharded, session_active, SessionStats, ShardOptions,
-    ATTEMPT_ENV, DIR_ENV, FAIL_ENV, JOB_ENV, OCCURRENCE_ENV, ROLE_ENV, SESSION_ENV, SHARDS_ENV,
-    SHARD_ENV,
+    is_worker_process, last_session_stats, run_sharded, SessionStats, ShardOptions, ATTEMPT_ENV,
+    DIR_ENV, FAIL_ENV, JOB_ENV, OCCURRENCE_ENV, ROLE_ENV, SESSION_ENV, SHARDS_ENV, SHARD_ENV,
 };

@@ -18,7 +18,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
-use smr_mapreduce::process_shard::{clear_runtime, current_runtime, install_runtime};
+use smr_mapreduce::process_shard::{clear_runtime, install_runtime};
 
 use crate::coordinator::CoordinatorRuntime;
 use crate::worker::WorkerRuntime;
@@ -148,12 +148,6 @@ fn last_stats_slot() -> &'static Mutex<Option<SessionStats>> {
 /// process, if any.
 pub fn last_session_stats() -> Option<SessionStats> {
     *lock_ignoring_poison(last_stats_slot())
-}
-
-/// Whether a sharded session is currently active in this process (either
-/// side).
-pub fn session_active() -> bool {
-    current_runtime().is_some()
 }
 
 /// Whether this process is a spawned worker (of any session).

@@ -30,15 +30,6 @@ impl Edge {
         }
     }
 
-    /// The endpoint of this edge on the given side.
-    pub fn endpoint(&self, side_item: bool) -> NodeId {
-        if side_item {
-            NodeId::Item(self.item)
-        } else {
-            NodeId::Consumer(self.consumer)
-        }
-    }
-
     /// The endpoint opposite to `node`.
     ///
     /// # Panics
@@ -434,8 +425,6 @@ mod tests {
         assert!(e.touches(NodeId::item(3)));
         assert!(e.touches(NodeId::consumer(7)));
         assert!(!e.touches(NodeId::item(4)));
-        assert_eq!(e.endpoint(true), NodeId::item(3));
-        assert_eq!(e.endpoint(false), NodeId::consumer(7));
     }
 
     #[test]

@@ -154,16 +154,6 @@ impl Matching {
             .fold(0.0, f64::max)
     }
 
-    /// Merges another matching into this one (set union).
-    pub fn union_with(&mut self, other: &Matching) {
-        assert_eq!(self.selected.len(), other.selected.len());
-        for e in 0..self.selected.len() {
-            if other.selected[e] {
-                self.insert(e);
-            }
-        }
-    }
-
     /// Returns the selected edges as a sorted vector (convenient for tests
     /// and serialization).
     pub fn to_edge_vec(&self) -> Vec<EdgeId> {
@@ -244,15 +234,6 @@ mod tests {
         assert_eq!(ok.average_violation(&g, &caps), 0.0);
         assert_eq!(ok.max_violation(&g, &caps), 0.0);
         assert!(ok.violated_nodes(&g, &caps).is_empty());
-    }
-
-    #[test]
-    fn union_accumulates_edges() {
-        let mut a = Matching::from_edges(4, [0]);
-        let b = Matching::from_edges(4, [0, 3]);
-        a.union_with(&b);
-        assert_eq!(a.to_edge_vec(), vec![0, 3]);
-        assert_eq!(a.len(), 2);
     }
 
     #[test]

@@ -144,24 +144,6 @@ proptest! {
     }
 
     #[test]
-    fn union_value_is_bounded_by_sum_of_parts(
-        graph in graph_strategy(),
-        split in 0.0f64..1.0,
-    ) {
-        if graph.num_edges() == 0 {
-            return Ok(());
-        }
-        let cut = (graph.num_edges() as f64 * split) as usize;
-        let mut a = Matching::from_edges(graph.num_edges(), 0..cut);
-        let b = Matching::from_edges(graph.num_edges(), cut..graph.num_edges());
-        let a_value = a.value(&graph);
-        let b_value = b.value(&graph);
-        a.union_with(&b);
-        prop_assert_eq!(a.len(), graph.num_edges());
-        prop_assert!((a.value(&graph) - (a_value + b_value)).abs() < 1e-9);
-    }
-
-    #[test]
     fn similarity_histogram_counts_every_edge(graph in graph_strategy()) {
         let histogram = similarity_histogram(&graph, 8);
         let counted: u64 = histogram.counts.iter().sum::<u64>() + histogram.underflow;

@@ -162,11 +162,6 @@ impl<R: Codec> RunWriter<R> {
     /// Creates the file at `path` and writes the header, tagging the file
     /// with the record type's `type_name`.
     pub fn create(path: impl Into<PathBuf>) -> Result<Self, StorageError> {
-        Self::create_tagged(path, std::any::type_name::<R>())
-    }
-
-    /// Creates the file with an explicit type tag.
-    pub fn create_tagged(path: impl Into<PathBuf>, type_tag: &str) -> Result<Self, StorageError> {
         let path = path.into();
         let file = File::create(&path)?;
         let mut writer = BufWriter::new(file);
@@ -174,7 +169,7 @@ impl<R: Codec> RunWriter<R> {
         writer.write_all(&FORMAT_VERSION.to_le_bytes())?;
         writer.write_all(&COUNT_PENDING.to_le_bytes())?;
         let mut tag = Vec::new();
-        type_tag.to_string().encode(&mut tag);
+        std::any::type_name::<R>().to_string().encode(&mut tag);
         writer.write_all(&tag)?;
         Ok(RunWriter {
             writer,
