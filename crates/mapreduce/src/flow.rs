@@ -1,8 +1,8 @@
 //! A typed dataflow layer over the job executor.
 //!
-//! The paper's algorithms are *chains* of MapReduce jobs — the two-job
-//! similarity join of Section 4, the per-round jobs of GreedyMR and StackMR
-//! in Sections 5–6 — but [`crate::Job`] runs a single job.  This module
+//! The paper's algorithms are *chains* of MapReduce jobs — the similarity
+//! join of Section 4 followed by the per-round jobs of GreedyMR and
+//! StackMR in Sections 5–6 — but [`crate::Job`] runs a single job.  This module
 //! adds the API that callers chain jobs with:
 //!
 //! * [`FlowContext`] — shared execution state: the [`JobConfig`] every job
@@ -18,9 +18,9 @@
 //!   optionally name it and supply its counters, and
 //!   [`JobStage::reduce_with`] runs the job on the spot, yielding the
 //!   next `Dataset` in the chain.  A job built from an earlier job's
-//!   output (the similarity join builds an inverted index from job 1's
-//!   output and hands it to job 2's mapper) is plain straight-line code:
-//!   collect job 1, build job 2.  Mappers and reducers may borrow.
+//!   output, or from side data the driver builds (the similarity join's
+//!   probe mapper borrows a driver-built index), is plain straight-line
+//!   code: collect or build, then map.  Mappers and reducers may borrow.
 //! * [`RoundState`] — the state of an iterative chain, kept in partitions
 //!   beside its round jobs: a round has no map phase, its reducer joins
 //!   each key's state with the notes sent to it and emits the notes of the

@@ -5,14 +5,11 @@
 //! unindexed suffix starts.  The filter's term order is ascending term id
 //! (rarest first in a [`smr_text::Corpus`]): a prefix is `entries()[..plen]`.
 //!
-//! The batch join's job 1 and the standing
-//! [`crate::serving::ServingIndex`] both fill an [`InvertedIndex`] through
-//! [`IndexPlan::prefix_postings`], so they index exactly the same prefix
-//! entries with the same per-posting suffix remainder bound, in the same
-//! order within a term.  Both keep the complementary [`SuffixTable`],
-//! cut by the same [`IndexPlan::cut`].
+//! [`crate::serving::ServingIndex`] — the one index the batch join's probe
+//! job and the serving point queries both read — fills its
+//! [`InvertedIndex`] through [`IndexPlan::prefix_postings`] and keeps the
+//! complementary [`SuffixTable`], cut by the same [`IndexPlan::cut`].
 
-use smr_storage::impl_codec_struct;
 use smr_text::SparseVector;
 
 use crate::prefix::{prefix_length, suffix_remainder_bound, term_max_weights};
@@ -32,8 +29,6 @@ pub struct Posting {
     /// `accumulated score + bound` without fetching the vectors.
     pub bound: f64,
 }
-
-impl_codec_struct!(Posting { doc, weight, bound });
 
 /// The table prefix filtering is parameterised by: the per-term maxima of
 /// the *query* (item) side the prefixes are pruned against — the
@@ -210,13 +205,11 @@ pub struct InvertedIndex {
 }
 
 impl InvertedIndex {
-    /// Builds the index from raw `(term, posting)` records, such as job 1's
-    /// output.
+    /// Builds the index from raw `(term, posting)` records.
     ///
-    /// The reduce output interleaves terms of different engine partitions;
-    /// a *stable* sort by term restores term order while keeping each
-    /// term's postings in the order they arrived (the engine's
-    /// deterministic merge delivers them in doc order).
+    /// A *stable* sort by term restores term order while keeping each
+    /// term's postings in the order they arrived (doc order, for records
+    /// emitted consumer by consumer).
     pub fn from_records(mut records: Vec<(u32, Posting)>) -> Self {
         records.sort_by_key(|(term, _)| *term);
         let mut index = InvertedIndex {
@@ -314,26 +307,6 @@ mod tests {
 
     fn vec_of(entries: &[(u32, f64)]) -> SparseVector {
         SparseVector::from_entries(entries.iter().map(|&(t, w)| (TermId(t), w)))
-    }
-
-    #[test]
-    fn a_posting_is_a_fixed_width_record_of_its_three_fields() {
-        use smr_storage::Codec;
-        let posting = Posting {
-            doc: 0x0102,
-            weight: 0.5,
-            bound: 0.25,
-        };
-        let expected: Vec<u8> = [
-            [2, 1, 0, 0, 0, 0, 0, 0],
-            [0, 0, 0, 0, 0, 0, 0xE0, 0x3F],
-            [0, 0, 0, 0, 0, 0, 0xD0, 0x3F],
-        ]
-        .concat();
-        assert_eq!(Posting::WIDTH, Some(24));
-        assert_eq!(posting.encode_to_vec(), expected);
-        assert_eq!(posting.encoded_len(), 24);
-        assert_eq!(Posting::decode_all(&expected).unwrap(), posting);
     }
 
     #[test]

@@ -1,33 +1,31 @@
-//! The two-round MapReduce similarity join (adaptation of Baraglia et al.
+//! The one-job MapReduce similarity join (adaptation of Baraglia et al.
 //! to the bipartite item × consumer case), streaming end to end.
 //!
-//! * **Job 1 — indexing**: every consumer vector is mapped to
-//!   `(term, posting)` pairs for the terms of its prefix only; each
-//!   posting carries the consumer's *suffix remainder bound* (what the
-//!   pruned tail of its vector could still contribute to any dot product).
-//!   The reducer passes the grouped postings through unchanged — the
-//!   engine's deterministic merge already delivers them in doc order — and
-//!   the hand-off folds them into one in-RAM [`InvertedIndex`] that rides
-//!   in the probe mapper beside both corpora (the distributed-cache role).
-//! * **Job 2 — probing and verification**: every item probes the index
-//!   once with all its terms, accumulating `w_item · w_consumer`
-//!   **partial products** per candidate, in ascending term order.  A
-//!   candidate whose accumulated score plus remainder bound cannot reach
-//!   σ is pruned; every other candidate is finished on the spot
-//!   ([`Probe::finish`]).  Term ids ascend in the filter's order, so
-//!   the partial score is the dot product's first additions: the finish
-//!   continues it over the consumer's unindexed suffix (where the
-//!   hand-off's [`SuffixTable`] says it starts), merging only the tails
-//!   of the two vectors against the consumer vector the mapper already
-//!   holds — the similarity, bit for bit.  Only pairs whose
-//!   similarity reaches σ are emitted, so the shuffle carries true edges
-//!   only; its pass-through reducer fixes their order (hash partition,
-//!   then pair), and that order fixes the edge ids.
+//! * **Side data — the index**: the driver builds one [`ServingIndex`]
+//!   over the consumers ([`ServingIndex::for_corpora`]): every consumer's
+//!   prefix postings ([`crate::IndexPlan::prefix_postings`]),
+//!   each carrying the consumer's *suffix remainder bound* (what the
+//!   pruned tail of its vector could still contribute to any dot product),
+//!   folded into one in-RAM inverted index beside the consumer vectors and
+//!   the table of where each unindexed suffix starts.  Every probe mapper
+//!   borrows it (the distributed-cache role).
+//! * **The probe job — probing and verification**: every item probes the
+//!   index once with all its terms through [`ServingIndex::probe`],
+//!   accumulating `w_item · w_consumer` **partial products** per
+//!   candidate, in ascending term order.  A candidate whose accumulated
+//!   score plus remainder bound cannot reach σ is pruned; every other
+//!   candidate is finished on the spot ([`Probe::finish`]).  Term ids
+//!   ascend in the filter's order, so the partial score is the dot
+//!   product's first additions: the finish continues it over the
+//!   consumer's unindexed suffix, merging only the tails of the two
+//!   vectors — the similarity, bit for bit.  Only pairs whose similarity
+//!   reaches σ are emitted, so the shuffle carries true edges only; its
+//!   pass-through reducer fixes their order (hash partition, then pair),
+//!   and that order fixes the edge ids.
 //!
-//! The two jobs run one after the other as a [`Dataset`] chain over a
-//! shared [`FlowContext`]; the probe job reports the join's domain counters
-//! ([`counter`]) — `candidates_pruned`, `verify_exact` and `verify_dot`
-//! — in its [`JobMetrics::user_counters`].
+//! The job runs as a [`Dataset`] over a shared [`FlowContext`] and reports
+//! the join's domain counters ([`counter`]) — `candidates_pruned`,
+//! `verify_exact` and `verify_dot` — in its [`JobMetrics::user_counters`].
 //!
 //! The output is the candidate-edge [`BipartiteGraph`] handed to the
 //! matching algorithms, byte-identical to an exact all-pairs join
@@ -36,23 +34,24 @@
 //! Each decision of the stage is stated once and called from everywhere
 //! it applies — the exact join, the sketch generators of `smr_sketch` and
 //! the serving path: *alignment* ([`AlignedCorpora`]), the *index plan*
-//! and prefix/suffix cut ([`IndexPlan`]), the *probe* ([`probe_index`]
+//! and prefix/suffix cut ([`crate::IndexPlan`]), the *probe* ([`probe_index`]
 //! handing the query to a visitor, pruning with [`survives`]), the
 //! *finish* ([`Probe::finish`]; [`verify_candidates`] for generators
-//! without partial scores) and the *chain*
-//! ([`candidate_chain`], with [`prefix_filter_join`] its index → probe
-//! instance).
+//! without partial scores), the one probe loop that joins the two
+//! ([`ServingIndex::probe`], shared by the batch probe mapper and the
+//! serving point query) and the *chain* ([`candidate_chain`], with
+//! [`prefix_filter_join`] its prefix-filter instance).
 
 use smr_graph::{BipartiteGraph, GraphBuilder};
 use smr_mapreduce::flow::{Dataset, FlowContext};
-use smr_mapreduce::types::{Key, Value};
 use smr_mapreduce::{Counters, Emitter, IdentityReducer, JobMetrics, Mapper};
 use smr_text::sparse::add_products;
 use smr_text::{Corpus, SparseVector, TermId};
 
 use crate::accum::ScoreAccumulator;
 use crate::align::AlignedCorpora;
-use crate::index::{IndexPlan, InvertedIndex, Posting, PostingsRef, SuffixTable};
+use crate::index::{InvertedIndex, PostingsRef, SuffixTable};
+use crate::serving::ServingIndex;
 
 /// Names of the join's domain counters, reported in the probe job's
 /// [`JobMetrics::user_counters`].
@@ -94,32 +93,6 @@ const PRUNE_SLACK: f64 = 1e-9;
 /// generator is measured against).
 pub const EXACT_GENERATOR: &str = "exact";
 
-/// Shuffle volume of one MapReduce stage of a candidate generator — the
-/// same two fields for every stage of every generator, so a frontier table
-/// can read generators' communication costs uniformly instead of fishing
-/// in probe-path-specific counters.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StageShuffle {
-    /// The stage's job name (from the generator's `Dataset` chain).
-    pub job_name: String,
-    /// Records that crossed this stage's shuffle.
-    pub records: u64,
-    /// Bytes that crossed this stage's shuffle.
-    pub bytes: u64,
-}
-
-/// The per-stage shuffle counters of a job sequence, in execution order.
-pub fn stage_shuffles(job_metrics: &[JobMetrics]) -> Vec<StageShuffle> {
-    job_metrics
-        .iter()
-        .map(|m| StageShuffle {
-            job_name: m.job_name.clone(),
-            records: m.shuffle_records,
-            bytes: m.shuffle_bytes,
-        })
-        .collect()
-}
-
 /// Result of the MapReduce similarity join.
 #[derive(Debug, Clone)]
 pub struct SimJoinResult {
@@ -141,49 +114,21 @@ pub struct SimJoinResult {
     /// a suffix-tail product ([`Probe::finish`]), or a full dot product
     /// for sampled probes and generators without partial scores.
     pub verify_dot: usize,
-    /// Number of (term, document) entries indexed by job 1 (after prefix
-    /// pruning); for sketch generators, the size of whatever standing
-    /// structure job 1 built (e.g. MinHash band postings).
+    /// Number of `(term, document)` postings of the driver-built index
+    /// after prefix pruning ([`ServingIndex::num_postings`]); for sketch
+    /// generators, the size of whatever standing structure the driver
+    /// built for the probe (e.g. MinHash band postings).
     pub indexed_entries: usize,
-    /// Per-stage shuffle volume, uniform across generators (derived from
-    /// [`SimJoinResult::job_metrics`]).
-    pub stage_shuffles: Vec<StageShuffle>,
-    /// Total records shuffled across the generator's jobs.
+    /// Records the generator's probe job shuffled.
     pub shuffled_records: u64,
-    /// Total bytes shuffled across the generator's jobs.
+    /// Bytes the generator's probe job shuffled.
     pub shuffled_bytes: u64,
-    /// Metrics of the generator's MapReduce jobs.
+    /// Metrics of the generator's MapReduce job (exactly one).
     pub job_metrics: Vec<JobMetrics>,
 }
 
 // ---------------------------------------------------------------------------
-// Job 1: indexing
-// ---------------------------------------------------------------------------
-
-/// Job 1's mapper: emits each consumer's prefix postings
-/// ([`IndexPlan::prefix_postings`]).
-struct IndexMapper<'a> {
-    consumers: &'a [SparseVector],
-    plan: &'a IndexPlan,
-    sigma: f64,
-}
-
-impl Mapper for IndexMapper<'_> {
-    type InKey = usize; // consumer dense index
-    type InValue = usize; // ditto (the corpus itself rides in the mapper)
-    type OutKey = u32; // term id
-    type OutValue = Posting;
-
-    fn map(&self, doc: &usize, _: &usize, out: &mut Emitter<u32, Posting>) {
-        self.plan
-            .prefix_postings(*doc, &self.consumers[*doc], self.sigma, |term, posting| {
-                out.emit(term, posting)
-            });
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Job 2: probing + exact verification
+// The probe: walk, prune, finish
 // ---------------------------------------------------------------------------
 
 /// The accumulated evidence for one candidate pair: the sum of partial
@@ -380,17 +325,14 @@ fn count(counters: &Counters, name: &str, delta: u64) {
     }
 }
 
-/// Job 2's mapper: probes the index with every item through `visit` (the
-/// visitor of [`probe_index`], additionally told which item is probing)
-/// and finishes the surviving candidates against the in-RAM consumer
-/// vectors and their suffixes ([`Probe::finish`]) — neither a pruned nor
-/// a failed candidate crosses the shuffle.
+/// The probe job's mapper: probes the driver-built index with every item
+/// through `visit` (the visitor of [`probe_index`], additionally told
+/// which item is probing) and emits the edges [`ServingIndex::probe`]
+/// finishes — neither a pruned nor a failed candidate crosses the
+/// shuffle.
 struct ProbeMapper<'a, F> {
     items: &'a [SparseVector],
-    consumers: &'a [SparseVector],
-    index: InvertedIndex,
-    suffixes: SuffixTable,
-    sigma: f64,
+    index: &'a ServingIndex,
     counters: Counters,
     visit: F,
 }
@@ -405,18 +347,11 @@ where
     type OutValue = f64; // exact similarity, ≥ σ
 
     fn map(&self, item: &usize, _: &usize, out: &mut Emitter<(usize, usize), f64>) {
-        let vector = &self.items[*item];
-        let probe = probe_index(
-            &self.index,
-            vector.entries(),
-            self.sigma,
+        let (probe, dots) = self.index.probe(
+            &self.items[*item],
             |index, query, scores| (self.visit)(*item, index, query, scores),
+            |doc, similarity| out.emit((*item, doc), similarity),
         );
-        let dots = probe.finish(vector, self.consumers, &self.suffixes, |doc, similarity| {
-            if similarity >= self.sigma {
-                out.emit((*item, doc), similarity);
-            }
-        });
         count(&self.counters, counter::CANDIDATES_PRUNED, probe.pruned);
         count(
             &self.counters,
@@ -428,16 +363,16 @@ where
 }
 
 // ---------------------------------------------------------------------------
-// The two-job chain
+// The one-job chain
 // ---------------------------------------------------------------------------
 
-/// Runs the exact two-job join between item and consumer corpora.
+/// Runs the exact one-job join between item and consumer corpora.
 ///
 /// The two corpora are first aligned over a shared vocabulary
 /// ([`AlignedCorpora::of`] — they are usually built independently, so
 /// their term ids would not otherwise line up); pre-aligned vectors can be
-/// joined directly with [`mapreduce_similarity_join_vectors_flow`].  Both
-/// jobs run as a `Dataset` chain under the flow's `JobConfig` and report
+/// joined directly with [`mapreduce_similarity_join_vectors_flow`].  The
+/// probe job runs as a `Dataset` under the flow's `JobConfig` and reports
 /// into the flow's [`smr_mapreduce::FlowReport`] alongside any other jobs
 /// of the surrounding pipeline.
 pub fn mapreduce_similarity_join_flow(
@@ -480,13 +415,12 @@ pub fn mapreduce_similarity_join_vectors_flow(
     )
 }
 
-/// The prefix-filter instance of [`candidate_chain`]: stage 1
-/// (`{stage_prefix}index`) builds the pruned inverted index from the
-/// [`IndexPlan`] of the two sides; the hand-off folds it into one in-RAM
-/// [`InvertedIndex`] and cuts the consumers' [`SuffixTable`] beside it;
-/// stage 2 (`{stage_prefix}probe`) probes it with `visit` —
-/// partial-product accumulation, suffix-bound pruning and exact
-/// verification ([`Probe::finish`]), all in the mapper.
+/// The prefix-filter instance of [`candidate_chain`]: the driver builds
+/// one [`ServingIndex`] over the two sides ([`ServingIndex::for_corpora`])
+/// as side data, and the probe job (`{stage_prefix}probe`) probes it with
+/// `visit` through [`ServingIndex::probe`] — partial-product
+/// accumulation, suffix-bound pruning and exact verification
+/// ([`Probe::finish`]), all in the mapper.
 ///
 /// `visit` is [`probe_index`]'s visitor, additionally told which item is
 /// probing.  The exact join passes [`probe_postings`]; a sampling
@@ -509,9 +443,9 @@ pub fn prefix_filter_join<F>(
 where
     F: Fn(usize, &InvertedIndex, &[(TermId, f64)], &mut ScoreAccumulator) + Send + Sync,
 {
-    // The job inputs are dense indices; the corpora ride in the mappers
-    // by reference (the consumers in both jobs').
-    let plan = IndexPlan::derive(items.0, consumers.0);
+    // The job input is the items' dense indices; the items and the index
+    // ride in the mappers by reference.
+    let index = ServingIndex::for_corpora(items.0, consumers.0, sigma);
     let probe_counters = counters.clone();
     candidate_chain(
         generator,
@@ -520,27 +454,12 @@ where
         sigma,
         flow,
         counters,
-        |consumer_ids| {
-            consumer_ids
-                .map_with(IndexMapper {
-                    consumers: consumers.0,
-                    plan: &plan,
-                    sigma,
-                })
-                .named(format!("{stage_prefix}index"))
-                .reduce_with(IdentityReducer::new())
-        },
-        |postings, item_ids| {
-            // Job 1's output becomes job 2's side data: one in-RAM index
-            // shared by every probe mapper, beside the corpora they read
-            // and the consumers' unindexed suffixes.
+        index.num_postings(),
+        |item_ids| {
             item_ids
                 .map_with(ProbeMapper {
                     items: items.0,
-                    consumers: consumers.0,
-                    index: InvertedIndex::from_records(postings),
-                    suffixes: SuffixTable::build(&plan, consumers.0, sigma),
-                    sigma,
+                    index: &index,
                     counters: probe_counters.clone(),
                     visit,
                 })
@@ -551,39 +470,36 @@ where
     )
 }
 
-/// The one two-job chain under every candidate generator: runs
-/// `index_job` over the consumers' dense indices, hands its output — with
-/// the items' dense indices — to `probe_job`, which returns the sealed
-/// second job emitting verified `((item, consumer), similarity)` edges;
-/// then closes the candidate accounting and assembles the edges into the
-/// candidate graph.
+/// The one-job chain under every candidate generator: hands the items'
+/// dense indices to `probe_job`, which returns the sealed job emitting
+/// verified `((item, consumer), similarity)` edges; then closes the
+/// candidate accounting and assembles the edges into the candidate graph.
 ///
-/// Each closure's job runs when it calls `reduce_with`, index job first;
-/// records flow between the stages by move.  `counters` must be the set `probe_job`
-/// runs its job with: the accounting reads [`counter`]'s names from it,
-/// and `candidate_pairs = candidates_pruned + verify_exact` for every
-/// generator (one that never prunes leaves that counter at zero), with
-/// `verify_dot ≤ verify_exact`.
+/// The caller builds whatever the probe reads on the driver, before the
+/// job, and reports its size as `indexed_entries`.  The job runs when
+/// `probe_job` calls `reduce_with`.  `counters` must be the set
+/// `probe_job` runs its job with: the accounting reads [`counter`]'s
+/// names from it, and `candidate_pairs = candidates_pruned + verify_exact`
+/// for every generator (one that never prunes leaves that counter at
+/// zero), with `verify_dot ≤ verify_exact`.
 #[allow(clippy::too_many_arguments)]
-pub fn candidate_chain<K: Key, V: Value>(
+pub fn candidate_chain(
     generator: &str,
     (item_vectors, item_names): (&[SparseVector], &[String]),
     (consumer_vectors, consumer_names): (&[SparseVector], &[String]),
     sigma: f64,
     flow: &FlowContext,
     counters: Counters,
-    index_job: impl FnOnce(Dataset<usize, usize>) -> Dataset<K, V>,
-    probe_job: impl FnOnce(Vec<(K, V)>, Dataset<usize, usize>) -> Dataset<(usize, usize), f64>,
+    indexed_entries: usize,
+    probe_job: impl FnOnce(Dataset<usize, usize>) -> Dataset<(usize, usize), f64>,
 ) -> SimJoinResult {
     assert_eq!(item_vectors.len(), item_names.len());
     assert_eq!(consumer_vectors.len(), consumer_names.len());
     assert!(sigma > 0.0, "threshold must be positive");
 
     let jobs_start = flow.num_jobs();
-    let dense = |n: usize| -> Vec<(usize, usize)> { (0..n).map(|i| (i, i)).collect() };
-    let indexed = index_job(flow.dataset(dense(consumer_vectors.len()))).collect();
-    let indexed_entries = indexed.len();
-    let verified = probe_job(indexed, flow.dataset(dense(item_vectors.len()))).collect();
+    let item_ids = (0..item_vectors.len()).map(|i| (i, i)).collect();
+    let verified = probe_job(flow.dataset(item_ids)).collect();
 
     let job_metrics = flow.jobs_from(jobs_start);
     let candidates_pruned = counters.get(counter::CANDIDATES_PRUNED) as usize;
@@ -605,10 +521,6 @@ pub fn candidate_chain<K: Key, V: Value>(
         );
     }
 
-    // The uniform per-stage and total shuffle counters: derived from the
-    // job metrics here, for every generator, so they mean the same thing
-    // in every row of a frontier table.
-    let stage_shuffles = stage_shuffles(&job_metrics);
     SimJoinResult {
         generator: generator.to_string(),
         graph: builder.build(),
@@ -617,9 +529,8 @@ pub fn candidate_chain<K: Key, V: Value>(
         verify_exact,
         verify_dot,
         indexed_entries,
-        shuffled_records: stage_shuffles.iter().map(|s| s.records).sum(),
-        shuffled_bytes: stage_shuffles.iter().map(|s| s.bytes).sum(),
-        stage_shuffles,
+        shuffled_records: job_metrics.iter().map(|m| m.shuffle_records).sum(),
+        shuffled_bytes: job_metrics.iter().map(|m| m.shuffle_bytes).sum(),
         job_metrics,
     }
 }
@@ -628,6 +539,7 @@ pub fn candidate_chain<K: Key, V: Value>(
 mod tests {
     use super::*;
     use crate::baseline::baseline_similarity_join;
+    use crate::index::IndexPlan;
     use smr_mapreduce::JobConfig;
     use smr_text::{Document, TokenizerConfig};
 
@@ -734,7 +646,7 @@ mod tests {
                 "edge count differs for sigma={sigma}"
             );
             assert!(result.graph.edges().iter().all(|e| e.weight >= sigma));
-            assert_eq!(result.job_metrics.len(), 2);
+            assert_eq!(result.job_metrics.len(), 1);
             // Candidate accounting is closed: generated = pruned +
             // verified, and only the verified edges cross the probe
             // shuffle.
@@ -744,7 +656,7 @@ mod tests {
                 "sigma={sigma}"
             );
             assert_eq!(
-                result.job_metrics[1].shuffle_records,
+                result.job_metrics[0].shuffle_records,
                 result.graph.num_edges() as u64,
                 "sigma={sigma}"
             );
@@ -771,7 +683,7 @@ mod tests {
         let items = synthetic_vectors(12, 10, 5);
         let consumers = synthetic_vectors(14, 10, 6);
         let result = join(&items, &consumers, 0.4);
-        let probe = &result.job_metrics[1];
+        let probe = &result.job_metrics[0];
         assert!(result.candidates_pruned > 0, "{result:?}");
         // Exact verification is exactly the surviving candidates — pruned
         // pairs never cost a dot product.
@@ -809,14 +721,13 @@ mod tests {
         );
     }
 
-    /// Hand-wires the two jobs — index folded in RAM, probe candidates
-    /// verified in the mapper against the in-RAM vectors,
-    /// edges passed through the reducer — and checks the flow chain
-    /// against it, byte for byte: same edges in the same order with the
-    /// same weights, same candidate accounting and same per-job record
-    /// flow.
+    /// Hand-wires the one job — the probe mapper over a driver-built
+    /// [`ServingIndex`], candidates verified in the mapper, edges passed
+    /// through the reducer — and checks the flow chain against it, byte
+    /// for byte: same edges in the same order with the same weights, same
+    /// candidate accounting and same record flow.
     #[test]
-    fn flow_chain_is_byte_identical_to_the_hand_wired_two_job_path() {
+    fn flow_chain_is_byte_identical_to_the_hand_wired_one_job_path() {
         use smr_mapreduce::Job;
 
         let items = synthetic_vectors(14, 16, 21);
@@ -825,23 +736,11 @@ mod tests {
         let job_config = JobConfig::named("regression").with_threads(2);
 
         // --- the hand-wired path ---
-        let plan = IndexPlan::derive(&items, &consumers);
-        let index_result = Job::new(job_config.clone().with_name("regression-index")).run(
-            &IndexMapper {
-                consumers: &consumers,
-                plan: &plan,
-                sigma,
-            },
-            &IdentityReducer::new(),
-            (0..consumers.len()).map(|i| (i, i)).collect(),
-        );
+        let index = ServingIndex::for_corpora(&items, &consumers, sigma);
         let manual_counters = Counters::new();
         let probe_mapper = ProbeMapper {
             items: &items,
-            consumers: &consumers,
-            index: InvertedIndex::from_records(index_result.output),
-            suffixes: SuffixTable::build(&plan, &consumers, sigma),
-            sigma,
+            index: &index,
             counters: manual_counters.clone(),
             visit: |_, index: &InvertedIndex, query: &[(TermId, f64)], scores: &mut _| {
                 probe_postings(index, query, scores)
@@ -874,9 +773,9 @@ mod tests {
             assert_eq!(edge.weight, *weight, "weights must be bit-identical");
         }
 
-        // Same candidate accounting and stage structure, reported through
+        // Same candidate accounting and job structure, reported through
         // one FlowReport.
-        assert_eq!(result.indexed_entries, probe_mapper.index.num_postings());
+        assert_eq!(result.indexed_entries, index.num_postings());
         assert_eq!(
             result.candidates_pruned,
             manual_counters.get(counter::CANDIDATES_PRUNED) as usize
@@ -895,26 +794,17 @@ mod tests {
                 + manual_counters.get(counter::VERIFY_EXACT)) as usize
         );
         let report = flow.report();
-        assert_eq!(report.num_jobs(), 2, "the join is exactly two jobs");
-        assert_eq!(
-            report.job_names(),
-            vec!["regression-index", "regression-probe"]
-        );
-        for (flowed, manual) in report
-            .jobs
-            .iter()
-            .zip([&index_result.metrics, &probe_result.metrics])
-        {
-            assert_eq!(flowed.job_name, manual.job_name);
-            assert_eq!(flowed.map_input_records, manual.map_input_records);
-            assert_eq!(flowed.map_output_records, manual.map_output_records);
-            assert_eq!(flowed.shuffle_records, manual.shuffle_records);
-            assert_eq!(flowed.reduce_output_records, manual.reduce_output_records);
-        }
-        assert_eq!(
-            report.total_shuffled_records(),
-            index_result.metrics.shuffle_records + probe_result.metrics.shuffle_records
-        );
+        assert_eq!(report.num_jobs(), 1, "the join is exactly one job");
+        assert_eq!(report.job_names(), vec!["regression-probe"]);
+        let (flowed, manual) = (&report.jobs[0], &probe_result.metrics);
+        assert_eq!(flowed.job_name, manual.job_name);
+        assert_eq!(flowed.map_input_records, manual.map_input_records);
+        assert_eq!(flowed.map_output_records, manual.map_output_records);
+        assert_eq!(flowed.shuffle_records, manual.shuffle_records);
+        assert_eq!(flowed.reduce_output_records, manual.reduce_output_records);
+        assert_eq!(report.total_shuffled_records(), manual.shuffle_records);
+        assert_eq!(result.shuffled_records, manual.shuffle_records);
+        assert_eq!(result.shuffled_bytes, manual.shuffle_bytes);
     }
 
     #[test]
@@ -930,7 +820,7 @@ mod tests {
             )
         };
         let in_memory = join_in(&items, &consumers, sigma, &budgeted("simjoin-memory", None));
-        // A budget of a few hundred bytes forces both join jobs through
+        // A budget of a few hundred bytes forces the join's job through
         // the disk-spilling shuffle.
         let spilled = join_in(
             &items,
@@ -983,48 +873,35 @@ mod tests {
         assert_eq!(result.verify_dot, 0);
     }
 
-    /// Cuts `consumers` under `plan` at σ into an index and a suffix
-    /// table, probes them with `x` through the exact visitor and finishes
-    /// every survivor: each similarity must carry the bits of `x.dot(y)`.
-    /// Returns `(survivors, dot products paid)`.
+    /// Indexes `consumers` under `plan` at σ, probes the index with `x`
+    /// through the one probe loop and the exact visitor: exactly the
+    /// survivors whose dot product with `x` reaches σ must come out, each
+    /// carrying the bits of `x.dot(y)`.  Returns `(survivors, products
+    /// beyond the partial score)`.
     fn finish_against(
         plan: &IndexPlan,
         consumers: &[SparseVector],
         sigma: f64,
         x: &SparseVector,
     ) -> (usize, u64) {
-        let mut postings = Vec::new();
-        for (doc, y) in consumers.iter().enumerate() {
-            plan.prefix_postings(doc, y, sigma, |term, posting| {
-                postings.push((term, posting))
-            });
-        }
-        let index = InvertedIndex::from_records(postings);
-        let suffixes = SuffixTable::build(plan, consumers, sigma);
-        let probe = probe_index(&index, x.entries(), sigma, probe_postings);
-        let mut finished = 0;
-        let dots = probe.finish(x, consumers, &suffixes, |doc, similarity| {
-            finished += 1;
-            assert_eq!(
-                similarity.to_bits(),
-                x.dot(&consumers[doc]).to_bits(),
-                "doc {doc}: {similarity} vs {}",
-                x.dot(&consumers[doc])
-            );
+        let index = ServingIndex::build(consumers, plan.clone(), sigma);
+        let mut emitted = Vec::new();
+        let (probe, dots) = index.probe(x, probe_postings, |doc, similarity| {
+            emitted.push((doc, similarity.to_bits()))
         });
-        assert_eq!(finished, probe.survivors.len());
-        (finished, dots)
+        let expected: Vec<(usize, u64)> = probe
+            .survivors
+            .iter()
+            .map(|&(doc, _)| (doc, x.dot(&consumers[doc])))
+            .filter(|&(_, dot)| dot >= sigma)
+            .map(|(doc, dot)| (doc, dot.to_bits()))
+            .collect();
+        assert_eq!(emitted, expected);
+        (probe.survivors.len(), dots)
     }
 
     fn vec_of(entries: &[(u32, f64)]) -> SparseVector {
         SparseVector::from_entries(entries.iter().map(|&(t, w)| (TermId(t), w)))
-    }
-
-    /// A plan with every query maximum 1.
-    fn flat_plan(vocab: u32) -> IndexPlan {
-        IndexPlan {
-            max_weights: vec![1.0; vocab as usize],
-        }
     }
 
     #[test]
@@ -1054,11 +931,12 @@ mod tests {
             vec_of(&[(0, 0.9), (1, 0.3), (2, 0.1)]),
             vec_of(&[(3, 0.7), (4, 0.6)]),
         ];
-        let plan = flat_plan(8);
+        let plan = IndexPlan {
+            max_weights: vec![1.0; 8],
+        };
         let sigma = 0.5;
-        let suffixes = SuffixTable::build(&plan, &consumers, sigma);
-        assert_eq!(suffixes.prefix_len(0), 1);
-        assert_eq!(suffixes.prefix_len(1), 2);
+        assert_eq!(plan.cut(&consumers[0], sigma), 1);
+        assert_eq!(plan.cut(&consumers[1], sigma), 2);
         // All eight terms: the walk iterates the index's three terms and
         // looks each up in the query.
         let long = vec_of(
@@ -1068,11 +946,8 @@ mod tests {
         );
         // Meets doc 0's suffix (a tail product); doc 1 has none.
         assert_eq!(finish_against(&plan, &consumers, sigma, &long), (2, 1));
-        let mut postings = Vec::new();
-        for (doc, y) in consumers.iter().enumerate() {
-            plan.prefix_postings(doc, y, sigma, |t, p| postings.push((t, p)));
-        }
-        assert!(InvertedIndex::from_records(postings).num_terms() < long.len());
+        let index = ServingIndex::build(&consumers, plan.clone(), sigma);
+        assert!(index.num_postings() < long.len());
         // Short queries walk their own terms: disjoint from the suffix,
         // then sharing it.
         let disjoint = vec_of(&[(0, 0.8), (3, 0.3), (4, 0.9)]);
@@ -1094,8 +969,7 @@ mod tests {
         let plan = IndexPlan::derive(&vectors, &vectors);
         let (mut survivors, mut dots) = (0, 0);
         for sigma in [0.3, 0.45, 0.6] {
-            let suffixes = SuffixTable::build(&plan, &vectors, sigma);
-            assert!((0..vectors.len()).any(|doc| suffixes.prefix_len(doc) < vectors[doc].len()));
+            assert!(vectors.iter().any(|v| plan.cut(v, sigma) < v.len()));
             for x in &vectors {
                 let (s, d) = finish_against(&plan, &vectors, sigma, x);
                 survivors += s;
@@ -1103,118 +977,6 @@ mod tests {
             }
         }
         assert!(dots > 0 && (dots as usize) < survivors);
-    }
-
-    /// Finishes one survivor `doc` of `x` whose partial score is the
-    /// probe's (its products over `doc`'s indexed prefix), asserting the
-    /// bits of `x.dot(y)`; returns whether it took a tail product.
-    fn finish_one(
-        consumers: &[SparseVector],
-        suffixes: &SuffixTable,
-        doc: usize,
-        x: &SparseVector,
-    ) -> bool {
-        let plen = suffixes.prefix_len(doc);
-        let score = consumers[doc].entries()[..plen]
-            .iter()
-            .filter_map(|&(t, w)| {
-                x.entries()
-                    .iter()
-                    .find(|(u, _)| *u == t)
-                    .map(|(_, v)| v * w)
-            })
-            .fold(0.0, |sum, product| sum + product);
-        let probe = Probe {
-            survivors: vec![(
-                doc,
-                PartialScore {
-                    score,
-                    remainder: 1.0,
-                },
-            )],
-            pruned: 0,
-            sampled: false,
-        };
-        let mut got = None;
-        let tails = probe.finish(x, consumers, suffixes, |_, s| got = Some(s));
-        let dot = x.dot(&consumers[doc]);
-        assert_eq!(
-            got.map(f64::to_bits),
-            Some(dot.to_bits()),
-            "doc {doc}: {got:?} vs {dot}"
-        );
-        tails == 1
-    }
-
-    #[test]
-    fn the_tail_merge_is_the_dot_product_for_every_shape_of_suffix() {
-        // Doc 0: prefix {t1}, suffix {t3, t5}.  Doc 1: all suffix (even
-        // the whole vector cannot reach σ).  Doc 2: empty suffix.
-        let consumers = vec![
-            vec_of(&[(1, 0.9), (3, 0.2), (5, 0.1)]),
-            vec_of(&[(2, 0.1), (4, 0.2)]),
-            vec_of(&[(0, 0.7), (6, 0.6)]),
-        ];
-        let plan = flat_plan(8);
-        let sigma = 0.5;
-        let suffixes = SuffixTable::build(&plan, &consumers, sigma);
-        assert_eq!(
-            (0..3).map(|d| suffixes.prefix_len(d)).collect::<Vec<_>>(),
-            [1, 0, 2]
-        );
-        let cases = [
-            // The item has no entry at or after the first suffix id.
-            (0, vec![(0, 0.4), (1, 0.3), (2, 0.5)], false),
-            // Entries past the first suffix id, but none shared.
-            (0, vec![(1, 0.3), (4, 0.5), (7, 0.2)], false),
-            // The tail meets at the first suffix term, then again later.
-            (0, vec![(1, 0.3), (3, 0.7), (5, 0.1)], true),
-            (0, vec![(0, 0.2), (3, 0.7)], true),
-            // Prefix length 0: the score is `0.0`, the whole vector the tail.
-            (1, vec![(2, 0.6), (4, 0.5)], true),
-            (1, vec![(0, 1.0)], false),
-            // An empty suffix: the partial score is the similarity.
-            (2, vec![(0, 0.3), (6, 0.9), (7, 0.1)], false),
-        ];
-        for (doc, x, tail) in cases {
-            assert_eq!(
-                finish_one(&consumers, &suffixes, doc, &vec_of(&x)),
-                tail,
-                "doc {doc}, item {x:?}"
-            );
-        }
-        // Through the real probe, the all-suffix doc is never a candidate.
-        let x = vec_of(&[(0, 0.8), (1, 0.7), (2, 0.5), (4, 0.5), (6, 0.2)]);
-        assert_eq!(finish_against(&plan, &consumers, sigma, &x), (2, 0));
-    }
-
-    #[test]
-    fn a_sampled_probe_dots_every_survivor() {
-        let consumers = vec![vec_of(&[(0, 0.9)])];
-        let suffixes = SuffixTable::build(&flat_plan(1), &consumers, 0.5);
-        let x = vec_of(&[(0, 0.8)]);
-        let mut probe = Probe {
-            survivors: vec![(
-                0,
-                PartialScore {
-                    score: 0.25, // a rescaled estimate, not x · y
-                    remainder: 0.0,
-                },
-            )],
-            pruned: 0,
-            sampled: true,
-        };
-        let mut got = Vec::new();
-        assert_eq!(
-            probe.finish(&x, &consumers, &suffixes, |_, s| got.push(s)),
-            1
-        );
-        probe.sampled = false;
-        assert_eq!(
-            probe.finish(&x, &consumers, &suffixes, |_, s| got.push(s)),
-            0
-        );
-        assert_eq!(got, [x.dot(&consumers[0]), 0.25]);
     }
 
     #[test]

@@ -21,21 +21,20 @@
 //!   contribute (the *remainder bound* of partial-product verification),
 //! * [`index`] — the [`IndexPlan`] (query-side maxima), the one cut of a
 //!   consumer vector into indexed prefix and unindexed suffix at a
-//!   prefix length, the in-RAM [`InvertedIndex`] both the batch probe and
-//!   serving read, and the [`SuffixTable`] of prefix lengths they finish
-//!   candidates with,
+//!   prefix length, the in-RAM [`InvertedIndex`] and the [`SuffixTable`]
+//!   of prefix lengths a probe finishes candidates with,
 //! * [`baseline`] — an exact all-pairs join used as ground truth,
 //! * [`accum`] — the dense per-query score table the probe folds partial
 //!   products into,
-//! * [`join`] — the two-MapReduce-job chain (index construction, then
-//!   partial-product probing with suffix-bound pruning and exact
+//! * [`join`] — the one-MapReduce-job chain (partial-product probing of
+//!   a driver-built [`ServingIndex`] with suffix-bound pruning and exact
 //!   verification in the probe mapper, each survivor finished by merging
-//!   the suffix tails) producing a
-//!   [`smr_graph::BipartiteGraph`]; see
+//!   the suffix tails) producing a [`smr_graph::BipartiteGraph`]; see
 //!   `docs/simjoin.md` for the filter math and the dataflow,
-//! * [`serving`] — the index kept alive after the batch build, with the
-//!   consumer vectors it owns: point queries ([`ServingIndex::match_one`])
-//!   and micro-batch appends; see `docs/serving.md`.
+//! * [`serving`] — the index with the consumer vectors it owns and the
+//!   one probe loop ([`ServingIndex::probe`]) the batch probe mapper and
+//!   the point queries ([`ServingIndex::match_one`]) share, plus
+//!   micro-batch appends; see `docs/serving.md`.
 //!
 //! # Example
 //!
@@ -81,8 +80,8 @@ pub use baseline::baseline_similarity_join;
 pub use index::{IndexPlan, InvertedIndex, Posting, PostingsRef, SuffixTable};
 pub use join::{
     candidate_chain, mapreduce_similarity_join_flow, mapreduce_similarity_join_vectors_flow,
-    prefix_filter_join, probe_index, probe_postings, stage_shuffles, survives, verify_candidates,
-    PartialScore, Probe, SimJoinResult, StageShuffle, EXACT_GENERATOR,
+    prefix_filter_join, probe_index, probe_postings, survives, verify_candidates, PartialScore,
+    Probe, SimJoinResult, EXACT_GENERATOR,
 };
 pub use prefix::{prefix_length, suffix_remainder_bound, term_max_weights};
 pub use serving::{ScoredMatch, ServingIndex};

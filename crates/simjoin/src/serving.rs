@@ -1,44 +1,43 @@
 //! A standing serving index: point queries and micro-updates against the
 //! similarity-join index, kept in RAM.
 //!
-//! The batch join builds its pruned inverted index, probes it once with
-//! every item, and throws it away.  [`ServingIndex`] keeps the same
-//! structure alive — the [`InvertedIndex`], the [`SuffixTable`] of where
-//! each consumer's unindexed suffix starts, and the consumer vectors it owns — and answers two
-//! requests the batch path cannot:
+//! [`ServingIndex`] is the pruned similarity-join index: the
+//! [`InvertedIndex`], the [`SuffixTable`] of where each consumer's
+//! unindexed suffix starts, and the consumer vectors it owns.  The batch
+//! join builds one on the driver, probes it once with every item in its
+//! one MapReduce job, and drops it.  A standing index keeps it alive and
+//! answers two requests the batch path cannot:
 //!
 //! * [`ServingIndex::match_one`] — "a new item just arrived: who are its
-//!   candidate consumers right now?"  One query runs exactly the batch
-//!   probe (partial products over shared indexed terms, the
-//!   suffix-remainder prune at `σ − slack`), then finishes the survivors
-//!   by the batch rule ([`crate::join::Probe::finish`]): the partial
-//!   score, continued over the tail of the consumer's owned vector past
-//!   its indexed prefix — the exact dot product, bit for bit.  No corpus
+//!   candidate consumers right now?"  One query runs the batch probe
+//!   mapper's own loop, [`ServingIndex::probe`]: partial products over
+//!   shared indexed terms, the suffix-remainder prune at `σ − slack`, and
+//!   the finish ([`crate::join::Probe::finish`]) that continues the
+//!   partial score over the tail of the consumer's owned vector past its
+//!   indexed prefix — the exact dot product, bit for bit.  No corpus
 //!   scan: the query only touches the postings of its own terms.
 //! * [`ServingIndex::append_batch`] — "these consumers just joined the
 //!   corpus."  Each new vector's prefix postings join the index after the
 //!   existing postings of their terms, its prefix length joins the table, and
 //!   the vectors join the owned corpus.
 //!
-//! **Exactness.**  A query probes the same postings the batch probe mapper
-//! would see, prunes with the same bound at the same slack and finishes
-//! by the same rule, and both paths accept a pair only once its exact
-//! similarity reaches σ.  So for
-//! any query vector whose per-term weights stay within the query-side
-//! maxima the index was built with, `match_one` returns *exactly* the
-//! batch join's candidate set for that query (proptest-locked in
-//! `tests/serving_equivalence.rs`).  Queries with heavier terms than the
-//! declared maxima may miss pairs — the prefix bound they were indexed
-//! under no longer covers such a query — which is why builders take the
-//! maxima explicitly.
+//! **Exactness.**  A query runs the batch probe mapper's probe over the
+//! same postings, so for any query vector whose per-term weights stay
+//! within the query-side maxima the index was built with, `match_one`
+//! returns *exactly* the batch join's candidate set for that query
+//! (proptest-locked in `tests/serving_equivalence.rs`).  Queries with
+//! heavier terms than the declared maxima may miss pairs — the prefix
+//! bound they were indexed under no longer covers such a query — which is
+//! why builders take the maxima explicitly.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use smr_text::SparseVector;
+use smr_text::{SparseVector, TermId};
 
+use crate::accum::ScoreAccumulator;
 use crate::index::{IndexPlan, InvertedIndex, Posting, SuffixTable};
-use crate::join::{probe_index, probe_postings};
+use crate::join::{probe_index, probe_postings, Probe};
 
 /// One serving-time candidate: a consumer whose exact similarity with the
 /// query reached σ.
@@ -75,8 +74,9 @@ impl ServingIndex {
     /// the prefix of each consumer is pruned against these, so they are
     /// the exactness contract of the index.
     ///
-    /// The postings indexed are the ones the batch join's job 1 indexes
-    /// for the same plan ([`IndexPlan::prefix_postings`]).
+    /// The postings are every consumer's [`IndexPlan::prefix_postings`],
+    /// in doc order within a term; the batch join probes the index
+    /// [`ServingIndex::for_corpora`] builds.
     ///
     /// # Panics
     /// Panics if `sigma` is not strictly positive.
@@ -202,17 +202,38 @@ impl ServingIndex {
         if self.query_exceeds_maxima(query) {
             self.maxima_exceeded.fetch_add(1, Ordering::Relaxed);
         }
-        // The batch probe mapper's walk, prune and finish, so partial
-        // products accumulate in the same floating-point order and every
-        // score is the same bits.
-        let probe = probe_index(&self.index, entries, self.sigma, probe_postings);
         let mut matches = Vec::new();
-        probe.finish(query, &self.consumers, &self.suffixes, |consumer, score| {
-            if score >= self.sigma {
-                matches.push(ScoredMatch { consumer, score });
-            }
+        self.probe(query, probe_postings, |consumer, score| {
+            matches.push(ScoredMatch { consumer, score })
         });
         matches
+    }
+
+    /// The one probe loop of the candidate stage, shared by the batch
+    /// join's probe mapper and [`ServingIndex::candidates`]: walks the
+    /// index with `query` through `visit` ([`probe_index`]; the exact
+    /// visitor is [`probe_postings`]), prunes with
+    /// [`crate::join::survives`], finishes every survivor by
+    /// [`Probe::finish`] and hands `(consumer, similarity)` to `emit` for
+    /// each whose similarity reaches σ, in consumer order.
+    ///
+    /// Returns the probe, with how many survivors took a product beyond
+    /// their partial score.  All of a query's products accumulate in this
+    /// one call, in ascending term order, so every path gets the same
+    /// bits.
+    pub fn probe(
+        &self,
+        query: &SparseVector,
+        visit: impl FnOnce(&InvertedIndex, &[(TermId, f64)], &mut ScoreAccumulator),
+        mut emit: impl FnMut(usize, f64),
+    ) -> (Probe, u64) {
+        let probe = probe_index(&self.index, query.entries(), self.sigma, visit);
+        let dots = probe.finish(query, &self.consumers, &self.suffixes, |consumer, score| {
+            if score >= self.sigma {
+                emit(consumer, score);
+            }
+        });
+        (probe, dots)
     }
 
     /// Absorbs a micro-batch of new consumers, returning the dense indices
@@ -251,7 +272,7 @@ fn prefix_postings(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smr_text::TermId;
+    use crate::join::PartialScore;
 
     fn vec_of(entries: &[(u32, f64)]) -> SparseVector {
         SparseVector::from_entries(entries.iter().map(|&(t, w)| (TermId(t), w)))
@@ -376,6 +397,119 @@ mod tests {
         // Covered queries keep not counting afterwards.
         let _ = serving.candidates(&items[1]);
         assert_eq!(serving.maxima_exceeded(), 2);
+    }
+
+    /// A plan with every query maximum 1.
+    fn flat_plan(vocab: u32) -> IndexPlan {
+        IndexPlan {
+            max_weights: vec![1.0; vocab as usize],
+        }
+    }
+
+    /// Finishes one survivor `doc` of `x` whose partial score is the
+    /// probe's (its products over `doc`'s indexed prefix), asserting the
+    /// bits of `x.dot(y)`; returns whether it took a tail product.
+    fn finish_one(serving: &ServingIndex, doc: usize, x: &SparseVector) -> bool {
+        let consumers = serving.consumers();
+        let plen = serving.suffixes.prefix_len(doc);
+        let score = consumers[doc].entries()[..plen]
+            .iter()
+            .filter_map(|&(t, w)| {
+                x.entries()
+                    .iter()
+                    .find(|(u, _)| *u == t)
+                    .map(|(_, v)| v * w)
+            })
+            .fold(0.0, |sum, product| sum + product);
+        let probe = Probe {
+            survivors: vec![(
+                doc,
+                PartialScore {
+                    score,
+                    remainder: 1.0,
+                },
+            )],
+            pruned: 0,
+            sampled: false,
+        };
+        let mut got = None;
+        let tails = probe.finish(x, consumers, &serving.suffixes, |_, s| got = Some(s));
+        let dot = x.dot(&consumers[doc]);
+        assert_eq!(
+            got.map(f64::to_bits),
+            Some(dot.to_bits()),
+            "doc {doc}: {got:?} vs {dot}"
+        );
+        tails == 1
+    }
+
+    #[test]
+    fn the_tail_merge_is_the_dot_product_for_every_shape_of_suffix() {
+        // Doc 0: prefix {t1}, suffix {t3, t5}.  Doc 1: all suffix (even
+        // the whole vector cannot reach σ).  Doc 2: empty suffix.
+        let consumers = vec![
+            vec_of(&[(1, 0.9), (3, 0.2), (5, 0.1)]),
+            vec_of(&[(2, 0.1), (4, 0.2)]),
+            vec_of(&[(0, 0.7), (6, 0.6)]),
+        ];
+        let serving = ServingIndex::build(&consumers, flat_plan(8), 0.5);
+        assert_eq!(
+            (0..3)
+                .map(|d| serving.suffixes.prefix_len(d))
+                .collect::<Vec<_>>(),
+            [1, 0, 2]
+        );
+        let cases = [
+            // The item has no entry at or after the first suffix id.
+            (0, vec![(0, 0.4), (1, 0.3), (2, 0.5)], false),
+            // Entries past the first suffix id, but none shared.
+            (0, vec![(1, 0.3), (4, 0.5), (7, 0.2)], false),
+            // The tail meets at the first suffix term, then again later.
+            (0, vec![(1, 0.3), (3, 0.7), (5, 0.1)], true),
+            (0, vec![(0, 0.2), (3, 0.7)], true),
+            // Prefix length 0: the score is `0.0`, the whole vector the tail.
+            (1, vec![(2, 0.6), (4, 0.5)], true),
+            (1, vec![(0, 1.0)], false),
+            // An empty suffix: the partial score is the similarity.
+            (2, vec![(0, 0.3), (6, 0.9), (7, 0.1)], false),
+        ];
+        for (doc, x, tail) in cases {
+            assert_eq!(
+                finish_one(&serving, doc, &vec_of(&x)),
+                tail,
+                "doc {doc}, item {x:?}"
+            );
+        }
+        // Through the real probe, the all-suffix doc is never a candidate.
+        let x = vec_of(&[(0, 0.8), (1, 0.7), (2, 0.5), (4, 0.5), (6, 0.2)]);
+        let (probe, dots) = serving.probe(&x, probe_postings, |_, _| {});
+        let docs: Vec<usize> = probe.survivors.iter().map(|&(doc, _)| doc).collect();
+        assert_eq!((docs, dots), (vec![0, 2], 0));
+    }
+
+    #[test]
+    fn a_sampled_probe_dots_every_survivor() {
+        let consumers = vec![vec_of(&[(0, 0.9)])];
+        let serving = ServingIndex::build(&consumers, flat_plan(1), 0.5);
+        let x = vec_of(&[(0, 0.8)]);
+        let mut probe = Probe {
+            survivors: vec![(
+                0,
+                PartialScore {
+                    score: 0.25, // a rescaled estimate, not x · y
+                    remainder: 0.0,
+                },
+            )],
+            pruned: 0,
+            sampled: true,
+        };
+        let mut got = Vec::new();
+        let mut finish =
+            |probe: &Probe| probe.finish(&x, &consumers, &serving.suffixes, |_, s| got.push(s));
+        assert_eq!(finish(&probe), 1);
+        probe.sampled = false;
+        assert_eq!(finish(&probe), 0);
+        assert_eq!(got, [x.dot(&consumers[0]), 0.25]);
     }
 
     #[test]

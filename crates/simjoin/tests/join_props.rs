@@ -98,7 +98,7 @@ proptest! {
                     // Verification happens in the probe mapper: the probe
                     // job shuffles exactly the edges.
                     prop_assert_eq!(
-                        result.job_metrics[1].shuffle_records,
+                        result.job_metrics[0].shuffle_records,
                         result.graph.num_edges() as u64
                     );
                 }

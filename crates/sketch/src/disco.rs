@@ -35,8 +35,8 @@ use smr_text::SparseVector;
 use crate::hash::{hash_unit, hash_words};
 use crate::CandidateGenerator;
 
-/// The DISCO sampling generator: exact index job, sampled probe job,
-/// exact verification.
+/// The DISCO sampling generator: exact driver-built index, sampled probe
+/// job, exact verification.
 ///
 /// `lambda` is the expected number of postings sampled per term per
 /// probing item: larger λ samples more (λ ≥ max posting-list length is
@@ -179,7 +179,7 @@ mod tests {
             0.3,
             &flow,
         );
-        let probe = &result.job_metrics[1];
+        let probe = &result.job_metrics[0];
         assert!(probe.user_counters[crate::counter::SAMPLED_OUT] > 0);
         assert!(
             result.verify_exact > 0,

@@ -5,8 +5,9 @@
 //! candidate-edge graph, and the exact join's probe work grows with the
 //! dimension of the data.  This crate abstracts the generation step
 //! behind [`CandidateGenerator`] and provides three implementations, all
-//! expressed as the same two-job `Dataset` chain over a shared
-//! [`FlowContext`]:
+//! expressed as the same one-job `Dataset` chain over a shared
+//! [`FlowContext`] — the driver builds what the probe reads, the probe job
+//! verifies:
 //!
 //! * [`ExactPrefixJoin`] — the existing prefix-filter join, recall = 1.0
 //!   by construction; the reference every sketch is measured against.
@@ -75,8 +76,8 @@ pub mod counter {
     /// because their coordinate hash did not clear the term's sampling
     /// probability — the work (and downstream shuffle) the sampler saved.
     pub const SAMPLED_OUT: &str = "disco_sampled_out";
-    /// Distinct band buckets a [`crate::LshBander`] run materialized
-    /// between its two jobs.
+    /// Distinct band buckets a [`crate::LshBander`] run materialized on
+    /// the driver for its probe job.
     pub const BAND_BUCKETS: &str = "lsh_band_buckets";
 }
 

@@ -1,4 +1,4 @@
-//! MinHash/LSH banding as a candidate-generation job pair.
+//! MinHash/LSH banding as a one-job candidate generator.
 //!
 //! Instead of probing an inverted index, consumers are summarized by
 //! MinHash signatures over their term *sets*: `sig[i] = min_t h_i(t)`
@@ -9,15 +9,14 @@
 //! bucket of at least one band with probability `1 − (1 − j^rows)^bands`
 //! — the classic LSH S-curve, steep around `(1/bands)^(1/rows)`.
 //!
-//! * **Job 1 — banding**: every consumer emits `(band key, doc)` for each
-//!   of its bands; the reducer passes the grouped band postings through,
-//!   and [`candidate_chain`] collects job 1's output and materializes it
-//!   as a sorted bucket list that the probe mappers share (the
-//!   distributed-cache role the inverted index plays for the exact join).
-//! * **Job 2 — bucket probe + verification**: every item computes its own
-//!   signature with the *same* seeded hash functions, looks up its band
-//!   keys, and verifies each distinct co-bucketed consumer once with an
-//!   exact dot product against the in-RAM consumer vector
+//! * **Side data — banding**: the driver computes every consumer's band
+//!   keys and sorts the `(band key, doc)` postings into one list that the
+//!   probe mappers share (the distributed-cache role the inverted index
+//!   plays for the exact join).
+//! * **The probe job — bucket probe + verification**: every item computes
+//!   its own signature with the *same* seeded hash functions, looks up its
+//!   band keys, and verifies each distinct co-bucketed consumer once with
+//!   an exact dot product against the in-RAM consumer vector
 //!   ([`smr_simjoin::verify_candidates`]), emitting the pair only if it
 //!   reaches σ — so, as with DISCO, the output is a subset of the exact
 //!   join's edges with bit-identical scores, and only those edges cross
@@ -30,7 +29,6 @@
 //! thread count, memory budget or shard layout.
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 use smr_mapreduce::flow::FlowContext;
 use smr_mapreduce::{Counters, Emitter, IdentityReducer, Mapper};
@@ -105,46 +103,28 @@ fn band_key(seed: u64, band: usize, rows: &[u64]) -> u64 {
     hash_words(seed ^ 0x5bd1_e995_9d1b_54a5, &words)
 }
 
-/// Job 1's mapper: each consumer's `bands` band keys.
-struct BandMapper {
-    consumers: Arc<[SparseVector]>,
-    seed: u64,
-    bands: usize,
-    rows: usize,
-}
-
-impl Mapper for BandMapper {
-    type InKey = usize; // consumer dense index
-    type InValue = usize; // ditto
-    type OutKey = u64; // band bucket key
-    type OutValue = u32; // consumer dense index
-
-    fn map(&self, doc: &usize, _: &usize, out: &mut Emitter<u64, u32>) {
-        let vector = &self.consumers[*doc];
-        if vector.entries().is_empty() {
-            return;
-        }
-        let sig = signature(vector, self.seed, self.bands, self.rows);
-        for band in 0..self.bands {
-            let key = band_key(
-                self.seed,
-                band,
-                &sig[band * self.rows..(band + 1) * self.rows],
-            );
-            out.emit(key, *doc as u32);
-        }
+/// The `bands` band keys of one vector, in band order (none for an
+/// empty vector).
+fn band_keys(vector: &SparseVector, seed: u64, bands: usize, rows: usize) -> Vec<u64> {
+    if vector.entries().is_empty() {
+        return Vec::new();
     }
+    let sig = signature(vector, seed, bands, rows);
+    sig.chunks(rows)
+        .enumerate()
+        .map(|(band, rows)| band_key(seed, band, rows))
+        .collect()
 }
 
-/// Job 2's mapper: an item's band keys, looked up in the shared sorted
-/// bucket list; every distinct co-bucketed consumer is verified exactly
-/// once (deduplicated across bands locally, so a pair costs one dot
-/// product however many bands it collides in) and emitted only if its
-/// similarity reaches σ.
-struct BucketProbeMapper {
-    items: Arc<[SparseVector]>,
-    consumers: Arc<[SparseVector]>,
-    buckets: Arc<Vec<(u64, Vec<u32>)>>,
+/// The probe job's mapper: an item's band keys, looked up in the shared
+/// band postings (sorted by key, then doc); every distinct co-bucketed
+/// consumer is verified exactly once (deduplicated across bands locally,
+/// so a pair costs one dot product however many bands it collides in) and
+/// emitted only if its similarity reaches σ.
+struct BucketProbeMapper<'a> {
+    items: &'a [SparseVector],
+    consumers: &'a [SparseVector],
+    postings: &'a [(u64, u32)],
     seed: u64,
     bands: usize,
     rows: usize,
@@ -152,7 +132,7 @@ struct BucketProbeMapper {
     counters: Counters,
 }
 
-impl Mapper for BucketProbeMapper {
+impl Mapper for BucketProbeMapper<'_> {
     type InKey = usize; // item dense index
     type InValue = usize; // ditto
     type OutKey = (usize, usize); // (item, consumer) edge
@@ -160,25 +140,16 @@ impl Mapper for BucketProbeMapper {
 
     fn map(&self, item: &usize, _: &usize, out: &mut Emitter<(usize, usize), f64>) {
         let vector = &self.items[*item];
-        if vector.entries().is_empty() {
-            return;
-        }
-        let sig = signature(vector, self.seed, self.bands, self.rows);
         let mut candidates: BTreeSet<u32> = BTreeSet::new();
-        for band in 0..self.bands {
-            let key = band_key(
-                self.seed,
-                band,
-                &sig[band * self.rows..(band + 1) * self.rows],
-            );
-            if let Ok(i) = self.buckets.binary_search_by_key(&key, |(k, _)| *k) {
-                candidates.extend(self.buckets[i].1.iter().copied());
-            }
+        for key in band_keys(vector, self.seed, self.bands, self.rows) {
+            let from = self.postings.partition_point(|&(k, _)| k < key);
+            let bucket = self.postings[from..].iter().take_while(|&&(k, _)| k == key);
+            candidates.extend(bucket.map(|&(_, doc)| doc));
         }
         verify_candidates(
             *item,
             vector,
-            &self.consumers,
+            self.consumers,
             candidates.into_iter().map(|consumer| consumer as usize),
             self.sigma,
             &self.counters,
@@ -202,14 +173,22 @@ impl CandidateGenerator for LshBander {
         flow: &FlowContext,
     ) -> SimJoinResult {
         let LshBander { seed, bands, rows } = *self;
-        let items: Arc<[SparseVector]> = item_vectors.into();
-        let consumers: Arc<[SparseVector]> = consumer_vectors.into();
-        let probe_consumers = Arc::clone(&consumers);
+        // The driver's side data: every consumer's `(band key, doc)`
+        // postings, sorted so a bucket is one contiguous run in doc order
+        // and a probe lookup is a binary search.
+        let mut postings: Vec<(u64, u32)> = Vec::new();
+        for (doc, vector) in consumer_vectors.iter().enumerate() {
+            let keys = band_keys(vector, seed, bands, rows);
+            postings.extend(keys.into_iter().map(|key| (key, doc as u32)));
+        }
+        postings.sort_unstable();
         let counters = Counters::new();
+        let buckets = postings.chunk_by(|a, b| a.0 == b.0).count();
+        counters.add(crate::counter::BAND_BUCKETS, buckets as u64);
         let probe_counters = counters.clone();
-        // Every candidate is verified — LSH has no pre-verification prune
-        // and no inverted index, so the chain's accounting reads zero
-        // pruned and generated = verified.
+        // Every candidate is verified — LSH has no pre-verification prune,
+        // so the chain's accounting reads zero pruned and generated =
+        // verified.
         candidate_chain(
             &self.name(),
             (item_vectors, item_names),
@@ -217,38 +196,13 @@ impl CandidateGenerator for LshBander {
             sigma,
             flow,
             counters,
-            move |consumer_ids| {
-                consumer_ids
-                    .map_with(BandMapper {
-                        consumers,
-                        seed,
-                        bands,
-                        rows,
-                    })
-                    .named("lsh-bands")
-                    .reduce_with(IdentityReducer::new())
-            },
-            move |postings, item_ids| {
-                // Job 1's output becomes job 2's side data.  Each bucket
-                // arrives as one contiguous run (one reduce group, members
-                // in doc order), but runs are ordered by reduce partition,
-                // not globally by key — so group by adjacency, then sort
-                // the buckets so probe lookups are binary searches and the
-                // list is identical under every partition layout.
-                let mut buckets: Vec<(u64, Vec<u32>)> = Vec::new();
-                for (key, doc) in postings {
-                    match buckets.last_mut() {
-                        Some((k, docs)) if *k == key => docs.push(doc),
-                        _ => buckets.push((key, vec![doc])),
-                    }
-                }
-                buckets.sort_unstable_by_key(|(key, _)| *key);
-                probe_counters.add(crate::counter::BAND_BUCKETS, buckets.len() as u64);
+            postings.len(),
+            |item_ids| {
                 item_ids
                     .map_with(BucketProbeMapper {
-                        items,
-                        consumers: probe_consumers,
-                        buckets: Arc::new(buckets),
+                        items: item_vectors,
+                        consumers: consumer_vectors,
+                        postings: &postings,
                         seed,
                         bands,
                         rows,

@@ -95,7 +95,7 @@ proptest! {
         let sigma = 0.2;
 
         let exact = run(&ExactPrefixJoin::new(), &items, &consumers, sigma, None, 2);
-        prop_assert_eq!(exact.stage_shuffles[1].records, exact.graph.num_edges() as u64);
+        prop_assert_eq!(exact.shuffled_records, exact.graph.num_edges() as u64);
         prop_assert_eq!(exact.candidate_pairs, exact.candidates_pruned + exact.verify_exact);
         let exact_weights: HashMap<(u32, u32), u64> = exact
             .graph
@@ -155,7 +155,7 @@ proptest! {
             // (c) verified in the probe mapper: the probe stage shuffles
             // exactly the edges.
             prop_assert_eq!(
-                reference.stage_shuffles[1].records,
+                reference.shuffled_records,
                 reference.graph.num_edges() as u64
             );
         }
@@ -193,10 +193,10 @@ fn disco_with_huge_lambda_recovers_the_exact_join() {
     assert_eq!(disco.indexed_entries, exact.indexed_entries);
 }
 
-/// The uniform shuffle counters are wired for every generator: per-stage
-/// entries match the job metrics, and the totals are their sums.
+/// The uniform shuffle counters are wired for every generator: each runs
+/// exactly one job, and the totals are that job's shuffle.
 #[test]
-fn stage_shuffle_counters_are_uniform_across_generators() {
+fn shuffle_counters_are_uniform_across_generators() {
     let items = corpus("t", &[vec![0, 1, 2], vec![2, 3, 4], vec![4, 5, 6]]);
     let consumers = corpus("c", &[vec![0, 1, 3], vec![2, 4, 5], vec![5, 6, 7]]);
     let generators: Vec<Box<dyn CandidateGenerator>> = vec![
@@ -206,20 +206,9 @@ fn stage_shuffle_counters_are_uniform_across_generators() {
     ];
     for generator in &generators {
         let result = run(generator.as_ref(), &items, &consumers, 0.15, None, 2);
-        assert_eq!(result.job_metrics.len(), 2, "{}", generator.name());
-        assert_eq!(result.stage_shuffles.len(), 2, "{}", generator.name());
-        for (stage, metrics) in result.stage_shuffles.iter().zip(&result.job_metrics) {
-            assert_eq!(stage.job_name, metrics.job_name);
-            assert_eq!(stage.records, metrics.shuffle_records);
-            assert_eq!(stage.bytes, metrics.shuffle_bytes);
-        }
-        assert_eq!(
-            result.shuffled_records,
-            result.stage_shuffles.iter().map(|s| s.records).sum::<u64>()
-        );
-        assert_eq!(
-            result.shuffled_bytes,
-            result.stage_shuffles.iter().map(|s| s.bytes).sum::<u64>()
-        );
+        assert_eq!(result.job_metrics.len(), 1, "{}", generator.name());
+        let probe = &result.job_metrics[0];
+        assert_eq!(result.shuffled_records, probe.shuffle_records);
+        assert_eq!(result.shuffled_bytes, probe.shuffle_bytes);
     }
 }

@@ -6,15 +6,15 @@
 //! ```
 //!
 //! `MatchingPipeline::process_shards(n)` wraps the similarity join in an
-//! `smr_distrib` session: for each of the join's two jobs a coordinator
-//! re-invokes this example as n worker processes, each maps its slice of
-//! that job's task space, and sorted runs + checksummed manifests in a
-//! shared session directory are the only channel between them (see
-//! docs/distrib.md).  The workers replay `main` from the top — which is
-//! why everything here is deterministic — running the index job in
-//! process on the way to the probe job, and exit at their manifest
-//! commit; the matching rounds, which have no map phase, run on the
-//! coordinator alone, so only the coordinator prints.
+//! `smr_distrib` session: for the join's one job, the probe job, a
+//! coordinator re-invokes this example as n worker processes, each maps
+//! its slice of that job's task space, and sorted runs + checksummed
+//! manifests in a shared session directory are the only channel between
+//! them (see docs/distrib.md).  The workers replay `main` from the top —
+//! which is why everything here is deterministic — building the join's
+//! index on the way to the probe job, and exit at their manifest commit;
+//! the matching rounds, which have no map phase, run on the coordinator
+//! alone, so only the coordinator prints.
 
 use social_content_matching::datagen::FlickrGenerator;
 use social_content_matching::distrib::{is_worker_process, last_session_stats};

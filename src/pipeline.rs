@@ -4,8 +4,8 @@
 //! representation → similarity join at threshold σ → capacities from the
 //! activity/favourite signals (scaled by α) → a MapReduce b-matching
 //! algorithm.  [`MatchingPipeline`] packages exactly that chain, running
-//! every MapReduce job — the two similarity-join jobs and every matching
-//! round — through one [`FlowContext`], so a single [`FlowReport`]
+//! every MapReduce job — the similarity join's probe job and every
+//! matching round — through one [`FlowContext`], so a single [`FlowReport`]
 //! accounts for the whole run:
 //!
 //! ```no_run
@@ -40,7 +40,7 @@ use smr_mapreduce::flow::{FlowContext, FlowReport};
 use smr_mapreduce::JobConfig;
 use smr_matching::runner::RunnerConfig;
 use smr_matching::{run_algorithm, AlgorithmKind, GreedyMrConfig, MatchingRun, StackMrConfig};
-use smr_simjoin::{AlignedCorpora, StageShuffle};
+use smr_simjoin::AlignedCorpora;
 use smr_sketch::{CandidateGenerator, ExactPrefixJoin};
 use smr_text::TokenizerConfig;
 
@@ -84,20 +84,17 @@ pub struct CandidateGraph {
     /// probe); the rest were finished from their partial score alone.
     pub verify_dot: usize,
     /// `(term, document)` entries indexed after prefix pruning (for
-    /// sketch generators, the size of whatever standing structure their
-    /// first job built).
+    /// sketch generators, the size of whatever standing structure the
+    /// driver built for their probe job).
     pub indexed_entries: usize,
     /// Tag of the candidate generator that produced the graph (`"exact"`
     /// unless [`MatchingPipeline::candidate_generator`] was set).
     pub generator: String,
-    /// Per-stage shuffle volume of the generator's jobs, uniform across
-    /// generators.
-    pub stage_shuffles: Vec<StageShuffle>,
     /// Total records the generator's jobs shuffled.
     pub shuffled_records: u64,
     /// Total bytes the generator's jobs shuffled.
     pub shuffled_bytes: u64,
-    /// MapReduce jobs the similarity join ran (always 2).
+    /// MapReduce jobs the similarity join ran (always 1).
     pub simjoin_jobs: usize,
     /// Metrics of every job executed so far.
     pub report: FlowReport,
@@ -128,7 +125,7 @@ pub struct PipelineRun {
     pub shuffled_records: u64,
     /// Total bytes the generator's jobs shuffled.
     pub shuffled_bytes: u64,
-    /// MapReduce jobs the similarity join ran (always 2).
+    /// MapReduce jobs the similarity join ran (always 1).
     pub simjoin_jobs: usize,
     /// The matching algorithm's result (matching, rounds, per-round trace).
     pub matching: MatchingRun,
@@ -205,12 +202,12 @@ impl MatchingPipeline {
         self
     }
 
-    /// Runs the similarity join's two jobs across `n` worker OS processes
+    /// Runs the similarity join's job across `n` worker OS processes
     /// (0 = stay in process): [`MatchingPipeline::run`] and
     /// [`MatchingPipeline::build_graph`] wrap the candidate-graph stage in
-    /// a `smr_distrib` sharded session, so each join job's map phase is
+    /// a `smr_distrib` sharded session, so the join job's map phase is
     /// split across the workers and the output stays **byte-identical**
-    /// to the in-process run.  Each job's workers exit at their manifest
+    /// to the in-process run.  The job's workers exit at their manifest
     /// commit; the matching rounds, which have no map phase, run in this process.
     /// The session key defaults to the job config's name — give
     /// concurrent pipelines distinct names.  For full control of the
@@ -256,7 +253,7 @@ impl MatchingPipeline {
     }
 
     /// Runs the pipeline up to the candidate graph: corpus construction,
-    /// the two-job similarity join, capacity assignment.  Used by callers
+    /// the one-job similarity join, capacity assignment.  Used by callers
     /// that sweep σ or run several algorithms over one candidate graph
     /// (the experiment harness).
     pub fn build_graph(self) -> CandidateGraph {
@@ -356,7 +353,6 @@ impl MatchingPipeline {
             verify_dot: join.verify_dot,
             indexed_entries: join.indexed_entries,
             generator: join.generator,
-            stage_shuffles: join.stage_shuffles,
             shuffled_records: join.shuffled_records,
             shuffled_bytes: join.shuffled_bytes,
             simjoin_jobs: join.job_metrics.len(),
@@ -382,14 +378,14 @@ mod tests {
     }
 
     #[test]
-    fn build_graph_runs_exactly_the_two_simjoin_jobs() {
+    fn build_graph_runs_exactly_the_one_simjoin_job() {
         let candidate = MatchingPipeline::new(small_dataset())
             .sigma(0.1)
             .job(JobConfig::named("pipeline-test").with_threads(2))
             .build_graph();
         assert!(candidate.graph.num_edges() > 0);
-        assert_eq!(candidate.simjoin_jobs, 2);
-        assert_eq!(candidate.report.num_jobs(), 2);
+        assert_eq!(candidate.simjoin_jobs, 1);
+        assert_eq!(candidate.report.num_jobs(), 1);
         assert!(candidate.capacities.matches(&candidate.graph));
         // The join's candidate accounting closes and surfaces here.
         assert_eq!(
@@ -397,10 +393,7 @@ mod tests {
             candidate.candidates_pruned + candidate.verify_exact
         );
         assert!(candidate.verify_exact >= candidate.graph.num_edges());
-        assert_eq!(
-            candidate.report.job_names(),
-            vec!["pipeline-test-index", "pipeline-test-probe"]
-        );
+        assert_eq!(candidate.report.job_names(), vec!["pipeline-test-probe"]);
     }
 
     #[test]

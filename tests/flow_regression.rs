@@ -2,8 +2,8 @@
 //! points (`mapreduce_similarity_join_flow` + `GreedyMr::run` / `StackMr::run`)
 //! and the new `Dataset`-chain path behind `MatchingPipeline` must produce
 //! byte-identical results, and a single `FlowReport` must reproduce the
-//! paper's per-stage job counts (2 similarity-join jobs, one job per
-//! GreedyMR round) and total shuffled records.
+//! per-stage job counts (1 similarity-join job, one job per GreedyMR
+//! round) and total shuffled records.
 
 use social_content_matching::datagen::FlickrGenerator;
 use social_content_matching::mapreduce::flow::FlowContext;
@@ -76,12 +76,12 @@ fn pipeline_run_is_byte_identical_to_the_pre_redesign_glue() {
 
     // One FlowReport reproduces the paper's per-stage job counts and the
     // total communication cost of the pre-redesign path.
-    assert_eq!(run.simjoin_jobs, 2, "the similarity join is two jobs");
+    assert_eq!(run.simjoin_jobs, 1, "the similarity join is one job");
     assert_eq!(
         run.matching.mr_jobs, old_matching.rounds,
         "GreedyMR runs one job per round"
     );
-    assert_eq!(run.report.num_jobs(), 2 + old_matching.mr_jobs);
+    assert_eq!(run.report.num_jobs(), 1 + old_matching.mr_jobs);
     let old_shuffled: u64 = join
         .job_metrics
         .iter()
@@ -130,7 +130,7 @@ fn stack_mr_through_the_pipeline_matches_the_old_wrapper() {
         old.matching.to_edge_vec()
     );
     assert_eq!(run.matching.mr_jobs, old.mr_jobs);
-    assert_eq!(run.report.num_jobs(), 2 + old.mr_jobs);
+    assert_eq!(run.report.num_jobs(), 1 + old.mr_jobs);
     assert_eq!(
         run.matching.total_shuffled_records(),
         old.total_shuffled_records()

@@ -85,13 +85,10 @@ fn default_generator_is_byte_identical_to_the_direct_join() {
         assert_eq!(candidate.indexed_entries, direct.indexed_entries);
         assert_eq!(candidate.shuffled_records, direct.shuffled_records);
         assert_eq!(candidate.shuffled_bytes, direct.shuffled_bytes);
-        assert_eq!(candidate.simjoin_jobs, 2);
+        assert_eq!(candidate.simjoin_jobs, 1);
     }
-    // Job names keep the historical `-index` / `-probe` suffixes.
-    assert_eq!(
-        implicit.report.job_names(),
-        vec!["implicit-index", "implicit-probe"]
-    );
+    // The one job keeps the historical `-probe` suffix.
+    assert_eq!(implicit.report.job_names(), vec!["implicit-probe"]);
 }
 
 /// The pinned frontier point per sketch generator on `flickr-small` at its
