@@ -33,7 +33,7 @@ pub struct Posting {
 /// The table prefix filtering is parameterised by: the per-term maxima of
 /// the *query* (item) side the prefixes are pruned against — the
 /// exactness contract of the index.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct IndexPlan {
     /// `max_weights[t]`: the largest weight any query may carry on term
     /// `t` (`0.0` for terms no query carries).
@@ -57,18 +57,17 @@ impl IndexPlan {
         }
     }
 
-    /// Raises the query-side maxima to cover `observed` per-term query
-    /// weights too (growing the vocabulary if queries carried unseen
+    /// Raises the query-side maxima to cover `observed` `(term index,
+    /// weight)` pairs too (growing the vocabulary if queries carried unseen
     /// terms), so an index built from the widened plan is exact for the
     /// workload that actually arrived.
-    pub fn widened(mut self, observed: &[f64]) -> Self {
-        if self.max_weights.len() < observed.len() {
-            self.max_weights.resize(observed.len(), 0.0);
+    pub fn widen(&mut self, observed: impl IntoIterator<Item = (usize, f64)>) {
+        for (term, weight) in observed {
+            if self.max_weights.len() <= term {
+                self.max_weights.resize(term + 1, 0.0);
+            }
+            self.max_weights[term] = self.max_weights[term].max(weight);
         }
-        for (max, &seen) in self.max_weights.iter_mut().zip(observed) {
-            *max = max.max(seen);
-        }
-        self
     }
 
     /// The one prefix/suffix decision for a consumer vector: the length
@@ -327,8 +326,10 @@ mod tests {
     fn widening_raises_maxima_grows_the_vocabulary_and_is_idempotent_when_empty() {
         let items = vec![vec_of(&[(0, 0.5), (1, 0.4)])];
         let plan = IndexPlan::derive(&items, &items);
-        assert_eq!(plan.clone().widened(&[]), plan);
-        let wide = plan.clone().widened(&[0.6, 0.1, 0.0, 0.01]);
+        let mut wide = plan.clone();
+        wide.widen([]);
+        assert_eq!(wide, plan);
+        wide.widen([0.6, 0.1, 0.0, 0.01].into_iter().enumerate());
         assert_eq!(wide.max_weights, vec![0.6, 0.4, 0.0, 0.01]);
     }
 

@@ -332,7 +332,7 @@ fn count(counters: &Counters, name: &str, delta: u64) {
 /// shuffle.
 struct ProbeMapper<'a, F> {
     items: &'a [SparseVector],
-    index: &'a ServingIndex,
+    index: &'a ServingIndex<'a>,
     counters: Counters,
     visit: F,
 }

@@ -31,7 +31,8 @@
 //!   verification in the probe mapper, each survivor finished by merging
 //!   the suffix tails) producing a [`smr_graph::BipartiteGraph`]; see
 //!   `docs/simjoin.md` for the filter math and the dataflow,
-//! * [`serving`] — the index with the consumer vectors it owns and the
+//! * [`serving`] — the index with the consumer vectors, its exactness
+//!   contract (drift count, drift record, rebuild) and the
 //!   one probe loop ([`ServingIndex::probe`]) the batch probe mapper and
 //!   the point queries ([`ServingIndex::match_one`]) share, plus
 //!   micro-batch appends; see `docs/serving.md`.

@@ -3,35 +3,38 @@
 //!
 //! [`ServingIndex`] is the pruned similarity-join index: the
 //! [`InvertedIndex`], the [`SuffixTable`] of where each consumer's
-//! unindexed suffix starts, and the consumer vectors it owns.  The batch
-//! join builds one on the driver, probes it once with every item in its
-//! one MapReduce job, and drops it.  A standing index keeps it alive and
-//! answers two requests the batch path cannot:
+//! unindexed suffix starts, and the consumer vectors.  The batch join
+//! builds one on the driver over the consumer slice it was handed,
+//! probes it once with every item in its one MapReduce job, and drops
+//! it.  A standing index owns its vectors, keeps it alive and answers two
+//! requests the batch path cannot:
 //!
 //! * [`ServingIndex::match_one`] — "a new item just arrived: who are its
 //!   candidate consumers right now?"  One query runs the batch probe
 //!   mapper's own loop, [`ServingIndex::probe`]: partial products over
 //!   shared indexed terms, the suffix-remainder prune at `σ − slack`, and
 //!   the finish ([`crate::join::Probe::finish`]) that continues the
-//!   partial score over the tail of the consumer's owned vector past its
+//!   partial score over the tail of the consumer's vector past its
 //!   indexed prefix — the exact dot product, bit for bit.  No corpus
 //!   scan: the query only touches the postings of its own terms.
 //! * [`ServingIndex::append_batch`] — "these consumers just joined the
 //!   corpus."  Each new vector's prefix postings join the index after the
 //!   existing postings of their terms, its prefix length joins the table, and
-//!   the vectors join the owned corpus.
+//!   the vectors join the corpus (which the index then owns).
 //!
 //! **Exactness.**  A query runs the batch probe mapper's probe over the
-//! same postings, so for any query vector whose per-term weights stay
-//! within the query-side maxima the index was built with, `match_one`
-//! returns *exactly* the batch join's candidate set for that query
-//! (proptest-locked in `tests/serving_equivalence.rs`).  Queries with
-//! heavier terms than the declared maxima may miss pairs — the prefix
-//! bound they were indexed under no longer covers such a query — which is
-//! why builders take the maxima explicitly.
+//! same postings, so for any query whose per-term weights stay within the
+//! index's [`IndexPlan`], `match_one` returns *exactly* the batch join's
+//! candidate set for it (proptest-locked in
+//! `tests/serving_equivalence.rs`).  A heavier query may miss pairs.  The
+//! index owns this contract: [`ServingIndex::candidates`] counts every
+//! query outside the plan and folds it into one drift record, and
+//! [`ServingIndex::rebuild`] re-cuts under the plan widened by it.
 
+use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use smr_text::{SparseVector, TermId};
 
@@ -49,27 +52,29 @@ pub struct ScoredMatch {
     pub score: f64,
 }
 
-/// A standing, in-RAM similarity index over a consumer corpus it owns,
-/// answering point queries and absorbing micro-batches of new consumers.
+/// A standing, in-RAM similarity index over a consumer corpus, answering
+/// point queries and absorbing micro-batches of new consumers.
 #[derive(Debug)]
-pub struct ServingIndex {
+pub struct ServingIndex<'a> {
     index: InvertedIndex,
     /// Where every consumer's unindexed suffix starts, by dense index.
     suffixes: SuffixTable,
-    /// Every indexed consumer, by dense index.
-    consumers: Vec<SparseVector>,
+    /// Every indexed consumer, by dense index: borrowed from the batch
+    /// join's caller, owned once appended to.
+    consumers: Cow<'a, [SparseVector]>,
     sigma: f64,
     /// The query-side maxima the prefixes were cut with.
     plan: IndexPlan,
-    /// Queries seen so far that carried some term heavier than its
-    /// build-time maximum — queries the exactness contract no longer
-    /// covers (see [`ServingIndex::maxima_exceeded`]).
+    /// Queries seen so far outside `plan` ([`ServingIndex::maxima_exceeded`]).
     maxima_exceeded: AtomicU64,
+    /// The elementwise maxima of those queries' weights, which
+    /// [`ServingIndex::rebuild`] widens `plan` by; only such a query locks it.
+    drift: Mutex<IndexPlan>,
 }
 
-impl ServingIndex {
-    /// Builds a serving index over a copy of `consumers` at threshold
-    /// `sigma`.  `plan` fixes
+impl<'a> ServingIndex<'a> {
+    /// Builds a serving index over `consumers` (borrowed or owned) at
+    /// threshold `sigma`.  `plan` fixes
     /// the per-term upper bounds on the weight any future query may carry;
     /// the prefix of each consumer is pruned against these, so they are
     /// the exactness contract of the index.
@@ -80,12 +85,13 @@ impl ServingIndex {
     ///
     /// # Panics
     /// Panics if `sigma` is not strictly positive.
-    pub fn build(consumers: &[SparseVector], plan: IndexPlan, sigma: f64) -> Self {
-        Self::build_owned(consumers.to_vec(), plan, sigma)
-    }
-
-    fn build_owned(consumers: Vec<SparseVector>, plan: IndexPlan, sigma: f64) -> Self {
+    pub fn build(
+        consumers: impl Into<Cow<'a, [SparseVector]>>,
+        plan: IndexPlan,
+        sigma: f64,
+    ) -> Self {
         assert!(sigma > 0.0, "threshold must be positive");
+        let consumers = consumers.into();
         let index = InvertedIndex::from_records(prefix_postings(&plan, 0, &consumers, sigma));
         let suffixes = SuffixTable::build(&plan, &consumers, sigma);
         ServingIndex {
@@ -95,6 +101,7 @@ impl ServingIndex {
             sigma,
             plan,
             maxima_exceeded: AtomicU64::new(0),
+            drift: Mutex::default(),
         }
     }
 
@@ -102,16 +109,38 @@ impl ServingIndex {
     /// [`IndexPlan::derive`]d from `items` and `consumers` exactly as the
     /// batch join derives it, so `match_one` with any of the `items`
     /// reproduces the batch join's candidates for that item.
-    pub fn for_corpora(items: &[SparseVector], consumers: &[SparseVector], sigma: f64) -> Self {
-        Self::build(consumers, IndexPlan::derive(items, consumers), sigma)
+    pub fn for_corpora(
+        items: &[SparseVector],
+        consumers: impl Into<Cow<'a, [SparseVector]>>,
+        sigma: f64,
+    ) -> Self {
+        let consumers = consumers.into();
+        let plan = IndexPlan::derive(items, &consumers);
+        Self::build(consumers, plan, sigma)
     }
 
     /// Re-cuts every consumer's prefix under `plan` and resets the drift
-    /// counter: the index a fresh [`ServingIndex::build`] over the current
-    /// consumers would give, without copying them.
+    /// count and record: the index a fresh [`ServingIndex::build`] over
+    /// the current consumers would give, without copying them.
     pub fn reindex(&mut self, plan: IndexPlan) {
         let consumers = std::mem::take(&mut self.consumers);
-        *self = ServingIndex::build_owned(consumers, plan, self.sigma);
+        *self = ServingIndex::build(consumers, plan, self.sigma);
+    }
+
+    /// Once some query fell outside the plan, re-cuts the index
+    /// ([`ServingIndex::reindex`]) under the plan widened by the drift
+    /// record, so every query served so far is inside the new exactness
+    /// contract.  Returns whether it ran (`false` = the index is still
+    /// exact for everything it served).
+    pub fn rebuild(&mut self) -> bool {
+        if self.maxima_exceeded() == 0 {
+            return false;
+        }
+        let mut plan = self.plan.clone();
+        let drift = self.drift.get_mut().expect("drift record lock poisoned");
+        plan.widen(drift.max_weights.iter().copied().enumerate());
+        self.reindex(plan);
+        true
     }
 
     /// The similarity threshold this index serves.
@@ -147,18 +176,18 @@ impl ServingIndex {
     }
 
     /// How many queries so far carried some term **strictly heavier** than
-    /// the per-term maximum the index was built with.  Such queries fall
-    /// outside the exactness contract — the consumers' prefixes were cut
-    /// against the declared maxima, so a heavier query may miss pairs.  A
-    /// non-zero count is the signal that the workload has drifted past the
-    /// build assumptions and the index should be rebuilt with fresh maxima
-    /// (surfaced as `needs_rebuild` on the serving pipeline).
+    /// its maximum in the plan the prefixes were cut with.  Such queries
+    /// fall outside the exactness contract — a heavier query may miss
+    /// pairs.  A non-zero count is the signal that the workload has
+    /// drifted past the plan and [`ServingIndex::rebuild`] should run
+    /// (surfaced as `needs_rebuild` on the serving pipeline); it resets to
+    /// 0 with the re-cut.
     pub fn maxima_exceeded(&self) -> u64 {
         self.maxima_exceeded.load(Ordering::Relaxed)
     }
 
-    /// Whether `query` carries some term heavier than its build-time
-    /// maximum (a missing vocabulary entry counts as maximum 0): the
+    /// Whether `query` carries some term heavier than its maximum in the
+    /// plan (a missing vocabulary entry counts as maximum 0): the
     /// per-query predicate behind [`ServingIndex::maxima_exceeded`].
     pub fn query_exceeds_maxima(&self, query: &SparseVector) -> bool {
         let maxima = &self.plan.max_weights;
@@ -193,7 +222,9 @@ impl ServingIndex {
 
     /// Every consumer whose exact dot product with `query` reaches σ, in
     /// consumer order — the batch join's candidate set for this query,
-    /// unranked and untruncated.
+    /// unranked and untruncated.  A query outside the plan is counted
+    /// ([`ServingIndex::maxima_exceeded`]) and its weights join the drift
+    /// record [`ServingIndex::rebuild`] widens the plan by.
     pub fn candidates(&self, query: &SparseVector) -> Vec<ScoredMatch> {
         let entries = query.entries();
         if entries.is_empty() {
@@ -201,6 +232,8 @@ impl ServingIndex {
         }
         if self.query_exceeds_maxima(query) {
             self.maxima_exceeded.fetch_add(1, Ordering::Relaxed);
+            let mut drift = self.drift.lock().expect("drift record lock poisoned");
+            drift.widen(entries.iter().map(|&(term, weight)| (term.index(), weight)));
         }
         let mut matches = Vec::new();
         self.probe(query, probe_postings, |consumer, score| {
@@ -239,7 +272,8 @@ impl ServingIndex {
     /// Absorbs a micro-batch of new consumers, returning the dense indices
     /// they were assigned.  Each vector's prefix postings join the index
     /// after the existing postings of their terms, its prefix length joins
-    /// the suffix table, and the vectors join the owned corpus.
+    /// the suffix table, and the vectors join the corpus, copied into an
+    /// owned one first if it was borrowed.
     pub fn append_batch(&mut self, batch: &[SparseVector]) -> Range<usize> {
         let assigned = self.len()..self.len() + batch.len();
         if batch.is_empty() {
@@ -248,7 +282,7 @@ impl ServingIndex {
         let postings = prefix_postings(&self.plan, self.len(), batch, self.sigma);
         self.index.append(postings);
         self.suffixes.extend(&self.plan, batch, self.sigma);
-        self.consumers.extend_from_slice(batch);
+        self.consumers.to_mut().extend_from_slice(batch);
         assigned
     }
 }
@@ -399,6 +433,21 @@ mod tests {
         assert_eq!(serving.maxima_exceeded(), 2);
     }
 
+    #[test]
+    fn a_rebuild_with_nothing_recorded_reproduces_the_build() {
+        let (items, consumers) = small_corpora();
+        let mut serving = ServingIndex::for_corpora(&items, &consumers, 0.3);
+        let built: Vec<_> = items.iter().map(|x| serving.candidates(x)).collect();
+        let postings = serving.num_postings();
+        assert!(!serving.rebuild(), "no drift ⇒ no re-cut");
+        // Forced through the widen step with an empty drift record.
+        *serving.maxima_exceeded.get_mut() = 1;
+        assert!(serving.rebuild());
+        let rebuilt: Vec<_> = items.iter().map(|x| serving.candidates(x)).collect();
+        let after = (serving.num_postings(), rebuilt, serving.maxima_exceeded());
+        assert_eq!(after, (postings, built, 0));
+    }
+
     /// A plan with every query maximum 1.
     fn flat_plan(vocab: u32) -> IndexPlan {
         IndexPlan {
@@ -409,7 +458,7 @@ mod tests {
     /// Finishes one survivor `doc` of `x` whose partial score is the
     /// probe's (its products over `doc`'s indexed prefix), asserting the
     /// bits of `x.dot(y)`; returns whether it took a tail product.
-    fn finish_one(serving: &ServingIndex, doc: usize, x: &SparseVector) -> bool {
+    fn finish_one(serving: &ServingIndex<'_>, doc: usize, x: &SparseVector) -> bool {
         let consumers = serving.consumers();
         let plen = serving.suffixes.prefix_len(doc);
         let score = consumers[doc].entries()[..plen]

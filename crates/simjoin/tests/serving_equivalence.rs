@@ -62,8 +62,8 @@ proptest! {
                             .with_memory_budget(budget),
                     ),
                 );
-                // Posting-level identity with job 1: the standing index
-                // holds exactly the entries the batch index job produced.
+                // Posting-level identity with the batch join: the standing
+                // index holds exactly the entries its driver-built index did.
                 prop_assert_eq!(serving.num_postings(), batch.indexed_entries);
                 // The batch edge list restricted to each item, with
                 // bit-exact weights.

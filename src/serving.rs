@@ -15,7 +15,10 @@
 //!   better match arrives,
 //! * [`ServingPipeline::add_consumers`] absorbs new consumers: their
 //!   prefix postings join the in-RAM index and they join the assignment
-//!   with their own capacity.
+//!   with their own capacity,
+//! * [`ServingPipeline::rebuild`] re-cuts the index once some query fell
+//!   outside its exactness contract; the index keeps that contract, the
+//!   drift count and the drift record itself ([`ServingIndex::rebuild`]).
 //!
 //! The handle vectorizes arriving documents through the same
 //! [`AlignedCorpora`] the batch join is fed from — same tokenizer, same
@@ -25,11 +28,10 @@
 //! `docs/serving.md` for the dataflow.
 
 use std::ops::Range;
-use std::sync::Mutex;
 
 use smr_datagen::SocialDataset;
 use smr_matching::IncrementalMatcher;
-use smr_simjoin::{AlignedCorpora, IndexPlan, ScoredMatch, ServingIndex};
+use smr_simjoin::{AlignedCorpora, ScoredMatch, ServingIndex};
 use smr_text::{Document, SparseVector, TokenizerConfig};
 
 /// The outcome of one arrival committed via [`ServingPipeline::assign`].
@@ -53,20 +55,14 @@ pub struct ItemAssignment {
 #[derive(Debug)]
 pub struct ServingPipeline {
     /// The standing index; it owns every indexed consumer vector, kept
-    /// current as consumers arrive — what [`ServingPipeline::rebuild`]
-    /// rebuilds from.
-    index: ServingIndex,
+    /// current as consumers arrive, and its exactness contract — what
+    /// [`ServingPipeline::rebuild`] re-cuts.
+    index: ServingIndex<'static>,
     matcher: IncrementalMatcher,
-    /// The build corpora in one term space: the item side of every
-    /// [`IndexPlan`], and the vectorizer of every arrival.
+    /// The build corpora in one term space: the vectorizer of every
+    /// arrival.
     aligned: AlignedCorpora,
     consumer_ids: Vec<String>,
-    sigma: f64,
-    /// Elementwise maxima of every query vector served so far.  A rebuild
-    /// folds these into the item-side maxima, so the fresh index's
-    /// exactness contract covers the drifted workload, not just the
-    /// original corpus.  Behind a mutex because queries take `&self`.
-    observed_query_max: Mutex<Vec<f64>>,
 }
 
 impl ServingPipeline {
@@ -80,8 +76,11 @@ impl ServingPipeline {
         alpha: f64,
     ) -> Self {
         let aligned = AlignedCorpora::build(&dataset.items, &dataset.consumers, tokenizer);
-        let index =
-            ServingIndex::for_corpora(aligned.item_vectors(), aligned.consumer_vectors(), sigma);
+        let index = ServingIndex::for_corpora(
+            aligned.item_vectors(),
+            aligned.consumer_vectors().to_vec(),
+            sigma,
+        );
 
         let caps = dataset.capacities(alpha);
         let matcher = IncrementalMatcher::new(Vec::new(), caps.consumer_capacities().to_vec());
@@ -90,8 +89,6 @@ impl ServingPipeline {
             matcher,
             consumer_ids: aligned.consumer_labels(),
             aligned,
-            sigma,
-            observed_query_max: Mutex::new(Vec::new()),
         }
     }
 
@@ -115,14 +112,6 @@ impl ServingPipeline {
     /// # Panics
     /// Panics if `query` carries a term at or beyond the joint vocabulary.
     pub fn match_vector(&self, query: &SparseVector, k: usize) -> Vec<ScoredMatch> {
-        self.observe_query(query);
-        self.index.match_one(query, k)
-    }
-
-    /// Records a served query's per-term weights into the observed maxima,
-    /// so a later [`ServingPipeline::rebuild`] can cover the workload that
-    /// actually arrived.
-    fn observe_query(&self, query: &SparseVector) {
         let vocab_size = self.aligned.vocab_size();
         if let Some(&(term, _)) = query.entries().last() {
             assert!(
@@ -131,19 +120,7 @@ impl ServingPipeline {
                 term.index()
             );
         }
-        let mut observed = self
-            .observed_query_max
-            .lock()
-            .expect("observed-maxima lock poisoned");
-        for &(term, weight) in query.entries() {
-            let t = term.index();
-            if observed.len() <= t {
-                observed.resize(t + 1, 0.0);
-            }
-            if weight > observed[t] {
-                observed[t] = weight;
-            }
-        }
+        self.index.match_one(query, k)
     }
 
     /// One item arrives: runs the point query and commits the arrival
@@ -177,7 +154,7 @@ impl ServingPipeline {
 
     /// The similarity threshold served.
     pub fn sigma(&self) -> f64 {
-        self.sigma
+        self.index.sigma()
     }
 
     /// Number of consumers currently indexed.
@@ -191,55 +168,26 @@ impl ServingPipeline {
     }
 
     /// Whether the standing index has served queries it can no longer
-    /// answer exactly: some arrival carried a term **heavier** than the
-    /// per-term maximum the index's prefixes were pruned against, so its
-    /// candidate set may have missed pairs.  Once this fires the workload
-    /// has drifted past the build assumptions and the index should be
-    /// rebuilt (a fresh [`crate::MatchingPipeline::serve`] over the grown
-    /// corpus); the raw count is
-    /// [`maxima_exceeded`][ServingIndex::maxima_exceeded] on
-    /// [`ServingPipeline::index`].
+    /// answer exactly: some query — through this handle or straight
+    /// through [`ServingPipeline::index`] — carried a term **heavier**
+    /// than its maximum in the plan the index's prefixes were cut with,
+    /// so its candidate set may have missed pairs.  The raw count is
+    /// [`maxima_exceeded`][ServingIndex::maxima_exceeded] on the index.
     pub fn needs_rebuild(&self) -> bool {
         self.index.maxima_exceeded() > 0
     }
 
-    /// Rebuilds the standing index from the current corpora when
-    /// [`ServingPipeline::needs_rebuild`] fires, and swaps it in.  Returns
-    /// whether a rebuild ran (`false` = the index is still exact for
-    /// everything it has served; nothing happens).
-    ///
-    /// The fresh index covers the *drifted* workload, not just the build
-    /// corpus: its per-term query maxima are the elementwise max of the
-    /// item-side maxima and every query weight observed so far, so the
-    /// very arrivals that tripped the detector are inside the new
-    /// exactness contract.  Consumers added via
-    /// [`ServingPipeline::add_consumers`] are re-indexed from scratch
-    /// (their prefixes are re-cut against the widened maxima) and the drift
-    /// counter resets to zero.
+    /// Re-cuts the standing index once [`ServingPipeline::needs_rebuild`]
+    /// fires, under its own plan widened by every query that fell outside
+    /// it ([`ServingIndex::rebuild`]), consumers added since the build
+    /// included.  Returns whether a re-cut ran.
     pub fn rebuild(&mut self) -> bool {
-        if !self.needs_rebuild() {
-            return false;
-        }
-        self.reindex();
-        true
-    }
-
-    /// Replaces the standing index with one built from the current
-    /// corpora under the batch plan widened by the observed query maxima.
-    fn reindex(&mut self) {
-        let observed = self
-            .observed_query_max
-            .lock()
-            .expect("observed-maxima lock poisoned")
-            .clone();
-        let plan = IndexPlan::derive(self.aligned.item_vectors(), self.index.consumers())
-            .widened(&observed);
-        self.index.reindex(plan);
+        self.index.rebuild()
     }
 
     /// The standing index (point queries, consumer vectors, drift
     /// counter).
-    pub fn index(&self) -> &ServingIndex {
+    pub fn index(&self) -> &ServingIndex<'static> {
         &self.index
     }
 
@@ -404,32 +352,28 @@ mod tests {
     }
 
     #[test]
-    fn reindexing_with_nothing_observed_reproduces_the_build() {
+    fn rebuild_covers_queries_served_straight_through_the_index() {
         let dataset = small_dataset();
         let mut serving = MatchingPipeline::new(dataset.clone()).sigma(0.12).serve();
-        // Querying the index directly leaves the observed maxima empty.
-        let queries: Vec<SparseVector> = dataset
-            .items
+        let item_vec = serving.vectorize(&dataset.items[0].text);
+        let heavy = SparseVector::from_entries([(item_vec.entries()[0].0, 2.0)]);
+        let _ = serving.index().candidates(&heavy);
+        assert!(serving.needs_rebuild());
+        assert!(serving.rebuild());
+        assert!(
+            !serving.index().query_exceeds_maxima(&heavy),
+            "rebuild reported success but the query that tripped it is still outside the contract"
+        );
+        let mut got: Vec<usize> = serving
+            .match_vector(&heavy, usize::MAX)
             .iter()
-            .map(|d| serving.vectorize(&d.text))
+            .map(|m| m.consumer)
             .collect();
-        let candidates = |serving: &ServingPipeline| -> Vec<Vec<ScoredMatch>> {
-            queries
-                .iter()
-                .map(|q| serving.index().candidates(q))
-                .collect()
-        };
-        let built = candidates(&serving);
-        let postings = serving.index().num_postings();
-
-        // Drift-free, `rebuild` declines; forced through the widen step
-        // with empty observations, the plan — and so the index — is the
-        // one `for_corpora` built.
-        assert!(!serving.rebuild());
-        serving.reindex();
-        assert_eq!(serving.index().num_postings(), postings);
-        assert_eq!(candidates(&serving), built);
-        assert!(!serving.needs_rebuild());
+        got.sort_unstable();
+        let expected: Vec<usize> = (0..serving.num_consumers())
+            .filter(|&c| heavy.dot(&serving.index().consumers()[c]) >= serving.sigma())
+            .collect();
+        assert_eq!(got, expected);
     }
 
     #[test]
