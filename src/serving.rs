@@ -202,6 +202,7 @@ mod tests {
     use super::*;
     use crate::MatchingPipeline;
     use smr_datagen::FlickrGenerator;
+    use smr_simjoin::IndexPlan;
 
     fn small_dataset() -> SocialDataset {
         FlickrGenerator {
@@ -374,6 +375,36 @@ mod tests {
             .filter(|&c| heavy.dot(&serving.index().consumers()[c]) >= serving.sigma())
             .collect();
         assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn reindexing_with_nothing_observed_reproduces_the_build() {
+        let dataset = small_dataset();
+        let mut serving = MatchingPipeline::new(dataset.clone()).sigma(0.12).serve();
+        let queries: Vec<SparseVector> = dataset
+            .items
+            .iter()
+            .map(|d| serving.vectorize(&d.text))
+            .collect();
+        let candidates = |serving: &ServingPipeline| -> Vec<Vec<ScoredMatch>> {
+            queries
+                .iter()
+                .map(|q| serving.index().candidates(q))
+                .collect()
+        };
+        let built = candidates(&serving);
+        let postings = serving.index().num_postings();
+
+        // Drift-free, `rebuild` declines; re-cut under the build plan
+        // widened by an empty record, the index is the one `for_corpora`
+        // built.
+        assert!(!serving.rebuild());
+        let mut plan = IndexPlan::derive(serving.aligned.item_vectors(), serving.index.consumers());
+        plan.widen(std::iter::empty());
+        serving.index.reindex(plan);
+        assert_eq!(serving.index().num_postings(), postings);
+        assert_eq!(candidates(&serving), built);
+        assert!(!serving.needs_rebuild());
     }
 
     #[test]
