@@ -3,27 +3,20 @@
 //! ```text
 //! run-experiments [EXPERIMENT ...] [--scale smoke|full] [--threads N] [--seed S]
 //!
-//! EXPERIMENT: table1 | fig1 | fig2 | fig3 | fig4 | fig5 | fig6 | fig7 | sketch | all
+//! EXPERIMENT: table1 | fig1 | fig2 | fig3 | fig4 | fig5 | fig6 | fig7 | all
 //! ```
 //!
 //! The names are the rows of [`smr_bench::experiments::EXPERIMENTS`]; `all`
-//! runs every row in the table's order.  `sketch` is the one entry that is
-//! not a paper artefact: it sweeps the pluggable candidate generators
-//! (exact prefix join, DISCO sampling, MinHash/LSH banding), prints their
-//! recall-vs-shuffle-cost frontier and fails the run if the frontier's
-//! self-checks do not hold.  Engine, spill, join, round, serving and shard
-//! costs are measured by the repo benchmark (`benchmark/run.sh`), not here.
+//! runs every row in the table's order.  Engine, spill, join, round,
+//! serving and shard costs are measured by the repo benchmark
+//! (`benchmark/run.sh`), not here.
 
 use std::process::ExitCode;
 
-use smr_bench::experiments::{ExperimentScale, ExperimentSet, EXPERIMENTS};
-use smr_bench::Table;
+use smr_bench::experiments::{Experiment, ExperimentScale, ExperimentSet, EXPERIMENTS};
 
 /// A row of [`EXPERIMENTS`].
-type Entry = (
-    &'static str,
-    fn(&mut ExperimentSet) -> Result<Vec<Table>, String>,
-);
+type Entry = (&'static str, Experiment);
 
 #[derive(Debug, Clone)]
 struct CliOptions {
@@ -111,12 +104,8 @@ fn main() -> ExitCode {
     let mut set = ExperimentSet::new(options.scale, options.threads, options.seed);
     for (name, run) in entries {
         let started = std::time::Instant::now();
-        match run(&mut set) {
-            Ok(tables) => tables.iter().for_each(|table| println!("{table}")),
-            Err(message) => {
-                eprintln!("{message}");
-                return ExitCode::FAILURE;
-            }
+        for table in run(&mut set) {
+            println!("{table}");
         }
         eprintln!("[{name} finished in {:.1?}]", started.elapsed());
     }
@@ -183,14 +172,7 @@ mod tests {
             .collect();
         assert_eq!(
             names,
-            ["table1", "fig6", "fig7", "fig1", "fig2", "fig3", "fig4", "fig5", "sketch"]
+            ["table1", "fig6", "fig7", "fig1", "fig2", "fig3", "fig4", "fig5"]
         );
-    }
-
-    #[test]
-    fn sketch_experiment_runs_and_enforces_its_frontier_invariants() {
-        let mut set = ExperimentSet::new(ExperimentScale::Smoke, 2, 1);
-        let (_, run) = plan(&strings(&["sketch"])).unwrap()[0];
-        assert_eq!(run(&mut set).unwrap().len(), 1);
     }
 }

@@ -325,136 +325,25 @@ pub fn capacity_distribution(set: &mut ExperimentSet) -> Vec<Table> {
 }
 
 // ---------------------------------------------------------------------------
-// Sketch candidate-generation frontier (recall vs shuffle cost)
-// ---------------------------------------------------------------------------
-
-/// The recall-vs-shuffle-cost frontier of the candidate generators — the
-/// exact prefix-filter join (recall = 1 reference), DISCO sampling at
-/// λ ∈ {4, 16} and MinHash/LSH banding at (bands × rows) ∈ {16×2, 8×4} —
-/// over the flickr presets at their default σ, with each preset's
-/// well-known sketch seed: one row per generator × preset, exact first.
-/// Every generator ends in exact verification, so a sketch's edge set is a
-/// subset of the exact join's with bit-identical weights and recall is
-/// simply the edge-count ratio.
-///
-/// Fails if the exact row's recall is not 1.0 (it *is* the reference), if
-/// a sketch generator kept no edges at all, or if no DISCO row shuffles
-/// strictly fewer records than its preset's exact join (the sampler is
-/// then not sampling): each is a bug, not a tuning artefact.
-pub fn sketch_frontier(set: &mut ExperimentSet) -> Result<Table, String> {
-    use smr_sketch::{CandidateGenerator, DiscoSampler, ExactPrefixJoin, LshBander};
-    use smr_text::{Corpus, TokenizerConfig};
-
-    let presets = match set.scale {
-        ExperimentScale::Smoke => vec![FlickrSmall],
-        // The frontier is the paper's small/large flickr contrast (what
-        // EXPERIMENTS.md records); yahoo-answers adds runtime, not signal.
-        ExperimentScale::Full => vec![FlickrSmall, FlickrLarge],
-    };
-    let mut table = Table::new(
-        "Sketch frontier: recall vs shuffle cost per candidate generator \
-         (every kept edge exactly verified at σ)",
-        &[
-            "dataset",
-            "sigma",
-            "generator",
-            "edges",
-            "recall",
-            "candidates",
-            "verified-exact",
-            "shuffled",
-            "shuffle-bytes",
-        ],
-    );
-    let mut disco_saves = false;
-    for preset in presets {
-        let sigma = preset.default_sigma();
-        let seed = preset.sketch_seed();
-        let dataset = preset.generate();
-        let tokenizer = TokenizerConfig::tags_only();
-        let items = Corpus::build(dataset.items, &tokenizer);
-        let consumers = Corpus::build(dataset.consumers, &tokenizer);
-        let generators: Vec<Box<dyn CandidateGenerator>> = vec![
-            Box::new(ExactPrefixJoin::new()),
-            Box::new(DiscoSampler::new(seed, 4.0)),
-            Box::new(DiscoSampler::new(seed, 16.0)),
-            Box::new(LshBander::new(seed, 16, 2)),
-            Box::new(LshBander::new(seed, 8, 4)),
-        ];
-        // (edges, shuffled records) of the exact join, which runs first.
-        let mut exact: Option<(usize, u64)> = None;
-        for generator in &generators {
-            let flow = FlowContext::new(set.job().with_name(format!(
-                "sketch-{}-{}",
-                preset.name(),
-                generator.name()
-            )));
-            let result = generator.generate(&items, &consumers, sigma, &flow);
-            let edges = result.graph.num_edges();
-            let is_exact = exact.is_none();
-            let (exact_edges, exact_shuffled) =
-                *exact.get_or_insert((edges, result.shuffled_records));
-            let recall = if exact_edges == 0 {
-                1.0
-            } else {
-                edges as f64 / exact_edges as f64
-            };
-            let point = format!("{} / {} at sigma {sigma}", preset.name(), result.generator);
-            if is_exact && recall != 1.0 {
-                return Err(format!(
-                    "exact generator must have recall 1.0 in the sketch frontier: {point}"
-                ));
-            }
-            if !is_exact && edges == 0 {
-                return Err(format!(
-                    "sketch generator recovered no edges (unpopulated frontier point): {point}"
-                ));
-            }
-            disco_saves |=
-                result.generator.starts_with("disco") && result.shuffled_records < exact_shuffled;
-            table.push_row(vec![
-                preset.name().to_string(),
-                fmt_f(sigma, 2),
-                result.generator,
-                edges.to_string(),
-                fmt_f(recall, 3),
-                result.candidate_pairs.to_string(),
-                result.verify_exact.to_string(),
-                result.shuffled_records.to_string(),
-                result.shuffled_bytes.to_string(),
-            ]);
-        }
-    }
-    if !disco_saves {
-        return Err("no DISCO row shuffled strictly fewer records than the exact join".to_string());
-    }
-    Ok(table)
-}
-
-// ---------------------------------------------------------------------------
 // The runner's table
 // ---------------------------------------------------------------------------
 
+/// An experiment: the tables it prints.
+pub type Experiment = fn(&mut ExperimentSet) -> Vec<Table>;
+
 /// Every experiment `run-experiments` knows: its command-line name and the
-/// tables it prints (`Err` = a failed self-check), in the order `all` runs
-/// them.
-#[allow(clippy::type_complexity)]
-pub const EXPERIMENTS: &[(&str, fn(&mut ExperimentSet) -> Result<Vec<Table>, String>)] = &[
-    ("table1", |set| Ok(vec![table1(set)])),
-    ("fig6", |set| Ok(similarity_distribution(set))),
-    ("fig7", |set| Ok(capacity_distribution(set))),
-    ("fig1", |set| {
-        Ok(vec![quality_and_iterations(set, FlickrSmall)])
-    }),
-    ("fig2", |set| {
-        Ok(vec![quality_and_iterations(set, FlickrLarge)])
-    }),
+/// experiment, in the order `all` runs them.
+pub const EXPERIMENTS: &[(&str, Experiment)] = &[
+    ("table1", |set| vec![table1(set)]),
+    ("fig6", similarity_distribution),
+    ("fig7", capacity_distribution),
+    ("fig1", |set| vec![quality_and_iterations(set, FlickrSmall)]),
+    ("fig2", |set| vec![quality_and_iterations(set, FlickrLarge)]),
     ("fig3", |set| {
-        Ok(vec![quality_and_iterations(set, YahooAnswers)])
+        vec![quality_and_iterations(set, YahooAnswers)]
     }),
-    ("fig4", |set| Ok(vec![violations(set)])),
-    ("fig5", |set| Ok(vec![anytime(set)])),
-    ("sketch", |set| Ok(vec![sketch_frontier(set)?])),
+    ("fig4", |set| vec![violations(set)]),
+    ("fig5", |set| vec![anytime(set)]),
 ];
 
 #[cfg(test)]

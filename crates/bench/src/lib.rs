@@ -9,7 +9,6 @@
 //! | `fig5` | Figure 5 — GreedyMR any-time convergence | [`experiments::anytime`] |
 //! | `fig6` | Figure 6 — edge-similarity distributions | [`experiments::similarity_distribution`] |
 //! | `fig7` | Figure 7 — capacity distributions | [`experiments::capacity_distribution`] |
-//! | `sketch` | — (recall vs shuffle cost of the candidate generators) | [`experiments::sketch_frontier`] |
 //!
 //! [`experiments::EXPERIMENTS`] is that table in code; the binary
 //! `run-experiments` dispatches on it:

@@ -22,7 +22,7 @@ fn smoke_paper_tables_are_byte_identical_to_the_committed_capture() {
             .iter()
             .find(|(known, _)| *known == name)
             .expect("every paper artefact is a row of the runner's table");
-        for table in run(&mut set).expect("paper tables have no failing self-check") {
+        for table in run(&mut set) {
             stdout.push_str(&format!("{table}\n"));
         }
     }

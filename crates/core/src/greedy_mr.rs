@@ -167,7 +167,7 @@ impl GreedyMr {
     ) -> MatchingRun {
         let mut state = flow.round_state("greedy-rounds");
         state.seed(
-            build_node_records(graph, caps)
+            build_node_records(graph, caps, |_| true)
                 .into_iter()
                 .map(|(node, mut record)| {
                     // Only the first proposals are put in order; each

@@ -616,7 +616,7 @@ mod tests {
     fn produces_a_maximal_matching_with_unit_capacities() {
         let g = grid_graph(6, 6);
         let caps = Capacities::uniform(&g, 1, 1);
-        let records = build_node_records(&g, &caps);
+        let records = build_node_records(&g, &caps, |_| true);
         let result = compute(&MaximalMatcher::new(MarkingStrategy::Random, 1), &records);
         assert_maximal(&g, &caps, &result.edges);
         assert!(result.iterations >= 1);
@@ -626,7 +626,7 @@ mod tests {
     fn stages_send_only_true_flags() {
         let g = grid_graph(6, 6);
         let caps = Capacities::uniform(&g, 1, 1);
-        let records = build_node_records(&g, &caps);
+        let records = build_node_records(&g, &caps, |_| true);
         let flow = flow();
         let result = MaximalMatcher::new(MarkingStrategy::Random, 1).compute(&records, &flow, "");
         let jobs = flow.report().jobs;
@@ -667,7 +667,7 @@ mod tests {
                 .collect(),
         );
         let caps = Capacities::uniform(&g, 1, 1);
-        let records = build_node_records(&g, &caps);
+        let records = build_node_records(&g, &caps, |_| true);
         let result = compute(&MaximalMatcher::new(MarkingStrategy::Random, 4), &records);
         assert_eq!(result.edges.len(), 1);
         assert_eq!(result.iterations, 1, "every leaf is done at cleanup 0");
@@ -725,7 +725,7 @@ mod tests {
     fn produces_a_maximal_matching_with_larger_capacities() {
         let g = grid_graph(5, 7);
         let caps = Capacities::uniform(&g, 3, 2);
-        let records = build_node_records(&g, &caps);
+        let records = build_node_records(&g, &caps, |_| true);
         let result = compute(&MaximalMatcher::new(MarkingStrategy::Random, 7), &records);
         assert_maximal(&g, &caps, &result.edges);
     }
@@ -734,7 +734,7 @@ mod tests {
     fn heaviest_first_marking_also_yields_maximal_matchings() {
         let g = grid_graph(6, 5);
         let caps = Capacities::uniform(&g, 2, 2);
-        let records = build_node_records(&g, &caps);
+        let records = build_node_records(&g, &caps, |_| true);
         let result = compute(
             &MaximalMatcher::new(MarkingStrategy::HeaviestFirst, 3),
             &records,
@@ -746,7 +746,7 @@ mod tests {
     fn runs_are_reproducible_for_a_fixed_seed() {
         let g = grid_graph(6, 6);
         let caps = Capacities::uniform(&g, 2, 2);
-        let records = build_node_records(&g, &caps);
+        let records = build_node_records(&g, &caps, |_| true);
         let a = compute(&MaximalMatcher::new(MarkingStrategy::Random, 99), &records);
         let b = compute(&MaximalMatcher::new(MarkingStrategy::Random, 99), &records);
         assert_eq!(a.edges, b.edges);
@@ -768,7 +768,7 @@ mod tests {
     fn centralized_reference_is_maximal_too() {
         let g = grid_graph(6, 6);
         let caps = Capacities::uniform(&g, 2, 2);
-        let records = build_node_records(&g, &caps);
+        let records = build_node_records(&g, &caps, |_| true);
         let edges = maximal_b_matching_centralized(&records);
         assert_maximal(&g, &caps, &edges);
     }

@@ -62,7 +62,7 @@ use smr_mapreduce::{Emitter, StateReducer};
 use crate::config::{assert_valid_epsilon, MarkingStrategy, StackMrConfig, STACK_MR_ROUND_BOUND};
 use crate::maximal::MaximalMatcher;
 use crate::result::{AlgorithmKind, MatchingRun};
-use crate::state::{build_node_records, peer_notes, AdjEdge, NodeRecord, NodeTable, RoundMsg};
+use crate::state::{build_node_records, peer_notes, NodeRecord, NodeTable, RoundMsg};
 
 /// The layer of an edge on no layer of the stack.
 const UNSTACKED: u32 = u32::MAX;
@@ -244,35 +244,6 @@ impl StateReducer for PopLayer<'_> {
     }
 }
 
-/// The pop phase's seed: one record per node with a stacked edge, in node
-/// order, at capacity `b(v)`, its adjacency the stacked edges alone in
-/// ascending edge id (the order of [`BipartiteGraph::incident_edges`]).
-/// One walk over `layer_of` finds them.
-fn pop_records(
-    graph: &BipartiteGraph,
-    caps: &Capacities,
-    layer_of: &[u32],
-) -> Vec<(NodeId, NodeRecord)> {
-    let mut stacked = NodeTable::for_graph(graph, Vec::new());
-    for (e, _) in layer_of
-        .iter()
-        .enumerate()
-        .filter(|&(_, &l)| l != UNSTACKED)
-    {
-        let edge = graph.edge(e);
-        let (item, consumer) = (NodeId::Item(edge.item), NodeId::Consumer(edge.consumer));
-        stacked[item].push(AdjEdge::new(e, consumer, edge.weight));
-        stacked[consumer].push(AdjEdge::new(e, item, edge.weight));
-    }
-    graph
-        .nodes()
-        .filter_map(|node| {
-            let adjacency = std::mem::take(&mut stacked[node]);
-            (!adjacency.is_empty()).then(|| (node, NodeRecord::new(caps.of(node), adjacency)))
-        })
-        .collect()
-}
-
 // ---------------------------------------------------------------------------
 // The algorithm driver
 // ---------------------------------------------------------------------------
@@ -327,7 +298,7 @@ impl StackMr {
         // Push phase.  Every dual starts at 0, so every ratio does too.
         // ------------------------------------------------------------------
         let mut push_state = flow.round_state("stack-push");
-        push_state.seed(build_node_records(graph, caps));
+        push_state.seed(build_node_records(graph, caps, |_| true));
         // Every node's y_v and y_v / b(v), written from each push's side
         // output.
         let mut duals = NodeTable::for_graph(graph, 0.0);
@@ -396,7 +367,10 @@ impl StackMr {
         // ------------------------------------------------------------------
         let mut matching = Matching::new(graph.num_edges());
         let mut pop_state = flow.round_state("stack-pop");
-        pop_state.seed(pop_records(graph, caps, &layer_of));
+        // The pop phase's seed: the stacked edges alone.
+        pop_state.seed(build_node_records(graph, caps, |e| {
+            layer_of[e] != UNSTACKED
+        }));
         if let Some(top) = num_layers.checked_sub(1) {
             pop_state.map(|_, record, out| nominate(&layer_of, top, record, out));
         }
@@ -434,6 +408,7 @@ mod tests {
     use super::*;
     use crate::exact::optimal_matching;
     use crate::maximal::maximal_b_matching_centralized;
+    use crate::state::AdjEdge;
     use smr_graph::{ConsumerId, Edge, GraphBuilder, ItemId};
     use smr_mapreduce::JobConfig;
 
@@ -673,7 +648,7 @@ mod tests {
             config: &config,
             ratios: &ratios,
         };
-        let covered: Vec<(NodeId, NodeRecord)> = build_node_records(&g, &caps)
+        let covered: Vec<(NodeId, NodeRecord)> = build_node_records(&g, &caps, |_| true)
             .into_iter()
             .filter_map(|(node, record)| {
                 let kept =

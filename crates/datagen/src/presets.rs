@@ -85,8 +85,8 @@ impl DatasetPreset {
     }
 
     /// The signature/sampling seed the sketch candidate generators use on
-    /// this preset — one well-known value per preset, so the `sketch`
-    /// experiment, the recall regression guard and any ad-hoc run all
+    /// this preset — one well-known value per preset, so the benchmark's
+    /// recall lanes, the recall regression guard and any ad-hoc run all
     /// sample identically and their numbers are comparable.
     pub fn sketch_seed(self) -> u64 {
         // Disjoint from the dataset generation seed (2011) on purpose:

@@ -63,6 +63,12 @@ pub struct JobConfig {
     /// `None` (the default unless the [`MEMORY_BUDGET_ENV`] environment
     /// variable is set) disables spilling.  The job's output is
     /// byte-identical for every budget.
+    ///
+    /// The budget bounds these buffers, not the process: what the driver
+    /// holds (corpora, the serving index, the probe output, the graph,
+    /// node records, node tables) is outside it.  `docs/engine.md`
+    /// ("What the memory budget bounds") tabulates both, with measured
+    /// peaks.
     pub memory_budget: Option<u64>,
     /// Where run files go: each job's spilled runs in an `smr-spill-*`
     /// subdirectory, a [`crate::FlowContext`]'s round-state partitions in

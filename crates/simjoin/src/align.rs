@@ -7,7 +7,7 @@
 //! candidate generator joins, the brute-force baseline scores, and the
 //! serving path vectorizes arrivals against.
 
-use smr_text::{Corpus, Document, SparseVector, TokenizerConfig};
+use smr_text::{Corpus, Document, SparseVector, TokenizerConfig, Vectorizer};
 
 /// Items and consumers vectorized over one joint vocabulary (tf·idf, unit
 /// L2 norm), plus the means to vectorize later text the same way.
@@ -66,17 +66,13 @@ impl AlignedCorpora {
         labels(&self.joint.documents()[self.num_items..])
     }
 
-    /// Number of terms in the joint vocabulary: every term id of an
-    /// aligned or vectorized vector is below it.
-    pub fn vocab_size(&self) -> usize {
-        self.joint.vocabulary().len()
-    }
-
-    /// Vectorizes `text` in the joint term space, exactly as the aligned
-    /// documents were; terms outside the joint vocabulary are dropped
-    /// (they cannot contribute to any similarity).
-    pub fn vectorize(&self, text: &str) -> SparseVector {
-        self.joint.vectorize(text)
+    /// The item vectors, the consumer vectors and the vectorizer of later
+    /// text in the joint term space, by move: the documents are dropped
+    /// and no vector is copied.
+    pub fn into_parts(self) -> (Vec<SparseVector>, Vec<SparseVector>, Vectorizer) {
+        let (mut items, vectorizer) = self.joint.into_vectors();
+        let consumers = items.split_off(self.num_items);
+        (items, consumers, vectorizer)
     }
 }
 
@@ -102,13 +98,12 @@ mod tests {
         let consumers = docs(&["bake bread"]);
         let stemmed = AlignedCorpora::build(&items, &consumers, &TokenizerConfig::default());
         assert_eq!(stemmed.item_vectors().len(), 2);
-        assert_eq!(stemmed.vocab_size(), 4, "bake, bread, vintag, car");
         assert_eq!(stemmed.consumer_labels(), vec!["d0"]);
         assert!(stemmed.item_vectors()[0].dot(&stemmed.consumer_vectors()[0]) > 0.99);
-        assert_eq!(
-            &stemmed.vectorize("Baking breads"),
-            &stemmed.item_vectors()[0]
-        );
+        let (item_vectors, consumer_vectors, vectorizer) = stemmed.into_parts();
+        assert_eq!((item_vectors.len(), consumer_vectors.len()), (2, 1));
+        assert_eq!(vectorizer.vocabulary().len(), 4, "bake, bread, vintag, car");
+        assert_eq!(&vectorizer.vectorize("Baking breads"), &item_vectors[0]);
         // Without stemming the inflected forms are different terms.
         let raw = AlignedCorpora::build(&items, &consumers, &TokenizerConfig::tags_only());
         assert_eq!(raw.item_vectors()[0].dot(&raw.consumer_vectors()[0]), 0.0);

@@ -31,13 +31,16 @@
 //! matching algorithms, byte-identical to an exact all-pairs join
 //! thresholded at σ.
 //!
-//! Each decision of the stage is stated once and called from everywhere
-//! it applies — the exact join, the sketch generators of `smr_sketch` and
-//! the serving path: *alignment* ([`AlignedCorpora`]), the *index plan*
-//! and prefix/suffix cut ([`crate::IndexPlan`]), the *probe* ([`probe_index`]
-//! handing the query to a visitor, pruning with [`survives`]), the
-//! *finish* ([`Probe::finish`]; [`verify_candidates`] for generators
-//! without partial scores), the one probe loop that joins the two
+//! This join is the pipeline's one candidate stage: `MatchingPipeline`
+//! calls [`mapreduce_similarity_join_vectors_flow`] directly.  Each
+//! decision of the stage is stated once and called from everywhere it
+//! applies — the exact join, the serving path, and the sketch generators
+//! of `smr_sketch` that the repo benchmark's recall lanes still measure:
+//! *alignment* ([`AlignedCorpora`]), the *index plan* and prefix/suffix
+//! cut ([`crate::IndexPlan`]), the *probe* ([`probe_index`] handing the
+//! query to a visitor, pruning with [`survives`]), the *finish*
+//! ([`Probe::finish`]; [`verify_candidates`] for LSH's candidates, which
+//! have no partial scores), the one probe loop that joins the two
 //! ([`ServingIndex::probe`], shared by the batch probe mapper and the
 //! serving point query) and the *chain* ([`candidate_chain`], with
 //! [`prefix_filter_join`] its prefix-filter instance).
@@ -88,18 +91,9 @@ pub mod counter {
 /// difference of unit-normalized vectors.
 const PRUNE_SLACK: f64 = 1e-9;
 
-/// Generator tag of the exact prefix-filter join in [`SimJoinResult`]
-/// (recall = 1.0 by construction — it is the reference every sketch
-/// generator is measured against).
-pub const EXACT_GENERATOR: &str = "exact";
-
 /// Result of the MapReduce similarity join.
 #[derive(Debug, Clone)]
 pub struct SimJoinResult {
-    /// Short tag of the candidate generator that produced this result
-    /// (`"exact"` for the prefix-filter join; sketch generators tag their
-    /// own — see the `smr_sketch` crate).
-    pub generator: String,
     /// The candidate-edge graph (items × consumers, weights = similarity).
     pub graph: BipartiteGraph,
     /// Number of candidate pairs generated by probing, before any pruning
@@ -115,15 +109,14 @@ pub struct SimJoinResult {
     /// for sampled probes and generators without partial scores.
     pub verify_dot: usize,
     /// Number of `(term, document)` postings of the driver-built index
-    /// after prefix pruning ([`ServingIndex::num_postings`]); for sketch
-    /// generators, the size of whatever standing structure the driver
-    /// built for the probe (e.g. MinHash band postings).
+    /// after prefix pruning ([`ServingIndex::num_postings`]); for LSH,
+    /// its band postings.
     pub indexed_entries: usize,
-    /// Records the generator's probe job shuffled.
+    /// Records the probe job shuffled.
     pub shuffled_records: u64,
-    /// Bytes the generator's probe job shuffled.
+    /// Bytes the probe job shuffled.
     pub shuffled_bytes: u64,
-    /// Metrics of the generator's MapReduce job (exactly one).
+    /// Metrics of the join's MapReduce job (exactly one).
     pub job_metrics: Vec<JobMetrics>,
 }
 
@@ -404,7 +397,6 @@ pub fn mapreduce_similarity_join_vectors_flow(
     flow: &FlowContext,
 ) -> SimJoinResult {
     prefix_filter_join(
-        EXACT_GENERATOR,
         "",
         (item_vectors, item_names),
         (consumer_vectors, consumer_names),
@@ -431,7 +423,6 @@ pub fn mapreduce_similarity_join_vectors_flow(
 /// holds a clone of it.
 #[allow(clippy::too_many_arguments)]
 pub fn prefix_filter_join<F>(
-    generator: &str,
     stage_prefix: &str,
     items: (&[SparseVector], &[String]),
     consumers: (&[SparseVector], &[String]),
@@ -448,7 +439,6 @@ where
     let index = ServingIndex::for_corpora(items.0, consumers.0, sigma);
     let probe_counters = counters.clone();
     candidate_chain(
-        generator,
         items,
         consumers,
         sigma,
@@ -484,7 +474,6 @@ where
 /// zero), with `verify_dot ≤ verify_exact`.
 #[allow(clippy::too_many_arguments)]
 pub fn candidate_chain(
-    generator: &str,
     (item_vectors, item_names): (&[SparseVector], &[String]),
     (consumer_vectors, consumer_names): (&[SparseVector], &[String]),
     sigma: f64,
@@ -522,7 +511,6 @@ pub fn candidate_chain(
     }
 
     SimJoinResult {
-        generator: generator.to_string(),
         graph: builder.build(),
         candidate_pairs: candidates_pruned + verify_exact,
         candidates_pruned,

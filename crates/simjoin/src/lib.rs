@@ -82,7 +82,7 @@ pub use index::{IndexPlan, InvertedIndex, Posting, PostingsRef, SuffixTable};
 pub use join::{
     candidate_chain, mapreduce_similarity_join_flow, mapreduce_similarity_join_vectors_flow,
     prefix_filter_join, probe_index, probe_postings, survives, verify_candidates, PartialScore,
-    Probe, SimJoinResult, EXACT_GENERATOR,
+    Probe, SimJoinResult,
 };
 pub use prefix::{prefix_length, suffix_remainder_bound, term_max_weights};
 pub use serving::{ScoredMatch, ServingIndex};

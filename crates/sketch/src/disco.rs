@@ -70,14 +70,6 @@ impl DiscoSampler {
 }
 
 impl CandidateGenerator for DiscoSampler {
-    fn name(&self) -> String {
-        if self.lambda.fract() == 0.0 {
-            format!("disco-{}", self.lambda as u64)
-        } else {
-            format!("disco-{}", self.lambda)
-        }
-    }
-
     /// The exact join's chain ([`prefix_filter_join`]) with one extra
     /// conditional in the probe visitor: a posting's contribution
     /// enters the partial score only if its coordinate hash clears the
@@ -95,7 +87,6 @@ impl CandidateGenerator for DiscoSampler {
         let counters = Counters::new();
         let sampled_out = counters.clone();
         prefix_filter_join(
-            &self.name(),
             "disco-",
             (item_vectors, item_names),
             (consumer_vectors, consumer_names),

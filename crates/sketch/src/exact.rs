@@ -2,15 +2,15 @@
 //! construction.
 
 use smr_mapreduce::flow::FlowContext;
-use smr_simjoin::{mapreduce_similarity_join_vectors_flow, SimJoinResult, EXACT_GENERATOR};
+use smr_simjoin::{mapreduce_similarity_join_vectors_flow, SimJoinResult};
 use smr_text::SparseVector;
 
 use crate::CandidateGenerator;
 
 /// Wraps [`mapreduce_similarity_join_vectors_flow`] behind the
-/// [`CandidateGenerator`] interface.  This is the default generator of the
-/// matching pipeline and the frontier's reference point: it misses no pair
-/// with similarity ≥ σ, so every sketch generator's recall is measured
+/// [`CandidateGenerator`] interface, the call the matching pipeline makes
+/// itself.  It is the recall reference: it misses no pair with
+/// similarity ≥ σ, so every sketch generator's recall is measured
 /// against its edge set.  Going through this type is byte-identical to
 /// calling the join directly — it adds nothing and removes nothing.
 #[derive(Debug, Clone, Copy, Default)]
@@ -24,10 +24,6 @@ impl ExactPrefixJoin {
 }
 
 impl CandidateGenerator for ExactPrefixJoin {
-    fn name(&self) -> String {
-        EXACT_GENERATOR.to_string()
-    }
-
     fn generate_vectors(
         &self,
         item_vectors: &[SparseVector],

@@ -1,5 +1,5 @@
-//! Sketch-based candidate generation: pluggable alternatives to the exact
-//! prefix-filter similarity join.
+//! Sketch-based candidate generation: approximate alternatives to the
+//! exact prefix-filter similarity join, measured against it.
 //!
 //! The paper's pipeline spends its pre-matching budget producing the
 //! candidate-edge graph, and the exact join's probe work grows with the
@@ -23,8 +23,10 @@
 //! [`smr_simjoin::verify_candidates`]), so those candidates carry true
 //! scores: a sketch generator's edge set is always a *subset* of the
 //! exact join's, with bit-identical weights on surviving pairs.  What
-//! varies is recall and cost — the frontier the `run-experiments sketch`
-//! harness in `smr_bench` measures.
+//! varies is recall and cost, which the repo benchmark's `sketch.*` lanes
+//! measure.  No pipeline option selects a sketch: neither met the keep
+//! rule (recall ≥ 0.9 at ≤ 0.5× the exact join's verifications on
+//! flickr-large), so `MatchingPipeline` calls the exact join directly.
 //! All pseudo-randomness is stateless coordinate hashing ([`hash`]), so
 //! every generator honours the engine's determinism contract: identical
 //! output for any thread count, memory budget or shard layout.
@@ -81,11 +83,11 @@ pub mod counter {
     pub const BAND_BUCKETS: &str = "lsh_band_buckets";
 }
 
-/// A swappable candidate-generation strategy: anything that can turn two
-/// aligned corpora and a threshold σ into a [`SimJoinResult`] by running
-/// jobs on a [`FlowContext`].
+/// A candidate-generation strategy: anything that can turn two aligned
+/// corpora and a threshold σ into a [`SimJoinResult`] by running jobs on
+/// a [`FlowContext`].
 ///
-/// Implementations must uphold two contracts the rest of the pipeline
+/// Implementations must uphold two contracts a recall measurement
 /// relies on:
 ///
 /// 1. **Soundness** — every emitted edge carries the pair's *exact*
@@ -97,11 +99,6 @@ pub mod counter {
 ///    memory budget or shard layout, given the generator's own
 ///    configuration (e.g. its seed).
 pub trait CandidateGenerator: std::fmt::Debug + Send + Sync {
-    /// Short tag identifying the generator (and its salient parameters)
-    /// in [`SimJoinResult::generator`] and frontier tables — e.g.
-    /// `"exact"`, `"disco-16"`, `"lsh-8x4"`.
-    fn name(&self) -> String;
-
     /// Runs the generator on pre-aligned vectors (both sides must share
     /// one term space; see [`AlignedCorpora`]).
     fn generate_vectors(

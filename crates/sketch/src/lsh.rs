@@ -24,9 +24,9 @@
 //!
 //! MinHash approximates *Jaccard* while the join thresholds *cosine*; the
 //! two agree on direction (shared terms) but not on weights, which is
-//! precisely the recall the frontier table measures.  All hashing is
-//! stateless ([`crate::hash`]), so the generator is deterministic for any
-//! thread count, memory budget or shard layout.
+//! precisely the recall the benchmark's `sketch.lsh_recall` measures.
+//! All hashing is stateless ([`crate::hash`]), so the generator is
+//! deterministic for any thread count, memory budget or shard layout.
 
 use std::collections::BTreeSet;
 
@@ -159,10 +159,6 @@ impl Mapper for BucketProbeMapper<'_> {
 }
 
 impl CandidateGenerator for LshBander {
-    fn name(&self) -> String {
-        format!("lsh-{}x{}", self.bands, self.rows)
-    }
-
     fn generate_vectors(
         &self,
         item_vectors: &[SparseVector],
@@ -190,7 +186,6 @@ impl CandidateGenerator for LshBander {
         // so the chain's accounting reads zero pruned and generated =
         // verified.
         candidate_chain(
-            &self.name(),
             (item_vectors, item_names),
             (consumer_vectors, consumer_names),
             sigma,

@@ -110,16 +110,15 @@ proptest! {
         ];
         for generator in &sketches {
             let reference = run(generator.as_ref(), &items, &consumers, sigma, None, 1);
-            prop_assert_eq!(&reference.generator, &generator.name());
 
             // (b) subset with bit-identical scores.
             for edge in reference.graph.edges() {
                 let exact_bits = exact_weights.get(&(edge.item.0, edge.consumer.0));
                 prop_assert!(
                     exact_bits == Some(&edge.weight.to_bits()),
-                    "{}: edge ({}, {}) missing from the exact join or scored \
+                    "{:?}: edge ({}, {}) missing from the exact join or scored \
                      differently (sketch bits {:?}, exact bits {:?})",
-                    generator.name(),
+                    generator,
                     edge.item.0,
                     edge.consumer.0,
                     edge.weight.to_bits(),
@@ -135,13 +134,11 @@ proptest! {
                         run(generator.as_ref(), &items, &consumers, sigma, budget, threads);
                     prop_assert!(
                         canonical_edges(&result.graph) == reference_edges,
-                        "{}: edges changed under budget={budget:?} threads={threads}",
-                        generator.name()
+                        "{generator:?}: edges changed under budget={budget:?} threads={threads}"
                     );
                     prop_assert!(
                         accounting(&result) == accounting(&reference),
-                        "{}: counters changed under budget={budget:?} threads={threads}",
-                        generator.name()
+                        "{generator:?}: counters changed under budget={budget:?} threads={threads}"
                     );
                 }
             }
@@ -206,7 +203,7 @@ fn shuffle_counters_are_uniform_across_generators() {
     ];
     for generator in &generators {
         let result = run(generator.as_ref(), &items, &consumers, 0.15, None, 2);
-        assert_eq!(result.job_metrics.len(), 1, "{}", generator.name());
+        assert_eq!(result.job_metrics.len(), 1, "{generator:?}");
         let probe = &result.job_metrics[0];
         assert_eq!(result.shuffled_records, probe.shuffle_records);
         assert_eq!(result.shuffled_bytes, probe.shuffle_bytes);

@@ -11,10 +11,11 @@
 //! input text, so an adversary who knows a fixed hash function could
 //! choose words that collide.
 //!
-//! [`Corpus::vectorize`] takes later text through the same tokenizer and
-//! the same weigher with one lookup per token and no interning, so the
-//! vector of a built document's own text is that document's vector, bit
-//! for bit.
+//! The corpus' [`Vectorizer`] — its tokenizer, vocabulary and weigher —
+//! takes later text through the same tokenizer and the same weigher with
+//! one lookup per token and no interning, so the vector of a built
+//! document's own text is that document's vector, bit for bit.  It
+//! outlives the corpus when [`Corpus::into_vectors`] hands it over.
 
 use crate::sparse::SparseVector;
 use crate::tfidf::Weigher;
@@ -40,19 +41,46 @@ impl Document {
     }
 }
 
-/// A vectorized corpus: the documents, the shared vocabulary and one sparse
-/// vector per document — plus the tokenizer and weigher it was built
-/// with, so later text can be vectorized the same way.  The vocabulary is
-/// numbered rarest first (document frequency ascending, ties by first
-/// appearance) before anything is vectorized, so ascending term id is the
-/// similarity join's prefix filter order.
+/// What takes text into a corpus' term space: the tokenizer, the
+/// vocabulary and the weigher the corpus was built with.
+#[derive(Debug, Clone)]
+pub struct Vectorizer {
+    tokenizer: Tokenizer,
+    vocab: Vocabulary,
+    weigher: Weigher,
+}
+
+impl Vectorizer {
+    /// The vocabulary: every term id of a vector it makes is below its
+    /// length.
+    pub fn vocabulary(&self) -> &Vocabulary {
+        &self.vocab
+    }
+
+    /// Vectorizes `text` exactly as the corpus' own documents were: same
+    /// tokenizer, vocabulary, weighting and normalization, so a built
+    /// document's text gets that document's vector bit for bit.  Terms
+    /// outside the vocabulary are dropped.
+    pub fn vectorize(&self, text: &str) -> SparseVector {
+        let mut ids = Vec::new();
+        self.tokenizer.for_each_token(text, |token| {
+            ids.extend(self.vocab.get(token));
+        });
+        self.weigher.weigh(&mut ids)
+    }
+}
+
+/// A vectorized corpus: the documents, one sparse vector per document and
+/// the [`Vectorizer`] they were made with, so later text can be
+/// vectorized the same way.  The vocabulary is numbered rarest first
+/// (document frequency ascending, ties by first appearance) before
+/// anything is vectorized, so ascending term id is the similarity join's
+/// prefix filter order.
 #[derive(Debug, Clone)]
 pub struct Corpus {
     documents: Vec<Document>,
-    vocab: Vocabulary,
     vectors: Vec<SparseVector>,
-    tokenizer: Tokenizer,
-    weigher: Weigher,
+    vectorizer: Vectorizer,
 }
 
 impl Corpus {
@@ -81,28 +109,30 @@ impl Corpus {
             .collect();
         Corpus {
             documents,
-            vocab,
             vectors,
-            tokenizer,
-            weigher,
+            vectorizer: Vectorizer {
+                tokenizer,
+                vocab,
+                weigher,
+            },
         }
     }
 
     /// The tokenizer configuration the corpus was built with.
     pub fn tokenizer_config(&self) -> &TokenizerConfig {
-        self.tokenizer.config()
+        self.vectorizer.tokenizer.config()
     }
 
-    /// Vectorizes `text` exactly as the corpus' own documents were: same
-    /// tokenizer, vocabulary, weighting and normalization, so a built
-    /// document's text gets that document's vector bit for bit.  Terms
-    /// outside the vocabulary are dropped.
+    /// Vectorizes `text` as the corpus' own documents were
+    /// ([`Vectorizer::vectorize`]).
     pub fn vectorize(&self, text: &str) -> SparseVector {
-        let mut ids = Vec::new();
-        self.tokenizer.for_each_token(text, |token| {
-            ids.extend(self.vocab.get(token));
-        });
-        self.weigher.weigh(&mut ids)
+        self.vectorizer.vectorize(text)
+    }
+
+    /// The vectors, in document order, and the vectorizer of later text,
+    /// by move: the documents are dropped.
+    pub fn into_vectors(self) -> (Vec<SparseVector>, Vectorizer) {
+        (self.vectors, self.vectorizer)
     }
 
     /// Number of documents.
@@ -137,7 +167,7 @@ impl Corpus {
 
     /// The shared vocabulary.
     pub fn vocabulary(&self) -> &Vocabulary {
-        &self.vocab
+        &self.vectorizer.vocab
     }
 
     /// Dot-product similarity between two documents of the corpus.

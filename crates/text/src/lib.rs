@@ -17,7 +17,7 @@
 //!   one pass over the text: each token is interned once as it streams out
 //!   of the tokenizer (into a map that keeps std's randomly keyed hasher,
 //!   since its keys are words of the input), and each document is weighted
-//!   from its term ids.  [`Corpus::vectorize`] vectorizes later text with
+//!   from its term ids.  Its [`Vectorizer`] vectorizes later text with
 //!   one lookup per token and gives a built document's text that
 //!   document's vector bit for bit.
 //!
@@ -44,14 +44,14 @@ pub mod tfidf;
 pub mod tokenize;
 pub mod vocab;
 
-pub use corpus::{Corpus, Document};
+pub use corpus::{Corpus, Document, Vectorizer};
 pub use sparse::SparseVector;
 pub use tokenize::{Tokenizer, TokenizerConfig};
 pub use vocab::{TermId, Vocabulary};
 
 /// Convenience re-exports.
 pub mod prelude {
-    pub use crate::corpus::{Corpus, Document};
+    pub use crate::corpus::{Corpus, Document, Vectorizer};
     pub use crate::sparse::SparseVector;
     pub use crate::tokenize::{Tokenizer, TokenizerConfig};
     pub use crate::vocab::{TermId, Vocabulary};

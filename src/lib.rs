@@ -7,10 +7,11 @@
 //! * [`mapreduce`] — the in-process MapReduce engine,
 //! * [`graph`] — bipartite item/consumer graphs, capacities and matchings,
 //! * [`text`] — vector-space representation (tokenization, tf·idf),
-//! * [`simjoin`] — prefix-filtering similarity join building candidate edges,
-//! * [`sketch`] — pluggable sketch-based candidate generation (DISCO
-//!   sampling, MinHash/LSH banding) behind the
-//!   [`sketch::CandidateGenerator`] abstraction (see `docs/sketch.md`),
+//! * [`simjoin`] — prefix-filtering similarity join building candidate
+//!   edges, the pipeline's one candidate stage,
+//! * [`sketch`] — DISCO sampling and MinHash/LSH banding, measured
+//!   against the exact join by the repo benchmark's recall lanes and
+//!   reachable from no pipeline option (see `docs/sketch.md`),
 //! * [`matching`] — the paper's algorithms: GreedyMR, StackMR,
 //!   StackGreedyMR, centralized greedy/stack and an exact solver,
 //! * [`datagen`] — synthetic dataset generators standing in for the paper's

@@ -31,8 +31,6 @@
 //! );
 //! ```
 
-use std::sync::Arc;
-
 use smr_datagen::SocialDataset;
 use smr_distrib::{run_sharded, ShardOptions};
 use smr_graph::{BipartiteGraph, Capacities};
@@ -40,8 +38,7 @@ use smr_mapreduce::flow::{FlowContext, FlowReport};
 use smr_mapreduce::JobConfig;
 use smr_matching::runner::RunnerConfig;
 use smr_matching::{run_algorithm, AlgorithmKind, GreedyMrConfig, MatchingRun, StackMrConfig};
-use smr_simjoin::AlignedCorpora;
-use smr_sketch::{CandidateGenerator, ExactPrefixJoin};
+use smr_simjoin::{mapreduce_similarity_join_vectors_flow, AlignedCorpora};
 use smr_text::TokenizerConfig;
 
 /// Builder for the paper's end-to-end pipeline: tokenize → similarity
@@ -58,7 +55,6 @@ pub struct MatchingPipeline {
     epsilon: f64,
     max_rounds: Option<usize>,
     shard: Option<ShardOptions>,
-    generator: Arc<dyn CandidateGenerator>,
 }
 
 /// The candidate-edge stage of a pipeline run: everything up to (and
@@ -83,16 +79,11 @@ pub struct CandidateGraph {
     /// (a suffix-tail product, or a full dot product for a sampled
     /// probe); the rest were finished from their partial score alone.
     pub verify_dot: usize,
-    /// `(term, document)` entries indexed after prefix pruning (for
-    /// sketch generators, the size of whatever standing structure the
-    /// driver built for their probe job).
+    /// `(term, document)` entries indexed after prefix pruning.
     pub indexed_entries: usize,
-    /// Tag of the candidate generator that produced the graph (`"exact"`
-    /// unless [`MatchingPipeline::candidate_generator`] was set).
-    pub generator: String,
-    /// Total records the generator's jobs shuffled.
+    /// Records the join's probe job shuffled.
     pub shuffled_records: u64,
-    /// Total bytes the generator's jobs shuffled.
+    /// Bytes the join's probe job shuffled.
     pub shuffled_bytes: u64,
     /// MapReduce jobs the similarity join ran (always 1).
     pub simjoin_jobs: usize,
@@ -119,11 +110,9 @@ pub struct PipelineRun {
     pub verify_dot: usize,
     /// `(term, document)` entries indexed after prefix pruning.
     pub indexed_entries: usize,
-    /// Tag of the candidate generator that produced the graph.
-    pub generator: String,
-    /// Total records the generator's jobs shuffled.
+    /// Records the join's probe job shuffled.
     pub shuffled_records: u64,
-    /// Total bytes the generator's jobs shuffled.
+    /// Bytes the join's probe job shuffled.
     pub shuffled_bytes: u64,
     /// MapReduce jobs the similarity join ran (always 1).
     pub simjoin_jobs: usize,
@@ -149,20 +138,7 @@ impl MatchingPipeline {
             epsilon: 1.0,
             max_rounds: None,
             shard: None,
-            generator: Arc::new(ExactPrefixJoin::new()),
         }
-    }
-
-    /// Swaps the candidate-generation strategy (default: the exact
-    /// prefix-filter join, byte-identical to calling the join directly).
-    /// Sketch generators — [`smr_sketch::DiscoSampler`],
-    /// [`smr_sketch::LshBander`] — trade bounded recall for shuffle
-    /// volume; whatever generator runs, emitted edges always carry exact
-    /// similarities ≥ σ, so everything downstream (capacities, matching)
-    /// is unchanged.
-    pub fn candidate_generator(mut self, generator: impl CandidateGenerator + 'static) -> Self {
-        self.generator = Arc::new(generator);
-        self
     }
 
     /// Sets the tokenizer items, consumers and (in serving mode) arriving
@@ -296,7 +272,6 @@ impl MatchingPipeline {
             verify_exact: candidate.verify_exact,
             verify_dot: candidate.verify_dot,
             indexed_entries: candidate.indexed_entries,
-            generator: candidate.generator,
             shuffled_records: candidate.shuffled_records,
             shuffled_bytes: candidate.shuffled_bytes,
             simjoin_jobs: candidate.simjoin_jobs,
@@ -334,7 +309,7 @@ impl MatchingPipeline {
             &self.dataset.consumers,
             &self.tokenizer,
         );
-        let join = self.generator.generate_vectors(
+        let join = mapreduce_similarity_join_vectors_flow(
             aligned.item_vectors(),
             aligned.consumer_vectors(),
             &aligned.item_labels(),
@@ -352,7 +327,6 @@ impl MatchingPipeline {
             verify_exact: join.verify_exact,
             verify_dot: join.verify_dot,
             indexed_entries: join.indexed_entries,
-            generator: join.generator,
             shuffled_records: join.shuffled_records,
             shuffled_bytes: join.shuffled_bytes,
             simjoin_jobs: join.job_metrics.len(),

@@ -20,9 +20,9 @@
 //!   outside its exactness contract; the index keeps that contract, the
 //!   drift count and the drift record itself ([`ServingIndex::rebuild`]).
 //!
-//! The handle vectorizes arriving documents through the same
-//! [`AlignedCorpora`] the batch join is fed from — same tokenizer, same
-//! joint vocabulary — so a point query for one of the original items
+//! The handle vectorizes arriving documents with the [`Vectorizer`] of
+//! the [`AlignedCorpora`] the batch join is fed from — same tokenizer,
+//! same joint vocabulary — so a point query for one of the original items
 //! returns exactly the batch join's candidate edges for it
 //! (`point_queries_reproduce_the_batch_candidate_edges` locks this).  See
 //! `docs/serving.md` for the dataflow.
@@ -32,7 +32,7 @@ use std::ops::Range;
 use smr_datagen::SocialDataset;
 use smr_matching::IncrementalMatcher;
 use smr_simjoin::{AlignedCorpora, ScoredMatch, ServingIndex};
-use smr_text::{Document, SparseVector, TokenizerConfig};
+use smr_text::{Document, SparseVector, TokenizerConfig, Vectorizer};
 
 /// The outcome of one arrival committed via [`ServingPipeline::assign`].
 #[derive(Debug, Clone)]
@@ -48,8 +48,8 @@ pub struct ItemAssignment {
 }
 
 /// A standing serving handle over a dataset: the similarity index kept
-/// alive in RAM, the aligned corpora to vectorize arrivals with, and an
-/// online capacity-aware assignment.
+/// alive in RAM, the vectorizer of arrivals, and an online capacity-aware
+/// assignment.  It keeps no build document and no item vector.
 ///
 /// Created by [`crate::MatchingPipeline::serve`]; it holds no files.
 #[derive(Debug)]
@@ -59,9 +59,8 @@ pub struct ServingPipeline {
     /// [`ServingPipeline::rebuild`] re-cuts.
     index: ServingIndex<'static>,
     matcher: IncrementalMatcher,
-    /// The build corpora in one term space: the vectorizer of every
-    /// arrival.
-    aligned: AlignedCorpora,
+    /// The joint tokenizer, vocabulary and weigher of the build corpora.
+    vectorizer: Vectorizer,
     consumer_ids: Vec<String>,
 }
 
@@ -76,19 +75,17 @@ impl ServingPipeline {
         alpha: f64,
     ) -> Self {
         let aligned = AlignedCorpora::build(&dataset.items, &dataset.consumers, tokenizer);
-        let index = ServingIndex::for_corpora(
-            aligned.item_vectors(),
-            aligned.consumer_vectors().to_vec(),
-            sigma,
-        );
+        let consumer_ids = aligned.consumer_labels();
+        let (items, consumers, vectorizer) = aligned.into_parts();
+        let index = ServingIndex::for_corpora(&items, consumers, sigma);
 
         let caps = dataset.capacities(alpha);
         let matcher = IncrementalMatcher::new(Vec::new(), caps.consumer_capacities().to_vec());
         ServingPipeline {
             index,
             matcher,
-            consumer_ids: aligned.consumer_labels(),
-            aligned,
+            vectorizer,
+            consumer_ids,
         }
     }
 
@@ -97,7 +94,7 @@ impl ServingPipeline {
     /// norm.  Terms outside the joint vocabulary are dropped (they cannot
     /// contribute to any indexed similarity).
     pub fn vectorize(&self, text: &str) -> SparseVector {
-        self.aligned.vectorize(text)
+        self.vectorizer.vectorize(text)
     }
 
     /// Point query: the top-`k` consumers matching `text` at σ, heaviest
@@ -112,7 +109,7 @@ impl ServingPipeline {
     /// # Panics
     /// Panics if `query` carries a term at or beyond the joint vocabulary.
     pub fn match_vector(&self, query: &SparseVector, k: usize) -> Vec<ScoredMatch> {
-        let vocab_size = self.aligned.vocab_size();
+        let vocab_size = self.vectorizer.vocabulary().len();
         if let Some(&(term, _)) = query.entries().last() {
             assert!(
                 term.index() < vocab_size,
@@ -396,10 +393,11 @@ mod tests {
         let postings = serving.index().num_postings();
 
         // Drift-free, `rebuild` declines; re-cut under the build plan
+        // (the vectorized items are the build's item vectors, bit for bit)
         // widened by an empty record, the index is the one `for_corpora`
         // built.
         assert!(!serving.rebuild());
-        let mut plan = IndexPlan::derive(serving.aligned.item_vectors(), serving.index.consumers());
+        let mut plan = IndexPlan::derive(&queries, serving.index.consumers());
         plan.widen(std::iter::empty());
         serving.index.reindex(plan);
         assert_eq!(serving.index().num_postings(), postings);

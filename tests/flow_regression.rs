@@ -63,8 +63,16 @@ fn pipeline_run_is_byte_identical_to_the_pre_redesign_glue() {
         assert_eq!(new_edge.consumer, old_edge.consumer);
         assert_eq!(new_edge.weight, old_edge.weight);
     }
+    // And its counters: candidate accounting, index size, shuffle volume.
     assert_eq!(run.candidate_pairs, join.candidate_pairs);
+    assert_eq!(run.candidates_pruned, join.candidates_pruned);
+    assert_eq!(run.verify_exact, join.verify_exact);
+    assert_eq!(run.verify_dot, join.verify_dot);
     assert_eq!(run.indexed_entries, join.indexed_entries);
+    assert_eq!(run.shuffled_records, join.shuffled_records);
+    assert_eq!(run.shuffled_bytes, join.shuffled_bytes);
+    // The join's one job keeps the historical `-probe` suffix.
+    assert_eq!(run.report.job_names()[0], "new-probe");
 
     // Matchings byte-identical, round for round.
     assert_eq!(
