@@ -1,17 +1,25 @@
-//! Pins the sketch candidate generators' recall on `flickr-small` at its
-//! default σ and well-known sketch seed.  DISCO and LSH are deterministic
-//! given `(seed, σ)`, so these numbers only move when the sampling math,
-//! the hash, or the dataset generator changes, and any of those must show
-//! up here as a conscious diff.
+//! Locks candidate generation to its contracts:
+//!
+//! * the pipeline's join is the exact one — a default `MatchingPipeline`,
+//!   the [`ExactPrefixJoin`] generator and the direct
+//!   `mapreduce_similarity_join_flow` call must be byte-identical, edges
+//!   and counters both;
+//! * the sketch generators' recall on `flickr-small` at its default σ and
+//!   well-known sketch seed is pinned — DISCO and LSH are deterministic
+//!   given `(seed, σ)`, so these numbers only move when the sampling
+//!   math, the hash, or the dataset generator changes, and any of those
+//!   must show up here as a conscious diff.
 
-use social_content_matching::datagen::DatasetPreset;
+use social_content_matching::datagen::{DatasetPreset, FlickrGenerator};
 use social_content_matching::graph::BipartiteGraph;
 use social_content_matching::mapreduce::flow::FlowContext;
 use social_content_matching::mapreduce::JobConfig;
+use social_content_matching::simjoin::mapreduce_similarity_join_flow;
 use social_content_matching::sketch::{
     CandidateGenerator, DiscoSampler, ExactPrefixJoin, LshBander,
 };
 use social_content_matching::text::{Corpus, TokenizerConfig};
+use social_content_matching::MatchingPipeline;
 
 /// `(item, consumer, weight bits)` triples in graph order — bit-exact
 /// equality, not approximate.
@@ -21,6 +29,63 @@ fn edge_bits(graph: &BipartiteGraph) -> Vec<(u32, u32, u64)> {
         .iter()
         .map(|e| (e.item.0, e.consumer.0, e.weight.to_bits()))
         .collect()
+}
+
+#[test]
+fn default_generator_is_byte_identical_to_the_direct_join() {
+    let dataset = FlickrGenerator {
+        num_photos: 120,
+        num_users: 40,
+        vocabulary: 120,
+        seed: 3,
+        ..FlickrGenerator::default()
+    }
+    .generate();
+    let sigma = 0.15;
+    let quick_job = |name: &str| JobConfig::named(name).with_threads(2);
+
+    let items = Corpus::build(dataset.items.clone(), &TokenizerConfig::tags_only());
+    let users = Corpus::build(dataset.consumers.clone(), &TokenizerConfig::tags_only());
+    let direct = mapreduce_similarity_join_flow(
+        &items,
+        &users,
+        sigma,
+        &FlowContext::new(quick_job("direct")),
+    );
+    let generator = ExactPrefixJoin::new().generate(
+        &items,
+        &users,
+        sigma,
+        &FlowContext::new(quick_job("generator")),
+    );
+    let pipeline = MatchingPipeline::new(dataset)
+        .tokenizer(TokenizerConfig::tags_only())
+        .sigma(sigma)
+        .job(quick_job("pipeline"))
+        .build_graph();
+
+    // The pipeline and the exact generator agree with the direct call,
+    // edge for edge with bit-identical weights.
+    let direct_bits = edge_bits(&direct.graph);
+    assert!(!direct_bits.is_empty(), "the reference join found no edges");
+    assert_eq!(edge_bits(&pipeline.graph), direct_bits);
+    assert_eq!(edge_bits(&generator.graph), direct_bits);
+
+    // And with their counters — candidate accounting, index size, shuffle
+    // volume — so the default path is the old path, not merely equivalent.
+    assert_eq!(pipeline.candidate_pairs, direct.candidate_pairs);
+    assert_eq!(pipeline.candidates_pruned, direct.candidates_pruned);
+    assert_eq!(pipeline.verify_exact, direct.verify_exact);
+    assert_eq!(pipeline.verify_dot, direct.verify_dot);
+    assert_eq!(pipeline.indexed_entries, direct.indexed_entries);
+    assert_eq!(pipeline.shuffled_records, direct.shuffled_records);
+    assert_eq!(pipeline.shuffled_bytes, direct.shuffled_bytes);
+    assert_eq!(pipeline.simjoin_jobs, 1);
+    assert_eq!(generator.candidate_pairs, direct.candidate_pairs);
+    assert_eq!(generator.shuffled_records, direct.shuffled_records);
+    assert_eq!(generator.shuffled_bytes, direct.shuffled_bytes);
+    // The one job keeps the historical `-probe` suffix.
+    assert_eq!(pipeline.report.job_names(), vec!["pipeline-probe"]);
 }
 
 /// The pinned frontier point per sketch generator on `flickr-small` at its
