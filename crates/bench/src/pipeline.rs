@@ -44,7 +44,7 @@ impl DatasetInstance {
         DatasetInstance {
             preset,
             dataset: candidate.dataset,
-            base_graph: candidate.graph,
+            base_graph: candidate.join.graph,
             base_sigma,
         }
     }

@@ -35,16 +35,15 @@ impl GreedyMrConfig {
     }
 }
 
-/// Configuration of [`crate::StackMr`].
+/// Configuration of [`crate::StackMr`], shared by both variants: the
+/// marking strategy is fixed by the constructor ([`crate::StackMr::new`],
+/// [`crate::StackMr::heaviest_first`]), not configured.
 #[derive(Debug, Clone)]
 pub struct StackMrConfig {
     /// The slackness parameter ε: capacities may be violated by a factor of
     /// at most (1+ε) and the approximation guarantee is 1/(6+ε).  The
     /// paper's experiments use ε = 1.
     pub epsilon: f64,
-    /// Edge-selection strategy of the marking stage ([`MarkingStrategy`]):
-    /// `Random` gives StackMR, `HeaviestFirst` gives StackGreedyMR.
-    pub marking: MarkingStrategy,
     /// Seed of the pseudo-random generator used by the randomized maximal
     /// b-matching subroutine; runs with equal seeds are reproducible.
     pub seed: u64,
@@ -60,7 +59,6 @@ impl Default for StackMrConfig {
     fn default() -> Self {
         StackMrConfig {
             epsilon: 1.0,
-            marking: MarkingStrategy::Random,
             seed: 42,
         }
     }
@@ -77,13 +75,6 @@ pub(crate) fn assert_valid_epsilon(epsilon: f64) {
 }
 
 impl StackMrConfig {
-    /// The StackGreedyMR variant of the configuration (heaviest-first
-    /// marking), leaving everything else unchanged.
-    pub fn stack_greedy(mut self) -> Self {
-        self.marking = MarkingStrategy::HeaviestFirst;
-        self
-    }
-
     /// Sets ε.
     ///
     /// # Panics
@@ -124,17 +115,7 @@ mod tests {
     fn defaults_match_the_papers_experimental_setting() {
         let c = StackMrConfig::default();
         assert_eq!(c.epsilon, 1.0);
-        assert_eq!(c.marking, MarkingStrategy::Random);
         assert!((c.weak_coverage_factor() - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn stack_greedy_flips_only_the_marking_strategy() {
-        let base = StackMrConfig::default().with_seed(7);
-        let greedy = base.clone().stack_greedy();
-        assert_eq!(greedy.marking, MarkingStrategy::HeaviestFirst);
-        assert_eq!(greedy.seed, 7);
-        assert_eq!(greedy.epsilon, base.epsilon);
     }
 
     #[test]

@@ -235,7 +235,7 @@ mod tests {
     use crate::exact::optimal_matching;
     use crate::greedy::greedy_matching;
     use crate::state::AdjEdge;
-    use smr_graph::{ConsumerId, Edge, GraphBuilder, ItemId};
+    use smr_graph::{ConsumerId, Edge, ItemId};
     use smr_mapreduce::JobConfig;
 
     fn job() -> JobConfig {
@@ -275,20 +275,18 @@ mod tests {
 
     #[test]
     fn greedy_mr_is_feasible_and_half_optimal_on_a_larger_instance() {
-        let mut b = GraphBuilder::new();
-        let items: Vec<ItemId> = (0..6).map(|i| b.add_item(format!("t{i}"))).collect();
-        let consumers: Vec<ConsumerId> = (0..8).map(|i| b.add_consumer(format!("c{i}"))).collect();
+        let mut edges = Vec::new();
         // Deterministic pseudo-random weights.
         let mut w = 0.37_f64;
-        for (ti, &t) in items.iter().enumerate() {
-            for (ci, &c) in consumers.iter().enumerate() {
+        for ti in 0..6u32 {
+            for ci in 0..8u32 {
                 if (ti + ci) % 3 != 0 {
                     w = (w * 997.0 + 0.123).fract().max(0.01);
-                    b.add_edge(t, c, w);
+                    edges.push(Edge::new(ItemId(ti), ConsumerId(ci), w));
                 }
             }
         }
-        let g = b.build();
+        let g = BipartiteGraph::from_edges(6, 8, edges);
         let caps = Capacities::uniform(&g, 3, 2);
         let run = run(GreedyMr::new(GreedyMrConfig::default()), &g, &caps);
         assert!(run.matching.is_feasible(&g, &caps));
@@ -306,18 +304,17 @@ mod tests {
         // Degrees of 60 and 40 against capacities of 4 and 2: a node
         // proposes from a short ordered prefix of a long unordered
         // adjacency, and re-selects the proposals a round takes away.
-        let mut b = GraphBuilder::new();
-        let items: Vec<ItemId> = (0..40).map(|i| b.add_item(format!("t{i}"))).collect();
-        let consumers: Vec<ConsumerId> = (0..60).map(|i| b.add_consumer(format!("c{i}"))).collect();
+        let mut edges = Vec::new();
         let mut w = 0.61_f64;
-        for &t in &items {
-            for &c in &consumers {
+        for t in 0..40 {
+            for c in 0..60 {
                 // Eight weight levels: many ties, broken by edge id.
                 w = (w * 997.0 + 0.123).fract();
-                b.add_edge(t, c, 0.125 + (w * 8.0).floor() / 8.0);
+                let weight = 0.125 + (w * 8.0).floor() / 8.0;
+                edges.push(Edge::new(ItemId(t), ConsumerId(c), weight));
             }
         }
-        let g = b.build();
+        let g = BipartiteGraph::from_edges(40, 60, edges);
         let caps = Capacities::uniform(&g, 4, 2);
         // Bounded, so a round that stops making progress fails the test
         // instead of running forever.
@@ -362,22 +359,18 @@ mod tests {
         // The worst-case instance of Section 5.4: a path with increasing
         // weights causes a chain of cascading updates.
         let n = 12usize;
-        let mut builder = GraphBuilder::new();
-        let items: Vec<ItemId> = (0..n).map(|i| builder.add_item(format!("t{i}"))).collect();
-        let consumers: Vec<ConsumerId> = (0..n)
-            .map(|i| builder.add_consumer(format!("c{i}")))
-            .collect();
+        let mut edges = Vec::new();
         // Path t0 - c0 - t1 - c1 - t2 ... with strictly increasing weights.
         let mut weight = 1.0;
-        for i in 0..n {
-            builder.add_edge(items[i], consumers[i], weight);
+        for i in 0..n as u32 {
+            edges.push(Edge::new(ItemId(i), ConsumerId(i), weight));
             weight += 1.0;
-            if i + 1 < n {
-                builder.add_edge(items[i + 1], consumers[i], weight);
+            if i + 1 < n as u32 {
+                edges.push(Edge::new(ItemId(i + 1), ConsumerId(i), weight));
                 weight += 1.0;
             }
         }
-        let g = builder.build();
+        let g = BipartiteGraph::from_edges(n, n, edges);
         let caps = Capacities::uniform(&g, 1, 1);
         let run = run(GreedyMr::new(GreedyMrConfig::default()), &g, &caps);
         assert!(run.matching.is_feasible(&g, &caps));

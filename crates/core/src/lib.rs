@@ -33,14 +33,16 @@
 //! use smr_matching::prelude::*;
 //!
 //! // A tiny content-delivery instance: 2 items, 3 consumers.
-//! let mut b = GraphBuilder::new();
-//! let items: Vec<_> = (0..2).map(|i| b.add_item(format!("item-{i}"))).collect();
-//! let users: Vec<_> = (0..3).map(|i| b.add_consumer(format!("user-{i}"))).collect();
-//! b.add_edge(items[0], users[0], 0.9);
-//! b.add_edge(items[0], users[1], 0.8);
-//! b.add_edge(items[1], users[1], 0.7);
-//! b.add_edge(items[1], users[2], 0.6);
-//! let graph = b.build();
+//! let graph = BipartiteGraph::from_edges(
+//!     2,
+//!     3,
+//!     vec![
+//!         Edge::new(ItemId(0), ConsumerId(0), 0.9),
+//!         Edge::new(ItemId(0), ConsumerId(1), 0.8),
+//!         Edge::new(ItemId(1), ConsumerId(1), 0.7),
+//!         Edge::new(ItemId(1), ConsumerId(2), 0.6),
+//!     ],
+//! );
 //! let caps = Capacities::uniform(&graph, 2, 1);
 //!
 //! // One flow hosts every job of the run (and anything else the

@@ -29,9 +29,9 @@ pub struct RunnerConfig {
 /// flow's [`smr_mapreduce::FlowReport`].  Centralized algorithms run no
 /// jobs and leave the flow untouched.
 ///
-/// For the centralized algorithms the `MatchingRun` has `mr_jobs == 0`; for
-/// `StackGreedyMr` the stack configuration's marking strategy is overridden
-/// to heaviest-first.
+/// For the centralized algorithms the `MatchingRun` has `mr_jobs == 0`.
+/// `StackMr` and `StackGreedyMr` share the stack configuration and differ
+/// only in the maximal matcher's marking ([`StackMr::heaviest_first`]).
 pub fn run_algorithm(
     algorithm: AlgorithmKind,
     graph: &BipartiteGraph,
@@ -43,7 +43,7 @@ pub fn run_algorithm(
         AlgorithmKind::GreedyMr => GreedyMr::new(config.greedy_mr.clone()).run(graph, caps, flow),
         AlgorithmKind::StackMr => StackMr::new(config.stack_mr.clone()).run(graph, caps, flow),
         AlgorithmKind::StackGreedyMr => {
-            StackMr::new(config.stack_mr.clone().stack_greedy()).run(graph, caps, flow)
+            StackMr::heaviest_first(config.stack_mr.clone()).run(graph, caps, flow)
         }
         centralized => run_centralized(centralized, graph, caps, config),
     }

@@ -252,12 +252,24 @@ impl StateReducer for PopLayer<'_> {
 #[derive(Debug, Clone, Default)]
 pub struct StackMr {
     config: StackMrConfig,
+    marking: MarkingStrategy,
 }
 
 impl StackMr {
-    /// Creates the algorithm with the given configuration.
+    /// StackMR: the maximal matcher marks edges at random.
     pub fn new(config: StackMrConfig) -> Self {
-        StackMr { config }
+        StackMr {
+            config,
+            marking: MarkingStrategy::Random,
+        }
+    }
+
+    /// StackGreedyMR: the maximal matcher marks the heaviest edges first.
+    pub fn heaviest_first(config: StackMrConfig) -> Self {
+        StackMr {
+            config,
+            marking: MarkingStrategy::HeaviestFirst,
+        }
     }
 
     /// The configuration in use.
@@ -285,9 +297,9 @@ impl StackMr {
         flow: &FlowContext,
     ) -> MatchingRun {
         assert_valid_epsilon(self.config.epsilon);
-        let algorithm = match self.config.marking {
+        let algorithm = match self.marking {
+            MarkingStrategy::Random => AlgorithmKind::StackMr,
             MarkingStrategy::HeaviestFirst => AlgorithmKind::StackGreedyMr,
-            _ => AlgorithmKind::StackMr,
         };
         let jobs_start = flow.num_jobs();
         let mut value_per_round = Vec::new();
@@ -330,7 +342,7 @@ impl StackMr {
 
             // (2) Maximal b-matching of the surviving graph.
             let matcher = MaximalMatcher::new(
-                self.config.marking,
+                self.marking,
                 self.config.seed.wrapping_add(push_round as u64),
             );
             let maximal = matcher.compute(&matcher_input, flow, &format!("maximal-{push_round}"));
@@ -409,7 +421,7 @@ mod tests {
     use crate::exact::optimal_matching;
     use crate::maximal::maximal_b_matching_centralized;
     use crate::state::AdjEdge;
-    use smr_graph::{ConsumerId, Edge, GraphBuilder, ItemId};
+    use smr_graph::{ConsumerId, Edge, ItemId};
     use smr_mapreduce::JobConfig;
 
     fn test_config(seed: u64) -> StackMrConfig {
@@ -426,21 +438,17 @@ mod tests {
     }
 
     fn random_graph(items: usize, consumers: usize, keep_mod: usize) -> BipartiteGraph {
-        let mut b = GraphBuilder::new();
-        let its: Vec<ItemId> = (0..items).map(|i| b.add_item(format!("t{i}"))).collect();
-        let cons: Vec<ConsumerId> = (0..consumers)
-            .map(|i| b.add_consumer(format!("c{i}")))
-            .collect();
+        let mut edges = Vec::new();
         let mut w = 0.61_f64;
-        for (ti, &t) in its.iter().enumerate() {
-            for (ci, &c) in cons.iter().enumerate() {
+        for ti in 0..items {
+            for ci in 0..consumers {
                 if (ti * 7 + ci * 3) % keep_mod != 0 {
                     w = (w * 53.17 + 0.31).fract().max(0.02);
-                    b.add_edge(t, c, w);
+                    edges.push(Edge::new(ItemId(ti as u32), ConsumerId(ci as u32), w));
                 }
             }
         }
-        b.build()
+        BipartiteGraph::from_edges(items, consumers, edges)
     }
 
     #[test]
@@ -478,7 +486,7 @@ mod tests {
     fn stack_greedy_variant_reports_its_own_algorithm_kind() {
         let g = random_graph(4, 4, 5);
         let caps = Capacities::uniform(&g, 1, 1);
-        let run = run(StackMr::new(test_config(3).stack_greedy()), &g, &caps);
+        let run = run(StackMr::heaviest_first(test_config(3)), &g, &caps);
         assert_eq!(run.algorithm, AlgorithmKind::StackGreedyMr);
         assert!(!run.matching.is_empty());
     }

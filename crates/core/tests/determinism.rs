@@ -7,28 +7,24 @@
 //! (the per-task spill schedule depends only on task content, so even
 //! the engine counters are scheduling-invariant).
 
-use smr_graph::{BipartiteGraph, Capacities, ConsumerId, GraphBuilder, ItemId};
+use smr_graph::{BipartiteGraph, Capacities, ConsumerId, Edge, ItemId};
 use smr_mapreduce::{FlowContext, JobConfig};
 use smr_matching::{GreedyMr, GreedyMrConfig, StackMr, StackMrConfig};
 
 /// A dense-ish deterministic instance with plenty of equal-capacity
 /// contention so every round has real work to schedule.
 fn instance() -> (BipartiteGraph, Capacities) {
-    let mut builder = GraphBuilder::new();
-    let items: Vec<ItemId> = (0..9).map(|i| builder.add_item(format!("t{i}"))).collect();
-    let consumers: Vec<ConsumerId> = (0..11)
-        .map(|i| builder.add_consumer(format!("c{i}")))
-        .collect();
+    let mut edges = Vec::new();
     let mut weight = 0.137_f64;
-    for (ti, &item) in items.iter().enumerate() {
-        for (ci, &consumer) in consumers.iter().enumerate() {
+    for ti in 0..9u32 {
+        for ci in 0..11u32 {
             if (ti * 5 + ci * 7) % 4 != 0 {
                 weight = (weight * 757.31 + 0.191).fract().max(0.01);
-                builder.add_edge(item, consumer, weight);
+                edges.push(Edge::new(ItemId(ti), ConsumerId(ci), weight));
             }
         }
     }
-    let graph = builder.build();
+    let graph = BipartiteGraph::from_edges(9, 11, edges);
     let caps = Capacities::uniform(&graph, 3, 2);
     (graph, caps)
 }

@@ -40,7 +40,7 @@ pub mod social;
 
 pub use answers::AnswersGenerator;
 pub use flickr::FlickrGenerator;
-pub use presets::{DatasetPreset, PresetInstance};
+pub use presets::DatasetPreset;
 pub use social::SocialDataset;
 
 /// Convenience re-exports.
@@ -49,6 +49,6 @@ pub mod prelude {
     pub use crate::flickr::FlickrGenerator;
     pub use crate::pathological;
     pub use crate::powerlaw::{PowerLawSampler, ZipfSampler};
-    pub use crate::presets::{DatasetPreset, PresetInstance};
+    pub use crate::presets::DatasetPreset;
     pub use crate::social::SocialDataset;
 }

@@ -183,34 +183,6 @@ impl std::str::FromStr for DatasetPreset {
     }
 }
 
-/// A fully generated preset instance: the dataset plus the α value used
-/// when deriving capacities.
-#[derive(Debug, Clone)]
-pub struct PresetInstance {
-    /// Which preset this is.
-    pub preset: DatasetPreset,
-    /// The generated dataset.
-    pub dataset: SocialDataset,
-    /// The activity multiplier α.
-    pub alpha: f64,
-}
-
-impl PresetInstance {
-    /// Generates a preset instance with the given α.
-    pub fn new(preset: DatasetPreset, alpha: f64) -> Self {
-        PresetInstance {
-            preset,
-            dataset: preset.generate(),
-            alpha,
-        }
-    }
-
-    /// Capacities of this instance.
-    pub fn capacities(&self) -> smr_graph::Capacities {
-        self.dataset.capacities(self.alpha)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,14 +241,6 @@ mod tests {
             }
             assert!(sweep.contains(&preset.default_sigma()));
         }
-    }
-
-    #[test]
-    fn preset_instances_carry_consistent_capacities() {
-        let instance = PresetInstance::new(DatasetPreset::FlickrSmall, 1.0);
-        let caps = instance.capacities();
-        assert_eq!(caps.num_items(), instance.dataset.num_items());
-        assert_eq!(caps.num_consumers(), instance.dataset.num_consumers());
     }
 
     #[test]

@@ -69,8 +69,6 @@ pub struct BipartiteGraph {
     num_items: usize,
     num_consumers: usize,
     edges: Vec<Edge>,
-    item_labels: Vec<String>,
-    consumer_labels: Vec<String>,
     /// The edges incident to each item.
     item_edges: Incidence,
     /// The edges incident to each consumer.
@@ -126,26 +124,6 @@ impl BipartiteGraph {
     /// Panics if an edge references a node outside the declared sides or
     /// has a non-positive / non-finite weight.
     pub fn from_edges(num_items: usize, num_consumers: usize, edges: Vec<Edge>) -> Self {
-        let item_labels = (0..num_items).map(|i| format!("t{i}")).collect();
-        let consumer_labels = (0..num_consumers).map(|i| format!("c{i}")).collect();
-        Self::from_edges_labelled(
-            num_items,
-            num_consumers,
-            edges,
-            item_labels,
-            consumer_labels,
-        )
-    }
-
-    fn from_edges_labelled(
-        num_items: usize,
-        num_consumers: usize,
-        edges: Vec<Edge>,
-        item_labels: Vec<String>,
-        consumer_labels: Vec<String>,
-    ) -> Self {
-        assert_eq!(item_labels.len(), num_items);
-        assert_eq!(consumer_labels.len(), num_consumers);
         for (idx, e) in edges.iter().enumerate() {
             assert!(
                 e.item.index() < num_items,
@@ -169,8 +147,6 @@ impl BipartiteGraph {
             num_items,
             num_consumers,
             edges,
-            item_labels,
-            consumer_labels,
         }
     }
 
@@ -202,16 +178,6 @@ impl BipartiteGraph {
     /// All edges, in index order.
     pub fn edges(&self) -> &[Edge] {
         &self.edges
-    }
-
-    /// The label attached to an item (dataset-specific, e.g. a photo id).
-    pub fn item_label(&self, t: ItemId) -> &str {
-        &self.item_labels[t.index()]
-    }
-
-    /// The label attached to a consumer.
-    pub fn consumer_label(&self, c: ConsumerId) -> &str {
-        &self.consumer_labels[c.index()]
     }
 
     /// Indices of the edges incident to `node`, ascending.
@@ -258,8 +224,8 @@ impl BipartiteGraph {
     /// Returns a new graph containing only the edges with weight `>= sigma`.
     ///
     /// This is the σ-thresholding of Section 4 used to sweep the number of
-    /// candidate edges in the experiments.  Node sets (and labels) are kept
-    /// unchanged so that capacities remain comparable across thresholds.
+    /// candidate edges in the experiments.  Node sets are kept unchanged so
+    /// that capacities remain comparable across thresholds.
     pub fn filter_by_threshold(&self, sigma: f64) -> BipartiteGraph {
         let edges: Vec<Edge> = self
             .edges
@@ -267,96 +233,12 @@ impl BipartiteGraph {
             .copied()
             .filter(|e| e.weight >= sigma)
             .collect();
-        BipartiteGraph::from_edges_labelled(
-            self.num_items,
-            self.num_consumers,
-            edges,
-            self.item_labels.clone(),
-            self.consumer_labels.clone(),
-        )
+        BipartiteGraph::from_edges(self.num_items, self.num_consumers, edges)
     }
 
     /// The edge-weight values, useful for similarity-distribution plots.
     pub fn weights(&self) -> Vec<f64> {
         self.edges.iter().map(|e| e.weight).collect()
-    }
-}
-
-/// Incremental builder for [`BipartiteGraph`].
-///
-/// The similarity join and the dataset generators discover items, consumers
-/// and edges as they go; the builder assigns dense ids and validates edges
-/// at [`GraphBuilder::build`] time.
-#[derive(Debug, Clone, Default)]
-pub struct GraphBuilder {
-    item_labels: Vec<String>,
-    consumer_labels: Vec<String>,
-    edges: Vec<Edge>,
-}
-
-impl GraphBuilder {
-    /// Creates an empty builder.
-    pub fn new() -> Self {
-        GraphBuilder::default()
-    }
-
-    /// Adds an item with the given label and returns its id.
-    pub fn add_item(&mut self, label: impl Into<String>) -> ItemId {
-        let id = ItemId(self.item_labels.len() as u32);
-        self.item_labels.push(label.into());
-        id
-    }
-
-    /// Adds a consumer with the given label and returns its id.
-    pub fn add_consumer(&mut self, label: impl Into<String>) -> ConsumerId {
-        let id = ConsumerId(self.consumer_labels.len() as u32);
-        self.consumer_labels.push(label.into());
-        id
-    }
-
-    /// Adds `count` anonymous consumers, returning the id of the first.
-    pub fn add_consumers(&mut self, count: usize) -> ConsumerId {
-        let first = ConsumerId(self.consumer_labels.len() as u32);
-        for i in 0..count {
-            self.add_consumer(format!("c{}", first.0 as usize + i));
-        }
-        first
-    }
-
-    /// Adds an edge between an already-added item and consumer.
-    pub fn add_edge(&mut self, item: ItemId, consumer: ConsumerId, weight: f64) -> &mut Self {
-        self.edges.push(Edge::new(item, consumer, weight));
-        self
-    }
-
-    /// Number of items added so far.
-    pub fn num_items(&self) -> usize {
-        self.item_labels.len()
-    }
-
-    /// Number of consumers added so far.
-    pub fn num_consumers(&self) -> usize {
-        self.consumer_labels.len()
-    }
-
-    /// Number of edges added so far.
-    pub fn num_edges(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// Finalizes the graph.
-    ///
-    /// # Panics
-    /// Panics if any edge references an id that was never added or has a
-    /// non-positive weight.
-    pub fn build(self) -> BipartiteGraph {
-        BipartiteGraph::from_edges_labelled(
-            self.item_labels.len(),
-            self.consumer_labels.len(),
-            self.edges,
-            self.item_labels,
-            self.consumer_labels,
-        )
     }
 }
 
@@ -425,35 +307,6 @@ mod tests {
         assert!(e.touches(NodeId::item(3)));
         assert!(e.touches(NodeId::consumer(7)));
         assert!(!e.touches(NodeId::item(4)));
-    }
-
-    #[test]
-    fn builder_assigns_dense_ids() {
-        let mut b = GraphBuilder::new();
-        let t0 = b.add_item("photo-a");
-        let t1 = b.add_item("photo-b");
-        let c0 = b.add_consumer("user-a");
-        b.add_edge(t0, c0, 0.3);
-        b.add_edge(t1, c0, 0.6);
-        assert_eq!(b.num_items(), 2);
-        assert_eq!(b.num_consumers(), 1);
-        assert_eq!(b.num_edges(), 2);
-        let g = b.build();
-        assert_eq!(g.item_label(t0), "photo-a");
-        assert_eq!(g.item_label(t1), "photo-b");
-        assert_eq!(g.consumer_label(c0), "user-a");
-        assert_eq!(g.num_edges(), 2);
-    }
-
-    #[test]
-    fn builder_bulk_add() {
-        let mut b = GraphBuilder::new();
-        let first_consumer = b.add_consumers(2);
-        assert_eq!(first_consumer, ConsumerId(0));
-        assert_eq!(b.num_consumers(), 2);
-        let more = b.add_consumers(3);
-        assert_eq!(more, ConsumerId(2));
-        assert_eq!(b.num_consumers(), 5);
     }
 
     #[test]

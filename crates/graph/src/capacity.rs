@@ -130,7 +130,8 @@ impl CapacityModel {
         CapacityModel { alpha }
     }
 
-    /// Consumer capacities from an activity proxy: `b(c) = max(1, ⌈α·n(c)⌉)`.
+    /// Consumer capacities from an activity proxy: `b(c) = max(1, round(α·n(c)))`,
+    /// α·n(c) rounded to the nearest integer, halves away from zero.
     pub fn consumer_capacities(&self, activity: &[u64]) -> Vec<u64> {
         activity
             .iter()

@@ -20,13 +20,15 @@
 //! ```
 //! use smr_graph::prelude::*;
 //!
-//! let mut builder = GraphBuilder::new();
-//! let t0 = builder.add_item("photo-0");
-//! let c0 = builder.add_consumer("user-0");
-//! let c1 = builder.add_consumer("user-1");
-//! builder.add_edge(t0, c0, 0.9);
-//! builder.add_edge(t0, c1, 0.4);
-//! let graph = builder.build();
+//! // One item, two consumers: a node is its position on its side.
+//! let graph = BipartiteGraph::from_edges(
+//!     1,
+//!     2,
+//!     vec![
+//!         Edge::new(ItemId(0), ConsumerId(0), 0.9),
+//!         Edge::new(ItemId(0), ConsumerId(1), 0.4),
+//!     ],
+//! );
 //!
 //! let caps = Capacities::uniform(&graph, 1, 1);
 //! let mut m = Matching::new(graph.num_edges());
@@ -44,7 +46,7 @@ pub mod ids;
 pub mod matching;
 pub mod stats;
 
-pub use bipartite::{BipartiteGraph, Edge, EdgeId, GraphBuilder};
+pub use bipartite::{BipartiteGraph, Edge, EdgeId};
 pub use capacity::{Capacities, CapacityModel};
 pub use ids::{ConsumerId, ItemId, NodeId};
 pub use matching::Matching;
@@ -52,7 +54,7 @@ pub use stats::{Histogram, Summary};
 
 /// Convenience re-exports.
 pub mod prelude {
-    pub use crate::bipartite::{BipartiteGraph, Edge, EdgeId, GraphBuilder};
+    pub use crate::bipartite::{BipartiteGraph, Edge, EdgeId};
     pub use crate::capacity::{Capacities, CapacityModel};
     pub use crate::ids::{ConsumerId, ItemId, NodeId};
     pub use crate::matching::Matching;

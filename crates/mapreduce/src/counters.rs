@@ -52,7 +52,8 @@ pub mod builtin {
     pub const MAP_OUTPUT_RECORDS: &str = "map_output_records";
     /// Records that crossed the shuffle into reduce partitions.
     pub const SHUFFLE_RECORDS: &str = "shuffle_records";
-    /// Approximate shuffled payload in bytes (records × record size).
+    /// Encoded bytes ([`smr_storage::Codec::encoded_len`]) of the records
+    /// that crossed the shuffle.
     pub const SHUFFLE_BYTES: &str = "shuffle_bytes";
     /// Sorted runs merged by the streaming shuffle.
     pub const MERGE_RUNS: &str = "merge_runs";

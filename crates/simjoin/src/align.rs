@@ -56,16 +56,6 @@ impl AlignedCorpora {
         &self.joint.vectors()[self.num_items..]
     }
 
-    /// The item document ids — the graph's item labels.
-    pub fn item_labels(&self) -> Vec<String> {
-        labels(&self.joint.documents()[..self.num_items])
-    }
-
-    /// The consumer document ids — the graph's consumer labels.
-    pub fn consumer_labels(&self) -> Vec<String> {
-        labels(&self.joint.documents()[self.num_items..])
-    }
-
     /// The item vectors, the consumer vectors and the vectorizer of later
     /// text in the joint term space, by move: the documents are dropped
     /// and no vector is copied.
@@ -74,10 +64,6 @@ impl AlignedCorpora {
         let consumers = items.split_off(self.num_items);
         (items, consumers, vectorizer)
     }
-}
-
-fn labels(documents: &[Document]) -> Vec<String> {
-    documents.iter().map(|d| d.id.clone()).collect()
 }
 
 #[cfg(test)]
@@ -98,7 +84,7 @@ mod tests {
         let consumers = docs(&["bake bread"]);
         let stemmed = AlignedCorpora::build(&items, &consumers, &TokenizerConfig::default());
         assert_eq!(stemmed.item_vectors().len(), 2);
-        assert_eq!(stemmed.consumer_labels(), vec!["d0"]);
+        assert_eq!(stemmed.consumer_vectors().len(), 1);
         assert!(stemmed.item_vectors()[0].dot(&stemmed.consumer_vectors()[0]) > 0.99);
         let (item_vectors, consumer_vectors, vectorizer) = stemmed.into_parts();
         assert_eq!((item_vectors.len(), consumer_vectors.len()), (2, 1));

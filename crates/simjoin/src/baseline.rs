@@ -1,7 +1,7 @@
 //! Exact all-pairs similarity join, used as ground truth in tests and as
 //! the no-pruning baseline in the ablation benchmarks.
 
-use smr_graph::{BipartiteGraph, GraphBuilder};
+use smr_graph::{BipartiteGraph, ConsumerId, Edge, ItemId};
 use smr_text::Corpus;
 
 use crate::align::AlignedCorpora;
@@ -11,35 +11,26 @@ use crate::align::AlignedCorpora;
 ///
 /// The two corpora are aligned over a shared vocabulary first
 /// ([`AlignedCorpora::of`], the same alignment the MapReduce join
-/// applies); items become the left side of the graph (labelled with their
-/// document ids), consumers the right side, and the edge weight is the
-/// similarity.
+/// applies); items become the left side of the graph and consumers the
+/// right side, each node at its document's position, and the edge weight
+/// is the similarity.
 pub fn baseline_similarity_join(items: &Corpus, consumers: &Corpus, sigma: f64) -> BipartiteGraph {
     assert!(sigma > 0.0, "threshold must be positive");
     let aligned = AlignedCorpora::of(items, consumers);
-    let mut builder = GraphBuilder::new();
-    for label in aligned.item_labels() {
-        builder.add_item(label);
-    }
-    for label in aligned.consumer_labels() {
-        builder.add_consumer(label);
-    }
-    for (t, item) in aligned.item_vectors().iter().enumerate() {
+    let (items, consumers) = (aligned.item_vectors(), aligned.consumer_vectors());
+    let mut edges = Vec::new();
+    for (t, item) in items.iter().enumerate() {
         if item.is_empty() {
             continue;
         }
-        for (c, consumer) in aligned.consumer_vectors().iter().enumerate() {
+        for (c, consumer) in consumers.iter().enumerate() {
             let sim = item.dot(consumer);
             if sim >= sigma {
-                builder.add_edge(
-                    smr_graph::ItemId(t as u32),
-                    smr_graph::ConsumerId(c as u32),
-                    sim,
-                );
+                edges.push(Edge::new(ItemId(t as u32), ConsumerId(c as u32), sim));
             }
         }
     }
-    builder.build()
+    BipartiteGraph::from_edges(items.len(), consumers.len(), edges)
 }
 
 #[cfg(test)]
@@ -87,11 +78,20 @@ mod tests {
     }
 
     #[test]
-    fn graph_labels_carry_document_ids() {
+    fn graph_nodes_are_document_positions() {
         let (items, consumers) = corpora();
         let g = baseline_similarity_join(&items, &consumers, 0.2);
-        assert_eq!(g.item_label(smr_graph::ItemId(0)), "photo-beach");
-        assert_eq!(g.consumer_label(smr_graph::ConsumerId(2)), "user-food");
+        let position = |corpus: &Corpus, id: &str| {
+            corpus.documents().iter().position(|d| d.id == id).unwrap() as u32
+        };
+        let beach = ItemId(position(&items, "photo-beach"));
+        let sea = ConsumerId(position(&consumers, "user-sea"));
+        assert!(g
+            .edges()
+            .iter()
+            .any(|e| e.item == beach && e.consumer == sea));
+        let food = ConsumerId(position(&consumers, "user-food"));
+        assert_eq!(g.degree(smr_graph::NodeId::Consumer(food)), 0);
     }
 
     #[test]

@@ -45,7 +45,7 @@
 //! serving point query) and the *chain* ([`candidate_chain`], with
 //! [`prefix_filter_join`] its prefix-filter instance).
 
-use smr_graph::{BipartiteGraph, GraphBuilder};
+use smr_graph::{BipartiteGraph, ConsumerId, Edge, ItemId};
 use smr_mapreduce::flow::{Dataset, FlowContext};
 use smr_mapreduce::{Counters, Emitter, IdentityReducer, JobMetrics, Mapper};
 use smr_text::sparse::add_products;
@@ -378,8 +378,6 @@ pub fn mapreduce_similarity_join_flow(
     mapreduce_similarity_join_vectors_flow(
         aligned.item_vectors(),
         aligned.consumer_vectors(),
-        &aligned.item_labels(),
-        &aligned.consumer_labels(),
         sigma,
         flow,
     )
@@ -387,19 +385,18 @@ pub fn mapreduce_similarity_join_flow(
 
 /// Runs the exact join directly on pre-vectorized inputs (both sides must
 /// share the same term space): [`prefix_filter_join`] with the exact
-/// visitor, [`probe_postings`].
+/// visitor, [`probe_postings`].  Node `i` of either side of the graph is
+/// the input vector at position `i`.
 pub fn mapreduce_similarity_join_vectors_flow(
     item_vectors: &[SparseVector],
     consumer_vectors: &[SparseVector],
-    item_names: &[String],
-    consumer_names: &[String],
     sigma: f64,
     flow: &FlowContext,
 ) -> SimJoinResult {
     prefix_filter_join(
         "",
-        (item_vectors, item_names),
-        (consumer_vectors, consumer_names),
+        item_vectors,
+        consumer_vectors,
         sigma,
         flow,
         Counters::new(),
@@ -421,11 +418,10 @@ pub fn mapreduce_similarity_join_vectors_flow(
 /// verified with a dot product.
 /// `counters` is the set the probe job reports; a visitor that counts
 /// holds a clone of it.
-#[allow(clippy::too_many_arguments)]
 pub fn prefix_filter_join<F>(
     stage_prefix: &str,
-    items: (&[SparseVector], &[String]),
-    consumers: (&[SparseVector], &[String]),
+    items: &[SparseVector],
+    consumers: &[SparseVector],
     sigma: f64,
     flow: &FlowContext,
     counters: Counters,
@@ -436,7 +432,7 @@ where
 {
     // The job input is the items' dense indices; the items and the index
     // ride in the mappers by reference.
-    let index = ServingIndex::for_corpora(items.0, consumers.0, sigma);
+    let index = ServingIndex::for_corpora(items, consumers, sigma);
     let probe_counters = counters.clone();
     candidate_chain(
         items,
@@ -448,7 +444,7 @@ where
         |item_ids| {
             item_ids
                 .map_with(ProbeMapper {
-                    items: items.0,
+                    items,
                     index: &index,
                     counters: probe_counters.clone(),
                     visit,
@@ -463,7 +459,9 @@ where
 /// The one-job chain under every candidate generator: hands the items'
 /// dense indices to `probe_job`, which returns the sealed job emitting
 /// verified `((item, consumer), similarity)` edges; then closes the
-/// candidate accounting and assembles the edges into the candidate graph.
+/// candidate accounting and hands the edges, in output order, to
+/// [`BipartiteGraph::from_edges`]: the `k`-th edge out of the job is edge
+/// `k`, and node `i` of either side is `items[i]` or `consumers[i]`.
 ///
 /// The caller builds whatever the probe reads on the driver, before the
 /// job, and reports its size as `indexed_entries`.  The job runs when
@@ -472,22 +470,19 @@ where
 /// names from it, and `candidate_pairs = candidates_pruned + verify_exact`
 /// for every generator (one that never prunes leaves that counter at
 /// zero), with `verify_dot ≤ verify_exact`.
-#[allow(clippy::too_many_arguments)]
 pub fn candidate_chain(
-    (item_vectors, item_names): (&[SparseVector], &[String]),
-    (consumer_vectors, consumer_names): (&[SparseVector], &[String]),
+    items: &[SparseVector],
+    consumers: &[SparseVector],
     sigma: f64,
     flow: &FlowContext,
     counters: Counters,
     indexed_entries: usize,
     probe_job: impl FnOnce(Dataset<usize, usize>) -> Dataset<(usize, usize), f64>,
 ) -> SimJoinResult {
-    assert_eq!(item_vectors.len(), item_names.len());
-    assert_eq!(consumer_vectors.len(), consumer_names.len());
     assert!(sigma > 0.0, "threshold must be positive");
 
     let jobs_start = flow.num_jobs();
-    let item_ids = (0..item_vectors.len()).map(|i| (i, i)).collect();
+    let item_ids = (0..items.len()).map(|i| (i, i)).collect();
     let verified = probe_job(flow.dataset(item_ids)).collect();
 
     let job_metrics = flow.jobs_from(jobs_start);
@@ -495,23 +490,15 @@ pub fn candidate_chain(
     let verify_exact = counters.get(counter::VERIFY_EXACT) as usize;
     let verify_dot = counters.get(counter::VERIFY_DOT) as usize;
 
-    let mut builder = GraphBuilder::new();
-    for name in item_names {
-        builder.add_item(name.clone());
-    }
-    for name in consumer_names {
-        builder.add_consumer(name.clone());
-    }
-    for ((item, consumer), similarity) in verified {
-        builder.add_edge(
-            smr_graph::ItemId(item as u32),
-            smr_graph::ConsumerId(consumer as u32),
-            similarity,
-        );
-    }
+    // Sized exactly, not `collect`ed: that would reuse the 24-byte output
+    // records' buffer and keep half an edge list of slack for the run.
+    let mut edges = Vec::with_capacity(verified.len());
+    edges.extend(verified.into_iter().map(|((item, consumer), similarity)| {
+        Edge::new(ItemId(item as u32), ConsumerId(consumer as u32), similarity)
+    }));
 
     SimJoinResult {
-        graph: builder.build(),
+        graph: BipartiteGraph::from_edges(items.len(), consumers.len(), edges),
         candidate_pairs: candidates_pruned + verify_exact,
         candidates_pruned,
         verify_exact,
@@ -566,10 +553,6 @@ mod tests {
         FlowContext::new(JobConfig::named("simjoin-test").with_threads(2))
     }
 
-    fn names(prefix: &str, n: usize) -> Vec<String> {
-        (0..n).map(|i| format!("{prefix}{i}")).collect()
-    }
-
     /// The exact join over synthetic vectors under the test flow.
     fn join(items: &[SparseVector], consumers: &[SparseVector], sigma: f64) -> SimJoinResult {
         join_in(items, consumers, sigma, &flow())
@@ -581,14 +564,7 @@ mod tests {
         sigma: f64,
         flow: &FlowContext,
     ) -> SimJoinResult {
-        mapreduce_similarity_join_vectors_flow(
-            items,
-            consumers,
-            &names("t", items.len()),
-            &names("c", consumers.len()),
-            sigma,
-            flow,
-        )
+        mapreduce_similarity_join_vectors_flow(items, consumers, sigma, flow)
     }
 
     fn brute_force_pairs(items: &[SparseVector], consumers: &[SparseVector], sigma: f64) -> usize {

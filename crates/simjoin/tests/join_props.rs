@@ -150,8 +150,6 @@ proptest! {
         let consumers = corpus("c", &consumer_docs);
         let items = renumbered(items.vectors(), &permutation);
         let consumers = renumbered(consumers.vectors(), &permutation);
-        let names_i: Vec<String> = (0..items.len()).map(|i| format!("t{i}")).collect();
-        let names_c: Vec<String> = (0..consumers.len()).map(|i| format!("c{i}")).collect();
         for sigma in [0.08, 0.2, 0.45] {
             let mut expected = Vec::new();
             for (t, x) in items.iter().enumerate() {
@@ -165,8 +163,6 @@ proptest! {
             let result = mapreduce_similarity_join_vectors_flow(
                 &items,
                 &consumers,
-                &names_i,
-                &names_c,
                 sigma,
                 &join_flow(None, 2),
             );
@@ -204,16 +200,7 @@ fn synthetic_vectors(n: usize, vocab: usize, seed: u64) -> Vec<SparseVector> {
 fn run_synthetic(sigma: f64, budget: Option<u64>, threads: usize) -> SimJoinResult {
     let items = synthetic_vectors(20, 16, 41);
     let consumers = synthetic_vectors(24, 16, 42);
-    let names_i: Vec<String> = (0..items.len()).map(|i| format!("t{i}")).collect();
-    let names_c: Vec<String> = (0..consumers.len()).map(|i| format!("c{i}")).collect();
-    mapreduce_similarity_join_vectors_flow(
-        &items,
-        &consumers,
-        &names_i,
-        &names_c,
-        sigma,
-        &join_flow(budget, threads),
-    )
+    mapreduce_similarity_join_vectors_flow(&items, &consumers, sigma, &join_flow(budget, threads))
 }
 
 #[test]

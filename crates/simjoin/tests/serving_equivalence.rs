@@ -42,8 +42,6 @@ proptest! {
         let items: Vec<SparseVector> = item_docs.iter().map(|d| vectorize(d)).collect();
         let consumers: Vec<SparseVector> =
             consumer_docs.iter().map(|d| vectorize(d)).collect();
-        let names_i: Vec<String> = (0..items.len()).map(|i| format!("t{i}")).collect();
-        let names_c: Vec<String> = (0..consumers.len()).map(|i| format!("c{i}")).collect();
 
         for sigma in [0.1, 0.35] {
             let serving =
@@ -53,8 +51,6 @@ proptest! {
                 let batch = mapreduce_similarity_join_vectors_flow(
                     &items,
                     &consumers,
-                    &names_i,
-                    &names_c,
                     sigma,
                     &FlowContext::new(
                         JobConfig::named("serving-props")
@@ -148,15 +144,11 @@ fn seeded_vectors(n: usize, seed: u64) -> Vec<SparseVector> {
 fn appended_and_reindexed_candidates_equal_the_batch_join_bit_for_bit() {
     let items = seeded_vectors(16, 7);
     let consumers = seeded_vectors(22, 8);
-    let names_i: Vec<String> = (0..items.len()).map(|i| format!("t{i}")).collect();
-    let names_c: Vec<String> = (0..consumers.len()).map(|i| format!("c{i}")).collect();
     let split = consumers.len() / 3;
     for sigma in [0.1, 0.35] {
         let batch = mapreduce_similarity_join_vectors_flow(
             &items,
             &consumers,
-            &names_i,
-            &names_c,
             sigma,
             &FlowContext::new(JobConfig::named("serving-reindex").with_threads(2)),
         );

@@ -78,8 +78,6 @@ impl CandidateGenerator for DiscoSampler {
         &self,
         item_vectors: &[SparseVector],
         consumer_vectors: &[SparseVector],
-        item_names: &[String],
-        consumer_names: &[String],
         sigma: f64,
         flow: &FlowContext,
     ) -> SimJoinResult {
@@ -88,8 +86,8 @@ impl CandidateGenerator for DiscoSampler {
         let sampled_out = counters.clone();
         prefix_filter_join(
             "disco-",
-            (item_vectors, item_names),
-            (consumer_vectors, consumer_names),
+            item_vectors,
+            consumer_vectors,
             sigma,
             flow,
             counters,
@@ -158,18 +156,8 @@ mod tests {
     #[test]
     fn sampled_scores_are_never_taken_as_similarities() {
         let (items, consumers) = (vectors(20, 1), vectors(30, 2));
-        let names = |prefix: &str, n: usize| -> Vec<String> {
-            (0..n).map(|i| format!("{prefix}{i}")).collect()
-        };
         let flow = FlowContext::new(JobConfig::named("disco-sampled").with_threads(2));
-        let result = DiscoSampler::new(3, 1.0).generate_vectors(
-            &items,
-            &consumers,
-            &names("t", items.len()),
-            &names("c", consumers.len()),
-            0.3,
-            &flow,
-        );
+        let result = DiscoSampler::new(3, 1.0).generate_vectors(&items, &consumers, 0.3, &flow);
         let probe = &result.job_metrics[0];
         assert!(probe.user_counters[crate::counter::SAMPLED_OUT] > 0);
         assert!(

@@ -28,18 +28,9 @@ impl CandidateGenerator for ExactPrefixJoin {
         &self,
         item_vectors: &[SparseVector],
         consumer_vectors: &[SparseVector],
-        item_names: &[String],
-        consumer_names: &[String],
         sigma: f64,
         flow: &FlowContext,
     ) -> SimJoinResult {
-        mapreduce_similarity_join_vectors_flow(
-            item_vectors,
-            consumer_vectors,
-            item_names,
-            consumer_names,
-            sigma,
-            flow,
-        )
+        mapreduce_similarity_join_vectors_flow(item_vectors, consumer_vectors, sigma, flow)
     }
 }

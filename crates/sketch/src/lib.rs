@@ -100,13 +100,12 @@ pub mod counter {
 ///    configuration (e.g. its seed).
 pub trait CandidateGenerator: std::fmt::Debug + Send + Sync {
     /// Runs the generator on pre-aligned vectors (both sides must share
-    /// one term space; see [`AlignedCorpora`]).
+    /// one term space; see [`AlignedCorpora`]).  Node `i` of either side
+    /// of the graph is the input vector at position `i`.
     fn generate_vectors(
         &self,
         item_vectors: &[SparseVector],
         consumer_vectors: &[SparseVector],
-        item_names: &[String],
-        consumer_names: &[String],
         sigma: f64,
         flow: &FlowContext,
     ) -> SimJoinResult;
@@ -125,8 +124,6 @@ pub trait CandidateGenerator: std::fmt::Debug + Send + Sync {
         self.generate_vectors(
             aligned.item_vectors(),
             aligned.consumer_vectors(),
-            &aligned.item_labels(),
-            &aligned.consumer_labels(),
             sigma,
             flow,
         )

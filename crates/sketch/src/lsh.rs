@@ -163,8 +163,6 @@ impl CandidateGenerator for LshBander {
         &self,
         item_vectors: &[SparseVector],
         consumer_vectors: &[SparseVector],
-        item_names: &[String],
-        consumer_names: &[String],
         sigma: f64,
         flow: &FlowContext,
     ) -> SimJoinResult {
@@ -186,8 +184,8 @@ impl CandidateGenerator for LshBander {
         // so the chain's accounting reads zero pruned and generated =
         // verified.
         candidate_chain(
-            (item_vectors, item_names),
-            (consumer_vectors, consumer_names),
+            item_vectors,
+            consumer_vectors,
             sigma,
             flow,
             counters,

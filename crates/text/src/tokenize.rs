@@ -18,9 +18,22 @@ pub const STOP_WORDS: &[&str] = &[
     "when", "where", "which", "who", "why", "will", "with", "would", "you", "your",
 ];
 
-/// Configuration of the tokenizer.
+/// The tokenizer's two profiles.  Each reads as its [`TokenRules`]
+/// (`config.stem`, …) through `Deref`.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub enum TokenizerConfig {
+    /// Free text (Yahoo! Answers): stop-words removed, stemmed, tokens of
+    /// at least 2 bytes.
+    #[default]
+    Text,
+    /// Only lower-cases and splits, for tag vocabularies such as flickr
+    /// tags, which are already normalized.
+    Tags,
+}
+
+/// What a [`TokenizerConfig`] profile does to each lower-cased word.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TokenizerConfig {
+pub struct TokenRules {
     /// Remove stop-words.
     pub remove_stop_words: bool,
     /// Apply the suffix stemmer.
@@ -29,24 +42,28 @@ pub struct TokenizerConfig {
     pub min_token_len: usize,
 }
 
-impl Default for TokenizerConfig {
-    fn default() -> Self {
-        TokenizerConfig {
-            remove_stop_words: true,
-            stem: true,
-            min_token_len: 2,
-        }
+impl TokenizerConfig {
+    /// The [`TokenizerConfig::Tags`] profile.
+    pub fn tags_only() -> Self {
+        TokenizerConfig::Tags
     }
 }
 
-impl TokenizerConfig {
-    /// A configuration that only lower-cases and splits (used for tag
-    /// vocabularies such as flickr tags, which are already normalized).
-    pub fn tags_only() -> Self {
-        TokenizerConfig {
-            remove_stop_words: false,
-            stem: false,
-            min_token_len: 1,
+impl std::ops::Deref for TokenizerConfig {
+    type Target = TokenRules;
+
+    fn deref(&self) -> &TokenRules {
+        match self {
+            TokenizerConfig::Text => &TokenRules {
+                remove_stop_words: true,
+                stem: true,
+                min_token_len: 2,
+            },
+            TokenizerConfig::Tags => &TokenRules {
+                remove_stop_words: false,
+                stem: false,
+                min_token_len: 1,
+            },
         }
     }
 }
@@ -75,6 +92,7 @@ impl Tokenizer {
     /// [`str::to_lowercase`], then stop-words are dropped, the rest
     /// stemmed in place and filtered by length.
     pub fn for_each_token(&self, text: &str, mut emit: impl FnMut(&str)) {
+        let rules: &TokenRules = &self.config;
         let mut token = String::new();
         for word in text.split(|c: char| !c.is_alphanumeric()) {
             if word.is_empty() {
@@ -87,13 +105,13 @@ impl Tokenizer {
             } else {
                 token.push_str(&word.to_lowercase());
             }
-            if self.config.remove_stop_words && is_stop_word(&token) {
+            if rules.remove_stop_words && is_stop_word(&token) {
                 continue;
             }
-            if self.config.stem {
+            if rules.stem {
                 stem(&mut token);
             }
-            if token.len() >= self.config.min_token_len {
+            if token.len() >= rules.min_token_len {
                 emit(&token);
             }
         }
@@ -233,11 +251,7 @@ mod tests {
 
     #[test]
     fn tokenizer_strips_punctuation_and_numbers_boundaries() {
-        let t = Tokenizer::new(TokenizerConfig {
-            remove_stop_words: false,
-            stem: false,
-            min_token_len: 1,
-        });
+        let t = Tokenizer::new(TokenizerConfig::tags_only());
         assert_eq!(
             t.tokenize("hello,world! 42 a-b"),
             vec!["hello", "world", "42", "a", "b"]

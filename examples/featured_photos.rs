@@ -40,7 +40,7 @@ fn main() {
     );
 
     // 2. One pipeline pass up to the candidate graph: similarity join
-    //    (two MapReduce jobs) and capacities.
+    //    (one MapReduce job) and capacities.
     let sigma = 0.15;
     let candidate = MatchingPipeline::new(dataset)
         .tokenizer(TokenizerConfig::tags_only())
@@ -50,11 +50,11 @@ fn main() {
     println!(
         "similarity join (sigma={sigma}): {} candidate edges from {} candidates \
          ({} pruned cheap, {} verified exact), {} MapReduce jobs",
-        candidate.graph.num_edges(),
-        candidate.candidate_pairs,
-        candidate.candidates_pruned,
-        candidate.verify_exact,
-        candidate.simjoin_jobs,
+        candidate.join.graph.num_edges(),
+        candidate.join.candidate_pairs,
+        candidate.join.candidates_pruned,
+        candidate.join.verify_exact,
+        candidate.join.job_metrics.len(),
     );
     println!(
         "capacities: total user budget {}, total photo budget {}",
@@ -77,7 +77,7 @@ fn main() {
         let flow = FlowContext::new(JobConfig::named(algorithm.name().to_lowercase()));
         let run = run_algorithm(
             algorithm,
-            &candidate.graph,
+            &candidate.join.graph,
             &candidate.capacities,
             &runner_config,
             &flow,
@@ -94,10 +94,10 @@ fn main() {
         println!(
             "{:<16} {:>10.2} {:>10} {:>12} {:>13.2}%",
             run.algorithm.name(),
-            run.value(&candidate.graph),
+            run.value(&candidate.join.graph),
             report.num_jobs(),
             report.total_shuffled_records(),
-            100.0 * run.average_violation(&candidate.graph, &candidate.capacities)
+            100.0 * run.average_violation(&candidate.join.graph, &candidate.capacities)
         );
     }
 
@@ -108,7 +108,7 @@ fn main() {
     assert_eq!(greedy_mr.algorithm, AlgorithmKind::GreedyMr);
     assert!(greedy_mr
         .matching
-        .is_feasible(&candidate.graph, &candidate.capacities));
+        .is_feasible(&candidate.join.graph, &candidate.capacities));
     assert_eq!(greedy_report.num_jobs(), greedy_mr.mr_jobs);
     println!("\nGreedyMR solution is feasible; StackMR violations are bounded by (1+eps).");
 }

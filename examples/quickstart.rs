@@ -5,7 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use social_content_matching::graph::{Capacities, GraphBuilder};
+use social_content_matching::graph::{BipartiteGraph, Capacities, ConsumerId, Edge, ItemId};
 use social_content_matching::mapreduce::FlowContext;
 use social_content_matching::matching::{
     greedy_matching, optimal_matching, GreedyMr, GreedyMrConfig, StackMr, StackMrConfig,
@@ -13,14 +13,10 @@ use social_content_matching::matching::{
 
 fn main() {
     // A tiny "featured item" instance: 4 photos, 5 users, relevance scores
-    // from some upstream recommender.
-    let mut builder = GraphBuilder::new();
-    let photos: Vec<_> = (0..4)
-        .map(|i| builder.add_item(format!("photo-{i}")))
-        .collect();
-    let users: Vec<_> = (0..5)
-        .map(|i| builder.add_consumer(format!("user-{i}")))
-        .collect();
+    // from some upstream recommender.  A node is its position: photo `p` is
+    // `ItemId(p)`, user `u` is `ConsumerId(u)`.
+    let photos = ["sunset", "skyline", "forest", "harbour"];
+    let users = ["ana", "ben", "chen", "dara", "eli"];
     let scores = [
         (0, 0, 0.9),
         (0, 1, 0.6),
@@ -32,10 +28,11 @@ fn main() {
         (3, 4, 0.55),
         (0, 4, 0.3),
     ];
-    for &(p, u, w) in &scores {
-        builder.add_edge(photos[p], users[u], w);
-    }
-    let graph = builder.build();
+    let edges = scores
+        .iter()
+        .map(|&(p, u, w)| Edge::new(ItemId(p), ConsumerId(u), w))
+        .collect();
+    let graph = BipartiteGraph::from_edges(photos.len(), users.len(), edges);
 
     // Every photo may be shown to at most 2 users, every user sees at most
     // 1 featured photo.
@@ -82,8 +79,8 @@ fn main() {
         let edge = graph.edge(e);
         println!(
             "  {} -> {}   (relevance {:.2})",
-            graph.item_label(edge.item),
-            graph.consumer_label(edge.consumer),
+            photos[edge.item.index()],
+            users[edge.consumer.index()],
             edge.weight
         );
     }

@@ -38,7 +38,7 @@ use smr_mapreduce::flow::{FlowContext, FlowReport};
 use smr_mapreduce::JobConfig;
 use smr_matching::runner::RunnerConfig;
 use smr_matching::{run_algorithm, AlgorithmKind, GreedyMrConfig, MatchingRun, StackMrConfig};
-use smr_simjoin::{mapreduce_similarity_join_vectors_flow, AlignedCorpora};
+use smr_simjoin::{mapreduce_similarity_join_vectors_flow, AlignedCorpora, SimJoinResult};
 use smr_text::TokenizerConfig;
 
 /// Builder for the paper's end-to-end pipeline: tokenize → similarity
@@ -59,34 +59,19 @@ pub struct MatchingPipeline {
 
 /// The candidate-edge stage of a pipeline run: everything up to (and
 /// including) the similarity join and the capacity assignment.
+///
+/// Node `i` of the join's graph is document `i` of its side of
+/// `dataset` (`dataset.items[i]` or `dataset.consumers[i]`).
 #[derive(Debug, Clone)]
 pub struct CandidateGraph {
     /// The dataset the pipeline ran on (returned to the caller unchanged).
     pub dataset: SocialDataset,
-    /// Candidate edges at threshold σ (weights are exact similarities).
-    pub graph: BipartiteGraph,
     /// Capacities derived from the dataset's signals at the pipeline's α.
     pub capacities: Capacities,
-    /// Candidate pairs generated before verification.
-    pub candidate_pairs: usize,
-    /// Candidates the join discarded on `partial score + remainder bound
-    /// < σ` without touching the vectors.
-    pub candidates_pruned: usize,
-    /// Candidates that reached exact verification (in the join's probe
-    /// mapper).
-    pub verify_exact: usize,
-    /// Verified candidates that took a product beyond their partial score
-    /// (a suffix-tail product, or a full dot product for a sampled
-    /// probe); the rest were finished from their partial score alone.
-    pub verify_dot: usize,
-    /// `(term, document)` entries indexed after prefix pruning.
-    pub indexed_entries: usize,
-    /// Records the join's probe job shuffled.
-    pub shuffled_records: u64,
-    /// Bytes the join's probe job shuffled.
-    pub shuffled_bytes: u64,
-    /// MapReduce jobs the similarity join ran (always 1).
-    pub simjoin_jobs: usize,
+    /// The similarity join's result: the candidate edges at threshold σ
+    /// (weights are exact similarities), its candidate accounting and
+    /// the metrics of its one job.
+    pub join: SimJoinResult,
     /// Metrics of every job executed so far.
     pub report: FlowReport,
 }
@@ -255,26 +240,25 @@ impl MatchingPipeline {
                 .with_seed(self.seed),
         };
         let algorithm = self.algorithm;
-        let candidate = self.join(&flow);
-        let matching = run_algorithm(
-            algorithm,
-            &candidate.graph,
-            &candidate.capacities,
-            &runner_config,
-            &flow,
-        );
+        let CandidateGraph {
+            dataset,
+            capacities,
+            join,
+            ..
+        } = self.join(&flow);
+        let matching = run_algorithm(algorithm, &join.graph, &capacities, &runner_config, &flow);
         PipelineRun {
-            dataset: candidate.dataset,
-            graph: candidate.graph,
-            capacities: candidate.capacities,
-            candidate_pairs: candidate.candidate_pairs,
-            candidates_pruned: candidate.candidates_pruned,
-            verify_exact: candidate.verify_exact,
-            verify_dot: candidate.verify_dot,
-            indexed_entries: candidate.indexed_entries,
-            shuffled_records: candidate.shuffled_records,
-            shuffled_bytes: candidate.shuffled_bytes,
-            simjoin_jobs: candidate.simjoin_jobs,
+            dataset,
+            simjoin_jobs: join.job_metrics.len(),
+            graph: join.graph,
+            capacities,
+            candidate_pairs: join.candidate_pairs,
+            candidates_pruned: join.candidates_pruned,
+            verify_exact: join.verify_exact,
+            verify_dot: join.verify_dot,
+            indexed_entries: join.indexed_entries,
+            shuffled_records: join.shuffled_records,
+            shuffled_bytes: join.shuffled_bytes,
             matching,
             report: flow.report(),
         }
@@ -312,24 +296,14 @@ impl MatchingPipeline {
         let join = mapreduce_similarity_join_vectors_flow(
             aligned.item_vectors(),
             aligned.consumer_vectors(),
-            &aligned.item_labels(),
-            &aligned.consumer_labels(),
             self.sigma,
             flow,
         );
         let capacities = self.dataset.capacities(self.alpha);
         CandidateGraph {
             dataset: self.dataset,
-            graph: join.graph,
             capacities,
-            candidate_pairs: join.candidate_pairs,
-            candidates_pruned: join.candidates_pruned,
-            verify_exact: join.verify_exact,
-            verify_dot: join.verify_dot,
-            indexed_entries: join.indexed_entries,
-            shuffled_records: join.shuffled_records,
-            shuffled_bytes: join.shuffled_bytes,
-            simjoin_jobs: join.job_metrics.len(),
+            join,
             report: flow.report(),
         }
     }
@@ -357,16 +331,17 @@ mod tests {
             .sigma(0.1)
             .job(JobConfig::named("pipeline-test").with_threads(2))
             .build_graph();
-        assert!(candidate.graph.num_edges() > 0);
-        assert_eq!(candidate.simjoin_jobs, 1);
+        let join = &candidate.join;
+        assert!(join.graph.num_edges() > 0);
+        assert_eq!(join.job_metrics.len(), 1);
         assert_eq!(candidate.report.num_jobs(), 1);
-        assert!(candidate.capacities.matches(&candidate.graph));
+        assert!(candidate.capacities.matches(&join.graph));
         // The join's candidate accounting closes and surfaces here.
         assert_eq!(
-            candidate.candidate_pairs,
-            candidate.candidates_pruned + candidate.verify_exact
+            join.candidate_pairs,
+            join.candidates_pruned + join.verify_exact
         );
-        assert!(candidate.verify_exact >= candidate.graph.num_edges());
+        assert!(join.verify_exact >= join.graph.num_edges());
         assert_eq!(candidate.report.job_names(), vec!["pipeline-test-probe"]);
     }
 

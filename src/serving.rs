@@ -75,7 +75,7 @@ impl ServingPipeline {
         alpha: f64,
     ) -> Self {
         let aligned = AlignedCorpora::build(&dataset.items, &dataset.consumers, tokenizer);
-        let consumer_ids = aligned.consumer_labels();
+        let consumer_ids = dataset.consumers.iter().map(|d| d.id.clone()).collect();
         let (items, consumers, vectorizer) = aligned.into_parts();
         let index = ServingIndex::for_corpora(&items, consumers, sigma);
 
@@ -223,6 +223,7 @@ mod tests {
         let serving = MatchingPipeline::new(dataset.clone()).sigma(sigma).serve();
 
         let mut batch_edges: Vec<(usize, usize)> = batch
+            .join
             .graph
             .edges()
             .iter()
@@ -333,6 +334,7 @@ mod tests {
             .job(smr_mapreduce::JobConfig::named("rebuild-test").with_threads(2))
             .build_graph();
         let mut batch_edges: Vec<(usize, usize)> = batch
+            .join
             .graph
             .edges()
             .iter()

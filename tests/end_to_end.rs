@@ -5,9 +5,7 @@
 
 use smr_bench::{ExperimentScale, ExperimentSet};
 use social_content_matching::datagen::{AnswersGenerator, DatasetPreset, FlickrGenerator};
-use social_content_matching::graph::{
-    BipartiteGraph, Capacities, ConsumerId, GraphBuilder, ItemId,
-};
+use social_content_matching::graph::{BipartiteGraph, Capacities, ConsumerId, Edge, ItemId};
 use social_content_matching::mapreduce::{FlowContext, JobConfig};
 use social_content_matching::matching::{
     greedy_matching, optimal_matching, AlgorithmKind, GreedyMr, GreedyMrConfig, StackMr,
@@ -203,11 +201,11 @@ fn join_counts_regression_guard_flickr_small_sigma_016() {
     // product; the other 2 952 are finished from their partial score.
     // 3 502 edges matches the seed baseline in EXPERIMENTS.md, byte for
     // byte.
-    assert_eq!(candidate.candidate_pairs, 12_654);
-    assert_eq!(candidate.candidates_pruned, 2_025);
-    assert_eq!(candidate.verify_exact, 10_629);
-    assert_eq!(candidate.verify_dot, 7_677);
-    assert_eq!(candidate.graph.num_edges(), 3_502);
+    assert_eq!(candidate.join.candidate_pairs, 12_654);
+    assert_eq!(candidate.join.candidates_pruned, 2_025);
+    assert_eq!(candidate.join.verify_exact, 10_629);
+    assert_eq!(candidate.join.verify_dot, 7_677);
+    assert_eq!(candidate.join.graph.num_edges(), 3_502);
 }
 
 #[test]
@@ -251,21 +249,17 @@ fn rounds_regression_guard_flickr_large_sigma_009() {
 /// The instance of `crates/core/tests/determinism.rs`: 9 items, 11
 /// consumers, 74 edges.
 fn determinism_instance() -> (BipartiteGraph, Capacities) {
-    let mut builder = GraphBuilder::new();
-    let items: Vec<ItemId> = (0..9).map(|i| builder.add_item(format!("t{i}"))).collect();
-    let consumers: Vec<ConsumerId> = (0..11)
-        .map(|i| builder.add_consumer(format!("c{i}")))
-        .collect();
+    let mut edges = Vec::new();
     let mut weight = 0.137_f64;
-    for (ti, &item) in items.iter().enumerate() {
-        for (ci, &consumer) in consumers.iter().enumerate() {
+    for ti in 0..9u32 {
+        for ci in 0..11u32 {
             if (ti * 5 + ci * 7) % 4 != 0 {
                 weight = (weight * 757.31 + 0.191).fract().max(0.01);
-                builder.add_edge(item, consumer, weight);
+                edges.push(Edge::new(ItemId(ti), ConsumerId(ci), weight));
             }
         }
     }
-    let graph = builder.build();
+    let graph = BipartiteGraph::from_edges(9, 11, edges);
     let caps = Capacities::uniform(&graph, 3, 2);
     (graph, caps)
 }
@@ -365,11 +359,13 @@ fn stack_mr_golden_across_threads_and_budgets() {
                     .with_map_tasks(4)
                     .with_reduce_tasks(4)
                     .with_memory_budget(budget);
-                let mut config = StackMrConfig::default().with_seed(99);
-                if greedy {
-                    config = config.stack_greedy();
-                }
-                let run = StackMr::new(config).run(graph, caps, &FlowContext::new(job));
+                let config = StackMrConfig::default().with_seed(99);
+                let stack = if greedy {
+                    StackMr::heaviest_first(config)
+                } else {
+                    StackMr::new(config)
+                };
+                let run = stack.run(graph, caps, &FlowContext::new(job));
                 let got = (
                     run.matching.len(),
                     fnv1a(run.matching.edges().map(|e| e as u64)),

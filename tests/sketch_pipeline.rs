@@ -68,19 +68,19 @@ fn default_generator_is_byte_identical_to_the_direct_join() {
     // edge for edge with bit-identical weights.
     let direct_bits = edge_bits(&direct.graph);
     assert!(!direct_bits.is_empty(), "the reference join found no edges");
-    assert_eq!(edge_bits(&pipeline.graph), direct_bits);
+    assert_eq!(edge_bits(&pipeline.join.graph), direct_bits);
     assert_eq!(edge_bits(&generator.graph), direct_bits);
 
     // And with their counters — candidate accounting, index size, shuffle
     // volume — so the default path is the old path, not merely equivalent.
-    assert_eq!(pipeline.candidate_pairs, direct.candidate_pairs);
-    assert_eq!(pipeline.candidates_pruned, direct.candidates_pruned);
-    assert_eq!(pipeline.verify_exact, direct.verify_exact);
-    assert_eq!(pipeline.verify_dot, direct.verify_dot);
-    assert_eq!(pipeline.indexed_entries, direct.indexed_entries);
-    assert_eq!(pipeline.shuffled_records, direct.shuffled_records);
-    assert_eq!(pipeline.shuffled_bytes, direct.shuffled_bytes);
-    assert_eq!(pipeline.simjoin_jobs, 1);
+    assert_eq!(pipeline.join.candidate_pairs, direct.candidate_pairs);
+    assert_eq!(pipeline.join.candidates_pruned, direct.candidates_pruned);
+    assert_eq!(pipeline.join.verify_exact, direct.verify_exact);
+    assert_eq!(pipeline.join.verify_dot, direct.verify_dot);
+    assert_eq!(pipeline.join.indexed_entries, direct.indexed_entries);
+    assert_eq!(pipeline.join.shuffled_records, direct.shuffled_records);
+    assert_eq!(pipeline.join.shuffled_bytes, direct.shuffled_bytes);
+    assert_eq!(pipeline.join.job_metrics.len(), 1);
     assert_eq!(generator.candidate_pairs, direct.candidate_pairs);
     assert_eq!(generator.shuffled_records, direct.shuffled_records);
     assert_eq!(generator.shuffled_bytes, direct.shuffled_bytes);

@@ -41,6 +41,7 @@ fn pipeline(tokenizer: &TokenizerConfig) -> MatchingPipeline {
 fn batch_edges(tokenizer: &TokenizerConfig) -> Vec<(usize, usize, u64)> {
     let candidate = pipeline(tokenizer).build_graph();
     let mut edges: Vec<_> = candidate
+        .join
         .graph
         .edges()
         .iter()
