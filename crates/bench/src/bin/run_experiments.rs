@@ -11,6 +11,8 @@
 //! serving and shard costs are measured by the repo benchmark
 //! (`benchmark/run.sh`), not here.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 use smr_bench::experiments::{Experiment, ExperimentScale, ExperimentSet, EXPERIMENTS};

@@ -21,6 +21,7 @@
 //! Each experiment prints a plain-text table; `EXPERIMENTS.md` at the
 //! workspace root records a captured run next to the paper's own numbers.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

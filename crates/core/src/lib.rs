@@ -54,6 +54,7 @@
 //! assert!(run.matching.value(&graph) > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

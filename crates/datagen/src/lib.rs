@@ -28,6 +28,7 @@
 //! * [`pathological`] — the increasing-weight path that forces GreedyMR
 //!   into a linear number of rounds.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -83,6 +83,7 @@
 //! See `docs/distrib.md` for the directory layout, the manifest format and
 //! the full protocol.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -37,6 +37,7 @@
 //! assert!((m.value(&graph) - 0.9).abs() < 1e-12);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

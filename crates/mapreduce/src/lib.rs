@@ -131,6 +131,7 @@
 //! assert!(flow.report().total_shuffled_records() > 0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -3,11 +3,11 @@
 //! Every probe — batch [`crate::join`], serving point queries, sampled
 //! sketch generators — folds `(doc, weight · weight)` products into a
 //! per-query score table and then drains it in doc order.  Docs are dense
-//! indices below [`crate::InvertedIndex::num_docs`], so the table is two
-//! columns indexed by doc (running score, remainder bound) plus a touched
-//! bitmap with one `u64` per 64 docs: accumulating is a bit test and an
-//! add, and draining walks the bitmap in order, so candidates come out
-//! sorted by doc without a sort.
+//! indices below [`crate::InvertedIndex::num_docs`], so the table is one
+//! running-score column indexed by doc plus a touched bitmap with one
+//! `u64` per 64 docs: accumulating is a bit test and an add, and draining
+//! walks the bitmap in order, so candidates come out sorted by doc without
+//! a sort.
 //!
 //! Determinism: each doc's running sum starts from `0.0` and takes the
 //! products in the order the caller folds them (the probe's ascending
@@ -15,22 +15,16 @@
 //! bit-identical to the first additions of `SparseVector::dot`, the ones
 //! over the consumer's indexed prefix (see [`crate::join::Probe::finish`]).
 
-use crate::join::PartialScore;
-
-/// A dense `doc -> PartialScore` accumulation table for one query at a
+/// A dense `doc -> partial score` accumulation table for one query at a
 /// time.
 ///
 /// [`ScoreAccumulator::accumulate`] adds a product to the doc's running
-/// score, and the remainder bound is captured from the doc's **first**
-/// posting (every posting of a doc carries the same bound).  A visitor
-/// whose products are not the exact ones — it skipped or rescaled some —
-/// says so with [`ScoreAccumulator::mark_sampled`].
+/// score.  A visitor whose products are not the exact ones — it skipped or
+/// rescaled some — says so with [`ScoreAccumulator::mark_sampled`].
 #[derive(Debug)]
 pub struct ScoreAccumulator {
     /// Running `Σ product` per doc; defined only where `touched` is set.
     scores: Vec<f64>,
-    /// The doc's suffix remainder bound, parallel to `scores`.
-    remainders: Vec<f64>,
     /// Bit `doc % 64` of word `doc / 64` is set once `doc` is accumulated.
     touched: Vec<u64>,
     /// Number of touched docs.
@@ -44,7 +38,6 @@ impl ScoreAccumulator {
     pub fn for_docs(num_docs: usize) -> Self {
         ScoreAccumulator {
             scores: vec![0.0; num_docs],
-            remainders: vec![0.0; num_docs],
             touched: vec![0; num_docs.div_ceil(64)],
             len: 0,
             sampled: false,
@@ -61,21 +54,19 @@ impl ScoreAccumulator {
         self.len == 0
     }
 
-    /// Adds `product` to `doc`'s running score; on the doc's first
-    /// appearance, starts the score at `0.0` and records `bound` as its
-    /// remainder.
+    /// Adds `product` to `doc`'s running score, which starts at `0.0` on
+    /// the doc's first appearance.
     ///
     /// # Panics
     /// Panics when `doc` is not below the table's `num_docs`.
     #[inline]
-    pub fn accumulate(&mut self, doc: usize, product: f64, bound: f64) {
+    pub fn accumulate(&mut self, doc: usize, product: f64) {
         let (word, bit) = (doc / 64, 1u64 << (doc % 64));
         if self.touched[word] & bit == 0 {
             self.touched[word] |= bit;
-            // Values from an earlier query may linger in the columns; a
-            // doc's state is defined at its first touch.
+            // A score from an earlier query may linger in the column; a
+            // doc's score is defined at its first touch.
             self.scores[doc] = 0.0;
-            self.remainders[doc] = bound;
             self.len += 1;
         }
         self.scores[doc] += product;
@@ -87,23 +78,17 @@ impl ScoreAccumulator {
         self.sampled = true;
     }
 
-    /// Empties the table into `(doc, PartialScore)` candidates sorted by
+    /// Empties the table into `(doc, partial score)` candidates sorted by
     /// doc, plus whether the query was [sampled](Self::mark_sampled),
     /// leaving the accumulator ready for the next query.
-    pub fn drain_sorted(&mut self) -> (Vec<(usize, PartialScore)>, bool) {
+    pub fn drain_sorted(&mut self) -> (Vec<(usize, f64)>, bool) {
         let mut out = Vec::with_capacity(self.len);
         for (w, word) in self.touched.iter_mut().enumerate() {
             let mut bits = std::mem::take(word);
             while bits != 0 {
                 let doc = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                out.push((
-                    doc,
-                    PartialScore {
-                        score: self.scores[doc],
-                        remainder: self.remainders[doc],
-                    },
-                ));
+                out.push((doc, self.scores[doc]));
             }
         }
         self.len = 0;
@@ -116,36 +101,18 @@ mod tests {
     use super::*;
     use std::collections::HashMap;
 
-    fn partial(score: f64, remainder: f64) -> PartialScore {
-        PartialScore { score, remainder }
-    }
-
     #[test]
     fn accumulates_like_the_hashmap_it_replaced() {
-        let postings = [
-            (3usize, 0.5, 0.9),
-            (1, 0.25, 0.7),
-            (3, 0.125, 0.9),
-            (8, 1.0, 0.2),
-            (1, 0.0625, 0.7),
-        ];
+        let postings = [(3usize, 0.5), (1, 0.25), (3, 0.125), (8, 1.0), (1, 0.0625)];
         let mut table = ScoreAccumulator::for_docs(9);
-        let mut model: HashMap<usize, PartialScore> = HashMap::new();
-        for (doc, product, bound) in postings {
-            table.accumulate(doc, product, bound);
-            model.entry(doc).or_insert(partial(0.0, bound)).score += product;
+        let mut model: HashMap<usize, f64> = HashMap::new();
+        for (doc, product) in postings {
+            table.accumulate(doc, product);
+            *model.entry(doc).or_insert(0.0) += product;
         }
-        let mut expected: Vec<(usize, PartialScore)> = model.into_iter().collect();
+        let mut expected: Vec<(usize, f64)> = model.into_iter().collect();
         expected.sort_unstable_by_key(|(doc, _)| *doc);
         assert_eq!(table.drain_sorted(), (expected, false));
-    }
-
-    #[test]
-    fn first_bound_wins_for_a_doc() {
-        let mut table = ScoreAccumulator::for_docs(6);
-        table.accumulate(5, 1.0, 0.25);
-        table.accumulate(5, 1.0, 0.75);
-        assert_eq!(table.drain_sorted().0, vec![(5, partial(2.0, 0.25))]);
     }
 
     #[test]
@@ -155,7 +122,7 @@ mod tests {
         let docs = [199usize, 64, 0, 130, 63, 127, 1, 128];
         let mut table = ScoreAccumulator::for_docs(200);
         for &doc in &docs {
-            table.accumulate(doc, doc as f64, 0.5);
+            table.accumulate(doc, doc as f64);
         }
         assert_eq!(table.len(), docs.len());
         let (drained, sampled) = table.drain_sorted();
@@ -165,23 +132,23 @@ mod tests {
             drained.iter().map(|(d, _)| *d).collect::<Vec<_>>(),
             expected
         );
-        assert!(drained.iter().all(|(d, p)| p.score == *d as f64));
+        assert!(drained.iter().all(|&(d, score)| score == d as f64));
         assert!(!sampled);
     }
 
     #[test]
     fn drain_resets_every_doc_and_the_sampled_flag_for_reuse() {
         let mut table = ScoreAccumulator::for_docs(70);
-        table.accumulate(5, 10.0, 0.9);
-        table.accumulate(69, 1.0, 0.0);
+        table.accumulate(5, 10.0);
+        table.accumulate(69, 1.0);
         table.mark_sampled();
         assert!(table.drain_sorted().1);
         assert!(table.is_empty());
         assert_eq!(table.drain_sorted(), (Vec::new(), false));
-        // The same doc in the next query starts from zero with its new
-        // bound: the stale score and bound do not leak.
-        table.accumulate(5, 1.0, 0.1);
-        assert_eq!(table.drain_sorted(), (vec![(5, partial(1.0, 0.1))], false));
+        // The same doc in the next query starts from zero: the stale
+        // score does not leak.
+        table.accumulate(5, 1.0);
+        assert_eq!(table.drain_sorted(), (vec![(5, 1.0)], false));
     }
 
     #[test]
@@ -189,19 +156,15 @@ mod tests {
         // `0.0 + (-0.0)` is `+0.0`, as in `SparseVector::dot`'s sum; a table
         // that stored the first product as-is would keep `-0.0`.
         let mut table = ScoreAccumulator::for_docs(1);
-        table.accumulate(0, -0.0, 0.0);
+        table.accumulate(0, -0.0);
         let (drained, _) = table.drain_sorted();
-        assert_eq!(drained[0].1.score.to_bits(), 0.0f64.to_bits());
+        assert_eq!(drained[0].1.to_bits(), 0.0f64.to_bits());
     }
 
     #[test]
     fn a_table_sized_by_num_docs_after_an_append_takes_every_posted_doc() {
         use crate::index::{InvertedIndex, Posting};
-        let posting = |doc| Posting {
-            doc,
-            weight: 1.0,
-            bound: 0.0,
-        };
+        let posting = |doc| Posting { doc, weight: 1.0 };
         let mut index = InvertedIndex::from_records(vec![(0, posting(3)), (2, posting(1))]);
         assert_eq!(index.num_docs(), 4);
         index.append(vec![(1, posting(130)), (0, posting(7))]);
@@ -210,7 +173,7 @@ mod tests {
         for i in 0..index.num_terms() {
             let postings = index.postings_at(i);
             for (&doc, &weight) in postings.docs.iter().zip(postings.weights) {
-                table.accumulate(doc, weight, 0.0);
+                table.accumulate(doc, weight);
             }
         }
         let docs: Vec<usize> = table.drain_sorted().0.into_iter().map(|(d, _)| d).collect();

@@ -1,33 +1,35 @@
 //! What gets indexed and where it lives: the [`Posting`] record, the
-//! [`IndexPlan`] that decides, for any consumer vector, how many of its
-//! leading entries become postings, the in-RAM [`InvertedIndex`] that
-//! holds them, and the [`SuffixTable`] recording where each consumer's
-//! unindexed suffix starts.  The filter's term order is ascending term id
-//! (rarest first in a [`smr_text::Corpus`]): a prefix is `entries()[..plen]`.
+//! [`IndexPlan`] that cuts any consumer vector into an indexed prefix and
+//! an unindexed suffix, the [`SuffixTable`] that records each consumer's
+//! cut, and the in-RAM [`InvertedIndex`] that holds the prefixes.  The
+//! filter's term order is ascending term id (rarest first in a
+//! [`smr_text::Corpus`]): a prefix is `entries()[..plen]`.
+//!
+//! The idea (Chaudhuri et al., adapted by Baraglia et al. to MapReduce):
+//! order the entries of every vector by one global term order and index
+//! only a *prefix* of each consumer vector, chosen so that the remaining
+//! suffix alone cannot produce a dot product of σ or more with *any*
+//! query.  Every pair with similarity at least σ then shares a term
+//! inside the indexed prefix, so an index probe cannot miss it.  For a
+//! suffix `S` of consumer `y` that bound is `Σ_{t ∈ S} |y_t| · maxw(t)`,
+//! where `maxw(t)` is the largest magnitude of term `t` in any query.
 //!
 //! [`crate::serving::ServingIndex`] — the one index the batch join's probe
-//! job and the serving point queries both read — fills its
-//! [`InvertedIndex`] through [`IndexPlan::prefix_postings`] and keeps the
-//! complementary [`SuffixTable`], cut by the same [`IndexPlan::cut`].
+//! job and the serving point queries both read — cuts every consumer once,
+//! through [`SuffixTable::extend`], and folds the prefix postings that
+//! call returns into its [`InvertedIndex`].
 
-use smr_text::SparseVector;
+use smr_text::{SparseVector, TermId};
 
-use crate::prefix::{prefix_length, suffix_remainder_bound, term_max_weights};
-
-/// One posting: a consumer (by dense index), the weight of the indexed
-/// term in its vector, and the consumer's suffix remainder bound.
+/// One posting: a consumer (by dense index) and the weight of the indexed
+/// term in its vector.  What the consumer's unindexed suffix could still
+/// add is a fact of the consumer, kept once in its [`SuffixTable`] row.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Posting {
     /// Dense index of the consumer document.
     pub doc: usize,
     /// Weight of the term in that document.
     pub weight: f64,
-    /// Upper bound on what the document's *unindexed* suffix can add to a
-    /// dot product with any item
-    /// ([`suffix_remainder_bound`]), carried with
-    /// every posting so partial-product verification can threshold
-    /// `accumulated score + bound` without fetching the vectors.
-    pub bound: f64,
 }
 
 /// The table prefix filtering is parameterised by: the per-term maxima of
@@ -35,15 +37,16 @@ pub struct Posting {
 /// exactness contract of the index.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct IndexPlan {
-    /// `max_weights[t]`: the largest weight any query may carry on term
+    /// `max_weights[t]`: the largest magnitude any query may carry on term
     /// `t` (`0.0` for terms no query carries).
     pub max_weights: Vec<f64>,
 }
 
 impl IndexPlan {
     /// Derives the plan for joining `items` against `consumers` (both in
-    /// one term space): the vocabulary is one past the highest term id on
-    /// either side, the maxima come from the items.
+    /// one term space): the table spans one past the highest term id on
+    /// either side, and each maximum is the largest `|weight|` of the term
+    /// over the items.
     pub fn derive(items: &[SparseVector], consumers: &[SparseVector]) -> Self {
         let vocab_size = items
             .iter()
@@ -52,77 +55,102 @@ impl IndexPlan {
             .map(|(t, _)| t.index() + 1)
             .max()
             .unwrap_or(0);
-        IndexPlan {
-            max_weights: term_max_weights(items, vocab_size),
+        let mut max_weights = vec![0.0_f64; vocab_size];
+        for &(term, weight) in items.iter().flat_map(SparseVector::entries) {
+            let max = &mut max_weights[term.index()];
+            *max = max.max(weight.abs());
         }
+        IndexPlan { max_weights }
     }
 
-    /// Raises the query-side maxima to cover `observed` `(term index,
-    /// weight)` pairs too (growing the vocabulary if queries carried unseen
-    /// terms), so an index built from the widened plan is exact for the
-    /// workload that actually arrived.
+    /// Raises the query-side maxima to cover the magnitudes of `observed`
+    /// `(term index, weight)` pairs too (growing the table if queries
+    /// carried unseen terms), so an index built from the widened plan is
+    /// exact for the workload that actually arrived.
     pub fn widen(&mut self, observed: impl IntoIterator<Item = (usize, f64)>) {
         for (term, weight) in observed {
             if self.max_weights.len() <= term {
                 self.max_weights.resize(term + 1, 0.0);
             }
-            self.max_weights[term] = self.max_weights[term].max(weight);
+            self.max_weights[term] = self.max_weights[term].max(weight.abs());
         }
     }
 
-    /// The one prefix/suffix decision for a consumer vector: the length
-    /// of the prefix to index, cut where the suffix bound drops below σ.
-    /// `vector.entries()[..plen]` is indexed
-    /// ([`IndexPlan::prefix_postings`]), `vector.entries()[plen..]` is the
-    /// unindexed suffix ([`SuffixTable`]).
-    pub fn cut(&self, vector: &SparseVector, sigma: f64) -> usize {
-        prefix_length(vector, &self.max_weights, sigma)
+    /// The query-side maximum of `term` (`0.0` beyond the table).
+    pub fn max_weight(&self, term: TermId) -> f64 {
+        self.max_weights.get(term.index()).copied().unwrap_or(0.0)
     }
 
-    /// Emits the prefix postings of consumer `doc`: the indexed part of
-    /// its [`IndexPlan::cut`], every posting carrying the suffix remainder
-    /// bound.
-    pub fn prefix_postings(
-        &self,
-        doc: usize,
-        vector: &SparseVector,
-        sigma: f64,
-        mut emit: impl FnMut(u32, Posting),
-    ) {
-        let plen = self.cut(vector, sigma);
-        let bound = suffix_remainder_bound(vector, plen, &self.max_weights);
-        for &(term, weight) in &vector.entries()[..plen] {
-            emit(term.0, Posting { doc, weight, bound });
+    /// The one prefix/suffix decision for a consumer vector: `(plen,
+    /// bound)`.  `vector.entries()[..plen]` is the shortest prefix whose
+    /// suffix `entries()[plen..]` has a bound `Σ |w| · maxw(t)` below σ,
+    /// and `bound` is that sum, in term order: an upper bound on what the
+    /// unindexed suffix can add to the dot product with **any** query
+    /// inside the plan (the *remainder bound* of partial-product
+    /// verification).
+    ///
+    /// `plen` is in `0..=vector.len()`: `0` means the vector cannot
+    /// reach σ with anything and is not indexed at all, `len` means every
+    /// entry is indexed and nothing remains.
+    pub fn cut(&self, vector: &SparseVector, sigma: f64) -> (usize, f64) {
+        debug_assert!(sigma > 0.0, "threshold must be positive");
+        let entries = vector.entries();
+        let share = |&(term, w): &(TermId, f64)| w.abs() * self.max_weight(term);
+        // The suffix bound grows from the back: once entries k.. could
+        // reach the threshold on their own, entry k must be indexed and
+        // everything after it may be pruned.
+        let mut suffix_bound = 0.0;
+        let mut plen = 0;
+        for (k, entry) in entries.iter().enumerate().rev() {
+            suffix_bound += share(entry);
+            if suffix_bound >= sigma {
+                plen = k + 1;
+                break;
+            }
         }
+        (plen, entries[plen..].iter().map(share).sum())
     }
 }
 
-/// Where every consumer's unindexed suffix starts — one prefix length per
-/// consumer, cut by [`IndexPlan::cut`]: consumer `doc`'s entries
-/// `[..prefix_len(doc)]` are indexed, the rest are its suffix.
+/// Every consumer's cut, by dense index: its prefix length (consumer
+/// `doc`'s entries `[..prefix_len(doc)]` are indexed, the rest are its
+/// suffix) and its remainder bound, both from one [`IndexPlan::cut`].
 ///
-/// A probe's partial score for `doc` covers the item's products over
-/// that prefix; [`crate::join::Probe::finish`] continues it over the
-/// suffix.
-#[derive(Debug, PartialEq)]
+/// A probe prunes a candidate on its partial score plus
+/// [`SuffixTable::bound`]; [`crate::join::Probe::finish`] continues a
+/// survivor's score over the suffix.
+#[derive(Debug, Default, PartialEq)]
 pub struct SuffixTable {
     prefix_lens: Vec<u32>,
+    bounds: Vec<f64>,
 }
 
 impl SuffixTable {
-    /// The suffixes of `consumers` (dense indices `0..`) under `plan` at σ.
-    pub fn build(plan: &IndexPlan, consumers: &[SparseVector], sigma: f64) -> Self {
-        let mut table = SuffixTable {
-            prefix_lens: Vec::with_capacity(consumers.len()),
-        };
-        table.extend(plan, consumers, sigma);
-        table
-    }
-
-    /// Appends the suffixes of `vectors` as the next dense indices.
-    pub fn extend(&mut self, plan: &IndexPlan, vectors: &[SparseVector], sigma: f64) {
-        self.prefix_lens
-            .extend(vectors.iter().map(|v| plan.cut(v, sigma) as u32));
+    /// Cuts `vectors` under `plan` at σ as the next dense indices, records
+    /// each one's prefix length and remainder bound, and returns their
+    /// prefix postings `(term, posting)`, consumer by consumer and in term
+    /// order within one.
+    pub fn extend(
+        &mut self,
+        plan: &IndexPlan,
+        vectors: &[SparseVector],
+        sigma: f64,
+    ) -> Vec<(u32, Posting)> {
+        self.prefix_lens.reserve(vectors.len());
+        self.bounds.reserve(vectors.len());
+        let mut postings = Vec::new();
+        for vector in vectors {
+            let doc = self.prefix_lens.len();
+            let (plen, bound) = plan.cut(vector, sigma);
+            postings.extend(
+                vector.entries()[..plen]
+                    .iter()
+                    .map(|&(term, weight)| (term.0, Posting { doc, weight })),
+            );
+            self.prefix_lens.push(plen as u32);
+            self.bounds.push(bound);
+        }
+        postings
     }
 
     /// How many leading entries of consumer `doc` are indexed: its suffix
@@ -133,24 +161,28 @@ impl SuffixTable {
     pub fn prefix_len(&self, doc: usize) -> usize {
         self.prefix_lens[doc] as usize
     }
+
+    /// Upper bound on what consumer `doc`'s unindexed suffix can add to a
+    /// dot product with any query inside the plan.
+    ///
+    /// # Panics
+    /// Panics when `doc` is not in the table.
+    #[inline]
+    pub fn bound(&self, doc: usize) -> f64 {
+        self.bounds[doc]
+    }
 }
 
 /// One term's postings, borrowed from the index's column arrays.
 ///
 /// The columns are parallel slices of equal length: posting `i` is
-/// `(docs[i], weights[i], bounds[i])`.  Scan loops index the columns they
-/// actually touch — the accumulate-and-prune hot loop reads `docs` and
-/// `weights` every iteration but `bounds` only on a candidate's first
-/// appearance, which the one-array-of-structs layout forced through the
-/// cache anyway.
+/// `(docs[i], weights[i])`, so the accumulate loop walks two flat arrays.
 #[derive(Debug, Clone, Copy)]
 pub struct PostingsRef<'a> {
     /// Dense consumer indices, in the index's deterministic doc order.
     pub docs: &'a [usize],
     /// Term weights, parallel to `docs`.
     pub weights: &'a [f64],
-    /// Suffix-remainder bounds, parallel to `docs`.
-    pub bounds: &'a [f64],
 }
 
 impl<'a> PostingsRef<'a> {
@@ -158,7 +190,6 @@ impl<'a> PostingsRef<'a> {
     pub const EMPTY: PostingsRef<'static> = PostingsRef {
         docs: &[],
         weights: &[],
-        bounds: &[],
     };
 
     /// Number of postings.
@@ -173,18 +204,17 @@ impl<'a> PostingsRef<'a> {
 
     /// Iterates the postings, materializing each.
     pub fn iter(&self) -> impl Iterator<Item = Posting> + 'a {
-        let (docs, weights, bounds) = (self.docs, self.weights, self.bounds);
+        let (docs, weights) = (self.docs, self.weights);
         (0..docs.len()).map(move |i| Posting {
             doc: docs[i],
             weight: weights[i],
-            bound: bounds[i],
         })
     }
 }
 
 /// The pruned inverted index in RAM, in struct-of-arrays layout: the
-/// distinct term ids (ascending) with offsets into three parallel posting
-/// columns (doc, weight, bound).  A term's postings are one contiguous
+/// distinct term ids (ascending) with offsets into two parallel posting
+/// columns (doc, weight).  A term's postings are one contiguous
 /// range of each column, so the probe's accumulate loop walks flat `f64`
 /// and `usize` arrays instead of hopping across per-term `Vec<Posting>`
 /// allocations — branch-light and friendly to both the prefetcher and
@@ -198,7 +228,6 @@ pub struct InvertedIndex {
     starts: Vec<usize>,
     docs: Vec<usize>,
     weights: Vec<f64>,
-    bounds: Vec<f64>,
     /// One past the largest posted doc.
     num_docs: usize,
 }
@@ -216,7 +245,6 @@ impl InvertedIndex {
             starts: Vec::new(),
             docs: Vec::with_capacity(records.len()),
             weights: Vec::with_capacity(records.len()),
-            bounds: Vec::with_capacity(records.len()),
             num_docs: 0,
         };
         for (term, posting) in records {
@@ -227,7 +255,6 @@ impl InvertedIndex {
             index.num_docs = index.num_docs.max(posting.doc + 1);
             index.docs.push(posting.doc);
             index.weights.push(posting.weight);
-            index.bounds.push(posting.bound);
         }
         index.starts.push(index.docs.len());
         index
@@ -266,8 +293,7 @@ impl InvertedIndex {
         let range = self.starts[i]..self.starts[i + 1];
         PostingsRef {
             docs: &self.docs[range.clone()],
-            weights: &self.weights[range.clone()],
-            bounds: &self.bounds[range],
+            weights: &self.weights[range],
         }
     }
 
@@ -302,10 +328,15 @@ impl InvertedIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smr_text::TermId;
 
     fn vec_of(entries: &[(u32, f64)]) -> SparseVector {
         SparseVector::from_entries(entries.iter().map(|&(t, w)| (TermId(t), w)))
+    }
+
+    fn plan_of(max_weights: &[f64]) -> IndexPlan {
+        IndexPlan {
+            max_weights: max_weights.to_vec(),
+        }
     }
 
     #[test]
@@ -314,12 +345,24 @@ mod tests {
         let consumers = vec![vec_of(&[(0, 0.9), (1, 0.9)]), vec_of(&[(1, 0.2), (3, 0.2)])];
         let plan = IndexPlan::derive(&items, &consumers);
         assert_eq!(plan.max_weights, vec![0.5, 0.0, 0.1, 0.0]);
+        assert_eq!(plan.max_weight(TermId(2)), 0.1);
+        assert_eq!(plan.max_weight(TermId(9)), 0.0, "beyond the table");
         assert_eq!(
             IndexPlan::derive(&[], &[]),
             IndexPlan {
                 max_weights: vec![]
             }
         );
+    }
+
+    #[test]
+    fn max_weights_track_the_largest_magnitude_per_term() {
+        let items = vec![
+            vec_of(&[(0, 0.5), (2, -0.1)]),
+            vec_of(&[(0, -0.7), (1, 0.9)]),
+        ];
+        let plan = IndexPlan::derive(&items, &items);
+        assert_eq!(plan.max_weights, vec![0.7, 0.9, 0.1]);
     }
 
     #[test]
@@ -331,28 +374,112 @@ mod tests {
         assert_eq!(wide, plan);
         wide.widen([0.6, 0.1, 0.0, 0.01].into_iter().enumerate());
         assert_eq!(wide.max_weights, vec![0.6, 0.4, 0.0, 0.01]);
+        // A heavy negative weight widens by its magnitude.
+        wide.widen([(1, -0.8)]);
+        assert_eq!(wide.max_weights, vec![0.6, 0.8, 0.0, 0.01]);
     }
 
     #[test]
-    fn prefix_postings_index_only_the_prefix_and_carry_the_bound() {
-        let items = vec![vec_of(&[(0, 1.0), (1, 1.0), (2, 1.0)])];
-        let consumer = vec_of(&[(0, 0.9), (1, 0.05)]);
-        let plan = IndexPlan {
-            max_weights: term_max_weights(&items, 3),
-        };
-        let mut postings = Vec::new();
-        plan.prefix_postings(7, &consumer, 0.5, |t, p| postings.push((t, p)));
-        // The 0.05-weight tail cannot reach 0.5 and is pruned into the bound.
-        let expected = Posting {
-            doc: 7,
-            weight: 0.9,
-            bound: 0.05,
-        };
-        assert_eq!(postings, vec![(0, expected)]);
+    fn prefix_is_zero_when_nothing_can_reach_the_threshold() {
+        let v = vec_of(&[(0, 0.1), (1, 0.1)]);
+        // Best possible dot product is 0.1*0.2 + 0.1*0.2 = 0.04 < 0.5, all
+        // of it in the suffix.
+        let (plen, bound) = plan_of(&[0.2, 0.2]).cut(&v, 0.5);
+        assert_eq!(plen, 0);
+        assert!((bound - 0.04).abs() < 1e-12);
     }
 
     #[test]
-    fn the_suffix_table_starts_each_suffix_where_the_prefix_postings_end() {
+    fn prefix_covers_everything_when_the_last_term_alone_suffices() {
+        let v = vec_of(&[(0, 1.0), (1, 1.0)]);
+        // Even the final entry alone can contribute 1.0 ≥ 0.5, so the whole
+        // vector must be indexed and nothing remains.
+        assert_eq!(plan_of(&[1.0, 1.0]).cut(&v, 0.5), (2, 0.0));
+    }
+
+    #[test]
+    fn prefix_stops_where_the_suffix_bound_falls_below_sigma() {
+        // Terms in id order: t0 (heavy), t1, t2 (light tail).
+        let v = vec_of(&[(0, 1.0), (1, 0.3), (2, 0.1)]);
+        // Suffix {t2}: bound 0.1 < 0.5  -> prunable.
+        // Suffix {t1,t2}: bound 0.4 < 0.5 -> prunable.
+        // Suffix {t0,t1,t2}: bound 1.4 ≥ 0.5 -> t0 must be indexed.
+        assert_eq!(plan_of(&[1.0, 1.0, 1.0]).cut(&v, 0.5).0, 1);
+    }
+
+    #[test]
+    fn the_bound_sums_the_pruned_tail() {
+        let v = vec_of(&[(0, 1.0), (1, 0.3), (2, 0.1)]);
+        // Suffix {t1, t2}: 0.3·0.5 + 0.1·1.0.
+        let (plen, bound) = plan_of(&[1.0, 0.5, 1.0]).cut(&v, 0.5);
+        assert_eq!(plen, 1);
+        assert!((bound - 0.25).abs() < 1e-12);
+    }
+
+    /// Small item and consumer sides sharing a four-term space.
+    fn small_sides() -> (Vec<SparseVector>, Vec<SparseVector>) {
+        let items = vec![
+            vec_of(&[(0, 0.9), (1, 0.2)]),
+            vec_of(&[(1, 0.8), (2, 0.4)]),
+            vec_of(&[(2, 0.6), (3, 0.6)]),
+            vec_of(&[(0, -0.6), (3, -0.7)]),
+        ];
+        let consumers = vec![
+            vec_of(&[(0, 0.7), (2, 0.5)]),
+            vec_of(&[(1, 0.5), (3, 0.5)]),
+            vec_of(&[(0, 0.1), (3, 0.9)]),
+            vec_of(&[(0, -0.8), (3, -0.4)]),
+        ];
+        (items, consumers)
+    }
+
+    #[test]
+    fn remainder_bound_dominates_every_true_suffix_contribution() {
+        // For every pair: dot(x, y) ≤ (prefix part of y) + remainder(y).
+        let (items, consumers) = small_sides();
+        let plan = IndexPlan::derive(&items, &consumers);
+        for sigma in [0.1, 0.3, 0.5] {
+            for y in &consumers {
+                let (plen, bound) = plan.cut(y, sigma);
+                assert!(bound < sigma, "the pruned suffix can never reach sigma");
+                for x in &items {
+                    let prefix_part: f64 = y.entries()[..plen]
+                        .iter()
+                        .map(|&(t, w)| x.weight(t) * w)
+                        .sum();
+                    assert!(
+                        prefix_part + bound >= x.dot(y) - 1e-12,
+                        "partial products + remainder must bound the dot product"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn prefix_guarantee_holds_for_exhaustive_small_cases() {
+        // Brute-force check of the filtering guarantee: for every pair of
+        // small vectors, if dot(x, y) >= sigma then x shares a term with
+        // the prefix of y (prefix cut against the item-side maxima).
+        let (items, consumers) = small_sides();
+        let plan = IndexPlan::derive(&items, &consumers);
+        for sigma in [0.1, 0.3, 0.5] {
+            for y in &consumers {
+                let prefix = &y.entries()[..plan.cut(y, sigma).0];
+                for x in &items {
+                    if x.dot(y) >= sigma {
+                        assert!(
+                            prefix.iter().any(|&(t, _)| x.weight(t) != 0.0),
+                            "pair above threshold shares no prefix term (sigma={sigma})"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_suffix_table_records_each_cut_and_returns_the_prefix_entries() {
         let items = vec![vec_of(&[(0, 0.8), (1, 0.6), (2, 0.5), (3, 0.4)])];
         let consumers = vec![
             vec_of(&[(0, 0.9), (1, 0.3), (3, 0.05)]),
@@ -361,31 +488,39 @@ mod tests {
         ];
         let plan = IndexPlan::derive(&items, &consumers);
         let sigma = 0.4;
-        let table = SuffixTable::build(&plan, &consumers, sigma);
+        let mut table = SuffixTable::default();
+        let postings = table.extend(&plan, &consumers, sigma);
         for (doc, vector) in consumers.iter().enumerate() {
-            let mut indexed = Vec::new();
-            plan.prefix_postings(doc, vector, sigma, |t, _| indexed.push(t));
-            let plen = table.prefix_len(doc);
-            let prefix: Vec<u32> = vector.entries()[..plen].iter().map(|(t, _)| t.0).collect();
+            let (plen, bound) = plan.cut(vector, sigma);
+            assert_eq!((table.prefix_len(doc), table.bound(doc)), (plen, bound));
+            let indexed: Vec<(u32, Posting)> = postings
+                .iter()
+                .filter(|(_, p)| p.doc == doc)
+                .copied()
+                .collect();
+            let prefix: Vec<(u32, Posting)> = vector.entries()[..plen]
+                .iter()
+                .map(|&(t, weight)| (t.0, Posting { doc, weight }))
+                .collect();
             assert_eq!(indexed, prefix, "doc {doc}: the postings are the prefix");
         }
+        assert!(postings.windows(2).all(|w| w[0].1.doc <= w[1].1.doc));
         assert_eq!(table.prefix_len(0), 1, "0.3·0.6 + 0.05·0.4 < 0.4");
+        assert!((table.bound(0) - 0.2).abs() < 1e-12);
         // Doc 1 cannot reach σ at all: all suffix, nothing indexed.
         assert_eq!(table.prefix_len(1), 0);
         // Doc 2's last entry alone (0.6·0.5) stays below σ.
         assert_eq!(table.prefix_len(2), 1);
-        // Extending is building over the concatenation.
-        let mut grown = SuffixTable::build(&plan, &consumers[..1], sigma);
-        grown.extend(&plan, &consumers[1..], sigma);
-        assert_eq!(grown, table);
+        // Extending is cutting the concatenation: the later docs are
+        // numbered on from the table's length.
+        let mut grown = SuffixTable::default();
+        let mut regrown = grown.extend(&plan, &consumers[..1], sigma);
+        regrown.extend(grown.extend(&plan, &consumers[1..], sigma));
+        assert_eq!((grown, regrown), (table, postings));
     }
 
     fn posting(doc: usize, weight: f64) -> Posting {
-        Posting {
-            doc,
-            weight,
-            bound: 0.0,
-        }
+        Posting { doc, weight }
     }
 
     fn docs_of(index: &InvertedIndex, term: u32) -> Vec<usize> {

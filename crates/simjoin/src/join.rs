@@ -2,13 +2,13 @@
 //! to the bipartite item × consumer case), streaming end to end.
 //!
 //! * **Side data — the index**: the driver builds one [`ServingIndex`]
-//!   over the consumers ([`ServingIndex::for_corpora`]): every consumer's
-//!   prefix postings ([`crate::IndexPlan::prefix_postings`]),
-//!   each carrying the consumer's *suffix remainder bound* (what the
-//!   pruned tail of its vector could still contribute to any dot product),
-//!   folded into one in-RAM inverted index beside the consumer vectors and
-//!   the table of where each unindexed suffix starts.  Every probe mapper
-//!   borrows it (the distributed-cache role).
+//!   over the consumers ([`ServingIndex::for_corpora`]), cutting each
+//!   consumer once ([`crate::IndexPlan::cut`]): its prefix postings fold
+//!   into one in-RAM inverted index, and its prefix length and *suffix
+//!   remainder bound* (what the pruned tail of its vector could still
+//!   contribute to any dot product) go into the [`SuffixTable`] beside
+//!   the consumer vectors.  Every probe mapper borrows it (the
+//!   distributed-cache role).
 //! * **The probe job — probing and verification**: every item probes the
 //!   index once with all its terms through [`ServingIndex::probe`],
 //!   accumulating `w_item · w_consumer` **partial products** per
@@ -37,13 +37,14 @@
 //! applies — the exact join, the serving path, and the sketch generators
 //! of `smr_sketch` that the repo benchmark's recall lanes still measure:
 //! *alignment* ([`AlignedCorpora`]), the *index plan* and prefix/suffix
-//! cut ([`crate::IndexPlan`]), the *probe* ([`probe_index`] handing the
-//! query to a visitor, pruning with [`survives`]), the *finish*
-//! ([`Probe::finish`]; [`verify_candidates`] for LSH's candidates, which
-//! have no partial scores), the one probe loop that joins the two
-//! ([`ServingIndex::probe`], shared by the batch probe mapper and the
-//! serving point query) and the *chain* ([`candidate_chain`], with
-//! [`prefix_filter_join`] its prefix-filter instance).
+//! cut ([`crate::IndexPlan`]), the *probe* ([`ServingIndex::probe`]:
+//! the query handed to a visitor — the exact one is [`probe_postings`] —
+//! and the prune on each candidate's score plus its consumer's
+//! [`SuffixTable::bound`]), the *finish* ([`Probe::finish`];
+//! [`verify_candidates`] for LSH's candidates, which have no partial
+//! scores) and the *chain* ([`candidate_chain`], with
+//! [`prefix_filter_join`] its prefix-filter instance).  The one probe
+//! loop is shared by the batch probe mapper and the serving point query.
 
 use smr_graph::{BipartiteGraph, ConsumerId, Edge, ItemId};
 use smr_mapreduce::flow::{Dataset, FlowContext};
@@ -74,22 +75,6 @@ pub mod counter {
     /// scores (a full dot product).  At most `verify_exact`.
     pub const VERIFY_DOT: &str = "verify_dot";
 }
-
-/// Absolute slack subtracted from σ before a candidate is pruned on its
-/// partial score.
-///
-/// A partial score adds the products of the shared *indexed* terms in
-/// ascending term order from `0.0`.  Term ids ascend in the filter's order
-/// (a `Corpus` numbers its vocabulary rarest first), so every prefix id
-/// lies below every suffix id and those are the first additions
-/// `SparseVector::dot` performs; [`Probe::finish`] continues them over the
-/// consumer's suffix.  The remainder bounds the suffix's share only in
-/// exact arithmetic: rounded, `score + tail` can exceed the rounded
-/// `score + remainder` the prune tests by a few ulps.  The slack keeps the
-/// prune strictly conservative (a pair at exactly σ always survives to
-/// verification) while remaining far below any meaningful similarity
-/// difference of unit-normalized vectors.
-const PRUNE_SLACK: f64 = 1e-9;
 
 /// Result of the MapReduce similarity join.
 #[derive(Debug, Clone)]
@@ -124,32 +109,12 @@ pub struct SimJoinResult {
 // The probe: walk, prune, finish
 // ---------------------------------------------------------------------------
 
-/// The accumulated evidence for one candidate pair: the sum of partial
-/// products over shared indexed terms, and the upper bound on what the
-/// consumer's unindexed suffix could still add.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PartialScore {
-    /// `Σ w_item(t) · w_consumer(t)` over the shared indexed terms seen so
-    /// far.
-    pub score: f64,
-    /// Upper bound on the unindexed remainder of the dot product (the
-    /// consumer's suffix bound; every posting of a consumer carries the
-    /// same value).
-    pub remainder: f64,
-}
-
-/// Whether a candidate's accumulated evidence can still reach σ — the one
-/// prune test of the candidate stage (the probe mapper and the serving
-/// point query both decide with it): `score + remainder ≥ σ − slack`.
-pub fn survives(partial: &PartialScore, sigma: f64) -> bool {
-    partial.score + partial.remainder >= sigma - PRUNE_SLACK
-}
-
-/// The outcome of one query's probe ([`probe_index`]).
+/// The outcome of one query's probe ([`ServingIndex::probe`]).
 #[derive(Debug)]
 pub struct Probe {
-    /// The candidates [`survives`] kept, sorted by doc.
-    pub survivors: Vec<(usize, PartialScore)>,
+    /// The candidates the prune kept, `(doc, partial score)` sorted by
+    /// doc.
+    pub survivors: Vec<(usize, f64)>,
     /// How many candidates the prune discarded.
     pub pruned: u64,
     /// Whether the visitor skipped or rescaled products
@@ -186,7 +151,7 @@ impl Probe {
     ) -> u64 {
         let query = vector.entries();
         let mut extended = 0;
-        for &(doc, partial) in &self.survivors {
+        for &(doc, score) in &self.survivors {
             let similarity = if self.sampled {
                 extended += 1;
                 vector.dot(&consumers[doc])
@@ -195,7 +160,7 @@ impl Probe {
                 let from = tail.first().map_or(query.len(), |&(first, _)| {
                     query.partition_point(|&(t, _)| t < first)
                 });
-                let (similarity, added) = add_products(partial.score, &query[from..], tail);
+                let (similarity, added) = add_products(score, &query[from..], tail);
                 extended += u64::from(added);
                 similarity
             };
@@ -205,42 +170,7 @@ impl Probe {
     }
 }
 
-/// Probes `index` with one query: hands the index, the query's entries
-/// (sorted by term id) and a score table sized by
-/// [`InvertedIndex::num_docs`] to `visit` — which folds partial products
-/// into the table; the exact visitor is [`probe_postings`] — and returns
-/// the candidates that [`survives`] keeps, sorted by doc, with how many
-/// it pruned and whether the visitor sampled.
-///
-/// All of a query's probing happens in this one call, so partial products
-/// accumulate in ascending term order (the floating-point sum is
-/// scheduling-independent) and the prune runs on *complete* scores.
-pub fn probe_index(
-    index: &InvertedIndex,
-    entries: &[(TermId, f64)],
-    sigma: f64,
-    visit: impl FnOnce(&InvertedIndex, &[(TermId, f64)], &mut ScoreAccumulator),
-) -> Probe {
-    if index.is_empty() || entries.is_empty() {
-        return Probe {
-            survivors: Vec::new(),
-            pruned: 0,
-            sampled: false,
-        };
-    }
-    let mut scores = ScoreAccumulator::for_docs(index.num_docs());
-    visit(index, entries, &mut scores);
-    let (mut survivors, sampled) = scores.drain_sorted();
-    let generated = survivors.len();
-    survivors.retain(|(_, partial)| survives(partial, sigma));
-    Probe {
-        pruned: (generated - survivors.len()) as u64,
-        survivors,
-        sampled,
-    }
-}
-
-/// The exact visitor of [`probe_index`]: accumulates every partial
+/// The exact visitor of [`ServingIndex::probe`]: accumulates every partial
 /// product of a query against the index.  Both the query and the index's
 /// terms are sorted by term id; iterate whichever side is shorter and look
 /// the term up on the other — and skip terms with empty postings before
@@ -254,12 +184,8 @@ pub fn probe_postings(
     scores: &mut ScoreAccumulator,
 ) {
     fn accumulate(weight: f64, postings: PostingsRef<'_>, scores: &mut ScoreAccumulator) {
-        for i in 0..postings.docs.len() {
-            scores.accumulate(
-                postings.docs[i],
-                weight * postings.weights[i],
-                postings.bounds[i],
-            );
+        for (&doc, &posted) in postings.docs.iter().zip(postings.weights) {
+            scores.accumulate(doc, weight * posted);
         }
     }
     if index.num_terms() < query.len() {
@@ -319,7 +245,7 @@ fn count(counters: &Counters, name: &str, delta: u64) {
 }
 
 /// The probe job's mapper: probes the driver-built index with every item
-/// through `visit` (the visitor of [`probe_index`], additionally told
+/// through `visit` (the visitor of [`ServingIndex::probe`], additionally told
 /// which item is probing) and emits the edges [`ServingIndex::probe`]
 /// finishes — neither a pruned nor a failed candidate crosses the
 /// shuffle.
@@ -411,7 +337,7 @@ pub fn mapreduce_similarity_join_vectors_flow(
 /// accumulation, suffix-bound pruning and exact verification
 /// ([`Probe::finish`]), all in the mapper.
 ///
-/// `visit` is [`probe_index`]'s visitor, additionally told which item is
+/// `visit` is [`ServingIndex::probe`]'s visitor, additionally told which item is
 /// probing.  The exact join passes [`probe_postings`]; a sampling
 /// generator passes a visitor that skips (and rescales) contributions and
 /// says so with [`ScoreAccumulator::mark_sampled`], so its survivors are
@@ -899,8 +825,8 @@ mod tests {
             max_weights: vec![1.0; 8],
         };
         let sigma = 0.5;
-        assert_eq!(plan.cut(&consumers[0], sigma), 1);
-        assert_eq!(plan.cut(&consumers[1], sigma), 2);
+        assert_eq!(plan.cut(&consumers[0], sigma).0, 1);
+        assert_eq!(plan.cut(&consumers[1], sigma), (2, 0.0));
         // All eight terms: the walk iterates the index's three terms and
         // looks each up in the query.
         let long = vec_of(
@@ -933,7 +859,7 @@ mod tests {
         let plan = IndexPlan::derive(&vectors, &vectors);
         let (mut survivors, mut dots) = (0, 0);
         for sigma in [0.3, 0.45, 0.6] {
-            assert!(vectors.iter().any(|v| plan.cut(v, sigma) < v.len()));
+            assert!(vectors.iter().any(|v| plan.cut(v, sigma).0 < v.len()));
             for x in &vectors {
                 let (s, d) = finish_against(&plan, &vectors, sigma, x);
                 survivors += s;

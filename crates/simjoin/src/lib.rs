@@ -15,14 +15,12 @@
 //!
 //! * [`align`] — both sides of the join vectorized over one joint
 //!   vocabulary ([`AlignedCorpora`]), and later text into the same space,
-//! * [`prefix`] — the prefix-filtering bounds: how many leading entries
-//!   of a consumer vector must be indexed so that no pair above the
-//!   threshold can be missed, and what the pruned suffix could still
-//!   contribute (the *remainder bound* of partial-product verification),
-//! * [`index`] — the [`IndexPlan`] (query-side maxima), the one cut of a
-//!   consumer vector into indexed prefix and unindexed suffix at a
-//!   prefix length, the in-RAM [`InvertedIndex`] and the [`SuffixTable`]
-//!   of prefix lengths a probe finishes candidates with,
+//! * [`index`] — the [`IndexPlan`] (query-side maxima) and its one cut
+//!   of a consumer vector: how many leading entries must be indexed so
+//!   that no pair above the threshold can be missed, and what the pruned
+//!   suffix could still contribute (the *remainder bound* of
+//!   partial-product verification); the [`SuffixTable`] that keeps both
+//!   per consumer, and the in-RAM [`InvertedIndex`] of the prefixes,
 //! * [`baseline`] — an exact all-pairs join used as ground truth,
 //! * [`accum`] — the dense per-query score table the probe folds partial
 //!   products into,
@@ -64,6 +62,7 @@
 //! assert_eq!(result.graph.num_edges(), 2);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
@@ -72,7 +71,6 @@ pub mod align;
 pub mod baseline;
 pub mod index;
 pub mod join;
-pub mod prefix;
 pub mod serving;
 
 pub use accum::ScoreAccumulator;
@@ -81,10 +79,8 @@ pub use baseline::baseline_similarity_join;
 pub use index::{IndexPlan, InvertedIndex, Posting, PostingsRef, SuffixTable};
 pub use join::{
     candidate_chain, mapreduce_similarity_join_flow, mapreduce_similarity_join_vectors_flow,
-    prefix_filter_join, probe_index, probe_postings, survives, verify_candidates, PartialScore,
-    Probe, SimJoinResult,
+    prefix_filter_join, probe_postings, verify_candidates, Probe, SimJoinResult,
 };
-pub use prefix::{prefix_length, suffix_remainder_bound, term_max_weights};
 pub use serving::{ScoredMatch, ServingIndex};
 
 /// Convenience re-exports.
@@ -93,9 +89,7 @@ pub mod prelude {
     pub use crate::baseline::baseline_similarity_join;
     pub use crate::index::{IndexPlan, InvertedIndex, Posting};
     pub use crate::join::{
-        mapreduce_similarity_join_flow, mapreduce_similarity_join_vectors_flow, PartialScore,
-        SimJoinResult,
+        mapreduce_similarity_join_flow, mapreduce_similarity_join_vectors_flow, SimJoinResult,
     };
-    pub use crate::prefix::{prefix_length, suffix_remainder_bound, term_max_weights};
     pub use crate::serving::{ScoredMatch, ServingIndex};
 }

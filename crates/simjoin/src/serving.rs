@@ -2,8 +2,9 @@
 //! similarity-join index, kept in RAM.
 //!
 //! [`ServingIndex`] is the pruned similarity-join index: the
-//! [`InvertedIndex`], the [`SuffixTable`] of where each consumer's
-//! unindexed suffix starts, and the consumer vectors.  The batch join
+//! [`InvertedIndex`], the [`SuffixTable`] of each consumer's cut (where
+//! its unindexed suffix starts and what that suffix could still add), and
+//! the consumer vectors.  The batch join
 //! builds one on the driver over the consumer slice it was handed,
 //! probes it once with every item in its one MapReduce job, and drops
 //! it.  A standing index owns its vectors, keeps it alive and answers two
@@ -12,15 +13,17 @@
 //! * [`ServingIndex::match_one`] — "a new item just arrived: who are its
 //!   candidate consumers right now?"  One query runs the batch probe
 //!   mapper's own loop, [`ServingIndex::probe`]: partial products over
-//!   shared indexed terms, the suffix-remainder prune at `σ − slack`, and
+//!   shared indexed terms, the prune on each candidate's score plus its
+//!   consumer's remainder bound at `σ − slack`, and
 //!   the finish ([`crate::join::Probe::finish`]) that continues the
 //!   partial score over the tail of the consumer's vector past its
 //!   indexed prefix — the exact dot product, bit for bit.  No corpus
 //!   scan: the query only touches the postings of its own terms.
 //! * [`ServingIndex::append_batch`] — "these consumers just joined the
-//!   corpus."  Each new vector's prefix postings join the index after the
-//!   existing postings of their terms, its prefix length joins the table, and
-//!   the vectors join the corpus (which the index then owns).
+//!   corpus."  Each new vector is cut once: its prefix postings join the
+//!   index after the existing postings of their terms, its prefix length
+//!   and remainder bound join the table, and the vectors join the corpus
+//!   (which the index then owns).
 //!
 //! **Exactness.**  A query runs the batch probe mapper's probe over the
 //! same postings, so for any query whose per-term weights stay within the
@@ -39,8 +42,24 @@ use std::sync::Mutex;
 use smr_text::{SparseVector, TermId};
 
 use crate::accum::ScoreAccumulator;
-use crate::index::{IndexPlan, InvertedIndex, Posting, SuffixTable};
-use crate::join::{probe_index, probe_postings, Probe};
+use crate::index::{IndexPlan, InvertedIndex, SuffixTable};
+use crate::join::{probe_postings, Probe};
+
+/// Absolute slack subtracted from σ before a candidate is pruned on its
+/// partial score.
+///
+/// A partial score adds the products of the shared *indexed* terms in
+/// ascending term order from `0.0`.  Term ids ascend in the filter's order
+/// (a `Corpus` numbers its vocabulary rarest first), so every prefix id
+/// lies below every suffix id and those are the first additions
+/// `SparseVector::dot` performs; [`Probe::finish`] continues them over the
+/// consumer's suffix.  The remainder bounds the suffix's share only in
+/// exact arithmetic: rounded, `score + tail` can exceed the rounded
+/// `score + remainder` the prune tests by a few ulps.  The slack keeps the
+/// prune strictly conservative (a pair at exactly σ always survives to
+/// verification) while remaining far below any meaningful similarity
+/// difference of unit-normalized vectors.
+const PRUNE_SLACK: f64 = 1e-9;
 
 /// One serving-time candidate: a consumer whose exact similarity with the
 /// query reached σ.
@@ -57,7 +76,8 @@ pub struct ScoredMatch {
 #[derive(Debug)]
 pub struct ServingIndex<'a> {
     index: InvertedIndex,
-    /// Where every consumer's unindexed suffix starts, by dense index.
+    /// Every consumer's cut, by dense index: prefix length and remainder
+    /// bound.
     suffixes: SuffixTable,
     /// Every indexed consumer, by dense index: borrowed from the batch
     /// join's caller, owned once appended to.
@@ -79,9 +99,9 @@ impl<'a> ServingIndex<'a> {
     /// the prefix of each consumer is pruned against these, so they are
     /// the exactness contract of the index.
     ///
-    /// The postings are every consumer's [`IndexPlan::prefix_postings`],
-    /// in doc order within a term; the batch join probes the index
-    /// [`ServingIndex::for_corpora`] builds.
+    /// Every consumer is cut once ([`SuffixTable::extend`]); its prefix
+    /// postings enter the index in doc order within a term.  The batch
+    /// join probes the index [`ServingIndex::for_corpora`] builds.
     ///
     /// # Panics
     /// Panics if `sigma` is not strictly positive.
@@ -92,8 +112,8 @@ impl<'a> ServingIndex<'a> {
     ) -> Self {
         assert!(sigma > 0.0, "threshold must be positive");
         let consumers = consumers.into();
-        let index = InvertedIndex::from_records(prefix_postings(&plan, 0, &consumers, sigma));
-        let suffixes = SuffixTable::build(&plan, &consumers, sigma);
+        let mut suffixes = SuffixTable::default();
+        let index = InvertedIndex::from_records(suffixes.extend(&plan, &consumers, sigma));
         ServingIndex {
             index,
             suffixes,
@@ -186,15 +206,15 @@ impl<'a> ServingIndex<'a> {
         self.maxima_exceeded.load(Ordering::Relaxed)
     }
 
-    /// Whether `query` carries some term heavier than its maximum in the
-    /// plan (a missing vocabulary entry counts as maximum 0): the
-    /// per-query predicate behind [`ServingIndex::maxima_exceeded`].
+    /// Whether `query` carries some term whose magnitude exceeds its
+    /// maximum in the plan (a missing vocabulary entry counts as maximum
+    /// 0): the per-query predicate behind
+    /// [`ServingIndex::maxima_exceeded`].
     pub fn query_exceeds_maxima(&self, query: &SparseVector) -> bool {
-        let maxima = &self.plan.max_weights;
         query
             .entries()
             .iter()
-            .any(|&(term, weight)| weight > maxima.get(term.index()).copied().unwrap_or(0.0))
+            .any(|&(term, weight)| weight.abs() > self.plan.max_weight(term))
     }
 
     /// Answers one point query: the top-`k` consumers whose exact dot
@@ -243,24 +263,42 @@ impl<'a> ServingIndex<'a> {
     }
 
     /// The one probe loop of the candidate stage, shared by the batch
-    /// join's probe mapper and [`ServingIndex::candidates`]: walks the
-    /// index with `query` through `visit` ([`probe_index`]; the exact
-    /// visitor is [`probe_postings`]), prunes with
-    /// [`crate::join::survives`], finishes every survivor by
+    /// join's probe mapper and [`ServingIndex::candidates`]: hands the
+    /// index, the query's entries (sorted by term id) and a score table
+    /// sized by [`InvertedIndex::num_docs`] to `visit`, which folds partial
+    /// products into the table (the exact visitor is [`probe_postings`]).
+    /// Then it prunes every candidate whose `score + bound < σ − slack`,
+    /// `bound` being its consumer's [`SuffixTable::bound`] — the one prune
+    /// test of the candidate stage — finishes every survivor by
     /// [`Probe::finish`] and hands `(consumer, similarity)` to `emit` for
     /// each whose similarity reaches σ, in consumer order.
     ///
     /// Returns the probe, with how many survivors took a product beyond
     /// their partial score.  All of a query's products accumulate in this
-    /// one call, in ascending term order, so every path gets the same
-    /// bits.
+    /// one call, in ascending term order, so the floating-point sums are
+    /// scheduling-independent, every path gets the same bits and the prune
+    /// runs on *complete* scores.
     pub fn probe(
         &self,
         query: &SparseVector,
         visit: impl FnOnce(&InvertedIndex, &[(TermId, f64)], &mut ScoreAccumulator),
         mut emit: impl FnMut(usize, f64),
     ) -> (Probe, u64) {
-        let probe = probe_index(&self.index, query.entries(), self.sigma, visit);
+        let (mut survivors, sampled) = if self.index.is_empty() || query.is_empty() {
+            (Vec::new(), false)
+        } else {
+            let mut scores = ScoreAccumulator::for_docs(self.index.num_docs());
+            visit(&self.index, query.entries(), &mut scores);
+            scores.drain_sorted()
+        };
+        let generated = survivors.len();
+        survivors
+            .retain(|&(doc, score)| score + self.suffixes.bound(doc) >= self.sigma - PRUNE_SLACK);
+        let probe = Probe {
+            pruned: (generated - survivors.len()) as u64,
+            survivors,
+            sampled,
+        };
         let dots = probe.finish(query, &self.consumers, &self.suffixes, |consumer, score| {
             if score >= self.sigma {
                 emit(consumer, score);
@@ -270,43 +308,26 @@ impl<'a> ServingIndex<'a> {
     }
 
     /// Absorbs a micro-batch of new consumers, returning the dense indices
-    /// they were assigned.  Each vector's prefix postings join the index
-    /// after the existing postings of their terms, its prefix length joins
-    /// the suffix table, and the vectors join the corpus, copied into an
-    /// owned one first if it was borrowed.
+    /// they were assigned.  Each vector is cut once: its prefix postings
+    /// join the index after the existing postings of their terms, its
+    /// prefix length and remainder bound join the suffix table, and the
+    /// vectors join the corpus, copied into an owned one first if it was
+    /// borrowed.
     pub fn append_batch(&mut self, batch: &[SparseVector]) -> Range<usize> {
         let assigned = self.len()..self.len() + batch.len();
         if batch.is_empty() {
             return assigned;
         }
-        let postings = prefix_postings(&self.plan, self.len(), batch, self.sigma);
+        let postings = self.suffixes.extend(&self.plan, batch, self.sigma);
         self.index.append(postings);
-        self.suffixes.extend(&self.plan, batch, self.sigma);
         self.consumers.to_mut().extend_from_slice(batch);
         assigned
     }
 }
 
-/// The prefix postings of `vectors`, numbered as consumers `first..`.
-fn prefix_postings(
-    plan: &IndexPlan,
-    first: usize,
-    vectors: &[SparseVector],
-    sigma: f64,
-) -> Vec<(u32, Posting)> {
-    let mut postings = Vec::new();
-    for (offset, vector) in vectors.iter().enumerate() {
-        plan.prefix_postings(first + offset, vector, sigma, |term, posting| {
-            postings.push((term, posting))
-        });
-    }
-    postings
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::join::PartialScore;
 
     fn vec_of(entries: &[(u32, f64)]) -> SparseVector {
         SparseVector::from_entries(entries.iter().map(|&(t, w)| (TermId(t), w)))
@@ -420,6 +441,9 @@ mod tests {
 
         let heavier = vec_of(&[(0, 0.95)]);
         assert!(serving.query_exceeds_maxima(&heavier));
+        // Magnitudes compare: −0.95 is heavier too, −0.9 is not.
+        assert!(serving.query_exceeds_maxima(&vec_of(&[(0, -0.95)])));
+        assert!(!serving.query_exceeds_maxima(&vec_of(&[(0, -0.9)])));
         let _ = serving.candidates(&heavier);
         assert_eq!(serving.maxima_exceeded(), 1);
 
@@ -471,13 +495,7 @@ mod tests {
             })
             .fold(0.0, |sum, product| sum + product);
         let probe = Probe {
-            survivors: vec![(
-                doc,
-                PartialScore {
-                    score,
-                    remainder: 1.0,
-                },
-            )],
+            survivors: vec![(doc, score)],
             pruned: 0,
             sampled: false,
         };
@@ -542,13 +560,8 @@ mod tests {
         let serving = ServingIndex::build(&consumers, flat_plan(1), 0.5);
         let x = vec_of(&[(0, 0.8)]);
         let mut probe = Probe {
-            survivors: vec![(
-                0,
-                PartialScore {
-                    score: 0.25, // a rescaled estimate, not x · y
-                    remainder: 0.0,
-                },
-            )],
+            // A rescaled estimate, not x · y.
+            survivors: vec![(0, 0.25)],
             pruned: 0,
             sampled: true,
         };

@@ -10,6 +10,12 @@
 //! first) still join exactly: the filter's order is then a worse one, so
 //! only selectivity may suffer, never an edge or a weight bit.
 //!
+//! Signed weights join exactly too: the cut and the plan's maxima compare
+//! magnitudes.  At σ taken from an instance's own
+//! similarities — its exact bits and one ulp either side — both the batch
+//! join and the serving point query return exactly the `dot ≥ σ` pairs,
+//! so the prune's slack never drops a pair at σ.
+//!
 //! A separate determinism test pins the pruned-pair counts: 20 identical
 //! runs must report identical `candidate_pairs` / `candidates_pruned` /
 //! `verify_exact`, which is what lets the experiment tables (and the CI
@@ -19,7 +25,7 @@ use proptest::prelude::*;
 use smr_mapreduce::{FlowContext, JobConfig};
 use smr_simjoin::{
     baseline_similarity_join, mapreduce_similarity_join_flow,
-    mapreduce_similarity_join_vectors_flow, SimJoinResult,
+    mapreduce_similarity_join_vectors_flow, ServingIndex, SimJoinResult,
 };
 use smr_text::{Corpus, Document, SparseVector, TermId, TokenizerConfig};
 
@@ -134,6 +140,51 @@ fn renumbered(vectors: &[SparseVector], permutation: &[u32]) -> Vec<SparseVector
         .collect()
 }
 
+/// Every pair whose dot product reaches σ, as `(item, consumer, weight
+/// bits)` sorted by pair: the canonical edges an exact join must return.
+fn brute_force_edges(
+    items: &[SparseVector],
+    consumers: &[SparseVector],
+    sigma: f64,
+) -> Vec<(u32, u32, u64)> {
+    let mut expected = Vec::new();
+    for (t, x) in items.iter().enumerate() {
+        for (c, y) in consumers.iter().enumerate() {
+            let dot = x.dot(y);
+            if dot >= sigma {
+                expected.push((t as u32, c as u32, dot.to_bits()));
+            }
+        }
+    }
+    expected
+}
+
+/// The edges [`ServingIndex::candidates`] returns for every item, in the
+/// canonical form of [`brute_force_edges`].
+fn served_edges(
+    items: &[SparseVector],
+    consumers: &[SparseVector],
+    sigma: f64,
+) -> Vec<(u32, u32, u64)> {
+    let serving = ServingIndex::for_corpora(items, consumers, sigma);
+    let mut edges = Vec::new();
+    for (t, x) in items.iter().enumerate() {
+        for m in serving.candidates(x) {
+            edges.push((t as u32, m.consumer as u32, m.score.to_bits()));
+        }
+    }
+    edges
+}
+
+/// Sparse vectors over a 12-term space from `(term, weight)` draws of
+/// either sign, unit-normalised.
+fn signed_vectors(draws: &[Vec<(u32, f64)>]) -> Vec<SparseVector> {
+    draws
+        .iter()
+        .map(|d| SparseVector::from_entries(d.iter().map(|&(t, w)| (TermId(t), w))).normalized())
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -151,15 +202,7 @@ proptest! {
         let items = renumbered(items.vectors(), &permutation);
         let consumers = renumbered(consumers.vectors(), &permutation);
         for sigma in [0.08, 0.2, 0.45] {
-            let mut expected = Vec::new();
-            for (t, x) in items.iter().enumerate() {
-                for (c, y) in consumers.iter().enumerate() {
-                    let dot = x.dot(y);
-                    if dot >= sigma {
-                        expected.push((t as u32, c as u32, dot.to_bits()));
-                    }
-                }
-            }
+            let expected = brute_force_edges(&items, &consumers, sigma);
             let result = mapreduce_similarity_join_vectors_flow(
                 &items,
                 &consumers,
@@ -172,6 +215,101 @@ proptest! {
             );
         }
     }
+
+    #[test]
+    fn signed_weights_join_and_serve_the_brute_force_edges(
+        item_draws in proptest::collection::vec(
+            proptest::collection::vec((0u32..12, -1.0f64..1.0), 0..6), 1..10),
+        consumer_draws in proptest::collection::vec(
+            proptest::collection::vec((0u32..12, -1.0f64..1.0), 0..6), 1..12),
+    ) {
+        let items = signed_vectors(&item_draws);
+        let consumers = signed_vectors(&consumer_draws);
+        for sigma in [0.1, 0.3, 0.6] {
+            let expected = brute_force_edges(&items, &consumers, sigma);
+            let result = mapreduce_similarity_join_vectors_flow(
+                &items,
+                &consumers,
+                sigma,
+                &join_flow(None, 2),
+            );
+            prop_assert!(
+                canonical_edges(&result.graph) == expected,
+                "signed join diverged from brute force (sigma={sigma})"
+            );
+            prop_assert!(
+                served_edges(&items, &consumers, sigma) == expected,
+                "signed point queries diverged from brute force (sigma={sigma})"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_pair_of_negative_weights_above_sigma_is_an_edge() {
+    // (−0.8)(−0.9) = 0.72 ≥ 0.5 through t0 alone.  A cut that summed
+    // signed products from the back (0.3·0.1, then −0.8·0.9) never
+    // reached σ, indexed nothing and lost the pair.
+    let items = [
+        SparseVector::from_entries([(TermId(0), -0.9)]),
+        SparseVector::from_entries([(TermId(1), 0.1)]),
+    ];
+    let consumers = [SparseVector::from_entries([
+        (TermId(0), -0.8),
+        (TermId(1), 0.3),
+    ])];
+    let sigma = 0.5;
+    let expected = brute_force_edges(&items, &consumers, sigma);
+    assert_eq!(expected.len(), 1);
+    let result =
+        mapreduce_similarity_join_vectors_flow(&items, &consumers, sigma, &join_flow(None, 2));
+    assert_eq!(canonical_edges(&result.graph), expected);
+    assert_eq!(served_edges(&items, &consumers, sigma), expected);
+}
+
+#[test]
+fn a_pair_at_exactly_sigma_is_always_an_edge() {
+    let items = synthetic_vectors(20, 16, 41);
+    let consumers = synthetic_vectors(24, 16, 42);
+    let mut weights: Vec<f64> = items
+        .iter()
+        .flat_map(|x| consumers.iter().map(move |y| x.dot(y)))
+        .filter(|&dot| dot > 0.05)
+        .collect();
+    weights.sort_by(f64::total_cmp);
+    weights.dedup();
+    // Every seventh similarity of the instance, the heaviest included.
+    let picks = weights.iter().rev().step_by(7).copied();
+    let mut pruned = 0;
+    for weight in picks {
+        for sigma in [weight.next_down(), weight, weight.next_up()] {
+            let expected = brute_force_edges(&items, &consumers, sigma);
+            let result = mapreduce_similarity_join_vectors_flow(
+                &items,
+                &consumers,
+                sigma,
+                &join_flow(None, 2),
+            );
+            assert_eq!(
+                canonical_edges(&result.graph),
+                expected,
+                "batch join at sigma {sigma:e}"
+            );
+            assert_eq!(
+                served_edges(&items, &consumers, sigma),
+                expected,
+                "point queries at sigma {sigma:e}"
+            );
+            pruned += result.candidates_pruned;
+        }
+        let at = brute_force_edges(&items, &consumers, weight);
+        let above = brute_force_edges(&items, &consumers, weight.next_up());
+        assert!(
+            at.len() > above.len(),
+            "the pair at sigma {weight:e} counts"
+        );
+    }
+    assert!(pruned > 0, "the prune must fire on the way");
 }
 
 /// Deterministic pseudo-random sparse vectors with a wide weight spread —

@@ -116,11 +116,7 @@ impl CandidateGenerator for DiscoSampler {
                         // Inverse-probability scaling keeps the estimate
                         // unbiased, so the σ prune is a noisy but centred
                         // version of the exact prune.
-                        scores.accumulate(
-                            doc,
-                            weight * postings.weights[i] / keep,
-                            postings.bounds[i],
-                        );
+                        scores.accumulate(doc, weight * postings.weights[i] / keep);
                     }
                 }
                 if sampled {

@@ -54,6 +54,7 @@
 //! assert!(disco.graph.num_edges() <= exact.graph.num_edges());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -39,6 +39,7 @@
 //! engine: `smr_mapreduce` builds its disk-spilling shuffle and its
 //! round state on these pieces.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

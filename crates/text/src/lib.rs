@@ -35,6 +35,7 @@
 //! assert!(sim > 0.0, "both documents talk about bread/baking");
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -1,6 +1,6 @@
 //! Term dictionary: string terms to dense ids, with document frequencies.
 
-use std::collections::HashMap;
+use std::hash::{BuildHasher, RandomState};
 
 use smr_storage::impl_codec_newtype;
 
@@ -23,13 +23,26 @@ impl TermId {
 /// Besides interning terms (ids in first-seen order, until a
 /// [`crate::Corpus`] renumbers them rarest first) it tracks document
 /// frequencies, which the tf·idf weighting relies on.
+///
+/// Each term's text is stored once, in one string table in id order.  The
+/// lookup is an open-addressed table of term ids keyed by the hash of the
+/// term's text (std's randomly keyed hasher), at most half full, probed
+/// linearly and compared against the string table.
 #[derive(Debug, Clone, Default)]
 pub struct Vocabulary {
-    terms: Vec<String>,
-    index: HashMap<String, TermId>,
+    /// Every term's text, back to back in id order.
+    text: String,
+    /// `ends[id]`: one past the last byte of term `id` in `text`.
+    ends: Vec<u32>,
+    /// Term ids by hash slot, [`EMPTY`] where free; a power of two long.
+    slots: Vec<u32>,
+    hasher: RandomState,
     doc_freq: Vec<u32>,
     num_documents: u32,
 }
+
+/// A free slot of [`Vocabulary::slots`].
+const EMPTY: u32 = u32::MAX;
 
 impl Vocabulary {
     /// Creates an empty vocabulary.
@@ -39,34 +52,71 @@ impl Vocabulary {
 
     /// Interns `term`, returning its id (existing or fresh).
     pub fn intern(&mut self, term: &str) -> TermId {
-        if let Some(&id) = self.index.get(term) {
-            return id;
+        if 2 * (self.len() + 1) > self.slots.len() {
+            self.grow();
         }
-        let id = TermId(self.terms.len() as u32);
-        self.terms.push(term.to_string());
-        self.index.insert(term.to_string(), id);
+        let slot = self.slot(term);
+        if self.slots[slot] != EMPTY {
+            return TermId(self.slots[slot]);
+        }
+        let id = self.len() as u32;
+        self.text.push_str(term);
+        self.ends
+            .push(u32::try_from(self.text.len()).expect("vocabulary text beyond 4 GiB"));
         self.doc_freq.push(0);
-        id
+        self.slots[slot] = id;
+        TermId(id)
     }
 
     /// Looks up a term without interning it.
     pub fn get(&self, term: &str) -> Option<TermId> {
-        self.index.get(term).copied()
+        if self.slots.is_empty() {
+            return None;
+        }
+        match self.slots[self.slot(term)] {
+            EMPTY => None,
+            id => Some(TermId(id)),
+        }
+    }
+
+    /// The slot holding `term`, or the free slot where it would go.
+    fn slot(&self, term: &str) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.hasher.hash_one(term) as usize & mask;
+        loop {
+            match self.slots[slot] {
+                EMPTY => return slot,
+                id if self.term(TermId(id)) == term => return slot,
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Doubles the lookup table (to 16 slots at first) and re-slots every
+    /// term.
+    fn grow(&mut self) {
+        self.slots = vec![EMPTY; (2 * self.slots.len()).max(16)];
+        for id in 0..self.len() as u32 {
+            let slot = self.slot(self.term(TermId(id)));
+            self.slots[slot] = id;
+        }
     }
 
     /// The string form of a term id.
     pub fn term(&self, id: TermId) -> &str {
-        &self.terms[id.index()]
+        let i = id.index();
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        &self.text[start..self.ends[i] as usize]
     }
 
     /// Number of distinct terms.
     pub fn len(&self) -> usize {
-        self.terms.len()
+        self.ends.len()
     }
 
     /// Whether the vocabulary is empty.
     pub fn is_empty(&self) -> bool {
-        self.terms.is_empty()
+        self.ends.is_empty()
     }
 
     /// Counts one more document per run of term ids: every distinct id of
@@ -108,26 +158,25 @@ impl Vocabulary {
     /// ties in first-seen order.  Returns the renumbering: the new id of
     /// each old id.
     pub(crate) fn number_rarest_first(&mut self) -> Vec<TermId> {
-        let mut order: Vec<u32> = (0..self.terms.len() as u32).collect();
+        let mut order: Vec<u32> = (0..self.len() as u32).collect();
         order.sort_by_key(|&old| self.doc_freq[old as usize]);
         let mut renumbered = vec![TermId(0); order.len()];
+        let mut text = String::with_capacity(self.text.len());
+        let mut ends = Vec::with_capacity(order.len());
         for (new, &old) in order.iter().enumerate() {
             renumbered[old as usize] = TermId(new as u32);
+            text.push_str(self.term(TermId(old)));
+            ends.push(text.len() as u32);
         }
-        // Term `order[new]` moves to `new`, one cycle at a time; a filled
-        // slot is marked a fixed point.
-        for start in 0..order.len() {
-            let mut slot = start;
-            while order[slot] as usize != start {
-                let old = std::mem::replace(&mut order[slot], slot as u32) as usize;
-                self.terms.swap(slot, old);
-                self.doc_freq.swap(slot, old);
-                slot = old;
-            }
-            order[slot] = slot as u32;
-        }
-        for (id, term) in self.terms.iter().enumerate() {
-            *self.index.get_mut(term).expect("every term is indexed") = TermId(id as u32);
+        self.doc_freq = order
+            .iter()
+            .map(|&old| self.doc_freq[old as usize])
+            .collect();
+        self.text = text;
+        self.ends = ends;
+        // A slot is keyed by its term's text, which did not move.
+        for slot in self.slots.iter_mut().filter(|slot| **slot != EMPTY) {
+            *slot = renumbered[*slot as usize].0;
         }
         renumbered
     }
@@ -229,6 +278,26 @@ mod tests {
     fn empty_vocabulary_behaves() {
         let v = Vocabulary::new();
         assert!(v.is_empty());
+        assert_eq!(v.get(""), None);
         assert_eq!(v.num_documents(), 0);
+    }
+
+    #[test]
+    fn a_growing_table_keeps_every_term_and_its_text() {
+        let mut v = Vocabulary::new();
+        let names: Vec<String> = (0..1000).map(|t| format!("w{t}é")).collect();
+        for (id, name) in names.iter().enumerate() {
+            assert_eq!(v.intern(name), TermId(id as u32));
+        }
+        assert_eq!(v.len(), names.len());
+        assert!(v.slots.len() >= 2 * v.len() && v.slots.len().is_power_of_two());
+        for (id, name) in names.iter().enumerate() {
+            let id = TermId(id as u32);
+            assert_eq!(v.intern(name), id, "interning twice is a lookup");
+            assert_eq!((v.get(name), v.term(id)), (Some(id), name.as_str()));
+        }
+        assert_eq!(v.get("w1000é"), None);
+        assert_eq!(v.get("w1"), None, "a prefix of a term is not the term");
+        assert_eq!(v.text.len(), names.iter().map(String::len).sum::<usize>());
     }
 }

@@ -32,6 +32,8 @@
 //! capacity-aware assignment — use [`MatchingPipeline::serve`]
 //! ([`serving`]).
 
+#![forbid(unsafe_code)]
+
 pub use smr_datagen as datagen;
 pub use smr_distrib as distrib;
 pub use smr_graph as graph;
