@@ -6,13 +6,14 @@
 //! ([`smr_mapreduce::RoundState`]): a node's record stays in its partition and never
 //! crosses the shuffle.
 //!
-//! * **notes** — only proposals cross the shuffle ([`RoundMsg`]): every
-//!   live node `v` sends one across each of its `b(v)` heaviest live
-//!   edges.  A live neighbour's edge that `v` does not propose gets no
-//!   note, so a round shuffles `Σ min(b(v), deg v)` proposals, not one
-//!   note per live adjacency entry.  The notes of round 1 come from a map
-//!   pass over the seeded records; every later round's notes are emitted
-//!   by the reducer that wrote the record the round before;
+//! * **notes** — only proposals cross the shuffle: every live node `v`
+//!   sends the id of each of its `b(v)` heaviest live edges to the
+//!   neighbour across it.  A live neighbour's edge that `v` does not
+//!   propose gets no note, so a round shuffles `Σ min(b(v), deg v)`
+//!   proposals, not one note per live adjacency entry.  The notes of
+//!   round 1 come from a map pass over the seeded records; every later
+//!   round's notes are emitted by the reducer that wrote the record the
+//!   round before;
 //! * **retirements** — a node retires once its matched degree reaches
 //!   `b(v)`.  The driver counts each node's unmatched capacity down from
 //!   `b(v)` over the matched edges each round reports, in a [`NodeTable`]
@@ -48,19 +49,14 @@ use smr_mapreduce::{Emitter, StateReducer};
 
 use crate::config::GreedyMrConfig;
 use crate::result::{AlgorithmKind, MatchingRun};
-use crate::state::{build_node_records, peer_notes, NodeRecord, NodeTable, RoundMsg};
-
-/// The message of a GreedyMR round: a neighbour's proposal of one edge,
-/// one of its `b(v)` heaviest live edges (the note itself is the
-/// payload).
-type GreedyMsg = RoundMsg<()>;
+use crate::state::{build_node_records, peer_notes, NodeRecord, NodeTable};
 
 /// The notes of a GreedyMR round about `record`: a proposal across each
 /// of the node's `b(v)` heaviest live edges — the adjacency's prefix
 /// that [`NodeRecord::select_heaviest`] put in order.
-fn propose(_node: &NodeId, record: &NodeRecord, out: &mut Emitter<NodeId, GreedyMsg>) {
+fn propose(_node: &NodeId, record: &NodeRecord, out: &mut Emitter<NodeId, EdgeId>) {
     for adj in &record.adjacency[..record.proposal_count()] {
-        out.emit(adj.other, RoundMsg::new(adj.edge, ()));
+        out.emit(adj.other, adj.edge);
     }
 }
 
@@ -76,7 +72,7 @@ struct IntersectReducer<'a> {
 impl StateReducer for IntersectReducer<'_> {
     type Key = NodeId;
     type State = NodeRecord;
-    type Note = GreedyMsg;
+    type Note = EdgeId;
     type OutKey = EdgeId;
     type OutValue = ();
 
@@ -84,9 +80,9 @@ impl StateReducer for IntersectReducer<'_> {
         &self,
         node: &NodeId,
         mut record: NodeRecord,
-        msgs: &[GreedyMsg],
+        msgs: &[EdgeId],
         out: &mut Emitter<EdgeId, ()>,
-        next: &mut Emitter<NodeId, GreedyMsg>,
+        next: &mut Emitter<NodeId, EdgeId>,
     ) -> Option<NodeRecord> {
         let capacity = record.capacity;
         let proposals = record.proposal_count();
@@ -464,7 +460,7 @@ mod tests {
         ];
         // The round by hand: every node's notes, routed to their
         // receivers, then every node's reducer over its own record.
-        let mut sent: std::collections::BTreeMap<NodeId, Vec<GreedyMsg>> = Default::default();
+        let mut sent: std::collections::BTreeMap<NodeId, Vec<EdgeId>> = Default::default();
         for (node, record) in &records {
             let mut out = Emitter::new();
             propose(node, record, &mut out);
@@ -475,8 +471,8 @@ mod tests {
         // Item 1 and consumer 0 propose their heaviest edges, 1 and 0;
         // consumer 0's edge 1 gets no note, and no note says that item 0
         // retired.
-        assert_eq!(sent[&c0], vec![RoundMsg::new(1, ())]);
-        assert_eq!(sent[&t0], vec![RoundMsg::new(0, ())]);
+        assert_eq!(sent[&c0], vec![1]);
+        assert_eq!(sent[&t0], vec![0]);
         assert!(!sent.contains_key(&t1));
         let mut matched = Emitter::new();
         let mut proposals = Emitter::new();
@@ -500,10 +496,7 @@ mod tests {
         );
         assert!(matched.is_empty());
         // The kept nodes propose edge 1 to each other for the next round.
-        assert_eq!(
-            proposals.into_pairs(),
-            vec![(c0, RoundMsg::new(1, ())), (t1, RoundMsg::new(1, ()))]
-        );
+        assert_eq!(proposals.into_pairs(), vec![(c0, 1), (t1, 1)]);
 
         // Through the engine: the 2 proposals cross the shuffle (the one
         // to item 0 finds no record), the records do not, and both nodes
@@ -529,13 +522,7 @@ mod tests {
         let kept = IntersectReducer {
             unmatched: &unmatched_table(&[t0]),
         }
-        .reduce(
-            &c0,
-            record.clone(),
-            &[RoundMsg::new(1, ())],
-            &mut matched,
-            &mut next,
-        );
+        .reduce(&c0, record.clone(), &[1], &mut matched, &mut next);
         assert_eq!(kept, None, "no edge left");
         assert_eq!(matched.into_pairs(), vec![(1, ())]);
         assert!(next.is_empty(), "an isolated node proposes nothing");
@@ -546,19 +533,13 @@ mod tests {
         let kept = IntersectReducer {
             unmatched: &unmatched_table(&[]),
         }
-        .reduce(
-            &c0,
-            record,
-            &[RoundMsg::new(1, ())],
-            &mut matched,
-            &mut next,
-        );
+        .reduce(&c0, record, &[1], &mut matched, &mut next);
         assert_eq!(
             kept,
             Some(NodeRecord::new(1, vec![AdjEdge::new(0, t0, 2.0)]))
         );
         assert_eq!(matched.into_pairs(), vec![(1, ())]);
-        assert_eq!(next.into_pairs(), vec![(t0, RoundMsg::new(0, ()))]);
+        assert_eq!(next.into_pairs(), vec![(t0, 0)]);
     }
 
     #[test]
@@ -575,13 +556,7 @@ mod tests {
         let kept = IntersectReducer {
             unmatched: &unmatched_table(&[]),
         }
-        .reduce(
-            &t0,
-            t0_record,
-            &[RoundMsg::new(1, ()), RoundMsg::new(0, ())],
-            &mut matched,
-            &mut next,
-        );
+        .reduce(&t0, t0_record, &[1, 0], &mut matched, &mut next);
         assert_eq!(kept, None);
         assert_eq!(matched.into_pairs(), vec![(0, ())]);
         assert!(next.is_empty());

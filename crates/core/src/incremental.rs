@@ -19,13 +19,20 @@
 //! allocation; greedy-with-preemption is ½-competitive there, the same
 //! guarantee envelope as the batch greedy's ½-approximation.
 //!
-//! **Replay equivalence.**  Edges are offered heaviest-first with the
-//! batch tie order (weight descending, then `(item, consumer)` ascending).
-//! Feeding the entire candidate graph to [`IncrementalMatcher::arrive_batch`]
-//! as one batch therefore offers edges in exactly the centralized greedy
-//! order, preemption never fires (every earlier edge at a consumer is at
-//! least as heavy), and the result *equals*
-//! [`greedy_matching`][crate::greedy_matching] — locked by tests below.
+//! **Replay equivalence.**  Edges are offered heaviest-first, ties by
+//! `(item, consumer)` ascending, while
+//! [`greedy_matching`][crate::greedy_matching] breaks weight ties by edge
+//! id.  When edge ids ascend in `(item, consumer)` order, feeding the
+//! entire candidate graph to [`IncrementalMatcher::arrive_batch`] as one
+//! batch therefore offers edges in exactly the centralized greedy order,
+//! preemption never fires (every earlier edge at a consumer is at least
+//! as heavy), and the result *equals* `greedy_matching`'s — locked by
+//! tests below, whose graphs list their edges in that order.  Otherwise
+//! a weight tie can go the other way: with one consumer of capacity 1
+//! and edges e0 = (t1, c0, 0.5), e1 = (t0, c0, 0.5), `greedy_matching`
+//! keeps e0 and `arrive_batch` keeps (t0, c0).  The join's candidate
+//! graph numbers its edges in the probe job's output order, which is not
+//! `(item, consumer)` order.
 //! Arrival-by-arrival replay of the same graph stays within the shared
 //! ½ envelope, locked against [`GreedyMr`][crate::GreedyMr].
 
@@ -188,11 +195,13 @@ impl IncrementalMatcher {
             .collect()
     }
 
-    /// A micro-batch of edges arrives at once.  The batch is offered in
-    /// the batch-greedy order — weight descending, ties by `(item,
-    /// consumer)` ascending — so feeding the whole candidate graph as one
-    /// batch reproduces [`greedy_matching`][crate::greedy_matching]
-    /// exactly.  Returns how many edges were assigned.
+    /// A micro-batch of edges arrives at once.  The batch is offered
+    /// weight descending, ties by `(item, consumer)` ascending, so
+    /// feeding the whole candidate graph as one batch reproduces
+    /// [`greedy_matching`][crate::greedy_matching] exactly when the
+    /// graph's edge ids ascend in `(item, consumer)` order, the order in
+    /// which `greedy_matching` breaks ties (see the [module docs][self]).
+    /// Returns how many edges were assigned.
     pub fn arrive_batch(&mut self, edges: &[(usize, usize, f64)]) -> usize {
         let mut order: Vec<usize> = (0..edges.len()).collect();
         order.sort_by(|&a, &b| {

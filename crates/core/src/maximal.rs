@@ -21,11 +21,14 @@
 //! The iteration repeats until the working graph has no edges left.
 //!
 //! The working records are the partition-resident state of a
-//! [`smr_mapreduce::RoundState`]: in the first three stages a node sends a
-//! flag across each edge the flag is *true* for — marked, selected or
-//! dropped from F — and nothing across the others, and the stage's
-//! reducer holds the node's own record against its neighbours' flags,
-//! reading a missing flag as false.  So a stage shuffles the node's
+//! [`smr_mapreduce::RoundState`], seeded with the records the caller
+//! hands over by value: StackMR's coverage round emits them, one copy of
+//! each survivor's adjacency made in its reduce tasks.  In the first
+//! three stages a node sends the edge's id as a flag across each edge the
+//! flag is *true* for (marked, selected or dropped from F) and nothing
+//! across the others, and the stage's reducer holds the node's own
+//! record against its neighbours' flags, reading a missing flag as
+//! false.  So a stage shuffles the node's
 //! `⌈c(v)/2⌉` marks or its selections or drops, not one flag per live
 //! edge.  The reducer of one stage makes the node's choice for the next —
 //! its marks, selections or drops, each drawn once from the node's seeded
@@ -53,7 +56,7 @@ use smr_mapreduce::{Emitter, StateReducer};
 use smr_storage::impl_codec_struct;
 
 use crate::config::{MarkingStrategy, STACK_MR_ROUND_BOUND};
-use crate::state::{peer_notes, select_heaviest_prefix, AdjEdge, NodeRecord, NodeTable, RoundMsg};
+use crate::state::{peer_notes, select_heaviest_prefix, AdjEdge, NodeTable};
 
 /// A per-edge annotation inside the working records of the matcher.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -87,8 +90,8 @@ impl WorkEdge {
 }
 
 /// The working record of one node during the maximal-matching
-/// computation, keyed by the node like a [`NodeRecord`] and, like it,
-/// without the node.
+/// computation, keyed by the node like a [`crate::state::NodeRecord`]
+/// and, like it, without the node.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkRecord {
     /// Remaining capacity `c(v)` inside this computation.
@@ -99,10 +102,16 @@ pub struct WorkRecord {
 
 impl_codec_struct!(WorkRecord { capacity, edges });
 
-/// The message of the stage jobs ([`RoundMsg`]): a neighbour's
-/// stage-specific flag for one edge (marked / selected / dropped from F),
-/// sent only when it is true, so the note itself is the flag.
-type FlagMsg = RoundMsg<()>;
+impl WorkRecord {
+    /// A node's working record at capacity `c(v)` over its live
+    /// `adjacency`, with no edge in F yet.
+    pub fn new(capacity: u64, adjacency: &[AdjEdge]) -> Self {
+        WorkRecord {
+            capacity,
+            edges: adjacency.iter().map(WorkEdge::from_adj).collect(),
+        }
+    }
+}
 
 /// Result of one maximal b-matching computation.
 #[derive(Debug, Clone, Default)]
@@ -166,9 +175,11 @@ fn flags(len: usize, picked: Vec<usize>) -> Vec<bool> {
     flags
 }
 
-/// Raises the flag of `e` at its other end.
-fn flag(e: &WorkEdge, out: &mut Emitter<NodeId, FlagMsg>) {
-    out.emit(e.other, RoundMsg::new(e.edge, ()));
+/// Raises the flag of `e` at its other end: the note is the edge's id,
+/// sent only when the stage's flag (marked, selected, dropped from F) is
+/// true for it.
+fn flag(e: &WorkEdge, out: &mut Emitter<NodeId, EdgeId>) {
+    out.emit(e.other, e.edge);
 }
 
 /// The side output of the marking and selection stages, which emit none,
@@ -188,7 +199,7 @@ fn mark_notes(
     iteration: u64,
     node: NodeId,
     record: &WorkRecord,
-    out: &mut Emitter<NodeId, FlagMsg>,
+    out: &mut Emitter<NodeId, EdgeId>,
 ) {
     let mut rng = node_rng(seed, iteration, node);
     let to_mark = ((record.capacity as f64 / 2.0).ceil() as usize).max(1);
@@ -215,7 +226,7 @@ struct Mark {
 impl StateReducer for Mark {
     type Key = NodeId;
     type State = WorkRecord;
-    type Note = FlagMsg;
+    type Note = EdgeId;
     type OutKey = EdgeId;
     type OutValue = ();
 
@@ -223,9 +234,9 @@ impl StateReducer for Mark {
         &self,
         node: &NodeId,
         mut record: WorkRecord,
-        msgs: &[FlagMsg],
+        msgs: &[EdgeId],
         _out: &mut Matched,
-        next: &mut Emitter<NodeId, FlagMsg>,
+        next: &mut Emitter<NodeId, EdgeId>,
     ) -> Option<WorkRecord> {
         let marks = peer_notes(msgs);
         let mut rng = node_rng(self.seed, self.iteration.wrapping_add(0x5e1ec7), *node);
@@ -268,7 +279,7 @@ struct Select {
 impl StateReducer for Select {
     type Key = NodeId;
     type State = WorkRecord;
-    type Note = FlagMsg;
+    type Note = EdgeId;
     type OutKey = EdgeId;
     type OutValue = ();
 
@@ -276,9 +287,9 @@ impl StateReducer for Select {
         &self,
         node: &NodeId,
         mut record: WorkRecord,
-        msgs: &[FlagMsg],
+        msgs: &[EdgeId],
         _out: &mut Matched,
-        next: &mut Emitter<NodeId, FlagMsg>,
+        next: &mut Emitter<NodeId, EdgeId>,
     ) -> Option<WorkRecord> {
         let by_other = peer_notes(msgs);
         for e in &mut record.edges {
@@ -322,7 +333,7 @@ struct MatchFix;
 impl StateReducer for MatchFix {
     type Key = NodeId;
     type State = WorkRecord;
-    type Note = FlagMsg;
+    type Note = EdgeId;
     type OutKey = NodeId;
     type OutValue = ();
 
@@ -330,9 +341,9 @@ impl StateReducer for MatchFix {
         &self,
         node: &NodeId,
         mut record: WorkRecord,
-        msgs: &[FlagMsg],
+        msgs: &[EdgeId],
         out: &mut Emitter<NodeId, ()>,
-        _next: &mut Emitter<NodeId, FlagMsg>,
+        _next: &mut Emitter<NodeId, EdgeId>,
     ) -> Option<WorkRecord> {
         // A note means "the sender dropped this edge from F".
         let dropped_by_other = peer_notes(msgs);
@@ -369,7 +380,7 @@ struct Cleanup<'a> {
 impl StateReducer for Cleanup<'_> {
     type Key = NodeId;
     type State = WorkRecord;
-    type Note = FlagMsg;
+    type Note = EdgeId;
     type OutKey = EdgeId;
     type OutValue = ();
 
@@ -377,9 +388,9 @@ impl StateReducer for Cleanup<'_> {
         &self,
         node: &NodeId,
         mut record: WorkRecord,
-        msgs: &[FlagMsg],
+        msgs: &[EdgeId],
         out: &mut Matched,
-        next: &mut Emitter<NodeId, FlagMsg>,
+        next: &mut Emitter<NodeId, EdgeId>,
     ) -> Option<WorkRecord> {
         debug_assert!(msgs.is_empty(), "a cleanup round is sent no notes");
         let mut matched = 0;
@@ -427,52 +438,32 @@ impl MaximalMatcher {
     }
 
     /// Computes a maximal b-matching of the subgraph described by
-    /// `records` (node, capacity `c(v)`, live adjacency), with every
-    /// iteration's four stage jobs run through `flow` as rounds over the
-    /// working records (mark → select → match → cleanup), kept in a
-    /// [`smr_mapreduce::RoundState`] from which finished nodes retire, and
-    /// the nodes F saturates marked in a table beside it.  `stage_prefix`
-    /// namespaces the job names when the matcher runs inside a larger
-    /// flow (StackMR passes `maximal-{push_round}`); an empty prefix names
-    /// jobs `{flow}-mark-{i}` etc.
+    /// `records` (node, working record at capacity `c(v)` with no edge in
+    /// F), with every iteration's four stage jobs run through `flow` as
+    /// rounds over the records (mark → select → match → cleanup), which
+    /// seed a [`smr_mapreduce::RoundState`] from which finished nodes
+    /// retire, and the nodes F saturates marked in a table beside it.
+    /// `stage_prefix` namespaces the job names inside the larger flow:
+    /// StackMR passes `maximal-{push_round}`, and the jobs are named
+    /// `{flow}-{stage_prefix}-mark-{i}` etc.
     ///
-    /// Every edge a record of capacity > 0 lists must be listed by its
-    /// other endpoint's record too, at capacity > 0, as the records of a
-    /// graph (or of StackMR's coverage survivors) are: a flag that is not
-    /// sent reads as false, so the two ends of an edge decide it together.
+    /// Every record must list an edge and have capacity > 0, and every
+    /// edge a record lists must be listed by its other endpoint's record
+    /// too, as the records of a graph (or of StackMR's coverage
+    /// survivors) are: a flag that is not sent reads as false, so the two
+    /// ends of an edge decide it together.
     pub fn compute(
         &self,
-        records: &[(NodeId, NodeRecord)],
+        records: Vec<(NodeId, WorkRecord)>,
         flow: &FlowContext,
         stage_prefix: &str,
     ) -> MaximalResult {
-        let stage = |name: &str, iteration: u64| -> String {
-            if stage_prefix.is_empty() {
-                format!("{name}-{iteration}")
-            } else {
-                format!("{stage_prefix}-{name}-{iteration}")
-            }
-        };
+        let stage = |name: &str, iteration: u64| format!("{stage_prefix}-{name}-{iteration}");
 
         debug_assert!(
-            lists_every_edge_at_both_ends(records),
-            "a maximal matcher's input lists an edge at one end only"
+            lists_every_edge_at_both_ends(&records),
+            "a maximal matcher's input lists an edge at one end only, or a dead node"
         );
-        let mut state = flow.round_state("maximal-work");
-        state.seed(
-            records
-                .iter()
-                .filter(|(_, r)| !r.adjacency.is_empty() && r.capacity > 0)
-                .map(|(n, r)| {
-                    let edges = r.adjacency.iter().map(WorkEdge::from_adj).collect();
-                    let capacity = r.capacity;
-                    (*n, WorkRecord { capacity, edges })
-                })
-                .collect(),
-        );
-
-        let (strategy, seed) = (self.strategy, self.seed);
-        state.map(|node, record, out| mark_notes(strategy, seed, 0, *node, record, out));
         let (items, consumers) = records.iter().fold((0, 0), |(t, c), (node, _)| match node {
             NodeId::Item(i) => (t.max(i.index() + 1), c),
             NodeId::Consumer(j) => (t, c.max(j.index() + 1)),
@@ -480,6 +471,11 @@ impl MaximalMatcher {
         // Every edge a live record lists ends at another record's key, so
         // the keys span every node cleanup looks up.
         let mut saturated = NodeTable::new(items, consumers, false);
+        let mut state = flow.round_state("maximal-work");
+        state.seed(records);
+
+        let (strategy, seed) = (self.strategy, self.seed);
+        state.map(|node, record, out| mark_notes(strategy, seed, 0, *node, record, out));
 
         let mut result = MaximalResult::default();
         while !state.is_empty() && result.iterations < STACK_MR_ROUND_BOUND {
@@ -510,31 +506,32 @@ impl MaximalMatcher {
     }
 }
 
-/// Whether every edge of the records of capacity > 0 is listed by both of
-/// its ends (see [`MaximalMatcher::compute`]).
-fn lists_every_edge_at_both_ends(records: &[(NodeId, NodeRecord)]) -> bool {
+/// Whether every record lists an edge and has capacity > 0, and every
+/// edge is listed by both of its ends (see [`MaximalMatcher::compute`]).
+fn lists_every_edge_at_both_ends(records: &[(NodeId, WorkRecord)]) -> bool {
     let mut ends: HashMap<EdgeId, u32> = HashMap::new();
-    for (_, record) in records.iter().filter(|(_, r)| r.capacity > 0) {
-        for adj in &record.adjacency {
-            *ends.entry(adj.edge).or_default() += 1;
+    for (_, record) in records {
+        for e in &record.edges {
+            *ends.entry(e.edge).or_default() += 1;
         }
     }
-    ends.values().all(|&n| n == 2)
+    let live = |record: &WorkRecord| record.capacity > 0 && !record.edges.is_empty();
+    records.iter().all(|(_, record)| live(record)) && ends.values().all(|&n| n == 2)
 }
 
 /// A simple centralized maximal b-matching (greedy scan) used as a
 /// reference in tests: scan the live edges in id order and keep an edge
 /// whenever both endpoints still have residual capacity.
-pub fn maximal_b_matching_centralized(records: &[(NodeId, NodeRecord)]) -> Vec<EdgeId> {
+pub fn maximal_b_matching_centralized(records: &[(NodeId, WorkRecord)]) -> Vec<EdgeId> {
     let mut residual: HashMap<NodeId, u64> =
         records.iter().map(|(n, r)| (*n, r.capacity)).collect();
     // Gather every live edge exactly once (it appears in both endpoint
     // records).
     let mut edges: Vec<(EdgeId, NodeId, NodeId)> = Vec::new();
     for (node, record) in records {
-        for adj in &record.adjacency {
-            if *node < adj.other {
-                edges.push((adj.edge, *node, adj.other));
+        for e in &record.edges {
+            if *node < e.other {
+                edges.push((e.edge, *node, e.other));
             }
         }
     }
@@ -555,7 +552,7 @@ pub fn maximal_b_matching_centralized(records: &[(NodeId, NodeRecord)]) -> Vec<E
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::{build_node_records, total_live_edge_entries};
+    use crate::state::build_node_records;
     use smr_graph::{BipartiteGraph, Capacities, ConsumerId, Edge, ItemId, Matching};
     use smr_mapreduce::JobConfig;
 
@@ -603,11 +600,19 @@ mod tests {
         FlowContext::new(JobConfig::named("maximal-test").with_threads(2))
     }
 
+    /// The working records of `graph` at `caps`, every edge live.
+    fn work_records(graph: &BipartiteGraph, caps: &Capacities) -> Vec<(NodeId, WorkRecord)> {
+        build_node_records(graph, caps, |_| true)
+            .into_iter()
+            .map(|(node, record)| (node, WorkRecord::new(record.capacity, &record.adjacency)))
+            .collect()
+    }
+
     /// Test helper: run under a throwaway flow, which ran four jobs per
     /// iteration.
-    fn compute(m: &MaximalMatcher, records: &[(NodeId, NodeRecord)]) -> MaximalResult {
+    fn compute(m: &MaximalMatcher, records: &[(NodeId, WorkRecord)]) -> MaximalResult {
         let flow = flow();
-        let result = m.compute(records, &flow, "");
+        let result = m.compute(records.to_vec(), &flow, "maximal");
         assert_eq!(flow.num_jobs(), 4 * result.iterations);
         result
     }
@@ -616,7 +621,7 @@ mod tests {
     fn produces_a_maximal_matching_with_unit_capacities() {
         let g = grid_graph(6, 6);
         let caps = Capacities::uniform(&g, 1, 1);
-        let records = build_node_records(&g, &caps, |_| true);
+        let records = work_records(&g, &caps);
         let result = compute(&MaximalMatcher::new(MarkingStrategy::Random, 1), &records);
         assert_maximal(&g, &caps, &result.edges);
         assert!(result.iterations >= 1);
@@ -626,18 +631,19 @@ mod tests {
     fn stages_send_only_true_flags() {
         let g = grid_graph(6, 6);
         let caps = Capacities::uniform(&g, 1, 1);
-        let records = build_node_records(&g, &caps, |_| true);
+        let records = work_records(&g, &caps);
+        let nodes = records.len() as u64;
         let flow = flow();
-        let result = MaximalMatcher::new(MarkingStrategy::Random, 1).compute(&records, &flow, "");
+        let result =
+            MaximalMatcher::new(MarkingStrategy::Random, 1).compute(records, &flow, "maximal");
         let jobs = flow.report().jobs;
         let shuffled: Vec<u64> = jobs[..4].iter().map(|m| m.shuffle_records).collect();
-        let nodes = records.len() as u64;
         // Capacity 1: every node marks ⌈1/2⌉ = 1 edge, and selects at
         // most max(⌊1/2⌋, 1) = 1 of the edges marked towards it.
         assert_eq!(shuffled[0], nodes, "one mark per node");
         assert!(shuffled[1] <= nodes, "at most one selection per node");
         // A flag per live adjacency entry would be 2|E| per stage.
-        let entries = total_live_edge_entries(&records) as u64;
+        let entries = 2 * g.num_edges() as u64;
         assert!(
             shuffled.iter().all(|&n| n < entries),
             "{shuffled:?} vs {entries}"
@@ -667,7 +673,7 @@ mod tests {
                 .collect(),
         );
         let caps = Capacities::uniform(&g, 1, 1);
-        let records = build_node_records(&g, &caps, |_| true);
+        let records = work_records(&g, &caps);
         let result = compute(&MaximalMatcher::new(MarkingStrategy::Random, 4), &records);
         assert_eq!(result.edges.len(), 1);
         assert_eq!(result.iterations, 1, "every leaf is done at cleanup 0");
@@ -725,7 +731,7 @@ mod tests {
     fn produces_a_maximal_matching_with_larger_capacities() {
         let g = grid_graph(5, 7);
         let caps = Capacities::uniform(&g, 3, 2);
-        let records = build_node_records(&g, &caps, |_| true);
+        let records = work_records(&g, &caps);
         let result = compute(&MaximalMatcher::new(MarkingStrategy::Random, 7), &records);
         assert_maximal(&g, &caps, &result.edges);
     }
@@ -734,7 +740,7 @@ mod tests {
     fn heaviest_first_marking_also_yields_maximal_matchings() {
         let g = grid_graph(6, 5);
         let caps = Capacities::uniform(&g, 2, 2);
-        let records = build_node_records(&g, &caps, |_| true);
+        let records = work_records(&g, &caps);
         let result = compute(
             &MaximalMatcher::new(MarkingStrategy::HeaviestFirst, 3),
             &records,
@@ -746,7 +752,7 @@ mod tests {
     fn runs_are_reproducible_for_a_fixed_seed() {
         let g = grid_graph(6, 6);
         let caps = Capacities::uniform(&g, 2, 2);
-        let records = build_node_records(&g, &caps, |_| true);
+        let records = work_records(&g, &caps);
         let a = compute(&MaximalMatcher::new(MarkingStrategy::Random, 99), &records);
         let b = compute(&MaximalMatcher::new(MarkingStrategy::Random, 99), &records);
         assert_eq!(a.edges, b.edges);
@@ -768,7 +774,7 @@ mod tests {
     fn centralized_reference_is_maximal_too() {
         let g = grid_graph(6, 6);
         let caps = Capacities::uniform(&g, 2, 2);
-        let records = build_node_records(&g, &caps, |_| true);
+        let records = work_records(&g, &caps);
         let edges = maximal_b_matching_centralized(&records);
         assert_maximal(&g, &caps, &edges);
     }

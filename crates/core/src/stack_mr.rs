@@ -32,7 +32,10 @@
 //! over its working records, the pop rounds over each node's residual
 //! capacity and stacked edges.  A node's record stays in its partition,
 //! and its reducer gets it beside the notes its neighbours sent across
-//! their shared edges.
+//! their shared edges, each note the id of one edge.  The coverage round
+//! emits each survivor's working record at its layer capacity, and those
+//! records are the maximal matcher's seed as they are: the driver copies
+//! no adjacency between the two.
 //!
 //! **Which notes travel.**  Both tests of the push phase read the ratio
 //! `y_u/b(u)` of the neighbour across each live edge.  That is a fact
@@ -60,9 +63,9 @@ use smr_mapreduce::flow::FlowContext;
 use smr_mapreduce::{Emitter, StateReducer};
 
 use crate::config::{assert_valid_epsilon, MarkingStrategy, StackMrConfig, STACK_MR_ROUND_BOUND};
-use crate::maximal::MaximalMatcher;
+use crate::maximal::{MaximalMatcher, WorkRecord};
 use crate::result::{AlgorithmKind, MatchingRun};
-use crate::state::{build_node_records, peer_notes, NodeRecord, NodeTable, RoundMsg};
+use crate::state::{build_node_records, peer_notes, NodeRecord, NodeTable};
 
 /// The layer of an edge on no layer of the stack.
 const UNSTACKED: u32 = u32::MAX;
@@ -74,8 +77,10 @@ const UNSTACKED: u32 = u32::MAX;
 
 /// Reducer of the coverage job: drops weakly covered edges, each tested
 /// against the two ends' ratios in `ratios`, retires a node left without
-/// edges, and emits every other node's record, at its layer capacity, as
-/// the maximal-matching input.  It sends no notes.
+/// edges, and emits every other node's working record, at its layer
+/// capacity, as the maximal matcher's seed: the one copy of a survivor's
+/// adjacency between the two, made in the reduce tasks.  It sends no
+/// notes.
 struct CoverageReducer<'a> {
     config: &'a StackMrConfig,
     /// Every node's `y_v / b(v)`.
@@ -87,14 +92,14 @@ impl StateReducer for CoverageReducer<'_> {
     type State = NodeRecord;
     type Note = ();
     type OutKey = NodeId;
-    type OutValue = NodeRecord;
+    type OutValue = WorkRecord;
 
     fn reduce(
         &self,
         node: &NodeId,
         mut record: NodeRecord,
         msgs: &[()],
-        out: &mut Emitter<NodeId, NodeRecord>,
+        out: &mut Emitter<NodeId, WorkRecord>,
         _next: &mut Emitter<NodeId, ()>,
     ) -> Option<NodeRecord> {
         debug_assert!(msgs.is_empty(), "a coverage round is sent no notes");
@@ -109,10 +114,7 @@ impl StateReducer for CoverageReducer<'_> {
             return None;
         }
         let layer_capacity = self.config.layer_capacity(record.capacity);
-        out.emit(
-            *node,
-            NodeRecord::new(layer_capacity, record.adjacency.clone()),
-        );
+        out.emit(*node, WorkRecord::new(layer_capacity, &record.adjacency));
         Some(record)
     }
 }
@@ -173,25 +175,16 @@ impl StateReducer for PushReducer<'_> {
 // at 0, since all the phase asks of it is whether it is positive.
 // ---------------------------------------------------------------------------
 
-/// Message of a pop job ([`RoundMsg`]): a neighbour's nomination of one
-/// edge (the note itself is the payload).
-type NominateMsg = RoundMsg<()>;
-
 /// The notes of a pop round: an active node nominates its stacked edges
-/// of `layer` to the neighbour across each.
-fn nominate(
-    layer_of: &[u32],
-    layer: u32,
-    record: &NodeRecord,
-    out: &mut Emitter<NodeId, NominateMsg>,
-) {
+/// of `layer`, sending each one's id to the neighbour across it.
+fn nominate(layer_of: &[u32], layer: u32, record: &NodeRecord, out: &mut Emitter<NodeId, EdgeId>) {
     if record.capacity > 0 {
         for adj in record
             .adjacency
             .iter()
             .filter(|adj| layer_of[adj.edge] == layer)
         {
-            out.emit(adj.other, RoundMsg::new(adj.edge, ()));
+            out.emit(adj.other, adj.edge);
         }
     }
 }
@@ -211,7 +204,7 @@ struct PopLayer<'a> {
 impl StateReducer for PopLayer<'_> {
     type Key = NodeId;
     type State = NodeRecord;
-    type Note = NominateMsg;
+    type Note = EdgeId;
     type OutKey = EdgeId;
     type OutValue = ();
 
@@ -219,9 +212,9 @@ impl StateReducer for PopLayer<'_> {
         &self,
         _node: &NodeId,
         mut record: NodeRecord,
-        msgs: &[NominateMsg],
+        msgs: &[EdgeId],
         out: &mut Emitter<EdgeId, ()>,
-        next: &mut Emitter<NodeId, NominateMsg>,
+        next: &mut Emitter<NodeId, EdgeId>,
     ) -> Option<NodeRecord> {
         let nominated_by_other = peer_notes(msgs);
         let active = record.capacity > 0;
@@ -345,7 +338,7 @@ impl StackMr {
                 self.marking,
                 self.config.seed.wrapping_add(push_round as u64),
             );
-            let maximal = matcher.compute(&matcher_input, flow, &format!("maximal-{push_round}"));
+            let maximal = matcher.compute(matcher_input, flow, &format!("maximal-{push_round}"));
             max_round_state_bytes = max_round_state_bytes.max(maximal.max_round_state_bytes);
             if maximal.edges.is_empty() {
                 // No further progress is possible (should not happen while
@@ -725,7 +718,7 @@ mod tests {
         };
         let mut included = Emitter::new();
         let mut below = Emitter::new();
-        let nominations = [RoundMsg::new(1, ()), RoundMsg::new(0, ())];
+        let nominations = [1, 0];
         let kept = top.reduce(&t0, record, &nominations, &mut included, &mut below);
         // Both edges enter the solution, a (1+ε) overshoot; the residual
         // stops at 0 and the node nominates nothing on layer 0.
@@ -743,13 +736,7 @@ mod tests {
             layer: 0,
         };
         let mut included = Emitter::new();
-        let kept = bottom.reduce(
-            &t0,
-            kept,
-            &[RoundMsg::new(2, ())],
-            &mut included,
-            &mut Emitter::new(),
-        );
+        let kept = bottom.reduce(&t0, kept, &[2], &mut included, &mut Emitter::new());
         assert!(included.is_empty());
         assert_eq!(kept.map(|record| record.capacity), Some(0));
     }

@@ -1,9 +1,10 @@
 //! The node-centric graph representation shared by the MapReduce
 //! algorithms (Section 5.3 of the paper).
 //!
-//! Every matcher's round state is one [`NodeRecord`] per node, keyed by
-//! the node: its residual capacity and the list of incident edges it still
-//! considers live.  A record never names its own node; the key does, and
+//! Every matcher's round state is one [`NodeRecord`] per node (the
+//! maximal matcher's adds F to each edge, see [`crate::maximal`]), keyed
+//! by the node: its residual capacity and the list of incident edges it
+//! still considers live.  A record never names its own node; the key does, and
 //! each reducer gets the key beside the record.  Decisions are local to a
 //! node; reduce functions hold a node's record against its neighbours'
 //! notes about the edges they share, yielding a consistent graph
@@ -11,13 +12,15 @@
 //!
 //! The records are the partition-resident state of a
 //! [`smr_mapreduce::RoundState`]: a node's record never crosses the
-//! shuffle, its reducer gets it beside the round's messages and sends the
+//! shuffle, its reducer gets it beside the round's notes and sends the
 //! next round's, and every round job of every matcher exchanges the same
-//! message, [`RoundMsg`] — a small note about one edge, sent to the
-//! neighbour across it.  A node sends a note only where it can change the
-//! neighbour's decision; an edge without a note means what the protocol
-//! of the round says it means (not proposed, not marked, not covered …),
-//! so the shuffle carries the exceptions, not every live edge.
+//! note: the [`EdgeId`] of one edge, sent to the neighbour across it, which
+//! the round reads as proposed, marked, selected, dropped or nominated.
+//! Keyed by its receiver, a note is 13 bytes: 5 of key, 8 of edge id.  A
+//! node sends a note only where it can change the neighbour's decision;
+//! an edge without a note means what the protocol of the round says it
+//! means (not proposed, not marked, not covered …), so the shuffle
+//! carries the exceptions, not every live edge.
 //!
 //! A fact about a node rather than an edge — GreedyMR's unmatched
 //! capacity, the maximal matcher's "F saturates me", StackMR's dual `y_v`
@@ -32,8 +35,7 @@ use std::cmp::Reverse;
 use std::ops::{Index, IndexMut};
 
 use smr_graph::{BipartiteGraph, Capacities, EdgeId, NodeId};
-use smr_storage::codec::{decode_fixed, encode_fixed, put_fixed, sum_widths};
-use smr_storage::{impl_codec_struct, Codec, CodecError};
+use smr_storage::impl_codec_struct;
 
 /// One entry of a node's adjacency list.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -156,90 +158,27 @@ pub(crate) fn select_heaviest_prefix<T>(
     tail[..missing].sort_unstable_by_key(heaviest_first);
 }
 
-/// The message of every round job: a neighbour's note about the edge it
-/// shares with the receiving node.  Everything else about the edge
-/// (weight, the other endpoint, the node's capacity) is in the receiver's
-/// own record, which the round's reducer gets beside its notes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RoundMsg<P> {
-    /// The shared edge.
-    pub edge: EdgeId,
-    /// What the neighbour says about it: stage flags, or its dual.
-    pub payload: P,
-}
-
-impl<P> RoundMsg<P> {
-    /// A note about `edge` for the neighbour across it.
-    pub fn new(edge: EdgeId, payload: P) -> Self {
-        RoundMsg { edge, payload }
-    }
-}
-
-/// Fixed-width whenever the payload is: the edge id, then the payload.
-impl<P: Codec> Codec for RoundMsg<P> {
-    const WIDTH: Option<usize> = sum_widths(&[EdgeId::WIDTH, P::WIDTH]);
-
-    fn encode(&self, out: &mut Vec<u8>) {
-        if Self::WIDTH.is_some() {
-            return encode_fixed(self, out);
-        }
-        self.edge.encode(out);
-        self.payload.encode(out);
-    }
-
-    fn decode(input: &mut &[u8]) -> Result<Self, CodecError> {
-        if Self::WIDTH.is_some() {
-            return decode_fixed(input);
-        }
-        Ok(RoundMsg::new(EdgeId::decode(input)?, P::decode(input)?))
-    }
-
-    fn encoded_len(&self) -> usize {
-        match Self::WIDTH {
-            Some(width) => width,
-            None => self.edge.encoded_len() + self.payload.encoded_len(),
-        }
-    }
-
-    fn write_fixed(&self, mut out: &mut [u8]) {
-        put_fixed(&self.edge, &mut out);
-        put_fixed(&self.payload, &mut out);
-    }
-
-    fn read_fixed(mut bytes: &[u8]) -> Result<Self, CodecError> {
-        Ok(RoundMsg::new(
-            decode_fixed(&mut bytes)?,
-            decode_fixed(&mut bytes)?,
-        ))
-    }
-}
-
-/// A node's notes of one round, looked up by edge.  An edge without a
-/// note means the neighbour sent none, which each round's protocol reads
-/// as its default.
-pub fn peer_notes<P: Copy>(msgs: &[RoundMsg<P>]) -> PeerNotes<P> {
-    let mut notes = msgs.to_vec();
-    notes.sort_unstable_by_key(|note| note.edge);
+/// A node's notes of one round, looked up by edge.  A note is the id of
+/// the edge the neighbour shares with the receiving node; everything
+/// else about the edge (weight, the other endpoint, the node's capacity)
+/// is in the receiver's own record, which the round's reducer gets beside
+/// its notes.  An edge without a note means the neighbour sent none,
+/// which each round's protocol reads as its default.
+pub fn peer_notes(notes: &[EdgeId]) -> PeerNotes {
+    let mut notes = notes.to_vec();
+    notes.sort_unstable();
     PeerNotes(notes)
 }
 
 /// Edge-sorted neighbour notes (see [`peer_notes`]).
 #[derive(Debug, Clone)]
-pub struct PeerNotes<P>(Vec<RoundMsg<P>>);
+pub struct PeerNotes(Vec<EdgeId>);
 
-impl<P: Copy> PeerNotes<P> {
-    /// The neighbour's note about `edge`, if it sent one.
-    pub fn get(&self, edge: EdgeId) -> Option<P> {
-        self.0
-            .binary_search_by_key(&edge, |note| note.edge)
-            .ok()
-            .map(|i| self.0[i].payload)
-    }
-
-    /// Whether the neighbour sent a note about `edge`: for a note whose
-    /// presence is the whole message, such as a mark or a nomination.
+impl PeerNotes {
+    /// Whether the neighbour sent a note about `edge`: a proposal, a mark,
+    /// a selection, a drop or a nomination, whichever the round sends.
     pub fn contains(&self, edge: EdgeId) -> bool {
-        self.get(edge).is_some()
+        self.0.binary_search(&edge).is_ok()
     }
 }
 
@@ -332,13 +271,6 @@ pub fn build_node_records(
         .collect()
 }
 
-/// Total number of live edges across records.  Every edge is listed by both
-/// of its endpoints while both are present, so this is `2|E|` for a fully
-/// consistent state; it reaches zero exactly when no record lists any edge.
-pub fn total_live_edge_entries(records: &[(NodeId, NodeRecord)]) -> usize {
-    records.iter().map(|(_, r)| r.adjacency.len()).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -366,7 +298,8 @@ mod tests {
         assert_eq!(item0.capacity, 2);
         assert_eq!(item0.adjacency.len(), 2);
         assert_eq!(item0.adjacency[0].other, NodeId::consumer(0));
-        assert_eq!(total_live_edge_entries(&records), 6); // 2 * |E|
+        let entries: usize = records.iter().map(|(_, r)| r.adjacency.len()).sum();
+        assert_eq!(entries, 6, "2|E|: every edge at both ends");
     }
 
     #[test]
@@ -451,19 +384,11 @@ mod tests {
     }
 
     #[test]
-    fn round_messages_round_trip_and_index_by_edge() {
-        let msgs: Vec<RoundMsg<u8>> = vec![RoundMsg::new(9, 3), RoundMsg::new(4, 0)];
-        for msg in &msgs {
-            let bytes = msg.encode_to_vec();
-            assert_eq!(msg.encoded_len(), bytes.len());
-            assert_eq!(&RoundMsg::decode_all(&bytes).unwrap(), msg);
-        }
-        assert!(RoundMsg::<u8>::decode_all(&[7]).is_err());
-        let notes = peer_notes(&msgs);
-        assert_eq!(notes.get(9), Some(3));
-        assert_eq!(notes.get(4), Some(0));
-        assert_eq!(notes.get(5), None, "no note: the neighbour sent none");
-        assert!(notes.contains(4) && !notes.contains(5));
+    fn peer_notes_are_looked_up_by_edge() {
+        let notes = peer_notes(&[9, 4]);
+        assert!(notes.contains(9) && notes.contains(4));
+        assert!(!notes.contains(5), "no note: the neighbour sent none");
+        assert!(!peer_notes(&[]).contains(0));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The bytes of every record type the matchers park, pinned against
 //! bytes written out by hand (the join's `Posting` is pinned beside it in
 //! `smr_simjoin`), and the hostile inputs the fixed-width decoding path
-//! must refuse.
+//! must refuse, and arbitrary bytes, which every decoder answers with an
+//! `Ok` or an `Err`, never a panic.
 //!
 //! The golden bytes hold the run-file format (`FORMAT_VERSION` 2) still:
 //! a faster encoding that drifted a single byte would fail here before it
@@ -10,9 +11,10 @@
 //! length before testing it against the input would panic on the largest
 //! lengths used here, whose allocations pass `isize::MAX` bytes.
 
-use smr_graph::NodeId;
+use proptest::prelude::*;
+use smr_graph::{EdgeId, NodeId};
 use smr_matching::maximal::{WorkEdge, WorkRecord};
-use smr_matching::state::{AdjEdge, NodeRecord, RoundMsg};
+use smr_matching::state::{AdjEdge, NodeRecord};
 use smr_storage::{Codec, CodecError};
 
 /// Concatenates byte fields into one expected encoding.
@@ -60,9 +62,8 @@ fn fixed_widths_are_the_sums_of_their_fields() {
     assert_eq!(NodeId::WIDTH, Some(5));
     assert_eq!(AdjEdge::WIDTH, Some(21));
     assert_eq!(WorkEdge::WIDTH, Some(22));
-    assert_eq!(RoundMsg::<()>::WIDTH, Some(8));
-    assert_eq!(RoundMsg::<f64>::WIDTH, Some(16));
-    assert_eq!(<(NodeId, RoundMsg<()>)>::WIDTH, Some(13));
+    assert_eq!(EdgeId::WIDTH, Some(8));
+    assert_eq!(<(NodeId, EdgeId)>::WIDTH, Some(13));
     assert_eq!(<((usize, usize), f64)>::WIDTH, Some(24));
     assert_eq!(NodeRecord::WIDTH, None);
     assert_eq!(WorkRecord::WIDTH, None);
@@ -112,9 +113,9 @@ fn work_record_bytes() {
 
 #[test]
 fn round_note_bytes() {
-    let note = (NodeId::consumer(3), RoundMsg::new(0x0102, ()));
+    let note: (NodeId, EdgeId) = (NodeId::consumer(3), 0x0102);
     golden(note, &[1, 3, 0, 0, 0, 2, 1, 0, 0, 0, 0, 0, 0]);
-    let notes = vec![note, (NodeId::item(0), RoundMsg::new(1, ()))];
+    let notes = vec![note, (NodeId::item(0), 1)];
     let expected = bytes(&[
         &[2, 0, 0, 0, 0, 0, 0, 0],
         &[1, 3, 0, 0, 0, 2, 1, 0, 0, 0, 0, 0, 0],
@@ -216,4 +217,43 @@ fn a_bad_tag_inside_an_adjacency_element_is_refused() {
         WorkRecord::decode_all(&record),
         Err(CodecError::InvalidData(_))
     ));
+}
+
+/// Decodes `input` as a `T`, whose answer, `Ok` or `Err`, is dropped: the
+/// call must return at all, without a panic.
+fn decode<T: Codec>(input: &[u8]) {
+    let _ = T::decode_all(input);
+}
+
+/// Decodes `input` as every record type the matchers and the join park.
+fn decode_every_parked_type(input: &[u8]) {
+    decode::<NodeId>(input);
+    decode::<AdjEdge>(input);
+    decode::<NodeRecord>(input);
+    decode::<WorkEdge>(input);
+    decode::<WorkRecord>(input);
+    decode::<(NodeId, EdgeId)>(input);
+    decode::<((usize, usize), f64)>(input);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn arbitrary_bytes_never_panic_a_decoder(
+        input in proptest::collection::vec(0u8..=255, 0..256),
+        len in 0u64..8,
+    ) {
+        decode_every_parked_type(&input);
+        // A small length at either place a record keeps one, the first
+        // word (a bare adjacency) or the second (after the capacity), so
+        // the element decoders see the hostile bytes too.
+        for at in [0, 8] {
+            if input.len() >= at + 8 {
+                let mut input = input.clone();
+                input[at..at + 8].copy_from_slice(&len.to_le_bytes());
+                decode_every_parked_type(&input);
+            }
+        }
+    }
 }

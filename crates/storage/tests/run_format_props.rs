@@ -5,7 +5,9 @@
 //! - a file whose header carries *any other* version — the retired
 //!   unframed version 1 included — is rejected with a clean
 //!   [`StorageError::VersionMismatch`] naming the version found, never
-//!   misparsed as blocks or surfaced as a decode panic.
+//!   misparsed as blocks or surfaced as a decode panic;
+//! - arbitrary bytes past a valid header, or a file cut short there, read
+//!   back as records or as an error, never as a panic.
 
 use proptest::prelude::*;
 use smr_storage::{Codec, RunReader, RunWriter, StorageError, FORMAT_VERSION};
@@ -56,8 +58,48 @@ fn unframed_file(version: u16, records: &[(u64, String)]) -> Vec<u8> {
     bytes
 }
 
+/// The length of a run file's header for `(u64, String)` records:
+/// magic, version, count and the length-prefixed type tag.
+fn header_len() -> usize {
+    4 + 2 + 8 + 8 + std::any::type_name::<(u64, String)>().len()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn hostile_bytes_past_the_header_never_panic_the_reader(
+        case in 0u64..u64::MAX,
+        lens in proptest::collection::vec(0u16..64, 0..10),
+        cut in any::<proptest::sample::Index>(),
+        damage in 0u8..3,
+        junk in proptest::collection::vec(0u8..=255, 0..256),
+    ) {
+        let path = temp_path("hostile", case);
+        write_run(&path, &records_from(&lens));
+        let mut bytes = std::fs::read(&path).unwrap();
+        let header = header_len();
+        let at = header + cut.index(bytes.len() - header + 1);
+        match damage {
+            // The file ends at the cut.
+            0 => bytes.truncate(at),
+            // The junk replaces every byte from the cut on.
+            1 => {
+                bytes.truncate(at);
+                bytes.extend_from_slice(&junk);
+            }
+            // The junk overwrites bytes from the cut on, in place.
+            _ => {
+                let end = bytes.len().min(at + junk.len());
+                bytes[at..end].copy_from_slice(&junk[..end - at]);
+            }
+        }
+        std::fs::write(&path, &bytes).unwrap();
+        // `Ok` or `Err` are both answers; only a panic fails the case.
+        let read = RunReader::<(u64, String)>::open(&path).and_then(RunReader::read_to_end);
+        remove_temp(&path);
+        drop(read);
+    }
 
     #[test]
     fn runs_round_trip_identically(

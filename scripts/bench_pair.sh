@@ -39,6 +39,11 @@
 #                            better by more than the parent's IQR
 #                   over_bound the work median worse than the parent's by
 #                            more than M's bound
+#                   unresolved the parent's IQR is wider than M's bound
+#                            times the parent's median, and not every work
+#                            run beats every parent run: the spread alone
+#                            could move the median past the bound, so
+#                            neither over_bound nor a win says anything
 #
 # A summary table goes to stderr.  Exits non-zero if a run fails.
 set -euo pipefail
@@ -162,6 +167,8 @@ awk -v pr="$n" -v parent="$parent_commit" -v commit="$commit" \
         stat[side, m, "median"] = median(a, k)
         stat[side, m, "q1"] = quartile(a, k, 1)
         stat[side, m, "q3"] = quartile(a, k, 3)
+        stat[side, m, "min"] = a[1]
+        stat[side, m, "max"] = a[k]
     }
     function stats(side, m) {
         return sprintf("{\"median\": %.10g, \"q1\": %.10g, \"q3\": %.10g, \"iqr\": %.10g}",
@@ -214,12 +221,17 @@ awk -v pr="$n" -v parent="$parent_commit" -v commit="$commit" \
                 iqr = stat["parent", m, "q3"] - stat["parent", m, "q1"]
                 claimable = wins >= need && gain > iqr
                 over = lower ? wm > pm * (1 + bound[m]) : wm < pm * (1 - bound[m])
-                printf "        \"%s\": {\"deltas\": [%s], \"wins\": %d, \"claimable\": %s, \"over_bound\": %s}%s\n",
+                # Every work run beats every parent run.
+                apart = lower ? stat["work", m, "max"] < stat["parent", m, "min"] \
+                    : stat["work", m, "min"] > stat["parent", m, "max"]
+                unresolved = iqr > bound[m] * (pm < 0 ? -pm : pm) && !apart
+                printf "        \"%s\": {\"deltas\": [%s], \"wins\": %d, \"claimable\": %s, \"over_bound\": %s, \"unresolved\": %s}%s\n",
                     m, deltas, wins, claimable ? "true" : "false", over ? "true" : "false",
-                    j < n_names ? "," : ""
-                printf "%-14s %-12s %12.6g %12.6g %12.6g %12.6g %3d/%-2d %s%s\n", w, m, pm, iqr, wm,
+                    unresolved ? "true" : "false", j < n_names ? "," : ""
+                printf "%-14s %-12s %12.6g %12.6g %12.6g %12.6g %3d/%-2d %s%s%s\n", w, m, pm, iqr, wm,
                     stat["work", m, "q3"] - stat["work", m, "q1"], wins, pairs,
-                    claimable ? "claimable " : "", over ? "OVER-BOUND" : "" > "/dev/stderr"
+                    claimable ? "claimable " : "", over ? "OVER-BOUND " : "",
+                    unresolved ? "UNRESOLVED" : "" > "/dev/stderr"
             }
             printf "      }\n    }%s\n", i < n_w ? "," : ""
         }
